@@ -7,7 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 use vp_hitlist::Hitlist;
-use vp_net::{SimDuration, SimTime};
+use vp_net::{BitSet, SimDuration, SimTime};
 
 use crate::collector::RawReply;
 
@@ -37,12 +37,81 @@ pub struct CleanReply {
     pub index: u64,
 }
 
-/// Runs the cleaning pipeline over the central reply stream.
+/// The §4 cleaning pass as an incremental fold: the central point feeds
+/// it one reply at a time, in arrival order, as the collector forwards
+/// them — so a scan never holds its raw reply stream, only the kept
+/// observations.
 ///
 /// A reply is kept iff its payload decodes to a hitlist index within
 /// bounds, its ICMP identifier matches this round's `ident`, its source is
 /// exactly the probed target for that index, it arrived within `cutoff` of
 /// `start`, and it is the first accepted reply for its index.
+pub struct Cleaner<'h> {
+    hitlist: &'h Hitlist,
+    ident: u16,
+    deadline: SimTime,
+    /// Duplicate filter, one bit per hitlist index: a bit is set iff an
+    /// earlier reply for that index was accepted (keep-first).
+    seen: BitSet,
+    kept: Vec<CleanReply>,
+    stats: CleaningStats,
+}
+
+impl<'h> Cleaner<'h> {
+    // vp-lint: cold(fn): one cleaner per scan (or shard), built before the event loop.
+    pub fn new(hitlist: &'h Hitlist, ident: u16, start: SimTime, cutoff: SimDuration) -> Self {
+        Cleaner {
+            hitlist,
+            ident,
+            deadline: start + cutoff,
+            seen: BitSet::new(hitlist.len()),
+            kept: Vec::new(),
+            stats: CleaningStats::default(),
+        }
+    }
+
+    /// Classifies the next reply of the central stream.
+    pub fn push(&mut self, r: &RawReply) {
+        self.stats.total += 1;
+        let Some(index) = r.index.filter(|_| r.ident == self.ident) else {
+            self.stats.foreign += 1;
+            return;
+        };
+        if index >= self.hitlist.len() as u64 {
+            self.stats.foreign += 1;
+            return;
+        }
+        let slot = vp_net::conv::sat_usize(index);
+        if self.hitlist.entry(slot).target != r.src {
+            self.stats.unprobed_source += 1;
+            return;
+        }
+        if r.at > self.deadline {
+            self.stats.late += 1;
+            return;
+        }
+        if self.seen.get(slot) {
+            self.stats.duplicates += 1;
+            return;
+        }
+        self.seen.set(slot);
+        self.stats.kept += 1;
+        // vp-lint: allow(p1): the kept column grows by doubling — O(log n) allocations per scan, pinned by the allocation witness test.
+        self.kept.push(CleanReply {
+            site: r.site,
+            at: r.at,
+            index,
+        });
+    }
+
+    /// The kept observations, in arrival order, and the pass's counters.
+    pub fn finish(self) -> (Vec<CleanReply>, CleaningStats) {
+        (self.kept, self.stats)
+    }
+}
+
+/// Runs the cleaning pipeline over a materialized reply stream: a fold of
+/// [`Cleaner::push`] over `replies`.
 pub fn clean(
     replies: &[RawReply],
     hitlist: &Hitlist,
@@ -50,50 +119,11 @@ pub fn clean(
     start: SimTime,
     cutoff: SimDuration,
 ) -> (Vec<CleanReply>, CleaningStats) {
-    let deadline = start + cutoff;
-    let mut stats = CleaningStats::default();
-    // Duplicate filter: indices are validated < hitlist.len() before the
-    // dedup check, so a pre-sized bitset replaces the historical
-    // `BTreeSet<u64>` — two allocations per pass instead of one tree node
-    // per ~dozen kept replies (rule p1; the allocation witness counts it).
-    // Same keep-first semantics: a bit tests set iff an earlier reply for
-    // that index was accepted.
-    let mut seen: Vec<u64> = Vec::with_capacity(hitlist.len() / 64 + 1);
-    seen.resize(hitlist.len() / 64 + 1, 0);
-    let mut out = Vec::with_capacity(replies.len());
+    let mut cleaner = Cleaner::new(hitlist, ident, start, cutoff);
     for r in replies {
-        stats.total += 1;
-        let Some(index) = r.index.filter(|_| r.ident == ident) else {
-            stats.foreign += 1;
-            continue;
-        };
-        if index >= hitlist.len() as u64 {
-            stats.foreign += 1;
-            continue;
-        }
-        if hitlist.entry(vp_net::conv::sat_usize(index)).target != r.src {
-            stats.unprobed_source += 1;
-            continue;
-        }
-        if r.at > deadline {
-            stats.late += 1;
-            continue;
-        }
-        let word = vp_net::conv::sat_usize(index / 64);
-        let bit = 1u64 << (index % 64);
-        if seen[word] & bit != 0 { // vp-lint: allow(g1): index < hitlist.len() was checked above, and seen spans hitlist.len() bits.
-            stats.duplicates += 1;
-            continue;
-        }
-        seen[word] |= bit; // vp-lint: allow(g1): same bound as the test above.
-        stats.kept += 1;
-        out.push(CleanReply {
-            site: r.site,
-            at: r.at,
-            index,
-        });
+        cleaner.push(r);
     }
-    (out, stats)
+    cleaner.finish()
 }
 
 impl CleaningStats {

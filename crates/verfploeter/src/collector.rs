@@ -4,14 +4,20 @@
 //! captures must happen concurrently at all anycast sites" and "we copy
 //! all responses to a central site for analysis ... with a custom program
 //! that forwards traffic after tagging it with its site." This module is
-//! that custom program: one forwarding worker per site on the blessed
-//! [`ShardExecutor`] (one result channel per site, received in site-id
-//! order), and a deterministic (time, site, source) merge order.
+//! that custom program, as a view rather than a copy: the simulator hands
+//! every site arrival, tagged with site and time, to a
+//! [`vp_sim::CaptureSink`]; the sink here parses it into a [`RawReply`]
+//! and forwards it straight into the central §4 [`Cleaner`]. Arrivals are
+//! dispatched in simulated-time order, so the central stream is the
+//! time-ordered merge of the per-site streams by construction — no
+//! per-site log, no re-sort.
 
 use vp_bgp::SiteId;
 use vp_net::{Ipv4Addr, SimTime};
-use vp_packet::IcmpMessage;
-use vp_sim::{ShardExecutor, SiteCapture};
+use vp_packet::{IcmpMessage, Ipv4Packet};
+use vp_sim::{CaptureSink, ServiceHandle};
+
+use crate::cleaning::Cleaner;
 
 /// A reply as it arrives at the central analysis point: parsed, tagged with
 /// the capturing site.
@@ -29,15 +35,15 @@ pub struct RawReply {
 /// Parses one site capture into a [`RawReply`]; non-ICMP or non-echo-reply
 /// traffic is discarded here (the capture filter on the measurement
 /// address).
-pub fn parse_capture(cap: &SiteCapture) -> Option<RawReply> {
-    if cap.packet.protocol != vp_packet::Protocol::Icmp {
+pub fn parse_capture(site: SiteId, at: SimTime, packet: &Ipv4Packet) -> Option<RawReply> {
+    if packet.protocol != vp_packet::Protocol::Icmp {
         return None;
     }
-    match IcmpMessage::parse_view(&cap.packet.payload) {
+    match IcmpMessage::parse_view(&packet.payload) {
         Ok(IcmpMessage::EchoReply { ident, payload, .. }) => Some(RawReply {
-            site: cap.site,
-            at: cap.at,
-            src: cap.packet.src,
+            site,
+            at,
+            src: packet.src,
             ident,
             index: crate::prober::Prober::decode_payload(&payload),
         }),
@@ -45,81 +51,39 @@ pub fn parse_capture(cap: &SiteCapture) -> Option<RawReply> {
     }
 }
 
-/// Forwards per-site captures to a central aggregator, one worker per
-/// site on the blessed executor — the concurrent collection pipeline of
-/// §3.1. The merged stream is returned sorted by `(time, site, src)` so
-/// downstream processing is deterministic regardless of thread scheduling.
-pub fn forward_to_central(captures_by_site: Vec<Vec<SiteCapture>>) -> Vec<RawReply> {
-    let sites = captures_by_site.len();
-    forward_to_central_on(&ShardExecutor::host_parallel(sites), captures_by_site)
-}
-
-/// [`forward_to_central`] with an explicit executor. The sharded scan
-/// path passes [`ShardExecutor::serial`] because it calls this from
-/// inside a shard worker thread, where nesting another pool would
-/// oversubscribe the host.
-pub fn forward_to_central_on(
-    exec: &ShardExecutor,
-    captures_by_site: Vec<Vec<SiteCapture>>,
-) -> Vec<RawReply> {
-    let per_site: Vec<Vec<RawReply>> = exec.run_sharded(captures_by_site.len(), |site| {
-        let caps = &captures_by_site[site]; // vp-lint: allow(g1): the executor only calls site < the number of site logs.
-        // One pre-sized allocation per site worker (replies never outnumber
-        // captures); parsing filters without regrowth.
-        let mut replies = Vec::with_capacity(caps.len());
-        replies.extend(caps.iter().filter_map(parse_capture));
-        replies
-    });
-    // Site vectors come back in site-id order; the final sort makes the
-    // arrival timeline explicit and is total on (at, site, src).
-    let mut all: Vec<RawReply> = Vec::with_capacity(per_site.iter().map(Vec::len).sum());
-    for site_replies in per_site {
-        all.extend(site_replies);
+/// The central point as the engine's capture sink: each site arrival is
+/// parsed once, as it is dispatched, and cleaned incrementally.
+impl CaptureSink for Cleaner<'_> {
+    fn capture(&mut self, _service: ServiceHandle, site: SiteId, at: SimTime, packet: &Ipv4Packet) {
+        if let Some(reply) = parse_capture(site, at, packet) {
+            self.push(&reply);
+        }
     }
-    all.sort_by_key(|r| (r.at, r.site, r.src));
-    all
-}
-
-/// Splits a flat capture log into per-site logs (what each site's capture
-/// box would have recorded locally).
-pub fn split_by_site(captures: Vec<SiteCapture>, num_sites: usize) -> Vec<Vec<SiteCapture>> {
-    let mut by_site: Vec<Vec<SiteCapture>> = (0..num_sites).map(|_| Vec::new()).collect();
-    for cap in captures {
-        let idx = cap.site.index();
-        assert!(idx < num_sites, "capture at unknown site {}", cap.site);
-        by_site[idx].push(cap); // vp-lint: allow(g1): idx is asserted in range on the line above.
-    }
-    by_site
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use vp_packet::{Ipv4Packet, Protocol};
+    use vp_packet::Protocol;
 
-    fn reply_capture(site: u8, at: u64, src: u32, ident: u16, index: u64) -> SiteCapture {
+    fn reply_packet(src: u32, ident: u16, index: u64) -> Ipv4Packet {
         let icmp = IcmpMessage::EchoReply {
             ident,
             seq: 0,
             payload: crate::prober::Prober::encode_payload(index),
         };
-        SiteCapture {
-            site: SiteId(site),
-            at: SimTime(at),
-            packet: Ipv4Packet::new(
-                Ipv4Addr(src),
-                Ipv4Addr::new(240, 0, 0, 1),
-                Protocol::Icmp,
-                icmp.emit(),
-            ),
-        }
+        Ipv4Packet::new(
+            Ipv4Addr(src),
+            Ipv4Addr::new(240, 0, 0, 1),
+            Protocol::Icmp,
+            icmp.emit(),
+        )
     }
 
     #[test]
     fn parse_extracts_fields() {
-        let cap = reply_capture(2, 55, 0x01020304, 9, 42);
-        let r = parse_capture(&cap).unwrap();
+        let r = parse_capture(SiteId(2), SimTime(55), &reply_packet(0x01020304, 9, 42)).unwrap();
         assert_eq!(r.site, SiteId(2));
         assert_eq!(r.at, SimTime(55));
         assert_eq!(r.src, Ipv4Addr(0x01020304));
@@ -130,18 +94,10 @@ mod tests {
     #[test]
     fn parse_drops_requests_and_non_icmp() {
         let req = IcmpMessage::echo_request(1, 2, Bytes::new());
-        let cap = SiteCapture {
-            site: SiteId(0),
-            at: SimTime(0),
-            packet: Ipv4Packet::new(Ipv4Addr(1), Ipv4Addr(2), Protocol::Icmp, req.emit()),
-        };
-        assert!(parse_capture(&cap).is_none());
-        let udp = SiteCapture {
-            site: SiteId(0),
-            at: SimTime(0),
-            packet: Ipv4Packet::new(Ipv4Addr(1), Ipv4Addr(2), Protocol::Udp, Bytes::new()),
-        };
-        assert!(parse_capture(&udp).is_none());
+        let packet = Ipv4Packet::new(Ipv4Addr(1), Ipv4Addr(2), Protocol::Icmp, req.emit());
+        assert!(parse_capture(SiteId(0), SimTime(0), &packet).is_none());
+        let udp = Ipv4Packet::new(Ipv4Addr(1), Ipv4Addr(2), Protocol::Udp, Bytes::new());
+        assert!(parse_capture(SiteId(0), SimTime(0), &udp).is_none());
     }
 
     #[test]
@@ -151,48 +107,55 @@ mod tests {
             seq: 2,
             payload: Bytes::from_static(b"something else"),
         };
-        let cap = SiteCapture {
-            site: SiteId(0),
-            at: SimTime(0),
-            packet: Ipv4Packet::new(Ipv4Addr(1), Ipv4Addr(2), Protocol::Icmp, icmp.emit()),
-        };
-        let r = parse_capture(&cap).unwrap();
+        let packet = Ipv4Packet::new(Ipv4Addr(1), Ipv4Addr(2), Protocol::Icmp, icmp.emit());
+        let r = parse_capture(SiteId(0), SimTime(0), &packet).unwrap();
         assert_eq!(r.index, None);
     }
 
+    /// The sink is `parse_capture` then `Cleaner::push`: captures from
+    /// several sites, fed in arrival order, clean exactly like the
+    /// materialized stream of their parsed replies — and traffic the
+    /// capture filter drops never reaches the cleaner's counters.
     #[test]
-    fn forwarding_merges_all_sites_deterministically() {
-        let caps = vec![
-            vec![reply_capture(0, 30, 10, 1, 0), reply_capture(0, 10, 11, 1, 1)],
-            vec![reply_capture(1, 20, 12, 1, 2)],
-            vec![],
-        ];
-        let merged = forward_to_central(caps.clone());
-        assert_eq!(merged.len(), 3);
-        // Sorted by time regardless of site thread interleaving.
-        assert_eq!(merged[0].at, SimTime(10));
-        assert_eq!(merged[1].at, SimTime(20));
-        assert_eq!(merged[2].at, SimTime(30));
-        // Re-run gives identical output.
-        assert_eq!(forward_to_central(caps), merged);
-    }
+    fn sink_forwards_parsed_captures_to_the_cleaner() {
+        use vp_hitlist::{Hitlist, HitlistConfig};
+        use vp_net::SimDuration;
+        use vp_topology::{Internet, TopologyConfig};
 
-    #[test]
-    fn split_by_site_partitions() {
-        let flat = vec![
-            reply_capture(0, 1, 1, 1, 0),
-            reply_capture(2, 2, 2, 1, 1),
-            reply_capture(0, 3, 3, 1, 2),
+        let w = Internet::generate(TopologyConfig::tiny(71));
+        let hl = Hitlist::from_internet(&w, &HitlistConfig::default());
+        let target = |i: usize| hl.entry(i).target.0;
+        let captures = [
+            (SiteId(0), SimTime(10), reply_packet(target(1), 7, 1)),
+            (SiteId(1), SimTime(20), reply_packet(target(2), 7, 2)),
+            (SiteId(0), SimTime(30), reply_packet(target(1), 7, 1)), // duplicate
+            (SiteId(2), SimTime(40), reply_packet(target(3), 8, 3)), // foreign ident
         ];
-        let split = split_by_site(flat, 3);
-        assert_eq!(split[0].len(), 2);
-        assert_eq!(split[1].len(), 0);
-        assert_eq!(split[2].len(), 1);
-    }
+        let request = Ipv4Packet::new(
+            Ipv4Addr(1),
+            Ipv4Addr(2),
+            Protocol::Icmp,
+            IcmpMessage::echo_request(7, 0, Bytes::new()).emit(),
+        );
 
-    #[test]
-    #[should_panic(expected = "unknown site")]
-    fn split_rejects_out_of_range_site() {
-        split_by_site(vec![reply_capture(5, 1, 1, 1, 0)], 3);
+        let cutoff = SimDuration::from_mins(15);
+        let mut sink = Cleaner::new(&hl, 7, SimTime::ZERO, cutoff);
+        for (site, at, packet) in &captures {
+            sink.capture(ServiceHandle(0), *site, *at, packet);
+        }
+        sink.capture(ServiceHandle(0), SiteId(0), SimTime(50), &request);
+        let (kept, stats) = sink.finish();
+
+        let replies: Vec<RawReply> = captures
+            .iter()
+            .filter_map(|(site, at, packet)| parse_capture(*site, *at, packet))
+            .collect();
+        assert_eq!(replies.len(), captures.len());
+        let (want_kept, want_stats) = crate::cleaning::clean(&replies, &hl, 7, SimTime::ZERO, cutoff);
+        assert_eq!(kept, want_kept);
+        assert_eq!(stats, want_stats);
+        assert_eq!((stats.total, stats.kept, stats.duplicates, stats.foreign), (4, 2, 1, 1));
+        assert_eq!(kept[0].site, SiteId(0));
+        assert_eq!(kept[1].site, SiteId(1));
     }
 }

@@ -16,10 +16,11 @@
 //! 1. [`prober`] — emit one ICMP Echo Request per hitlist entry, in
 //!    pseudorandom order, paced by a token bucket (§3.1 of the paper).
 //! 2. [`collector`] — capture replies concurrently at every site and
-//!    forward them, tagged with their site, to a central point (§3.1).
+//!    forward them, tagged with their site, to a central point (§3.1):
+//!    a capture sink the simulator calls per arrival.
 //! 3. [`cleaning`] — drop duplicates, replies from addresses that were
 //!    never probed, replies with foreign identifiers, and late replies
-//!    (§4's data cleaning).
+//!    (§4's data cleaning), incrementally as replies are forwarded.
 //! 4. [`catchment`] — fold cleaned replies into a block → site map.
 //!
 //! [`scan::run_scan`] runs the whole pipeline against the discrete-event
@@ -60,7 +61,7 @@ pub mod stability;
 
 pub use catchment::CatchmentMap;
 pub use rtt::RttTable;
-pub use cleaning::{clean, CleaningStats};
-pub use collector::{forward_to_central, forward_to_central_on, RawReply};
+pub use cleaning::{clean, Cleaner, CleaningStats};
+pub use collector::{parse_capture, RawReply};
 pub use prober::{ProbeConfig, Prober};
 pub use scan::{run_scan, run_scan_sharded, run_scan_sharded_on, ScanConfig, ScanObs, ScanResult};

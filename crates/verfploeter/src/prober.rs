@@ -45,14 +45,44 @@ impl Default for ProbeConfig {
     }
 }
 
-/// A scheduled probe: when to send what.
-#[derive(Debug, Clone)]
-pub struct ScheduledProbe {
-    pub at: SimTime,
-    pub packet: Ipv4Packet,
-    /// Index into the hitlist this probe targets.
-    pub index: u64,
+/// The probe schedule as an iterator of `(hitlist index, send time)`:
+/// every index exactly once, in Feistel-permuted order, paced by a token
+/// bucket — send times are non-decreasing, which is what lets the engine
+/// merge the schedule lazily with its in-flight events. O(1) memory: the
+/// schedule is a pure function of `(n, order_seed, rate, start)`. Built
+/// by [`Prober::schedule`].
+#[derive(Debug)]
+pub struct Schedule {
+    perm: FeistelPermutation,
+    bucket: TokenBucket,
+    next: u64,
+    n: u64,
+    t: SimTime,
 }
+
+impl Iterator for Schedule {
+    type Item = (u64, SimTime);
+
+    fn next(&mut self) -> Option<(u64, SimTime)> {
+        if self.next == self.n {
+            return None;
+        }
+        let index = self.perm.permute(self.next);
+        self.next += 1;
+        // Advance to the next admission slot.
+        self.t = self.bucket.next_available(self.t);
+        let admitted = self.bucket.try_acquire(self.t);
+        debug_assert!(admitted, "token bucket must admit at next_available");
+        Some((index, self.t))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = vp_net::conv::sat_usize(self.n - self.next);
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for Schedule {}
 
 /// The prober: turns a hitlist into a paced, permuted probe schedule.
 #[derive(Debug)]
@@ -82,25 +112,21 @@ impl Prober {
         Some(u64::from_be_bytes(payload.get(4..12)?.try_into().ok()?))
     }
 
-    /// Walks the probe schedule — every hitlist index exactly once, in
-    /// Feistel-permuted order, paced from `start` by a token bucket at the
-    /// configured rate — calling `f(index, send_time)` per probe **without
-    /// materializing any packet**. O(1) memory: the schedule is a pure
-    /// function of `(n, order_seed, rate, start)`, so shard engines re-walk
-    /// it to recover their slice of a million-probe round instead of
-    /// holding the whole round in memory.
-    pub fn walk_schedule(&self, n: u64, start: SimTime, mut f: impl FnMut(u64, SimTime)) {
-        let perm = FeistelPermutation::new(n, self.config.order_seed);
-        let mut bucket = TokenBucket::new(self.config.rate_per_sec, 1.0);
-        let mut t = start;
-        for i in 0..n {
-            let index = perm.permute(i);
-            // Advance to the next admission slot.
-            t = bucket.next_available(t);
-            let admitted = bucket.try_acquire(t);
-            debug_assert!(admitted, "token bucket must admit at next_available");
-            f(index, t);
+    /// The probe schedule over `n` hitlist entries starting at `start`,
+    /// **without materializing any packet** (see [`Schedule`]).
+    pub fn schedule(&self, n: u64, start: SimTime) -> Schedule {
+        Schedule {
+            perm: FeistelPermutation::new(n, self.config.order_seed),
+            bucket: TokenBucket::new(self.config.rate_per_sec, 1.0),
+            next: 0,
+            n,
+            t: start,
         }
+    }
+
+    /// Calls `f(index, send_time)` for every probe of [`Prober::schedule`].
+    pub fn walk_schedule(&self, n: u64, start: SimTime, mut f: impl FnMut(u64, SimTime)) {
+        self.schedule(n, start).for_each(|(index, at)| f(index, at));
     }
 
     /// Materializes the probe packet for one hitlist index: an ICMP Echo
@@ -201,24 +227,6 @@ impl Prober {
         );
     }
 
-    /// Builds the full probe schedule as a vector: every hitlist entry
-    /// exactly once, in Feistel-permuted order, paced from `start` by a
-    /// token bucket at the configured rate. `source` must be the
-    /// measurement address inside the anycast prefix. Convenience wrapper
-    /// over [`Prober::walk_schedule`] + [`Prober::build_probe`] — at
-    /// million-target scale prefer the streaming pair.
-    pub fn schedule(&self, hitlist: &Hitlist, source: Ipv4Addr, start: SimTime) -> Vec<ScheduledProbe> {
-        let mut out = Vec::with_capacity(hitlist.len());
-        self.walk_schedule(hitlist.len() as u64, start, |index, at| {
-            out.push(ScheduledProbe {
-                at,
-                packet: self.build_probe(hitlist, index, source),
-                index,
-            });
-        });
-        out
-    }
-
     /// Expected duration of a full round at the configured rate.
     pub fn expected_duration(&self, targets: usize) -> vp_net::SimDuration {
         vp_net::SimDuration::from_secs_f64(targets as f64 / self.config.rate_per_sec)
@@ -249,18 +257,37 @@ mod tests {
         assert_eq!(Prober::decode_payload(&[0u8; 12]), None);
     }
 
+    /// The whole round as `(index, send time, packet)` rows.
+    fn round(prober: &Prober, hl: &Hitlist) -> Vec<(u64, SimTime, Ipv4Packet)> {
+        let source = Ipv4Addr::new(240, 0, 0, 1);
+        prober
+            .schedule(hl.len() as u64, SimTime::ZERO)
+            .map(|(index, at)| (index, at, prober.build_probe(hl, index, source)))
+            .collect()
+    }
+
     #[test]
     fn schedule_covers_every_target_once() {
         let (_, hl) = hitlist();
         let prober = Prober::new(ProbeConfig::default());
-        let probes = prober.schedule(&hl, Ipv4Addr::new(240, 0, 0, 1), SimTime::ZERO);
+        let schedule = prober.schedule(hl.len() as u64, SimTime::ZERO);
+        assert_eq!(schedule.size_hint(), (hl.len(), Some(hl.len())));
+        let probes = round(&prober, &hl);
         assert_eq!(probes.len(), hl.len());
-        let indexes: HashSet<u64> = probes.iter().map(|p| p.index).collect();
+        let indexes: HashSet<u64> = probes.iter().map(|p| p.0).collect();
         assert_eq!(indexes.len(), hl.len());
-        for p in &probes {
-            let entry = hl.entry(p.index as usize);
-            assert_eq!(p.packet.dst, entry.target);
+        for (index, _, packet) in &probes {
+            assert_eq!(packet.dst, hl.entry(*index as usize).target);
         }
+    }
+
+    #[test]
+    fn walk_schedule_visits_the_iterator_in_order() {
+        let prober = Prober::new(ProbeConfig::default());
+        let start = SimTime(5_000);
+        let mut walked = Vec::new();
+        prober.walk_schedule(500, start, |index, at| walked.push((index, at)));
+        assert_eq!(walked, prober.schedule(500, start).collect::<Vec<_>>());
     }
 
     #[test]
@@ -271,8 +298,8 @@ mod tests {
             ..ProbeConfig::default()
         };
         let prober = Prober::new(cfg);
-        let probes = prober.schedule(&hl, Ipv4Addr::new(240, 0, 0, 1), SimTime::ZERO);
-        let last = probes.last().unwrap().at;
+        let probes = round(&prober, &hl);
+        let last = probes.last().unwrap().1;
         let expected_secs = hl.len() as f64 / 1000.0;
         let actual = last.as_secs_f64();
         assert!(
@@ -281,7 +308,7 @@ mod tests {
         );
         // Monotone non-decreasing send times.
         for w in probes.windows(2) {
-            assert!(w[0].at <= w[1].at);
+            assert!(w[0].1 <= w[1].1);
         }
     }
 
@@ -289,8 +316,8 @@ mod tests {
     fn order_is_permuted_not_sequential() {
         let (_, hl) = hitlist();
         let prober = Prober::new(ProbeConfig::default());
-        let probes = prober.schedule(&hl, Ipv4Addr::new(240, 0, 0, 1), SimTime::ZERO);
-        let sequential = probes.windows(2).filter(|w| w[1].index == w[0].index + 1).count();
+        let probes = round(&prober, &hl);
+        let sequential = probes.windows(2).filter(|w| w[1].0 == w[0].0 + 1).count();
         assert!(
             (sequential as f64) < probes.len() as f64 * 0.01,
             "{sequential} sequential pairs"
@@ -305,13 +332,13 @@ mod tests {
             ..ProbeConfig::default()
         };
         let prober = Prober::new(cfg);
-        let probes = prober.schedule(&hl, Ipv4Addr::new(240, 0, 0, 1), SimTime::ZERO);
-        for p in probes.iter().take(20) {
-            let msg = vp_packet::IcmpMessage::parse(&p.packet.payload).unwrap();
+        let probes = round(&prober, &hl);
+        for (index, _, packet) in probes.iter().take(20) {
+            let msg = vp_packet::IcmpMessage::parse(&packet.payload).unwrap();
             assert_eq!(msg.ident(), Some(0x77));
             match msg {
                 vp_packet::IcmpMessage::EchoRequest { payload, .. } => {
-                    assert_eq!(Prober::decode_payload(&payload), Some(p.index));
+                    assert_eq!(Prober::decode_payload(&payload), Some(*index));
                 }
                 other => panic!("expected request, got {other:?}"),
             }

@@ -1,15 +1,20 @@
 //! A full Verfploeter measurement: probe → capture → forward → clean → map.
+//!
+//! Both scan paths drive their engines through [`NetworkSim::run_with`]:
+//! the paced schedule is merged lazily into the event loop one probe batch
+//! at a time, and every site capture is parsed and cleaned as it is
+//! dispatched, so an engine's working set is its in-flight window plus the
+//! kept observations — never the schedule or the raw reply stream.
 
 use vp_bgp::Announcement;
 use vp_hitlist::Hitlist;
 use vp_net::conv;
 use vp_net::{SimDuration, SimTime};
-use vp_sim::{CatchmentOracle, FaultConfig, NetworkSim, ShardExecutor};
+use vp_sim::{CatchmentOracle, FaultConfig, NetworkSim, ShardExecutor, TimedProbe};
 use vp_topology::Internet;
 
 use crate::catchment::CatchmentMap;
-use crate::cleaning::{clean, CleaningStats};
-use crate::collector::{forward_to_central, forward_to_central_on, split_by_site};
+use crate::cleaning::{CleanReply, Cleaner, CleaningStats};
 use crate::prober::{ProbeConfig, Prober, PROBE_BATCH};
 use crate::rtt::RttTable;
 
@@ -94,6 +99,12 @@ pub struct ScanObs {
     /// Probes assigned per shard, in shard order (length 1 for the serial
     /// path). Feeds the shard-balance section of run reports.
     pub shard_probes: Vec<u64>,
+    /// Event-queue high-water mark per engine, in shard order: the most
+    /// events in flight at once ([`NetworkSim::queue_high_water`]). The
+    /// lazy-merge run loop keeps it at the in-flight window of the paced
+    /// schedule — a few thousand whatever the hitlist size. Shard-layout
+    /// data like `shard_probes`, so outside the registry.
+    pub queue_high_water: Vec<u64>,
     /// Sim-time flight timeline for the round (DESIGN.md §15): phase
     /// intervals derived from shard-invariant sim-time marks, so it is
     /// **inside** the §7 contract — byte-identical serial vs sharded for
@@ -115,8 +126,9 @@ pub fn rtt_bucket_bounds() -> Vec<u64> {
         .to_vec()
 }
 
-/// Ring capacity for the wall-time flight recorders: generous for one
-/// round's phase + executor spans, bounded against runaway instrumentation.
+/// Ring capacity for the wall-time flight recorders: one round's executor
+/// spans plus up to [`MAX_PHASE_PAIRS`] interleaved walk/dispatch pairs per
+/// engine ([`PhaseSpans`] coalesces beyond that, so the ring never drops).
 const FLIGHT_CAPACITY: usize = 4096;
 
 /// Builds the round's **sim-time** flight timeline from shard-invariant
@@ -152,6 +164,7 @@ fn finish_obs(
     engines: Vec<(vp_obs::Registry, vp_obs::TraceSummary)>,
     sim_end: SimTime,
     shard_probes: Vec<u64>,
+    queue_high_water: Vec<u64>,
     probes_sent: u64,
     started: SimTime,
     last_probe: SimTime,
@@ -231,6 +244,7 @@ fn finish_obs(
         trace,
         sim_end,
         shard_probes,
+        queue_high_water,
         flight,
         wall_flight,
     }
@@ -252,33 +266,254 @@ impl ScanResult {
     }
 }
 
-/// Flushes one accumulated batch of scheduled probes into the engine:
-/// builds the batch's packets **and their precomputed reply images**
-/// through the allocation-amortized
-/// [`Prober::build_probes_with_replies`] (two shared wire buffers,
-/// incremental checksums) and injects them in schedule order, which
-/// keeps the engine's per-packet sequence numbers — and therefore the
-/// §7 keyed fault draws — identical to the probe-at-a-time path.
-/// Responders answer with the precomputed image, so the reply path
-/// allocates nothing per probe. Clears the index/send-time accumulators
-/// for the next batch; `packets` and `reply_images` are the reused
-/// output buffers.
-fn send_batch(
-    prober: &Prober,
-    hitlist: &Hitlist,
-    source: vp_net::Ipv4Addr,
-    indices: &mut Vec<u64>,
-    ats: &mut Vec<SimTime>,
-    packets: &mut Vec<vp_packet::Ipv4Packet>,
-    reply_images: &mut Vec<bytes::Bytes>,
-    sim: &mut NetworkSim<'_>,
-) {
-    prober.build_probes_with_replies(hitlist, indices, source, packets, reply_images);
-    for ((packet, image), &at) in packets.drain(..).zip(reply_images.drain(..)).zip(ats.iter()) {
-        sim.send_probe_at(at, packet, image);
+/// Folds the refills and dispatch stretches of one engine run — which
+/// interleave, one refill per [`PROBE_BATCH`] — into the wall flight
+/// channel as disjoint, non-nesting intervals, so the per-name sums still
+/// tile the round (DESIGN.md §15). Up to [`MAX_PHASE_PAIRS`] refills are
+/// recorded exactly: the refill as the walk interval, the stretch up to
+/// the next refill as the dispatch interval. Longer runs coalesce `group`
+/// consecutive refills into one pair laid out back to back over the
+/// group's own wall interval — summed walk time first, the rest dispatch —
+/// so the ring never overflows and the sums stay exact.
+struct PhaseSpans<'a> {
+    rec: &'a vp_obs::FlightRecorder,
+    shard: Option<u32>,
+    group: u64,
+    /// Refills folded into the open pair, their summed duration, and the
+    /// wall time the pair (and its latest refill) began.
+    refills: u64,
+    walk_ns: u64,
+    pair_start: u64,
+    refill_start: u64,
+}
+
+/// Walk/dispatch pairs one engine may record: half the ring, less the
+/// handful of whole-round spans that share it.
+const MAX_PHASE_PAIRS: u64 = (FLIGHT_CAPACITY as u64 - 64) / 2;
+
+impl<'a> PhaseSpans<'a> {
+    fn new(rec: &'a vp_obs::FlightRecorder, shard: Option<u32>, probes: usize) -> Self {
+        // One refill per batch, plus the empty one that finds the
+        // schedule exhausted.
+        let refills = (probes / PROBE_BATCH + 2) as u64;
+        PhaseSpans {
+            rec,
+            shard,
+            group: refills.div_ceil(MAX_PHASE_PAIRS),
+            refills: 0,
+            walk_ns: 0,
+            pair_start: 0,
+            refill_start: 0,
+        }
     }
-    indices.clear();
-    ats.clear();
+
+    fn begin_refill(&mut self) {
+        let now = self.rec.now_nanos();
+        if self.refills == self.group {
+            self.close_pair(now);
+        }
+        if self.refills == 0 {
+            self.pair_start = now;
+        }
+        self.refill_start = now;
+    }
+
+    fn end_refill(&mut self) {
+        self.walk_ns += self.rec.now_nanos().saturating_sub(self.refill_start);
+        self.refills += 1;
+    }
+
+    /// Closes the last pair at the end of the engine run.
+    fn finish(mut self) {
+        let now = self.rec.now_nanos();
+        self.close_pair(now);
+    }
+
+    // vp-lint: cold(fn): once per refill group — at most MAX_PHASE_PAIRS times per engine run, and only with a wall channel attached.
+    fn close_pair(&mut self, end: u64) {
+        if self.refills == 0 {
+            return;
+        }
+        let walk_end = self.pair_start + self.walk_ns;
+        // The serial feed walks the schedule as it builds; shard feeds
+        // replay a slice the orchestrator's prepass already walked.
+        if self.shard.is_some() {
+            self.rec
+                .record_interval("scan.probe_build", "probe", self.shard, self.pair_start, walk_end);
+        } else {
+            self.rec
+                .record_interval("scan.schedule_walk", "probe", None, self.pair_start, walk_end);
+        }
+        self.rec
+            .record_interval("scan.sim_dispatch", "sim", self.shard, walk_end, end);
+        self.refills = 0;
+        self.walk_ns = 0;
+    }
+}
+
+/// The pull-style probe source [`NetworkSim::run_with`] merges into its
+/// event loop: walks `schedule` one [`PROBE_BATCH`] at a time, building
+/// each batch's packets **and their precomputed reply images** through
+/// the allocation-amortized [`Prober::build_probes_with_replies`] (two
+/// shared wire buffers, incremental checksums), and yields them in
+/// schedule order. Only one batch of probes exists at any moment; the
+/// engine asks for the next probe when its send time comes due.
+struct ProbeFeed<'a, I> {
+    schedule: I,
+    prober: &'a Prober,
+    hitlist: &'a Hitlist,
+    source: vp_net::Ipv4Addr,
+    indices: Vec<u64>,
+    /// The current batch, reversed so `pop` yields schedule order.
+    ats: Vec<SimTime>,
+    packets: Vec<vp_packet::Ipv4Packet>,
+    reply_images: Vec<bytes::Bytes>,
+    phases: Option<PhaseSpans<'a>>,
+}
+
+impl<I: Iterator<Item = (u64, SimTime)>> ProbeFeed<'_, I> {
+    fn refill(&mut self) {
+        if let Some(phases) = &mut self.phases {
+            phases.begin_refill();
+        }
+        self.indices.clear();
+        self.ats.clear();
+        for (index, at) in self.schedule.by_ref().take(PROBE_BATCH) {
+            self.indices.push(index);
+            self.ats.push(at);
+        }
+        self.prober.build_probes_with_replies(
+            self.hitlist,
+            &self.indices,
+            self.source,
+            &mut self.packets,
+            &mut self.reply_images,
+        );
+        self.ats.reverse();
+        self.packets.reverse();
+        self.reply_images.reverse();
+        if let Some(phases) = &mut self.phases {
+            phases.end_refill();
+        }
+    }
+}
+
+impl<I: Iterator<Item = (u64, SimTime)>> Iterator for ProbeFeed<'_, I> {
+    type Item = TimedProbe;
+
+    fn next(&mut self) -> Option<TimedProbe> {
+        if self.packets.is_empty() {
+            self.refill();
+        }
+        Some(TimedProbe {
+            at: self.ats.pop()?,
+            packet: self.packets.pop()?,
+            reply_image: self.reply_images.pop()?,
+        })
+    }
+}
+
+/// What every engine of one round shares.
+struct Round<'a> {
+    world: &'a Internet,
+    hitlist: &'a Hitlist,
+    announcement: &'a Announcement,
+    faults: &'a FaultConfig,
+    start: SimTime,
+    config: &'a ScanConfig,
+    sim_seed: u64,
+    prober: Prober,
+}
+
+/// One engine's share of a round: the whole round on the serial path, one
+/// shard's on the sharded path.
+struct EngineRound {
+    /// Kept observations in arrival order, and the §4 counters.
+    kept: Vec<CleanReply>,
+    cleaning: CleaningStats,
+    sim_stats: vp_sim::SimStats,
+    sim_end: SimTime,
+    queue_high_water: u64,
+    // Tracers hold `Rc` state, so engines drain to a detached (Send)
+    // registry + summary before anything crosses a thread boundary.
+    obs: (vp_obs::Registry, vp_obs::TraceSummary),
+}
+
+impl Round<'_> {
+    /// Runs one engine over `schedule` — this engine's probes as
+    /// `(hitlist index, send time)` in global walk order — feeding the
+    /// event loop lazily and cleaning every site capture as it is
+    /// dispatched: neither the schedule nor the reply stream is ever
+    /// materialized. `wall_rec` receives the run's refill and dispatch
+    /// intervals, attributed to `shard`.
+    fn run_engine(
+        &self,
+        oracle: Box<dyn CatchmentOracle>, // vp-lint: allow(p4): one oracle box per engine, handed over at setup, never per probe.
+        shard: Option<usize>,
+        schedule: impl ExactSizeIterator<Item = (u64, SimTime)>,
+        wall_rec: Option<&vp_obs::FlightRecorder>,
+    ) -> EngineRound {
+        // Every engine gets the round seed (keyed fault draws must agree
+        // across shard layouts) but a shard-distinct auxiliary stream.
+        let mut sim = NetworkSim::new_shard(
+            self.world,
+            self.faults.clone(),
+            self.sim_seed,
+            shard.unwrap_or(0) as u64,
+        );
+        sim.attach_obs(self.config.trace);
+        sim.register_service(self.announcement.clone(), oracle, false);
+        let shard_id = shard.map(|k| u32::try_from(k).unwrap_or(u32::MAX));
+        let phases = wall_rec.map(|rec| PhaseSpans::new(rec, shard_id, schedule.len()));
+        let mut feed = ProbeFeed {
+            schedule,
+            prober: &self.prober,
+            hitlist: self.hitlist,
+            source: self.announcement.measurement_addr(),
+            indices: Vec::with_capacity(PROBE_BATCH),
+            ats: Vec::with_capacity(PROBE_BATCH),
+            packets: Vec::with_capacity(PROBE_BATCH),
+            reply_images: Vec::with_capacity(PROBE_BATCH),
+            phases,
+        };
+        let mut cleaner = Cleaner::new(
+            self.hitlist,
+            self.config.probe.ident,
+            self.start,
+            self.config.cutoff,
+        );
+        sim.run_with(&mut feed, &mut cleaner);
+        if let Some(phases) = feed.phases.take() {
+            phases.finish();
+        }
+        let (kept, cleaning) = cleaner.finish();
+        let obs = match sim.take_obs() {
+            Some(engine_obs) => {
+                let trace = engine_obs.tracer.drain();
+                (engine_obs.registry, trace)
+            }
+            None => Default::default(),
+        };
+        EngineRound {
+            kept,
+            cleaning,
+            sim_stats: sim.stats(),
+            sim_end: sim.now(),
+            queue_high_water: sim.queue_high_water() as u64,
+            obs,
+        }
+    }
+
+    /// Folds one engine's kept observations into its catchment map and
+    /// RTT table (probe transmission to reply arrival).
+    fn build_tables(&self, kept: &[CleanReply], send_time: &[SimTime]) -> (CatchmentMap, RttTable) {
+        let catchments = CatchmentMap::from_replies(&self.config.name, kept, self.hitlist);
+        let rtts = RttTable::from_pairs(kept.iter().map(|r| {
+            let block = self.hitlist.entry(conv::sat_usize(r.index)).block;
+            (block, r.at.since(send_time[conv::sat_usize(r.index)])) // vp-lint: allow(g1): send_time is sized to the hitlist that minted r.index.
+        }));
+        (catchments, rtts)
+    }
 }
 
 /// Runs one full Verfploeter measurement at `start` over a fresh simulator.
@@ -297,10 +532,16 @@ pub fn run_scan(
     config: &ScanConfig,
     sim_seed: u64,
 ) -> ScanResult {
-    let mut sim = NetworkSim::new(world, faults, sim_seed);
-    sim.attach_obs(config.trace);
-    let svc = sim.register_service(announcement.clone(), oracle, false);
-    let source = announcement.measurement_addr();
+    let round = Round {
+        world,
+        hitlist,
+        announcement,
+        faults: &faults,
+        start,
+        config,
+        sim_seed,
+        prober: Prober::new(config.probe.clone()),
+    };
 
     // Wall-time flight channel, if the caller attached one. Guards close
     // (and record) at the matching `drop`, so each phase's interval spans
@@ -311,100 +552,37 @@ pub fn run_scan(
         .map(|w| vp_obs::FlightRecorder::new(Box::new(w), FLIGHT_CAPACITY));
     let round_guard = wall_rec.as_ref().map(|r| r.span("scan.round", "round", None));
 
-    let prober = Prober::new(config.probe.clone());
     let probes_sent = hitlist.len() as u64;
     let mut last_probe = start;
     let mut send_time = vec![SimTime::ZERO; hitlist.len()];
-    // Stream the schedule into the engine in PROBE_BATCH-sized bursts:
-    // pacing is monotone, so the last walked time is the last probe's
-    // transmission time, and flushing whole batches preserves schedule
-    // order (hence injection sequence numbers) exactly. Probe packets are
-    // built inside the walk, so the serial path's walk span covers probe
-    // building too.
-    let mut batch_indices: Vec<u64> = Vec::with_capacity(PROBE_BATCH);
-    let mut batch_ats: Vec<SimTime> = Vec::with_capacity(PROBE_BATCH);
-    let mut batch_packets: Vec<vp_packet::Ipv4Packet> = Vec::with_capacity(PROBE_BATCH);
-    let mut batch_replies: Vec<bytes::Bytes> = Vec::with_capacity(PROBE_BATCH);
-    let guard = wall_rec
-        .as_ref()
-        .map(|r| r.span("scan.schedule_walk", "probe", None));
-    prober.walk_schedule(probes_sent, start, |index, at| {
+    // The schedule is walked as the engine pulls it: pacing is monotone,
+    // so the last walked time is the last probe's transmission time, and
+    // every reply arrives after its probe's send time was recorded.
+    let schedule = round.prober.schedule(probes_sent, start).inspect(|&(index, at)| {
         send_time[conv::sat_usize(index)] = at; // vp-lint: allow(g1): walk indices are a permutation of this hitlist's indices.
         last_probe = at;
-        batch_indices.push(index);
-        batch_ats.push(at);
-        if batch_indices.len() == PROBE_BATCH {
-            send_batch(
-                &prober,
-                hitlist,
-                source,
-                &mut batch_indices,
-                &mut batch_ats,
-                &mut batch_packets,
-                &mut batch_replies,
-                &mut sim,
-            );
-        }
     });
-    if !batch_indices.is_empty() {
-        send_batch(
-            &prober,
-            hitlist,
-            source,
-            &mut batch_indices,
-            &mut batch_ats,
-            &mut batch_packets,
-            &mut batch_replies,
-            &mut sim,
-        );
-    }
-    drop(guard);
-    let guard = wall_rec
-        .as_ref()
-        .map(|r| r.span("scan.sim_dispatch", "sim", None));
-    sim.run();
-    drop(guard);
+    let engine = round.run_engine(oracle, None, schedule, wall_rec.as_ref());
 
-    let num_sites = announcement.sites.len();
-    let captures = sim.take_captures(svc);
-    let by_site = split_by_site(captures, num_sites);
-    let central = forward_to_central(by_site);
-    let guard = wall_rec
-        .as_ref()
-        .map(|r| r.span("scan.cleaning", "clean", None));
-    let (clean_replies, cleaning) = clean(&central, hitlist, config.probe.ident, start, config.cutoff);
-    drop(guard);
     let guard = wall_rec
         .as_ref()
         .map(|r| r.span("scan.catchment_build", "map", None));
-    let catchments = CatchmentMap::from_replies(&config.name, &clean_replies, hitlist);
-    let rtts = RttTable::from_pairs(clean_replies.iter().map(|r| {
-        let block = hitlist.entry(conv::sat_usize(r.index)).block;
-        (block, r.at.since(send_time[conv::sat_usize(r.index)])) // vp-lint: allow(g1): send_time is sized to the hitlist that minted r.index.
-    }));
+    let (catchments, rtts) = round.build_tables(&engine.kept, &send_time);
     drop(guard);
     drop(round_guard);
     let wall_flight = wall_rec.map(|r| r.drain()).unwrap_or_default();
 
-    let sim_stats = sim.stats();
-    let sim_end = sim.now();
-    let engines = match sim.take_obs() {
-        Some(engine_obs) => {
-            let engine_trace = engine_obs.tracer.drain();
-            vec![(engine_obs.registry, engine_trace)]
-        }
-        None => Vec::new(),
-    };
     let obs = finish_obs(
-        engines,
-        sim_end,
+        vec![engine.obs],
+        engine.sim_end,
         vec![probes_sent],
+        vec![engine.queue_high_water],
         probes_sent,
         start,
         last_probe,
         wall_flight,
-        &sim_stats,
-        &cleaning,
+        &engine.sim_stats,
+        &engine.cleaning,
         &catchments,
         &rtts,
         announcement,
@@ -412,12 +590,12 @@ pub fn run_scan(
 
     ScanResult {
         catchments,
-        cleaning,
+        cleaning: engine.cleaning,
         probes_sent,
         started: start,
         last_probe,
         rtts,
-        sim_stats,
+        sim_stats: engine.sim_stats,
         obs,
     }
 }
@@ -503,8 +681,16 @@ pub fn run_scan_sharded_on(
     shards: usize,
 ) -> ScanResult {
     assert!(shards > 0, "cannot scan with zero shards");
-    let source = announcement.measurement_addr();
-    let num_sites = announcement.sites.len();
+    let round = Round {
+        world,
+        hitlist,
+        announcement,
+        faults: &faults,
+        start,
+        config,
+        sim_seed,
+        prober: Prober::new(config.probe.clone()),
+    };
 
     // Orchestrator-level wall channel (shard = None): the global schedule
     // prepass and the merge run on the calling thread. Shard workers get
@@ -521,9 +707,8 @@ pub fn run_scan_sharded_on(
     // send times and slices the schedule per shard — each shard's
     // `(index, at)` pairs in global walk order, 16 bytes per probe — so
     // the engines never re-walk the schedule. Probe *packets* (payload
-    // bytes and all) are still materialized only inside the owning
-    // engine, at O(hitlist/K) packets per engine.
-    let prober = Prober::new(config.probe.clone());
+    // bytes and all) are materialized only inside the owning engine, one
+    // batch at a time, as its event loop pulls them.
     let probes_sent = hitlist.len() as u64;
     let mut last_probe = start;
     let mut send_time = vec![SimTime::ZERO; hitlist.len()]; // vp-lint: allow(p1): schedule prepass buffer, one allocation per scan.
@@ -531,118 +716,50 @@ pub fn run_scan_sharded_on(
     let guard = wall_rec
         .as_ref()
         .map(|r| r.span("scan.schedule_walk", "probe", None));
-    prober.walk_schedule(probes_sent, start, |index, at| {
+    round.prober.walk_schedule(probes_sent, start, |index, at| {
         send_time[conv::sat_usize(index)] = at; // vp-lint: allow(g1): walk indices are a permutation of this hitlist's indices.
         last_probe = at;
         schedule_slices[hitlist.shard_of(conv::sat_usize(index), shards)].push((index, at)); // vp-lint: allow(g1): shard_of returns a value < shards by contract.
     });
     drop(guard);
 
-    // One engine per shard, run on the blessed executor. Each engine gets
-    // the same round seed (keyed fault draws must agree with the serial
-    // engine) but a shard-distinct auxiliary RNG stream via
-    // `NetworkSim::new_shard`. The executor returns outcomes in shard-id
-    // order, so the merge below folds shard 0, 1, 2, … by construction.
+    // One engine per shard, run on the blessed executor. The executor
+    // returns outcomes in shard-id order, so the merge below folds shard
+    // 0, 1, 2, … by construction.
     struct ShardOutcome {
+        engine: EngineRound,
         catchments: CatchmentMap,
-        cleaning: CleaningStats,
         rtts: RttTable,
-        sim_stats: vp_sim::SimStats,
         probes: u64,
-        sim_end: SimTime,
-        // Tracers hold `Rc` state, so engines drain to a detached
-        // (Send) registry + summary before crossing the thread boundary.
-        obs_registry: vp_obs::Registry,
-        obs_trace: vp_obs::TraceSummary,
-        // Likewise a detached (Send) snapshot of the shard's wall-time
-        // flight recorder; empty when no wall channel is attached.
+        // A detached (Send) snapshot of the shard's wall-time flight
+        // recorder; empty when no wall channel is attached.
         wall_flight: vp_obs::FlightTimeline,
     }
     let (outcomes, shard_timings): (Vec<ShardOutcome>, Vec<vp_sim::exec::ShardTiming>) = exec
         .run_sharded_timed(
             shards,
             |k| {
-                let shard_id = Some(u32::try_from(k).unwrap_or(u32::MAX));
                 let shard_rec = config
                     .wall
                     .clone()
                     .map(|w| vp_obs::FlightRecorder::new(Box::new(w), FLIGHT_CAPACITY)); // vp-lint: allow(p1): one recorder per shard worker, not per probe.
-                let mut sim = NetworkSim::new_shard(world, faults.clone(), sim_seed, k as u64);
-                sim.attach_obs(config.trace);
-                let svc = sim.register_service(announcement.clone(), make_oracle(), false);
                 // Replay this shard's slice of the global schedule: identical
-                // send times and payload indices to the serial path, in the same
-                // (global walk) injection order the serial engine saw.
+                // send times and payload indices to the serial path.
                 let slice = &schedule_slices[k]; // vp-lint: allow(g1): the executor only calls k < shards, the length of schedule_slices.
                 let probes = slice.len() as u64;
-                let guard = shard_rec
-                    .as_ref()
-                    .map(|r| r.span("scan.probe_build", "probe", shard_id));
-                let mut batch_indices: Vec<u64> = Vec::with_capacity(PROBE_BATCH);
-                let mut batch_ats: Vec<SimTime> = Vec::with_capacity(PROBE_BATCH);
-                let mut batch_packets: Vec<vp_packet::Ipv4Packet> =
-                    Vec::with_capacity(PROBE_BATCH);
-                let mut batch_replies: Vec<bytes::Bytes> = Vec::with_capacity(PROBE_BATCH);
-                for chunk in slice.chunks(PROBE_BATCH) {
-                    for &(index, at) in chunk {
-                        batch_indices.push(index);
-                        batch_ats.push(at);
-                    }
-                    send_batch(
-                        &prober,
-                        hitlist,
-                        source,
-                        &mut batch_indices,
-                        &mut batch_ats,
-                        &mut batch_packets,
-                        &mut batch_replies,
-                        &mut sim,
-                    );
-                }
+                let engine =
+                    round.run_engine(make_oracle(), Some(k), slice.iter().copied(), shard_rec.as_ref());
+                let guard = shard_rec.as_ref().map(|r| {
+                    let shard_id = Some(u32::try_from(k).unwrap_or(u32::MAX));
+                    r.span("scan.catchment_build", "map", shard_id)
+                });
+                let (catchments, rtts) = round.build_tables(&engine.kept, &send_time);
                 drop(guard);
-                let guard = shard_rec
-                    .as_ref()
-                    .map(|r| r.span("scan.sim_dispatch", "sim", shard_id));
-                sim.run();
-                drop(guard);
-
-                let captures = sim.take_captures(svc);
-                let by_site = split_by_site(captures, num_sites);
-                // Serial site forwarding: this closure is already on a shard
-                // worker thread; nesting another pool would oversubscribe.
-                let central = forward_to_central_on(&ShardExecutor::serial(), by_site);
-                let guard = shard_rec
-                    .as_ref()
-                    .map(|r| r.span("scan.cleaning", "clean", shard_id));
-                let (clean_replies, cleaning) =
-                    clean(&central, hitlist, config.probe.ident, start, config.cutoff);
-                drop(guard);
-                let guard = shard_rec
-                    .as_ref()
-                    .map(|r| r.span("scan.catchment_build", "map", shard_id));
-                let catchments = CatchmentMap::from_replies(&config.name, &clean_replies, hitlist);
-                let rtts = RttTable::from_pairs(clean_replies.iter().map(|r| {
-                    let block = hitlist.entry(conv::sat_usize(r.index)).block;
-                    (block, r.at.since(send_time[conv::sat_usize(r.index)])) // vp-lint: allow(g1): send_time is sized to the hitlist that minted r.index.
-                }));
-                drop(guard);
-                let sim_end = sim.now();
-                let (obs_registry, obs_trace) = match sim.take_obs() {
-                    Some(engine_obs) => {
-                        let trace = engine_obs.tracer.drain();
-                        (engine_obs.registry, trace)
-                    }
-                    None => Default::default(),
-                };
                 ShardOutcome {
+                    engine,
                     catchments,
-                    cleaning,
                     rtts,
-                    sim_stats: sim.stats(),
                     probes,
-                    sim_end,
-                    obs_registry,
-                    obs_trace,
                     wall_flight: shard_rec.map(|r| r.drain()).unwrap_or_default(),
                 }
             },
@@ -674,18 +791,20 @@ pub fn run_scan_sharded_on(
     let mut sim_stats = vp_sim::SimStats::default();
     let mut sim_end = SimTime::ZERO;
     let mut shard_probes = Vec::with_capacity(outcomes.len());
+    let mut queue_high_water = Vec::with_capacity(outcomes.len());
     let mut engines = Vec::with_capacity(outcomes.len());
     let mut wall_flight = vp_obs::FlightTimeline::default();
-    for o in &outcomes {
+    for o in outcomes {
         catchments.merge(&o.catchments);
-        cleaning.merge(&o.cleaning);
+        cleaning.merge(&o.engine.cleaning);
         rtts.merge(&o.rtts);
-        sim_stats.merge(&o.sim_stats);
+        sim_stats.merge(&o.engine.sim_stats);
         // The union of shard event streams is the serial event stream, so
         // the max final clock equals the serial engine's final clock.
-        sim_end = sim_end.max(o.sim_end);
+        sim_end = sim_end.max(o.engine.sim_end);
         shard_probes.push(o.probes);
-        engines.push((o.obs_registry.clone(), o.obs_trace.clone()));
+        queue_high_water.push(o.engine.queue_high_water);
+        engines.push(o.engine.obs);
         wall_flight.merge(&o.wall_flight);
     }
     drop(merge_guard);
@@ -697,6 +816,7 @@ pub fn run_scan_sharded_on(
         engines,
         sim_end,
         shard_probes,
+        queue_high_water,
         probes_sent,
         start,
         last_probe,
@@ -940,12 +1060,16 @@ mod tests {
             assert_results_identical(&serial, &sharded);
             // Shard bookkeeping: every probe is owned by exactly one shard.
             assert_eq!(sharded.obs.shard_probes.len(), shards);
+            assert_eq!(sharded.obs.queue_high_water.len(), shards);
             assert_eq!(
                 sharded.obs.shard_probes.iter().sum::<u64>(),
                 sharded.probes_sent
             );
         }
         assert_eq!(serial.obs.shard_probes, vec![serial.probes_sent]);
+        // The queue held the in-flight window, never the whole schedule.
+        let high_water = serial.obs.queue_high_water[0];
+        assert!(0 < high_water && high_water < serial.probes_sent, "{high_water}");
     }
 
     /// The registry carries the round's headline numbers, consistent with
@@ -1065,6 +1189,55 @@ mod tests {
             result.obs.registry.counter_value("flight.dropped_records", &[]),
             0
         );
+    }
+
+    /// Strictly increasing ticks: every clock read is one "nanosecond".
+    struct TickClock(std::sync::atomic::AtomicU64);
+
+    impl vp_obs::Clock for TickClock {
+        fn now_nanos(&self) -> u64 {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        }
+    }
+
+    /// A run with more refills than the ring has room for coalesces them
+    /// into at most `MAX_PHASE_PAIRS` back-to-back walk/dispatch pairs:
+    /// nothing is dropped, the intervals stay disjoint, and the per-name
+    /// sums are what the individual refills and stretches added up to.
+    #[test]
+    fn phase_spans_coalesce_long_runs_without_losing_time() {
+        let rec = vp_obs::FlightRecorder::new(Box::new(TickClock(0.into())), FLIGHT_CAPACITY);
+        let refills = 3 * MAX_PHASE_PAIRS + 17;
+        let mut phases = PhaseSpans::new(&rec, None, refills as usize * PROBE_BATCH);
+        assert_eq!(phases.group, 4);
+        let t0 = rec.now_nanos();
+        for _ in 0..refills {
+            phases.begin_refill(); // tick
+            phases.end_refill(); // tick: every refill lasts one tick...
+            rec.now_nanos(); // ...and every dispatch stretch two.
+        }
+        phases.finish();
+        let t1 = rec.now_nanos();
+
+        let flight = rec.drain();
+        assert_eq!(flight.dropped, 0);
+        let pairs = refills.div_ceil(4);
+        assert_eq!(flight.spans.len() as u64, 2 * pairs);
+        assert!(pairs <= MAX_PHASE_PAIRS);
+        for w in flight.spans.windows(2) {
+            assert!(w[0].end_ns <= w[1].start_ns, "{:?} overlaps {:?}", w[0], w[1]);
+        }
+        let sum = |name: &str| -> u64 {
+            flight
+                .spans
+                .iter()
+                .filter(|sp| sp.name == name)
+                .map(vp_obs::FlightSpan::duration_ns)
+                .sum()
+        };
+        assert_eq!(sum("scan.schedule_walk"), refills);
+        assert_eq!(sum("scan.sim_dispatch"), 2 * refills);
+        assert!(flight.spans[0].start_ns > t0 && flight.spans.last().unwrap().end_ns < t1);
     }
 
     #[test]

@@ -288,6 +288,103 @@ fn wall_channel_is_outside_the_contract() {
     }
 }
 
+/// Under the lazy-merge run loop the schedule refills and the dispatch
+/// stretches interleave, one refill per probe batch. The wall channel
+/// records them as disjoint, non-nesting intervals under the phase names,
+/// so per-name sums still tile `scan.round`: on a 10^5-block round — serial
+/// and K=8 on OS threads — nothing is dropped from the ring, no two phase
+/// spans of one lane overlap, and all of them sit inside the round.
+#[test]
+fn wall_phase_spans_are_disjoint_on_a_large_round() {
+    const TARGETS: usize = 100_000;
+    let s = Scenario::broot(
+        TopologyConfig {
+            seed: 33,
+            num_ases: TARGETS / 25,
+            max_blocks: TARGETS,
+            ..TopologyConfig::default()
+        },
+        7,
+    );
+    let hl = Hitlist::from_internet(&s.world, &HitlistConfig::default());
+    assert_eq!(hl.len(), TARGETS);
+    let table = std::sync::Arc::new(s.routing());
+    let wall_config = ScanConfig {
+        wall: Some(vp_obs::WallChannel::new(std::sync::Arc::new(
+            CountingClock(std::sync::atomic::AtomicU64::new(0)),
+        ))),
+        ..ScanConfig::default()
+    };
+    let serial = run_scan(
+        &s.world,
+        &hl,
+        &s.announcement,
+        Box::new(StaticOracle::shared(table.clone())),
+        FaultConfig::default(),
+        SimTime::ZERO,
+        &wall_config,
+        0xbe9c,
+    );
+    let sharded = run_scan_sharded_on(
+        &ShardExecutor::new(8),
+        &s.world,
+        &hl,
+        &s.announcement,
+        &|| Box::new(StaticOracle::shared(table.clone())),
+        FaultConfig::default(),
+        SimTime::ZERO,
+        &wall_config,
+        0xbe9c,
+        8,
+    );
+
+    const PHASES: [&str; 4] = [
+        "scan.schedule_walk",
+        "scan.probe_build",
+        "scan.sim_dispatch",
+        "scan.catchment_build",
+    ];
+    for (label, result, lanes) in [("serial", &serial, 1), ("K=8", &sharded, 9)] {
+        let flight = &result.obs.wall_flight;
+        assert_eq!(flight.dropped, 0, "{label}: the wall ring overflowed");
+        let round = flight
+            .spans
+            .iter()
+            .find(|sp| sp.name == "scan.round")
+            .unwrap_or_else(|| panic!("{label}: no scan.round span"));
+        // Canonical order is (shard, start, wider first): within a lane,
+        // disjoint spans appear in time order.
+        let mut lanes_seen = std::collections::BTreeSet::new();
+        let mut last: Option<&vp_obs::FlightSpan> = None;
+        let mut covered = 0u64;
+        for sp in flight.spans.iter().filter(|sp| PHASES.contains(&sp.name.as_str())) {
+            assert!(
+                round.start_ns <= sp.start_ns && sp.end_ns <= round.end_ns,
+                "{label}: {sp:?} leaves the round {round:?}"
+            );
+            if let Some(prev) = last.filter(|prev| prev.shard == sp.shard) {
+                assert!(prev.end_ns <= sp.start_ns, "{label}: {prev:?} overlaps {sp:?}");
+            }
+            lanes_seen.insert(sp.shard);
+            if sp.shard.is_none() {
+                covered += sp.duration_ns();
+            }
+            last = Some(sp);
+        }
+        assert_eq!(lanes_seen.len(), lanes, "{label}: lanes with phase spans");
+        assert!(covered <= round.duration_ns(), "{label}: orchestrator phases exceed the round");
+    }
+
+    // One walk interval per refill, exactly: a batch per 1024 probes plus
+    // the refill that finds the schedule exhausted.
+    let refills = TARGETS.div_ceil(verfploeter::prober::PROBE_BATCH) + 1;
+    let count = |name: &str| serial.obs.wall_flight.spans.iter().filter(|sp| sp.name == name).count();
+    assert_eq!(count("scan.schedule_walk"), refills);
+    assert_eq!(count("scan.sim_dispatch"), refills);
+    assert_eq!(count("scan.probe_build"), 0, "serial refills walk as they build");
+    assert_identical(&serial, &sharded, "wall/10^5/K=8");
+}
+
 // ---------------------------------------------------------------------
 // Merge algebra: the properties the shard merge relies on.
 // ---------------------------------------------------------------------

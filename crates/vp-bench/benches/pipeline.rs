@@ -4,11 +4,11 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughpu
 use vp_bench::{bench_hitlist, bench_scenario};
 use vp_bgp::SiteId;
 use vp_net::{Ipv4Addr, SimDuration, SimTime};
-use vp_sim::{FaultConfig, StaticOracle};
-use verfploeter::collector::{forward_to_central, RawReply};
+use vp_sim::{CaptureSink, FaultConfig, ServiceHandle, StaticOracle};
+use verfploeter::collector::RawReply;
 use verfploeter::prober::{ProbeConfig, Prober};
 use verfploeter::scan::{run_scan, ScanConfig};
-use verfploeter::{clean, CatchmentMap};
+use verfploeter::{clean, CatchmentMap, Cleaner};
 
 fn bench_full_scan(c: &mut Criterion) {
     let s = bench_scenario(11);
@@ -43,7 +43,12 @@ fn bench_probe_scheduling(c: &mut Criterion) {
     g.sample_size(20);
     g.throughput(Throughput::Elements(hl.len() as u64));
     g.bench_function("schedule_15k", |b| {
-        b.iter(|| black_box(prober.schedule(&hl, src, SimTime::ZERO).len()))
+        b.iter(|| {
+            let probes = prober
+                .schedule(hl.len() as u64, SimTime::ZERO)
+                .map(|(index, _)| prober.build_probe(&hl, index, src));
+            black_box(probes.count())
+        })
     });
     g.finish();
 }
@@ -86,35 +91,38 @@ fn bench_cleaning(c: &mut Criterion) {
 }
 
 fn bench_collector(c: &mut Criterion) {
-    // Per-site capture logs -> threaded central forwarding.
-    let caps: Vec<Vec<vp_sim::SiteCapture>> = (0..4)
-        .map(|site| {
-            (0..10_000u32)
-                .map(|i| {
-                    let icmp = vp_packet::IcmpMessage::EchoReply {
-                        ident: 1,
-                        seq: i as u16,
-                        payload: Prober::encode_payload(i as u64),
-                    };
-                    vp_sim::SiteCapture {
-                        site: SiteId(site),
-                        at: SimTime(i as u64),
-                        packet: vp_packet::Ipv4Packet::new(
-                            Ipv4Addr(0x0a000000 + i),
-                            Ipv4Addr::new(240, 0, 0, 1),
-                            vp_packet::Protocol::Icmp,
-                            icmp.emit(),
-                        ),
-                    }
-                })
-                .collect()
+    // Site captures -> parse -> central cleaning, through the capture sink
+    // the scan hands the engine.
+    let s = bench_scenario(15);
+    let hl = bench_hitlist(&s);
+    let captures: Vec<(SiteId, SimTime, vp_packet::Ipv4Packet)> = (0..40_000u64)
+        .map(|i| {
+            let index = i % hl.len() as u64;
+            let icmp = vp_packet::IcmpMessage::EchoReply {
+                ident: 1,
+                seq: i as u16,
+                payload: Prober::encode_payload(index),
+            };
+            let packet = vp_packet::Ipv4Packet::new(
+                hl.entry(index as usize).target,
+                Ipv4Addr::new(240, 0, 0, 1),
+                vp_packet::Protocol::Icmp,
+                icmp.emit(),
+            );
+            (SiteId((i % 4) as u8), SimTime(i), packet)
         })
         .collect();
     let mut g = c.benchmark_group("collector");
     g.sample_size(10);
-    g.throughput(Throughput::Elements(40_000));
-    g.bench_function("forward_40k_4sites", |b| {
-        b.iter(|| black_box(forward_to_central(caps.clone()).len()))
+    g.throughput(Throughput::Elements(captures.len() as u64));
+    g.bench_function("sink_40k_4sites", |b| {
+        b.iter(|| {
+            let mut sink = Cleaner::new(&hl, 1, SimTime::ZERO, SimDuration::from_mins(15));
+            for (site, at, packet) in &captures {
+                sink.capture(ServiceHandle(0), *site, *at, packet);
+            }
+            black_box(sink.finish().1.total)
+        })
     });
     g.finish();
 }

@@ -14,9 +14,13 @@
 //! PR 7 call graph:
 //!
 //! * the prober walk (`Prober::walk_schedule` / `build_probe` /
-//!   `build_probes`),
-//! * the six engine phases (`NetworkSim::send_at` / `transmit` /
-//!   `resolve` / `run` / `arrive_at_site` / `arrive_at_host`),
+//!   `build_probes`, and the `Schedule` iterator's `next`),
+//! * the engine phases (`NetworkSim::send_at` / `transmit` / `resolve` /
+//!   `run` / `run_with` / `arrive_at_site` / `arrive_at_host`),
+//! * the two ends the lazy-merge loop `run_with` reaches only through
+//!   its generic parameters, which the call graph cannot resolve: the
+//!   scan's probe source (`ProbeFeed::next`) and its capture sink
+//!   (`Cleaner::capture`),
 //! * every parallel-region entry (the closure handed to the blessed
 //!   shard executor — [`crate::crules`]'s region entries).
 //!
@@ -57,16 +61,20 @@ pub const P_CRATES: [&str; 5] = ["vp-packet", "vp-net", "vp-hitlist", "vp-sim", 
 
 /// The scan inner loops: (impl type, fn name) pairs that root the hot
 /// region even when no executor entry reaches them (the serial path).
-const HOT_ROOTS: [(&str, &str); 9] = [
+const HOT_ROOTS: [(&str, &str); 13] = [
     ("Prober", "walk_schedule"),
     ("Prober", "build_probe"),
     ("Prober", "build_probes"),
+    ("Schedule", "next"),
+    ("ProbeFeed", "next"),
     ("NetworkSim", "send_at"),
     ("NetworkSim", "transmit"),
     ("NetworkSim", "resolve"),
     ("NetworkSim", "run"),
+    ("NetworkSim", "run_with"),
     ("NetworkSim", "arrive_at_site"),
     ("NetworkSim", "arrive_at_host"),
+    ("Cleaner", "capture"),
 ];
 
 /// The hot region: roots (scan inner loops + parallel-region entries)

@@ -156,7 +156,7 @@ impl FlightRecorder {
     /// explicitly via [`FlightGuard::end`]); either way the interval is
     /// recorded exactly once.
     pub fn span(&self, name: &str, phase: &str, shard: Option<u32>) -> FlightGuard {
-        let start_ns = self.inner.borrow().clock.now_nanos();
+        let start_ns = self.now_nanos();
         FlightGuard {
             recorder: Some(self.clone()),
             name: name.to_owned(),
@@ -164,6 +164,12 @@ impl FlightRecorder {
             shard,
             start_ns,
         }
+    }
+
+    /// The recorder's clock, for callers that measure an interval
+    /// themselves before handing it to [`FlightRecorder::record_interval`].
+    pub fn now_nanos(&self) -> u64 {
+        self.inner.borrow().clock.now_nanos()
     }
 
     /// Recorded intervals currently in the ring.
@@ -212,7 +218,7 @@ impl FlightGuard {
         let Some(rec) = self.recorder.take() else {
             return;
         };
-        let end_ns = rec.inner.borrow().clock.now_nanos();
+        let end_ns = rec.now_nanos();
         rec.push(FlightSpan {
             name: std::mem::take(&mut self.name),
             phase: std::mem::take(&mut self.phase),

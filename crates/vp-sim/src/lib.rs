@@ -21,7 +21,8 @@
 //! * [`latency`] — distance-based propagation delay.
 //! * [`oracle`] — catchment oracles: converged ([`StaticOracle`]) or with
 //!   per-round flips ([`FlippingOracle`]).
-//! * [`engine`] — the event loop, host behaviours and capture logs.
+//! * [`engine`] — the lazy-merge event loop, host behaviours, capture
+//!   sinks and logs.
 //! * [`exec`] — the blessed OS-thread shard executor; the one module
 //!   allowed to spawn threads (DESIGN.md §14).
 //! * [`scenario`] — assembled worlds: the two-site B-Root deployment and
@@ -37,7 +38,8 @@ pub mod oracle;
 pub mod scenario;
 
 pub use engine::{
-    derive_shard_seed, EngineObs, HostDelivery, NetworkSim, ServiceHandle, SimStats, SiteCapture,
+    derive_shard_seed, CaptureSink, EngineObs, HostDelivery, NetworkSim, ServiceHandle, SimStats,
+    SiteCapture, TimedProbe,
 };
 pub use exec::ShardExecutor;
 pub use faults::FaultConfig;

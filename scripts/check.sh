@@ -131,4 +131,14 @@ cargo run -q --release -p vp-bench --bin bench_scan -- \
 "$vp_monitor" profile "$bench_dir/flight_scan15k.json" | grep -q "scan.round"
 "$vp_monitor" profile "$bench_dir/flight_scan15k.json" | grep -q "imbalance"
 
-echo "check.sh: build + tests + lint + obs + flight + monitor gates all clean"
+# The repo benchmark (BENCHMARK.json, benchmark/): its own unit tests
+# (percentile rule, compare verdicts, BENCHMARK.json <-> harness metric
+# names) and a quick pass of all four workloads, whose per-round checks —
+# digest stability, cleaning consistency, the K=4 sharded witness, the
+# daemon and replay document digests — must hold. Quick numbers are
+# labelled non-comparable; this gates that the harness builds against the
+# current crates and that every workload is correct, not its speed.
+benchmark/run.sh --selftest >/dev/null
+benchmark/run.sh --quick --out "$bench_dir/benchmark_quick.json" >/dev/null
+
+echo "check.sh: build + tests + lint + obs + flight + monitor + benchmark gates all clean"
