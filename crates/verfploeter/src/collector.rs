@@ -39,7 +39,7 @@ pub fn parse_capture(site: SiteId, at: SimTime, packet: &Ipv4Packet) -> Option<R
     if packet.protocol != vp_packet::Protocol::Icmp {
         return None;
     }
-    match IcmpMessage::parse_view(&packet.payload) {
+    match IcmpMessage::parse(&packet.payload) {
         Ok(IcmpMessage::EchoReply { ident, payload, .. }) => Some(RawReply {
             site,
             at,

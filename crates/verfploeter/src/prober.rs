@@ -19,9 +19,9 @@ use vp_packet::{IcmpMessage, Ipv4Packet, Protocol};
 /// Magic prefix identifying Verfploeter probe payloads.
 pub const PAYLOAD_MAGIC: &[u8; 4] = b"VPLT";
 
-/// Probes encoded per [`Prober::build_probes`] batch: large enough to
+/// Probes encoded per [`Prober::build_probes_with_replies`] batch: large enough to
 /// amortize the batch's one wire-buffer allocation to noise, small enough
-/// that a batch of 20-byte messages stays comfortably in L1.
+/// that a batch of 20-byte requests and replies stays comfortably in L1.
 pub const PROBE_BATCH: usize = 1024;
 
 /// Probing parameters for one measurement round.
@@ -124,11 +124,6 @@ impl Prober {
         }
     }
 
-    /// Calls `f(index, send_time)` for every probe of [`Prober::schedule`].
-    pub fn walk_schedule(&self, n: u64, start: SimTime, mut f: impl FnMut(u64, SimTime)) {
-        self.schedule(n, start).for_each(|(index, at)| f(index, at));
-    }
-
     /// Materializes the probe packet for one hitlist index: an ICMP Echo
     /// Request from `source` carrying the round ident and the index-tagged
     /// payload.
@@ -148,50 +143,19 @@ impl Prober {
     /// wire-identical to calling [`Prober::build_probe`] per index (the
     /// equivalence suite pins this), but with the hot-loop cost profile:
     /// the whole batch's ICMP images live in **one shared buffer**
-    /// ([`vp_packet::icmp::encode_batch`]), each packet payload a
-    /// zero-copy view of it, and per-probe checksums derived
+    /// ([`vp_packet::icmp::encode_batch_with_replies`]), each packet
+    /// payload a zero-copy view of it, and per-probe checksums derived
     /// incrementally instead of re-summed. Steady-state heap allocations
-    /// per probe: zero (the batch buffer and `out`'s reservation amortize
+    /// per probe: zero (the batch buffers and the reservations amortize
     /// across the batch; the allocation-witness test counts this).
-    // vp-lint: allow(g1): `i < indices.len()` by encode_batch's contract, and payloads are exactly the 12 declared bytes.
-    pub fn build_probes(
-        &self,
-        hitlist: &Hitlist,
-        indices: &[u64],
-        source: Ipv4Addr,
-        out: &mut Vec<Ipv4Packet>,
-    ) {
-        out.clear();
-        out.reserve(indices.len());
-        vp_packet::icmp::encode_batch(
-            self.config.ident,
-            12,
-            indices.len(),
-            |i, seq, payload| {
-                let index = indices[i];
-                *seq = vp_net::conv::sat_u16(index & 0xffff);
-                payload[..4].copy_from_slice(PAYLOAD_MAGIC);
-                payload[4..].copy_from_slice(&index.to_be_bytes());
-            },
-            |i, wire| {
-                let index = indices[i];
-                let entry = hitlist.entry(vp_net::conv::sat_usize(index));
-                let mut packet = Ipv4Packet::new(source, entry.target, Protocol::Icmp, wire);
-                packet.ident = self.config.ident;
-                out.push(packet);
-            },
-        );
-    }
-
-    /// [`Prober::build_probes`] plus each probe's precomputed **echo
-    /// reply** wire image (via
-    /// [`vp_packet::icmp::encode_batch_with_replies`]): `out[i]`'s reply
-    /// image lands in `reply_images[i]`, byte-identical to what the
-    /// simulated responder's parse → reply → emit chain would serialize.
-    /// Handing the image to the engine with the probe lets responders
-    /// answer without allocating per reply — the last per-probe
-    /// allocation the witness test retired. Payloads carry the nonzero
-    /// `VPLT` magic, satisfying the reply encoder's checksum
+    ///
+    /// Alongside each probe comes its precomputed **echo reply** wire
+    /// image: `out[i]`'s lands in `reply_images[i]`, byte-identical to
+    /// what the simulated responder's parse → reply → emit chain would
+    /// serialize. Handing the image to the engine with the probe lets
+    /// responders answer without allocating per reply — the last
+    /// per-probe allocation the witness test retired. Payloads carry the
+    /// nonzero `VPLT` magic, satisfying the reply encoder's checksum
     /// precondition.
     // vp-lint: allow(g1): `i < indices.len()` by encode_batch_with_replies's contract, and payloads are exactly the 12 declared bytes.
     pub fn build_probes_with_replies(
@@ -225,11 +189,6 @@ impl Prober {
                 reply_images.push(reply);
             },
         );
-    }
-
-    /// Expected duration of a full round at the configured rate.
-    pub fn expected_duration(&self, targets: usize) -> vp_net::SimDuration {
-        vp_net::SimDuration::from_secs_f64(targets as f64 / self.config.rate_per_sec)
     }
 }
 
@@ -279,15 +238,6 @@ mod tests {
         for (index, _, packet) in &probes {
             assert_eq!(packet.dst, hl.entry(*index as usize).target);
         }
-    }
-
-    #[test]
-    fn walk_schedule_visits_the_iterator_in_order() {
-        let prober = Prober::new(ProbeConfig::default());
-        let start = SimTime(5_000);
-        let mut walked = Vec::new();
-        prober.walk_schedule(500, start, |index, at| walked.push((index, at)));
-        assert_eq!(walked, prober.schedule(500, start).collect::<Vec<_>>());
     }
 
     #[test]
@@ -357,12 +307,14 @@ mod tests {
         };
         let prober = Prober::new(cfg);
         let source = Ipv4Addr::new(240, 0, 0, 1);
-        let mut indices: Vec<u64> = Vec::new();
-        prober.walk_schedule(hl.len() as u64, SimTime::ZERO, |index, _| indices.push(index));
+        let indices: Vec<u64> = prober
+            .schedule(hl.len() as u64, SimTime::ZERO)
+            .map(|(index, _)| index)
+            .collect();
         let mut batched = Vec::new();
         for chunk in indices.chunks(97) {
-            let mut out = Vec::new();
-            prober.build_probes(&hl, chunk, source, &mut out);
+            let (mut out, mut images) = (Vec::new(), Vec::new());
+            prober.build_probes_with_replies(&hl, chunk, source, &mut out, &mut images);
             batched.extend(out);
         }
         assert_eq!(batched.len(), indices.len());
@@ -392,29 +344,12 @@ mod tests {
             prober.build_probes_with_replies(&hl, chunk, source, &mut packets, &mut images);
             assert_eq!(packets.len(), chunk.len());
             assert_eq!(images.len(), chunk.len());
-            // Packets are the same as the image-less builder's.
-            let mut reference = Vec::new();
-            prober.build_probes(&hl, chunk, source, &mut reference);
-            assert_eq!(packets, reference);
             for (packet, image) in packets.iter().zip(&images) {
-                let parsed = vp_packet::IcmpMessage::parse_view(&packet.payload).unwrap();
+                let parsed = vp_packet::IcmpMessage::parse(&packet.payload).unwrap();
                 let responder = parsed.reply().expect("probes are echo requests").emit();
                 assert_eq!(&image[..], &responder[..]);
             }
         }
-    }
-
-    #[test]
-    fn expected_duration_matches_rate() {
-        let prober = Prober::new(ProbeConfig {
-            rate_per_sec: 6000.0,
-            ..ProbeConfig::default()
-        });
-        // The paper's B-Root scan: 6.4M targets at 6k/s ≈ 17.8 min; at the
-        // paper's quoted "10 or 20 minutes" scale.
-        let d = prober.expected_duration(6_400_000);
-        let mins = d.as_secs() / 60;
-        assert!((15..22).contains(&mins), "duration {mins} min");
     }
 
     #[test]

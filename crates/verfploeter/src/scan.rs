@@ -1,10 +1,12 @@
 //! A full Verfploeter measurement: probe → capture → forward → clean → map.
 //!
-//! Both scan paths drive their engines through [`NetworkSim::run_with`]:
-//! the paced schedule is merged lazily into the event loop one probe batch
-//! at a time, and every site capture is parsed and cleaned as it is
-//! dispatched, so an engine's working set is its in-flight window plus the
-//! kept observations — never the schedule or the raw reply stream.
+//! There is one round function, parameterised by its shard count K;
+//! [`run_scan`] is K=1 on the inline executor. Every engine is driven
+//! through [`NetworkSim::run_with`]: the paced schedule is merged lazily
+//! into the event loop one probe batch at a time, and every site capture
+//! is parsed and cleaned as it is dispatched, so an engine's working set
+//! is its in-flight window plus the kept observations — never the
+//! schedule or the raw reply stream.
 
 use vp_bgp::Announcement;
 use vp_hitlist::Hitlist;
@@ -14,7 +16,7 @@ use vp_sim::{CatchmentOracle, FaultConfig, NetworkSim, ShardExecutor, TimedProbe
 use vp_topology::Internet;
 
 use crate::catchment::CatchmentMap;
-use crate::cleaning::{CleanReply, Cleaner, CleaningStats};
+use crate::cleaning::{Cleaner, CleaningStats};
 use crate::prober::{ProbeConfig, Prober, PROBE_BATCH};
 use crate::rtt::RttTable;
 
@@ -78,9 +80,9 @@ pub struct ScanResult {
 /// summary, and the shard layout.
 ///
 /// The **registry** holds only shard-count-invariant series — pure sums of
-/// per-packet or per-index contributions — so `run_scan` and
-/// `run_scan_sharded(K)` produce byte-identical registries for every K
-/// (asserted by the sharded-equivalence suite via
+/// per-packet or per-index contributions — so a round produces a
+/// byte-identical registry for every shard count K (asserted by the
+/// K-invariance suite via
 /// [`vp_obs::Registry::to_canonical_json`]). Anything that legitimately
 /// depends on the shard layout (per-shard probe counts, per-engine run
 /// spans in [`ScanObs::trace`]) lives *outside* the registry.
@@ -94,10 +96,10 @@ pub struct ScanObs {
     /// shard-count-invariant — diagnostics, not results.
     pub trace: vp_obs::TraceSummary,
     /// Sim-time at which the last event was processed (max across shards;
-    /// equals the serial engine's final clock, and is asserted so).
+    /// equals the K=1 engine's final clock, and is asserted so).
     pub sim_end: SimTime,
-    /// Probes assigned per shard, in shard order (length 1 for the serial
-    /// path). Feeds the shard-balance section of run reports.
+    /// Probes assigned per shard, in shard order (length 1 at K=1).
+    /// Feeds the shard-balance section of run reports.
     pub shard_probes: Vec<u64>,
     /// Event-queue high-water mark per engine, in shard order: the most
     /// events in flight at once ([`NetworkSim::queue_high_water`]). The
@@ -107,8 +109,8 @@ pub struct ScanObs {
     pub queue_high_water: Vec<u64>,
     /// Sim-time flight timeline for the round (DESIGN.md §15): phase
     /// intervals derived from shard-invariant sim-time marks, so it is
-    /// **inside** the §7 contract — byte-identical serial vs sharded for
-    /// every K (asserted via [`vp_obs::FlightTimeline::to_canonical_json`]).
+    /// **inside** the §7 contract — byte-identical for every K (asserted
+    /// via [`vp_obs::FlightTimeline::to_canonical_json`]).
     pub flight: vp_obs::FlightTimeline,
     /// Wall-time flight timeline, populated only when
     /// [`ScanConfig::wall`] carries a channel: host-time phase spans plus
@@ -133,9 +135,8 @@ const FLIGHT_CAPACITY: usize = 4096;
 
 /// Builds the round's **sim-time** flight timeline from shard-invariant
 /// marks: round start, last probe transmission, and the final sim clock.
-/// Both scan paths derive these from merged round artifacts, so the
-/// timeline is inside the §7 contract by construction — it cannot see the
-/// shard layout at all.
+/// All three come from the folded round, so the timeline is inside the §7
+/// contract by construction — it cannot see the shard layout at all.
 fn sim_flight(started: SimTime, last_probe: SimTime, sim_end: SimTime) -> vp_obs::FlightTimeline {
     let t0 = started.as_nanos();
     let tp = last_probe.as_nanos().max(t0);
@@ -155,37 +156,18 @@ fn sim_flight(started: SimTime, last_probe: SimTime, sim_end: SimTime) -> vp_obs
     rec.drain()
 }
 
-/// Builds the scan's observability snapshot from per-engine sidecars plus
-/// the final (already merged, shard-invariant) round artifacts. Shared by
-/// the serial and sharded paths so their registries agree byte for byte.
-#[allow(clippy::too_many_arguments)]
+/// Closes the round: stamps the folded result with its sim-time flight
+/// timeline and the registry's headline series, both derived from the
+/// folded (shard-invariant) round artifacts — so registries and timelines
+/// agree byte for byte across shard counts.
 // vp-lint: cold(fn): once-per-round observability assembly, after the event loops have drained.
-fn finish_obs(
-    engines: Vec<(vp_obs::Registry, vp_obs::TraceSummary)>,
-    sim_end: SimTime,
-    shard_probes: Vec<u64>,
-    queue_high_water: Vec<u64>,
-    probes_sent: u64,
-    started: SimTime,
-    last_probe: SimTime,
-    wall_flight: vp_obs::FlightTimeline,
-    sim_stats: &vp_sim::SimStats,
-    cleaning: &CleaningStats,
-    catchments: &CatchmentMap,
-    rtts: &RttTable,
-    announcement: &Announcement,
-) -> ScanObs {
-    let mut registry = vp_obs::Registry::new();
-    let mut trace = vp_obs::TraceSummary::default();
-    for (engine_registry, engine_trace) in &engines {
-        registry.merge(engine_registry);
-        trace.merge(engine_trace);
-    }
-    let flight = sim_flight(started, last_probe, sim_end);
+fn finish_obs(result: &mut ScanResult, announcement: &Announcement) {
+    result.obs.flight = sim_flight(result.started, result.last_probe, result.obs.sim_end);
+    let registry = &mut result.obs.registry;
     // Only the sim channel's overflow count may enter the registry: wall
     // channel depth varies with the shard layout, and the registry must
     // stay shard-count-invariant.
-    registry.counter_add("flight.dropped_records", &[], flight.dropped);
+    registry.counter_add("flight.dropped_records", &[], result.obs.flight.dropped);
 
     let site_name = |idx: usize| {
         announcement
@@ -194,9 +176,10 @@ fn finish_obs(
             .map_or("unknown", |s| s.name.as_str())
     };
 
-    registry.counter_add("scan.probes_sent", &[], probes_sent);
-    registry.counter_add("scan.blocks_mapped", &[], catchments.len() as u64);
+    registry.counter_add("scan.probes_sent", &[], result.probes_sent);
+    registry.counter_add("scan.blocks_mapped", &[], result.catchments.len() as u64);
 
+    let sim_stats = &result.sim_stats;
     registry.counter_add("sim.injected", &[], sim_stats.injected);
     registry.counter_add("sim.replies", &[], sim_stats.replies);
     registry.counter_add("sim.lost", &[], sim_stats.lost);
@@ -210,6 +193,7 @@ fn finish_obs(
         registry.counter_add("sim.site_captures", &[("site", site_name(idx))], *n);
     }
 
+    let cleaning = &result.cleaning;
     registry.counter_add("clean.total", &[], cleaning.total);
     registry.counter_add("clean.duplicates", &[], cleaning.duplicates);
     registry.counter_add("clean.foreign", &[], cleaning.foreign);
@@ -217,7 +201,7 @@ fn finish_obs(
     registry.counter_add("clean.late", &[], cleaning.late);
     registry.counter_add("clean.kept", &[], cleaning.kept);
 
-    for (site, count) in catchments.site_counts() {
+    for (site, count) in result.catchments.site_counts() {
         registry.counter_add(
             "catchment.blocks",
             &[("site", site_name(site.index()))],
@@ -231,26 +215,40 @@ fn finish_obs(
     // it). Building the histogram locally and inserting once produces the
     // identical registry state — including its absence when no reply
     // carried an RTT.
-    if !rtts.is_empty() {
+    if !result.rtts.is_empty() {
         let mut hist = vp_obs::Histogram::new(rtt_bucket_bounds());
-        for rtt in rtts.values() {
+        for rtt in result.rtts.values() {
             hist.observe(rtt.as_nanos());
         }
         registry.insert_histogram("scan.rtt_ns", &[], hist);
     }
-
-    ScanObs {
-        registry,
-        trace,
-        sim_end,
-        shard_probes,
-        queue_high_water,
-        flight,
-        wall_flight,
-    }
 }
 
 impl ScanResult {
+    /// Folds in the next shard's share of the round (a share is the result
+    /// over one engine's hitlist range, before [`finish_obs`]). Shares
+    /// cover disjoint ranges, so the unions are disjoint and the sums
+    /// exact; only the per-engine vectors depend on the fold running in
+    /// shard order.
+    // vp-lint: cold(fn): once per shard, after the event loops have drained.
+    fn absorb(&mut self, next: ScanResult) {
+        self.catchments.merge(&next.catchments);
+        self.rtts.merge(&next.rtts);
+        self.cleaning.merge(&next.cleaning);
+        self.sim_stats.merge(&next.sim_stats);
+        self.probes_sent += next.probes_sent;
+        // The union of the shard event streams is the K=1 event stream, so
+        // the max final clock is the K=1 engine's final clock; pacing is
+        // monotone, so the max last send is the schedule's last.
+        self.obs.sim_end = self.obs.sim_end.max(next.obs.sim_end);
+        self.last_probe = self.last_probe.max(next.last_probe);
+        self.obs.shard_probes.extend(next.obs.shard_probes);
+        self.obs.queue_high_water.extend(next.obs.queue_high_water);
+        self.obs.registry.merge(&next.obs.registry);
+        self.obs.trace.merge(&next.obs.trace);
+        self.obs.wall_flight.merge(&next.obs.wall_flight);
+    }
+
     /// Blocks that were probed but produced no (usable) reply.
     ///
     /// Saturates at zero: a caller may pass the length of a *stale*
@@ -260,8 +258,11 @@ impl ScanResult {
         hitlist_len.saturating_sub(self.catchments.len())
     }
 
-    /// Response rate over the hitlist.
+    /// Response rate over the hitlist; zero for an empty hitlist.
     pub fn response_rate(&self, hitlist_len: usize) -> f64 {
+        if hitlist_len == 0 {
+            return 0.0;
+        }
         self.catchments.len() as f64 / hitlist_len as f64
     }
 }
@@ -335,8 +336,8 @@ impl<'a> PhaseSpans<'a> {
             return;
         }
         let walk_end = self.pair_start + self.walk_ns;
-        // The serial feed walks the schedule as it builds; shard feeds
-        // replay a slice the orchestrator's prepass already walked.
+        // The K=1 feed (orchestrator lane) walks the schedule as it builds;
+        // shard-lane feeds replay a slice the prepass already walked.
         if self.shard.is_some() {
             self.rec
                 .record_interval("scan.probe_build", "probe", self.shard, self.pair_start, walk_end);
@@ -418,6 +419,8 @@ struct Round<'a> {
     world: &'a Internet,
     hitlist: &'a Hitlist,
     announcement: &'a Announcement,
+    /// The round's one oracle, lent to every engine.
+    oracle: &'a dyn CatchmentOracle,
     faults: &'a FaultConfig,
     start: SimTime,
     config: &'a ScanConfig,
@@ -425,48 +428,62 @@ struct Round<'a> {
     prober: Prober,
 }
 
-/// One engine's share of a round: the whole round on the serial path, one
-/// shard's on the sharded path.
-struct EngineRound {
-    /// Kept observations in arrival order, and the §4 counters.
-    kept: Vec<CleanReply>,
-    cleaning: CleaningStats,
-    sim_stats: vp_sim::SimStats,
-    sim_end: SimTime,
-    queue_high_water: u64,
-    // Tracers hold `Rc` state, so engines drain to a detached (Send)
-    // registry + summary before anything crosses a thread boundary.
-    obs: (vp_obs::Registry, vp_obs::TraceSummary),
-}
-
 impl Round<'_> {
-    /// Runs one engine over `schedule` — this engine's probes as
-    /// `(hitlist index, send time)` in global walk order — feeding the
-    /// event loop lazily and cleaning every site capture as it is
-    /// dispatched: neither the schedule nor the reply stream is ever
-    /// materialized. `wall_rec` receives the run's refill and dispatch
-    /// intervals, attributed to `shard`.
+    /// A wall-time flight recorder for the calling thread, if the caller
+    /// attached a channel. Recorder handles are `Rc`-based and never cross
+    /// a thread boundary: the orchestrator and every engine job build
+    /// their own and drain it to a timeline.
+    // vp-lint: cold(fn): one recorder per thread of a round, never per probe.
+    fn wall_recorder(&self) -> Option<vp_obs::FlightRecorder> {
+        self.config
+            .wall
+            .clone()
+            .map(|w| vp_obs::FlightRecorder::new(Box::new(w), FLIGHT_CAPACITY))
+    }
+
+    /// The engine of shard lane `lane` (the K=1 engine, on the orchestrator
+    /// lane, is shard 0), with the service registered over the round's
+    /// borrowed oracle. Every engine gets the round seed (keyed fault draws
+    /// must agree across shard layouts) but a shard-distinct auxiliary
+    /// stream.
+    // vp-lint: cold(fn): engine construction is round setup, once per shard.
+    fn new_engine(&self, lane: Option<u32>) -> NetworkSim<'_> {
+        let shard = lane.map_or(0, u64::from);
+        let mut sim = NetworkSim::new_shard(self.world, self.faults.clone(), self.sim_seed, shard);
+        sim.attach_obs(self.config.trace);
+        sim.register_service(self.announcement.clone(), Box::new(self.oracle), false);
+        sim
+    }
+
+    /// Runs one engine over `schedule` — the probes of hitlist
+    /// indices `range`, as `(hitlist index, send time)` in global walk
+    /// order — feeding the event loop lazily and cleaning every site
+    /// capture as it is dispatched (neither the schedule nor the reply
+    /// stream is ever materialized), then folds the kept observations
+    /// into a catchment map and RTT table. Returns the engine's share of
+    /// the round: the result over `range`, still to be folded with the
+    /// other shares and closed by [`finish_obs`]. Wall intervals go to
+    /// `lane`.
     fn run_engine(
         &self,
-        oracle: Box<dyn CatchmentOracle>, // vp-lint: allow(p4): one oracle box per engine, handed over at setup, never per probe.
-        shard: Option<usize>,
+        lane: Option<u32>,
+        range: std::ops::Range<usize>,
         schedule: impl ExactSizeIterator<Item = (u64, SimTime)>,
-        wall_rec: Option<&vp_obs::FlightRecorder>,
-    ) -> EngineRound {
-        // Every engine gets the round seed (keyed fault draws must agree
-        // across shard layouts) but a shard-distinct auxiliary stream.
-        let mut sim = NetworkSim::new_shard(
-            self.world,
-            self.faults.clone(),
-            self.sim_seed,
-            shard.unwrap_or(0) as u64,
-        );
-        sim.attach_obs(self.config.trace);
-        sim.register_service(self.announcement.clone(), oracle, false);
-        let shard_id = shard.map(|k| u32::try_from(k).unwrap_or(u32::MAX));
-        let phases = wall_rec.map(|rec| PhaseSpans::new(rec, shard_id, schedule.len()));
+    ) -> ScanResult {
+        let wall_rec = self.wall_recorder();
+        let mut sim = self.new_engine(lane);
+        let probes = schedule.len();
+        // Send times of this engine's own probes, recorded as they are
+        // walked: pacing is monotone, so the last walked time is the last
+        // transmission, and every reply arrives after its probe's send
+        // time was recorded.
+        let mut send_time = vec![SimTime::ZERO; range.len()]; // vp-lint: allow(p1): one send-time column per engine, allocated before the probe loop.
+        let mut last_probe = self.start;
         let mut feed = ProbeFeed {
-            schedule,
+            schedule: schedule.inspect(|&(index, at)| {
+                send_time[conv::sat_usize(index) - range.start] = at; // vp-lint: allow(g1): the schedule holds exactly the indices of `range`, which sized send_time.
+                last_probe = at;
+            }),
             prober: &self.prober,
             hitlist: self.hitlist,
             source: self.announcement.measurement_addr(),
@@ -474,7 +491,7 @@ impl Round<'_> {
             ats: Vec::with_capacity(PROBE_BATCH),
             packets: Vec::with_capacity(PROBE_BATCH),
             reply_images: Vec::with_capacity(PROBE_BATCH),
-            phases,
+            phases: wall_rec.as_ref().map(|rec| PhaseSpans::new(rec, lane, probes)),
         };
         let mut cleaner = Cleaner::new(
             self.hitlist,
@@ -486,34 +503,161 @@ impl Round<'_> {
         if let Some(phases) = feed.phases.take() {
             phases.finish();
         }
+        drop(feed);
         let (kept, cleaning) = cleaner.finish();
-        let obs = match sim.take_obs() {
-            Some(engine_obs) => {
-                let trace = engine_obs.tracer.drain();
-                (engine_obs.registry, trace)
-            }
+
+        let guard = wall_rec
+            .as_ref()
+            .map(|r| r.span("scan.catchment_build", "map", lane));
+        let catchments = CatchmentMap::from_replies(&self.config.name, &kept, self.hitlist);
+        // Probe transmission to reply arrival.
+        let rtts = RttTable::from_pairs(kept.iter().map(|r| {
+            let index = conv::sat_usize(r.index);
+            (self.hitlist.entry(index).block, r.at.since(send_time[index - range.start])) // vp-lint: allow(g1): shard-closed traffic — every kept reply answers one of this engine's probes, so r.index is in `range`.
+        }));
+        drop(guard);
+
+        let (registry, mut trace) = match sim.take_obs() {
+            Some(engine_obs) => (engine_obs.registry, engine_obs.tracer.drain()),
             None => Default::default(),
         };
-        EngineRound {
-            kept,
+        // The canonical (time, name, detail) order `absorb` maintains.
+        trace.events.sort();
+        ScanResult {
+            catchments,
             cleaning,
+            probes_sent: probes as u64,
+            started: self.start,
+            last_probe,
+            rtts,
             sim_stats: sim.stats(),
-            sim_end: sim.now(),
-            queue_high_water: sim.queue_high_water() as u64,
-            obs,
+            obs: ScanObs {
+                registry,
+                trace,
+                sim_end: sim.now(),
+                shard_probes: vec![probes as u64], // vp-lint: allow(p1): per-engine bookkeeping, once per engine.
+                queue_high_water: vec![sim.queue_high_water() as u64], // vp-lint: allow(p1): per-engine bookkeeping, once per engine.
+                // Stamped by `finish_obs` once the shares are folded.
+                flight: Default::default(),
+                wall_flight: wall_rec.map(|r| r.drain()).unwrap_or_default(),
+            },
+        }
+    }
+}
+
+/// One measurement round over `shards` engines on `exec` — the paper's
+/// §3.1 pipeline, and the single implementation behind every public entry
+/// point: build engines → run them on the executor → fold their shares in
+/// shard order → assemble the result. The result is a function of the
+/// round's inputs alone, never of `shards` or `exec` (DESIGN.md §7).
+///
+/// The hitlist is split into contiguous, block-ordered ranges
+/// ([`Hitlist::shard_bounds`]) and each engine simulates the probes of its
+/// own range at their global send times. The **schedule source** is the
+/// only thing that depends on K, and everything else K-dependent follows
+/// from it:
+///
+/// * K=1 pulls [`Prober::schedule`] lazily inside its one job — no slice
+///   is ever materialized — and, being the orchestrator's own work, that
+///   job records its wall intervals on the orchestrator lane, the walk as
+///   `scan.schedule_walk`, with no executor intervals.
+/// * K>1 walks the schedule once up front (`scan.schedule_walk`), slicing
+///   it per shard — `(index, at)` pairs in global walk order, 16 bytes per
+///   probe — so the engines never re-walk it; each job replays its slice
+///   on its own shard lane (`scan.probe_build`), and the executor's
+///   queue-wait / compute / barrier-wait marks become `shard.*` intervals.
+///
+/// Probe *packets* are materialized only inside the owning engine, one
+/// batch at a time, as its event loop pulls them.
+#[allow(clippy::too_many_arguments)]
+fn run_round(
+    exec: &ShardExecutor,
+    world: &Internet,
+    hitlist: &Hitlist,
+    announcement: &Announcement,
+    oracle: &dyn CatchmentOracle, // vp-lint: allow(p4): the round's one oracle; engines resolve catchments through it by design.
+    faults: &FaultConfig,
+    start: SimTime,
+    config: &ScanConfig,
+    sim_seed: u64,
+    shards: usize,
+) -> ScanResult {
+    assert!(shards > 0, "cannot scan with zero shards");
+    let round = Round {
+        world,
+        hitlist,
+        announcement,
+        oracle,
+        faults,
+        start,
+        config,
+        sim_seed,
+        prober: Prober::new(config.probe.clone()),
+    };
+    // Guards close (and record) at the matching `drop`, so each phase's
+    // interval spans exactly the statements between its creation and drop.
+    let wall_rec = round.wall_recorder();
+    let round_guard = wall_rec.as_ref().map(|r| r.span("scan.round", "round", None));
+
+    let schedule = || round.prober.schedule(hitlist.len() as u64, start);
+    let bounds = hitlist.shard_bounds(shards);
+    let slices = (shards > 1).then(|| {
+        let _guard = wall_rec
+            .as_ref()
+            .map(|r| r.span("scan.schedule_walk", "probe", None));
+        let mut slices: Vec<Vec<(u64, SimTime)>> =
+            bounds.iter().map(|r| Vec::with_capacity(r.len())).collect(); // vp-lint: allow(p1): one exactly-sized slice per shard, allocated before the probe loop.
+        for (index, at) in schedule() {
+            slices[hitlist.shard_of(conv::sat_usize(index), shards)].push((index, at)); // vp-lint: allow(g1): shard_of returns a value < shards by contract.
+        }
+        slices
+    });
+
+    // The executor returns shares in shard-id order, so the fold below
+    // takes shard 0, 1, 2, … by construction.
+    let (shares, shard_timings) = exec.run_sharded_timed(
+        shards,
+        |k| {
+            let range = bounds[k].clone(); // vp-lint: allow(g1): the executor only calls k < shards, the length of bounds.
+            match &slices {
+                None => round.run_engine(None, range, schedule()),
+                Some(slices) => round.run_engine(
+                    Some(u32::try_from(k).unwrap_or(u32::MAX)),
+                    range,
+                    slices[k].iter().copied(), // vp-lint: allow(g1): the executor only calls k < shards, the length of slices.
+                ),
+            }
+        },
+        config
+            .wall
+            .as_ref()
+            .filter(|_| slices.is_some())
+            .map(|w| w as &(dyn vp_obs::Clock + Sync)), // vp-lint: allow(p4): one clock cast per round, handing the wall channel to the executor.
+    );
+    if let Some(rec) = wall_rec.as_ref() {
+        for t in &shard_timings {
+            let sid = Some(u32::try_from(t.shard).unwrap_or(u32::MAX));
+            rec.record_interval("shard.queue_wait", "exec", sid, t.queued_ns, t.started_ns);
+            rec.record_interval("shard.compute", "exec", sid, t.started_ns, t.finished_ns);
+            rec.record_interval("shard.barrier_wait", "exec", sid, t.finished_ns, t.merged_ns);
         }
     }
 
-    /// Folds one engine's kept observations into its catchment map and
-    /// RTT table (probe transmission to reply arrival).
-    fn build_tables(&self, kept: &[CleanReply], send_time: &[SimTime]) -> (CatchmentMap, RttTable) {
-        let catchments = CatchmentMap::from_replies(&self.config.name, kept, self.hitlist);
-        let rtts = RttTable::from_pairs(kept.iter().map(|r| {
-            let block = self.hitlist.entry(conv::sat_usize(r.index)).block;
-            (block, r.at.since(send_time[conv::sat_usize(r.index)])) // vp-lint: allow(g1): send_time is sized to the hitlist that minted r.index.
-        }));
-        (catchments, rtts)
+    // Fold by move into shard 0's share: K=1 merges nothing.
+    let merge_guard = wall_rec.as_ref().map(|r| r.span("scan.merge", "merge", None));
+    let mut shares = shares.into_iter();
+    // vp-lint: allow(h2): `shards > 0` is asserted above and the executor returns one share per shard.
+    let mut total = shares.next().expect("one share per shard");
+    for share in shares {
+        total.absorb(share);
     }
+    drop(merge_guard);
+    drop(round_guard);
+    if let Some(rec) = wall_rec {
+        total.obs.wall_flight.merge(&rec.drain());
+    }
+    finish_obs(&mut total, announcement);
+    total
 }
 
 /// Runs one full Verfploeter measurement at `start` over a fresh simulator.
@@ -522,111 +666,52 @@ impl Round<'_> {
 /// the measurement address in pseudorandom paced order, replies are
 /// captured concurrently at all sites, forwarded (tagged with their site)
 /// to the central point, cleaned per §4, and folded into a catchment map.
+/// It is the one-engine round, run inline on the calling thread.
 pub fn run_scan(
     world: &Internet,
     hitlist: &Hitlist,
     announcement: &Announcement,
-    oracle: Box<dyn CatchmentOracle>,
+    oracle: Box<dyn CatchmentOracle>, // vp-lint: allow(p4): the round's one oracle, handed over at setup, never per probe.
     faults: FaultConfig,
     start: SimTime,
     config: &ScanConfig,
     sim_seed: u64,
 ) -> ScanResult {
-    let round = Round {
+    run_round(
+        &ShardExecutor::serial(),
         world,
         hitlist,
         announcement,
-        faults: &faults,
+        &*oracle,
+        &faults,
         start,
         config,
         sim_seed,
-        prober: Prober::new(config.probe.clone()),
-    };
-
-    // Wall-time flight channel, if the caller attached one. Guards close
-    // (and record) at the matching `drop`, so each phase's interval spans
-    // exactly the statements between its creation and drop.
-    let wall_rec = config
-        .wall
-        .clone()
-        .map(|w| vp_obs::FlightRecorder::new(Box::new(w), FLIGHT_CAPACITY));
-    let round_guard = wall_rec.as_ref().map(|r| r.span("scan.round", "round", None));
-
-    let probes_sent = hitlist.len() as u64;
-    let mut last_probe = start;
-    let mut send_time = vec![SimTime::ZERO; hitlist.len()];
-    // The schedule is walked as the engine pulls it: pacing is monotone,
-    // so the last walked time is the last probe's transmission time, and
-    // every reply arrives after its probe's send time was recorded.
-    let schedule = round.prober.schedule(probes_sent, start).inspect(|&(index, at)| {
-        send_time[conv::sat_usize(index)] = at; // vp-lint: allow(g1): walk indices are a permutation of this hitlist's indices.
-        last_probe = at;
-    });
-    let engine = round.run_engine(oracle, None, schedule, wall_rec.as_ref());
-
-    let guard = wall_rec
-        .as_ref()
-        .map(|r| r.span("scan.catchment_build", "map", None));
-    let (catchments, rtts) = round.build_tables(&engine.kept, &send_time);
-    drop(guard);
-    drop(round_guard);
-    let wall_flight = wall_rec.map(|r| r.drain()).unwrap_or_default();
-
-    let obs = finish_obs(
-        vec![engine.obs],
-        engine.sim_end,
-        vec![probes_sent],
-        vec![engine.queue_high_water],
-        probes_sent,
-        start,
-        last_probe,
-        wall_flight,
-        &engine.sim_stats,
-        &engine.cleaning,
-        &catchments,
-        &rtts,
-        announcement,
-    );
-
-    ScanResult {
-        catchments,
-        cleaning: engine.cleaning,
-        probes_sent,
-        started: start,
-        last_probe,
-        rtts,
-        sim_stats: engine.sim_stats,
-        obs,
-    }
+        1,
+    )
 }
 
 /// Runs one full Verfploeter measurement partitioned over `shards`
 /// independent simulator engines on a thread pool, producing a
-/// [`ScanResult`] **bit-identical** to [`run_scan`] with the same inputs.
-///
-/// The hitlist is split into contiguous, block-ordered shards
-/// ([`Hitlist::shard_bounds`]); the global probe schedule is computed once
-/// (so every probe keeps its serial transmission time and payload index)
-/// and each shard's probes are replayed into a private engine seeded for
-/// that shard. Equivalence to the serial run rests on two invariants:
+/// [`ScanResult`] **bit-identical** to [`run_scan`] with the same inputs —
+/// both are the same round function, which is invariant in its shard
+/// count. That invariance rests on two properties of the simulator:
 ///
 /// 1. **Order-independent fault draws.** Every stochastic outcome in
 ///    [`vp_sim`] is a keyed hash of the round seed and the packet's
 ///    identity, not a draw from a shared sequential stream — so an engine
 ///    simulating a subset of the traffic makes exactly the decisions the
-///    serial engine makes for that subset.
+///    one-engine round makes for that subset.
 /// 2. **Shard-closed reply traffic.** A probe to hitlist index `i` can
 ///    only produce replies attributed to index `i` (aliases stay inside
 ///    the block; unsolicited traffic carries no payload and is always
 ///    cleaned as foreign), so every reply lands in the engine that owns
 ///    its index, per-shard cleaning sees the same competition between
-///    replies as the serial pass, and the per-shard maps/counters merge
-///    disjointly.
+///    replies as the one-engine pass, and the per-shard maps/counters
+///    merge disjointly.
 ///
-/// `make_oracle` builds one oracle per shard engine (each engine owns its
-/// oracle box); it must return equivalent oracles for equivalence to hold.
-/// Merging happens in shard-index order, though the merge itself is
-/// order-insensitive (disjoint unions and commutative sums).
+/// `make_oracle` is called exactly once per round; every engine borrows
+/// the oracle it returns.
 ///
 /// Threading goes through the blessed [`ShardExecutor`] (DESIGN.md §14)
 /// bounded by the host's available parallelism; use
@@ -638,7 +723,7 @@ pub fn run_scan_sharded(
     world: &Internet,
     hitlist: &Hitlist,
     announcement: &Announcement,
-    make_oracle: &(dyn Fn() -> Box<dyn CatchmentOracle> + Sync), // vp-lint: allow(p4): the oracle factory is invoked once per shard at engine setup, never per probe.
+    make_oracle: &(dyn Fn() -> Box<dyn CatchmentOracle> + Sync), // vp-lint: allow(p4): the oracle factory is invoked once per round, never per probe.
     faults: FaultConfig,
     start: SimTime,
     config: &ScanConfig,
@@ -660,10 +745,10 @@ pub fn run_scan_sharded(
 }
 
 /// [`run_scan_sharded`] with an explicit executor: callers (benchmarks,
-/// equivalence tests) pick how many OS threads run the shard engines,
+/// invariance tests) pick how many OS threads run the shard engines,
 /// from fully inline ([`ShardExecutor::serial`]) to a fixed thread count
 /// ([`ShardExecutor::new`]). The result is bit-identical across all of
-/// them — the executor only schedules work, the merge below is always in
+/// them — the executor only schedules work; the fold is always in
 /// shard-id order.
 ///
 /// # Panics
@@ -673,171 +758,25 @@ pub fn run_scan_sharded_on(
     world: &Internet,
     hitlist: &Hitlist,
     announcement: &Announcement,
-    make_oracle: &(dyn Fn() -> Box<dyn CatchmentOracle> + Sync), // vp-lint: allow(p4): the oracle factory is invoked once per shard at engine setup, never per probe.
+    make_oracle: &(dyn Fn() -> Box<dyn CatchmentOracle> + Sync), // vp-lint: allow(p4): the oracle factory is invoked once per round, never per probe.
     faults: FaultConfig,
     start: SimTime,
     config: &ScanConfig,
     sim_seed: u64,
     shards: usize,
 ) -> ScanResult {
-    assert!(shards > 0, "cannot scan with zero shards");
-    let round = Round {
+    run_round(
+        exec,
         world,
         hitlist,
         announcement,
-        faults: &faults,
+        &*make_oracle(),
+        &faults,
         start,
         config,
         sim_seed,
-        prober: Prober::new(config.probe.clone()),
-    };
-
-    // Orchestrator-level wall channel (shard = None): the global schedule
-    // prepass and the merge run on the calling thread. Shard workers get
-    // their own recorders inside the job closure — recorder handles are
-    // `Rc`-based and never cross a thread boundary.
-    let wall_rec = config
-        .wall
-        .clone()
-        .map(|w| vp_obs::FlightRecorder::new(Box::new(w), FLIGHT_CAPACITY)); // vp-lint: allow(p1): the orchestrator's wall recorder is built once per scan.
-    let round_guard = wall_rec.as_ref().map(|r| r.span("scan.round", "round", None));
-
-    // Global schedule, identical to the serial path: pacing and payload
-    // indices must not depend on the shard count. One prepass walk records
-    // send times and slices the schedule per shard — each shard's
-    // `(index, at)` pairs in global walk order, 16 bytes per probe — so
-    // the engines never re-walk the schedule. Probe *packets* (payload
-    // bytes and all) are materialized only inside the owning engine, one
-    // batch at a time, as its event loop pulls them.
-    let probes_sent = hitlist.len() as u64;
-    let mut last_probe = start;
-    let mut send_time = vec![SimTime::ZERO; hitlist.len()]; // vp-lint: allow(p1): schedule prepass buffer, one allocation per scan.
-    let mut schedule_slices: Vec<Vec<(u64, SimTime)>> = vec![Vec::new(); shards]; // vp-lint: allow(p1): one slice vector per shard, allocated before the probe loop.
-    let guard = wall_rec
-        .as_ref()
-        .map(|r| r.span("scan.schedule_walk", "probe", None));
-    round.prober.walk_schedule(probes_sent, start, |index, at| {
-        send_time[conv::sat_usize(index)] = at; // vp-lint: allow(g1): walk indices are a permutation of this hitlist's indices.
-        last_probe = at;
-        schedule_slices[hitlist.shard_of(conv::sat_usize(index), shards)].push((index, at)); // vp-lint: allow(g1): shard_of returns a value < shards by contract.
-    });
-    drop(guard);
-
-    // One engine per shard, run on the blessed executor. The executor
-    // returns outcomes in shard-id order, so the merge below folds shard
-    // 0, 1, 2, … by construction.
-    struct ShardOutcome {
-        engine: EngineRound,
-        catchments: CatchmentMap,
-        rtts: RttTable,
-        probes: u64,
-        // A detached (Send) snapshot of the shard's wall-time flight
-        // recorder; empty when no wall channel is attached.
-        wall_flight: vp_obs::FlightTimeline,
-    }
-    let (outcomes, shard_timings): (Vec<ShardOutcome>, Vec<vp_sim::exec::ShardTiming>) = exec
-        .run_sharded_timed(
-            shards,
-            |k| {
-                let shard_rec = config
-                    .wall
-                    .clone()
-                    .map(|w| vp_obs::FlightRecorder::new(Box::new(w), FLIGHT_CAPACITY)); // vp-lint: allow(p1): one recorder per shard worker, not per probe.
-                // Replay this shard's slice of the global schedule: identical
-                // send times and payload indices to the serial path.
-                let slice = &schedule_slices[k]; // vp-lint: allow(g1): the executor only calls k < shards, the length of schedule_slices.
-                let probes = slice.len() as u64;
-                let engine =
-                    round.run_engine(make_oracle(), Some(k), slice.iter().copied(), shard_rec.as_ref());
-                let guard = shard_rec.as_ref().map(|r| {
-                    let shard_id = Some(u32::try_from(k).unwrap_or(u32::MAX));
-                    r.span("scan.catchment_build", "map", shard_id)
-                });
-                let (catchments, rtts) = round.build_tables(&engine.kept, &send_time);
-                drop(guard);
-                ShardOutcome {
-                    engine,
-                    catchments,
-                    rtts,
-                    probes,
-                    wall_flight: shard_rec.map(|r| r.drain()).unwrap_or_default(),
-                }
-            },
-            config
-                .wall
-                .as_ref()
-                .map(|w| w as &(dyn vp_obs::Clock + Sync)), // vp-lint: allow(p4): one clock cast per scan, handing the wall channel to the executor.
-        );
-
-    // Executor-level wall intervals: one queue-wait / compute / barrier-wait
-    // triple per shard, derived from the timing marks the executor read
-    // from the wall channel (empty without one).
-    if let Some(rec) = wall_rec.as_ref() {
-        for t in &shard_timings {
-            let sid = Some(u32::try_from(t.shard).unwrap_or(u32::MAX));
-            rec.record_interval("shard.queue_wait", "exec", sid, t.queued_ns, t.started_ns);
-            rec.record_interval("shard.compute", "exec", sid, t.started_ns, t.finished_ns);
-            rec.record_interval("shard.barrier_wait", "exec", sid, t.finished_ns, t.merged_ns);
-        }
-    }
-
-    // Deterministic merge in shard-index order (the executor's output
-    // order). The shards cover disjoint hitlist slices, so the unions are
-    // disjoint and the sums exact.
-    let merge_guard = wall_rec.as_ref().map(|r| r.span("scan.merge", "merge", None));
-    let mut catchments = CatchmentMap::from_pairs(&config.name, std::iter::empty());
-    let mut cleaning = CleaningStats::default();
-    let mut rtts = RttTable::default();
-    let mut sim_stats = vp_sim::SimStats::default();
-    let mut sim_end = SimTime::ZERO;
-    let mut shard_probes = Vec::with_capacity(outcomes.len());
-    let mut queue_high_water = Vec::with_capacity(outcomes.len());
-    let mut engines = Vec::with_capacity(outcomes.len());
-    let mut wall_flight = vp_obs::FlightTimeline::default();
-    for o in outcomes {
-        catchments.merge(&o.catchments);
-        cleaning.merge(&o.engine.cleaning);
-        rtts.merge(&o.rtts);
-        sim_stats.merge(&o.engine.sim_stats);
-        // The union of shard event streams is the serial event stream, so
-        // the max final clock equals the serial engine's final clock.
-        sim_end = sim_end.max(o.engine.sim_end);
-        shard_probes.push(o.probes);
-        queue_high_water.push(o.engine.queue_high_water);
-        engines.push(o.engine.obs);
-        wall_flight.merge(&o.wall_flight);
-    }
-    drop(merge_guard);
-    drop(round_guard);
-    if let Some(rec) = wall_rec {
-        wall_flight.merge(&rec.drain());
-    }
-    let obs = finish_obs(
-        engines,
-        sim_end,
-        shard_probes,
-        queue_high_water,
-        probes_sent,
-        start,
-        last_probe,
-        wall_flight,
-        &sim_stats,
-        &cleaning,
-        &catchments,
-        &rtts,
-        announcement,
-    );
-
-    ScanResult {
-        catchments,
-        cleaning,
-        probes_sent,
-        started: start,
-        last_probe,
-        rtts,
-        sim_stats,
-        obs,
-    }
+        shards,
+    )
 }
 
 #[cfg(test)]
@@ -859,29 +798,66 @@ mod tests {
         (s, hl)
     }
 
+    /// The independent anchor for every K: a fault-free round recovers the
+    /// routing table's catchment on every responsive block, whatever the
+    /// shard count and wherever the engines run. (The K-matrix alone only
+    /// shows the round function agrees with itself.)
     #[test]
     fn clean_channel_maps_every_responsive_block_correctly() {
         let (s, hl) = setup();
         let table = s.routing();
-        let result = run_scan(
+        let responsive = s.world.responsive_blocks().count();
+        for shards in [1, 7] {
+            for exec in [ShardExecutor::serial(), ShardExecutor::new(shards)] {
+                let result = run_scan_sharded_on(
+                    &exec,
+                    &s.world,
+                    &hl,
+                    &s.announcement,
+                    &|| Box::new(StaticOracle::new(table.clone())),
+                    FaultConfig::none(),
+                    SimTime::ZERO,
+                    &ScanConfig::default(),
+                    1,
+                    shards,
+                );
+                let label = format!("K={shards} on {} worker(s)", exec.workers());
+                assert_eq!(result.catchments.len(), responsive, "{label}");
+                assert_eq!(result.probes_sent, hl.len() as u64, "{label}");
+                assert!(result.cleaning.is_consistent(), "{label}");
+                // Ground truth: every mapped block matches the routing table.
+                for (block, site) in result.catchments.iter() {
+                    let info = s.world.block(block).unwrap();
+                    assert_eq!(Some(site), table.site_of_pop(info.pop), "{label}: block {block}");
+                }
+            }
+        }
+    }
+
+    /// One oracle per round: the factory runs once however many engines
+    /// borrow what it returns.
+    #[test]
+    fn oracle_factory_is_called_once_per_round() {
+        let (s, hl) = setup();
+        let table = std::sync::Arc::new(s.routing());
+        let calls = std::sync::atomic::AtomicUsize::new(0);
+        let result = run_scan_sharded_on(
+            &ShardExecutor::new(8),
             &s.world,
             &hl,
             &s.announcement,
-            Box::new(StaticOracle::new(table.clone())),
-            FaultConfig::none(),
+            &|| {
+                calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                Box::new(StaticOracle::shared(table.clone()))
+            },
+            FaultConfig::default(),
             SimTime::ZERO,
             &ScanConfig::default(),
             1,
+            8,
         );
-        let responsive = s.world.responsive_blocks().count();
-        assert_eq!(result.catchments.len(), responsive);
-        assert_eq!(result.probes_sent, hl.len() as u64);
-        assert!(result.cleaning.is_consistent());
-        // Ground truth check: every mapped block matches the routing table.
-        for (block, site) in result.catchments.iter() {
-            let info = s.world.block(block).unwrap();
-            assert_eq!(Some(site), table.site_of_pop(info.pop), "block {block}");
-        }
+        assert_eq!(result.obs.shard_probes.len(), 8);
+        assert_eq!(calls.load(std::sync::atomic::Ordering::SeqCst), 1);
     }
 
     #[test]
@@ -904,6 +880,8 @@ mod tests {
             result.non_responding(hl.len()),
             hl.len() - result.catchments.len()
         );
+        // An empty hitlist has no rate to speak of — zero, not 0/0.
+        assert_eq!(result.response_rate(0), 0.0);
     }
 
     #[test]
@@ -1028,9 +1006,9 @@ mod tests {
         assert_eq!(a.obs.sim_end, b.obs.sim_end, "sim end times differ");
     }
 
-    /// The fast equivalence gate: on the tiny topology, the sharded scan
-    /// must reproduce the serial scan bit-for-bit under heavy faults, for
-    /// every shard count.
+    /// The fast K-invariance gate: on the tiny topology, the round at
+    /// every shard count must reproduce the K=1 round (`run_scan`)
+    /// bit-for-bit under heavy faults.
     #[test]
     fn sharded_scan_is_bit_identical_to_serial() {
         let (s, hl) = setup();

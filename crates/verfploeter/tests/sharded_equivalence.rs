@@ -1,18 +1,22 @@
-//! The determinism-proving harness for the sharded scan engine.
+//! The determinism-proving harness for the scan round: K-invariance.
 //!
-//! The contract under test: `run_scan_sharded(K)` returns a `ScanResult`
-//! **bit-identical** to `run_scan` — same catchment map, same cleaning
-//! counters, same per-block RTTs, same simulator stats — for every shard
-//! count K and every fault configuration, whether the shard engines run
-//! inline or on real OS threads (`ShardExecutor::new(K)` forces one
-//! thread per shard, so the matrix exercises genuine preemption and the
-//! shard-id-ordered merge barrier of DESIGN.md §14). A scan result that
-//! depends on how the work was scheduled would make parallel rounds
-//! incomparable to the serial datasets, so any divergence here is a
-//! release blocker.
+//! `run_scan` is the K=1 round on the inline executor; `run_scan_sharded*`
+//! is the same round function at any K. The contract under test: the round
+//! at shard count K returns a `ScanResult` **bit-identical** to the K=1
+//! round — same catchment map, same cleaning counters, same per-block
+//! RTTs, same simulator stats — for every K and every fault
+//! configuration, whether the shard engines run inline or on real OS
+//! threads (`ShardExecutor::new(K)` forces one thread per shard, so the
+//! matrix exercises genuine preemption and the shard-id-ordered merge
+//! barrier of DESIGN.md §14). A scan result that depends on how the work
+//! was partitioned or scheduled would make parallel rounds incomparable
+//! to the one-engine datasets, so any divergence here is a release
+//! blocker. (That the round is *right*, not merely self-consistent, is
+//! anchored separately: `clean_channel_maps_every_responsive_block_correctly`
+//! checks it against the routing table at K∈{1,7}.)
 //!
-//! Alongside the end-to-end equivalence matrix, property tests check the
-//! algebra the merge relies on: disjoint-map merging and counter merging
+//! Alongside the end-to-end invariance matrix, property tests check the
+//! algebra the fold relies on: disjoint-map merging and counter merging
 //! are associative and order-insensitive.
 
 use proptest::prelude::*;
@@ -102,7 +106,8 @@ fn assert_identical(serial: &ScanResult, sharded: &ScanResult, label: &str) {
     );
 }
 
-/// Runs the full equivalence matrix over one scenario.
+/// Runs the full K-invariance matrix over one scenario, against the K=1
+/// round as `run_scan` runs it.
 fn equivalence_matrix(scenario: &Scenario, hitlist: &Hitlist, seed: u64) {
     for (fault_name, faults) in fault_grid() {
         let serial = run_scan(
@@ -124,7 +129,7 @@ fn equivalence_matrix(scenario: &Scenario, hitlist: &Hitlist, seed: u64) {
         for shards in SHARD_COUNTS {
             // Inline executor isolates the sharding algebra; the forced
             // K-thread executor adds real OS-thread scheduling on top.
-            // Both must reproduce the serial bytes.
+            // Both must reproduce the K=1 bytes.
             for (mode, exec) in [
                 ("inline", ShardExecutor::serial()),
                 ("threads", ShardExecutor::new(shards)),
@@ -151,7 +156,7 @@ fn equivalence_matrix(scenario: &Scenario, hitlist: &Hitlist, seed: u64) {
     }
 }
 
-/// sharded(K) == serial for K ∈ {1,2,7,16} on the two-site B-Root world,
+/// round(K) == round(1) for K ∈ {1,2,7,16} on the two-site B-Root world,
 /// across the whole fault grid.
 #[test]
 fn broot_sharded_equals_serial_across_faults() {
@@ -170,36 +175,58 @@ fn tangled_sharded_equals_serial_across_faults() {
 }
 
 /// A shard count larger than the hitlist degenerates to empty shards and
-/// must still reproduce the serial result.
+/// must still reproduce the K=1 result — down to a hitlist of no entries
+/// at all, which scans cleanly to an empty map with a zero response rate.
 #[test]
 fn more_shards_than_targets_still_identical() {
     let s = Scenario::broot(TopologyConfig::tiny(83), 7);
-    let hl = Hitlist::from_internet(&s.world, &HitlistConfig::default());
-    let serial = run_scan(
-        &s.world,
-        &hl,
-        &s.announcement,
-        Box::new(StaticOracle::new(s.routing())),
-        FaultConfig::default(),
-        SimTime::ZERO,
-        &ScanConfig::default(),
-        3,
-    );
-    // Eight OS threads over mostly-empty shards: the barrier must still
-    // drain every shard channel in id order and land on the serial bytes.
-    let sharded = run_scan_sharded_on(
-        &ShardExecutor::new(8),
-        &s.world,
-        &hl,
-        &s.announcement,
-        &|| Box::new(StaticOracle::new(s.routing())),
-        FaultConfig::default(),
-        SimTime::ZERO,
-        &ScanConfig::default(),
-        3,
-        hl.len() + 13,
-    );
-    assert_identical(&serial, &sharded, "K>len");
+    let full = Hitlist::from_internet(&s.world, &HitlistConfig::default());
+    let truncated = |n: usize| {
+        let json = serde_json::to_string(&full.entries()[..n]).expect("entries serialize");
+        Hitlist::from_json(&json).expect("entries parse back")
+    };
+    for (hl, shard_counts) in [
+        (truncated(0), vec![1, 2, 8]),
+        (truncated(1), vec![2, 8]),
+        (truncated(3), vec![2, 8]),
+        (full.clone(), vec![full.len() + 13]),
+    ] {
+        let one = run_scan(
+            &s.world,
+            &hl,
+            &s.announcement,
+            Box::new(StaticOracle::new(s.routing())),
+            FaultConfig::default(),
+            SimTime::ZERO,
+            &ScanConfig::default(),
+            3,
+        );
+        assert_eq!(one.probes_sent, hl.len() as u64);
+        if hl.is_empty() {
+            assert!(one.catchments.is_empty());
+            assert_eq!(one.last_probe, one.started);
+            assert_eq!(one.response_rate(hl.len()), 0.0);
+            assert_eq!(one.non_responding(hl.len()), 0);
+        }
+        for shards in shard_counts {
+            // Eight OS threads over mostly-empty shards: the barrier must
+            // still drain every shard channel in id order and land on the
+            // K=1 bytes.
+            let sharded = run_scan_sharded_on(
+                &ShardExecutor::new(8),
+                &s.world,
+                &hl,
+                &s.announcement,
+                &|| Box::new(StaticOracle::new(s.routing())),
+                FaultConfig::default(),
+                SimTime::ZERO,
+                &ScanConfig::default(),
+                3,
+                shards,
+            );
+            assert_identical(&one, &sharded, &format!("N={}/K={shards}", hl.len()));
+        }
+    }
 }
 
 /// Deterministic stand-in for a wall clock: strictly increasing ticks
@@ -214,8 +241,10 @@ impl vp_obs::Clock for CountingClock {
 
 /// Attaching a wall-time flight channel is observation, not
 /// perturbation: every §7-governed artifact — registry bytes, catchments,
-/// the sim flight timeline — must stay bit-identical to the serial run,
-/// while the wall timeline itself is explicitly outside the contract.
+/// the sim flight timeline — must stay bit-identical to the plain K=1
+/// round, while the wall timeline itself is explicitly outside the
+/// contract (and is the one artifact whose shape depends on K: a K=1
+/// round runs on the orchestrator lane and has no executor intervals).
 #[test]
 fn wall_channel_is_outside_the_contract() {
     let s = Scenario::broot(TopologyConfig::tiny(84), 7);
@@ -255,7 +284,7 @@ fn wall_channel_is_outside_the_contract() {
     assert_identical(&plain, &serial_wall, "serial+wall");
     assert!(
         !serial_wall.obs.wall_flight.is_empty(),
-        "attached channel must record the serial phase intervals"
+        "attached channel must record the K=1 phase intervals"
     );
 
     for shards in SHARD_COUNTS {
@@ -282,8 +311,8 @@ fn wall_channel_is_outside_the_contract() {
             .collect();
         assert_eq!(
             compute_shards.len(),
-            shards,
-            "K={shards}: every shard must report a compute interval"
+            if shards == 1 { 0 } else { shards },
+            "K={shards}: every shard lane must report a compute interval"
         );
     }
 }
@@ -291,7 +320,7 @@ fn wall_channel_is_outside_the_contract() {
 /// Under the lazy-merge run loop the schedule refills and the dispatch
 /// stretches interleave, one refill per probe batch. The wall channel
 /// records them as disjoint, non-nesting intervals under the phase names,
-/// so per-name sums still tile `scan.round`: on a 10^5-block round — serial
+/// so per-name sums still tile `scan.round`: on a 10^5-block round — K=1
 /// and K=8 on OS threads — nothing is dropped from the ring, no two phase
 /// spans of one lane overlap, and all of them sit inside the round.
 #[test]
@@ -344,7 +373,7 @@ fn wall_phase_spans_are_disjoint_on_a_large_round() {
         "scan.sim_dispatch",
         "scan.catchment_build",
     ];
-    for (label, result, lanes) in [("serial", &serial, 1), ("K=8", &sharded, 9)] {
+    for (label, result, lanes) in [("K=1", &serial, 1), ("K=8", &sharded, 9)] {
         let flight = &result.obs.wall_flight;
         assert_eq!(flight.dropped, 0, "{label}: the wall ring overflowed");
         let round = flight
@@ -381,7 +410,8 @@ fn wall_phase_spans_are_disjoint_on_a_large_round() {
     let count = |name: &str| serial.obs.wall_flight.spans.iter().filter(|sp| sp.name == name).count();
     assert_eq!(count("scan.schedule_walk"), refills);
     assert_eq!(count("scan.sim_dispatch"), refills);
-    assert_eq!(count("scan.probe_build"), 0, "serial refills walk as they build");
+    assert_eq!(count("scan.probe_build"), 0, "K=1 refills walk as they build");
+    assert_eq!(count("shard.compute"), 0, "a K=1 round has no executor lanes");
     assert_identical(&serial, &sharded, "wall/10^5/K=8");
 }
 

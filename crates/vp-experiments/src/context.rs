@@ -4,6 +4,7 @@ use std::cell::{OnceCell, RefCell};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use vp_atlas::{AtlasConfig, AtlasPanel, AtlasResult};
 use vp_bgp::Announcement;
@@ -100,6 +101,34 @@ const BROOT_TOPO_SEED: u64 = 0xB007;
 pub(crate) const TANGLED_TOPO_SEED: u64 = 0x7A9;
 pub(crate) const POLICY_SEED: u64 = 0x90;
 pub(crate) const FLIP_SEED: u64 = 0xF11;
+
+/// Spacing of the STV-3-23 stability rounds (§4.2: every 15 minutes), and
+/// the interval after which the flipping oracle redraws.
+pub(crate) const STABILITY_INTERVAL: SimDuration = SimDuration::from_mins(15);
+
+/// Round `r` of the STV-3-23 dataset — its start time, scan configuration
+/// and simulator seed. The one definition behind [`Lab::tangled_rounds`]
+/// and the live `Daemon::run_round`, so the offline batch and the daemon
+/// stream measure the same rounds by construction.
+pub(crate) fn stability_round(
+    r: u32,
+    trace: TraceLevel,
+    wall: Option<vp_obs::WallChannel>,
+) -> (SimTime, ScanConfig, u64) {
+    let start = SimTime::ZERO + SimDuration(STABILITY_INTERVAL.0 * u64::from(r));
+    let config = ScanConfig {
+        name: format!("STV-3-23/r{r}"),
+        probe: ProbeConfig {
+            rate_per_sec: 10_000.0,
+            ident: 100 + r as u16,
+            order_seed: 0x57ab ^ u64::from(r),
+        },
+        cutoff: SimDuration::from_mins(15),
+        trace,
+        wall,
+    };
+    (start, config, 0x0523 ^ u64::from(r))
+}
 
 /// Lazily built, cached experiment artifacts.
 pub struct Lab {
@@ -323,15 +352,16 @@ impl Lab {
             trace: self.obs,
             wall: self.flight_wall.clone(),
         };
-        // The sharded path is bit-identical to the serial one (see
+        // A round is invariant in its shard count (see
         // `verfploeter::scan::run_scan_sharded`), so experiments get the
         // wall-clock win for free without changing any published number.
         let shards = scan_shards();
+        let table = Arc::new(table);
         let result = Rc::new(run_scan_sharded(
             &scenario.world,
             hitlist,
             announcement,
-            &|| Box::new(StaticOracle::new(table.clone())) as Box<dyn CatchmentOracle>,
+            &|| Box::new(StaticOracle::shared(table.clone())) as Box<dyn CatchmentOracle>,
             FaultConfig::default(),
             SimTime::ZERO,
             &config,
@@ -429,27 +459,16 @@ impl Lab {
             let table = scenario.routing();
             let model = scenario.flip_model(FLIP_SEED, &table);
             let rounds = self.scale.stability_rounds();
-            let interval = SimDuration::from_mins(15);
             let mut maps = Vec::with_capacity(rounds as usize);
             for r in 0..rounds {
                 let oracle = FlippingOracle::new(
                     table.clone(),
                     scenario.world.graph.clone(),
                     model.clone(),
-                    interval,
+                    STABILITY_INTERVAL,
                 );
-                let start = SimTime::ZERO + SimDuration(interval.0 * r as u64);
-                let config = ScanConfig {
-                    name: format!("STV-3-23/r{r}"),
-                    probe: ProbeConfig {
-                        rate_per_sec: 10_000.0,
-                        ident: 100 + r as u16,
-                        order_seed: 0x57ab ^ r as u64,
-                    },
-                    cutoff: SimDuration::from_mins(15),
-                    trace: self.obs,
-                    wall: self.flight_wall.clone(),
-                };
+                let (start, config, sim_seed) =
+                    stability_round(r, self.obs, self.flight_wall.clone());
                 let result = run_scan(
                     &scenario.world,
                     hitlist,
@@ -458,7 +477,7 @@ impl Lab {
                     FaultConfig::default(),
                     start,
                     &config,
-                    0x0523 ^ r as u64,
+                    sim_seed,
                 );
                 self.record_scan_obs(&config.name, 1, &result, None);
                 maps.push(result.catchments);

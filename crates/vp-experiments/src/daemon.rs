@@ -3,7 +3,8 @@
 //! [`Daemon`] turns the fig9 stability study into an *operational loop*:
 //! each [`Daemon::run_round`] runs one sharded Verfploeter scan of the
 //! Tangled world (the same STV-3-23 dataset `Lab::tangled_rounds`
-//! produces — same seeds, same flipping oracle, same round names, so the
+//! produces — both take each round's start, configuration and seed from
+//! `context::stability_round`, over the same flipping oracle, so the
 //! live stream and the offline batch are byte-comparable), feeds the
 //! catchment map into a `vp_monitor::stream::DriftTracker`, folds the
 //! round's scan metrics into a cumulative registry, and keeps the last
@@ -23,19 +24,18 @@
 use std::collections::BTreeMap;
 
 use serde_json::Value;
-use verfploeter::scan::{run_scan_sharded, ScanConfig};
-use verfploeter::ProbeConfig;
-use vp_bgp::{FlipModel, RoutingTable};
+use verfploeter::scan::run_scan_sharded;
 use vp_hitlist::{Hitlist, HitlistConfig};
 use vp_monitor::alert::AlertConfig;
 use vp_monitor::diff::Origins;
 use vp_monitor::profile::{profile_channel, ChannelProfile};
 use vp_monitor::stream::{build_scrape, build_status_doc, DaemonMeta, DriftTracker, StreamStep};
-use vp_net::{SimDuration, SimTime};
 use vp_obs::{Registry, TraceLevel};
 use vp_sim::{CatchmentOracle, FaultConfig, FlippingOracle, Scenario};
 
-use crate::context::{Scale, FLIP_SEED, POLICY_SEED, TANGLED_TOPO_SEED};
+use crate::context::{
+    stability_round, Scale, FLIP_SEED, POLICY_SEED, STABILITY_INTERVAL, TANGLED_TOPO_SEED,
+};
 
 /// Widest-span list length for the per-round profile digest.
 const PROFILE_TOP_N: usize = 5;
@@ -77,9 +77,8 @@ impl DaemonConfig {
 pub struct Daemon {
     scenario: Scenario,
     hitlist: Hitlist,
-    table: RoutingTable,
-    model: FlipModel,
-    interval: SimDuration,
+    /// Cloned once per round: every engine of a round borrows the clone.
+    oracle: FlippingOracle,
     shards: usize,
     obs: TraceLevel,
     meta: DaemonMeta,
@@ -98,7 +97,8 @@ impl Daemon {
         let hitlist = Hitlist::from_internet(&scenario.world, &HitlistConfig::default());
         let table = scenario.routing();
         let model = scenario.flip_model(FLIP_SEED, &table);
-        let interval = SimDuration::from_mins(15);
+        let oracle =
+            FlippingOracle::new(table, scenario.world.graph.clone(), model, STABILITY_INTERVAL);
         let origins: Origins = scenario
             .world
             .blocks
@@ -115,15 +115,13 @@ impl Daemon {
             source: format!("vp-daemon/{}", config.scale.name()),
             scale: config.scale.name().to_owned(),
             shards: config.shards as u64,
-            interval_ns: interval.0,
+            interval_ns: STABILITY_INTERVAL.0,
             rounds_total: u64::from(config.rounds),
         };
         Daemon {
             scenario,
             hitlist,
-            table,
-            model,
-            interval,
+            oracle,
             shards: config.shards.max(1),
             obs: config.obs,
             meta,
@@ -136,44 +134,22 @@ impl Daemon {
     }
 
     /// Runs the next scheduled scan round and streams it into the
-    /// tracker. Round `r` starts at sim time `r * interval` with the same
-    /// seeds and round name `Lab::tangled_rounds` uses, so a daemon run
-    /// of N rounds reproduces the first N STV-3-23 maps exactly — for any
-    /// shard count (§7).
+    /// tracker. Round `r` is `stability_round(r)`, exactly what
+    /// `Lab::tangled_rounds` scans, so a daemon run of N rounds reproduces
+    /// the first N STV-3-23 maps — for any shard count (§7).
     pub fn run_round(&mut self) -> StreamStep {
         let r = self.rounds_run;
         self.rounds_run += 1;
-        let start = SimTime::ZERO + SimDuration(self.interval.0 * u64::from(r));
-        let config = ScanConfig {
-            name: format!("STV-3-23/r{r}"),
-            probe: ProbeConfig {
-                rate_per_sec: 10_000.0,
-                ident: 100 + r as u16,
-                order_seed: 0x57ab ^ u64::from(r),
-            },
-            cutoff: SimDuration::from_mins(15),
-            trace: self.obs,
-            wall: None,
-        };
-        let (table, model) = (&self.table, &self.model);
-        let graph = &self.scenario.world.graph;
-        let interval = self.interval;
+        let (start, config, sim_seed) = stability_round(r, self.obs, None);
         let result = run_scan_sharded(
             &self.scenario.world,
             &self.hitlist,
             &self.scenario.announcement,
-            &|| {
-                Box::new(FlippingOracle::new(
-                    table.clone(),
-                    graph.clone(),
-                    model.clone(),
-                    interval,
-                )) as Box<dyn CatchmentOracle>
-            },
+            &|| Box::new(self.oracle.clone()) as Box<dyn CatchmentOracle>,
             FaultConfig::default(),
             start,
             &config,
-            0x0523 ^ u64::from(r),
+            sim_seed,
             self.shards,
         );
         let duration = result
@@ -244,8 +220,11 @@ mod tests {
         for _ in 0..3 {
             daemon.run_round();
         }
-        // Live sharded rounds are the same maps the serial batch builds.
-        let batch = vp_monitor::diff::diff_sequence(&offline[..3], None);
+        // Live sharded rounds are the same maps the K=1 batch builds.
+        let batch = [
+            vp_monitor::diff::diff_rounds(&offline[0], &offline[1], 1, None),
+            vp_monitor::diff::diff_rounds(&offline[1], &offline[2], 2, None),
+        ];
         let live: Vec<_> = daemon
             .tracker()
             .diffs()

@@ -13,8 +13,8 @@
 //! The region is the forward closure of the scan inner loops over the
 //! PR 7 call graph:
 //!
-//! * the prober walk (`Prober::walk_schedule` / `build_probe` /
-//!   `build_probes`, and the `Schedule` iterator's `next`),
+//! * the prober walk (`Prober::build_probe` /
+//!   `build_probes_with_replies`, and the `Schedule` iterator's `next`),
 //! * the engine phases (`NetworkSim::send_at` / `transmit` / `resolve` /
 //!   `run` / `run_with` / `arrive_at_site` / `arrive_at_host`),
 //! * the two ends the lazy-merge loop `run_with` reaches only through
@@ -61,10 +61,9 @@ pub const P_CRATES: [&str; 5] = ["vp-packet", "vp-net", "vp-hitlist", "vp-sim", 
 
 /// The scan inner loops: (impl type, fn name) pairs that root the hot
 /// region even when no executor entry reaches them (the serial path).
-const HOT_ROOTS: [(&str, &str); 13] = [
-    ("Prober", "walk_schedule"),
+const HOT_ROOTS: [(&str, &str); 12] = [
     ("Prober", "build_probe"),
-    ("Prober", "build_probes"),
+    ("Prober", "build_probes_with_replies"),
     ("Schedule", "next"),
     ("ProbeFeed", "next"),
     ("NetworkSim", "send_at"),

@@ -300,13 +300,6 @@ impl Evaluator {
         all.sort_by(|a, b| (a.fired_round, &a.rule).cmp(&(b.fired_round, &b.rule)));
         all
     }
-
-    /// Ends the sequence: still-active alerts are flushed with
-    /// `cleared_round: null`, and the full set comes back sorted by
-    /// `(fired_round, rule)`.
-    pub fn finish(self) -> Vec<Alert> {
-        self.snapshot()
-    }
 }
 
 fn config_value(c: &AlertConfig) -> Value {
@@ -403,7 +396,7 @@ mod tests {
         for (i, &r) in rates.iter().enumerate() {
             let _ = ev.observe(&diff(i as u32 + 1, r), None);
         }
-        ev.finish()
+        ev.snapshot()
     }
 
     #[test]
@@ -482,7 +475,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_is_nondestructive_and_matches_finish() {
+    fn snapshot_is_nondestructive() {
         let mut ev = Evaluator::new(AlertConfig::default());
         for (i, &r) in [20u64, 20, 20].iter().enumerate() {
             let _ = ev.observe(&diff(i as u32 + 1, r), None);
@@ -490,10 +483,8 @@ mod tests {
         let snap = ev.snapshot();
         assert_eq!(snap.len(), 1);
         assert_eq!(snap[0].cleared_round, None);
-        // Snapshotting twice changes nothing, and the final snapshot is
-        // byte-for-byte what finish() reports.
+        // Snapshotting twice changes nothing.
         assert_eq!(ev.snapshot(), snap);
-        assert_eq!(ev.finish(), snap);
     }
 
     #[test]
@@ -512,7 +503,7 @@ mod tests {
         // 1.6x baseline: fires.
         let t = ev.observe(&diff(6, 0), Some(160));
         assert_eq!(t.len(), 1, "{t:?}");
-        let alerts = ev.finish();
+        let alerts = ev.snapshot();
         assert_eq!(alerts.len(), 1);
         assert_eq!(alerts[0].rule, "scan-duration");
         assert_eq!(alerts[0].peak_value, 1600);

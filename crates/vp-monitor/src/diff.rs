@@ -116,16 +116,6 @@ pub fn diff_rounds(
     }
 }
 
-/// Diffs a whole time-ordered round sequence: one [`RoundDiff`] per
-/// consecutive pair (empty for fewer than two rounds).
-pub fn diff_sequence(rounds: &[CatchmentMap], origins: Option<&Origins>) -> Vec<RoundDiff> {
-    rounds
-        .windows(2)
-        .enumerate()
-        .map(|(i, w)| diff_rounds(&w[0], &w[1], i as u32 + 1, origins)) // vp-lint: allow(g1): windows(2) yields exactly two elements.
-        .collect()
-}
-
 /// Mergeable drift statistics over a window of rounds.
 ///
 /// Obeys the workspace merge-algebra contract (`SimStats`, `Registry`,
@@ -167,15 +157,6 @@ impl DriftSummary {
             max_share_delta_permille: d.max_share_delta_permille,
             flips_by_as: d.flips_by_as.clone(),
         }
-    }
-
-    /// Folds the diffs of a whole sequence into one summary.
-    pub fn accumulate(diffs: &[RoundDiff]) -> DriftSummary {
-        let mut sum = DriftSummary::default();
-        for d in diffs {
-            sum.merge(&DriftSummary::from_diff(d));
-        }
-        sum
     }
 
     /// Folds `other` in: counts and per-AS flips sum, extrema take the
@@ -263,36 +244,25 @@ mod tests {
     }
 
     #[test]
-    fn sequence_diff_is_pairwise() {
-        let rounds = vec![
-            map("r0", &[(1, 0)]),
-            map("r1", &[(1, 0)]),
-            map("r2", &[(1, 1)]),
-        ];
-        let diffs = diff_sequence(&rounds, None);
-        assert_eq!(diffs.len(), 2);
-        assert_eq!(diffs[0].round, 1);
-        assert_eq!(diffs[0].flipped, 0);
-        assert_eq!(diffs[1].round, 2);
-        assert_eq!(diffs[1].flipped, 1);
-        assert!(diff_sequence(&rounds[..1], None).is_empty());
-        assert!(diff_sequence(&[], None).is_empty());
-    }
-
-    #[test]
     fn summary_accumulates_sums_and_extrema() {
-        let rounds = vec![
+        let rounds = [
             map("r0", &[(1, 0), (2, 0), (3, 0), (4, 0)]),
             map("r1", &[(1, 1), (2, 0), (3, 0), (4, 0)]),
             map("r2", &[(1, 0), (2, 1), (3, 1), (4, 0)]),
         ];
-        let diffs = diff_sequence(&rounds, None);
-        let sum = DriftSummary::accumulate(&diffs);
+        let diffs = [
+            diff_rounds(&rounds[0], &rounds[1], 1, None),
+            diff_rounds(&rounds[1], &rounds[2], 2, None),
+        ];
+        let mut sum = DriftSummary::default();
+        for d in &diffs {
+            sum.merge(&DriftSummary::from_diff(d));
+        }
         assert_eq!(sum.rounds, 2);
         assert_eq!(sum.flipped, 1 + 3);
         assert_eq!(sum.max_flipped, 3);
         assert_eq!(sum.stable, 3 + 1);
-        // Accumulate == pairwise merge in any grouping.
+        // Folding from empty == pairwise merge in either order.
         let mut left = DriftSummary::from_diff(&diffs[0]);
         left.merge(&DriftSummary::from_diff(&diffs[1]));
         assert_eq!(left, sum);

@@ -58,7 +58,7 @@ pub mod stream;
 
 pub use alert::{Alert, AlertConfig, Evaluator};
 pub use bench::{check_bench, BenchRun, BenchVerdict};
-pub use diff::{diff_rounds, diff_sequence, DriftSummary, Origins, RoundDiff};
+pub use diff::{diff_rounds, DriftSummary, Origins, RoundDiff};
 pub use ingest::{load_obs_report, load_rounds_dir, ObsReportDoc, ScanSummary};
 pub use pipeline::{run_diff_pipeline, DiffOutput};
 pub use profile::{parse_flight_doc, profile_channel, render_report, ChannelProfile, PhaseRow};

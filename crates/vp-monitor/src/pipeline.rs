@@ -11,8 +11,9 @@ use std::collections::BTreeMap;
 use serde_json::Value;
 use verfploeter::catchment::CatchmentMap;
 
-use crate::alert::{build_alert_doc, Alert, AlertConfig, Evaluator};
-use crate::diff::{diff_sequence, DriftSummary, Origins, RoundDiff};
+use crate::alert::{Alert, AlertConfig};
+use crate::diff::{DriftSummary, Origins, RoundDiff};
+use crate::stream::DriftTracker;
 
 /// Everything one pipeline run produces.
 #[derive(Debug, Clone)]
@@ -111,7 +112,10 @@ pub fn build_drift_doc(source: &str, diffs: &[RoundDiff], summary: &DriftSummary
     Value::Object(doc)
 }
 
-/// Runs the whole monitoring pipeline over a time-ordered round sequence.
+/// Runs the whole monitoring pipeline over a time-ordered round sequence:
+/// a fold of the rounds, in order, through a [`DriftTracker`] — the same
+/// state machine the daemon and `watch --follow` stream into, so batch
+/// and streaming outputs are the same bytes by construction.
 ///
 /// * `source` names the sequence in the output documents (e.g.
 ///   `"fig9_stability/tiny"`).
@@ -128,27 +132,19 @@ pub fn run_diff_pipeline(
     durations: Option<&BTreeMap<u32, u64>>,
     config: &AlertConfig,
 ) -> DiffOutput {
-    let diffs = diff_sequence(rounds, origins);
-    let summary = DriftSummary::accumulate(&diffs);
-
-    let mut evaluator = Evaluator::new(config.clone());
-    let mut transitions = Vec::new();
-    for d in &diffs {
-        let dur = durations.and_then(|m| m.get(&d.round).copied());
-        transitions.extend(evaluator.observe(d, dur));
+    // The batch outputs never read the rolling windows: minimum width.
+    let mut tracker = DriftTracker::new(config.clone(), 1, origins.cloned());
+    for map in rounds {
+        let dur = durations.and_then(|m| m.get(&tracker.next_round()).copied());
+        tracker.observe_round(map.clone(), dur);
     }
-    let rounds_seen = evaluator.rounds_seen();
-    let alerts = evaluator.finish();
-
-    let drift_doc = build_drift_doc(source, &diffs, &summary);
-    let alert_doc = build_alert_doc(source, rounds_seen, config, &alerts);
     DiffOutput {
-        diffs,
-        summary,
-        alerts,
-        transitions,
-        drift_doc,
-        alert_doc,
+        diffs: tracker.diffs().to_vec(),
+        summary: tracker.summary().clone(),
+        alerts: tracker.alerts_snapshot(),
+        transitions: tracker.transitions().to_vec(),
+        drift_doc: tracker.drift_doc(source),
+        alert_doc: tracker.alert_doc(source),
     }
 }
 

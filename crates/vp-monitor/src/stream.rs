@@ -1,17 +1,18 @@
 //! The streaming half of the monitor: fold rounds one at a time.
 //!
-//! [`run_diff_pipeline`](crate::pipeline::run_diff_pipeline) wants the
-//! whole round sequence in hand; a daemon watching a live scan loop never
-//! has that. [`DriftTracker`] ingests one catchment map at a time and
-//! maintains exactly the batch pipeline's outputs incrementally — the
-//! per-round diffs, the merged [`DriftSummary`], the hysteresis alert
-//! state, and rolling fixed-width windows of the alert signals (flip
-//! rate, share skew, coverage) backed by [`RollingWindow`]. The
-//! streaming-equals-batch contract is proven by proptest: any round
-//! sequence fed map-by-map yields byte-identical drift and alert
-//! documents to one `run_diff_pipeline` call, and splitting the stream at
-//! any point ([`DriftTracker::with_start_round`]) concatenates and merges
-//! back to the whole-stream result.
+//! A daemon watching a live scan loop never has the whole round sequence
+//! in hand. [`DriftTracker`] ingests one catchment map at a time and
+//! maintains the monitor's outputs incrementally — the per-round diffs,
+//! the merged [`DriftSummary`], the hysteresis alert state, and rolling
+//! fixed-width windows of the alert signals (flip rate, share skew,
+//! coverage) backed by [`RollingWindow`]. It is the monitor's only drift
+//! implementation: the batch
+//! [`run_diff_pipeline`](crate::pipeline::run_diff_pipeline) is a fold of
+//! its rounds through a tracker, so streaming equals batch by
+//! construction. Proptests pin the one property that is not structural:
+//! splitting the stream at any point
+//! ([`DriftTracker::with_start_round`]) concatenates and merges back to
+//! the whole-stream result.
 //!
 //! The same module renders the daemon's two publication surfaces, so the
 //! `vp-daemon` binary, `vp-monitor watch --follow`, and the golden tests
@@ -49,9 +50,9 @@ pub struct StreamStep {
 
 /// Incremental drift state over a stream of catchment rounds.
 ///
-/// Folding rounds one at a time maintains the same diffs, summary, alert
-/// state, and documents as the batch pipeline; memory for the rolling
-/// windows is O(window), independent of stream length.
+/// Folding rounds one at a time maintains the diffs, summary, alert
+/// state, and documents; memory for the rolling windows is O(window),
+/// independent of stream length.
 #[derive(Debug, Clone)]
 pub struct DriftTracker {
     origins: Option<Origins>,
@@ -178,22 +179,20 @@ impl DriftTracker {
     }
 
     /// Live alert state as of the last ingested round: cleared alerts
-    /// plus still-active ones (`cleared_round: null`), sorted like the
-    /// batch pipeline's final alert set.
+    /// plus still-active ones (`cleared_round: null`), sorted by
+    /// `(fired_round, rule)`.
     pub fn alerts_snapshot(&self) -> Vec<Alert> {
         self.evaluator.snapshot()
     }
 
     /// The canonical `vp-monitor-drift/v1` document for everything
-    /// ingested so far — byte-identical to the batch pipeline's over the
-    /// same rounds.
+    /// ingested so far.
     pub fn drift_doc(&self, source: &str) -> Value {
         build_drift_doc(source, &self.diffs, &self.summary)
     }
 
     /// The canonical `vp-monitor-alert/v1` document for everything
-    /// ingested so far — byte-identical to the batch pipeline's over the
-    /// same rounds.
+    /// ingested so far.
     pub fn alert_doc(&self, source: &str) -> Value {
         build_alert_doc(
             source,
@@ -440,7 +439,6 @@ pub fn build_scrape(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::run_diff_pipeline;
     use crate::schema::validate_tagged;
     use vp_bgp::SiteId;
     use vp_net::Block24;
@@ -470,24 +468,25 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_batch_on_the_fixture() {
-        let rounds = drifting_rounds();
-        let batch = run_diff_pipeline("t", &rounds, None, None, &AlertConfig::default());
+    fn diffs_are_pairwise_and_numbered_from_one() {
+        let rounds = [
+            map("r0", &[(1, 0)]),
+            map("r1", &[(1, 0)]),
+            map("r2", &[(1, 1)]),
+        ];
         let mut tracker = DriftTracker::new(AlertConfig::default(), 8, None);
-        for r in &rounds {
+        assert!(tracker.diffs().is_empty());
+        // The first round only sets the baseline.
+        assert!(tracker.observe_round(rounds[0].clone(), None).diff.is_none());
+        assert!(tracker.diffs().is_empty());
+        for r in &rounds[1..] {
             tracker.observe_round(r.clone(), None);
         }
-        assert_eq!(tracker.diffs(), &batch.diffs[..]);
-        assert_eq!(tracker.summary(), &batch.summary);
-        assert_eq!(tracker.transitions(), &batch.transitions[..]);
-        assert_eq!(
-            serde_json::to_string_pretty(&tracker.drift_doc("t")).ok(),
-            serde_json::to_string_pretty(&batch.drift_doc).ok()
-        );
-        assert_eq!(
-            serde_json::to_string_pretty(&tracker.alert_doc("t")).ok(),
-            serde_json::to_string_pretty(&batch.alert_doc).ok()
-        );
+        let diffs = tracker.diffs();
+        assert_eq!(diffs.len(), 2);
+        assert_eq!((diffs[0].round, diffs[0].flipped), (1, 0));
+        assert_eq!((diffs[1].round, diffs[1].flipped), (2, 1));
+        assert_eq!(tracker.summary().rounds, 2);
     }
 
     #[test]

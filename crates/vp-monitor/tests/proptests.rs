@@ -3,12 +3,9 @@
 //! `Registry` carry, and the property that makes windowed drift summaries
 //! fold to the same totals however monitoring windows are grouped.
 
-use std::collections::BTreeMap;
-
 use proptest::prelude::*;
 use vp_monitor::alert::AlertConfig;
-use vp_monitor::diff::{diff_sequence, DriftSummary, Origins, RoundDiff};
-use vp_monitor::pipeline::run_diff_pipeline;
+use vp_monitor::diff::{DriftSummary, Origins, RoundDiff};
 use vp_monitor::stream::DriftTracker;
 use verfploeter::catchment::CatchmentMap;
 use vp_bgp::SiteId;
@@ -105,14 +102,24 @@ proptest! {
         rounds in rounds_strategy(),
         split in 0usize..8,
     ) {
-        let diffs: Vec<RoundDiff> = diff_sequence(&rounds, None);
-        let whole = DriftSummary::accumulate(&diffs);
+        let mut tracker = DriftTracker::new(AlertConfig::default(), 1, None);
+        for r in &rounds {
+            tracker.observe_round(r.clone(), None);
+        }
+        let diffs = tracker.diffs();
+        let summarize = |window: &[RoundDiff]| {
+            let mut sum = DriftSummary::default();
+            for d in window {
+                sum.merge(&DriftSummary::from_diff(d));
+            }
+            sum
+        };
         let cut = split.min(diffs.len());
-        let mut folded = DriftSummary::accumulate(&diffs[..cut]);
-        folded.merge(&DriftSummary::accumulate(&diffs[cut..]));
-        prop_assert_eq!(&folded, &whole);
+        let mut folded = summarize(&diffs[..cut]);
+        folded.merge(&summarize(&diffs[cut..]));
+        prop_assert_eq!(&folded, tracker.summary());
         // The taxonomy partitions every previous round's responders.
-        for d in &diffs {
+        for d in diffs {
             prop_assert_eq!(d.stable + d.flipped + d.to_nr, d.prev_blocks);
         }
     }
@@ -122,15 +129,6 @@ proptest! {
 /// exercised on both the batch and streaming paths.
 fn origins_fixture() -> Origins {
     (0u32..8).map(|b| (Block24(b), Asn(64500 + b))).collect()
-}
-
-/// Sim-time scan durations keyed by 1-based diff round — a baseline run
-/// of quiet rounds with a blowup late, so the `scan-duration` rule's
-/// baseline-then-compare path runs too.
-fn durations_fixture(rounds: usize) -> BTreeMap<u32, u64> {
-    (1..=rounds as u32)
-        .map(|r| (r, if r >= 6 { 500 } else { 100 + u64::from(r) % 7 }))
-        .collect()
 }
 
 /// An aggressive config so short generated sequences actually fire and
@@ -148,43 +146,11 @@ fn twitchy_config() -> AlertConfig {
     }
 }
 
-// Streaming-equals-batch: the DriftTracker fed one round at a time must
-// reproduce run_diff_pipeline bit-for-bit — diffs, summary, transitions,
-// and the canonical documents.
+// The batch pipeline is a fold over the DriftTracker, so streaming equals
+// batch by construction; what remains to prove is that a stream can be
+// cut and resumed.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn streaming_tracker_matches_batch_pipeline(rounds in rounds_strategy()) {
-        let origins = origins_fixture();
-        let durations = durations_fixture(rounds.len());
-        let batch = run_diff_pipeline(
-            "prop",
-            &rounds,
-            Some(&origins),
-            Some(&durations),
-            &twitchy_config(),
-        );
-
-        let mut tracker = DriftTracker::new(twitchy_config(), 3, Some(origins));
-        for r in &rounds {
-            let dur = durations.get(&tracker.next_round()).copied();
-            tracker.observe_round(r.clone(), dur);
-        }
-
-        prop_assert_eq!(tracker.diffs(), &batch.diffs[..]);
-        prop_assert_eq!(tracker.summary(), &batch.summary);
-        prop_assert_eq!(tracker.transitions(), &batch.transitions[..]);
-        prop_assert_eq!(tracker.alerts_snapshot(), batch.alerts);
-        prop_assert_eq!(
-            serde_json::to_string_pretty(&tracker.drift_doc("prop")).ok(),
-            serde_json::to_string_pretty(&batch.drift_doc).ok()
-        );
-        prop_assert_eq!(
-            serde_json::to_string_pretty(&tracker.alert_doc("prop")).ok(),
-            serde_json::to_string_pretty(&batch.alert_doc).ok()
-        );
-    }
 
     /// The windowed-split fold: cutting the stream anywhere, running the
     /// tail through a second tracker resuming at the cut (it re-ingests

@@ -79,22 +79,6 @@ impl IcmpMessage {
 
     /// Serializes to wire bytes with a correct ICMP checksum.
     pub fn emit(&self) -> Bytes {
-        let body_len = match self {
-            IcmpMessage::EchoRequest { payload, .. } | IcmpMessage::EchoReply { payload, .. } => {
-                payload.len()
-            }
-            IcmpMessage::DestUnreachable { original, .. } => original.len(),
-        };
-        let mut buf = BytesMut::with_capacity(MIN_LEN + body_len);
-        self.emit_into(&mut buf);
-        buf.freeze()
-    }
-
-    /// Serializes this message into `out` (wire-identical to [`emit`],
-    /// without allocating): the workhorse behind [`encode_batch`].
-    ///
-    /// [`emit`]: IcmpMessage::emit
-    fn emit_into(&self, out: &mut BytesMut) {
         let (ty, code, a, b, body): (u8, u8, u16, u16, &Bytes) = match self {
             IcmpMessage::EchoRequest {
                 ident,
@@ -110,61 +94,42 @@ impl IcmpMessage {
                 (DEST_UNREACHABLE, *code, 0, 0, original)
             }
         };
-        let base = out.len();
+        let mut out = BytesMut::with_capacity(MIN_LEN + body.len());
         out.put_u8(ty);
         out.put_u8(code);
         out.put_u16(0); // checksum placeholder
         out.put_u16(a);
         out.put_u16(b);
-        out.extend_from_slice(body); // vp-lint: allow(p1): appends into the caller's buffer — pre-sized by encode_batch on the batched path.
-        let ck = checksum::internet_checksum(&out[base..]); // vp-lint: allow(g1): `base` was `out.len()` before the writes just above.
-        out[base + 2..base + 4].copy_from_slice(&ck.to_be_bytes()); // vp-lint: allow(g1): the 8 fixed header bytes from `base` were written just above.
+        out.extend_from_slice(body);
+        let ck = checksum::internet_checksum(&out);
+        out[2..4].copy_from_slice(&ck.to_be_bytes()); // vp-lint: allow(g1): the 8 fixed header bytes were written just above.
+        out.freeze()
     }
 
     /// Parses wire bytes, validating length, checksum and message type.
-    /// The body is copied into owned storage; on per-reply paths prefer
-    /// [`IcmpMessage::parse_view`], which shares the backing buffer.
-    // vp-lint: allow(g1, p1): the body slice starts at the MIN_LEN prefix the length check guarantees, and the copy is the owned-parse product — a control-path convenience; hot paths go through parse_view.
-    pub fn parse(data: &[u8]) -> Result<IcmpMessage, PacketError> {
-        if data.len() < MIN_LEN {
+    /// Zero-copy: the returned message's body is a refcounted view of
+    /// `data`'s backing buffer — no allocation per parse, which is what
+    /// lets the engine's per-reply receive path run allocation-free (rule
+    /// p1; the allocation-witness test counts it).
+    // vp-lint: allow(g1): every index reads inside the MIN_LEN prefix the length check guarantees.
+    pub fn parse(data: &Bytes) -> Result<IcmpMessage, PacketError> {
+        // One deref for all the header reads below.
+        let wire: &[u8] = data;
+        if wire.len() < MIN_LEN {
             return Err(PacketError::Truncated {
                 needed: MIN_LEN,
-                got: data.len(),
+                got: wire.len(),
             });
         }
-        Self::parse_as(data, Bytes::copy_from_slice(&data[MIN_LEN..]))
-    }
-
-    /// Zero-copy twin of [`parse`]: identical validation and result, but
-    /// the returned message's body is a refcounted view of `data`'s
-    /// backing buffer — no allocation per parse, which is what lets the
-    /// engine's per-reply receive path run allocation-free (rule p1; the
-    /// allocation-witness test counts it).
-    ///
-    /// [`parse`]: IcmpMessage::parse
-    pub fn parse_view(data: &Bytes) -> Result<IcmpMessage, PacketError> {
-        if data.len() < MIN_LEN {
-            return Err(PacketError::Truncated {
-                needed: MIN_LEN,
-                got: data.len(),
-            });
-        }
-        Self::parse_as(data, data.slice(MIN_LEN..data.len()))
-    }
-
-    /// Shared parse tail. `data` is the full message (length already
-    /// checked >= MIN_LEN); `body` must view/copy exactly
-    /// `data[MIN_LEN..]`.
-    // vp-lint: allow(g1): every index reads inside the MIN_LEN prefix both callers check first.
-    fn parse_as(data: &[u8], body: Bytes) -> Result<IcmpMessage, PacketError> {
-        if !checksum::verify(data) {
-            let got = u16::from_be_bytes([data[2], data[3]]);
+        if !checksum::verify(wire) {
+            let got = u16::from_be_bytes([wire[2], wire[3]]);
             return Err(PacketError::BadChecksum { expected: 0, got });
         }
-        let ty = data[0];
-        let code = data[1];
-        let a = u16::from_be_bytes([data[4], data[5]]);
-        let b = u16::from_be_bytes([data[6], data[7]]);
+        let ty = wire[0];
+        let code = wire[1];
+        let a = u16::from_be_bytes([wire[4], wire[5]]);
+        let b = u16::from_be_bytes([wire[6], wire[7]]);
+        let body = data.slice(MIN_LEN..wire.len());
         match ty {
             ECHO_REQUEST => Ok(IcmpMessage::EchoRequest {
                 ident: a,
@@ -186,50 +151,34 @@ impl IcmpMessage {
 }
 
 /// Encodes a batch of `count` echo requests — all tagged `ident`, all
-/// carrying `payload_len`-byte payloads — into **one shared buffer**,
-/// handing each message's wire image to `emit` as a zero-copy view.
+/// carrying `payload_len`-byte payloads — plus each request's **echo
+/// reply**, into two shared buffers, handing both wire images of message
+/// `i` to `emit(i, request, reply)` as zero-copy views.
 ///
 /// For message `i`, `fill(i, &mut seq, payload)` sets the sequence
 /// number and the payload bytes in place (the payload starts zeroed).
-/// Each wire image is byte-identical to
-/// `IcmpMessage::echo_request(ident, seq, payload).emit()`, but the cost
-/// profile is the hot-loop one: a single buffer allocation per batch
-/// instead of one (plus a copy) per probe, and the checksum of message
-/// `i > 0` derived from message `i-1` via
-/// [`checksum::incremental_update`] over only the words that changed —
-/// the fixed header and payload template words are never re-summed.
+/// Each request image is byte-identical to
+/// `IcmpMessage::echo_request(ident, seq, payload).emit()` and each reply
+/// image to that message run through [`IcmpMessage::reply`] and
+/// [`IcmpMessage::emit`] (the equivalence tests pin both), but the cost
+/// profile is the hot-loop one: two buffer allocations per batch instead
+/// of one (plus a copy) per message, and the checksum of request `i > 0`
+/// derived from request `i-1` via [`checksum::incremental_update`] over
+/// only the words that changed — the fixed header and payload template
+/// words are never re-summed. A reply differs from its request in exactly
+/// two words — the type/code word and the checksum — so each reply image
+/// costs one copy into the shared buffer and one more incremental update.
+/// Simulated responders then answer probes by handing back the
+/// precomputed image instead of serializing a fresh reply per probe (rule
+/// p1; the allocation witness counts this).
 ///
-/// The exactness of the incremental chain rests on the type byte
-/// (`ECHO_REQUEST = 8`) keeping every message's word sum nonzero; see
-/// [`checksum::incremental_update`].
-pub fn encode_batch<F, E>(ident: u16, payload_len: usize, count: usize, mut fill: F, mut emit: E)
-where
-    F: FnMut(usize, &mut u16, &mut [u8]),
-    E: FnMut(usize, Bytes),
-{
-    let msg_len = MIN_LEN + payload_len;
-    let (frozen, _checksums) = encode_requests(ident, payload_len, count, &mut fill);
-    for i in 0..count {
-        emit(i, frozen.slice(i * msg_len..(i + 1) * msg_len));
-    }
-}
-
-/// [`encode_batch`] plus each request's **echo reply** wire image, encoded
-/// into a second shared buffer: `emit(i, request, reply)` where `reply` is
-/// byte-identical to `request`'s parsed message run through
-/// [`IcmpMessage::reply`] and [`IcmpMessage::emit`] (the equivalence tests
-/// pin this). A reply differs from its request in exactly two words — the
-/// type/code word and the checksum — so each reply image costs one copy
-/// into the shared buffer and one [`checksum::incremental_update`], never
-/// a per-message allocation or re-sum. Simulated responders then answer
-/// probes by handing back the precomputed image instead of serializing a
-/// fresh reply per probe (rule p1; the allocation witness counts this).
-///
-/// Exactness of the patched reply checksum needs at least one nonzero
-/// word among ident/seq/payload (the reply's type byte is zero, so it no
-/// longer anchors the sum — see [`checksum::incremental_update`]);
-/// Verfploeter payloads always carry the nonzero magic tag, and a debug
-/// assertion cross-checks every image against a full recompute.
+/// The exactness of the request chain rests on the type byte
+/// (`ECHO_REQUEST = 8`) keeping every request's word sum nonzero; the
+/// patched reply checksum needs at least one nonzero word among
+/// ident/seq/payload (the reply's type byte is zero, so it no longer
+/// anchors the sum — see [`checksum::incremental_update`]). Verfploeter
+/// payloads always carry the nonzero magic tag, and a debug assertion
+/// cross-checks every reply image against a full recompute.
 // vp-lint: allow(g1): every index is inside `count * msg_len`, the exact length written into both buffers by construction.
 pub fn encode_batch_with_replies<F, E>(
     ident: u16,
@@ -241,16 +190,54 @@ pub fn encode_batch_with_replies<F, E>(
     F: FnMut(usize, &mut u16, &mut [u8]),
     E: FnMut(usize, Bytes, Bytes),
 {
+    const ZEROS: [u8; 64] = [0; 64];
     const REQ_WORD0: u16 = (ECHO_REQUEST as u16) << 8;
     const REP_WORD0: u16 = (ECHO_REPLY as u16) << 8;
     let msg_len = MIN_LEN + payload_len;
-    let (requests, checksums) = encode_requests(ident, payload_len, count, &mut fill);
+    let mut requests = BytesMut::with_capacity(count * msg_len);
     let mut replies = BytesMut::with_capacity(count * msg_len);
+    let mut prev_ck = 0u16;
     for i in 0..count {
         let base = i * msg_len;
+        requests.put_u8(ECHO_REQUEST);
+        requests.put_u8(0); // code
+        requests.put_u16(0); // checksum placeholder
+        requests.put_u16(ident);
+        requests.put_u16(0); // seq placeholder
+        let mut rem = payload_len;
+        while rem > 0 {
+            let take = rem.min(ZEROS.len());
+            requests.extend_from_slice(&ZEROS[..take]);
+            rem -= take;
+        }
+        let mut seq = 0u16;
+        let msg = &mut requests[base..base + msg_len];
+        fill(i, &mut seq, &mut msg[MIN_LEN..]);
+        msg[6..8].copy_from_slice(&seq.to_be_bytes());
+        let ck = if i == 0 {
+            checksum::internet_checksum(&requests[base..base + msg_len])
+        } else {
+            // Only the seq word and payload words can differ between
+            // consecutive messages; patch the previous checksum word by
+            // word instead of re-summing the whole message.
+            let mut ck = prev_ck;
+            let mut at = 6;
+            while at < msg_len {
+                let old = word_at(&requests, base - msg_len + at, msg_len - at);
+                let new = word_at(&requests, base + at, msg_len - at);
+                if old != new {
+                    ck = checksum::incremental_update(ck, old, new);
+                }
+                at += 2;
+            }
+            ck
+        };
+        requests[base + 2..base + 4].copy_from_slice(&ck.to_be_bytes());
+        prev_ck = ck;
+
         replies.extend_from_slice(&requests[base..base + msg_len]);
         replies[base] = ECHO_REPLY;
-        let rck = checksum::incremental_update(checksums[i], REQ_WORD0, REP_WORD0);
+        let rck = checksum::incremental_update(ck, REQ_WORD0, REP_WORD0);
         debug_assert_eq!(
             rck,
             checksum::internet_checksum_parts(&[
@@ -262,78 +249,15 @@ pub fn encode_batch_with_replies<F, E>(
         );
         replies[base + 2..base + 4].copy_from_slice(&rck.to_be_bytes());
     }
-    let requests_frozen = requests;
-    let replies_frozen = replies.freeze();
+    let requests = requests.freeze();
+    let replies = replies.freeze();
     for i in 0..count {
         emit(
             i,
-            requests_frozen.slice(i * msg_len..(i + 1) * msg_len),
-            replies_frozen.slice(i * msg_len..(i + 1) * msg_len),
+            requests.slice(i * msg_len..(i + 1) * msg_len),
+            replies.slice(i * msg_len..(i + 1) * msg_len),
         );
     }
-}
-
-/// The shared request encoder behind [`encode_batch`] and
-/// [`encode_batch_with_replies`]: all `count` wire images in one buffer,
-/// message `i > 0`'s checksum derived incrementally from message `i-1`'s
-/// (see [`encode_batch`] for the cost and exactness contract). Returns
-/// the frozen buffer plus the per-message checksums, which the reply
-/// encoder patches into reply checksums.
-// vp-lint: allow(g1): every index is inside `count * msg_len`, the exact length written into the buffer by construction.
-fn encode_requests<F>(
-    ident: u16,
-    payload_len: usize,
-    count: usize,
-    fill: &mut F,
-) -> (Bytes, Vec<u16>)
-where
-    F: FnMut(usize, &mut u16, &mut [u8]),
-{
-    const ZEROS: [u8; 64] = [0; 64];
-    let msg_len = MIN_LEN + payload_len;
-    let mut buf = BytesMut::with_capacity(count * msg_len);
-    let mut checksums = Vec::with_capacity(count);
-    let mut prev_ck = 0u16;
-    for i in 0..count {
-        let base = i * msg_len;
-        buf.put_u8(ECHO_REQUEST);
-        buf.put_u8(0); // code
-        buf.put_u16(0); // checksum placeholder
-        buf.put_u16(ident);
-        buf.put_u16(0); // seq placeholder
-        let mut rem = payload_len;
-        while rem > 0 {
-            let take = rem.min(ZEROS.len());
-            buf.extend_from_slice(&ZEROS[..take]);
-            rem -= take;
-        }
-        let mut seq = 0u16;
-        let msg = &mut buf[base..base + msg_len];
-        fill(i, &mut seq, &mut msg[MIN_LEN..]);
-        msg[6..8].copy_from_slice(&seq.to_be_bytes());
-        let ck = if i == 0 {
-            checksum::internet_checksum(&buf[base..base + msg_len])
-        } else {
-            // Only the seq word and payload words can differ between
-            // consecutive messages; patch the previous checksum word by
-            // word instead of re-summing the whole message.
-            let mut ck = prev_ck;
-            let mut at = 6;
-            while at < msg_len {
-                let old = word_at(&buf, base - msg_len + at, msg_len - at);
-                let new = word_at(&buf, base + at, msg_len - at);
-                if old != new {
-                    ck = checksum::incremental_update(ck, old, new);
-                }
-                at += 2;
-            }
-            ck
-        };
-        buf[base + 2..base + 4].copy_from_slice(&ck.to_be_bytes());
-        prev_ck = ck;
-        checksums.push(ck);
-    }
-    (buf.freeze(), checksums)
 }
 
 /// The big-endian u16 at `off`, zero-padded when `remaining` is one —
@@ -406,7 +330,7 @@ mod tests {
         let mut wire = BytesMut::from(&IcmpMessage::echo_request(1, 2, Bytes::new()).emit()[..]);
         wire[4] ^= 0xff;
         assert!(matches!(
-            IcmpMessage::parse(&wire).unwrap_err(),
+            IcmpMessage::parse(&wire.freeze()).unwrap_err(),
             PacketError::BadChecksum { .. }
         ));
     }
@@ -414,9 +338,21 @@ mod tests {
     #[test]
     fn parse_rejects_short() {
         assert!(matches!(
-            IcmpMessage::parse(&[8, 0, 0]).unwrap_err(),
+            IcmpMessage::parse(&Bytes::from_static(&[8, 0, 0])).unwrap_err(),
             PacketError::Truncated { .. }
         ));
+    }
+
+    #[test]
+    fn parse_shares_the_wire_buffer() {
+        // The body is a view into the wire image, not a copy of it.
+        let wire = IcmpMessage::echo_request(0x1234, 7, Bytes::from_static(b"verfploeter")).emit();
+        match IcmpMessage::parse(&wire).unwrap() {
+            IcmpMessage::EchoRequest { payload, .. } => {
+                assert_eq!(payload.as_ptr(), wire[MIN_LEN..].as_ptr());
+            }
+            other => panic!("expected request, got {other:?}"),
+        }
     }
 
     /// A tiny deterministic generator for the equivalence tests below
@@ -435,137 +371,63 @@ mod tests {
     }
 
     #[test]
-    fn encode_batch_is_bit_identical_to_per_message_emit() {
-        // Random probes across several payload lengths (including odd
-        // tails and empty payloads): every batched wire image must match
-        // the single-message encoder byte for byte.
-        let mut rng = Lcg(0x5650_4c54);
-        for payload_len in [0usize, 1, 7, 12, 13, 64, 65] {
-            for count in [1usize, 2, 3, 17] {
-                let mut seqs = Vec::with_capacity(count);
-                let mut payloads: Vec<Vec<u8>> = Vec::with_capacity(count);
-                for _ in 0..count {
-                    seqs.push(rng.next_u16());
-                    payloads.push((0..payload_len).map(|_| rng.next_u8()).collect());
-                }
-                let ident = rng.next_u16();
-                let mut batched: Vec<Bytes> = Vec::with_capacity(count);
-                encode_batch(
-                    ident,
-                    payload_len,
-                    count,
-                    |i, seq, payload| {
-                        *seq = seqs[i];
-                        payload.copy_from_slice(&payloads[i]);
-                    },
-                    |_, wire| batched.push(wire),
-                );
-                assert_eq!(batched.len(), count);
-                for i in 0..count {
-                    let single = IcmpMessage::echo_request(
-                        ident,
-                        seqs[i],
-                        Bytes::copy_from_slice(&payloads[i]),
-                    )
-                    .emit();
-                    assert_eq!(
-                        &batched[i][..],
-                        &single[..],
-                        "payload_len={payload_len} count={count} message {i}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn encode_batch_identical_consecutive_probes() {
         // Consecutive identical messages exercise the "no words changed"
         // path of the incremental chain.
         let mut wires = Vec::new();
-        encode_batch(7, 4, 3, |_, seq, p| {
+        encode_batch_with_replies(7, 4, 3, |_, seq, p| {
             *seq = 42;
             p.copy_from_slice(b"same");
-        }, |_, w| wires.push(w));
-        let reference = IcmpMessage::echo_request(7, 42, Bytes::from_static(b"same")).emit();
-        for w in &wires {
-            assert_eq!(&w[..], &reference[..]);
+        }, |_, request, reply| wires.push((request, reply)));
+        let reference = IcmpMessage::echo_request(7, 42, Bytes::from_static(b"same"));
+        let reference_reply = reference.reply().unwrap().emit();
+        for (request, reply) in &wires {
+            assert_eq!(&request[..], &reference.emit()[..]);
+            assert_eq!(&reply[..], &reference_reply[..]);
         }
     }
 
     #[test]
     fn encode_batch_messages_parse_and_verify() {
         let mut wires = Vec::new();
-        encode_batch(0xbeef, 12, 5, |i, seq, p| {
+        encode_batch_with_replies(0xbeef, 12, 5, |i, seq, p| {
             *seq = i as u16;
             p[..4].copy_from_slice(b"VPLT");
             p[4..].copy_from_slice(&(i as u64).to_be_bytes());
-        }, |_, w| wires.push(w));
-        for (i, w) in wires.iter().enumerate() {
-            let parsed = IcmpMessage::parse(w).unwrap();
-            assert_eq!(parsed.ident(), Some(0xbeef));
-            assert_eq!(parsed.seq(), Some(i as u16));
+        }, |_, request, reply| wires.push((request, reply)));
+        for (i, (request, reply)) in wires.iter().enumerate() {
+            for wire in [request, reply] {
+                let parsed = IcmpMessage::parse(wire).unwrap();
+                assert_eq!(parsed.ident(), Some(0xbeef));
+                assert_eq!(parsed.seq(), Some(i as u16));
+            }
         }
-    }
-
-    #[test]
-    fn parse_view_matches_owned_parse() {
-        // Same results (values and errors) on every shape the owned
-        // parser handles, without copying the body out of the buffer.
-        let messages = [
-            IcmpMessage::echo_request(0x1234, 7, Bytes::from_static(b"verfploeter")),
-            IcmpMessage::EchoReply {
-                ident: 9,
-                seq: 65535,
-                payload: Bytes::new(),
-            },
-            IcmpMessage::DestUnreachable {
-                code: 1,
-                original: Bytes::from_static(&[1, 2, 3, 4]),
-            },
-        ];
-        for m in &messages {
-            let wire = m.emit();
-            assert_eq!(IcmpMessage::parse_view(&wire).unwrap(), *m);
-            assert_eq!(
-                IcmpMessage::parse_view(&wire).unwrap(),
-                IcmpMessage::parse(&wire).unwrap()
-            );
-        }
-        // Error cases agree too.
-        let short = Bytes::from_static(&[8, 0, 0]);
-        assert!(matches!(
-            IcmpMessage::parse_view(&short).unwrap_err(),
-            PacketError::Truncated { .. }
-        ));
-        let mut corrupt = BytesMut::from(&messages[0].emit()[..]);
-        corrupt[4] ^= 0xff;
-        let corrupt = corrupt.freeze();
-        assert!(matches!(
-            IcmpMessage::parse_view(&corrupt).unwrap_err(),
-            PacketError::BadChecksum { .. }
-        ));
     }
 
     #[test]
     fn encode_batch_with_replies_matches_reference_encoders() {
-        // Every batched request must match the single-message encoder and
-        // every batched reply must match that request's parsed message run
-        // through reply() + emit() — the §7 bit-equivalence contract of
-        // the precomputed-reply fast path. Payloads carry a nonzero tag
-        // byte (the documented precondition of the reply checksum patch).
+        // Random probes across several payload lengths (including odd
+        // tails and empty payloads): every batched request must match the
+        // single-message encoder and every batched reply must match that
+        // request's parsed message run through reply() + emit() — the §7
+        // bit-equivalence contract of the precomputed-reply fast path.
+        // Every message carries a nonzero word (the documented
+        // precondition of the reply checksum patch): a tag byte in the
+        // payload, or the ident when the payload is empty.
         let mut rng = Lcg(0x5245_504c);
-        for payload_len in [4usize, 7, 12, 13, 64, 65] {
+        for payload_len in [0usize, 1, 4, 7, 12, 13, 64, 65] {
             for count in [1usize, 2, 3, 17] {
                 let mut seqs = Vec::with_capacity(count);
                 let mut payloads: Vec<Vec<u8>> = Vec::with_capacity(count);
                 for _ in 0..count {
                     seqs.push(rng.next_u16());
                     let mut p: Vec<u8> = (0..payload_len).map(|_| rng.next_u8()).collect();
-                    p[0] = 0x56; // nonzero word, per the documented precondition
+                    if let Some(tag) = p.first_mut() {
+                        *tag = 0x56;
+                    }
                     payloads.push(p);
                 }
-                let ident = rng.next_u16();
+                let ident = rng.next_u16() | 1;
                 let mut batched: Vec<(Bytes, Bytes)> = Vec::with_capacity(count);
                 encode_batch_with_replies(
                     ident,
@@ -597,7 +459,7 @@ mod tests {
                     );
                     // And the image round-trips through the parser as the
                     // reply message it claims to be.
-                    match IcmpMessage::parse_view(&batched[i].1).unwrap() {
+                    match IcmpMessage::parse(&batched[i].1).unwrap() {
                         IcmpMessage::EchoReply { ident: id, seq, payload } => {
                             assert_eq!(id, ident);
                             assert_eq!(seq, seqs[i]);
@@ -621,7 +483,7 @@ mod tests {
         let ck = checksum::internet_checksum(&buf);
         buf[2..4].copy_from_slice(&ck.to_be_bytes());
         assert!(matches!(
-            IcmpMessage::parse(&buf).unwrap_err(),
+            IcmpMessage::parse(&buf.freeze()).unwrap_err(),
             PacketError::UnknownIcmpType(13)
         ));
     }

@@ -13,18 +13,27 @@ use vp_topology::blocks::BlockInfo;
 use vp_topology::graph::AsGraph;
 
 /// Resolves which anycast site traffic from a block reaches at an instant.
-pub trait CatchmentOracle {
+///
+/// `Sync`, so one oracle can be lent to every shard engine of a round
+/// (a reference to an oracle is itself an oracle): a round resolves all
+/// its catchments through a single instance, whatever its shard count.
+pub trait CatchmentOracle: Sync {
     /// The receiving site, or `None` if the block's AS has no route.
     fn site_of_block(&self, block: &BlockInfo, at: SimTime) -> Option<SiteId>;
 }
 
+impl<T: CatchmentOracle + ?Sized> CatchmentOracle for &T {
+    fn site_of_block(&self, block: &BlockInfo, at: SimTime) -> Option<SiteId> {
+        (**self).site_of_block(block, at)
+    }
+}
+
 /// A time-invariant oracle over a converged routing table.
 ///
-/// The table is held behind an [`Arc`] so that the sharded scan path can
-/// hand every shard its own boxed oracle while sharing one converged
-/// table: [`StaticOracle::shared`] costs a refcount bump where a deep
-/// table clone costs thousands of allocations (the §17 allocation
-/// witness counts shard setup against the scan's budget).
+/// The table is held behind an [`Arc`] so that repeated rounds over one
+/// converged table share it: [`StaticOracle::shared`] costs a refcount
+/// bump where a deep table clone costs thousands of allocations (the §17
+/// allocation witness counts round setup against the scan's budget).
 #[derive(Debug, Clone)]
 pub struct StaticOracle {
     table: Arc<RoutingTable>,

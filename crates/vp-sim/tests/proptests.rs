@@ -50,10 +50,10 @@ impl CaptureSink for Recorder {
 type Observed = (Recorder, Vec<(SimTime, Ipv4Packet)>, SimStats, SimTime);
 
 /// Runs `probes` (sorted by send time) over a fresh engine, either all
-/// injected up front (`send_probe_at` × N, then the loop with an empty
-/// source) or merged lazily by the loop itself. Both runs also carry the
-/// same pre-injected background traffic, so `send_at` events interleave
-/// with the source's.
+/// injected up front (`send_at` × N — so responders serialize their own
+/// replies — then the loop with an empty source) or merged lazily by the
+/// loop itself. Both runs also carry the same pre-injected background
+/// traffic, so `send_at` events interleave with the source's.
 fn observe(s: &Scenario, faults: &FaultConfig, sim_seed: u64, probes: &[TimedProbe], lazy: bool) -> Observed {
     let ann = s.announcement.clone();
     let meas = ann.measurement_addr();
@@ -70,7 +70,7 @@ fn observe(s: &Scenario, faults: &FaultConfig, sim_seed: u64, probes: &[TimedPro
         sim.run_with(probes.iter().cloned(), &mut seen);
     } else {
         for p in probes {
-            sim.send_probe_at(p.at, p.packet.clone(), p.reply_image.clone());
+            sim.send_at(p.at, p.packet.clone());
         }
         sim.run_with(std::iter::empty(), &mut seen);
     }
@@ -120,7 +120,7 @@ proptest! {
             .map(|(i, (&(kind, short_us, long_us), b))| {
                 at += SimDuration::from_micros([0, short_us, long_us][kind as usize]);
                 let packet = probe(meas, b.representative(), 5, i as u16);
-                let reply_image = IcmpMessage::parse_view(&packet.payload)
+                let reply_image = IcmpMessage::parse(&packet.payload)
                     .unwrap()
                     .reply()
                     .unwrap()

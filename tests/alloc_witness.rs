@@ -13,7 +13,7 @@
 //! * keep every engine's event queue at the in-flight window of the
 //!   paced schedule.
 //!
-//! Holds on the serial engine and at K=8 on real OS threads, so the
+//! Holds for the K=1 round (`run_scan`) and at K=8 on real OS threads, so the
 //! p-rule sweep (`vp-lint hotpath`) is backed by a runtime measurement,
 //! not just static reasoning.
 
@@ -164,12 +164,13 @@ fn steady_state_allocations_stay_sublinear_in_probes() {
     let config = ScanConfig::default();
 
     // Oracle construction is cold setup (it deep-copies the converged
-    // routing table once); the sharded path shares that copy across all
-    // shard oracles through `StaticOracle::shared`, so per-shard setup
-    // inside the measured region is one refcount bump and one box each.
+    // routing table once); a round builds one oracle over that copy
+    // through `StaticOracle::shared` and lends it to every engine, so
+    // oracle setup inside the measured region is one refcount bump and
+    // one box per round plus one borrowed-oracle box per engine.
     let shared_table = Arc::new(table.clone());
 
-    // Serial engine.
+    // The K=1 round.
     let oracle = Box::new(StaticOracle::shared(shared_table.clone()));
     let serial = measured(|| {
         run_scan(

@@ -208,8 +208,8 @@ proptest! {
 }
 
 /// End-to-end: a real measured round's columnar map serializes to the
-/// exact bytes the tree engine produces from the same entries — serial,
-/// and sharded at every contract shard count on both the inline executor
+/// exact bytes the tree engine produces from the same entries — at K=1
+/// (`run_scan`), and at every contract shard count on both the inline executor
 /// and real OS threads (one per shard): the columnar rows must be
 /// scheduling-independent, not just shard-count-independent.
 #[test]

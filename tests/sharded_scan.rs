@@ -1,9 +1,11 @@
-//! Tier-1 gate: the sharded scan engine must reproduce the serial engine
-//! bit-for-bit on a tiny world, fast enough to run in every `cargo test`.
+//! Tier-1 gate: the scan round must be invariant in its shard count —
+//! `run_scan` is the K=1 round, and every K must reproduce it bit-for-bit
+//! on a tiny world, fast enough to run in every `cargo test`.
 //!
 //! The exhaustive matrix (two worlds, three fault configs, merge-algebra
 //! property tests) lives in `crates/verfploeter/tests/sharded_equivalence.rs`;
-//! this is the always-on smoke version of the same contract.
+//! this is the always-on smoke version of the same contract, through the
+//! host-parallel entry point.
 
 use verfploeter_suite::hitlist::{Hitlist, HitlistConfig};
 use verfploeter_suite::net::SimTime;
