@@ -5,10 +5,11 @@
 //! mapped blocks that is 5 bytes of payload per entry in two contiguous
 //! allocations — lookups are a binary search over one hot `u32` column and
 //! merges are linear column zips, where the tree spent ~50+ bytes per entry
-//! across pointer-chased nodes. The original tree engine survives as
-//! [`reference::BTreeCatchment`]; the `columnar_equivalence` suite proves
-//! the two agree byte-for-byte on every operation, so the columnar core
-//! inherits the tree's contract (including serialized bytes) verbatim.
+//! across pointer-chased nodes. The original tree engine survives as the
+//! `BTreeCatchment` format oracle inside the `columnar_equivalence` suite,
+//! which proves the two agree byte-for-byte on every operation, so the
+//! columnar core inherits the tree's contract (including serialized
+//! bytes) verbatim.
 
 use std::collections::BTreeMap;
 
@@ -247,76 +248,6 @@ impl Deserialize for CatchmentMap {
     }
 }
 
-pub mod reference {
-    //! The original `BTreeMap`-backed catchment engine, kept as the proof
-    //! baseline for the columnar core. Not used by the pipeline; the
-    //! `columnar_equivalence` suite drives both engines through identical
-    //! operation sequences and asserts byte-identical serialized output.
-
-    use std::collections::BTreeMap;
-
-    use serde::{Deserialize, Serialize};
-    use vp_bgp::SiteId;
-    use vp_net::Block24;
-
-    /// The historical tree-backed map, field-for-field the pre-columnar
-    /// `CatchmentMap` (so its derived serialization defines the on-disk
-    /// format the columnar engine must reproduce).
-    #[derive(Debug, Clone, Default, Serialize, Deserialize)]
-    pub struct BTreeCatchment {
-        pub name: String,
-        map: BTreeMap<Block24, SiteId>,
-    }
-
-    impl BTreeCatchment {
-        /// Builds a map from `(block, site)` pairs; later pairs win.
-        pub fn from_pairs(
-            name: &str,
-            pairs: impl IntoIterator<Item = (Block24, SiteId)>,
-        ) -> Self {
-            BTreeCatchment {
-                name: name.to_owned(),
-                map: pairs.into_iter().collect(),
-            }
-        }
-
-        pub fn len(&self) -> usize {
-            self.map.len()
-        }
-
-        pub fn is_empty(&self) -> bool {
-            self.map.is_empty()
-        }
-
-        pub fn site_of(&self, block: Block24) -> Option<SiteId> {
-            self.map.get(&block).copied()
-        }
-
-        pub fn iter(&self) -> impl Iterator<Item = (Block24, SiteId)> + '_ {
-            self.map.iter().map(|(b, s)| (*b, *s))
-        }
-
-        /// Disjoint union, the tree way: per-entry inserts.
-        // vp-lint: merge-tested(BTreeCatchment::merge, suite=columnar_equivalence)
-        // vp-lint: cold(fn): reference-engine shard fold — runs once per shard at merge time, not per probe.
-        pub fn merge(&mut self, other: &BTreeCatchment) {
-            for (block, site) in &other.map {
-                self.map.insert(*block, *site);
-            }
-        }
-
-        /// Serializes via the derived impl — the format oracle.
-        pub fn to_json(&self) -> String {
-            // vp-lint: allow(h2): serializing owned plain data with derived impls cannot fail.
-            serde_json::to_string(self).expect("catchment map serializes")
-        }
-
-        pub fn from_json(s: &str) -> Result<BTreeCatchment, serde_json::Error> {
-            serde_json::from_str(s)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -371,19 +302,6 @@ mod tests {
             assert_eq!(back.site_of(b), Some(s));
         }
         assert!(CatchmentMap::from_json("not json").is_err());
-    }
-
-    #[test]
-    fn json_bytes_match_btree_reference() {
-        // The format contract in miniature (the full proof lives in the
-        // columnar_equivalence suite): same pairs, same bytes.
-        let pairs = [(1u32, 0u8), (2, 1), (10, 2), (300000, 3)];
-        let col = map("SBV-5-15", &pairs);
-        let tree = reference::BTreeCatchment::from_pairs(
-            "SBV-5-15",
-            pairs.iter().map(|&(b, s)| (Block24(b), SiteId(s))),
-        );
-        assert_eq!(col.to_json(), tree.to_json());
     }
 
     #[test]

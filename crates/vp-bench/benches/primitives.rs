@@ -4,8 +4,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use vp_bench::{bench_scenario, SortedVecLpm};
 use vp_net::{
-    FeistelPermutation, LcgPermutation, Prefix, PrefixTrie, ProbeOrder, SimDuration, SimTime,
-    TokenBucket,
+    FeistelPermutation, LcgPermutation, Prefix, ProbeOrder, SimDuration, SimTime, TokenBucket,
 };
 
 fn bench_permutations(c: &mut Criterion) {
@@ -44,10 +43,8 @@ fn bench_lpm(c: &mut Criterion) {
         .iter()
         .map(|p| (p.prefix, p.origin.0))
         .collect();
-    let mut trie = PrefixTrie::new();
-    for (p, v) in entries.clone() {
-        trie.insert(p, v);
-    }
+    // The trie that ships: the world's own origin table.
+    let trie = &s.world.origin_table;
     let vec_lpm = SortedVecLpm::new(entries);
     let probes: Vec<vp_net::Ipv4Addr> = s
         .world
@@ -59,7 +56,7 @@ fn bench_lpm(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("lpm_lookup");
     g.sample_size(30);
-    g.bench_function("prefix_trie", |b| {
+    g.bench_function("arena_lpm", |b| {
         b.iter(|| {
             let mut hits = 0usize;
             for ip in &probes {

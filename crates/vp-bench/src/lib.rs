@@ -80,7 +80,7 @@ impl<T: Copy> SortedVecLpm<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vp_net::{Ipv4Addr, Prefix, PrefixTrie};
+    use vp_net::{Ipv4Addr, Prefix};
 
     #[test]
     fn sorted_vec_lpm_agrees_with_trie() {
@@ -91,15 +91,11 @@ mod tests {
             .iter()
             .map(|p| (p.prefix, p.origin.0))
             .collect();
-        let vec_lpm = SortedVecLpm::new(entries.clone());
-        let mut trie = PrefixTrie::new();
-        for (p, v) in entries {
-            trie.insert(p, v);
-        }
+        let vec_lpm = SortedVecLpm::new(entries);
         for b in s.world.blocks.iter().step_by(37) {
             let ip = b.representative();
             let via_vec = vec_lpm.longest_match(ip);
-            let via_trie = trie.longest_match(ip).map(|(_, v)| *v);
+            let via_trie = s.world.origin_of(ip).map(|asn| asn.0);
             assert_eq!(via_vec, via_trie, "LPM mismatch for {ip}");
         }
         assert!(vec_lpm.longest_match(Ipv4Addr::new(0, 0, 0, 1)).is_none());

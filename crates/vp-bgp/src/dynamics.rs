@@ -12,12 +12,12 @@
 
 use std::collections::BTreeMap;
 
-use vp_net::Asn;
+use vp_net::{mix, unit, Asn};
 use vp_topology::graph::AsGraph;
 use vp_topology::PopId;
 
 use crate::announce::SiteId;
-use crate::routing::{mix, unit_hash, RoutingTable};
+use crate::routing::RoutingTable;
 
 /// Per-round flip behaviour layered over a converged [`RoutingTable`].
 #[derive(Debug, Clone)]
@@ -110,7 +110,7 @@ impl FlipModel {
             return Some(base);
         }
         let h = mix(self.seed, (pop.0 as u64) << 32 | round as u64);
-        if unit_hash(h) < p {
+        if unit(h) < p {
             // Flipped this round: pick uniformly among candidates (may pick
             // the base again — real load balancers do that too).
             let idx = (mix(self.seed ^ 0xf11b, h) % route.candidates.len() as u64) as usize;

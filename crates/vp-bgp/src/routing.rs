@@ -5,7 +5,7 @@ use std::collections::BinaryHeap;
 
 use serde::{Deserialize, Serialize};
 use vp_geo::distance_km;
-use vp_net::Asn;
+use vp_net::{mix, unit, Asn};
 use vp_topology::graph::AsGraph;
 use vp_topology::PopId;
 
@@ -171,7 +171,7 @@ impl<'a> BgpSim<'a> {
     }
 
     fn ignores_prepending(&self, asn: Asn) -> bool {
-        unit_hash(mix(self.policy_seed ^ 0x1971, asn.0 as u64)) < self.ignore_prepend_fraction
+        unit(mix(self.policy_seed ^ 0x1971, asn.0 as u64)) < self.ignore_prepend_fraction
     }
 
     /// Computes the converged routing table for `ann`.
@@ -430,7 +430,7 @@ impl<'a> BgpSim<'a> {
                             // co-located session ties.
                             let igp_noise = 0.75
                                 + 0.5
-                                    * unit_hash(mix(
+                                    * unit(mix(
                                         self.policy_seed ^ 0x16b,
                                         (pop.0 as u64) << 32 | cand.neighbor.0 as u64,
                                     ));
@@ -476,19 +476,6 @@ impl<'a> BgpSim<'a> {
             obs,
         )
     }
-}
-
-/// splitmix64 — the deterministic policy hash.
-pub(crate) fn mix(seed: u64, x: u64) -> u64 {
-    let mut z = seed ^ x.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Maps a hash to the unit interval.
-pub(crate) fn unit_hash(h: u64) -> f64 {
-    (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
 #[cfg(test)]

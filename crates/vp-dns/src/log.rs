@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 use vp_geo::Continent;
-use vp_net::Block24;
+use vp_net::{mix, unit, Block24};
 use vp_topology::Internet;
 
 /// Parameters of the load model.
@@ -169,8 +169,9 @@ impl<'w> QueryLog<'w> {
     /// Daily queries from a block (0 for unpopulated blocks).
     pub fn daily(&self, block: Block24) -> f64 {
         self.world
-            .block_idx(block)
-            .map_or(0.0, |i| self.daily[i as usize]) // vp-lint: allow(g1): block_idx returns positions in blocks, and daily is sized to blocks.
+            .block_id(block)
+            .and_then(|i| self.daily.get(i as usize).copied())
+            .unwrap_or(0.0)
     }
 
     /// Queries from block `i` during UTC hour `hour` (0..24).
@@ -251,17 +252,6 @@ impl<'w> QueryLog<'w> {
             .map(|(b, d)| d * self.reply_frac(b.block))
             .sum()
     }
-}
-
-fn mix(seed: u64, x: u64) -> u64 {
-    let mut z = seed ^ x.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-fn unit(h: u64) -> f64 {
-    (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
 #[cfg(test)]

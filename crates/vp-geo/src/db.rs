@@ -1,7 +1,5 @@
 //! The MaxMind stand-in: a `/24 → location` database.
 
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
 use vp_net::Block24;
 
@@ -20,9 +18,16 @@ pub struct GeoLoc {
 /// Built by the topology generator; consulted by every analysis that bins
 /// observations geographically. Blocks absent from the database are the
 /// "no location" row of Table 4 — the paper discards 678 such blocks.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+///
+/// Storage is two parallel block-sorted columns: a lookup is one binary
+/// search over a contiguous key column, and the generator's ascending
+/// inserts are appends.
+#[derive(Debug, Clone, Default)]
 pub struct GeoDb {
-    entries: BTreeMap<Block24, GeoLoc>,
+    /// Located blocks, strictly ascending.
+    blocks: Vec<Block24>,
+    /// Location of `blocks[i]`, parallel to `blocks`.
+    locs: Vec<GeoLoc>,
 }
 
 impl GeoDb {
@@ -32,26 +37,42 @@ impl GeoDb {
 
     /// Registers a block's location (last write wins).
     pub fn insert(&mut self, block: Block24, loc: GeoLoc) {
-        self.entries.insert(block, loc);
+        if self.blocks.last() < Some(&block) {
+            self.blocks.push(block);
+            self.locs.push(loc);
+            return;
+        }
+        match self.blocks.binary_search(&block) {
+            Ok(i) => {
+                if let Some(slot) = self.locs.get_mut(i) {
+                    *slot = loc;
+                }
+            }
+            Err(i) => {
+                self.blocks.insert(i, block);
+                self.locs.insert(i, loc);
+            }
+        }
     }
 
     /// Looks a block up; `None` reproduces the paper's unlocatable blocks.
     pub fn locate(&self, block: Block24) -> Option<GeoLoc> {
-        self.entries.get(&block).copied()
+        let i = self.blocks.binary_search(&block).ok()?;
+        self.locs.get(i).copied()
     }
 
     /// Number of locatable blocks.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.blocks.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.blocks.is_empty()
     }
 
     /// Iterates all `(block, location)` entries in ascending block order.
     pub fn iter(&self) -> impl Iterator<Item = (Block24, GeoLoc)> + '_ {
-        self.entries.iter().map(|(b, l)| (*b, *l))
+        self.blocks.iter().copied().zip(self.locs.iter().copied())
     }
 }
 

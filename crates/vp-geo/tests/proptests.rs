@@ -54,23 +54,27 @@ proptest! {
         prop_assert!(distance_km(lat1, lon1, lat1, lon1) < 1e-9);
     }
 
-    /// The GeoDb behaves as a map under arbitrary insert sequences.
+    /// The columnar GeoDb is a `BTreeMap` under arbitrary insert order
+    /// with repeats: last write wins, `iter` is ascending, and `locate`
+    /// agrees on present and absent blocks alike.
     #[test]
     fn geodb_map_semantics(
         inserts in prop::collection::vec((0u32..500, 0u16..40, -80.0f64..80.0), 0..200),
     ) {
         let mut db = GeoDb::new();
-        let mut model = std::collections::HashMap::new();
+        let mut model = std::collections::BTreeMap::new();
         for (block, country, lat) in &inserts {
             let loc = GeoLoc { country: vp_geo::CountryId(*country), lat: *lat, lon: 0.0 };
             db.insert(vp_net::Block24(*block), loc);
-            model.insert(*block, *country);
+            model.insert(vp_net::Block24(*block), loc);
         }
         prop_assert_eq!(db.len(), model.len());
-        for (block, country) in &model {
-            let got = db.locate(vp_net::Block24(*block)).unwrap();
-            prop_assert_eq!(got.country.0, *country);
+        prop_assert_eq!(db.is_empty(), model.is_empty());
+        let rows: Vec<_> = db.iter().collect();
+        let want: Vec<_> = model.iter().map(|(b, l)| (*b, *l)).collect();
+        prop_assert_eq!(rows, want);
+        for block in (0..500).map(vp_net::Block24) {
+            prop_assert_eq!(db.locate(block), model.get(&block).copied());
         }
-        prop_assert_eq!(db.iter().count(), model.len());
     }
 }

@@ -13,7 +13,7 @@
 //! responsive, feeding Table 5's "not mappable" row.
 
 use serde::{Deserialize, Serialize};
-use vp_net::{Block24, Ipv4Addr};
+use vp_net::{mix, unit, Block24, Ipv4Addr};
 use vp_topology::Internet;
 
 /// One hitlist row.
@@ -44,10 +44,7 @@ impl Default for HitlistConfig {
 }
 
 /// The hitlist entry for one block — a pure function of the block, its
-/// representative octet, and the config seed. Because each entry depends
-/// on nothing but its own block, hitlists can be *streamed*: any sorted
-/// block source yields the same entries in the same order without ever
-/// materializing the full list (see [`for_each_shard`]).
+/// representative octet, and the config seed.
 pub fn entry_for(block: Block24, rep_octet: u8, cfg: &HitlistConfig) -> HitlistEntry {
     let h = mix(cfg.seed, block.0 as u64);
     let target = if unit(h) < cfg.wrong_addr_prob {
@@ -65,8 +62,7 @@ pub fn entry_for(block: Block24, rep_octet: u8, cfg: &HitlistConfig) -> HitlistE
 
 /// Partitions `0..n` into `shards` disjoint contiguous ranges, sizes
 /// differing by at most one (the first `n % shards` get the extra entry).
-/// A pure function of `(n, shards)`: every caller — the sharded scan, the
-/// streaming builder, the monitors — computes the same bounds.
+/// A pure function of `(n, shards)`: every caller computes the same bounds.
 ///
 /// # Panics
 /// Panics if `shards` is zero.
@@ -85,106 +81,6 @@ pub fn shard_bounds_of(n: usize, shards: usize) -> Vec<std::ops::Range<usize>> {
     out
 }
 
-/// Observer of streaming hitlist construction: notified as entries become
-/// resident and are released again. The production path uses [`NullGauge`];
-/// tests plug in [`CountingGauge`] to *prove* (by counting, not by timing)
-/// that peak residency stays `O(shard)` — the bounded-memory contract of
-/// the million-block streaming path.
-pub trait ResidencyGauge {
-    fn acquire(&mut self, n: usize);
-    fn release(&mut self, n: usize);
-}
-
-/// No-op gauge for production streaming.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullGauge;
-
-impl ResidencyGauge for NullGauge {
-    fn acquire(&mut self, _n: usize) {}
-    fn release(&mut self, _n: usize) {}
-}
-
-/// Test hook: counts currently resident and peak-resident entries.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct CountingGauge {
-    current: usize,
-    peak: usize,
-}
-
-impl CountingGauge {
-    pub fn new() -> CountingGauge {
-        CountingGauge::default()
-    }
-
-    /// Entries resident right now.
-    pub fn current(&self) -> usize {
-        self.current
-    }
-
-    /// The high-water mark of resident entries.
-    pub fn peak(&self) -> usize {
-        self.peak
-    }
-}
-
-impl ResidencyGauge for CountingGauge {
-    fn acquire(&mut self, n: usize) {
-        self.current += n;
-        self.peak = self.peak.max(self.current);
-    }
-
-    fn release(&mut self, n: usize) {
-        self.current = self.current.saturating_sub(n);
-    }
-}
-
-/// Streams hitlist construction one shard at a time: `blocks` yields
-/// `(block, rep_octet)` in ascending block order (e.g. from
-/// [`Internet::blocks_in_order`]), `n` is the total block count, and `f`
-/// receives each shard's index, its starting hitlist index, and its
-/// entries. Only one shard's entries are ever resident — the buffer is
-/// reused across shards — so peak memory is `O(n / shards)` no matter how
-/// large the world is, which [`CountingGauge`] lets tests assert exactly.
-///
-/// Concatenating the shard slices reproduces
-/// [`Hitlist::from_internet`]'s entries byte for byte (the per-entry
-/// function is [`entry_for`] in both paths).
-///
-/// # Panics
-/// Panics if `shards` is zero or `blocks` yields a number of items other
-/// than `n`.
-pub fn for_each_shard<G: ResidencyGauge>(
-    blocks: impl IntoIterator<Item = (Block24, u8)>,
-    n: usize,
-    shards: usize,
-    cfg: &HitlistConfig,
-    gauge: &mut G,
-    mut f: impl FnMut(usize, usize, &[HitlistEntry]),
-) {
-    let bounds = shard_bounds_of(n, shards);
-    let mut blocks = blocks.into_iter();
-    let mut buf: Vec<HitlistEntry> = Vec::new();
-    for (k, range) in bounds.iter().enumerate() {
-        let want = range.len();
-        buf.reserve(want.saturating_sub(buf.capacity()));
-        for _ in 0..want {
-            let (block, rep_octet) = blocks
-                .next()
-                .unwrap_or_else(|| panic!("block source ended early (expected {n} blocks)"));
-            buf.push(entry_for(block, rep_octet, cfg));
-            gauge.acquire(1);
-        }
-        debug_assert!(buf.windows(2).all(|w| w[0].block < w[1].block));
-        f(k, range.start, &buf);
-        gauge.release(buf.len());
-        buf.clear();
-    }
-    assert!(
-        blocks.next().is_none(),
-        "block source yielded more than {n} blocks"
-    );
-}
-
 /// An ordered hitlist over every populated block of a world.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Hitlist {
@@ -195,16 +91,14 @@ impl Hitlist {
     /// Builds the hitlist from a world: one entry per populated block, in
     /// block order. A `wrong_addr_prob` fraction of entries points at a
     /// non-representative address.
-    ///
-    /// This is the materialized form; [`for_each_shard`] streams the same
-    /// entries one shard at a time for bounded-memory consumers.
     pub fn from_internet(world: &Internet, cfg: &HitlistConfig) -> Hitlist {
         assert!(
             (0.0..=1.0).contains(&cfg.wrong_addr_prob),
             "wrong_addr_prob out of range"
         );
         let entries: Vec<HitlistEntry> = world
-            .blocks_in_order()
+            .blocks
+            .iter()
             .map(|b| entry_for(b.block, b.rep_octet, cfg))
             .collect();
         debug_assert!(entries.windows(2).all(|w| w[0].block < w[1].block));
@@ -269,12 +163,6 @@ impl Hitlist {
         }
     }
 
-    /// The entries of one shard, as produced by [`Hitlist::shard_bounds`].
-    pub fn shard_entries(&self, shards: usize, shard: usize) -> &[HitlistEntry] {
-        let bounds = self.shard_bounds(shards);
-        &self.entries[bounds[shard].clone()]
-    }
-
     /// Serializes to JSON (one array; stable order).
     pub fn to_json(&self) -> String {
         // vp-lint: allow(h2): serializing owned plain data with derived impls cannot fail.
@@ -287,17 +175,6 @@ impl Hitlist {
         entries.sort_by_key(|e| e.block);
         Ok(Hitlist { entries })
     }
-}
-
-fn mix(seed: u64, x: u64) -> u64 {
-    let mut z = seed ^ x.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-fn unit(h: u64) -> f64 {
-    (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
 #[cfg(test)]
@@ -369,74 +246,6 @@ mod tests {
         let json = hl.to_json();
         let back = Hitlist::from_json(&json).unwrap();
         assert_eq!(back, hl);
-    }
-
-    #[test]
-    fn streamed_shards_concatenate_to_from_internet() {
-        let w = world();
-        let cfg = HitlistConfig::default();
-        let hl = Hitlist::from_internet(&w, &cfg);
-        for shards in [1usize, 2, 7, 16] {
-            let mut streamed: Vec<HitlistEntry> = Vec::new();
-            let mut gauge = NullGauge;
-            let mut seen_offset = 0;
-            for_each_shard(
-                w.blocks_in_order().map(|b| (b.block, b.rep_octet)),
-                w.blocks.len(),
-                shards,
-                &cfg,
-                &mut gauge,
-                |k, offset, entries| {
-                    assert_eq!(offset, seen_offset, "shard {k} offset");
-                    seen_offset += entries.len();
-                    streamed.extend_from_slice(entries);
-                },
-            );
-            assert_eq!(streamed, hl.entries(), "shards={shards}");
-        }
-    }
-
-    /// The bounded-memory contract at a million blocks: streaming shard
-    /// construction keeps peak resident entries at O(shard), proven by
-    /// counting via the gauge hook — no wall-clock, no allocator tricks.
-    /// The block source is synthetic (a range), so nothing else in the
-    /// test materializes a million of anything either.
-    #[test]
-    fn streaming_residency_is_o_shard_at_1m_blocks() {
-        const N: usize = 1_000_000;
-        const SHARDS: usize = 64;
-        let cfg = HitlistConfig::default();
-        let blocks = (0..N as u32).map(|i| {
-            // Valid public-ish space: start at 1.0.0.0's block.
-            (Block24(0x0100_0000 / 256 + i), sat_octet(i))
-        });
-        let mut gauge = CountingGauge::new();
-        let mut total = 0usize;
-        let mut shards_seen = 0usize;
-        let mut last_block = None;
-        for_each_shard(blocks, N, SHARDS, &cfg, &mut gauge, |_k, _offset, entries| {
-            total += entries.len();
-            shards_seen += 1;
-            // Block order is preserved across shard boundaries.
-            for e in entries {
-                assert!(last_block < Some(e.block));
-                last_block = Some(e.block);
-            }
-        });
-        assert_eq!(total, N);
-        assert_eq!(shards_seen, SHARDS);
-        assert_eq!(gauge.current(), 0, "all entries released");
-        let shard_cap = N.div_ceil(SHARDS);
-        assert!(
-            gauge.peak() <= shard_cap,
-            "peak residency {} exceeds one shard ({shard_cap}) — streaming regressed to O(n)",
-            gauge.peak()
-        );
-        assert!(gauge.peak() > 0);
-    }
-
-    fn sat_octet(i: u32) -> u8 {
-        vp_net::conv::sat_u8(i % 254) + 1
     }
 
     #[test]

@@ -975,7 +975,7 @@ pub fn index_file(ctx: &FileContext, tokens: &[Token], dirs: &Directives) -> Fil
             fi,
             dirs,
             RuleId::P2,
-            format!("{recv}.{method}() on a BTreeMap (dense BlockIndex/column exists)"),
+            format!("{recv}.{method}() on a BTreeMap (dense block-id/column lookup exists)"),
             line,
             col,
         );

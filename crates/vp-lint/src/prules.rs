@@ -3,7 +3,7 @@
 //! | id | rule |
 //! |----|------|
 //! | p1 | no heap allocation in the per-probe region: `Vec::new`/`push` without a capacity witness, `Box::new`, `String`/`format!`/`to_string`, `collect`, `to_vec`, `clone` of a columnar collection |
-//! | p2 | no per-probe `BTreeMap::get`/`contains_key` where a dense `BlockIndex`/column lookup exists |
+//! | p2 | no per-probe `BTreeMap::get`/`contains_key` where a dense block-id/column lookup exists |
 //! | p3 | no loop-invariant checksum/encode helper call inside a probe loop — hoist it or use the incremental/batched API |
 //! | p4 | no dynamic dispatch (`dyn`, `Box<dyn ..>`) in the hot region |
 //! | p5 | no per-probe error/string construction: formatted panic messages, `Err(format!(..))` |
@@ -57,7 +57,15 @@ use crate::rules::{Finding, RuleId, BLESSED_EXECUTOR_FILE};
 /// Crates whose fns can be hot-region members. Everything else (lint,
 /// observability, CLI frontends) is off the per-probe path by
 /// construction.
-pub const P_CRATES: [&str; 5] = ["vp-packet", "vp-net", "vp-hitlist", "vp-sim", "verfploeter"];
+pub const P_CRATES: [&str; 7] = [
+    "vp-packet",
+    "vp-net",
+    "vp-geo",
+    "vp-topology",
+    "vp-hitlist",
+    "vp-sim",
+    "verfploeter",
+];
 
 /// The scan inner loops: (impl type, fn name) pairs that root the hot
 /// region even when no executor entry reaches them (the serial path).

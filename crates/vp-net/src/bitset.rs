@@ -1,10 +1,9 @@
 //! A fixed-capacity bitset over dense `u32` ids.
 //!
-//! The columnar scan core keys per-/24 attributes by dense block id
-//! (position in the sorted block column). Boolean attributes —
-//! responsiveness, "block is mapped" masks — pack 64 blocks per word here
-//! instead of one `bool` per `BTreeMap` node, which is what lets the
-//! million-block worlds of the scale suite stay resident.
+//! Boolean per-entry state over a dense id space packs 64 ids per word
+//! here instead of one `bool` per `BTreeMap` node — the §4 cleaning pass
+//! keeps its "hitlist index already answered" set this way, which is part
+//! of what lets a million-block scan stay resident.
 //!
 //! Semantics are deliberately tiny: fixed length at construction, set/get,
 //! popcount, an ascending-id iterator, and a disjoint-union merge with the

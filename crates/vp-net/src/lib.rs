@@ -8,10 +8,10 @@
 //!   (the smallest prefix routable in BGP), so the `/24` block is the unit of
 //!   observation throughout the system.
 //! * [`asn`] — Autonomous System numbers ([`Asn`]).
-//! * [`bitset`] — a packed bitset over dense block ids ([`BitSet`]), the
-//!   boolean column type of the columnar scan core.
-//! * [`trie`] — a longest-prefix-match trie ([`trie::PrefixTrie`]) used for
-//!   the Route Views-style prefix → origin-AS table.
+//! * [`bitset`] — a packed bitset over dense ids ([`BitSet`]), the boolean
+//!   column type of the columnar scan core.
+//! * [`hash`] — the one keyed hash ([`mix`], [`unit`]) behind every
+//!   deterministic stochastic draw in the workspace.
 //! * [`perm`] — pseudorandom probe-order permutations (Feistel cycle-walking
 //!   and a full-period LCG for the ablation bench). The paper sends probes in
 //!   pseudorandom order "to spread traffic, limiting traffic to any given
@@ -26,16 +26,16 @@ pub mod asn;
 pub mod bitset;
 pub mod conv;
 pub mod error;
+pub mod hash;
 pub mod pacing;
 pub mod perm;
 pub mod time;
-pub mod trie;
 
 pub use addr::{Block24, Ipv4Addr, Prefix};
 pub use asn::Asn;
 pub use bitset::BitSet;
 pub use error::NetError;
+pub use hash::{mix, unit};
 pub use pacing::TokenBucket;
 pub use perm::{FeistelPermutation, LcgPermutation, ProbeOrder};
 pub use time::{SimDuration, SimTime};
-pub use trie::PrefixTrie;

@@ -1,7 +1,7 @@
 //! Property-based tests for the vp-net primitives.
 
 use proptest::prelude::*;
-use vp_net::{Block24, FeistelPermutation, Ipv4Addr, LcgPermutation, Prefix, PrefixTrie, ProbeOrder};
+use vp_net::{Block24, FeistelPermutation, Ipv4Addr, LcgPermutation, Prefix, ProbeOrder};
 
 proptest! {
     /// Display/parse roundtrip for addresses.
@@ -49,49 +49,6 @@ proptest! {
             prop_assert!(p.contains(b.network()));
             prop_assert!(p.covers(b.prefix()));
         }
-    }
-
-    /// Trie longest-match equals brute-force most-specific containing prefix.
-    #[test]
-    fn trie_lpm_matches_bruteforce(
-        entries in prop::collection::vec((any::<u32>(), 0u8..=32), 1..40),
-        probes in prop::collection::vec(any::<u32>(), 1..20),
-    ) {
-        let mut trie = PrefixTrie::new();
-        let mut list: Vec<(Prefix, usize)> = Vec::new();
-        for (i, (v, len)) in entries.iter().enumerate() {
-            let p = Prefix::new(Ipv4Addr(*v), *len).unwrap();
-            trie.insert(p, i);
-            list.retain(|(q, _)| *q != p);
-            list.push((p, i));
-        }
-        for probe in probes {
-            let ip = Ipv4Addr(probe);
-            let brute = list
-                .iter()
-                .filter(|(p, _)| p.contains(ip))
-                .max_by_key(|(p, _)| p.len())
-                .map(|(p, i)| (p.len(), *i));
-            let got = trie.longest_match(ip).map(|(p, i)| (p.len(), *i));
-            prop_assert_eq!(got, brute);
-        }
-    }
-
-    /// The trie stores exactly the distinct inserted prefixes.
-    #[test]
-    fn trie_iter_matches_inserts(
-        entries in prop::collection::vec((any::<u32>(), 0u8..=28), 0..50),
-    ) {
-        let mut trie = PrefixTrie::new();
-        let mut expected = std::collections::HashSet::new();
-        for (v, len) in entries {
-            let p = Prefix::new(Ipv4Addr(v), len).unwrap();
-            trie.insert(p, ());
-            expected.insert(p);
-        }
-        let got: std::collections::HashSet<Prefix> = trie.iter().map(|(p, _)| p).collect();
-        prop_assert_eq!(got, expected);
-        prop_assert_eq!(trie.len(), trie.iter().count());
     }
 
     /// Feistel permutations are bijections on arbitrary domains.

@@ -3,22 +3,22 @@
 use rand::SeedableRng;
 use rand_pcg::Pcg64;
 use vp_geo::GeoDb;
-use vp_net::{Asn, BitSet, Block24, Ipv4Addr};
+use vp_net::{Asn, Block24, Ipv4Addr};
 
 use crate::blocks::{generate_blocks, BlockInfo};
 use crate::config::TopologyConfig;
 use crate::graph::AsGraph;
-use crate::index::BlockIndex;
 use crate::lpm::ArenaLpm;
 use crate::prefixes::{allocate_prefixes, PrefixInfo};
 
 /// A complete generated world: AS graph, announced prefixes, populated
 /// blocks, geolocation database and origin (Route Views-style) table.
 ///
-/// Block-keyed state is columnar: a [`BlockIndex`] maps each `/24` to a
-/// dense `u32` id (its rank in the sorted block universe), and boolean
-/// attributes like responsiveness are packed [`BitSet`] columns over those
-/// ids — the layout the million-block scan core indexes into directly.
+/// There is one block table and one id space: `blocks` is strictly
+/// ascending by `/24` (address space is carved upward and blocks are
+/// sorted within a prefix, asserted once in [`Internet::generate`]), so a
+/// block's id *is* its row in `blocks` — the order of the hitlist and of
+/// every per-block column built over a world.
 #[derive(Debug, Clone)]
 pub struct Internet {
     pub config: TopologyConfig,
@@ -30,9 +30,10 @@ pub struct Internet {
     /// (arena-packed and path-compressed; node count stays `O(prefixes)`
     /// even for /24-heavy million-block tables).
     pub origin_table: ArenaLpm<Asn>,
-    block_index: BlockIndex,
-    /// Responsiveness column, keyed by dense block id.
-    responsive: BitSet,
+    /// `blocks[i].block` as a contiguous column: the one binary search
+    /// behind [`Internet::block_id`] touches 4 bytes per step instead of a
+    /// whole attribute row.
+    block_keys: Vec<Block24>,
     prefixes_per_as: Vec<u32>,
 }
 
@@ -51,18 +52,12 @@ impl Internet {
             // vp-lint: allow(g1): prefix origins are AS ids drawn from this graph.
             prefixes_per_as[info.origin.index()] += 1;
         }
-        let block_index = BlockIndex::from_pairs(
-            blocks
-                .iter()
-                .enumerate()
-                .map(|(i, b)| (b.block, i as u32)),
+        let block_keys: Vec<Block24> = blocks.iter().map(|b| b.block).collect();
+        let mut neighbours = block_keys.iter().zip(block_keys.iter().skip(1));
+        assert!(
+            neighbours.all(|(a, b)| a < b),
+            "generated blocks must be strictly ascending: a block's id is its row"
         );
-        let mut responsive = BitSet::new(blocks.len());
-        for (id, (_, pos)) in block_index.iter().enumerate() {
-            if blocks[vp_net::conv::index(pos)].responsive { // vp-lint: allow(g1): positions are indices into blocks, recorded at construction.
-                responsive.set(id);
-            }
-        }
 
         Internet {
             config,
@@ -71,52 +66,22 @@ impl Internet {
             blocks,
             geodb,
             origin_table,
-            block_index,
-            responsive,
+            block_keys,
             prefixes_per_as,
         }
     }
 
+    /// Id of a populated block: its row in [`Internet::blocks`].
+    pub fn block_id(&self, block: Block24) -> Option<u32> {
+        self.block_keys
+            .binary_search(&block)
+            .ok()
+            .map(vp_net::conv::sat_u32)
+    }
+
     /// Attribute record for a block, if populated.
     pub fn block(&self, block: Block24) -> Option<&BlockInfo> {
-        self.block_index
-            .position_of(block)
-            .map(|i| &self.blocks[i as usize]) // vp-lint: allow(g1): index positions are indices into blocks, recorded at construction.
-    }
-
-    /// Index of a populated block in [`Internet::blocks`].
-    pub fn block_idx(&self, block: Block24) -> Option<u32> {
-        self.block_index.position_of(block)
-    }
-
-    /// Dense id of a populated block: its rank in the sorted block
-    /// universe. Columns produced by the scan core are keyed by this id.
-    pub fn block_id(&self, block: Block24) -> Option<u32> {
-        self.block_index.id_of(block)
-    }
-
-    /// The columnar block index itself (id mint of the scan core).
-    pub fn block_index(&self) -> &BlockIndex {
-        &self.block_index
-    }
-
-    /// Whether the block with dense id `id` answers pings (bitset column).
-    pub fn responsive_id(&self, id: u32) -> bool {
-        self.responsive.get(vp_net::conv::index(id))
-    }
-
-    /// The packed responsiveness column, keyed by dense block id.
-    pub fn responsive_bits(&self) -> &BitSet {
-        &self.responsive
-    }
-
-    /// Iterates populated blocks in ascending block (= dense id) order —
-    /// the canonical order of every column and of the hitlist. Streaming
-    /// consumers use this instead of materializing a sorted copy.
-    pub fn blocks_in_order(&self) -> impl Iterator<Item = &BlockInfo> + '_ {
-        self.block_index
-            .iter()
-            .map(|(_, pos)| &self.blocks[vp_net::conv::index(pos)]) // vp-lint: allow(g1): index positions are indices into blocks, recorded at construction.
+        self.blocks.get(vp_net::conv::index(self.block_id(block)?))
     }
 
     /// The origin AS announcing the covering prefix of `ip`, if any.
@@ -184,32 +149,32 @@ mod tests {
         assert!(n > 0 && n < w.blocks.len());
     }
 
+    /// The invariant the single id space stands on: every generated
+    /// world's block table is strictly ascending and `block_id` is the
+    /// row — tiny, default and a 100k-block world (the bench recipe).
     #[test]
-    fn responsive_bitset_matches_block_attributes() {
-        let w = world();
-        assert_eq!(w.responsive_bits().len(), w.blocks.len());
-        assert_eq!(
-            w.responsive_bits().count_ones(),
-            w.responsive_blocks().count()
-        );
-        for b in w.blocks.iter().take(200) {
-            let id = w.block_id(b.block).unwrap();
-            assert_eq!(w.responsive_id(id), b.responsive, "block {}", b.block);
-        }
-    }
-
-    #[test]
-    fn dense_ids_are_sorted_block_ranks() {
-        let w = world();
-        let mut prev = None;
-        for (id, b) in w.blocks_in_order().enumerate() {
-            if let Some(p) = prev {
-                assert!(p < b.block, "blocks_in_order not strictly ascending");
+    fn block_ids_are_rows_of_a_sorted_table() {
+        let large = |seed| TopologyConfig {
+            seed,
+            num_ases: 100_000 / 25,
+            max_blocks: 100_000,
+            ..TopologyConfig::default()
+        };
+        let default = |seed| TopologyConfig {
+            seed,
+            ..TopologyConfig::default()
+        };
+        let configs = (1..=4)
+            .map(TopologyConfig::tiny)
+            .chain((1..=2).map(default))
+            .chain((1..=2).map(large));
+        for config in configs {
+            let w = Internet::generate(config);
+            assert!(w.blocks.windows(2).all(|p| p[0].block < p[1].block));
+            for (row, b) in w.blocks.iter().enumerate() {
+                assert_eq!(w.block_id(b.block), Some(row as u32), "block {}", b.block);
             }
-            prev = Some(b.block);
-            assert_eq!(w.block_id(b.block), Some(id as u32));
         }
-        assert_eq!(w.blocks_in_order().count(), w.blocks.len());
     }
 
     #[test]

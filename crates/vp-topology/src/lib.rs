@@ -25,7 +25,6 @@
 pub mod blocks;
 pub mod config;
 pub mod graph;
-pub mod index;
 pub mod internet;
 pub mod lpm;
 pub mod prefixes;
@@ -33,7 +32,6 @@ pub mod sites;
 
 pub use blocks::BlockInfo;
 pub use config::TopologyConfig;
-pub use index::BlockIndex;
 pub use lpm::ArenaLpm;
 pub use graph::{AsNode, AsTier, Pop, PopId};
 pub use internet::Internet;

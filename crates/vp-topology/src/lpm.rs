@@ -245,35 +245,6 @@ impl<T> ArenaLpm<T> {
         let v = self.nodes[node].value;
         (v != NONE).then(|| &self.values[v as usize])
     }
-
-    /// Iterates all stored `(prefix, value)` pairs in address order.
-    // vp-lint: allow(g1): arena indexing — child and value indices are minted by push and the arenas never shrink.
-    pub fn iter(&self) -> impl Iterator<Item = (Prefix, &T)> {
-        // DFS stack: (node, addr-so-far, depth). Push 1 before 0 so the
-        // 0-branch pops (and yields) first.
-        let mut stack = vec![(0u32, 0u32, 0u8)];
-        std::iter::from_fn(move || {
-            while let Some((node, addr, depth)) = stack.pop() {
-                let n = &self.nodes[node as usize];
-                for b in [1usize, 0] {
-                    let child = n.children[b];
-                    if child != NONE {
-                        let c = &self.nodes[child as usize];
-                        let caddr = addr
-                            | ((b as u32) << (31 - depth))
-                            | c.edge_bits.checked_shr(u32::from(depth) + 1).unwrap_or(0);
-                        stack.push((child, caddr, depth + 1 + c.edge_len));
-                    }
-                }
-                if n.value != NONE {
-                    // vp-lint: allow(h2): stored depths never exceed 32 by construction.
-                    let p = Prefix::new(Ipv4Addr(addr), depth).expect("depth <= 32");
-                    return Some((p, &self.values[n.value as usize]));
-                }
-            }
-            None
-        })
-    }
 }
 
 #[cfg(test)]
@@ -352,21 +323,6 @@ mod tests {
         assert!(t.longest_match(ip("192.0.2.8")).is_none());
         assert!(t.longest_match(ip("172.32.0.0")).is_none());
         assert!(t.longest_match(ip("172.16.5.5")).is_some());
-    }
-
-    #[test]
-    fn iter_yields_all_in_address_order() {
-        let mut t = ArenaLpm::new();
-        let prefixes = ["10.0.0.0/8", "9.0.0.0/8", "10.1.0.0/16", "0.0.0.0/0"];
-        for (i, s) in prefixes.iter().enumerate() {
-            t.insert(p(s), i);
-        }
-        let got: Vec<String> = t.iter().map(|(pf, _)| pf.to_string()).collect();
-        assert_eq!(
-            got,
-            vec!["0.0.0.0/0", "9.0.0.0/8", "10.0.0.0/8", "10.1.0.0/16"]
-        );
-        assert_eq!(t.iter().count(), t.len());
     }
 
     #[test]
@@ -455,7 +411,6 @@ mod tests {
                 prop_assert_eq!(node.edge_bits & !left_bits(node.edge_bits, 0, node.edge_len), 0);
             }
             prop_assert!(t.node_count() <= 2 * t.len() + 1 + 1);
-            prop_assert_eq!(t.iter().count(), t.len());
         }
     }
 }

@@ -15,16 +15,63 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
+use serde::{Deserialize, Serialize};
 use verfploeter_suite::bgp::SiteId;
 use verfploeter_suite::hitlist::{Hitlist, HitlistConfig};
 use verfploeter_suite::net::{BitSet, Block24, SimDuration, SimTime};
 use verfploeter_suite::sim::exec::ShardExecutor;
 use verfploeter_suite::sim::{FaultConfig, Scenario, StaticOracle};
 use verfploeter_suite::topology::TopologyConfig;
-use verfploeter_suite::vp::catchment::reference::BTreeCatchment;
 use verfploeter_suite::vp::rtt::RttTable;
 use verfploeter_suite::vp::scan::{run_scan, run_scan_sharded_on, ScanConfig};
 use verfploeter_suite::vp::CatchmentMap;
+
+/// The historical tree-backed map, field-for-field the pre-columnar
+/// `CatchmentMap` (so its derived serialization defines the on-disk
+/// format the columnar engine must reproduce).
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+struct BTreeCatchment {
+    name: String,
+    map: BTreeMap<Block24, SiteId>,
+}
+
+impl BTreeCatchment {
+    /// Builds a map from `(block, site)` pairs; later pairs win.
+    fn from_pairs(name: &str, pairs: impl IntoIterator<Item = (Block24, SiteId)>) -> Self {
+        BTreeCatchment {
+            name: name.to_owned(),
+            map: pairs.into_iter().collect(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.map.is_empty()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (Block24, SiteId)> + '_ {
+        self.map.iter().map(|(b, s)| (*b, *s))
+    }
+
+    /// Disjoint union, the tree way: per-entry inserts.
+    fn merge(&mut self, other: &BTreeCatchment) {
+        for (block, site) in &other.map {
+            self.map.insert(*block, *site);
+        }
+    }
+
+    /// Serializes via the derived impl — the format oracle.
+    fn to_json(&self) -> String {
+        serde_json::to_string(self).expect("catchment map serializes")
+    }
+
+    fn from_json(s: &str) -> Result<BTreeCatchment, serde_json::Error> {
+        serde_json::from_str(s)
+    }
+}
 
 /// Site chosen deterministically from the block, so overlapping pairs in
 /// merge inputs always agree (the disjoint-shards precondition of
@@ -58,6 +105,14 @@ fn assert_engines_agree(col: &CatchmentMap, tree: &BTreeCatchment) {
     }
 }
 
+/// The format contract in miniature: same pairs, same bytes.
+#[test]
+fn json_bytes_match_btree_reference() {
+    let pairs = pairs_of(&[1, 2, 10, 300_000]);
+    let (col, tree) = both("SBV-5-15", &pairs);
+    assert_eq!(col.to_json(), tree.to_json());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -87,7 +142,6 @@ proptest! {
     /// boundaries never change the result, and the engines stay in
     /// lockstep after every step.
     // vp-lint: merge-tested(CatchmentMap::merge)
-    // vp-lint: merge-tested(BTreeCatchment::merge)
     #[test]
     fn merge_sequences_agree(
         parts in proptest::collection::vec(
