@@ -11,9 +11,10 @@
 //! columnar core inherits the tree's contract (including serialized
 //! bytes) verbatim.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Serialize, Value};
 use vp_bgp::SiteId;
 use vp_hitlist::Hitlist;
 use vp_net::Block24;
@@ -38,6 +39,15 @@ pub struct CatchmentMap {
     sites: Vec<SiteId>,
 }
 
+/// One row of [`CatchmentMap::join`]: a block mapped by the left map only,
+/// by the right map only, or by both (left site, then right site).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Joined {
+    Left(Block24, SiteId),
+    Right(Block24, SiteId),
+    Both(Block24, SiteId, SiteId),
+}
+
 impl CatchmentMap {
     /// Folds cleaned replies into the map. Cleaning guarantees one reply
     /// per hitlist index, hence one entry per block.
@@ -55,23 +65,27 @@ impl CatchmentMap {
     /// and tests). Later pairs win on duplicate blocks, matching map-insert
     /// semantics.
     pub fn from_pairs(name: &str, pairs: impl IntoIterator<Item = (Block24, SiteId)>) -> Self {
-        let mut rows: Vec<(Block24, SiteId)> = pairs.into_iter().collect();
-        // Stable sort keeps duplicate blocks in input order, so keeping the
-        // last of each run reproduces `BTreeMap::insert` last-wins.
-        rows.sort_by_key(|&(b, _)| b);
-        let mut blocks: Vec<Block24> = Vec::with_capacity(rows.len());
-        let mut sites: Vec<SiteId> = Vec::with_capacity(rows.len());
-        for (b, s) in rows {
-            if blocks.last() == Some(&b) {
-                // vp-lint: allow(h2): last() == Some above proves non-emptiness.
-                *sites.last_mut().expect("parallel columns") = s;
-            } else {
-                blocks.push(b);
-                sites.push(s);
-            }
+        let (blocks, sites) = pairs.into_iter().unzip();
+        Self::from_columns(name.to_owned(), blocks, sites)
+    }
+
+    /// Builds a map from parallel columns in any order: already strictly
+    /// ascending columns are taken as they are, anything else is sorted by
+    /// block with the last row of each block kept.
+    fn from_columns(name: String, mut blocks: Vec<Block24>, mut sites: Vec<SiteId>) -> Self {
+        let ascending = blocks.iter().zip(blocks.iter().skip(1)).all(|(a, b)| a < b);
+        if !ascending {
+            sort_by_block(&mut blocks, &mut sites);
+            // The sort is stable, so the last row of a run of equal blocks
+            // is the last one given: keep each block's last site, then
+            // collapse the (equal) blocks of the run.
+            let mut next = blocks.iter().skip(1);
+            let mut current = blocks.iter();
+            sites.retain(|_| current.next() != next.next());
+            blocks.dedup();
         }
         CatchmentMap {
-            name: name.to_owned(),
+            name,
             blocks,
             sites,
         }
@@ -102,13 +116,37 @@ impl CatchmentMap {
             .zip(self.sites.iter().copied())
     }
 
+    /// Merge-joins two maps on block: one linear two-pointer pass over the
+    /// sorted columns, yielding every block of either map once, in
+    /// ascending order. Diffs and merges are folds over this.
+    pub fn join<'a>(&'a self, other: &'a CatchmentMap) -> impl Iterator<Item = Joined> + 'a {
+        let mut left = self.iter().peekable();
+        let mut right = other.iter().peekable();
+        std::iter::from_fn(move || {
+            let order = match (left.peek(), right.peek()) {
+                (Some((a, _)), Some((b, _))) => a.cmp(b),
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                (None, None) => return None,
+            };
+            match order {
+                Ordering::Less => left.next().map(|(b, s)| Joined::Left(b, s)),
+                Ordering::Greater => right.next().map(|(b, s)| Joined::Right(b, s)),
+                Ordering::Equal => left
+                    .next()
+                    .zip(right.next())
+                    .map(|((b, ours), (_, theirs))| Joined::Both(b, ours, theirs)),
+            }
+        })
+    }
+
     /// Absorbs another map's entries (disjoint union).
     ///
     /// Inputs are expected to cover disjoint block sets — the per-shard
     /// maps of one partitioned scan. Under that precondition the merge is
     /// associative and order-insensitive, so any shard merge order yields
-    /// the same map. Columnar storage makes it a linear two-way zip of
-    /// sorted columns.
+    /// the same map. Columnar storage makes it a linear [`join`](Self::join)
+    /// of sorted columns.
     ///
     /// # Panics
     /// Panics (debug builds) if `other` maps a block this map already
@@ -128,48 +166,32 @@ impl CatchmentMap {
         }
         let mut blocks = Vec::with_capacity(self.blocks.len() + other.blocks.len());
         let mut sites = Vec::with_capacity(self.sites.len() + other.sites.len());
-        let (mut i, mut j) = (0, 0);
-        while i < self.blocks.len() && j < other.blocks.len() {
-            let (a, b) = (self.blocks[i], other.blocks[j]); // vp-lint: allow(g1): i and j are bounded by the loop condition.
-            match a.cmp(&b) {
-                std::cmp::Ordering::Less => {
-                    blocks.push(a);
-                    sites.push(self.sites[i]); // vp-lint: allow(g1): columns are parallel.
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    blocks.push(b);
-                    sites.push(other.sites[j]); // vp-lint: allow(g1): columns are parallel.
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    let (sa, sb) = (self.sites[i], other.sites[j]); // vp-lint: allow(g1): columns are parallel.
+        for row in self.join(other) {
+            let (block, site) = match row {
+                Joined::Left(b, s) | Joined::Right(b, s) => (b, s),
+                Joined::Both(b, ours, theirs) => {
                     debug_assert!(
-                        sa == sb,
-                        "merge inputs disagree on block {a}: {sa:?} vs {sb:?}"
+                        ours == theirs,
+                        "merge inputs disagree on block {b}: {ours:?} vs {theirs:?}"
                     );
-                    blocks.push(b);
-                    sites.push(sb); // other wins like map insert
-                    j += 1;
-                    i += 1;
+                    (b, theirs) // other wins like map insert
                 }
-            }
+            };
+            blocks.push(block);
+            sites.push(site);
         }
-        blocks.extend_from_slice(&self.blocks[i..]); // vp-lint: allow(g1): i never exceeds len, per the loop condition.
-        sites.extend_from_slice(&self.sites[i..]); // vp-lint: allow(g1): i never exceeds len, per the loop condition.
-        blocks.extend_from_slice(&other.blocks[j..]); // vp-lint: allow(g1): j never exceeds len, per the loop condition.
-        sites.extend_from_slice(&other.sites[j..]); // vp-lint: allow(g1): j never exceeds len, per the loop condition.
         self.blocks = blocks;
         self.sites = sites;
     }
 
     /// Mapped blocks per site.
     pub fn site_counts(&self) -> BTreeMap<SiteId, usize> {
-        let mut m = BTreeMap::new();
+        let mut counts = [0usize; 256];
         for s in &self.sites {
-            *m.entry(*s).or_insert(0) += 1;
+            counts[usize::from(s.0)] += 1; // vp-lint: allow(g1): a u8 indexes 256 slots.
         }
-        m
+        let sites = (0..=u8::MAX).map(SiteId).zip(counts);
+        sites.filter(|&(_, n)| n > 0).collect()
     }
 
     /// Fraction of mapped blocks that map to `site`.
@@ -188,29 +210,92 @@ impl CatchmentMap {
         serde_json::to_string(self).expect("catchment map serializes")
     }
 
-    /// Reloads a dataset written by [`CatchmentMap::to_json`].
+    /// Reloads a dataset written by [`CatchmentMap::to_json`], walking the
+    /// text straight into the columns: linear in its bytes, no value tree.
+    ///
+    /// Members may come in any order and unknown ones are skipped; `name`
+    /// and `map` are required. A `map` key must be the canonical decimal
+    /// of a `u32` ([`Block24::from_key`]) and a site must fit `u8`; of
+    /// duplicate keys the last wins, and every occurrence is checked.
     pub fn from_json(s: &str) -> Result<CatchmentMap, serde_json::Error> {
-        serde_json::from_str(s)
+        let mut reader = serde_json::Reader::new(s);
+        let (mut name, mut columns) = (None, None);
+        reader.begin_object()?;
+        while let Some(member) = reader.next_key()? {
+            match &*member {
+                "name" => name = Some(reader.string()?.into_owned()),
+                "map" => columns = Some(read_map(&mut reader)?),
+                _ => reader.skip()?,
+            }
+        }
+        reader.end()?;
+        let name = name.ok_or_else(|| serde_json::Error::msg("missing field name"))?;
+        let (blocks, sites) = columns.ok_or_else(|| serde_json::Error::msg("missing field map"))?;
+        Ok(Self::from_columns(name, blocks, sites))
     }
 
     /// Blocks that changed site (or appeared/disappeared) between two maps:
     /// returns `(flipped, appeared, disappeared)` counts.
     pub fn diff(&self, other: &CatchmentMap) -> (usize, usize, usize) {
-        let mut flipped = 0;
-        let mut disappeared = 0;
-        for (b, s) in self.iter() {
-            match other.site_of(b) {
-                Some(t) if t != s => flipped += 1,
-                Some(_) => {}
-                None => disappeared += 1,
+        let (mut flipped, mut appeared, mut disappeared) = (0, 0, 0);
+        for row in self.join(other) {
+            match row {
+                Joined::Both(_, ours, theirs) => flipped += usize::from(ours != theirs),
+                Joined::Right(..) => appeared += 1,
+                Joined::Left(..) => disappeared += 1,
             }
         }
-        let appeared = other
-            .blocks
-            .iter()
-            .filter(|b| self.site_of(**b).is_none())
-            .count();
         (flipped, appeared, disappeared)
+    }
+}
+
+/// Reads the `map` member — `{"<block>": <site>, ...}` — as parallel
+/// columns in document order.
+fn read_map(
+    reader: &mut serde_json::Reader<'_>,
+) -> Result<(Vec<Block24>, Vec<SiteId>), serde_json::Error> {
+    let (mut blocks, mut sites) = (Vec::new(), Vec::new());
+    reader.begin_object()?;
+    while let Some(key) = reader.next_key()? {
+        let block = Block24::from_key(&key)
+            .ok_or_else(|| reader.error(format!("cannot interpret object key {key:?}")))?;
+        let site = reader.u64()?;
+        let site = u8::try_from(site).map_err(|_| reader.error(format!("{site} out of range")))?;
+        blocks.push(block);
+        sites.push(SiteId(site));
+    }
+    Ok((blocks, sites))
+}
+
+/// Stable sort of the parallel columns by block: an LSD radix sort, so it
+/// is linear in the rows, and its only memory is one exact-size second
+/// copy of the columns. A byte that every block shares costs one counting
+/// pass and no move.
+// vp-lint: allow(g1): a digit is below 256, and the prefix sums place each of the n rows in its own slot below n.
+fn sort_by_block(blocks: &mut Vec<Block24>, sites: &mut Vec<SiteId>) {
+    let mut moved_blocks = vec![Block24(0); blocks.len()];
+    let mut moved_sites = vec![SiteId(0); sites.len()];
+    for byte in 0..4 {
+        let digit = |b: &Block24| usize::from(b.0.to_le_bytes()[byte]);
+        let mut slots = [0usize; 256];
+        for b in blocks.iter() {
+            slots[digit(b)] += 1;
+        }
+        if slots.contains(&blocks.len()) {
+            continue;
+        }
+        let mut start = 0;
+        for slot in &mut slots {
+            start += std::mem::replace(slot, start);
+        }
+        for (b, s) in blocks.iter().zip(sites.iter()) {
+            let slot = &mut slots[digit(b)];
+            moved_blocks[*slot] = *b;
+            moved_sites[*slot] = *s;
+            *slot += 1;
+        }
+        std::mem::swap(blocks, &mut moved_blocks);
+        std::mem::swap(sites, &mut moved_sites);
     }
 }
 
@@ -228,23 +313,6 @@ impl Serialize for CatchmentMap {
         obj.insert("map".to_owned(), Value::Object(map));
         obj.insert("name".to_owned(), self.name.to_value());
         Value::Object(obj)
-    }
-}
-
-impl Deserialize for CatchmentMap {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| serde::Error::msg("expected catchment map object"))?;
-        let name = match obj.get("name") {
-            Some(n) => String::from_value(n)?,
-            None => return Err(serde::Error::msg("missing field name")),
-        };
-        let map = match obj.get("map") {
-            Some(m) => BTreeMap::<Block24, SiteId>::from_value(m)?,
-            None => return Err(serde::Error::msg("missing field map")),
-        };
-        Ok(CatchmentMap::from_pairs(&name, map))
     }
 }
 
@@ -302,6 +370,89 @@ mod tests {
             assert_eq!(back.site_of(b), Some(s));
         }
         assert!(CatchmentMap::from_json("not json").is_err());
+    }
+
+    #[test]
+    fn from_pairs_sorts_across_every_radix_byte() {
+        // Blocks that differ only in one byte each, plus full-width ones,
+        // in descending order with a duplicate at both ends of the input.
+        let blocks = [u32::MAX, 1 << 24, 1 << 16, 1 << 8, 1, 0, 0xff_ff00, u32::MAX];
+        let pairs: Vec<(u32, u8)> = blocks.iter().zip(0u8..).map(|(&b, i)| (b, i)).collect();
+        let m = map("t", &pairs);
+        let mut sorted = blocks.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+        assert_eq!(m.iter().map(|(b, _)| b.0).collect::<Vec<_>>(), sorted);
+        assert_eq!(m.site_of(Block24(u32::MAX)), Some(SiteId(7))); // last wins
+        assert_eq!(m.site_of(Block24(1 << 16)), Some(SiteId(2)));
+    }
+
+    #[test]
+    fn from_json_reads_members_in_any_order_and_skips_unknown_ones() {
+        let text = r#" { "extra": [1, {"x": "\u00e9"}], "map": {"10": 1, "9": 0, "300000": 3},
+            "name": "S\u0042V \ud83d\ude00", "more": null } "#;
+        let m = CatchmentMap::from_json(text).unwrap();
+        assert_eq!(m.name, "SBV \u{1f600}");
+        assert_eq!(m, map(&m.name, &[(9, 0), (10, 1), (300_000, 3)]));
+        // Exact-duplicate keys and members: the last wins.
+        let m = CatchmentMap::from_json(
+            r#"{"name": "a", "map": {"1": 9}, "map": {"7": 1, "5": 2, "7": 3}, "name": "b"}"#,
+        )
+        .unwrap();
+        assert_eq!(m, map("b", &[(5, 2), (7, 3)]));
+    }
+
+    #[test]
+    fn from_json_rejects_what_it_cannot_represent() {
+        for text in [
+            // A member missing, or of the wrong type.
+            r#"{"map": {}}"#,
+            r#"{"name": "n"}"#,
+            r#"{"name": 5, "map": {}}"#,
+            r#"{"name": "n", "map": []}"#,
+            r#"{"name": "n", "map": {"1": "0"}}"#,
+            r#"[]"#,
+            // A site past u8, a block past u32, a key that is no number.
+            r#"{"name": "n", "map": {"1": 256}}"#,
+            r#"{"name": "n", "map": {"1": -1}}"#,
+            r#"{"name": "n", "map": {"4294967296": 0}}"#,
+            r#"{"name": "n", "map": {"x": 0}}"#,
+            // Trailing characters, and a truncated document.
+            r#"{"name": "n", "map": {"1": 0}} x"#,
+            r#"{"name": "n", "map": {"1": 0}"#,
+            // A key must be the canonical decimal: "07" and "7" would be one
+            // block under two keys, and no writer emits the former.
+            r#"{"name": "n", "map": {"07": 0}}"#,
+            r#"{"name": "n", "map": {"+7": 0}}"#,
+            r#"{"name": "n", "map": {"-0": 0}}"#,
+            // Every occurrence of a duplicate is checked, not only the
+            // surviving one.
+            r#"{"name": "n", "map": {"7": 300, "7": 1}}"#,
+            r#"{"name": 5, "name": "n", "map": {}}"#,
+        ] {
+            assert!(CatchmentMap::from_json(text).is_err(), "{text}");
+        }
+    }
+
+    #[test]
+    fn join_yields_every_block_once_in_order() {
+        let a = map("a", &[(1, 0), (2, 0), (3, 1), (9, 2)]);
+        let b = map("b", &[(2, 1), (3, 1), (4, 0)]);
+        let rows: Vec<Joined> = a.join(&b).collect();
+        assert_eq!(
+            rows,
+            vec![
+                Joined::Left(Block24(1), SiteId(0)),
+                Joined::Both(Block24(2), SiteId(0), SiteId(1)),
+                Joined::Both(Block24(3), SiteId(1), SiteId(1)),
+                Joined::Right(Block24(4), SiteId(0)),
+                Joined::Left(Block24(9), SiteId(2)),
+            ]
+        );
+        let empty = CatchmentMap::default();
+        assert_eq!(empty.join(&empty).count(), 0);
+        assert_eq!(a.join(&empty).count(), 4);
+        assert_eq!(empty.join(&b).count(), 3);
     }
 
     #[test]

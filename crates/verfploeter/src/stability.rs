@@ -14,7 +14,7 @@ use vp_net::conv;
 use vp_net::{Asn, Block24};
 use vp_topology::Internet;
 
-use crate::catchment::CatchmentMap;
+use crate::catchment::{CatchmentMap, Joined};
 
 /// Per-round classification counts (one Fig. 9 data point).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -42,14 +42,14 @@ pub fn classify_rounds(rounds: &[CatchmentMap]) -> Vec<RoundDelta> {
                 to_nr: 0,
                 from_nr: 0,
             };
-            for (block, site) in prev.iter() {
-                match cur.site_of(block) {
-                    Some(s) if s == site => delta.stable += 1,
-                    Some(_) => delta.flipped += 1,
-                    None => delta.to_nr += 1,
+            for row in prev.join(cur) {
+                match row {
+                    Joined::Both(_, was, now) if was == now => delta.stable += 1,
+                    Joined::Both(..) => delta.flipped += 1,
+                    Joined::Left(..) => delta.to_nr += 1,
+                    Joined::Right(..) => delta.from_nr += 1,
                 }
             }
-            delta.from_nr = cur.iter().filter(|(b, _)| prev.site_of(*b).is_none()).count() as u64;
             delta
         })
         .collect()
@@ -126,13 +126,14 @@ pub fn flips_by_as(rounds: &[CatchmentMap], world: &Internet) -> FlipTable {
     let mut blocks: BTreeMap<Asn, BTreeSet<Block24>> = BTreeMap::new();
     for w in rounds.windows(2) {
         let (prev, cur) = (&w[0], &w[1]); // vp-lint: allow(g1): windows(2) yields exactly two elements.
-        for (block, site) in prev.iter() {
-            if let Some(s) = cur.site_of(block) {
-                if s != site {
-                    if let Some(info) = world.block(block) {
-                        *flips.entry(info.origin).or_insert(0) += 1;
-                        blocks.entry(info.origin).or_default().insert(block);
-                    }
+        for row in prev.join(cur) {
+            let Joined::Both(block, was, now) = row else {
+                continue;
+            };
+            if was != now {
+                if let Some(info) = world.block(block) {
+                    *flips.entry(info.origin).or_insert(0) += 1;
+                    blocks.entry(info.origin).or_default().insert(block);
                 }
             }
         }

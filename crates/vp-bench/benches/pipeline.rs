@@ -1,9 +1,12 @@
-//! Measurement-pipeline throughput: full scans, cleaning, collection.
+//! Measurement-pipeline throughput: full scans, cleaning, collection, and
+//! the read side (snapshot ingest, round diff).
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use vp_bench::{bench_hitlist, bench_scenario};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use vp_bench::{bench_hitlist, bench_scenario, synthetic_round};
 use vp_bgp::SiteId;
-use vp_net::{Ipv4Addr, SimDuration, SimTime};
+use vp_monitor::diff::{diff_rounds, Origins};
+use vp_monitor::ingest::load_round_file;
+use vp_net::{Asn, Ipv4Addr, SimDuration, SimTime};
 use vp_sim::{CaptureSink, FaultConfig, ServiceHandle, StaticOracle};
 use verfploeter::collector::RawReply;
 use verfploeter::prober::{ProbeConfig, Prober};
@@ -141,12 +144,42 @@ fn bench_catchment_fold(c: &mut Criterion) {
     g.finish();
 }
 
+/// The read side of what the scans write, at two sizes a decade apart:
+/// ns/entry (the inverse of the elem/s column) must be flat in N.
+fn bench_ingest(c: &mut Criterion) {
+    let dir = std::env::temp_dir().join(format!("vp-bench-ingest-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create bench dir");
+    let mut g = c.benchmark_group("ingest");
+    g.sample_size(10);
+    for entries in [30_000usize, 300_000] {
+        let prev = synthetic_round(entries, 0);
+        let cur = synthetic_round(entries, 1);
+        let text = prev.to_json();
+        let path = dir.join(format!("r{entries}.json"));
+        std::fs::write(&path, &text).expect("write round file");
+        let load = |b: &mut criterion::Bencher| {
+            b.iter(|| black_box(load_round_file(&path).expect("round file loads").len()))
+        };
+        g.throughput(Throughput::Bytes(text.len() as u64));
+        g.bench_function(BenchmarkId::new("load_round_file_bytes", entries), load);
+        g.throughput(Throughput::Elements(entries as u64));
+        g.bench_function(BenchmarkId::new("load_round_file", entries), load);
+        let origins: Origins = prev.iter().map(|(b, _)| (b, Asn(b.0 % 4_000))).collect();
+        g.bench_function(BenchmarkId::new("diff_rounds", entries), |b| {
+            b.iter(|| black_box(diff_rounds(&prev, &cur, 1, Some(&origins)).flipped))
+        });
+    }
+    g.finish();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 criterion_group!(
     benches,
     bench_full_scan,
     bench_probe_scheduling,
     bench_cleaning,
     bench_collector,
-    bench_catchment_fold
+    bench_catchment_fold,
+    bench_ingest
 );
 criterion_main!(benches);

@@ -1,6 +1,9 @@
 //! Shared fixtures for the benchmark suite.
 
+use verfploeter::CatchmentMap;
+use vp_bgp::SiteId;
 use vp_hitlist::{Hitlist, HitlistConfig};
+use vp_net::Block24;
 use vp_sim::Scenario;
 use vp_topology::TopologyConfig;
 
@@ -39,6 +42,34 @@ pub fn bench_scenario_scaled(seed: u64, targets: usize) -> Scenario {
 /// A hitlist over the benchmark world.
 pub fn bench_hitlist(s: &Scenario) -> Hitlist {
     Hitlist::from_internet(&s.world, &HitlistConfig::default())
+}
+
+/// A synthetic catchment round of `entries` blocks over nine sites, for the
+/// read-side benches and witnesses. The blocks straddle the 7-/8-digit
+/// boundary, so the document [`CatchmentMap::to_json`] writes — keys in
+/// string order — is not in block order, as real rounds are not. Against
+/// round 0, round `r > 0` flips about 1 % of the blocks, drops about 1 %
+/// and adds a few new ones.
+pub fn synthetic_round(entries: usize, round: u32) -> CatchmentMap {
+    const STRIDE: u32 = 29;
+    let entries = entries as u32;
+    let first = 10_000_000 - STRIDE * (entries / 4);
+    let rows = (0..entries).filter_map(|i| {
+        let block = first + STRIDE * i;
+        let draw = match round {
+            0 => 99,
+            _ => vp_net::mix(round.into(), block.into()) % 100,
+        };
+        let site = match draw {
+            0 => return None,
+            1 => block + 1,
+            _ => block,
+        } % 9;
+        Some((Block24(block), SiteId(site as u8)))
+    });
+    let appeared =
+        (0..round.min(1) * entries / 500).map(|i| (Block24(first + STRIDE * i + 1), SiteId(0)));
+    CatchmentMap::from_pairs(&format!("synthetic/r{round}"), rows.chain(appeared))
 }
 
 /// Sorted-vec longest-prefix-match baseline for the trie ablation: linear

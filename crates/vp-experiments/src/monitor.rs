@@ -28,8 +28,20 @@ fn collect_origins(rounds: &[CatchmentMap], world: &Internet) -> Origins {
         .collect()
 }
 
+/// Writes `text` under a sibling name no reader lists (`.<name>.tmp`:
+/// neither `r*.json` nor `origins.json`) and renames it into place, so a
+/// `watch --follow` polling the directory sees a whole file or none. The
+/// rename orders the file for readers; it is not a durability barrier.
+fn write_atomic(path: &Path, text: &str) -> Result<(), String> {
+    let name = path.file_name().unwrap_or_default().to_string_lossy();
+    let tmp = path.with_file_name(format!(".{name}.tmp"));
+    std::fs::write(&tmp, text).map_err(|e| format!("write {}: {e}", tmp.display()))?;
+    std::fs::rename(&tmp, path).map_err(|e| format!("rename to {}: {e}", path.display()))
+}
+
 /// Writes the per-round snapshots and the origins sidecar into `dir`
-/// (created if needed). Returns the number of round files written.
+/// (created if needed), each file atomically. Returns the number of
+/// round files written.
 pub fn write_round_snapshots(
     dir: &Path,
     rounds: &[CatchmentMap],
@@ -37,16 +49,13 @@ pub fn write_round_snapshots(
 ) -> Result<usize, String> {
     std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
     for (i, round) in rounds.iter().enumerate() {
-        let path = dir.join(format!("r{i:03}.json"));
-        std::fs::write(&path, round.to_json())
-            .map_err(|e| format!("write {}: {e}", path.display()))?;
+        write_atomic(&dir.join(format!("r{i:03}.json")), &round.to_json())?;
     }
     let origins = collect_origins(rounds, world);
     let doc = build_origins_doc(&origins);
-    let path = dir.join("origins.json");
     let text = serde_json::to_string_pretty(&doc)
         .map_err(|e| format!("serialize origins sidecar: {e}"))?;
-    std::fs::write(&path, text).map_err(|e| format!("write {}: {e}", path.display()))?;
+    write_atomic(&dir.join("origins.json"), &text)?;
     Ok(rounds.len())
 }
 
@@ -68,6 +77,17 @@ mod tests {
 
         let n = write_round_snapshots(&dir, &rounds, world).expect("write snapshots");
         assert_eq!(n, rounds.len());
+
+        // Nothing but the finished files is left behind: every temp name
+        // was renamed into place.
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .expect("list snapshots")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort_unstable();
+        let mut want: Vec<String> = (0..n).map(|i| format!("r{i:03}.json")).collect();
+        want.insert(0, "origins.json".to_owned());
+        assert_eq!(names, want);
 
         let reloaded = load_rounds_dir(&dir).expect("reload rounds");
         assert_eq!(reloaded.len(), rounds.len());

@@ -13,7 +13,7 @@
 use std::collections::BTreeMap;
 
 use vp_net::{Asn, Block24};
-use verfploeter::catchment::CatchmentMap;
+use verfploeter::catchment::{CatchmentMap, Joined};
 
 /// Block → origin AS, from the `origins.json` sidecar the fig9 snapshot
 /// writer emits. Without it, per-AS flip attribution is empty.
@@ -65,23 +65,21 @@ pub fn diff_rounds(
     round: u32,
     origins: Option<&Origins>,
 ) -> RoundDiff {
-    let mut stable = 0u64;
-    let mut flipped = 0u64;
-    let mut to_nr = 0u64;
+    let (mut stable, mut flipped, mut to_nr, mut from_nr) = (0u64, 0u64, 0u64, 0u64);
     let mut flips_by_as: BTreeMap<u32, u64> = BTreeMap::new();
-    for (block, site) in prev.iter() {
-        match cur.site_of(block) {
-            Some(s) if s == site => stable += 1,
-            Some(_) => {
+    for row in prev.join(cur) {
+        match row {
+            Joined::Both(_, was, now) if was == now => stable += 1,
+            Joined::Both(block, ..) => {
                 flipped += 1;
                 if let Some(asn) = origins.and_then(|o| o.get(&block)) {
                     *flips_by_as.entry(asn.0).or_insert(0) += 1;
                 }
             }
-            None => to_nr += 1,
+            Joined::Left(..) => to_nr += 1,
+            Joined::Right(..) => from_nr += 1,
         }
     }
-    let from_nr = cur.iter().filter(|(b, _)| prev.site_of(*b).is_none()).count() as u64;
 
     let prev_blocks = prev.len() as u64;
     let cur_blocks = cur.len() as u64;

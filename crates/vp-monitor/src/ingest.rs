@@ -28,7 +28,8 @@ use crate::diff::Origins;
 
 /// Lists the `r*.json` catchment snapshots in `dir`, sorted by file name
 /// (lexicographic == numeric for the zero-padded `r000.json` scheme).
-/// Non-round files (`origins.json`, anything not `r*.json`) are skipped.
+/// Non-round files (`origins.json`, a writer's `.r*.json.tmp`, anything
+/// not `r*.json`) are skipped.
 /// An empty list is not an error — `watch --follow` polls a directory
 /// that may not have its first round yet.
 pub fn list_round_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
@@ -66,28 +67,43 @@ pub fn load_rounds_dir(dir: &Path) -> Result<Vec<CatchmentMap>, String> {
 
 /// Parses the `vp-monitor-origins/v1` sidecar mapping each /24 block to
 /// its origin AS, used to attribute flips per AS.
+///
+/// Walks the text straight into the map, like [`CatchmentMap::from_json`]
+/// and by the same rules: members in any order, unknown ones skipped, a
+/// block key in canonical decimal, an ASN that fits `u32`, the last of
+/// duplicate keys wins.
 pub fn parse_origins(text: &str, what: &str) -> Result<Origins, String> {
-    let doc: Value =
-        serde_json::from_str(text).map_err(|e| format!("{what}: invalid JSON: {e}"))?;
-    match doc.get("schema").and_then(Value::as_str) {
-        Some("vp-monitor-origins/v1") => {}
-        other => return Err(format!("{what}: unexpected schema {other:?}")),
+    read_origins(text).map_err(|e| format!("{what}: invalid origins sidecar: {e}"))
+}
+
+fn read_origins(text: &str) -> Result<Origins, serde_json::Error> {
+    let mut reader = serde_json::Reader::new(text);
+    let (mut schema, mut origins) = (None, None);
+    reader.begin_object()?;
+    while let Some(member) = reader.next_key()? {
+        match &*member {
+            "schema" => schema = Some(reader.string()?),
+            "origins" => {
+                let mut map = Origins::new();
+                reader.begin_object()?;
+                while let Some(key) = reader.next_key()? {
+                    let block = Block24::from_key(&key)
+                        .ok_or_else(|| reader.error(format!("bad block key {key:?}")))?;
+                    let asn = u32::try_from(reader.u64()?)
+                        .map_err(|_| reader.error(format!("bad ASN for block {key}")))?;
+                    map.insert(block, Asn(asn));
+                }
+                origins = Some(map);
+            }
+            _ => reader.skip()?,
+        }
     }
-    let Some(map) = doc.get("origins").and_then(Value::as_object) else {
-        return Err(format!("{what}: missing origins object"));
-    };
-    let mut origins: Origins = BTreeMap::new();
-    for (block, asn) in map {
-        let b: u32 = block
-            .parse()
-            .map_err(|_| format!("{what}: bad block key {block:?}"))?;
-        let a = asn
-            .as_u64()
-            .and_then(|a| u32::try_from(a).ok())
-            .ok_or_else(|| format!("{what}: bad ASN for block {block}"))?;
-        origins.insert(Block24(b), Asn(a));
+    reader.end()?;
+    if schema.as_deref() != Some("vp-monitor-origins/v1") {
+        let found = format!("unexpected schema {schema:?}");
+        return Err(serde_json::Error::msg(found));
     }
-    Ok(origins)
+    origins.ok_or_else(|| serde_json::Error::msg("missing origins object"))
 }
 
 /// Loads the `origins.json` sidecar next to the round files, if present.
@@ -235,6 +251,8 @@ mod tests {
         }
         std::fs::write(dir.join("origins.json"), "{not json").unwrap();
         std::fs::write(dir.join("notes.txt"), "ignore me").unwrap();
+        // A round still being written sits under its writer's temp name.
+        std::fs::write(dir.join(".r003.json.tmp"), "{\"name\":\"r003.json\",\"ma").unwrap();
         let rounds = load_rounds_dir(&dir).unwrap();
         assert_eq!(rounds.len(), 3);
         assert_eq!(rounds[0].site_of(Block24(10)), Some(SiteId(0)));
@@ -263,8 +281,23 @@ mod tests {
         let text = serde_json::to_string_pretty(&doc).unwrap();
         let back = parse_origins(&text, "test").unwrap();
         assert_eq!(back, origins);
-        assert!(parse_origins("{}", "test").is_err());
-        assert!(parse_origins("nope", "test").is_err());
+        for bad in [
+            "{}",
+            "nope",
+            r#"{"schema": "vp-monitor-origins/v1"}"#,
+            r#"{"schema": "other/v1", "origins": {}}"#,
+            r#"{"schema": "vp-monitor-origins/v1", "origins": {"07": 1}}"#,
+            r#"{"schema": "vp-monitor-origins/v1", "origins": {"7": 4294967296}}"#,
+            r#"{"schema": "vp-monitor-origins/v1", "origins": {"7": 1}} trailing"#,
+        ] {
+            let err = parse_origins(bad, "the-sidecar").unwrap_err();
+            assert!(err.starts_with("the-sidecar: "), "{err}");
+        }
+        // Members in any order, unknown ones skipped, the last duplicate wins.
+        let text = r#"{"origins": {"7": 1, "9": 2, "7": 3}, "note": [1], "schema": "vp-monitor-origins/v1"}"#;
+        let parsed = parse_origins(text, "test").unwrap();
+        let want: Origins = [(Block24(7), Asn(3)), (Block24(9), Asn(2))].into();
+        assert_eq!(parsed, want);
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //! `Registry` carry, and the property that makes windowed drift summaries
 //! fold to the same totals however monitoring windows are grouped.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 use vp_monitor::alert::AlertConfig;
-use vp_monitor::diff::{DriftSummary, Origins, RoundDiff};
+use vp_monitor::diff::{diff_rounds, DriftSummary, Origins, RoundDiff};
 use vp_monitor::stream::DriftTracker;
 use verfploeter::catchment::CatchmentMap;
 use vp_bgp::SiteId;
@@ -143,6 +145,60 @@ fn twitchy_config() -> AlertConfig {
         clear_rounds: 1,
         duration_baseline_rounds: 2,
         ..AlertConfig::default()
+    }
+}
+
+/// `diff_rounds` as it was before the merge-join: a binary search into
+/// the other map for every block of either, kept as the independent
+/// formulation of the taxonomy and the per-AS attribution.
+fn searched_counts(
+    prev: &CatchmentMap,
+    cur: &CatchmentMap,
+    origins: &Origins,
+) -> (u64, u64, u64, u64, BTreeMap<u32, u64>) {
+    let (mut stable, mut flipped, mut to_nr) = (0, 0, 0);
+    let mut flips_by_as = BTreeMap::new();
+    for (block, site) in prev.iter() {
+        match cur.site_of(block) {
+            Some(s) if s == site => stable += 1,
+            Some(_) => {
+                flipped += 1;
+                if let Some(asn) = origins.get(&block) {
+                    *flips_by_as.entry(asn.0).or_insert(0) += 1;
+                }
+            }
+            None => to_nr += 1,
+        }
+    }
+    let from_nr = cur
+        .iter()
+        .filter(|(b, _)| prev.site_of(*b).is_none())
+        .count() as u64;
+    (stable, flipped, to_nr, from_nr, flips_by_as)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Random map pairs with flips, appearances and disappearances: the
+    /// join counts what the searches counted, attribution included (half
+    /// the block universe has an origin, half has none).
+    #[test]
+    fn merge_join_diff_equals_the_binary_search_formulation(
+        prev in prop::collection::vec((0u32..40, 0u8..4), 0..40),
+        cur in prop::collection::vec((0u32..40, 0u8..4), 0..40),
+    ) {
+        let build = |name: &str, pairs: Vec<(u32, u8)>| {
+            CatchmentMap::from_pairs(name, pairs.into_iter().map(|(b, s)| (Block24(b), SiteId(s))))
+        };
+        let (prev, cur) = (build("prev", prev), build("cur", cur));
+        let origins: Origins = (0u32..20).map(|b| (Block24(b), Asn(64500 + b % 3))).collect();
+        let d = diff_rounds(&prev, &cur, 1, Some(&origins));
+        let (stable, flipped, to_nr, from_nr, flips_by_as) = searched_counts(&prev, &cur, &origins);
+        prop_assert_eq!((d.stable, d.flipped, d.to_nr, d.from_nr), (stable, flipped, to_nr, from_nr));
+        prop_assert_eq!(d.flips_by_as, flips_by_as);
+        let (flips, appeared, disappeared) = prev.diff(&cur);
+        prop_assert_eq!((flips as u64, appeared as u64, disappeared as u64), (flipped, from_nr, to_nr));
     }
 }
 

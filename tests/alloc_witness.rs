@@ -16,15 +16,22 @@
 //! Holds for the K=1 round (`run_scan`) and at K=8 on real OS threads, so the
 //! p-rule sweep (`vp-lint hotpath`) is backed by a runtime measurement,
 //! not just static reasoning.
+//!
+//! The same allocator witnesses the read side (DESIGN.md §10) without a
+//! clock: loading a round document allocates O(log n) times and holds
+//! little more than its text and its columns, at 30 000 and at 300 000
+//! entries alike, and the origins sidecar allocates only its map.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use vp_bench::{bench_hitlist, bench_scenario_scaled};
+use vp_bench::{bench_hitlist, bench_scenario_scaled, synthetic_round};
+use vp_monitor::diff::Origins;
+use vp_monitor::ingest::{build_origins_doc, load_round_file, parse_origins};
 use vp_sim::exec::ShardExecutor;
 use vp_sim::{CatchmentOracle, FaultConfig, StaticOracle};
-use verfploeter_suite::net::SimTime;
+use verfploeter_suite::net::{Asn, SimTime};
 use verfploeter_suite::vp::scan::{run_scan, run_scan_sharded_on, ScanConfig, ScanResult};
 
 /// Counts every allocation and reallocation (each realloc of a doubling
@@ -90,18 +97,29 @@ const PEAK_BYTES_PER_PROBE: (u64, u64) = (60, 110);
 /// and late replies without ever admitting an O(schedule) queue.
 const QUEUE_SHARE_OF_PROBES: u64 = 20;
 
-struct Measured {
-    result: ScanResult,
+/// The counters are process-wide and the test harness runs tests on
+/// parallel threads: each test holds this for its whole body, so nothing
+/// else allocates while it measures. A poisoned lock only means another
+/// witness failed; this one still measures alone.
+fn alone() -> MutexGuard<'static, ()> {
+    static ALONE: Mutex<()> = Mutex::new(());
+    ALONE
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+struct Measured<T> {
+    result: T,
     allocs: u64,
-    /// Peak live bytes above the level the scan started from.
+    /// Peak live bytes above the level the measured work started from.
     peak_bytes: u64,
 }
 
-fn measured(scan: impl FnOnce() -> ScanResult) -> Measured {
+fn measured<T>(work: impl FnOnce() -> T) -> Measured<T> {
     let allocs_before = ALLOCS.load(Ordering::Relaxed);
     let live_before = LIVE_BYTES.load(Ordering::Relaxed);
     PEAK_BYTES.store(live_before, Ordering::Relaxed);
-    let result = scan();
+    let result = work();
     Measured {
         result,
         allocs: ALLOCS.load(Ordering::Relaxed) - allocs_before,
@@ -115,7 +133,7 @@ fn measured(scan: impl FnOnce() -> ScanResult) -> Measured {
 /// run measures the asserts, not the steady state the contract is about.
 /// Debug runs still execute both scans (exercising those asserts at 10^5
 /// blocks).
-fn assert_budget(kind: &str, m: &Measured, peak_bytes_per_probe: u64) {
+fn assert_budget(kind: &str, m: &Measured<ScanResult>, peak_bytes_per_probe: u64) {
     let probes = m.result.probes_sent;
     assert_eq!(probes, TARGETS as u64);
     // The queue and memory gates hold in every build: neither depends on
@@ -156,6 +174,7 @@ fn assert_budget(kind: &str, m: &Measured, peak_bytes_per_probe: u64) {
 
 #[test]
 fn steady_state_allocations_stay_sublinear_in_probes() {
+    let _alone = alone();
     // World + hitlist construction may allocate freely: it is outside the
     // hot region by definition (cold setup).
     let s = bench_scenario_scaled(33, TARGETS);
@@ -211,5 +230,77 @@ fn steady_state_allocations_stay_sublinear_in_probes() {
         serial.result.obs.queue_high_water,
         sharded.peak_bytes / TARGETS as u64,
         sharded.result.obs.queue_high_water
+    );
+}
+
+/// Allocations one round-file load may make, at any size: the file's text,
+/// the name, two columns grown by doubling (2·log2 n) and the sort's
+/// second copy of them. The tree-building reader made ~1.6 per entry.
+const LOAD_ALLOCS: u64 = 64;
+
+/// Live heap a load may hold per entry on top of the file's text: the
+/// columns (5 B, under 10 B with doubling slack) and the sort's exact-size
+/// second copy (5 B).
+const LOAD_BYTES_PER_ENTRY: u64 = 16;
+
+#[test]
+fn snapshot_ingest_allocates_logarithmically_and_holds_text_plus_columns() {
+    let _alone = alone();
+    let dir = std::env::temp_dir().join(format!("vp-alloc-witness-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create witness dir");
+    for entries in [30_000u64, 300_000] {
+        let map = synthetic_round(entries as usize, 0);
+        let text = map.to_json();
+        let path = dir.join(format!("r{entries}.json"));
+        std::fs::write(&path, &text).expect("write round file");
+        let load = measured(|| load_round_file(&path).expect("round file loads"));
+        assert_eq!(load.result, map);
+        eprintln!(
+            "{entries} entries: {} allocations, peak {} B = text + {} B/entry",
+            load.allocs,
+            load.peak_bytes,
+            load.peak_bytes.saturating_sub(text.len() as u64) / entries
+        );
+        assert!(
+            load.allocs <= LOAD_ALLOCS,
+            "loading {entries} entries allocated {} times (budget {LOAD_ALLOCS}): \
+             a per-entry allocation crept back in",
+            load.allocs
+        );
+        assert!(
+            load.peak_bytes <= text.len() as u64 + LOAD_BYTES_PER_ENTRY * entries,
+            "loading {entries} entries peaked at {} live bytes for {} bytes of text \
+             (ceiling: text + {LOAD_BYTES_PER_ENTRY} B/entry): an intermediate copy crept back in",
+            load.peak_bytes,
+            text.len()
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // The sidecar's only product is a `BTreeMap`, so its only allocations
+    // are that map's: as many as inserting the same pairs, in the
+    // document's (string-sorted key) order, into an empty map.
+    let origins: Origins = synthetic_round(30_000, 0)
+        .iter()
+        .map(|(block, _)| (block, Asn(block.0 % 4_000)))
+        .collect();
+    let text = serde_json::to_string_pretty(&build_origins_doc(&origins)).expect("sidecar renders");
+    let mut pairs: Vec<_> = origins.iter().map(|(b, a)| (*b, *a)).collect();
+    pairs.sort_by_key(|(block, _)| block.0.to_string());
+    let parsed = measured(|| parse_origins(&text, "witness").expect("sidecar parses"));
+    let inserted = measured(|| {
+        let mut map = Origins::new();
+        for &(block, asn) in &pairs {
+            map.insert(block, asn);
+        }
+        map
+    });
+    assert_eq!(parsed.result, origins);
+    assert_eq!(inserted.result, origins);
+    assert!(
+        parsed.allocs <= inserted.allocs,
+        "parsing the sidecar allocated {} times; its map alone takes {}",
+        parsed.allocs,
+        inserted.allocs
     );
 }

@@ -11,6 +11,11 @@
 //! `#[derive(Serialize)]` tree engine, [`BTreeCatchment`]) and value-for-
 //! value on every query. `BitSet::merge` union semantics are proven here
 //! too, against a naive set-of-indices model.
+//!
+//! The tree engine is also the ingest oracle: `CatchmentMap::from_json`
+//! and `vp_monitor::ingest::parse_origins` walk JSON text straight into
+//! their rows, and must accept, reject and read generated documents —
+//! well-formed and hostile — exactly as the `Value`-tree path does.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -18,13 +23,15 @@ use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
 use verfploeter_suite::bgp::SiteId;
 use verfploeter_suite::hitlist::{Hitlist, HitlistConfig};
-use verfploeter_suite::net::{BitSet, Block24, SimDuration, SimTime};
+use verfploeter_suite::net::{mix, Asn, BitSet, Block24, SimDuration, SimTime};
 use verfploeter_suite::sim::exec::ShardExecutor;
 use verfploeter_suite::sim::{FaultConfig, Scenario, StaticOracle};
 use verfploeter_suite::topology::TopologyConfig;
 use verfploeter_suite::vp::rtt::RttTable;
 use verfploeter_suite::vp::scan::{run_scan, run_scan_sharded_on, ScanConfig};
 use verfploeter_suite::vp::CatchmentMap;
+use vp_monitor::diff::Origins;
+use vp_monitor::ingest::parse_origins;
 
 /// The historical tree-backed map, field-for-field the pre-columnar
 /// `CatchmentMap` (so its derived serialization defines the on-disk
@@ -258,6 +265,280 @@ proptest! {
         prop_assert_eq!(ab.iter_ones().collect::<Vec<_>>(), union.clone());
         prop_assert_eq!(ba.iter_ones().collect::<Vec<_>>(), union);
         prop_assert_eq!(ab.count_ones(), a.union(&b).count());
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Differential ingest: the pull reader against the value tree
+// ---------------------------------------------------------------------------
+
+/// `parse_origins` as it was on the value tree, kept as the oracle.
+fn tree_parse_origins(text: &str) -> Result<Origins, String> {
+    let doc: serde_json::Value = serde_json::from_str(text).map_err(|e| e.to_string())?;
+    match doc.get("schema").and_then(serde_json::Value::as_str) {
+        Some("vp-monitor-origins/v1") => {}
+        other => return Err(format!("unexpected schema {other:?}")),
+    }
+    let Some(map) = doc.get("origins").and_then(serde_json::Value::as_object) else {
+        return Err("missing origins object".to_owned());
+    };
+    let mut origins = Origins::new();
+    for (block, asn) in map {
+        let b: u32 = block
+            .parse()
+            .map_err(|_| format!("bad block key {block:?}"))?;
+        let a = asn
+            .as_u64()
+            .and_then(|a| u32::try_from(a).ok())
+            .ok_or_else(|| format!("bad ASN for block {block}"))?;
+        origins.insert(Block24(b), Asn(a));
+    }
+    Ok(origins)
+}
+
+/// The two documents the monitor ingests differ only in these names.
+struct DocShape {
+    text_member: &'static str,
+    /// The text member's key with an escape in it (same key once read).
+    text_member_escaped: &'static str,
+    map_member: &'static str,
+    /// JSON string literals for the text member.
+    texts: &'static [&'static str],
+    /// Largest value a map entry may carry.
+    max_value: u64,
+}
+
+const CATCHMENT_DOC: DocShape = DocShape {
+    text_member: "name",
+    text_member_escaped: r"n\u0061me",
+    map_member: "map",
+    texts: &[
+        r#""SBV-5-15""#,
+        r#""""#,
+        r#""caf\u00e9 \"quoted\" \\ \/ \b\f\n\r\t""#,
+        r#""\ud83d\ude00 escaped pair, raw 😀 é""#,
+    ],
+    max_value: u8::MAX as u64,
+};
+
+const ORIGINS_DOC: DocShape = DocShape {
+    text_member: "schema",
+    text_member_escaped: r"sch\u0065ma",
+    map_member: "origins",
+    texts: &[
+        r#""vp-monitor-origins/v1""#,
+        r#""vp-monitor-origins\/v1""#,
+        r#""vp-monitor-origins/v1""#,
+        r#""vp-monitor-origins/v2""#,
+    ],
+    max_value: u32::MAX as u64,
+};
+
+/// Layout decisions drawn from one generated seed.
+struct Draws(u64);
+
+impl Draws {
+    fn below(&mut self, bound: u64) -> u64 {
+        self.0 = mix(self.0, bound);
+        self.0 % bound
+    }
+
+    fn one_in(&mut self, n: u64) -> bool {
+        self.below(n) == 0
+    }
+
+    /// Any JSON whitespace, or none.
+    fn ws(&mut self) -> &'static str {
+        ["", "", "", " ", "\n", "\t", " \r\n  "][self.below(7) as usize]
+    }
+}
+
+/// One `"key": value` pair of the map member, as JSON text. Sets
+/// `noncanonical` when the key is a spelling only the tree path accepts.
+///
+/// Valid entries draw their key from a small universe, so exact
+/// duplicates (differently spelled, too: one digit may be escaped) occur
+/// and last-wins is exercised. An invalid entry gets a key nothing else
+/// uses: the reader checks every occurrence of a key, the tree only the
+/// surviving one, so a *shadowed* invalid entry is the one document the
+/// two treat differently by design (pinned by a unit test beside
+/// `from_json`).
+fn map_entry(
+    shape: &DocShape,
+    index: usize,
+    (key_sel, value_sel, kind): (u32, u32, u8),
+    noncanonical: &mut bool,
+) -> (String, String) {
+    let shared = key_sel % 40;
+    let own = 1_000 + index;
+    let valid = (u64::from(value_sel) % (shape.max_value + 1)).to_string();
+    match kind {
+        0..=55 => (format!("\"{shared}\""), valid),
+        56 | 57 => {
+            let digits = shared.to_string();
+            (format!("\"\\u003{}\"", digits), valid)
+        }
+        58 => (
+            format!("\"{own}\""),
+            (shape.max_value + 1 + u64::from(value_sel)).to_string(),
+        ),
+        59 => ("\"4294967296\"".to_owned(), valid),
+        60 => (format!("\"x{own}\""), valid),
+        61 => {
+            let wrong = ["\"3\"", "1.5", "null", "-1", "[]", "true", "{}"];
+            (
+                format!("\"{own}\""),
+                wrong[value_sel as usize % wrong.len()].to_owned(),
+            )
+        }
+        _ => {
+            *noncanonical = true;
+            let spelling = ["0", "+", "-0", "00"][value_sel as usize % 4];
+            let digits = if spelling == "-0" {
+                String::new()
+            } else {
+                own.to_string()
+            };
+            (format!("\"{spelling}{digits}\""), valid)
+        }
+    }
+}
+
+fn object_text(members: &[(String, String)], draws: &mut Draws) -> String {
+    let mut text = format!("{{{}", draws.ws());
+    for (i, (key, value)) in members.iter().enumerate() {
+        if i > 0 {
+            text.push(',');
+        }
+        text += &format!(
+            "{}{key}{}:{}{value}{}",
+            draws.ws(),
+            draws.ws(),
+            draws.ws(),
+            draws.ws()
+        );
+    }
+    text + "}"
+}
+
+/// Renders one document of `shape`: its members in any order, sometimes
+/// missing, duplicated, mistyped or joined by unknown ones, with arbitrary
+/// whitespace and sometimes trailing bytes. Returns the text and whether
+/// it carries a non-canonical key.
+fn render_doc(shape: &DocShape, entries: &[(u32, u32, u8)], layout: u64) -> (String, bool) {
+    let mut draws = Draws(layout);
+    let mut noncanonical = false;
+    let rows: Vec<(String, String)> = entries
+        .iter()
+        .enumerate()
+        .map(|(i, &e)| map_entry(shape, i, e, &mut noncanonical))
+        .collect();
+
+    let quoted = |name: &str| format!("\"{name}\"");
+    let mut members: Vec<(String, String)> = Vec::new();
+    let text_key = match draws.one_in(8) {
+        true => quoted(shape.text_member_escaped),
+        false => quoted(shape.text_member),
+    };
+    let text_value = |draws: &mut Draws| shape.texts[draws.below(4) as usize].to_owned();
+    match draws.below(8) {
+        0 => {}
+        1 => members.push((text_key, "5".to_owned())),
+        2 => {
+            members.push((text_key.clone(), text_value(&mut draws)));
+            members.push((text_key, text_value(&mut draws)));
+        }
+        _ => members.push((text_key, text_value(&mut draws))),
+    }
+    let map_key = quoted(shape.map_member);
+    match draws.below(16) {
+        0 => {}
+        1 => members.push((map_key, "[]".to_owned())),
+        2 | 3 => {
+            // An earlier whole map that the later one must replace. The two
+            // travel as one member so the shuffle keeps the generated rows
+            // last: shadowed, their invalid entries would go unchecked by
+            // the tree.
+            let earlier = [
+                ("\"1\"".to_owned(), "0".to_owned()),
+                ("\"77\"".to_owned(), "1".to_owned()),
+            ];
+            let both = format!(
+                "{},{}{map_key}:{}",
+                object_text(&earlier, &mut draws),
+                draws.ws(),
+                object_text(&rows, &mut draws)
+            );
+            members.push((map_key, both));
+        }
+        _ => members.push((map_key, object_text(&rows, &mut draws))),
+    }
+    for _ in 0..draws.below(3) {
+        let unknown = [
+            (
+                "\"extra\"",
+                r#"{"a": [1, 2.5e3, {"b": null}], "name": "inner"}"#,
+            ),
+            ("\"zzz\"", r#""text with \"escapes\" \u00e9""#),
+            ("\"\"", "[]"),
+        ];
+        let (key, value) = unknown[draws.below(3) as usize];
+        members.push((key.to_owned(), value.to_owned()));
+    }
+    for i in (1..members.len()).rev() {
+        members.swap(i, draws.below(i as u64 + 1) as usize);
+    }
+
+    let trailing = ["", "", "", "", "", " \n", "x", "{}"][draws.below(8) as usize];
+    let text = format!(
+        "{}{}{}",
+        draws.ws(),
+        object_text(&members, &mut draws),
+        trailing
+    );
+    (text, noncanonical)
+}
+
+/// Both readers must reject, or both accept and agree; the reader alone
+/// may (and must) reject a document for a non-canonical key.
+fn assert_same_verdict<T, U, E: std::fmt::Debug, F: std::fmt::Debug>(
+    text: &str,
+    noncanonical: bool,
+    reader: Result<T, E>,
+    tree: Result<U, F>,
+    agree: impl FnOnce(T, U),
+) {
+    match (reader, tree) {
+        (Ok(r), Ok(t)) => {
+            assert!(!noncanonical, "a non-canonical key was accepted: {text}");
+            agree(r, t);
+        }
+        (Err(_), Err(_)) => {}
+        (Err(e), Ok(_)) => assert!(noncanonical, "only the reader rejects ({e:?}): {text}"),
+        (Ok(_), Err(e)) => panic!("only the tree rejects ({e:?}): {text}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(768))]
+
+    #[test]
+    fn reader_ingest_agrees_with_the_tree_oracle(
+        entries in proptest::collection::vec((0u32..1_000, any::<u32>(), 0u8..64), 0..20),
+        layout in any::<u64>(),
+    ) {
+        let (text, noncanonical) = render_doc(&CATCHMENT_DOC, &entries, layout);
+        let (reader, tree) = (CatchmentMap::from_json(&text), BTreeCatchment::from_json(&text));
+        assert_same_verdict(&text, noncanonical, reader, tree, |col, tree| {
+            assert_eq!(col.name, tree.name, "{text}");
+            assert_engines_agree(&col, &tree);
+        });
+
+        let (text, noncanonical) = render_doc(&ORIGINS_DOC, &entries, layout);
+        let (reader, tree) = (parse_origins(&text, "generated"), tree_parse_origins(&text));
+        assert_same_verdict(&text, noncanonical, reader, tree, |reader, tree| {
+            assert_eq!(reader, tree, "{text}");
+        });
     }
 }
 
