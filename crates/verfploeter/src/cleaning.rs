@@ -58,7 +58,6 @@ pub struct Cleaner<'h> {
 }
 
 impl<'h> Cleaner<'h> {
-    // vp-lint: cold(fn): one cleaner per scan (or shard), built before the event loop.
     pub fn new(hitlist: &'h Hitlist, ident: u16, start: SimTime, cutoff: SimDuration) -> Self {
         Cleaner {
             hitlist,
@@ -96,7 +95,6 @@ impl<'h> Cleaner<'h> {
         }
         self.seen.set(slot);
         self.stats.kept += 1;
-        // vp-lint: allow(p1): the kept column grows by doubling — O(log n) allocations per scan, pinned by the allocation witness test.
         self.kept.push(CleanReply {
             site: r.site,
             at: r.at,

@@ -44,6 +44,7 @@
 //!   binaries.
 
 #![deny(unused_must_use)]
+#![forbid(unsafe_code)]
 
 pub mod catchment;
 pub mod cleaning;

@@ -160,7 +160,6 @@ fn sim_flight(started: SimTime, last_probe: SimTime, sim_end: SimTime) -> vp_obs
 /// timeline and the registry's headline series, both derived from the
 /// folded (shard-invariant) round artifacts — so registries and timelines
 /// agree byte for byte across shard counts.
-// vp-lint: cold(fn): once-per-round observability assembly, after the event loops have drained.
 fn finish_obs(result: &mut ScanResult, announcement: &Announcement) {
     result.obs.flight = sim_flight(result.started, result.last_probe, result.obs.sim_end);
     let registry = &mut result.obs.registry;
@@ -230,7 +229,6 @@ impl ScanResult {
     /// cover disjoint ranges, so the unions are disjoint and the sums
     /// exact; only the per-engine vectors depend on the fold running in
     /// shard order.
-    // vp-lint: cold(fn): once per shard, after the event loops have drained.
     fn absorb(&mut self, next: ScanResult) {
         self.catchments.merge(&next.catchments);
         self.rtts.merge(&next.rtts);
@@ -330,7 +328,6 @@ impl<'a> PhaseSpans<'a> {
         self.close_pair(now);
     }
 
-    // vp-lint: cold(fn): once per refill group — at most MAX_PHASE_PAIRS times per engine run, and only with a wall channel attached.
     fn close_pair(&mut self, end: u64) {
         if self.refills == 0 {
             return;
@@ -433,7 +430,6 @@ impl Round<'_> {
     /// attached a channel. Recorder handles are `Rc`-based and never cross
     /// a thread boundary: the orchestrator and every engine job build
     /// their own and drain it to a timeline.
-    // vp-lint: cold(fn): one recorder per thread of a round, never per probe.
     fn wall_recorder(&self) -> Option<vp_obs::FlightRecorder> {
         self.config
             .wall
@@ -446,7 +442,6 @@ impl Round<'_> {
     /// borrowed oracle. Every engine gets the round seed (keyed fault draws
     /// must agree across shard layouts) but a shard-distinct auxiliary
     /// stream.
-    // vp-lint: cold(fn): engine construction is round setup, once per shard.
     fn new_engine(&self, lane: Option<u32>) -> NetworkSim<'_> {
         let shard = lane.map_or(0, u64::from);
         let mut sim = NetworkSim::new_shard(self.world, self.faults.clone(), self.sim_seed, shard);
@@ -477,7 +472,7 @@ impl Round<'_> {
         // walked: pacing is monotone, so the last walked time is the last
         // transmission, and every reply arrives after its probe's send
         // time was recorded.
-        let mut send_time = vec![SimTime::ZERO; range.len()]; // vp-lint: allow(p1): one send-time column per engine, allocated before the probe loop.
+        let mut send_time = vec![SimTime::ZERO; range.len()];
         let mut last_probe = self.start;
         let mut feed = ProbeFeed {
             schedule: schedule.inspect(|&(index, at)| {
@@ -535,8 +530,8 @@ impl Round<'_> {
                 registry,
                 trace,
                 sim_end: sim.now(),
-                shard_probes: vec![probes as u64], // vp-lint: allow(p1): per-engine bookkeeping, once per engine.
-                queue_high_water: vec![sim.queue_high_water() as u64], // vp-lint: allow(p1): per-engine bookkeeping, once per engine.
+                shard_probes: vec![probes as u64],
+                queue_high_water: vec![sim.queue_high_water() as u64],
                 // Stamped by `finish_obs` once the shares are folded.
                 flight: Default::default(),
                 wall_flight: wall_rec.map(|r| r.drain()).unwrap_or_default(),
@@ -575,7 +570,7 @@ fn run_round(
     world: &Internet,
     hitlist: &Hitlist,
     announcement: &Announcement,
-    oracle: &dyn CatchmentOracle, // vp-lint: allow(p4): the round's one oracle; engines resolve catchments through it by design.
+    oracle: &dyn CatchmentOracle,
     faults: &FaultConfig,
     start: SimTime,
     config: &ScanConfig,
@@ -606,7 +601,7 @@ fn run_round(
             .as_ref()
             .map(|r| r.span("scan.schedule_walk", "probe", None));
         let mut slices: Vec<Vec<(u64, SimTime)>> =
-            bounds.iter().map(|r| Vec::with_capacity(r.len())).collect(); // vp-lint: allow(p1): one exactly-sized slice per shard, allocated before the probe loop.
+            bounds.iter().map(|r| Vec::with_capacity(r.len())).collect();
         for (index, at) in schedule() {
             slices[hitlist.shard_of(conv::sat_usize(index), shards)].push((index, at)); // vp-lint: allow(g1): shard_of returns a value < shards by contract.
         }
@@ -632,7 +627,7 @@ fn run_round(
             .wall
             .as_ref()
             .filter(|_| slices.is_some())
-            .map(|w| w as &(dyn vp_obs::Clock + Sync)), // vp-lint: allow(p4): one clock cast per round, handing the wall channel to the executor.
+            .map(|w| w as &(dyn vp_obs::Clock + Sync)),
     );
     if let Some(rec) = wall_rec.as_ref() {
         for t in &shard_timings {
@@ -671,7 +666,7 @@ pub fn run_scan(
     world: &Internet,
     hitlist: &Hitlist,
     announcement: &Announcement,
-    oracle: Box<dyn CatchmentOracle>, // vp-lint: allow(p4): the round's one oracle, handed over at setup, never per probe.
+    oracle: Box<dyn CatchmentOracle>,
     faults: FaultConfig,
     start: SimTime,
     config: &ScanConfig,
@@ -723,7 +718,7 @@ pub fn run_scan_sharded(
     world: &Internet,
     hitlist: &Hitlist,
     announcement: &Announcement,
-    make_oracle: &(dyn Fn() -> Box<dyn CatchmentOracle> + Sync), // vp-lint: allow(p4): the oracle factory is invoked once per round, never per probe.
+    make_oracle: &(dyn Fn() -> Box<dyn CatchmentOracle> + Sync),
     faults: FaultConfig,
     start: SimTime,
     config: &ScanConfig,
@@ -758,7 +753,7 @@ pub fn run_scan_sharded_on(
     world: &Internet,
     hitlist: &Hitlist,
     announcement: &Announcement,
-    make_oracle: &(dyn Fn() -> Box<dyn CatchmentOracle> + Sync), // vp-lint: allow(p4): the oracle factory is invoked once per round, never per probe.
+    make_oracle: &(dyn Fn() -> Box<dyn CatchmentOracle> + Sync),
     faults: FaultConfig,
     start: SimTime,
     config: &ScanConfig,

@@ -17,6 +17,8 @@
 //! * [`scan`] — running a measurement ([`run_scan`]) through the
 //!   discrete-event simulator and decoding the results ([`AtlasResult`]).
 
+#![forbid(unsafe_code)]
+
 pub mod panel;
 pub mod scan;
 

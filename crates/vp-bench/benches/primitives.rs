@@ -1,11 +1,8 @@
-//! Benchmarks of the vp-net primitives, including the probe-order and
-//! LPM ablations called out in DESIGN.md.
+//! Benchmarks of the vp-net primitives, including the probe-order
+//! ablation called out in DESIGN.md.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use vp_bench::{bench_scenario, SortedVecLpm};
-use vp_net::{
-    FeistelPermutation, LcgPermutation, Prefix, ProbeOrder, SimDuration, SimTime, TokenBucket,
-};
+use vp_net::{FeistelPermutation, LcgPermutation, ProbeOrder, SimDuration, SimTime, TokenBucket};
 
 fn bench_permutations(c: &mut Criterion) {
     let mut g = c.benchmark_group("probe_order");
@@ -35,52 +32,6 @@ fn bench_permutations(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_lpm(c: &mut Criterion) {
-    let s = bench_scenario(2);
-    let entries: Vec<(Prefix, u32)> = s
-        .world
-        .prefixes
-        .iter()
-        .map(|p| (p.prefix, p.origin.0))
-        .collect();
-    // The trie that ships: the world's own origin table.
-    let trie = &s.world.origin_table;
-    let vec_lpm = SortedVecLpm::new(entries);
-    let probes: Vec<vp_net::Ipv4Addr> = s
-        .world
-        .blocks
-        .iter()
-        .step_by(7)
-        .map(|b| b.representative())
-        .collect();
-
-    let mut g = c.benchmark_group("lpm_lookup");
-    g.sample_size(30);
-    g.bench_function("arena_lpm", |b| {
-        b.iter(|| {
-            let mut hits = 0usize;
-            for ip in &probes {
-                if trie.longest_match(*ip).is_some() {
-                    hits += 1;
-                }
-            }
-            black_box(hits)
-        })
-    });
-    g.bench_function("sorted_vec", |b| {
-        b.iter(|| {
-            let mut hits = 0usize;
-            for ip in &probes {
-                if vec_lpm.longest_match(*ip).is_some() {
-                    hits += 1;
-                }
-            }
-            black_box(hits)
-        })
-    });
-    g.finish();
-}
-
 fn bench_token_bucket(c: &mut Criterion) {
     c.bench_function("token_bucket_pacing_10k", |b| {
         b.iter(|| {
@@ -96,5 +47,5 @@ fn bench_token_bucket(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_permutations, bench_lpm, bench_token_bucket);
+criterion_group!(benches, bench_permutations, bench_token_bucket);
 criterion_main!(benches);

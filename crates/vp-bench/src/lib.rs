@@ -1,5 +1,7 @@
 //! Shared fixtures for the benchmark suite.
 
+#![forbid(unsafe_code)]
+
 use verfploeter::CatchmentMap;
 use vp_bgp::SiteId;
 use vp_hitlist::{Hitlist, HitlistConfig};
@@ -70,65 +72,4 @@ pub fn synthetic_round(entries: usize, round: u32) -> CatchmentMap {
     let appeared =
         (0..round.min(1) * entries / 500).map(|i| (Block24(first + STRIDE * i + 1), SiteId(0)));
     CatchmentMap::from_pairs(&format!("synthetic/r{round}"), rows.chain(appeared))
-}
-
-/// Sorted-vec longest-prefix-match baseline for the trie ablation: linear
-/// structures are often faster than pointer-chasing for small tables, and
-/// the bench quantifies where the trie starts winning.
-pub struct SortedVecLpm<T> {
-    /// Sorted by (addr, len); lookup scans candidates per prefix length.
-    by_len: Vec<Vec<(u32, T)>>,
-}
-
-impl<T: Copy> SortedVecLpm<T> {
-    pub fn new(entries: impl IntoIterator<Item = (vp_net::Prefix, T)>) -> Self {
-        let mut by_len: Vec<Vec<(u32, T)>> = (0..=32).map(|_| Vec::new()).collect();
-        for (p, v) in entries {
-            by_len[p.len() as usize].push((p.addr().0, v));
-        }
-        for v in &mut by_len {
-            v.sort_by_key(|(a, _)| *a);
-        }
-        SortedVecLpm { by_len }
-    }
-
-    /// Longest match: scan lengths from /32 down, binary-searching each.
-    pub fn longest_match(&self, ip: vp_net::Ipv4Addr) -> Option<T> {
-        for len in (0..=32u8).rev() {
-            let table = &self.by_len[len as usize];
-            if table.is_empty() {
-                continue;
-            }
-            let masked = ip.0 & vp_net::Prefix::mask(len);
-            if let Ok(i) = table.binary_search_by_key(&masked, |(a, _)| *a) {
-                return Some(table[i].1);
-            }
-        }
-        None
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use vp_net::{Ipv4Addr, Prefix};
-
-    #[test]
-    fn sorted_vec_lpm_agrees_with_trie() {
-        let s = bench_scenario(1);
-        let entries: Vec<(Prefix, u32)> = s
-            .world
-            .prefixes
-            .iter()
-            .map(|p| (p.prefix, p.origin.0))
-            .collect();
-        let vec_lpm = SortedVecLpm::new(entries);
-        for b in s.world.blocks.iter().step_by(37) {
-            let ip = b.representative();
-            let via_vec = vec_lpm.longest_match(ip);
-            let via_trie = s.world.origin_of(ip).map(|asn| asn.0);
-            assert_eq!(via_vec, via_trie, "LPM mismatch for {ip}");
-        }
-        assert!(vec_lpm.longest_match(Ipv4Addr::new(0, 0, 0, 1)).is_none());
-    }
 }

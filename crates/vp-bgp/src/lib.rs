@@ -27,6 +27,8 @@
 //!   among equal candidates for flip-prone ASes, reproducing the rare but
 //!   persistent catchment instability of Fig. 9 / Table 7.
 
+#![forbid(unsafe_code)]
+
 pub mod announce;
 pub mod dynamics;
 pub mod routing;

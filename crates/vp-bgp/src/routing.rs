@@ -75,11 +75,6 @@ pub struct RoutingTable {
 }
 
 impl RoutingTable {
-    /// The site the AS-level selected route leads to.
-    pub fn site_of_as(&self, asn: Asn) -> Option<SiteId> {
-        self.per_as[asn.index()].as_ref().map(AsRoute::selected_site) // vp-lint: allow(g1): per_as is sized to the AS graph that minted `asn`.
-    }
-
     /// The site traffic from this PoP reaches (the catchment of every block
     /// homed on the PoP).
     pub fn site_of_pop(&self, pop: PopId) -> Option<SiteId> {

@@ -22,6 +22,8 @@
 //! * [`rssac`] — RSSAC-002-style per-site daily reporting, the artifact
 //!   §3.2 says every root operator already produces.
 
+#![forbid(unsafe_code)]
+
 pub mod log;
 pub mod rssac;
 

@@ -209,17 +209,6 @@ impl<'w> QueryLog<'w> {
         self.total_daily() / 86_400.0
     }
 
-    /// Total queries per UTC hour.
-    pub fn hourly_totals(&self) -> [f64; 24] {
-        let mut out = [0.0; 24];
-        for (h, slot) in out.iter_mut().enumerate() {
-            for i in 0..self.daily.len() {
-                *slot += self.hourly_by_idx(i, h as u32);
-            }
-        }
-        out
-    }
-
     /// Fraction of this block's queries that receive a good reply.
     pub fn good_reply_frac(&self, block: Block24) -> f64 {
         let m = self.model.good_reply_frac_mean;

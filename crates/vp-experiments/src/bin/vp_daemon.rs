@@ -123,8 +123,9 @@ fn main() {
     }
 }
 
-/// Rewrites the two publication surfaces after every round, like a live
-/// daemon republishing its scrape endpoint.
+/// Republishes the two surfaces after every round, like a live daemon
+/// republishing its scrape endpoint — atomically, so a scraper polling
+/// the directory never reads a half-written document.
 fn publish(daemon: &Daemon, out: Option<&std::path::Path>) {
     let Some(dir) = out else { return };
     let status = daemon.status_doc();
@@ -132,10 +133,9 @@ fn publish(daemon: &Daemon, out: Option<&std::path::Path>) {
         Ok(t) => t,
         Err(e) => die(&format!("serialize status doc: {e}")),
     };
-    if let Err(e) = std::fs::write(dir.join("status.json"), text + "\n") {
-        die(&format!("write status.json: {e}"));
-    }
-    if let Err(e) = std::fs::write(dir.join("metrics.prom"), daemon.scrape()) {
-        die(&format!("write metrics.prom: {e}"));
+    for (name, text) in [("status.json", text + "\n"), ("metrics.prom", daemon.scrape())] {
+        if let Err(e) = vp_monitor::ingest::write_atomic(&dir.join(name), &text) {
+            die(&e);
+        }
     }
 }

@@ -12,6 +12,8 @@
 //! world, not the 2017 Internet); the *shapes* are the reproduction
 //! targets: who wins, by what rough factor, where the crossovers fall.
 
+#![forbid(unsafe_code)]
+
 pub mod context;
 pub mod daemon;
 pub mod experiments;

@@ -15,7 +15,7 @@ use std::path::Path;
 
 use verfploeter::catchment::CatchmentMap;
 use vp_monitor::diff::Origins;
-use vp_monitor::ingest::build_origins_doc;
+use vp_monitor::ingest::{build_origins_doc, write_atomic};
 use vp_net::Block24;
 use vp_topology::Internet;
 
@@ -28,20 +28,10 @@ fn collect_origins(rounds: &[CatchmentMap], world: &Internet) -> Origins {
         .collect()
 }
 
-/// Writes `text` under a sibling name no reader lists (`.<name>.tmp`:
-/// neither `r*.json` nor `origins.json`) and renames it into place, so a
-/// `watch --follow` polling the directory sees a whole file or none. The
-/// rename orders the file for readers; it is not a durability barrier.
-fn write_atomic(path: &Path, text: &str) -> Result<(), String> {
-    let name = path.file_name().unwrap_or_default().to_string_lossy();
-    let tmp = path.with_file_name(format!(".{name}.tmp"));
-    std::fs::write(&tmp, text).map_err(|e| format!("write {}: {e}", tmp.display()))?;
-    std::fs::rename(&tmp, path).map_err(|e| format!("rename to {}: {e}", path.display()))
-}
-
 /// Writes the per-round snapshots and the origins sidecar into `dir`
-/// (created if needed), each file atomically. Returns the number of
-/// round files written.
+/// (created if needed), each through [`write_atomic`] so a `watch
+/// --follow` polling the directory sees a whole file or none. Returns the
+/// number of round files written.
 pub fn write_round_snapshots(
     dir: &Path,
     rounds: &[CatchmentMap],

@@ -15,6 +15,8 @@
 //! * [`bins`] — [`GeoBin`] two-degree binning and [`BinnedMap`]
 //!   accumulation, the data structure behind every map figure.
 
+#![forbid(unsafe_code)]
+
 pub mod bins;
 pub mod db;
 pub mod dist;

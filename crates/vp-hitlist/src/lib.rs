@@ -12,6 +12,8 @@
 //! reply", §5.4) — those blocks end up unmapped even though they are
 //! responsive, feeding Table 5's "not mappable" row.
 
+#![forbid(unsafe_code)]
+
 use serde::{Deserialize, Serialize};
 use vp_net::{mix, unit, Block24, Ipv4Addr};
 use vp_topology::Internet;

@@ -1,225 +1,11 @@
-//! Seeded concurrency violations (10 findings: 2×c1, 2×c2, 2×c3, 2×c4,
-//! 2×c5) plus one suppressed instance of each rule. The `shard_*`
-//! entries call `exec::run_sharded`, which roots the parallel region in
-//! this file. Fixture input for the lint gate; never compiled.
+//! Seeded confinement violations (10 findings, all c5): two per primitive
+//! family — threads, locks, atomics/`static mut`, channels,
+//! `thread_local!` — plus one audited allow per family. Naming the
+//! primitive is the violation; how it is used is never analysed (that is
+//! why the rule cannot be argued with). Fixture input for the lint gate;
+//! never compiled.
 
-// c1 (second finding): a file-scoped `static mut` is reachable by every
-// fn in a file whose fns run in the parallel region.
-static mut POOL_TOTAL: u64 = 0;
-
-// c1 (first finding): the entry reaches a RefCell construction through
-// `cell_worker` — the witness path names the chain.
-pub fn shard_cell_counts() -> u64 {
-    crate::exec::run_sharded(8);
-    confined_cell_worker();
-    cell_worker()
-}
-
-fn cell_worker() -> u64 {
-    let slot: std::cell::RefCell<u64> = std::cell::RefCell::new(0);
-    drop(slot);
-    0
-}
-
-// Suppressed c1, line form: the allow at the hazard site is consumed at
-// index time, so this helper contributes no taint.
-fn confined_cell_worker() -> u64 {
-    // vp-lint: allow(c1): fixture of a vouched thread-confined Cell.
-    let slot = std::cell::Cell::new(7);
-    drop(slot);
-    7
-}
-
-// Suppressed c1, fn form: the entry is audited, so taint from
-// `audited_cell_worker` stops here (and the allow counts as used).
-// vp-lint: allow(c1): fixture of an audited entry — state below is vouched thread-confined.
-pub fn shard_audited_counts() -> u64 {
-    crate::exec::run_sharded(4);
-    audited_cell_worker()
-}
-
-fn audited_cell_worker() -> u64 {
-    let slot = std::cell::Cell::new(9);
-    drop(slot);
-    9
-}
-
-// c2: two lock-order cycles in the region — one intra-fn (alpha/beta
-// acquired in both orders), one interprocedural (gamma/delta nested
-// through helper calls).
-pub fn shard_lock_pairs(work: u64) -> u64 {
-    crate::exec::run_sharded(2);
-    ab_order(work);
-    ba_order(work);
-    outer_gamma(work);
-    outer_delta(work);
-    order_eps(work);
-    order_zeta(work);
-    order_iota(work);
-    order_kappa(work);
-    work
-}
-
-fn ab_order(work: u64) -> u64 {
-    let a = alpha_m.lock();
-    // vp-lint: allow(c3): fixture isolating c2 — the nested acquisition is the cycle seed.
-    let b = beta_m.lock();
-    work
-}
-
-fn ba_order(work: u64) -> u64 {
-    let b = beta_m.lock();
-    // vp-lint: allow(c3): fixture isolating c2 — the nested acquisition is the cycle seed.
-    let a = alpha_m.lock();
-    work
-}
-
-fn outer_gamma(work: u64) -> u64 {
-    let g = gamma_m.lock();
-    lock_delta_side(work)
-}
-
-fn outer_delta(work: u64) -> u64 {
-    let d = delta_m.lock();
-    lock_gamma_side(work)
-}
-
-fn lock_delta_side(work: u64) -> u64 {
-    let d = delta_m.lock();
-    work
-}
-
-fn lock_gamma_side(work: u64) -> u64 {
-    let g = gamma_m.lock();
-    work
-}
-
-// Suppressed c2, line form: the eps/zeta cycle never closes because the
-// zeta acquisition is allowed out of the lock-order graph.
-fn order_eps(work: u64) -> u64 {
-    let e = eps_m.lock();
-    lock_zeta_side(work)
-}
-
-fn order_zeta(work: u64) -> u64 {
-    // vp-lint: allow(c2): fixture — this acquisition is vouched to never nest.
-    let z = zeta_m.lock();
-    lock_eps_side(work)
-}
-
-fn lock_zeta_side(work: u64) -> u64 {
-    let z = zeta_m.lock();
-    work
-}
-
-fn lock_eps_side(work: u64) -> u64 {
-    let e = eps_m.lock();
-    work
-}
-
-// Suppressed c2, fn form: the audited fn's acquisitions are excluded,
-// so the iota/kappa cycle never closes either.
-// vp-lint: allow(c2): fixture of an audited fn — its lock order is vouched cycle-free.
-fn order_iota(work: u64) -> u64 {
-    let i = iota_m.lock();
-    lock_kappa_side(work)
-}
-
-fn order_kappa(work: u64) -> u64 {
-    let k = kappa_m.lock();
-    lock_iota_side(work)
-}
-
-fn lock_kappa_side(work: u64) -> u64 {
-    let k = kappa_m.lock();
-    work
-}
-
-fn lock_iota_side(work: u64) -> u64 {
-    let i = iota_m.lock();
-    work
-}
-
-// c3: blocking calls while a `let`-bound guard is live.
-pub fn shard_guarded_waits(work: u64) -> u64 {
-    crate::exec::run_sharded(3);
-    hold_and_recv(work);
-    hold_and_join(work);
-    hold_briefly(work);
-    work
-}
-
-fn hold_and_recv(work: u64) -> u64 {
-    let guard = mu_one.lock();
-    let got = chan_one.recv();
-    work
-}
-
-fn hold_and_join(work: u64) -> u64 {
-    let guard = mu_two.lock();
-    let done = worker_two.join();
-    work
-}
-
-// Suppressed c3: the allow on the blocking line is consumed at index time.
-fn hold_briefly(work: u64) -> u64 {
-    let guard = mu_three.lock();
-    // vp-lint: allow(c3): fixture — the sender is vouched to have already queued a value.
-    let got = chan_three.recv();
-    work
-}
-
-// c4: results folded in channel-arrival order — once directly (`.merge(`
-// in the recv loop) and once through a helper chain that reaches a fn
-// named `merge`.
-pub fn shard_fold_results(work: u64) -> u64 {
-    crate::exec::run_sharded(5);
-    arrival_fold(work);
-    arrival_fold_deep(work);
-    allowed_fold(work);
-    work
-}
-
-fn arrival_fold(work: u64) -> u64 {
-    let mut more = true;
-    while more {
-        let got = chan_fold.recv();
-        acc_fold.merge(got);
-        more = false;
-    }
-    work
-}
-
-fn arrival_fold_deep(work: u64) -> u64 {
-    loop {
-        let got = chan_deep.recv();
-        apply_result(got);
-    }
-}
-
-fn apply_result(got: u64) -> u64 {
-    merge(got, 1)
-}
-
-fn merge(a: u64, b: u64) -> u64 {
-    a + b
-}
-
-// Suppressed c4: the allow on the receive is consumed at index time, so
-// the loop is never recorded as an arrival-order fold.
-fn allowed_fold(work: u64) -> u64 {
-    let mut more = true;
-    while more {
-        // vp-lint: allow(c4): fixture — this channel carries shard-id-tagged results refolded later.
-        let got = chan_ok.recv();
-        acc_ok.merge(got);
-        more = false;
-    }
-    work
-}
-
-// c5: thread primitives outside the blessed executor file (these fire
-// independently of the parallel region).
+// Threads.
 fn rogue_spawn(work: u64) -> u64 {
     let h = std::thread::spawn(move || work);
     drop(h);
@@ -231,10 +17,78 @@ fn rogue_scope(work: u64) -> u64 {
     work
 }
 
-// Suppressed c5.
 fn sanctioned_probe(work: u64) -> u64 {
     // vp-lint: allow(c5): fixture — a vouched one-off probe thread.
     let h = std::thread::spawn(move || work);
     drop(h);
     work
+}
+
+// Locks: the retired c2/c3 fixtures (lock-order cycles, blocking under a
+// guard) start by naming a lock type — which is now the whole finding.
+pub struct SharedTally {
+    total: std::sync::Mutex<u64>,
+}
+
+fn wait_for_turn(gate: &std::sync::Condvar) {
+    drop(gate);
+}
+
+pub struct VouchedTally {
+    // vp-lint: allow(c5): fixture — a vouched lock that never nests.
+    total: std::sync::RwLock<u64>,
+}
+
+// Atomics and mutable statics: the retired c1 fixture's `static mut`.
+static mut POOL_TOTAL: u64 = 0;
+
+fn bump(counter: &std::sync::atomic::AtomicU64) -> u64 {
+    counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+}
+
+// vp-lint: allow(c5): fixture — a vouched statistics counter that publishes no other data.
+static PROBES_SEEN: AtomicUsize = AtomicUsize::new(0);
+
+// Channels: the retired c4 fixture (an arrival-order fold) needs a
+// receiver, and a receiver needs `mpsc`.
+fn arrival_fold(work: u64) -> u64 {
+    let (tx, rx) = std::sync::mpsc::channel();
+    drop(tx);
+    let mut acc = work;
+    while let Ok(got) = rx.recv() {
+        acc = merge(acc, got);
+    }
+    acc
+}
+
+fn merge(a: u64, b: u64) -> u64 {
+    a + b
+}
+
+fn bounded_handoff() -> u64 {
+    let pair = mpsc::sync_channel::<u64>(1);
+    drop(pair);
+    0
+}
+
+fn vouched_handoff() -> u64 {
+    // vp-lint: allow(c5): fixture — this channel carries shard-id-tagged results refolded later.
+    let pair = mpsc::sync_channel::<u64>(1);
+    drop(pair);
+    0
+}
+
+// Thread-locals: per-thread state is shard-placement-dependent state.
+thread_local! {
+    static SCRATCH: u64 = 0;
+}
+
+thread_local!(static DEPTH: u64 = 0);
+
+// vp-lint: allow(c5): fixture — a vouched per-thread scratch buffer that never feeds a result.
+thread_local!(static VOUCHED: u64 = 0);
+
+// `&'static mut` is a lifetime, not a mutable static: must not fire.
+fn leak(slot: &'static mut u64) -> u64 {
+    *slot
 }

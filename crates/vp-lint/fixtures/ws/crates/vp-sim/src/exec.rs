@@ -1,11 +1,12 @@
 //! Fixture stand-in for the blessed shard executor. Its path matches
-//! `rules::BLESSED_EXECUTOR_FILE`, so (a) the `thread::spawn` below is
-//! exempt from rule c5, and (b) every fn in conc.rs that calls
-//! `run_sharded` becomes a parallel-region entry for rules c1–c4. This
-//! file is fixture input for the lint gate; it is never compiled.
+//! `rules::BLESSED_EXECUTOR_FILE`, so the `thread::spawn` and the channel
+//! below are exempt from rule c5 — the one file where concurrency
+//! primitives may be named. This file is fixture input for the lint
+//! gate; it is never compiled.
 
 pub fn run_sharded(shards: usize) -> usize {
-    let worker = std::thread::spawn(move || shards);
-    drop(worker);
+    let (tx, rx) = std::sync::mpsc::sync_channel::<usize>(1);
+    let worker = std::thread::spawn(move || tx.send(shards));
+    drop((worker, rx));
     shards
 }

@@ -1,6 +1,6 @@
 //! `vp-lint:` comment directives.
 //!
-//! Three forms are recognised anywhere in a comment:
+//! Two forms are recognised anywhere in a comment:
 //!
 //! * `vp-lint: allow(<rule>[, <rule>]*): <justification>` — suppresses the
 //!   listed rules on the annotated line. A trailing comment annotates its
@@ -13,10 +13,6 @@
 //!   proves the algebra; rule D3 verifies the named file actually exists in
 //!   the scanned set, so a marker cannot point at a deleted or misspelled
 //!   suite and still discharge the obligation.
-//! * `vp-lint: cold(fn): <justification>` — on (or directly above) a `fn`
-//!   definition line: marks the fn setup/teardown, excluding it (and the
-//!   subgraph only it reaches) from the hot-region closure the p-rules
-//!   police. The justification is mandatory, exactly like an allow's.
 //!
 //! Anything else after a `vp-lint:` marker is a malformed directive and is
 //! reported (unsuppressibly) so typos cannot silently disable a rule.
@@ -47,23 +43,12 @@ pub struct MergeMarker {
     pub suite: Option<String>,
 }
 
-/// A parsed `cold(fn)` marker (hot-region boundary, rules p1–p5).
-#[derive(Debug, Clone)]
-pub struct Cold {
-    /// 1-based line the directive comment itself starts on.
-    pub line: usize,
-    /// 1-based line the marker applies to (the fn definition line).
-    pub applies_to: usize,
-}
-
 /// Directives extracted from one file's comments.
 #[derive(Debug, Clone, Default)]
 pub struct Directives {
     pub allows: Vec<Allow>,
     /// `merge-tested(...)` markers, e.g. `CatchmentMap::merge`.
     pub merge_markers: Vec<MergeMarker>,
-    /// `cold(fn)` markers excluding setup/teardown fns from the hot region.
-    pub colds: Vec<Cold>,
     /// Malformed directives: (line, explanation).
     pub malformed: Vec<(usize, String)>,
 }
@@ -74,11 +59,6 @@ impl Directives {
         self.allows
             .iter()
             .any(|a| a.applies_to == line && a.rules.contains(&rule))
-    }
-
-    /// Whether a `cold(fn)` marker applies to `line`.
-    pub fn cold_on(&self, line: usize) -> bool {
-        self.colds.iter().any(|c| c.applies_to == line)
     }
 }
 
@@ -119,20 +99,12 @@ pub fn parse(comments: &[Comment]) -> Directives {
                     "merge-tested needs a (Type::merge[, suite=<file-stem>]) argument".into(),
                 )),
             }
-        } else if let Some(args) = rest.strip_prefix("cold") {
-            match parse_cold(args) {
-                Ok(()) => out.colds.push(Cold {
-                    line: c.line,
-                    applies_to: if c.trailing { c.line } else { c.line + 1 },
-                }),
-                Err(why) => out.malformed.push((c.line, why)),
-            }
         } else {
             out.malformed.push((
                 c.line,
                 format!(
-                    "unknown vp-lint directive `{}` (expected allow(...), \
-                     merge-tested(...) or cold(fn))",
+                    "unknown vp-lint directive `{}` (expected allow(...) or \
+                     merge-tested(...))",
                     rest.split_whitespace().next().unwrap_or("")
                 ),
             ));
@@ -170,28 +142,6 @@ fn parse_merge_marker(inner: &str, line: usize) -> Result<MergeMarker, String> {
         name: name.to_string(),
         suite,
     })
-}
-
-/// Parses `(fn): justification` — the only accepted `cold` payload, so a
-/// typo like `cold(Fn)` or a missing justification is malformed, not a
-/// silent no-op.
-fn parse_cold(args: &str) -> Result<(), String> {
-    let args_trimmed = args.trim_start();
-    let Some(inner) = parse_paren(args_trimmed) else {
-        return Err("cold needs a (fn) argument".into());
-    };
-    if inner.trim() != "fn" {
-        return Err(format!("unknown cold argument `{}` (expected fn)", inner.trim()));
-    }
-    let after = match args_trimmed.find(')') {
-        Some(i) => args_trimmed[i + 1..].trim_start(),
-        None => "",
-    };
-    let justification = after.strip_prefix(':').map(str::trim).unwrap_or("");
-    if justification.is_empty() {
-        return Err("cold(fn) needs a `: <one-line justification>`".into());
-    }
-    Ok(())
 }
 
 /// Extracts the content of a leading `( ... )` group, if present.

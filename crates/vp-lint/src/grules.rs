@@ -35,7 +35,7 @@ pub const POLICED_CRATES: [&str; 5] =
 
 /// How a node first reaches a sink/source (g1 and g2 share the machinery).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum Witness {
+enum Witness {
     /// The node's own token: (label, line, col).
     Local(String, usize, usize),
     /// Through a call to the node at this index.
@@ -43,18 +43,18 @@ pub(crate) enum Witness {
 }
 
 /// The result of one taint pass.
-pub(crate) struct Taint {
+struct Taint {
     /// Propagating witness per node index (None = clean or audited).
-    pub(crate) reach: Vec<Option<Witness>>,
+    reach: Vec<Option<Witness>>,
     /// Nodes that would be tainted ignoring their own audit — used both
     /// for findings (an audited entry is not a finding) and for marking
     /// the audit directive as live (g3).
-    pub(crate) would_reach: Vec<Option<Witness>>,
+    would_reach: Vec<Option<Witness>>,
 }
 
 /// Fixpoint taint propagation. `local` yields a node's own lowest
 /// sink/source as a witness, if any.
-pub(crate) fn propagate(g: &Graph, audited: impl Fn(usize) -> bool, local: impl Fn(usize) -> Option<Witness>) -> Taint {
+fn propagate(g: &Graph, audited: impl Fn(usize) -> bool, local: impl Fn(usize) -> Option<Witness>) -> Taint {
     let n = g.nodes.len();
     let mut reach: Vec<Option<Witness>> = Vec::with_capacity(n);
     let mut would: Vec<Option<Witness>> = vec![None; n];
@@ -112,7 +112,7 @@ pub(crate) fn propagate(g: &Graph, audited: impl Fn(usize) -> bool, local: impl 
 
 /// Reconstructs the witness path for node `i`: each step is
 /// `qualified (file:line)`, ending at the sink/source token.
-pub(crate) fn witness_path(g: &Graph, taint: &Taint, i: usize) -> Vec<String> {
+fn witness_path(g: &Graph, taint: &Taint, i: usize) -> Vec<String> {
     let mut path = Vec::new();
     let mut cur = i;
     // The entry step itself.

@@ -3,30 +3,28 @@
 //! PR 1 made bit-identical determinism the scan engine's contract; this
 //! crate turns that contract from "tested on one path" into "machine-checked
 //! on every path". It is a dependency-free static analyzer (hand-rolled
-//! lexer — the vendor-only environment has no `syn`) with two layers:
+//! lexer — the vendor-only environment has no `syn`) with two rule families
+//! over one lexed token stream:
 //!
 //! * **token rules** ([`rules`]): hash-order nondeterminism (d1), ambient
 //!   entropy (d2), untested merge algebra (d3), wall-time Clock impls
-//!   (d4), narrowing casts in hot crates (h1) and panicking unwraps in
-//!   library code (h2);
-//! * **graph rules** ([`index`] → [`graph`] → [`grules`]): an item index
-//!   and conservative call graph drive interprocedural panic-reachability
-//!   (g1) and nondeterminism-taint (g2) analyses over every policed
-//!   crate's public API, each finding carrying a witness call path; and
-//!   g3 flags every `allow(...)` that no longer suppresses anything;
-//! * **concurrency rules** ([`crules`]): the *parallel region* — every fn
-//!   reachable from a closure handed to the blessed shard executor — is
-//!   computed from the same call graph, then checked for shared mutable
-//!   state (c1), lock-order cycles (c2), blocking under a live guard
-//!   (c3) and arrival-order result folds (c4); c5 (a token rule) confines
-//!   `thread::spawn`/`scope` to the blessed executor module itself;
-//! * **hot-path cost rules** ([`prules`]): the *hot region* — every fn
-//!   reachable from the scan inner loops (prober walk, engine phases,
-//!   executor entries), minus `cold(fn)`-annotated setup/teardown — must
-//!   be free of per-probe heap allocation (p1), ordered-map lookups
-//!   where a dense column exists (p2), loop-invariant encode/checksum
-//!   recomputation (p3), dynamic dispatch (p4) and per-probe
-//!   error-message construction (p5).
+//!   (d4), narrowing casts in hot crates (h1), panicking unwraps in
+//!   library code (h2) and dynamic span names (o1);
+//! * **graph rules** (three layers: [`index`] → [`graph`] → [`grules`]): an
+//!   item index and conservative call graph drive interprocedural
+//!   panic-reachability (g1) and nondeterminism-taint (g2) analyses over
+//!   every policed crate's public API, each finding carrying a witness
+//!   call path; and g3 flags every `allow(...)` that no longer suppresses
+//!   anything.
+//!
+//! The concurrency contract is one token rule, c5: threads, locks,
+//! channels, atomics and thread-locals may be named only in the blessed
+//! executor module. The analyzer does not reason about how concurrency
+//! primitives are used — it makes them unwritable outside one file, and
+//! leaves what crosses that file's boundary to rustc's `Send`/`Sync`
+//! bounds and `#![forbid(unsafe_code)]`. Hot-path cost is likewise not
+//! inferred here: `tests/alloc_witness.rs` and the repo benchmark
+//! measure it (DESIGN.md §8, §14, §17).
 //!
 //! Ships three ways: the `cargo run -p vp-lint` CLI, the tier-1
 //! `tests/lint_gate.rs` integration test that fails the build on any
@@ -35,13 +33,13 @@
 //! Suppression: `// vp-lint: allow(<rule>): <justification>` on (or
 //! directly above) the offending line. The justification is mandatory.
 
-pub mod crules;
+#![forbid(unsafe_code)]
+
 pub mod directives;
 pub mod graph;
 pub mod grules;
 pub mod index;
 pub mod lexer;
-pub mod prules;
 pub mod rules;
 pub mod workspace;
 
@@ -142,8 +140,6 @@ fn pass_of(rule: RuleId) -> &'static str {
     match rule {
         RuleId::G1 | RuleId::G2 => "grules",
         RuleId::G3 => "g3",
-        RuleId::C1 | RuleId::C2 | RuleId::C3 | RuleId::C4 => "crules",
-        RuleId::P1 | RuleId::P2 | RuleId::P3 | RuleId::P4 | RuleId::P5 => "prules",
         // Token rules (d*, h*, c5, o1, directive) are all evaluated in the
         // per-file token pass.
         _ => "token",

@@ -4,8 +4,7 @@
 //! cargo run -p vp-lint -- --workspace [--format text|json]
 //! cargo run -p vp-lint -- [--root DIR] [--format text|json] PATH...
 //! cargo run -p vp-lint -- graph [--dot] [--root DIR]
-//! cargo run -p vp-lint -- hotpath [--report] [--dot] [--root DIR]
-//! cargo run -p vp-lint -- bench [--reps N] [--budget-ms M | --budget-per-rule-ms M] [--root DIR]
+//! cargo run -p vp-lint -- bench [--reps N] [--budget-per-rule-ms M] [--root DIR]
 //! ```
 //!
 //! Exit status: 0 clean, 1 findings (or bench over budget), 2 usage or
@@ -22,7 +21,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
         Some("graph") => run_graph(&args[1..]),
-        Some("hotpath") => run_hotpath(&args[1..]),
         Some("bench") => run_bench(&args[1..]),
         _ => run(&args),
     };
@@ -69,53 +67,15 @@ fn run_graph(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// `vp-lint hotpath [--report] [--dot] [--root DIR]` — the hot-region
-/// analysis on its own: p1–p5 findings (exit 1 when any fire), with
-/// `--report` the region roster + per-fn fact table, with `--dot` the
-/// hot subgraph in Graphviz form.
-fn run_hotpath(args: &[String]) -> Result<ExitCode, String> {
-    let mut report = false;
-    let mut dot = false;
-    let mut root: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--report" => report = true,
-            "--dot" => dot = true,
-            "--root" => root = Some(PathBuf::from(it.next().ok_or("--root needs a directory")?)),
-            other => return Err(format!("unknown hotpath flag `{other}`")),
-        }
-    }
-    let root = resolve_root(root)?;
-    let g = vp_lint::build_graph(&root).map_err(|e| format!("hotpath: {e}"))?;
-    use std::io::Write;
-    if dot {
-        // Ignore EPIPE, exactly like `graph --dot | head`.
-        let _ = std::io::stdout().write_all(vp_lint::prules::to_dot(&g).as_bytes());
-        return Ok(ExitCode::SUCCESS);
-    }
-    if report {
-        let _ = std::io::stdout().write_all(vp_lint::prules::report(&g).as_bytes());
-    }
-    let (findings, _) = vp_lint::prules::evaluate(&g);
-    print!("{}", vp_lint::to_text(&findings));
-    Ok(if findings.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
-}
-
-/// `vp-lint bench [--reps N] [--budget-ms M | --budget-per-rule-ms M]
-/// [--root DIR]` — time the full workspace scan (min of N reps, the
-/// same estimator `vp-bench` uses) and fail when it exceeds the budget.
-/// `--budget-per-rule-ms` scales the budget with [`RuleId::ALL`], so
-/// adding a rule grows the allowance instead of silently eating the
-/// remaining headroom of a hard constant. Keeps the analyzer fast
-/// enough to stay inside tier-1.
+/// `vp-lint bench [--reps N] [--budget-per-rule-ms M] [--root DIR]` —
+/// time the full workspace scan (min of N reps, the same estimator
+/// `vp-bench` uses) and fail when it exceeds the budget. The budget
+/// scales with [`RuleId::ALL`], so adding a rule grows the allowance
+/// instead of silently eating the remaining headroom of a hard constant.
+/// Keeps the analyzer fast enough to stay inside tier-1.
 fn run_bench(args: &[String]) -> Result<ExitCode, String> {
     let mut reps: u32 = 5;
-    let mut budget_ms: u128 = 2000;
+    let mut budget_per_rule_ms: u128 = 135;
     let mut root: Option<PathBuf> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -127,20 +87,12 @@ fn run_bench(args: &[String]) -> Result<ExitCode, String> {
                     .parse()
                     .map_err(|e| format!("--reps: {e}"))?;
             }
-            "--budget-ms" => {
-                budget_ms = it
-                    .next()
-                    .ok_or("--budget-ms needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--budget-ms: {e}"))?;
-            }
             "--budget-per-rule-ms" => {
-                let per: u128 = it
+                budget_per_rule_ms = it
                     .next()
                     .ok_or("--budget-per-rule-ms needs a value")?
                     .parse()
                     .map_err(|e| format!("--budget-per-rule-ms: {e}"))?;
-                budget_ms = per * vp_lint::RuleId::ALL.len() as u128;
             }
             "--root" => root = Some(PathBuf::from(it.next().ok_or("--root needs a directory")?)),
             other => return Err(format!("unknown bench flag `{other}`")),
@@ -149,6 +101,7 @@ fn run_bench(args: &[String]) -> Result<ExitCode, String> {
     if reps == 0 {
         return Err("--reps must be at least 1".into());
     }
+    let budget_ms = budget_per_rule_ms * vp_lint::RuleId::ALL.len() as u128;
     let root = resolve_root(root)?;
     let mut best_ms = u128::MAX;
     let mut findings = 0usize;
@@ -199,26 +152,17 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                      USAGE:\n  vp-lint --workspace [--root DIR] [--format text|json]\n  \
                      vp-lint [--root DIR] [--format text|json] PATH...\n  \
                      vp-lint graph [--dot] [--root DIR]\n  \
-                     vp-lint hotpath [--report] [--dot] [--root DIR]\n  \
-                     vp-lint bench [--reps N] [--budget-ms M | --budget-per-rule-ms M] [--root DIR]\n\n\
+                     vp-lint bench [--reps N] [--budget-per-rule-ms M] [--root DIR]\n\n\
                      Token rules: d1 hash-order, d2 ambient entropy, d3 merge-tested,\n\
                      d4 wall-time Clock impls outside binaries/vp-bench,\n\
                      h1 narrowing casts (hot crates), h2 unwrap/expect in libraries,\n\
-                     c5 thread::spawn/scope outside the blessed executor.\n\
+                     o1 dynamic span/event names,\n\
+                     c5 concurrency primitives (threads, locks, channels, atomics,\n\
+                     thread-locals) named outside the blessed executor.\n\
                      Graph rules: g1 panic-reachability and g2 nondeterminism taint\n\
                      over the public API of policed crates (with witness paths),\n\
                      g3 stale allow directives.\n\
-                     Concurrency rules (over the parallel region rooted at the\n\
-                     blessed executor): c1 shared mutable state, c2 lock-order\n\
-                     cycles, c3 blocking under a live guard, c4 arrival-order\n\
-                     result folds.\n\
-                     Hot-path rules (over the hot region rooted at the scan inner\n\
-                     loops, minus cold(fn) setup/teardown): p1 per-probe heap\n\
-                     allocation, p2 ordered-map lookups, p3 loop-invariant\n\
-                     encode/checksum calls, p4 dynamic dispatch, p5 per-probe\n\
-                     error construction.\n\
-                     Suppress with `// vp-lint: allow(<rule>): <justification>`;\n\
-                     mark setup/teardown with `// vp-lint: cold(fn): <why>`."
+                     Suppress with `// vp-lint: allow(<rule>): <justification>`."
                 );
                 return Ok(ExitCode::SUCCESS);
             }

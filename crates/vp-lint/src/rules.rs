@@ -8,18 +8,18 @@
 //! | d4  | wall-time `Clock` impls belong in binaries or `vp-bench`: a library file that implements the `Clock` trait must not read `Instant`/`SystemTime` |
 //! | h1  | no narrowing `as` casts in the hot crates (`vp-sim`, `verfploeter`, `vp-hitlist`) |
 //! | h2  | no `unwrap()`/`expect()` in library (non-test, non-bin) code |
-//! | c5  | `std::thread::spawn`/`thread::scope` only inside the blessed executor module (`crates/vp-sim/src/exec.rs`) — every other thread must go through `ShardExecutor` |
+//! | c5  | concurrency primitives — `thread::spawn`/`scope`/`Builder`, locks and condvars, channels (`mpsc`), atomics, `static mut` and `thread_local!` — may be named only inside the blessed executor module (`crates/vp-sim/src/exec.rs`); everything else runs parallel work through `ShardExecutor` |
 //! | o1  | span/event names passed to `.span(`/`.event(`/`.record_span(`/`.record_interval(` must be string literals — dynamic names create unbounded metric cardinality and nondeterministic reports (applies in binaries too) |
 //! | directive | malformed `vp-lint:` directive (never suppressible) |
 //!
-//! c1–c4 (the rest of the concurrency-safety layer) are interprocedural
-//! and live in [`crate::crules`]; c5 is token-level, like d4, because
-//! "who spawns" is a per-file fact that needs no graph. p1–p5 (the
-//! hot-path cost rules) are interprocedural too and live in
-//! [`crate::prules`]: they police the *hot region* — everything
-//! reachable from the scan inner loops — for per-probe heap allocation
-//! (p1), per-probe map lookups (p2), loop-invariant recomputation (p3),
-//! dynamic dispatch (p4) and per-probe error/string construction (p5).
+//! c5 is the whole concurrency layer: it does not analyse how a lock,
+//! channel or atomic is used, it makes them unwritable outside one
+//! audited file. What crosses the executor boundary is then rustc's
+//! business (`Send`/`Sync` bounds on `ShardExecutor::run_sharded_timed`,
+//! `#![forbid(unsafe_code)]` on every library crate), and what the hot
+//! path costs is measured, not inferred (`tests/alloc_witness.rs`, the
+//! repo benchmark) — DESIGN.md §8 maps each retired rule id (c1–c4,
+//! p1–p5) to the mechanism that now holds its property.
 //!
 //! Matching happens on masked tokens (see [`crate::lexer`]), so literals
 //! and comments can never trigger a rule. Test scope — files under
@@ -41,17 +41,8 @@ pub enum RuleId {
     G1,
     G2,
     G3,
-    C1,
-    C2,
-    C3,
-    C4,
     C5,
     O1,
-    P1,
-    P2,
-    P3,
-    P4,
-    P5,
     Directive,
 }
 
@@ -60,7 +51,7 @@ impl RuleId {
     /// table is what `vp-lint bench --budget-per-rule-ms` scales by, so a
     /// new rule automatically widens the CI budget instead of silently
     /// eating the old one.
-    pub const ALL: [RuleId; 21] = [
+    pub const ALL: [RuleId; 12] = [
         RuleId::D1,
         RuleId::D2,
         RuleId::D3,
@@ -70,17 +61,8 @@ impl RuleId {
         RuleId::G1,
         RuleId::G2,
         RuleId::G3,
-        RuleId::C1,
-        RuleId::C2,
-        RuleId::C3,
-        RuleId::C4,
         RuleId::C5,
         RuleId::O1,
-        RuleId::P1,
-        RuleId::P2,
-        RuleId::P3,
-        RuleId::P4,
-        RuleId::P5,
         RuleId::Directive,
     ];
 
@@ -95,17 +77,8 @@ impl RuleId {
             RuleId::G1 => "g1",
             RuleId::G2 => "g2",
             RuleId::G3 => "g3",
-            RuleId::C1 => "c1",
-            RuleId::C2 => "c2",
-            RuleId::C3 => "c3",
-            RuleId::C4 => "c4",
             RuleId::C5 => "c5",
             RuleId::O1 => "o1",
-            RuleId::P1 => "p1",
-            RuleId::P2 => "p2",
-            RuleId::P3 => "p3",
-            RuleId::P4 => "p4",
-            RuleId::P5 => "p5",
             RuleId::Directive => "directive",
         }
     }
@@ -121,17 +94,8 @@ impl RuleId {
             "g1" => Some(RuleId::G1),
             "g2" => Some(RuleId::G2),
             "g3" => Some(RuleId::G3),
-            "c1" => Some(RuleId::C1),
-            "c2" => Some(RuleId::C2),
-            "c3" => Some(RuleId::C3),
-            "c4" => Some(RuleId::C4),
             "c5" => Some(RuleId::C5),
             "o1" => Some(RuleId::O1),
-            "p1" => Some(RuleId::P1),
-            "p2" => Some(RuleId::P2),
-            "p3" => Some(RuleId::P3),
-            "p4" => Some(RuleId::P4),
-            "p5" => Some(RuleId::P5),
             "directive" => Some(RuleId::Directive),
             _ => None,
         }
@@ -192,11 +156,9 @@ impl FileContext {
     }
 }
 
-/// The one file allowed to spawn OS threads (rule c5) and the anchor of
-/// the parallel-region computation (rules c1–c4 in [`crate::crules`]):
-/// any fn with a call edge into this file is treated as handing closures
-/// to the executor. The same path works for the seeded fixture workspace,
-/// whose fake executor lives at the same relative location.
+/// The one file allowed to name a concurrency primitive (rule c5). The
+/// same path works for the seeded fixture workspace, whose fake executor
+/// lives at the same relative location.
 pub const BLESSED_EXECUTOR_FILE: &str = "crates/vp-sim/src/exec.rs";
 
 /// Crates whose narrowing casts H1 polices.
@@ -372,6 +334,39 @@ fn annotate(tokens: &[Token]) -> Annotations {
     }
 
     Annotations { in_test, impl_type }
+}
+
+/// The concurrency primitive named at token `i`, if any (rule c5). Purely
+/// lexical: `thread::spawn`/`scope`/`Builder` by path shape (which also
+/// catches an aliased `use std::thread`, but not a renamed module import —
+/// that is what code review is for), everything else by the type, module
+/// or macro name no use of the primitive can avoid spelling.
+fn confined_primitive(tokens: &[Token], i: usize) -> Option<String> {
+    let id = tokens[i].ident()?;
+    let after = |prev: &str| {
+        i >= 3
+            && tokens[i - 1].is_punct(':')
+            && tokens[i - 2].is_punct(':')
+            && tokens[i - 3].ident() == Some(prev)
+    };
+    match id {
+        "spawn" | "scope" | "Builder" if after("thread") => Some(format!("thread::{id}")),
+        "Mutex" | "RwLock" | "Condvar" | "Barrier" | "OnceLock" | "LazyLock" | "mpsc" => {
+            Some(id.to_string())
+        }
+        // `&'static mut T` is a lifetime, not a mutable static.
+        "static"
+            if tokens.get(i + 1).and_then(Token::ident) == Some("mut")
+                && !(i > 0 && tokens[i - 1].is_punct('\'')) =>
+        {
+            Some("static mut".to_string())
+        }
+        "thread_local" if tokens.get(i + 1).is_some_and(|n| n.is_punct('!')) => {
+            Some("thread_local!".to_string())
+        }
+        _ if id.starts_with("Atomic") => Some(id.to_string()),
+        _ => None,
+    }
 }
 
 /// Lowercases and strips underscores (for loose test-name matching).
@@ -568,32 +563,23 @@ pub fn scan_tokens(ctx: &FileContext, tokens: &[Token], dirs: &Directives) -> Fi
             }
         }
 
-        // c5 — OS threads outside the blessed executor module. Detection
-        // is the `thread :: spawn` / `thread :: scope` path shape, which
-        // catches `std::thread::spawn`, `thread::scope` and any aliased
-        // `use std::thread` — but not a renamed module import, which is
-        // what code review is for.
-        if !ctx.is_bin
-            && ctx.rel_path != BLESSED_EXECUTOR_FILE
-            && matches!(t.ident(), Some("spawn") | Some("scope"))
-            && i >= 3
-            && tokens[i - 1].is_punct(':')
-            && tokens[i - 2].is_punct(':')
-            && tokens[i - 3].ident() == Some("thread")
-        {
-            push(
-                dirs,
-                &mut out,
-                RuleId::C5,
-                t.line,
-                t.col,
-                format!(
-                    "thread::{} outside the blessed executor module: spawn work \
-                     through vp_sim::exec::ShardExecutor ({BLESSED_EXECUTOR_FILE}) \
-                     so the shard-id-ordered merge discipline holds",
-                    t.ident().unwrap_or_default(),
-                ),
-            );
+        // c5 — concurrency primitives outside the blessed executor module.
+        if !ctx.is_bin && ctx.rel_path != BLESSED_EXECUTOR_FILE {
+            if let Some(what) = confined_primitive(tokens, i) {
+                push(
+                    dirs,
+                    &mut out,
+                    RuleId::C5,
+                    t.line,
+                    t.col,
+                    format!(
+                        "{what} outside the blessed executor module: threads, locks, \
+                         channels, atomics and thread-locals are confined to \
+                         {BLESSED_EXECUTOR_FILE}; run parallel work through \
+                         vp_sim::exec::ShardExecutor, which merges in shard-id order"
+                    ),
+                );
+            }
         }
 
         // o1 — span/event names must be string literals. The lexer blanks

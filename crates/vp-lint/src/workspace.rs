@@ -1,6 +1,6 @@
 //! Workspace file discovery and the cross-file scan.
 //!
-//! This is the driver that ties the two analysis layers together. Every
+//! This is the driver that ties the analysis layers together. Every
 //! file is lexed exactly once; the token stream feeds both the token
 //! rules ([`crate::rules`]) and the graph engine
 //! ([`crate::index`] → [`crate::graph`] → [`crate::grules`]). After both
@@ -12,13 +12,11 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::crules;
 use crate::directives::{self, Allow};
 use crate::graph::{CrateDeps, Graph};
 use crate::grules::{self, Visibility};
 use crate::index::{self, FileIndex};
 use crate::lexer;
-use crate::prules;
 use crate::rules::{self, FileContext, Finding, RuleId};
 
 /// Wall-time per analysis pass, in milliseconds: `(pass name, ms)`. The
@@ -181,8 +179,8 @@ pub fn build_graph(root: &Path) -> io::Result<Graph> {
 }
 
 /// Scans a set of files as one workspace rooted at `root`: token rules
-/// per file, d3 across files, g1/g2, c1–c4 and p1–p5 over the call
-/// graph, then g3 over the allow directives. Findings come back sorted.
+/// per file, d3 across files, g1/g2 over the call graph, then g3 over
+/// the allow directives. Findings come back sorted.
 pub fn scan_files(root: &Path, files: &[PathBuf]) -> io::Result<Vec<Finding>> {
     scan_files_timed(root, files, &|| 0).map(|(findings, _)| findings)
 }
@@ -265,22 +263,6 @@ pub fn scan_files_timed(
     let t3 = clock();
     times.push(("grules", t3 - t2));
 
-    let (c_findings, c_used) = crules::evaluate(&graph, &indexes);
-    findings.extend(c_findings);
-    for (file, line, rule) in c_used {
-        used.insert((file, line, rule));
-    }
-    let t4 = clock();
-    times.push(("crules", t4 - t3));
-
-    let (p_findings, p_used) = prules::evaluate(&graph);
-    findings.extend(p_findings);
-    for (file, line, rule) in p_used {
-        used.insert((file, line, rule));
-    }
-    let t5 = clock();
-    times.push(("prules", t5 - t4));
-
     // g3 — a directive is live iff at least one of its rules suppressed
     // something on its target line. Stale allows are unsuppressible
     // findings (an allow(g3) would be a suppression that suppresses its
@@ -311,7 +293,7 @@ pub fn scan_files_timed(
     findings.sort_by(|a, b| {
         (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule))
     });
-    times.push(("g3", clock() - t5));
+    times.push(("g3", clock() - t3));
     Ok((findings, times))
 }
 

@@ -714,206 +714,104 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Concurrency layer: the parallel region and rules c1–c5.
+// Concurrency: rule c5 confines the primitives to the blessed executor.
 // ---------------------------------------------------------------------
 
-/// The blessed-executor stand-in used to root a parallel region.
-const BLESSED: (&str, &str) = (
-    "crates/vp-sim/src/exec.rs",
-    "pub fn run_sharded(n: usize) -> usize { n }\n",
-);
-
-/// Runs the c-rules over (rel_path, source) files with no dependency
-/// information, returning findings plus fn-level allow usages.
-fn c_eval(files: &[(&str, &str)]) -> (Vec<vp_lint::Finding>, Vec<(String, usize, RuleId)>) {
-    let indexes: Vec<_> = files.iter().map(|(r, s)| index_src(r, s)).collect();
-    let graph = Graph::build(&indexes, &CrateDeps::new());
-    vp_lint::crules::evaluate(&graph, &indexes)
-}
-
+/// Every confined family fires by name alone — twice per family — and is
+/// silent inside the blessed executor file, under a justified allow, and
+/// in test scope.
 #[test]
-fn c_rules_only_fire_inside_a_parallel_region() {
-    // Hazard, locks and a recv loop — but nothing calls the executor,
-    // so there is no region and nothing fires.
-    let (findings, used) = c_eval(&[(
-        "crates/vp-sim/src/scan.rs",
-        "pub fn api() -> u64 { worker() }\n\
-         fn worker() -> u64 { let c = std::cell::RefCell::new(0); drop(c); 0 }\n\
-         fn guarded() { let g = mu.lock(); let r = rx.recv(); drop(r); }\n",
-    )]);
-    assert!(findings.is_empty(), "{}", vp_lint::to_text(&findings));
-    assert!(used.is_empty());
-}
-
-#[test]
-fn c1_reports_hazard_at_region_entry_with_witness() {
-    let (findings, _) = c_eval(&[
-        BLESSED,
+fn c5_confines_every_primitive_family_to_the_blessed_executor() {
+    let families: [(&str, [&str; 2], &str); 5] = [
         (
-            "crates/vp-sim/src/scan.rs",
-            "pub fn entry() -> u64 { crate::exec::run_sharded(4); worker() }\n\
-             fn worker() -> u64 { let c = std::cell::RefCell::new(0); drop(c); 0 }\n",
+            "thread",
+            [
+                "fn f() { std::thread::spawn(|| ()); }",
+                "fn f() { std::thread::scope(|s| drop(s)); }",
+            ],
+            "std::thread::Builder::new();",
         ),
-    ]);
-    assert_eq!(findings.len(), 1, "{}", vp_lint::to_text(&findings));
-    let f = &findings[0];
-    assert_eq!(f.rule, RuleId::C1);
-    assert_eq!(f.file, "crates/vp-sim/src/scan.rs");
-    assert!(f.witness[0].contains("entry"), "witness: {:?}", f.witness);
-    assert!(f.witness.last().expect("witness").contains("RefCell"));
-}
-
-#[test]
-fn c1_static_mut_fires_when_file_joins_the_region() {
-    let (findings, _) = c_eval(&[
-        BLESSED,
         (
-            "crates/vp-sim/src/scan.rs",
-            "static mut TOTAL: u64 = 0;\n\
-             pub fn entry() -> usize { crate::exec::run_sharded(4) }\n",
+            "lock",
+            [
+                "struct S { m: std::sync::Mutex<u64> }",
+                "fn f(c: &Condvar, l: &RwLock<u8>) {}",
+            ],
+            "let once: OnceLock<u8> = OnceLock::new();",
         ),
-    ]);
-    assert_eq!(findings.len(), 1, "{}", vp_lint::to_text(&findings));
-    assert_eq!(findings[0].rule, RuleId::C1);
-    assert!(findings[0].message.contains("static mut TOTAL"));
-}
-
-#[test]
-fn c1_line_allow_and_fn_audit_suppress() {
-    // Line allow at the hazard site: consumed at index time.
-    let (findings, _) = c_eval(&[
-        BLESSED,
         (
-            "crates/vp-sim/src/scan.rs",
-            "pub fn entry() -> u64 { crate::exec::run_sharded(4); worker() }\n\
-             fn worker() -> u64 {\n\
-                 // vp-lint: allow(c1): thread-confined.\n\
-                 let c = std::cell::RefCell::new(0);\n\
-                 drop(c); 0\n\
-             }\n",
+            "atomic/static",
+            [
+                "fn f(a: &std::sync::atomic::AtomicU64) {}",
+                "static mut TOTAL: u64 = 0;",
+            ],
+            "static HITS: AtomicUsize = AtomicUsize::new(0);",
         ),
-    ]);
-    assert!(findings.is_empty(), "{}", vp_lint::to_text(&findings));
-    // Fn-level audit on the entry: suppressed, and the allow is used.
-    let (findings, used) = c_eval(&[
-        BLESSED,
         (
-            "crates/vp-sim/src/scan.rs",
-            "// vp-lint: allow(c1): state below is vouched thread-confined.\n\
-             pub fn entry() -> u64 { crate::exec::run_sharded(4); worker() }\n\
-             fn worker() -> u64 { let c = std::cell::RefCell::new(0); drop(c); 0 }\n",
+            "channel",
+            [
+                "fn f() { let (tx, rx) = std::sync::mpsc::channel::<u8>(); }",
+                "use std::sync::mpsc::{sync_channel, Receiver};",
+            ],
+            "let pair = mpsc::sync_channel::<u8>(1);",
         ),
-    ]);
-    assert!(findings.is_empty(), "{}", vp_lint::to_text(&findings));
-    assert!(used.contains(&("crates/vp-sim/src/scan.rs".to_string(), 2, RuleId::C1)));
-}
-
-#[test]
-fn c2_reports_lock_order_cycle_once() {
-    let (findings, _) = c_eval(&[
-        BLESSED,
         (
-            "crates/vp-sim/src/scan.rs",
-            "pub fn entry() { crate::exec::run_sharded(2); ab(); ba(); }\n\
-             fn ab() { let a = ma.lock(); let b = mb.lock(); }\n\
-             fn ba() { let b = mb.lock(); let a = ma.lock(); }\n",
+            "thread_local!",
+            [
+                "thread_local! { static X: u8 = 0; }",
+                "thread_local!(static Y: u8 = 0);",
+            ],
+            "thread_local!(static Z: u8 = 0);",
         ),
-    ]);
-    let c2: Vec<_> = findings.iter().filter(|f| f.rule == RuleId::C2).collect();
-    assert_eq!(c2.len(), 1, "{}", vp_lint::to_text(&findings));
-    assert!(c2[0].message.contains("ma") && c2[0].message.contains("mb"));
-    // The nested acquisitions are also c3 blocking-under-guard sites.
-    assert_eq!(findings.iter().filter(|f| f.rule == RuleId::C3).count(), 2);
-}
-
-#[test]
-fn c2_interprocedural_cycle_and_fn_audit() {
-    let files = |audit: &str| {
-        [
-            BLESSED,
-            (
-                "crates/vp-sim/src/scan.rs",
-                Box::leak(
-                    format!(
-                        "pub fn entry() {{ crate::exec::run_sharded(2); og(); od(); }}\n\
-                         {audit}fn og() {{\n    let g = mg.lock();\n    hd();\n}}\n\
-                         fn od() {{ let d = md.lock(); hg(); }}\n\
-                         fn hd() {{ let d = md.lock(); drop(d); }}\n\
-                         fn hg() {{ let g = mg.lock(); drop(g); }}\n"
-                    )
-                    .into_boxed_str(),
-                ) as &str,
-            ),
-        ]
-    };
-    // The gamma/delta cycle closes through the helpers' transitive locks.
-    let (findings, _) = c_eval(&files(""));
-    assert_eq!(
-        findings.iter().filter(|f| f.rule == RuleId::C2).count(),
-        1,
-        "{}",
-        vp_lint::to_text(&findings)
-    );
-    // Auditing one side removes its acquisitions and opens the cycle.
-    let (findings, used) =
-        c_eval(&files("// vp-lint: allow(c2): vouched cycle-free.\n"));
-    assert!(
-        !findings.iter().any(|f| f.rule == RuleId::C2),
-        "{}",
-        vp_lint::to_text(&findings)
-    );
-    assert!(used.iter().any(|(_, _, r)| *r == RuleId::C2));
-}
-
-#[test]
-fn c3_blocking_under_live_guard_fires_in_region() {
-    let (findings, _) = c_eval(&[
-        BLESSED,
-        (
-            "crates/vp-sim/src/scan.rs",
-            "pub fn entry() { crate::exec::run_sharded(2); waiter(); }\n\
-             fn waiter() { let g = mu.lock(); let r = rx.recv(); drop(r); }\n",
-        ),
-    ]);
-    assert_eq!(findings.len(), 1, "{}", vp_lint::to_text(&findings));
-    assert_eq!(findings[0].rule, RuleId::C3);
-    assert!(findings[0].message.contains("mu"));
-}
-
-#[test]
-fn c4_arrival_order_folds_direct_and_through_calls() {
-    let (findings, _) = c_eval(&[
-        BLESSED,
-        (
-            "crates/vp-sim/src/scan.rs",
-            "pub fn entry() { crate::exec::run_sharded(2); fold(); deep(); }\n\
-             fn fold() { loop { let r = rx.recv(); acc.merge(r); } }\n\
-             fn deep() { loop { let r = rx.recv(); apply(r); } }\n\
-             fn apply(r: u64) -> u64 { merge(r, 1) }\n\
-             fn merge(a: u64, b: u64) -> u64 { a + b }\n",
-        ),
-    ]);
-    let c4: Vec<_> = findings.iter().filter(|f| f.rule == RuleId::C4).collect();
-    assert_eq!(c4.len(), 2, "{}", vp_lint::to_text(&findings));
-    // The interprocedural finding's witness walks recv -> apply -> merge.
-    let deep = c4.iter().find(|f| f.message.contains("apply")).expect("deep c4");
-    assert!(deep.witness.iter().any(|w| w.contains("merge")));
-}
-
-#[test]
-fn c5_thread_primitives_fire_outside_blessed_executor() {
-    assert!(fired("fn f() { std::thread::spawn(|| ()); }").contains(&RuleId::C5));
-    assert!(fired("fn f() { std::thread::scope(|s| drop(s)); }").contains(&RuleId::C5));
-    // The blessed executor file itself is exempt.
+    ];
     let blessed = FileContext::from_rel_path("crates/vp-sim/src/exec.rs");
-    assert!(rules::scan_file(&blessed, "fn f() { std::thread::spawn(|| ()); }")
-        .findings
-        .is_empty());
-    // allow(c5) suppresses and counts as used (g3 stays quiet).
-    let scan = rules::scan_file(
-        &FileContext::from_rel_path("crates/vp-sim/src/lib.rs"),
-        "fn f() {\n    // vp-lint: allow(c5): test probe.\n    std::thread::spawn(|| ());\n}\n",
-    );
-    assert!(scan.findings.is_empty(), "{}", vp_lint::to_text(&scan.findings));
-    assert!(scan.used_allows.iter().any(|(_, r)| *r == RuleId::C5));
+    let lib = FileContext::from_rel_path("crates/vp-sim/src/lib.rs");
+    for (family, violations, audited) in families {
+        for src in violations {
+            assert!(fired(src).contains(&RuleId::C5), "{family}: `{src}` must fire c5");
+            // The blessed executor file itself is exempt.
+            assert!(
+                rules::scan_file(&blessed, src).findings.is_empty(),
+                "{family}: `{src}` is legal in the blessed executor"
+            );
+            // So is test scope.
+            let in_test = format!("#[cfg(test)]\nmod tests {{ {src} }}\n");
+            assert!(!fired(&in_test).contains(&RuleId::C5), "{family}: test scope is exempt");
+        }
+        // allow(c5) suppresses and counts as used (g3 stays quiet).
+        let src = format!("fn f() {{\n    // vp-lint: allow(c5): test audit.\n    {audited}\n}}\n");
+        let scan = rules::scan_file(&lib, &src);
+        assert!(scan.findings.is_empty(), "{family}: {}", vp_lint::to_text(&scan.findings));
+        assert!(scan.used_allows.iter().any(|(_, r)| *r == RuleId::C5), "{family}: allow is live");
+    }
+}
+
+/// What c5 must *not* confine: the words in prose and literals, a
+/// `'static mut` borrow, host introspection, and single-threaded cells
+/// (`Rc`/`RefCell` are `!Send` — rustc keeps them off the executor).
+#[test]
+fn c5_leaves_lifetimes_cells_and_host_queries_alone() {
+    for src in [
+        "fn f(x: &'static mut u64) -> u64 { *x }",
+        "fn f() -> usize { std::thread::available_parallelism().map_or(1, |n| n.get()) }",
+        "fn f() { let c = std::rc::Rc::new(std::cell::RefCell::new(0)); drop(c); }",
+        "static TABLE: [u8; 2] = [0, 1];",
+        "fn f() -> &'static str { \"Mutex mpsc thread_local! AtomicU64\" } // Condvar",
+    ] {
+        assert!(!fired(src).contains(&RuleId::C5), "`{src}` must not fire c5");
+    }
+}
+
+/// The retired rule ids are gone from the directive grammar too: an
+/// `allow(c1)` or a `cold(fn)` left behind is a malformed directive, not a
+/// silent no-op.
+#[test]
+fn retired_rule_ids_and_cold_directive_are_malformed() {
+    assert_eq!(RuleId::ALL.len(), 12);
+    for id in ["c1", "c2", "c3", "c4", "p1", "p2", "p3", "p4", "p5"] {
+        assert_eq!(RuleId::from_name(id), None);
+        let src = format!("// vp-lint: allow({id}): stale audit.\nfn f() {{}}\n");
+        assert!(fired(&src).contains(&RuleId::Directive), "allow({id}) must be malformed");
+    }
+    assert!(fired("// vp-lint: cold(fn): setup.\nfn f() {}\n").contains(&RuleId::Directive));
 }

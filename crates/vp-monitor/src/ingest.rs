@@ -47,6 +47,19 @@ pub fn list_round_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
     Ok(names.into_iter().map(|n| dir.join(n)).collect())
 }
 
+/// Publishes `text` at `path` for readers that may poll it: written under
+/// a sibling name no reader lists (`.<name>.tmp` — not `r*.json` for
+/// [`list_round_files`], not `*.json` for `validate`) and renamed into
+/// place, so a poller sees the previous whole file or the new whole file.
+/// Every writer of a document a reader may poll goes through here. The
+/// rename orders the file for readers; it is not a durability barrier.
+pub fn write_atomic(path: &Path, text: &str) -> Result<(), String> {
+    let name = path.file_name().unwrap_or_default().to_string_lossy();
+    let tmp = path.with_file_name(format!(".{name}.tmp"));
+    std::fs::write(&tmp, text).map_err(|e| format!("write {}: {e}", tmp.display()))?;
+    std::fs::rename(&tmp, path).map_err(|e| format!("rename to {}: {e}", path.display()))
+}
+
 /// Loads one catchment-snapshot round file.
 pub fn load_round_file(path: &Path) -> Result<CatchmentMap, String> {
     let text = std::fs::read_to_string(path)

@@ -46,6 +46,7 @@
 //! `check-bench`, `validate`, `profile`.
 
 #![deny(unused_must_use)]
+#![forbid(unsafe_code)]
 
 pub mod alert;
 pub mod bench;

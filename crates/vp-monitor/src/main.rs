@@ -42,6 +42,7 @@ use vp_monitor::bench::{build_baseline_doc, check_bench_scaled, parse_baseline, 
 use vp_monitor::diff::Origins;
 use vp_monitor::ingest::{
     list_round_files, load_obs_report, load_origins_sidecar, load_round_file, load_rounds_dir,
+    write_atomic,
 };
 use vp_monitor::pipeline::run_diff_pipeline;
 use vp_monitor::profile::{parse_flight_doc, render_report};
@@ -186,8 +187,7 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
             let path = dir.join(name);
             let text = serde_json::to_string_pretty(doc)
                 .map_err(|e| format!("serialize {name}: {e}"))?;
-            std::fs::write(&path, text)
-                .map_err(|e| format!("write {}: {e}", path.display()))?;
+            write_atomic(&path, &text)?;
             println!("wrote {}", path.display());
         }
     }
@@ -327,7 +327,7 @@ fn cmd_check_bench(args: &[String]) -> Result<ExitCode, String> {
         let doc = build_baseline_doc(&baseline_doc, Some(&current_doc));
         let text =
             serde_json::to_string_pretty(&doc).map_err(|e| format!("serialize baseline: {e}"))?;
-        std::fs::write(&path, text).map_err(|e| format!("write {}: {e}", path.display()))?;
+        write_atomic(&path, &text)?;
         println!("appended run {} to {}", current_doc.run, path.display());
     }
     Ok(ExitCode::SUCCESS)
@@ -427,8 +427,7 @@ fn cmd_profile(args: &[String]) -> Result<ExitCode, String> {
     let doc = parse_flight_doc(&value, &name)?;
     print!("{}", render_report(&doc, top_n));
     if let Some(path) = chrome {
-        std::fs::write(&path, doc.to_chrome_trace())
-            .map_err(|e| format!("write {}: {e}", path.display()))?;
+        write_atomic(&path, &doc.to_chrome_trace())?;
         println!("wrote chrome trace to {}", path.display());
     }
     Ok(ExitCode::SUCCESS)

@@ -21,6 +21,8 @@
 //! * [`time`] — the simulated-time scale ([`SimTime`], [`SimDuration`]) used
 //!   by the discrete-event simulator and everything driven by it.
 
+#![forbid(unsafe_code)]
+
 pub mod addr;
 pub mod asn;
 pub mod bitset;

@@ -112,7 +112,6 @@ pub struct FlightRecorder {
 impl FlightRecorder {
     pub fn new(clock: Box<dyn Clock>, capacity: usize) -> FlightRecorder {
         FlightRecorder {
-            // vp-lint: allow(c1): per-engine Rc state; flight data is drained to Send timelines before any result crosses the shard boundary (DESIGN.md §14).
             inner: Rc::new(RefCell::new(RecorderInner {
                 clock,
                 capacity: capacity.max(1),

@@ -20,6 +20,7 @@
 //! Prometheus text ([`Registry::to_prometheus_text`]).
 
 #![deny(unused_must_use)]
+#![forbid(unsafe_code)]
 
 pub mod flight;
 pub mod metrics;

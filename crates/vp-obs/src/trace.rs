@@ -121,7 +121,6 @@ pub struct Tracer {
 impl Tracer {
     pub fn new(clock: Box<dyn Clock>, level: TraceLevel, capacity: usize) -> Tracer {
         Tracer {
-            // vp-lint: allow(c1): per-engine Rc state; obs is drained to Send types before any result crosses the shard boundary (DESIGN.md §14).
             inner: Rc::new(RefCell::new(TracerInner {
                 clock,
                 level,

@@ -77,7 +77,6 @@ impl DnsName {
     /// Parses a wire-format name starting at `pos`, following compression
     /// pointers. Returns the name and the offset just past it in the
     /// *uncompressed* stream (i.e. past the first pointer or the root byte).
-    // vp-lint: allow(p1): label parsing materializes the name once per CHAOS reply on the control path, not per probe.
     fn parse(data: &[u8], pos: usize) -> Result<(DnsName, usize), PacketError> {
         let mut labels = Vec::new();
         let mut cursor = pos;
@@ -389,7 +388,6 @@ impl DnsRecord {
         }
     }
 
-    // vp-lint: allow(p1): record parsing materializes rdata once per CHAOS reply on the control path, not per probe.
     fn parse(data: &[u8], pos: usize) -> Result<(DnsRecord, usize), PacketError> {
         let (name, mut cursor) = DnsName::parse(data, pos)?;
         let fixed = data
@@ -502,7 +500,6 @@ impl DnsMessage {
 
     /// Builds the server's response to a `hostname.bind` query, identifying
     /// the answering site by name (e.g. `"lax1a.b.root-servers.org"`).
-    // vp-lint: allow(p1): builds one response message per CHAOS query; the site hostname itself is precomputed at service registration.
     pub fn hostname_bind_response(query: &DnsMessage, site_hostname: &str) -> DnsMessage {
         let name = query
             .questions
@@ -548,7 +545,6 @@ impl DnsMessage {
     }
 
     /// Serializes to wire format (no name compression on output).
-    // vp-lint: allow(p3): each emitted name differs per question/record; the invariance heuristic cannot see through the `q.name` field projection.
     pub fn emit(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(64);
         buf.put_u16(self.id);

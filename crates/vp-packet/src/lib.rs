@@ -15,6 +15,8 @@
 //! borrows nothing — messages own their payload via [`bytes::Bytes`] so they
 //! can cross the collector's channels.
 
+#![forbid(unsafe_code)]
+
 pub mod checksum;
 pub mod dns;
 pub mod error;

@@ -46,7 +46,7 @@ impl UdpDatagram {
     }
 
     /// Parses and validates length and (unless zero) checksum.
-    // vp-lint: allow(g1, p1): every index is inside the HEADER_LEN prefix or the validated len range; chunk reads come from chunks_exact(2); the payload copy happens once per UDP delivery on the control path, not per probe.
+    // vp-lint: allow(g1): every index is inside the HEADER_LEN prefix or the validated len range; chunk reads come from chunks_exact(2).
     pub fn parse(data: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> Result<UdpDatagram, PacketError> {
         if data.len() < HEADER_LEN {
             return Err(PacketError::Truncated {

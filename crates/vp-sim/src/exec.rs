@@ -1,10 +1,15 @@
 //! The blessed OS-thread shard executor.
 //!
-//! This module is the **only** place in the workspace allowed to spawn OS
-//! threads: `vp-lint` rule c5 fires on `thread::spawn`/`thread::scope`
-//! anywhere else in library code, and rules c1–c4 police everything
-//! reachable from the closures handed to [`ShardExecutor::run_sharded`]
-//! (the *parallel region*). See DESIGN.md §14 for the full contract.
+//! This module is the **only** place in the workspace where a concurrency
+//! primitive may be named: `vp-lint` rule c5 fires on threads, locks,
+//! condvars, channels, atomics, `static mut` and `thread_local!` anywhere
+//! else in library code. What crosses this module's boundary is held by
+//! rustc, not by analysis: a shard job is `Fn(usize) -> T + Sync` with
+//! `T: Send`, so a closure that captures unsynchronised shared state does
+//! not compile (see the `compile_fail` example on
+//! [`ShardExecutor::run_sharded`]), and every library crate carries
+//! `#![forbid(unsafe_code)]`, so the bound cannot be argued away. See
+//! DESIGN.md §14 for the full contract.
 //!
 //! The executor's shape is the arrival-order-proof one: each shard `k`
 //! delivers its result through its **own** channel, and the barrier
@@ -94,6 +99,29 @@ impl ShardExecutor {
     /// a panicking worker drops its undelivered senders, the matching
     /// `recv` errors out, and the panic propagates at the barrier instead
     /// of deadlocking it.
+    ///
+    /// The bounds are the concurrency contract: a job that captures
+    /// unsynchronised shared state is rejected by the compiler (`Rc` is
+    /// not `Send`, `RefCell` is not `Sync`), not by a lint —
+    ///
+    /// ```compile_fail,E0277
+    /// use std::cell::RefCell;
+    /// use std::rc::Rc;
+    /// use vp_sim::exec::ShardExecutor;
+    ///
+    /// let tally = Rc::new(RefCell::new(0u64));
+    /// ShardExecutor::new(4).run_sharded(8, |k| *tally.borrow_mut() += k as u64);
+    /// ```
+    ///
+    /// — while the same fold over the returned, shard-id-ordered vector
+    /// compiles and is deterministic:
+    ///
+    /// ```
+    /// use vp_sim::exec::ShardExecutor;
+    ///
+    /// let per_shard = ShardExecutor::new(4).run_sharded(8, |k| k as u64);
+    /// assert_eq!(per_shard.iter().sum::<u64>(), 28);
+    /// ```
     ///
     /// # Panics
     /// Propagates a panic from any shard job.

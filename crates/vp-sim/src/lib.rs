@@ -29,6 +29,7 @@
 //!   the nine-site Tangled testbed of Table 3.
 
 #![deny(unused_must_use)]
+#![forbid(unsafe_code)]
 
 pub mod engine;
 pub mod exec;

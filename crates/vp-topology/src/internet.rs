@@ -3,16 +3,16 @@
 use rand::SeedableRng;
 use rand_pcg::Pcg64;
 use vp_geo::GeoDb;
-use vp_net::{Asn, Block24, Ipv4Addr};
+use vp_net::{Asn, Block24};
 
 use crate::blocks::{generate_blocks, BlockInfo};
 use crate::config::TopologyConfig;
 use crate::graph::AsGraph;
-use crate::lpm::ArenaLpm;
 use crate::prefixes::{allocate_prefixes, PrefixInfo};
 
 /// A complete generated world: AS graph, announced prefixes, populated
-/// blocks, geolocation database and origin (Route Views-style) table.
+/// blocks (each carrying its Route Views-style origin AS) and
+/// geolocation database.
 ///
 /// There is one block table and one id space: `blocks` is strictly
 /// ascending by `/24` (address space is carved upward and blocks are
@@ -26,10 +26,6 @@ pub struct Internet {
     pub prefixes: Vec<PrefixInfo>,
     pub blocks: Vec<BlockInfo>,
     pub geodb: GeoDb,
-    /// Longest-prefix-match table from announced prefix to origin AS
-    /// (arena-packed and path-compressed; node count stays `O(prefixes)`
-    /// even for /24-heavy million-block tables).
-    pub origin_table: ArenaLpm<Asn>,
     /// `blocks[i].block` as a contiguous column: the one binary search
     /// behind [`Internet::block_id`] touches 4 bytes per step instead of a
     /// whole attribute row.
@@ -45,10 +41,8 @@ impl Internet {
         let prefixes = allocate_prefixes(&graph, &config, &mut rng);
         let (blocks, geodb) = generate_blocks(&graph, &prefixes, &config, &mut rng);
 
-        let mut origin_table = ArenaLpm::new();
         let mut prefixes_per_as = vec![0u32; graph.len()];
         for info in &prefixes {
-            origin_table.insert(info.prefix, info.origin);
             // vp-lint: allow(g1): prefix origins are AS ids drawn from this graph.
             prefixes_per_as[info.origin.index()] += 1;
         }
@@ -65,7 +59,6 @@ impl Internet {
             prefixes,
             blocks,
             geodb,
-            origin_table,
             block_keys,
             prefixes_per_as,
         }
@@ -82,11 +75,6 @@ impl Internet {
     /// Attribute record for a block, if populated.
     pub fn block(&self, block: Block24) -> Option<&BlockInfo> {
         self.blocks.get(vp_net::conv::index(self.block_id(block)?))
-    }
-
-    /// The origin AS announcing the covering prefix of `ip`, if any.
-    pub fn origin_of(&self, ip: Ipv4Addr) -> Option<Asn> {
-        self.origin_table.longest_match(ip).map(|(_, asn)| *asn)
     }
 
     /// Number of prefixes announced by `asn`.
@@ -124,11 +112,16 @@ mod tests {
     }
 
     #[test]
-    fn origin_table_agrees_with_blocks() {
+    fn block_origins_agree_with_their_longest_covering_prefix() {
         let w = world();
         for b in w.blocks.iter().take(200) {
-            let origin = w.origin_of(b.block.addr(1)).unwrap();
-            assert_eq!(origin, b.origin);
+            let covering = w
+                .prefixes
+                .iter()
+                .filter(|p| p.prefix.contains(b.block.addr(1)))
+                .max_by_key(|p| p.prefix.len())
+                .unwrap();
+            assert_eq!(covering.origin, b.origin);
         }
     }
 

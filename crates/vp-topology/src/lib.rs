@@ -12,8 +12,9 @@
 //!   are homed on PoPs — the raw material for hot-potato routing and the
 //!   intra-AS catchment splits of Figs. 7 and 8;
 //! * **announced prefixes** with a heavy-tailed per-AS count and a realistic
-//!   length mix (/8 … /24), written into a longest-prefix-match origin
-//!   table (the Route Views stand-in);
+//!   length mix (/8 … /24); each block carries the origin AS of its
+//!   announcing prefix (the Route Views stand-in is a column of the block
+//!   table, not a second structure);
 //! * **populated /24 blocks** with per-block responsiveness (≈55% of blocks
 //!   answer pings, matching the ISI hitlist response rates the paper cites),
 //!   daily DNS load weights (heavy-tailed, with country-level resolver
@@ -22,17 +23,17 @@
 //!
 //! Everything is deterministic in the [`TopologyConfig::seed`].
 
+#![forbid(unsafe_code)]
+
 pub mod blocks;
 pub mod config;
 pub mod graph;
 pub mod internet;
-pub mod lpm;
 pub mod prefixes;
 pub mod sites;
 
 pub use blocks::BlockInfo;
 pub use config::TopologyConfig;
-pub use lpm::ArenaLpm;
 pub use graph::{AsNode, AsTier, Pop, PopId};
 pub use internet::Internet;
 pub use prefixes::PrefixInfo;

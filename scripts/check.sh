@@ -14,12 +14,10 @@ cargo build --release
 cargo test -q
 cargo run -q -p vp-lint -- --workspace
 
-# Hot-path cost certification (DESIGN.md §17): the hot-region report must
-# render (a scan with zero p-findings still lists the certified regions),
-# and the allocation witness must hold its release-mode budget — the
-# debug run above exercises the same scans but measures the reply-image
-# debug-asserts, so only the release run binds.
-cargo run -q --release -p vp-lint -- hotpath --report | grep "^hot region:" >/dev/null
+# Hot-path cost contract (DESIGN.md §17): the allocation witness must
+# hold its release-mode budget — the debug run above exercises the same
+# scans but measures the reply-image debug-asserts, so only the release
+# run binds the allocation count.
 cargo test -q --release --test alloc_witness
 
 # The columnar/BTree scale-equivalence suite is the proof that the
@@ -31,7 +29,7 @@ cargo test -q --test columnar_equivalence
 # least one edge), and a full scan must stay inside the tier-1 wall-time
 # budget so the lint_gate test never becomes the slow step. The budget is
 # per-rule so adding a rule grows the allowance instead of silently
-# eating the remaining headroom of a hard constant (21 rules ≈ 3s today).
+# eating the remaining headroom of a hard constant (12 rules ≈ 1.6s).
 cargo run -q --release -p vp-lint -- graph --dot | head -n 20 | grep -q "^digraph"
 cargo run -q --release -p vp-lint -- bench --reps 3 --budget-per-rule-ms 135
 

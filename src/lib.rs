@@ -5,6 +5,8 @@
 //! lives in the `crates/` members. It re-exports the public crates so
 //! examples can use a single dependency root.
 
+#![forbid(unsafe_code)]
+
 pub use vp_atlas as atlas;
 pub use vp_bgp as bgp;
 pub use vp_dns as dns;

@@ -13,9 +13,11 @@
 //! * keep every engine's event queue at the in-flight window of the
 //!   paced schedule.
 //!
-//! Holds for the K=1 round (`run_scan`) and at K=8 on real OS threads, so the
-//! p-rule sweep (`vp-lint hotpath`) is backed by a runtime measurement,
-//! not just static reasoning.
+//! Holds for the K=1 round (`run_scan`) and at K=8 on real OS threads.
+//! This measurement — with the repo benchmark — *is* the hot-path cost
+//! contract: no static rule guesses at allocations any more, so the count
+//! budget is pinned just above what a round measures, and a new
+//! per-batch or per-probe allocation fails here.
 //!
 //! The same allocator witnesses the read side (DESIGN.md §10) without a
 //! clock: loading a round document allocates O(log n) times and holds
@@ -75,11 +77,14 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 const TARGETS: usize = 100_000;
 
-/// The per-scan allocation budget: at most one allocation per 50 probes.
-/// The real count is dominated by per-shard setup plus O(log n) growth
-/// of the kept-observation column, so the ratio shrinks as the hitlist grows;
-/// 50 leaves headroom without ever tolerating a per-probe allocation.
-const PROBES_PER_ALLOC: u64 = 50;
+/// Allocations one 10^5-probe round may make: (serial, K=8 threaded).
+/// Measured in release: 642 serial, the same every run, and 1 133–1 138 at
+/// K=8 (thread spawn and channel setup vary by a handful) — per-engine
+/// setup plus O(log n) growth of the kept-observation column. The budgets
+/// are the measurements + 10 %: one more allocation per refill batch is
+/// ~+98 per round and fails; one per probe is +100 000. Re-measure (the
+/// test prints its counts) and re-pin when a change moves them on purpose.
+const ALLOCS_PER_ROUND: (u64, u64) = (706, 1_250);
 
 /// Peak live heap per probe a scan may add on top of what was live when
 /// it started: (serial, K=8). Measured at this scale: 39 B/probe serial
@@ -133,7 +138,7 @@ fn measured<T>(work: impl FnOnce() -> T) -> Measured<T> {
 /// run measures the asserts, not the steady state the contract is about.
 /// Debug runs still execute both scans (exercising those asserts at 10^5
 /// blocks).
-fn assert_budget(kind: &str, m: &Measured<ScanResult>, peak_bytes_per_probe: u64) {
+fn assert_budget(kind: &str, m: &Measured<ScanResult>, allocs: u64, peak_bytes_per_probe: u64) {
     let probes = m.result.probes_sent;
     assert_eq!(probes, TARGETS as u64);
     // The queue and memory gates hold in every build: neither depends on
@@ -164,19 +169,18 @@ fn assert_budget(kind: &str, m: &Measured<ScanResult>, peak_bytes_per_probe: u64
         return;
     }
     assert!(
-        m.allocs < probes / PROBES_PER_ALLOC,
+        m.allocs <= allocs,
         "{kind} scan allocated {} times for {probes} probes \
-         (budget {}): a per-probe allocation crept back in",
-        m.allocs,
-        probes / PROBES_PER_ALLOC
+         (budget {allocs}): a per-batch or per-probe allocation crept back in",
+        m.allocs
     );
 }
 
 #[test]
 fn steady_state_allocations_stay_sublinear_in_probes() {
     let _alone = alone();
-    // World + hitlist construction may allocate freely: it is outside the
-    // hot region by definition (cold setup).
+    // World + hitlist construction may allocate freely: it is setup,
+    // outside the measured round.
     let s = bench_scenario_scaled(33, TARGETS);
     let hl = bench_hitlist(&s);
     let table = s.routing();
@@ -204,7 +208,7 @@ fn steady_state_allocations_stay_sublinear_in_probes() {
         )
     });
     assert_eq!(serial.result.obs.queue_high_water.len(), 1);
-    assert_budget("serial", &serial, PEAK_BYTES_PER_PROBE.0);
+    assert_budget("serial", &serial, ALLOCS_PER_ROUND.0, PEAK_BYTES_PER_PROBE.0);
 
     // K=8 on real OS threads through the blessed executor.
     let exec = ShardExecutor::new(8);
@@ -223,11 +227,14 @@ fn steady_state_allocations_stay_sublinear_in_probes() {
         )
     });
     assert_eq!(sharded.result.obs.queue_high_water.len(), 8);
-    assert_budget("K=8 threaded", &sharded, PEAK_BYTES_PER_PROBE.1);
+    assert_budget("K=8 threaded", &sharded, ALLOCS_PER_ROUND.1, PEAK_BYTES_PER_PROBE.1);
     eprintln!(
-        "serial: {} B/probe peak, queue {:?}; K=8: {} B/probe peak, queue {:?}",
+        "serial: {} allocations/round, {} B/probe peak, queue {:?}; \
+         K=8: {} allocations/round, {} B/probe peak, queue {:?}",
+        serial.allocs,
         serial.peak_bytes / TARGETS as u64,
         serial.result.obs.queue_high_water,
+        sharded.allocs,
         sharded.peak_bytes / TARGETS as u64,
         sharded.result.obs.queue_high_water
     );
