@@ -1,23 +1,23 @@
 //! The catchment map: block → anycast site.
 //!
-//! Storage is **columnar**: two parallel, block-sorted columns
-//! (`Vec<Block24>`, `Vec<SiteId>`) instead of a `BTreeMap`. At a million
-//! mapped blocks that is 5 bytes of payload per entry in two contiguous
-//! allocations — lookups are a binary search over one hot `u32` column and
-//! merges are linear column zips, where the tree spent ~50+ bytes per entry
-//! across pointer-chased nodes. The original tree engine survives as the
-//! `BTreeCatchment` format oracle inside the `columnar_equivalence` suite,
-//! which proves the two agree byte-for-byte on every operation, so the
-//! columnar core inherits the tree's contract (including serialized
-//! bytes) verbatim.
+//! Storage is **columnar**: a [`BlockColumn`] — two parallel, block-sorted
+//! columns (`Vec<Block24>`, `Vec<SiteId>`) — instead of a `BTreeMap`. At a
+//! million mapped blocks that is 5 bytes of payload per entry in two
+//! contiguous allocations — lookups are a binary search over one hot `u32`
+//! column and merges are linear column zips, where the tree spent ~50+
+//! bytes per entry across pointer-chased nodes. The original tree engine
+//! survives as the `BTreeCatchment` format oracle inside the
+//! `columnar_equivalence` suite, which proves the two agree byte-for-byte
+//! on every operation, so the columnar core inherits the tree's contract
+//! (including serialized bytes) verbatim.
 
-use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 use serde::{Serialize, Value};
 use vp_bgp::SiteId;
 use vp_hitlist::Hitlist;
-use vp_net::Block24;
+pub use vp_net::Joined;
+use vp_net::{Block24, BlockColumn};
 
 use crate::cleaning::CleanReply;
 
@@ -33,19 +33,8 @@ use crate::cleaning::CleanReply;
 pub struct CatchmentMap {
     /// Dataset tag, e.g. "SBV-5-15".
     pub name: String,
-    /// Mapped blocks, strictly ascending.
-    blocks: Vec<Block24>,
-    /// Site of `blocks[i]`, parallel to `blocks`.
-    sites: Vec<SiteId>,
-}
-
-/// One row of [`CatchmentMap::join`]: a block mapped by the left map only,
-/// by the right map only, or by both (left site, then right site).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Joined {
-    Left(Block24, SiteId),
-    Right(Block24, SiteId),
-    Both(Block24, SiteId, SiteId),
+    /// Site per mapped block, in ascending block order.
+    entries: BlockColumn<SiteId>,
 }
 
 impl CatchmentMap {
@@ -65,79 +54,38 @@ impl CatchmentMap {
     /// and tests). Later pairs win on duplicate blocks, matching map-insert
     /// semantics.
     pub fn from_pairs(name: &str, pairs: impl IntoIterator<Item = (Block24, SiteId)>) -> Self {
-        let (blocks, sites) = pairs.into_iter().unzip();
-        Self::from_columns(name.to_owned(), blocks, sites)
-    }
-
-    /// Builds a map from parallel columns in any order: already strictly
-    /// ascending columns are taken as they are, anything else is sorted by
-    /// block with the last row of each block kept.
-    fn from_columns(name: String, mut blocks: Vec<Block24>, mut sites: Vec<SiteId>) -> Self {
-        let ascending = blocks.iter().zip(blocks.iter().skip(1)).all(|(a, b)| a < b);
-        if !ascending {
-            sort_by_block(&mut blocks, &mut sites);
-            // The sort is stable, so the last row of a run of equal blocks
-            // is the last one given: keep each block's last site, then
-            // collapse the (equal) blocks of the run.
-            let mut next = blocks.iter().skip(1);
-            let mut current = blocks.iter();
-            sites.retain(|_| current.next() != next.next());
-            blocks.dedup();
-        }
         CatchmentMap {
-            name,
-            blocks,
-            sites,
+            name: name.to_owned(),
+            entries: BlockColumn::from_pairs(pairs),
         }
     }
 
     /// Number of mapped blocks.
     pub fn len(&self) -> usize {
-        self.blocks.len()
+        self.entries.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
+        self.entries.is_empty()
     }
 
     /// The site a block maps to, if it responded.
     pub fn site_of(&self, block: Block24) -> Option<SiteId> {
-        self.blocks
-            .binary_search(&block)
-            .ok()
-            .map(|i| self.sites[i]) // vp-lint: allow(g1): binary_search ranks are below len and the columns are parallel.
+        self.entries.get(block)
     }
 
     /// Iterates all `(block, site)` entries in ascending block order.
     pub fn iter(&self) -> impl Iterator<Item = (Block24, SiteId)> + '_ {
-        self.blocks
-            .iter()
-            .copied()
-            .zip(self.sites.iter().copied())
+        self.entries.iter()
     }
 
-    /// Merge-joins two maps on block: one linear two-pointer pass over the
-    /// sorted columns, yielding every block of either map once, in
-    /// ascending order. Diffs and merges are folds over this.
-    pub fn join<'a>(&'a self, other: &'a CatchmentMap) -> impl Iterator<Item = Joined> + 'a {
-        let mut left = self.iter().peekable();
-        let mut right = other.iter().peekable();
-        std::iter::from_fn(move || {
-            let order = match (left.peek(), right.peek()) {
-                (Some((a, _)), Some((b, _))) => a.cmp(b),
-                (Some(_), None) => Ordering::Less,
-                (None, Some(_)) => Ordering::Greater,
-                (None, None) => return None,
-            };
-            match order {
-                Ordering::Less => left.next().map(|(b, s)| Joined::Left(b, s)),
-                Ordering::Greater => right.next().map(|(b, s)| Joined::Right(b, s)),
-                Ordering::Equal => left
-                    .next()
-                    .zip(right.next())
-                    .map(|((b, ours), (_, theirs))| Joined::Both(b, ours, theirs)),
-            }
-        })
+    /// Merge-joins two maps on block ([`BlockColumn::join`]): every block
+    /// of either map once, in ascending order. Diffs are folds over this.
+    pub fn join<'a>(
+        &'a self,
+        other: &'a CatchmentMap,
+    ) -> impl Iterator<Item = Joined<SiteId>> + 'a {
+        self.entries.join(&other.entries)
     }
 
     /// Absorbs another map's entries (disjoint union).
@@ -145,49 +93,26 @@ impl CatchmentMap {
     /// Inputs are expected to cover disjoint block sets — the per-shard
     /// maps of one partitioned scan. Under that precondition the merge is
     /// associative and order-insensitive, so any shard merge order yields
-    /// the same map. Columnar storage makes it a linear [`join`](Self::join)
-    /// of sorted columns.
+    /// the same map ([`BlockColumn::merge`]).
     ///
     /// # Panics
     /// Panics (debug builds) if `other` maps a block this map already
     /// holds with a different site — that means the inputs were not
     /// shards of one scan.
-    // vp-lint: merge-tested(CatchmentMap::merge, suite=columnar_equivalence)
     pub fn merge(&mut self, other: &CatchmentMap) {
-        if other.is_empty() {
-            return;
-        }
-        // Fast path: the common shard-merge case appends a strictly later
-        // block range — a plain column extend, no re-sort.
-        if self.blocks.last() < other.blocks.first() {
-            self.blocks.extend_from_slice(&other.blocks);
-            self.sites.extend_from_slice(&other.sites);
-            return;
-        }
-        let mut blocks = Vec::with_capacity(self.blocks.len() + other.blocks.len());
-        let mut sites = Vec::with_capacity(self.sites.len() + other.sites.len());
-        for row in self.join(other) {
-            let (block, site) = match row {
-                Joined::Left(b, s) | Joined::Right(b, s) => (b, s),
-                Joined::Both(b, ours, theirs) => {
-                    debug_assert!(
-                        ours == theirs,
-                        "merge inputs disagree on block {b}: {ours:?} vs {theirs:?}"
-                    );
-                    (b, theirs) // other wins like map insert
-                }
-            };
-            blocks.push(block);
-            sites.push(site);
-        }
-        self.blocks = blocks;
-        self.sites = sites;
+        debug_assert_eq!(
+            self.join(other)
+                .find(|row| matches!(row, Joined::Both(_, ours, theirs) if ours != theirs)),
+            None,
+            "merge inputs disagree on a block: not shards of one scan"
+        );
+        self.entries.merge(&other.entries);
     }
 
     /// Mapped blocks per site.
     pub fn site_counts(&self) -> BTreeMap<SiteId, usize> {
         let mut counts = [0usize; 256];
-        for s in &self.sites {
+        for s in self.entries.values() {
             counts[usize::from(s.0)] += 1; // vp-lint: allow(g1): a u8 indexes 256 slots.
         }
         let sites = (0..=u8::MAX).map(SiteId).zip(counts);
@@ -196,11 +121,12 @@ impl CatchmentMap {
 
     /// Fraction of mapped blocks that map to `site`.
     pub fn fraction_to(&self, site: SiteId) -> f64 {
-        if self.sites.is_empty() {
+        let sites = self.entries.values();
+        if sites.is_empty() {
             return 0.0;
         }
-        let hits = self.sites.iter().filter(|&&s| s == site).count();
-        hits as f64 / self.sites.len() as f64
+        let hits = sites.iter().filter(|&&s| s == site).count();
+        hits as f64 / sites.len() as f64
     }
 
     /// Serializes the dataset to JSON (the paper releases all its
@@ -231,7 +157,8 @@ impl CatchmentMap {
         reader.end()?;
         let name = name.ok_or_else(|| serde_json::Error::msg("missing field name"))?;
         let (blocks, sites) = columns.ok_or_else(|| serde_json::Error::msg("missing field map"))?;
-        Ok(Self::from_columns(name, blocks, sites))
+        let entries = BlockColumn::from_columns(blocks, sites);
+        Ok(CatchmentMap { name, entries })
     }
 
     /// Blocks that changed site (or appeared/disappeared) between two maps:
@@ -265,38 +192,6 @@ fn read_map(
         sites.push(SiteId(site));
     }
     Ok((blocks, sites))
-}
-
-/// Stable sort of the parallel columns by block: an LSD radix sort, so it
-/// is linear in the rows, and its only memory is one exact-size second
-/// copy of the columns. A byte that every block shares costs one counting
-/// pass and no move.
-// vp-lint: allow(g1): a digit is below 256, and the prefix sums place each of the n rows in its own slot below n.
-fn sort_by_block(blocks: &mut Vec<Block24>, sites: &mut Vec<SiteId>) {
-    let mut moved_blocks = vec![Block24(0); blocks.len()];
-    let mut moved_sites = vec![SiteId(0); sites.len()];
-    for byte in 0..4 {
-        let digit = |b: &Block24| usize::from(b.0.to_le_bytes()[byte]);
-        let mut slots = [0usize; 256];
-        for b in blocks.iter() {
-            slots[digit(b)] += 1;
-        }
-        if slots.contains(&blocks.len()) {
-            continue;
-        }
-        let mut start = 0;
-        for slot in &mut slots {
-            start += std::mem::replace(slot, start);
-        }
-        for (b, s) in blocks.iter().zip(sites.iter()) {
-            let slot = &mut slots[digit(b)];
-            moved_blocks[*slot] = *b;
-            moved_sites[*slot] = *s;
-            *slot += 1;
-        }
-        std::mem::swap(blocks, &mut moved_blocks);
-        std::mem::swap(sites, &mut moved_sites);
-    }
 }
 
 /// Serialized form is the byte-identical successor of the historical
@@ -373,21 +268,6 @@ mod tests {
     }
 
     #[test]
-    fn from_pairs_sorts_across_every_radix_byte() {
-        // Blocks that differ only in one byte each, plus full-width ones,
-        // in descending order with a duplicate at both ends of the input.
-        let blocks = [u32::MAX, 1 << 24, 1 << 16, 1 << 8, 1, 0, 0xff_ff00, u32::MAX];
-        let pairs: Vec<(u32, u8)> = blocks.iter().zip(0u8..).map(|(&b, i)| (b, i)).collect();
-        let m = map("t", &pairs);
-        let mut sorted = blocks.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(m.iter().map(|(b, _)| b.0).collect::<Vec<_>>(), sorted);
-        assert_eq!(m.site_of(Block24(u32::MAX)), Some(SiteId(7))); // last wins
-        assert_eq!(m.site_of(Block24(1 << 16)), Some(SiteId(2)));
-    }
-
-    #[test]
     fn from_json_reads_members_in_any_order_and_skips_unknown_ones() {
         let text = r#" { "extra": [1, {"x": "\u00e9"}], "map": {"10": 1, "9": 0, "300000": 3},
             "name": "S\u0042V \ud83d\ude00", "more": null } "#;
@@ -432,27 +312,6 @@ mod tests {
         ] {
             assert!(CatchmentMap::from_json(text).is_err(), "{text}");
         }
-    }
-
-    #[test]
-    fn join_yields_every_block_once_in_order() {
-        let a = map("a", &[(1, 0), (2, 0), (3, 1), (9, 2)]);
-        let b = map("b", &[(2, 1), (3, 1), (4, 0)]);
-        let rows: Vec<Joined> = a.join(&b).collect();
-        assert_eq!(
-            rows,
-            vec![
-                Joined::Left(Block24(1), SiteId(0)),
-                Joined::Both(Block24(2), SiteId(0), SiteId(1)),
-                Joined::Both(Block24(3), SiteId(1), SiteId(1)),
-                Joined::Right(Block24(4), SiteId(0)),
-                Joined::Left(Block24(9), SiteId(2)),
-            ]
-        );
-        let empty = CatchmentMap::default();
-        assert_eq!(empty.join(&empty).count(), 0);
-        assert_eq!(a.join(&empty).count(), 4);
-        assert_eq!(empty.join(&b).count(), 3);
     }
 
     #[test]

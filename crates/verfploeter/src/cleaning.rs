@@ -5,14 +5,14 @@
 //! minutes after the start of the measurement). Duplicates ... account for
 //! approximately 2% of all replies."
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use vp_hitlist::Hitlist;
 use vp_net::{BitSet, SimDuration, SimTime};
 
 use crate::collector::RawReply;
 
 /// Counters over one cleaning pass.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct CleaningStats {
     /// Replies entering the pipeline.
     pub total: u64,

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use vp_bgp::SiteId;
 use vp_geo::{BinnedMap, GeoDb};
 use vp_hitlist::Hitlist;
@@ -12,7 +12,7 @@ use crate::catchment::CatchmentMap;
 
 /// The rows of Table 4: coverage of the same anycast service from the
 /// perspective of the two measurement systems.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct CoverageReport {
     // Atlas, in VPs.
     pub atlas_vps_considered: u64,

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use vp_bgp::SiteId;
 use vp_dns::QueryLog;
 use vp_geo::BinnedMap;
@@ -11,7 +11,7 @@ use crate::catchment::CatchmentMap;
 
 /// Table 5: how much of the service's real traffic the catchment map can
 /// account for.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct MappabilityReport {
     /// Blocks the service saw queries from.
     pub blocks_seen: u64,

@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use vp_dns::QueryLog;
 use vp_geo::{CountryId, GeoDb};
 use vp_net::conv;
@@ -18,7 +18,7 @@ use vp_net::SimDuration;
 use crate::rtt::RttTable;
 
 /// One candidate location for a new site.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct PlacementSuggestion {
     pub country: CountryId,
     /// Blocks in this country whose RTT exceeds the threshold.

@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use vp_bgp::{RoutingTable, SiteId};
 use vp_dns::QueryLog;
 
@@ -17,7 +17,7 @@ use crate::catchment::CatchmentMap;
 use crate::load::load_fraction_to;
 
 /// One row of Table 6: a method, what it measures, and the split.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct MethodRow {
     pub date: String,
     pub method: String,

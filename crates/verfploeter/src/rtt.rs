@@ -5,22 +5,18 @@
 //! §4 cleaning cutoff (15 minutes by default, but every kept reply in
 //! practice returns within seconds), so a `u32` nanosecond column — max
 //! ~4.29 s — represents each kept RTT **exactly**; storage drops from the
-//! tree's per-entry nodes to 8 bytes of payload per block across two
-//! contiguous columns. Exactness is asserted in debug builds at insertion:
-//! the fixed-point representation is a storage optimization, never a
-//! rounding step, so [`RttTable::get`] returns bit-identical
-//! [`SimDuration`]s to the historical `BTreeMap<Block24, SimDuration>`.
+//! tree's per-entry nodes to 8 bytes of payload per block across the two
+//! contiguous columns of a [`BlockColumn`]. Exactness is asserted in debug
+//! builds at insertion: the fixed-point representation is a storage
+//! optimization, never a rounding step, so [`RttTable::get`] returns
+//! bit-identical [`SimDuration`]s to the historical
+//! `BTreeMap<Block24, SimDuration>`.
 
-use vp_net::{conv, Block24, SimDuration};
+use vp_net::{conv, Block24, BlockColumn, SimDuration};
 
-/// Sorted block column plus a parallel fixed-point RTT column.
+/// Block → RTT in nanoseconds, in ascending block order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RttTable {
-    /// Mapped blocks, strictly ascending.
-    blocks: Vec<Block24>,
-    /// RTT of `blocks[i]` in nanoseconds, parallel to `blocks`.
-    rtt_ns: Vec<u32>,
-}
+pub struct RttTable(BlockColumn<u32>);
 
 /// Packs an RTT into the fixed-point column representation.
 ///
@@ -37,103 +33,47 @@ fn pack_ns(rtt: SimDuration) -> u32 {
     conv::sat_u32(rtt.as_nanos())
 }
 
+fn unpack_ns(ns: u32) -> SimDuration {
+    SimDuration::from_nanos(u64::from(ns))
+}
+
 impl RttTable {
     /// Builds a table from `(block, rtt)` pairs. Input order is arbitrary;
     /// later pairs win on duplicate blocks, matching map-insert semantics.
     pub fn from_pairs(pairs: impl IntoIterator<Item = (Block24, SimDuration)>) -> RttTable {
-        let mut rows: Vec<(Block24, u32)> =
-            pairs.into_iter().map(|(b, r)| (b, pack_ns(r))).collect();
-        // Stable sort + keep-last reproduces `BTreeMap::insert` semantics.
-        rows.sort_by_key(|&(b, _)| b);
-        let mut blocks = Vec::with_capacity(rows.len());
-        let mut rtt_ns = Vec::with_capacity(rows.len());
-        for (b, ns) in rows {
-            if blocks.last() == Some(&b) {
-                // vp-lint: allow(h2): last() == Some above proves non-emptiness.
-                *rtt_ns.last_mut().expect("parallel columns") = ns;
-            } else {
-                blocks.push(b);
-                rtt_ns.push(ns);
-            }
-        }
-        RttTable { blocks, rtt_ns }
+        RttTable(BlockColumn::from_pairs(
+            pairs.into_iter().map(|(b, r)| (b, pack_ns(r))),
+        ))
     }
 
     /// Number of blocks with a recorded RTT.
     pub fn len(&self) -> usize {
-        self.blocks.len()
+        self.0.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
+        self.0.is_empty()
     }
 
     /// The RTT recorded for `block`, if any.
     pub fn get(&self, block: Block24) -> Option<SimDuration> {
-        self.blocks
-            .binary_search(&block)
-            .ok()
-            .map(|i| SimDuration::from_nanos(u64::from(self.rtt_ns[i]))) // vp-lint: allow(g1): binary_search ranks are below len and the columns are parallel.
+        self.0.get(block).map(unpack_ns)
     }
 
     /// Iterates `(block, rtt)` in ascending block order.
     pub fn iter(&self) -> impl Iterator<Item = (Block24, SimDuration)> + '_ {
-        self.blocks
-            .iter()
-            .copied()
-            .zip(self.rtt_ns.iter().map(|&ns| SimDuration::from_nanos(u64::from(ns))))
+        self.0.iter().map(|(b, ns)| (b, unpack_ns(ns)))
     }
 
     /// Iterates RTT values in ascending block order.
     pub fn values(&self) -> impl Iterator<Item = SimDuration> + '_ {
-        self.rtt_ns
-            .iter()
-            .map(|&ns| SimDuration::from_nanos(u64::from(ns)))
+        self.0.values().iter().copied().map(unpack_ns)
     }
 
     /// Absorbs another table's entries (disjoint union of per-shard
-    /// tables; `other` wins where both map a block). Linear zip of sorted
-    /// columns, with an O(1)-copy fast path for the append-only shard case.
-    // vp-lint: merge-tested(RttTable::merge, suite=columnar_equivalence)
+    /// tables; `other` wins where both map a block): [`BlockColumn::merge`].
     pub fn merge(&mut self, other: &RttTable) {
-        if other.is_empty() {
-            return;
-        }
-        if self.blocks.last() < other.blocks.first() {
-            self.blocks.extend_from_slice(&other.blocks);
-            self.rtt_ns.extend_from_slice(&other.rtt_ns);
-            return;
-        }
-        let mut blocks = Vec::with_capacity(self.blocks.len() + other.blocks.len());
-        let mut rtt_ns = Vec::with_capacity(self.rtt_ns.len() + other.rtt_ns.len());
-        let (mut i, mut j) = (0, 0);
-        while i < self.blocks.len() && j < other.blocks.len() {
-            let (a, b) = (self.blocks[i], other.blocks[j]); // vp-lint: allow(g1): i and j are bounded by the loop condition.
-            match a.cmp(&b) {
-                std::cmp::Ordering::Less => {
-                    blocks.push(a);
-                    rtt_ns.push(self.rtt_ns[i]); // vp-lint: allow(g1): columns are parallel.
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    blocks.push(b);
-                    rtt_ns.push(other.rtt_ns[j]); // vp-lint: allow(g1): columns are parallel.
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    blocks.push(b);
-                    rtt_ns.push(other.rtt_ns[j]); // vp-lint: allow(g1): columns are parallel; other wins like map insert.
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        blocks.extend_from_slice(&self.blocks[i..]); // vp-lint: allow(g1): i never exceeds len, per the loop condition.
-        rtt_ns.extend_from_slice(&self.rtt_ns[i..]); // vp-lint: allow(g1): i never exceeds len, per the loop condition.
-        blocks.extend_from_slice(&other.blocks[j..]); // vp-lint: allow(g1): j never exceeds len, per the loop condition.
-        rtt_ns.extend_from_slice(&other.rtt_ns[j..]); // vp-lint: allow(g1): j never exceeds len, per the loop condition.
-        self.blocks = blocks;
-        self.rtt_ns = rtt_ns;
+        self.0.merge(&other.0);
     }
 }
 

@@ -829,6 +829,71 @@ mod tests {
         }
     }
 
+    /// The degenerate rounds of the hostile-input matrix: total loss, a
+    /// world where nothing answers, and a one-block hitlist (so K = 7
+    /// leaves six engines empty). At every K, inline and threaded: no
+    /// panic, a map of exactly the expected size, consistent cleaning
+    /// counters, a finite response rate, and K=1's registry byte for byte.
+    #[test]
+    fn degenerate_rounds_scan_cleanly_at_every_shard_count() {
+        let (s, hl) = setup();
+        let silent = Scenario::broot(
+            TopologyConfig {
+                responsiveness: 0.0,
+                sender_responsiveness: 0.0,
+                ..TopologyConfig::tiny(81)
+            },
+            7,
+        );
+        assert_eq!(silent.world.responsive_blocks().count(), 0);
+        let silent_hl = Hitlist::from_internet(&silent.world, &HitlistConfig::default());
+        let answering = hl
+            .entries()
+            .iter()
+            .find(|e| s.world.block(e.block).is_some_and(|b| b.responsive))
+            .expect("the tiny world has a responsive block");
+        let one_block = serde_json::to_string(&[answering]).expect("entry serializes");
+        let one_block = Hitlist::from_json(&one_block).expect("entry parses back");
+        let total_loss = FaultConfig {
+            loss: 1.0,
+            ..FaultConfig::default()
+        };
+        for (case, scenario, hitlist, faults, mapped) in [
+            ("loss = 1.0", &s, &hl, total_loss, 0),
+            ("no responsive block", &silent, &silent_hl, FaultConfig::default(), 0),
+            ("one-block hitlist", &s, &one_block, FaultConfig::none(), 1),
+        ] {
+            let table = scenario.routing();
+            let mut serial_registry = None;
+            for shards in [1, 7] {
+                for exec in [ShardExecutor::serial(), ShardExecutor::new(shards)] {
+                    let result = run_scan_sharded_on(
+                        &exec,
+                        &scenario.world,
+                        hitlist,
+                        &scenario.announcement,
+                        &|| Box::new(StaticOracle::new(table.clone())),
+                        faults.clone(),
+                        SimTime::ZERO,
+                        &ScanConfig::default(),
+                        1,
+                        shards,
+                    );
+                    let label = format!("{case}: K={shards} on {} worker(s)", exec.workers());
+                    assert_eq!(result.catchments.len(), mapped, "{label}");
+                    assert_eq!(result.rtts.len(), mapped, "{label}");
+                    assert_eq!(result.probes_sent, hitlist.len() as u64, "{label}");
+                    assert!(result.cleaning.is_consistent(), "{label}");
+                    let rate = result.response_rate(hitlist.len());
+                    assert!(rate.is_finite() && (0.0..=1.0).contains(&rate), "{label}: {rate}");
+                    let registry = result.obs.registry.to_canonical_json();
+                    let serial = serial_registry.get_or_insert_with(|| registry.clone());
+                    assert_eq!(&registry, serial, "{label}: registry differs from K=1");
+                }
+            }
+        }
+    }
+
     /// One oracle per round: the factory runs once however many engines
     /// borrow what it returns.
     #[test]

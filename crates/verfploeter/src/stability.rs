@@ -9,7 +9,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use vp_net::conv;
 use vp_net::{Asn, Block24};
 use vp_topology::Internet;
@@ -17,7 +17,7 @@ use vp_topology::Internet;
 use crate::catchment::{CatchmentMap, Joined};
 
 /// Per-round classification counts (one Fig. 9 data point).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct RoundDelta {
     /// Round index (1-based: deltas compare round r against r-1).
     pub round: u32,
@@ -78,7 +78,7 @@ pub fn unstable_blocks(rounds: &[CatchmentMap]) -> BTreeSet<Block24> {
 }
 
 /// One row of Table 7: an AS and its share of all site flips.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct FlipRow {
     pub asn: Asn,
     /// Distinct /24s of this AS that flipped at least once.
@@ -90,7 +90,7 @@ pub struct FlipRow {
 }
 
 /// Per-AS flip accounting across rounds (Table 7).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct FlipTable {
     /// Rows sorted by flips, descending.
     pub rows: Vec<FlipRow>,

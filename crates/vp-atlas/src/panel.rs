@@ -3,13 +3,13 @@
 use rand::distributions::{Distribution, WeightedIndex};
 use rand::{Rng, SeedableRng};
 use rand_pcg::Pcg64;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use vp_geo::CountryId;
 use vp_net::{Block24, Ipv4Addr};
 use vp_topology::Internet;
 
 /// Panel construction parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct AtlasConfig {
     /// Total VPs to place (the paper considers 9807).
     pub num_vps: usize,
@@ -40,7 +40,7 @@ impl AtlasConfig {
 }
 
 /// One vantage point: a physical probe in some block.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct AtlasVp {
     pub id: u32,
     pub block: Block24,
@@ -53,7 +53,7 @@ pub struct AtlasVp {
 }
 
 /// A placed panel of vantage points.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct AtlasPanel {
     vps: Vec<AtlasVp>,
 }

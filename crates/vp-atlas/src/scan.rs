@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use vp_bgp::{Announcement, SiteId};
 use vp_net::{Block24, SimDuration, SimTime};
 use vp_packet::{DnsMessage, Ipv4Packet, Protocol, UdpDatagram};
@@ -12,7 +12,7 @@ use vp_topology::Internet;
 use crate::panel::AtlasPanel;
 
 /// One VP's measurement outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct VpOutcome {
     pub vp: u32,
     pub block: Block24,
@@ -22,7 +22,7 @@ pub struct VpOutcome {
 }
 
 /// The decoded result of one Atlas scan.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct AtlasResult {
     /// Dataset tag, e.g. "SBA-5-15".
     pub name: String,

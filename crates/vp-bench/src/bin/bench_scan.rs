@@ -1,18 +1,22 @@
-//! Wall-clock baseline for the sharded scan engine: `BENCH_scan.json`.
+//! The (targets, K, threaded) scan matrix, timed and cross-checked.
 //!
 //! Runs the benchmark scan serially and at K ∈ {2, 4, 8} shards at one or
 //! more hitlist scales (`--targets 15000,100000`), folds the per-rep wall
-//! times into a [`vp_obs::Histogram`] (the same type the run reports use),
-//! and writes median/p90 per (targets, K, threaded) to `BENCH_scan.json`
-//! so future PRs have a perf trajectory to compare against (`vp-monitor
-//! check-bench` gates on it). Sharded counts run twice: once on the
-//! inline executor (`threaded: false` — the pure sharding overhead) and
-//! once on OS threads via the blessed [`ShardExecutor`] (`threaded:
-//! true`, workers = min(K, 8)). Every rep also cross-checks that the
-//! sharded catchment map and metrics registry stay bit-identical to the
-//! serial one — a benchmark of a wrong result would be worse than no
-//! benchmark, and for the threaded rows the cross-check doubles as the
-//! DESIGN.md §7/§14 determinism witness under real preemption.
+//! times into a [`vp_obs::Histogram`] (the same type the run reports use)
+//! and prints median/p90/min/max per (targets, K, threaded) row, then the
+//! process's peak RSS. Sharded counts run twice: once on the inline
+//! executor (the pure sharding overhead) and once on OS threads via the
+//! blessed [`ShardExecutor`] (workers = min(K, 8)). Every rep also
+//! cross-checks that the sharded catchment map and metrics registry stay
+//! bit-identical to the serial one — a benchmark of a wrong result would
+//! be worse than no benchmark, and for the threaded rows the cross-check
+//! doubles as the DESIGN.md §7/§14 determinism witness under real
+//! preemption.
+//!
+//! The table is for reading, not for gating: nothing parses it and no
+//! artifact is written. The repo's one perf ledger is `benchmark/`
+//! (`benchmark/run.sh --compare` is the verdict); this binary keeps the
+//! matrix only until it moves there as a workload (ROADMAP item 2).
 //!
 //! Each scale builds its scenario and hitlist **once** and reuses them
 //! across reps and shard counts: the benchmark times the scan engine, not
@@ -24,25 +28,20 @@
 //!
 //! Percentiles are interpolated ([`Histogram::quantile_interpolated`]):
 //! with a single-digit rep count, rank-picking p90 just returns the max —
-//! interpolation keeps p90 a distinct, meaningful statistic. Each run
-//! also stamps a monotonically increasing `run` counter (previous
-//! artifact's `run` + 1) so baseline trajectories can order runs without
-//! wall-clock timestamps.
+//! interpolation keeps p90 a distinct, meaningful statistic.
 //!
 //! Run with: `cargo run --release -p vp-bench --bin bench_scan`
 //! (`--reps <n>` per-(scale, K) repetition count, `--targets <n,n,...>`
-//! comma-separated hitlist scales, `--out <path>` to redirect the
-//! artifact, `--flight <path>` to also write a `vp-obs-flight/v1` flight
-//! document from one instrumented threaded run at the first scale —
-//! `vp-monitor profile` renders it as an attribution report).
+//! comma-separated hitlist scales, `--flight <path>` to also write a
+//! `vp-obs-flight/v1` flight document from one instrumented threaded run
+//! at the first scale — `vp-monitor profile` renders it as an attribution
+//! report, and `scripts/check.sh` validates and profiles a fresh one).
 //!
 //! vp-bench is the one crate allowed to read wall clocks (lint rules
 //! d2/d4): timing benchmarks is exactly what real time is for.
 
-use std::collections::BTreeMap;
 use std::time::Instant;
 
-use serde_json::Value;
 use vp_bench::{bench_hitlist, bench_scenario_scaled};
 use vp_hitlist::Hitlist;
 use vp_net::SimTime;
@@ -53,8 +52,8 @@ use verfploeter::scan::{run_scan, run_scan_sharded_on, ScanConfig, ScanResult};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// Worker cap for the threaded rows: keeps the artifact comparable
-/// across hosts with more cores than the committed baselines' machine.
+/// Worker cap for the threaded rows: keeps the table comparable across
+/// hosts with different core counts.
 const MAX_WORKERS: usize = 8;
 
 /// 1ms → ~90min in ×1.5 steps: fine enough that median/p90 of a scan
@@ -160,16 +159,6 @@ fn flight_run(s: &Scenario, hl: &Hitlist, reference: &ScanResult, targets: u64) 
     }
 }
 
-/// The `run` counter for this invocation: previous artifact's + 1.
-fn next_run(out: &str) -> u64 {
-    let prev = std::fs::read_to_string(out)
-        .ok()
-        .and_then(|text| serde_json::from_str::<Value>(&text).ok())
-        .and_then(|doc| doc.get("run").and_then(Value::as_u64))
-        .unwrap_or(0);
-    prev + 1
-}
-
 /// Peak resident set size in kiB (`VmHWM` from `/proc/self/status`), the
 /// bounded-memory witness for the million-block scale. `None` off Linux.
 fn peak_rss_kib() -> Option<u64> {
@@ -183,7 +172,6 @@ fn main() {
     // 9 reps: enough samples that interpolated p90 sits strictly between
     // the median and the max instead of pinning to either.
     let mut reps: u32 = 9;
-    let mut out = "BENCH_scan.json".to_owned();
     let mut flight: Option<String> = None;
     let mut scales: Vec<usize> = vec![15_000];
     let mut i = 1;
@@ -220,13 +208,6 @@ fn main() {
                         std::process::exit(2);
                     });
             }
-            "--out" => {
-                i += 1;
-                out = args.get(i).cloned().unwrap_or_else(|| {
-                    eprintln!("--out wants a path");
-                    std::process::exit(2);
-                });
-            }
             "--flight" => {
                 i += 1;
                 flight = Some(args.get(i).cloned().unwrap_or_else(|| {
@@ -235,22 +216,15 @@ fn main() {
                 }));
             }
             other => {
-                eprintln!(
-                    "unknown argument {other:?} (supported: --reps, --targets, --out, --flight)"
-                );
+                eprintln!("unknown argument {other:?} (supported: --reps, --targets, --flight)");
                 std::process::exit(2);
             }
         }
         i += 1;
     }
 
-    let run = next_run(&out);
-    println!(
-        "bench_scan: scales {scales:?}, {reps} reps per K, run {run}"
-    );
+    println!("bench_scan: scales {scales:?}, {reps} reps per K");
 
-    let mut series = Vec::new();
-    let mut first_scale_targets = None;
     for &scale in &scales {
         let s = bench_scenario_scaled(33, scale);
         let hl = bench_hitlist(&s);
@@ -262,15 +236,13 @@ fn main() {
             "scaled scenario undershoots the requested block count — \
              raise num_ases in bench_scenario_scaled"
         );
-        if first_scale_targets.is_none() {
-            if let Some(path) = &flight {
-                let doc = flight_run(&s, &hl, &reference, targets);
-                std::fs::write(path, doc.to_canonical_json())
-                    .unwrap_or_else(|e| panic!("write {path}: {e}"));
-                println!("  wrote flight document to {path}");
-            }
+        // Taken, so only the first scale writes one.
+        if let Some(path) = flight.take() {
+            let doc = flight_run(&s, &hl, &reference, targets);
+            std::fs::write(&path, doc.to_canonical_json())
+                .unwrap_or_else(|e| panic!("write {path}: {e}"));
+            println!("  wrote flight document to {path}");
         }
-        first_scale_targets.get_or_insert(targets);
         println!("  targets={targets}");
         for shards in SHARD_COUNTS {
             // K=1 threaded would measure the same inline path twice.
@@ -279,9 +251,8 @@ fn main() {
                 let mut hist = Histogram::new(wall_time_buckets());
                 for rep in 0..reps {
                     let (result, wall) = scan_once(&s, &hl, shards, threaded, 0xbe9c);
-                    assert_eq!(
-                        result.catchments.len(),
-                        reference.catchments.len(),
+                    assert!(
+                        result.catchments == reference.catchments,
                         "targets={targets} K={shards} threaded={threaded} rep={rep}: \
                          catchment map diverged from serial"
                     );
@@ -303,38 +274,11 @@ fn main() {
                     hist.min() as f64 / 1e6,
                     hist.max() as f64 / 1e6,
                 );
-                let mut entry = BTreeMap::new();
-                entry.insert("targets".to_owned(), Value::U64(targets));
-                entry.insert("shards".to_owned(), Value::U64(shards as u64));
-                entry.insert("threaded".to_owned(), Value::Bool(threaded));
-                entry.insert("reps".to_owned(), Value::U64(reps as u64));
-                entry.insert("median_ns".to_owned(), Value::U64(median));
-                entry.insert("p90_ns".to_owned(), Value::U64(p90));
-                entry.insert("min_ns".to_owned(), Value::U64(hist.min()));
-                entry.insert("max_ns".to_owned(), Value::U64(hist.max()));
-                series.push(Value::Object(entry));
             }
         }
     }
 
-    let mut doc = BTreeMap::new();
-    doc.insert(
-        "schema".to_owned(),
-        Value::Str("vp-bench-scan/v1".to_owned()),
-    );
-    doc.insert("benchmark".to_owned(), Value::Str("run_scan".to_owned()));
-    doc.insert("run".to_owned(), Value::U64(run));
-    // Doc-level targets stays the first scale: series entries carry their
-    // own, and pre-multi-scale readers default entries to this value.
-    doc.insert(
-        "targets".to_owned(),
-        Value::U64(first_scale_targets.unwrap_or(0)),
-    );
-    doc.insert("series".to_owned(), Value::Array(series));
-    let text = serde_json::to_string_pretty(&Value::Object(doc)).expect("serialize");
-    std::fs::write(&out, text).unwrap_or_else(|e| panic!("write {out}: {e}"));
     if let Some(kib) = peak_rss_kib() {
         println!("peak RSS {:.1} MiB", kib as f64 / 1024.0);
     }
-    println!("wrote {out}");
 }

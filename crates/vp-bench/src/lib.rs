@@ -1,4 +1,6 @@
-//! Shared fixtures for the benchmark suite.
+//! Shared fixtures for the criterion benches, the ablation harness, the
+//! `bench_scan` matrix and the allocation witness. None of them gates
+//! speed: the repo benchmark (`benchmark/`) is the one perf ledger.
 
 #![forbid(unsafe_code)]
 

@@ -1,13 +1,11 @@
 //! Anycast announcements: the same prefix originated from several sites.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use vp_net::{Asn, Ipv4Addr, Prefix};
 use vp_topology::{PopId, SitePlacement, ANYCAST_REGION};
 
 /// Identifier of an anycast site within one deployment (dense, small).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 #[serde(transparent)]
 pub struct SiteId(pub u8);
 
@@ -24,7 +22,7 @@ impl std::fmt::Display for SiteId {
 }
 
 /// One anycast site: where the service announces from.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Site {
     pub id: SiteId,
     /// Paper-style tag ("LAX", "MIA", "CDG", ...).
@@ -40,7 +38,7 @@ pub struct Site {
 }
 
 /// An anycast deployment: one prefix, many origins.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Announcement {
     /// The service prefix (a /24, as anycast operators announce).
     pub prefix: Prefix,

@@ -3,7 +3,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use vp_geo::distance_km;
 use vp_net::{mix, unit, Asn};
 use vp_topology::graph::AsGraph;
@@ -12,7 +12,7 @@ use vp_topology::PopId;
 use crate::announce::{Announcement, SiteId};
 
 /// Where the selected route was learned (the local-pref ladder).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum RouteLevel {
     /// This AS hosts a site itself.
     Origin,
@@ -22,7 +22,7 @@ pub enum RouteLevel {
 }
 
 /// One equally-preferred (or near-equal) route available at an AS.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Candidate {
     /// The neighbor offering the route (self for origins).
     pub neighbor: Asn,
@@ -33,7 +33,7 @@ pub struct Candidate {
 }
 
 /// The route state of one AS for the anycast prefix.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct AsRoute {
     pub level: RouteLevel,
     /// Effective AS-path length (prepending included).

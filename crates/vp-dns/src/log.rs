@@ -1,12 +1,12 @@
 //! Query-log generation.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use vp_geo::Continent;
 use vp_net::{mix, unit, Block24};
 use vp_topology::Internet;
 
 /// Parameters of the load model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct LoadModel {
     /// Seed for all deterministic noise.
     pub seed: u64,

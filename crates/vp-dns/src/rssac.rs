@@ -8,14 +8,14 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use vp_net::Block24;
 
 use crate::log::QueryLog;
 
 /// One day of RSSAC-002-style traffic metrics for one site (or the whole
 /// service when unaggregated).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct DailyMetrics {
     /// Queries received (the "traffic-volume" metric).
     pub queries: f64,
@@ -28,7 +28,7 @@ pub struct DailyMetrics {
 }
 
 /// A per-site daily report.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct Rssac002Report<K: Ord> {
     pub per_site: BTreeMap<K, DailyMetrics>,
 }

@@ -92,7 +92,13 @@ impl Scale {
 }
 
 /// Shard count for the parallel scan path: one engine per available core.
-/// Results are shard-count-invariant, so this only affects wall-clock.
+///
+/// Every published number — catchment maps, tables, the metrics registry —
+/// is shard-count-invariant, but the obs reports also describe the shard
+/// layout itself (`scans[].shard_balance.shards`, the `engine.run` span
+/// count, the event ring), so those sections follow the host's core
+/// count. The committed `results/obs/` tree is the one-core layout:
+/// regenerate and compare it under `taskset -c 0` (README.md).
 fn scan_shards() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
@@ -354,7 +360,8 @@ impl Lab {
         };
         // A round is invariant in its shard count (see
         // `verfploeter::scan::run_scan_sharded`), so experiments get the
-        // wall-clock win for free without changing any published number.
+        // wall-clock win without changing any published number; only the
+        // obs report's shard-layout sections follow it (`scan_shards`).
         let shards = scan_shards();
         let table = Arc::new(table);
         let result = Rc::new(run_scan_sharded(

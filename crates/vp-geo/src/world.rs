@@ -15,11 +15,11 @@
 //!   in hotspots; India's NAT-heavy deployment is the extreme case).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Continent grouping used in reports. `Ord` follows declaration order so
 /// continents can key ordered maps in report code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub enum Continent {
     Europe,
     NorthAmerica,
@@ -44,7 +44,7 @@ impl Continent {
 }
 
 /// Index into [`countries`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 #[serde(transparent)]
 pub struct CountryId(pub u16);
 
@@ -61,7 +61,7 @@ impl CountryId {
 }
 
 /// A country in the synthetic world.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Country {
     /// ISO-ish two letter code.
     pub code: &'static str,

@@ -14,12 +14,12 @@
 
 #![forbid(unsafe_code)]
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use vp_net::{mix, unit, Block24, Ipv4Addr};
 use vp_topology::Internet;
 
 /// One hitlist row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct HitlistEntry {
     pub block: Block24,
     /// The address the prober will target in this block.
@@ -27,7 +27,7 @@ pub struct HitlistEntry {
 }
 
 /// Configuration of hitlist construction.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct HitlistConfig {
     /// Probability the listed target is a stale/wrong address that will not
     /// answer even when the block is responsive.
@@ -84,7 +84,7 @@ pub fn shard_bounds_of(n: usize, shards: usize) -> Vec<std::ops::Range<usize>> {
 }
 
 /// An ordered hitlist over every populated block of a world.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Hitlist {
     entries: Vec<HitlistEntry>,
 }
@@ -171,12 +171,40 @@ impl Hitlist {
         serde_json::to_string(&self.entries).expect("hitlist serializes")
     }
 
-    /// Deserializes from [`Hitlist::to_json`] output.
+    /// Reloads a hitlist written by [`Hitlist::to_json`], walking the text
+    /// row by row: each row needs a `block` and a `target` that fit `u32`;
+    /// unknown members are skipped and rows may come in any order.
     pub fn from_json(s: &str) -> Result<Hitlist, serde_json::Error> {
-        let mut entries: Vec<HitlistEntry> = serde_json::from_str(s)?;
+        let mut reader = serde_json::Reader::new(s);
+        let mut entries = Vec::new();
+        reader.begin_array()?;
+        while reader.next_element()? {
+            let (mut block, mut target) = (None, None);
+            reader.begin_object()?;
+            while let Some(member) = reader.next_key()? {
+                match &*member {
+                    "block" => block = Some(read_u32(&mut reader)?),
+                    "target" => target = Some(read_u32(&mut reader)?),
+                    _ => reader.skip()?,
+                }
+            }
+            let (Some(block), Some(target)) = (block, target) else {
+                return Err(reader.error("hitlist row needs block and target"));
+            };
+            entries.push(HitlistEntry {
+                block: Block24(block),
+                target: Ipv4Addr(target),
+            });
+        }
+        reader.end()?;
         entries.sort_by_key(|e| e.block);
         Ok(Hitlist { entries })
     }
+}
+
+fn read_u32(reader: &mut serde_json::Reader<'_>) -> Result<u32, serde_json::Error> {
+    let n = reader.u64()?;
+    u32::try_from(n).map_err(|_| reader.error(format!("{n} out of range")))
 }
 
 #[cfg(test)]
@@ -248,6 +276,17 @@ mod tests {
         let json = hl.to_json();
         let back = Hitlist::from_json(&json).unwrap();
         assert_eq!(back, hl);
+        // Rows in any order, unknown members skipped; a row missing a
+        // member, a value past u32 and trailing text are errors.
+        let e = hl.entry(0);
+        let loose = format!(
+            r#"[{{"target": {}, "x": [1], "block": {}}}]"#,
+            e.target.0, e.block.0
+        );
+        assert_eq!(Hitlist::from_json(&loose).unwrap().entries(), &[e]);
+        for text in [r#"[{"block": 1}]"#, r#"[{"block": 1, "target": 4294967296}]"#, "[] x", "{}"] {
+            assert!(Hitlist::from_json(text).is_err(), "{text}");
+        }
     }
 
     #[test]

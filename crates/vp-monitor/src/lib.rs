@@ -8,7 +8,7 @@
 //! changes, site flips, load-share skew, coverage loss — becomes an alert
 //! stream an operator can act on, not a post-hoc analysis.
 //!
-//! Four layers (DESIGN.md §10):
+//! Five layers (DESIGN.md §10):
 //!
 //! 1. **Ingest** ([`ingest`]) — loads time-ordered sequences of catchment
 //!    snapshots (the fig9 stability rounds are the canonical source, via
@@ -25,31 +25,25 @@
 //!    hysteresis rules emitting canonical `vp-monitor-alert/v1` JSON.
 //!    No wall clock anywhere: rounds are the only notion of time, so the
 //!    same input sequence always yields byte-identical alert documents.
-//! 4. **Bench-regression checker** ([`bench`]) — compares the current
-//!    `BENCH_scan.json` against the committed baseline trajectory
-//!    (`results/monitor/bench_baseline.json`) with a noise-aware
-//!    min-of-reps rule; `scripts/check.sh` runs it as a gate.
-//!
-//! 5. **Streaming tracker** ([`stream`]) — [`stream::DriftTracker`] folds
+//! 4. **Streaming tracker** ([`stream`]) — [`stream::DriftTracker`] folds
 //!    rounds one at a time and is proven by proptest to match the batch
 //!    pipeline byte-for-byte; it backs `vp-monitor watch --follow` and
 //!    the `vp-daemon` status/scrape surfaces (`vp-daemon-status/v1` plus
 //!    Prometheus text), with rolling signal windows in O(window) memory.
-//!
-//! 6. **Flight-recorder profiler** ([`profile`]) — parses
+//! 5. **Flight-recorder profiler** ([`profile`]) — parses
 //!    `vp-obs-flight/v1` documents from the scan engine's flight recorder
 //!    and renders the attribution report (`vp-monitor profile`): per-phase
 //!    self/total times, per-shard compute imbalance in permille, and a
 //!    slowest-shard critical-path estimate.
 //!
-//! The `vp-monitor` binary exposes all of it: `diff`, `watch`,
-//! `check-bench`, `validate`, `profile`.
+//! The `vp-monitor` binary exposes all of it: `diff`, `watch`, `validate`,
+//! `profile`. Speed is gated elsewhere: the repo benchmark
+//! (`benchmark/run.sh --compare`) is the one perf ledger.
 
 #![deny(unused_must_use)]
 #![forbid(unsafe_code)]
 
 pub mod alert;
-pub mod bench;
 pub mod diff;
 pub mod ingest;
 pub mod pipeline;
@@ -58,7 +52,6 @@ pub mod schema;
 pub mod stream;
 
 pub use alert::{Alert, AlertConfig, Evaluator};
-pub use bench::{check_bench, BenchRun, BenchVerdict};
 pub use diff::{diff_rounds, DriftSummary, Origins, RoundDiff};
 pub use ingest::{load_obs_report, load_rounds_dir, ObsReportDoc, ScanSummary};
 pub use pipeline::{run_diff_pipeline, DiffOutput};

@@ -6,8 +6,6 @@
 //!                 [--source <name>] [--out <dir>]
 //! vp-monitor watch --rounds <dir> [--origins <file>] [--obs-report <file>]
 //!                  [--follow] [--until-rounds <n>] [--poll-ms <ms>]
-//! vp-monitor check-bench --current <BENCH_scan.json> --baseline <file>
-//!                        [--append <file>] [--host-factor <permille>]
 //! vp-monitor validate <file|dir>...
 //! vp-monitor profile <flight.json> [--top <n>] [--chrome <out.json>]
 //! ```
@@ -21,13 +19,9 @@
 //!   new round files as they land — tailing a live `vp_daemon
 //!   --snapshots`-style producer — until `--until-rounds` rounds have
 //!   been seen (or forever without it).
-//! * `check-bench` gates on the committed perf baseline trajectory; exit
-//!   status 1 means a regression. `--host-factor 1300` scales the
-//!   allowance for a host vouched 1.3× slower than the baseline machine,
-//!   so portable baselines don't false-fail on slow CI boxes.
 //! * `validate` checks any tagged document (obs report, drift, alert,
-//!   bench baseline, daemon status, flight) against its embedded schema
-//!   snapshot; directory arguments validate every `*.json` inside.
+//!   daemon status, flight) against its embedded schema snapshot;
+//!   directory arguments validate every `*.json` inside.
 //! * `profile` renders the attribution report for a `vp-obs-flight/v1`
 //!   document — per-phase self/total times, per-shard compute imbalance,
 //!   critical-path estimate — and with `--chrome` also writes a
@@ -38,7 +32,6 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use vp_monitor::alert::AlertConfig;
-use vp_monitor::bench::{build_baseline_doc, check_bench_scaled, parse_baseline, parse_bench_scan};
 use vp_monitor::diff::Origins;
 use vp_monitor::ingest::{
     list_round_files, load_obs_report, load_origins_sidecar, load_round_file, load_rounds_dir,
@@ -51,16 +44,14 @@ use vp_monitor::stream::DriftTracker;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: vp-monitor <diff|watch|check-bench|validate|profile> [options]\n\
+        "usage: vp-monitor <diff|watch|validate|profile> [options]\n\
          \n\
-         diff        --rounds <dir> [--origins <file>] [--obs-report <file>]\n\
-         \x20           [--source <name>] [--out <dir>]\n\
-         watch       --rounds <dir> [--origins <file>] [--obs-report <file>]\n\
-         \x20           [--follow] [--until-rounds <n>] [--poll-ms <ms>]\n\
-         check-bench --current <file> --baseline <file> [--append <file>]\n\
-         \x20           [--host-factor <permille>]\n\
-         validate    <file|dir>...\n\
-         profile     <flight.json> [--top <n>] [--chrome <out.json>]"
+         diff     --rounds <dir> [--origins <file>] [--obs-report <file>]\n\
+         \x20        [--source <name>] [--out <dir>]\n\
+         watch    --rounds <dir> [--origins <file>] [--obs-report <file>]\n\
+         \x20        [--follow] [--until-rounds <n>] [--poll-ms <ms>]\n\
+         validate <file|dir>...\n\
+         profile  <flight.json> [--top <n>] [--chrome <out.json>]"
     );
     ExitCode::from(2)
 }
@@ -274,65 +265,6 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_check_bench(args: &[String]) -> Result<ExitCode, String> {
-    let mut current = None;
-    let mut baseline = None;
-    let mut append = None;
-    let mut host_factor: u64 = 1000;
-    let mut i = 0;
-    while i < args.len() {
-        let value = |i: usize| -> Result<&String, String> {
-            args.get(i + 1)
-                .ok_or_else(|| format!("{} wants a value", args[i]))
-        };
-        match args[i].as_str() {
-            "--current" => current = Some(PathBuf::from(value(i)?)),
-            "--baseline" => baseline = Some(PathBuf::from(value(i)?)),
-            "--append" => append = Some(PathBuf::from(value(i)?)),
-            "--host-factor" => {
-                host_factor = value(i)?
-                    .parse()
-                    .map_err(|e| format!("--host-factor: {e}"))?;
-                if host_factor == 0 {
-                    return Err("--host-factor must be a positive permille value".to_owned());
-                }
-            }
-            other => return Err(format!("unknown argument {other:?}")),
-        }
-        i += 2;
-    }
-    let current = current.ok_or("--current is required")?;
-    let baseline_path = baseline.ok_or("--baseline is required")?;
-
-    let current_doc = parse_bench_scan(
-        &std::fs::read_to_string(&current)
-            .map_err(|e| format!("cannot read {}: {e}", current.display()))?,
-        &current.display().to_string(),
-    )?;
-    let baseline_doc = parse_baseline(
-        &std::fs::read_to_string(&baseline_path)
-            .map_err(|e| format!("cannot read {}: {e}", baseline_path.display()))?,
-        &baseline_path.display().to_string(),
-    )?;
-
-    let verdict = check_bench_scaled(&current_doc, &baseline_doc, host_factor);
-    for line in verdict.report_lines() {
-        println!("{line}");
-    }
-    if verdict.regressed() {
-        eprintln!("check-bench: perf regression against committed baseline");
-        return Ok(ExitCode::FAILURE);
-    }
-    if let Some(path) = append {
-        let doc = build_baseline_doc(&baseline_doc, Some(&current_doc));
-        let text =
-            serde_json::to_string_pretty(&doc).map_err(|e| format!("serialize baseline: {e}"))?;
-        write_atomic(&path, &text)?;
-        println!("appended run {} to {}", current_doc.run, path.display());
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
 fn cmd_validate(args: &[String]) -> Result<ExitCode, String> {
     if args.is_empty() {
         return Err("validate wants at least one file or directory".to_owned());
@@ -443,7 +375,6 @@ fn main() -> ExitCode {
     let result = match command.as_str() {
         "diff" => cmd_diff(rest),
         "watch" => cmd_watch(rest),
-        "check-bench" => cmd_check_bench(rest),
         "validate" => cmd_validate(rest),
         "profile" => cmd_profile(rest),
         _ => return usage(),

@@ -2,11 +2,12 @@
 //!
 //! The validator started life in `vp_experiments::obs` guarding the
 //! `vp-obs-report/v1` snapshot; it lives here now because the monitor
-//! validates *four* document families — obs reports plus its own drift,
-//! alert and bench-baseline documents — and `vp-experiments` re-exports it
-//! for its schema test. The checked-in `schema/*.schema.json` snapshots
-//! are embedded at compile time, so `vp-monitor validate` needs no file
-//! lookup at run time and every consumer pins the same bytes.
+//! validates every tagged document family — obs reports, flight and
+//! daemon status documents plus its own drift and alert documents — and
+//! `vp-experiments` re-exports it for its schema test. The checked-in
+//! `schema/*.schema.json` snapshots are embedded at compile time, so
+//! `vp-monitor validate` needs no file lookup at run time and every
+//! consumer pins the same bytes.
 //!
 //! Supported JSON-Schema subset: `type` (a name or an array of names),
 //! `required`, `properties`, `additionalProperties` (a schema, or
@@ -21,8 +22,6 @@ pub const OBS_REPORT_SCHEMA: &str = include_str!("../schema/obs_report.schema.js
 pub const DRIFT_SCHEMA: &str = include_str!("../schema/drift.schema.json");
 /// Schema snapshot for `vp-monitor-alert/v1`.
 pub const ALERT_SCHEMA: &str = include_str!("../schema/alert.schema.json");
-/// Schema snapshot for `vp-bench-baseline/v1` trajectories.
-pub const BENCH_BASELINE_SCHEMA: &str = include_str!("../schema/bench_baseline.schema.json");
 /// Schema snapshot for `vp-obs-flight/v1` flight-recorder documents.
 pub const FLIGHT_SCHEMA: &str = include_str!("../schema/flight.schema.json");
 /// Schema snapshot for `vp-daemon-status/v1` daemon status documents.
@@ -34,7 +33,6 @@ pub fn schema_for(tag: &str) -> Option<&'static str> {
         "vp-obs-report/v1" => Some(OBS_REPORT_SCHEMA),
         "vp-monitor-drift/v1" => Some(DRIFT_SCHEMA),
         "vp-monitor-alert/v1" => Some(ALERT_SCHEMA),
-        "vp-bench-baseline/v1" => Some(BENCH_BASELINE_SCHEMA),
         "vp-obs-flight/v1" => Some(FLIGHT_SCHEMA),
         "vp-daemon-status/v1" => Some(DAEMON_STATUS_SCHEMA),
         _ => None,
@@ -173,7 +171,6 @@ mod tests {
             ("vp-obs-report/v1", OBS_REPORT_SCHEMA),
             ("vp-monitor-drift/v1", DRIFT_SCHEMA),
             ("vp-monitor-alert/v1", ALERT_SCHEMA),
-            ("vp-bench-baseline/v1", BENCH_BASELINE_SCHEMA),
             ("vp-obs-flight/v1", FLIGHT_SCHEMA),
             ("vp-daemon-status/v1", DAEMON_STATUS_SCHEMA),
         ] {

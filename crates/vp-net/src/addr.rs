@@ -8,7 +8,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::error::NetError;
 
@@ -17,7 +17,7 @@ use crate::error::NetError;
 /// A deliberate local type rather than `std::net::Ipv4Addr`: the simulator
 /// indexes and iterates over address space constantly and wants a transparent
 /// `u32` with arithmetic, not an octet array.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Default)]
 #[serde(transparent)]
 pub struct Ipv4Addr(pub u32);
 
@@ -94,7 +94,7 @@ impl From<Ipv4Addr> for u32 {
 /// Identified by the upper 24 bits of its network address, so blocks form a
 /// dense `0..2^24` index space; the topology generator exploits this to store
 /// per-block attribute tables as flat vectors.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 #[serde(transparent)]
 pub struct Block24(pub u32);
 
@@ -158,7 +158,7 @@ impl fmt::Debug for Block24 {
 }
 
 /// An IPv4 CIDR prefix with canonical (zeroed) host bits.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct Prefix {
     addr: Ipv4Addr,
     len: u8,

@@ -2,13 +2,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// An Autonomous System number.
 ///
 /// The generated topologies use small dense ASNs (`0..n`), which lets other
 /// crates index per-AS tables with `Asn::index()`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 #[serde(transparent)]
 pub struct Asn(pub u32);
 

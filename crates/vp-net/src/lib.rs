@@ -10,6 +10,9 @@
 //! * [`asn`] — Autonomous System numbers ([`Asn`]).
 //! * [`bitset`] — a packed bitset over dense ids ([`BitSet`]), the boolean
 //!   column type of the columnar scan core.
+//! * [`column`] — the sorted block column with a parallel value column
+//!   ([`BlockColumn`]) and its merge-join ([`Joined`]): the one table
+//!   behind the catchment map and the RTT table.
 //! * [`hash`] — the one keyed hash ([`mix`], [`unit`]) behind every
 //!   deterministic stochastic draw in the workspace.
 //! * [`perm`] — pseudorandom probe-order permutations (Feistel cycle-walking
@@ -26,6 +29,7 @@
 pub mod addr;
 pub mod asn;
 pub mod bitset;
+pub mod column;
 pub mod conv;
 pub mod error;
 pub mod hash;
@@ -36,6 +40,7 @@ pub mod time;
 pub use addr::{Block24, Ipv4Addr, Prefix};
 pub use asn::Asn;
 pub use bitset::BitSet;
+pub use column::{BlockColumn, Joined};
 pub use error::NetError;
 pub use hash::{mix, unit};
 pub use pacing::TokenBucket;

@@ -8,12 +8,10 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A duration on the simulated clock, in nanoseconds.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default, Debug,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Default, Debug)]
 #[serde(transparent)]
 pub struct SimDuration(pub u64);
 
@@ -95,9 +93,7 @@ impl fmt::Display for SimDuration {
 }
 
 /// An instant on the simulated clock (nanoseconds since simulation start).
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default, Debug,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Default, Debug)]
 #[serde(transparent)]
 pub struct SimTime(pub u64);
 

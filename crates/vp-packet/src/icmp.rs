@@ -109,8 +109,8 @@ impl IcmpMessage {
     /// Parses wire bytes, validating length, checksum and message type.
     /// Zero-copy: the returned message's body is a refcounted view of
     /// `data`'s backing buffer — no allocation per parse, which is what
-    /// lets the engine's per-reply receive path run allocation-free (rule
-    /// p1; the allocation-witness test counts it).
+    /// lets the engine's per-reply receive path run allocation-free (the
+    /// allocation-witness test counts it).
     // vp-lint: allow(g1): every index reads inside the MIN_LEN prefix the length check guarantees.
     pub fn parse(data: &Bytes) -> Result<IcmpMessage, PacketError> {
         // One deref for all the header reads below.
@@ -169,8 +169,8 @@ impl IcmpMessage {
 /// two words — the type/code word and the checksum — so each reply image
 /// costs one copy into the shared buffer and one more incremental update.
 /// Simulated responders then answer probes by handing back the
-/// precomputed image instead of serializing a fresh reply per probe (rule
-/// p1; the allocation witness counts this).
+/// precomputed image instead of serializing a fresh reply per probe (the
+/// allocation witness counts this).
 ///
 /// The exactness of the request chain rests on the type byte
 /// (`ECHO_REQUEST = 8`) keeping every request's word sum nonzero; the

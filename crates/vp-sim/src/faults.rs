@@ -1,6 +1,6 @@
 //! Fault-injection configuration.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use vp_net::SimDuration;
 
 /// Knobs for the measurement artifacts the simulator injects.
@@ -10,7 +10,7 @@ use vp_net::SimDuration;
 /// IP-address than the original target"), occasional late replies (the
 /// pipeline discards replies >15 min after measurement start), and rare
 /// unsolicited packets hitting the collector.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct FaultConfig {
     /// Probability a transmission is silently dropped.
     pub loss: f64,

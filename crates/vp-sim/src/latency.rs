@@ -1,6 +1,6 @@
 //! Propagation-delay model.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use vp_geo::distance_km;
 use vp_net::SimDuration;
 
@@ -10,7 +10,7 @@ use vp_net::SimDuration;
 /// One-way delay = `base + distance / (0.66 c) + jitter`, the usual
 /// fiber-path approximation (~200 km per ms), with jitter up to
 /// `jitter_frac` of the distance term keyed by a per-packet hash.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct LatencyModel {
     /// Fixed per-hop processing/serialization floor.
     pub base: SimDuration,

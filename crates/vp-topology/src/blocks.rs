@@ -2,7 +2,7 @@
 
 use rand::Rng;
 use rand_pcg::Pcg64;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use vp_geo::{GeoDb, GeoLoc};
 use vp_net::{Asn, Block24};
 
@@ -11,7 +11,7 @@ use crate::graph::{AsGraph, PopId};
 use crate::prefixes::PrefixInfo;
 
 /// Attributes of one populated `/24` block.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct BlockInfo {
     pub block: Block24,
     pub origin: Asn,

@@ -1,6 +1,6 @@
 //! Generator configuration.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Parameters of the synthetic Internet.
 ///
@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// seconds; [`TopologyConfig::tiny`] is for unit tests and
 /// [`TopologyConfig::paper_scale`] pushes block counts toward the paper's
 /// scale (minutes of runtime, used by the headline experiment runs).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct TopologyConfig {
     /// Master seed; every derived structure is deterministic in it.
     pub seed: u64,

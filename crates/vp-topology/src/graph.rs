@@ -4,14 +4,14 @@ use std::collections::BTreeMap;
 
 use rand::distributions::{Distribution, WeightedIndex};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use vp_geo::{countries, distance_km, Continent, CountryId};
 use vp_net::Asn;
 
 use crate::config::TopologyConfig;
 
 /// Position of an AS in the routing hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum AsTier {
     /// Fully meshed, provider-free backbone.
     Tier1,
@@ -22,7 +22,7 @@ pub enum AsTier {
 }
 
 /// Index of a point of presence in [`AsGraph::pops`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 #[serde(transparent)]
 pub struct PopId(pub u32);
 
@@ -33,7 +33,7 @@ impl PopId {
 }
 
 /// A point of presence: where an AS physically is.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Pop {
     pub id: PopId,
     pub asn: Asn,
@@ -43,7 +43,7 @@ pub struct Pop {
 }
 
 /// One autonomous system.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct AsNode {
     pub asn: Asn,
     pub tier: AsTier,

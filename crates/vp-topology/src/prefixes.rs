@@ -10,7 +10,7 @@
 
 use rand::distributions::{Distribution, WeightedIndex};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use vp_net::{Asn, Block24, Ipv4Addr, Prefix};
 
 use crate::config::TopologyConfig;
@@ -20,7 +20,7 @@ use crate::graph::{AsGraph, AsTier};
 pub const ANYCAST_REGION: Ipv4Addr = Ipv4Addr::new(240, 0, 0, 0);
 
 /// An announced prefix and its origin AS.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct PrefixInfo {
     pub prefix: Prefix,
     pub origin: Asn,

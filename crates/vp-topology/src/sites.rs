@@ -6,7 +6,7 @@
 //! B-Root world (LAX + MIA) and the nine-site Tangled world can be laid
 //! out on any generated topology.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use vp_geo::world::country_by_code;
 use vp_net::Asn;
 
@@ -15,7 +15,7 @@ use crate::internet::Internet;
 
 /// A placed anycast site: a name (paper-style IATA tag), the hosting AS and
 /// the concrete PoP where the service announces.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct SitePlacement {
     pub name: String,
     pub host_asn: Asn,

@@ -20,7 +20,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use verfploeter_suite::bgp::SiteId;
 use verfploeter_suite::hitlist::{Hitlist, HitlistConfig};
 use verfploeter_suite::net::{mix, Asn, BitSet, Block24, SimDuration, SimTime};
@@ -36,7 +36,7 @@ use vp_monitor::ingest::parse_origins;
 /// The historical tree-backed map, field-for-field the pre-columnar
 /// `CatchmentMap` (so its derived serialization defines the on-disk
 /// format the columnar engine must reproduce).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 struct BTreeCatchment {
     name: String,
     map: BTreeMap<Block24, SiteId>,
@@ -75,8 +75,26 @@ impl BTreeCatchment {
         serde_json::to_string(self).expect("catchment map serializes")
     }
 
-    fn from_json(s: &str) -> Result<BTreeCatchment, serde_json::Error> {
-        serde_json::from_str(s)
+    /// Text → `Value` tree → map, the last hop by the rules the retired
+    /// `#[derive(Deserialize)]` applied: `name` a string, `map` an object,
+    /// other members ignored, a key any decimal spelling of a `u32`
+    /// (`"07"`, `"+7"`, `"-0"` included), a site any integer in `u8`.
+    fn from_json(s: &str) -> Result<BTreeCatchment, String> {
+        use serde_json::Value;
+        let doc: Value = serde_json::from_str(s).map_err(|e| e.to_string())?;
+        let name = doc.get("name").and_then(Value::as_str).ok_or("name: expected string")?;
+        let entries = doc.get("map").and_then(Value::as_object).ok_or("map: expected object")?;
+        let mut map = BTreeMap::new();
+        for (key, site) in entries {
+            let spelled = key.parse::<u64>().ok();
+            let signed = || key.parse::<i64>().ok().and_then(|i| u64::try_from(i).ok());
+            let block = spelled.or_else(signed).and_then(|b| u32::try_from(b).ok());
+            let block = block.ok_or_else(|| format!("cannot interpret object key {key:?}"))?;
+            let site = site.as_u64().and_then(|s| u8::try_from(s).ok());
+            let site = site.ok_or_else(|| format!("map.{key}: expected an integer in u8"))?;
+            map.insert(Block24(block), SiteId(site));
+        }
+        Ok(BTreeCatchment { name: name.to_owned(), map })
     }
 }
 
