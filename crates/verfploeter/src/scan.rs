@@ -361,8 +361,8 @@ struct ProbeFeed<'a, I> {
     prober: &'a Prober,
     hitlist: &'a Hitlist,
     source: vp_net::Ipv4Addr,
-    indices: Vec<u64>,
     /// The current batch, reversed so `pop` yields schedule order.
+    indices: Vec<u64>,
     ats: Vec<SimTime>,
     packets: Vec<vp_packet::Ipv4Packet>,
     reply_images: Vec<bytes::Bytes>,
@@ -387,6 +387,7 @@ impl<I: Iterator<Item = (u64, SimTime)>> ProbeFeed<'_, I> {
             &mut self.packets,
             &mut self.reply_images,
         );
+        self.indices.reverse();
         self.ats.reverse();
         self.packets.reverse();
         self.reply_images.reverse();
@@ -407,6 +408,8 @@ impl<I: Iterator<Item = (u64, SimTime)>> Iterator for ProbeFeed<'_, I> {
             at: self.ats.pop()?,
             packet: self.packets.pop()?,
             reply_image: self.reply_images.pop()?,
+            // A hitlist built over the world lists block `i` at index `i`.
+            row: conv::sat_u32(self.indices.pop()?),
         })
     }
 }
@@ -825,6 +828,50 @@ mod tests {
                     let info = s.world.block(block).unwrap();
                     assert_eq!(Some(site), table.site_of_pop(info.pop), "{label}: block {block}");
                 }
+            }
+        }
+    }
+
+    /// A hitlist that is not the world's block table — every third entry,
+    /// reloaded from its JSON — has indices that are wrong rows for all
+    /// but its first entry. The engine checks each before use, so the
+    /// round still maps every listed responsive block, and to its
+    /// routing-table site, at every K.
+    #[test]
+    fn subset_hitlist_with_misaligned_rows_maps_correctly() {
+        let (s, hl) = setup();
+        let third: Vec<_> = hl.entries().iter().step_by(3).collect();
+        let subset = serde_json::to_string(&third).expect("entries serialize");
+        let subset = Hitlist::from_json(&subset).expect("entries parse back");
+        assert_eq!(subset.len(), hl.len().div_ceil(3));
+        let misaligned = (subset.entries().iter().enumerate())
+            .filter(|(i, e)| s.world.block_id(e.block) != Some(*i as u32))
+            .count();
+        assert_eq!(misaligned, subset.len() - 1);
+        let responsive = |e: &&vp_hitlist::HitlistEntry| s.world.block(e.block).unwrap().responsive;
+        let responsive = subset.entries().iter().filter(responsive).count();
+
+        let table = s.routing();
+        for shards in [1, 7] {
+            let result = run_scan_sharded_on(
+                &ShardExecutor::serial(),
+                &s.world,
+                &subset,
+                &s.announcement,
+                &|| Box::new(StaticOracle::new(table.clone())),
+                FaultConfig::none(),
+                SimTime::ZERO,
+                &ScanConfig::default(),
+                1,
+                shards,
+            );
+            assert_eq!(result.probes_sent, subset.len() as u64, "K={shards}");
+            assert_eq!(result.catchments.len(), responsive, "K={shards}");
+            assert_eq!(result.sim_stats.undeliverable, 0, "K={shards}");
+            for (block, site) in result.catchments.iter() {
+                assert!(subset.for_block(block).is_some(), "K={shards}: block {block}");
+                let info = s.world.block(block).unwrap();
+                assert_eq!(Some(site), table.site_of_pop(info.pop), "K={shards}: block {block}");
             }
         }
     }

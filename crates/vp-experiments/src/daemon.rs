@@ -77,7 +77,8 @@ impl DaemonConfig {
 pub struct Daemon {
     scenario: Scenario,
     hitlist: Hitlist,
-    /// Cloned once per round: every engine of a round borrows the clone.
+    /// Cloned once per round (a refcount bump: the table, graph and flip
+    /// model are shared); every engine of a round borrows the clone.
     oracle: FlippingOracle,
     shards: usize,
     obs: TraceLevel,

@@ -55,26 +55,36 @@ proptest! {
     }
 
     /// The columnar GeoDb is a `BTreeMap` under arbitrary insert order
-    /// with repeats: last write wins, `iter` is ascending, and `locate`
-    /// agrees on present and absent blocks alike.
+    /// with repeats, located and unlocated writes mixed: last write wins,
+    /// `iter` is ascending over the located entries, `locate` agrees on
+    /// located, unlocated and absent blocks alike, and the row view holds
+    /// every written block with the coordinates last written for it.
     #[test]
     fn geodb_map_semantics(
-        inserts in prop::collection::vec((0u32..500, 0u16..40, -80.0f64..80.0), 0..200),
+        inserts in prop::collection::vec((0u32..500, 0u16..40, -80.0f64..80.0, any::<bool>()), 0..200),
     ) {
         let mut db = GeoDb::new();
         let mut model = std::collections::BTreeMap::new();
-        for (block, country, lat) in &inserts {
+        for (block, country, lat, located) in &inserts {
             let loc = GeoLoc { country: vp_geo::CountryId(*country), lat: *lat, lon: 0.0 };
-            db.insert(vp_net::Block24(*block), loc);
-            model.insert(vp_net::Block24(*block), loc);
+            if *located {
+                db.insert(vp_net::Block24(*block), loc);
+            } else {
+                db.insert_unlocated(vp_net::Block24(*block), loc.lat, loc.lon);
+            }
+            model.insert(vp_net::Block24(*block), (located.then_some(loc), (loc.lat, loc.lon)));
         }
-        prop_assert_eq!(db.len(), model.len());
-        prop_assert_eq!(db.is_empty(), model.is_empty());
-        let rows: Vec<_> = db.iter().collect();
-        let want: Vec<_> = model.iter().map(|(b, l)| (*b, *l)).collect();
-        prop_assert_eq!(rows, want);
+        let located: Vec<_> = model.iter().filter_map(|(b, (l, _))| Some((*b, (*l)?))).collect();
+        prop_assert_eq!(db.len(), located.len());
+        prop_assert_eq!(db.is_empty(), located.is_empty());
+        prop_assert_eq!(db.iter().collect::<Vec<_>>(), located);
         for block in (0..500).map(vp_net::Block24) {
-            prop_assert_eq!(db.locate(block), model.get(&block).copied());
+            prop_assert_eq!(db.locate(block), model.get(&block).and_then(|(l, _)| *l));
         }
+        prop_assert_eq!(db.keys(), model.keys().copied().collect::<Vec<_>>());
+        for (row, (_, coords)) in model.values().enumerate() {
+            prop_assert_eq!(db.coords_of_row(row), Some(*coords));
+        }
+        prop_assert_eq!(db.coords_of_row(model.len()), None);
     }
 }

@@ -10,7 +10,7 @@ use vp_net::conv;
 use vp_net::{mix, unit, Ipv4Addr, SimTime};
 use vp_packet::{DnsMessage, IcmpMessage, Ipv4Packet, Protocol, UdpDatagram};
 use vp_topology::blocks::BlockInfo;
-use vp_topology::Internet;
+use vp_topology::{Internet, PopId};
 
 use crate::faults::FaultConfig;
 use crate::latency::LatencyModel;
@@ -70,11 +70,18 @@ pub struct HostDelivery {
 /// to the parse → reply → emit chain it replaces, so routing, fault draws
 /// and captures cannot tell the difference; the only observable change is
 /// zero per-reply allocations (the witness test's contract).
+///
+/// `row` is where the source expects the destination's block in
+/// [`Internet::blocks`] — the probe's hitlist index, which for a hitlist
+/// built over the world *is* that row. It is a hint, checked against the
+/// table before use: a wrong one costs the block search it would have
+/// saved and changes nothing else.
 #[derive(Debug, Clone)]
 pub struct TimedProbe {
     pub at: SimTime,
     pub packet: Ipv4Packet,
     pub reply_image: bytes::Bytes,
+    pub row: u32,
 }
 
 /// Receives every packet a site collector captures, tagged with site and
@@ -198,6 +205,27 @@ struct Service<'w> {
     /// per-reply DNS path never formats a hostname (the allocation witness
     /// counts it).
     hostnames: Vec<String>,
+    /// The route column: the oracle's answer per PoP (indexed by
+    /// [`PopId`]) for `route_epoch`, `None` until the PoP's first packet
+    /// asks. Two bytes a PoP.
+    routes: Vec<Option<Option<SiteId>>>,
+    /// The epoch `routes` answers for: that of the first packet injected
+    /// from or to the service. A transmission of any other epoch (a late
+    /// reply crossing a flip interval) asks the oracle directly.
+    route_epoch: Option<u32>,
+}
+
+impl Service<'_> {
+    /// The site traffic from `pop` reaches at `at` — the oracle's answer,
+    /// asked at most once per PoP for the column's epoch (DESIGN.md §7).
+    fn site_of_pop(&mut self, pop: PopId, at: SimTime) -> Option<SiteId> {
+        let epoch = self.oracle.epoch(at);
+        if self.route_epoch != Some(epoch) {
+            return self.oracle.site_of_pop(pop, epoch);
+        }
+        let slot = self.routes.get_mut(pop.index())?;
+        *slot.get_or_insert_with(|| self.oracle.site_of_pop(pop, epoch))
+    }
 }
 
 /// Where an address lives in the simulated world. Resolution is a pure
@@ -378,6 +406,8 @@ impl<'w> NetworkSim<'w> {
             oracle,
             serve_dns,
             hostnames,
+            routes: vec![None; self.world.graph.pops.len()],
+            route_epoch: None,
         });
         self.captures.0.push(Vec::new());
         handle
@@ -399,24 +429,49 @@ impl<'w> NetworkSim<'w> {
     /// resolved through the sender's catchment), to a populated block's
     /// representative host, or dropped as undeliverable.
     pub fn send_at(&mut self, at: SimTime, packet: Ipv4Packet) {
-        self.inject(at, packet, None);
+        self.inject(at, packet, None, None);
     }
 
     /// The one place addresses enter the engine: both ends of an injected
     /// packet are resolved here, and every packet the engine generates in
     /// response inherits its endpoints from the event it answers.
-    fn inject(&mut self, at: SimTime, packet: Ipv4Packet, reply_image: Option<bytes::Bytes>) {
+    /// `dst_row` is a [`TimedProbe::row`] hint for the destination.
+    fn inject(
+        &mut self,
+        at: SimTime,
+        packet: Ipv4Packet,
+        reply_image: Option<bytes::Bytes>,
+        dst_row: Option<u32>,
+    ) {
         self.stats.injected += 1;
-        let (from, to) = (self.resolve(packet.src), self.resolve(packet.dst));
+        let (from, to) = (self.resolve(packet.src, None), self.resolve(packet.dst, dst_row));
+        for end in [from, to] {
+            let Some(Endpoint::Service(service)) = end else {
+                continue;
+            };
+            if let Some(s) = self.services.get_mut(service) {
+                // A service's first traffic sets its route column's epoch.
+                s.route_epoch.get_or_insert_with(|| s.oracle.epoch(at));
+            }
+        }
         self.transmit(at, packet, from, to, true, 0, reply_image);
     }
 
-    fn resolve(&self, addr: Ipv4Addr) -> Option<Endpoint> {
+    /// `row` is taken only if that row of the block table holds `addr`'s
+    /// block; the table is strictly ascending, so that row is the one the
+    /// search would find and the hint cannot change the answer.
+    fn resolve(&self, addr: Ipv4Addr, row: Option<u32>) -> Option<Endpoint> {
         let serves = |s: &Service| s.announcement.prefix.contains(addr);
-        match self.services.iter().position(serves) {
-            Some(service) => Some(Endpoint::Service(service)),
-            None => self.world.block_id(addr.block()).map(Endpoint::Block),
+        if let Some(service) = self.services.iter().position(serves) {
+            return Some(Endpoint::Service(service));
         }
+        let block = addr.block();
+        let holds = |row: &u32| {
+            let at_row = self.world.blocks.get(conv::index(*row));
+            at_row.is_some_and(|info| info.block == block)
+        };
+        let row = row.filter(holds).or_else(|| self.world.block_id(block));
+        row.map(Endpoint::Block)
     }
 
     /// `from` and `to` are the endpoints of `packet.src` and `packet.dst`.
@@ -435,7 +490,7 @@ impl<'w> NetworkSim<'w> {
     ) {
         debug_assert_eq!(
             (from, to),
-            (self.resolve(packet.src), self.resolve(packet.dst)),
+            (self.resolve(packet.src, None), self.resolve(packet.dst, None)),
             "carried endpoints diverge from the packet's addresses"
         );
         // Identity of this transmission: packet content + send time + copy.
@@ -486,9 +541,8 @@ impl<'w> NetworkSim<'w> {
         self.queue_high_water = self.queue_high_water.max(self.queue.len());
     }
 
-    // vp-lint: allow(g1): service and block ids are minted by this engine's own service table and world.
     fn route(
-        &self,
+        &mut self,
         packet: &Ipv4Packet,
         from: Option<Endpoint>,
         to: Option<Endpoint>,
@@ -500,14 +554,14 @@ impl<'w> NetworkSim<'w> {
                 let Some(Endpoint::Block(sender)) = from else {
                     return None;
                 };
-                let info = &self.world.blocks[conv::index(sender)];
-                let site = self.services[service].oracle.site_of_block(info, at)?;
+                let pop = self.world.blocks.get(conv::index(sender))?.pop;
+                let site = self.services.get_mut(service)?.site_of_pop(pop, at)?;
                 Some(Target::Site { service, site })
             }
             Endpoint::Block(block) => {
                 // Only a block's representative address is a live host.
-                let live = packet.dst == self.world.blocks[conv::index(block)].representative();
-                live.then_some(Target::Host { block })
+                let info = self.world.blocks.get(conv::index(block))?;
+                (packet.dst == info.representative()).then_some(Target::Host { block })
             }
         }
     }
@@ -519,20 +573,16 @@ impl<'w> NetworkSim<'w> {
         (pop.lat, pop.lon)
     }
 
-    // vp-lint: allow(g1): block and pop ids are minted by the world this engine runs over.
     fn location(&self, endpoint: Option<Endpoint>) -> (f64, f64) {
         match endpoint {
             // Measurement traffic originates "from the anycast system";
             // physically we charge it to the first site's PoP.
             Some(Endpoint::Service(service)) => self.site_location(service, SiteId(0)),
+            // A block id is its row in the world's position column: the
+            // block's location, or its PoP's where it has none.
             Some(Endpoint::Block(block)) => {
-                let info = &self.world.blocks[conv::index(block)];
-                if let Some(loc) = self.world.geodb.locate(info.block) {
-                    (loc.lat, loc.lon)
-                } else {
-                    let pop = &self.world.graph.pops[info.pop.index()];
-                    (pop.lat, pop.lon)
-                }
+                let coords = self.world.geodb.coords_of_row(conv::index(block));
+                coords.unwrap_or_default()
             }
             None => (0.0, 0.0),
         }
@@ -614,7 +664,7 @@ impl<'w> NetworkSim<'w> {
             }) {
                 debug_assert!(probe.at >= last_sent, "probe source must be sorted by send time");
                 last_sent = probe.at;
-                self.inject(probe.at, probe.packet, Some(probe.reply_image));
+                self.inject(probe.at, probe.packet, Some(probe.reply_image), Some(probe.row));
             }
             let Some(Reverse(ev)) = self.queue.pop() else {
                 break;
@@ -1049,6 +1099,122 @@ mod tests {
         assert!(caps[0].at >= SimTime::ZERO + SimDuration::from_mins(20));
     }
 
+    /// Counts `site_of_pop` calls on the oracle it wraps.
+    struct Counting<O>(O, std::sync::atomic::AtomicUsize);
+
+    impl<O: CatchmentOracle> CatchmentOracle for Counting<O> {
+        fn epoch(&self, at: SimTime) -> u32 {
+            self.0.epoch(at)
+        }
+
+        fn site_of_pop(&self, pop: PopId, epoch: u32) -> Option<SiteId> {
+            self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.0.site_of_pop(pop, epoch)
+        }
+    }
+
+    const INTERVAL: SimDuration = SimDuration::from_mins(15);
+
+    /// An oracle under which every PoP of every multi-candidate AS redraws
+    /// its site each interval.
+    fn restless_oracle(w: &Internet) -> (Announcement, crate::FlippingOracle) {
+        let (ann, oracle) = service(w);
+        let table = oracle.table().clone();
+        let mut model = vp_bgp::FlipModel::stable(21);
+        for (asn, route) in table.per_as.iter().enumerate() {
+            if route.as_ref().is_some_and(|r| r.candidate_sites().len() > 1) {
+                model = model.with_prone_as(vp_net::Asn(asn as u32), 1.0);
+            }
+        }
+        (ann, crate::FlippingOracle::new(table, w.graph.clone(), model, INTERVAL))
+    }
+
+    /// The route column answers for one epoch, but a reply is routed at
+    /// the epoch it is *sent* in: with every reply (or every other one)
+    /// held back for longer than a flip interval, each capture lands at
+    /// `site_of_pop(pop, epoch(reply send time))` — which for many
+    /// differs from the answer of the probes' epoch, the column's.
+    #[test]
+    fn late_replies_are_routed_at_the_epoch_they_are_sent_in() {
+        let w = world();
+        let (ann, oracle) = restless_oracle(&w);
+        let meas = ann.measurement_addr();
+        // Probes leave ten seconds before round 1 ends; replies take well
+        // under a second each way, so an on-time reply is sent in round 1
+        // and a late one — 20 minutes on — in round 3, far from any edge.
+        let start = SimTime::ZERO + SimDuration::from_secs(2 * 15 * 60 - 10);
+        let probes: Vec<TimedProbe> = (w.blocks.iter().enumerate())
+            .filter(|(_, b)| b.responsive)
+            .map(|(row, b)| {
+                let at = start + SimDuration::from_millis(row as u64);
+                let mut p = timed_probe(at, probe(meas, b.representative(), 1, row as u16));
+                p.row = row as u32;
+                p
+            })
+            .collect();
+        for late_prob in [1.0, 0.5] {
+            let faults = FaultConfig {
+                late_prob,
+                late_delay: SimDuration::from_mins(20),
+                ..FaultConfig::none()
+            };
+            let mut sim = NetworkSim::new(&w, faults, 6);
+            sim.register_service(ann.clone(), Box::new(&oracle), false);
+            let mut seen = Recorder::default();
+            sim.run_with(probes.iter().cloned(), &mut seen);
+            assert_eq!(seen.0.len(), probes.len());
+
+            let (mut late, mut moved) = (0, 0);
+            for (site, at, src) in seen.0 {
+                let pop = w.block(src.block()).unwrap().pop;
+                let epoch = oracle.epoch(at);
+                assert!(epoch == 1 || epoch == 3, "capture at {at} in round {epoch}");
+                assert_eq!(Some(site), oracle.site_of_pop(pop, epoch), "{src} at {at}");
+                late += usize::from(epoch == 3);
+                moved += usize::from(Some(site) != oracle.site_of_pop(pop, 1));
+            }
+            assert!(moved > 0, "no late reply tells round 3 from round 1");
+            if late_prob == 1.0 {
+                assert_eq!(late, probes.len());
+            } else {
+                assert!(0 < late && late < probes.len(), "{late} late of {}", probes.len());
+            }
+        }
+    }
+
+    /// One oracle call per PoP per epoch: a round that stays inside one
+    /// epoch asks the oracle once for each PoP its replies come from —
+    /// far fewer times than it routes replies.
+    #[test]
+    fn the_oracle_is_asked_once_per_pop_not_once_per_reply() {
+        let w = world();
+        let pops = w.graph.pops.len();
+        assert!(w.blocks.len() >= 10 * pops, "{} blocks on {pops} PoPs", w.blocks.len());
+        let (ann, oracle) = restless_oracle(&w);
+        let meas = ann.measurement_addr();
+        let oracle = Counting(oracle, Default::default());
+        // Duplicates route more replies, not more PoPs.
+        let faults = FaultConfig {
+            duplicate_prob: 0.5,
+            max_duplicates: 3,
+            ..FaultConfig::none()
+        };
+        let mut sim = NetworkSim::new(&w, faults, 8);
+        let svc = sim.register_service(ann, Box::new(&oracle), false);
+        for (i, b) in w.blocks.iter().enumerate() {
+            let at = SimTime::ZERO + INTERVAL + SimDuration::from_millis(i as u64);
+            sim.send_at(at, probe(meas, b.representative(), 2, i as u16));
+        }
+        sim.run();
+        let answered = sim.stats().replies;
+        let routed = sim.captures(svc).len() as u64;
+        assert!(routed > answered && answered == w.responsive_blocks().count() as u64);
+        let calls = oracle.1.load(std::sync::atomic::Ordering::Relaxed) as u64;
+        let epochs_touched = 1;
+        assert!(calls <= pops as u64 * epochs_touched, "{calls} calls for {pops} PoPs");
+        assert!(0 < calls && calls < answered, "{calls} calls for {answered} answered probes");
+    }
+
     #[test]
     fn churn_takes_some_blocks_down_per_round() {
         let w = world();
@@ -1164,6 +1330,7 @@ mod tests {
             at,
             packet,
             reply_image,
+            row: u32::MAX,
         }
     }
 

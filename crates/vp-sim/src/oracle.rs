@@ -9,22 +9,35 @@ use std::sync::Arc;
 
 use vp_bgp::{FlipModel, RoutingTable, SiteId};
 use vp_net::{SimDuration, SimTime};
-use vp_topology::blocks::BlockInfo;
 use vp_topology::graph::AsGraph;
+use vp_topology::PopId;
 
-/// Resolves which anycast site traffic from a block reaches at an instant.
+/// Resolves which anycast site traffic reaches, as the two facts a
+/// catchment is made of: routing changes only between **epochs**, and
+/// within one epoch the site is a function of the sender's PoP (every
+/// block homed on a PoP shares its egress). The engine keeps one column
+/// of answers per service for the epoch of its traffic and asks
+/// [`CatchmentOracle::site_of_pop`] at most once per PoP for it.
 ///
 /// `Sync`, so one oracle can be lent to every shard engine of a round
 /// (a reference to an oracle is itself an oracle): a round resolves all
 /// its catchments through a single instance, whatever its shard count.
 pub trait CatchmentOracle: Sync {
-    /// The receiving site, or `None` if the block's AS has no route.
-    fn site_of_block(&self, block: &BlockInfo, at: SimTime) -> Option<SiteId>;
+    /// The routing epoch instant `at` falls in.
+    fn epoch(&self, at: SimTime) -> u32;
+
+    /// The site traffic from `pop` reaches during `epoch`, or `None` if
+    /// the PoP's AS has no route.
+    fn site_of_pop(&self, pop: PopId, epoch: u32) -> Option<SiteId>;
 }
 
 impl<T: CatchmentOracle + ?Sized> CatchmentOracle for &T {
-    fn site_of_block(&self, block: &BlockInfo, at: SimTime) -> Option<SiteId> {
-        (**self).site_of_block(block, at)
+    fn epoch(&self, at: SimTime) -> u32 {
+        (**self).epoch(at)
+    }
+
+    fn site_of_pop(&self, pop: PopId, epoch: u32) -> Option<SiteId> {
+        (**self).site_of_pop(pop, epoch)
     }
 }
 
@@ -57,17 +70,22 @@ impl StaticOracle {
 }
 
 impl CatchmentOracle for StaticOracle {
-    fn site_of_block(&self, block: &BlockInfo, _at: SimTime) -> Option<SiteId> {
-        self.table.site_of_pop(block.pop)
+    fn epoch(&self, _at: SimTime) -> u32 {
+        0
+    }
+
+    fn site_of_pop(&self, pop: PopId, _epoch: u32) -> Option<SiteId> {
+        self.table.site_of_pop(pop)
     }
 }
 
 /// An oracle whose choice may flip between measurement rounds.
+///
+/// The table, graph and flip model sit behind one [`Arc`], so a clone —
+/// the daemon makes one per round — is a refcount bump.
 #[derive(Debug, Clone)]
 pub struct FlippingOracle {
-    table: RoutingTable,
-    graph: AsGraph,
-    model: FlipModel,
+    routing: Arc<(RoutingTable, AsGraph, FlipModel)>,
     round: SimDuration,
 }
 
@@ -82,26 +100,24 @@ impl FlippingOracle {
     ) -> Self {
         assert!(round > SimDuration::ZERO, "round must be positive");
         FlippingOracle {
-            table,
-            graph,
-            model,
+            routing: Arc::new((table, graph, model)),
             round,
         }
     }
 
     pub fn table(&self) -> &RoutingTable {
-        &self.table
-    }
-
-    fn round_of(&self, at: SimTime) -> u32 {
-        vp_net::conv::sat_u32(at.as_nanos() / self.round.as_nanos())
+        &self.routing.0
     }
 }
 
 impl CatchmentOracle for FlippingOracle {
-    fn site_of_block(&self, block: &BlockInfo, at: SimTime) -> Option<SiteId> {
-        self.model
-            .site_of_pop_at_round(&self.table, &self.graph, block.pop, self.round_of(at))
+    fn epoch(&self, at: SimTime) -> u32 {
+        vp_net::conv::sat_u32(at.as_nanos() / self.round.as_nanos())
+    }
+
+    fn site_of_pop(&self, pop: PopId, epoch: u32) -> Option<SiteId> {
+        let (table, graph, model) = &*self.routing;
+        model.site_of_pop_at_round(table, graph, pop, epoch)
     }
 }
 
@@ -122,10 +138,10 @@ mod tests {
     fn static_oracle_is_time_invariant() {
         let (w, table) = setup();
         let oracle = StaticOracle::new(table);
+        assert_eq!(oracle.epoch(SimTime::ZERO), oracle.epoch(SimTime(1u64 << 50)));
         for b in w.blocks.iter().take(50) {
-            let s0 = oracle.site_of_block(b, SimTime::ZERO);
-            let s1 = oracle.site_of_block(b, SimTime(1u64 << 50));
-            assert_eq!(s0, s1);
+            let s0 = oracle.site_of_pop(b.pop, 0);
+            assert_eq!(s0, oracle.site_of_pop(b.pop, 7));
             assert!(s0.is_some());
         }
     }
@@ -141,8 +157,9 @@ mod tests {
             SimDuration::from_mins(15),
         );
         let t = SimTime::ZERO + SimDuration::from_mins(5); // still round 0
+        assert_eq!(fl.epoch(t), 0);
         for b in w.blocks.iter().take(50) {
-            assert_eq!(st.site_of_block(b, t), fl.site_of_block(b, t));
+            assert_eq!(st.site_of_pop(b.pop, st.epoch(t)), fl.site_of_pop(b.pop, fl.epoch(t)));
         }
     }
 
@@ -155,10 +172,10 @@ mod tests {
             FlipModel::stable(1),
             SimDuration::from_mins(15),
         );
-        assert_eq!(fl.round_of(SimTime::ZERO), 0);
-        assert_eq!(fl.round_of(SimTime::ZERO + SimDuration::from_mins(14)), 0);
-        assert_eq!(fl.round_of(SimTime::ZERO + SimDuration::from_mins(15)), 1);
-        assert_eq!(fl.round_of(SimTime::ZERO + SimDuration::from_hours(24)), 96);
+        assert_eq!(fl.epoch(SimTime::ZERO), 0);
+        assert_eq!(fl.epoch(SimTime::ZERO + SimDuration::from_mins(14)), 0);
+        assert_eq!(fl.epoch(SimTime::ZERO + SimDuration::from_mins(15)), 1);
+        assert_eq!(fl.epoch(SimTime::ZERO + SimDuration::from_hours(24)), 96);
         // Keep `w` alive for clarity of the borrowed graph clone.
         drop(w);
     }

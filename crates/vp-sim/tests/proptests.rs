@@ -89,7 +89,10 @@ proptest! {
     /// eager injection: same sink calls in the same order, same host
     /// deliveries, same counters, same final clock — for random worlds,
     /// fault mixes and time-sorted probe sets, including bursts of probes
-    /// sharing one send time and gaps longer than a round trip.
+    /// sharing one send time and gaps longer than a round trip. The lazy
+    /// run's probes carry a row hint that is right, off by one either way,
+    /// or nowhere in the table; the eager run (`send_at`) has none, so the
+    /// equality also shows a hint is verified, never trusted.
     #[test]
     fn lazy_source_dispatches_the_eager_event_sequence(
         world_seed in 0u64..3000,
@@ -98,7 +101,7 @@ proptest! {
         (late_prob, unsolicited_prob) in (0.0f64..0.2, 0.0f64..0.2),
         // Per probe: stay on the previous send time, step a pacing-sized
         // gap, or pause for longer than a round trip.
-        gaps in prop::collection::vec((0u8..3, 1u64..2_000, 100_000u64..400_000), 1..200),
+        gaps in prop::collection::vec((0u8..3, 1u64..2_000, 100_000u64..400_000, 0u8..4), 1..200),
     ) {
         let s = scenario(world_seed);
         let meas = s.announcement.measurement_addr();
@@ -115,9 +118,9 @@ proptest! {
         let mut at = SimTime::ZERO;
         let probes: Vec<TimedProbe> = gaps
             .iter()
-            .zip(s.world.blocks.iter().cycle())
+            .zip(s.world.blocks.iter().enumerate().cycle())
             .enumerate()
-            .map(|(i, (&(kind, short_us, long_us), b))| {
+            .map(|(i, (&(kind, short_us, long_us, hint), (row, b)))| {
                 at += SimDuration::from_micros([0, short_us, long_us][kind as usize]);
                 let packet = probe(meas, b.representative(), 5, i as u16);
                 let reply_image = IcmpMessage::parse(&packet.payload)
@@ -125,7 +128,9 @@ proptest! {
                     .reply()
                     .unwrap()
                     .emit();
-                TimedProbe { at, packet, reply_image }
+                let row = row as u32;
+                let row = [row, row.wrapping_sub(1), row + 1, u32::MAX][hint as usize];
+                TimedProbe { at, packet, reply_image, row }
             })
             .collect();
 

@@ -38,7 +38,8 @@ impl BlockInfo {
     }
 }
 
-/// Generates the block attribute table and the geolocation database.
+/// Generates the block attribute table and the geolocation database,
+/// row for row: `geodb.keys()[i] == blocks[i].block`.
 ///
 /// Blocks are homed on a PoP of their origin AS (uniformly), geolocated
 /// near that PoP, marked responsive with the configured probability, and
@@ -52,8 +53,13 @@ pub fn generate_blocks(
     cfg: &TopologyConfig,
     rng: &mut Pcg64,
 ) -> (Vec<BlockInfo>, GeoDb) {
-    let mut blocks = Vec::new();
-    let mut geodb = GeoDb::new();
+    // Room for every block the prefixes can hold, so neither table grows:
+    // columns that double in step leave their freed halves resident in
+    // the heap (tens of MB at a million blocks).
+    let room = |p: &PrefixInfo| (p.prefix.block_count() as usize).min(cfg.max_blocks_per_prefix);
+    let room = prefixes.iter().map(room).sum::<usize>().min(cfg.max_blocks);
+    let mut blocks = Vec::with_capacity(room);
+    let mut geodb = GeoDb::with_capacity(room);
     'outer: for (idx, info) in prefixes.iter().enumerate() {
         for block in crate::prefixes::populate_blocks(info, cfg, rng) {
             if blocks.len() >= cfg.max_blocks {
@@ -103,7 +109,12 @@ pub fn generate_blocks(
                     .clamp(0.0, 1.0)
             };
             let responsive = rng.gen_bool((base * regional).min(1.0));
-            if !rng.gen_bool(cfg.unlocatable_fraction) {
+            // One position row per block, in block order, so the database
+            // stays row-aligned with `blocks`; a block it cannot place
+            // stands at its PoP.
+            if rng.gen_bool(cfg.unlocatable_fraction) {
+                geodb.insert_unlocated(block, pop_info.lat, pop_info.lon);
+            } else {
                 let (lat, lon) = pop_info.country.get().sample_location(rng);
                 geodb.insert(
                     block,

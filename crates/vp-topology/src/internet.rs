@@ -18,7 +18,9 @@ use crate::prefixes::{allocate_prefixes, PrefixInfo};
 /// ascending by `/24` (address space is carved upward and blocks are
 /// sorted within a prefix, asserted once in [`Internet::generate`]), so a
 /// block's id *is* its row in `blocks` — the order of the hitlist and of
-/// every per-block column built over a world.
+/// every per-block column built over a world. `geodb` is one of those
+/// columns (also asserted): row `i` of it positions `blocks[i]`, whether
+/// or not the database can locate the block.
 #[derive(Debug, Clone)]
 pub struct Internet {
     pub config: TopologyConfig,
@@ -51,6 +53,10 @@ impl Internet {
         assert!(
             neighbours.all(|(a, b)| a < b),
             "generated blocks must be strictly ascending: a block's id is its row"
+        );
+        assert!(
+            geodb.keys() == block_keys,
+            "the geolocation database must hold one row per block: a block's position is its row"
         );
 
         Internet {
@@ -143,8 +149,9 @@ mod tests {
     }
 
     /// The invariant the single id space stands on: every generated
-    /// world's block table is strictly ascending and `block_id` is the
-    /// row — tiny, default and a 100k-block world (the bench recipe).
+    /// world's block table is strictly ascending, `block_id` is the row
+    /// and the geolocation database is a column of it — tiny, default and
+    /// a 100k-block world (the bench recipe).
     #[test]
     fn block_ids_are_rows_of_a_sorted_table() {
         let large = |seed| TopologyConfig {
@@ -164,9 +171,17 @@ mod tests {
         for config in configs {
             let w = Internet::generate(config);
             assert!(w.blocks.windows(2).all(|p| p[0].block < p[1].block));
+            assert_eq!(w.geodb.keys().len(), w.blocks.len());
             for (row, b) in w.blocks.iter().enumerate() {
                 assert_eq!(w.block_id(b.block), Some(row as u32), "block {}", b.block);
+                // The row's position is the keyed rule: the block's
+                // location, else its PoP's coordinates.
+                let pop = &w.graph.pops[b.pop.index()];
+                let keyed = w.geodb.locate(b.block).map_or((pop.lat, pop.lon), |l| (l.lat, l.lon));
+                assert_eq!(w.geodb.coords_of_row(row), Some(keyed), "block {}", b.block);
             }
+            let unlocated = w.blocks.iter().filter(|b| w.geodb.locate(b.block).is_none());
+            assert_eq!(w.geodb.len() + unlocated.count(), w.blocks.len());
         }
     }
 
