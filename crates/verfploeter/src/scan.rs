@@ -102,10 +102,11 @@ pub struct ScanObs {
     /// Feeds the shard-balance section of run reports.
     pub shard_probes: Vec<u64>,
     /// Event-queue high-water mark per engine, in shard order: the most
-    /// events in flight at once ([`NetworkSim::queue_high_water`]). The
+    /// events queued at once ([`NetworkSim::queue_high_water`]). The
     /// lazy-merge run loop keeps it at the in-flight window of the paced
-    /// schedule — a few thousand whatever the hitlist size. Shard-layout
-    /// data like `shard_probes`, so outside the registry.
+    /// schedule — replies in flight, several hundred whatever the hitlist
+    /// size, and zero for a round nobody answers. Shard-layout data like
+    /// `shard_probes`, so outside the registry.
     pub queue_high_water: Vec<u64>,
     /// Sim-time flight timeline for the round (DESIGN.md §15): phase
     /// intervals derived from shard-invariant sim-time marks, so it is
@@ -796,6 +797,16 @@ mod tests {
         (s, hl)
     }
 
+    /// `setup`'s world with nobody home: no block ever answers.
+    fn silent_world() -> Scenario {
+        let config = TopologyConfig {
+            responsiveness: 0.0,
+            sender_responsiveness: 0.0,
+            ..TopologyConfig::tiny(81)
+        };
+        Scenario::broot(config, 7)
+    }
+
     /// The independent anchor for every K: a fault-free round recovers the
     /// routing table's catchment on every responsive block, whatever the
     /// shard count and wherever the engines run. (The K-matrix alone only
@@ -884,14 +895,7 @@ mod tests {
     #[test]
     fn degenerate_rounds_scan_cleanly_at_every_shard_count() {
         let (s, hl) = setup();
-        let silent = Scenario::broot(
-            TopologyConfig {
-                responsiveness: 0.0,
-                sender_responsiveness: 0.0,
-                ..TopologyConfig::tiny(81)
-            },
-            7,
-        );
+        let silent = silent_world();
         assert_eq!(silent.world.responsive_blocks().count(), 0);
         let silent_hl = Hitlist::from_internet(&silent.world, &HitlistConfig::default());
         let answering = hl
@@ -938,6 +942,52 @@ mod tests {
                     assert_eq!(&registry, serial, "{label}: registry differs from K=1");
                 }
             }
+        }
+    }
+
+    /// A probe's arrival is never queued (the responder answers as the
+    /// probe is sent), so a round nobody answers queues nothing at all —
+    /// and still counts every arrival as an engine event and ends at the
+    /// last of them, past the last transmission.
+    #[test]
+    fn an_all_silent_round_queues_nothing_and_ends_at_its_last_arrival() {
+        let silent = silent_world();
+        let exact = HitlistConfig {
+            wrong_addr_prob: 0.0,
+            ..HitlistConfig::default()
+        };
+        let lossy = FaultConfig {
+            loss: 0.2,
+            ..FaultConfig::none()
+        };
+        for (config, faults) in [(exact, FaultConfig::none()), (HitlistConfig::default(), lossy)] {
+            let hl = Hitlist::from_internet(&silent.world, &config);
+            let result = run_scan(
+                &silent.world,
+                &hl,
+                &silent.announcement,
+                Box::new(StaticOracle::new(silent.routing())),
+                faults.clone(),
+                SimTime::ZERO,
+                &ScanConfig::default(),
+                3,
+            );
+            let (probes, stats) = (result.probes_sent, &result.sim_stats);
+            assert_eq!(probes, hl.len() as u64);
+            assert_eq!(result.obs.queue_high_water, [0]);
+            assert_eq!(stats.delivered_to_hosts, probes - stats.lost - stats.undeliverable);
+            let events = result.obs.registry.counter_value("engine.events", &[]);
+            assert_eq!(events, stats.delivered_to_hosts);
+            if faults.loss == 0.0 {
+                assert_eq!(events, probes, "every probe arrives: {stats:?}");
+                // The last-sent probe arrives after it was sent, whoever
+                // arrives last.
+                assert!(result.obs.sim_end > result.last_probe);
+            } else {
+                assert!(stats.lost > 0 && stats.undeliverable > 0, "{stats:?}");
+            }
+            assert!(result.obs.sim_end > result.started);
+            assert!(result.catchments.is_empty() && stats.replies == 0);
         }
     }
 

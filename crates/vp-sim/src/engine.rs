@@ -65,11 +65,13 @@ pub struct HostDelivery {
 /// loop by [`NetworkSim::run_with`]: when to send what, plus the probe's
 /// precomputed echo-reply wire image (built batched by the prober
 /// alongside the probe itself). If the probe reaches a responsive host,
-/// the responder answers with `reply_image` instead of serializing a
-/// fresh reply — the image is asserted (in debug builds) byte-identical
-/// to the parse → reply → emit chain it replaces, so routing, fault draws
-/// and captures cannot tell the difference; the only observable change is
-/// zero per-reply allocations (the witness test's contract).
+/// the responder — which runs as the probe is transmitted, so the image
+/// is consumed there and never queued — answers with `reply_image`
+/// instead of serializing a fresh reply. The image is asserted (in debug
+/// builds) byte-identical to the parse → reply → emit chain it replaces,
+/// so routing, fault draws and captures cannot tell the difference; the
+/// only observable change is zero per-reply allocations (the witness
+/// test's contract).
 ///
 /// `row` is where the source expects the destination's block in
 /// [`Internet::blocks`] — the probe's hitlist index, which for a hitlist
@@ -246,6 +248,9 @@ enum Target {
     Host { block: u32 },
 }
 
+/// A queued arrival. Echo Requests bound for hosts are never among them
+/// (`transmit` answers those on the spot), so under a paced scan the queue
+/// holds replies in flight, not probes.
 struct Scheduled {
     at: SimTime,
     /// Tie-break among events arriving at the same instant: the
@@ -259,11 +264,26 @@ struct Scheduled {
     /// Endpoint of `packet.src`, where any answer goes back to.
     from: Option<Endpoint>,
     target: Target,
-    /// Precomputed echo-reply wire image riding along with a probe
-    /// (see [`TimedProbe`]); `None` for all other traffic.
-    /// Never part of the event identity: ordering and fault draws key on
-    /// `(at, key)` and the packet content alone.
-    reply_image: Option<bytes::Bytes>,
+}
+
+/// The arrivals of one run — those popped from the queue and those
+/// `transmit` resolved without queueing (Echo Requests, answered at
+/// transmission) alike: how many, and their earliest and latest instants.
+/// [`NetworkSim::run_with`] reports the count as `engine.events` and ends
+/// its clock and its `engine.run` span on the latest, so an arrival that
+/// never entered the queue is an event of the run all the same.
+#[derive(Default)]
+struct Arrivals {
+    count: u64,
+    span: Option<(SimTime, SimTime)>,
+}
+
+impl Arrivals {
+    fn note(&mut self, at: SimTime) {
+        self.count += 1;
+        let (first, last) = self.span.unwrap_or((at, at));
+        self.span = Some((first.min(at), last.max(at)));
+    }
 }
 
 impl PartialEq for Scheduled {
@@ -305,6 +325,8 @@ pub struct NetworkSim<'w> {
     seed: u64,
     queue: BinaryHeap<Reverse<Scheduled>>,
     queue_high_water: usize,
+    /// Arrivals since the last run ended, eager `send_at`s included.
+    arrivals: Arrivals,
     now: SimTime,
     captures: CaptureLog,
     host_deliveries: Vec<HostDelivery>,
@@ -313,12 +335,12 @@ pub struct NetworkSim<'w> {
 }
 
 /// Seed capacity for the event queue. Under [`NetworkSim::run_with`] the
-/// heap holds only the in-flight window of a paced scan — probes sent but
-/// not yet answered, rate × round-trip: on the order of 10³ events at the
+/// heap holds only the in-flight window of a paced scan — replies in
+/// flight, answer rate × one-way delay: several hundred events at the
 /// default 10k probes/s whatever the hitlist size
-/// ([`NetworkSim::queue_high_water`] reports the measured peak) — so it
-/// doubles at most a couple of times beyond this. Eager `send_at` callers
-/// grow it to their injection count.
+/// ([`NetworkSim::queue_high_water`] reports the measured peak) — so a
+/// scan never grows it. Eager `send_at` callers grow it to the number of
+/// answers their injections draw.
 const EVENT_QUEUE_SEED_CAPACITY: usize = 1024;
 
 impl<'w> NetworkSim<'w> {
@@ -356,6 +378,7 @@ impl<'w> NetworkSim<'w> {
             seed,
             queue: BinaryHeap::with_capacity(EVENT_QUEUE_SEED_CAPACITY),
             queue_high_water: 0,
+            arrivals: Arrivals::default(),
             now: SimTime::ZERO,
             captures: CaptureLog::default(),
             host_deliveries: Vec::new(),
@@ -418,7 +441,7 @@ impl<'w> NetworkSim<'w> {
         format!("{}.svc{}.example", site_name.to_ascii_lowercase(), service.0)
     }
 
-    /// Current simulated time (the timestamp of the last processed event).
+    /// Current simulated time: the latest arrival of the last run.
     pub fn now(&self) -> SimTime {
         self.now
     }
@@ -477,6 +500,14 @@ impl<'w> NetworkSim<'w> {
     /// `from` and `to` are the endpoints of `packet.src` and `packet.dst`.
     /// `copy` distinguishes otherwise-identical transmissions (duplicate
     /// fault copies of one reply) so each gets independent keyed draws.
+    ///
+    /// A transmission that survives loss and routing becomes a queued
+    /// arrival — except an ICMP Echo Request bound for a host, which is
+    /// answered here, for its arrival instant (DESIGN.md §7): the
+    /// responder reads only the immutable world, the fault config and
+    /// keyed hashes of `(packet, arrival time)`, so nothing an event
+    /// dispatched in between could do would change its answer, and only
+    /// the replies it sends are queued.
     #[allow(clippy::too_many_arguments)]
     fn transmit(
         &mut self,
@@ -495,10 +526,8 @@ impl<'w> NetworkSim<'w> {
         );
         // Identity of this transmission: packet content + send time + copy.
         // All stochastic outcomes below hash this, never a shared stream.
-        let ek = mix(
-            packet_key(&packet),
-            at.as_nanos() ^ ((copy as u64) << 48),
-        );
+        let pk = packet_key(&packet);
+        let ek = mix(pk, at.as_nanos() ^ ((copy as u64) << 48));
         if self.faults.loss > 0.0 && unit(mix(self.seed ^ TAG_LOSS, ek)) < self.faults.loss {
             self.stats.lost += 1;
             return;
@@ -529,14 +558,22 @@ impl<'w> NetworkSim<'w> {
             Target::Host { block } => self.location(Some(Endpoint::Block(block))),
         };
         let jitter = mix(self.seed ^ TAG_JITTER, ek);
-        let delay = self.latency.delay(self.location(from), to_loc, jitter);
+        let arrives = at + self.latency.delay(self.location(from), to_loc, jitter);
+        if let (Target::Host { block }, Protocol::Icmp) = (&target, packet.protocol) {
+            if let Ok(request @ IcmpMessage::EchoRequest { .. }) = IcmpMessage::parse(&packet.payload) {
+                // Identity of this reception: the probe's content plus its
+                // (deterministic) arrival time keys every fault decision.
+                let hk = mix(pk, arrives.as_nanos());
+                self.answer_echo(*block, arrives, hk, packet.src, from, &request, reply_image);
+                return;
+            }
+        }
         self.queue.push(Reverse(Scheduled {
-            at: at + delay,
+            at: arrives,
             key: ek,
             packet,
             from,
             target,
-            reply_image,
         }));
         self.queue_high_water = self.queue_high_water.max(self.queue.len());
     }
@@ -648,14 +685,18 @@ impl<'w> NetworkSim<'w> {
     /// the dispatched sequence is exactly what injecting every probe up
     /// front would have produced (the engine proptests assert it). Site
     /// captures go to `sink` as they are dispatched.
+    ///
+    /// Echo Requests to hosts never enter the heap (see `transmit`), but
+    /// their arrivals are events of this run like any other: they count
+    /// toward `engine.events`, and the run's clock and `engine.run` span
+    /// cover them, so a run ends at its last arrival even when that is a
+    /// probe nobody answered.
     pub fn run_with<P, C>(&mut self, probes: P, sink: &mut C)
     where
         P: IntoIterator<Item = TimedProbe>,
         C: CaptureSink,
     {
         let mut probes = probes.into_iter().peekable();
-        let mut dispatched = 0u64;
-        let mut first_at: Option<SimTime> = None;
         let mut last_sent = SimTime::ZERO;
         loop {
             while let Some(probe) = probes.next_if(|p| match self.queue.peek() {
@@ -669,26 +710,29 @@ impl<'w> NetworkSim<'w> {
             let Some(Reverse(ev)) = self.queue.pop() else {
                 break;
             };
-            self.now = ev.at;
             if let Some(obs) = &self.obs {
                 obs.clock.set(ev.at.as_nanos());
             }
-            dispatched += 1;
-            first_at.get_or_insert(ev.at);
+            self.arrivals.note(ev.at);
             match ev.target {
                 Target::Site { service, site } => self.arrive_at_site(service, site, ev, sink),
-                Target::Host { block } => self.arrive_at_host(block, ev),
+                Target::Host { .. } => self.arrive_at_host(ev),
             }
         }
+        let Arrivals { count, span } = std::mem::take(&mut self.arrivals);
+        if let Some((_, last)) = span {
+            self.now = last;
+        }
         if let Some(obs) = &mut self.obs {
-            // Events dispatched is conserved across sharding (each event
-            // belongs to exactly one shard), so summed shard registries
-            // match the serial engine's.
-            obs.registry.counter_add("engine.events", &[], dispatched);
-            if let Some(first) = first_at {
+            // Arrivals are conserved across sharding (each belongs to
+            // exactly one shard), so summed shard registries match the
+            // serial engine's.
+            obs.registry.counter_add("engine.events", &[], count);
+            if let Some((first, last)) = span {
+                obs.clock.set(last.as_nanos());
                 // The whole-run phase span, in sim-time: first event to last.
                 obs.tracer
-                    .record_span("engine.run", first.as_nanos(), self.now.as_nanos());
+                    .record_span("engine.run", first.as_nanos(), last.as_nanos());
             }
         }
     }
@@ -751,97 +795,111 @@ impl<'w> NetworkSim<'w> {
         }
     }
 
-    fn arrive_at_host(&mut self, block: u32, ev: Scheduled) {
+    /// The application hand-off: whatever reaches a host through the queue
+    /// is not an Echo Request (`transmit` answers those), so the engine
+    /// consumes none of it (Atlas VPs read their DNS answers here).
+    fn arrive_at_host(&mut self, ev: Scheduled) {
+        debug_assert!(
+            ev.packet.protocol != Protocol::Icmp
+                || !matches!(IcmpMessage::parse(&ev.packet.payload), Ok(IcmpMessage::EchoRequest { .. })),
+            "an Echo Request was queued"
+        );
         self.stats.delivered_to_hosts += 1;
+        self.host_deliveries.push(HostDelivery {
+            at: ev.at,
+            packet: ev.packet,
+        });
+    }
+
+    /// Echo responder behaviour of `block`'s host for a `request` from
+    /// `reply_to` (endpoint `to`) arriving at `at`, called by `transmit`
+    /// as the request is sent. `hk` is the reception's identity hash;
+    /// `reply_image`, if the request came with one, is the reply's
+    /// payload. Reads nothing an event could have written — see
+    /// `transmit`.
+    #[allow(clippy::too_many_arguments)]
+    fn answer_echo(
+        &mut self,
+        block: u32,
+        at: SimTime,
+        hk: u64,
+        reply_to: Ipv4Addr,
+        to: Option<Endpoint>,
+        request: &IcmpMessage,
+        reply_image: Option<bytes::Bytes>,
+    ) {
+        // The arrival itself: it happens whether or not anyone answers.
+        self.stats.delivered_to_hosts += 1;
+        self.arrivals.note(at);
         let info = &self.world.blocks[conv::index(block)]; // vp-lint: allow(g1): block ids are minted by routing over this same world.
-        let at = ev.at;
-        let packet = ev.packet;
-        let reply_image = ev.reply_image;
-        // Echo responder behaviour.
-        if packet.protocol == Protocol::Icmp {
-            if let Ok(msg @ IcmpMessage::EchoRequest { .. }) = IcmpMessage::parse(&packet.payload) {
-                if !self.block_up(info, at) {
-                    return;
-                }
-                let Some(reply) = msg.reply() else {
-                    return;
-                };
-                let rep = info.representative();
-                // Identity of this reception: the probe's content plus its
-                // (deterministic) arrival time keys every fault decision.
-                let hk = mix(packet_key(&packet), at.as_nanos());
-
-                // Alias fault: reply from a different address in the block.
-                let src = if self.faults.alias_prob > 0.0
-                    && unit(mix(self.seed ^ TAG_ALIAS, hk)) < self.faults.alias_prob
-                {
-                    self.stats.aliases += 1;
-                    let mut octet = 1 + conv::sat_u8(mix(self.seed ^ TAG_ALIAS_OCTET, hk) % 254);
-                    if info.block.addr(octet) == rep {
-                        octet = octet.wrapping_add(1).max(1);
-                    }
-                    info.block.addr(octet)
-                } else {
-                    rep
-                };
-
-                // Late fault.
-                let mut when = at;
-                if self.faults.late_prob > 0.0
-                    && unit(mix(self.seed ^ TAG_LATE, hk)) < self.faults.late_prob
-                {
-                    when = when + self.faults.late_delay;
-                }
-
-                // Duplicate fault: heavy-tailed extra copies.
-                let copies = if self.faults.duplicate_prob > 0.0
-                    && unit(mix(self.seed ^ TAG_DUPLICATE, hk)) < self.faults.duplicate_prob
-                {
-                    let u = unit(mix(self.seed ^ TAG_DUPLICATE_COUNT, hk)).max(1e-6);
-                    let extra = conv::sat_f64_to_u32(u.powf(-0.7)).clamp(1, self.faults.max_duplicates);
-                    self.stats.duplicates += extra as u64;
-                    1 + extra
-                } else {
-                    1
-                };
-
-                self.stats.replies += 1;
-                // Answer with the probe's precomputed reply image when it
-                // carries one — a refcounted view, no per-reply
-                // serialization or allocation. The image is pinned
-                // byte-identical to the emit chain it replaces, here and
-                // in the packet-layer equivalence tests.
-                let payload = match reply_image {
-                    Some(image) => {
-                        debug_assert_eq!(
-                            &image[..],
-                            &reply.emit()[..],
-                            "precomputed reply image diverges from the responder's emit"
-                        );
-                        image
-                    }
-                    None => reply.emit(),
-                };
-                let out = Ipv4Packet {
-                    src,
-                    dst: packet.src,
-                    protocol: Protocol::Icmp,
-                    ttl: 64,
-                    ident: 0,
-                    payload,
-                };
-                // Aliased or not, the reply leaves this block for the
-                // endpoint the request came from.
-                let from = Some(Endpoint::Block(block));
-                for copy in 0..copies {
-                    self.transmit(when, out.clone(), from, ev.from, false, copy, None);
-                }
-                return;
-            }
+        if !self.block_up(info, at) {
+            return;
         }
-        // Anything else is handed to the application (Atlas VPs read their
-        // DNS answers here).
-        self.host_deliveries.push(HostDelivery { at, packet });
+        // Answer with the probe's precomputed reply image when it carries
+        // one — a refcounted view, no per-reply serialization or
+        // allocation. The image is pinned byte-identical to the emit
+        // chain it replaces, here and in the packet-layer equivalence
+        // tests.
+        let emitted = || request.reply().map(|reply| reply.emit());
+        let Some(payload) = reply_image.or_else(emitted) else {
+            return;
+        };
+        debug_assert_eq!(
+            Some(&payload),
+            emitted().as_ref(),
+            "precomputed reply image diverges from the responder's emit"
+        );
+        let rep = info.representative();
+
+        // Alias fault: reply from a different address in the block.
+        let src = if self.faults.alias_prob > 0.0
+            && unit(mix(self.seed ^ TAG_ALIAS, hk)) < self.faults.alias_prob
+        {
+            self.stats.aliases += 1;
+            let mut octet = 1 + conv::sat_u8(mix(self.seed ^ TAG_ALIAS_OCTET, hk) % 254);
+            if info.block.addr(octet) == rep {
+                octet = octet.wrapping_add(1).max(1);
+            }
+            info.block.addr(octet)
+        } else {
+            rep
+        };
+
+        // Late fault.
+        let mut when = at;
+        if self.faults.late_prob > 0.0
+            && unit(mix(self.seed ^ TAG_LATE, hk)) < self.faults.late_prob
+        {
+            when += self.faults.late_delay;
+        }
+
+        // Duplicate fault: heavy-tailed extra copies.
+        let extra = if self.faults.duplicate_prob > 0.0
+            && unit(mix(self.seed ^ TAG_DUPLICATE, hk)) < self.faults.duplicate_prob
+        {
+            let u = unit(mix(self.seed ^ TAG_DUPLICATE_COUNT, hk)).max(1e-6);
+            conv::sat_f64_to_u32(u.powf(-0.7)).clamp(1, self.faults.max_duplicates)
+        } else {
+            0
+        };
+        self.stats.duplicates += extra as u64;
+
+        self.stats.replies += 1;
+        let out = Ipv4Packet {
+            src,
+            dst: reply_to,
+            protocol: Protocol::Icmp,
+            ttl: 64,
+            ident: 0,
+            payload,
+        };
+        // Aliased or not, the reply leaves this block for the
+        // endpoint the request came from.
+        let from = Some(Endpoint::Block(block));
+        for copy in 0..extra {
+            self.transmit(when, out.clone(), from, to, false, copy, None);
+        }
+        self.transmit(when, out, from, to, false, extra, None);
     }
 
     /// Packets captured at the sites of a service by [`NetworkSim::run`],
@@ -854,8 +912,9 @@ impl<'w> NetworkSim<'w> {
 
     /// The most events the queue ever held at once. Under
     /// [`NetworkSim::run_with`] this is the in-flight window of the paced
-    /// schedule; it depends on how traffic was partitioned over engines,
-    /// so it is shard-layout data, never a registry series.
+    /// schedule — replies in flight, since a probe's own arrival is never
+    /// queued; it depends on how traffic was partitioned over engines, so
+    /// it is shard-layout data, never a registry series.
     pub fn queue_high_water(&self) -> usize {
         self.queue_high_water
     }
@@ -1373,6 +1432,135 @@ mod tests {
         // At most two events were ever queued together: the VP's ping
         // plus one probe (or its reply) at a time.
         assert!(sim.queue_high_water() <= 2, "high-water {}", sim.queue_high_water());
+    }
+
+    /// When `packet`, sent at `at` from the service, reaches `block`'s
+    /// host: `transmit`'s own identity hash, jitter draw and delay.
+    fn arrival_at_host(sim: &NetworkSim, at: SimTime, packet: &Ipv4Packet, block: u32) -> SimTime {
+        let ek = mix(packet_key(packet), at.as_nanos());
+        let from = sim.location(Some(Endpoint::Service(0)));
+        let to = sim.location(Some(Endpoint::Block(block)));
+        at + sim.latency.delay(from, to, mix(sim.seed ^ TAG_JITTER, ek))
+    }
+
+    /// An Echo Request's arrival is an event of the run although it is
+    /// never queued: it counts toward `engine.events`, and the clock and
+    /// the `engine.run` span reach it. Here the last thing to happen is
+    /// the arrival of a probe at a host that does not answer.
+    #[test]
+    fn a_run_ends_at_its_last_arrival_answered_or_not() {
+        let w = world();
+        let (ann, oracle) = service(&w);
+        let meas = ann.measurement_addr();
+        let mut sim = NetworkSim::new(&w, FaultConfig::none(), 13);
+        sim.attach_obs(vp_obs::TraceLevel::Summary);
+        sim.register_service(ann, Box::new(oracle), false);
+        let row_of = |responsive| w.blocks.iter().position(|b| b.responsive == responsive).unwrap();
+        let (answering, silent) = (row_of(true), row_of(false));
+        let sent_last = SimTime::ZERO + SimDuration::from_secs(10);
+        let first = probe(meas, w.blocks[answering].representative(), 1, 0);
+        let last = probe(meas, w.blocks[silent].representative(), 1, 1);
+        let first_arrives = arrival_at_host(&sim, SimTime::ZERO, &first, answering as u32);
+        let last_arrives = arrival_at_host(&sim, sent_last, &last, silent as u32);
+
+        let mut seen = Recorder::default();
+        sim.run_with(
+            vec![timed_probe(SimTime::ZERO, first), timed_probe(sent_last, last)],
+            &mut seen,
+        );
+        let [(_, captured, _)] = seen.0[..] else {
+            panic!("one reply expected: {:?}", seen.0);
+        };
+        assert!(first_arrives < captured && captured < sent_last && sent_last < last_arrives);
+        assert_eq!(sim.now(), last_arrives, "the run ends at the unanswered probe's arrival");
+        assert_eq!(sim.stats().delivered_to_hosts, 2);
+        // Only the reply was ever queued.
+        assert_eq!(sim.queue_high_water(), 1);
+        let obs = sim.take_obs().unwrap();
+        // Two arrivals at hosts and one capture.
+        assert_eq!(obs.registry.counter_value("engine.events", &[]), 3);
+        let run = obs.tracer.summary().spans["engine.run"];
+        assert_eq!((run.count, run.total_nanos), (1, last_arrives.since(first_arrives).as_nanos()));
+    }
+
+    /// Eager injection folds too: `send_at` answers before `run` is even
+    /// called, and the run still accounts for the arrivals.
+    #[test]
+    fn echo_requests_are_never_queued() {
+        let w = world();
+        let (ann, oracle) = service(&w);
+        let meas = ann.measurement_addr();
+        let mut sim = NetworkSim::new(&w, FaultConfig::none(), 14);
+        sim.attach_obs(vp_obs::TraceLevel::Summary);
+        sim.register_service(ann, Box::new(oracle), false);
+        let silent: Vec<_> = w.blocks.iter().filter(|b| !b.responsive).take(30).collect();
+        for (i, b) in silent.iter().enumerate() {
+            sim.send_at(SimTime(i as u64 * 1000), probe(meas, b.representative(), 1, i as u16));
+        }
+        sim.run();
+        assert_eq!(sim.queue_high_water(), 0, "a probe nobody answers queues nothing");
+        assert_eq!(sim.stats().delivered_to_hosts, 30);
+        assert!(sim.now() > SimTime(29_000));
+        let events = |sim: &NetworkSim| {
+            let obs = sim.obs.as_ref().unwrap();
+            obs.registry.counter_value("engine.events", &[])
+        };
+        assert_eq!(events(&sim), 30);
+
+        // A ping between two hosts: the request is answered as it is
+        // sent, the Echo Reply travels through the queue to the pinger's
+        // application. A second run counts only its own events.
+        let mut hosts = w.responsive_blocks();
+        let (a, b) = (hosts.next().unwrap(), hosts.next().unwrap());
+        let sent = sim.now() + SimDuration::from_secs(1);
+        sim.send_at(sent, probe(a.representative(), b.representative(), 4, 2));
+        assert_eq!(sim.queue_high_water(), 1);
+        sim.run();
+        assert_eq!(events(&sim), 30 + 2);
+        let [HostDelivery { at, packet }] = sim.host_deliveries() else {
+            panic!("one delivery expected: {:?}", sim.host_deliveries());
+        };
+        assert_eq!((packet.src, packet.dst), (b.representative(), a.representative()));
+        let reply = IcmpMessage::parse(&packet.payload).unwrap();
+        assert!(matches!(reply, IcmpMessage::EchoReply { ident: 4, seq: 2, .. }));
+        assert_eq!(sim.now(), *at);
+        assert!(*at > sent);
+    }
+
+    /// The responder runs when the request is *sent* but answers for the
+    /// instant it *arrives*: requests sent just before a churn round ends
+    /// arrive in the next one, and exactly the blocks up in that next
+    /// round reply.
+    #[test]
+    fn a_host_answers_for_the_instant_the_request_arrives() {
+        let w = world();
+        let (ann, oracle) = service(&w);
+        let meas = ann.measurement_addr();
+        let faults = FaultConfig {
+            churn_down_prob: 0.5,
+            churn_round: INTERVAL,
+            ..FaultConfig::none()
+        };
+        let mut sim = NetworkSim::new(&w, faults, 7);
+        let svc = sim.register_service(ann, Box::new(oracle), false);
+        let boundary = SimTime::ZERO + INTERVAL;
+        // Every delay is at least the latency model's 2 ms floor.
+        let sent = SimTime(boundary.0 - 1_000_000);
+        for (i, b) in w.responsive_blocks().enumerate() {
+            sim.send_at(sent, probe(meas, b.representative(), 1, i as u16));
+        }
+        sim.run();
+        let mut answered: Vec<Ipv4Addr> = sim.captures(svc).iter().map(|c| c.packet.src).collect();
+        answered.sort();
+        let up_at = |at| {
+            let mut up: Vec<Ipv4Addr> = (w.responsive_blocks().filter(|b| sim.block_up(b, at)))
+                .map(|b| b.representative())
+                .collect();
+            up.sort();
+            up
+        };
+        assert_ne!(up_at(sent), up_at(boundary), "churn tells the two rounds apart");
+        assert_eq!(answered, up_at(boundary));
     }
 
     #[test]

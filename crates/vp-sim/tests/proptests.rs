@@ -53,7 +53,9 @@ type Observed = (Recorder, Vec<(SimTime, Ipv4Packet)>, SimStats, SimTime);
 /// injected up front (`send_at` × N — so responders serialize their own
 /// replies — then the loop with an empty source) or merged lazily by the
 /// loop itself. Both runs also carry the same pre-injected background
-/// traffic, so `send_at` events interleave with the source's.
+/// traffic, so `send_at` events interleave with the source's — on all
+/// three host paths: Echo Requests answered at transmission, their Echo
+/// Replies queued to a host, and a non-echo message queued to a host.
 fn observe(s: &Scenario, faults: &FaultConfig, sim_seed: u64, probes: &[TimedProbe], lazy: bool) -> Observed {
     let ann = s.announcement.clone();
     let meas = ann.measurement_addr();
@@ -64,6 +66,20 @@ fn observe(s: &Scenario, faults: &FaultConfig, sim_seed: u64, probes: &[TimedPro
     for (i, b) in s.world.responsive_blocks().take(20).enumerate() {
         let at = SimTime::ZERO + SimDuration::from_millis(i as u64 * 7);
         sim.send_at(at, probe(b.representative(), meas, 77, i as u16));
+    }
+    // Pings between ordinary hosts, up or not (the request is answered as
+    // it is sent; the reply lands in `host_deliveries`), and an ICMP error
+    // no responder consumes (queued, then handed to the application).
+    let hosts: Vec<_> = s.world.blocks.iter().take(80).collect();
+    for (i, pair) in hosts.chunks_exact(2).enumerate() {
+        let at = SimTime::ZERO + SimDuration::from_millis(i as u64 * 11);
+        let (a, b) = (pair[0].representative(), pair[1].representative());
+        sim.send_at(at, probe(a, b, 78, i as u16));
+        let unreachable = IcmpMessage::DestUnreachable {
+            code: 1,
+            original: Bytes::from_static(b"original datagram"),
+        };
+        sim.send_at(at, Ipv4Packet::new(b, a, Protocol::Icmp, unreachable.emit()));
     }
     let mut seen = Recorder::default();
     if lazy {
@@ -137,6 +153,14 @@ proptest! {
         let eager = observe(&s, &faults, sim_seed, &probes, false);
         let lazy = observe(&s, &faults, sim_seed, &probes, true);
         prop_assert!(!eager.0.0.is_empty(), "nothing was captured");
+        // Every unreachable message that survived loss, and the Echo
+        // Reply of at least one host-to-host ping, reached an application.
+        let delivered = |wanted: fn(&IcmpMessage) -> bool| {
+            let parsed = eager.1.iter().filter_map(|(_, p)| IcmpMessage::parse(&p.payload).ok());
+            parsed.filter(wanted).count()
+        };
+        prop_assert!(delivered(|m| matches!(m, IcmpMessage::DestUnreachable { .. })) > 0);
+        prop_assert!(delivered(|m| matches!(m, IcmpMessage::EchoReply { ident: 78, .. })) > 0);
         prop_assert_eq!(eager, lazy);
     }
 

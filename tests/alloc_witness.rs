@@ -11,7 +11,8 @@
 //!   columns (send times, kept observations, the result tables), never a
 //!   queued schedule or a capture log;
 //! * keep every engine's event queue at the in-flight window of the
-//!   paced schedule.
+//!   paced schedule: replies on their way to a collector (a probe's own
+//!   arrival is answered at transmission and never queued).
 //!
 //! Holds for the K=1 round (`run_scan`) and at K=8 on real OS threads.
 //! This measurement — with the repo benchmark — *is* the hot-path cost
@@ -89,19 +90,23 @@ const ALLOCS_PER_ROUND: (u64, u64) = (706, 1_250);
 
 /// Peak live heap per probe a scan may add on top of what was live when
 /// it started: (serial, K=8). Measured at this scale: 39 B/probe serial
-/// and 69–76 B at K=8, where eager injection peaked at 246 B and 216 B —
-/// a 112-byte queued event per probe plus the capture log and its copies.
-/// What remains is the round's own columns: 8 B send time per probe, 16 B
-/// schedule slice per probe when sharded, 24 B per kept observation
-/// (doubling slack included) and the result tables. The ceilings sit at
-/// ~1.5× the measurements and under half the old figures.
-const PEAK_BYTES_PER_PROBE: (u64, u64) = (60, 110);
+/// and 45–69 B at K=8 (how many shards' columns are live at once is the
+/// OS scheduler's choice), where eager injection peaked at 246 B and
+/// 216 B — a queued event per probe plus the capture log and its copies.
+/// The queue itself is noise here: at most 727 events of 88 bytes serial,
+/// under 1 B/probe. What remains is the round's own columns: 8 B send
+/// time per probe, 16 B schedule slice per probe when sharded, 24 B per
+/// kept observation (doubling slack included) and the result tables. The
+/// ceilings sit at ~1.5× the measurements and under half the old figures.
+const PEAK_BYTES_PER_PROBE: (u64, u64) = (60, 100);
 
 /// An engine's event queue may peak at this fraction of the probes sent:
-/// the in-flight window is rate × round-trip (~2k events at the default
-/// 10k probes/s), so 5 % of 10^5 probes leaves room for duplicate bursts
-/// and late replies without ever admitting an O(schedule) queue.
-const QUEUE_SHARE_OF_PROBES: u64 = 20;
+/// the in-flight window is answer rate × one-way delay plus duplicate
+/// bursts (measured 727 events serial, at most 217 per shard at K=8, at
+/// the default 10k probes/s), so 2 % of 10^5 probes leaves room for
+/// heavier duplicate tails and late replies without ever admitting an
+/// O(schedule) queue.
+const QUEUE_SHARE_OF_PROBES: u64 = 50;
 
 /// The counters are process-wide and the test harness runs tests on
 /// parallel threads: each test holds this for its whole body, so nothing
