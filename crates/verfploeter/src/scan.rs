@@ -12,7 +12,7 @@ use vp_bgp::Announcement;
 use vp_hitlist::Hitlist;
 use vp_net::conv;
 use vp_net::{SimDuration, SimTime};
-use vp_sim::{CatchmentOracle, FaultConfig, NetworkSim, ShardExecutor, TimedProbe};
+use vp_sim::{CatchmentOracle, EngineObs, FaultConfig, NetworkSim, ShardExecutor, TimedProbe};
 use vp_topology::Internet;
 
 use crate::catchment::CatchmentMap;
@@ -29,8 +29,8 @@ pub struct ScanConfig {
     pub probe: ProbeConfig,
     /// Late-reply cutoff from measurement start (15 minutes in §4).
     pub cutoff: SimDuration,
-    /// Trace detail recorded into [`ScanResult::obs`]. Affects only the
-    /// trace summary (spans/events), never the metrics registry or any
+    /// Level each engine records its [`ScanObs::trace`] share at (span
+    /// aggregates, events). Never affects the metrics registry or any
     /// measurement output.
     pub trace: vp_obs::TraceLevel,
     /// Optional wall-time flight channel. When a binary attaches one
@@ -108,7 +108,7 @@ pub struct ScanObs {
     /// size, and zero for a round nobody answers. Shard-layout data like
     /// `shard_probes`, so outside the registry.
     pub queue_high_water: Vec<u64>,
-    /// Sim-time flight timeline for the round (DESIGN.md §15): phase
+    /// Sim-time flight timeline for the round (DESIGN.md §9): phase
     /// intervals derived from shard-invariant sim-time marks, so it is
     /// **inside** the §7 contract — byte-identical for every K (asserted
     /// via [`vp_obs::FlightTimeline::to_canonical_json`]).
@@ -139,22 +139,24 @@ const FLIGHT_CAPACITY: usize = 4096;
 /// All three come from the folded round, so the timeline is inside the §7
 /// contract by construction — it cannot see the shard layout at all.
 fn sim_flight(started: SimTime, last_probe: SimTime, sim_end: SimTime) -> vp_obs::FlightTimeline {
+    use vp_obs::FlightSpan;
     let t0 = started.as_nanos();
     let tp = last_probe.as_nanos().max(t0);
     let te = sim_end.as_nanos().max(tp);
-    let rec = vp_obs::FlightRecorder::new(Box::new(vp_obs::SimClock::new()), 16);
-    rec.record_interval("scan.round", "round", None, t0, te);
-    // Schedule walk and probe build happen while probes leave: in
-    // sim-time both occupy [start, last probe].
-    rec.record_interval("scan.schedule_walk", "probe", None, t0, tp);
-    rec.record_interval("scan.probe_build", "probe", None, t0, tp);
-    // The simulator then drains in-flight traffic until the last event.
-    rec.record_interval("scan.sim_dispatch", "sim", None, tp, te);
-    // Cleaning and catchment building run after the simulation: zero
-    // sim-time width at the round's end mark.
-    rec.record_interval("scan.cleaning", "clean", None, te, te);
-    rec.record_interval("scan.catchment_build", "map", None, te, te);
-    rec.drain()
+    let spans = vec![
+        FlightSpan::new("scan.round", "round", None, t0, te),
+        // Schedule walk and probe build happen while probes leave: in
+        // sim-time both occupy [start, last probe].
+        FlightSpan::new("scan.schedule_walk", "probe", None, t0, tp),
+        FlightSpan::new("scan.probe_build", "probe", None, t0, tp),
+        // The simulator then drains in-flight traffic until the last event.
+        FlightSpan::new("scan.sim_dispatch", "sim", None, tp, te),
+        // Cleaning and catchment building run after the simulation: zero
+        // sim-time width at the round's end mark.
+        FlightSpan::new("scan.cleaning", "clean", None, te, te),
+        FlightSpan::new("scan.catchment_build", "map", None, te, te),
+    ];
+    vp_obs::FlightTimeline::from_spans(spans, 0)
 }
 
 /// Closes the round: stamps the folded result with its sim-time flight
@@ -269,7 +271,7 @@ impl ScanResult {
 /// Folds the refills and dispatch stretches of one engine run — which
 /// interleave, one refill per [`PROBE_BATCH`] — into the wall flight
 /// channel as disjoint, non-nesting intervals, so the per-name sums still
-/// tile the round (DESIGN.md §15). Up to [`MAX_PHASE_PAIRS`] refills are
+/// tile the round (DESIGN.md §9). Up to [`MAX_PHASE_PAIRS`] refills are
 /// recorded exactly: the refill as the walk interval, the stretch up to
 /// the next refill as the dispatch interval. Longer runs coalesce `group`
 /// consecutive refills into one pair laid out back to back over the
@@ -516,12 +518,9 @@ impl Round<'_> {
         }));
         drop(guard);
 
-        let (registry, mut trace) = match sim.take_obs() {
-            Some(engine_obs) => (engine_obs.registry, engine_obs.tracer.drain()),
-            None => Default::default(),
-        };
-        // The canonical (time, name, detail) order `absorb` maintains.
-        trace.events.sort();
+        // Events arrive in the canonical (time, name, detail) order
+        // `absorb` maintains.
+        let (registry, trace) = sim.take_obs().map(EngineObs::into_parts).unwrap_or_default();
         ScanResult {
             catchments,
             cleaning,
@@ -1200,6 +1199,8 @@ mod tests {
                 sharded.obs.shard_probes.iter().sum::<u64>(),
                 sharded.probes_sent
             );
+            // Every engine's share of the trace survives the fold.
+            assert_eq!(sharded.obs.trace.spans["engine.run"].count, shards as u64);
         }
         assert_eq!(serial.obs.shard_probes, vec![serial.probes_sent]);
         // The queue held the in-flight window, never the whole schedule.

@@ -386,7 +386,7 @@ fn wall_phase_spans_are_disjoint_on_a_large_round() {
         let mut lanes_seen = std::collections::BTreeSet::new();
         let mut last: Option<&vp_obs::FlightSpan> = None;
         let mut covered = 0u64;
-        for sp in flight.spans.iter().filter(|sp| PHASES.contains(&sp.name.as_str())) {
+        for sp in flight.spans.iter().filter(|sp| PHASES.contains(&&*sp.name)) {
             assert!(
                 round.start_ns <= sp.start_ns && sp.end_ns <= round.end_ns,
                 "{label}: {sp:?} leaves the round {round:?}"

@@ -2,7 +2,7 @@
 
 use std::cell::{OnceCell, RefCell};
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -17,6 +17,8 @@ use vp_topology::TopologyConfig;
 use verfploeter::catchment::CatchmentMap;
 use verfploeter::scan::{run_scan, run_scan_sharded, ScanConfig, ScanResult};
 use verfploeter::ProbeConfig;
+
+use vp_monitor::ingest::write_atomic;
 
 use crate::obs::{build_report, ObsState, ScanRecord};
 
@@ -91,16 +93,20 @@ impl Scale {
     }
 }
 
-/// Shard count for the parallel scan path: one engine per available core.
-///
-/// Every published number — catchment maps, tables, the metrics registry —
-/// is shard-count-invariant, but the obs reports also describe the shard
-/// layout itself (`scans[].shard_balance.shards`, the `engine.run` span
-/// count, the event ring), so those sections follow the host's core
-/// count. The committed `results/obs/` tree is the one-core layout:
-/// regenerate and compare it under `taskset -c 0` (README.md).
-fn scan_shards() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+/// Hitlist rows per scan shard: a cache-sized range (ROADMAP item 4 —
+/// eight 125k-row shards beat K=1 at 1M blocks because a shard's columns
+/// fit in cache).
+const SHARD_ROWS: usize = 131_072;
+
+/// Shard count for a scan of `hitlist_len` blocks: a function of the
+/// round alone, never of the host, so the shard-layout sections of the obs
+/// reports (`scans[].shard_balance`, the `engine.run` span count, the
+/// event ring) reproduce on any machine. The tiny, small and default
+/// worlds fit one shard; `--scale paper` (700 000 blocks) gets six. How
+/// many of those shards run at once is `ShardExecutor::host_parallel`'s
+/// business.
+fn scan_shards(hitlist_len: usize) -> usize {
+    hitlist_len.div_ceil(SHARD_ROWS).max(1)
 }
 
 const BROOT_TOPO_SEED: u64 = 0xB007;
@@ -193,68 +199,38 @@ impl Lab {
         }
     }
 
-    /// Builds a lab from process args: `--scale tiny|small|default|paper`,
-    /// `--out <dir>` for JSON artifacts, `--obs off|summary|full` for the
-    /// observability mode, and `--snapshots <dir>` for fig9's per-round
-    /// catchment snapshots.
-    pub fn from_args() -> Lab {
-        // vp-lint: allow(d2): CLI entry point — args select scale/output dir, never a result.
-        let args: Vec<String> = std::env::args().collect();
-        let mut scale = Scale::Default;
-        let mut out = None;
-        let mut obs = TraceLevel::Summary;
-        let mut snapshots = None;
-        let mut flight = None;
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
+    /// Builds a lab from command-line flags: `--scale
+    /// tiny|small|default|paper`, `--out <dir>` for JSON artifacts and obs
+    /// reports, `--obs off|summary|full` for the observability mode,
+    /// `--snapshots <dir>` for fig9's per-round catchment snapshots and
+    /// `--flight <dir>` for flight documents. Anything else — an unknown
+    /// flag, a flag without its value, an unknown scale or mode — is an
+    /// error naming what was expected.
+    pub fn parse_args(args: &[String]) -> Result<Lab, String> {
+        let mut lab = Lab::new(Scale::Default);
+        let mut args = args.iter();
+        while let Some(flag) = args.next() {
+            let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+            match flag.as_str() {
                 "--scale" => {
-                    i += 1;
-                    scale = args
-                        .get(i)
-                        .and_then(|s| Scale::parse(s))
-                        .unwrap_or_else(|| {
-                            eprintln!("unknown scale; use tiny|small|default|paper");
-                            std::process::exit(2);
-                        });
+                    lab.scale = Scale::parse(value()?)
+                        .ok_or("unknown scale; use tiny|small|default|paper")?;
                 }
-                "--out" => {
-                    i += 1;
-                    out = args.get(i).map(PathBuf::from);
-                }
+                "--out" => lab.out_dir = Some(PathBuf::from(value()?)),
                 "--obs" => {
-                    i += 1;
-                    obs = args
-                        .get(i)
-                        .and_then(|s| TraceLevel::parse(s))
-                        .unwrap_or_else(|| {
-                            eprintln!("unknown obs mode; use off|summary|full");
-                            std::process::exit(2);
-                        });
+                    lab.obs =
+                        TraceLevel::parse(value()?).ok_or("unknown obs mode; use off|summary|full")?;
                 }
-                "--snapshots" => {
-                    i += 1;
-                    snapshots = args.get(i).map(PathBuf::from);
-                }
-                "--flight" => {
-                    i += 1;
-                    flight = args.get(i).map(PathBuf::from);
-                }
+                "--snapshots" => lab.snapshot_dir = Some(PathBuf::from(value()?)),
+                "--flight" => lab.flight_dir = Some(PathBuf::from(value()?)),
                 other => {
-                    eprintln!(
+                    return Err(format!(
                         "unknown argument {other:?} (supported: --scale, --out, --obs, --snapshots, --flight)"
-                    );
-                    std::process::exit(2);
+                    ));
                 }
             }
-            i += 1;
         }
-        let mut lab = Lab::new(scale);
-        lab.out_dir = out;
-        lab.obs = obs;
-        lab.snapshot_dir = snapshots;
-        lab.flight_dir = flight;
-        lab
+        Ok(lab)
     }
 
     /// The two-site B-Root world.
@@ -360,9 +336,8 @@ impl Lab {
         };
         // A round is invariant in its shard count (see
         // `verfploeter::scan::run_scan_sharded`), so experiments get the
-        // wall-clock win without changing any published number; only the
-        // obs report's shard-layout sections follow it (`scan_shards`).
-        let shards = scan_shards();
+        // wall-clock win without changing any published number.
+        let shards = scan_shards(hitlist.len());
         let table = Arc::new(table);
         let result = Rc::new(run_scan_sharded(
             &scenario.world,
@@ -525,44 +500,41 @@ impl Lab {
             sim,
             wall,
         };
-        // vp-lint: allow(h2): an I/O failure must abort loudly, not silently drop flight docs.
-        std::fs::create_dir_all(dir).expect("create flight output dir");
-        let path = dir.join(format!("{experiment}.flight.json"));
-        std::fs::write(&path, doc.to_canonical_json())
-            .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+        write_artifact(dir, &format!("{experiment}.flight.json"), &doc.to_canonical_json());
     }
 
     /// Drains the observability state and writes the run report to
-    /// `<out_dir or "results">/obs/<experiment>.report.json` (plus the
-    /// flight document, when `--flight` is set). No-op with `--obs off`.
+    /// `<out_dir>/obs/<experiment>.report.json` (plus the flight document,
+    /// when `--flight` is set). Like [`Lab::write_json`], writes nothing
+    /// without an output directory; no-op with `--obs off`.
     pub fn write_obs_report(&self, experiment: &str) {
         self.write_flight_doc(experiment);
         let Some(report) = self.take_obs_report(experiment) else {
             return;
         };
-        let dir = self
-            .out_dir
-            .clone()
-            .unwrap_or_else(|| PathBuf::from("results"))
-            .join("obs");
-        // vp-lint: allow(h2): an I/O failure must abort loudly, not silently drop reports.
-        std::fs::create_dir_all(&dir).expect("create obs output dir");
-        let path = dir.join(format!("{experiment}.report.json"));
-        // vp-lint: allow(h2): serde_json on owned derived data cannot fail.
-        std::fs::write(&path, serde_json::to_string_pretty(&report).expect("serialize"))
-            .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+        let Some(dir) = &self.out_dir else { return };
+        write_json_artifact(&dir.join("obs"), &format!("{experiment}.report.json"), &report);
     }
 
     /// Writes a JSON artifact under the output directory, if one is set.
     pub fn write_json(&self, name: &str, value: &serde_json::Value) {
         let Some(dir) = &self.out_dir else { return };
-        // vp-lint: allow(h2): an I/O failure must abort loudly, not silently drop artifacts.
-        std::fs::create_dir_all(dir).expect("create output dir");
-        let path = dir.join(format!("{name}.json"));
-        // vp-lint: allow(h2): serde_json on owned derived data cannot fail.
-        std::fs::write(&path, serde_json::to_string_pretty(value).expect("serialize"))
-            .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+        write_json_artifact(dir, &format!("{name}.json"), value);
     }
+}
+
+/// Publishes `text` as `<dir>/<file>`, creating `dir` first. An I/O
+/// failure aborts loudly rather than silently dropping an artifact.
+fn write_artifact(dir: &Path, file: &str, text: &str) {
+    std::fs::create_dir_all(dir)
+        .map_err(|e| format!("create {}: {e}", dir.display()))
+        .and_then(|()| write_atomic(&dir.join(file), text))
+        .unwrap_or_else(|e| panic!("{e}"));
+}
+
+fn write_json_artifact(dir: &Path, file: &str, value: &serde_json::Value) {
+    // vp-lint: allow(h2): serde_json on owned derived data cannot fail.
+    write_artifact(dir, file, &serde_json::to_string_pretty(value).expect("serialize"));
 }
 
 #[cfg(test)]
@@ -574,6 +546,64 @@ mod tests {
         assert_eq!(Scale::parse("tiny"), Some(Scale::Tiny));
         assert_eq!(Scale::parse("paper"), Some(Scale::Paper));
         assert_eq!(Scale::parse("bogus"), None);
+    }
+
+    #[test]
+    fn shard_count_is_a_function_of_the_hitlist_alone() {
+        assert_eq!(scan_shards(0), 1);
+        assert_eq!(scan_shards(SHARD_ROWS), 1);
+        assert_eq!(scan_shards(SHARD_ROWS + 1), 2);
+        assert_eq!(scan_shards(700_000), 6);
+    }
+
+    fn parse(args: &[&str]) -> Result<Lab, String> {
+        let args: Vec<String> = args.iter().map(|a| (*a).to_owned()).collect();
+        Lab::parse_args(&args)
+    }
+
+    #[test]
+    fn args_parse_or_say_what_was_expected() {
+        let lab = parse(&[
+            "--scale", "tiny", "--out", "o", "--obs", "full", "--snapshots", "s", "--flight", "f",
+        ])
+        .unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!((lab.scale, lab.obs), (Scale::Tiny, TraceLevel::Full));
+        assert_eq!(lab.out_dir.as_deref(), Some(Path::new("o")));
+        assert_eq!(lab.snapshot_dir.as_deref(), Some(Path::new("s")));
+        assert_eq!(lab.flight_dir.as_deref(), Some(Path::new("f")));
+        let defaults = parse(&[]).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!((defaults.scale, defaults.obs), (Scale::Default, TraceLevel::Summary));
+        assert!(defaults.out_dir.is_none());
+
+        let err = |args: &[&str]| parse(args).err().unwrap_or_else(|| panic!("{args:?} parsed"));
+        for flag in ["--scale", "--out", "--obs", "--snapshots", "--flight"] {
+            assert_eq!(err(&["--scale", "tiny", flag]), format!("{flag} needs a value"));
+        }
+        assert!(err(&["--bogus"]).starts_with("unknown argument \"--bogus\""));
+        assert!(err(&["fig2_broot_maps"]).starts_with("unknown argument"));
+        assert!(err(&["--scale", "huge"]).starts_with("unknown scale"));
+        assert!(err(&["--obs", "loud"]).starts_with("unknown obs mode"));
+    }
+
+    /// Without `--out` nothing is written — in particular not over the
+    /// committed `results/obs/` goldens — and the state is still drained.
+    #[test]
+    fn obs_reports_need_an_explicit_output_directory() {
+        let dir = std::env::temp_dir().join(format!("vp-lab-obs-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut lab = Lab::new(Scale::Tiny);
+        let s = lab.broot();
+        let _ = lab.vp_scan("SBV-OUT", s, lab.broot_hitlist(), &s.announcement, 1);
+        lab.write_obs_report("no-out-dir");
+        assert!(!Path::new("results/obs/no-out-dir.report.json").exists());
+        assert!(lab.obs_state.borrow().is_empty(), "state not drained");
+
+        lab.out_dir = Some(dir.clone());
+        lab.write_obs_report("with-out-dir");
+        lab.write_json("artifact", &serde_json::Value::U64(7));
+        assert!(dir.join("obs/with-out-dir.report.json").is_file());
+        assert_eq!(std::fs::read_to_string(dir.join("artifact.json")).ok().as_deref(), Some("7"));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

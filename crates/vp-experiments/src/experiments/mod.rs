@@ -1,6 +1,6 @@
 //! One module per paper table/figure. Every module exposes
-//! `pub fn run(lab: &Lab) -> String` returning the rendered report (the
-//! binaries print it; `run_all` concatenates them).
+//! `pub fn run(lab: &Lab) -> String` returning the rendered report
+//! (`run_all` prints the selected ones in paper order).
 
 pub mod fig2;
 pub mod maps;

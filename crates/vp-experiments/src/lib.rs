@@ -4,9 +4,9 @@
 //! (see DESIGN.md's experiment index). Each experiment is a library
 //! function taking a shared [`Lab`] — which lazily builds and caches the
 //! expensive artifacts (worlds, hitlists, scans, the 96-round stability
-//! dataset) — and returning the rendered report; the `src/bin/*` binaries
-//! are thin wrappers, and `run_all` executes everything in one process so
-//! the cache is shared.
+//! dataset) — and returning the rendered report; the `run_all` binary runs
+//! the ones named on its command line (all of them by default) in one
+//! process so the cache is shared.
 //!
 //! Absolute numbers differ from the paper (the substrate is a generated
 //! world, not the 2017 Internet); the *shapes* are the reproduction

@@ -55,7 +55,7 @@ pub struct ObsState {
     pub registry: Registry,
     /// Merged trace summaries (span aggregates + bounded event slices).
     pub trace: TraceSummary,
-    /// Merged sim-time flight timelines (deterministic, DESIGN.md §15).
+    /// Merged sim-time flight timelines (deterministic, DESIGN.md §9).
     pub flight: vp_obs::FlightTimeline,
     /// Merged wall-time flight timelines; empty unless the binary attached
     /// a wall channel. Outside the determinism contract.

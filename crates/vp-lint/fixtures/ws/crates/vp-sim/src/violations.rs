@@ -1,5 +1,5 @@
-//! Seeded violations: every rule must fire on this file (20 findings:
-//! 4×d1, 4×d2, 1×d3, 2×d4, 5×h1, 2×h2, 2×o1). Note d4 is file-scoped:
+//! Seeded violations: every rule must fire on this file (18 findings:
+//! 4×d1, 4×d2, 1×d3, 2×d4, 5×h1, 2×h2). Note d4 is file-scoped:
 //! once `LeakyWallClock` makes this a Clock-implementing file, *every*
 //! wall-time read in it fires d4 — including `entropy()`'s SystemTime.
 //! This file is fixture input for the lint gate; it is never compiled.
@@ -39,18 +39,6 @@ pub fn panics(v: Option<u32>, s: &HashSet<u32>) -> u32 {
     let a = v.unwrap(); // h2
     let b = s.get(&a).copied().expect("present"); // h2
     a + b
-}
-
-pub struct DynTracer;
-
-pub fn dynamic_span_names(t: &DynTracer, which: usize) {
-    let name = format!("probe-{which}");
-    t.span(name); // o1
-    t.record_interval(&name, "phase", None, 0, 1); // o1
-    // Literal names never fire, and an audited dynamic one is suppressed.
-    t.event("scan.round");
-    // vp-lint: allow(o1): fixture of an audited dynamic name from a closed set.
-    t.record_span(name, 7);
 }
 
 pub struct LeakyWallClock;

@@ -194,7 +194,7 @@ impl Graph {
                 }
 
                 let Some(last) = path.last() else { continue };
-                // `vp_obs::Tracer::new` reaches `vp_obs::trace::Tracer::new`
+                // `vp_obs::Registry::new` reaches `vp_obs::metrics::Registry::new`
                 // through a crate-root `pub use`; the written path is then
                 // not a segment suffix of the definition's. When the head
                 // names a workspace crate, retry the match inside that

@@ -8,8 +8,8 @@
 //!
 //! * **token rules** ([`rules`]): hash-order nondeterminism (d1), ambient
 //!   entropy (d2), untested merge algebra (d3), wall-time Clock impls
-//!   (d4), narrowing casts in hot crates (h1), panicking unwraps in
-//!   library code (h2) and dynamic span names (o1);
+//!   (d4), narrowing casts in hot crates (h1) and panicking unwraps in
+//!   library code (h2);
 //! * **graph rules** (three layers: [`index`] → [`graph`] → [`grules`]): an
 //!   item index and conservative call graph drive interprocedural
 //!   panic-reachability (g1) and nondeterminism-taint (g2) analyses over
@@ -140,7 +140,7 @@ fn pass_of(rule: RuleId) -> &'static str {
     match rule {
         RuleId::G1 | RuleId::G2 => "grules",
         RuleId::G3 => "g3",
-        // Token rules (d*, h*, c5, o1, directive) are all evaluated in the
+        // Token rules (d*, h*, c5, directive) are all evaluated in the
         // per-file token pass.
         _ => "token",
     }

@@ -156,7 +156,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                      Token rules: d1 hash-order, d2 ambient entropy, d3 merge-tested,\n\
                      d4 wall-time Clock impls outside binaries/vp-bench,\n\
                      h1 narrowing casts (hot crates), h2 unwrap/expect in libraries,\n\
-                     o1 dynamic span/event names,\n\
                      c5 concurrency primitives (threads, locks, channels, atomics,\n\
                      thread-locals) named outside the blessed executor.\n\
                      Graph rules: g1 panic-reachability and g2 nondeterminism taint\n\

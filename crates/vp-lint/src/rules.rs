@@ -9,7 +9,6 @@
 //! | h1  | no narrowing `as` casts in the hot crates (`vp-sim`, `verfploeter`, `vp-hitlist`) |
 //! | h2  | no `unwrap()`/`expect()` in library (non-test, non-bin) code |
 //! | c5  | concurrency primitives — `thread::spawn`/`scope`/`Builder`, locks and condvars, channels (`mpsc`), atomics, `static mut` and `thread_local!` — may be named only inside the blessed executor module (`crates/vp-sim/src/exec.rs`); everything else runs parallel work through `ShardExecutor` |
-//! | o1  | span/event names passed to `.span(`/`.event(`/`.record_span(`/`.record_interval(` must be string literals — dynamic names create unbounded metric cardinality and nondeterministic reports (applies in binaries too) |
 //! | directive | malformed `vp-lint:` directive (never suppressible) |
 //!
 //! c5 is the whole concurrency layer: it does not analyse how a lock,
@@ -42,7 +41,6 @@ pub enum RuleId {
     G2,
     G3,
     C5,
-    O1,
     Directive,
 }
 
@@ -51,7 +49,7 @@ impl RuleId {
     /// table is what `vp-lint bench --budget-per-rule-ms` scales by, so a
     /// new rule automatically widens the CI budget instead of silently
     /// eating the old one.
-    pub const ALL: [RuleId; 12] = [
+    pub const ALL: [RuleId; 11] = [
         RuleId::D1,
         RuleId::D2,
         RuleId::D3,
@@ -62,7 +60,6 @@ impl RuleId {
         RuleId::G2,
         RuleId::G3,
         RuleId::C5,
-        RuleId::O1,
         RuleId::Directive,
     ];
 
@@ -78,7 +75,6 @@ impl RuleId {
             RuleId::G2 => "g2",
             RuleId::G3 => "g3",
             RuleId::C5 => "c5",
-            RuleId::O1 => "o1",
             RuleId::Directive => "directive",
         }
     }
@@ -95,7 +91,6 @@ impl RuleId {
             "g2" => Some(RuleId::G2),
             "g3" => Some(RuleId::G3),
             "c5" => Some(RuleId::C5),
-            "o1" => Some(RuleId::O1),
             "directive" => Some(RuleId::Directive),
             _ => None,
         }
@@ -179,10 +174,6 @@ const NARROW_TYPES: [&str; 9] = [
     "u8", "u16", "u32", "usize", "i8", "i16", "i32", "isize", "f32",
 ];
 const HASH_TYPES: [&str; 4] = ["HashMap", "HashSet", "hash_map", "hash_set"];
-/// Observability methods whose first argument names a span/event series
-/// (rule o1). A literal name keeps metric cardinality bounded and report
-/// ordering deterministic; a computed name does neither.
-const O1_NAME_METHODS: [&str; 4] = ["span", "event", "record_span", "record_interval"];
 
 /// A `pub fn merge` definition found in library code.
 #[derive(Debug, Clone)]
@@ -582,38 +573,6 @@ pub fn scan_tokens(ctx: &FileContext, tokens: &[Token], dirs: &Directives) -> Fi
             }
         }
 
-        // o1 — span/event names must be string literals. The lexer blanks
-        // string literals before tokenizing, so a literal first argument
-        // leaves `,` (or `)` for a single-argument call) directly after the
-        // opening paren; any surviving token there is a computed name.
-        // Unlike h2 this applies in binaries too: a bin's dynamic span
-        // names flow into the same artifacts and reports.
-        if t.is_punct('.')
-            && tokens.get(i + 2).is_some_and(|x| x.is_punct('('))
-        {
-            if let Some(m) = tokens.get(i + 1).and_then(Token::ident) {
-                if O1_NAME_METHODS.contains(&m)
-                    && !tokens
-                        .get(i + 3)
-                        .map_or(true, |x| x.is_punct(',') || x.is_punct(')'))
-                {
-                    let mt = &tokens[i + 1];
-                    push(
-                        dirs,
-                        &mut out,
-                        RuleId::O1,
-                        mt.line,
-                        mt.col,
-                        format!(
-                            "{m}() name must be a string literal: dynamic span/event \
-                             names create unbounded cardinality and nondeterministic \
-                             reports"
-                        ),
-                    );
-                }
-            }
-        }
-
         // h2 — unwrap/expect in library code.
         if !ctx.is_bin
             && t.is_punct('.')
@@ -648,7 +607,7 @@ pub fn scan_tokens(ctx: &FileContext, tokens: &[Token], dirs: &Directives) -> Fi
                 line,
                 col,
                 "wall-time source in a file that implements Clock: wall-backed clocks \
-                 belong in binaries or vp-bench; library code takes injected sim clocks"
+                 belong in binaries or vp-bench; library code takes injected clocks"
                     .into(),
             );
         }

@@ -59,7 +59,7 @@ fn parse_timeline(value: &Value, ctx: &str) -> Result<FlightTimeline, String> {
         let field = |key: &str| {
             sp.get(key)
                 .and_then(Value::as_str)
-                .map(str::to_owned)
+                .map(|s| std::borrow::Cow::Owned(s.to_owned()))
                 .ok_or_else(|| format!("{ctx}: span {i} missing {key}"))
         };
         let num = |key: &str| {
@@ -134,7 +134,7 @@ pub fn profile_channel(tl: &FlightTimeline, top_n: usize) -> ChannelProfile {
     // Group by shard key (None first, then ascending ids); within a group
     // the canonical order (start asc, wider first) makes nesting a stack
     // walk. Self time = duration − Σ direct children.
-    let mut phases: BTreeMap<String, PhaseRow> = BTreeMap::new();
+    let mut phases: BTreeMap<&str, PhaseRow> = BTreeMap::new();
     let mut shards: BTreeMap<u32, u64> = BTreeMap::new();
     let mut root_ns = 0u64;
     let mut stack: Vec<(usize, u64)> = Vec::new(); // (span index, children total)
@@ -178,9 +178,9 @@ pub fn profile_channel(tl: &FlightTimeline, top_n: usize) -> ChannelProfile {
             }
         }
         let row = phases
-            .entry(span.phase.clone())
+            .entry(&span.phase)
             .or_insert_with(|| PhaseRow {
-                phase: span.phase.clone(),
+                phase: span.phase.to_string(),
                 count: 0,
                 total_ns: 0,
                 self_ns: 0,
@@ -315,27 +315,17 @@ pub fn render_report(doc: &FlightDoc, top_n: usize) -> String {
 mod tests {
     use super::*;
 
-    fn span(name: &str, phase: &str, shard: Option<u32>, start: u64, end: u64) -> FlightSpan {
-        FlightSpan {
-            name: name.to_owned(),
-            phase: phase.to_owned(),
-            shard,
-            start_ns: start,
-            end_ns: end,
-        }
-    }
-
     /// The sim channel's standard shape: round [0,100], walk+build [0,60]
     /// (equal intervals), dispatch [60,100], zero-width tail marks.
     fn sim_timeline() -> FlightTimeline {
         FlightTimeline::from_spans(
             vec![
-                span("scan.round", "round", None, 0, 100),
-                span("scan.schedule_walk", "probe", None, 0, 60),
-                span("scan.probe_build", "probe", None, 0, 60),
-                span("scan.sim_dispatch", "sim", None, 60, 100),
-                span("scan.cleaning", "clean", None, 100, 100),
-                span("scan.catchment_build", "map", None, 100, 100),
+                FlightSpan::new("scan.round", "round", None, 0, 100),
+                FlightSpan::new("scan.schedule_walk", "probe", None, 0, 60),
+                FlightSpan::new("scan.probe_build", "probe", None, 0, 60),
+                FlightSpan::new("scan.sim_dispatch", "sim", None, 60, 100),
+                FlightSpan::new("scan.cleaning", "clean", None, 100, 100),
+                FlightSpan::new("scan.catchment_build", "map", None, 100, 100),
             ],
             0,
         )
@@ -362,10 +352,10 @@ mod tests {
     fn shard_compute_drives_imbalance_and_critical_path() {
         let tl = FlightTimeline::from_spans(
             vec![
-                span("scan.round", "round", None, 0, 100),
-                span("shard.compute", "exec", Some(0), 10, 50),
-                span("shard.compute", "exec", Some(1), 10, 30),
-                span("shard.barrier_wait", "exec", Some(1), 30, 50),
+                FlightSpan::new("scan.round", "round", None, 0, 100),
+                FlightSpan::new("shard.compute", "exec", Some(0), 10, 50),
+                FlightSpan::new("shard.compute", "exec", Some(1), 10, 30),
+                FlightSpan::new("shard.barrier_wait", "exec", Some(1), 30, 50),
             ],
             0,
         );
@@ -382,9 +372,9 @@ mod tests {
     fn shard_attribution_falls_back_to_self_times() {
         let tl = FlightTimeline::from_spans(
             vec![
-                span("scan.probe_build", "probe", Some(0), 0, 30),
-                span("scan.sim_dispatch", "sim", Some(0), 30, 90),
-                span("scan.probe_build", "probe", Some(1), 0, 40),
+                FlightSpan::new("scan.probe_build", "probe", Some(0), 0, 30),
+                FlightSpan::new("scan.sim_dispatch", "sim", Some(0), 30, 90),
+                FlightSpan::new("scan.probe_build", "probe", Some(1), 0, 40),
             ],
             0,
         );
@@ -398,7 +388,7 @@ mod tests {
         let doc = FlightDoc {
             source: "unit".to_owned(),
             sim: sim_timeline(),
-            wall: FlightTimeline::from_spans(vec![span("w", "exec", Some(3), 5, 9)], 2),
+            wall: FlightTimeline::from_spans(vec![FlightSpan::new("w", "exec", Some(3), 5, 9)], 2),
         };
         let value: Value = serde_json::from_str(&doc.to_canonical_json())
             .unwrap_or_else(|e| panic!("canonical json must parse: {e}"));

@@ -1,16 +1,18 @@
 //! The flight recorder: a bounded ring of span *intervals* for phase and
-//! shard attribution (DESIGN.md §15).
+//! shard attribution (DESIGN.md §9), and the workspace's one clock-driven
+//! recorder.
 //!
-//! Where [`crate::trace`] keeps per-name aggregates ([`crate::SpanAgg`]),
-//! the flight recorder keeps the individual intervals — `(name, phase,
-//! shard, start_ns, end_ns)` — so a profile can answer *where the time
-//! went*: self vs total time per phase, per-shard imbalance, barrier
-//! wait. Like the tracer, it reads time only through the injected
-//! [`Clock`] trait, and it records on **two channels with different
+//! Where [`crate::TraceSummary`] keeps per-name aggregates
+//! ([`crate::SpanAgg`]), the flight recorder keeps the individual
+//! intervals — `(name, phase, shard, start_ns, end_ns)` — so a profile can
+//! answer *where the time went*: self vs total time per phase, per-shard
+//! imbalance, barrier wait. It reads time only through the injected
+//! [`Clock`] trait, and timelines come on **two channels with different
 //! contracts**:
 //!
-//! * The **sim channel** is built from shard-invariant sim-time marks and
-//!   is inside the §7 bit-equivalence contract: serial and sharded scans
+//! * The **sim channel** is built from shard-invariant sim-time marks
+//!   (values, through [`FlightTimeline::from_spans`] — no clock) and is
+//!   inside the §7 bit-equivalence contract: serial and sharded scans
 //!   produce byte-identical timelines (asserted by the
 //!   `sharded_equivalence` suite via [`FlightTimeline::to_canonical_json`]).
 //! * The **wall channel** is optional host timing a *binary* may attach
@@ -26,6 +28,7 @@
 //!
 //! [`merge`]: FlightTimeline::merge
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -40,10 +43,12 @@ use crate::trace::Clock;
 /// `Some(k)` attributes the interval to shard `k`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlightSpan {
-    pub name: String,
+    /// Borrowed from the source text wherever this workspace records it;
+    /// owned only when parsed back from a `vp-obs-flight/v1` document.
+    pub name: Cow<'static, str>,
     /// Coarse pipeline stage (`"probe"`, `"sim"`, `"clean"`, `"map"`,
     /// `"exec"`, …); the profile report groups by it.
-    pub phase: String,
+    pub phase: Cow<'static, str>,
     pub shard: Option<u32>,
     pub start_ns: u64,
     pub end_ns: u64,
@@ -59,6 +64,24 @@ fn shard_rank(shard: Option<u32>) -> u64 {
 }
 
 impl FlightSpan {
+    /// An interval between two known marks. Names are `&'static str`, so
+    /// their cardinality is bounded by the source text.
+    pub fn new(
+        name: &'static str,
+        phase: &'static str,
+        shard: Option<u32>,
+        start_ns: u64,
+        end_ns: u64,
+    ) -> FlightSpan {
+        FlightSpan {
+            name: Cow::Borrowed(name),
+            phase: Cow::Borrowed(phase),
+            shard,
+            start_ns,
+            end_ns,
+        }
+    }
+
     pub fn duration_ns(&self) -> u64 {
         self.end_ns.saturating_sub(self.start_ns)
     }
@@ -100,10 +123,10 @@ struct RecorderInner {
 
 /// A cloneable flight-recorder handle over a bounded interval ring.
 ///
-/// Same threading discipline as [`crate::Tracer`]: handles are
-/// single-threaded (`Rc`-based) by design — each shard worker owns its
-/// own recorder and drains to a detached (Send) [`FlightTimeline`]
-/// before anything crosses the shard boundary (DESIGN.md §14).
+/// Handles are single-threaded (`Rc`-based) by design — each shard worker
+/// owns its own recorder and drains to a detached (Send)
+/// [`FlightTimeline`] before anything crosses the shard boundary
+/// (DESIGN.md §14).
 #[derive(Clone)]
 pub struct FlightRecorder {
     inner: Rc<RefCell<RecorderInner>>,
@@ -131,37 +154,29 @@ impl FlightRecorder {
     }
 
     /// Records an already-measured interval directly — used where start
-    /// and end are known marks rather than clock reads. Lint rule o1
-    /// requires `name` and the other recorder/tracer name arguments to be
-    /// string literals (bounded cardinality).
+    /// and end are known marks rather than clock reads.
     pub fn record_interval(
         &self,
-        name: &str,
-        phase: &str,
+        name: &'static str,
+        phase: &'static str,
         shard: Option<u32>,
         start_ns: u64,
         end_ns: u64,
     ) {
-        self.push(FlightSpan {
-            name: name.to_owned(),
-            phase: phase.to_owned(),
-            shard,
-            start_ns,
-            end_ns,
-        });
+        self.push(FlightSpan::new(name, phase, shard, start_ns, end_ns));
     }
 
-    /// Opens a clock-stamped interval closed by the guard's `Drop` (or
-    /// explicitly via [`FlightGuard::end`]); either way the interval is
-    /// recorded exactly once.
-    pub fn span(&self, name: &str, phase: &str, shard: Option<u32>) -> FlightGuard {
-        let start_ns = self.now_nanos();
+    /// Opens a clock-stamped interval, closed and recorded when the guard
+    /// drops.
+    pub fn span(
+        &self,
+        name: &'static str,
+        phase: &'static str,
+        shard: Option<u32>,
+    ) -> FlightGuard {
         FlightGuard {
-            recorder: Some(self.clone()),
-            name: name.to_owned(),
-            phase: phase.to_owned(),
-            shard,
-            start_ns,
+            recorder: self.clone(),
+            span: FlightSpan::new(name, phase, shard, self.now_nanos(), 0),
         }
     }
 
@@ -169,20 +184,6 @@ impl FlightRecorder {
     /// themselves before handing it to [`FlightRecorder::record_interval`].
     pub fn now_nanos(&self) -> u64 {
         self.inner.borrow().clock.now_nanos()
-    }
-
-    /// Recorded intervals currently in the ring.
-    pub fn len(&self) -> usize {
-        self.inner.borrow().spans.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.inner.borrow().spans.is_empty()
-    }
-
-    /// Intervals evicted because the ring was full (oldest-first).
-    pub fn dropped(&self) -> u64 {
-        self.inner.borrow().dropped
     }
 
     /// Snapshots the ring as a canonical [`FlightTimeline`] and clears the
@@ -196,41 +197,18 @@ impl FlightRecorder {
     }
 }
 
-/// RAII interval guard returned by [`FlightRecorder::span`].
+/// RAII interval guard returned by [`FlightRecorder::span`]: `drop` it
+/// where the interval ends.
 pub struct FlightGuard {
-    recorder: Option<FlightRecorder>,
-    name: String,
-    phase: String,
-    shard: Option<u32>,
-    start_ns: u64,
-}
-
-impl FlightGuard {
-    /// Closes the interval now (equivalent to dropping the guard).
-    pub fn end(mut self) {
-        self.finish();
-    }
-
-    /// Records the interval once; the implicit `Drop` after an explicit
-    /// `end` is a no-op because the recorder handle is already taken.
-    fn finish(&mut self) {
-        let Some(rec) = self.recorder.take() else {
-            return;
-        };
-        let end_ns = rec.now_nanos();
-        rec.push(FlightSpan {
-            name: std::mem::take(&mut self.name),
-            phase: std::mem::take(&mut self.phase),
-            shard: self.shard,
-            start_ns: self.start_ns,
-            end_ns,
-        });
-    }
+    recorder: FlightRecorder,
+    /// The open interval; its end is stamped at drop.
+    span: FlightSpan,
 }
 
 impl Drop for FlightGuard {
     fn drop(&mut self) {
-        self.finish();
+        self.span.end_ns = self.recorder.now_nanos();
+        self.recorder.push(self.span.clone());
     }
 }
 
@@ -296,10 +274,6 @@ pub struct WallChannel {
 impl WallChannel {
     pub fn new(clock: Arc<dyn Clock + Send + Sync>) -> WallChannel {
         WallChannel { clock }
-    }
-
-    pub fn now_nanos(&self) -> u64 {
-        self.clock.now_nanos()
     }
 }
 
@@ -382,56 +356,56 @@ fn micros(ns: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::SimClock;
+    use std::cell::Cell;
 
-    fn span(name: &str, shard: Option<u32>, start: u64, end: u64) -> FlightSpan {
-        FlightSpan {
-            name: name.to_owned(),
-            phase: "p".to_owned(),
-            shard,
-            start_ns: start,
-            end_ns: end,
+    /// A settable test clock: clones share one cell.
+    #[derive(Clone, Default)]
+    struct CellClock(Rc<Cell<u64>>);
+
+    impl Clock for CellClock {
+        fn now_nanos(&self) -> u64 {
+            self.0.get()
         }
+    }
+
+    fn span(name: &'static str, shard: Option<u32>, start: u64, end: u64) -> FlightSpan {
+        FlightSpan::new(name, "p", shard, start, end)
     }
 
     #[test]
     fn ring_overflow_drops_oldest_and_counts() {
-        let rec = FlightRecorder::new(Box::new(SimClock::new()), 2);
+        let rec = FlightRecorder::new(Box::new(CellClock::default()), 2);
         rec.record_interval("a", "p", None, 0, 1);
         rec.record_interval("b", "p", None, 1, 2);
         rec.record_interval("c", "p", None, 2, 3);
-        assert_eq!(rec.len(), 2);
-        assert_eq!(rec.dropped(), 1);
         let tl = rec.drain();
         assert_eq!(tl.dropped, 1);
-        let names: Vec<&str> = tl.spans.iter().map(|s| s.name.as_str()).collect();
+        let names: Vec<&str> = tl.spans.iter().map(|s| &*s.name).collect();
         assert_eq!(names, ["b", "c"], "oldest interval must be the one dropped");
     }
 
     #[test]
     fn drain_is_idempotent() {
-        let rec = FlightRecorder::new(Box::new(SimClock::new()), 4);
+        let rec = FlightRecorder::new(Box::new(CellClock::default()), 4);
         rec.record_interval("a", "p", Some(0), 0, 5);
         let first = rec.drain();
         assert_eq!(first.spans.len(), 1);
         let second = rec.drain();
         assert!(second.is_empty(), "second drain must be empty: {second:?}");
-        assert_eq!(rec.dropped(), 0);
-        assert!(rec.is_empty());
     }
 
     #[test]
-    fn guard_records_exactly_once_via_end_or_drop() {
-        let clock = SimClock::new();
+    fn guard_records_once_when_it_drops() {
+        let clock = CellClock::default();
         let rec = FlightRecorder::new(Box::new(clock.clone()), 8);
-        clock.set(10);
+        clock.0.set(10);
         let g = rec.span("ended", "p", Some(3));
-        clock.set(25);
-        g.end(); // the Drop that follows `end` must not double-record
-        clock.set(30);
+        clock.0.set(25);
+        drop(g);
+        clock.0.set(30);
         {
             let _g = rec.span("dropped", "p", None);
-            clock.set(42);
+            clock.0.set(42);
         }
         let tl = rec.drain();
         assert_eq!(tl.spans.len(), 2);
@@ -525,9 +499,9 @@ mod tests {
         assert_eq!(wall.now_nanos(), 0);
         assert_eq!(format!("{wall:?}"), "WallChannel");
         let rec = FlightRecorder::new(Box::new(wall.clone()), 4);
-        rec.span("w", "p", None).end();
-        assert_eq!(rec.len(), 1);
+        drop(rec.span("w", "p", None));
         let tl = rec.drain();
+        assert_eq!(tl.spans.len(), 1);
         assert_eq!((tl.spans[0].start_ns, tl.spans[0].end_ns), (1, 2));
     }
 }

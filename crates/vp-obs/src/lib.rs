@@ -1,19 +1,20 @@
 //! # vp-obs — deterministic observability
 //!
-//! Metrics, tracing, and phase profiling for the Verfploeter reproduction,
-//! built on two rules that keep the pipeline's determinism contract intact
-//! (DESIGN.md §9):
+//! Metrics, trace summaries, and phase profiling for the Verfploeter
+//! reproduction, built on two rules that keep the pipeline's determinism
+//! contract intact (DESIGN.md §9):
 //!
 //! 1. **Merge algebra.** [`Registry::merge`], [`Histogram::merge`], and
 //!    [`TraceSummary::merge`] are associative and commutative with empty
 //!    identities — the same contract as `SimStats`/`CatchmentMap` — so the
 //!    K per-shard registries of `run_scan_sharded(K)` fold to a result
 //!    byte-identical to the serial scan's, for every K.
-//! 2. **Injected clocks.** Time reaches a [`Tracer`] only through the
-//!    [`Clock`] trait. Library code injects [`SimClock`] (simulated time);
-//!    wall-clock impls are restricted by lint rule d4 to binaries and
-//!    `vp-bench`, where they can only affect stdout and bench artifacts,
-//!    never results.
+//! 2. **One recorder, injected clock.** [`FlightRecorder`] is the only
+//!    recorder driven by a [`Clock`], and only binaries and `vp-bench`
+//!    may implement one over wall time (lint rule d4; it reaches library
+//!    code as a forwarded [`WallChannel`]), where it can only affect
+//!    stdout, bench artifacts and the wall flight channel, never results. Sim-time enters as plain values: [`TraceSummary`] and the
+//!    sim flight channel are built from instants the caller already holds.
 //!
 //! The crate is dependency-free and bottom-of-graph: exposition is
 //! hand-rolled canonical JSON ([`Registry::to_canonical_json`]) and
@@ -29,5 +30,5 @@ pub mod window;
 
 pub use flight::{FlightDoc, FlightGuard, FlightRecorder, FlightSpan, FlightTimeline, WallChannel};
 pub use metrics::{Counter, Gauge, Histogram, Metric, MetricKey, Registry};
-pub use trace::{Clock, Event, SimClock, Span, SpanAgg, TraceLevel, TraceSummary, Tracer};
+pub use trace::{Clock, Event, SpanAgg, TraceLevel, TraceSummary};
 pub use window::RollingWindow;

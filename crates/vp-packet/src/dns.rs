@@ -5,10 +5,11 @@
 //! the CHAOS class, optionally with the EDNS0 NSID option (RFC 5001). This
 //! module implements the subset of RFC 1035 needed for that and for the DNS
 //! load substrate: names (with compression-pointer parsing), questions, and
-//! A / TXT / OPT resource records.
+//! TXT / OPT resource records. Types, classes and response codes are the
+//! wire numbers themselves; every other record is carried opaquely, so
+//! `parse` is total over well-formed input and `emit` gives it back.
 
 use bytes::{BufMut, Bytes, BytesMut};
-use vp_net::Ipv4Addr;
 
 use crate::error::PacketError;
 
@@ -17,25 +18,39 @@ const MAX_LABEL_LEN: usize = 63;
 /// Parser limit on compression-pointer hops (loop defense).
 const MAX_POINTER_HOPS: usize = 32;
 
-/// A DNS domain name, stored as its label sequence.
+/// The TXT record/query type.
+pub const TYPE_TXT: u16 = 16;
+/// The EDNS0 OPT pseudo-record type.
+pub const TYPE_OPT: u16 = 41;
+/// The CHAOS class, which `hostname.bind` queries use.
+pub const CLASS_CHAOS: u16 = 3;
+/// EDNS0 NSID option code (RFC 5001).
+pub const EDNS_OPT_NSID: u16 = 3;
+
+/// Big-endian reads that fail, never panic, past the end of `data`.
+fn be16(data: &[u8], at: usize) -> Option<u16> {
+    Some(u16::from_be_bytes([*data.get(at)?, *data.get(at + 1)?]))
+}
+
+fn be32(data: &[u8], at: usize) -> Option<u32> {
+    Some(u32::from(be16(data, at)?) << 16 | u32::from(be16(data, at + 2)?))
+}
+
+/// A DNS domain name, stored as its label sequence; the default is the
+/// root name (zero labels).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct DnsName {
     labels: Vec<String>,
 }
 
 impl DnsName {
-    /// The root name (zero labels).
-    pub fn root() -> Self {
-        DnsName::default()
-    }
-
     /// Parses a presentation-format name like `"hostname.bind"`.
     ///
     /// Empty string and `"."` mean the root. Labels are validated for
     /// length; content is taken as-is (no IDNA).
     pub fn from_str(s: &str) -> Result<Self, PacketError> {
         if s.is_empty() || s == "." {
-            return Ok(DnsName::root());
+            return Ok(DnsName::default());
         }
         let trimmed = s.strip_suffix('.').unwrap_or(s);
         let mut labels = Vec::new();
@@ -54,15 +69,6 @@ impl DnsName {
             return Err(PacketError::BadDnsName("name longer than 255 octets"));
         }
         Ok(DnsName { labels })
-    }
-
-    /// The labels of this name, top label last.
-    pub fn labels(&self) -> &[String] {
-        &self.labels
-    }
-
-    pub fn is_root(&self) -> bool {
-        self.labels.is_empty()
     }
 
     /// Wire-format encoding (uncompressed).
@@ -124,155 +130,28 @@ impl DnsName {
     }
 }
 
-impl std::fmt::Display for DnsName {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.labels.is_empty() {
-            return write!(f, ".");
-        }
-        write!(f, "{}", self.labels.join("."))
-    }
-}
-
-/// DNS record/query types this substrate models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DnsType {
-    A,
-    Ns,
-    Txt,
-    Opt,
-    Other(u16),
-}
-
-impl DnsType {
-    pub const fn number(self) -> u16 {
-        match self {
-            DnsType::A => 1,
-            DnsType::Ns => 2,
-            DnsType::Txt => 16,
-            DnsType::Opt => 41,
-            DnsType::Other(n) => n,
-        }
-    }
-    pub const fn from_number(n: u16) -> Self {
-        match n {
-            1 => DnsType::A,
-            2 => DnsType::Ns,
-            16 => DnsType::Txt,
-            41 => DnsType::Opt,
-            other => DnsType::Other(other),
-        }
-    }
-}
-
-/// DNS classes; CHAOS is what `hostname.bind` queries use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DnsClass {
-    In,
-    Chaos,
-    Other(u16),
-}
-
-impl DnsClass {
-    pub const fn number(self) -> u16 {
-        match self {
-            DnsClass::In => 1,
-            DnsClass::Chaos => 3,
-            DnsClass::Other(n) => n,
-        }
-    }
-    pub const fn from_number(n: u16) -> Self {
-        match n {
-            1 => DnsClass::In,
-            3 => DnsClass::Chaos,
-            other => DnsClass::Other(other),
-        }
-    }
-}
-
-/// Response codes (RFC 1035 §4.1.1 plus REFUSED).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Rcode {
-    NoError,
-    FormErr,
-    ServFail,
-    NxDomain,
-    NotImp,
-    Refused,
-    Other(u8),
-}
-
-impl Rcode {
-    pub const fn number(self) -> u8 {
-        match self {
-            Rcode::NoError => 0,
-            Rcode::FormErr => 1,
-            Rcode::ServFail => 2,
-            Rcode::NxDomain => 3,
-            Rcode::NotImp => 4,
-            Rcode::Refused => 5,
-            Rcode::Other(n) => n,
-        }
-    }
-    pub const fn from_number(n: u8) -> Self {
-        match n {
-            0 => Rcode::NoError,
-            1 => Rcode::FormErr,
-            2 => Rcode::ServFail,
-            3 => Rcode::NxDomain,
-            4 => Rcode::NotImp,
-            5 => Rcode::Refused,
-            other => Rcode::Other(other),
-        }
-    }
-}
-
-/// Header flags (the subset the substrate uses).
+/// Header flags (the subset the substrate sets or reads).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DnsFlags {
     pub response: bool,
     pub authoritative: bool,
-    pub truncated: bool,
-    pub recursion_desired: bool,
-    pub recursion_available: bool,
-    pub rcode: Rcode,
-}
-
-impl Default for Rcode {
-    fn default() -> Self {
-        Rcode::NoError
-    }
+    /// Response code (RFC 1035 §4.1.1), four bits on the wire; 0 is
+    /// NOERROR.
+    pub rcode: u8,
 }
 
 impl DnsFlags {
     fn emit(self) -> u16 {
-        let mut w = 0u16;
-        if self.response {
-            w |= 1 << 15;
-        }
-        if self.authoritative {
-            w |= 1 << 10;
-        }
-        if self.truncated {
-            w |= 1 << 9;
-        }
-        if self.recursion_desired {
-            w |= 1 << 8;
-        }
-        if self.recursion_available {
-            w |= 1 << 7;
-        }
-        w |= self.rcode.number() as u16 & 0x0f;
-        w
+        u16::from(self.response) << 15
+            | u16::from(self.authoritative) << 10
+            | u16::from(self.rcode & 0x0f)
     }
 
     fn parse(w: u16) -> Self {
         DnsFlags {
             response: w & (1 << 15) != 0,
             authoritative: w & (1 << 10) != 0,
-            truncated: w & (1 << 9) != 0,
-            recursion_desired: w & (1 << 8) != 0,
-            recursion_available: w & (1 << 7) != 0,
-            rcode: Rcode::from_number((w & 0x0f) as u8),
+            rcode: (w & 0x0f) as u8,
         }
     }
 }
@@ -281,22 +160,17 @@ impl DnsFlags {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DnsQuestion {
     pub name: DnsName,
-    pub qtype: DnsType,
-    pub qclass: DnsClass,
+    pub qtype: u16,
+    pub qclass: u16,
 }
-
-/// EDNS0 NSID option code (RFC 5001).
-pub const EDNS_OPT_NSID: u16 = 3;
 
 /// A resource record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DnsRecord {
-    /// An address record.
-    A { name: DnsName, ttl: u32, addr: Ipv4Addr },
     /// A TXT record (each string at most 255 bytes on the wire).
     Txt {
         name: DnsName,
-        class: DnsClass,
+        class: u16,
         ttl: u32,
         strings: Vec<String>,
     },
@@ -329,14 +203,6 @@ impl DnsRecord {
 
     fn emit(&self, buf: &mut BytesMut) {
         match self {
-            DnsRecord::A { name, ttl, addr } => {
-                name.emit(buf);
-                buf.put_u16(DnsType::A.number());
-                buf.put_u16(DnsClass::In.number());
-                buf.put_u32(*ttl);
-                buf.put_u16(4);
-                buf.put_u32(addr.0);
-            }
             DnsRecord::Txt {
                 name,
                 class,
@@ -344,13 +210,14 @@ impl DnsRecord {
                 strings,
             } => {
                 name.emit(buf);
-                buf.put_u16(DnsType::Txt.number());
-                buf.put_u16(class.number());
+                buf.put_u16(TYPE_TXT);
+                buf.put_u16(*class);
                 buf.put_u32(*ttl);
                 let rdlen: usize = strings.iter().map(|s| 1 + s.len().min(255)).sum();
                 buf.put_u16(rdlen as u16);
                 for s in strings {
-                    let b = &s.as_bytes()[..s.len().min(255)]; // vp-lint: allow(g1): the slice end is min'ed with s.len(), always in bounds.
+                    let b = s.as_bytes();
+                    let b = b.get(..255).unwrap_or(b);
                     buf.put_u8(b.len() as u8);
                     buf.extend_from_slice(b);
                 }
@@ -359,8 +226,8 @@ impl DnsRecord {
                 udp_payload_size,
                 options,
             } => {
-                DnsName::root().emit(buf);
-                buf.put_u16(DnsType::Opt.number());
+                DnsName::default().emit(buf);
+                buf.put_u16(TYPE_OPT);
                 buf.put_u16(*udp_payload_size);
                 buf.put_u32(0); // extended rcode/version/flags
                 let rdlen: usize = options.iter().map(|(_, d)| 4 + d.len()).sum();
@@ -389,62 +256,46 @@ impl DnsRecord {
     }
 
     fn parse(data: &[u8], pos: usize) -> Result<(DnsRecord, usize), PacketError> {
-        let (name, mut cursor) = DnsName::parse(data, pos)?;
-        let fixed = data
-            .get(cursor..cursor + 10)
-            .ok_or(PacketError::BadDns("record header runs past buffer"))?;
-        let rtype = u16::from_be_bytes([fixed[0], fixed[1]]); // vp-lint: allow(g1): fixed is a get-checked 10-byte slice.
-        let class = u16::from_be_bytes([fixed[2], fixed[3]]); // vp-lint: allow(g1): fixed is a get-checked 10-byte slice.
-        let ttl = u32::from_be_bytes([fixed[4], fixed[5], fixed[6], fixed[7]]); // vp-lint: allow(g1): fixed is a get-checked 10-byte slice.
-        let rdlen = u16::from_be_bytes([fixed[8], fixed[9]]) as usize; // vp-lint: allow(g1): fixed is a get-checked 10-byte slice.
-        cursor += 10;
+        let (name, cursor) = DnsName::parse(data, pos)?;
+        let short = || PacketError::BadDns("record header runs past buffer");
+        let rtype = be16(data, cursor).ok_or_else(short)?;
+        let class = be16(data, cursor + 2).ok_or_else(short)?;
+        let ttl = be32(data, cursor + 4).ok_or_else(short)?;
+        let rdlen = usize::from(be16(data, cursor + 8).ok_or_else(short)?);
+        let end = cursor + 10 + rdlen;
         let rdata = data
-            .get(cursor..cursor + rdlen)
+            .get(cursor + 10..end)
             .ok_or(PacketError::BadDns("rdata runs past buffer"))?;
-        let end = cursor + rdlen;
-        let record = match DnsType::from_number(rtype) {
-            DnsType::A if class == DnsClass::In.number() => {
-                if rdlen != 4 {
-                    return Err(PacketError::BadDns("A record rdata must be 4 bytes"));
-                }
-                DnsRecord::A {
-                    name,
-                    ttl,
-                    addr: Ipv4Addr(u32::from_be_bytes([rdata[0], rdata[1], rdata[2], rdata[3]])), // vp-lint: allow(g1): rdata is a get-checked slice and rdlen == 4 was just verified.
-                }
-            }
-            DnsType::Txt => {
+        let record = match rtype {
+            TYPE_TXT => {
                 let mut strings = Vec::new();
                 let mut p = 0usize;
-                while p < rdlen {
-                    let l = rdata[p] as usize; // vp-lint: allow(g1): the loop guard keeps p below rdlen, the length of rdata.
+                while let Some(&l) = rdata.get(p) {
                     let s = rdata
-                        .get(p + 1..p + 1 + l)
+                        .get(p + 1..p + 1 + usize::from(l))
                         .ok_or(PacketError::BadDns("TXT string runs past rdata"))?;
                     strings.push(String::from_utf8_lossy(s).into_owned());
-                    p += 1 + l;
+                    p += 1 + usize::from(l);
                 }
                 DnsRecord::Txt {
                     name,
-                    class: DnsClass::from_number(class),
+                    class,
                     ttl,
                     strings,
                 }
             }
-            DnsType::Opt => {
+            TYPE_OPT => {
                 let mut options = Vec::new();
                 let mut p = 0usize;
                 while p < rdlen {
-                    let hdr = rdata
-                        .get(p..p + 4)
+                    let (code, olen) = be16(rdata, p)
+                        .zip(be16(rdata, p + 2))
                         .ok_or(PacketError::BadDns("OPT option header truncated"))?;
-                    let code = u16::from_be_bytes([hdr[0], hdr[1]]); // vp-lint: allow(g1): hdr is a get-checked 4-byte slice.
-                    let olen = u16::from_be_bytes([hdr[2], hdr[3]]) as usize; // vp-lint: allow(g1): hdr is a get-checked 4-byte slice.
                     let odata = rdata
-                        .get(p + 4..p + 4 + olen)
+                        .get(p + 4..p + 4 + usize::from(olen))
                         .ok_or(PacketError::BadDns("OPT option data truncated"))?;
                     options.push((code, Bytes::copy_from_slice(odata)));
-                    p += 4 + olen;
+                    p += 4 + usize::from(olen);
                 }
                 DnsRecord::Opt {
                     udp_payload_size: class,
@@ -483,8 +334,8 @@ impl DnsMessage {
             questions: vec![DnsQuestion {
                 // vp-lint: allow(h2): parsing a static, well-formed name literal.
                 name: DnsName::from_str("hostname.bind").expect("static name is valid"),
-                qtype: DnsType::Txt,
-                qclass: DnsClass::Chaos,
+                qtype: TYPE_TXT,
+                qclass: CLASS_CHAOS,
             }],
             answers: Vec::new(),
             additionals: Vec::new(),
@@ -517,7 +368,7 @@ impl DnsMessage {
             questions: query.questions.clone(),
             answers: vec![DnsRecord::Txt {
                 name,
-                class: DnsClass::Chaos,
+                class: CLASS_CHAOS,
                 ttl: 0,
                 strings: vec![site_hostname.to_owned()],
             }],
@@ -555,8 +406,8 @@ impl DnsMessage {
         buf.put_u16(self.additionals.len() as u16);
         for q in &self.questions {
             q.name.emit(&mut buf);
-            buf.put_u16(q.qtype.number());
-            buf.put_u16(q.qclass.number());
+            buf.put_u16(q.qtype);
+            buf.put_u16(q.qclass);
         }
         for r in &self.answers {
             r.emit(&mut buf);
@@ -575,36 +426,27 @@ impl DnsMessage {
                 got: data.len(),
             });
         }
-        // Total header reads: the length check above guarantees 12 bytes,
-        // and `get` keeps the reads panic-free even if it did not.
-        let be16 = |i: usize| -> u16 {
-            match (data.get(2 * i), data.get(2 * i + 1)) {
-                (Some(&hi), Some(&lo)) => u16::from_be_bytes([hi, lo]),
-                _ => 0,
-            }
-        };
-        let id = be16(0);
-        let flags = DnsFlags::parse(be16(1));
-        let qd = be16(2) as usize;
-        let an = be16(3) as usize;
-        let ns = be16(4) as usize;
-        let ar = be16(5) as usize;
+        // The length check above guarantees the six header words.
+        let word = |i: usize| be16(data, 2 * i).unwrap_or(0);
+        let id = word(0);
+        let flags = DnsFlags::parse(word(1));
+        let (qd, an, ns, ar) = (word(2), word(3), word(4), word(5));
         let mut cursor = 12usize;
-        let mut questions = Vec::with_capacity(qd);
+        let mut questions = Vec::with_capacity(usize::from(qd));
         for _ in 0..qd {
             let (name, next) = DnsName::parse(data, cursor)?;
-            let fixed = data
-                .get(next..next + 4)
+            let (qtype, qclass) = be16(data, next)
+                .zip(be16(data, next + 2))
                 .ok_or(PacketError::BadDns("question runs past buffer"))?;
             questions.push(DnsQuestion {
                 name,
-                qtype: DnsType::from_number(u16::from_be_bytes([fixed[0], fixed[1]])), // vp-lint: allow(g1): `fixed` is a get-checked 4-byte slice.
-                qclass: DnsClass::from_number(u16::from_be_bytes([fixed[2], fixed[3]])), // vp-lint: allow(g1): `fixed` is a get-checked 4-byte slice.
+                qtype,
+                qclass,
             });
             cursor = next + 4;
         }
-        let parse_section = |count: usize, cursor: &mut usize| {
-            let mut records = Vec::with_capacity(count);
+        let parse_section = |count: u16, cursor: &mut usize| {
+            let mut records = Vec::with_capacity(usize::from(count));
             for _ in 0..count {
                 let (r, next) = DnsRecord::parse(data, *cursor)?;
                 records.push(r);
@@ -630,13 +472,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn name_parse_display() {
+    fn name_parse_normalizes() {
         let n = DnsName::from_str("Hostname.BIND").unwrap();
-        assert_eq!(n.to_string(), "hostname.bind");
-        assert_eq!(n.labels().len(), 2);
-        assert!(DnsName::from_str(".").unwrap().is_root());
-        assert!(DnsName::from_str("").unwrap().is_root());
-        assert_eq!(DnsName::from_str("example.org.").unwrap().to_string(), "example.org");
+        assert_eq!(n.labels, ["hostname", "bind"]);
+        assert_eq!(DnsName::from_str(".").unwrap(), DnsName::default());
+        assert_eq!(DnsName::from_str("").unwrap(), DnsName::default());
+        assert_eq!(DnsName::from_str("example.org.").unwrap().labels, ["example", "org"]);
     }
 
     #[test]
@@ -653,8 +494,8 @@ mod tests {
         let q = DnsMessage::hostname_bind_query(0x77aa, false);
         let parsed = DnsMessage::parse(&q.emit()).unwrap();
         assert_eq!(parsed, q);
-        assert_eq!(parsed.questions[0].qclass, DnsClass::Chaos);
-        assert_eq!(parsed.questions[0].qtype, DnsType::Txt);
+        assert_eq!(parsed.questions[0].qclass, CLASS_CHAOS);
+        assert_eq!(parsed.questions[0].qtype, TYPE_TXT);
     }
 
     #[test]
@@ -687,26 +528,6 @@ mod tests {
     }
 
     #[test]
-    fn a_record_roundtrip() {
-        let msg = DnsMessage {
-            id: 5,
-            flags: DnsFlags {
-                response: true,
-                rcode: Rcode::NoError,
-                ..DnsFlags::default()
-            },
-            questions: vec![],
-            answers: vec![DnsRecord::A {
-                name: DnsName::from_str("example.org").unwrap(),
-                ttl: 3600,
-                addr: Ipv4Addr::new(93, 184, 216, 34),
-            }],
-            additionals: vec![],
-        };
-        assert_eq!(DnsMessage::parse(&msg.emit()).unwrap(), msg);
-    }
-
-    #[test]
     fn compression_pointer_parsing() {
         // Hand-build a response where the answer name is a pointer to the
         // question name (offset 12).
@@ -715,8 +536,8 @@ mod tests {
             flags: DnsFlags::default(),
             questions: vec![DnsQuestion {
                 name: DnsName::from_str("a.example").unwrap(),
-                qtype: DnsType::A,
-                qclass: DnsClass::In,
+                qtype: TYPE_TXT,
+                qclass: CLASS_CHAOS,
             }],
             answers: vec![],
             additionals: vec![],
@@ -724,21 +545,22 @@ mod tests {
         let mut wire = BytesMut::from(&q.emit()[..]);
         // ancount = 1
         wire[6..8].copy_from_slice(&1u16.to_be_bytes());
-        // answer: pointer to offset 12, type A, class IN, ttl 1, rdlen 4, addr
+        // answer: pointer to offset 12, type TXT, class CH, ttl 1, rdlen 3, "hi"
         wire.extend_from_slice(&[0xc0, 12]);
-        wire.extend_from_slice(&1u16.to_be_bytes());
-        wire.extend_from_slice(&1u16.to_be_bytes());
+        wire.extend_from_slice(&TYPE_TXT.to_be_bytes());
+        wire.extend_from_slice(&CLASS_CHAOS.to_be_bytes());
         wire.extend_from_slice(&1u32.to_be_bytes());
-        wire.extend_from_slice(&4u16.to_be_bytes());
-        wire.extend_from_slice(&[10, 0, 0, 1]);
+        wire.extend_from_slice(&3u16.to_be_bytes());
+        wire.extend_from_slice(&[2, b'h', b'i']);
         let parsed = DnsMessage::parse(&wire).unwrap();
         match &parsed.answers[0] {
-            DnsRecord::A { name, addr, .. } => {
-                assert_eq!(name.to_string(), "a.example");
-                assert_eq!(*addr, Ipv4Addr::new(10, 0, 0, 1));
+            DnsRecord::Txt { name, ttl, .. } => {
+                assert_eq!(name.labels, ["a", "example"]);
+                assert_eq!(*ttl, 1);
             }
-            other => panic!("expected A record, got {other:?}"),
+            other => panic!("expected TXT record, got {other:?}"),
         }
+        assert_eq!(parsed.first_txt(), Some("hi"));
     }
 
     #[test]
@@ -779,10 +601,29 @@ mod tests {
         assert_eq!(DnsMessage::parse(&msg.emit()).unwrap(), msg);
     }
 
+    /// Numbers the substrate gives no name — here an A record in class IN
+    /// and every four-bit rcode — survive a round trip as themselves.
     #[test]
-    fn rcode_numbers_roundtrip() {
-        for n in 0..=15u8 {
-            assert_eq!(Rcode::from_number(n).number(), n);
+    fn unnamed_numbers_roundtrip() {
+        for rcode in 0..=15u8 {
+            let msg = DnsMessage {
+                id: 5,
+                flags: DnsFlags {
+                    response: true,
+                    rcode,
+                    ..DnsFlags::default()
+                },
+                questions: vec![],
+                answers: vec![DnsRecord::Other {
+                    name: DnsName::from_str("example.org").unwrap(),
+                    rtype: 1,
+                    class: 1,
+                    ttl: 3600,
+                    rdata: Bytes::from_static(&[93, 184, 216, 34]),
+                }],
+                additionals: vec![],
+            };
+            assert_eq!(DnsMessage::parse(&msg.emit()).unwrap(), msg);
         }
     }
 }

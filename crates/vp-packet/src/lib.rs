@@ -24,7 +24,7 @@ pub mod icmp;
 pub mod ipv4;
 pub mod udp;
 
-pub use dns::{DnsClass, DnsFlags, DnsMessage, DnsName, DnsQuestion, DnsRecord, DnsType, Rcode};
+pub use dns::{DnsFlags, DnsMessage, DnsName, DnsQuestion, DnsRecord};
 pub use error::PacketError;
 pub use icmp::IcmpMessage;
 pub use ipv4::{Ipv4Packet, Protocol};

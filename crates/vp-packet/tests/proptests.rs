@@ -5,8 +5,8 @@ use bytes::Bytes;
 use proptest::prelude::*;
 use vp_net::Ipv4Addr;
 use vp_packet::{
-    DnsClass, DnsFlags, DnsMessage, DnsName, DnsQuestion, DnsRecord, DnsType, IcmpMessage,
-    Ipv4Packet, Protocol, Rcode, UdpDatagram,
+    dns, DnsFlags, DnsMessage, DnsName, DnsQuestion, DnsRecord, IcmpMessage, Ipv4Packet, Protocol,
+    UdpDatagram,
 };
 
 fn arb_payload(max: usize) -> impl Strategy<Value = Bytes> {
@@ -112,36 +112,43 @@ proptest! {
     fn dns_message_roundtrip(
         id in any::<u16>(),
         response in any::<bool>(),
-        rd in any::<bool>(),
+        authoritative in any::<bool>(),
         rcode in 0u8..16,
         qname in arb_name(),
         txt in "[ -~]{0,80}",
         ttl in any::<u32>(),
-        addr in any::<u32>(),
+        nsid in prop::collection::vec(any::<u8>(), 0..24),
+        (rtype, class) in (any::<u16>(), any::<u16>()),
+        rdata in prop::collection::vec(any::<u8>(), 0..40),
     ) {
+        // TXT and OPT are parsed structurally; any other type number
+        // must come back as the opaque record it went in as.
+        let rtype = if [dns::TYPE_TXT, dns::TYPE_OPT].contains(&rtype) { 1 } else { rtype };
         let msg = DnsMessage {
             id,
             flags: DnsFlags {
                 response,
-                recursion_desired: rd,
-                rcode: Rcode::from_number(rcode),
-                ..DnsFlags::default()
+                authoritative,
+                rcode,
             },
             questions: vec![DnsQuestion {
                 name: qname.clone(),
-                qtype: DnsType::Txt,
-                qclass: DnsClass::Chaos,
+                qtype: dns::TYPE_TXT,
+                qclass: dns::CLASS_CHAOS,
             }],
             answers: vec![
                 DnsRecord::Txt {
                     name: qname.clone(),
-                    class: DnsClass::Chaos,
+                    class: dns::CLASS_CHAOS,
                     ttl,
                     strings: vec![txt],
                 },
-                DnsRecord::A { name: qname, ttl, addr: Ipv4Addr(addr) },
+                DnsRecord::Other { name: qname, rtype, class, ttl, rdata: rdata.into() },
             ],
-            additionals: vec![],
+            additionals: vec![DnsRecord::Opt {
+                udp_payload_size: 4096,
+                options: vec![(dns::EDNS_OPT_NSID, nsid.into())],
+            }],
         };
         prop_assert_eq!(DnsMessage::parse(&msg.emit()).unwrap(), msg);
     }

@@ -1,7 +1,7 @@
 //! The discrete-event engine: packet delivery, host behaviours, captures.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use rand::SeedableRng;
 use rand_pcg::Pcg64;
@@ -172,15 +172,19 @@ impl SimStats {
     }
 }
 
-/// Per-engine observability state: a metrics registry, a tracer, and the
-/// shared sim-time cell the event loop advances. Attached on demand with
-/// [`NetworkSim::attach_obs`]; everything recorded here derives from
-/// simulated time and event content, so an attached engine stays exactly
-/// as deterministic as a bare one.
+/// Per-engine observability state: a metrics registry and a trace the
+/// engine writes at the sim-time instants it already holds — there is no
+/// clock here. Attached on demand with [`NetworkSim::attach_obs`];
+/// everything recorded derives from simulated time and event content, so
+/// an attached engine stays exactly as deterministic as a bare one.
 pub struct EngineObs {
     pub registry: vp_obs::Registry,
-    pub tracer: vp_obs::Tracer,
-    clock: vp_obs::SimClock,
+    level: vp_obs::TraceLevel,
+    /// The `engine.run` aggregate (one interval per run that had
+    /// arrivals) and the count of events the ring evicted.
+    trace: vp_obs::TraceSummary,
+    /// The `Full`-level event ring, oldest first.
+    ring: VecDeque<vp_obs::Event>,
 }
 
 impl EngineObs {
@@ -188,12 +192,39 @@ impl EngineObs {
     pub const EVENT_CAPACITY: usize = 256;
 
     pub fn new(level: vp_obs::TraceLevel) -> EngineObs {
-        let clock = vp_obs::SimClock::new();
         EngineObs {
             registry: vp_obs::Registry::new(),
-            tracer: vp_obs::Tracer::new(Box::new(clock.clone()), level, Self::EVENT_CAPACITY),
-            clock,
+            level,
+            trace: vp_obs::TraceSummary::default(),
+            ring: VecDeque::new(),
         }
+    }
+
+    /// Records an event stamped `at` (`Full` only; `detail` is not built
+    /// otherwise). Once the ring is full the oldest event is evicted and
+    /// counted.
+    fn event(&mut self, at: SimTime, name: &'static str, detail: impl FnOnce() -> String) {
+        if self.level != vp_obs::TraceLevel::Full {
+            return;
+        }
+        if self.ring.len() == Self::EVENT_CAPACITY {
+            self.ring.pop_front();
+            self.trace.dropped_events += 1;
+        }
+        self.ring.push_back(vp_obs::Event {
+            at_nanos: at.as_nanos(),
+            name: name.to_owned(),
+            detail: detail(),
+        });
+    }
+
+    /// The registry and the trace summary: span aggregates plus the held
+    /// events in canonical (time, name, detail) order.
+    pub fn into_parts(self) -> (vp_obs::Registry, vp_obs::TraceSummary) {
+        let mut trace = self.trace;
+        trace.events = self.ring.into();
+        trace.events.sort();
+        (self.registry, trace)
     }
 }
 
@@ -270,8 +301,8 @@ struct Scheduled {
 /// `transmit` resolved without queueing (Echo Requests, answered at
 /// transmission) alike: how many, and their earliest and latest instants.
 /// [`NetworkSim::run_with`] reports the count as `engine.events` and ends
-/// its clock and its `engine.run` span on the latest, so an arrival that
-/// never entered the queue is an event of the run all the same.
+/// [`NetworkSim::now`] and its `engine.run` span on the latest, so an
+/// arrival that never entered the queue is an event of the run all the same.
 #[derive(Default)]
 struct Arrivals {
     count: u64,
@@ -387,8 +418,8 @@ impl<'w> NetworkSim<'w> {
         }
     }
 
-    /// Attaches an observability sidecar: a metrics registry plus a tracer
-    /// driven by this engine's sim clock. Call before [`NetworkSim::run`];
+    /// Attaches an observability sidecar: a metrics registry plus a trace
+    /// summary recording at `level`. Call before [`NetworkSim::run`];
     /// collect with [`NetworkSim::take_obs`] afterwards.
     pub fn attach_obs(&mut self, level: vp_obs::TraceLevel) {
         self.obs = Some(EngineObs::new(level));
@@ -544,12 +575,10 @@ impl<'w> NetworkSim<'w> {
 
         let Some(target) = self.route(&packet, from, to, at) else {
             self.stats.undeliverable += 1;
-            if let Some(obs) = &self.obs {
-                if obs.tracer.is_full() {
-                    obs.clock.set(at.as_nanos());
-                    obs.tracer
-                        .event("engine.undeliverable", format!("dst {}", packet.dst));
-                }
+            if let Some(obs) = &mut self.obs {
+                // Stamped with the transmission's own instant, which may
+                // lie between two queue pops.
+                obs.event(at, "engine.undeliverable", || format!("dst {}", packet.dst));
             }
             return;
         };
@@ -688,7 +717,7 @@ impl<'w> NetworkSim<'w> {
     ///
     /// Echo Requests to hosts never enter the heap (see `transmit`), but
     /// their arrivals are events of this run like any other: they count
-    /// toward `engine.events`, and the run's clock and `engine.run` span
+    /// toward `engine.events`, and the run's end time and `engine.run` span
     /// cover them, so a run ends at its last arrival even when that is a
     /// probe nobody answered.
     pub fn run_with<P, C>(&mut self, probes: P, sink: &mut C)
@@ -710,9 +739,6 @@ impl<'w> NetworkSim<'w> {
             let Some(Reverse(ev)) = self.queue.pop() else {
                 break;
             };
-            if let Some(obs) = &self.obs {
-                obs.clock.set(ev.at.as_nanos());
-            }
             self.arrivals.note(ev.at);
             match ev.target {
                 Target::Site { service, site } => self.arrive_at_site(service, site, ev, sink),
@@ -728,10 +754,9 @@ impl<'w> NetworkSim<'w> {
             // exactly one shard), so summed shard registries match the
             // serial engine's.
             obs.registry.counter_add("engine.events", &[], count);
-            if let Some((first, last)) = span {
-                obs.clock.set(last.as_nanos());
+            if let Some((first, last)) = span.filter(|_| obs.level != vp_obs::TraceLevel::Off) {
                 // The whole-run phase span, in sim-time: first event to last.
-                obs.tracer
+                obs.trace
                     .record_span("engine.run", first.as_nanos(), last.as_nanos());
             }
         }
@@ -1444,7 +1469,7 @@ mod tests {
     }
 
     /// An Echo Request's arrival is an event of the run although it is
-    /// never queued: it counts toward `engine.events`, and the clock and
+    /// never queued: it counts toward `engine.events`, and `now()` and
     /// the `engine.run` span reach it. Here the last thing to happen is
     /// the arrival of a probe at a host that does not answer.
     #[test]
@@ -1479,8 +1504,84 @@ mod tests {
         let obs = sim.take_obs().unwrap();
         // Two arrivals at hosts and one capture.
         assert_eq!(obs.registry.counter_value("engine.events", &[]), 3);
-        let run = obs.tracer.summary().spans["engine.run"];
+        let run = obs.into_parts().1.spans["engine.run"];
         assert_eq!((run.count, run.total_nanos), (1, last_arrives.since(first_arrives).as_nanos()));
+    }
+
+    /// The `Full`-level event of an undeliverable packet carries that
+    /// packet's own transmission instant — here a lazily injected probe
+    /// sent between two queue pops, while `now()` still reads the previous
+    /// run's end — and the ring holds `EVENT_CAPACITY` of them.
+    #[test]
+    fn an_undeliverable_event_is_stamped_with_its_transmission_instant() {
+        let w = world();
+        let (ann, oracle) = service(&w);
+        let meas = ann.measurement_addr();
+        let mut sim = NetworkSim::new(&w, FaultConfig::none(), 15);
+        sim.attach_obs(vp_obs::TraceLevel::Full);
+        sim.register_service(ann, Box::new(oracle), false);
+        let mut hosts = w.responsive_blocks();
+        let (a, b) = (hosts.next().unwrap(), hosts.next().unwrap());
+        let not_a_host = a.block.addr(a.rep_octet.wrapping_add(1).max(1));
+        let secs = |s| SimTime::ZERO + SimDuration::from_secs(s);
+
+        let mut seen = Recorder::default();
+        sim.run_with(
+            vec![
+                timed_probe(secs(0), probe(meas, a.representative(), 1, 0)),
+                timed_probe(secs(5), probe(meas, not_a_host, 1, 1)),
+                timed_probe(secs(10), probe(meas, b.representative(), 1, 2)),
+            ],
+            &mut seen,
+        );
+        // One reply was popped before the stray probe left and one after.
+        let [(_, before, _), (_, after, _)] = seen.0[..] else {
+            panic!("two replies expected: {:?}", seen.0);
+        };
+        assert!(before < secs(5) && secs(10) < after);
+        let ring = &sim.obs.as_ref().unwrap().ring;
+        assert_eq!(ring.len(), 1, "one event expected: {ring:?}");
+        let event = &ring[0];
+        assert_eq!(event.at_nanos, secs(5).as_nanos());
+        assert_eq!(event.name, "engine.undeliverable");
+        assert_eq!(event.detail, format!("dst {not_a_host}"));
+
+        for i in 0..EngineObs::EVENT_CAPACITY as u64 + 2 {
+            sim.send_at(secs(20 + i), probe(meas, not_a_host, 2, 0));
+        }
+        let (_, trace) = sim.take_obs().unwrap().into_parts();
+        assert_eq!(trace.events.len(), EngineObs::EVENT_CAPACITY);
+        assert_eq!(trace.dropped_events, 3);
+        assert_eq!(trace.events[0].at_nanos, secs(22).as_nanos());
+    }
+
+    /// What the trace level gates: `Off` keeps the registry and nothing
+    /// else, `Summary` adds `engine.run`, only `Full` keeps events — and an
+    /// engine that dispatched nothing reports no `engine.run` at any level.
+    #[test]
+    fn trace_levels_gate_spans_and_events() {
+        let w = world();
+        let host = w.responsive_blocks().next().unwrap();
+        let not_the_host = host.block.addr(host.rep_octet.wrapping_add(1).max(1));
+        for level in [vp_obs::TraceLevel::Off, vp_obs::TraceLevel::Summary, vp_obs::TraceLevel::Full] {
+            let (ann, oracle) = service(&w);
+            let meas = ann.measurement_addr();
+            let mut sim = NetworkSim::new(&w, FaultConfig::none(), 16);
+            sim.attach_obs(level);
+            sim.register_service(ann, Box::new(oracle), false);
+            sim.send_at(SimTime::ZERO, probe(meas, not_the_host, 1, 0));
+            sim.run();
+            let idle = sim.obs.as_ref().unwrap();
+            assert!(idle.trace.spans.is_empty(), "{level:?}: nothing arrived, yet {:?}", idle.trace.spans);
+            assert_eq!(idle.ring.len(), usize::from(level == vp_obs::TraceLevel::Full));
+
+            sim.send_at(SimTime::ZERO, probe(meas, host.representative(), 1, 1));
+            sim.run();
+            let (registry, trace) = sim.take_obs().unwrap().into_parts();
+            assert_eq!(registry.counter_value("engine.events", &[]), 2, "{level:?}");
+            let runs = trace.spans.get("engine.run").map_or(0, |agg| agg.count);
+            assert_eq!(runs, u64::from(level != vp_obs::TraceLevel::Off), "{level:?}");
+        }
     }
 
     /// Eager injection folds too: `send_at` answers before `run` is even

@@ -1,9 +1,9 @@
 //! Integration: the fig9 → vp-monitor replay pipeline end to end.
 //!
 //! Runs the tiny-scale stability rounds, writes them through the
-//! snapshot format `fig9_stability --snapshots` emits, reloads them with
-//! the vp-monitor ingest layer, and runs the full diff/alert pipeline —
-//! twice, asserting byte-identical output. The serialized documents must
+//! snapshot format `run_all fig9_stability --snapshots` emits, reloads
+//! them with the vp-monitor ingest layer, and runs the full diff/alert
+//! pipeline — twice, asserting byte-identical output. The serialized documents must
 //! match the goldens committed under `results/monitor/` (the same files
 //! `scripts/check.sh` regenerates and compares via the CLI), and the
 //! per-round flip counts must agree with the classification fig9 itself
