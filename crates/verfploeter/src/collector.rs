@@ -39,16 +39,14 @@ pub fn parse_capture(site: SiteId, at: SimTime, packet: &Ipv4Packet) -> Option<R
     if packet.protocol != vp_packet::Protocol::Icmp {
         return None;
     }
-    match IcmpMessage::parse(&packet.payload) {
-        Ok(IcmpMessage::EchoReply { ident, payload, .. }) => Some(RawReply {
-            site,
-            at,
-            src: packet.src,
-            ident,
-            index: crate::prober::Prober::decode_payload(&payload),
-        }),
-        _ => None,
-    }
+    let (ident, payload) = IcmpMessage::echo_reply_view(&packet.payload)?;
+    Some(RawReply {
+        site,
+        at,
+        src: packet.src,
+        ident,
+        index: crate::prober::Prober::decode_payload(payload),
+    })
 }
 
 /// The central point as the engine's capture sink: each site arrival is

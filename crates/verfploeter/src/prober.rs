@@ -20,8 +20,10 @@ use vp_packet::{IcmpMessage, Ipv4Packet, Protocol};
 pub const PAYLOAD_MAGIC: &[u8; 4] = b"VPLT";
 
 /// Probes encoded per [`Prober::build_probes_with_replies`] batch: large enough to
-/// amortize the batch's one wire-buffer allocation to noise, small enough
+/// amortize the batch's two wire-buffer allocations to noise, small enough
 /// that a batch of 20-byte requests and replies stays comfortably in L1.
+/// The engine drains a batch in eight stages of 128
+/// ([`vp_sim::NetworkSim::run_with`]).
 pub const PROBE_BATCH: usize = 1024;
 
 /// Probing parameters for one measurement round.
@@ -144,8 +146,8 @@ impl Prober {
     /// equivalence suite pins this), but with the hot-loop cost profile:
     /// the whole batch's ICMP images live in **one shared buffer**
     /// ([`vp_packet::icmp::encode_batch_with_replies`]), each packet
-    /// payload a zero-copy view of it, and per-probe checksums derived
-    /// incrementally instead of re-summed. Steady-state heap allocations
+    /// payload a zero-copy view of it, and one checksum sum per probe
+    /// serving its request and its reply. Steady-state heap allocations
     /// per probe: zero (the batch buffers and the reservations amortize
     /// across the batch; the allocation-witness test counts this).
     ///
@@ -154,9 +156,7 @@ impl Prober {
     /// what the simulated responder's parse → reply → emit chain would
     /// serialize. Handing the image to the engine with the probe lets
     /// responders answer without allocating per reply — the last
-    /// per-probe allocation the witness test retired. Payloads carry the
-    /// nonzero `VPLT` magic, satisfying the reply encoder's checksum
-    /// precondition.
+    /// per-probe allocation the witness test retired.
     // vp-lint: allow(g1): `i < indices.len()` by encode_batch_with_replies's contract, and payloads are exactly the 12 declared bytes.
     pub fn build_probes_with_replies(
         &self,

@@ -356,9 +356,11 @@ impl<'a> PhaseSpans<'a> {
 /// event loop: walks `schedule` one [`PROBE_BATCH`] at a time, building
 /// each batch's packets **and their precomputed reply images** through
 /// the allocation-amortized [`Prober::build_probes_with_replies`] (two
-/// shared wire buffers, incremental checksums), and yields them in
+/// shared wire buffers, one checksum sum per message), and yields them in
 /// schedule order. Only one batch of probes exists at any moment; the
-/// engine asks for the next probe when its send time comes due.
+/// engine pulls a stage of them (an eighth of a batch) at a time, ahead
+/// of their send times. Fused: the refill that finds the schedule
+/// exhausted is the last, whoever keeps polling.
 struct ProbeFeed<'a, I> {
     schedule: I,
     prober: &'a Prober,
@@ -369,6 +371,8 @@ struct ProbeFeed<'a, I> {
     ats: Vec<SimTime>,
     packets: Vec<vp_packet::Ipv4Packet>,
     reply_images: Vec<bytes::Bytes>,
+    /// A refill came back empty: the schedule is done.
+    exhausted: bool,
     phases: Option<PhaseSpans<'a>>,
 }
 
@@ -405,7 +409,11 @@ impl<I: Iterator<Item = (u64, SimTime)>> Iterator for ProbeFeed<'_, I> {
 
     fn next(&mut self) -> Option<TimedProbe> {
         if self.packets.is_empty() {
+            if self.exhausted {
+                return None;
+            }
             self.refill();
+            self.exhausted = self.packets.is_empty();
         }
         Some(TimedProbe {
             at: self.ats.pop()?,
@@ -492,6 +500,7 @@ impl Round<'_> {
             ats: Vec::with_capacity(PROBE_BATCH),
             packets: Vec::with_capacity(PROBE_BATCH),
             reply_images: Vec::with_capacity(PROBE_BATCH),
+            exhausted: false,
             phases: wall_rec.as_ref().map(|rec| PhaseSpans::new(rec, lane, probes)),
         };
         let mut cleaner = Cleaner::new(

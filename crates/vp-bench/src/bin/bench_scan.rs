@@ -13,12 +13,15 @@
 //! bit-identical to the serial one — a benchmark of a wrong result would
 //! be worse than no benchmark, and for the threaded rows the cross-check
 //! doubles as the DESIGN.md §7/§14 determinism witness under real
-//! preemption.
+//! preemption. After the table comes the K=1 cost of a probe at the
+//! largest scale over its cost at the smallest (`--targets
+//! 15000,1000000` prints the 1M/15k figure ROADMAP item 4's bar is
+//! stated in).
 //!
 //! The table is for reading, not for gating: nothing parses it and no
 //! artifact is written. The repo's one perf ledger is `benchmark/`
 //! (`benchmark/run.sh --compare` is the verdict); this binary keeps the
-//! matrix only until it moves there as a workload (ROADMAP item 2).
+//! matrix only until it moves there as a workload (ROADMAP item 6b).
 //!
 //! Each scale builds its scenario and hitlist **once** and reuses them
 //! across reps and shard counts: the benchmark times the scan engine, not
@@ -227,6 +230,8 @@ fn main() {
 
     println!("bench_scan: scales {scales:?}, {reps} reps per K");
 
+    // (targets, K=1 median ns per probe) per scale, for the closing ratio.
+    let mut serial_ns_per_probe: Vec<(u64, f64)> = Vec::new();
     for &scale in &scales {
         let s = bench_scenario_scaled(33, scale);
         let hl = bench_hitlist(&s);
@@ -271,6 +276,9 @@ fn main() {
                 }
                 let median = hist.quantile_interpolated(0.5);
                 let p90 = hist.quantile_interpolated(0.9);
+                if shards == 1 {
+                    serial_ns_per_probe.push((targets, median as f64 / targets as f64));
+                }
                 println!(
                     "    K={shards}{}: median {:.1}ms  p90 {:.1}ms  (min {:.1}ms, max {:.1}ms)  \
                      queue high-water {queue_high_water}",
@@ -284,6 +292,13 @@ fn main() {
         }
     }
 
+    serial_ns_per_probe.sort_by_key(|&(targets, _)| targets);
+    if let [(small, small_ns), .., (large, large_ns)] = serial_ns_per_probe[..] {
+        println!(
+            "K=1 per probe: {large_ns:.0} ns at {large} targets / {small_ns:.0} ns at {small} = {:.2}x",
+            large_ns / small_ns
+        );
+    }
     if let Some(kib) = peak_rss_kib() {
         println!("peak RSS {:.1} MiB", kib as f64 / 1024.0);
     }

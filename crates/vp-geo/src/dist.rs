@@ -1,5 +1,12 @@
 //! Great-circle distance, used for PoP placement and hot-potato IGP costs.
 
+const EARTH_RADIUS_KM: f64 = 6371.0;
+
+/// The most [`distance_km`] returns — half the circumference, antipode to
+/// antipode. (Out-of-range coordinates can push the haversine term past
+/// one; the distance is then NaN, not a larger number.)
+pub const MAX_DISTANCE_KM: f64 = 2.0 * EARTH_RADIUS_KM * std::f64::consts::FRAC_PI_2;
+
 /// Approximate great-circle distance between two coordinates, in km
 /// (haversine on a spherical Earth of radius 6371 km).
 pub fn distance_km(lat1: f64, lon1: f64, lat2: f64, lon2: f64) -> f64 {
@@ -12,7 +19,7 @@ pub fn distance_km(lat1: f64, lon1: f64, lat2: f64, lon2: f64) -> f64 {
     let dlat = la2 - la1;
     let dlon = lo2 - lo1;
     let a = (dlat / 2.0).sin().powi(2) + la1.cos() * la2.cos() * (dlon / 2.0).sin().powi(2);
-    2.0 * 6371.0 * a.sqrt().asin()
+    2.0 * EARTH_RADIUS_KM * a.sqrt().asin()
 }
 
 #[cfg(test)]
@@ -42,5 +49,6 @@ mod tests {
     fn antipodal_is_half_circumference() {
         let d = distance_km(0.0, 0.0, 0.0, 180.0);
         assert!((d - 6371.0 * std::f64::consts::PI).abs() < 1.0);
+        assert!(d <= MAX_DISTANCE_KM && MAX_DISTANCE_KM - d < 1.0);
     }
 }

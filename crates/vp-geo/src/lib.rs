@@ -24,5 +24,5 @@ pub mod world;
 
 pub use bins::{BinnedMap, GeoBin};
 pub use db::{GeoDb, GeoLoc};
-pub use dist::distance_km;
+pub use dist::{distance_km, MAX_DISTANCE_KM};
 pub use world::{countries, Continent, Country, CountryId};

@@ -29,21 +29,6 @@ pub fn verify(data: &[u8]) -> bool {
     fold(sum_words(data)) == 0xffff
 }
 
-/// Incrementally updates a checksum after one 16-bit word of the covered
-/// data changed from `old_word` to `new_word` (RFC 1624, eqn. 3:
-/// `HC' = ~(~HC + ~m + m')`).
-///
-/// Chaining updates over every changed word yields exactly the checksum a
-/// full recompute would, **provided the covered data always contains at
-/// least one nonzero word** (true for every packet here: an ICMP type or
-/// IPv4 version byte is nonzero). Without that, the one's-complement
-/// zero ambiguity (`0x0000` vs `0xffff`) could differ from a recompute
-/// over all-zero data — the equivalence tests pin the exact-match
-/// behaviour on real packets.
-pub fn incremental_update(check: u16, old_word: u16, new_word: u16) -> u16 {
-    !fold(u32::from(!check) + u32::from(!old_word) + u32::from(new_word))
-}
-
 /// The one's-complement running sum over `data` (not yet folded or
 /// complemented). Batch encoders precompute this over a message's fixed
 /// words once, then [`finish`] the sum plus the varying words per
@@ -129,52 +114,6 @@ mod tests {
     fn empty_input() {
         assert_eq!(internet_checksum(&[]), 0xffff);
         assert_eq!(internet_checksum_parts(&[]), 0xffff);
-    }
-
-    #[test]
-    fn incremental_update_matches_recompute_single_word() {
-        // Patch each word of a packet in turn and compare against a full
-        // recompute of the patched buffer.
-        let base = [0x08u8, 0x00, 0x00, 0x00, 0x12, 0x34, 0xab, 0xcd];
-        let ck = internet_checksum(&base);
-        for word in 0..base.len() / 2 {
-            if word == 1 {
-                continue; // the checksum field itself is not covered
-            }
-            let mut patched = base;
-            let new = [0xfeu8, 0x9a];
-            patched[2 * word..2 * word + 2].copy_from_slice(&new);
-            let old_w = u16::from_be_bytes([base[2 * word], base[2 * word + 1]]);
-            let new_w = u16::from_be_bytes(new);
-            assert_eq!(
-                incremental_update(ck, old_w, new_w),
-                internet_checksum(&patched),
-                "word {word}"
-            );
-        }
-    }
-
-    #[test]
-    fn incremental_update_chains_across_many_words() {
-        // A deterministic LCG walk over packets: chain word updates from
-        // each packet to the next and compare with full recomputes.
-        let mut state = 0x1234_5678_u64;
-        let mut next = || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            (state >> 33) as u16
-        };
-        let mut buf = [0u8; 20];
-        buf[0] = 0x08; // keep one word nonzero, the stated precondition
-        let mut ck = internet_checksum(&buf);
-        for _ in 0..200 {
-            for word in [3usize, 6, 7, 8, 9] {
-                let old_w = u16::from_be_bytes([buf[2 * word], buf[2 * word + 1]]);
-                let new_w = next();
-                buf[2 * word..2 * word + 2].copy_from_slice(&new_w.to_be_bytes());
-                ck = incremental_update(ck, old_w, new_w);
-            }
-            assert_eq!(ck, internet_checksum(&buf));
-        }
     }
 
     #[test]

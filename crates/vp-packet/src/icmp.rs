@@ -108,28 +108,11 @@ impl IcmpMessage {
 
     /// Parses wire bytes, validating length, checksum and message type.
     /// Zero-copy: the returned message's body is a refcounted view of
-    /// `data`'s backing buffer — no allocation per parse, which is what
-    /// lets the engine's per-reply receive path run allocation-free (the
-    /// allocation-witness test counts it).
-    // vp-lint: allow(g1): every index reads inside the MIN_LEN prefix the length check guarantees.
+    /// `data`'s backing buffer — no allocation per parse.
     pub fn parse(data: &Bytes) -> Result<IcmpMessage, PacketError> {
-        // One deref for all the header reads below.
-        let wire: &[u8] = data;
-        if wire.len() < MIN_LEN {
-            return Err(PacketError::Truncated {
-                needed: MIN_LEN,
-                got: wire.len(),
-            });
-        }
-        if !checksum::verify(wire) {
-            let got = u16::from_be_bytes([wire[2], wire[3]]);
-            return Err(PacketError::BadChecksum { expected: 0, got });
-        }
-        let ty = wire[0];
-        let code = wire[1];
-        let a = u16::from_be_bytes([wire[4], wire[5]]);
-        let b = u16::from_be_bytes([wire[6], wire[7]]);
-        let body = data.slice(MIN_LEN..wire.len());
+        let [ty, code, _, _, a, b, c, d] = checked_header(data)?;
+        let (a, b) = (u16::from_be_bytes([a, b]), u16::from_be_bytes([c, d]));
+        let body = data.slice(MIN_LEN..data.len());
         match ty {
             ECHO_REQUEST => Ok(IcmpMessage::EchoRequest {
                 ident: a,
@@ -148,6 +131,40 @@ impl IcmpMessage {
             other => Err(PacketError::UnknownIcmpType(other)),
         }
     }
+
+    /// Whether `wire` is what [`IcmpMessage::parse`] reads as an Echo
+    /// Request — the same length, checksum and type checks, without
+    /// building the message (no refcounted view of the payload is taken).
+    pub fn is_echo_request(wire: &[u8]) -> bool {
+        matches!(checked_header(wire), Ok([ECHO_REQUEST, ..]))
+    }
+
+    /// The identifier and payload of what [`IcmpMessage::parse`] reads as
+    /// an Echo Reply, borrowed from `wire`; `None` for anything else,
+    /// malformed or not.
+    pub fn echo_reply_view(wire: &[u8]) -> Option<(u16, &[u8])> {
+        let Ok([ECHO_REPLY, _, _, _, a, b, _, _]) = checked_header(wire) else {
+            return None;
+        };
+        Some((u16::from_be_bytes([a, b]), wire.get(MIN_LEN..)?))
+    }
+}
+
+/// The fixed header of a message long enough to have one and whose
+/// checksum verifies: the checks every reader of wire bytes starts with.
+fn checked_header(wire: &[u8]) -> Result<[u8; MIN_LEN], PacketError> {
+    let Some(header) = wire.first_chunk::<MIN_LEN>() else {
+        return Err(PacketError::Truncated {
+            needed: MIN_LEN,
+            got: wire.len(),
+        });
+    };
+    if !checksum::verify(wire) {
+        let [_, _, hi, lo, ..] = *header;
+        let got = u16::from_be_bytes([hi, lo]);
+        return Err(PacketError::BadChecksum { expected: 0, got });
+    }
+    Ok(*header)
 }
 
 /// Encodes a batch of `count` echo requests — all tagged `ident`, all
@@ -160,26 +177,15 @@ impl IcmpMessage {
 /// Each request image is byte-identical to
 /// `IcmpMessage::echo_request(ident, seq, payload).emit()` and each reply
 /// image to that message run through [`IcmpMessage::reply`] and
-/// [`IcmpMessage::emit`] (the equivalence tests pin both), but the cost
-/// profile is the hot-loop one: two buffer allocations per batch instead
-/// of one (plus a copy) per message, and the checksum of request `i > 0`
-/// derived from request `i-1` via [`checksum::incremental_update`] over
-/// only the words that changed — the fixed header and payload template
-/// words are never re-summed. A reply differs from its request in exactly
-/// two words — the type/code word and the checksum — so each reply image
-/// costs one copy into the shared buffer and one more incremental update.
-/// Simulated responders then answer probes by handing back the
-/// precomputed image instead of serializing a fresh reply per probe (the
-/// allocation witness counts this).
-///
-/// The exactness of the request chain rests on the type byte
-/// (`ECHO_REQUEST = 8`) keeping every request's word sum nonzero; the
-/// patched reply checksum needs at least one nonzero word among
-/// ident/seq/payload (the reply's type byte is zero, so it no longer
-/// anchors the sum — see [`checksum::incremental_update`]). Verfploeter
-/// payloads always carry the nonzero magic tag, and a debug assertion
-/// cross-checks every reply image against a full recompute.
-// vp-lint: allow(g1): every index is inside `count * msg_len`, the exact length written into both buffers by construction.
+/// [`IcmpMessage::emit`] (the equivalence tests pin both) — by
+/// construction: a request is the header template plus what `fill` wrote,
+/// its checksum one RFC 1071 sum over those words
+/// ([`checksum::partial_sum`] / [`checksum::finish`]); its reply is the
+/// same words with a zero type, so the reply's sum is the request's minus
+/// the type word. Two buffer allocations per batch instead of one (plus a
+/// copy) per message; simulated responders then answer probes by handing
+/// back the precomputed image instead of serializing a fresh reply per
+/// probe (the allocation witness counts this).
 pub fn encode_batch_with_replies<F, E>(
     ident: u16,
     payload_len: usize,
@@ -190,64 +196,28 @@ pub fn encode_batch_with_replies<F, E>(
     F: FnMut(usize, &mut u16, &mut [u8]),
     E: FnMut(usize, Bytes, Bytes),
 {
-    const ZEROS: [u8; 64] = [0; 64];
-    const REQ_WORD0: u16 = (ECHO_REQUEST as u16) << 8;
-    const REP_WORD0: u16 = (ECHO_REPLY as u16) << 8;
+    const REQ_WORD0: u32 = (ECHO_REQUEST as u32) << 8;
     let msg_len = MIN_LEN + payload_len;
-    let mut requests = BytesMut::with_capacity(count * msg_len);
-    let mut replies = BytesMut::with_capacity(count * msg_len);
-    let mut prev_ck = 0u16;
-    for i in 0..count {
-        let base = i * msg_len;
-        requests.put_u8(ECHO_REQUEST);
-        requests.put_u8(0); // code
-        requests.put_u16(0); // checksum placeholder
-        requests.put_u16(ident);
-        requests.put_u16(0); // seq placeholder
-        let mut rem = payload_len;
-        while rem > 0 {
-            let take = rem.min(ZEROS.len());
-            requests.extend_from_slice(&ZEROS[..take]);
-            rem -= take;
-        }
+    let mut requests = BytesMut::zeroed(count * msg_len);
+    let mut replies = BytesMut::zeroed(count * msg_len);
+    let messages = requests.chunks_exact_mut(msg_len).zip(replies.chunks_exact_mut(msg_len));
+    for (i, (request, reply)) in messages.enumerate() {
+        let (header, payload) = request.split_at_mut(MIN_LEN);
         let mut seq = 0u16;
-        let msg = &mut requests[base..base + msg_len];
-        fill(i, &mut seq, &mut msg[MIN_LEN..]);
-        msg[6..8].copy_from_slice(&seq.to_be_bytes());
-        let ck = if i == 0 {
-            checksum::internet_checksum(&requests[base..base + msg_len])
-        } else {
-            // Only the seq word and payload words can differ between
-            // consecutive messages; patch the previous checksum word by
-            // word instead of re-summing the whole message.
-            let mut ck = prev_ck;
-            let mut at = 6;
-            while at < msg_len {
-                let old = word_at(&requests, base - msg_len + at, msg_len - at);
-                let new = word_at(&requests, base + at, msg_len - at);
-                if old != new {
-                    ck = checksum::incremental_update(ck, old, new);
-                }
-                at += 2;
+        fill(i, &mut seq, payload);
+        let ([ident_hi, ident_lo], [seq_hi, seq_lo]) = (ident.to_be_bytes(), seq.to_be_bytes());
+        header.copy_from_slice(&[ECHO_REQUEST, 0, 0, 0, ident_hi, ident_lo, seq_hi, seq_lo]);
+        // The checksum field is still zero, so this is the sum it covers.
+        let sum = checksum::partial_sum(request);
+        reply.copy_from_slice(request);
+        if let Some(ty) = reply.first_mut() {
+            *ty = ECHO_REPLY;
+        }
+        for (image, sum) in [(request, sum), (reply, sum - REQ_WORD0)] {
+            if let Some(field) = image.get_mut(2..4) {
+                field.copy_from_slice(&checksum::finish(sum).to_be_bytes());
             }
-            ck
-        };
-        requests[base + 2..base + 4].copy_from_slice(&ck.to_be_bytes());
-        prev_ck = ck;
-
-        replies.extend_from_slice(&requests[base..base + msg_len]);
-        replies[base] = ECHO_REPLY;
-        let rck = checksum::incremental_update(ck, REQ_WORD0, REP_WORD0);
-        debug_assert_eq!(
-            rck,
-            checksum::internet_checksum_parts(&[
-                &replies[base..base + 2],
-                &[0, 0],
-                &replies[base + 4..base + msg_len],
-            ]),
-            "patched reply checksum diverged from a full recompute (message {i})"
-        );
-        replies[base + 2..base + 4].copy_from_slice(&rck.to_be_bytes());
+        }
     }
     let requests = requests.freeze();
     let replies = replies.freeze();
@@ -257,17 +227,6 @@ pub fn encode_batch_with_replies<F, E>(
             requests.slice(i * msg_len..(i + 1) * msg_len),
             replies.slice(i * msg_len..(i + 1) * msg_len),
         );
-    }
-}
-
-/// The big-endian u16 at `off`, zero-padded when `remaining` is one —
-/// the same odd-tail treatment RFC 1071 summing uses.
-// vp-lint: allow(g1): callers pass offsets strictly inside the buffer they just wrote.
-fn word_at(buf: &[u8], off: usize, remaining: usize) -> u16 {
-    if remaining >= 2 {
-        u16::from_be_bytes([buf[off], buf[off + 1]])
-    } else {
-        u16::from_be_bytes([buf[off], 0])
     }
 }
 
@@ -372,8 +331,8 @@ mod tests {
 
     #[test]
     fn encode_batch_identical_consecutive_probes() {
-        // Consecutive identical messages exercise the "no words changed"
-        // path of the incremental chain.
+        // Consecutive identical messages: nothing carries over from one
+        // message to the next.
         let mut wires = Vec::new();
         encode_batch_with_replies(7, 4, 3, |_, seq, p| {
             *seq = 42;
@@ -411,9 +370,6 @@ mod tests {
         // single-message encoder and every batched reply must match that
         // request's parsed message run through reply() + emit() — the §7
         // bit-equivalence contract of the precomputed-reply fast path.
-        // Every message carries a nonzero word (the documented
-        // precondition of the reply checksum patch): a tag byte in the
-        // payload, or the ident when the payload is empty.
         let mut rng = Lcg(0x5245_504c);
         for payload_len in [0usize, 1, 4, 7, 12, 13, 64, 65] {
             for count in [1usize, 2, 3, 17] {
@@ -421,53 +377,54 @@ mod tests {
                 let mut payloads: Vec<Vec<u8>> = Vec::with_capacity(count);
                 for _ in 0..count {
                     seqs.push(rng.next_u16());
-                    let mut p: Vec<u8> = (0..payload_len).map(|_| rng.next_u8()).collect();
-                    if let Some(tag) = p.first_mut() {
-                        *tag = 0x56;
-                    }
-                    payloads.push(p);
+                    payloads.push((0..payload_len).map(|_| rng.next_u8()).collect());
                 }
-                let ident = rng.next_u16() | 1;
-                let mut batched: Vec<(Bytes, Bytes)> = Vec::with_capacity(count);
-                encode_batch_with_replies(
-                    ident,
-                    payload_len,
-                    count,
-                    |i, seq, payload| {
-                        *seq = seqs[i];
-                        payload.copy_from_slice(&payloads[i]);
-                    },
-                    |_, request, reply| batched.push((request, reply)),
-                );
-                assert_eq!(batched.len(), count);
-                for i in 0..count {
-                    let single = IcmpMessage::echo_request(
-                        ident,
-                        seqs[i],
-                        Bytes::copy_from_slice(&payloads[i]),
-                    );
-                    assert_eq!(
-                        &batched[i].0[..],
-                        &single.emit()[..],
-                        "request: payload_len={payload_len} count={count} message {i}"
-                    );
-                    let reference_reply = single.reply().expect("requests reply").emit();
-                    assert_eq!(
-                        &batched[i].1[..],
-                        &reference_reply[..],
-                        "reply: payload_len={payload_len} count={count} message {i}"
-                    );
-                    // And the image round-trips through the parser as the
-                    // reply message it claims to be.
-                    match IcmpMessage::parse(&batched[i].1).unwrap() {
-                        IcmpMessage::EchoReply { ident: id, seq, payload } => {
-                            assert_eq!(id, ident);
-                            assert_eq!(seq, seqs[i]);
-                            assert_eq!(&payload[..], &payloads[i][..]);
-                        }
-                        other => panic!("expected reply image, parsed {other:?}"),
-                    }
+                let ident = rng.next_u16();
+                check_batch(ident, &seqs, &payloads);
+            }
+        }
+        // The one's-complement corners: a reply that is zero in every
+        // word (its checksum is 0xffff, the request's 0xf7ff), the same
+        // with an odd tail, and messages whose words sum to exactly
+        // 0xffff — as a request (0x0800 + 0xf7ff) and as a reply.
+        check_batch(0, &[0], &[vec![0; 12]]);
+        check_batch(0, &[0, 0], &[vec![0; 13], vec![0; 13]]);
+        check_batch(0xf7ff, &[0], &[vec![]]);
+        check_batch(0xf000, &[0x0fff], &[vec![0; 5]]);
+        check_batch(0, &[0], &[vec![0xff, 0xff, 0, 0]]);
+    }
+
+    /// One batch of same-length payloads against the single-message
+    /// encoders, request and reply, and the reply against the parser.
+    fn check_batch(ident: u16, seqs: &[u16], payloads: &[Vec<u8>]) {
+        let (count, payload_len) = (seqs.len(), payloads[0].len());
+        let mut batched: Vec<(Bytes, Bytes)> = Vec::with_capacity(count);
+        encode_batch_with_replies(
+            ident,
+            payload_len,
+            count,
+            |i, seq, payload| {
+                *seq = seqs[i];
+                payload.copy_from_slice(&payloads[i]);
+            },
+            |_, request, reply| batched.push((request, reply)),
+        );
+        assert_eq!(batched.len(), count);
+        for i in 0..count {
+            let label = format!("ident={ident:#x} payload_len={payload_len} count={count} message {i}");
+            let single = IcmpMessage::echo_request(ident, seqs[i], Bytes::copy_from_slice(&payloads[i]));
+            assert_eq!(&batched[i].0[..], &single.emit()[..], "request: {label}");
+            let reference_reply = single.reply().expect("requests reply").emit();
+            assert_eq!(&batched[i].1[..], &reference_reply[..], "reply: {label}");
+            // And the image round-trips through the parser as the
+            // reply message it claims to be.
+            match IcmpMessage::parse(&batched[i].1).unwrap() {
+                IcmpMessage::EchoReply { ident: id, seq, payload } => {
+                    assert_eq!(id, ident);
+                    assert_eq!(seq, seqs[i]);
+                    assert_eq!(&payload[..], &payloads[i][..]);
                 }
+                other => panic!("expected reply image, parsed {other:?}"),
             }
         }
     }

@@ -63,6 +63,38 @@ proptest! {
         let _ = IcmpMessage::parse(&Bytes::from(bytes));
     }
 
+    /// The borrowing readers are `parse` without the message: on byte
+    /// soup (random bytes, some with their checksum made right so the type
+    /// check is reached) and on valid messages of all three kinds, each
+    /// agrees with what `parse` returns.
+    #[test]
+    fn icmp_views_agree_with_parse(
+        bytes in prop::collection::vec(any::<u8>(), 0..64),
+        fix_checksum in any::<bool>(),
+        (ident, seq, code) in (any::<u16>(), any::<u16>(), any::<u8>()),
+        payload in arb_payload(40),
+    ) {
+        let mut soup = bytes;
+        if let (true, Some(field)) = (fix_checksum, soup.get_mut(2..4)) {
+            field.copy_from_slice(&[0, 0]);
+            let ck = vp_packet::checksum::internet_checksum(&soup);
+            soup[2..4].copy_from_slice(&ck.to_be_bytes());
+        }
+        let request = IcmpMessage::echo_request(ident, seq, payload.clone());
+        let unreachable = IcmpMessage::DestUnreachable { code, original: payload };
+        let reply = request.reply().unwrap();
+        for wire in [Bytes::from(soup), request.emit(), reply.emit(), unreachable.emit()] {
+            let parsed = IcmpMessage::parse(&wire).ok();
+            let is_request = matches!(parsed, Some(IcmpMessage::EchoRequest { .. }));
+            prop_assert_eq!(IcmpMessage::is_echo_request(&wire), is_request, "{:?}", &wire);
+            let view = match &parsed {
+                Some(IcmpMessage::EchoReply { ident, payload, .. }) => Some((*ident, &payload[..])),
+                _ => None,
+            };
+            prop_assert_eq!(IcmpMessage::echo_reply_view(&wire), view, "{:?}", &wire);
+        }
+    }
+
     #[test]
     fn icmp_single_bitflip_detected(
         ident in any::<u16>(),

@@ -7,7 +7,7 @@ use rand::SeedableRng;
 use rand_pcg::Pcg64;
 use vp_bgp::{Announcement, SiteId};
 use vp_net::conv;
-use vp_net::{mix, unit, Ipv4Addr, SimTime};
+use vp_net::{mix, unit, Block24, Ipv4Addr, SimTime};
 use vp_packet::{DnsMessage, IcmpMessage, Ipv4Packet, Protocol, UdpDatagram};
 use vp_topology::blocks::BlockInfo;
 use vp_topology::{Internet, PopId};
@@ -75,9 +75,11 @@ pub struct HostDelivery {
 ///
 /// `row` is where the source expects the destination's block in
 /// [`Internet::blocks`] — the probe's hitlist index, which for a hitlist
-/// built over the world *is* that row. It is a hint, checked against the
-/// table before use: a wrong one costs the block search it would have
-/// saved and changes nothing else.
+/// built over the world *is* that row. It is a hint: the engine reads
+/// that row of the world for a whole stage of probes at once (the
+/// gather of [`NetworkSim::run_with`]) and takes what it read only if the
+/// row holds the destination's block. A wrong one costs the block search
+/// it would have saved and changes nothing else.
 #[derive(Debug, Clone)]
 pub struct TimedProbe {
     pub at: SimTime,
@@ -274,9 +276,77 @@ enum Endpoint {
     Block(u32),
 }
 
+/// What the engine reads of a block — its [`BlockInfo`] row and its row
+/// of the position column — copied out by value, so a packet's path
+/// through `transmit` touches the world once, where its addresses are
+/// resolved, and never again.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Row {
+    /// The row's index in [`Internet::blocks`]: the block's id.
+    id: u32,
+    block: Block24,
+    pop: PopId,
+    rep_octet: u8,
+    responsive: bool,
+    /// The block's location, or its PoP's where it has none.
+    lat: f64,
+    lon: f64,
+}
+
+impl Row {
+    /// [`BlockInfo::representative`].
+    fn representative(&self) -> Ipv4Addr {
+        self.block.addr(self.rep_octet)
+    }
+}
+
+/// An [`Endpoint`] as `transmit` wants it: a block comes with its [`Row`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Resolved {
+    Service(usize),
+    Block(Row),
+}
+
+impl Resolved {
+    fn endpoint(self) -> Endpoint {
+        match self {
+            Resolved::Service(service) => Endpoint::Service(service),
+            Resolved::Block(row) => Endpoint::Block(row.id),
+        }
+    }
+}
+
 enum Target {
     Site { service: usize, site: SiteId },
-    Host { block: u32 },
+    Host,
+}
+
+/// One probe of a stage ([`NetworkSim::run_with`]): pulled from the source,
+/// its ends resolved and its payloads hashed, waiting for its send time.
+struct Staged {
+    probe: TimedProbe,
+    from: Option<Resolved>,
+    to: Option<Resolved>,
+    /// [`payload_fnv`] of the request and of the reply image.
+    fnv: u64,
+    reply_fnv: u64,
+}
+
+/// How many probes [`NetworkSim::run_with`] pulls from its source at a
+/// time. The gather wants enough independent rows in one loop for their
+/// cache misses to overlap; past a few dozen there is nothing left to
+/// overlap (64 and 512 measure within noise of it), and the source runs this far
+/// ahead of dispatch.
+const STAGE: usize = 128;
+
+/// An Echo Request on its way to a host that never answers, set aside
+/// instead of flown: what [`NetworkSim::flight`] needs to compute its
+/// arrival, should the run's end turn out to depend on it.
+struct Parked {
+    at: SimTime,
+    ek: u64,
+    from: (f64, f64),
+    to: (f64, f64),
 }
 
 /// A queued arrival. Echo Requests bound for hosts are never among them
@@ -312,6 +382,11 @@ struct Arrivals {
 impl Arrivals {
     fn note(&mut self, at: SimTime) {
         self.count += 1;
+        self.cover(at);
+    }
+
+    /// Widens the span to an arrival already counted.
+    fn cover(&mut self, at: SimTime) {
         let (first, last) = self.span.unwrap_or((at, at));
         self.span = Some((first.min(at), last.max(at)));
     }
@@ -352,12 +427,18 @@ pub struct NetworkSim<'w> {
     services: Vec<Service<'w>>,
     faults: FaultConfig,
     latency: LatencyModel,
+    /// `latency.max_delay()`, computed once.
+    max_delay: vp_net::SimDuration,
     rng: Pcg64,
     seed: u64,
     queue: BinaryHeap<Reverse<Scheduled>>,
     queue_high_water: usize,
     /// Arrivals since the last run ended, eager `send_at`s included.
     arrivals: Arrivals,
+    /// Counted arrivals at silent hosts whose instants the span may still
+    /// need (see `transmit`), oldest first, and the most ever held.
+    parked: VecDeque<Parked>,
+    parked_high_water: usize,
     now: SimTime,
     captures: CaptureLog,
     host_deliveries: Vec<HostDelivery>,
@@ -400,16 +481,20 @@ impl<'w> NetworkSim<'w> {
     ) -> Self {
         // vp-lint: allow(h2): documented `# Panics` contract of this constructor.
         faults.validate().expect("invalid fault config");
+        let latency = LatencyModel::default();
         NetworkSim {
             world,
             services: Vec::with_capacity(1),
             faults,
-            latency: LatencyModel::default(),
+            max_delay: latency.max_delay(),
+            latency,
             rng: Pcg64::seed_from_u64(derive_shard_seed(seed, shard_index) ^ 0x51e7_0a11),
             seed,
             queue: BinaryHeap::with_capacity(EVENT_QUEUE_SEED_CAPACITY),
             queue_high_water: 0,
             arrivals: Arrivals::default(),
+            parked: VecDeque::new(),
+            parked_high_water: 0,
             now: SimTime::ZERO,
             captures: CaptureLog::default(),
             host_deliveries: Vec::new(),
@@ -483,24 +568,28 @@ impl<'w> NetworkSim<'w> {
     /// resolved through the sender's catchment), to a populated block's
     /// representative host, or dropped as undeliverable.
     pub fn send_at(&mut self, at: SimTime, packet: Ipv4Packet) {
-        self.inject(at, packet, None, None);
+        let (from, to) = (self.resolve(packet.src, None), self.resolve(packet.dst, None));
+        let fnv = payload_fnv(&packet.payload);
+        self.inject(at, packet, from, to, fnv, None);
     }
 
-    /// The one place addresses enter the engine: both ends of an injected
-    /// packet are resolved here, and every packet the engine generates in
-    /// response inherits its endpoints from the event it answers.
-    /// `dst_row` is a [`TimedProbe::row`] hint for the destination.
+    /// The one place packets enter the engine, a staged probe and an eager
+    /// `send_at` alike. `from` and `to` are the packet's resolved ends —
+    /// every packet the engine generates in response inherits its
+    /// endpoints from the event it answers — `fnv` its [`payload_fnv`],
+    /// `reply` its echo reply image with that image's.
     fn inject(
         &mut self,
         at: SimTime,
         packet: Ipv4Packet,
-        reply_image: Option<bytes::Bytes>,
-        dst_row: Option<u32>,
+        from: Option<Resolved>,
+        to: Option<Resolved>,
+        fnv: u64,
+        reply: Option<(bytes::Bytes, u64)>,
     ) {
         self.stats.injected += 1;
-        let (from, to) = (self.resolve(packet.src, None), self.resolve(packet.dst, dst_row));
         for end in [from, to] {
-            let Some(Endpoint::Service(service)) = end else {
+            let Some(Resolved::Service(service)) = end else {
                 continue;
             };
             if let Some(s) = self.services.get_mut(service) {
@@ -508,29 +597,100 @@ impl<'w> NetworkSim<'w> {
                 s.route_epoch.get_or_insert_with(|| s.oracle.epoch(at));
             }
         }
-        self.transmit(at, packet, from, to, true, 0, reply_image);
+        self.transmit(at, packet, from, to, true, 0, fnv, reply);
     }
 
-    /// `row` is taken only if that row of the block table holds `addr`'s
-    /// block; the table is strictly ascending, so that row is the one the
-    /// search would find and the hint cannot change the answer.
-    fn resolve(&self, addr: Ipv4Addr, row: Option<u32>) -> Option<Endpoint> {
+    /// What the engine reads of block `id`: one row of the block table,
+    /// one of the position column.
+    fn row(&self, id: u32) -> Option<Row> {
+        let info = self.world.blocks.get(conv::index(id))?;
+        let (lat, lon) = self.world.geodb.coords_of_row(conv::index(id)).unwrap_or_default();
+        Some(Row {
+            id,
+            block: info.block,
+            pop: info.pop,
+            rep_octet: info.rep_octet,
+            responsive: info.responsive,
+            lat,
+            lon,
+        })
+    }
+
+    /// Where `addr` lives. `hinted` — the row a [`TimedProbe::row`] hint
+    /// named — is taken only if it holds `addr`'s block; the table is
+    /// strictly ascending, so that row is the one the search would find
+    /// and the hint cannot change the answer.
+    fn resolve(&self, addr: Ipv4Addr, hinted: Option<Row>) -> Option<Resolved> {
         let serves = |s: &Service| s.announcement.prefix.contains(addr);
         if let Some(service) = self.services.iter().position(serves) {
-            return Some(Endpoint::Service(service));
+            return Some(Resolved::Service(service));
         }
         let block = addr.block();
-        let holds = |row: &u32| {
-            let at_row = self.world.blocks.get(conv::index(*row));
-            at_row.is_some_and(|info| info.block == block)
-        };
-        let row = row.filter(holds).or_else(|| self.world.block_id(block));
-        row.map(Endpoint::Block)
+        let searched = || self.row(self.world.block_id(block)?);
+        hinted.filter(|row| row.block == block).or_else(searched).map(Resolved::Block)
     }
 
-    /// `from` and `to` are the endpoints of `packet.src` and `packet.dst`.
-    /// `copy` distinguishes otherwise-identical transmissions (duplicate
-    /// fault copies of one reply) so each gets independent keyed draws.
+    /// The row of a block endpoint minted by `resolve`, read again.
+    fn widen(&self, end: Endpoint) -> Option<Resolved> {
+        match end {
+            Endpoint::Service(service) => Some(Resolved::Service(service)),
+            Endpoint::Block(id) => self.row(id).map(Resolved::Block),
+        }
+    }
+
+    /// Pulls up to [`STAGE`] probes from `source` into the (empty) `stage`
+    /// and prepares them, a pass at a time: **gather** — the world rows
+    /// their hints name, read back to back in a loop with nothing else in
+    /// it, so the cache misses of a large world overlap instead of each
+    /// waiting at the head of its own probe's path; **resolve** — both
+    /// ends, each hint checked against the block it names; **hash** — the
+    /// request's and the reply image's [`payload_fnv`], four chains
+    /// abreast. All of it is a pure function of the probe and the
+    /// immutable world; nothing here has an effect dispatch could see.
+    /// Returns whether `source` may have more: `false` once it has
+    /// returned `None`, after which it must not be polled again.
+    fn fill_stage(&self, source: &mut impl Iterator<Item = TimedProbe>, stage: &mut Vec<Staged>) -> bool {
+        debug_assert!(stage.is_empty());
+        let mut more = true;
+        while more && stage.len() < STAGE {
+            match source.next() {
+                Some(probe) => stage.push(Staged {
+                    probe,
+                    from: None,
+                    to: None,
+                    fnv: 0,
+                    reply_fnv: 0,
+                }),
+                None => more = false,
+            }
+        }
+        let mut hinted = [None; STAGE];
+        for (row, staged) in hinted.iter_mut().zip(stage.iter()) {
+            *row = self.row(staged.probe.row);
+        }
+        for (staged, hinted) in stage.iter_mut().zip(&hinted) {
+            staged.from = self.resolve(staged.probe.packet.src, None);
+            staged.to = self.resolve(staged.probe.packet.dst, *hinted);
+        }
+        let mut fours = stage.chunks_exact_mut(4);
+        for four in &mut fours {
+            let [a, b, c, d] = four else { continue };
+            [a.fnv, b.fnv, c.fnv, d.fnv] =
+                payload_fnv4([&*a, &*b, &*c, &*d].map(|s| &s.probe.packet.payload[..]));
+            [a.reply_fnv, b.reply_fnv, c.reply_fnv, d.reply_fnv] =
+                payload_fnv4([&*a, &*b, &*c, &*d].map(|s| &s.probe.reply_image[..]));
+        }
+        for staged in fours.into_remainder() {
+            staged.fnv = payload_fnv(&staged.probe.packet.payload);
+            staged.reply_fnv = payload_fnv(&staged.probe.reply_image);
+        }
+        more
+    }
+
+    /// `from` and `to` are the resolved ends of `packet.src` and
+    /// `packet.dst`, `fnv` is `packet.payload`'s [`payload_fnv`]. `copy`
+    /// distinguishes otherwise-identical transmissions (duplicate fault
+    /// copies of one reply) so each gets independent keyed draws.
     ///
     /// A transmission that survives loss and routing becomes a queued
     /// arrival — except an ICMP Echo Request bound for a host, which is
@@ -539,16 +699,24 @@ impl<'w> NetworkSim<'w> {
     /// keyed hashes of `(packet, arrival time)`, so nothing an event
     /// dispatched in between could do would change its answer, and only
     /// the replies it sends are queued.
+    ///
+    /// If the host is one that never answers (its row is statically
+    /// unresponsive), all its arrival can do is be the first or the last
+    /// of the run. It is counted here; its instant is computed only if it
+    /// could be the first — no arrival at or before `at + base`, the
+    /// soonest any delay allows, has been noted yet — and otherwise the
+    /// transmission is parked for the end of the run to decide.
     #[allow(clippy::too_many_arguments)]
     fn transmit(
         &mut self,
         at: SimTime,
         packet: Ipv4Packet,
-        from: Option<Endpoint>,
-        to: Option<Endpoint>,
+        from: Option<Resolved>,
+        to: Option<Resolved>,
         may_spawn_unsolicited: bool,
         copy: u32,
-        reply_image: Option<bytes::Bytes>,
+        fnv: u64,
+        reply: Option<(bytes::Bytes, u64)>,
     ) {
         debug_assert_eq!(
             (from, to),
@@ -557,7 +725,7 @@ impl<'w> NetworkSim<'w> {
         );
         // Identity of this transmission: packet content + send time + copy.
         // All stochastic outcomes below hash this, never a shared stream.
-        let pk = packet_key(&packet);
+        let pk = packet_key(&packet, fnv);
         let ek = mix(pk, at.as_nanos() ^ ((copy as u64) << 48));
         if self.faults.loss > 0.0 && unit(mix(self.seed ^ TAG_LOSS, ek)) < self.faults.loss {
             self.stats.lost += 1;
@@ -567,7 +735,7 @@ impl<'w> NetworkSim<'w> {
         // measurement address when a probe goes out.
         if may_spawn_unsolicited
             && self.faults.unsolicited_prob > 0.0
-            && matches!(from, Some(Endpoint::Service(_)))
+            && matches!(from, Some(Resolved::Service(_)))
             && unit(mix(self.seed ^ TAG_UNSOLICITED, ek)) < self.faults.unsolicited_prob
         {
             self.spawn_unsolicited(at, packet.src, from, ek);
@@ -582,52 +750,89 @@ impl<'w> NetworkSim<'w> {
             }
             return;
         };
+        // The host an Echo Request is about to reach, if that is what this is.
+        let pinged = match (&target, to) {
+            (Target::Host, Some(Resolved::Block(row)))
+                if packet.protocol == Protocol::Icmp && IcmpMessage::is_echo_request(&packet.payload) =>
+            {
+                Some(row)
+            }
+            _ => None,
+        };
         let to_loc = match target {
             Target::Site { service, site } => self.site_location(service, site),
-            Target::Host { block } => self.location(Some(Endpoint::Block(block))),
+            Target::Host => self.location(to),
         };
-        let jitter = mix(self.seed ^ TAG_JITTER, ek);
-        let arrives = at + self.latency.delay(self.location(from), to_loc, jitter);
-        if let (Target::Host { block }, Protocol::Icmp) = (&target, packet.protocol) {
-            if let Ok(request @ IcmpMessage::EchoRequest { .. }) = IcmpMessage::parse(&packet.payload) {
-                // Identity of this reception: the probe's content plus its
-                // (deterministic) arrival time keys every fault decision.
-                let hk = mix(pk, arrives.as_nanos());
-                self.answer_echo(*block, arrives, hk, packet.src, from, &request, reply_image);
-                return;
+        let from_loc = self.location(from);
+        if pinged.is_some_and(|row| !row.responsive) {
+            self.stats.delivered_to_hosts += 1;
+            self.arrivals.count += 1;
+            let soonest = at + self.latency.base;
+            if self.arrivals.span.is_some_and(|(first, _)| first <= soonest) {
+                self.park(Parked { at, ek, from: from_loc, to: to_loc });
+            } else {
+                self.arrivals.cover(self.flight(at, ek, from_loc, to_loc));
             }
+            return;
+        }
+        let arrives = self.flight(at, ek, from_loc, to_loc);
+        if let Some(row) = pinged {
+            // Identity of this reception: the probe's content plus its
+            // (deterministic) arrival time keys every fault decision.
+            let hk = mix(pk, arrives.as_nanos());
+            self.answer_echo(row, arrives, hk, &packet, from, reply);
+            return;
         }
         self.queue.push(Reverse(Scheduled {
             at: arrives,
             key: ek,
             packet,
-            from,
+            from: from.map(Resolved::endpoint),
             target,
         }));
         self.queue_high_water = self.queue_high_water.max(self.queue.len());
     }
 
+    /// When the transmission `ek`, sent at `at`, arrives: the delay between
+    /// the two locations under the transmission's own jitter draw.
+    fn flight(&self, at: SimTime, ek: u64, from: (f64, f64), to: (f64, f64)) -> SimTime {
+        at + self.latency.delay(from, to, mix(self.seed ^ TAG_JITTER, ek))
+    }
+
+    /// Sets a counted arrival aside. Every delay lies in `[base,
+    /// max_delay]`, so an entry sent more than `max_delay − base` before
+    /// `parked` arrives no later than `parked` does: it cannot be the
+    /// run's last arrival and is dropped. (The newest entry always stays,
+    /// or is dropped for a later one in turn.) Under a time-sorted source
+    /// the deque therefore holds one such window of the schedule.
+    fn park(&mut self, parked: Parked) {
+        let soonest = parked.at + self.latency.base;
+        while self.parked.front().is_some_and(|oldest| oldest.at + self.max_delay < soonest) {
+            self.parked.pop_front();
+        }
+        self.parked.push_back(parked);
+        self.parked_high_water = self.parked_high_water.max(self.parked.len());
+    }
+
     fn route(
         &mut self,
         packet: &Ipv4Packet,
-        from: Option<Endpoint>,
-        to: Option<Endpoint>,
+        from: Option<Resolved>,
+        to: Option<Resolved>,
         at: SimTime,
     ) -> Option<Target> {
         match to? {
-            Endpoint::Service(service) => {
+            Resolved::Service(service) => {
                 // Anycast-bound: the *sender's* catchment decides the site.
-                let Some(Endpoint::Block(sender)) = from else {
+                let Some(Resolved::Block(sender)) = from else {
                     return None;
                 };
-                let pop = self.world.blocks.get(conv::index(sender))?.pop;
-                let site = self.services.get_mut(service)?.site_of_pop(pop, at)?;
+                let site = self.services.get_mut(service)?.site_of_pop(sender.pop, at)?;
                 Some(Target::Site { service, site })
             }
-            Endpoint::Block(block) => {
-                // Only a block's representative address is a live host.
-                let info = self.world.blocks.get(conv::index(block))?;
-                (packet.dst == info.representative()).then_some(Target::Host { block })
+            // Only a block's representative address is a live host.
+            Resolved::Block(row) => {
+                (packet.dst == row.representative()).then_some(Target::Host)
             }
         }
     }
@@ -639,17 +844,12 @@ impl<'w> NetworkSim<'w> {
         (pop.lat, pop.lon)
     }
 
-    fn location(&self, endpoint: Option<Endpoint>) -> (f64, f64) {
-        match endpoint {
+    fn location(&self, end: Option<Resolved>) -> (f64, f64) {
+        match end {
             // Measurement traffic originates "from the anycast system";
             // physically we charge it to the first site's PoP.
-            Some(Endpoint::Service(service)) => self.site_location(service, SiteId(0)),
-            // A block id is its row in the world's position column: the
-            // block's location, or its PoP's where it has none.
-            Some(Endpoint::Block(block)) => {
-                let coords = self.world.geodb.coords_of_row(conv::index(block));
-                coords.unwrap_or_default()
-            }
+            Some(Resolved::Service(service)) => self.site_location(service, SiteId(0)),
+            Some(Resolved::Block(row)) => (row.lat, row.lon),
             None => (0.0, 0.0),
         }
     }
@@ -657,14 +857,18 @@ impl<'w> NetworkSim<'w> {
     /// Whether a block is up at `at`, combining static responsiveness and
     /// per-round churn.
     pub fn block_up(&self, info: &BlockInfo, at: SimTime) -> bool {
-        if !info.responsive {
+        self.up(info.responsive, info.block, at)
+    }
+
+    fn up(&self, responsive: bool, block: Block24, at: SimTime) -> bool {
+        if !responsive {
             return false;
         }
         if self.faults.churn_down_prob <= 0.0 {
             return true;
         }
         let epoch = at.as_nanos() / self.faults.churn_round.as_nanos();
-        let h = mix(self.seed ^ 0xc4u64, (info.block.0 as u64) << 24 | epoch);
+        let h = mix(self.seed ^ 0xc4u64, (block.0 as u64) << 24 | epoch);
         unit(h) >= self.faults.churn_down_prob
     }
 
@@ -672,7 +876,7 @@ impl<'w> NetworkSim<'w> {
         &mut self,
         at: SimTime,
         toward: Ipv4Addr,
-        to: Option<Endpoint>,
+        to: Option<Resolved>,
         trigger_key: u64,
     ) {
         // Everything about the backscatter packet derives from the probe
@@ -682,8 +886,7 @@ impl<'w> NetworkSim<'w> {
         let Some(pick) = h.checked_rem(self.world.blocks.len() as u64) else {
             return;
         };
-        let block = conv::sat_u32(pick);
-        let Some(info) = self.world.blocks.get(conv::index(block)) else {
+        let Some(row) = self.row(conv::sat_u32(pick)) else {
             return;
         };
         let icmp = IcmpMessage::EchoReply {
@@ -691,9 +894,10 @@ impl<'w> NetworkSim<'w> {
             seq: conv::sat_u16(mix(h, 2) & 0xffff),
             payload: bytes::Bytes::new(),
         };
-        let pkt = Ipv4Packet::new(info.representative(), toward, Protocol::Icmp, icmp.emit());
+        let pkt = Ipv4Packet::new(row.representative(), toward, Protocol::Icmp, icmp.emit());
         self.stats.unsolicited += 1;
-        self.transmit(at, pkt, Some(Endpoint::Block(block)), to, false, 0, None);
+        let fnv = payload_fnv(&pkt.payload);
+        self.transmit(at, pkt, Some(Resolved::Block(row)), to, false, 0, fnv, None);
     }
 
     /// Processes the event queue to completion, logging site captures
@@ -715,6 +919,14 @@ impl<'w> NetworkSim<'w> {
     /// front would have produced (the engine proptests assert it). Site
     /// captures go to `sink` as they are dispatched.
     ///
+    /// The source is consumed a **stage** at a time: up to `STAGE` (128)
+    /// probes are pulled and prepared together (`fill_stage`: world rows
+    /// gathered, ends resolved, payloads hashed — all pure), then injected
+    /// one by one under the rule above, each with every effect it has in
+    /// the order it would have had alone. So the source may be pulled up
+    /// to a stage ahead of dispatch, and is never polled again once it has
+    /// returned `None`.
+    ///
     /// Echo Requests to hosts never enter the heap (see `transmit`), but
     /// their arrivals are events of this run like any other: they count
     /// toward `engine.events`, and the run's end time and `engine.run` span
@@ -725,25 +937,45 @@ impl<'w> NetworkSim<'w> {
         P: IntoIterator<Item = TimedProbe>,
         C: CaptureSink,
     {
-        let mut probes = probes.into_iter().peekable();
+        let mut source = probes.into_iter();
+        let mut more = true;
+        let mut stage = Vec::with_capacity(STAGE);
         let mut last_sent = SimTime::ZERO;
-        loop {
-            while let Some(probe) = probes.next_if(|p| match self.queue.peek() {
-                Some(Reverse(head)) => p.at <= head.at,
-                None => true,
-            }) {
-                debug_assert!(probe.at >= last_sent, "probe source must be sorted by send time");
-                last_sent = probe.at;
-                self.inject(probe.at, probe.packet, Some(probe.reply_image), Some(probe.row));
+        'stages: loop {
+            if more {
+                more = self.fill_stage(&mut source, &mut stage);
             }
-            let Some(Reverse(ev)) = self.queue.pop() else {
-                break;
-            };
-            self.arrivals.note(ev.at);
-            match ev.target {
-                Target::Site { service, site } => self.arrive_at_site(service, site, ev, sink),
-                Target::Host { .. } => self.arrive_at_host(ev),
+            let mut staged = stage.drain(..);
+            loop {
+                while staged.as_slice().first().is_some_and(|next| match self.queue.peek() {
+                    Some(Reverse(head)) => next.probe.at <= head.at,
+                    None => true,
+                }) {
+                    let Some(Staged { probe, from, to, fnv, reply_fnv }) = staged.next() else {
+                        break;
+                    };
+                    debug_assert!(probe.at >= last_sent, "probe source must be sorted by send time");
+                    last_sent = probe.at;
+                    let reply = Some((probe.reply_image, reply_fnv));
+                    self.inject(probe.at, probe.packet, from, to, fnv, reply);
+                }
+                if more && staged.as_slice().is_empty() {
+                    // The next probe may be due before the queue's head.
+                    continue 'stages;
+                }
+                let Some(Reverse(ev)) = self.queue.pop() else {
+                    break 'stages;
+                };
+                self.arrivals.note(ev.at);
+                match ev.target {
+                    Target::Site { service, site } => self.arrive_at_site(service, site, ev, sink),
+                    Target::Host => self.arrive_at_host(ev),
+                }
             }
+        }
+        // Whatever is still parked could be the last arrival: fly it.
+        while let Some(Parked { at, ek, from, to }) = self.parked.pop_front() {
+            self.arrivals.cover(self.flight(at, ek, from, to));
         }
         let Arrivals { count, span } = std::mem::take(&mut self.arrivals);
         if let Some((_, last)) = span {
@@ -777,19 +1009,20 @@ impl<'w> NetworkSim<'w> {
         self.stats.per_site_captures[site.index()] += 1;
         let at = ev.at;
         let packet = ev.packet;
-        // Answers go out from the service, back to whoever sent the packet.
-        let (from, to) = (Some(Endpoint::Service(service)), ev.from);
         sink.capture(ServiceHandle(service), site, at, &packet);
         if !self.services[service].serve_dns {
             return;
         }
+        // Answers go out from the service, back to whoever sent the packet.
+        let (from, to) = (Some(Resolved::Service(service)), ev.from.and_then(|end| self.widen(end)));
         // Site host behaviour: answer pings and hostname.bind queries.
         match packet.protocol {
             Protocol::Icmp => {
                 if let Ok(msg) = IcmpMessage::parse(&packet.payload) {
                     if let Some(reply) = msg.reply() {
                         let out = Ipv4Packet::new(packet.dst, packet.src, Protocol::Icmp, reply.emit());
-                        self.transmit(at, out, from, to, false, 0, None);
+                        let fnv = payload_fnv(&out.payload);
+                        self.transmit(at, out, from, to, false, 0, fnv, None);
                     }
                 }
             }
@@ -814,7 +1047,8 @@ impl<'w> NetworkSim<'w> {
                     Protocol::Udp,
                     out_udp.emit(packet.dst, packet.src),
                 );
-                self.transmit(at, out, from, to, false, 0, None);
+                let fnv = payload_fnv(&out.payload);
+                self.transmit(at, out, from, to, false, 0, fnv, None);
             }
             Protocol::Other(_) => {}
         }
@@ -825,8 +1059,7 @@ impl<'w> NetworkSim<'w> {
     /// consumes none of it (Atlas VPs read their DNS answers here).
     fn arrive_at_host(&mut self, ev: Scheduled) {
         debug_assert!(
-            ev.packet.protocol != Protocol::Icmp
-                || !matches!(IcmpMessage::parse(&ev.packet.payload), Ok(IcmpMessage::EchoRequest { .. })),
+            ev.packet.protocol != Protocol::Icmp || !IcmpMessage::is_echo_request(&ev.packet.payload),
             "an Echo Request was queued"
         );
         self.stats.delivered_to_hosts += 1;
@@ -836,45 +1069,46 @@ impl<'w> NetworkSim<'w> {
         });
     }
 
-    /// Echo responder behaviour of `block`'s host for a `request` from
-    /// `reply_to` (endpoint `to`) arriving at `at`, called by `transmit`
-    /// as the request is sent. `hk` is the reception's identity hash;
-    /// `reply_image`, if the request came with one, is the reply's
-    /// payload. Reads nothing an event could have written — see
-    /// `transmit`.
-    #[allow(clippy::too_many_arguments)]
+    /// Echo responder behaviour of `host`'s host for `request` — an Echo
+    /// Request, whose sender's endpoint is `to` — arriving at `at`, called
+    /// by `transmit` as the request is sent. `hk` is the reception's
+    /// identity hash; `reply`, if the request came with one, is the
+    /// reply's payload and that payload's [`payload_fnv`]. Reads nothing
+    /// an event could have written — see `transmit`.
     fn answer_echo(
         &mut self,
-        block: u32,
+        host: Row,
         at: SimTime,
         hk: u64,
-        reply_to: Ipv4Addr,
-        to: Option<Endpoint>,
-        request: &IcmpMessage,
-        reply_image: Option<bytes::Bytes>,
+        request: &Ipv4Packet,
+        to: Option<Resolved>,
+        reply: Option<(bytes::Bytes, u64)>,
     ) {
         // The arrival itself: it happens whether or not anyone answers.
         self.stats.delivered_to_hosts += 1;
         self.arrivals.note(at);
-        let info = &self.world.blocks[conv::index(block)]; // vp-lint: allow(g1): block ids are minted by routing over this same world.
-        if !self.block_up(info, at) {
+        if !self.up(host.responsive, host.block, at) {
             return;
         }
         // Answer with the probe's precomputed reply image when it carries
-        // one — a refcounted view, no per-reply serialization or
+        // one — a refcounted view, no per-reply parse, serialization or
         // allocation. The image is pinned byte-identical to the emit
         // chain it replaces, here and in the packet-layer equivalence
         // tests.
-        let emitted = || request.reply().map(|reply| reply.emit());
-        let Some(payload) = reply_image.or_else(emitted) else {
+        let emitted = || {
+            let reply = IcmpMessage::parse(&request.payload).ok()?.reply()?.emit();
+            let fnv = payload_fnv(&reply);
+            Some((reply, fnv))
+        };
+        let Some((payload, fnv)) = reply.or_else(emitted) else {
             return;
         };
         debug_assert_eq!(
             Some(&payload),
-            emitted().as_ref(),
+            emitted().map(|(reply, _)| reply).as_ref(),
             "precomputed reply image diverges from the responder's emit"
         );
-        let rep = info.representative();
+        let rep = host.representative();
 
         // Alias fault: reply from a different address in the block.
         let src = if self.faults.alias_prob > 0.0
@@ -882,10 +1116,10 @@ impl<'w> NetworkSim<'w> {
         {
             self.stats.aliases += 1;
             let mut octet = 1 + conv::sat_u8(mix(self.seed ^ TAG_ALIAS_OCTET, hk) % 254);
-            if info.block.addr(octet) == rep {
+            if host.block.addr(octet) == rep {
                 octet = octet.wrapping_add(1).max(1);
             }
-            info.block.addr(octet)
+            host.block.addr(octet)
         } else {
             rep
         };
@@ -912,7 +1146,7 @@ impl<'w> NetworkSim<'w> {
         self.stats.replies += 1;
         let out = Ipv4Packet {
             src,
-            dst: reply_to,
+            dst: request.src,
             protocol: Protocol::Icmp,
             ttl: 64,
             ident: 0,
@@ -920,11 +1154,11 @@ impl<'w> NetworkSim<'w> {
         };
         // Aliased or not, the reply leaves this block for the
         // endpoint the request came from.
-        let from = Some(Endpoint::Block(block));
+        let from = Some(Resolved::Block(host));
         for copy in 0..extra {
-            self.transmit(when, out.clone(), from, to, false, copy, None);
+            self.transmit(when, out.clone(), from, to, false, copy, fnv, None);
         }
-        self.transmit(when, out, from, to, false, extra, None);
+        self.transmit(when, out, from, to, false, extra, fnv, None);
     }
 
     /// Packets captured at the sites of a service by [`NetworkSim::run`],
@@ -965,18 +1199,47 @@ impl<'w> NetworkSim<'w> {
     }
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn fnv_step(h: u64, byte: u8) -> u64 {
+    (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3)
+}
+
+/// FNV-1a over a packet's payload: the content half of [`packet_key`],
+/// and a chain of one multiply per byte that nothing can shorten.
+fn payload_fnv(payload: &[u8]) -> u64 {
+    payload.iter().fold(FNV_OFFSET, |h, &byte| fnv_step(h, byte))
+}
+
+/// Four [`payload_fnv`]s side by side: the chains are independent, so four
+/// finish in little more than the time of one. Lengths may differ — the
+/// lanes run in step over the shortest and finish on their own.
+fn payload_fnv4(payloads: [&[u8]; 4]) -> [u64; 4] {
+    let [a, b, c, d] = payloads;
+    let mut h = [FNV_OFFSET; 4];
+    let mut common = 0;
+    for (((&a, &b), &c), &d) in a.iter().zip(b).zip(c).zip(d) {
+        h = [fnv_step(h[0], a), fnv_step(h[1], b), fnv_step(h[2], c), fnv_step(h[3], d)];
+        common += 1;
+    }
+    for (h, payload) in h.iter_mut().zip(payloads) {
+        *h = payload.iter().skip(common).fold(*h, |h, &byte| fnv_step(h, byte));
+    }
+    h
+}
+
 /// Stable identity hash of a packet's full content (addresses, protocol,
-/// header fields, payload bytes). Fault and jitter draws key on this —
-/// mixed with the round seed, send time and a copy index — so that every
+/// header fields, payload bytes): `fnv`, the payload's [`payload_fnv`] —
+/// passed in because a staged probe's was computed four at a time —
+/// finished with the header. Fault and jitter draws key on this — mixed
+/// with the round seed, send time and a copy index — so that every
 /// stochastic outcome is a pure function of *what* is transmitted, never
 /// of how many draws some shared generator has already served. This is
 /// the property that makes a K-way sharded scan bit-identical to the
 /// serial one (see DESIGN.md, "Parallel scan & determinism").
-fn packet_key(packet: &Ipv4Packet) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in packet.payload.iter() {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
+fn packet_key(packet: &Ipv4Packet, fnv: u64) -> u64 {
+    debug_assert_eq!(fnv, payload_fnv(&packet.payload), "a staged payload hash diverges from the scalar one");
+    let mut h = fnv;
     h ^= (packet.src.0 as u64) << 32 | packet.dst.0 as u64;
     h = h.wrapping_mul(0x9e37_79b9_7f4a_7c15);
     h ^= (packet.protocol.number() as u64) << 24
@@ -1460,12 +1723,19 @@ mod tests {
     }
 
     /// When `packet`, sent at `at` from the service, reaches `block`'s
-    /// host: `transmit`'s own identity hash, jitter draw and delay.
+    /// host: `transmit`'s own identity hash, jitter draw and delay, from
+    /// the public [`LatencyModel`].
     fn arrival_at_host(sim: &NetworkSim, at: SimTime, packet: &Ipv4Packet, block: u32) -> SimTime {
-        let ek = mix(packet_key(packet), at.as_nanos());
-        let from = sim.location(Some(Endpoint::Service(0)));
-        let to = sim.location(Some(Endpoint::Block(block)));
-        at + sim.latency.delay(from, to, mix(sim.seed ^ TAG_JITTER, ek))
+        let ek = mix(packet_key(packet, payload_fnv(&packet.payload)), at.as_nanos());
+        let from = sim.location(Some(Resolved::Service(0)));
+        let to = sim.location(sim.row(block).map(Resolved::Block));
+        at + LatencyModel::default().delay(from, to, mix(sim.seed ^ TAG_JITTER, ek))
+    }
+
+    /// Whether the loss fault eats `packet` sent at `at`: `transmit`'s draw.
+    fn lost(sim: &NetworkSim, at: SimTime, packet: &Ipv4Packet) -> bool {
+        let ek = mix(packet_key(packet, payload_fnv(&packet.payload)), at.as_nanos());
+        sim.faults.loss > 0.0 && unit(mix(sim.seed ^ TAG_LOSS, ek)) < sim.faults.loss
     }
 
     /// An Echo Request's arrival is an event of the run although it is
@@ -1506,6 +1776,177 @@ mod tests {
         assert_eq!(obs.registry.counter_value("engine.events", &[]), 3);
         let run = obs.into_parts().1.spans["engine.run"];
         assert_eq!((run.count, run.total_nanos), (1, last_arrives.since(first_arrives).as_nanos()));
+    }
+
+    /// One engine's run over `probes` — `(row, probe)`, every probe to its
+    /// row's host — against arrival instants recomputed outside the
+    /// engine: each probe the loss fault spares arrives at its host at the
+    /// instant `arrival_at_host` derives, answered or not, and everything
+    /// else that arrives is a capture, whose instant the sink records. The
+    /// run ends at the last of those, spans the first to the last, and
+    /// counts them all.
+    fn assert_run_covers_its_arrivals(w: &Internet, faults: &FaultConfig, seed: u64, probes: &[(u32, TimedProbe)]) {
+        let (ann, oracle) = service(w);
+        let mut sim = NetworkSim::new(w, faults.clone(), seed);
+        sim.attach_obs(vp_obs::TraceLevel::Summary);
+        sim.register_service(ann, Box::new(oracle), false);
+        let mut arrivals: Vec<SimTime> = (probes.iter())
+            .filter(|(_, p)| !lost(&sim, p.at, &p.packet))
+            .map(|(row, p)| arrival_at_host(&sim, p.at, &p.packet, *row))
+            .collect();
+        let at_hosts = arrivals.len() as u64;
+
+        let mut seen = Recorder::default();
+        sim.run_with(probes.iter().map(|(_, p)| p.clone()), &mut seen);
+        arrivals.extend(seen.0.iter().map(|(_, at, _)| *at));
+        assert_eq!(sim.stats().delivered_to_hosts, at_hosts);
+        assert!(sim.parked.is_empty(), "{} arrivals left parked", sim.parked.len());
+        let (registry, trace) = sim.take_obs().unwrap().into_parts();
+        assert_eq!(registry.counter_value("engine.events", &[]), arrivals.len() as u64);
+        let (Some(first), Some(last)) = (arrivals.iter().min(), arrivals.iter().max()) else {
+            assert!(trace.spans.is_empty(), "nothing arrived, yet {:?}", trace.spans);
+            return;
+        };
+        assert_eq!(sim.now(), *last, "the run ends at its last arrival");
+        let run = trace.spans["engine.run"];
+        assert_eq!((run.count, run.total_nanos), (1, last.since(*first).as_nanos()));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(12))]
+
+        /// An arrival at a silent host is counted when its probe is sent
+        /// and its instant computed late or never — and the run's end,
+        /// its span and its event count cannot tell: whichever hosts are
+        /// silent (all of them; the first to be probed; the last; all but
+        /// one in the middle; a random half), with and without faults, on
+        /// one engine and split over seven.
+        #[test]
+        fn a_run_ends_at_its_last_arrival_whoever_is_silent(
+            seed in proptest::prelude::any::<u64>(),
+            (shape, n) in (0usize..5, 1usize..400),
+            pacing_us in 20u64..2_000,
+            coins in proptest::collection::vec(proptest::prelude::any::<bool>(), 400..401),
+            default_faults in proptest::prelude::any::<bool>(),
+        ) {
+            let w = world();
+            let meas = service(&w).0.measurement_addr();
+            let rows = |responsive| {
+                let rows = (0u32..).zip(&w.blocks).filter(move |(_, b)| b.responsive == responsive);
+                rows.map(|(row, _)| row).cycle()
+            };
+            let (mut answering, mut silent) = (rows(true), rows(false));
+            let answers = |i: usize| match shape {
+                0 => false,
+                1 => i >= n / 2,
+                2 => i < n / 2,
+                3 => i == n / 2,
+                _ => coins[i],
+            };
+            let probes: Vec<(u32, TimedProbe)> = (0..n)
+                .map(|i| {
+                    let row = if answers(i) { answering.next() } else { silent.next() }.unwrap();
+                    let at = SimTime::ZERO + SimDuration::from_micros(i as u64 * pacing_us);
+                    let host = w.blocks[row as usize].representative();
+                    let mut probe = timed_probe(at, probe(meas, host, 1, i as u16));
+                    probe.row = row;
+                    (row, probe)
+                })
+                .collect();
+            let faults = if default_faults { FaultConfig::default() } else { FaultConfig::none() };
+            assert_run_covers_its_arrivals(&w, &faults, seed, &probes);
+            for shard in 0..7 {
+                let share: Vec<_> = probes.iter().skip(shard).step_by(7).cloned().collect();
+                assert_run_covers_its_arrivals(&w, &faults, seed, &share);
+            }
+        }
+    }
+
+    /// The parked deque holds one `max_delay − base` window of a paced
+    /// schedule, whatever the schedule's length: at 10 000 probes a second
+    /// that is fewer than `rate × max_delay` entries.
+    #[test]
+    fn parked_arrivals_stay_within_one_delay_window() {
+        let w = world();
+        let (ann, oracle) = service(&w);
+        let meas = ann.measurement_addr();
+        let mut sim = NetworkSim::new(&w, FaultConfig::none(), 17);
+        sim.register_service(ann, Box::new(oracle), false);
+        let silent: Vec<(u32, Ipv4Addr)> = (0u32..)
+            .zip(&w.blocks)
+            .filter(|(_, b)| !b.responsive)
+            .map(|(row, b)| (row, b.representative()))
+            .collect();
+        let (probes, rate) = (100_000u64, 10_000u64);
+        let source = (0..probes).zip(silent.iter().cycle()).map(|(i, &(row, host))| {
+            let at = SimTime::ZERO + SimDuration::from_micros(i * 1_000_000 / rate);
+            let mut probe = timed_probe(at, probe(meas, host, 1, i as u16));
+            probe.row = row;
+            probe
+        });
+        sim.run_with(source, &mut Recorder::default());
+        assert_eq!(sim.stats().delivered_to_hosts, probes);
+        assert_eq!(sim.queue_high_water(), 0);
+        let window = rate * sim.max_delay.as_nanos() / 1_000_000_000;
+        let high_water = sim.parked_high_water as u64;
+        assert!(window / 2 < high_water && high_water < window, "{high_water} parked, window {window}");
+        assert!(sim.now() > SimTime::ZERO + SimDuration::from_secs(probes / rate - 1));
+    }
+
+    /// A source is pulled a stage ahead of dispatch and never again once it
+    /// has returned `None`, whichever side of a stage boundary it ends on.
+    #[test]
+    fn a_source_is_not_polled_past_its_end() {
+        /// Panics on the poll after the one that returned `None`.
+        struct Once<I>(Option<I>);
+
+        impl<I: Iterator> Iterator for Once<I> {
+            type Item = I::Item;
+
+            fn next(&mut self) -> Option<I::Item> {
+                let next = self.0.as_mut().expect("polled after returning None").next();
+                if next.is_none() {
+                    self.0 = None;
+                }
+                next
+            }
+        }
+
+        let w = world();
+        for probes in [0, 1, STAGE - 1, STAGE, STAGE + 1, 3 * STAGE + 7] {
+            let (ann, oracle) = service(&w);
+            let meas = ann.measurement_addr();
+            let mut sim = NetworkSim::new(&w, FaultConfig::none(), 18);
+            sim.register_service(ann, Box::new(oracle), false);
+            let source = (0..probes).zip(w.blocks.iter().cycle()).map(|(i, b)| {
+                let at = SimTime::ZERO + SimDuration::from_micros(i as u64 * 100);
+                timed_probe(at, probe(meas, b.representative(), 1, i as u16))
+            });
+            sim.run_with(Once(Some(source)), &mut Recorder::default());
+            assert_eq!(sim.stats().injected, probes as u64);
+        }
+    }
+
+    /// The four-way hash is four scalar hashes: random payloads, lengths
+    /// equal and not, empty included.
+    #[test]
+    fn payload_fnv4_equals_four_scalar_hashes() {
+        let mut state = 0x5eed_u64;
+        let mut next = || {
+            state = mix(state, 0x4fa9);
+            state
+        };
+        for round in 0..200 {
+            let payloads: Vec<Vec<u8>> = (0..4)
+                .map(|_| {
+                    let len = if round % 2 == 0 { 20 } else { next() % 40 };
+                    (0..len).map(|_| next() as u8).collect()
+                })
+                .collect();
+            let lanes = [&payloads[0][..], &payloads[1][..], &payloads[2][..], &payloads[3][..]];
+            assert_eq!(payload_fnv4(lanes), lanes.map(payload_fnv), "{payloads:?}");
+        }
+        assert_eq!(payload_fnv(&[]), FNV_OFFSET);
     }
 
     /// The `Full`-level event of an undeliverable packet carries that

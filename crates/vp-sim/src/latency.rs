@@ -1,7 +1,7 @@
 //! Propagation-delay model.
 
 use serde::Serialize;
-use vp_geo::distance_km;
+use vp_geo::{distance_km, MAX_DISTANCE_KM};
 use vp_net::SimDuration;
 
 /// Distance-proportional latency with a processing floor and deterministic
@@ -35,8 +35,24 @@ impl LatencyModel {
     /// deterministic jitter sample.
     pub fn delay(&self, from: (f64, f64), to: (f64, f64), jitter_key: u64) -> SimDuration {
         let d = distance_km(from.0, from.1, to.0, to.1);
-        let prop_ms = d / self.km_per_ms;
         let jitter_unit = (hash(jitter_key) >> 11) as f64 / (1u64 << 53) as f64;
+        self.over(d, jitter_unit)
+    }
+
+    /// No [`LatencyModel::delay`] is longer: the delay over half the
+    /// circumference at full jitter, a nanosecond up for rounding. (A NaN
+    /// distance — the haversine of out-of-range coordinates — costs only
+    /// `base`.) Every delay is therefore in `[base, max_delay()]`, which
+    /// is what lets the engine tell that one arrival cannot be later than
+    /// another without computing either.
+    pub fn max_delay(&self) -> SimDuration {
+        self.over(MAX_DISTANCE_KM, 1.0) + SimDuration(1)
+    }
+
+    /// Delay over `d` km with `jitter_unit` (in `[0, 1]`) of the maximum
+    /// jitter: monotone in both.
+    fn over(&self, d: f64, jitter_unit: f64) -> SimDuration {
+        let prop_ms = d / self.km_per_ms;
         let jitter_ms = prop_ms * self.jitter_frac * jitter_unit;
         self.base + SimDuration::from_secs_f64((prop_ms + jitter_ms) / 1e3)
     }

@@ -7,8 +7,8 @@ use vp_bgp::SiteId;
 use vp_net::{Ipv4Addr, SimDuration, SimTime};
 use vp_packet::{IcmpMessage, Ipv4Packet, Protocol};
 use vp_sim::{
-    CaptureSink, FaultConfig, HostDelivery, NetworkSim, Scenario, ServiceHandle, SimStats,
-    StaticOracle, TimedProbe,
+    CaptureSink, FaultConfig, HostDelivery, LatencyModel, NetworkSim, Scenario, ServiceHandle,
+    SimStats, StaticOracle, TimedProbe,
 };
 use vp_topology::TopologyConfig;
 
@@ -46,8 +46,22 @@ impl CaptureSink for Recorder {
     }
 }
 
-/// Everything one engine run can show an observer.
-type Observed = (Recorder, Vec<(SimTime, Ipv4Packet)>, SimStats, SimTime);
+/// Everything one engine run can show an observer: sink calls, host
+/// deliveries, counters, the final clock, and the `Full`-level sidecar —
+/// `engine.events`, the `engine.run` span, and the `engine.undeliverable`
+/// events the ring kept (the last 256 in emission order, so their order
+/// shows in which survive) with the count it evicted.
+type Observed = (
+    Recorder,
+    Vec<(SimTime, Ipv4Packet)>,
+    SimStats,
+    SimTime,
+    (u64, Option<vp_obs::SpanAgg>, Vec<vp_obs::Event>, u64),
+);
+
+/// The engine pulls its source this many probes at a time
+/// (`vp_sim::engine`'s private `STAGE`).
+const STAGE: usize = 128;
 
 /// Runs `probes` (sorted by send time) over a fresh engine, either all
 /// injected up front (`send_at` × N — so responders serialize their own
@@ -60,6 +74,7 @@ fn observe(s: &Scenario, faults: &FaultConfig, sim_seed: u64, probes: &[TimedPro
     let ann = s.announcement.clone();
     let meas = ann.measurement_addr();
     let mut sim = NetworkSim::new(&s.world, faults.clone(), sim_seed);
+    sim.attach_obs(vp_obs::TraceLevel::Full);
     sim.register_service(ann, Box::new(StaticOracle::new(s.routing())), true);
     // Background: pings from ordinary hosts to the service (captured, then
     // answered by the site, landing in `host_deliveries`).
@@ -95,7 +110,46 @@ fn observe(s: &Scenario, faults: &FaultConfig, sim_seed: u64, probes: &[TimedPro
         .into_iter()
         .map(|HostDelivery { at, packet }| (at, packet))
         .collect();
-    (seen, deliveries, sim.stats(), sim.now())
+    let (registry, trace) = sim.take_obs().expect("attached above").into_parts();
+    let obs = (
+        registry.counter_value("engine.events", &[]),
+        trace.spans.get("engine.run").copied(),
+        trace.events,
+        trace.dropped_events,
+    );
+    (seen, deliveries, sim.stats(), sim.now(), obs)
+}
+
+/// `count` probes from the measurement address, time-sorted by `gaps`
+/// (cycled): to block representatives, except where `stray` (below 6)
+/// addresses one into the service prefix itself or to an address of the
+/// block that is not its host — both undeliverable. Row hints are right,
+/// off by one either way, or nowhere in the table.
+fn probes_from_gaps(s: &Scenario, count: usize, gaps: &[(u8, u64, u64, u8, u8)]) -> Vec<TimedProbe> {
+    let meas = s.announcement.measurement_addr();
+    let mut at = SimTime::ZERO;
+    (gaps.iter().cycle())
+        .zip(s.world.blocks.iter().enumerate().cycle())
+        .take(count)
+        .enumerate()
+        .map(|(i, (&(kind, short_us, long_us, hint, stray), (row, b)))| {
+            at += SimDuration::from_micros([0, short_us, long_us][kind as usize]);
+            let dst = match stray {
+                0..=2 => Ipv4Addr(meas.0 ^ 1),
+                3..=5 => b.block.addr(b.rep_octet.wrapping_add(1).max(1)),
+                _ => b.representative(),
+            };
+            let packet = probe(meas, dst, 5, i as u16);
+            let reply_image = IcmpMessage::parse(&packet.payload)
+                .unwrap()
+                .reply()
+                .unwrap()
+                .emit();
+            let row = row as u32;
+            let row = [row, row.wrapping_sub(1), row + 1, u32::MAX][hint as usize];
+            TimedProbe { at, packet, reply_image, row }
+        })
+        .collect()
 }
 
 proptest! {
@@ -120,7 +174,6 @@ proptest! {
         gaps in prop::collection::vec((0u8..3, 1u64..2_000, 100_000u64..400_000, 0u8..4), 1..200),
     ) {
         let s = scenario(world_seed);
-        let meas = s.announcement.measurement_addr();
         let faults = FaultConfig {
             loss,
             duplicate_prob,
@@ -131,24 +184,8 @@ proptest! {
             unsolicited_prob,
             ..FaultConfig::default()
         };
-        let mut at = SimTime::ZERO;
-        let probes: Vec<TimedProbe> = gaps
-            .iter()
-            .zip(s.world.blocks.iter().enumerate().cycle())
-            .enumerate()
-            .map(|(i, (&(kind, short_us, long_us, hint), (row, b)))| {
-                at += SimDuration::from_micros([0, short_us, long_us][kind as usize]);
-                let packet = probe(meas, b.representative(), 5, i as u16);
-                let reply_image = IcmpMessage::parse(&packet.payload)
-                    .unwrap()
-                    .reply()
-                    .unwrap()
-                    .emit();
-                let row = row as u32;
-                let row = [row, row.wrapping_sub(1), row + 1, u32::MAX][hint as usize];
-                TimedProbe { at, packet, reply_image, row }
-            })
-            .collect();
+        let gaps: Vec<_> = gaps.iter().map(|&(kind, short, long, hint)| (kind, short, long, hint, u8::MAX)).collect();
+        let probes = probes_from_gaps(&s, gaps.len(), &gaps);
 
         let eager = observe(&s, &faults, sim_seed, &probes, false);
         let lazy = observe(&s, &faults, sim_seed, &probes, true);
@@ -162,6 +199,61 @@ proptest! {
         prop_assert!(delivered(|m| matches!(m, IcmpMessage::DestUnreachable { .. })) > 0);
         prop_assert!(delivered(|m| matches!(m, IcmpMessage::EchoReply { ident: 78, .. })) > 0);
         prop_assert_eq!(eager, lazy);
+    }
+
+    /// Staging commutes: the engine prepares its source a stage at a time
+    /// and still dispatches what eager injection dispatches — driven at
+    /// the stage's edges (an empty source, one probe, one short of a
+    /// stage, exactly one, one over, three and a bit), with every hint
+    /// kind, and with probes into the service prefix and to addresses
+    /// that are nobody's host mixed in, so `engine.undeliverable` events
+    /// interleave with queue pops and outnumber the ring.
+    #[test]
+    fn staging_commutes_at_stage_boundaries(
+        world_seed in 0u64..3000,
+        sim_seed in any::<u64>(),
+        count in 0usize..6,
+        default_faults in any::<bool>(),
+        gaps in prop::collection::vec(((0u8..3, 1u64..2_000, 100_000u64..400_000), (0u8..4, 0u8..8)), 20..50),
+    ) {
+        let gaps: Vec<_> = gaps.iter().map(|&((kind, short, long), (hint, stray))| (kind, short, long, hint, stray)).collect();
+        let s = scenario(world_seed);
+        let faults = if default_faults { FaultConfig::default() } else { FaultConfig::none() };
+        let count = [0, 1, STAGE - 1, STAGE, STAGE + 1, 3 * STAGE + 7][count];
+        let probes = probes_from_gaps(&s, count, &gaps);
+        let eager = observe(&s, &faults, sim_seed, &probes, false);
+        let lazy = observe(&s, &faults, sim_seed, &probes, true);
+        prop_assert_eq!(eager.2.injected as usize, count + 20 + 2 * 40);
+        if count > 2 * STAGE {
+            // Three probes in four are strays: enough to overflow the ring,
+            // so the order they were emitted in decides which it kept.
+            prop_assert!(eager.2.undeliverable > 200, "{:?}", eager.2);
+            prop_assert_eq!(eager.4.3, eager.2.undeliverable.saturating_sub(256));
+        }
+        prop_assert_eq!(eager, lazy);
+    }
+
+    /// Every delay lies in `[base, max_delay()]` — antipodes, poles and
+    /// the haversine's NaN corner (coordinates no sphere has, whose `a`
+    /// term leaves `[0, 1]`) included. The engine drops parked arrivals
+    /// on the strength of this bound.
+    #[test]
+    fn no_delay_exceeds_max_delay(
+        (lat1, lon1, lat2, lon2) in (-1000.0f64..1000.0, -1000.0f64..1000.0, -1000.0f64..1000.0, -1000.0f64..1000.0),
+        on_sphere in any::<bool>(),
+        antipodal in any::<bool>(),
+        key in any::<u64>(),
+    ) {
+        let m = LatencyModel::default();
+        let clamp = |lat: f64, lon: f64| if on_sphere { (lat % 90.0, lon % 180.0) } else { (lat, lon) };
+        let from = clamp(lat1, lon1);
+        let to = if antipodal { (-from.0, from.1 + 180.0) } else { clamp(lat2, lon2) };
+        let d = m.delay(from, to, key);
+        prop_assert!(m.base <= d && d <= m.max_delay(), "{:?} -> {:?}: {} > {}", from, to, d, m.max_delay());
+        // And it is no loose bound: the far side of the world comes
+        // within a jitter's width of it.
+        let far = m.delay((0.0, 0.0), (0.0, 180.0), key);
+        prop_assert!(far.as_nanos() as f64 > 0.79 * m.max_delay().as_nanos() as f64);
     }
 
     /// Conservation: every injected probe is lost, undeliverable, or

@@ -28,7 +28,7 @@ fn workspace_is_lint_clean() {
 /// `grep -rn "<directive>" --include=*.rs . | grep -v "/target/\|fixtures"`.
 #[test]
 fn allow_directive_count_only_ratchets_down() {
-    const CEILING: usize = 114;
+    const CEILING: usize = 110;
     // Spelled in two halves so this file does not count itself.
     let directive = concat!("vp-lint: ", "allow");
     let files = vp_lint::workspace::collect_rs_files(repo_root()).expect("walk workspace");
