@@ -81,8 +81,8 @@ pub fn load_rounds_dir(dir: &Path) -> Result<Vec<CatchmentMap>, String> {
 /// Parses the `vp-monitor-origins/v1` sidecar mapping each /24 block to
 /// its origin AS, used to attribute flips per AS.
 ///
-/// Walks the text straight into the map, like [`CatchmentMap::from_json`]
-/// and by the same rules: members in any order, unknown ones skipped, a
+/// Walks the text once, like [`CatchmentMap::from_json`], and by the
+/// same rules: members in any order, unknown ones skipped, a
 /// block key in canonical decimal, an ASN that fits `u32`, the last of
 /// duplicate keys wins.
 pub fn parse_origins(text: &str, what: &str) -> Result<Origins, String> {
@@ -97,16 +97,19 @@ fn read_origins(text: &str) -> Result<Origins, serde_json::Error> {
         match &*member {
             "schema" => schema = Some(reader.string()?),
             "origins" => {
-                let mut map = Origins::new();
+                // Keys arrive in string order, not block order: collect,
+                // then build the map in bulk. `from_iter` sorts stably and
+                // keeps the last of equal keys, so the last duplicate wins.
+                let mut pairs = Vec::new();
                 reader.begin_object()?;
                 while let Some(key) = reader.next_key()? {
                     let block = Block24::from_key(&key)
                         .ok_or_else(|| reader.error(format!("bad block key {key:?}")))?;
                     let asn = u32::try_from(reader.u64()?)
                         .map_err(|_| reader.error(format!("bad ASN for block {key}")))?;
-                    map.insert(block, Asn(asn));
+                    pairs.push((block, Asn(asn)));
                 }
-                origins = Some(map);
+                origins = Some(Origins::from_iter(pairs));
             }
             _ => reader.skip()?,
         }
@@ -311,6 +314,32 @@ mod tests {
         let parsed = parse_origins(text, "test").unwrap();
         let want: Origins = [(Block24(7), Asn(3)), (Block24(9), Asn(2))].into();
         assert_eq!(parsed, want);
+    }
+
+    /// The bulk build is the insert loop it replaced: keys in the
+    /// document's string order with adjacent repeats, then repeats of
+    /// earlier keys at the end, give the map that inserting each member
+    /// in turn gives.
+    #[test]
+    fn bulk_built_origins_equal_the_insert_loop() {
+        let mut members: Vec<(u32, u32)> = (0..300).map(|b| (b * 7 % 1_000, b)).collect();
+        members.extend((0..40).map(|b| (b * 7 % 1_000, 5_000 + b)));
+        members.sort_by_key(|&(block, _)| block.to_string());
+        members.extend([(7, 9_001), (63, 9_002), (7, 9_003)]);
+        let body: Vec<String> = members
+            .iter()
+            .map(|(b, a)| format!("\"{b}\": {a}"))
+            .collect();
+        let text = format!(
+            r#"{{"schema": "vp-monitor-origins/v1", "origins": {{{}}}}}"#,
+            body.join(", ")
+        );
+        let mut inserted = Origins::new();
+        for &(block, asn) in &members {
+            inserted.insert(Block24(block), Asn(asn));
+        }
+        assert_eq!(parse_origins(&text, "test").unwrap(), inserted);
+        assert_eq!(inserted.get(&Block24(7)), Some(&Asn(9_003)));
     }
 
     #[test]

@@ -60,9 +60,10 @@ pub struct AsNode {
 pub struct AsGraph {
     pub ases: Vec<AsNode>,
     pub pops: Vec<Pop>,
-    /// For each directed adjacency `(a, b)`: the PoP of `a` where the
-    /// session to `b` lands. Both directions are always present.
-    pub adjacency_pop: BTreeMap<(Asn, Asn), PopId>,
+    /// For each directed adjacency `(a, b)`, ascending by `(a, b)`: the
+    /// PoP of `a` where the session to `b` lands. Both directions are
+    /// always present.
+    sessions: Vec<((Asn, Asn), PopId)>,
 }
 
 impl AsGraph {
@@ -74,7 +75,17 @@ impl AsGraph {
 
     /// The PoP anchoring the session from `a` toward `b`, if adjacent.
     pub fn session_pop(&self, a: Asn, b: Asn) -> Option<PopId> {
-        self.adjacency_pop.get(&(a, b)).copied()
+        let row = self
+            .sessions
+            .binary_search_by_key(&(a, b), |&(key, _)| key)
+            .ok()?;
+        self.sessions.get(row).map(|&(_, pop)| pop)
+    }
+
+    /// Every directed session `((a, b), pop)`, ascending by `(a, b)`:
+    /// `pop` is the PoP of `a` where its session to `b` lands.
+    pub fn sessions(&self) -> impl Iterator<Item = ((Asn, Asn), PopId)> + '_ {
+        self.sessions.iter().copied()
     }
 
     /// Number of ASes.
@@ -255,70 +266,82 @@ impl AsGraph {
             }
         }
 
-        // Transit-transit peering.
-        let transit_list: Vec<usize> = transit_range.clone().collect();
-        for (ai, &i) in transit_list.iter().enumerate() {
-            for &j in &transit_list[ai + 1..] {
-                let same = ases[i].country.get().continent == ases[j].country.get().continent;
-                let p = if same {
+        // Transit-transit peering: one draw per transit pair, in pair order.
+        let transit_continents: Vec<Continent> = ases
+            .iter()
+            .skip(transit_range.start)
+            .take(num_transit)
+            .map(|node| node.country.get().continent)
+            .collect();
+        for (ai, &ca) in transit_continents.iter().enumerate() {
+            for (bi, &cb) in transit_continents.iter().enumerate().skip(ai + 1) {
+                let p = if ca == cb {
                     cfg.peer_prob_same_continent
                 } else {
                     cfg.peer_prob_cross_continent
                 };
                 if rng.gen_bool(p) {
-                    edges.push((i, j, EdgeKind::Peer));
+                    edges.push((
+                        transit_range.start + ai,
+                        transit_range.start + bi,
+                        EdgeKind::Peer,
+                    ));
                 }
             }
         }
 
-        // Materialize edges (dedup parallel edges; provider wins over peer).
-        // A BTreeMap keyed on the normalized pair gives the sorted edge
-        // order directly — no post-hoc sort needed.
-        let mut seen: BTreeMap<(usize, usize), EdgeKind> = BTreeMap::new();
-        for (a, b, kind) in edges {
-            let key = (a.min(b), a.max(b));
-            let entry = seen.entry(key).or_insert(kind);
-            if kind == EdgeKind::ProviderCustomer {
-                *entry = kind;
-            }
+        // Materialize edges: one per AS pair, in ascending pair order, and
+        // provider–customer wins over peer (`EdgeKind` sorts it first, so
+        // it heads its pair's run). Providers always have the smaller
+        // index, so `(lo, hi)` is `(provider, customer)`.
+        for edge in &mut edges {
+            *edge = (edge.0.min(edge.1), edge.0.max(edge.1), edge.2);
         }
-        let mut adjacency_pop: BTreeMap<(Asn, Asn), PopId> = BTreeMap::new();
-        for ((lo, hi), kind) in seen {
-            // The original orientation for provider edges was (provider=a,
-            // customer=b) with a < b by construction above, because
-            // providers always have smaller index.
-            let (a, b) = (lo, hi);
+        edges.sort_unstable();
+        edges.dedup_by_key(|&mut (lo, hi, _)| (lo, hi));
+        let anchors: Vec<Anchor> = pops.iter().map(Anchor::new).collect();
+        // An AS's PoPs are minted together, so its anchors are one run.
+        let anchors_of = |node: &AsNode| {
+            let first = node.pops.first().map_or(0, |p| p.index());
+            anchors
+                .get(first..first + node.pops.len())
+                .unwrap_or_default()
+        };
+        let mut sessions = Vec::with_capacity(2 * edges.len());
+        for (a, b, kind) in edges {
+            let Ok([node_a, node_b]) = ases.get_disjoint_mut([a, b]) else {
+                continue;
+            };
+            let (asn_a, asn_b) = (node_a.asn, node_b.asn);
             match kind {
                 EdgeKind::ProviderCustomer => {
-                    let (pa, pb) = (Asn(a as u32), Asn(b as u32));
-                    if !ases[a].customers.contains(&pb) {
-                        ases[a].customers.push(pb);
-                        ases[b].providers.push(pa);
-                    }
+                    node_a.customers.push(asn_b);
+                    node_b.providers.push(asn_a);
                 }
                 EdgeKind::Peer => {
-                    let (pa, pb) = (Asn(a as u32), Asn(b as u32));
-                    if !ases[a].peers.contains(&pb) {
-                        ases[a].peers.push(pb);
-                        ases[b].peers.push(pa);
-                    }
+                    node_a.peers.push(asn_b);
+                    node_b.peers.push(asn_a);
                 }
             }
             // Anchor the session at the geographically closest PoP pair.
-            let (pop_a, pop_b) = closest_pop_pair(&ases[a], &ases[b], &pops);
-            adjacency_pop.insert((Asn(a as u32), Asn(b as u32)), pop_a);
-            adjacency_pop.insert((Asn(b as u32), Asn(a as u32)), pop_b);
+            if let Some((pop_a, pop_b)) = closest_pop_pair(anchors_of(node_a), anchors_of(node_b)) {
+                sessions.push(((asn_a, asn_b), pop_a));
+                sessions.push(((asn_b, asn_a), pop_b));
+            }
         }
+        sessions.sort_unstable_by_key(|&(key, _)| key);
 
         AsGraph {
             ases,
             pops,
-            adjacency_pop,
+            sessions,
         }
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Declaration order is the dedup rank: a provider–customer edge wins
+/// over a peering between the same two ASes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum EdgeKind {
     ProviderCustomer,
     Peer,
@@ -334,22 +357,76 @@ fn sample_provider_count<R: Rng>(mean: f64, rng: &mut R) -> usize {
     n
 }
 
-/// The closest pair of PoPs between two ASes (brute force; PoP counts are
-/// tiny).
-fn closest_pop_pair(a: &AsNode, b: &AsNode, pops: &[Pop]) -> (PopId, PopId) {
-    let mut best = (a.pops[0], b.pops[0]);
+/// A PoP as [`closest_pop_pair`] reads it: its coordinates and its unit
+/// vector on the sphere.
+struct Anchor {
+    id: PopId,
+    lat: f64,
+    lon: f64,
+    unit: [f64; 3],
+}
+
+impl Anchor {
+    fn new(pop: &Pop) -> Anchor {
+        let (lat, lon) = (pop.lat.to_radians(), pop.lon.to_radians());
+        Anchor {
+            id: pop.id,
+            lat: pop.lat,
+            lon: pop.lon,
+            unit: [lat.cos() * lon.cos(), lat.cos() * lon.sin(), lat.sin()],
+        }
+    }
+
+    /// Cosine of the great-circle angle to `other`.
+    fn dot(&self, other: &Anchor) -> f64 {
+        let ([x, y, z], [u, v, w]) = (self.unit, other.unit);
+        x * u + y * v + z * w
+    }
+}
+
+/// How far below the best dot product a PoP pair may fall and still have
+/// its haversine distance evaluated by [`closest_pop_pair`].
+const DOT_SLACK: f64 = 1e-9;
+
+/// The closest pair of PoPs between two ASes: of all pairs in `a`-major
+/// order, the first whose [`distance_km`] is strictly smaller than every
+/// earlier one's. `None` only if an AS has no PoP.
+///
+/// The haversine runs only on pairs whose dot product is within
+/// [`DOT_SLACK`] of the best — usually one pair instead of all of them —
+/// and the result is exactly the brute-force one. The haversine term is
+/// `h = (1 − cos θ) / 2`, so distance order is dot-product order up to
+/// rounding: `h` and the dot product are each off their true values by a
+/// few ulps (~1e-15), and the last-ulp steps of `sqrt`/`asin` cannot
+/// reorder two distances whose `h` differ by more. So the pair the exact
+/// rule picks has a dot product within ~1e-14 of the best, far inside the
+/// slack; every pair left out is strictly farther than the minimum and
+/// cannot be the first to reach it; the survivors are compared by the
+/// exact rule in the same order. A NaN distance (an antipodal pair whose
+/// rounded `h` exceeds 1) is never picked by either rule, and the best
+/// dot product belongs to such a pair only when every pair is antipodal
+/// to within rounding — then every pair survives.
+fn closest_pop_pair(a: &[Anchor], b: &[Anchor]) -> Option<(PopId, PopId)> {
+    let ([first_a, ..], [first_b, ..]) = (a, b) else {
+        return None;
+    };
+    let best_dot = a
+        .iter()
+        .flat_map(|x| b.iter().map(move |y| x.dot(y)))
+        .fold(f64::NEG_INFINITY, f64::max);
+    let floor = best_dot - DOT_SLACK;
+    let mut best = (first_a.id, first_b.id);
     let mut best_d = f64::INFINITY;
-    for &pa in &a.pops {
-        for &pb in &b.pops {
-            let (x, y) = (&pops[pa.index()], &pops[pb.index()]);
+    for x in a {
+        for y in b.iter().filter(|y| x.dot(y) >= floor) {
             let d = distance_km(x.lat, x.lon, y.lat, y.lon);
             if d < best_d {
                 best_d = d;
-                best = (pa, pb);
+                best = (x.id, y.id);
             }
         }
     }
-    best
+    Some(best)
 }
 
 #[cfg(test)]
@@ -437,14 +514,106 @@ mod tests {
     #[test]
     fn adjacency_pops_belong_to_their_as() {
         let g = gen(7);
-        for ((a, _b), pop) in &g.adjacency_pop {
-            assert_eq!(g.pops[pop.index()].asn, *a);
-            assert!(g.node(*a).pops.contains(pop));
+        for ((a, b), pop) in g.sessions() {
+            assert_eq!(g.pops[pop.index()].asn, a);
+            assert!(g.node(a).pops.contains(&pop));
+            assert_eq!(g.session_pop(a, b), Some(pop));
+            // Both directions exist.
+            assert!(g.session_pop(b, a).is_some());
         }
-        // Both directions exist.
-        for (a, b) in g.adjacency_pop.keys() {
-            assert!(g.adjacency_pop.contains_key(&(*b, *a)));
+        // One session each way per relation, and no other.
+        let sessions: Vec<_> = g.sessions().map(|(key, _)| key).collect();
+        assert!(sessions.windows(2).all(|w| w[0] < w[1]));
+        let relations: usize = g.ases.iter().map(|a| g.neighbors(a.asn).count()).sum();
+        assert_eq!(sessions.len(), relations);
+    }
+
+    /// The brute-force rule `closest_pop_pair` must reproduce exactly: a
+    /// haversine for every pair, the first strictly smaller one kept.
+    fn brute_force_pop_pair(a: &[Anchor], b: &[Anchor]) -> (PopId, PopId) {
+        let mut best = (a[0].id, b[0].id);
+        let mut best_d = f64::INFINITY;
+        for x in a {
+            for y in b {
+                let d = distance_km(x.lat, x.lon, y.lat, y.lon);
+                if d < best_d {
+                    best_d = d;
+                    best = (x.id, y.id);
+                }
+            }
         }
+        best
+    }
+
+    /// Turns a drawn `(kind, lat, lon)` into a PoP coordinate, some kinds
+    /// derived from the points already placed: poles, both sides of the
+    /// antimeridian, exact duplicates and exact antipodes of any earlier
+    /// point, and mirror images across the first point (pairs at the same
+    /// true distance whose dot products and haversines round apart).
+    fn place(kind: u8, lat: f64, lon: f64, placed: &[(f64, f64)]) -> (f64, f64) {
+        let wrap = |lon: f64| match lon {
+            l if l > 180.0 => l - 360.0,
+            l if l < -180.0 => l + 360.0,
+            l => l,
+        };
+        let pick = placed
+            .get(lon.abs() as usize % placed.len().max(1))
+            .copied();
+        match (kind, pick, placed.first().copied()) {
+            (1, ..) => (89.9_f64.copysign(lat), lon),
+            (2, ..) => (lat, 180.0_f64.copysign(lon)),
+            (3, ..) => (lat, 179.9999_f64.copysign(lon)),
+            (4, Some(p), _) => p,
+            (5, Some((la, lo)), _) => (-la, wrap(lo + 180.0)),
+            (6, _, Some((la, lo))) => (la, wrap(lo + 0.5)),
+            (7, _, Some((la, lo))) => (la, wrap(lo - 0.5)),
+            (8, _, Some((la, lo))) => ((la + 0.25).min(89.9), lo),
+            (9, _, Some((la, lo))) => ((la - 0.25).max(-89.9), lo),
+            _ => (lat, lon),
+        }
+    }
+
+    fn anchors(coords: &[(f64, f64)], first_id: u32) -> Vec<Anchor> {
+        let pop = |(i, &(lat, lon)): (usize, &(f64, f64))| Pop {
+            id: PopId(first_id + i as u32),
+            asn: Asn(0),
+            country: CountryId(0),
+            lat,
+            lon,
+        };
+        coords
+            .iter()
+            .enumerate()
+            .map(pop)
+            .map(|p| Anchor::new(&p))
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2_000))]
+
+        #[test]
+        fn closest_pop_pair_equals_the_brute_force_haversine(
+            drawn_a in proptest::collection::vec((0u8..10, -89.9f64..89.9, -180.0f64..180.0), 1..11),
+            drawn_b in proptest::collection::vec((0u8..10, -89.9f64..89.9, -180.0f64..180.0), 1..7),
+        ) {
+            let mut placed: Vec<(f64, f64)> = Vec::new();
+            for &(kind, lat, lon) in drawn_a.iter().chain(&drawn_b) {
+                let point = place(kind, lat, lon, &placed);
+                placed.push(point);
+            }
+            let (a, b) = placed.split_at(drawn_a.len());
+            let (a, b) = (anchors(a, 0), anchors(b, 100));
+            proptest::prop_assert_eq!(closest_pop_pair(&a, &b), Some(brute_force_pop_pair(&a, &b)));
+            proptest::prop_assert_eq!(closest_pop_pair(&b, &a), Some(brute_force_pop_pair(&b, &a)));
+        }
+    }
+
+    #[test]
+    fn closest_pop_pair_needs_a_pop_on_each_side() {
+        let one = anchors(&[(52.0, 5.0)], 0);
+        assert_eq!(closest_pop_pair(&one, &[]), None);
+        assert_eq!(closest_pop_pair(&[], &one), None);
     }
 
     #[test]

@@ -28,10 +28,6 @@ pub struct Internet {
     pub prefixes: Vec<PrefixInfo>,
     pub blocks: Vec<BlockInfo>,
     pub geodb: GeoDb,
-    /// `blocks[i].block` as a contiguous column: the one binary search
-    /// behind [`Internet::block_id`] touches 4 bytes per step instead of a
-    /// whole attribute row.
-    block_keys: Vec<Block24>,
     prefixes_per_as: Vec<u32>,
 }
 
@@ -48,16 +44,18 @@ impl Internet {
             // vp-lint: allow(g1): prefix origins are AS ids drawn from this graph.
             prefixes_per_as[info.origin.index()] += 1;
         }
-        let block_keys: Vec<Block24> = blocks.iter().map(|b| b.block).collect();
-        let mut neighbours = block_keys.iter().zip(block_keys.iter().skip(1));
-        assert!(
-            neighbours.all(|(a, b)| a < b),
-            "generated blocks must be strictly ascending: a block's id is its row"
-        );
-        assert!(
-            geodb.keys() == block_keys,
-            "the geolocation database must hold one row per block: a block's position is its row"
-        );
+        let one_row_per_block =
+            "the geolocation database must hold one row per block: a block's position is its row";
+        assert_eq!(geodb.keys().len(), blocks.len(), "{one_row_per_block}");
+        let mut previous = None;
+        for (info, &key) in blocks.iter().zip(geodb.keys()) {
+            assert!(info.block == key, "{one_row_per_block}");
+            assert!(
+                previous < Some(key),
+                "generated blocks must be strictly ascending: a block's id is its row"
+            );
+            previous = Some(key);
+        }
 
         Internet {
             config,
@@ -65,14 +63,16 @@ impl Internet {
             prefixes,
             blocks,
             geodb,
-            block_keys,
             prefixes_per_as,
         }
     }
 
-    /// Id of a populated block: its row in [`Internet::blocks`].
+    /// Id of a populated block: its row in [`Internet::blocks`], found by
+    /// one binary search over the geolocation database's key column (4
+    /// bytes per step instead of a whole attribute row).
     pub fn block_id(&self, block: Block24) -> Option<u32> {
-        self.block_keys
+        self.geodb
+            .keys()
             .binary_search(&block)
             .ok()
             .map(vp_net::conv::sat_u32)
