@@ -110,10 +110,11 @@ impl CatchmentMap {
     }
 
     /// Mapped blocks per site.
+    #[expect(clippy::indexing_slicing, reason = "a u8 indexes 256 slots.")]
     pub fn site_counts(&self) -> BTreeMap<SiteId, usize> {
         let mut counts = [0usize; 256];
         for s in self.entries.values() {
-            counts[usize::from(s.0)] += 1; // vp-lint: allow(g1): a u8 indexes 256 slots.
+            counts[usize::from(s.0)] += 1;
         }
         let sites = (0..=u8::MAX).map(SiteId).zip(counts);
         sites.filter(|&(_, n)| n > 0).collect()
@@ -131,8 +132,8 @@ impl CatchmentMap {
 
     /// Serializes the dataset to JSON (the paper releases all its
     /// datasets; this is the equivalent open-data format).
+    #[expect(clippy::expect_used, reason = "serializing owned plain data cannot fail.")]
     pub fn to_json(&self) -> String {
-        // vp-lint: allow(h2): serializing owned plain data cannot fail.
         serde_json::to_string(self).expect("catchment map serializes")
     }
 

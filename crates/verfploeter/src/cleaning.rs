@@ -166,7 +166,7 @@ mod tests {
         RawReply {
             site: SiteId(0),
             at: SimTime(at),
-            src: hl.entry(index as usize).target,
+            src: hl.entry(vp_net::conv::sat_usize(index)).target,
             ident,
             index: Some(index),
         }

@@ -35,24 +35,25 @@ pub fn as_divisions(
     world: &Internet,
     exclude: &BTreeSet<Block24>,
 ) -> Vec<AsDivision> {
-    let mut sites: BTreeMap<Asn, BTreeSet<SiteId>> = BTreeMap::new();
-    let mut blocks: BTreeMap<Asn, u32> = BTreeMap::new();
+    // Per AS: the distinct sites its blocks see, and how many blocks.
+    let mut per_as: BTreeMap<Asn, (BTreeSet<SiteId>, u32)> = BTreeMap::new();
     for (block, site) in catchments.iter() {
         if exclude.contains(&block) {
             continue;
         }
         if let Some(info) = world.block(block) {
-            sites.entry(info.origin).or_default().insert(site);
-            *blocks.entry(info.origin).or_insert(0) += 1;
+            let (sites, blocks) = per_as.entry(info.origin).or_default();
+            sites.insert(site);
+            *blocks += 1;
         }
     }
-    sites
+    per_as
         .into_iter()
-        .map(|(asn, s)| AsDivision {
+        .map(|(asn, (sites, blocks))| AsDivision {
             asn,
             announced_prefixes: world.announced_prefixes(asn),
-            sites_seen: conv::sat_u32(s.len()),
-            observed_blocks: blocks[&asn], // vp-lint: allow(g1): every asn keyed in `sites` gets a `blocks` entry in the same loop.
+            sites_seen: conv::sat_u32(sites.len()),
+            observed_blocks: blocks,
         })
         .collect()
 }
@@ -76,6 +77,7 @@ pub struct Fig7Row {
 }
 
 /// Groups divisions by sites-seen and summarizes announced-prefix counts.
+#[expect(clippy::indexing_slicing, reason = "idx = round((len-1)*p) with p <= 1, always < len.")]
 pub fn fig7_rows(divisions: &[AsDivision]) -> Vec<Fig7Row> {
     let mut by_sites: BTreeMap<u32, Vec<f64>> = BTreeMap::new();
     for d in divisions {
@@ -90,7 +92,7 @@ pub fn fig7_rows(divisions: &[AsDivision]) -> Vec<Fig7Row> {
             counts.sort_by(f64::total_cmp);
             let pct = |p: f64| -> f64 {
                 let idx = conv::index(conv::sat_f64_to_u32(((counts.len() - 1) as f64 * p).round()));
-                counts[idx] // vp-lint: allow(g1): idx = round((len-1)*p) with p <= 1, always < len.
+                counts[idx]
             };
             Fig7Row {
                 sites,
@@ -117,6 +119,10 @@ pub struct Fig8Row {
 
 /// Computes Fig. 8: per announced prefix, the number of distinct sites its
 /// observed blocks see, grouped by prefix length.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "prefix_idx indexes world.prefixes and per_prefix is sized to it; k is clamped to 1..=max_sites and counts has max_sites slots."
+)]
 pub fn fig8_rows(
     catchments: &CatchmentMap,
     world: &Internet,
@@ -131,20 +137,17 @@ pub fn fig8_rows(
             continue;
         }
         if let Some(info) = world.block(block) {
-            let slot = &mut per_prefix[conv::index(info.prefix_idx)]; // vp-lint: allow(g1): prefix_idx indexes world.prefixes and per_prefix is sized to it.
+            let slot = &mut per_prefix[conv::index(info.prefix_idx)];
             slot.0.insert(site);
             slot.1 += 1;
         }
     }
     let mut grouped: BTreeMap<u8, Vec<&(BTreeSet<SiteId>, u32)>> = BTreeMap::new();
-    for (i, slot) in per_prefix.iter().enumerate() {
+    for (slot, info) in per_prefix.iter().zip(&world.prefixes) {
         if slot.1 == 0 {
             continue;
         }
-        grouped
-            .entry(world.prefixes[i].prefix.len()) // vp-lint: allow(g1): per_prefix is sized to world.prefixes, so i indexes both.
-            .or_default()
-            .push(slot);
+        grouped.entry(info.prefix.prefix_len()).or_default().push(slot);
     }
     grouped
         .into_iter()
@@ -154,7 +157,7 @@ pub fn fig8_rows(
             let mut single_vp = 0usize;
             for (sites, blocks) in slots {
                 let k = sites.len().clamp(1, max_sites);
-                counts[k - 1] += 1; // vp-lint: allow(g1): k is clamped to 1..=max_sites and counts has max_sites slots.
+                counts[k - 1] += 1;
                 if *blocks == 1 {
                     single_vp += 1;
                 }
@@ -276,7 +279,7 @@ mod tests {
         assert!(multi > 0.0, "no prefix splits across sites");
         // Every observed prefix is counted in exactly one length bucket.
         let counted: usize = rows.iter().map(|r| r.prefixes).sum();
-        let observed: std::collections::HashSet<u32> = map
+        let observed: std::collections::BTreeSet<u32> = map
             .iter()
             .filter_map(|(b, _)| s.world.block(b).map(|i| i.prefix_idx))
             .collect();

@@ -60,14 +60,15 @@ pub fn suggest_sites(
     }
     let mut out: Vec<PlacementSuggestion> = per_country
         .into_iter()
-        .map(|(country, mut acc)| {
+        .filter_map(|(country, mut acc)| {
             acc.rtts.sort_unstable();
-            PlacementSuggestion {
+            // Groups are created on first push, so rtts is never empty.
+            Some(PlacementSuggestion {
                 country,
                 high_rtt_blocks: acc.rtts.len() as u64,
-                median_rtt: acc.rtts[acc.rtts.len() / 2], // vp-lint: allow(g1): groups are created on first push, so rtts is non-empty.
+                median_rtt: *acc.rtts.get(acc.rtts.len() / 2)?,
                 affected_queries: acc.queries,
-            }
+            })
         })
         .collect();
     // Rank by affected traffic when a log is present, else by block count;
@@ -91,7 +92,7 @@ pub fn rtt_percentiles(rtts: &RttTable) -> Option<(SimDuration, SimDuration, Sim
     v.sort_unstable();
     let p90 = conv::index(conv::sat_f64_to_u32(v.len() as f64 * 0.9)).min(v.len() - 1);
     let last = *v.last()?;
-    Some((v[v.len() / 2], v[p90], last)) // vp-lint: allow(g1): emptiness returns early above and p90 is clamped to len-1.
+    Some((*v.get(v.len() / 2)?, *v.get(p90)?, last))
 }
 
 #[cfg(test)]

@@ -157,7 +157,10 @@ impl Prober {
     /// serialize. Handing the image to the engine with the probe lets
     /// responders answer without allocating per reply — the last
     /// per-probe allocation the witness test retired.
-    // vp-lint: allow(g1): `i < indices.len()` by encode_batch_with_replies's contract, and payloads are exactly the 12 declared bytes.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`i < indices.len()` by encode_batch_with_replies's contract, and payloads are exactly the 12 declared bytes."
+    )]
     pub fn build_probes_with_replies(
         &self,
         hitlist: &Hitlist,
@@ -195,7 +198,7 @@ impl Prober {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
     use vp_hitlist::HitlistConfig;
     use vp_topology::{Internet, TopologyConfig};
 
@@ -233,10 +236,10 @@ mod tests {
         assert_eq!(schedule.size_hint(), (hl.len(), Some(hl.len())));
         let probes = round(&prober, &hl);
         assert_eq!(probes.len(), hl.len());
-        let indexes: HashSet<u64> = probes.iter().map(|p| p.0).collect();
+        let indexes: BTreeSet<u64> = probes.iter().map(|p| p.0).collect();
         assert_eq!(indexes.len(), hl.len());
         for (index, _, packet) in &probes {
-            assert_eq!(packet.dst, hl.entry(*index as usize).target);
+            assert_eq!(packet.dst, hl.entry(vp_net::conv::sat_usize(*index)).target);
         }
     }
 

@@ -34,7 +34,7 @@ pub struct ScanConfig {
     /// measurement output.
     pub trace: vp_obs::TraceLevel,
     /// Optional wall-time flight channel. When a binary attaches one
-    /// (library code never constructs wall clocks — lint rule d4), the
+    /// (library code never constructs wall clocks — DESIGN.md §8), the
     /// scan records host-time phase and shard intervals into
     /// [`ScanObs::wall_flight`]. Affects only that timeline: the
     /// measurement outputs, the registry, and the sim-time flight channel
@@ -473,6 +473,10 @@ impl Round<'_> {
     /// the round: the result over `range`, still to be folded with the
     /// other shares and closed by [`finish_obs`]. Wall intervals go to
     /// `lane`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the schedule holds exactly the indices of `range`, which sized send_time; shard-closed traffic — every kept reply answers one of this engine's probes, so r.index is in `range`."
+    )]
     fn run_engine(
         &self,
         lane: Option<u32>,
@@ -490,7 +494,7 @@ impl Round<'_> {
         let mut last_probe = self.start;
         let mut feed = ProbeFeed {
             schedule: schedule.inspect(|&(index, at)| {
-                send_time[conv::sat_usize(index) - range.start] = at; // vp-lint: allow(g1): the schedule holds exactly the indices of `range`, which sized send_time.
+                send_time[conv::sat_usize(index) - range.start] = at;
                 last_probe = at;
             }),
             prober: &self.prober,
@@ -523,7 +527,7 @@ impl Round<'_> {
         // Probe transmission to reply arrival.
         let rtts = RttTable::from_pairs(kept.iter().map(|r| {
             let index = conv::sat_usize(r.index);
-            (self.hitlist.entry(index).block, r.at.since(send_time[index - range.start])) // vp-lint: allow(g1): shard-closed traffic — every kept reply answers one of this engine's probes, so r.index is in `range`.
+            (self.hitlist.entry(index).block, r.at.since(send_time[index - range.start]))
         }));
         drop(guard);
 
@@ -576,7 +580,12 @@ impl Round<'_> {
 ///
 /// Probe *packets* are materialized only inside the owning engine, one
 /// batch at a time, as its event loop pulls them.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    clippy::indexing_slicing,
+    clippy::expect_used,
+    reason = "shards argument goes with ROADMAP item 7(a); shard_of returns a value < shards by contract and the executor only calls k < shards, the length of bounds and slices; `shards > 0` is asserted above and the executor returns one share per shard."
+)]
 fn run_round(
     exec: &ShardExecutor,
     world: &Internet,
@@ -615,7 +624,7 @@ fn run_round(
         let mut slices: Vec<Vec<(u64, SimTime)>> =
             bounds.iter().map(|r| Vec::with_capacity(r.len())).collect();
         for (index, at) in schedule() {
-            slices[hitlist.shard_of(conv::sat_usize(index), shards)].push((index, at)); // vp-lint: allow(g1): shard_of returns a value < shards by contract.
+            slices[hitlist.shard_of(conv::sat_usize(index), shards)].push((index, at));
         }
         slices
     });
@@ -625,13 +634,13 @@ fn run_round(
     let (shares, shard_timings) = exec.run_sharded_timed(
         shards,
         |k| {
-            let range = bounds[k].clone(); // vp-lint: allow(g1): the executor only calls k < shards, the length of bounds.
+            let range = bounds[k].clone();
             match &slices {
                 None => round.run_engine(None, range, schedule()),
                 Some(slices) => round.run_engine(
                     Some(u32::try_from(k).unwrap_or(u32::MAX)),
                     range,
-                    slices[k].iter().copied(), // vp-lint: allow(g1): the executor only calls k < shards, the length of slices.
+                    slices[k].iter().copied(),
                 ),
             }
         },
@@ -653,7 +662,6 @@ fn run_round(
     // Fold by move into shard 0's share: K=1 merges nothing.
     let merge_guard = wall_rec.as_ref().map(|r| r.span("scan.merge", "merge", None));
     let mut shares = shares.into_iter();
-    // vp-lint: allow(h2): `shards > 0` is asserted above and the executor returns one share per shard.
     let mut total = shares.next().expect("one share per shard");
     for share in shares {
         total.absorb(share);
@@ -674,6 +682,10 @@ fn run_round(
 /// captured concurrently at all sites, forwarded (tagged with their site)
 /// to the central point, cleaned per §4, and folded into a catchment map.
 /// It is the one-engine round, run inline on the calling thread.
+#[expect(
+    clippy::too_many_arguments,
+    reason = "shards argument goes with ROADMAP item 7(a): a round's inputs stay positional until the shard count is derived."
+)]
 pub fn run_scan(
     world: &Internet,
     hitlist: &Hitlist,
@@ -726,6 +738,10 @@ pub fn run_scan(
 ///
 /// # Panics
 /// Panics if `shards` is zero.
+#[expect(
+    clippy::too_many_arguments,
+    reason = "shards argument goes with ROADMAP item 7(a): a round's inputs stay positional until the shard count is derived."
+)]
 pub fn run_scan_sharded(
     world: &Internet,
     hitlist: &Hitlist,
@@ -760,6 +776,10 @@ pub fn run_scan_sharded(
 ///
 /// # Panics
 /// Panics if `shards` is zero.
+#[expect(
+    clippy::too_many_arguments,
+    reason = "shards argument goes with ROADMAP item 7(a): a round's inputs stay positional until the shard count is derived."
+)]
 pub fn run_scan_sharded_on(
     exec: &ShardExecutor,
     world: &Internet,
@@ -787,6 +807,10 @@ pub fn run_scan_sharded_on(
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "atomics count oracle-factory calls and tick a test clock behind their Sync bounds"
+)]
 mod tests {
     use super::*;
     use vp_hitlist::HitlistConfig;
@@ -864,7 +888,7 @@ mod tests {
         let subset = Hitlist::from_json(&subset).expect("entries parse back");
         assert_eq!(subset.len(), hl.len().div_ceil(3));
         let misaligned = (subset.entries().iter().enumerate())
-            .filter(|(i, e)| s.world.block_id(e.block) != Some(*i as u32))
+            .filter(|(i, e)| s.world.block_id(e.block) != Some(conv::sat_u32(*i)))
             .count();
         assert_eq!(misaligned, subset.len() - 1);
         let responsive = |e: &&vp_hitlist::HitlistEntry| s.world.block(e.block).unwrap().responsive;
@@ -1353,7 +1377,7 @@ mod tests {
     fn phase_spans_coalesce_long_runs_without_losing_time() {
         let rec = vp_obs::FlightRecorder::new(Box::new(TickClock(0.into())), FLIGHT_CAPACITY);
         let refills = 3 * MAX_PHASE_PAIRS + 17;
-        let mut phases = PhaseSpans::new(&rec, None, refills as usize * PROBE_BATCH);
+        let mut phases = PhaseSpans::new(&rec, None, conv::sat_usize(refills) * PROBE_BATCH);
         assert_eq!(phases.group, 4);
         let t0 = rec.now_nanos();
         for _ in 0..refills {

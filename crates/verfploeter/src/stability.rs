@@ -31,10 +31,10 @@ pub struct RoundDelta {
 /// after the first.
 pub fn classify_rounds(rounds: &[CatchmentMap]) -> Vec<RoundDelta> {
     rounds
-        .windows(2)
+        .iter()
+        .zip(rounds.iter().skip(1))
         .enumerate()
-        .map(|(i, w)| {
-            let (prev, cur) = (&w[0], &w[1]); // vp-lint: allow(g1): windows(2) yields exactly two elements.
+        .map(|(i, (prev, cur))| {
             let mut delta = RoundDelta {
                 round: conv::sat_u32(i) + 1,
                 stable: 0,
@@ -122,28 +122,28 @@ impl FlipTable {
 /// Attributes every flip across rounds to the origin AS of the flipping
 /// block.
 pub fn flips_by_as(rounds: &[CatchmentMap], world: &Internet) -> FlipTable {
-    let mut flips: BTreeMap<Asn, u64> = BTreeMap::new();
-    let mut blocks: BTreeMap<Asn, BTreeSet<Block24>> = BTreeMap::new();
-    for w in rounds.windows(2) {
-        let (prev, cur) = (&w[0], &w[1]); // vp-lint: allow(g1): windows(2) yields exactly two elements.
+    // Per origin AS: its flip count and the blocks that flipped.
+    let mut per_as: BTreeMap<Asn, (u64, BTreeSet<Block24>)> = BTreeMap::new();
+    for (prev, cur) in rounds.iter().zip(rounds.iter().skip(1)) {
         for row in prev.join(cur) {
             let Joined::Both(block, was, now) = row else {
                 continue;
             };
             if was != now {
                 if let Some(info) = world.block(block) {
-                    *flips.entry(info.origin).or_insert(0) += 1;
-                    blocks.entry(info.origin).or_default().insert(block);
+                    let (flips, blocks) = per_as.entry(info.origin).or_default();
+                    *flips += 1;
+                    blocks.insert(block);
                 }
             }
         }
     }
-    let total_flips: u64 = flips.values().sum();
-    let mut rows: Vec<FlipRow> = flips
+    let total_flips: u64 = per_as.values().map(|(f, _)| f).sum();
+    let mut rows: Vec<FlipRow> = per_as
         .into_iter()
-        .map(|(asn, f)| FlipRow {
+        .map(|(asn, (f, blocks))| FlipRow {
             asn,
-            blocks: blocks[&asn].len() as u64, // vp-lint: allow(g1): every flip ASN was keyed into blocks by the same pass that counted its flips.
+            blocks: blocks.len() as u64,
             flips: f,
             frac: f as f64 / total_flips.max(1) as f64,
         })

@@ -19,6 +19,11 @@
 //! algebra the fold relies on: disjoint-map merging and counter merging
 //! are associative and order-insensitive.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "test clocks tick atomically behind the Sync bound of a wall channel"
+)]
+
 use proptest::prelude::*;
 use vp_bgp::SiteId;
 use vp_hitlist::{Hitlist, HitlistConfig};
@@ -448,7 +453,7 @@ proptest! {
 
     /// Merging disjoint catchment maps is associative:
     /// (a ∪ b) ∪ c == a ∪ (b ∪ c).
-    // vp-lint: merge-tested(CatchmentMap::merge)
+    // merge-tested(CatchmentMap::merge)
     #[test]
     fn catchment_merge_is_associative(
         entries in prop::collection::vec((any::<u32>(), 0u8..9), 0..64),
@@ -498,7 +503,7 @@ proptest! {
 
     /// Cleaning-counter merging is associative and commutative, and
     /// preserves the per-pass consistency invariant.
-    // vp-lint: merge-tested(CleaningStats::merge)
+    // merge-tested(CleaningStats::merge)
     #[test]
     fn cleaning_merge_is_associative_and_commutative(
         counts in prop::collection::vec(((0u64..500, 0u64..500), (0u64..500, 0u64..500), 0u64..500), 1..6),

@@ -18,6 +18,8 @@
 //!   discrete-event simulator and decoding the results ([`AtlasResult`]).
 
 #![forbid(unsafe_code)]
+// Library code never unwraps (DESIGN.md §8).
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod panel;
 pub mod scan;

@@ -103,7 +103,10 @@ impl AtlasPanel {
                 }
             })
             .collect();
-        // vp-lint: allow(h2): weights derive from the static country table and are positive.
+        #[expect(
+            clippy::expect_used,
+            reason = "weights derive from the static country table and are positive."
+        )]
         let dist = WeightedIndex::new(&weights).expect("positive weights");
 
         let vps = (0..cfg.num_vps)

@@ -113,6 +113,10 @@ impl AtlasResult {
 ///
 /// Queries are spread uniformly over `duration` (the paper's Atlas scans
 /// take 8–10 minutes).
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one Atlas round's inputs, positional like verfploeter's run_scan"
+)]
 pub fn run_scan(
     world: &Internet,
     panel: &AtlasPanel,

@@ -147,7 +147,8 @@ fn bench_catchment_fold(c: &mut Criterion) {
 /// The read side of what the scans write, at two sizes a decade apart:
 /// ns/entry (the inverse of the elem/s column) must be flat in N.
 fn bench_ingest(c: &mut Criterion) {
-    let dir = std::env::temp_dir().join(format!("vp-bench-ingest-{}", std::process::id()));
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("vp-bench-ingest-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create bench dir");
     let mut g = c.benchmark_group("ingest");
     g.sample_size(10);

@@ -40,7 +40,7 @@ fn bench_token_bucket(c: &mut Criterion) {
             for _ in 0..10_000 {
                 t = bucket.next_available(t);
                 assert!(bucket.try_acquire(t));
-                t = t + SimDuration(1);
+                t += SimDuration(1);
             }
             black_box(t)
         })

@@ -42,8 +42,13 @@
 //! at the first scale — `vp-monitor profile` renders it as an attribution
 //! report, and `scripts/check.sh` validates and profiles a fresh one).
 //!
-//! vp-bench is the one crate allowed to read wall clocks (lint rules
-//! d2/d4): timing benchmarks is exactly what real time is for.
+//! A benchmark may read wall clocks: timing real work is exactly what
+//! real time is for.
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "a wall-clock benchmark: it times real work and reads its own argv"
+)]
 
 use std::time::Instant;
 
@@ -113,9 +118,9 @@ fn scan_once(
     (result, start.elapsed().as_nanos() as u64)
 }
 
-/// Wall clock behind the flight recorder's wall channel. vp-bench may
-/// read real time (lint rules d2/d4), and the wall channel never feeds a
-/// deterministic artifact — the flight doc labels it as host timing.
+/// Wall clock behind the flight recorder's wall channel. A benchmark may
+/// read real time, and the wall channel never feeds a deterministic
+/// artifact — the flight doc labels it as host timing.
 struct FlightWall {
     epoch: Instant,
 }

@@ -3,6 +3,8 @@
 //! speed: the repo benchmark (`benchmark/`) is the one perf ledger.
 
 #![forbid(unsafe_code)]
+// Library code never unwraps (DESIGN.md §8).
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 use verfploeter::CatchmentMap;
 use vp_bgp::SiteId;

@@ -51,6 +51,7 @@ impl Announcement {
     ///
     /// # Panics
     /// Panics on more than 250 sites or duplicate host ASes.
+    #[expect(clippy::expect_used, reason = "/24 is always a valid prefix length.")]
     pub fn from_placements(placements: &[SitePlacement], region_slot: u8) -> Announcement {
         assert!(placements.len() <= 250, "too many sites");
         let mut sites = Vec::with_capacity(placements.len());
@@ -72,7 +73,6 @@ impl Announcement {
         }
         let base = ANYCAST_REGION.0 + ((region_slot as u32) << 8);
         Announcement {
-            // vp-lint: allow(h2): /24 is always a valid prefix length.
             prefix: Prefix::new(Ipv4Addr(base), 24).expect("static /24"),
             sites,
         }
@@ -95,7 +95,10 @@ impl Announcement {
     }
 
     /// Sets the prepend count for a named site. Panics on unknown name.
-    // vp-lint: allow(g1): documented contract — scenario builders address sites by the fixed testbed names, and a typo must fail loudly, not route silently.
+    #[expect(
+        clippy::panic,
+        reason = "documented contract — scenario builders address sites by the fixed testbed names, and a typo must fail loudly, not route silently."
+    )]
     pub fn set_prepend(&mut self, name: &str, prepend: u8) -> &mut Self {
         let site = self
             .sites
@@ -107,7 +110,10 @@ impl Announcement {
     }
 
     /// Enables/disables a named site. Panics on unknown name.
-    // vp-lint: allow(g1): documented contract — scenario builders address sites by the fixed testbed names, and a typo must fail loudly, not route silently.
+    #[expect(
+        clippy::panic,
+        reason = "documented contract — scenario builders address sites by the fixed testbed names, and a typo must fail loudly, not route silently."
+    )]
     pub fn set_enabled(&mut self, name: &str, enabled: bool) -> &mut Self {
         let site = self
             .sites
@@ -143,7 +149,7 @@ mod tests {
     #[test]
     fn prefix_is_in_reserved_region() {
         let a = deployment();
-        assert_eq!(a.prefix.len(), 24);
+        assert_eq!(a.prefix.prefix_len(), 24);
         assert!(a.prefix.addr().0 >= ANYCAST_REGION.0);
         assert!(a.prefix.contains(a.measurement_addr()));
     }

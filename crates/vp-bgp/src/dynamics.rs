@@ -89,6 +89,10 @@ impl FlipModel {
     ///
     /// Round 0 always matches the converged table; later rounds may flip
     /// among the AS's equally-preferred candidates.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the PopId was minted by this graph and per_as is sized to it; idx is reduced modulo candidates.len(), and tables never store empty candidate lists."
+    )]
     pub fn site_of_pop_at_round(
         &self,
         table: &RoutingTable,
@@ -100,8 +104,8 @@ impl FlipModel {
         if round == 0 {
             return Some(base);
         }
-        let asn = graph.pops[pop.index()].asn; // vp-lint: allow(g1): the PopId was minted by this graph.
-        let route = table.per_as[asn.index()].as_ref()?; // vp-lint: allow(g1): per_as is sized to the graph that owns `asn`.
+        let asn = graph.pops[pop.index()].asn;
+        let route = table.per_as[asn.index()].as_ref()?;
         if route.candidates.len() < 2 {
             return Some(base);
         }
@@ -114,7 +118,7 @@ impl FlipModel {
             // Flipped this round: pick uniformly among candidates (may pick
             // the base again — real load balancers do that too).
             let idx = (mix(self.seed ^ 0xf11b, h) % route.candidates.len() as u64) as usize;
-            Some(route.candidates[idx].site) // vp-lint: allow(g1): idx is reduced modulo candidates.len(), and tables never store empty candidate lists.
+            Some(route.candidates[idx].site)
         } else {
             Some(base)
         }

@@ -28,6 +28,9 @@
 //!   persistent catchment instability of Fig. 9 / Table 7.
 
 #![forbid(unsafe_code)]
+// Library code never panics (DESIGN.md §8).
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::indexing_slicing)]
+#![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 pub mod announce;
 pub mod dynamics;

@@ -52,8 +52,12 @@ pub struct AsRoute {
 
 impl AsRoute {
     /// The tie-broken site this AS as a whole routes to.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "BgpSim sets `selected` to a valid candidates position."
+    )]
     pub fn selected_site(&self) -> SiteId {
-        self.candidates[self.selected].site // vp-lint: allow(g1): BgpSim sets `selected` to a valid candidates position.
+        self.candidates[self.selected].site
     }
 
     /// Distinct sites reachable over equally-preferred routes.
@@ -77,18 +81,26 @@ pub struct RoutingTable {
 impl RoutingTable {
     /// The site traffic from this PoP reaches (the catchment of every block
     /// homed on the PoP).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "per_pop_site is sized to the graph that minted `pop`."
+    )]
     pub fn site_of_pop(&self, pop: PopId) -> Option<SiteId> {
-        self.per_pop_site[pop.index()] // vp-lint: allow(g1): per_pop_site is sized to the graph that minted `pop`.
+        self.per_pop_site[pop.index()]
     }
 
     /// Distinct sites seen from any PoP of this AS — the quantity behind
     /// the AS-division analysis (Figs. 7, 8).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "PoP ids come from the same graph the table was built over."
+    )]
     pub fn sites_seen_by_as(&self, graph: &AsGraph, asn: Asn) -> Vec<SiteId> {
         let mut v: Vec<SiteId> = graph
             .node(asn)
             .pops
             .iter()
-            .filter_map(|p| self.per_pop_site[p.index()]) // vp-lint: allow(g1): PoP ids come from the same graph the table was built over.
+            .filter_map(|p| self.per_pop_site[p.index()])
             .collect();
         v.sort();
         v.dedup();
@@ -181,7 +193,11 @@ impl<'a> BgpSim<'a> {
 
     /// Like [`BgpSim::route`], additionally returning the propagation work
     /// counters (same table, bit for bit — the counters are observers).
-    // vp-lint: allow(g1): the propagation core indexes dense per-AS vectors sized to self.graph; every id is a node of that graph.
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::unreachable,
+        reason = "the propagation core indexes dense per-AS vectors sized to self.graph; every id is a node of that graph. Origin routes are settled before the level match."
+    )]
     pub fn route_traced(&self, ann: &Announcement) -> (RoutingTable, RouteObs) {
         let mut obs = RouteObs::default();
         let n = self.graph.len();
@@ -189,7 +205,7 @@ impl<'a> BgpSim<'a> {
 
         let mut origin_site: Vec<Option<(SiteId, u32)>> = vec![None; n];
         for site in ann.active_sites() {
-            origin_site[site.host_asn.index()] = Some((site.id, site.prepend as u32)); // vp-lint: allow(g1): host ASNs are nodes of the graph this sim was built over.
+            origin_site[site.host_asn.index()] = Some((site.id, site.prepend as u32));
         }
 
         // Stage 1: customer routes (and origin injections) climb upward.
@@ -595,7 +611,7 @@ mod tests {
         let ann = Announcement::from_placements(&pick_host_ases(&w, &tangled_specs()), 1);
         let sim = BgpSim::new(&w.graph, 3);
         let table = sim.route(&ann);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for r in table.per_as.iter().flatten() {
             seen.insert(r.selected_site());
         }

@@ -23,6 +23,9 @@
 //!   §3.2 says every root operator already produces.
 
 #![forbid(unsafe_code)]
+// Library code never panics (DESIGN.md §8).
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::indexing_slicing)]
+#![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 pub mod log;
 pub mod rssac;

@@ -87,6 +87,10 @@ impl<'w> QueryLog<'w> {
     ///
     /// # Panics
     /// Panics if `home_country_code` is not in the static country table.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented contract - callers pass codes from the static table."
+    )]
     pub fn regional(
         world: &'w Internet,
         model: LoadModel,
@@ -94,7 +98,6 @@ impl<'w> QueryLog<'w> {
         home_country_code: &str,
     ) -> QueryLog<'w> {
         let (home, home_info) =
-            // vp-lint: allow(h2): documented contract - callers pass codes from the static table.
             vp_geo::world::country_by_code(home_country_code).expect("known country code");
         let home_continent = home_info.continent;
         let daily = world
@@ -161,7 +164,10 @@ impl<'w> QueryLog<'w> {
     }
 
     /// Daily queries from the `i`-th block of the world.
-    // vp-lint: allow(g1): index-by-contract accessor — documented to require i < world.blocks.len(), mirroring slice indexing.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "index-by-contract accessor — documented to require i < world.blocks.len(), mirroring slice indexing."
+    )]
     pub fn daily_by_idx(&self, i: usize) -> f64 {
         self.daily[i]
     }
@@ -180,7 +186,10 @@ impl<'w> QueryLog<'w> {
     /// local time derived from the block's longitude; deterministic noise
     /// is added per (block, hour). The curve averages to 1 over the day, so
     /// hourly values sum to ≈ the daily volume.
-    // vp-lint: allow(g1): index-by-contract accessor — documented to require i < world.blocks.len(), mirroring slice indexing.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "index-by-contract accessor — documented to require i < world.blocks.len(), mirroring slice indexing."
+    )]
     pub fn hourly_by_idx(&self, i: usize, hour: u32) -> f64 {
         assert!(hour < 24, "hour {hour} out of range");
         let b = &self.world.blocks[i];

@@ -26,8 +26,8 @@ use vp_obs::{Clock, WallChannel};
 /// flight channel. This is the one place outside `vp-bench` where real
 /// time enters the workspace: it feeds only the stdout timing table and
 /// `--flight` documents' wall channel, never a deterministic artifact —
-/// reports carry sim-time exclusively (lint rule d4 keeps wall-backed
-/// clocks out of library code).
+/// reports carry sim-time exclusively (clippy's wall-clock ban keeps
+/// wall-backed clocks out of library code).
 struct WallClock {
     epoch: std::time::Instant,
 }
@@ -43,8 +43,11 @@ fn usage_error(message: &str) -> ! {
     std::process::exit(2);
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "CLI entry point — args select experiments, scale and output dirs, never a result; the wall clock drives the progress display and wall flight channel only, never a deterministic artifact."
+)]
 fn main() {
-    // vp-lint: allow(d2): CLI entry point — args select experiments, scale and output dirs, never a result.
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (ids, flags) = args.split_at(args.iter().take_while(|a| !a.starts_with("--")).count());
     let all = experiments::all();
@@ -55,7 +58,6 @@ fn main() {
     let mut lab = Lab::parse_args(flags).unwrap_or_else(|e| usage_error(&e));
 
     let clock = Arc::new(WallClock {
-        // vp-lint: allow(d2): wall-clock progress display and wall flight channel only; never reaches a deterministic artifact.
         epoch: std::time::Instant::now(),
     });
     // Scans record wall-time flight intervals through this channel; the

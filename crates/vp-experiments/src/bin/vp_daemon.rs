@@ -30,7 +30,10 @@ fn parse_num(args: &[String], i: usize, flag: &str) -> u64 {
 }
 
 fn main() {
-    // vp-lint: allow(d2): CLI entry point — args select scale/output dir, never a result.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "CLI entry point — args select scale/output dir, never a result."
+    )]
     let args: Vec<String> = std::env::args().collect();
     let mut config = DaemonConfig::new(Scale::Default);
     let mut out: Option<PathBuf> = None;

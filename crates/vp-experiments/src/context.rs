@@ -162,7 +162,7 @@ pub struct Lab {
     /// default) writes nothing.
     pub flight_dir: Option<PathBuf>,
     /// Wall-time flight channel for scans, attached by binaries only
-    /// (library code cannot construct wall clocks — lint rule d4). With
+    /// (library code cannot construct wall clocks — DESIGN.md §8). With
     /// `None`, scans still record the deterministic sim-time channel.
     pub flight_wall: Option<vp_obs::WallChannel>,
     obs_state: RefCell<ObsState>,
@@ -533,7 +533,7 @@ fn write_artifact(dir: &Path, file: &str, text: &str) {
 }
 
 fn write_json_artifact(dir: &Path, file: &str, value: &serde_json::Value) {
-    // vp-lint: allow(h2): serde_json on owned derived data cannot fail.
+    #[expect(clippy::expect_used, reason = "serde_json on owned derived data cannot fail.")]
     write_artifact(dir, file, &serde_json::to_string_pretty(value).expect("serialize"));
 }
 
@@ -589,6 +589,10 @@ mod tests {
     /// committed `results/obs/` goldens — and the state is still drained.
     #[test]
     fn obs_reports_need_an_explicit_output_directory() {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a test's scratch directory; no result depends on where it lives"
+        )]
         let dir = std::env::temp_dir().join(format!("vp-lab-obs-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut lab = Lab::new(Scale::Tiny);

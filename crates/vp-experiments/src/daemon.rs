@@ -14,12 +14,12 @@
 //! * [`Daemon::status_doc`] — the canonical `vp-daemon-status/v1` JSON.
 //! * [`Daemon::scrape`] — the Prometheus text exposition.
 //!
-//! Everything here runs in sim time (lint rule d4 keeps wall clocks out
-//! of library code): the library never sleeps and never reads a clock. Pacing a live
-//! deployment is the `vp_daemon` binary's job, which may sleep between
-//! rounds; tests and golden runs call `run_round` back to back and get a
-//! deterministic N-round run whose status/scrape bytes are pinned under
-//! `results/daemon/`.
+//! Everything here runs in sim time (clippy's wall-clock ban keeps wall
+//! clocks out of library code): the library never sleeps and never reads
+//! a clock. Pacing a live deployment is the `vp_daemon` binary's job,
+//! which may sleep between rounds; tests and golden runs call `run_round`
+//! back to back and get a deterministic N-round run whose status/scrape
+//! bytes are pinned under `results/daemon/`.
 
 use std::collections::BTreeMap;
 

@@ -29,7 +29,7 @@ pub fn run(lab: &Lab) -> String {
 
     // The China contrast the paper highlights in §5.1.
     let world = &scenario.world;
-    // vp-lint: allow(h2): CN is in the static country table.
+    #[expect(clippy::expect_used, reason = "CN is in the static country table.")]
     let (cn, _) = vp_geo::world::country_by_code("CN").expect("CN in table");
     let atlas_cn = atlas
         .outcomes

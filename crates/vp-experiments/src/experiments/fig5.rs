@@ -22,7 +22,7 @@ pub fn sweep_configs() -> Vec<(&'static str, u8, u8)> {
 
 pub fn run(lab: &Lab) -> String {
     let scenario = lab.broot();
-    // vp-lint: allow(h2): the B-Root scenario always defines the LAX site.
+    #[expect(clippy::expect_used, reason = "the B-Root scenario always defines the LAX site.")]
     let lax = scenario.announcement.site_by_name("LAX").expect("LAX").id;
 
     let mut t = TextTable::new([

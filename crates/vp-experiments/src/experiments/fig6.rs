@@ -11,12 +11,11 @@ use crate::experiments::fig5::sweep_configs;
 use verfploeter::predict::hourly_prediction;
 use verfploeter::report::TextTable;
 
+#[expect(clippy::expect_used, reason = "the B-Root scenario always defines the LAX and MIA sites.")]
 pub fn run(lab: &Lab) -> String {
     let scenario = lab.broot();
     let load = lab.load_april();
-    // vp-lint: allow(h2): the B-Root scenario always defines the LAX site.
     let lax = scenario.announcement.site_by_name("LAX").expect("LAX").id;
-    // vp-lint: allow(h2): the B-Root scenario always defines the MIA site.
     let mia = scenario.announcement.site_by_name("MIA").expect("MIA").id;
 
     let mut out = String::from(

@@ -21,8 +21,11 @@ pub mod table7;
 
 use crate::context::Lab;
 
+/// An experiment id and the function that runs it and returns its report.
+pub type Experiment = (&'static str, fn(&Lab) -> String);
+
 /// All experiments in paper order, with their ids.
-pub fn all() -> Vec<(&'static str, fn(&Lab) -> String)> {
+pub fn all() -> Vec<Experiment> {
     vec![
         ("table1_datasets", table1::run as fn(&Lab) -> String),
         ("table2_load_datasets", table2::run),

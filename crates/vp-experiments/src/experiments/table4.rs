@@ -89,7 +89,7 @@ pub fn run(lab: &Lab) -> String {
         pct(r.vp_blocks_responding as f64 / r.vp_blocks_considered as f64),
         pct(r.atlas_overlap_fraction()),
     ));
-    // vp-lint: allow(h2): serde_json on owned derived data cannot fail.
+    #[expect(clippy::expect_used, reason = "serde_json on owned derived data cannot fail.")]
     lab.write_json("table4_coverage", &serde_json::to_value(r).expect("serialize"));
     out
 }

@@ -46,7 +46,7 @@ pub fn run(lab: &Lab) -> String {
     let mut out =
         String::from("Table 5: coverage of Verfploeter from B-Root (datasets SBV-5-15, LB-5-15)\n\n");
     out.push_str(&t.render());
-    // vp-lint: allow(h2): serde_json on owned derived data cannot fail.
+    #[expect(clippy::expect_used, reason = "serde_json on owned derived data cannot fail.")]
     lab.write_json("table5_mappability", &serde_json::to_value(m).expect("serialize"));
     out
 }

@@ -15,7 +15,7 @@ use verfploeter::report::{count, pct, TextTable};
 
 pub fn run(lab: &Lab) -> String {
     let scenario = lab.broot();
-    // vp-lint: allow(h2): the B-Root scenario always defines the LAX site.
+    #[expect(clippy::expect_used, reason = "the B-Root scenario always defines the LAX site.")]
     let lax = scenario.announcement.site_by_name("LAX").expect("LAX").id;
     let may_ann = &scenario.announcement;
     let april_seed = lab.april_policy_seed();

@@ -13,6 +13,8 @@
 //! targets: who wins, by what rough factor, where the crossovers fall.
 
 #![forbid(unsafe_code)]
+// Library code never unwraps (DESIGN.md §8).
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod context;
 pub mod daemon;

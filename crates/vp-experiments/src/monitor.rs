@@ -62,6 +62,10 @@ mod tests {
         let lab = Lab::new(Scale::Tiny);
         let rounds = lab.tangled_rounds();
         let world = &lab.tangled().world;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a test's scratch directory; no result depends on where it lives"
+        )]
         let dir = std::env::temp_dir().join("vp-monitor-snapshot-test");
         let _ = std::fs::remove_dir_all(&dir);
 

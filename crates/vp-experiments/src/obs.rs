@@ -140,8 +140,11 @@ pub fn build_report(experiment: &str, mode: TraceLevel, state: &ObsState) -> Val
 
     // The registry already knows its canonical JSON form; round-trip it
     // through the parser instead of re-encoding metric-by-metric.
+    #[expect(
+        clippy::expect_used,
+        reason = "parsing the registry's own canonical output cannot fail."
+    )]
     let registry: Value =
-        // vp-lint: allow(h2): parsing the registry's own canonical output cannot fail.
         serde_json::from_str(&state.registry.to_canonical_json()).expect("canonical registry json");
     let metrics = match registry {
         Value::Object(mut obj) => obj.remove("metrics").unwrap_or(Value::Array(Vec::new())),

@@ -20,7 +20,8 @@ fn golden_dir() -> PathBuf {
 
 /// A scratch directory for this test process's regenerated artifacts.
 fn scratch_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("vp-golden-{}", std::process::id()));
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("vp-golden-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     dir
 }

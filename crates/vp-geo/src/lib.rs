@@ -16,6 +16,9 @@
 //!   accumulation, the data structure behind every map figure.
 
 #![forbid(unsafe_code)]
+// Library code never panics (DESIGN.md §8).
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::indexing_slicing)]
+#![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 pub mod bins;
 pub mod db;

@@ -13,6 +13,11 @@
 //! responsive, feeding Table 5's "not mappable" row.
 
 #![forbid(unsafe_code)]
+// Library code never panics (DESIGN.md §8).
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::indexing_slicing)]
+#![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+// A hot crate: no narrowing casts (DESIGN.md §8).
+#![warn(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_possible_wrap)]
 
 use serde::Serialize;
 use vp_net::{mix, unit, Block24, Ipv4Addr};
@@ -103,7 +108,7 @@ impl Hitlist {
             .iter()
             .map(|b| entry_for(b.block, b.rep_octet, cfg))
             .collect();
-        debug_assert!(entries.windows(2).all(|w| w[0].block < w[1].block));
+        debug_assert!(entries.is_sorted_by(|a, b| a.block < b.block));
         Hitlist { entries }
     }
 
@@ -117,7 +122,10 @@ impl Hitlist {
     }
 
     /// The `i`-th entry (in block order).
-    // vp-lint: allow(g1): index-by-contract accessor — documented to require i < len(), mirroring slice indexing.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "index-by-contract accessor — documented to require i < len(), mirroring slice indexing."
+    )]
     pub fn entry(&self, i: usize) -> HitlistEntry {
         self.entries[i]
     }
@@ -132,7 +140,7 @@ impl Hitlist {
         self.entries
             .binary_search_by_key(&block, |e| e.block)
             .ok()
-            .map(|i| self.entries[i])
+            .and_then(|i| self.entries.get(i).copied())
     }
 
     /// Partitions the hitlist into `shards` disjoint contiguous index
@@ -166,8 +174,11 @@ impl Hitlist {
     }
 
     /// Serializes to JSON (one array; stable order).
+    #[expect(
+        clippy::expect_used,
+        reason = "serializing owned plain data with derived impls cannot fail."
+    )]
     pub fn to_json(&self) -> String {
-        // vp-lint: allow(h2): serializing owned plain data with derived impls cannot fail.
         serde_json::to_string(&self.entries).expect("hitlist serializes")
     }
 
@@ -221,7 +232,7 @@ mod tests {
         let w = world();
         let hl = Hitlist::from_internet(&w, &HitlistConfig::default());
         assert_eq!(hl.len(), w.blocks.len());
-        let blocks: std::collections::HashSet<Block24> =
+        let blocks: std::collections::BTreeSet<Block24> =
             hl.entries().iter().map(|e| e.block).collect();
         assert_eq!(blocks.len(), hl.len());
         for e in hl.entries() {

@@ -209,7 +209,8 @@ impl Evaluator {
     fn establish_baseline(window: &[u64]) -> u64 {
         let mut sorted = window.to_vec();
         sorted.sort_unstable();
-        sorted[sorted.len() / 2] // vp-lint: allow(g1): observe() only establishes a baseline from a full window.
+        // observe() only establishes a baseline from a full window.
+        sorted.get(sorted.len() / 2).copied().unwrap_or(0)
     }
 
     /// Advances the evaluator by one round. `duration_ns` is the round's

@@ -120,8 +120,7 @@ pub fn diff_rounds(
 /// `CatchmentMap`): [`DriftSummary::merge`] is associative and commutative
 /// with [`DriftSummary::default`] as the identity — counts and per-AS maps
 /// sum, extrema fold by max — so per-window summaries fold in any grouping
-/// to the same totals. Lint rule d3 requires the explicit
-/// `merge-tested(DriftSummary::merge)` marker for this crate.
+/// to the same totals (`tests/proptests.rs` proves it).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DriftSummary {
     /// Round transitions summarized.

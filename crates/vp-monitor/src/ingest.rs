@@ -251,6 +251,10 @@ pub fn load_obs_report(path: &Path) -> Result<ObsReportDoc, String> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the tests' scratch directories; no result depends on where they live"
+)]
 mod tests {
     use super::*;
     use vp_bgp::SiteId;

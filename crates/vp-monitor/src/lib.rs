@@ -20,7 +20,7 @@
 //!    consecutive rounds; window aggregates fold through
 //!    [`diff::DriftSummary::merge`], which obeys the same merge algebra as
 //!    `SimStats`/`Registry` (associative, commutative, empty identity —
-//!    and lint rule d3 holds this crate to the explicit-marker contract).
+//!    proven by a `merge-tested` proptest that `tests/lint_gate.rs` checks).
 //! 3. **Alert evaluator** ([`alert`]) — deterministic threshold +
 //!    hysteresis rules emitting canonical `vp-monitor-alert/v1` JSON.
 //!    No wall clock anywhere: rounds are the only notion of time, so the
@@ -42,6 +42,9 @@
 
 #![deny(unused_must_use)]
 #![forbid(unsafe_code)]
+// Library code never panics (DESIGN.md §8).
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::indexing_slicing)]
+#![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 pub mod alert;
 pub mod diff;

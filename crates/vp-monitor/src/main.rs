@@ -125,17 +125,16 @@ fn parse_diff_args(args: &[String]) -> Result<DiffArgs, String> {
     })
 }
 
+/// What a diff/watch run reads: the rounds, the origins and the per-round
+/// scan durations.
+type Inputs = (
+    Vec<verfploeter::catchment::CatchmentMap>,
+    Option<Origins>,
+    Option<BTreeMap<u32, u64>>,
+);
+
 /// Loads everything a diff/watch run needs.
-fn load_inputs(
-    args: &DiffArgs,
-) -> Result<
-    (
-        Vec<verfploeter::catchment::CatchmentMap>,
-        Option<Origins>,
-        Option<BTreeMap<u32, u64>>,
-    ),
-    String,
-> {
+fn load_inputs(args: &DiffArgs) -> Result<Inputs, String> {
     let rounds = load_rounds_dir(&args.rounds)?;
     let origins = match &args.origins {
         Some(path) => {
@@ -163,8 +162,8 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
     let (rounds, origins, durations) = load_inputs(&args)?;
     let out = run_diff_pipeline(
         &args.source,
-        &rounds,
-        origins.as_ref(),
+        rounds,
+        origins,
         durations.as_ref(),
         &AlertConfig::default(),
     );
@@ -366,7 +365,10 @@ fn cmd_profile(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn main() -> ExitCode {
-    // vp-lint: allow(d2): the CLI reads its own argv; no measurement-path entropy.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the CLI reads its own argv; no measurement-path entropy."
+    )]
     let args: Vec<String> = std::env::args().collect();
     let Some(command) = args.get(1) else {
         return usage();

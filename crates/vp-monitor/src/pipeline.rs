@@ -127,16 +127,16 @@ pub fn build_drift_doc(source: &str, diffs: &[RoundDiff], summary: &DriftSummary
 ///   [`ObsReportDoc::round_durations`](crate::ingest::ObsReportDoc::round_durations).
 pub fn run_diff_pipeline(
     source: &str,
-    rounds: &[CatchmentMap],
-    origins: Option<&Origins>,
+    rounds: impl IntoIterator<Item = CatchmentMap>,
+    origins: Option<Origins>,
     durations: Option<&BTreeMap<u32, u64>>,
     config: &AlertConfig,
 ) -> DiffOutput {
     // The batch outputs never read the rolling windows: minimum width.
-    let mut tracker = DriftTracker::new(config.clone(), 1, origins.cloned());
+    let mut tracker = DriftTracker::new(config.clone(), 1, origins);
     for map in rounds {
         let dur = durations.and_then(|m| m.get(&tracker.next_round()).copied());
-        tracker.observe_round(map.clone(), dur);
+        tracker.observe_round(map, dur);
     }
     DiffOutput {
         diffs: tracker.diffs().to_vec(),
@@ -198,8 +198,8 @@ mod tests {
     #[test]
     fn pipeline_is_deterministic() {
         let rounds = drifting_rounds();
-        let a = run_diff_pipeline("t", &rounds, None, None, &AlertConfig::default());
-        let b = run_diff_pipeline("t", &rounds, None, None, &AlertConfig::default());
+        let a = run_diff_pipeline("t", rounds.clone(), None, None, &AlertConfig::default());
+        let b = run_diff_pipeline("t", rounds, None, None, &AlertConfig::default());
         assert_eq!(
             serde_json::to_string_pretty(&a.drift_doc).ok(),
             serde_json::to_string_pretty(&b.drift_doc).ok()
@@ -212,8 +212,7 @@ mod tests {
 
     #[test]
     fn pipeline_fires_on_sustained_drift() {
-        let rounds = drifting_rounds();
-        let out = run_diff_pipeline("t", &rounds, None, None, &AlertConfig::default());
+        let out = run_diff_pipeline("t", drifting_rounds(), None, None, &AlertConfig::default());
         assert_eq!(out.diffs.len(), 4);
         assert!(
             out.alerts.iter().any(|a| a.rule == "flip-rate"),
@@ -243,8 +242,7 @@ mod tests {
     #[test]
     fn stable_sequence_raises_nothing() {
         let r = map("r", &[(1, 0), (2, 1)]);
-        let rounds = vec![r.clone(), r.clone(), r];
-        let out = run_diff_pipeline("t", &rounds, None, None, &AlertConfig::default());
+        let out = run_diff_pipeline("t", [r.clone(), r.clone(), r], None, None, &AlertConfig::default());
         assert!(out.alerts.is_empty());
         assert!(out.transitions.is_empty());
         assert_eq!(out.summary.flipped, 0);

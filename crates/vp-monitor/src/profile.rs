@@ -8,6 +8,7 @@
 //! wall channel is host timing and varies run to run — the report labels
 //! both accordingly.
 
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -217,7 +218,7 @@ pub fn profile_channel(tl: &FlightTimeline, top_n: usize) -> ChannelProfile {
     };
 
     let mut widest: Vec<FlightSpan> = tl.spans.clone();
-    widest.sort_by(|a, b| b.duration_ns().cmp(&a.duration_ns()));
+    widest.sort_by_key(|s| Reverse(s.duration_ns()));
     widest.truncate(top_n);
 
     ChannelProfile {

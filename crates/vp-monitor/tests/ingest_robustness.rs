@@ -10,6 +10,12 @@
 //! reader may poll is published through `write_atomic`, whose in-flight
 //! temp name no reader's glob matches.
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "a once-built fixture is shared across proptest cases, and a poller thread races a live writer"
+)]
+
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
@@ -24,7 +30,8 @@ use vp_net::{Asn, Block24};
 
 /// A scratch directory of this test's own (tests run on parallel threads).
 fn scratch(test: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("vp-monitor-{test}-{}", std::process::id()));
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("vp-monitor-{test}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     dir
 }

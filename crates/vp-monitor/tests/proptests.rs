@@ -62,7 +62,7 @@ fn rounds_strategy() -> impl Strategy<Value = Vec<CatchmentMap>> {
     })
 }
 
-// vp-lint: merge-tested(DriftSummary::merge)
+// merge-tested(DriftSummary::merge)
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

@@ -73,7 +73,7 @@ impl FromStr for Ipv4Addr {
         if parts.next().is_some() {
             return Err(NetError::AddrParse(s.to_owned()));
         }
-        Ok(Ipv4Addr::new(octets[0], octets[1], octets[2], octets[3])) // vp-lint: allow(g1): constant indices into a fixed [u8; 4].
+        Ok(Ipv4Addr::new(octets[0], octets[1], octets[2], octets[3]))
     }
 }
 
@@ -193,7 +193,7 @@ impl Prefix {
     }
 
     /// The prefix length in bits.
-    pub const fn len(self) -> u8 {
+    pub const fn prefix_len(self) -> u8 {
         self.len
     }
 

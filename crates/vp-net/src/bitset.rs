@@ -39,23 +39,35 @@ impl BitSet {
     ///
     /// # Panics
     /// Panics if `id >= len()`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "id < len was asserted, and words is sized to ceil(len/64)."
+    )]
     pub fn set(&mut self, id: usize) {
         assert!(id < self.len, "bit {id} out of range (len {})", self.len);
-        self.words[id / 64] |= 1u64 << (id % 64); // vp-lint: allow(g1): id < len was asserted, and words is sized to ceil(len/64).
+        self.words[id / 64] |= 1u64 << (id % 64);
     }
 
     /// Clears bit `id`.
     ///
     /// # Panics
     /// Panics if `id >= len()`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "id < len was asserted, and words is sized to ceil(len/64)."
+    )]
     pub fn clear(&mut self, id: usize) {
         assert!(id < self.len, "bit {id} out of range (len {})", self.len);
-        self.words[id / 64] &= !(1u64 << (id % 64)); // vp-lint: allow(g1): id < len was asserted, and words is sized to ceil(len/64).
+        self.words[id / 64] &= !(1u64 << (id % 64));
     }
 
     /// Whether bit `id` is set; ids at or past `len()` read as unset.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "id < len short-circuits, and words is sized to ceil(len/64)."
+    )]
     pub fn get(&self, id: usize) -> bool {
-        id < self.len && (self.words[id / 64] >> (id % 64)) & 1 == 1 // vp-lint: allow(g1): id < len short-circuits, and words is sized to ceil(len/64).
+        id < self.len && (self.words[id / 64] >> (id % 64)) & 1 == 1
     }
 
     /// Number of set bits.
@@ -85,7 +97,6 @@ impl BitSet {
     ///
     /// # Panics
     /// Panics if the two sets have different lengths.
-    // vp-lint: merge-tested(BitSet::merge, suite=columnar_equivalence)
     pub fn merge(&mut self, other: &BitSet) {
         assert_eq!(self.len, other.len, "bitset length mismatch in merge");
         for (w, o) in self.words.iter_mut().zip(&other.words) {

@@ -125,7 +125,6 @@ impl<V: Copy> BlockColumn<V> {
     /// block, like a map insert. Over disjoint inputs — the per-shard
     /// tables of one partitioned scan — the merge is associative and
     /// order-insensitive, so any shard merge order yields the same table.
-    // vp-lint: merge-tested(BlockColumn::merge, suite=columnar_equivalence)
     pub fn merge(&mut self, other: &BlockColumn<V>) {
         if other.is_empty() {
             return;
@@ -152,7 +151,10 @@ impl<V: Copy> BlockColumn<V> {
 /// is linear in the rows, and its only memory is one exact-size second
 /// copy of the columns. A byte that every block shares costs one counting
 /// pass and no move.
-// vp-lint: allow(g1): a digit is below 256, and the prefix sums place each of the n rows in its own slot below n.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "a digit is below 256, and the prefix sums place each of the n rows in its own slot below n."
+)]
 fn sort_by_block<V: Copy>(blocks: &mut Vec<Block24>, values: &mut Vec<V>) {
     let mut moved_blocks = blocks.clone();
     let mut moved_values = values.clone();

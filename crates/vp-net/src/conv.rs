@@ -1,11 +1,12 @@
 //! Checked numeric conversions.
 //!
-//! The workspace policy (enforced by `vp-lint` rule H1) is that hot-path
-//! crates never narrow with a bare `as` cast: a truncating cast silently
-//! changes a value, and a silently changed value is exactly the kind of bug
-//! that breaks the bit-identical determinism contract without failing a
-//! test. Every narrowing conversion instead goes through one of the helpers
-//! below, each of which states its loss behaviour in its name.
+//! The workspace policy (clippy's cast lints, stated at each hot crate's
+//! root) is that hot-path crates never narrow with a bare `as` cast: a
+//! truncating cast silently changes a value, and a silently changed value
+//! is exactly the kind of bug that breaks the bit-identical determinism
+//! contract without failing a test. Every narrowing conversion instead goes
+//! through one of the helpers below, each of which states its loss
+//! behaviour in its name.
 //!
 //! * [`index`] — `u32` → `usize`, proven lossless at compile time. The `/24`
 //!   universe and every per-round counter fit in `u32`, and all supported

@@ -161,11 +161,11 @@ impl ProbeOrder for LcgPermutation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     fn assert_bijection(p: &dyn ProbeOrder) {
         let n = p.len();
-        let seen: HashSet<u64> = (0..n).map(|i| p.permute(i)).collect();
+        let seen: BTreeSet<u64> = (0..n).map(|i| p.permute(i)).collect();
         assert_eq!(seen.len() as u64, n, "not a bijection for n={n}");
         assert!(seen.iter().all(|&x| x < n), "output out of domain");
     }
@@ -226,7 +226,7 @@ mod tests {
     #[test]
     fn order_iterator_covers_domain() {
         let p = FeistelPermutation::new(513, 9);
-        let all: HashSet<u64> = p.order().collect();
+        let all: BTreeSet<u64> = p.order().collect();
         assert_eq!(all.len(), 513);
     }
 

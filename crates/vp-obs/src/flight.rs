@@ -16,9 +16,10 @@
 //!   produce byte-identical timelines (asserted by the
 //!   `sharded_equivalence` suite via [`FlightTimeline::to_canonical_json`]).
 //! * The **wall channel** is optional host timing a *binary* may attach
-//!   through a [`WallChannel`] (lint rule d4 keeps wall-backed clocks out
-//!   of library code). It is explicitly OUTSIDE the determinism contract:
-//!   two runs, or two shard counts, legitimately differ.
+//!   through a [`WallChannel`] (clippy's wall-clock ban keeps wall-backed
+//!   clocks out of library code). It is explicitly OUTSIDE the
+//!   determinism contract: two runs, or two shard counts, legitimately
+//!   differ.
 //!
 //! A [`FlightTimeline`] is the detached, mergeable snapshot ([`merge`]
 //! obeys the usual algebra: associative, commutative, empty identity,
@@ -263,7 +264,7 @@ impl FlightTimeline {
 
 /// A thread-shareable wall-clock handle a *binary* attaches to carry the
 /// optional wall-time flight channel through a scan. Library code never
-/// constructs a wall-backed clock (lint rule d4); it only forwards this
+/// constructs a wall-backed clock; it only forwards this
 /// handle, so everything the library records on the wall channel is
 /// explicitly outside the determinism contract.
 #[derive(Clone)]
@@ -280,7 +281,7 @@ impl WallChannel {
 /// Forwarding impl so a `WallChannel` can drive a [`FlightRecorder`] or
 /// the executor's shard timing directly. This is not a wall-time *read*
 /// — the backing clock was built by a binary; this file never touches
-/// `Instant`/`SystemTime` (rule d4).
+/// `Instant`/`SystemTime`.
 impl Clock for WallChannel {
     fn now_nanos(&self) -> u64 {
         self.clock.now_nanos()
@@ -417,10 +418,10 @@ mod tests {
         assert_eq!(tl.spans[1].shard, Some(3));
     }
 
-    /// Satisfies lint rule d3 for `FlightTimeline::merge`: the fold is
-    /// associative, commutative, has the empty timeline as identity, and
-    /// lands per-shard timelines back in shard-id order whatever the fold
-    /// order was.
+    /// The fold is associative, commutative, has the empty timeline as
+    /// identity, and lands per-shard timelines back in shard-id order
+    /// whatever the fold order was.
+    // merge-tested(FlightTimeline::merge)
     #[test]
     fn flight_timeline_merge_is_associative_commutative_with_identity() {
         let a = FlightTimeline::from_spans(vec![span("a", Some(2), 5, 9)], 1);
@@ -487,6 +488,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a test clock ticks atomically behind the Sync bound of a wall channel"
+    )]
     fn wall_channel_forwards_its_clock() {
         use std::sync::atomic::{AtomicU64, Ordering};
         struct TickClock(AtomicU64);

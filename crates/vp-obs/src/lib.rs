@@ -11,7 +11,7 @@
 //!    byte-identical to the serial scan's, for every K.
 //! 2. **One recorder, injected clock.** [`FlightRecorder`] is the only
 //!    recorder driven by a [`Clock`], and only binaries and `vp-bench`
-//!    may implement one over wall time (lint rule d4; it reaches library
+//!    may implement one over wall time (DESIGN.md §8; it reaches library
 //!    code as a forwarded [`WallChannel`]), where it can only affect
 //!    stdout, bench artifacts and the wall flight channel, never results. Sim-time enters as plain values: [`TraceSummary`] and the
 //!    sim flight channel are built from instants the caller already holds.
@@ -22,6 +22,9 @@
 
 #![deny(unused_must_use)]
 #![forbid(unsafe_code)]
+// Library code never panics (DESIGN.md §8).
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::indexing_slicing)]
+#![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 pub mod flight;
 pub mod metrics;

@@ -60,8 +60,7 @@ pub struct Histogram {
 
 impl Histogram {
     pub fn new(bounds: Vec<u64>) -> Histogram {
-        // vp-lint: allow(g1): windows(2) yields exactly-two-element slices.
-        debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]), "bounds not sorted");
+        debug_assert!(bounds.is_sorted_by(|a, b| a < b), "bounds not sorted");
         let buckets = vec![0; bounds.len() + 1];
         Histogram {
             bounds,
@@ -86,9 +85,13 @@ impl Histogram {
         Histogram::new(bounds)
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "partition_point returns at most bounds.len() and buckets is sized bounds.len() + 1."
+    )]
     pub fn observe(&mut self, value: u64) {
         let idx = self.bounds.partition_point(|&b| b < value);
-        self.buckets[idx] += 1; // vp-lint: allow(g1): partition_point returns at most bounds.len() and buckets is sized bounds.len() + 1.
+        self.buckets[idx] += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
         self.min = self.min.min(value);
@@ -178,10 +181,9 @@ impl Histogram {
             if target <= last_rank {
                 // Samples in bucket i are assumed evenly spread across the
                 // bucket's value range; clamp to what was actually seen.
-                let lower = if i == 0 {
-                    self.min()
-                } else {
-                    self.bounds[i - 1].clamp(self.min(), self.max)
+                let lower = match i.checked_sub(1).and_then(|j| self.bounds.get(j)) {
+                    Some(&bound) => bound.clamp(self.min(), self.max),
+                    None => self.min(),
                 };
                 let upper = self
                     .bounds
@@ -261,7 +263,10 @@ impl Registry {
         self.metrics.iter()
     }
 
-    // vp-lint: allow(g1): a name registered as two metric kinds is a programmer error at a static call site; kind-mismatch panics are the registry's documented contract.
+    #[expect(
+        clippy::panic,
+        reason = "a name registered as two metric kinds is a programmer error at a static call site; kind-mismatch panics are the registry's documented contract."
+    )]
     pub fn counter_add(&mut self, name: &str, labels: &[(&str, &str)], n: u64) {
         let key = MetricKey::new(name, labels);
         match self
@@ -274,7 +279,10 @@ impl Registry {
         }
     }
 
-    // vp-lint: allow(g1): a name registered as two metric kinds is a programmer error at a static call site; kind-mismatch panics are the registry's documented contract.
+    #[expect(
+        clippy::panic,
+        reason = "a name registered as two metric kinds is a programmer error at a static call site; kind-mismatch panics are the registry's documented contract."
+    )]
     pub fn gauge_add(&mut self, name: &str, labels: &[(&str, &str)], delta: i64) {
         let key = MetricKey::new(name, labels);
         match self.metrics.entry(key).or_insert(Metric::Gauge(Gauge(0))) {
@@ -285,7 +293,10 @@ impl Registry {
 
     /// Observes `value` into the named histogram, creating it with
     /// `bounds` on first use. Later calls must pass the same bounds.
-    // vp-lint: allow(g1): a name registered as two metric kinds is a programmer error at a static call site; kind-mismatch panics are the registry's documented contract.
+    #[expect(
+        clippy::panic,
+        reason = "a name registered as two metric kinds is a programmer error at a static call site; kind-mismatch panics are the registry's documented contract."
+    )]
     pub fn histogram_observe(
         &mut self,
         name: &str,
@@ -341,7 +352,10 @@ impl Registry {
     /// and commutative, with the empty registry as identity — the same
     /// contract as `SimStats::merge`, so per-shard registries fold in any
     /// grouping to the same result.
-    // vp-lint: allow(g1): kind-mismatch panics are the registry's documented contract, same as the typed accessors.
+    #[expect(
+        clippy::panic,
+        reason = "kind-mismatch panics are the registry's documented contract, same as the typed accessors."
+    )]
     pub fn merge(&mut self, other: &Registry) {
         for (key, metric) in &other.metrics {
             match self.metrics.get_mut(key) {

@@ -6,13 +6,13 @@
 //! [`TraceSummary::record_span`] and stamps each [`Event`] itself — which
 //! is what keeps summaries, and the reports built from them, bit-identical
 //! across runs. The one clock-driven recorder is
-//! [`crate::FlightRecorder`]; wall-backed [`Clock`] impls are confined by
-//! lint rule d4 to binaries and `vp-bench`.
+//! [`crate::FlightRecorder`]; wall-backed [`Clock`] impls live in
+//! binaries, the only code that may read a wall clock (DESIGN.md §8).
 
 use std::collections::BTreeMap;
 
 /// A monotone nanosecond clock. Implementations decide *which*
-/// nanoseconds; the wall-backed ones live in binaries only (rule d4).
+/// nanoseconds; the wall-backed ones live in binaries only.
 pub trait Clock {
     fn now_nanos(&self) -> u64;
 }

@@ -63,8 +63,8 @@ fn summary_strategy() -> impl Strategy<Value = TraceSummary> {
 }
 
 // Merge algebra for the metrics registry and its histogram buckets.
-// vp-lint: merge-tested(Registry::merge)
-// vp-lint: merge-tested(Histogram::merge)
+// merge-tested(Registry::merge)
+// merge-tested(Histogram::merge)
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -149,7 +149,7 @@ proptest! {
 }
 
 // Merge algebra for trace summaries (span aggregates + sorted events).
-// vp-lint: merge-tested(TraceSummary::merge)
+// merge-tested(TraceSummary::merge)
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -206,7 +206,7 @@ fn window_strategy(width: usize) -> impl Strategy<Value = RollingWindow> {
 }
 
 // Merge algebra for the rolling round windows the streaming monitor uses.
-// vp-lint: merge-tested(RollingWindow::merge)
+// merge-tested(RollingWindow::merge)
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

@@ -47,6 +47,7 @@ pub fn finish(sum: u32) -> u16 {
     !fold(sum)
 }
 
+#[expect(clippy::indexing_slicing, reason = "chunks_exact(2) yields two-byte chunks.")]
 fn sum_words(data: &[u8]) -> u32 {
     let mut sum: u32 = 0;
     let mut chunks = data.chunks_exact(2);

@@ -9,6 +9,8 @@
 //! wire numbers themselves; every other record is carried opaquely, so
 //! `parse` is total over well-formed input and `emit` gives it back.
 
+use std::str::FromStr;
+
 use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::error::PacketError;
@@ -43,12 +45,14 @@ pub struct DnsName {
     labels: Vec<String>,
 }
 
-impl DnsName {
+impl FromStr for DnsName {
+    type Err = PacketError;
+
     /// Parses a presentation-format name like `"hostname.bind"`.
     ///
     /// Empty string and `"."` mean the root. Labels are validated for
     /// length; content is taken as-is (no IDNA).
-    pub fn from_str(s: &str) -> Result<Self, PacketError> {
+    fn from_str(s: &str) -> Result<Self, PacketError> {
         if s.is_empty() || s == "." {
             return Ok(DnsName::default());
         }
@@ -70,7 +74,9 @@ impl DnsName {
         }
         Ok(DnsName { labels })
     }
+}
 
+impl DnsName {
     /// Wire-format encoding (uncompressed).
     fn emit(&self, buf: &mut BytesMut) {
         for label in &self.labels {
@@ -327,12 +333,12 @@ pub struct DnsMessage {
 impl DnsMessage {
     /// Builds the classic anycast site-identification query:
     /// `hostname.bind TXT CH`, optionally requesting NSID via EDNS0.
+    #[expect(clippy::expect_used, reason = "parsing a static, well-formed name literal.")]
     pub fn hostname_bind_query(id: u16, with_nsid: bool) -> DnsMessage {
         let mut msg = DnsMessage {
             id,
             flags: DnsFlags::default(),
             questions: vec![DnsQuestion {
-                // vp-lint: allow(h2): parsing a static, well-formed name literal.
                 name: DnsName::from_str("hostname.bind").expect("static name is valid"),
                 qtype: TYPE_TXT,
                 qclass: CLASS_CHAOS,

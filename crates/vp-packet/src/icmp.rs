@@ -78,6 +78,10 @@ impl IcmpMessage {
     }
 
     /// Serializes to wire bytes with a correct ICMP checksum.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the 8 fixed header bytes were written just above."
+    )]
     pub fn emit(&self) -> Bytes {
         let (ty, code, a, b, body): (u8, u8, u16, u16, &Bytes) = match self {
             IcmpMessage::EchoRequest {
@@ -102,7 +106,7 @@ impl IcmpMessage {
         out.put_u16(b);
         out.extend_from_slice(body);
         let ck = checksum::internet_checksum(&out);
-        out[2..4].copy_from_slice(&ck.to_be_bytes()); // vp-lint: allow(g1): the 8 fixed header bytes were written just above.
+        out[2..4].copy_from_slice(&ck.to_be_bytes());
         out.freeze()
     }
 

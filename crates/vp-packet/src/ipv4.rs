@@ -65,6 +65,10 @@ impl Ipv4Packet {
     }
 
     /// Serializes to wire bytes with a correct header checksum.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "buf holds the 20 fixed header bytes written just above; HEADER_LEN is their length."
+    )]
     pub fn emit(&self) -> Bytes {
         let total_len = HEADER_LEN + self.payload.len();
         assert!(total_len <= u16::MAX as usize, "payload too large for IPv4");
@@ -79,15 +83,18 @@ impl Ipv4Packet {
         buf.put_u16(0); // checksum placeholder
         buf.put_u32(self.src.0);
         buf.put_u32(self.dst.0);
-        let ck = checksum::internet_checksum(&buf[..HEADER_LEN]); // vp-lint: allow(g1): the 20 header bytes were written just above; HEADER_LEN is their length.
-        buf[10..12].copy_from_slice(&ck.to_be_bytes()); // vp-lint: allow(g1): buf holds the 20 fixed header bytes written just above.
+        let ck = checksum::internet_checksum(&buf[..HEADER_LEN]);
+        buf[10..12].copy_from_slice(&ck.to_be_bytes());
         buf.extend_from_slice(&self.payload);
         buf.freeze()
     }
 
     /// Parses wire bytes, validating version, header length, total length
     /// and the header checksum.
-    // vp-lint: allow(g1): every index reads inside the HEADER_LEN prefix (or the validated ihl range) whose presence the guards above it establish.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "every index reads inside the HEADER_LEN prefix (or the validated ihl range) whose presence the guards above it establish."
+    )]
     pub fn parse(data: &[u8]) -> Result<Ipv4Packet, PacketError> {
         if data.len() < HEADER_LEN {
             return Err(PacketError::Truncated {

@@ -16,6 +16,9 @@
 //! can cross the collector's channels.
 
 #![forbid(unsafe_code)]
+// Library code never panics (DESIGN.md §8).
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::indexing_slicing)]
+#![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 pub mod checksum;
 pub mod dns;

@@ -27,6 +27,10 @@ impl UdpDatagram {
 
     /// Serializes with the UDP checksum computed over the IPv4 pseudo-header
     /// (hence the address arguments).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "buf begins with the 8 fixed header bytes written just above."
+    )]
     pub fn emit(&self, src: Ipv4Addr, dst: Ipv4Addr) -> Bytes {
         let len = HEADER_LEN + self.payload.len();
         assert!(len <= u16::MAX as usize, "payload too large for UDP");
@@ -41,12 +45,15 @@ impl UdpDatagram {
         if ck == 0 {
             ck = 0xffff; // RFC 768: transmitted zero means "no checksum"
         }
-        buf[6..8].copy_from_slice(&ck.to_be_bytes()); // vp-lint: allow(g1): buf begins with the 8 fixed header bytes written just above.
+        buf[6..8].copy_from_slice(&ck.to_be_bytes());
         buf.freeze()
     }
 
     /// Parses and validates length and (unless zero) checksum.
-    // vp-lint: allow(g1): every index is inside the HEADER_LEN prefix or the validated len range; chunk reads come from chunks_exact(2).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "every index is inside the HEADER_LEN prefix or the validated len range; chunk reads come from chunks_exact(2)."
+    )]
     pub fn parse(data: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> Result<UdpDatagram, PacketError> {
         if data.len() < HEADER_LEN {
             return Err(PacketError::Truncated {

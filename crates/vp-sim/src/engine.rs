@@ -104,10 +104,13 @@ pub trait CaptureSink {
 struct CaptureLog(Vec<Vec<SiteCapture>>);
 
 impl CaptureSink for CaptureLog {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "one log per service is pushed at registration, where handles are minted."
+    )]
     fn capture(&mut self, service: ServiceHandle, site: SiteId, at: SimTime, packet: &Ipv4Packet) {
-        // One log per service is pushed at registration, where handles
-        // are minted. Only `run` callers (Atlas, tests) log packets; a
-        // scan sinks captures into its cleaner instead.
+        // Only `run` callers (Atlas, tests) log packets; a scan sinks
+        // captures into its cleaner instead.
         self.0[service.0].push(SiteCapture {
             site,
             at,
@@ -473,13 +476,13 @@ impl<'w> NetworkSim<'w> {
     ///
     /// # Panics
     /// Panics if `faults` fails validation.
+    #[expect(clippy::expect_used, reason = "documented `# Panics` contract of this constructor.")]
     pub fn new_shard(
         world: &'w Internet,
         faults: FaultConfig,
         seed: u64,
         shard_index: u64,
     ) -> Self {
-        // vp-lint: allow(h2): documented `# Panics` contract of this constructor.
         faults.validate().expect("invalid fault config");
         let latency = LatencyModel::default();
         NetworkSim {
@@ -706,7 +709,10 @@ impl<'w> NetworkSim<'w> {
     /// could be the first — no arrival at or before `at + base`, the
     /// soonest any delay allows, has been noted yet — and otherwise the
     /// transmission is parked for the end of the run to decide.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the staged probe leg hands over its resolved endpoints, hash and reply image so none is recomputed"
+    )]
     fn transmit(
         &mut self,
         at: SimTime,
@@ -837,7 +843,10 @@ impl<'w> NetworkSim<'w> {
         }
     }
 
-    // vp-lint: allow(g1): service/site/pop ids are minted by the world and services this engine owns.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "service/site/pop ids are minted by the world and services this engine owns."
+    )]
     fn site_location(&self, service: usize, site: SiteId) -> (f64, f64) {
         let s = &self.services[service].announcement.sites[site.index()];
         let pop = &self.world.graph.pops[s.pop.index()];
@@ -994,7 +1003,10 @@ impl<'w> NetworkSim<'w> {
         }
     }
 
-    // vp-lint: allow(g1): service and site ids come from this engine's own service table; per-site counters are resized before indexing.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "service and site ids come from this engine's own service table; per-site counters are resized before indexing."
+    )]
     fn arrive_at_site<C: CaptureSink>(
         &mut self,
         service: usize,
@@ -1163,6 +1175,10 @@ impl<'w> NetworkSim<'w> {
 
     /// Packets captured at the sites of a service by [`NetworkSim::run`],
     /// in arrival order.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "ServiceHandles are minted by register_service, which pushes the matching log."
+    )]
     pub fn captures(&self, handle: ServiceHandle) -> &[SiteCapture] {
         // ServiceHandles are minted by register_service, which pushes the
         // matching log.
@@ -1249,6 +1265,11 @@ fn packet_key(packet: &Ipv4Packet, fnv: u64) -> u64 {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::disallowed_types,
+    reason = "test fixtures cast small counts into packet fields, and an atomic counts oracle calls behind its Sync bound"
+)]
 mod tests {
     use super::*;
     use crate::oracle::StaticOracle;

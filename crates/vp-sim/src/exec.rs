@@ -1,15 +1,15 @@
 //! The blessed OS-thread shard executor.
 //!
 //! This module is the **only** place in the workspace where a concurrency
-//! primitive may be named: `vp-lint` rule c5 fires on threads, locks,
-//! condvars, channels, atomics, `static mut` and `thread_local!` anywhere
-//! else in library code. What crosses this module's boundary is held by
-//! rustc, not by analysis: a shard job is `Fn(usize) -> T + Sync` with
-//! `T: Send`, so a closure that captures unsynchronised shared state does
-//! not compile (see the `compile_fail` example on
-//! [`ShardExecutor::run_sharded`]), and every library crate carries
-//! `#![forbid(unsafe_code)]`, so the bound cannot be argued away. See
-//! DESIGN.md §14 for the full contract.
+//! primitive may be named: `clippy.toml` bans threads, locks, condvars,
+//! channels and atomics everywhere, and this module alone expects the ban
+//! (`static mut` needs `unsafe`, which every crate forbids). What crosses
+//! this module's boundary is held by rustc, not by analysis: a shard job
+//! is `Fn(usize) -> T + Sync` with `T: Send`, so a closure that captures
+//! unsynchronised shared state does not compile (see the `compile_fail`
+//! example on [`ShardExecutor::run_sharded`]), and every library crate
+//! carries `#![forbid(unsafe_code)]`, so the bound cannot be argued away.
+//! See DESIGN.md §14 for the full contract.
 //!
 //! The executor's shape is the arrival-order-proof one: each shard `k`
 //! delivers its result through its **own** channel, and the barrier
@@ -18,13 +18,19 @@
 //! there is no shared channel whose message order could leak thread
 //! scheduling into the result.
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the blessed executor: the one module that spawns threads and owns their channels"
+)]
+
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 
 use vp_obs::Clock;
 
 /// Wall-channel marks for one shard's trip through the executor, read
 /// from a caller-supplied [`Clock`] (the executor itself never touches a
-/// wall clock — lint rule d4). The three derived intervals:
+/// wall clock). The three derived intervals:
 ///
 /// * queue wait  = `started_ns - queued_ns` (job waited for a worker),
 /// * compute     = `finished_ns - started_ns` (the job itself),
@@ -45,6 +51,10 @@ pub struct ShardTiming {
     /// When the barrier received the result (shard-id order).
     pub merged_ns: u64,
 }
+
+/// What a worker sends the barrier: a shard's result and its start and
+/// finish marks.
+type Delivery<T> = (T, u64, u64);
 
 /// A bounded pool of OS worker threads that runs one job per shard and
 /// returns the results **indexed by shard id**, never by arrival order.
@@ -139,6 +149,11 @@ impl ShardExecutor {
     /// [`ShardTiming`] per shard comes back in shard-id order. The clock
     /// is read outside the result path, so attaching one cannot perturb
     /// the §7 bit-equivalence contract.
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::expect_used,
+        reason = "k % workers is always below workers, the length of batches; a shard worker panic must propagate at the barrier, not be swallowed."
+    )]
     pub fn run_sharded_timed<T, F>(
         &self,
         shards: usize,
@@ -174,8 +189,8 @@ impl ShardExecutor {
             return (results, timings);
         }
 
-        let mut senders: Vec<SyncSender<(T, u64, u64)>> = Vec::with_capacity(shards);
-        let mut receivers: Vec<Receiver<(T, u64, u64)>> = Vec::with_capacity(shards);
+        let mut senders: Vec<SyncSender<Delivery<T>>> = Vec::with_capacity(shards);
+        let mut receivers: Vec<Receiver<Delivery<T>>> = Vec::with_capacity(shards);
         for _ in 0..shards {
             // Buffer of one: a worker finishing a shard never blocks on
             // the barrier having reached that shard yet.
@@ -185,10 +200,10 @@ impl ShardExecutor {
         }
 
         // Move each shard's sender into the worker that owns the shard.
-        let mut batches: Vec<Vec<(usize, SyncSender<(T, u64, u64)>)>> =
+        let mut batches: Vec<Vec<(usize, SyncSender<Delivery<T>>)>> =
             (0..workers).map(|_| Vec::new()).collect();
         for (k, tx) in senders.into_iter().enumerate() {
-            batches[k % workers].push((k, tx)); // vp-lint: allow(g1): k % workers is always below workers, the length of batches.
+            batches[k % workers].push((k, tx));
         }
 
         // All jobs are queued before any worker is spawned.
@@ -213,7 +228,6 @@ impl ShardExecutor {
             for (k, rx) in receivers.iter().enumerate() {
                 let (result, started_ns, finished_ns) = rx
                     .recv()
-                    // vp-lint: allow(h2): a shard worker panic must propagate at the barrier, not be swallowed.
                     .expect("shard worker panicked before delivering");
                 results.push(result);
                 if clock.is_some() {
@@ -263,7 +277,7 @@ mod tests {
     #[test]
     fn zero_shards_yields_empty() {
         let exec = ShardExecutor::new(4);
-        let out: Vec<u32> = exec.run_sharded(0, |_| unreachable!("no shards to run"));
+        let out: Vec<u32> = exec.run_sharded(0, |_| panic!("no shards to run"));
         assert!(out.is_empty());
     }
 
@@ -305,8 +319,7 @@ mod tests {
         assert_eq!(ShardExecutor::host_parallel(1).workers(), 1);
     }
 
-    /// A monotone atomic test clock (tests are exempt from lint rule d2;
-    /// no wall clock is involved anyway).
+    /// A monotone atomic test clock (no wall clock is involved).
     struct TickClock(std::sync::atomic::AtomicU64);
 
     impl Clock for TickClock {

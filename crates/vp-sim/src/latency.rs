@@ -97,7 +97,7 @@ mod tests {
         }
         .delay((0.0, 0.0), (10.0, 10.0), 42);
         assert!(a >= no_jitter);
-        let max = SimDuration(no_jitter.0 + ((no_jitter.0 - m.base.0) as f64 * 0.25) as u64 + 1);
+        let max = SimDuration(no_jitter.0 + (no_jitter.0 - m.base.0) / 4 + 1);
         assert!(a <= max, "jitter exceeds bound: {a} > {max}");
     }
 

@@ -30,6 +30,11 @@
 
 #![deny(unused_must_use)]
 #![forbid(unsafe_code)]
+// Library code never panics (DESIGN.md §8).
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::indexing_slicing)]
+#![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+// A hot crate: no narrowing casts (DESIGN.md §8).
+#![warn(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_possible_wrap)]
 
 pub mod engine;
 pub mod exec;

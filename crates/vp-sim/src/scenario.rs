@@ -19,7 +19,6 @@ pub struct Scenario {
 
 impl Scenario {
     /// The two-site B-Root deployment (LAX + MIA) on a fresh world.
-    // vp-lint: allow(g1): the built-in broot_specs carry valid country codes, so pick_host_ases' documented panic cannot fire.
     pub fn broot(cfg: TopologyConfig, policy_seed: u64) -> Scenario {
         let world = Internet::generate(cfg);
         let announcement = Announcement::from_placements(&pick_host_ases(&world, &broot_specs()), 0);
@@ -35,7 +34,6 @@ impl Scenario {
     /// Reproduces the testbed quirk of §4.2 — the Tokyo site "does not
     /// attract much traffic since announcements from other sites are almost
     /// always preferred" — by announcing HND with permanent prepending.
-    // vp-lint: allow(g1): the built-in tangled_specs carry valid country codes, so pick_host_ases' documented panic cannot fire.
     pub fn tangled(cfg: TopologyConfig, policy_seed: u64) -> Scenario {
         let world = Internet::generate(cfg);
         let mut announcement =
@@ -77,24 +75,27 @@ impl Scenario {
 
     /// A paper-shaped flip model over this scenario's routing.
     pub fn flip_model(&self, seed: u64, table: &RoutingTable) -> FlipModel {
-        let mut blocks_per_as = vec![0u32; self.world.graph.len()];
-        for b in &self.world.blocks {
-            blocks_per_as[b.origin.index()] += 1; // vp-lint: allow(g1): block origins are ASes of the same world; the vec is sized to it.
-        }
-        FlipModel::paper_default(seed, table, &blocks_per_as)
+        FlipModel::paper_default(seed, table, &self.blocks_per_as())
     }
 
     /// Count of populated blocks per AS (used by analyses and flip models).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "block origins are ASes of the same world; the vec is sized to it."
+    )]
     pub fn blocks_per_as(&self) -> Vec<u32> {
         let mut counts = vec![0u32; self.world.graph.len()];
         for b in &self.world.blocks {
-            counts[b.origin.index()] += 1; // vp-lint: allow(g1): block origins are ASes of the same world; the vec is sized to it.
+            counts[b.origin.index()] += 1;
         }
         counts
     }
 
     /// The host AS of a named site. Panics on unknown name.
-    // vp-lint: allow(g1): documented contract — experiment code addresses testbed sites by their fixed names; an unknown name is a bug, not a runtime condition.
+    #[expect(
+        clippy::panic,
+        reason = "documented contract — experiment code addresses testbed sites by their fixed names; an unknown name is a bug, not a runtime condition."
+    )]
     pub fn host_of(&self, site_name: &str) -> Asn {
         self.announcement
             .site_by_name(site_name)

@@ -345,7 +345,7 @@ fn service_registration_order_is_stable() {
 }
 
 // Merge algebra for the per-shard statistics counters.
-// vp-lint: merge-tested(SimStats::merge)
+// merge-tested(SimStats::merge)
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

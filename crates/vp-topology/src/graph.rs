@@ -68,7 +68,10 @@ pub struct AsGraph {
 
 impl AsGraph {
     /// The node for `asn`. Panics on out-of-range ASN (ASNs are dense).
-    // vp-lint: allow(g1): documented contract — ASNs are dense indices minted with the graph; out-of-range must fail loudly.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented contract — ASNs are dense indices minted with the graph; out-of-range must fail loudly."
+    )]
     pub fn node(&self, asn: Asn) -> &AsNode {
         &self.ases[asn.index()]
     }
@@ -108,6 +111,11 @@ impl AsGraph {
     }
 
     /// Generates the graph. Deterministic in `rng`.
+    #[expect(
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        reason = "the country table is a static constant with positive weights that holds every backbone code; each draw is below the length of the list it indexes"
+    )]
     pub fn generate<R: Rng>(cfg: &TopologyConfig, rng: &mut R) -> AsGraph {
         assert!(cfg.num_tier1 >= 2, "need at least two tier-1 ASes");
         assert!(
@@ -116,7 +124,6 @@ impl AsGraph {
         );
         let world = countries();
         let user_weights: Vec<f64> = world.iter().map(|c| c.user_weight).collect();
-        // vp-lint: allow(h2): the country table is a static constant with positive weights.
         let country_dist = WeightedIndex::new(&user_weights).expect("non-empty country table");
 
         // Tier-1s live where the big backbones are.
@@ -125,7 +132,6 @@ impl AsGraph {
             (0..cfg.num_tier1)
                 .map(|i| {
                     let code = backbone[i % backbone.len()];
-                    // vp-lint: allow(h2): every code above exists in the static country table.
                     vp_geo::world::country_by_code(code).expect("backbone country").0
                 })
                 .collect()
@@ -134,8 +140,8 @@ impl AsGraph {
         let num_transit = ((cfg.num_ases - cfg.num_tier1) as f64 * cfg.transit_fraction) as usize;
         let mut ases: Vec<AsNode> = Vec::with_capacity(cfg.num_ases);
         for i in 0..cfg.num_ases {
-            let (tier, country) = if i < cfg.num_tier1 {
-                (AsTier::Tier1, tier1_homes[i])
+            let (tier, country) = if let Some(&home) = tier1_homes.get(i) {
+                (AsTier::Tier1, home)
             } else if i < cfg.num_tier1 + num_transit {
                 (AsTier::Transit, CountryId(country_dist.sample(rng) as u16))
             } else {
@@ -242,14 +248,14 @@ impl AsGraph {
         // occasionally directly from tier-1s.
         let transit_by_continent: BTreeMap<Continent, Vec<usize>> = {
             let mut m: BTreeMap<Continent, Vec<usize>> = BTreeMap::new();
-            for i in transit_range.clone() {
-                m.entry(ases[i].country.get().continent).or_default().push(i);
+            for (i, node) in ases.iter().enumerate().take(transit_range.end).skip(transit_range.start) {
+                m.entry(node.country.get().continent).or_default().push(i);
             }
             m
         };
-        for i in cfg.num_tier1 + num_transit..cfg.num_ases {
+        for (i, node) in ases.iter().enumerate().skip(transit_range.end) {
             let n_prov = sample_provider_count(cfg.mean_providers, rng);
-            let cont = ases[i].country.get().continent;
+            let cont = node.country.get().continent;
             for _ in 0..n_prov {
                 let upstream = if rng.gen_bool(0.08) || num_transit == 0 {
                     rng.gen_range(t1_range.clone())
@@ -654,7 +660,7 @@ mod tests {
     fn tier1_pops_span_continents() {
         let g = gen(9);
         for a in g.ases.iter().filter(|a| a.tier == AsTier::Tier1) {
-            let continents: std::collections::HashSet<_> = a
+            let continents: std::collections::BTreeSet<_> = a
                 .pops
                 .iter()
                 .map(|p| g.pops[p.index()].country.get().continent)

@@ -33,6 +33,7 @@ pub struct Internet {
 
 impl Internet {
     /// Generates a world from the configuration (deterministic in the seed).
+    #[expect(clippy::indexing_slicing, reason = "prefix origins are AS ids drawn from this graph.")]
     pub fn generate(config: TopologyConfig) -> Internet {
         let mut rng = Pcg64::seed_from_u64(config.seed);
         let graph = AsGraph::generate(&config, &mut rng);
@@ -41,7 +42,6 @@ impl Internet {
 
         let mut prefixes_per_as = vec![0u32; graph.len()];
         for info in &prefixes {
-            // vp-lint: allow(g1): prefix origins are AS ids drawn from this graph.
             prefixes_per_as[info.origin.index()] += 1;
         }
         let one_row_per_block =
@@ -84,8 +84,12 @@ impl Internet {
     }
 
     /// Number of prefixes announced by `asn`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "prefixes_per_as is sized to the AS count of the world that minted asn."
+    )]
     pub fn announced_prefixes(&self, asn: Asn) -> u32 {
-        self.prefixes_per_as[asn.index()] // vp-lint: allow(g1): prefixes_per_as is sized to the AS count of the world that minted asn.
+        self.prefixes_per_as[asn.index()]
     }
 
     /// Iterator over blocks whose representative address answers pings.
@@ -125,7 +129,7 @@ mod tests {
                 .prefixes
                 .iter()
                 .filter(|p| p.prefix.contains(b.block.addr(1)))
-                .max_by_key(|p| p.prefix.len())
+                .max_by_key(|p| p.prefix.prefix_len())
                 .unwrap();
             assert_eq!(covering.origin, b.origin);
         }

@@ -24,6 +24,9 @@
 //! Everything is deterministic in the [`TopologyConfig::seed`].
 
 #![forbid(unsafe_code)]
+// Library code never panics (DESIGN.md §8).
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::indexing_slicing)]
+#![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 pub mod blocks;
 pub mod config;

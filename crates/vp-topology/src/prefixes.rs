@@ -54,6 +54,11 @@ const LENGTH_WEIGHTS: &[(u8, f64)] = &[
 /// Returns the prefix table in allocation order. The *number of populated
 /// blocks* is bounded elsewhere; this function bounds the total address
 /// space to stay below [`ANYCAST_REGION`].
+#[expect(
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    reason = "LENGTH_WEIGHTS is a static table of positive weights and every length drawn from the static tables is <= 24; i enumerates `desired`, one slot per AS, and each table draw is below its table's length"
+)]
 pub fn allocate_prefixes<R: Rng>(
     graph: &AsGraph,
     cfg: &TopologyConfig,
@@ -61,7 +66,6 @@ pub fn allocate_prefixes<R: Rng>(
 ) -> Vec<PrefixInfo> {
     let lens: Vec<u8> = LENGTH_WEIGHTS.iter().map(|(l, _)| *l).collect();
     let len_dist = WeightedIndex::new(LENGTH_WEIGHTS.iter().map(|(_, w)| *w))
-        // vp-lint: allow(h2): LENGTH_WEIGHTS is a static table of positive weights.
         .expect("static weights are valid");
 
     // Desired prefix counts per AS: Pareto-tailed, scaled by tier.
@@ -101,13 +105,12 @@ pub fn allocate_prefixes<R: Rng>(
             };
             let size: u64 = 1 << (24 - len.min(24)) as u64;
             // Align the cursor to the prefix size.
-            let aligned = (cursor + size - 1) / size * size;
+            let aligned = cursor.div_ceil(size) * size;
             if aligned + size > limit {
                 break 'alloc; // address space exhausted
             }
             cursor = aligned + size;
             let prefix = Prefix::new(Ipv4Addr((aligned as u32) << 8), len)
-                // vp-lint: allow(h2): len comes from the static tables above, all <= 24.
                 .expect("generated length is valid");
             out.push(PrefixInfo {
                 prefix,
@@ -241,8 +244,8 @@ mod tests {
     fn length_mix_covers_short_and_long() {
         let (graph, cfg, mut rng) = setup(7);
         let prefixes = allocate_prefixes(&graph, &cfg, &mut rng);
-        let lens: std::collections::HashSet<u8> =
-            prefixes.iter().map(|p| p.prefix.len()).collect();
+        let lens: std::collections::BTreeSet<u8> =
+            prefixes.iter().map(|p| p.prefix.prefix_len()).collect();
         assert!(lens.iter().any(|&l| l <= 16), "no short prefixes: {lens:?}");
         assert!(lens.contains(&22) || lens.contains(&23) || lens.contains(&24));
     }

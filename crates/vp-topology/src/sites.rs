@@ -31,6 +31,11 @@ pub struct SitePlacement {
 /// # Panics
 /// Panics if the world has fewer distinct candidate ASes than sites, or an
 /// unknown country code is given.
+#[expect(
+    clippy::panic,
+    clippy::indexing_slicing,
+    reason = "documented `# Panics` contract; every index is a dense ASN or PoP id of this world, and d is sized to its AS count"
+)]
 pub fn pick_host_ases(world: &Internet, specs: &[(&str, &str)]) -> Vec<SitePlacement> {
     let mut used: Vec<Asn> = Vec::new();
     let mut out = Vec::new();
@@ -177,7 +182,7 @@ mod tests {
         let w = world();
         let sites = pick_host_ases(&w, &tangled_specs());
         assert_eq!(sites.len(), 9);
-        let asns: std::collections::HashSet<Asn> = sites.iter().map(|s| s.host_asn).collect();
+        let asns: std::collections::BTreeSet<Asn> = sites.iter().map(|s| s.host_asn).collect();
         assert_eq!(asns.len(), 9, "host ASes must be distinct");
     }
 

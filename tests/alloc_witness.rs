@@ -26,6 +26,11 @@
 //! entries alike, and the origins sidecar allocates no more often than
 //! building its map by insertion would.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "a counting global allocator keeps atomic counters, and its tests take turns on one lock"
+)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -263,7 +268,8 @@ const LOAD_BYTES_PER_ENTRY: u64 = 16;
 #[test]
 fn snapshot_ingest_allocates_logarithmically_and_holds_text_plus_columns() {
     let _alone = alone();
-    let dir = std::env::temp_dir().join(format!("vp-alloc-witness-{}", std::process::id()));
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("vp-alloc-witness-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create witness dir");
     for entries in [30_000u64, 300_000] {
         let map = synthetic_round(entries as usize, 0);

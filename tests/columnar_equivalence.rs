@@ -166,7 +166,8 @@ proptest! {
     /// Arbitrary merge sequences over agreeing parts: fold order and part
     /// boundaries never change the result, and the engines stay in
     /// lockstep after every step.
-    // vp-lint: merge-tested(CatchmentMap::merge)
+    // merge-tested(CatchmentMap::merge)
+    // merge-tested(BlockColumn::merge)
     #[test]
     fn merge_sequences_agree(
         parts in proptest::collection::vec(
@@ -226,7 +227,7 @@ proptest! {
     /// `RttTable` against the historical `BTreeMap<Block24, SimDuration>`:
     /// construction, lookup, iteration and merge sequences agree exactly
     /// (the fixed-point packing is lossless for in-cutoff RTTs).
-    // vp-lint: merge-tested(RttTable::merge)
+    // merge-tested(RttTable::merge)
     #[test]
     fn rtt_table_matches_btree_model(
         parts in proptest::collection::vec(
@@ -260,7 +261,7 @@ proptest! {
 
     /// `BitSet::merge` is set union, proven against a `BTreeSet` model,
     /// and commutative.
-    // vp-lint: merge-tested(BitSet::merge)
+    // merge-tested(BitSet::merge)
     #[test]
     fn bitset_merge_is_union(
         a_ids in proptest::collection::vec(0usize..500, 0..100),
@@ -581,7 +582,7 @@ fn measured_round_matches_tree_bytes() {
     );
     let tree = BTreeCatchment::from_pairs(&serial.catchments.name, serial.catchments.iter());
     assert_eq!(serial.catchments.to_json(), tree.to_json());
-    assert!(serial.catchments.len() > 0);
+    assert!(!serial.catchments.is_empty());
 
     for shards in [1usize, 2, 7, 16] {
         for (mode, exec) in [

@@ -131,8 +131,8 @@ fn daemon_stream_equals_offline_batch_pipeline() {
         .collect();
     let batch = run_diff_pipeline(
         daemon.meta().source.as_str(),
-        &rounds[..config.rounds as usize],
-        Some(&origins),
+        rounds.iter().take(config.rounds as usize).cloned(),
+        Some(origins),
         None, // batch has no scan durations; diffs don't carry them
         &config.alert,
     );

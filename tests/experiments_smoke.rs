@@ -16,10 +16,13 @@ fn every_experiment_runs_and_reports() {
     }
 }
 
+/// An experiment, its runner and lines its report must contain.
+type Expectation = (&'static str, fn(&Lab) -> String, &'static [&'static str]);
+
 #[test]
 fn reports_contain_their_key_lines() {
     let lab = Lab::new(Scale::Tiny);
-    let expectations: &[(&str, fn(&Lab) -> String, &[&str])] = &[
+    let expectations: &[Expectation] = &[
         (
             "table1",
             experiments::table1::run,
@@ -85,7 +88,8 @@ fn reports_contain_their_key_lines() {
 
 #[test]
 fn json_artifacts_are_written_when_out_dir_set() {
-    let dir = std::env::temp_dir().join(format!("vp-exp-{}", std::process::id()));
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("vp-exp-{}", std::process::id()));
     let mut lab = Lab::new(Scale::Tiny);
     lab.out_dir = Some(dir.clone());
     experiments::table4::run(&lab);

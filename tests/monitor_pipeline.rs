@@ -22,7 +22,7 @@ const SOURCE: &str = "fig9_stability/tiny";
 fn fig9_replay_is_deterministic_and_matches_goldens() {
     let lab = Lab::new(Scale::Tiny);
     let rounds = lab.tangled_rounds();
-    let dir = std::env::temp_dir().join("vp-monitor-pipeline-test");
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("vp-monitor-pipeline-test");
     let _ = std::fs::remove_dir_all(&dir);
     write_round_snapshots(&dir, &rounds, &lab.tangled().world).expect("write snapshots");
 
@@ -31,8 +31,8 @@ fn fig9_replay_is_deterministic_and_matches_goldens() {
     let _ = std::fs::remove_dir_all(&dir);
 
     let config = AlertConfig::default();
-    let first = run_diff_pipeline(SOURCE, &reloaded, Some(&origins), None, &config);
-    let second = run_diff_pipeline(SOURCE, &reloaded, Some(&origins), None, &config);
+    let first = run_diff_pipeline(SOURCE, reloaded.clone(), Some(origins.clone()), None, &config);
+    let second = run_diff_pipeline(SOURCE, reloaded, Some(origins), None, &config);
 
     // Byte-identical across runs: the pipeline has no hidden state.
     let drift = serde_json::to_string_pretty(&first.drift_doc).expect("drift json");

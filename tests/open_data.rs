@@ -31,7 +31,8 @@ fn released_dataset_reproduces_the_analysis() {
     );
 
     // "Release" the dataset to disk and reload it.
-    let dir = std::env::temp_dir().join(format!("vp-data-{}", std::process::id()));
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("vp-data-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let catchment_path = dir.join("SBV-RELEASE.json");
     let hitlist_path = dir.join("hitlist.json");
