@@ -7,10 +7,10 @@
 //! that custom program, as a view rather than a copy: the simulator hands
 //! every site arrival, tagged with site and time, to a
 //! [`vp_sim::CaptureSink`]; the sink here parses it into a [`RawReply`]
-//! and forwards it straight into the central §4 [`Cleaner`]. Arrivals are
-//! dispatched in simulated-time order, so the central stream is the
-//! time-ordered merge of the per-site streams by construction — no
-//! per-site log, no re-sort.
+//! and forwards it straight into the central §4 [`Cleaner`]. Arrivals come
+//! in transmission order, each with its identity key; §4 cleaning is a
+//! per-target reduction that keeps the least `(at, key)`, so it needs no
+//! time order — no per-site log, no merge, no re-sort.
 
 use vp_bgp::SiteId;
 use vp_net::{Ipv4Addr, SimTime};
@@ -50,11 +50,11 @@ pub fn parse_capture(site: SiteId, at: SimTime, packet: &Ipv4Packet) -> Option<R
 }
 
 /// The central point as the engine's capture sink: each site arrival is
-/// parsed once, as it is dispatched, and cleaned incrementally.
+/// parsed once, as it is handed over, and cleaned incrementally.
 impl CaptureSink for Cleaner<'_> {
-    fn capture(&mut self, _service: ServiceHandle, site: SiteId, at: SimTime, packet: &Ipv4Packet) {
+    fn capture(&mut self, _service: ServiceHandle, site: SiteId, at: SimTime, key: u64, packet: &Ipv4Packet) {
         if let Some(reply) = parse_capture(site, at, packet) {
-            self.push(&reply);
+            self.push(&reply, key);
         }
     }
 }
@@ -111,7 +111,7 @@ mod tests {
     }
 
     /// The sink is `parse_capture` then `Cleaner::push`: captures from
-    /// several sites, fed in arrival order, clean exactly like the
+    /// several sites, keyed by arrival position, clean exactly like the
     /// materialized stream of their parsed replies — and traffic the
     /// capture filter drops never reaches the cleaner's counters.
     #[test]
@@ -138,10 +138,10 @@ mod tests {
 
         let cutoff = SimDuration::from_mins(15);
         let mut sink = Cleaner::new(&hl, 7, SimTime::ZERO, cutoff);
-        for (site, at, packet) in &captures {
-            sink.capture(ServiceHandle(0), *site, *at, packet);
+        for (key, (site, at, packet)) in (0u64..).zip(&captures) {
+            sink.capture(ServiceHandle(0), *site, *at, key, packet);
         }
-        sink.capture(ServiceHandle(0), SiteId(0), SimTime(50), &request);
+        sink.capture(ServiceHandle(0), SiteId(0), SimTime(50), 4, &request);
         let (kept, stats) = sink.finish();
 
         let replies: Vec<RawReply> = captures

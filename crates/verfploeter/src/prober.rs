@@ -49,8 +49,8 @@ impl Default for ProbeConfig {
 
 /// The probe schedule as an iterator of `(hitlist index, send time)`:
 /// every index exactly once, in Feistel-permuted order, paced by a token
-/// bucket — send times are non-decreasing, which is what lets the engine
-/// merge the schedule lazily with its in-flight events. O(1) memory: the
+/// bucket — send times are non-decreasing, which keeps the engine's
+/// parked arrivals to one delay window. O(1) memory: the
 /// schedule is a pure function of `(n, order_seed, rate, start)`. Built
 /// by [`Prober::schedule`].
 #[derive(Debug)]

@@ -2,11 +2,11 @@
 //!
 //! There is one round function, parameterised by its shard count K;
 //! [`run_scan`] is K=1 on the inline executor. Every engine is driven
-//! through [`NetworkSim::run_with`]: the paced schedule is merged lazily
-//! into the event loop one probe batch at a time, and every site capture
-//! is parsed and cleaned as it is dispatched, so an engine's working set
-//! is its in-flight window plus the kept observations — never the
-//! schedule or the raw reply stream.
+//! through [`NetworkSim::run_with`]: the paced schedule is pulled one
+//! probe batch at a time, every arrival resolves as its packet is
+//! transmitted, and every site capture is parsed and cleaned as it is
+//! handed over, so an engine's working set is one batch plus the kept
+//! observations — never the schedule or the raw reply stream.
 
 use vp_bgp::Announcement;
 use vp_hitlist::Hitlist;
@@ -101,13 +101,6 @@ pub struct ScanObs {
     /// Probes assigned per shard, in shard order (length 1 at K=1).
     /// Feeds the shard-balance section of run reports.
     pub shard_probes: Vec<u64>,
-    /// Event-queue high-water mark per engine, in shard order: the most
-    /// events queued at once ([`NetworkSim::queue_high_water`]). The
-    /// lazy-merge run loop keeps it at the in-flight window of the paced
-    /// schedule — replies in flight, several hundred whatever the hitlist
-    /// size, and zero for a round nobody answers. Shard-layout data like
-    /// `shard_probes`, so outside the registry.
-    pub queue_high_water: Vec<u64>,
     /// Sim-time flight timeline for the round (DESIGN.md §9): phase
     /// intervals derived from shard-invariant sim-time marks, so it is
     /// **inside** the §7 contract — byte-identical for every K (asserted
@@ -149,7 +142,7 @@ fn sim_flight(started: SimTime, last_probe: SimTime, sim_end: SimTime) -> vp_obs
         // sim-time both occupy [start, last probe].
         FlightSpan::new("scan.schedule_walk", "probe", None, t0, tp),
         FlightSpan::new("scan.probe_build", "probe", None, t0, tp),
-        // The simulator then drains in-flight traffic until the last event.
+        // Arrivals go on after the last probe leaves, up to the last one.
         FlightSpan::new("scan.sim_dispatch", "sim", None, tp, te),
         // Cleaning and catchment building run after the simulation: zero
         // sim-time width at the round's end mark.
@@ -238,13 +231,12 @@ impl ScanResult {
         self.cleaning.merge(&next.cleaning);
         self.sim_stats.merge(&next.sim_stats);
         self.probes_sent += next.probes_sent;
-        // The union of the shard event streams is the K=1 event stream, so
-        // the max final clock is the K=1 engine's final clock; pacing is
+        // The union of the shard arrivals is the K=1 engine's, so the max
+        // final clock is the K=1 engine's final clock; pacing is
         // monotone, so the max last send is the schedule's last.
         self.obs.sim_end = self.obs.sim_end.max(next.obs.sim_end);
         self.last_probe = self.last_probe.max(next.last_probe);
         self.obs.shard_probes.extend(next.obs.shard_probes);
-        self.obs.queue_high_water.extend(next.obs.queue_high_water);
         self.obs.registry.merge(&next.obs.registry);
         self.obs.trace.merge(&next.obs.trace);
         self.obs.wall_flight.merge(&next.obs.wall_flight);
@@ -352,10 +344,10 @@ impl<'a> PhaseSpans<'a> {
     }
 }
 
-/// The pull-style probe source [`NetworkSim::run_with`] merges into its
-/// event loop: walks `schedule` one [`PROBE_BATCH`] at a time, building
-/// each batch's packets **and their precomputed reply images** through
-/// the allocation-amortized [`Prober::build_probes_with_replies`] (two
+/// The pull-style probe source [`NetworkSim::run_with`] transmits: walks
+/// `schedule` one [`PROBE_BATCH`] at a time, building each batch's
+/// packets **and their precomputed reply images** through the
+/// allocation-amortized [`Prober::build_probes_with_replies`] (two
 /// shared wire buffers, one checksum sum per message), and yields them in
 /// schedule order. Only one batch of probes exists at any moment; the
 /// engine pulls a stage of them (an eighth of a batch) at a time, ahead
@@ -466,9 +458,9 @@ impl Round<'_> {
 
     /// Runs one engine over `schedule` — the probes of hitlist
     /// indices `range`, as `(hitlist index, send time)` in global walk
-    /// order — feeding the event loop lazily and cleaning every site
-    /// capture as it is dispatched (neither the schedule nor the reply
-    /// stream is ever materialized), then folds the kept observations
+    /// order — feeding the engine a batch at a time and cleaning every
+    /// site capture as it is handed over (neither the schedule nor the
+    /// reply stream is ever materialized), then folds the kept observations
     /// into a catchment map and RTT table. Returns the engine's share of
     /// the round: the result over `range`, still to be folded with the
     /// other shares and closed by [`finish_obs`]. Wall intervals go to
@@ -547,7 +539,6 @@ impl Round<'_> {
                 trace,
                 sim_end: sim.now(),
                 shard_probes: vec![probes as u64],
-                queue_high_water: vec![sim.queue_high_water() as u64],
                 // Stamped by `finish_obs` once the shares are folded.
                 flight: Default::default(),
                 wall_flight: wall_rec.map(|r| r.drain()).unwrap_or_default(),
@@ -579,7 +570,7 @@ impl Round<'_> {
 ///   queue-wait / compute / barrier-wait marks become `shard.*` intervals.
 ///
 /// Probe *packets* are materialized only inside the owning engine, one
-/// batch at a time, as its event loop pulls them.
+/// batch at a time, as its run loop pulls them.
 #[expect(
     clippy::too_many_arguments,
     clippy::indexing_slicing,
@@ -977,12 +968,49 @@ mod tests {
         }
     }
 
-    /// A probe's arrival is never queued (the responder answers as the
-    /// probe is sent), so a round nobody answers queues nothing at all —
-    /// and still counts every arrival as an engine event and ends at the
-    /// last of them, past the last transmission.
+    /// An announcement with no sites has nowhere to send from: at every
+    /// K, inline and threaded, each probe is undeliverable (or lost), and
+    /// the round is an empty map with consistent cleaning counters.
     #[test]
-    fn an_all_silent_round_queues_nothing_and_ends_at_its_last_arrival() {
+    fn a_siteless_announcement_scans_to_an_empty_map() {
+        let s = Scenario {
+            world: Internet::generate(TopologyConfig::tiny(5)),
+            announcement: Announcement::from_placements(&[], 0),
+            policy_seed: 7,
+        };
+        let hl = Hitlist::from_internet(&s.world, &HitlistConfig::default());
+        let table = s.routing();
+        for faults in [FaultConfig::none(), FaultConfig::default()] {
+            for shards in [1, 2] {
+                for exec in [ShardExecutor::serial(), ShardExecutor::new(shards)] {
+                    let result = run_scan_sharded_on(
+                        &exec,
+                        &s.world,
+                        &hl,
+                        &s.announcement,
+                        &|| Box::new(StaticOracle::new(table.clone())),
+                        faults.clone(),
+                        SimTime::ZERO,
+                        &ScanConfig::default(),
+                        1,
+                        shards,
+                    );
+                    let label = format!("K={shards} on {} worker(s), loss {}", exec.workers(), faults.loss);
+                    let stats = &result.sim_stats;
+                    assert_eq!(result.probes_sent, hl.len() as u64, "{label}");
+                    assert_eq!(stats.undeliverable + stats.lost, stats.injected + stats.unsolicited, "{label}");
+                    assert_eq!(stats.delivered_to_hosts + stats.delivered_to_sites, 0, "{label}");
+                    assert!(result.catchments.is_empty() && result.rtts.is_empty(), "{label}");
+                    assert!(result.cleaning.is_consistent() && result.cleaning.total == 0, "{label}");
+                }
+            }
+        }
+    }
+
+    /// A round nobody answers still counts every arrival as an engine
+    /// event and ends at the last of them, past the last transmission.
+    #[test]
+    fn an_all_silent_round_ends_at_its_last_arrival() {
         let silent = silent_world();
         let exact = HitlistConfig {
             wrong_addr_prob: 0.0,
@@ -1006,7 +1034,6 @@ mod tests {
             );
             let (probes, stats) = (result.probes_sent, &result.sim_stats);
             assert_eq!(probes, hl.len() as u64);
-            assert_eq!(result.obs.queue_high_water, [0]);
             assert_eq!(stats.delivered_to_hosts, probes - stats.lost - stats.undeliverable);
             let events = result.obs.registry.counter_value("engine.events", &[]);
             assert_eq!(events, stats.delivered_to_hosts);
@@ -1227,7 +1254,6 @@ mod tests {
             assert_results_identical(&serial, &sharded);
             // Shard bookkeeping: every probe is owned by exactly one shard.
             assert_eq!(sharded.obs.shard_probes.len(), shards);
-            assert_eq!(sharded.obs.queue_high_water.len(), shards);
             assert_eq!(
                 sharded.obs.shard_probes.iter().sum::<u64>(),
                 sharded.probes_sent
@@ -1236,9 +1262,6 @@ mod tests {
             assert_eq!(sharded.obs.trace.spans["engine.run"].count, shards as u64);
         }
         assert_eq!(serial.obs.shard_probes, vec![serial.probes_sent]);
-        // The queue held the in-flight window, never the whole schedule.
-        let high_water = serial.obs.queue_high_water[0];
-        assert!(0 < high_water && high_water < serial.probes_sent, "{high_water}");
     }
 
     /// The registry carries the round's headline numbers, consistent with
@@ -1286,7 +1309,7 @@ mod tests {
         // The RTT histogram saw every mapped block once.
         let hist = result.obs.registry.histogram("scan.rtt_ns", &[]);
         assert_eq!(hist.map(|h| h.count()), Some(result.rtts.len() as u64));
-        // The engine ran and profiled its event loop in sim-time.
+        // The engine ran and profiled its run in sim-time.
         assert!(reg.counter_value("engine.events", &[]) > 0);
         let span = result.obs.trace.spans.get("engine.run");
         assert!(span.is_some_and(|agg| agg.count == 1 && agg.total_nanos > 0));

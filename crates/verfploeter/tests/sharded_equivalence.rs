@@ -322,7 +322,7 @@ fn wall_channel_is_outside_the_contract() {
     }
 }
 
-/// Under the lazy-merge run loop the schedule refills and the dispatch
+/// Within one engine run the schedule refills and the dispatch
 /// stretches interleave, one refill per probe batch. The wall channel
 /// records them as disjoint, non-nesting intervals under the phase names,
 /// so per-name sums still tile `scan.round`: on a 10^5-block round — K=1

@@ -121,8 +121,8 @@ fn bench_collector(c: &mut Criterion) {
     g.bench_function("sink_40k_4sites", |b| {
         b.iter(|| {
             let mut sink = Cleaner::new(&hl, 1, SimTime::ZERO, SimDuration::from_mins(15));
-            for (site, at, packet) in &captures {
-                sink.capture(ServiceHandle(0), *site, *at, packet);
+            for (key, (site, at, packet)) in (0u64..).zip(&captures) {
+                sink.capture(ServiceHandle(0), *site, *at, key, packet);
             }
             black_box(sink.finish().1.total)
         })

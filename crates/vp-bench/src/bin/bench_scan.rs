@@ -3,10 +3,8 @@
 //! Runs the benchmark scan serially and at K ∈ {2, 4, 8} shards at one or
 //! more hitlist scales (`--targets 15000,100000`), folds the per-rep wall
 //! times into a [`vp_obs::Histogram`] (the same type the run reports use)
-//! and prints median/p90/min/max per (targets, K, threaded) row — with the
-//! row's event-queue high-water mark, the largest over its shards: the
-//! replies in flight at once, which is what sizes a shard's heap — then
-//! the process's peak RSS. Sharded counts run twice: once on the inline
+//! and prints median/p90/min/max per (targets, K, threaded) row, then the
+//! process's peak RSS. Sharded counts run twice: once on the inline
 //! executor (the pure sharding overhead) and once on OS threads via the
 //! blessed [`ShardExecutor`] (workers = min(K, 8)). Every rep also
 //! cross-checks that the sharded catchment map and metrics registry stay
@@ -261,7 +259,6 @@ fn main() {
             let modes: &[bool] = if shards == 1 { &[false] } else { &[false, true] };
             for &threaded in modes {
                 let mut hist = Histogram::new(wall_time_buckets());
-                let mut queue_high_water = 0;
                 for rep in 0..reps {
                     let (result, wall) = scan_once(&s, &hl, shards, threaded, 0xbe9c);
                     assert!(
@@ -276,8 +273,6 @@ fn main() {
                          metrics registry diverged from serial"
                     );
                     hist.observe(wall);
-                    let deepest = result.obs.queue_high_water.iter().copied().max();
-                    queue_high_water = queue_high_water.max(deepest.unwrap_or(0));
                 }
                 let median = hist.quantile_interpolated(0.5);
                 let p90 = hist.quantile_interpolated(0.9);
@@ -285,8 +280,7 @@ fn main() {
                     serial_ns_per_probe.push((targets, median as f64 / targets as f64));
                 }
                 println!(
-                    "    K={shards}{}: median {:.1}ms  p90 {:.1}ms  (min {:.1}ms, max {:.1}ms)  \
-                     queue high-water {queue_high_water}",
+                    "    K={shards}{}: median {:.1}ms  p90 {:.1}ms  (min {:.1}ms, max {:.1}ms)",
                     if threaded { " threaded" } else { "" },
                     median as f64 / 1e6,
                     p90 as f64 / 1e6,

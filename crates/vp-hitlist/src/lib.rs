@@ -184,8 +184,9 @@ impl Hitlist {
 
     /// Reloads a hitlist written by [`Hitlist::to_json`], walking the text
     /// row by row: each row needs a `block` and a `target` that fit `u32`;
-    /// unknown members are skipped and rows may come in any order.
-    pub fn from_json(s: &str) -> Result<Hitlist, serde_json::Error> {
+    /// unknown members are skipped and rows may come in any order, but no
+    /// two may name the same block — a hitlist is one target per /24.
+    pub fn from_json(s: &str) -> Result<Hitlist, HitlistError> {
         let mut reader = serde_json::Reader::new(s);
         let mut entries = Vec::new();
         reader.begin_array()?;
@@ -200,7 +201,7 @@ impl Hitlist {
                 }
             }
             let (Some(block), Some(target)) = (block, target) else {
-                return Err(reader.error("hitlist row needs block and target"));
+                return Err(reader.error("hitlist row needs block and target").into());
             };
             entries.push(HitlistEntry {
                 block: Block24(block),
@@ -209,7 +210,37 @@ impl Hitlist {
         }
         reader.end()?;
         entries.sort_by_key(|e| e.block);
+        let mut pairs = entries.iter().zip(entries.iter().skip(1));
+        if let Some((repeated, _)) = pairs.find(|(a, b)| a.block == b.block) {
+            return Err(HitlistError::RepeatedBlock(repeated.block));
+        }
         Ok(Hitlist { entries })
+    }
+}
+
+/// Why [`Hitlist::from_json`] refused a document.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum HitlistError {
+    /// The text is not a well-formed hitlist document.
+    Json(serde_json::Error),
+    /// Two rows name this block.
+    RepeatedBlock(Block24),
+}
+
+impl std::fmt::Display for HitlistError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            HitlistError::Json(e) => write!(f, "{e}"),
+            HitlistError::RepeatedBlock(block) => write!(f, "block {block} is listed twice"),
+        }
+    }
+}
+
+impl std::error::Error for HitlistError {}
+
+impl From<serde_json::Error> for HitlistError {
+    fn from(e: serde_json::Error) -> Self {
+        HitlistError::Json(e)
     }
 }
 
@@ -296,8 +327,29 @@ mod tests {
         );
         assert_eq!(Hitlist::from_json(&loose).unwrap().entries(), &[e]);
         for text in [r#"[{"block": 1}]"#, r#"[{"block": 1, "target": 4294967296}]"#, "[] x", "{}"] {
-            assert!(Hitlist::from_json(text).is_err(), "{text}");
+            assert!(matches!(Hitlist::from_json(text), Err(HitlistError::Json(_))), "{text}");
         }
+    }
+
+    /// One target per /24: a document that lists a block twice — with the
+    /// same target or another, next to each other or not — is refused,
+    /// naming the block, instead of scanning it twice.
+    #[test]
+    fn a_repeated_block_is_refused() {
+        let w = world();
+        let hl = Hitlist::from_internet(&w, &HitlistConfig::default());
+        let (a, b) = (hl.entry(0), hl.entry(1));
+        let elsewhere = HitlistEntry {
+            target: Ipv4Addr(a.target.0 ^ 1),
+            ..a
+        };
+        for rows in [vec![a, a], vec![a, b, elsewhere], vec![b, a, b]] {
+            let text = serde_json::to_string(&rows).unwrap();
+            let repeated = if rows.last() == Some(&b) { b.block } else { a.block };
+            assert_eq!(Hitlist::from_json(&text), Err(HitlistError::RepeatedBlock(repeated)), "{text}");
+        }
+        let refused = Hitlist::from_json(&serde_json::to_string(&[a, a]).unwrap()).unwrap_err();
+        assert_eq!(refused.to_string(), format!("block {} is listed twice", a.block));
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! The discrete-event engine: packet delivery, host behaviours, captures.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use rand::SeedableRng;
 use rand_pcg::Pcg64;
@@ -50,6 +49,9 @@ pub fn derive_shard_seed(round_seed: u64, shard_index: u64) -> u64 {
 pub struct SiteCapture {
     pub site: SiteId,
     pub at: SimTime,
+    /// The transmission's identity hash: `(at, key)` is the capture's
+    /// place in arrival order.
+    pub key: u64,
     pub packet: Ipv4Packet,
 }
 
@@ -58,16 +60,18 @@ pub struct SiteCapture {
 #[derive(Debug, Clone)]
 pub struct HostDelivery {
     pub at: SimTime,
+    /// As [`SiteCapture::key`].
+    pub key: u64,
     pub packet: Ipv4Packet,
 }
 
-/// One entry of a time-sorted probe source merged lazily into the event
-/// loop by [`NetworkSim::run_with`]: when to send what, plus the probe's
-/// precomputed echo-reply wire image (built batched by the prober
-/// alongside the probe itself). If the probe reaches a responsive host,
-/// the responder — which runs as the probe is transmitted, so the image
-/// is consumed there and never queued — answers with `reply_image`
-/// instead of serializing a fresh reply. The image is asserted (in debug
+/// One entry of the time-sorted probe source [`NetworkSim::run_with`]
+/// transmits: when to send what, plus the probe's precomputed echo-reply
+/// wire image (built batched by the prober alongside the probe itself).
+/// If the probe reaches a responsive host, the responder — which runs as
+/// the probe is transmitted, so the image is consumed there and never
+/// stored — answers with `reply_image` instead of serializing a fresh
+/// reply. The image is asserted (in debug
 /// builds) byte-identical to the parse → reply → emit chain it replaces,
 /// so routing, fault draws and captures cannot tell the difference; the
 /// only observable change is zero per-reply allocations (the witness
@@ -89,17 +93,18 @@ pub struct TimedProbe {
 }
 
 /// Receives every packet a site collector captures, tagged with site and
-/// arrival time, at the moment the event loop dispatches it — the paper's
-/// "forwards traffic after tagging it with its site" (§3.1) as a call
-/// instead of a log. [`NetworkSim::run`] sinks into the engine's own
+/// arrival time — the paper's "forwards traffic after tagging it with its
+/// site" (§3.1) as a call instead of a log. Each capture is handed over
+/// exactly once, in transmission order; `(at, key)` is its place in
+/// arrival order. [`NetworkSim::run`] sinks into the engine's own
 /// [`SiteCapture`] log; a scan passes its central analysis directly to
 /// [`NetworkSim::run_with`] and keeps no per-reply packet at all.
 pub trait CaptureSink {
-    fn capture(&mut self, service: ServiceHandle, site: SiteId, at: SimTime, packet: &Ipv4Packet);
+    fn capture(&mut self, service: ServiceHandle, site: SiteId, at: SimTime, key: u64, packet: &Ipv4Packet);
 }
 
-/// The engine's capture log, one vector per registered service in
-/// arrival order: the sink behind [`NetworkSim::run`].
+/// The engine's capture log, one vector per registered service: the sink
+/// behind [`NetworkSim::run`], which sorts it into arrival order.
 #[derive(Default)]
 struct CaptureLog(Vec<Vec<SiteCapture>>);
 
@@ -108,12 +113,13 @@ impl CaptureSink for CaptureLog {
         clippy::indexing_slicing,
         reason = "one log per service is pushed at registration, where handles are minted."
     )]
-    fn capture(&mut self, service: ServiceHandle, site: SiteId, at: SimTime, packet: &Ipv4Packet) {
+    fn capture(&mut self, service: ServiceHandle, site: SiteId, at: SimTime, key: u64, packet: &Ipv4Packet) {
         // Only `run` callers (Atlas, tests) log packets; a scan sinks
         // captures into its cleaner instead.
         self.0[service.0].push(SiteCapture {
             site,
             at,
+            key,
             packet: packet.clone(),
         });
     }
@@ -266,27 +272,12 @@ impl Service<'_> {
     }
 }
 
-/// Where an address lives in the simulated world. Resolution is a pure
-/// function of the address over a fixed world and service table, so the
-/// engine resolves each address once — where the packet enters — and
-/// carries the result with the event: a reply's sender is the endpoint
-/// that received the request, its destination the endpoint that sent it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Endpoint {
-    /// An address inside a registered service's anycast prefix.
-    Service(usize),
-    /// An address inside a populated block, by block id.
-    Block(u32),
-}
-
 /// What the engine reads of a block — its [`BlockInfo`] row and its row
 /// of the position column — copied out by value, so a packet's path
 /// through `transmit` touches the world once, where its addresses are
 /// resolved, and never again.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Row {
-    /// The row's index in [`Internet::blocks`]: the block's id.
-    id: u32,
     block: Block24,
     pop: PopId,
     rep_octet: u8,
@@ -303,25 +294,22 @@ impl Row {
     }
 }
 
-/// An [`Endpoint`] as `transmit` wants it: a block comes with its [`Row`].
+/// Where an address lives in the simulated world: inside a registered
+/// service's anycast prefix, or inside a populated block, with its
+/// [`Row`]. Resolution is a pure function of the address over a fixed
+/// world and service table, so the engine resolves each address once —
+/// where the packet enters — and every packet it generates in response
+/// inherits its ends: a reply's sender is the end that received the
+/// request, its destination the end that sent it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Resolved {
     Service(usize),
     Block(Row),
 }
 
-impl Resolved {
-    fn endpoint(self) -> Endpoint {
-        match self {
-            Resolved::Service(service) => Endpoint::Service(service),
-            Resolved::Block(row) => Endpoint::Block(row.id),
-        }
-    }
-}
-
 enum Target {
     Site { service: usize, site: SiteId },
-    Host,
+    Host(Row),
 }
 
 /// One probe of a stage ([`NetworkSim::run_with`]): pulled from the source,
@@ -339,7 +327,7 @@ struct Staged {
 /// time. The gather wants enough independent rows in one loop for their
 /// cache misses to overlap; past a few dozen there is nothing left to
 /// overlap (64 and 512 measure within noise of it), and the source runs this far
-/// ahead of dispatch.
+/// ahead of transmission.
 const STAGE: usize = 128;
 
 /// An Echo Request on its way to a host that never answers, set aside
@@ -352,30 +340,10 @@ struct Parked {
     to: (f64, f64),
 }
 
-/// A queued arrival. Echo Requests bound for hosts are never among them
-/// (`transmit` answers those on the spot), so under a paced scan the queue
-/// holds replies in flight, not probes.
-struct Scheduled {
-    at: SimTime,
-    /// Tie-break among events arriving at the same instant: the
-    /// transmission's identity hash (packet content, send time, copy)
-    /// `transmit` already keys its fault draws on. Intrinsic to the
-    /// transmission, so dispatch order never depends on *when* an event
-    /// was enqueued — eager, lazy and sharded injection all pop the same
-    /// sequence (DESIGN.md §7).
-    key: u64,
-    packet: Ipv4Packet,
-    /// Endpoint of `packet.src`, where any answer goes back to.
-    from: Option<Endpoint>,
-    target: Target,
-}
-
-/// The arrivals of one run — those popped from the queue and those
-/// `transmit` resolved without queueing (Echo Requests, answered at
-/// transmission) alike: how many, and their earliest and latest instants.
-/// [`NetworkSim::run_with`] reports the count as `engine.events` and ends
-/// [`NetworkSim::now`] and its `engine.run` span on the latest, so an
-/// arrival that never entered the queue is an event of the run all the same.
+/// The arrivals of one run, each noted as `transmit` resolves it: how
+/// many, and their earliest and latest instants. [`NetworkSim::run_with`]
+/// reports the count as `engine.events` and ends [`NetworkSim::now`] and
+/// its `engine.run` span on the latest.
 #[derive(Default)]
 struct Arrivals {
     count: u64,
@@ -395,30 +363,14 @@ impl Arrivals {
     }
 }
 
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.key == other.key
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.key).cmp(&(other.at, other.key))
-    }
-}
-
 /// The discrete-event network simulator.
 ///
-/// Applications inject packets with [`NetworkSim::send_at`]; [`run`]
-/// processes the event queue to completion; results are read from
-/// [`captures`], [`host_deliveries`] and [`stats`]. A paced scan instead
-/// hands its time-sorted probe schedule and a [`CaptureSink`] to
-/// [`run_with`], which is the same loop fed lazily.
+/// Applications inject packets with [`NetworkSim::send_at`] and close the
+/// run with [`run`]; results are read from [`captures`],
+/// [`host_deliveries`] and [`stats`]. A paced scan instead hands its
+/// time-sorted probe schedule and a [`CaptureSink`] to [`run_with`]. There
+/// is no event queue: every arrival is resolved as its packet is
+/// transmitted (DESIGN.md §7).
 ///
 /// [`run`]: NetworkSim::run
 /// [`run_with`]: NetworkSim::run_with
@@ -434,29 +386,22 @@ pub struct NetworkSim<'w> {
     max_delay: vp_net::SimDuration,
     rng: Pcg64,
     seed: u64,
-    queue: BinaryHeap<Reverse<Scheduled>>,
-    queue_high_water: usize,
     /// Arrivals since the last run ended, eager `send_at`s included.
     arrivals: Arrivals,
     /// Counted arrivals at silent hosts whose instants the span may still
     /// need (see `transmit`), oldest first, and the most ever held.
     parked: VecDeque<Parked>,
     parked_high_water: usize,
+    /// Site arrivals not yet handed to a sink: those of one injected
+    /// probe under [`NetworkSim::run_with`], of every eager `send_at`
+    /// otherwise.
+    pending: Vec<(ServiceHandle, SiteCapture)>,
     now: SimTime,
     captures: CaptureLog,
     host_deliveries: Vec<HostDelivery>,
     stats: SimStats,
     obs: Option<EngineObs>,
 }
-
-/// Seed capacity for the event queue. Under [`NetworkSim::run_with`] the
-/// heap holds only the in-flight window of a paced scan — replies in
-/// flight, answer rate × one-way delay: several hundred events at the
-/// default 10k probes/s whatever the hitlist size
-/// ([`NetworkSim::queue_high_water`] reports the measured peak) — so a
-/// scan never grows it. Eager `send_at` callers grow it to the number of
-/// answers their injections draw.
-const EVENT_QUEUE_SEED_CAPACITY: usize = 1024;
 
 impl<'w> NetworkSim<'w> {
     /// Creates a simulator over a generated world.
@@ -485,6 +430,9 @@ impl<'w> NetworkSim<'w> {
     ) -> Self {
         faults.validate().expect("invalid fault config");
         let latency = LatencyModel::default();
+        // The most captures one probe can cause: its reply with every
+        // duplicate copy, and one backscatter packet.
+        let pending = Vec::with_capacity(conv::index(faults.max_duplicates) + 2);
         NetworkSim {
             world,
             services: Vec::with_capacity(1),
@@ -493,11 +441,10 @@ impl<'w> NetworkSim<'w> {
             latency,
             rng: Pcg64::seed_from_u64(derive_shard_seed(seed, shard_index) ^ 0x51e7_0a11),
             seed,
-            queue: BinaryHeap::with_capacity(EVENT_QUEUE_SEED_CAPACITY),
-            queue_high_water: 0,
             arrivals: Arrivals::default(),
             parked: VecDeque::new(),
             parked_high_water: 0,
+            pending,
             now: SimTime::ZERO,
             captures: CaptureLog::default(),
             host_deliveries: Vec::new(),
@@ -578,8 +525,8 @@ impl<'w> NetworkSim<'w> {
 
     /// The one place packets enter the engine, a staged probe and an eager
     /// `send_at` alike. `from` and `to` are the packet's resolved ends —
-    /// every packet the engine generates in response inherits its
-    /// endpoints from the event it answers — `fnv` its [`payload_fnv`],
+    /// every packet the engine generates in response inherits its ends
+    /// from the packet it answers — `fnv` its [`payload_fnv`],
     /// `reply` its echo reply image with that image's.
     fn inject(
         &mut self,
@@ -609,7 +556,6 @@ impl<'w> NetworkSim<'w> {
         let info = self.world.blocks.get(conv::index(id))?;
         let (lat, lon) = self.world.geodb.coords_of_row(conv::index(id)).unwrap_or_default();
         Some(Row {
-            id,
             block: info.block,
             pop: info.pop,
             rep_octet: info.rep_octet,
@@ -631,14 +577,6 @@ impl<'w> NetworkSim<'w> {
         let block = addr.block();
         let searched = || self.row(self.world.block_id(block)?);
         hinted.filter(|row| row.block == block).or_else(searched).map(Resolved::Block)
-    }
-
-    /// The row of a block endpoint minted by `resolve`, read again.
-    fn widen(&self, end: Endpoint) -> Option<Resolved> {
-        match end {
-            Endpoint::Service(service) => Some(Resolved::Service(service)),
-            Endpoint::Block(id) => self.row(id).map(Resolved::Block),
-        }
     }
 
     /// Pulls up to [`STAGE`] probes from `source` into the (empty) `stage`
@@ -695,13 +633,15 @@ impl<'w> NetworkSim<'w> {
     /// distinguishes otherwise-identical transmissions (duplicate fault
     /// copies of one reply) so each gets independent keyed draws.
     ///
-    /// A transmission that survives loss and routing becomes a queued
-    /// arrival — except an ICMP Echo Request bound for a host, which is
-    /// answered here, for its arrival instant (DESIGN.md §7): the
-    /// responder reads only the immutable world, the fault config and
-    /// keyed hashes of `(packet, arrival time)`, so nothing an event
-    /// dispatched in between could do would change its answer, and only
-    /// the replies it sends are queued.
+    /// A transmission that survives loss and routing arrives here, for the
+    /// instant its flight ends (DESIGN.md §7): whatever handles an arrival
+    /// reads only the immutable world, the fault config and keyed hashes
+    /// of `(packet, arrival time)`, and writes only sums and outputs whose
+    /// place in arrival order is `(arrival time, key)`, so when it runs is
+    /// unobservable. A site arrival is counted, answered if the site
+    /// serves, and held for the sink; an ICMP Echo Request bound for a
+    /// host is answered by its responder; anything else that reaches a
+    /// host is handed to the application.
     ///
     /// If the host is one that never answers (its row is statically
     /// unresponsive), all its arrival can do is be the first or the last
@@ -747,56 +687,54 @@ impl<'w> NetworkSim<'w> {
             self.spawn_unsolicited(at, packet.src, from, ek);
         }
 
-        let Some(target) = self.route(&packet, from, to, at) else {
+        let placed = self.route(&packet, from, to, at).and_then(|target| {
+            let to_loc = match target {
+                Target::Site { service, site } => self.site_location(service, site)?,
+                Target::Host(row) => (row.lat, row.lon),
+            };
+            Some((target, self.location(from)?, to_loc))
+        });
+        let Some((target, from_loc, to_loc)) = placed else {
             self.stats.undeliverable += 1;
             if let Some(obs) = &mut self.obs {
-                // Stamped with the transmission's own instant, which may
-                // lie between two queue pops.
                 obs.event(at, "engine.undeliverable", || format!("dst {}", packet.dst));
             }
             return;
         };
-        // The host an Echo Request is about to reach, if that is what this is.
-        let pinged = match (&target, to) {
-            (Target::Host, Some(Resolved::Block(row)))
+        match target {
+            Target::Site { service, site } => {
+                let arrives = self.flight(at, ek, from_loc, to_loc);
+                self.arrive_at_site(service, site, arrives, ek, packet, from);
+            }
+            Target::Host(row)
                 if packet.protocol == Protocol::Icmp && IcmpMessage::is_echo_request(&packet.payload) =>
             {
-                Some(row)
+                if row.responsive {
+                    let arrives = self.flight(at, ek, from_loc, to_loc);
+                    // Identity of this reception: the probe's content plus
+                    // its (deterministic) arrival time keys every fault
+                    // decision.
+                    self.answer_echo(row, arrives, mix(pk, arrives.as_nanos()), &packet, from, reply);
+                    return;
+                }
+                self.stats.delivered_to_hosts += 1;
+                self.arrivals.count += 1;
+                let soonest = at + self.latency.base;
+                if self.arrivals.span.is_some_and(|(first, _)| first <= soonest) {
+                    self.park(Parked { at, ek, from: from_loc, to: to_loc });
+                } else {
+                    self.arrivals.cover(self.flight(at, ek, from_loc, to_loc));
+                }
             }
-            _ => None,
-        };
-        let to_loc = match target {
-            Target::Site { service, site } => self.site_location(service, site),
-            Target::Host => self.location(to),
-        };
-        let from_loc = self.location(from);
-        if pinged.is_some_and(|row| !row.responsive) {
-            self.stats.delivered_to_hosts += 1;
-            self.arrivals.count += 1;
-            let soonest = at + self.latency.base;
-            if self.arrivals.span.is_some_and(|(first, _)| first <= soonest) {
-                self.park(Parked { at, ek, from: from_loc, to: to_loc });
-            } else {
-                self.arrivals.cover(self.flight(at, ek, from_loc, to_loc));
+            Target::Host(_) => {
+                // The application hand-off: the engine consumes none of
+                // it (Atlas VPs read their DNS answers here).
+                let arrives = self.flight(at, ek, from_loc, to_loc);
+                self.arrivals.note(arrives);
+                self.stats.delivered_to_hosts += 1;
+                self.host_deliveries.push(HostDelivery { at: arrives, key: ek, packet });
             }
-            return;
         }
-        let arrives = self.flight(at, ek, from_loc, to_loc);
-        if let Some(row) = pinged {
-            // Identity of this reception: the probe's content plus its
-            // (deterministic) arrival time keys every fault decision.
-            let hk = mix(pk, arrives.as_nanos());
-            self.answer_echo(row, arrives, hk, &packet, from, reply);
-            return;
-        }
-        self.queue.push(Reverse(Scheduled {
-            at: arrives,
-            key: ek,
-            packet,
-            from: from.map(Resolved::endpoint),
-            target,
-        }));
-        self.queue_high_water = self.queue_high_water.max(self.queue.len());
     }
 
     /// When the transmission `ek`, sent at `at`, arrives: the delay between
@@ -837,29 +775,24 @@ impl<'w> NetworkSim<'w> {
                 Some(Target::Site { service, site })
             }
             // Only a block's representative address is a live host.
-            Resolved::Block(row) => {
-                (packet.dst == row.representative()).then_some(Target::Host)
-            }
+            Resolved::Block(row) => (packet.dst == row.representative()).then_some(Target::Host(row)),
         }
     }
 
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "service/site/pop ids are minted by the world and services this engine owns."
-    )]
-    fn site_location(&self, service: usize, site: SiteId) -> (f64, f64) {
-        let s = &self.services[service].announcement.sites[site.index()];
-        let pop = &self.world.graph.pops[s.pop.index()];
-        (pop.lat, pop.lon)
+    fn site_location(&self, service: usize, site: SiteId) -> Option<(f64, f64)> {
+        let s = self.services.get(service)?.announcement.sites.get(site.index())?;
+        let pop = self.world.graph.pops.get(s.pop.index())?;
+        Some((pop.lat, pop.lon))
     }
 
-    fn location(&self, end: Option<Resolved>) -> (f64, f64) {
+    /// Where traffic from `end` leaves. Measurement traffic originates
+    /// "from the anycast system"; physically we charge it to the first
+    /// site's PoP, so a service with no sites sends nothing anywhere.
+    fn location(&self, end: Option<Resolved>) -> Option<(f64, f64)> {
         match end {
-            // Measurement traffic originates "from the anycast system";
-            // physically we charge it to the first site's PoP.
             Some(Resolved::Service(service)) => self.site_location(service, SiteId(0)),
-            Some(Resolved::Block(row)) => (row.lat, row.lon),
-            None => (0.0, 0.0),
+            Some(Resolved::Block(row)) => Some((row.lat, row.lon)),
+            None => Some((0.0, 0.0)),
         }
     }
 
@@ -909,77 +842,54 @@ impl<'w> NetworkSim<'w> {
         self.transmit(at, pkt, Some(Resolved::Block(row)), to, false, 0, fnv, None);
     }
 
-    /// Processes the event queue to completion, logging site captures
-    /// for [`NetworkSim::captures`]: [`NetworkSim::run_with`] with no
-    /// pending probes and the engine's own log as the sink.
+    /// Closes a run of eager [`NetworkSim::send_at`]s:
+    /// [`NetworkSim::run_with`] with no probes and the engine's own log as
+    /// the sink, after which [`NetworkSim::captures`] and
+    /// [`NetworkSim::host_deliveries`] are sorted into arrival order,
+    /// `(at, key)`.
     pub fn run(&mut self) {
         let mut log = std::mem::take(&mut self.captures);
         self.run_with(std::iter::empty(), &mut log);
+        for captures in &mut log.0 {
+            captures.sort_unstable_by_key(|c| (c.at, c.key));
+        }
         self.captures = log;
+        self.host_deliveries.sort_unstable_by_key(|d| (d.at, d.key));
     }
 
-    /// The event loop: a lazy merge of `probes` — a source sorted by
-    /// send time — with the in-flight heap. Before an event at time T is
-    /// popped, every pending probe whose send time is ≤ T has been
-    /// injected; delays are non-negative, so a probe sent after T cannot
-    /// produce an event before T, and the pop is the global minimum. The
-    /// heap therefore holds the in-flight window, not the schedule, and
-    /// the dispatched sequence is exactly what injecting every probe up
-    /// front would have produced (the engine proptests assert it). Site
-    /// captures go to `sink` as they are dispatched.
+    /// Transmits `probes` — a source sorted by send time — and closes the
+    /// run. Every arrival resolves as its packet is transmitted (see
+    /// `transmit`), so each probe is done with, replies and captures
+    /// included, once it is injected: its site captures, and before the
+    /// first probe those of any eager `send_at`, go to `sink` right after.
     ///
     /// The source is consumed a **stage** at a time: up to `STAGE` (128)
     /// probes are pulled and prepared together (`fill_stage`: world rows
     /// gathered, ends resolved, payloads hashed — all pure), then injected
-    /// one by one under the rule above, each with every effect it has in
-    /// the order it would have had alone. So the source may be pulled up
-    /// to a stage ahead of dispatch, and is never polled again once it has
-    /// returned `None`.
+    /// one by one in source order, each with every effect it has in the
+    /// order it would have had alone. So the source may be pulled up to a
+    /// stage ahead of transmission, and is never polled again once it has
+    /// returned `None`. (Sorted input only bounds the parked arrivals.)
     ///
-    /// Echo Requests to hosts never enter the heap (see `transmit`), but
-    /// their arrivals are events of this run like any other: they count
-    /// toward `engine.events`, and the run's end time and `engine.run` span
-    /// cover them, so a run ends at its last arrival even when that is a
-    /// probe nobody answered.
+    /// The run reports its arrivals, answered or not, as `engine.events`
+    /// and ends its clock and `engine.run` span at the last of them, so a
+    /// run ends at its last arrival even when that is a probe nobody
+    /// answered.
     pub fn run_with<P, C>(&mut self, probes: P, sink: &mut C)
     where
         P: IntoIterator<Item = TimedProbe>,
         C: CaptureSink,
     {
+        self.drain_pending(sink);
         let mut source = probes.into_iter();
-        let mut more = true;
         let mut stage = Vec::with_capacity(STAGE);
-        let mut last_sent = SimTime::ZERO;
-        'stages: loop {
-            if more {
-                more = self.fill_stage(&mut source, &mut stage);
-            }
-            let mut staged = stage.drain(..);
-            loop {
-                while staged.as_slice().first().is_some_and(|next| match self.queue.peek() {
-                    Some(Reverse(head)) => next.probe.at <= head.at,
-                    None => true,
-                }) {
-                    let Some(Staged { probe, from, to, fnv, reply_fnv }) = staged.next() else {
-                        break;
-                    };
-                    debug_assert!(probe.at >= last_sent, "probe source must be sorted by send time");
-                    last_sent = probe.at;
-                    let reply = Some((probe.reply_image, reply_fnv));
-                    self.inject(probe.at, probe.packet, from, to, fnv, reply);
-                }
-                if more && staged.as_slice().is_empty() {
-                    // The next probe may be due before the queue's head.
-                    continue 'stages;
-                }
-                let Some(Reverse(ev)) = self.queue.pop() else {
-                    break 'stages;
-                };
-                self.arrivals.note(ev.at);
-                match ev.target {
-                    Target::Site { service, site } => self.arrive_at_site(service, site, ev, sink),
-                    Target::Host => self.arrive_at_host(ev),
-                }
+        let mut more = true;
+        while more {
+            more = self.fill_stage(&mut source, &mut stage);
+            for Staged { probe, from, to, fnv, reply_fnv } in stage.drain(..) {
+                let reply = Some((probe.reply_image, reply_fnv));
+                self.inject(probe.at, probe.packet, from, to, fnv, reply);
+                self.drain_pending(sink);
             }
         }
         // Whatever is still parked could be the last arrival: fly it.
@@ -1003,40 +913,50 @@ impl<'w> NetworkSim<'w> {
         }
     }
 
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "service and site ids come from this engine's own service table; per-site counters are resized before indexing."
-    )]
-    fn arrive_at_site<C: CaptureSink>(
+    /// Hands every pending capture to `sink`.
+    fn drain_pending<C: CaptureSink>(&mut self, sink: &mut C) {
+        for (service, c) in self.pending.drain(..) {
+            sink.capture(service, c.site, c.at, c.key, &c.packet);
+        }
+    }
+
+    /// `packet` reaches `site` of `service` at `at`: counted, answered on
+    /// the spot if the site serves (its answers leave at `at`, back to
+    /// `from`, the sender's end), and held for the sink.
+    fn arrive_at_site(
         &mut self,
         service: usize,
         site: SiteId,
-        ev: Scheduled,
-        sink: &mut C,
+        at: SimTime,
+        key: u64,
+        packet: Ipv4Packet,
+        from: Option<Resolved>,
     ) {
+        self.arrivals.note(at);
         self.stats.delivered_to_sites += 1;
-        if self.stats.per_site_captures.len() <= site.index() {
-            self.stats.per_site_captures.resize(site.index() + 1, 0);
+        let per_site = &mut self.stats.per_site_captures;
+        if per_site.len() <= site.index() {
+            per_site.resize(site.index() + 1, 0);
         }
-        self.stats.per_site_captures[site.index()] += 1;
-        let at = ev.at;
-        let packet = ev.packet;
-        sink.capture(ServiceHandle(service), site, at, &packet);
-        if !self.services[service].serve_dns {
-            return;
+        if let Some(captures) = per_site.get_mut(site.index()) {
+            *captures += 1;
         }
-        // Answers go out from the service, back to whoever sent the packet.
-        let (from, to) = (Some(Resolved::Service(service)), ev.from.and_then(|end| self.widen(end)));
-        // Site host behaviour: answer pings and hostname.bind queries.
-        match packet.protocol {
+        if self.services.get(service).is_some_and(|s| s.serve_dns) {
+            self.serve(service, site, at, &packet, from);
+        }
+        let capture = SiteCapture { site, at, key, packet };
+        self.pending.push((ServiceHandle(service), capture));
+    }
+
+    /// Site host behaviour: answers pings and `hostname.bind` queries
+    /// reaching `site` of `service` at `at`, back to `to`, the sender's end.
+    fn serve(&mut self, service: usize, site: SiteId, at: SimTime, packet: &Ipv4Packet, to: Option<Resolved>) {
+        let payload = match packet.protocol {
             Protocol::Icmp => {
-                if let Ok(msg) = IcmpMessage::parse(&packet.payload) {
-                    if let Some(reply) = msg.reply() {
-                        let out = Ipv4Packet::new(packet.dst, packet.src, Protocol::Icmp, reply.emit());
-                        let fnv = payload_fnv(&out.payload);
-                        self.transmit(at, out, from, to, false, 0, fnv, None);
-                    }
-                }
+                let Some(reply) = IcmpMessage::parse(&packet.payload).ok().and_then(|msg| msg.reply()) else {
+                    return;
+                };
+                reply.emit()
             }
             Protocol::Udp => {
                 let Ok(udp) = UdpDatagram::parse(&packet.payload, packet.src, packet.dst) else {
@@ -1048,45 +968,24 @@ impl<'w> NetworkSim<'w> {
                 let Ok(query) = DnsMessage::parse(&udp.payload) else {
                     return;
                 };
-                let response = {
-                    let name = &self.services[service].hostnames[site.index()];
-                    DnsMessage::hostname_bind_response(&query, name)
+                let Some(name) = self.services.get(service).and_then(|s| s.hostnames.get(site.index())) else {
+                    return;
                 };
-                let out_udp = UdpDatagram::new(udp.dst_port, udp.src_port, response.emit());
-                let out = Ipv4Packet::new(
-                    packet.dst,
-                    packet.src,
-                    Protocol::Udp,
-                    out_udp.emit(packet.dst, packet.src),
-                );
-                let fnv = payload_fnv(&out.payload);
-                self.transmit(at, out, from, to, false, 0, fnv, None);
+                let response = DnsMessage::hostname_bind_response(&query, name);
+                UdpDatagram::new(udp.dst_port, udp.src_port, response.emit()).emit(packet.dst, packet.src)
             }
-            Protocol::Other(_) => {}
-        }
-    }
-
-    /// The application hand-off: whatever reaches a host through the queue
-    /// is not an Echo Request (`transmit` answers those), so the engine
-    /// consumes none of it (Atlas VPs read their DNS answers here).
-    fn arrive_at_host(&mut self, ev: Scheduled) {
-        debug_assert!(
-            ev.packet.protocol != Protocol::Icmp || !IcmpMessage::is_echo_request(&ev.packet.payload),
-            "an Echo Request was queued"
-        );
-        self.stats.delivered_to_hosts += 1;
-        self.host_deliveries.push(HostDelivery {
-            at: ev.at,
-            packet: ev.packet,
-        });
+            Protocol::Other(_) => return,
+        };
+        let out = Ipv4Packet::new(packet.dst, packet.src, packet.protocol, payload);
+        let fnv = payload_fnv(&out.payload);
+        self.transmit(at, out, Some(Resolved::Service(service)), to, false, 0, fnv, None);
     }
 
     /// Echo responder behaviour of `host`'s host for `request` — an Echo
-    /// Request, whose sender's endpoint is `to` — arriving at `at`, called
-    /// by `transmit` as the request is sent. `hk` is the reception's
-    /// identity hash; `reply`, if the request came with one, is the
-    /// reply's payload and that payload's [`payload_fnv`]. Reads nothing
-    /// an event could have written — see `transmit`.
+    /// Request, whose sender's end is `to` — arriving at `at`, called by
+    /// `transmit` as the request is sent. `hk` is the reception's identity
+    /// hash; `reply`, if the request came with one, is the reply's payload
+    /// and that payload's [`payload_fnv`].
     fn answer_echo(
         &mut self,
         host: Row,
@@ -1164,8 +1063,8 @@ impl<'w> NetworkSim<'w> {
             ident: 0,
             payload,
         };
-        // Aliased or not, the reply leaves this block for the
-        // endpoint the request came from.
+        // Aliased or not, the reply leaves this block for the end the
+        // request came from.
         let from = Some(Resolved::Block(host));
         for copy in 0..extra {
             self.transmit(when, out.clone(), from, to, false, copy, fnv, None);
@@ -1185,16 +1084,9 @@ impl<'w> NetworkSim<'w> {
         &self.captures.0[handle.0]
     }
 
-    /// The most events the queue ever held at once. Under
-    /// [`NetworkSim::run_with`] this is the in-flight window of the paced
-    /// schedule — replies in flight, since a probe's own arrival is never
-    /// queued; it depends on how traffic was partitioned over engines, so
-    /// it is shard-layout data, never a registry series.
-    pub fn queue_high_water(&self) -> usize {
-        self.queue_high_water
-    }
-
-    /// Packets delivered to ordinary hosts that the engine didn't consume.
+    /// Packets delivered to ordinary hosts that the engine didn't consume:
+    /// in arrival order after [`NetworkSim::run`], in transmission order
+    /// after [`NetworkSim::run_with`].
     pub fn host_deliveries(&self) -> &[HostDelivery] {
         &self.host_deliveries
     }
@@ -1681,13 +1573,14 @@ mod tests {
         assert!(sim.captures(svc).len() <= 1);
     }
 
-    /// Records sink calls in dispatch order.
+    /// Records sink calls in the order they are made.
     #[derive(Default)]
-    struct Recorder(Vec<(SiteId, SimTime, Ipv4Addr)>);
+    struct Recorder(Vec<(SiteId, SimTime, Ipv4Addr)>, Vec<u64>);
 
     impl CaptureSink for Recorder {
-        fn capture(&mut self, _: ServiceHandle, site: SiteId, at: SimTime, packet: &Ipv4Packet) {
+        fn capture(&mut self, _: ServiceHandle, site: SiteId, at: SimTime, key: u64, packet: &Ipv4Packet) {
             self.0.push((site, at, packet.src));
+            self.1.push(key);
         }
     }
 
@@ -1702,12 +1595,11 @@ mod tests {
         }
     }
 
-    /// The lazy-merge invariant: a pending probe whose send time is not
-    /// after the heap head is injected before the head is popped, so its
-    /// arrival — and its reply's — are dispatched first when they precede
-    /// it, while a probe sent after the head waits its turn.
+    /// Each capture reaches the sink once, in transmission order — an
+    /// eager `send_at`'s before the first probe's — and `(at, key)` puts
+    /// them in arrival order.
     #[test]
-    fn pending_probe_due_before_the_heap_head_is_dispatched_first() {
+    fn captures_reach_the_sink_in_transmission_order() {
         let w = world();
         let (ann, oracle) = service(&w);
         let meas = ann.measurement_addr();
@@ -1720,8 +1612,8 @@ mod tests {
             hosts.next().unwrap().representative(),
         );
 
-        // In flight before the run: a ping from a VP, sent at t = 10 s,
-        // so the heap head sits at 10 s plus one propagation delay.
+        // Sent before the run: a ping from a VP at t = 10 s, captured at
+        // 10 s plus one propagation delay.
         let ten_s = SimTime::ZERO + SimDuration::from_secs(10);
         sim.send_at(ten_s, probe(vp, meas, 9, 9));
         let probes = vec![
@@ -1732,15 +1624,18 @@ mod tests {
         sim.run_with(probes, &mut seen);
 
         let sources: Vec<Ipv4Addr> = seen.0.iter().map(|c| c.2).collect();
-        assert_eq!(sources, [early, vp, late], "captures out of time order: {:?}", seen.0);
-        assert!(seen.0[0].1 < ten_s && seen.0[1].1 >= ten_s && seen.0[2].1 > seen.0[1].1);
+        assert_eq!(sources, [vp, early, late], "not in transmission order: {:?}", seen.0);
+        let mut arrivals: Vec<_> = seen.0.iter().zip(&seen.1).map(|(&(_, at, src), &key)| (at, key, src)).collect();
+        arrivals.sort();
+        let [(first, _, a), (second, _, b), (third, _, c)] = arrivals[..] else {
+            panic!("three captures expected: {:?}", seen.0);
+        };
+        assert_eq!([a, b, c], [early, vp, late]);
+        assert!(first < ten_s && second >= ten_s && third > second);
         assert_eq!(sim.stats().injected, 3);
-        assert_eq!(sim.now(), seen.0[2].1, "the last capture is the last event");
+        assert_eq!(sim.now(), third, "the last capture is the last event");
         // The log is `run`'s sink; `run_with` sinks elsewhere.
-        assert!(sim.captures(ServiceHandle(0)).is_empty());
-        // At most two events were ever queued together: the VP's ping
-        // plus one probe (or its reply) at a time.
-        assert!(sim.queue_high_water() <= 2, "high-water {}", sim.queue_high_water());
+        assert!(sim.captures(ServiceHandle(0)).is_empty() && sim.pending.is_empty());
     }
 
     /// When `packet`, sent at `at` from the service, reaches `block`'s
@@ -1748,8 +1643,8 @@ mod tests {
     /// the public [`LatencyModel`].
     fn arrival_at_host(sim: &NetworkSim, at: SimTime, packet: &Ipv4Packet, block: u32) -> SimTime {
         let ek = mix(packet_key(packet, payload_fnv(&packet.payload)), at.as_nanos());
-        let from = sim.location(Some(Resolved::Service(0)));
-        let to = sim.location(sim.row(block).map(Resolved::Block));
+        let from = sim.location(Some(Resolved::Service(0))).unwrap();
+        let to = sim.location(sim.row(block).map(Resolved::Block)).unwrap();
         at + LatencyModel::default().delay(from, to, mix(sim.seed ^ TAG_JITTER, ek))
     }
 
@@ -1759,10 +1654,10 @@ mod tests {
         sim.faults.loss > 0.0 && unit(mix(sim.seed ^ TAG_LOSS, ek)) < sim.faults.loss
     }
 
-    /// An Echo Request's arrival is an event of the run although it is
-    /// never queued: it counts toward `engine.events`, and `now()` and
-    /// the `engine.run` span reach it. Here the last thing to happen is
-    /// the arrival of a probe at a host that does not answer.
+    /// An Echo Request's arrival is an event of the run although nothing
+    /// observes it: it counts toward `engine.events`, and `now()` and the
+    /// `engine.run` span reach it. Here the last thing to happen is the
+    /// arrival of a probe at a host that does not answer.
     #[test]
     fn a_run_ends_at_its_last_arrival_answered_or_not() {
         let w = world();
@@ -1790,8 +1685,6 @@ mod tests {
         assert!(first_arrives < captured && captured < sent_last && sent_last < last_arrives);
         assert_eq!(sim.now(), last_arrives, "the run ends at the unanswered probe's arrival");
         assert_eq!(sim.stats().delivered_to_hosts, 2);
-        // Only the reply was ever queued.
-        assert_eq!(sim.queue_high_water(), 1);
         let obs = sim.take_obs().unwrap();
         // Two arrivals at hosts and one capture.
         assert_eq!(obs.registry.counter_value("engine.events", &[]), 3);
@@ -1907,7 +1800,6 @@ mod tests {
         });
         sim.run_with(source, &mut Recorder::default());
         assert_eq!(sim.stats().delivered_to_hosts, probes);
-        assert_eq!(sim.queue_high_water(), 0);
         let window = rate * sim.max_delay.as_nanos() / 1_000_000_000;
         let high_water = sim.parked_high_water as u64;
         assert!(window / 2 < high_water && high_water < window, "{high_water} parked, window {window}");
@@ -1971,9 +1863,9 @@ mod tests {
     }
 
     /// The `Full`-level event of an undeliverable packet carries that
-    /// packet's own transmission instant — here a lazily injected probe
-    /// sent between two queue pops, while `now()` still reads the previous
-    /// run's end — and the ring holds `EVENT_CAPACITY` of them.
+    /// packet's own transmission instant — here a probe sent between two
+    /// answered ones, while `now()` still reads the previous run's end —
+    /// and the ring holds `EVENT_CAPACITY` of them.
     #[test]
     fn an_undeliverable_event_is_stamped_with_its_transmission_instant() {
         let w = world();
@@ -1996,7 +1888,7 @@ mod tests {
             ],
             &mut seen,
         );
-        // One reply was popped before the stray probe left and one after.
+        // One reply arrived before the stray probe left and one after.
         let [(_, before, _), (_, after, _)] = seen.0[..] else {
             panic!("two replies expected: {:?}", seen.0);
         };
@@ -2046,10 +1938,10 @@ mod tests {
         }
     }
 
-    /// Eager injection folds too: `send_at` answers before `run` is even
-    /// called, and the run still accounts for the arrivals.
+    /// Eager injection resolves its arrivals too: `send_at` answers before
+    /// `run` is even called, and the run still accounts for them.
     #[test]
-    fn echo_requests_are_never_queued() {
+    fn eager_arrivals_are_events_of_the_next_run() {
         let w = world();
         let (ann, oracle) = service(&w);
         let meas = ann.measurement_addr();
@@ -2061,7 +1953,6 @@ mod tests {
             sim.send_at(SimTime(i as u64 * 1000), probe(meas, b.representative(), 1, i as u16));
         }
         sim.run();
-        assert_eq!(sim.queue_high_water(), 0, "a probe nobody answers queues nothing");
         assert_eq!(sim.stats().delivered_to_hosts, 30);
         assert!(sim.now() > SimTime(29_000));
         let events = |sim: &NetworkSim| {
@@ -2071,16 +1962,15 @@ mod tests {
         assert_eq!(events(&sim), 30);
 
         // A ping between two hosts: the request is answered as it is
-        // sent, the Echo Reply travels through the queue to the pinger's
-        // application. A second run counts only its own events.
+        // sent, and the Echo Reply reaches the pinger's application. A
+        // second run counts only its own events.
         let mut hosts = w.responsive_blocks();
         let (a, b) = (hosts.next().unwrap(), hosts.next().unwrap());
         let sent = sim.now() + SimDuration::from_secs(1);
         sim.send_at(sent, probe(a.representative(), b.representative(), 4, 2));
-        assert_eq!(sim.queue_high_water(), 1);
         sim.run();
         assert_eq!(events(&sim), 30 + 2);
-        let [HostDelivery { at, packet }] = sim.host_deliveries() else {
+        let [HostDelivery { at, packet, .. }] = sim.host_deliveries() else {
             panic!("one delivery expected: {:?}", sim.host_deliveries());
         };
         assert_eq!((packet.src, packet.dst), (b.representative(), a.representative()));

@@ -21,8 +21,8 @@
 //! * [`latency`] — distance-based propagation delay.
 //! * [`oracle`] — catchment oracles: converged ([`StaticOracle`]) or with
 //!   per-round flips ([`FlippingOracle`]).
-//! * [`engine`] — the lazy-merge event loop, host behaviours, capture
-//!   sinks and logs.
+//! * [`engine`] — the run loop (every arrival resolved at transmission),
+//!   host behaviours, capture sinks and logs.
 //! * [`exec`] — the blessed OS-thread shard executor; the one module
 //!   allowed to spawn threads (DESIGN.md §14).
 //! * [`scenario`] — assembled worlds: the two-site B-Root deployment and

@@ -36,24 +36,26 @@ fn probe(src: Ipv4Addr, dst: Ipv4Addr, ident: u16, seq: u16) -> Ipv4Packet {
     )
 }
 
-/// Records every sink call, in dispatch order.
+/// Records every sink call.
 #[derive(Default, Debug, PartialEq)]
-struct Recorder(Vec<(usize, SiteId, SimTime, Ipv4Packet)>);
+struct Recorder(Vec<(SimTime, u64, usize, SiteId, Ipv4Packet)>);
 
 impl CaptureSink for Recorder {
-    fn capture(&mut self, service: ServiceHandle, site: SiteId, at: SimTime, packet: &Ipv4Packet) {
-        self.0.push((service.0, site, at, packet.clone()));
+    fn capture(&mut self, service: ServiceHandle, site: SiteId, at: SimTime, key: u64, packet: &Ipv4Packet) {
+        self.0.push((at, key, service.0, site, packet.clone()));
     }
 }
 
-/// Everything one engine run can show an observer: sink calls, host
-/// deliveries, counters, the final clock, and the `Full`-level sidecar —
-/// `engine.events`, the `engine.run` span, and the `engine.undeliverable`
-/// events the ring kept (the last 256 in emission order, so their order
-/// shows in which survive) with the count it evicted.
+/// Everything one engine run can show an observer: sink calls in arrival
+/// order (`(at, key)` — the sink contract promises each capture once, in
+/// transmission order), host deliveries, counters, the final clock, and
+/// the `Full`-level sidecar — `engine.events`, the `engine.run` span, and
+/// the `engine.undeliverable` events the ring kept (the last 256 in
+/// emission order, so their order shows in which survive) with the count
+/// it evicted.
 type Observed = (
     Recorder,
-    Vec<(SimTime, Ipv4Packet)>,
+    Vec<(SimTime, u64, Ipv4Packet)>,
     SimStats,
     SimTime,
     (u64, Option<vp_obs::SpanAgg>, Vec<vp_obs::Event>, u64),
@@ -65,11 +67,12 @@ const STAGE: usize = 128;
 
 /// Runs `probes` (sorted by send time) over a fresh engine, either all
 /// injected up front (`send_at` × N — so responders serialize their own
-/// replies — then the loop with an empty source) or merged lazily by the
-/// loop itself. Both runs also carry the same pre-injected background
-/// traffic, so `send_at` events interleave with the source's — on all
-/// three host paths: Echo Requests answered at transmission, their Echo
-/// Replies queued to a host, and a non-echo message queued to a host.
+/// replies — then the loop with an empty source) or pulled by the loop
+/// itself. Both runs also carry the same pre-injected background traffic,
+/// so `send_at` arrivals interleave with the source's — at a serving site
+/// that answers, and on all three host paths: Echo Requests answered,
+/// their Echo Replies handed to a host, and a non-echo message handed to
+/// a host.
 fn observe(s: &Scenario, faults: &FaultConfig, sim_seed: u64, probes: &[TimedProbe], lazy: bool) -> Observed {
     let ann = s.announcement.clone();
     let meas = ann.measurement_addr();
@@ -84,7 +87,7 @@ fn observe(s: &Scenario, faults: &FaultConfig, sim_seed: u64, probes: &[TimedPro
     }
     // Pings between ordinary hosts, up or not (the request is answered as
     // it is sent; the reply lands in `host_deliveries`), and an ICMP error
-    // no responder consumes (queued, then handed to the application).
+    // no responder consumes (handed to the application).
     let hosts: Vec<_> = s.world.blocks.iter().take(80).collect();
     for (i, pair) in hosts.chunks_exact(2).enumerate() {
         let at = SimTime::ZERO + SimDuration::from_millis(i as u64 * 11);
@@ -105,10 +108,11 @@ fn observe(s: &Scenario, faults: &FaultConfig, sim_seed: u64, probes: &[TimedPro
         }
         sim.run_with(std::iter::empty(), &mut seen);
     }
+    seen.0.sort_by_key(|&(at, key, ..)| (at, key));
     let deliveries = sim
         .take_host_deliveries()
         .into_iter()
-        .map(|HostDelivery { at, packet }| (at, packet))
+        .map(|HostDelivery { at, key, packet }| (at, key, packet))
         .collect();
     let (registry, trace) = sim.take_obs().expect("attached above").into_parts();
     let obs = (
@@ -155,9 +159,9 @@ fn probes_from_gaps(s: &Scenario, count: usize, gaps: &[(u8, u64, u64, u8, u8)])
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// The lazy-merge run loop dispatches exactly the event sequence of
-    /// eager injection: same sink calls in the same order, same host
-    /// deliveries, same counters, same final clock — for random worlds,
+    /// A source pulled by the run loop is transmitted exactly as eager
+    /// injection transmits it: same captures, same host deliveries, same
+    /// counters, same final clock — for random worlds,
     /// fault mixes and time-sorted probe sets, including bursts of probes
     /// sharing one send time and gaps longer than a round trip. The lazy
     /// run's probes carry a row hint that is right, off by one either way,
@@ -193,7 +197,7 @@ proptest! {
         // Every unreachable message that survived loss, and the Echo
         // Reply of at least one host-to-host ping, reached an application.
         let delivered = |wanted: fn(&IcmpMessage) -> bool| {
-            let parsed = eager.1.iter().filter_map(|(_, p)| IcmpMessage::parse(&p.payload).ok());
+            let parsed = eager.1.iter().filter_map(|(_, _, p)| IcmpMessage::parse(&p.payload).ok());
             parsed.filter(wanted).count()
         };
         prop_assert!(delivered(|m| matches!(m, IcmpMessage::DestUnreachable { .. })) > 0);
@@ -202,12 +206,12 @@ proptest! {
     }
 
     /// Staging commutes: the engine prepares its source a stage at a time
-    /// and still dispatches what eager injection dispatches — driven at
+    /// and still transmits what eager injection transmits — driven at
     /// the stage's edges (an empty source, one probe, one short of a
     /// stage, exactly one, one over, three and a bit), with every hint
     /// kind, and with probes into the service prefix and to addresses
     /// that are nobody's host mixed in, so `engine.undeliverable` events
-    /// interleave with queue pops and outnumber the ring.
+    /// interleave with answered probes and outnumber the ring.
     #[test]
     fn staging_commutes_at_stage_boundaries(
         world_seed in 0u64..3000,

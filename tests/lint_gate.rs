@@ -45,7 +45,7 @@ fn workspace_is_lint_clean() {
 /// ceiling.
 #[test]
 fn expect_count_only_ratchets_down() {
-    const CEILING: usize = 81;
+    const CEILING: usize = 79;
     // Spelled in halves so this file does not count itself.
     let (outer, inner) = (concat!("#[", "expect("), concat!("#![", "expect("));
     let count: usize = sources().iter().map(|(_, t)| t.matches(outer).count() + t.matches(inner).count()).sum();
