@@ -7,7 +7,8 @@
 
 use serde::Serialize;
 use vp_hitlist::Hitlist;
-use vp_net::{BitSet, SimDuration, SimTime};
+use vp_net::{SimDuration, SimTime};
+use vp_sim::Earliest;
 
 use crate::collector::RawReply;
 
@@ -45,31 +46,16 @@ pub struct CleanReply {
 /// within bounds, its ICMP identifier matches this round's `ident`, its
 /// source is exactly the probed target for that index, and it arrived
 /// within `cutoff` of `start`. Of the candidates for one index the first
-/// in arrival order — the least `(at, key)` — is kept and every other is
-/// a duplicate, so each verdict depends on which replies arrived, never on
-/// the order they are pushed in.
+/// in arrival order — the least `(at, key)`, which [`Earliest`] keeps — is
+/// kept and every other is a duplicate, so each verdict depends on which
+/// replies arrived, never on the order they are pushed in.
 pub struct Cleaner<'h> {
     hitlist: &'h Hitlist,
     ident: u16,
     deadline: SimTime,
-    /// One bit per hitlist index: set once a candidate for it is in `kept`.
-    seen: BitSet,
-    /// The first candidate pushed for each index seen.
-    kept: Vec<Candidate>,
-    /// Every later candidate: a duplicate, unless it arrived before the
-    /// one `kept` holds for its index — then that one is.
-    later: Vec<Candidate>,
+    /// The candidates' sites, one slot per hitlist index.
+    candidates: Earliest<vp_bgp::SiteId>,
     stats: CleaningStats,
-}
-
-/// A reply that passed every filter but the duplicate one, with its place
-/// in arrival order. 24 bytes, like the [`CleanReply`] it becomes.
-#[derive(Debug, Clone, Copy)]
-struct Candidate {
-    at: SimTime,
-    key: u64,
-    index: u32,
-    site: vp_bgp::SiteId,
 }
 
 impl<'h> Cleaner<'h> {
@@ -78,9 +64,7 @@ impl<'h> Cleaner<'h> {
             hitlist,
             ident,
             deadline: start + cutoff,
-            seen: BitSet::new(hitlist.len()),
-            kept: Vec::new(),
-            later: Vec::new(),
+            candidates: Earliest::new(hitlist.len()),
             stats: CleaningStats::default(),
         }
     }
@@ -103,50 +87,21 @@ impl<'h> Cleaner<'h> {
             return;
         }
         // Hitlist rows are distinct /24s, so an index fits in 32 bits.
-        let candidate = Candidate {
-            at: r.at,
-            key,
-            index: vp_net::conv::sat_u32(slot),
-            site: r.site,
-        };
-        if self.seen.get(slot) {
-            self.stats.duplicates += 1;
-            self.later.push(candidate);
-        } else {
-            self.seen.set(slot);
+        if self.candidates.push(vp_net::conv::sat_u32(slot), r.at, key, r.site) {
             self.stats.kept += 1;
-            self.kept.push(candidate);
+        } else {
+            self.stats.duplicates += 1;
         }
     }
 
     /// The kept observations, one per index with a candidate, and the
-    /// pass's counters. Each kept candidate a later one arrived before is
-    /// swapped for the earliest of those; the counts stand as they are.
-    pub fn finish(mut self) -> (Vec<CleanReply>, CleaningStats) {
-        if !self.later.is_empty() {
-            // The earliest later candidate per index, and a bit for each
-            // index that has one.
-            self.later.sort_unstable_by_key(|c| (c.index, c.at, c.key));
-            self.later.dedup_by_key(|c| c.index);
-            let mut contested = BitSet::new(self.hitlist.len());
-            for c in &self.later {
-                contested.set(vp_net::conv::index(c.index));
-            }
-            for kept in &mut self.kept {
-                if !contested.get(vp_net::conv::index(kept.index)) {
-                    continue;
-                }
-                let found = self.later.binary_search_by_key(&kept.index, |c| c.index);
-                let earliest = found.ok().and_then(|i| self.later.get(i));
-                if let Some(&earliest) = earliest.filter(|c| (c.at, c.key) < (kept.at, kept.key)) {
-                    *kept = earliest;
-                }
-            }
-        }
-        let kept = self.kept.into_iter().map(|c| CleanReply {
-            site: c.site,
+    /// pass's counters. Which candidate is kept may change as later ones
+    /// turn out to have arrived first; the counts stand as they are.
+    pub fn finish(self) -> (Vec<CleanReply>, CleaningStats) {
+        let kept = self.candidates.finish().into_iter().map(|c| CleanReply {
+            site: c.value,
             at: c.at,
-            index: u64::from(c.index),
+            index: u64::from(c.slot),
         });
         (kept.collect(), self.stats)
     }

@@ -9,8 +9,9 @@
 //! [`vp_sim::CaptureSink`]; the sink here parses it into a [`RawReply`]
 //! and forwards it straight into the central §4 [`Cleaner`]. Arrivals come
 //! in transmission order, each with its identity key; §4 cleaning is a
-//! per-target reduction that keeps the least `(at, key)`, so it needs no
-//! time order — no per-site log, no merge, no re-sort.
+//! per-target reduction that keeps the least `(at, key)`
+//! ([`vp_sim::Earliest`]), so it needs no time order — no per-site log, no
+//! merge, no re-sort.
 
 use vp_bgp::SiteId;
 use vp_net::{Ipv4Addr, SimTime};
@@ -57,6 +58,10 @@ impl CaptureSink for Cleaner<'_> {
             self.push(&reply, key);
         }
     }
+
+    /// A scan's probes go to hosts, whose answers come back to the sites:
+    /// nothing it sends leaves an application anything to read.
+    fn deliver(&mut self, _at: SimTime, _key: u64, _packet: &Ipv4Packet) {}
 }
 
 #[cfg(test)]

@@ -443,14 +443,11 @@ impl Round<'_> {
             .map(|w| vp_obs::FlightRecorder::new(Box::new(w), FLIGHT_CAPACITY))
     }
 
-    /// The engine of shard lane `lane` (the K=1 engine, on the orchestrator
-    /// lane, is shard 0), with the service registered over the round's
-    /// borrowed oracle. Every engine gets the round seed (keyed fault draws
-    /// must agree across shard layouts) but a shard-distinct auxiliary
-    /// stream.
-    fn new_engine(&self, lane: Option<u32>) -> NetworkSim<'_> {
-        let shard = lane.map_or(0, u64::from);
-        let mut sim = NetworkSim::new_shard(self.world, self.faults.clone(), self.sim_seed, shard);
+    /// An engine with the service registered over the round's borrowed
+    /// oracle. Every engine gets the round seed: keyed fault draws must
+    /// agree across shard layouts.
+    fn new_engine(&self) -> NetworkSim<'_> {
+        let mut sim = NetworkSim::new(self.world, self.faults.clone(), self.sim_seed);
         sim.attach_obs(self.config.trace);
         sim.register_service(self.announcement.clone(), Box::new(self.oracle), false);
         sim
@@ -476,7 +473,7 @@ impl Round<'_> {
         schedule: impl ExactSizeIterator<Item = (u64, SimTime)>,
     ) -> ScanResult {
         let wall_rec = self.wall_recorder();
-        let mut sim = self.new_engine(lane);
+        let mut sim = self.new_engine();
         let probes = schedule.len();
         // Send times of this engine's own probes, recorded as they are
         // walked: pacing is monotone, so the last walked time is the last

@@ -6,7 +6,7 @@ use serde::Serialize;
 use vp_bgp::{Announcement, SiteId};
 use vp_net::{Block24, SimDuration, SimTime};
 use vp_packet::{DnsMessage, Ipv4Packet, Protocol, UdpDatagram};
-use vp_sim::{CatchmentOracle, FaultConfig, NetworkSim};
+use vp_sim::{CaptureSink, CatchmentOracle, Earliest, FaultConfig, NetworkSim, ServiceHandle, TimedProbe};
 use vp_topology::Internet;
 
 use crate::panel::AtlasPanel;
@@ -107,24 +107,53 @@ impl AtlasResult {
     }
 }
 
+/// How long one scan spreads its queries over, from time zero: the
+/// paper's Atlas scans take 8–10 minutes.
+pub const SCAN_DURATION: SimDuration = SimDuration::from_mins(8);
+
+/// The VPs' side of a scan as the engine's sink: each DNS answer a VP
+/// receives is decoded — the TXT hostname mapped back to its site — and
+/// the first to arrive per VP is kept. Site captures are the operator's
+/// view, not Atlas's.
+struct Answers {
+    /// `hostname.bind` answer → site.
+    hostnames: BTreeMap<String, SiteId>,
+    /// Per VP index (the query id): its answers' sites.
+    sites: Earliest<SiteId>,
+    vps: usize,
+}
+
+impl CaptureSink for Answers {
+    fn capture(&mut self, _: ServiceHandle, _: SiteId, _: SimTime, _: u64, _: &Ipv4Packet) {}
+
+    fn deliver(&mut self, at: SimTime, key: u64, packet: &Ipv4Packet) {
+        if packet.protocol != Protocol::Udp {
+            return;
+        }
+        let Ok(udp) = UdpDatagram::parse(&packet.payload, packet.src, packet.dst) else {
+            return;
+        };
+        let Ok(msg) = DnsMessage::parse(&udp.payload) else {
+            return;
+        };
+        let site = msg.first_txt().and_then(|txt| self.hostnames.get(txt));
+        if let Some(&site) = site.filter(|_| msg.flags.response && usize::from(msg.id) < self.vps) {
+            self.sites.push(u32::from(msg.id), at, key, site);
+        }
+    }
+}
+
 /// Runs one Atlas scan: every available VP sends a CHAOS `hostname.bind`
-/// TXT query to the service address; replies are decoded from the TXT
-/// payload (the site's hostname), as on the real platform.
-///
-/// Queries are spread uniformly over `duration` (the paper's Atlas scans
-/// take 8–10 minutes).
-#[expect(
-    clippy::too_many_arguments,
-    reason = "one Atlas round's inputs, positional like verfploeter's run_scan"
-)]
+/// TXT query to the service address, the queries spread uniformly over
+/// [`SCAN_DURATION`]; replies are decoded from the TXT payload (the site's
+/// hostname), as on the real platform, and a VP's first answer is its
+/// observation.
 pub fn run_scan(
     world: &Internet,
     panel: &AtlasPanel,
     announcement: &Announcement,
     oracle: Box<dyn CatchmentOracle>,
     faults: FaultConfig,
-    start: SimTime,
-    duration: SimDuration,
     name: &str,
     sim_seed: u64,
 ) -> AtlasResult {
@@ -136,55 +165,40 @@ pub fn run_scan(
     let step = if available.is_empty() {
         SimDuration::ZERO
     } else {
-        SimDuration(duration.0 / available.len() as u64)
+        SimDuration(SCAN_DURATION.0 / available.len() as u64)
     };
-    for (i, vp) in available.iter().enumerate() {
-        let at = start + step.saturating_mul(i as u64);
+    // A query is no Echo Request: it carries no reply image and no row.
+    let queries = available.iter().enumerate().map(|(i, vp)| {
         let query = DnsMessage::hostname_bind_query(vp.id as u16, true);
         let udp = UdpDatagram::new(33000 + (vp.id % 16384) as u16, 53, query.emit());
-        let pkt = Ipv4Packet::new(vp.addr, anycast, Protocol::Udp, udp.emit(vp.addr, anycast));
-        sim.send_at(at, pkt);
-    }
-    sim.run();
+        TimedProbe {
+            at: SimTime::ZERO + step.saturating_mul(i as u64),
+            packet: Ipv4Packet::new(vp.addr, anycast, Protocol::Udp, udp.emit(vp.addr, anycast)),
+            reply_image: Default::default(),
+            row: u32::MAX,
+        }
+    });
+    let mut answers = Answers {
+        hostnames: (announcement.sites.iter())
+            .map(|s| (NetworkSim::site_hostname(svc, &s.name), s.id))
+            .collect(),
+        sites: Earliest::new(panel.len()),
+        vps: panel.len(),
+    };
+    sim.run_with(queries, &mut answers);
 
-    // Decode answers: match replies to VPs by DNS query id, map the TXT
-    // hostname back to a site name.
-    let hostname_to_site: BTreeMap<String, SiteId> = announcement
-        .sites
-        .iter()
-        .map(|s| (NetworkSim::site_hostname(svc, &s.name), s.id))
-        .collect();
-    let mut answered: BTreeMap<u16, SiteId> = BTreeMap::new();
-    for d in sim.host_deliveries() {
-        if d.packet.protocol != Protocol::Udp {
-            continue;
-        }
-        let Ok(udp) = UdpDatagram::parse(&d.packet.payload, d.packet.src, d.packet.dst) else {
-            continue;
-        };
-        let Ok(msg) = DnsMessage::parse(&udp.payload) else {
-            continue;
-        };
-        if !msg.flags.response {
-            continue;
-        }
-        let Some(txt) = msg.first_txt() else { continue };
-        if let Some(site) = hostname_to_site.get(txt) {
-            answered.entry(msg.id).or_insert(*site);
+    // A VP's id is its index in the panel.
+    let mut sites = vec![None; panel.len()];
+    for answer in answers.sites.finish() {
+        if let Some(site) = sites.get_mut(vp_net::conv::index(answer.slot)) {
+            *site = Some(answer.value);
         }
     }
-
-    let outcomes = panel
-        .vps()
-        .iter()
-        .map(|vp| VpOutcome {
+    let outcomes = (panel.vps().iter().zip(sites))
+        .map(|(vp, site)| VpOutcome {
             vp: vp.id,
             block: vp.block,
-            site: if vp.available {
-                answered.get(&(vp.id as u16)).copied()
-            } else {
-                None
-            },
+            site: site.filter(|_| vp.available),
         })
         .collect();
     AtlasResult {
@@ -216,8 +230,6 @@ mod tests {
             &s.announcement,
             Box::new(StaticOracle::new(table.clone())),
             FaultConfig::none(),
-            SimTime::ZERO,
-            SimDuration::from_mins(8),
             "SBA-TEST",
             1,
         );
@@ -239,8 +251,6 @@ mod tests {
             &s.announcement,
             Box::new(StaticOracle::new(s.routing())),
             FaultConfig::none(),
-            SimTime::ZERO,
-            SimDuration::from_mins(8),
             "x",
             1,
         );
@@ -260,8 +270,6 @@ mod tests {
             &s.announcement,
             Box::new(StaticOracle::new(s.routing())),
             FaultConfig::none(),
-            SimTime::ZERO,
-            SimDuration::from_mins(8),
             "x",
             1,
         );
@@ -288,8 +296,6 @@ mod tests {
             &s.announcement,
             Box::new(StaticOracle::new(s.routing())),
             FaultConfig::none(),
-            SimTime::ZERO,
-            SimDuration::from_mins(8),
             "x",
             1,
         );
@@ -310,12 +316,41 @@ mod tests {
             &s.announcement,
             Box::new(StaticOracle::new(s.routing())),
             faults,
-            SimTime::ZERO,
-            SimDuration::from_mins(8),
             "x",
             1,
         );
         assert!(result.vps_responding() < panel.available());
         assert!(result.vps_responding() > 0);
+    }
+
+    /// Degenerate configurations answer nobody, and say so for every VP of
+    /// the panel: a siteless announcement (every query undeliverable),
+    /// total loss, and a panel that is down whole (no query sent at all).
+    #[test]
+    fn degenerate_atlas_scans_answer_nobody() {
+        let (s, panel) = setup();
+        let siteless = Announcement::from_placements(&[], 0);
+        let all_down = AtlasPanel::place(
+            &s.world,
+            &AtlasConfig {
+                unavailable_prob: 1.0,
+                ..AtlasConfig::tiny(1)
+            },
+        );
+        assert_eq!(all_down.available(), 0);
+        let total_loss = FaultConfig {
+            loss: 1.0,
+            ..FaultConfig::none()
+        };
+        for (panel, announcement, faults) in [
+            (&panel, &siteless, FaultConfig::default()),
+            (&panel, &s.announcement, total_loss),
+            (&all_down, &s.announcement, FaultConfig::default()),
+        ] {
+            let oracle = StaticOracle::new(s.routing_for(announcement));
+            let result = run_scan(&s.world, panel, announcement, Box::new(oracle), faults, "x", 1);
+            assert_eq!(result.outcomes.len(), panel.len());
+            assert!(result.outcomes.iter().all(|o| o.site.is_none()), "{} answered", result.vps_responding());
+        }
     }
 }

@@ -1,8 +1,11 @@
 //! Runs the table/figure regenerators in one process so expensive
 //! artifacts (worlds, scans, the 96-round stability dataset) are shared.
+//!
+//! ```text
 //! Usage: run_all [<experiment-id>…] [--scale tiny|small|default|paper]
 //!                [--out <dir>] [--obs off|summary|full]
 //!                [--snapshots <dir>] [--flight <dir>]
+//! ```
 //!
 //! The leading experiment ids (`fig2_broot_maps`, `table4_coverage`, …)
 //! select what runs, in paper order; with none, all fifteen run.

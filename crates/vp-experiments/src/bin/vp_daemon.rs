@@ -1,8 +1,10 @@
 //! The live telemetry daemon: scheduled Verfploeter scans, streamed drift.
 //!
+//! ```text
 //! Usage: vp_daemon [--scale tiny|small|default|paper] [--shards N]
 //! [--rounds N] [--window N] [--out <dir>] [--obs off|summary|full]
 //! [--pace sim|wall] [--interval-secs N]
+//! ```
 //!
 //! Each round runs one sharded scan of the Tangled world, folds it into
 //! the streaming drift tracker, and (with `--out`) republishes

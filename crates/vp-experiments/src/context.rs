@@ -151,15 +151,15 @@ pub struct Lab {
     /// reports; `Full` additionally retains bounded event rings. The mode
     /// never changes any experiment output — only what gets observed.
     pub obs: TraceLevel,
-    /// Where fig9 writes per-round catchment snapshots (`--snapshots
-    /// <dir>`): one `r<NNN>.json` per round plus an `origins.json`
-    /// sidecar, the replay input for `vp-monitor diff`/`watch`. `None`
-    /// (the default) writes nothing — 96 default-scale rounds are too
-    /// big to emit unasked.
+    /// Where fig9 writes per-round catchment snapshots
+    /// (`--snapshots <dir>`): one `r<NNN>.json` per round plus an
+    /// `origins.json` sidecar, the replay input for
+    /// `vp-monitor diff`/`watch`. `None` (the default) writes nothing — 96
+    /// default-scale rounds are too big to emit unasked.
     pub snapshot_dir: Option<PathBuf>,
-    /// Where to write the round's `vp-obs-flight/v1` document (`--flight
-    /// <dir>`): one `<experiment>.flight.json` per experiment. `None` (the
-    /// default) writes nothing.
+    /// Where to write the round's `vp-obs-flight/v1` document
+    /// (`--flight <dir>`): one `<experiment>.flight.json` per experiment.
+    /// `None` (the default) writes nothing.
     pub flight_dir: Option<PathBuf>,
     /// Wall-time flight channel for scans, attached by binaries only
     /// (library code cannot construct wall clocks — DESIGN.md §8). With
@@ -420,8 +420,6 @@ impl Lab {
             announcement,
             Box::new(StaticOracle::new(table)),
             FaultConfig::default(),
-            SimTime::ZERO,
-            SimDuration::from_mins(8),
             key,
             0xa7 ^ key.len() as u64,
         ));

@@ -2,7 +2,7 @@
 //! [`vp_obs`] layer.
 //!
 //! While an experiment runs, the [`Lab`](crate::Lab) folds every fresh
-//! scan's [`ScanObs`] and every BGP propagation's [`RouteObs`] into one
+//! scan's [`ScanObs`] and every BGP propagation's [`vp_bgp::RouteObs`] into one
 //! [`ObsState`]. After the experiment finishes, [`build_report`] renders
 //! the accumulated state as a JSON run report
 //! (`results/obs/<experiment>.report.json`), whose shape is pinned by the

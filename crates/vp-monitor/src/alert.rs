@@ -165,8 +165,8 @@ impl Hysteresis {
 }
 
 /// The incremental alert evaluator. Feed it round diffs in order (plus
-/// optional sim-time scan durations); collect the final alert set with
-/// [`Evaluator::finish`]. `watch` mode feeds it incrementally and prints
+/// optional sim-time scan durations); after the last round,
+/// [`Evaluator::snapshot`] is the final alert set. `watch` mode feeds it incrementally and prints
 /// the transition messages [`Evaluator::observe`] returns.
 #[derive(Debug, Clone)]
 pub struct Evaluator {
@@ -284,11 +284,10 @@ impl Evaluator {
 
     /// Live view of the alert state *as of the last observed round*:
     /// cleared alerts plus every still-active one (with `cleared_round:
-    /// None`), sorted by `(fired_round, rule)` exactly like
-    /// [`Evaluator::finish`]. The daemon status surface publishes this
-    /// after every round; calling it never perturbs the hysteresis state,
-    /// so a snapshot taken after the final round is byte-identical to what
-    /// `finish` would return.
+    /// None`), sorted by `(fired_round, rule)`. The daemon status surface
+    /// publishes this after every round; calling it never perturbs the
+    /// hysteresis state, so a snapshot taken after the final round is the
+    /// final alert set.
     pub fn snapshot(&self) -> Vec<Alert> {
         let mut all = self.done.clone();
         let c = &self.config;

@@ -10,10 +10,10 @@
 //! * [`asn`] — Autonomous System numbers ([`Asn`]).
 //! * [`bitset`] — a packed bitset over dense ids ([`BitSet`]), the boolean
 //!   column type of the columnar scan core.
-//! * [`column`] — the sorted block column with a parallel value column
+//! * [`mod@column`] — the sorted block column with a parallel value column
 //!   ([`BlockColumn`]) and its merge-join ([`Joined`]): the one table
 //!   behind the catchment map and the RTT table.
-//! * [`hash`] — the one keyed hash ([`mix`], [`unit`]) behind every
+//! * [`hash`] — the one keyed hash ([`mix`], [`fn@unit`]) behind every
 //!   deterministic stochastic draw in the workspace.
 //! * [`perm`] — pseudorandom probe-order permutations (Feistel cycle-walking
 //!   and a full-period LCG for the ablation bench). The paper sends probes in

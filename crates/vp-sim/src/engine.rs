@@ -2,8 +2,6 @@
 
 use std::collections::VecDeque;
 
-use rand::SeedableRng;
-use rand_pcg::Pcg64;
 use vp_bgp::{Announcement, SiteId};
 use vp_net::conv;
 use vp_net::{mix, unit, Block24, Ipv4Addr, SimTime};
@@ -14,6 +12,7 @@ use vp_topology::{Internet, PopId};
 use crate::faults::FaultConfig;
 use crate::latency::LatencyModel;
 use crate::oracle::CatchmentOracle;
+use crate::sink::CaptureSink;
 
 /// Handle of a registered anycast service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,36 +32,15 @@ const TAG_LATE: u64 = 0x1a7e_0007;
 const TAG_DUPLICATE: u64 = 0xd0b1_0008;
 const TAG_DUPLICATE_COUNT: u64 = 0xd0b1_0009;
 
-/// The seed for one shard's auxiliary RNG stream, derived from the round
-/// seed so every shard gets a distinct, reproducible stream. Keyed fault
-/// draws do NOT use this (they use the round seed directly, which is what
-/// makes sharded runs bit-identical to serial ones); the derived seed only
-/// decorrelates whatever auxiliary entropy an engine instance consumes.
-pub fn derive_shard_seed(round_seed: u64, shard_index: u64) -> u64 {
-    mix(round_seed ^ 0x51a4_d5ee_d000_0000, shard_index)
-}
-
-/// A packet captured by a site's collector, tagged with site and time —
-/// exactly what the paper's per-site capture systems (custom capture,
-/// LANDER, tcpdump; §3.1) forward to the central analysis.
-#[derive(Debug, Clone)]
-pub struct SiteCapture {
-    pub site: SiteId,
-    pub at: SimTime,
-    /// The transmission's identity hash: `(at, key)` is the capture's
+/// An arrival waiting for the sink: captured at `site` of a service, or,
+/// with `site` `None`, handed to an ordinary host's application.
+struct Handoff {
+    site: Option<(ServiceHandle, SiteId)>,
+    at: SimTime,
+    /// The transmission's identity hash: `(at, key)` is the arrival's
     /// place in arrival order.
-    pub key: u64,
-    pub packet: Ipv4Packet,
-}
-
-/// A packet delivered to an ordinary host (e.g. an Atlas VP receiving its
-/// DNS answer) that the engine did not auto-consume.
-#[derive(Debug, Clone)]
-pub struct HostDelivery {
-    pub at: SimTime,
-    /// As [`SiteCapture::key`].
-    pub key: u64,
-    pub packet: Ipv4Packet,
+    key: u64,
+    packet: Ipv4Packet,
 }
 
 /// One entry of the time-sorted probe source [`NetworkSim::run_with`]
@@ -84,45 +62,17 @@ pub struct HostDelivery {
 /// gather of [`NetworkSim::run_with`]) and takes what it read only if the
 /// row holds the destination's block. A wrong one costs the block search
 /// it would have saved and changes nothing else.
+///
+/// A probe that is no Echo Request to a block's host (an Atlas VP's DNS
+/// query to a service) has no reply image and no row: it carries an empty
+/// `reply_image`, which nothing reads, and `row: u32::MAX`, which no block
+/// table reaches.
 #[derive(Debug, Clone)]
 pub struct TimedProbe {
     pub at: SimTime,
     pub packet: Ipv4Packet,
     pub reply_image: bytes::Bytes,
     pub row: u32,
-}
-
-/// Receives every packet a site collector captures, tagged with site and
-/// arrival time — the paper's "forwards traffic after tagging it with its
-/// site" (§3.1) as a call instead of a log. Each capture is handed over
-/// exactly once, in transmission order; `(at, key)` is its place in
-/// arrival order. [`NetworkSim::run`] sinks into the engine's own
-/// [`SiteCapture`] log; a scan passes its central analysis directly to
-/// [`NetworkSim::run_with`] and keeps no per-reply packet at all.
-pub trait CaptureSink {
-    fn capture(&mut self, service: ServiceHandle, site: SiteId, at: SimTime, key: u64, packet: &Ipv4Packet);
-}
-
-/// The engine's capture log, one vector per registered service: the sink
-/// behind [`NetworkSim::run`], which sorts it into arrival order.
-#[derive(Default)]
-struct CaptureLog(Vec<Vec<SiteCapture>>);
-
-impl CaptureSink for CaptureLog {
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "one log per service is pushed at registration, where handles are minted."
-    )]
-    fn capture(&mut self, service: ServiceHandle, site: SiteId, at: SimTime, key: u64, packet: &Ipv4Packet) {
-        // Only `run` callers (Atlas, tests) log packets; a scan sinks
-        // captures into its cleaner instead.
-        self.0[service.0].push(SiteCapture {
-            site,
-            at,
-            key,
-            packet: packet.clone(),
-        });
-    }
 }
 
 /// Counters over one simulation run.
@@ -365,18 +315,13 @@ impl Arrivals {
 
 /// The discrete-event network simulator.
 ///
-/// Applications inject packets with [`NetworkSim::send_at`] and close the
-/// run with [`run`]; results are read from [`captures`],
-/// [`host_deliveries`] and [`stats`]. A paced scan instead hands its
-/// time-sorted probe schedule and a [`CaptureSink`] to [`run_with`]. There
-/// is no event queue: every arrival is resolved as its packet is
-/// transmitted (DESIGN.md §7).
-///
-/// [`run`]: NetworkSim::run
-/// [`run_with`]: NetworkSim::run_with
-/// [`captures`]: NetworkSim::captures
-/// [`host_deliveries`]: NetworkSim::host_deliveries
-/// [`stats`]: NetworkSim::stats
+/// A run is one call of [`NetworkSim::run_with`]: a time-sorted probe
+/// source in, every arrival the engine does not consume out to a
+/// [`CaptureSink`], counters in [`NetworkSim::stats`]. Packets injected
+/// with [`NetworkSim::send_at`] before it belong to that run. There is no
+/// event queue: every arrival is resolved as its packet is transmitted
+/// (DESIGN.md §7). Every stochastic outcome is a keyed hash of the seed
+/// and the packet; the engine holds no random generator.
 pub struct NetworkSim<'w> {
     world: &'w Internet,
     services: Vec<Service<'w>>,
@@ -384,7 +329,6 @@ pub struct NetworkSim<'w> {
     latency: LatencyModel,
     /// `latency.max_delay()`, computed once.
     max_delay: vp_net::SimDuration,
-    rng: Pcg64,
     seed: u64,
     /// Arrivals since the last run ended, eager `send_at`s included.
     arrivals: Arrivals,
@@ -392,46 +336,27 @@ pub struct NetworkSim<'w> {
     /// need (see `transmit`), oldest first, and the most ever held.
     parked: VecDeque<Parked>,
     parked_high_water: usize,
-    /// Site arrivals not yet handed to a sink: those of one injected
-    /// probe under [`NetworkSim::run_with`], of every eager `send_at`
-    /// otherwise.
-    pending: Vec<(ServiceHandle, SiteCapture)>,
+    /// Arrivals not yet handed to a sink: those of one injected probe
+    /// under [`NetworkSim::run_with`], of every eager `send_at` otherwise.
+    pending: Vec<Handoff>,
     now: SimTime,
-    captures: CaptureLog,
-    host_deliveries: Vec<HostDelivery>,
     stats: SimStats,
     obs: Option<EngineObs>,
 }
 
 impl<'w> NetworkSim<'w> {
-    /// Creates a simulator over a generated world.
-    ///
-    /// # Panics
-    /// Panics if `faults` fails validation.
-    pub fn new(world: &'w Internet, faults: FaultConfig, seed: u64) -> Self {
-        Self::new_shard(world, faults, seed, 0)
-    }
-
-    /// Creates the engine for one shard of a partitioned scan.
-    ///
-    /// The round `seed` drives every keyed fault draw (shared by all
-    /// shards so their union reproduces the serial run exactly); the
-    /// shard index only selects this engine's auxiliary RNG stream via
-    /// [`derive_shard_seed`], so no two engines share generator state.
+    /// Creates a simulator over a generated world. `seed` keys every fault
+    /// draw: engines given one seed — the shards of one round — agree on
+    /// every packet's fate, so their union reproduces the serial run.
     ///
     /// # Panics
     /// Panics if `faults` fails validation.
     #[expect(clippy::expect_used, reason = "documented `# Panics` contract of this constructor.")]
-    pub fn new_shard(
-        world: &'w Internet,
-        faults: FaultConfig,
-        seed: u64,
-        shard_index: u64,
-    ) -> Self {
+    pub fn new(world: &'w Internet, faults: FaultConfig, seed: u64) -> Self {
         faults.validate().expect("invalid fault config");
         let latency = LatencyModel::default();
-        // The most captures one probe can cause: its reply with every
-        // duplicate copy, and one backscatter packet.
+        // The most arrivals one probe can hold for the sink: its reply
+        // with every duplicate copy, and one backscatter packet.
         let pending = Vec::with_capacity(conv::index(faults.max_duplicates) + 2);
         NetworkSim {
             world,
@@ -439,22 +364,19 @@ impl<'w> NetworkSim<'w> {
             faults,
             max_delay: latency.max_delay(),
             latency,
-            rng: Pcg64::seed_from_u64(derive_shard_seed(seed, shard_index) ^ 0x51e7_0a11),
             seed,
             arrivals: Arrivals::default(),
             parked: VecDeque::new(),
             parked_high_water: 0,
             pending,
             now: SimTime::ZERO,
-            captures: CaptureLog::default(),
-            host_deliveries: Vec::new(),
             stats: SimStats::default(),
             obs: None,
         }
     }
 
     /// Attaches an observability sidecar: a metrics registry plus a trace
-    /// summary recording at `level`. Call before [`NetworkSim::run`];
+    /// summary recording at `level`. Call before [`NetworkSim::run_with`];
     /// collect with [`NetworkSim::take_obs`] afterwards.
     pub fn attach_obs(&mut self, level: vp_obs::TraceLevel) {
         self.obs = Some(EngineObs::new(level));
@@ -463,14 +385,6 @@ impl<'w> NetworkSim<'w> {
     /// Detaches and returns the observability sidecar, if one is attached.
     pub fn take_obs(&mut self) -> Option<EngineObs> {
         self.obs.take()
-    }
-
-    /// This engine's auxiliary RNG stream. Fault decisions never touch it
-    /// (they are keyed on packet identity); it exists so each engine has
-    /// private, reproducible entropy, and so tests can observe that
-    /// distinct shards draw from distinct streams.
-    pub fn aux_rng(&mut self) -> &mut Pcg64 {
-        &mut self.rng
     }
 
     /// Registers an anycast service; its collectors start capturing
@@ -498,7 +412,6 @@ impl<'w> NetworkSim<'w> {
             routes: vec![None; self.world.graph.pops.len()],
             route_epoch: None,
         });
-        self.captures.0.push(Vec::new());
         handle
     }
 
@@ -512,7 +425,8 @@ impl<'w> NetworkSim<'w> {
         self.now
     }
 
-    /// Injects a packet at simulated time `at`.
+    /// Injects a packet at simulated time `at`, ahead of the next
+    /// [`NetworkSim::run_with`], which hands its arrivals over first.
     ///
     /// The packet is routed by destination: into a service prefix (anycast,
     /// resolved through the sender's catchment), to a populated block's
@@ -732,7 +646,7 @@ impl<'w> NetworkSim<'w> {
                 let arrives = self.flight(at, ek, from_loc, to_loc);
                 self.arrivals.note(arrives);
                 self.stats.delivered_to_hosts += 1;
-                self.host_deliveries.push(HostDelivery { at: arrives, key: ek, packet });
+                self.pending.push(Handoff { site: None, at: arrives, key: ek, packet });
             }
         }
     }
@@ -842,26 +756,12 @@ impl<'w> NetworkSim<'w> {
         self.transmit(at, pkt, Some(Resolved::Block(row)), to, false, 0, fnv, None);
     }
 
-    /// Closes a run of eager [`NetworkSim::send_at`]s:
-    /// [`NetworkSim::run_with`] with no probes and the engine's own log as
-    /// the sink, after which [`NetworkSim::captures`] and
-    /// [`NetworkSim::host_deliveries`] are sorted into arrival order,
-    /// `(at, key)`.
-    pub fn run(&mut self) {
-        let mut log = std::mem::take(&mut self.captures);
-        self.run_with(std::iter::empty(), &mut log);
-        for captures in &mut log.0 {
-            captures.sort_unstable_by_key(|c| (c.at, c.key));
-        }
-        self.captures = log;
-        self.host_deliveries.sort_unstable_by_key(|d| (d.at, d.key));
-    }
-
     /// Transmits `probes` — a source sorted by send time — and closes the
     /// run. Every arrival resolves as its packet is transmitted (see
     /// `transmit`), so each probe is done with, replies and captures
-    /// included, once it is injected: its site captures, and before the
-    /// first probe those of any eager `send_at`, go to `sink` right after.
+    /// included, once it is injected: its site captures and host
+    /// hand-offs, and before the first probe those of any eager `send_at`,
+    /// go to `sink` right after.
     ///
     /// The source is consumed a **stage** at a time: up to `STAGE` (128)
     /// probes are pulled and prepared together (`fill_stage`: world rows
@@ -913,10 +813,13 @@ impl<'w> NetworkSim<'w> {
         }
     }
 
-    /// Hands every pending capture to `sink`.
+    /// Hands every pending arrival to `sink`.
     fn drain_pending<C: CaptureSink>(&mut self, sink: &mut C) {
-        for (service, c) in self.pending.drain(..) {
-            sink.capture(service, c.site, c.at, c.key, &c.packet);
+        for Handoff { site, at, key, packet } in self.pending.drain(..) {
+            match site {
+                Some((service, site)) => sink.capture(service, site, at, key, &packet),
+                None => sink.deliver(at, key, &packet),
+            }
         }
     }
 
@@ -944,8 +847,8 @@ impl<'w> NetworkSim<'w> {
         if self.services.get(service).is_some_and(|s| s.serve_dns) {
             self.serve(service, site, at, &packet, from);
         }
-        let capture = SiteCapture { site, at, key, packet };
-        self.pending.push((ServiceHandle(service), capture));
+        let site = Some((ServiceHandle(service), site));
+        self.pending.push(Handoff { site, at, key, packet });
     }
 
     /// Site host behaviour: answers pings and `hostname.bind` queries
@@ -1072,30 +975,6 @@ impl<'w> NetworkSim<'w> {
         self.transmit(when, out, from, to, false, extra, fnv, None);
     }
 
-    /// Packets captured at the sites of a service by [`NetworkSim::run`],
-    /// in arrival order.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "ServiceHandles are minted by register_service, which pushes the matching log."
-    )]
-    pub fn captures(&self, handle: ServiceHandle) -> &[SiteCapture] {
-        // ServiceHandles are minted by register_service, which pushes the
-        // matching log.
-        &self.captures.0[handle.0]
-    }
-
-    /// Packets delivered to ordinary hosts that the engine didn't consume:
-    /// in arrival order after [`NetworkSim::run`], in transmission order
-    /// after [`NetworkSim::run_with`].
-    pub fn host_deliveries(&self) -> &[HostDelivery] {
-        &self.host_deliveries
-    }
-
-    /// Takes (drains) the host deliveries.
-    pub fn take_host_deliveries(&mut self) -> Vec<HostDelivery> {
-        std::mem::take(&mut self.host_deliveries)
-    }
-
     /// Run counters.
     pub fn stats(&self) -> SimStats {
         self.stats.clone()
@@ -1192,7 +1071,7 @@ mod tests {
         let meas = ann.measurement_addr();
         let table = oracle.table().clone();
         let mut sim = NetworkSim::new(&w, FaultConfig::none(), 1);
-        let svc = sim.register_service(ann, Box::new(oracle), false);
+        sim.register_service(ann, Box::new(oracle), false);
 
         // Probe every responsive block once.
         let mut expected = Vec::new();
@@ -1200,17 +1079,15 @@ mod tests {
             sim.send_at(SimTime::ZERO, probe(meas, b.representative(), 7, i as u16));
             expected.push((b.representative(), table.site_of_pop(b.pop).unwrap()));
         }
-        sim.run();
-
-        let caps = sim.captures(svc);
+        let caps = Recorder::run(&mut sim).captures;
         assert_eq!(caps.len(), expected.len(), "one reply per responsive block");
-        for cap in caps {
+        for (site, _, _, packet) in caps {
             let (_, want_site) = expected
                 .iter()
-                .find(|(addr, _)| *addr == cap.packet.src)
+                .find(|(addr, _)| *addr == packet.src)
                 .expect("reply from a probed address");
-            assert_eq!(cap.site, *want_site, "reply captured at wrong site");
-            let msg = IcmpMessage::parse(&cap.packet.payload).unwrap();
+            assert_eq!(site, *want_site, "reply captured at wrong site");
+            let msg = IcmpMessage::parse(&packet.payload).unwrap();
             assert_eq!(msg.ident(), Some(7));
         }
     }
@@ -1221,12 +1098,11 @@ mod tests {
         let (ann, oracle) = service(&w);
         let meas = ann.measurement_addr();
         let mut sim = NetworkSim::new(&w, FaultConfig::none(), 1);
-        let svc = sim.register_service(ann, Box::new(oracle), false);
+        sim.register_service(ann, Box::new(oracle), false);
         for b in w.blocks.iter().filter(|b| !b.responsive).take(50) {
             sim.send_at(SimTime::ZERO, probe(meas, b.representative(), 1, 0));
         }
-        sim.run();
-        assert!(sim.captures(svc).is_empty());
+        assert!(Recorder::run(&mut sim).captures.is_empty());
         assert_eq!(sim.stats().replies, 0);
     }
 
@@ -1251,24 +1127,21 @@ mod tests {
             udp.emit(vp.representative(), anycast),
         );
         sim.send_at(SimTime::ZERO, pkt);
-        sim.run();
+        let seen = Recorder::run(&mut sim);
 
         // The query was captured at the VP's catchment site...
-        assert_eq!(sim.captures(svc).len(), 1);
-        assert_eq!(sim.captures(svc)[0].site, expected_site);
+        assert_eq!(seen.captures.len(), 1);
+        assert_eq!(seen.captures[0].0, expected_site);
         // ...and the VP received an answer naming that site.
-        let deliveries = sim.host_deliveries();
-        assert_eq!(deliveries.len(), 1);
-        let d = &deliveries[0];
-        let udp = UdpDatagram::parse(&d.packet.payload, d.packet.src, d.packet.dst).unwrap();
+        let [(_, d)] = &seen.delivered[..] else {
+            panic!("one delivery expected: {:?}", seen.delivered);
+        };
+        let udp = UdpDatagram::parse(&d.payload, d.src, d.dst).unwrap();
         let resp = DnsMessage::parse(&udp.payload).unwrap();
         assert_eq!(resp.id, 0xabcd);
         let name = resp.first_txt().unwrap();
         let site_name = &sites[expected_site.index()].name;
-        assert_eq!(
-            name,
-            NetworkSim::site_hostname(ServiceHandle(0), site_name)
-        );
+        assert_eq!(name, NetworkSim::site_hostname(svc, site_name));
     }
 
     #[test]
@@ -1280,13 +1153,11 @@ mod tests {
         let _svc = sim.register_service(ann, Box::new(oracle), true);
         let vp = w.responsive_blocks().next().unwrap();
         sim.send_at(SimTime::ZERO, probe(vp.representative(), anycast, 5, 6));
-        sim.run();
-        // The VP's echo reply comes back as a host delivery? No: the VP's
-        // *request* is answered by the site; the reply to the VP is ICMP,
-        // and the VP host consumes echo REPLIES by logging them.
-        let d = sim.host_deliveries();
+        // The VP's *request* is answered by the site, and the Echo Reply
+        // is handed to the VP's application.
+        let d = Recorder::run(&mut sim).delivered;
         assert_eq!(d.len(), 1);
-        let msg = IcmpMessage::parse(&d[0].packet.payload).unwrap();
+        let msg = IcmpMessage::parse(&d[0].1.payload).unwrap();
         assert_eq!(msg.ident(), Some(5));
         assert!(matches!(msg, IcmpMessage::EchoReply { .. }));
     }
@@ -1301,13 +1172,12 @@ mod tests {
             ..FaultConfig::none()
         };
         let mut sim = NetworkSim::new(&w, faults, 4);
-        let svc = sim.register_service(ann, Box::new(oracle), false);
+        sim.register_service(ann, Box::new(oracle), false);
         for b in w.responsive_blocks().take(20) {
             sim.send_at(SimTime::ZERO, probe(meas, b.representative(), 1, 0));
         }
-        sim.run();
+        assert!(Recorder::run(&mut sim).captures.is_empty());
         assert_eq!(sim.stats().lost, 20);
-        assert!(sim.captures(svc).is_empty());
     }
 
     #[test]
@@ -1322,20 +1192,18 @@ mod tests {
             ..FaultConfig::none()
         };
         let mut sim = NetworkSim::new(&w, faults, 5);
-        let svc = sim.register_service(ann, Box::new(oracle), false);
+        sim.register_service(ann, Box::new(oracle), false);
         let targets: Vec<_> = w.responsive_blocks().take(10).collect();
         for b in &targets {
             sim.send_at(SimTime::ZERO, probe(meas, b.representative(), 1, 0));
         }
-        sim.run();
-        let caps = sim.captures(svc);
+        let caps = Recorder::run(&mut sim).captures;
         assert!(caps.len() > targets.len(), "no duplicates captured");
         assert_eq!(sim.stats().aliases, 10);
         // All replies come from alias addresses, none from representatives.
-        for cap in caps {
-            let block = cap.packet.src.block();
-            let info = w.block(block).unwrap();
-            assert_ne!(cap.packet.src, info.representative());
+        for (_, _, _, packet) in caps {
+            let info = w.block(packet.src.block()).unwrap();
+            assert_ne!(packet.src, info.representative());
         }
     }
 
@@ -1350,13 +1218,12 @@ mod tests {
             ..FaultConfig::none()
         };
         let mut sim = NetworkSim::new(&w, faults, 6);
-        let svc = sim.register_service(ann, Box::new(oracle), false);
+        sim.register_service(ann, Box::new(oracle), false);
         let b = w.responsive_blocks().next().unwrap();
         sim.send_at(SimTime::ZERO, probe(meas, b.representative(), 1, 0));
-        sim.run();
-        let caps = sim.captures(svc);
+        let caps = Recorder::run(&mut sim).captures;
         assert_eq!(caps.len(), 1);
-        assert!(caps[0].at >= SimTime::ZERO + SimDuration::from_mins(20));
+        assert!(caps[0].1 >= SimTime::ZERO + SimDuration::from_mins(20));
     }
 
     /// Counts `site_of_pop` calls on the oracle it wraps.
@@ -1422,10 +1289,11 @@ mod tests {
             sim.register_service(ann.clone(), Box::new(&oracle), false);
             let mut seen = Recorder::default();
             sim.run_with(probes.iter().cloned(), &mut seen);
-            assert_eq!(seen.0.len(), probes.len());
+            assert_eq!(seen.captures.len(), probes.len());
 
             let (mut late, mut moved) = (0, 0);
-            for (site, at, src) in seen.0 {
+            for (site, at, _, packet) in seen.captures {
+                let src = packet.src;
                 let pop = w.block(src.block()).unwrap().pop;
                 let epoch = oracle.epoch(at);
                 assert!(epoch == 1 || epoch == 3, "capture at {at} in round {epoch}");
@@ -1460,14 +1328,13 @@ mod tests {
             ..FaultConfig::none()
         };
         let mut sim = NetworkSim::new(&w, faults, 8);
-        let svc = sim.register_service(ann, Box::new(&oracle), false);
+        sim.register_service(ann, Box::new(&oracle), false);
         for (i, b) in w.blocks.iter().enumerate() {
             let at = SimTime::ZERO + INTERVAL + SimDuration::from_millis(i as u64);
             sim.send_at(at, probe(meas, b.representative(), 2, i as u16));
         }
-        sim.run();
+        let routed = Recorder::run(&mut sim).captures.len() as u64;
         let answered = sim.stats().replies;
-        let routed = sim.captures(svc).len() as u64;
         assert!(routed > answered && answered == w.responsive_blocks().count() as u64);
         let calls = oracle.1.load(std::sync::atomic::Ordering::Relaxed) as u64;
         let epochs_touched = 1;
@@ -1509,7 +1376,7 @@ mod tests {
         let (ann, oracle) = service(&w);
         let meas = ann.measurement_addr();
         let mut sim = NetworkSim::new(&w, FaultConfig::none(), 8);
-        let svc = sim.register_service(ann, Box::new(oracle), false);
+        sim.register_service(ann, Box::new(oracle), false);
         let unpopulated = Ipv4Addr::new(250, 250, 250, 250);
         let host = w.responsive_blocks().next().unwrap();
         let not_the_host = host.block.addr(host.rep_octet.wrapping_add(1).max(1));
@@ -1524,9 +1391,9 @@ mod tests {
         ] {
             sim.send_at(SimTime::ZERO, probe(src, dst, 1, 1));
         }
-        sim.run();
+        let seen = Recorder::run(&mut sim);
         assert_eq!(sim.stats().undeliverable, 3);
-        assert!(sim.captures(svc).is_empty() && sim.host_deliveries().is_empty());
+        assert!(seen.captures.is_empty() && seen.delivered.is_empty());
     }
 
     /// ROADMAP 4(c), degenerate world: backscatter picks a block by
@@ -1547,7 +1414,7 @@ mod tests {
         let mut sim = NetworkSim::new(&w, faults, 12);
         sim.register_service(ann, Box::new(oracle), false);
         sim.send_at(SimTime::ZERO, probe(meas, Ipv4Addr::new(1, 2, 3, 4), 1, 0));
-        sim.run();
+        Recorder::run(&mut sim);
         assert_eq!(sim.stats().unsolicited, 0);
         assert_eq!(sim.stats().undeliverable, 1);
     }
@@ -1562,25 +1429,42 @@ mod tests {
             ..FaultConfig::none()
         };
         let mut sim = NetworkSim::new(&w, faults, 9);
-        let svc = sim.register_service(ann, Box::new(oracle), false);
+        sim.register_service(ann, Box::new(oracle), false);
         // Probe an unresponsive block: the only capture can be unsolicited.
         let b = w.blocks.iter().find(|b| !b.responsive).unwrap();
         sim.send_at(SimTime::ZERO, probe(meas, b.representative(), 1, 0));
-        sim.run();
+        let caps = Recorder::run(&mut sim).captures;
         assert_eq!(sim.stats().unsolicited, 1);
         // The unsolicited source is random; it may or may not route (its
         // block always exists), so at most one capture, usually one.
-        assert!(sim.captures(svc).len() <= 1);
+        assert!(caps.len() <= 1);
     }
 
     /// Records sink calls in the order they are made.
     #[derive(Default)]
-    struct Recorder(Vec<(SiteId, SimTime, Ipv4Addr)>, Vec<u64>);
+    struct Recorder {
+        /// Site captures: site, arrival instant, key, packet.
+        captures: Vec<(SiteId, SimTime, u64, Ipv4Packet)>,
+        /// Host hand-offs: arrival instant, packet.
+        delivered: Vec<(SimTime, Ipv4Packet)>,
+    }
 
     impl CaptureSink for Recorder {
         fn capture(&mut self, _: ServiceHandle, site: SiteId, at: SimTime, key: u64, packet: &Ipv4Packet) {
-            self.0.push((site, at, packet.src));
-            self.1.push(key);
+            self.captures.push((site, at, key, packet.clone()));
+        }
+
+        fn deliver(&mut self, at: SimTime, _: u64, packet: &Ipv4Packet) {
+            self.delivered.push((at, packet.clone()));
+        }
+    }
+
+    impl Recorder {
+        /// Closes a run of eager `send_at`s on `sim`: what it handed over.
+        fn run(sim: &mut NetworkSim) -> Recorder {
+            let mut seen = Recorder::default();
+            sim.run_with(std::iter::empty(), &mut seen);
+            seen
         }
     }
 
@@ -1623,19 +1507,19 @@ mod tests {
         let mut seen = Recorder::default();
         sim.run_with(probes, &mut seen);
 
-        let sources: Vec<Ipv4Addr> = seen.0.iter().map(|c| c.2).collect();
-        assert_eq!(sources, [vp, early, late], "not in transmission order: {:?}", seen.0);
-        let mut arrivals: Vec<_> = seen.0.iter().zip(&seen.1).map(|(&(_, at, src), &key)| (at, key, src)).collect();
+        let sources: Vec<Ipv4Addr> = seen.captures.iter().map(|c| c.3.src).collect();
+        assert_eq!(sources, [vp, early, late], "not in transmission order: {:?}", seen.captures);
+        let mut arrivals: Vec<_> = seen.captures.iter().map(|(_, at, key, packet)| (*at, *key, packet.src)).collect();
         arrivals.sort();
         let [(first, _, a), (second, _, b), (third, _, c)] = arrivals[..] else {
-            panic!("three captures expected: {:?}", seen.0);
+            panic!("three captures expected: {:?}", seen.captures);
         };
         assert_eq!([a, b, c], [early, vp, late]);
         assert!(first < ten_s && second >= ten_s && third > second);
         assert_eq!(sim.stats().injected, 3);
         assert_eq!(sim.now(), third, "the last capture is the last event");
-        // The log is `run`'s sink; `run_with` sinks elsewhere.
-        assert!(sim.captures(ServiceHandle(0)).is_empty() && sim.pending.is_empty());
+        // The site does not serve, so no answer reached the VP.
+        assert!(seen.delivered.is_empty() && sim.pending.is_empty());
     }
 
     /// When `packet`, sent at `at` from the service, reaches `block`'s
@@ -1679,8 +1563,8 @@ mod tests {
             vec![timed_probe(SimTime::ZERO, first), timed_probe(sent_last, last)],
             &mut seen,
         );
-        let [(_, captured, _)] = seen.0[..] else {
-            panic!("one reply expected: {:?}", seen.0);
+        let [(_, captured, ..)] = seen.captures[..] else {
+            panic!("one reply expected: {:?}", seen.captures);
         };
         assert!(first_arrives < captured && captured < sent_last && sent_last < last_arrives);
         assert_eq!(sim.now(), last_arrives, "the run ends at the unanswered probe's arrival");
@@ -1712,7 +1596,7 @@ mod tests {
 
         let mut seen = Recorder::default();
         sim.run_with(probes.iter().map(|(_, p)| p.clone()), &mut seen);
-        arrivals.extend(seen.0.iter().map(|(_, at, _)| *at));
+        arrivals.extend(seen.captures.iter().map(|(_, at, ..)| *at));
         assert_eq!(sim.stats().delivered_to_hosts, at_hosts);
         assert!(sim.parked.is_empty(), "{} arrivals left parked", sim.parked.len());
         let (registry, trace) = sim.take_obs().unwrap().into_parts();
@@ -1889,8 +1773,8 @@ mod tests {
             &mut seen,
         );
         // One reply arrived before the stray probe left and one after.
-        let [(_, before, _), (_, after, _)] = seen.0[..] else {
-            panic!("two replies expected: {:?}", seen.0);
+        let [(_, before, ..), (_, after, ..)] = seen.captures[..] else {
+            panic!("two replies expected: {:?}", seen.captures);
         };
         assert!(before < secs(5) && secs(10) < after);
         let ring = &sim.obs.as_ref().unwrap().ring;
@@ -1924,13 +1808,13 @@ mod tests {
             sim.attach_obs(level);
             sim.register_service(ann, Box::new(oracle), false);
             sim.send_at(SimTime::ZERO, probe(meas, not_the_host, 1, 0));
-            sim.run();
+            Recorder::run(&mut sim);
             let idle = sim.obs.as_ref().unwrap();
             assert!(idle.trace.spans.is_empty(), "{level:?}: nothing arrived, yet {:?}", idle.trace.spans);
             assert_eq!(idle.ring.len(), usize::from(level == vp_obs::TraceLevel::Full));
 
             sim.send_at(SimTime::ZERO, probe(meas, host.representative(), 1, 1));
-            sim.run();
+            Recorder::run(&mut sim);
             let (registry, trace) = sim.take_obs().unwrap().into_parts();
             assert_eq!(registry.counter_value("engine.events", &[]), 2, "{level:?}");
             let runs = trace.spans.get("engine.run").map_or(0, |agg| agg.count);
@@ -1939,7 +1823,7 @@ mod tests {
     }
 
     /// Eager injection resolves its arrivals too: `send_at` answers before
-    /// `run` is even called, and the run still accounts for them.
+    /// the run is even called, and the run still accounts for them.
     #[test]
     fn eager_arrivals_are_events_of_the_next_run() {
         let w = world();
@@ -1952,7 +1836,7 @@ mod tests {
         for (i, b) in silent.iter().enumerate() {
             sim.send_at(SimTime(i as u64 * 1000), probe(meas, b.representative(), 1, i as u16));
         }
-        sim.run();
+        assert!(Recorder::run(&mut sim).delivered.is_empty());
         assert_eq!(sim.stats().delivered_to_hosts, 30);
         assert!(sim.now() > SimTime(29_000));
         let events = |sim: &NetworkSim| {
@@ -1968,10 +1852,10 @@ mod tests {
         let (a, b) = (hosts.next().unwrap(), hosts.next().unwrap());
         let sent = sim.now() + SimDuration::from_secs(1);
         sim.send_at(sent, probe(a.representative(), b.representative(), 4, 2));
-        sim.run();
+        let delivered = Recorder::run(&mut sim).delivered;
         assert_eq!(events(&sim), 30 + 2);
-        let [HostDelivery { at, packet, .. }] = sim.host_deliveries() else {
-            panic!("one delivery expected: {:?}", sim.host_deliveries());
+        let [(at, packet)] = &delivered[..] else {
+            panic!("one delivery expected: {delivered:?}");
         };
         assert_eq!((packet.src, packet.dst), (b.representative(), a.representative()));
         let reply = IcmpMessage::parse(&packet.payload).unwrap();
@@ -1995,15 +1879,15 @@ mod tests {
             ..FaultConfig::none()
         };
         let mut sim = NetworkSim::new(&w, faults, 7);
-        let svc = sim.register_service(ann, Box::new(oracle), false);
+        sim.register_service(ann, Box::new(oracle), false);
         let boundary = SimTime::ZERO + INTERVAL;
         // Every delay is at least the latency model's 2 ms floor.
         let sent = SimTime(boundary.0 - 1_000_000);
         for (i, b) in w.responsive_blocks().enumerate() {
             sim.send_at(sent, probe(meas, b.representative(), 1, i as u16));
         }
-        sim.run();
-        let mut answered: Vec<Ipv4Addr> = sim.captures(svc).iter().map(|c| c.packet.src).collect();
+        let caps = Recorder::run(&mut sim).captures;
+        let mut answered: Vec<Ipv4Addr> = caps.iter().map(|c| c.3.src).collect();
         answered.sort();
         let up_at = |at| {
             let mut up: Vec<Ipv4Addr> = (w.responsive_blocks().filter(|b| sim.block_up(b, at)))
@@ -2023,18 +1907,15 @@ mod tests {
             let (ann, oracle) = service(&w);
             let meas = ann.measurement_addr();
             let mut sim = NetworkSim::new(&w, FaultConfig::default(), 10);
-            let svc = sim.register_service(ann, Box::new(oracle), false);
+            sim.register_service(ann, Box::new(oracle), false);
             for (i, b) in w.responsive_blocks().enumerate() {
                 sim.send_at(
                     SimTime(i as u64 * 1000),
                     probe(meas, b.representative(), 3, i as u16),
                 );
             }
-            sim.run();
-            let caps: Vec<(u8, u64, u32)> = sim
-                .captures(svc)
-                .iter()
-                .map(|c| (c.site.0, c.at.0, c.packet.src.0))
+            let caps: Vec<(u8, u64, u32)> = (Recorder::run(&mut sim).captures.iter())
+                .map(|(site, at, _, packet)| (site.0, at.0, packet.src.0))
                 .collect();
             (caps, sim.stats())
         };

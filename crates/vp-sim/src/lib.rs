@@ -1,13 +1,12 @@
 //! Discrete-event network simulator for anycast measurement.
 //!
 //! This is the "Internet" the measurement tools run against. Applications
-//! (the Verfploeter prober, the Atlas baseline, the DNS load generator)
-//! inject real byte-level [`vp_packet`] packets at simulated times; the
-//! engine delivers them according to the world's unicast reachability and —
-//! for destinations inside a registered anycast service prefix — the BGP
-//! catchment of the *sender*, exactly the mechanism the paper exploits
-//! ("the catchment is identified by the anycast site that receives the
-//! reply", §3.1).
+//! (the Verfploeter prober, the Atlas baseline) inject real byte-level
+//! [`vp_packet`] packets at simulated times; the engine delivers them
+//! according to the world's unicast reachability and — for destinations
+//! inside a registered anycast service prefix — the BGP catchment of the
+//! *sender*, exactly the mechanism the paper exploits ("the catchment is
+//! identified by the anycast site that receives the reply", §3.1).
 //!
 //! The engine injects the measurement artifacts the paper's data-cleaning
 //! step confronts (§4): duplicate replies ("in some cases up to thousands
@@ -22,7 +21,9 @@
 //! * [`oracle`] — catchment oracles: converged ([`StaticOracle`]) or with
 //!   per-round flips ([`FlippingOracle`]).
 //! * [`engine`] — the run loop (every arrival resolved at transmission),
-//!   host behaviours, capture sinks and logs.
+//!   host behaviours.
+//! * [`sink`] — the [`CaptureSink`] a run hands its arrivals to, and
+//!   [`Earliest`], the least-`(at, key)`-per-slot reduction over them.
 //! * [`exec`] — the blessed OS-thread shard executor; the one module
 //!   allowed to spawn threads (DESIGN.md §14).
 //! * [`scenario`] — assembled worlds: the two-site B-Root deployment and
@@ -42,13 +43,12 @@ pub mod faults;
 pub mod latency;
 pub mod oracle;
 pub mod scenario;
+pub mod sink;
 
-pub use engine::{
-    derive_shard_seed, CaptureSink, EngineObs, HostDelivery, NetworkSim, ServiceHandle, SimStats,
-    SiteCapture, TimedProbe,
-};
+pub use engine::{EngineObs, NetworkSim, ServiceHandle, SimStats, TimedProbe};
 pub use exec::ShardExecutor;
 pub use faults::FaultConfig;
 pub use latency::LatencyModel;
 pub use oracle::{CatchmentOracle, FlippingOracle, StaticOracle};
 pub use scenario::Scenario;
+pub use sink::{CaptureSink, Earliest};

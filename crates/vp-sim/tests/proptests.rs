@@ -7,8 +7,8 @@ use vp_bgp::SiteId;
 use vp_net::{Ipv4Addr, SimDuration, SimTime};
 use vp_packet::{IcmpMessage, Ipv4Packet, Protocol};
 use vp_sim::{
-    CaptureSink, FaultConfig, HostDelivery, LatencyModel, NetworkSim, Scenario, ServiceHandle,
-    SimStats, StaticOracle, TimedProbe,
+    CaptureSink, FaultConfig, LatencyModel, NetworkSim, Scenario, ServiceHandle, SimStats,
+    StaticOracle, TimedProbe,
 };
 use vp_topology::TopologyConfig;
 
@@ -36,25 +36,41 @@ fn probe(src: Ipv4Addr, dst: Ipv4Addr, ident: u16, seq: u16) -> Ipv4Packet {
     )
 }
 
-/// Records every sink call.
-#[derive(Default, Debug, PartialEq)]
-struct Recorder(Vec<(SimTime, u64, usize, SiteId, Ipv4Packet)>);
+/// A site capture as the sink receives it.
+type Captured = (SimTime, u64, usize, SiteId, Ipv4Packet);
+
+/// Records every sink call: site captures, then host hand-offs.
+#[derive(Default)]
+struct Recorder(Vec<Captured>, Vec<(SimTime, u64, Ipv4Packet)>);
 
 impl CaptureSink for Recorder {
     fn capture(&mut self, service: ServiceHandle, site: SiteId, at: SimTime, key: u64, packet: &Ipv4Packet) {
         self.0.push((at, key, service.0, site, packet.clone()));
     }
+
+    fn deliver(&mut self, at: SimTime, key: u64, packet: &Ipv4Packet) {
+        self.1.push((at, key, packet.clone()));
+    }
 }
 
-/// Everything one engine run can show an observer: sink calls in arrival
-/// order (`(at, key)` — the sink contract promises each capture once, in
-/// transmission order), host deliveries, counters, the final clock, and
-/// the `Full`-level sidecar — `engine.events`, the `engine.run` span, and
-/// the `engine.undeliverable` events the ring kept (the last 256 in
-/// emission order, so their order shows in which survive) with the count
-/// it evicted.
+impl Recorder {
+    /// Closes a run of eager `send_at`s on `sim`: what it handed over.
+    fn run(sim: &mut NetworkSim) -> Recorder {
+        let mut seen = Recorder::default();
+        sim.run_with(std::iter::empty(), &mut seen);
+        seen
+    }
+}
+
+/// Everything one engine run can show an observer: site captures in
+/// arrival order (`(at, key)` — the sink contract promises each capture
+/// once, in transmission order), host hand-offs in the order the sink got
+/// them, counters, the final clock, and the `Full`-level sidecar —
+/// `engine.events`, the `engine.run` span, and the `engine.undeliverable`
+/// events the ring kept (the last 256 in emission order, so their order
+/// shows in which survive) with the count it evicted.
 type Observed = (
-    Recorder,
+    Vec<Captured>,
     Vec<(SimTime, u64, Ipv4Packet)>,
     SimStats,
     SimTime,
@@ -80,13 +96,13 @@ fn observe(s: &Scenario, faults: &FaultConfig, sim_seed: u64, probes: &[TimedPro
     sim.attach_obs(vp_obs::TraceLevel::Full);
     sim.register_service(ann, Box::new(StaticOracle::new(s.routing())), true);
     // Background: pings from ordinary hosts to the service (captured, then
-    // answered by the site, landing in `host_deliveries`).
+    // answered by the site, the answer handed to the pinger).
     for (i, b) in s.world.responsive_blocks().take(20).enumerate() {
         let at = SimTime::ZERO + SimDuration::from_millis(i as u64 * 7);
         sim.send_at(at, probe(b.representative(), meas, 77, i as u16));
     }
     // Pings between ordinary hosts, up or not (the request is answered as
-    // it is sent; the reply lands in `host_deliveries`), and an ICMP error
+    // it is sent; the reply is handed to the pinger), and an ICMP error
     // no responder consumes (handed to the application).
     let hosts: Vec<_> = s.world.blocks.iter().take(80).collect();
     for (i, pair) in hosts.chunks_exact(2).enumerate() {
@@ -108,12 +124,8 @@ fn observe(s: &Scenario, faults: &FaultConfig, sim_seed: u64, probes: &[TimedPro
         }
         sim.run_with(std::iter::empty(), &mut seen);
     }
-    seen.0.sort_by_key(|&(at, key, ..)| (at, key));
-    let deliveries = sim
-        .take_host_deliveries()
-        .into_iter()
-        .map(|HostDelivery { at, key, packet }| (at, key, packet))
-        .collect();
+    let Recorder(mut captures, deliveries) = seen;
+    captures.sort_by_key(|&(at, key, ..)| (at, key));
     let (registry, trace) = sim.take_obs().expect("attached above").into_parts();
     let obs = (
         registry.counter_value("engine.events", &[]),
@@ -121,7 +133,7 @@ fn observe(s: &Scenario, faults: &FaultConfig, sim_seed: u64, probes: &[TimedPro
         trace.events,
         trace.dropped_events,
     );
-    (seen, deliveries, sim.stats(), sim.now(), obs)
+    (captures, deliveries, sim.stats(), sim.now(), obs)
 }
 
 /// `count` probes from the measurement address, time-sorted by `gaps`
@@ -193,7 +205,7 @@ proptest! {
 
         let eager = observe(&s, &faults, sim_seed, &probes, false);
         let lazy = observe(&s, &faults, sim_seed, &probes, true);
-        prop_assert!(!eager.0.0.is_empty(), "nothing was captured");
+        prop_assert!(!eager.0.is_empty(), "nothing was captured");
         // Every unreachable message that survived loss, and the Echo
         // Reply of at least one host-to-host ping, reached an application.
         let delivered = |wanted: fn(&IcmpMessage) -> bool| {
@@ -270,12 +282,12 @@ proptest! {
         let meas = ann.measurement_addr();
         let faults = FaultConfig { loss, unsolicited_prob: 0.01, ..FaultConfig::default() };
         let mut sim = NetworkSim::new(&s.world, faults, sim_seed);
-        let svc = sim.register_service(ann, Box::new(StaticOracle::new(s.routing())), false);
+        sim.register_service(ann, Box::new(StaticOracle::new(s.routing())), false);
         let n = s.world.blocks.len().min(300);
         for (i, b) in s.world.blocks.iter().take(n).enumerate() {
             sim.send_at(SimTime(i as u64 * 1_000_000), probe(meas, b.representative(), 1, i as u16));
         }
-        sim.run();
+        let captured = Recorder::run(&mut sim).0.len() as u64;
         let st = sim.stats();
         prop_assert_eq!(st.injected, n as u64);
         // Every transmission (probes + replies + dups + unsolicited) ends
@@ -286,7 +298,7 @@ proptest! {
             st.lost + st.delivered_to_hosts + st.delivered_to_sites + st.undeliverable,
             "conservation violated: {:?}", st
         );
-        prop_assert!(sim.captures(svc).len() as u64 <= st.delivered_to_sites);
+        prop_assert!(captured <= st.delivered_to_sites);
     }
 
     /// Replies never outnumber delivered probes (modulo duplicates), and
@@ -297,7 +309,7 @@ proptest! {
         let ann = s.announcement.clone();
         let meas = ann.measurement_addr();
         let mut sim = NetworkSim::new(&s.world, FaultConfig::none(), 1);
-        let svc = sim.register_service(ann, Box::new(StaticOracle::new(s.routing())), false);
+        sim.register_service(ann, Box::new(StaticOracle::new(s.routing())), false);
         let mut expected = 0u64;
         for (i, b) in s.world.blocks.iter().enumerate() {
             sim.send_at(SimTime(i as u64 * 100_000), probe(meas, b.representative(), 2, i as u16));
@@ -305,9 +317,9 @@ proptest! {
                 expected += 1;
             }
         }
-        sim.run();
+        let captured = Recorder::run(&mut sim).0.len() as u64;
         prop_assert_eq!(sim.stats().replies, expected);
-        prop_assert_eq!(sim.captures(svc).len() as u64, expected);
+        prop_assert_eq!(captured, expected);
         prop_assert_eq!(sim.stats().duplicates, 0);
         prop_assert_eq!(sim.stats().lost, 0);
     }
@@ -320,13 +332,12 @@ proptest! {
         let meas = ann.measurement_addr();
         let start = SimTime::ZERO + vp_net::SimDuration::from_millis(offset_ms);
         let mut sim = NetworkSim::new(&s.world, FaultConfig::none(), 3);
-        let svc = sim.register_service(ann, Box::new(StaticOracle::new(s.routing())), false);
+        sim.register_service(ann, Box::new(StaticOracle::new(s.routing())), false);
         for (i, b) in s.world.responsive_blocks().take(100).enumerate() {
             sim.send_at(start, probe(meas, b.representative(), 3, i as u16));
         }
-        sim.run();
-        for cap in sim.captures(svc) {
-            prop_assert!(cap.at >= start, "capture at {} before send at {}", cap.at, start);
+        for (at, ..) in Recorder::run(&mut sim).0 {
+            prop_assert!(at >= start, "capture at {} before send at {}", at, start);
         }
     }
 }
@@ -344,8 +355,8 @@ fn service_registration_order_is_stable() {
     let table_b = s.routing_for(&ann_b);
     let b = sim.register_service(ann_b, Box::new(StaticOracle::new(table_b)), true);
     assert_ne!(a.0, b.0);
-    assert!(sim.captures(a).is_empty());
-    assert!(sim.captures(b).is_empty());
+    let seen = Recorder::run(&mut sim);
+    assert!(seen.0.is_empty() && seen.1.is_empty());
 }
 
 // Merge algebra for the per-shard statistics counters.

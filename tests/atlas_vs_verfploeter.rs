@@ -8,7 +8,7 @@ use std::collections::BTreeSet;
 
 use verfploeter_suite::atlas::{run_scan as atlas_scan, AtlasConfig, AtlasPanel};
 use verfploeter_suite::hitlist::{Hitlist, HitlistConfig};
-use verfploeter_suite::net::{SimDuration, SimTime};
+use verfploeter_suite::net::SimTime;
 use verfploeter_suite::sim::{FaultConfig, Scenario, StaticOracle};
 use verfploeter_suite::topology::TopologyConfig;
 use verfploeter_suite::vp::coverage::{coverage, AtlasCoverage};
@@ -41,8 +41,6 @@ fn methods_agree_where_both_observe() {
         &s.announcement,
         Box::new(StaticOracle::new(table)),
         FaultConfig::none(),
-        SimTime::ZERO,
-        SimDuration::from_mins(8),
         "STA-T",
         32,
     );
@@ -76,8 +74,6 @@ fn verfploeter_coverage_dominates() {
         &s.announcement,
         Box::new(StaticOracle::new(table)),
         FaultConfig::default(),
-        SimTime::ZERO,
-        SimDuration::from_mins(8),
         "STA-T",
         34,
     );
@@ -140,8 +136,6 @@ fn atlas_sees_fewer_sites_than_verfploeter_on_many_site_deployments() {
         &s.announcement,
         Box::new(StaticOracle::new(table)),
         FaultConfig::none(),
-        SimTime::ZERO,
-        SimDuration::from_mins(8),
         "STA-T9",
         36,
     );

@@ -1,7 +1,7 @@
 //! Tier-1 lint gate. The policy lives in `[workspace.lints]`, `clippy.toml`
 //! and the library roots; this file runs the one gating clippy command and
-//! holds what clippy cannot: audits only ratchet down, and every
-//! `pub fn merge` names a merge-law test.
+//! the rustdoc build, and holds what neither can: audits only ratchet
+//! down, and every `pub fn merge` names a merge-law test.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -25,19 +25,35 @@ fn sources() -> Vec<(PathBuf, String)> {
     out
 }
 
-/// The gating command, in its own target directory so it never waits on
-/// the build that runs this test.
-#[test]
-fn workspace_is_lint_clean() {
+/// A cargo command in its own target directory, so it never waits on the
+/// build that runs this test: its stderr if it failed.
+fn cargo_fails(args: &[&str], rustdocflags: &str) -> Option<String> {
     let out = Command::new(env!("CARGO"))
         .current_dir(root())
         .env("CARGO_TARGET_DIR", root().join("target/clippy"))
-        .args(["clippy", "--workspace", "--all-targets", "--offline", "--quiet"])
-        .args(["--", "-D", "warnings"])
+        .env("RUSTDOCFLAGS", rustdocflags)
+        .args(args)
         .output()
-        .expect("run cargo clippy");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "cargo clippy failed:\n{stderr}");
+        .expect("run cargo");
+    (!out.status.success()).then(|| String::from_utf8_lossy(&out.stderr).into_owned())
+}
+
+/// The gating command.
+#[test]
+fn workspace_is_lint_clean() {
+    let args = ["clippy", "--workspace", "--all-targets", "--offline", "--quiet", "--", "-D", "warnings"];
+    if let Some(stderr) = cargo_fails(&args, "") {
+        panic!("cargo clippy failed:\n{stderr}");
+    }
+}
+
+/// Every doc comment renders: no dangling intra-doc link, no stray HTML.
+#[test]
+fn workspace_docs_build_clean() {
+    let args = ["doc", "--workspace", "--no-deps", "--offline", "--quiet"];
+    if let Some(stderr) = cargo_fails(&args, "-D warnings") {
+        panic!("cargo doc failed:\n{stderr}");
+    }
 }
 
 /// Audits only go down: adding an `expect` lint attribute (outer or inner)
@@ -45,7 +61,7 @@ fn workspace_is_lint_clean() {
 /// ceiling.
 #[test]
 fn expect_count_only_ratchets_down() {
-    const CEILING: usize = 79;
+    const CEILING: usize = 76;
     // Spelled in halves so this file does not count itself.
     let (outer, inner) = (concat!("#[", "expect("), concat!("#![", "expect("));
     let count: usize = sources().iter().map(|(_, t)| t.matches(outer).count() + t.matches(inner).count()).sum();
