@@ -40,11 +40,15 @@ pub struct CatchmentMap {
 impl CatchmentMap {
     /// Folds cleaned replies into the map. Cleaning guarantees one reply
     /// per hitlist index, hence one entry per block.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a CleanReply comes from a Cleaner over this hitlist, which keeps only indices of its entries."
+    )]
     pub fn from_replies(name: &str, replies: &[CleanReply], hitlist: &Hitlist) -> CatchmentMap {
         Self::from_pairs(
             name,
             replies.iter().map(|r| {
-                let block = hitlist.entry(vp_net::conv::sat_usize(r.index)).block;
+                let block = hitlist.entries()[vp_net::conv::sat_usize(r.index)].block;
                 (block, r.site)
             }),
         )
@@ -110,11 +114,12 @@ impl CatchmentMap {
     }
 
     /// Mapped blocks per site.
-    #[expect(clippy::indexing_slicing, reason = "a u8 indexes 256 slots.")]
     pub fn site_counts(&self) -> BTreeMap<SiteId, usize> {
         let mut counts = [0usize; 256];
         for s in self.entries.values() {
-            counts[usize::from(s.0)] += 1;
+            if let Some(n) = counts.get_mut(usize::from(s.0)) {
+                *n += 1;
+            }
         }
         let sites = (0..=u8::MAX).map(SiteId).zip(counts);
         sites.filter(|&(_, n)| n > 0).collect()

@@ -74,11 +74,12 @@ impl<'h> Cleaner<'h> {
     pub fn push(&mut self, r: &RawReply, key: u64) {
         self.stats.total += 1;
         let index = r.index.filter(|_| r.ident == self.ident);
-        let Some(slot) = index.and_then(|i| usize::try_from(i).ok()).filter(|&i| i < self.hitlist.len()) else {
+        let slot = index.and_then(|i| usize::try_from(i).ok());
+        let Some((slot, entry)) = slot.and_then(|i| Some((i, self.hitlist.entries().get(i)?))) else {
             self.stats.foreign += 1;
             return;
         };
-        if self.hitlist.entry(slot).target != r.src {
+        if entry.target != r.src {
             self.stats.unprobed_source += 1;
             return;
         }
@@ -168,7 +169,7 @@ mod tests {
         RawReply {
             site: SiteId(0),
             at: SimTime(at),
-            src: hl.entry(vp_net::conv::sat_usize(index)).target,
+            src: hl.entries()[vp_net::conv::sat_usize(index)].target,
             ident,
             index: Some(index),
         }
@@ -270,7 +271,7 @@ mod tests {
             let mut r = RawReply {
                 site: SiteId(site),
                 at: SimTime([0, 10, 10, 20, 50, 51][at]),
-                src: hl.entry(vp_net::conv::sat_usize(index)).target,
+                src: hl.entries()[vp_net::conv::sat_usize(index)].target,
                 ident: 7,
                 index: Some(index),
             };
@@ -291,7 +292,7 @@ mod tests {
 
     /// What a cleaning pass produces, as the scan consumes it.
     fn tables(hl: &Hitlist, (kept, stats): (Vec<CleanReply>, CleaningStats)) -> (CatchmentMap, RttTable, CleaningStats) {
-        let block = |r: &CleanReply| hl.entry(vp_net::conv::sat_usize(r.index)).block;
+        let block = |r: &CleanReply| hl.entries()[vp_net::conv::sat_usize(r.index)].block;
         let map = CatchmentMap::from_replies("m", &kept, hl);
         let rtts = RttTable::from_pairs(kept.iter().map(|r| (block(r), r.at.since(SimTime::ZERO))));
         (map, rtts, stats)

@@ -127,7 +127,7 @@ mod tests {
 
         let w = Internet::generate(TopologyConfig::tiny(71));
         let hl = Hitlist::from_internet(&w, &HitlistConfig::default());
-        let target = |i: usize| hl.entry(i).target.0;
+        let target = |i: usize| hl.entries()[i].target.0;
         let captures = [
             (SiteId(0), SimTime(10), reply_packet(target(1), 7, 1)),
             (SiteId(1), SimTime(20), reply_packet(target(2), 7, 2)),

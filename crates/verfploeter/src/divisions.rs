@@ -77,7 +77,6 @@ pub struct Fig7Row {
 }
 
 /// Groups divisions by sites-seen and summarizes announced-prefix counts.
-#[expect(clippy::indexing_slicing, reason = "idx = round((len-1)*p) with p <= 1, always < len.")]
 pub fn fig7_rows(divisions: &[AsDivision]) -> Vec<Fig7Row> {
     let mut by_sites: BTreeMap<u32, Vec<f64>> = BTreeMap::new();
     for d in divisions {
@@ -90,9 +89,10 @@ pub fn fig7_rows(divisions: &[AsDivision]) -> Vec<Fig7Row> {
         .into_iter()
         .map(|(sites, mut counts)| {
             counts.sort_by(f64::total_cmp);
+            // idx = round((len-1)·p) with p <= 1: always a position of counts.
             let pct = |p: f64| -> f64 {
                 let idx = conv::index(conv::sat_f64_to_u32(((counts.len() - 1) as f64 * p).round()));
-                counts[idx]
+                counts.get(idx).copied().unwrap_or_default()
             };
             Fig7Row {
                 sites,
@@ -119,10 +119,6 @@ pub struct Fig8Row {
 
 /// Computes Fig. 8: per announced prefix, the number of distinct sites its
 /// observed blocks see, grouped by prefix length.
-#[expect(
-    clippy::indexing_slicing,
-    reason = "prefix_idx indexes world.prefixes and per_prefix is sized to it; k is clamped to 1..=max_sites and counts has max_sites slots."
-)]
 pub fn fig8_rows(
     catchments: &CatchmentMap,
     world: &Internet,
@@ -136,10 +132,12 @@ pub fn fig8_rows(
         if exclude.contains(&block) {
             continue;
         }
-        if let Some(info) = world.block(block) {
-            let slot = &mut per_prefix[conv::index(info.prefix_idx)];
-            slot.0.insert(site);
-            slot.1 += 1;
+        let slot = world
+            .block(block)
+            .and_then(|info| per_prefix.get_mut(conv::index(info.prefix_idx)));
+        if let Some((sites, blocks)) = slot {
+            sites.insert(site);
+            *blocks += 1;
         }
     }
     let mut grouped: BTreeMap<u8, Vec<&(BTreeSet<SiteId>, u32)>> = BTreeMap::new();
@@ -156,8 +154,9 @@ pub fn fig8_rows(
             let mut counts = vec![0usize; max_sites];
             let mut single_vp = 0usize;
             for (sites, blocks) in slots {
-                let k = sites.len().clamp(1, max_sites);
-                counts[k - 1] += 1;
+                if let Some(c) = counts.get_mut(sites.len().clamp(1, max_sites) - 1) {
+                    *c += 1;
+                }
                 if *blocks == 1 {
                     single_vp += 1;
                 }

@@ -70,4 +70,4 @@ pub use rtt::RttTable;
 pub use cleaning::{clean, Cleaner, CleaningStats};
 pub use collector::{parse_capture, RawReply};
 pub use prober::{ProbeConfig, Prober};
-pub use scan::{run_scan, run_scan_sharded, run_scan_sharded_on, ScanConfig, ScanObs, ScanResult};
+pub use scan::{run_scan, run_scan_sharded_on, ScanConfig, ScanObs, ScanResult};

@@ -44,8 +44,7 @@ pub fn mappability(catchments: &CatchmentMap, log: &QueryLog) -> MappabilityRepo
         queries_seen: 0.0,
         queries_mapped: 0.0,
     };
-    for (i, b) in log.world().blocks.iter().enumerate() {
-        let q = log.daily_by_idx(i);
+    for (b, q) in log.per_block() {
         if q <= 0.0 {
             continue;
         }
@@ -64,8 +63,7 @@ pub fn mappability(catchments: &CatchmentMap, log: &QueryLog) -> MappabilityRepo
 /// of Fig. 4a). Blocks with traffic but no catchment entry land there.
 pub fn load_split(catchments: &CatchmentMap, log: &QueryLog) -> BTreeMap<Option<SiteId>, f64> {
     let mut split: BTreeMap<Option<SiteId>, f64> = BTreeMap::new();
-    for (i, b) in log.world().blocks.iter().enumerate() {
-        let q = log.daily_by_idx(i);
+    for (b, q) in log.per_block() {
         if q <= 0.0 {
             continue;
         }
@@ -96,8 +94,7 @@ pub fn load_fraction_to(catchments: &CatchmentMap, log: &QueryLog, site: SiteId)
 pub fn load_bins(catchments: &CatchmentMap, log: &QueryLog) -> BinnedMap<Option<SiteId>> {
     let mut bins = BinnedMap::new();
     let world = log.world();
-    for (i, b) in world.blocks.iter().enumerate() {
-        let q = log.daily_by_idx(i);
+    for (b, q) in log.per_block() {
         if q <= 0.0 {
             continue;
         }
@@ -197,12 +194,10 @@ mod tests {
         let log = QueryLog::ditl(&w, LoadModel::default(), "L");
         let bins = load_bins(&full_map(&w), &log);
         // All blocks are locatable except the unlocatable sliver.
-        let located_load: f64 = w
-            .blocks
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| w.geodb.locate(b.block).is_some())
-            .map(|(i, _)| log.daily_by_idx(i))
+        let located_load: f64 = log
+            .per_block()
+            .filter(|(b, _)| w.geodb.locate(b.block).is_some())
+            .map(|(_, q)| q)
             .sum();
         assert!((bins.total() - located_load / 86_400.0).abs() < 1e-6);
     }

@@ -31,11 +31,9 @@ pub struct MethodRow {
 /// block delivered to its true site under `routing`. Returns the fraction
 /// arriving at `site`.
 pub fn actual_load_fraction(routing: &RoutingTable, log: &QueryLog, site: SiteId) -> f64 {
-    let world = log.world();
     let mut at_site = 0.0;
     let mut total = 0.0;
-    for (i, b) in world.blocks.iter().enumerate() {
-        let q = log.daily_by_idx(i);
+    for (b, q) in log.per_block() {
         if q <= 0.0 {
             continue;
         }
@@ -57,15 +55,14 @@ pub fn hourly_prediction(
     catchments: &CatchmentMap,
     log: &QueryLog,
 ) -> Vec<BTreeMap<Option<SiteId>, f64>> {
-    let world = log.world();
     let mut hours: Vec<BTreeMap<Option<SiteId>, f64>> = vec![BTreeMap::new(); 24];
-    for (i, b) in world.blocks.iter().enumerate() {
-        if log.daily_by_idx(i) <= 0.0 {
+    for (b, q) in log.per_block() {
+        if q <= 0.0 {
             continue;
         }
         let site = catchments.site_of(b.block);
-        for (h, slot) in hours.iter_mut().enumerate() {
-            *slot.entry(site).or_insert(0.0) += log.hourly_by_idx(i, vp_net::conv::sat_u32(h)) / 3600.0;
+        for (h, slot) in (0..).zip(&mut hours) {
+            *slot.entry(site).or_insert(0.0) += log.hourly(b, q, h) / 3600.0;
         }
     }
     hours
@@ -189,13 +186,10 @@ mod tests {
         );
         // The routing change must affect some traffic-sending block for the
         // stale map to mispredict.
-        let moved_load: f64 = s
-            .world
-            .blocks
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| table_old.site_of_pop(b.pop) != table_now.site_of_pop(b.pop))
-            .map(|(i, _)| log.daily_by_idx(i))
+        let moved_load: f64 = log
+            .per_block()
+            .filter(|(b, _)| table_old.site_of_pop(b.pop) != table_now.site_of_pop(b.pop))
+            .map(|(_, q)| q)
             .sum();
         assert!(moved_load > 0.0, "prepending moved no traffic-sending block");
         let site = s.announcement.sites[0].id;

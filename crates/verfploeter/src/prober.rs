@@ -11,13 +11,15 @@
 //! central pipeline can pair replies with probes even when the replier
 //! answers from a different address.
 
-use bytes::{BufMut, Bytes, BytesMut};
-use vp_hitlist::Hitlist;
+use bytes::Bytes;
 use vp_net::{FeistelPermutation, Ipv4Addr, ProbeOrder, SimTime, TokenBucket};
 use vp_packet::{IcmpMessage, Ipv4Packet, Protocol};
 
 /// Magic prefix identifying Verfploeter probe payloads.
 pub const PAYLOAD_MAGIC: &[u8; 4] = b"VPLT";
+
+/// Probe payload length: the magic prefix and a big-endian hitlist index.
+const PAYLOAD_LEN: usize = 12;
 
 /// Probes encoded per [`Prober::build_probes_with_replies`] batch: large enough to
 /// amortize the batch's two wire-buffer allocations to noise, small enough
@@ -100,15 +102,12 @@ impl Prober {
 
     /// Encodes the probe payload for a hitlist index.
     pub fn encode_payload(index: u64) -> Bytes {
-        let mut b = BytesMut::with_capacity(12);
-        b.extend_from_slice(PAYLOAD_MAGIC);
-        b.put_u64(index);
-        b.freeze()
+        Bytes::copy_from_slice(&payload(index))
     }
 
     /// Decodes a probe/reply payload back to the hitlist index.
     pub fn decode_payload(payload: &[u8]) -> Option<u64> {
-        if payload.len() != 12 || payload.get(..4)? != PAYLOAD_MAGIC {
+        if payload.len() != PAYLOAD_LEN || payload.get(..4)? != PAYLOAD_MAGIC {
             return None;
         }
         Some(u64::from_be_bytes(payload.get(4..12)?.try_into().ok()?))
@@ -126,24 +125,24 @@ impl Prober {
         }
     }
 
-    /// Materializes the probe packet for one hitlist index: an ICMP Echo
-    /// Request from `source` carrying the round ident and the index-tagged
-    /// payload.
-    pub fn build_probe(&self, hitlist: &Hitlist, index: u64, source: Ipv4Addr) -> Ipv4Packet {
-        let entry = hitlist.entry(vp_net::conv::sat_usize(index));
+    /// Materializes the probe packet for one hitlist index and its
+    /// target: an ICMP Echo Request from `source` carrying the round ident
+    /// and the index-tagged payload.
+    pub fn build_probe(&self, index: u64, target: Ipv4Addr, source: Ipv4Addr) -> Ipv4Packet {
         let icmp = IcmpMessage::echo_request(
             self.config.ident,
             vp_net::conv::sat_u16(index & 0xffff),
             Self::encode_payload(index),
         );
-        let mut packet = Ipv4Packet::new(source, entry.target, Protocol::Icmp, icmp.emit());
+        let mut packet = Ipv4Packet::new(source, target, Protocol::Icmp, icmp.emit());
         packet.ident = self.config.ident;
         packet
     }
 
-    /// Materializes the probes for a slice of hitlist indices into `out` —
-    /// wire-identical to calling [`Prober::build_probe`] per index (the
-    /// equivalence suite pins this), but with the hot-loop cost profile:
+    /// Materializes the probes for a slice of `(hitlist index, target)`
+    /// pairs into `out` — wire-identical to calling [`Prober::build_probe`]
+    /// per pair (the equivalence suite pins this), but with the hot-loop
+    /// cost profile:
     /// the whole batch's ICMP images live in **one shared buffer**
     /// ([`vp_packet::icmp::encode_batch_with_replies`]), each packet
     /// payload a zero-copy view of it, and one checksum sum per probe
@@ -157,36 +156,27 @@ impl Prober {
     /// serialize. Handing the image to the engine with the probe lets
     /// responders answer without allocating per reply — the last
     /// per-probe allocation the witness test retired.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`i < indices.len()` by encode_batch_with_replies's contract, and payloads are exactly the 12 declared bytes."
-    )]
     pub fn build_probes_with_replies(
         &self,
-        hitlist: &Hitlist,
-        indices: &[u64],
+        probes: &[(u64, Ipv4Addr)],
         source: Ipv4Addr,
         out: &mut Vec<Ipv4Packet>,
         reply_images: &mut Vec<Bytes>,
     ) {
         out.clear();
-        out.reserve(indices.len());
+        out.reserve(probes.len());
         reply_images.clear();
-        reply_images.reserve(indices.len());
+        reply_images.reserve(probes.len());
         vp_packet::icmp::encode_batch_with_replies(
             self.config.ident,
-            12,
-            indices.len(),
-            |i, seq, payload| {
-                let index = indices[i];
+            PAYLOAD_LEN,
+            probes,
+            |&(index, _), seq, bytes| {
                 *seq = vp_net::conv::sat_u16(index & 0xffff);
-                payload[..4].copy_from_slice(PAYLOAD_MAGIC);
-                payload[4..].copy_from_slice(&index.to_be_bytes());
+                bytes.copy_from_slice(&payload(index));
             },
-            |i, wire, reply| {
-                let index = indices[i];
-                let entry = hitlist.entry(vp_net::conv::sat_usize(index));
-                let mut packet = Ipv4Packet::new(source, entry.target, Protocol::Icmp, wire);
+            |&(_, target), wire, reply| {
+                let mut packet = Ipv4Packet::new(source, target, Protocol::Icmp, wire);
                 packet.ident = self.config.ident;
                 out.push(packet);
                 reply_images.push(reply);
@@ -195,11 +185,19 @@ impl Prober {
     }
 }
 
+/// The probe payload for a hitlist index: the magic tag, then the index.
+fn payload(index: u64) -> [u8; PAYLOAD_LEN] {
+    let mut bytes = [0; PAYLOAD_LEN];
+    bytes[..4].copy_from_slice(PAYLOAD_MAGIC);
+    bytes[4..].copy_from_slice(&index.to_be_bytes());
+    bytes
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
-    use vp_hitlist::HitlistConfig;
+    use vp_hitlist::{Hitlist, HitlistConfig};
     use vp_topology::{Internet, TopologyConfig};
 
     fn hitlist() -> (Internet, Hitlist) {
@@ -224,7 +222,10 @@ mod tests {
         let source = Ipv4Addr::new(240, 0, 0, 1);
         prober
             .schedule(hl.len() as u64, SimTime::ZERO)
-            .map(|(index, at)| (index, at, prober.build_probe(hl, index, source)))
+            .map(|(index, at)| {
+                let target = hl.entries()[vp_net::conv::sat_usize(index)].target;
+                (index, at, prober.build_probe(index, target, source))
+            })
             .collect()
     }
 
@@ -239,7 +240,10 @@ mod tests {
         let indexes: BTreeSet<u64> = probes.iter().map(|p| p.0).collect();
         assert_eq!(indexes.len(), hl.len());
         for (index, _, packet) in &probes {
-            assert_eq!(packet.dst, hl.entry(vp_net::conv::sat_usize(*index)).target);
+            assert_eq!(
+                packet.dst,
+                hl.entries()[vp_net::conv::sat_usize(*index)].target
+            );
         }
     }
 
@@ -310,19 +314,19 @@ mod tests {
         };
         let prober = Prober::new(cfg);
         let source = Ipv4Addr::new(240, 0, 0, 1);
-        let indices: Vec<u64> = prober
+        let probes: Vec<(u64, Ipv4Addr)> = prober
             .schedule(hl.len() as u64, SimTime::ZERO)
-            .map(|(index, _)| index)
+            .map(|(index, _)| (index, hl.entries()[vp_net::conv::sat_usize(index)].target))
             .collect();
         let mut batched = Vec::new();
-        for chunk in indices.chunks(97) {
+        for chunk in probes.chunks(97) {
             let (mut out, mut images) = (Vec::new(), Vec::new());
-            prober.build_probes_with_replies(&hl, chunk, source, &mut out, &mut images);
+            prober.build_probes_with_replies(chunk, source, &mut out, &mut images);
             batched.extend(out);
         }
-        assert_eq!(batched.len(), indices.len());
-        for (i, index) in indices.iter().enumerate() {
-            let single = prober.build_probe(&hl, *index, source);
+        assert_eq!(batched.len(), probes.len());
+        for (i, &(index, target)) in probes.iter().enumerate() {
+            let single = prober.build_probe(index, target, source);
             assert_eq!(batched[i], single, "probe {i} (hitlist index {index})");
             assert_eq!(&batched[i].payload[..], &single.payload[..]);
         }
@@ -340,11 +344,12 @@ mod tests {
             ..ProbeConfig::default()
         });
         let source = Ipv4Addr::new(240, 0, 0, 1);
-        let indices: Vec<u64> = (0..hl.len() as u64).collect();
-        for chunk in indices.chunks(113) {
+        let probes: Vec<(u64, Ipv4Addr)> =
+            (0..).zip(hl.entries().iter().map(|e| e.target)).collect();
+        for chunk in probes.chunks(113) {
             let mut packets = Vec::new();
             let mut images = Vec::new();
-            prober.build_probes_with_replies(&hl, chunk, source, &mut packets, &mut images);
+            prober.build_probes_with_replies(chunk, source, &mut packets, &mut images);
             assert_eq!(packets.len(), chunk.len());
             assert_eq!(images.len(), chunk.len());
             for (packet, image) in packets.iter().zip(&images) {

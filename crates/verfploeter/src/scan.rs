@@ -354,12 +354,13 @@ impl<'a> PhaseSpans<'a> {
 /// of their send times. Fused: the refill that finds the schedule
 /// exhausted is the last, whoever keeps polling.
 struct ProbeFeed<'a, I> {
+    /// `(hitlist index, send time, target)` in schedule order.
     schedule: I,
     prober: &'a Prober,
-    hitlist: &'a Hitlist,
     source: vp_net::Ipv4Addr,
-    /// The current batch, reversed so `pop` yields schedule order.
-    indices: Vec<u64>,
+    /// The current batch as `(hitlist index, target)`, reversed so `pop`
+    /// yields schedule order.
+    probes: Vec<(u64, vp_net::Ipv4Addr)>,
     ats: Vec<SimTime>,
     packets: Vec<vp_packet::Ipv4Packet>,
     reply_images: Vec<bytes::Bytes>,
@@ -368,25 +369,24 @@ struct ProbeFeed<'a, I> {
     phases: Option<PhaseSpans<'a>>,
 }
 
-impl<I: Iterator<Item = (u64, SimTime)>> ProbeFeed<'_, I> {
+impl<I: Iterator<Item = (u64, SimTime, vp_net::Ipv4Addr)>> ProbeFeed<'_, I> {
     fn refill(&mut self) {
         if let Some(phases) = &mut self.phases {
             phases.begin_refill();
         }
-        self.indices.clear();
+        self.probes.clear();
         self.ats.clear();
-        for (index, at) in self.schedule.by_ref().take(PROBE_BATCH) {
-            self.indices.push(index);
+        for (index, at, target) in self.schedule.by_ref().take(PROBE_BATCH) {
+            self.probes.push((index, target));
             self.ats.push(at);
         }
         self.prober.build_probes_with_replies(
-            self.hitlist,
-            &self.indices,
+            &self.probes,
             self.source,
             &mut self.packets,
             &mut self.reply_images,
         );
-        self.indices.reverse();
+        self.probes.reverse();
         self.ats.reverse();
         self.packets.reverse();
         self.reply_images.reverse();
@@ -396,7 +396,7 @@ impl<I: Iterator<Item = (u64, SimTime)>> ProbeFeed<'_, I> {
     }
 }
 
-impl<I: Iterator<Item = (u64, SimTime)>> Iterator for ProbeFeed<'_, I> {
+impl<I: Iterator<Item = (u64, SimTime, vp_net::Ipv4Addr)>> Iterator for ProbeFeed<'_, I> {
     type Item = TimedProbe;
 
     fn next(&mut self) -> Option<TimedProbe> {
@@ -412,7 +412,7 @@ impl<I: Iterator<Item = (u64, SimTime)>> Iterator for ProbeFeed<'_, I> {
             packet: self.packets.pop()?,
             reply_image: self.reply_images.pop()?,
             // A hitlist built over the world lists block `i` at index `i`.
-            row: conv::sat_u32(self.indices.pop()?),
+            row: conv::sat_u32(self.probes.pop()?.0),
         })
     }
 }
@@ -464,7 +464,7 @@ impl Round<'_> {
     /// `lane`.
     #[expect(
         clippy::indexing_slicing,
-        reason = "the schedule holds exactly the indices of `range`, which sized send_time; shard-closed traffic — every kept reply answers one of this engine's probes, so r.index is in `range`."
+        reason = "the schedule holds exactly the indices of `range`, a range of hitlist rows, which sized send_time; shard-closed traffic — every kept reply answers one of this engine's probes, so r.index is in `range`."
     )]
     fn run_engine(
         &self,
@@ -482,14 +482,15 @@ impl Round<'_> {
         let mut send_time = vec![SimTime::ZERO; range.len()];
         let mut last_probe = self.start;
         let mut feed = ProbeFeed {
-            schedule: schedule.inspect(|&(index, at)| {
-                send_time[conv::sat_usize(index) - range.start] = at;
+            schedule: schedule.map(|(index, at)| {
+                let row = conv::sat_usize(index);
+                send_time[row - range.start] = at;
                 last_probe = at;
+                (index, at, self.hitlist.entries()[row].target)
             }),
             prober: &self.prober,
-            hitlist: self.hitlist,
             source: self.announcement.measurement_addr(),
-            indices: Vec::with_capacity(PROBE_BATCH),
+            probes: Vec::with_capacity(PROBE_BATCH),
             ats: Vec::with_capacity(PROBE_BATCH),
             packets: Vec::with_capacity(PROBE_BATCH),
             reply_images: Vec::with_capacity(PROBE_BATCH),
@@ -516,7 +517,7 @@ impl Round<'_> {
         // Probe transmission to reply arrival.
         let rtts = RttTable::from_pairs(kept.iter().map(|r| {
             let index = conv::sat_usize(r.index);
-            (self.hitlist.entry(index).block, r.at.since(send_time[index - range.start]))
+            (self.hitlist.entries()[index].block, r.at.since(send_time[index - range.start]))
         }));
         drop(guard);
 
@@ -672,7 +673,7 @@ fn run_round(
 /// It is the one-engine round, run inline on the calling thread.
 #[expect(
     clippy::too_many_arguments,
-    reason = "shards argument goes with ROADMAP item 7(a): a round's inputs stay positional until the shard count is derived."
+    reason = "a round's eight inputs stay positional: this is the signature every experiment and the benchmark harness call."
 )]
 pub fn run_scan(
     world: &Internet,
@@ -699,10 +700,10 @@ pub fn run_scan(
 }
 
 /// Runs one full Verfploeter measurement partitioned over `shards`
-/// independent simulator engines on a thread pool, producing a
-/// [`ScanResult`] **bit-identical** to [`run_scan`] with the same inputs —
-/// both are the same round function, which is invariant in its shard
-/// count. That invariance rests on two properties of the simulator:
+/// independent simulator engines on `exec`, producing a [`ScanResult`]
+/// **bit-identical** to [`run_scan`] with the same inputs — both are the
+/// same round function, which is invariant in its shard count. That
+/// invariance rests on two properties of the simulator:
 ///
 /// 1. **Order-independent fault draws.** Every stochastic outcome in
 ///    [`vp_sim`] is a keyed hash of the round seed and the packet's
@@ -720,47 +721,12 @@ pub fn run_scan(
 /// `make_oracle` is called exactly once per round; every engine borrows
 /// the oracle it returns.
 ///
-/// Threading goes through the blessed [`ShardExecutor`] (DESIGN.md §14)
-/// bounded by the host's available parallelism; use
-/// [`run_scan_sharded_on`] to pin a specific worker count.
-///
-/// # Panics
-/// Panics if `shards` is zero.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "shards argument goes with ROADMAP item 7(a): a round's inputs stay positional until the shard count is derived."
-)]
-pub fn run_scan_sharded(
-    world: &Internet,
-    hitlist: &Hitlist,
-    announcement: &Announcement,
-    make_oracle: &(dyn Fn() -> Box<dyn CatchmentOracle> + Sync),
-    faults: FaultConfig,
-    start: SimTime,
-    config: &ScanConfig,
-    sim_seed: u64,
-    shards: usize,
-) -> ScanResult {
-    run_scan_sharded_on(
-        &ShardExecutor::host_parallel(shards),
-        world,
-        hitlist,
-        announcement,
-        make_oracle,
-        faults,
-        start,
-        config,
-        sim_seed,
-        shards,
-    )
-}
-
-/// [`run_scan_sharded`] with an explicit executor: callers (benchmarks,
-/// invariance tests) pick how many OS threads run the shard engines,
-/// from fully inline ([`ShardExecutor::serial`]) to a fixed thread count
-/// ([`ShardExecutor::new`]). The result is bit-identical across all of
-/// them — the executor only schedules work; the fold is always in
-/// shard-id order.
+/// Threading goes through the blessed [`ShardExecutor`] (DESIGN.md §14):
+/// the caller picks how many OS threads run the shard engines, from fully
+/// inline ([`ShardExecutor::serial`]) through a fixed count
+/// ([`ShardExecutor::new`]) to the host's available parallelism
+/// ([`ShardExecutor::host_parallel`]). The executor only schedules work;
+/// the fold is always in shard-id order.
 ///
 /// # Panics
 /// Panics if `shards` is zero.
@@ -1237,7 +1203,8 @@ mod tests {
             77,
         );
         for shards in [1, 2, 7, 16] {
-            let sharded = run_scan_sharded(
+            let sharded = run_scan_sharded_on(
+                &ShardExecutor::host_parallel(shards),
                 &s.world,
                 &hl,
                 &s.announcement,

@@ -49,7 +49,9 @@ fn bench_probe_scheduling(c: &mut Criterion) {
         b.iter(|| {
             let probes = prober
                 .schedule(hl.len() as u64, SimTime::ZERO)
-                .map(|(index, _)| prober.build_probe(&hl, index, src));
+                .map(|(index, _)| {
+                    prober.build_probe(index, hl.entries()[index as usize].target, src)
+                });
             black_box(probes.count())
         })
     });
@@ -63,7 +65,7 @@ fn synthetic_replies(n: usize, hl: &vp_hitlist::Hitlist) -> Vec<RawReply> {
             RawReply {
                 site: SiteId((i % 2) as u8),
                 at: SimTime(i as u64 * 1000),
-                src: hl.entry(idx as usize).target,
+                src: hl.entries()[idx as usize].target,
                 ident: 1,
                 index: Some(idx),
             }
@@ -107,7 +109,7 @@ fn bench_collector(c: &mut Criterion) {
                 payload: Prober::encode_payload(index),
             };
             let packet = vp_packet::Ipv4Packet::new(
-                hl.entry(index as usize).target,
+                hl.entries()[index as usize].target,
                 Ipv4Addr::new(240, 0, 0, 1),
                 vp_packet::Protocol::Icmp,
                 icmp.emit(),

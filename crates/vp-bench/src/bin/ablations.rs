@@ -33,7 +33,7 @@ fn probe_order_burstiness() {
     let hl = bench_hitlist(&s);
     let n = hl.len() as u64;
     let window = 256usize;
-    let slash16 = |i: usize| hl.entry(i).target.0 >> 16;
+    let slash16 = |i: usize| hl.entries()[i].target.0 >> 16;
     let burst = |order: &dyn ProbeOrder| -> usize {
         let seq: Vec<u32> = (0..n)
             .map(|i| slash16(order.permute(i) as usize))

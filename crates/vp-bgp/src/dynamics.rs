@@ -89,10 +89,6 @@ impl FlipModel {
     ///
     /// Round 0 always matches the converged table; later rounds may flip
     /// among the AS's equally-preferred candidates.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "the PopId was minted by this graph and per_as is sized to it; idx is reduced modulo candidates.len(), and tables never store empty candidate lists."
-    )]
     pub fn site_of_pop_at_round(
         &self,
         table: &RoutingTable,
@@ -104,8 +100,8 @@ impl FlipModel {
         if round == 0 {
             return Some(base);
         }
-        let asn = graph.pops[pop.index()].asn;
-        let route = table.per_as[asn.index()].as_ref()?;
+        let asn = graph.pops.get(pop.index())?.asn;
+        let route = table.per_as.get(asn.index())?.as_ref()?;
         if route.candidates.len() < 2 {
             return Some(base);
         }
@@ -118,7 +114,7 @@ impl FlipModel {
             // Flipped this round: pick uniformly among candidates (may pick
             // the base again — real load balancers do that too).
             let idx = (mix(self.seed ^ 0xf11b, h) % route.candidates.len() as u64) as usize;
-            Some(route.candidates[idx].site)
+            Some(route.candidates.get(idx)?.site)
         } else {
             Some(base)
         }

@@ -81,26 +81,18 @@ pub struct RoutingTable {
 impl RoutingTable {
     /// The site traffic from this PoP reaches (the catchment of every block
     /// homed on the PoP).
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "per_pop_site is sized to the graph that minted `pop`."
-    )]
     pub fn site_of_pop(&self, pop: PopId) -> Option<SiteId> {
-        self.per_pop_site[pop.index()]
+        self.per_pop_site.get(pop.index()).copied().flatten()
     }
 
     /// Distinct sites seen from any PoP of this AS — the quantity behind
     /// the AS-division analysis (Figs. 7, 8).
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "PoP ids come from the same graph the table was built over."
-    )]
     pub fn sites_seen_by_as(&self, graph: &AsGraph, asn: Asn) -> Vec<SiteId> {
         let mut v: Vec<SiteId> = graph
             .node(asn)
             .pops
             .iter()
-            .filter_map(|p| self.per_pop_site[p.index()])
+            .filter_map(|&p| self.site_of_pop(p))
             .collect();
         v.sort();
         v.dedup();

@@ -3,7 +3,7 @@
 use serde::Serialize;
 use vp_geo::Continent;
 use vp_net::{mix, unit, Block24};
-use vp_topology::Internet;
+use vp_topology::{BlockInfo, Internet};
 
 /// Parameters of the load model.
 #[derive(Debug, Clone, Serialize)]
@@ -141,11 +141,8 @@ impl<'w> QueryLog<'w> {
     /// error.
     pub fn with_date(&self, date_seed: u64, name: &str) -> QueryLog<'w> {
         let daily = self
-            .world
-            .blocks
-            .iter()
-            .zip(&self.daily)
-            .map(|(b, &d)| {
+            .per_block()
+            .map(|(b, d)| {
                 let u = unit(mix(date_seed, b.block.0 as u64));
                 d * (0.7 + 0.6 * u)
             })
@@ -163,13 +160,9 @@ impl<'w> QueryLog<'w> {
         self.world
     }
 
-    /// Daily queries from the `i`-th block of the world.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "index-by-contract accessor — documented to require i < world.blocks.len(), mirroring slice indexing."
-    )]
-    pub fn daily_by_idx(&self, i: usize) -> f64 {
-        self.daily[i]
+    /// Every block of the world with its daily queries, in block order.
+    pub fn per_block(&self) -> impl Iterator<Item = (&'w BlockInfo, f64)> + '_ {
+        self.world.blocks.iter().zip(self.daily.iter().copied())
     }
 
     /// Daily queries from a block (0 for unpopulated blocks).
@@ -180,32 +173,28 @@ impl<'w> QueryLog<'w> {
             .unwrap_or(0.0)
     }
 
-    /// Queries from block `i` during UTC hour `hour` (0..24).
+    /// Queries during UTC hour `hour` (0..24) from `block`, whose daily
+    /// volume is `daily` (as [`QueryLog::per_block`] yields it).
     ///
     /// The diurnal curve peaks at 20:00 local time (evening usage), with
     /// local time derived from the block's longitude; deterministic noise
     /// is added per (block, hour). The curve averages to 1 over the day, so
     /// hourly values sum to ≈ the daily volume.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "index-by-contract accessor — documented to require i < world.blocks.len(), mirroring slice indexing."
-    )]
-    pub fn hourly_by_idx(&self, i: usize, hour: u32) -> f64 {
+    pub fn hourly(&self, block: &BlockInfo, daily: f64, hour: u32) -> f64 {
         assert!(hour < 24, "hour {hour} out of range");
-        let b = &self.world.blocks[i];
         let lon = self
             .world
             .geodb
-            .locate(b.block)
+            .locate(block.block)
             .map_or(0.0, |loc| loc.lon);
         let local = (hour as f64 + lon / 15.0).rem_euclid(24.0);
         let phase = (local - 20.0) / 24.0 * std::f64::consts::TAU;
         let diurnal = 1.0 + self.model.diurnal_amplitude * phase.cos();
         let noise = 1.0
             + self.model.hourly_noise
-                * (2.0 * unit(mix(self.model.seed ^ 0x40d, (b.block.0 as u64) << 5 | hour as u64))
+                * (2.0 * unit(mix(self.model.seed ^ 0x40d, (block.block.0 as u64) << 5 | hour as u64))
                     - 1.0);
-        (self.daily[i] / 24.0) * diurnal * noise
+        (daily / 24.0) * diurnal * noise
     }
 
     /// Total queries over the day.
@@ -233,20 +222,14 @@ impl<'w> QueryLog<'w> {
 
     /// Daily good replies across the whole log.
     pub fn total_good_replies(&self) -> f64 {
-        self.world
-            .blocks
-            .iter()
-            .zip(&self.daily)
+        self.per_block()
             .map(|(b, d)| d * self.good_reply_frac(b.block))
             .sum()
     }
 
     /// Daily replies of any kind across the whole log.
     pub fn total_replies(&self) -> f64 {
-        self.world
-            .blocks
-            .iter()
-            .zip(&self.daily)
+        self.per_block()
             .map(|(b, d)| d * self.reply_frac(b.block))
             .sum()
     }
@@ -268,8 +251,7 @@ mod tests {
         let log = QueryLog::ditl(&w, model.clone(), "LB-TEST");
         // Exactly the world's traffic-sending blocks contribute (the model's
         // participation factor defaults to 1.0 = all of them).
-        for (i, b) in w.blocks.iter().enumerate() {
-            let d = log.daily_by_idx(i);
+        for (b, d) in log.per_block() {
             if b.sends_queries {
                 assert!((d - b.daily_queries).abs() < 1e-9);
             } else {
@@ -292,12 +274,15 @@ mod tests {
     fn hourly_sums_to_daily_within_noise() {
         let w = world();
         let log = QueryLog::ditl(&w, LoadModel::default(), "x");
-        for i in (0..w.blocks.len()).step_by(97) {
-            let day: f64 = (0..24).map(|h| log.hourly_by_idx(i, h)).sum();
-            let expect = log.daily_by_idx(i);
+        for (b, expect) in log.per_block().step_by(97) {
+            let day: f64 = (0..24).map(|h| log.hourly(b, expect, h)).sum();
             if expect > 0.0 {
                 let rel = (day - expect).abs() / expect;
-                assert!(rel < 0.12, "block {i}: hourly sum off by {rel:.3}");
+                assert!(
+                    rel < 0.12,
+                    "block {:?}: hourly sum off by {rel:.3}",
+                    b.block
+                );
             }
         }
     }
@@ -310,10 +295,8 @@ mod tests {
             ..LoadModel::default()
         };
         let log = QueryLog::ditl(&w, model, "x");
-        let i = (0..w.blocks.len())
-            .find(|&i| log.daily_by_idx(i) > 0.0)
-            .unwrap();
-        let rates: Vec<f64> = (0..24).map(|h| log.hourly_by_idx(i, h)).collect();
+        let (b, daily) = log.per_block().find(|&(_, d)| d > 0.0).unwrap();
+        let rates: Vec<f64> = (0..24).map(|h| log.hourly(b, daily, h)).collect();
         let max = rates.iter().cloned().fold(f64::MIN, f64::max);
         let min = rates.iter().cloned().fold(f64::MAX, f64::min);
         assert!(max / min > 1.5, "diurnal swing too flat: {min}..{max}");
@@ -330,8 +313,7 @@ mod tests {
             let (cid, _) = vp_geo::world::country_by_code(code).unwrap();
             let mut home = 0.0;
             let mut total = 0.0;
-            for (i, b) in w.blocks.iter().enumerate() {
-                let d = log.daily_by_idx(i);
+            for (b, d) in log.per_block() {
                 total += d;
                 if w.geodb.locate(b.block).map(|l| l.country) == Some(cid) {
                     home += d;
@@ -356,17 +338,20 @@ mod tests {
         assert!(a != b);
         assert!((a - b).abs() / a < 0.25, "drift too large: {a} -> {b}");
         // Per-block drift exists on participating blocks; zeros stay zero.
-        let active: Vec<usize> = (0..w.blocks.len())
-            .filter(|&i| log.daily_by_idx(i) > 0.0)
+        let pairs: Vec<(f64, f64)> = log
+            .per_block()
+            .zip(may.per_block())
+            .map(|((_, a), (_, b))| (a, b))
             .collect();
-        let changed = active
+        let active = pairs.iter().filter(|&&(a, _)| a > 0.0).count();
+        let changed = pairs
             .iter()
-            .filter(|&&i| (log.daily_by_idx(i) - may.daily_by_idx(i)).abs() > 1e-12)
+            .filter(|&&(a, b)| a > 0.0 && (a - b).abs() > 1e-12)
             .count();
-        assert!(changed > active.len() / 2);
-        for i in 0..w.blocks.len() {
-            if log.daily_by_idx(i) == 0.0 {
-                assert_eq!(may.daily_by_idx(i), 0.0);
+        assert!(changed > active / 2);
+        for (a, b) in pairs {
+            if a == 0.0 {
+                assert_eq!(b, 0.0);
             }
         }
     }
@@ -390,6 +375,6 @@ mod tests {
     fn hour_out_of_range_panics() {
         let w = world();
         let log = QueryLog::ditl(&w, LoadModel::default(), "x");
-        log.hourly_by_idx(0, 24);
+        log.hourly(&w.blocks[0], 1.0, 24);
     }
 }

@@ -39,8 +39,7 @@ impl<K: Ord + Copy> Rssac002Report<K> {
     /// dropped — blocks whose site is unknown to the reporting pipeline).
     pub fn build(log: &QueryLog, mut assign: impl FnMut(Block24) -> Option<K>) -> Self {
         let mut per_site: BTreeMap<K, DailyMetrics> = BTreeMap::new();
-        for (i, b) in log.world().blocks.iter().enumerate() {
-            let q = log.daily_by_idx(i);
+        for (b, q) in log.per_block() {
             if q <= 0.0 {
                 continue;
             }
@@ -101,12 +100,7 @@ mod tests {
         let share: f64 = [0u8, 1].iter().map(|s| report.query_share(*s)).sum();
         assert!((share - 1.0).abs() < 1e-9);
         // Sources = traffic-sending blocks.
-        let senders = w
-            .blocks
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| log.daily_by_idx(*i) > 0.0)
-            .count() as u64;
+        let senders = log.per_block().filter(|&(_, q)| q > 0.0).count() as u64;
         assert_eq!(t.sources, senders);
     }
 

@@ -26,15 +26,14 @@ proptest! {
         let w = world(world_seed);
         let model = LoadModel { seed: model_seed, ..LoadModel::default() };
         let log = QueryLog::ditl(&w, model, "L");
-        for i in (0..w.blocks.len()).step_by(31) {
-            let daily = log.daily_by_idx(i);
+        for (b, daily) in log.per_block().step_by(31) {
             let sum: f64 = (0..24).map(|h| {
-                let v = log.hourly_by_idx(i, h);
+                let v = log.hourly(b, daily, h);
                 assert!(v >= 0.0 && v.is_finite());
                 v
             }).sum();
             if daily > 0.0 {
-                prop_assert!((sum - daily).abs() / daily < 0.15, "block {i}: {sum} vs {daily}");
+                prop_assert!((sum - daily).abs() / daily < 0.15, "block {:?}: {sum} vs {daily}", b.block);
             } else {
                 prop_assert_eq!(sum, 0.0);
             }
@@ -48,8 +47,7 @@ proptest! {
         let w = world(world_seed);
         let log = QueryLog::ditl(&w, LoadModel::default(), "a");
         let drifted = log.with_date(date_seed, "b");
-        for i in 0..w.blocks.len() {
-            let (a, b) = (log.daily_by_idx(i), drifted.daily_by_idx(i));
+        for ((_, a), (_, b)) in log.per_block().zip(drifted.per_block()) {
             if a == 0.0 {
                 prop_assert_eq!(b, 0.0);
             } else {

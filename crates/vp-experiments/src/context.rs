@@ -12,10 +12,10 @@ use vp_dns::{LoadModel, QueryLog};
 use vp_hitlist::{Hitlist, HitlistConfig};
 use vp_net::{SimDuration, SimTime};
 use vp_obs::TraceLevel;
-use vp_sim::{CatchmentOracle, FaultConfig, FlippingOracle, Scenario, StaticOracle};
+use vp_sim::{CatchmentOracle, FaultConfig, FlippingOracle, Scenario, ShardExecutor, StaticOracle};
 use vp_topology::TopologyConfig;
 use verfploeter::catchment::CatchmentMap;
-use verfploeter::scan::{run_scan, run_scan_sharded, ScanConfig, ScanResult};
+use verfploeter::scan::{run_scan, run_scan_sharded_on, ScanConfig, ScanResult};
 use verfploeter::ProbeConfig;
 
 use vp_monitor::ingest::write_atomic;
@@ -335,11 +335,12 @@ impl Lab {
             wall: self.flight_wall.clone(),
         };
         // A round is invariant in its shard count (see
-        // `verfploeter::scan::run_scan_sharded`), so experiments get the
+        // `verfploeter::scan::run_scan_sharded_on`), so experiments get the
         // wall-clock win without changing any published number.
         let shards = scan_shards(hitlist.len());
         let table = Arc::new(table);
-        let result = Rc::new(run_scan_sharded(
+        let result = Rc::new(run_scan_sharded_on(
+            &ShardExecutor::host_parallel(shards),
             &scenario.world,
             hitlist,
             announcement,

@@ -24,14 +24,14 @@
 use std::collections::BTreeMap;
 
 use serde_json::Value;
-use verfploeter::scan::run_scan_sharded;
+use verfploeter::scan::run_scan_sharded_on;
 use vp_hitlist::{Hitlist, HitlistConfig};
 use vp_monitor::alert::AlertConfig;
 use vp_monitor::diff::Origins;
 use vp_monitor::profile::{profile_channel, ChannelProfile};
 use vp_monitor::stream::{build_scrape, build_status_doc, DaemonMeta, DriftTracker, StreamStep};
 use vp_obs::{Registry, TraceLevel};
-use vp_sim::{CatchmentOracle, FaultConfig, FlippingOracle, Scenario};
+use vp_sim::{CatchmentOracle, FaultConfig, FlippingOracle, Scenario, ShardExecutor};
 
 use crate::context::{
     stability_round, Scale, FLIP_SEED, POLICY_SEED, STABILITY_INTERVAL, TANGLED_TOPO_SEED,
@@ -142,7 +142,8 @@ impl Daemon {
         let r = self.rounds_run;
         self.rounds_run += 1;
         let (start, config, sim_seed) = stability_round(r, self.obs, None);
-        let result = run_scan_sharded(
+        let result = run_scan_sharded_on(
+            &ShardExecutor::host_parallel(self.shards),
             &self.scenario.world,
             &self.hitlist,
             &self.scenario.announcement,

@@ -50,8 +50,7 @@ pub fn run(lab: &Lab) -> String {
     let world = &scenario.world;
     let mut ns_bins: vp_geo::BinnedMap<u8> = vp_geo::BinnedMap::new();
     let mut ns_totals: BTreeMap<u8, f64> = BTreeMap::new();
-    for (i, b) in world.blocks.iter().enumerate() {
-        let q = nl.daily_by_idx(i);
+    for (b, q) in nl.per_block() {
         if q <= 0.0 {
             continue;
         }
@@ -75,8 +74,7 @@ pub fn run(lab: &Lab) -> String {
     let eu_share = |log: &vp_dns::QueryLog| {
         let mut eu = 0.0;
         let mut total = 0.0;
-        for (i, b) in world.blocks.iter().enumerate() {
-            let q = log.daily_by_idx(i);
+        for (b, q) in log.per_block() {
             if q <= 0.0 {
                 continue;
             }

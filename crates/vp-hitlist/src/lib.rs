@@ -121,15 +121,6 @@ impl Hitlist {
         self.entries.is_empty()
     }
 
-    /// The `i`-th entry (in block order).
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "index-by-contract accessor — documented to require i < len(), mirroring slice indexing."
-    )]
-    pub fn entry(&self, i: usize) -> HitlistEntry {
-        self.entries[i]
-    }
-
     /// All entries in block order.
     pub fn entries(&self) -> &[HitlistEntry] {
         &self.entries
@@ -306,7 +297,7 @@ mod tests {
     fn for_block_lookup() {
         let w = world();
         let hl = Hitlist::from_internet(&w, &HitlistConfig::default());
-        let some = hl.entry(hl.len() / 2);
+        let some = hl.entries()[hl.len() / 2];
         assert_eq!(hl.for_block(some.block), Some(some));
         assert_eq!(hl.for_block(Block24(0)), None);
     }
@@ -320,7 +311,7 @@ mod tests {
         assert_eq!(back, hl);
         // Rows in any order, unknown members skipped; a row missing a
         // member, a value past u32 and trailing text are errors.
-        let e = hl.entry(0);
+        let e = hl.entries()[0];
         let loose = format!(
             r#"[{{"target": {}, "x": [1], "block": {}}}]"#,
             e.target.0, e.block.0
@@ -338,7 +329,7 @@ mod tests {
     fn a_repeated_block_is_refused() {
         let w = world();
         let hl = Hitlist::from_internet(&w, &HitlistConfig::default());
-        let (a, b) = (hl.entry(0), hl.entry(1));
+        let (a, b) = (hl.entries()[0], hl.entries()[1]);
         let elsewhere = HitlistEntry {
             target: Ipv4Addr(a.target.0 ^ 1),
             ..a

@@ -39,35 +39,31 @@ impl BitSet {
     ///
     /// # Panics
     /// Panics if `id >= len()`.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "id < len was asserted, and words is sized to ceil(len/64)."
-    )]
     pub fn set(&mut self, id: usize) {
         assert!(id < self.len, "bit {id} out of range (len {})", self.len);
-        self.words[id / 64] |= 1u64 << (id % 64);
+        if let Some(w) = self.words.get_mut(id / 64) {
+            *w |= 1u64 << (id % 64);
+        }
     }
 
     /// Clears bit `id`.
     ///
     /// # Panics
     /// Panics if `id >= len()`.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "id < len was asserted, and words is sized to ceil(len/64)."
-    )]
     pub fn clear(&mut self, id: usize) {
         assert!(id < self.len, "bit {id} out of range (len {})", self.len);
-        self.words[id / 64] &= !(1u64 << (id % 64));
+        if let Some(w) = self.words.get_mut(id / 64) {
+            *w &= !(1u64 << (id % 64));
+        }
     }
 
     /// Whether bit `id` is set; ids at or past `len()` read as unset.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "id < len short-circuits, and words is sized to ceil(len/64)."
-    )]
     pub fn get(&self, id: usize) -> bool {
-        id < self.len && (self.words[id / 64] >> (id % 64)) & 1 == 1
+        id < self.len
+            && self
+                .words
+                .get(id / 64)
+                .is_some_and(|w| (w >> (id % 64)) & 1 == 1)
     }
 
     /// Number of set bits.

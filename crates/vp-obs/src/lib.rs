@@ -7,8 +7,8 @@
 //! 1. **Merge algebra.** [`Registry::merge`], [`Histogram::merge`], and
 //!    [`TraceSummary::merge`] are associative and commutative with empty
 //!    identities — the same contract as `SimStats`/`CatchmentMap` — so the
-//!    K per-shard registries of `run_scan_sharded(K)` fold to a result
-//!    byte-identical to the serial scan's, for every K.
+//!    K per-shard registries of a `run_scan_sharded_on` round fold to a
+//!    result byte-identical to the serial scan's, for every K.
 //! 2. **One recorder, injected clock.** [`FlightRecorder`] is the only
 //!    recorder driven by a [`Clock`], and only binaries and `vp-bench`
 //!    may implement one over wall time (DESIGN.md §8; it reaches library

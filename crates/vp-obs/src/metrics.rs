@@ -5,8 +5,8 @@
 //! The registry obeys the same merge-algebra contract as `SimStats` and
 //! `CatchmentMap` in the scan pipeline: [`Registry::merge`] is associative
 //! and commutative with the empty registry as identity. That is what lets
-//! `run_scan_sharded(K)` fold K per-shard registries into a result that is
-//! byte-identical to the serial scan's registry for every K, provided the
+//! a `run_scan_sharded_on` round fold K per-shard registries into a result
+//! that is byte-identical to the serial scan's registry for every K, provided the
 //! recorded values themselves are shard-count-invariant (pure sums over
 //! per-packet or per-index contributions — see DESIGN.md §9).
 
@@ -85,13 +85,11 @@ impl Histogram {
         Histogram::new(bounds)
     }
 
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "partition_point returns at most bounds.len() and buckets is sized bounds.len() + 1."
-    )]
     pub fn observe(&mut self, value: u64) {
         let idx = self.bounds.partition_point(|&b| b < value);
-        self.buckets[idx] += 1;
+        if let Some(bucket) = self.buckets.get_mut(idx) {
+            *bucket += 1;
+        }
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
         self.min = self.min.min(value);

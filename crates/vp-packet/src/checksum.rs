@@ -47,12 +47,11 @@ pub fn finish(sum: u32) -> u16 {
     !fold(sum)
 }
 
-#[expect(clippy::indexing_slicing, reason = "chunks_exact(2) yields two-byte chunks.")]
 fn sum_words(data: &[u8]) -> u32 {
     let mut sum: u32 = 0;
     let mut chunks = data.chunks_exact(2);
-    for w in &mut chunks {
-        sum += u32::from(u16::from_be_bytes([w[0], w[1]]));
+    for w in (&mut chunks).filter_map(|w| <[u8; 2]>::try_from(w).ok()) {
+        sum += u32::from(u16::from_be_bytes(w));
     }
     if let [last] = chunks.remainder() {
         sum += u32::from(u16::from_be_bytes([*last, 0]));

@@ -6,7 +6,7 @@
 //! sequence number indexes the hitlist entry. Replies echo both back, which
 //! is how the collector pairs replies with probes and drops foreign traffic.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{Bytes, BytesMut};
 
 use crate::checksum;
 use crate::error::PacketError;
@@ -78,10 +78,6 @@ impl IcmpMessage {
     }
 
     /// Serializes to wire bytes with a correct ICMP checksum.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "the 8 fixed header bytes were written just above."
-    )]
     pub fn emit(&self) -> Bytes {
         let (ty, code, a, b, body): (u8, u8, u16, u16, &Bytes) = match self {
             IcmpMessage::EchoRequest {
@@ -98,15 +94,14 @@ impl IcmpMessage {
                 (DEST_UNREACHABLE, *code, 0, 0, original)
             }
         };
+        let mut header = [ty, code, 0, 0, 0, 0, 0, 0];
+        header[4..6].copy_from_slice(&a.to_be_bytes());
+        header[6..8].copy_from_slice(&b.to_be_bytes());
+        let ck = checksum::internet_checksum_parts(&[&header, body]);
+        header[2..4].copy_from_slice(&ck.to_be_bytes());
         let mut out = BytesMut::with_capacity(MIN_LEN + body.len());
-        out.put_u8(ty);
-        out.put_u8(code);
-        out.put_u16(0); // checksum placeholder
-        out.put_u16(a);
-        out.put_u16(b);
+        out.extend_from_slice(&header);
         out.extend_from_slice(body);
-        let ck = checksum::internet_checksum(&out);
-        out[2..4].copy_from_slice(&ck.to_be_bytes());
         out.freeze()
     }
 
@@ -171,12 +166,12 @@ fn checked_header(wire: &[u8]) -> Result<[u8; MIN_LEN], PacketError> {
     Ok(*header)
 }
 
-/// Encodes a batch of `count` echo requests — all tagged `ident`, all
-/// carrying `payload_len`-byte payloads — plus each request's **echo
-/// reply**, into two shared buffers, handing both wire images of message
-/// `i` to `emit(i, request, reply)` as zero-copy views.
+/// Encodes a batch of echo requests, one per item — all tagged `ident`,
+/// all carrying `payload_len`-byte payloads — plus each request's **echo
+/// reply**, into two shared buffers, handing both wire images of an
+/// item's message to `emit(item, request, reply)` as zero-copy views.
 ///
-/// For message `i`, `fill(i, &mut seq, payload)` sets the sequence
+/// For each item, `fill(item, &mut seq, payload)` sets the sequence
 /// number and the payload bytes in place (the payload starts zeroed).
 /// Each request image is byte-identical to
 /// `IcmpMessage::echo_request(ident, seq, payload).emit()` and each reply
@@ -190,25 +185,25 @@ fn checked_header(wire: &[u8]) -> Result<[u8; MIN_LEN], PacketError> {
 /// copy) per message; simulated responders then answer probes by handing
 /// back the precomputed image instead of serializing a fresh reply per
 /// probe (the allocation witness counts this).
-pub fn encode_batch_with_replies<F, E>(
+pub fn encode_batch_with_replies<T, F, E>(
     ident: u16,
     payload_len: usize,
-    count: usize,
+    items: &[T],
     mut fill: F,
     mut emit: E,
 ) where
-    F: FnMut(usize, &mut u16, &mut [u8]),
-    E: FnMut(usize, Bytes, Bytes),
+    F: FnMut(&T, &mut u16, &mut [u8]),
+    E: FnMut(&T, Bytes, Bytes),
 {
     const REQ_WORD0: u32 = (ECHO_REQUEST as u32) << 8;
     let msg_len = MIN_LEN + payload_len;
-    let mut requests = BytesMut::zeroed(count * msg_len);
-    let mut replies = BytesMut::zeroed(count * msg_len);
+    let mut requests = BytesMut::zeroed(items.len() * msg_len);
+    let mut replies = BytesMut::zeroed(items.len() * msg_len);
     let messages = requests.chunks_exact_mut(msg_len).zip(replies.chunks_exact_mut(msg_len));
-    for (i, (request, reply)) in messages.enumerate() {
+    for (item, (request, reply)) in items.iter().zip(messages) {
         let (header, payload) = request.split_at_mut(MIN_LEN);
         let mut seq = 0u16;
-        fill(i, &mut seq, payload);
+        fill(item, &mut seq, payload);
         let ([ident_hi, ident_lo], [seq_hi, seq_lo]) = (ident.to_be_bytes(), seq.to_be_bytes());
         header.copy_from_slice(&[ECHO_REQUEST, 0, 0, 0, ident_hi, ident_lo, seq_hi, seq_lo]);
         // The checksum field is still zero, so this is the sum it covers.
@@ -225,9 +220,9 @@ pub fn encode_batch_with_replies<F, E>(
     }
     let requests = requests.freeze();
     let replies = replies.freeze();
-    for i in 0..count {
+    for (i, item) in items.iter().enumerate() {
         emit(
-            i,
+            item,
             requests.slice(i * msg_len..(i + 1) * msg_len),
             replies.slice(i * msg_len..(i + 1) * msg_len),
         );
@@ -237,6 +232,7 @@ pub fn encode_batch_with_replies<F, E>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BufMut;
 
     #[test]
     fn request_roundtrip() {
@@ -338,7 +334,7 @@ mod tests {
         // Consecutive identical messages: nothing carries over from one
         // message to the next.
         let mut wires = Vec::new();
-        encode_batch_with_replies(7, 4, 3, |_, seq, p| {
+        encode_batch_with_replies(7, 4, &[(); 3], |_, seq, p| {
             *seq = 42;
             p.copy_from_slice(b"same");
         }, |_, request, reply| wires.push((request, reply)));
@@ -353,10 +349,10 @@ mod tests {
     #[test]
     fn encode_batch_messages_parse_and_verify() {
         let mut wires = Vec::new();
-        encode_batch_with_replies(0xbeef, 12, 5, |i, seq, p| {
-            *seq = i as u16;
+        encode_batch_with_replies(0xbeef, 12, &[0u16, 1, 2, 3, 4], |&i, seq, p| {
+            *seq = i;
             p[..4].copy_from_slice(b"VPLT");
-            p[4..].copy_from_slice(&(i as u64).to_be_bytes());
+            p[4..].copy_from_slice(&u64::from(i).to_be_bytes());
         }, |_, request, reply| wires.push((request, reply)));
         for (i, (request, reply)) in wires.iter().enumerate() {
             for wire in [request, reply] {
@@ -403,13 +399,18 @@ mod tests {
     fn check_batch(ident: u16, seqs: &[u16], payloads: &[Vec<u8>]) {
         let (count, payload_len) = (seqs.len(), payloads[0].len());
         let mut batched: Vec<(Bytes, Bytes)> = Vec::with_capacity(count);
+        let messages: Vec<(u16, &[u8])> = seqs
+            .iter()
+            .zip(payloads)
+            .map(|(&seq, p)| (seq, &p[..]))
+            .collect();
         encode_batch_with_replies(
             ident,
             payload_len,
-            count,
-            |i, seq, payload| {
-                *seq = seqs[i];
-                payload.copy_from_slice(&payloads[i]);
+            &messages,
+            |&(s, p), seq, payload| {
+                *seq = s;
+                payload.copy_from_slice(p);
             },
             |_, request, reply| batched.push((request, reply)),
         );

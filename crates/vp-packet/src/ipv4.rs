@@ -1,6 +1,6 @@
 //! IPv4 packets: a 20-byte header (no options) plus an owned payload.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{Bytes, BytesMut};
 use vp_net::Ipv4Addr;
 
 use crate::checksum;
@@ -65,75 +65,71 @@ impl Ipv4Packet {
     }
 
     /// Serializes to wire bytes with a correct header checksum.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "buf holds the 20 fixed header bytes written just above; HEADER_LEN is their length."
-    )]
     pub fn emit(&self) -> Bytes {
         let total_len = HEADER_LEN + self.payload.len();
         assert!(total_len <= u16::MAX as usize, "payload too large for IPv4");
+        let mut header = [0u8; HEADER_LEN];
+        header[0] = 0x45; // version 4, IHL 5
+        header[2..4].copy_from_slice(&(total_len as u16).to_be_bytes());
+        header[4..6].copy_from_slice(&self.ident.to_be_bytes());
+        header[6] = 0x40; // flags: DF, fragment offset 0
+        header[8] = self.ttl;
+        header[9] = self.protocol.number();
+        header[12..16].copy_from_slice(&self.src.0.to_be_bytes());
+        header[16..20].copy_from_slice(&self.dst.0.to_be_bytes());
+        let ck = checksum::internet_checksum(&header);
+        header[10..12].copy_from_slice(&ck.to_be_bytes());
         let mut buf = BytesMut::with_capacity(total_len);
-        buf.put_u8(0x45); // version 4, IHL 5
-        buf.put_u8(0); // DSCP/ECN
-        buf.put_u16(total_len as u16);
-        buf.put_u16(self.ident);
-        buf.put_u16(0x4000); // flags: DF, fragment offset 0
-        buf.put_u8(self.ttl);
-        buf.put_u8(self.protocol.number());
-        buf.put_u16(0); // checksum placeholder
-        buf.put_u32(self.src.0);
-        buf.put_u32(self.dst.0);
-        let ck = checksum::internet_checksum(&buf[..HEADER_LEN]);
-        buf[10..12].copy_from_slice(&ck.to_be_bytes());
+        buf.extend_from_slice(&header);
         buf.extend_from_slice(&self.payload);
         buf.freeze()
     }
 
     /// Parses wire bytes, validating version, header length, total length
     /// and the header checksum.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "every index reads inside the HEADER_LEN prefix (or the validated ihl range) whose presence the guards above it establish."
-    )]
     pub fn parse(data: &[u8]) -> Result<Ipv4Packet, PacketError> {
-        if data.len() < HEADER_LEN {
+        let Some((header, rest)) = data.split_first_chunk::<HEADER_LEN>() else {
             return Err(PacketError::Truncated {
                 needed: HEADER_LEN,
                 got: data.len(),
             });
-        }
-        let version = data[0] >> 4;
+        };
+        let version = header[0] >> 4;
         if version != 4 {
             return Err(PacketError::BadVersion(version));
         }
-        let ihl = (data[0] & 0x0f) as usize * 4;
-        if ihl < HEADER_LEN {
-            return Err(PacketError::BadHeaderLen(data[0] & 0x0f));
-        }
-        if data.len() < ihl {
+        let ihl = usize::from(header[0] & 0x0f) * 4;
+        let Some(options_len) = ihl.checked_sub(HEADER_LEN) else {
+            return Err(PacketError::BadHeaderLen(header[0] & 0x0f));
+        };
+        let Some((options, body)) = rest.split_at_checked(options_len) else {
             return Err(PacketError::Truncated {
                 needed: ihl,
                 got: data.len(),
             });
-        }
-        if !checksum::verify(&data[..ihl]) {
-            let got = u16::from_be_bytes([data[10], data[11]]);
+        };
+        if checksum::internet_checksum_parts(&[header, options]) != 0 {
+            let got = u16::from_be_bytes([header[10], header[11]]);
             return Err(PacketError::BadChecksum { expected: 0, got });
         }
-        let total_len = u16::from_be_bytes([data[2], data[3]]) as usize;
-        if total_len < ihl || total_len > data.len() {
+        let total_len = usize::from(u16::from_be_bytes([header[2], header[3]]));
+        let Some(payload) = total_len.checked_sub(ihl).and_then(|n| body.get(..n)) else {
             return Err(PacketError::BadTotalLen {
                 field: total_len,
                 buffer: data.len(),
             });
-        }
+        };
         Ok(Ipv4Packet {
-            src: Ipv4Addr(u32::from_be_bytes([data[12], data[13], data[14], data[15]])),
-            dst: Ipv4Addr(u32::from_be_bytes([data[16], data[17], data[18], data[19]])),
-            protocol: Protocol::from_number(data[9]),
-            ttl: data[8],
-            ident: u16::from_be_bytes([data[4], data[5]]),
-            payload: Bytes::copy_from_slice(&data[ihl..total_len]),
+            src: Ipv4Addr(u32::from_be_bytes([
+                header[12], header[13], header[14], header[15],
+            ])),
+            dst: Ipv4Addr(u32::from_be_bytes([
+                header[16], header[17], header[18], header[19],
+            ])),
+            protocol: Protocol::from_number(header[9]),
+            ttl: header[8],
+            ident: u16::from_be_bytes([header[4], header[5]]),
+            payload: Bytes::copy_from_slice(payload),
         })
     }
 }

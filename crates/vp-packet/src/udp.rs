@@ -1,6 +1,6 @@
 //! UDP datagrams (carrier for the DNS substrate).
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{Bytes, BytesMut};
 use vp_net::Ipv4Addr;
 
 use crate::checksum;
@@ -27,75 +27,55 @@ impl UdpDatagram {
 
     /// Serializes with the UDP checksum computed over the IPv4 pseudo-header
     /// (hence the address arguments).
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "buf begins with the 8 fixed header bytes written just above."
-    )]
     pub fn emit(&self, src: Ipv4Addr, dst: Ipv4Addr) -> Bytes {
         let len = HEADER_LEN + self.payload.len();
         assert!(len <= u16::MAX as usize, "payload too large for UDP");
-        let mut buf = BytesMut::with_capacity(len);
-        buf.put_u16(self.src_port);
-        buf.put_u16(self.dst_port);
-        buf.put_u16(len as u16);
-        buf.put_u16(0); // checksum placeholder
-        buf.extend_from_slice(&self.payload);
+        let mut header = [0u8; HEADER_LEN];
+        header[0..2].copy_from_slice(&self.src_port.to_be_bytes());
+        header[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
+        header[4..6].copy_from_slice(&(len as u16).to_be_bytes());
         let pseudo = pseudo_header(src, dst, len as u16);
-        let mut ck = checksum::internet_checksum_parts(&[&pseudo, &buf]);
+        let mut ck = checksum::internet_checksum_parts(&[&pseudo, &header, &self.payload]);
         if ck == 0 {
             ck = 0xffff; // RFC 768: transmitted zero means "no checksum"
         }
-        buf[6..8].copy_from_slice(&ck.to_be_bytes());
+        header[6..8].copy_from_slice(&ck.to_be_bytes());
+        let mut buf = BytesMut::with_capacity(len);
+        buf.extend_from_slice(&header);
+        buf.extend_from_slice(&self.payload);
         buf.freeze()
     }
 
     /// Parses and validates length and (unless zero) checksum.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "every index is inside the HEADER_LEN prefix or the validated len range; chunk reads come from chunks_exact(2)."
-    )]
     pub fn parse(data: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> Result<UdpDatagram, PacketError> {
-        if data.len() < HEADER_LEN {
+        let Some((header, body)) = data.split_first_chunk::<HEADER_LEN>() else {
             return Err(PacketError::Truncated {
                 needed: HEADER_LEN,
                 got: data.len(),
             });
-        }
-        let len = u16::from_be_bytes([data[4], data[5]]) as usize;
-        if len < HEADER_LEN || len > data.len() {
+        };
+        let len = u16::from_be_bytes([header[4], header[5]]);
+        let payload = usize::from(len)
+            .checked_sub(HEADER_LEN)
+            .and_then(|n| body.get(..n));
+        let Some(payload) = payload else {
             return Err(PacketError::BadTotalLen {
-                field: len,
+                field: usize::from(len),
                 buffer: data.len(),
             });
-        }
-        let wire_ck = u16::from_be_bytes([data[6], data[7]]);
-        if wire_ck != 0 {
-            let pseudo = pseudo_header(src, dst, len as u16);
-            let mut total = 0u32;
-            for part in [&pseudo[..], &data[..len]] {
-                let mut chunks = part.chunks_exact(2);
-                for w in &mut chunks {
-                    total += u32::from(u16::from_be_bytes([w[0], w[1]]));
-                }
-                if let [last] = chunks.remainder() {
-                    total += u32::from(u16::from_be_bytes([*last, 0]));
-                }
-            }
-            let mut folded = total;
-            while folded >> 16 != 0 {
-                folded = (folded & 0xffff) + (folded >> 16);
-            }
-            if folded as u16 != 0xffff {
-                return Err(PacketError::BadChecksum {
-                    expected: 0,
-                    got: wire_ck,
-                });
-            }
+        };
+        let wire_ck = u16::from_be_bytes([header[6], header[7]]);
+        let pseudo = pseudo_header(src, dst, len);
+        if wire_ck != 0 && checksum::internet_checksum_parts(&[&pseudo, header, payload]) != 0 {
+            return Err(PacketError::BadChecksum {
+                expected: 0,
+                got: wire_ck,
+            });
         }
         Ok(UdpDatagram {
-            src_port: u16::from_be_bytes([data[0], data[1]]),
-            dst_port: u16::from_be_bytes([data[2], data[3]]),
-            payload: Bytes::copy_from_slice(&data[HEADER_LEN..len]),
+            src_port: u16::from_be_bytes([header[0], header[1]]),
+            dst_port: u16::from_be_bytes([header[2], header[3]]),
+            payload: Bytes::copy_from_slice(payload),
         })
     }
 }

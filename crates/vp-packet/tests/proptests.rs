@@ -5,8 +5,8 @@ use bytes::Bytes;
 use proptest::prelude::*;
 use vp_net::Ipv4Addr;
 use vp_packet::{
-    dns, DnsFlags, DnsMessage, DnsName, DnsQuestion, DnsRecord, IcmpMessage, Ipv4Packet, Protocol,
-    UdpDatagram,
+    dns, ipv4, DnsFlags, DnsMessage, DnsName, DnsQuestion, DnsRecord, IcmpMessage, Ipv4Packet,
+    PacketError, Protocol, UdpDatagram,
 };
 
 fn arb_payload(max: usize) -> impl Strategy<Value = Bytes> {
@@ -45,9 +45,24 @@ proptest! {
         prop_assert_eq!(Ipv4Packet::parse(&p.emit()).unwrap(), p);
     }
 
+    /// Random bytes, then every strict prefix of a valid image: a cut
+    /// inside the fixed header is `Truncated`, any later cut falls short
+    /// of the total length.
     #[test]
-    fn ipv4_parse_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..64)) {
+    fn ipv4_parse_never_panics(
+        bytes in prop::collection::vec(any::<u8>(), 0..64),
+        (src, dst, ident) in (any::<u32>(), any::<u32>(), any::<u16>()),
+        payload in arb_payload(40),
+    ) {
         let _ = Ipv4Packet::parse(&bytes);
+        let wire = Ipv4Packet { ident, ..Ipv4Packet::new(Ipv4Addr(src), Ipv4Addr(dst), Protocol::Icmp, payload) }.emit();
+        for n in 0..wire.len() {
+            match Ipv4Packet::parse(&wire[..n]) {
+                Err(PacketError::Truncated { needed: ipv4::HEADER_LEN, got }) => prop_assert!(got == n && n < ipv4::HEADER_LEN),
+                Err(PacketError::BadTotalLen { .. }) => prop_assert!(n >= ipv4::HEADER_LEN),
+                other => prop_assert!(false, "{n}-byte prefix parsed as {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -58,9 +73,27 @@ proptest! {
         prop_assert_eq!(IcmpMessage::parse(&r.emit()).unwrap(), r);
     }
 
+    /// Random bytes, then every strict prefix of a valid image: a cut
+    /// inside the 8-byte header is `Truncated`. ICMP has no length field,
+    /// so a cut into the payload is caught by the checksum alone, which a
+    /// cut-off tail summing to zero can alias; such a prefix still never
+    /// reads back as the message it was cut from.
     #[test]
-    fn icmp_parse_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..64)) {
+    fn icmp_parse_never_panics(
+        bytes in prop::collection::vec(any::<u8>(), 0..64),
+        (ident, seq) in (any::<u16>(), any::<u16>()),
+        payload in arb_payload(40),
+    ) {
         let _ = IcmpMessage::parse(&Bytes::from(bytes));
+        let m = IcmpMessage::echo_request(ident, seq, payload);
+        let wire = m.emit();
+        for n in 0..wire.len() {
+            match IcmpMessage::parse(&wire.slice(0..n)) {
+                Err(PacketError::Truncated { needed: 8, got }) => prop_assert!(got == n && n < 8),
+                Ok(parsed) => prop_assert!(n >= 8 && parsed != m),
+                Err(_) => prop_assert!(n >= 8),
+            }
+        }
     }
 
     /// The borrowing readers are `parse` without the message: on byte
@@ -130,13 +163,27 @@ proptest! {
         prop_assert_eq!(UdpDatagram::parse(&wire, Ipv4Addr(src), Ipv4Addr(dst)).unwrap(), d);
     }
 
+    /// Random bytes, then every strict prefix of a valid image: a cut
+    /// inside the 8-byte header is `Truncated`, any later cut falls short
+    /// of the length field.
     #[test]
     fn udp_parse_never_panics(
         bytes in prop::collection::vec(any::<u8>(), 0..64),
         src in any::<u32>(),
         dst in any::<u32>(),
+        (sp, dp) in (any::<u16>(), any::<u16>()),
+        payload in arb_payload(40),
     ) {
-        let _ = UdpDatagram::parse(&bytes, Ipv4Addr(src), Ipv4Addr(dst));
+        let (src, dst) = (Ipv4Addr(src), Ipv4Addr(dst));
+        let _ = UdpDatagram::parse(&bytes, src, dst);
+        let wire = UdpDatagram::new(sp, dp, payload).emit(src, dst);
+        for n in 0..wire.len() {
+            match UdpDatagram::parse(&wire[..n], src, dst) {
+                Err(PacketError::Truncated { needed: 8, got }) => prop_assert!(got == n && n < 8),
+                Err(PacketError::BadTotalLen { .. }) => prop_assert!(n >= 8),
+                other => prop_assert!(false, "{n}-byte prefix parsed as {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -150,9 +150,8 @@ impl ShardExecutor {
     /// is read outside the result path, so attaching one cannot perturb
     /// the §7 bit-equivalence contract.
     #[expect(
-        clippy::indexing_slicing,
         clippy::expect_used,
-        reason = "k % workers is always below workers, the length of batches; a shard worker panic must propagate at the barrier, not be swallowed."
+        reason = "a shard worker panic must propagate at the barrier, not be swallowed."
     )]
     pub fn run_sharded_timed<T, F>(
         &self,
@@ -189,22 +188,24 @@ impl ShardExecutor {
             return (results, timings);
         }
 
-        let mut senders: Vec<SyncSender<Delivery<T>>> = Vec::with_capacity(shards);
-        let mut receivers: Vec<Receiver<Delivery<T>>> = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            // Buffer of one: a worker finishing a shard never blocks on
-            // the barrier having reached that shard yet.
-            let (tx, rx) = sync_channel(1);
-            senders.push(tx);
-            receivers.push(rx);
-        }
-
-        // Move each shard's sender into the worker that owns the shard.
-        let mut batches: Vec<Vec<(usize, SyncSender<Delivery<T>>)>> =
-            (0..workers).map(|_| Vec::new()).collect();
-        for (k, tx) in senders.into_iter().enumerate() {
-            batches[k % workers].push((k, tx));
-        }
+        // Worker `w` owns shards `w, w + workers, …` and holds their
+        // senders; the barrier holds the receivers in shard order.
+        let mut receivers: Vec<(usize, Receiver<Delivery<T>>)> = Vec::with_capacity(shards);
+        let batches: Vec<Vec<(usize, SyncSender<Delivery<T>>)>> = (0..workers)
+            .map(|w| {
+                (w..shards)
+                    .step_by(workers)
+                    .map(|k| {
+                        // Buffer of one: a worker finishing a shard never
+                        // blocks on the barrier having reached that shard yet.
+                        let (tx, rx) = sync_channel(1);
+                        receivers.push((k, rx));
+                        (k, tx)
+                    })
+                    .collect()
+            })
+            .collect();
+        receivers.sort_unstable_by_key(|&(k, _)| k);
 
         // All jobs are queued before any worker is spawned.
         let queued_ns = now(clock);
@@ -225,7 +226,7 @@ impl ShardExecutor {
             }
             let mut results = Vec::with_capacity(shards);
             let mut timings = Vec::new();
-            for (k, rx) in receivers.iter().enumerate() {
+            for &(k, ref rx) in &receivers {
                 let (result, started_ns, finished_ns) = rx
                     .recv()
                     .expect("shard worker panicked before delivering");

@@ -79,14 +79,12 @@ impl Scenario {
     }
 
     /// Count of populated blocks per AS (used by analyses and flip models).
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "block origins are ASes of the same world; the vec is sized to it."
-    )]
     pub fn blocks_per_as(&self) -> Vec<u32> {
         let mut counts = vec![0u32; self.world.graph.len()];
         for b in &self.world.blocks {
-            counts[b.origin.index()] += 1;
+            if let Some(n) = counts.get_mut(b.origin.index()) {
+                *n += 1;
+            }
         }
         counts
     }

@@ -33,7 +33,6 @@ pub struct Internet {
 
 impl Internet {
     /// Generates a world from the configuration (deterministic in the seed).
-    #[expect(clippy::indexing_slicing, reason = "prefix origins are AS ids drawn from this graph.")]
     pub fn generate(config: TopologyConfig) -> Internet {
         let mut rng = Pcg64::seed_from_u64(config.seed);
         let graph = AsGraph::generate(&config, &mut rng);
@@ -42,7 +41,9 @@ impl Internet {
 
         let mut prefixes_per_as = vec![0u32; graph.len()];
         for info in &prefixes {
-            prefixes_per_as[info.origin.index()] += 1;
+            if let Some(n) = prefixes_per_as.get_mut(info.origin.index()) {
+                *n += 1;
+            }
         }
         let one_row_per_block =
             "the geolocation database must hold one row per block: a block's position is its row";

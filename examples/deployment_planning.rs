@@ -38,13 +38,7 @@ fn main() {
     println!(
         "historical logs: {:.1}M queries/day from {} blocks",
         history.total_daily() / 1e6,
-        history
-            .world()
-            .blocks
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| history.daily_by_idx(*i) > 0.0)
-            .count(),
+        history.per_block().filter(|&(_, q)| q > 0.0).count(),
     );
 
     // Step 1: measure the planned deployment on a test prefix.

@@ -58,14 +58,28 @@ fn workspace_docs_build_clean() {
 
 /// Audits only go down: adding an `expect` lint attribute (outer or inner)
 /// needs an edit here, where a reviewer sees it; removing one lowers the
-/// ceiling.
+/// ceiling. The largest family, `clippy::indexing_slicing`, has a ceiling
+/// of its own.
 #[test]
 fn expect_count_only_ratchets_down() {
-    const CEILING: usize = 76;
+    const CEILING: usize = 54;
+    const INDEXING_CEILING: usize = 13;
     // Spelled in halves so this file does not count itself.
     let (outer, inner) = (concat!("#[", "expect("), concat!("#![", "expect("));
-    let count: usize = sources().iter().map(|(_, t)| t.matches(outer).count() + t.matches(inner).count()).sum();
+    let files = sources();
+    let audits: Vec<&str> = files
+        .iter()
+        .flat_map(|(_, t)| {
+            t.match_indices(outer)
+                .chain(t.match_indices(inner))
+                .map(move |(at, _)| &t[at..])
+        })
+        .map(|rest| &rest[..rest.find(")]").unwrap()])
+        .collect();
+    let count = audits.len();
     assert!(count <= CEILING, "{count} expect audits, ceiling {CEILING}");
+    let indexing = audits.iter().filter(|a| a.contains("clippy::indexing_slicing")).count();
+    assert!(indexing <= INDEXING_CEILING, "{indexing} indexing_slicing audits, ceiling {INDEXING_CEILING}");
 }
 
 /// Every `pub fn merge` of a type `T` is named by a merge-tested marker

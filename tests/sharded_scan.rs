@@ -9,9 +9,9 @@
 
 use verfploeter_suite::hitlist::{Hitlist, HitlistConfig};
 use verfploeter_suite::net::SimTime;
-use verfploeter_suite::sim::{FaultConfig, Scenario, StaticOracle};
+use verfploeter_suite::sim::{FaultConfig, Scenario, ShardExecutor, StaticOracle};
 use verfploeter_suite::topology::TopologyConfig;
-use verfploeter_suite::vp::scan::{run_scan, run_scan_sharded, ScanConfig};
+use verfploeter_suite::vp::scan::{run_scan, run_scan_sharded_on, ScanConfig};
 
 #[test]
 fn sharded_scan_matches_serial_bit_for_bit() {
@@ -28,7 +28,8 @@ fn sharded_scan_matches_serial_bit_for_bit() {
         0x9a7e,
     );
     for shards in [1usize, 2, 7, 16] {
-        let sharded = run_scan_sharded(
+        let sharded = run_scan_sharded_on(
+            &ShardExecutor::host_parallel(shards),
             &s.world,
             &hitlist,
             &s.announcement,
