@@ -2,8 +2,8 @@
 //! nanoseconds.
 //!
 //! The scan pipeline's RTTs are probe-to-reply intervals that survive the
-//! §4 cleaning cutoff (15 minutes by default, but every kept reply in
-//! practice returns within seconds), so a `u32` nanosecond column — max
+//! §4 cleaning cutoff (15 minutes, but every kept reply in practice
+//! returns within seconds), so a `u32` nanosecond column — max
 //! ~4.29 s — represents each kept RTT **exactly**; storage drops from the
 //! tree's per-entry nodes to 8 bytes of payload per block across the two
 //! contiguous columns of a [`BlockColumn`]. Exactness is asserted in debug

@@ -20,6 +20,11 @@ use crate::cleaning::{Cleaner, CleaningStats};
 use crate::prober::{ProbeConfig, Prober, PROBE_BATCH};
 use crate::rtt::RttTable;
 
+/// §4's late-reply cutoff: a reply counts only if it arrives within 15
+/// minutes of the round's start. Every round uses it; [`Cleaner::new`]
+/// takes the cutoff as a parameter so its tests can drive others.
+pub const LATE_REPLY_CUTOFF: SimDuration = SimDuration::from_mins(15);
+
 /// Configuration of one measurement round.
 #[derive(Debug, Clone)]
 pub struct ScanConfig {
@@ -27,8 +32,6 @@ pub struct ScanConfig {
     pub name: String,
     /// Probing parameters (rate, round identifier, order seed).
     pub probe: ProbeConfig,
-    /// Late-reply cutoff from measurement start (15 minutes in §4).
-    pub cutoff: SimDuration,
     /// Level each engine records its [`ScanObs::trace`] share at (span
     /// aggregates, events). Never affects the metrics registry or any
     /// measurement output.
@@ -47,7 +50,6 @@ impl Default for ScanConfig {
         ScanConfig {
             name: "SBV".to_owned(),
             probe: ProbeConfig::default(),
-            cutoff: SimDuration::from_mins(15),
             trace: vp_obs::TraceLevel::Summary,
             wall: None,
         }
@@ -497,12 +499,8 @@ impl Round<'_> {
             exhausted: false,
             phases: wall_rec.as_ref().map(|rec| PhaseSpans::new(rec, lane, probes)),
         };
-        let mut cleaner = Cleaner::new(
-            self.hitlist,
-            self.config.probe.ident,
-            self.start,
-            self.config.cutoff,
-        );
+        let mut cleaner =
+            Cleaner::new(self.hitlist, self.config.probe.ident, self.start, LATE_REPLY_CUTOFF);
         sim.run_with(&mut feed, &mut cleaner);
         if let Some(phases) = feed.phases.take() {
             phases.finish();

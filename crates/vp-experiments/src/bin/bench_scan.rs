@@ -33,7 +33,7 @@
 //! with a single-digit rep count, rank-picking p90 just returns the max —
 //! interpolation keeps p90 a distinct, meaningful statistic.
 //!
-//! Run with: `cargo run --release -p vp-bench --bin bench_scan`
+//! Run with: `cargo run --release -p vp-experiments --bin bench_scan`
 //! (`--reps <n>` per-(scale, K) repetition count, `--targets <n,n,...>`
 //! comma-separated hitlist scales, `--flight <path>` to also write a
 //! `vp-obs-flight/v1` flight document from one instrumented threaded run
@@ -50,8 +50,8 @@
 
 use std::time::Instant;
 
-use vp_bench::{bench_hitlist, bench_scenario_scaled};
-use vp_hitlist::Hitlist;
+use vp_experiments::bench_scenario_scaled;
+use vp_hitlist::{Hitlist, HitlistConfig};
 use vp_net::SimTime;
 use vp_obs::{Clock, FlightDoc, Histogram, WallChannel};
 use vp_sim::exec::ShardExecutor;
@@ -237,7 +237,7 @@ fn main() {
     let mut serial_ns_per_probe: Vec<(u64, f64)> = Vec::new();
     for &scale in &scales {
         let s = bench_scenario_scaled(33, scale);
-        let hl = bench_hitlist(&s);
+        let hl = Hitlist::from_internet(&s.world, &HitlistConfig::default());
         // Fixed reference for the bit-identity cross-check (and a warmup).
         let (reference, _) = scan_once(&s, &hl, 1, false, 0xbe9c);
         let targets = reference.probes_sent;

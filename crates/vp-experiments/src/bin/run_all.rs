@@ -26,9 +26,9 @@ use vp_experiments::{experiments, Lab};
 use vp_obs::{Clock, WallChannel};
 
 /// Wall-clock for the operator-facing progress display and the wall
-/// flight channel. This is the one place outside `vp-bench` where real
-/// time enters the workspace: it feeds only the stdout timing table and
-/// `--flight` documents' wall channel, never a deterministic artifact —
+/// flight channel. Real time enters the workspace only through binaries
+/// like this one: it feeds only the stdout timing table and `--flight`
+/// documents' wall channel, never a deterministic artifact —
 /// reports carry sim-time exclusively (clippy's wall-clock ban keeps
 /// wall-backed clocks out of library code).
 struct WallClock {

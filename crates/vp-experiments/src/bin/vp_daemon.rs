@@ -15,20 +15,11 @@
 //! in `results/daemon/`; `--pace wall` sleeps `--interval-secs` between
 //! rounds for a live deployment.
 
-use std::path::PathBuf;
-
-use vp_experiments::{Daemon, DaemonConfig, Scale};
+use vp_experiments::{Daemon, DaemonArgs};
 
 fn die(msg: &str) -> ! {
     eprintln!("{msg}");
     std::process::exit(2);
-}
-
-fn parse_num(args: &[String], i: usize, flag: &str) -> u64 {
-    match args.get(i).and_then(|s| s.parse::<u64>().ok()) {
-        Some(n) => n,
-        None => die(&format!("{flag} needs a non-negative integer")),
-    }
 }
 
 fn main() {
@@ -36,68 +27,13 @@ fn main() {
         clippy::disallowed_methods,
         reason = "CLI entry point — args select scale/output dir, never a result."
     )]
-    let args: Vec<String> = std::env::args().collect();
-    let mut config = DaemonConfig::new(Scale::Default);
-    let mut out: Option<PathBuf> = None;
-    let mut wall_pace = false;
-    let mut interval_secs = 900u64;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                i += 1;
-                let scale = args
-                    .get(i)
-                    .and_then(|s| Scale::parse(s))
-                    .unwrap_or_else(|| die("unknown scale; use tiny|small|default|paper"));
-                config = DaemonConfig {
-                    scale,
-                    rounds: scale.stability_rounds(),
-                    ..config
-                };
-            }
-            "--shards" => {
-                i += 1;
-                config.shards = parse_num(&args, i, "--shards").max(1) as usize;
-            }
-            "--rounds" => {
-                i += 1;
-                config.rounds = parse_num(&args, i, "--rounds") as u32;
-            }
-            "--window" => {
-                i += 1;
-                config.window = parse_num(&args, i, "--window").max(1) as usize;
-            }
-            "--obs" => {
-                i += 1;
-                config.obs = args
-                    .get(i)
-                    .and_then(|s| vp_obs::TraceLevel::parse(s))
-                    .unwrap_or_else(|| die("unknown obs mode; use off|summary|full"));
-            }
-            "--out" => {
-                i += 1;
-                out = args.get(i).map(PathBuf::from);
-            }
-            "--pace" => {
-                i += 1;
-                wall_pace = match args.get(i).map(String::as_str) {
-                    Some("sim") => false,
-                    Some("wall") => true,
-                    _ => die("unknown pace; use sim|wall"),
-                };
-            }
-            "--interval-secs" => {
-                i += 1;
-                interval_secs = parse_num(&args, i, "--interval-secs");
-            }
-            other => die(&format!(
-                "unknown argument {other:?} (supported: --scale, --shards, --rounds, \
-                 --window, --obs, --out, --pace, --interval-secs)"
-            )),
-        }
-        i += 1;
-    }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let DaemonArgs {
+        config,
+        out,
+        wall_pace,
+        interval_secs,
+    } = DaemonArgs::parse(&args).unwrap_or_else(|e| die(&e));
 
     if let Some(dir) = &out {
         if let Err(e) = std::fs::create_dir_all(dir) {

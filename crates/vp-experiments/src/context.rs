@@ -114,6 +114,25 @@ pub(crate) const TANGLED_TOPO_SEED: u64 = 0x7A9;
 pub(crate) const POLICY_SEED: u64 = 0x90;
 pub(crate) const FLIP_SEED: u64 = 0xF11;
 
+/// A benchmark world scaled to `targets` populated /24 blocks: the
+/// B-Root world of the ablations, `bench_scan` and the allocation witness.
+///
+/// `max_blocks` caps generation at exactly `targets`; `num_ases` grows
+/// with the cap so generation actually saturates it (the 600-AS default
+/// fills 15k blocks, i.e. ≥25 blocks per AS — the same ratio holds at
+/// larger scales because per-AS prefix budgets don't shrink).
+pub fn bench_scenario_scaled(seed: u64, targets: usize) -> Scenario {
+    Scenario::broot(
+        TopologyConfig {
+            seed,
+            num_ases: (targets / 25).max(600),
+            max_blocks: targets,
+            ..TopologyConfig::default()
+        },
+        7,
+    )
+}
+
 /// Spacing of the STV-3-23 stability rounds (§4.2: every 15 minutes), and
 /// the interval after which the flipping oracle redraws.
 pub(crate) const STABILITY_INTERVAL: SimDuration = SimDuration::from_mins(15);
@@ -135,7 +154,6 @@ pub(crate) fn stability_round(
             ident: 100 + r as u16,
             order_seed: 0x57ab ^ u64::from(r),
         },
-        cutoff: SimDuration::from_mins(15),
         trace,
         wall,
     };
@@ -330,7 +348,6 @@ impl Lab {
                 ident,
                 order_seed: 0x0bde ^ ident as u64,
             },
-            cutoff: SimDuration::from_mins(15),
             trace: self.obs,
             wall: self.flight_wall.clone(),
         };

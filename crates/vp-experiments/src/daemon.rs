@@ -22,6 +22,9 @@
 //! bytes are pinned under `results/daemon/`.
 
 use std::collections::BTreeMap;
+use std::num::ParseIntError;
+use std::path::PathBuf;
+use std::str::FromStr;
 
 use serde_json::Value;
 use verfploeter::scan::run_scan_sharded_on;
@@ -68,6 +71,69 @@ impl DaemonConfig {
             obs: TraceLevel::Summary,
             alert: AlertConfig::default(),
         }
+    }
+}
+
+/// What the `vp_daemon` command line asks for: the run's configuration,
+/// plus where (`--out`) and at what pace the binary publishes.
+#[derive(Debug, Clone)]
+pub struct DaemonArgs {
+    pub config: DaemonConfig,
+    pub out: Option<PathBuf>,
+    /// `--pace wall`: sleep `interval_secs` between rounds.
+    pub wall_pace: bool,
+    pub interval_secs: u64,
+}
+
+impl DaemonArgs {
+    /// Parses the flags after the program name. An explicit `--rounds`
+    /// wins on either side of `--scale`; a flag without its value, or a
+    /// count its field cannot hold, is an error that names the flag.
+    pub fn parse(args: &[String]) -> Result<DaemonArgs, String> {
+        fn count<T: FromStr<Err = ParseIntError>>(flag: &str, v: &str) -> Result<T, String> {
+            v.parse().map_err(|e| format!("{flag} {v:?}: {e}"))
+        }
+        let mut config = DaemonConfig::new(Scale::Default);
+        let (mut rounds, mut out, mut wall_pace, mut interval_secs) = (None, None, false, 900);
+        let mut args = args.iter();
+        while let Some(flag) = args.next() {
+            let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+            match flag.as_str() {
+                "--scale" => {
+                    config.scale = Scale::parse(value()?)
+                        .ok_or("unknown scale; use tiny|small|default|paper")?;
+                }
+                "--shards" => config.shards = count::<usize>(flag, value()?)?.max(1),
+                "--rounds" => rounds = Some(count(flag, value()?)?),
+                "--window" => config.window = count::<usize>(flag, value()?)?.max(1),
+                "--obs" => {
+                    config.obs =
+                        TraceLevel::parse(value()?).ok_or("unknown obs mode; use off|summary|full")?;
+                }
+                "--out" => out = Some(PathBuf::from(value()?)),
+                "--pace" => {
+                    wall_pace = match value()?.as_str() {
+                        "sim" => false,
+                        "wall" => true,
+                        _ => return Err("unknown pace; use sim|wall".to_owned()),
+                    };
+                }
+                "--interval-secs" => interval_secs = count(flag, value()?)?,
+                other => {
+                    return Err(format!(
+                        "unknown argument {other:?} (supported: --scale, --shards, --rounds, \
+                         --window, --obs, --out, --pace, --interval-secs)"
+                    ));
+                }
+            }
+        }
+        config.rounds = rounds.unwrap_or(config.scale.stability_rounds());
+        Ok(DaemonArgs {
+            config,
+            out,
+            wall_pace,
+            interval_secs,
+        })
     }
 }
 

@@ -16,11 +16,12 @@
 // Library code never unwraps (DESIGN.md §8).
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
+pub mod ablations;
 pub mod context;
 pub mod daemon;
 pub mod experiments;
 pub mod monitor;
 pub mod obs;
 
-pub use context::{Lab, Scale};
-pub use daemon::{Daemon, DaemonConfig};
+pub use context::{bench_scenario_scaled, Lab, Scale};
+pub use daemon::{Daemon, DaemonArgs, DaemonConfig};

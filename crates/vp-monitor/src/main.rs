@@ -125,17 +125,11 @@ fn parse_diff_args(args: &[String]) -> Result<DiffArgs, String> {
     })
 }
 
-/// What a diff/watch run reads: the rounds, the origins and the per-round
-/// scan durations.
-type Inputs = (
-    Vec<verfploeter::catchment::CatchmentMap>,
-    Option<Origins>,
-    Option<BTreeMap<u32, u64>>,
-);
+/// What a diff/watch run reads besides the rounds: the origins (a file,
+/// else the rounds directory's sidecar) and the per-round scan durations.
+type Context = (Option<Origins>, Option<BTreeMap<u32, u64>>);
 
-/// Loads everything a diff/watch run needs.
-fn load_inputs(args: &DiffArgs) -> Result<Inputs, String> {
-    let rounds = load_rounds_dir(&args.rounds)?;
+fn load_context(args: &DiffArgs) -> Result<Context, String> {
     let origins = match &args.origins {
         Some(path) => {
             let text = std::fs::read_to_string(path)
@@ -151,7 +145,7 @@ fn load_inputs(args: &DiffArgs) -> Result<Inputs, String> {
         Some(path) => Some(load_obs_report(path)?.round_durations()),
         None => None,
     };
-    Ok((rounds, origins, durations))
+    Ok((origins, durations))
 }
 
 fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
@@ -159,7 +153,8 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
     if args.follow || args.until_rounds.is_some() {
         return Err("diff runs once over a complete directory; use watch --follow".to_owned());
     }
-    let (rounds, origins, durations) = load_inputs(&args)?;
+    let rounds = load_rounds_dir(&args.rounds)?;
+    let (origins, durations) = load_context(&args)?;
     let out = run_diff_pipeline(
         &args.source,
         rounds,
@@ -194,21 +189,7 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
         return Err("watch does not write documents; use diff --out".to_owned());
     }
     // Origins and durations load once up front; round files stream.
-    let origins = match &args.origins {
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            Some(vp_monitor::ingest::parse_origins(
-                &text,
-                &path.display().to_string(),
-            )?)
-        }
-        None => load_origins_sidecar(&args.rounds)?,
-    };
-    let durations = match &args.obs_report {
-        Some(path) => Some(load_obs_report(path)?.round_durations()),
-        None => None,
-    };
+    let (origins, durations) = load_context(&args)?;
 
     // The same streaming tracker the daemon publishes from, proven
     // byte-equal to the batch pipeline — so plain `watch` prints exactly

@@ -14,9 +14,10 @@
 //!   `0..n`. This is the production choice: neighbouring inputs map to
 //!   scattered outputs, so consecutive probes hit unrelated networks.
 //! * [`LcgPermutation`] — a full-period linear-congruential walk. Cheaper,
-//!   but consecutive outputs differ by a fixed stride, which concentrates
-//!   probe bursts in arithmetic progressions of the address space. Kept as
-//!   the baseline for the probe-ordering ablation bench.
+//!   and kept as the baseline for the probe-ordering ablation. Its
+//!   consecutive outputs are correlated, which was expected to concentrate
+//!   probe bursts; measured on the ablation's 15 000-block world, its worst
+//!   /16 burst per 256 probes is 7 against Feistel's 11 (sequential: 226).
 
 /// A deterministic bijection on `0..len()` used to order probes.
 pub trait ProbeOrder {
@@ -117,8 +118,8 @@ impl ProbeOrder for FeistelPermutation {
 ///
 /// Uses `x -> (a*x + c) mod m` with `m` the smallest power of two `>= n`
 /// and Hull–Dobell-satisfying `a, c`, cycle-walked into `0..n`. Consecutive
-/// outputs are strongly correlated — this is exactly the deficiency the
-/// ablation bench demonstrates.
+/// outputs are strongly correlated, though the probe-ordering ablation
+/// measures no worse /16 bursts for it than for Feistel.
 #[derive(Debug, Clone)]
 pub struct LcgPermutation {
     n: u64,

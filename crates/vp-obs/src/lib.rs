@@ -10,10 +10,10 @@
 //!    K per-shard registries of a `run_scan_sharded_on` round fold to a
 //!    result byte-identical to the serial scan's, for every K.
 //! 2. **One recorder, injected clock.** [`FlightRecorder`] is the only
-//!    recorder driven by a [`Clock`], and only binaries and `vp-bench`
-//!    may implement one over wall time (DESIGN.md §8; it reaches library
-//!    code as a forwarded [`WallChannel`]), where it can only affect
-//!    stdout, bench artifacts and the wall flight channel, never results. Sim-time enters as plain values: [`TraceSummary`] and the
+//!    recorder driven by a [`Clock`], and only binaries may implement one
+//!    over wall time (DESIGN.md §8; it reaches library code as a
+//!    forwarded [`WallChannel`]), where it can only affect stdout and the
+//!    wall flight channel, never results. Sim-time enters as plain values: [`TraceSummary`] and the
 //!    sim flight channel are built from instants the caller already holds.
 //!
 //! The crate is dependency-free and bottom-of-graph: exposition is

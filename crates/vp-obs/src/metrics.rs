@@ -153,7 +153,7 @@ impl Histogram {
     /// `[min, max]`. Unlike [`Histogram::quantile`] — an upper-bound rank
     /// pick, where a small sample count pins every upper quantile to the
     /// maximum — this estimator separates p90 from max even at single-digit
-    /// sample counts (the `vp-bench` regression trajectory relies on that).
+    /// sample counts (`bench_scan`'s p90 column relies on that).
     /// Returns 0 for an empty histogram.
     pub fn quantile_interpolated(&self, q: f64) -> u64 {
         if self.count == 0 {
@@ -316,8 +316,8 @@ impl Registry {
         }
     }
 
-    /// Inserts a pre-built histogram (used by vp-bench to publish
-    /// standalone measurements). Panics if the key already exists.
+    /// Inserts a pre-built histogram (a scan's finished RTT histogram).
+    /// Panics if the key already exists.
     pub fn insert_histogram(&mut self, name: &str, labels: &[(&str, &str)], hist: Histogram) {
         let key = MetricKey::new(name, labels);
         let prev = self.metrics.insert(key, Metric::Histogram(hist));

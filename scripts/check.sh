@@ -15,6 +15,7 @@ cd "$(dirname "$0")/.."
 # The lint policy (DESIGN.md §8), in the target directory the tier-1
 # lint_gate test reuses, so `cargo test` below finds it already checked.
 CARGO_TARGET_DIR=target/clippy cargo clippy --workspace --all-targets --offline -- -D warnings
+# Every workspace member is a default member: these cover them all.
 cargo build --release
 cargo test -q
 
@@ -29,8 +30,8 @@ cargo test -q --release --test alloc_witness
 # a test-filter change can never silently drop it from the gate.
 cargo test -q --test columnar_equivalence
 
-# run_all goes through cargo run, not a bare target/release path: the root
-# package's `cargo build --release` does not build vp-experiments bins.
+# `cargo build --release` above built every default member's bins, so
+# these `cargo run`s and the target/release paths below only run them.
 obs_dir="target/obs-check"
 rm -rf "$obs_dir"
 cargo run -q --release -p vp-experiments --bin run_all -- fig2_broot_maps \
@@ -38,9 +39,6 @@ cargo run -q --release -p vp-experiments --bin run_all -- fig2_broot_maps \
 VP_OBS_REPORT_DIR="$PWD/$obs_dir/obs" cargo test -q -p vp-experiments \
     --test obs_report emitted_reports_match_schema_snapshot
 
-# vp-monitor is a dev-dependency of the root package, so build its bin
-# explicitly before calling it by path.
-cargo build -q --release -p vp-monitor
 vp_monitor="target/release/vp-monitor"
 
 # Every committed tagged document must conform to its embedded schema.
@@ -108,7 +106,7 @@ diff -r -x daemon -x monitor -x flight_scan15k.json -x run_all_default.txt \
 # preemption. Its timings are printed, not gated.
 bench_dir="target/bench-check"
 rm -rf "$bench_dir" && mkdir -p "$bench_dir"
-cargo run -q --release -p vp-bench --bin bench_scan -- \
+cargo run -q --release -p vp-experiments --bin bench_scan -- \
     --reps 3 --targets 15000 --flight "$bench_dir/flight_scan15k.json" >/dev/null
 
 # The fresh flight document (never written over the committed golden)

@@ -32,12 +32,15 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use vp_bench::{bench_hitlist, bench_scenario_scaled, synthetic_round};
+use vp_experiments::bench_scenario_scaled;
+use vp_hitlist::{Hitlist, HitlistConfig};
 use vp_monitor::diff::Origins;
 use vp_monitor::ingest::{build_origins_doc, load_round_file, parse_origins};
 use vp_sim::exec::ShardExecutor;
 use vp_sim::{CatchmentOracle, FaultConfig, StaticOracle};
-use verfploeter_suite::net::{Asn, SimTime};
+use verfploeter_suite::bgp::SiteId;
+use verfploeter_suite::net::{Asn, Block24, SimTime};
+use verfploeter_suite::vp::CatchmentMap;
 use verfploeter_suite::vp::scan::{run_scan, run_scan_sharded_on, ScanConfig, ScanResult};
 
 /// Counts every allocation and reallocation (each realloc of a doubling
@@ -171,7 +174,7 @@ fn steady_state_allocations_stay_sublinear_in_probes() {
     // World + hitlist construction may allocate freely: it is setup,
     // outside the measured round.
     let s = bench_scenario_scaled(33, TARGETS);
-    let hl = bench_hitlist(&s);
+    let hl = Hitlist::from_internet(&s.world, &HitlistConfig::default());
     let table = s.routing();
     let config = ScanConfig::default();
 
@@ -226,6 +229,20 @@ fn steady_state_allocations_stay_sublinear_in_probes() {
     );
 }
 
+/// A synthetic catchment round of `entries` blocks over nine sites. The
+/// blocks straddle the 7-/8-digit boundary, so the document
+/// [`CatchmentMap::to_json`] writes — keys in string order — is not in
+/// block order, as real rounds are not.
+fn synthetic_round(entries: usize) -> CatchmentMap {
+    const STRIDE: u32 = 29;
+    let entries = entries as u32;
+    let first = 10_000_000 - STRIDE * (entries / 4);
+    let rows = (0..entries)
+        .map(|i| first + STRIDE * i)
+        .map(|b| (Block24(b), SiteId((b % 9) as u8)));
+    CatchmentMap::from_pairs("synthetic/r0", rows)
+}
+
 /// Allocations one round-file load may make, at any size: the file's text,
 /// the name, two columns grown by doubling (2·log2 n) and the sort's
 /// second copy of them. The tree-building reader made ~1.6 per entry.
@@ -243,7 +260,7 @@ fn snapshot_ingest_allocates_logarithmically_and_holds_text_plus_columns() {
         .join(format!("vp-alloc-witness-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create witness dir");
     for entries in [30_000u64, 300_000] {
-        let map = synthetic_round(entries as usize, 0);
+        let map = synthetic_round(entries as usize);
         let text = map.to_json();
         let path = dir.join(format!("r{entries}.json"));
         std::fs::write(&path, &text).expect("write round file");
@@ -275,7 +292,7 @@ fn snapshot_ingest_allocates_logarithmically_and_holds_text_plus_columns() {
     // parsed pairs: its pair vector, sort buffer and densely packed nodes
     // together allocate no more often than inserting the same pairs, in
     // the document's (string-sorted key) order, into an empty map.
-    let origins: Origins = synthetic_round(30_000, 0)
+    let origins: Origins = synthetic_round(30_000)
         .iter()
         .map(|(block, _)| (block, Asn(block.0 % 4_000)))
         .collect();

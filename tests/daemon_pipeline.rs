@@ -14,7 +14,7 @@
 //!   exactly, because the daemon reuses the dataset's seeds and names.
 
 use serde_json::Value;
-use vp_experiments::{Daemon, DaemonConfig, Lab, Scale};
+use vp_experiments::{Daemon, DaemonArgs, DaemonConfig, Lab, Scale};
 use vp_monitor::pipeline::run_diff_pipeline;
 use vp_monitor::schema::validate_tagged;
 
@@ -140,4 +140,49 @@ fn daemon_stream_equals_offline_batch_pipeline() {
     assert_eq!(daemon.tracker().diffs(), &batch.diffs[..]);
     assert_eq!(daemon.tracker().summary(), &batch.summary);
     assert_eq!(daemon.tracker().transitions(), &batch.transitions[..]);
+}
+
+fn parse(args: &[&str]) -> Result<DaemonArgs, String> {
+    DaemonArgs::parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+}
+
+/// `--rounds` given before `--scale` used to be reset to the scale's
+/// default: an explicit count wins on either side.
+#[test]
+fn daemon_rounds_flag_wins_on_either_side_of_scale() {
+    let golden = golden_config();
+    for args in [
+        ["--scale", "tiny", "--rounds", "6", "--shards", "2", "--window", "8"],
+        ["--rounds", "6", "--shards", "2", "--window", "8", "--scale", "tiny"],
+    ] {
+        let parsed = parse(&args).unwrap_or_else(|e| panic!("{args:?}: {e}"));
+        let c = &parsed.config;
+        assert_eq!((c.scale, c.rounds, c.shards, c.window), (golden.scale, 6, 2, 8), "{args:?}");
+    }
+    let tiny = parse(&["--scale", "tiny"]).expect("parses");
+    assert_eq!(tiny.config.rounds, Scale::Tiny.stability_rounds());
+}
+
+/// A trailing `--out` used to be dropped, so the run published nothing
+/// and exited 0: every flag without its value is an error naming it.
+#[test]
+fn daemon_flag_without_value_is_an_error() {
+    let flags = ["--scale", "--shards", "--rounds", "--window", "--obs", "--out", "--pace"];
+    for flag in flags.into_iter().chain(["--interval-secs"]) {
+        let err = parse(&["--scale", "tiny", flag]).err();
+        assert_eq!(err, Some(format!("{flag} needs a value")));
+    }
+    let out = parse(&["--out", "o", "--pace", "wall"]).expect("parses");
+    assert_eq!((out.out.as_deref(), out.wall_pace), (Some(std::path::Path::new("o")), true));
+}
+
+/// `--rounds` used to be read as a u64 and truncated, so 2^32 + 6 ran 6
+/// rounds: a count its field cannot hold is an error naming the flag.
+#[test]
+fn daemon_out_of_range_count_is_an_error() {
+    let cases = [("--rounds", "4294967302"), ("--rounds", "-1"), ("--interval-secs", "x")];
+    for (flag, value) in cases {
+        let err = parse(&[flag, value]).err().unwrap_or_else(|| panic!("{flag} {value} parsed"));
+        assert!(err.starts_with(&format!("{flag} \"{value}\"")), "{err}");
+    }
 }

@@ -96,7 +96,6 @@ fn measurement_rounds_are_separated_by_ident() {
             ident: 10,
             ..ProbeConfig::default()
         },
-        cutoff: SimDuration::from_mins(15),
         ..ScanConfig::default()
     };
     let cfg_b = ScanConfig {
@@ -105,7 +104,6 @@ fn measurement_rounds_are_separated_by_ident() {
             ident: 11,
             ..ProbeConfig::default()
         },
-        cutoff: SimDuration::from_mins(15),
         ..ScanConfig::default()
     };
     let a = run_scan(
@@ -156,7 +154,6 @@ fn churn_makes_rounds_differ_in_coverage_not_correctness() {
                     ident,
                     ..ProbeConfig::default()
                 },
-                cutoff: SimDuration::from_mins(15),
                 ..ScanConfig::default()
             },
             seed,

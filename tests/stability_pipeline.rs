@@ -37,7 +37,6 @@ fn run_rounds(rounds: u32) -> (Scenario, Vec<CatchmentMap>) {
                     ident: 200 + r as u16,
                     ..ProbeConfig::default()
                 },
-                cutoff: SimDuration::from_mins(15),
                 ..ScanConfig::default()
             },
             600 + r as u64,
