@@ -16,7 +16,7 @@
 use vp_bgp::SiteId;
 use vp_net::{Ipv4Addr, SimTime};
 use vp_packet::{IcmpMessage, Ipv4Packet};
-use vp_sim::{CaptureSink, ServiceHandle};
+use vp_sim::CaptureSink;
 
 use crate::cleaning::Cleaner;
 
@@ -53,7 +53,7 @@ pub fn parse_capture(site: SiteId, at: SimTime, packet: &Ipv4Packet) -> Option<R
 /// The central point as the engine's capture sink: each site arrival is
 /// parsed once, as it is handed over, and cleaned incrementally.
 impl CaptureSink for Cleaner<'_> {
-    fn capture(&mut self, _service: ServiceHandle, site: SiteId, at: SimTime, key: u64, packet: &Ipv4Packet) {
+    fn capture(&mut self, site: SiteId, at: SimTime, key: u64, packet: &Ipv4Packet) {
         if let Some(reply) = parse_capture(site, at, packet) {
             self.push(&reply, key);
         }
@@ -144,9 +144,9 @@ mod tests {
         let cutoff = SimDuration::from_mins(15);
         let mut sink = Cleaner::new(&hl, 7, SimTime::ZERO, cutoff);
         for (key, (site, at, packet)) in (0u64..).zip(&captures) {
-            sink.capture(ServiceHandle(0), *site, *at, key, packet);
+            sink.capture(*site, *at, key, packet);
         }
-        sink.capture(ServiceHandle(0), SiteId(0), SimTime(50), 4, &request);
+        sink.capture(SiteId(0), SimTime(50), 4, &request);
         let (kept, stats) = sink.finish();
 
         let replies: Vec<RawReply> = captures

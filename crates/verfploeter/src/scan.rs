@@ -445,13 +445,13 @@ impl Round<'_> {
             .map(|w| vp_obs::FlightRecorder::new(Box::new(w), FLIGHT_CAPACITY))
     }
 
-    /// An engine with the service registered over the round's borrowed
-    /// oracle. Every engine gets the round seed: keyed fault draws must
-    /// agree across shard layouts.
+    /// An engine for the service over the round's borrowed oracle. Every
+    /// engine gets the round seed: keyed fault draws must agree across
+    /// shard layouts.
     fn new_engine(&self) -> NetworkSim<'_> {
-        let mut sim = NetworkSim::new(self.world, self.faults.clone(), self.sim_seed);
+        let (announcement, oracle) = (self.announcement.clone(), Box::new(self.oracle));
+        let mut sim = NetworkSim::new(self.world, self.faults.clone(), self.sim_seed, announcement, oracle, false);
         sim.attach_obs(self.config.trace);
-        sim.register_service(self.announcement.clone(), Box::new(self.oracle), false);
         sim
     }
 

@@ -6,7 +6,7 @@ use serde::Serialize;
 use vp_bgp::{Announcement, SiteId};
 use vp_net::{Block24, SimDuration, SimTime};
 use vp_packet::{DnsMessage, Ipv4Packet, Protocol, UdpDatagram};
-use vp_sim::{CaptureSink, CatchmentOracle, Earliest, FaultConfig, NetworkSim, ServiceHandle, TimedProbe};
+use vp_sim::{CaptureSink, CatchmentOracle, Earliest, FaultConfig, NetworkSim, TimedProbe};
 use vp_topology::Internet;
 
 use crate::panel::AtlasPanel;
@@ -124,7 +124,7 @@ struct Answers {
 }
 
 impl CaptureSink for Answers {
-    fn capture(&mut self, _: ServiceHandle, _: SiteId, _: SimTime, _: u64, _: &Ipv4Packet) {}
+    fn capture(&mut self, _: SiteId, _: SimTime, _: u64, _: &Ipv4Packet) {}
 
     fn deliver(&mut self, at: SimTime, key: u64, packet: &Ipv4Packet) {
         if packet.protocol != Protocol::Udp {
@@ -157,8 +157,7 @@ pub fn run_scan(
     name: &str,
     sim_seed: u64,
 ) -> AtlasResult {
-    let mut sim = NetworkSim::new(world, faults, sim_seed);
-    let svc = sim.register_service(announcement.clone(), oracle, true);
+    let mut sim = NetworkSim::new(world, faults, sim_seed, announcement.clone(), oracle, true);
     let anycast = announcement.measurement_addr();
 
     let available: Vec<_> = panel.vps().iter().filter(|v| v.available).collect();
@@ -180,7 +179,7 @@ pub fn run_scan(
     });
     let mut answers = Answers {
         hostnames: (announcement.sites.iter())
-            .map(|s| (NetworkSim::site_hostname(svc, &s.name), s.id))
+            .map(|s| (NetworkSim::site_hostname(&s.name), s.id))
             .collect(),
         sites: Earliest::new(panel.len()),
         vps: panel.len(),

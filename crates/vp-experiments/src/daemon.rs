@@ -22,7 +22,7 @@
 //! bytes are pinned under `results/daemon/`.
 
 use std::collections::BTreeMap;
-use std::num::ParseIntError;
+use std::num::{NonZeroUsize, ParseIntError};
 use std::path::PathBuf;
 use std::str::FromStr;
 
@@ -47,8 +47,9 @@ const PROFILE_TOP_N: usize = 5;
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
     pub scale: Scale,
-    /// Scan shard count. Results are shard-count-invariant (§7), so this
-    /// only affects wall-clock — and the `shards` field of the status doc.
+    /// Scan shard count; 0 runs (and publishes) 1. Results are
+    /// shard-count-invariant (§7), so this only affects wall-clock — and
+    /// the `shards` field of the status doc.
     pub shards: usize,
     /// Rounds the run is sized for (published as `rounds_total`; the
     /// caller drives the actual loop).
@@ -88,7 +89,8 @@ pub struct DaemonArgs {
 impl DaemonArgs {
     /// Parses the flags after the program name. An explicit `--rounds`
     /// wins on either side of `--scale`; a flag without its value, or a
-    /// count its field cannot hold, is an error that names the flag.
+    /// count its field cannot hold (a zero `--shards` or `--window`
+    /// included), is an error that names the flag.
     pub fn parse(args: &[String]) -> Result<DaemonArgs, String> {
         fn count<T: FromStr<Err = ParseIntError>>(flag: &str, v: &str) -> Result<T, String> {
             v.parse().map_err(|e| format!("{flag} {v:?}: {e}"))
@@ -103,9 +105,9 @@ impl DaemonArgs {
                     config.scale = Scale::parse(value()?)
                         .ok_or("unknown scale; use tiny|small|default|paper")?;
                 }
-                "--shards" => config.shards = count::<usize>(flag, value()?)?.max(1),
+                "--shards" => config.shards = count::<NonZeroUsize>(flag, value()?)?.get(),
                 "--rounds" => rounds = Some(count(flag, value()?)?),
-                "--window" => config.window = count::<usize>(flag, value()?)?.max(1),
+                "--window" => config.window = count::<NonZeroUsize>(flag, value()?)?.get(),
                 "--obs" => {
                     config.obs =
                         TraceLevel::parse(value()?).ok_or("unknown obs mode; use off|summary|full")?;
@@ -178,10 +180,11 @@ impl Daemon {
             .iter()
             .map(|s| (s.id.0, s.name.clone()))
             .collect();
+        let shards = config.shards.max(1);
         let meta = DaemonMeta {
             source: format!("vp-daemon/{}", config.scale.name()),
             scale: config.scale.name().to_owned(),
-            shards: config.shards as u64,
+            shards: shards as u64,
             interval_ns: STABILITY_INTERVAL.0,
             rounds_total: u64::from(config.rounds),
         };
@@ -189,7 +192,7 @@ impl Daemon {
             scenario,
             hitlist,
             oracle,
-            shards: config.shards.max(1),
+            shards,
             obs: config.obs,
             meta,
             tracker: DriftTracker::new(config.alert.clone(), config.window, Some(origins)),

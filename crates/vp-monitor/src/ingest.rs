@@ -12,10 +12,11 @@
 //!   ...
 //! ```
 //!
-//! Round files are ordered by file *name*, never by directory order or
-//! mtime — the ingest layer is as deterministic as everything downstream
-//! of it. All fallible paths return `Err(String)` with the offending file
-//! named; the library never panics on malformed input.
+//! Round files are ordered by the round number in their name, never by
+//! directory order or mtime — the ingest layer is as deterministic as
+//! everything downstream of it — and their numbers must run without a gap
+//! or a repeat. All fallible paths return `Err(String)` with the offending
+//! file named; the library never panics on malformed input.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -26,25 +27,90 @@ use vp_net::{Asn, Block24};
 
 use crate::diff::Origins;
 
-/// Lists the `r*.json` catchment snapshots in `dir`, sorted by file name
-/// (lexicographic == numeric for the zero-padded `r000.json` scheme).
-/// Non-round files (`origins.json`, a writer's `.r*.json.tmp`, anything
-/// not `r*.json`) are skipped.
-/// An empty list is not an error — `watch --follow` polls a directory
-/// that may not have its first round yet.
-pub fn list_round_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
+/// The round a file named `r<digits>.json` holds; `None` for any other
+/// name (`origins.json`, a writer's `.r000.json.tmp`).
+fn round_number(name: &str) -> Option<u64> {
+    let digits = name.strip_prefix('r')?.strip_suffix(".json")?;
+    if !digits.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    digits.parse().ok()
+}
+
+/// The round files of `dir` with their round numbers, in round order,
+/// numbered without a repeat or a gap.
+fn list_rounds(dir: &Path) -> Result<Vec<(u64, PathBuf)>, String> {
     let entries =
         std::fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
-    let mut names: Vec<String> = Vec::new();
+    let mut rounds = Vec::new();
     for entry in entries {
         let entry = entry.map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if name.starts_with('r') && name.ends_with(".json") {
-            names.push(name);
+        if let Some(round) = round_number(&entry.file_name().to_string_lossy()) {
+            rounds.push((round, entry.path()));
         }
     }
-    names.sort_unstable();
-    Ok(names.into_iter().map(|n| dir.join(n)).collect())
+    rounds.sort_unstable();
+    for pair in rounds.windows(2) {
+        let [(prev, a), (round, b)] = pair else { continue };
+        if round == prev {
+            return Err(format!("{} and {} both hold round {round}", a.display(), b.display()));
+        }
+        if *round != prev + 1 {
+            return Err(missing(b, *round, prev + 1));
+        }
+    }
+    Ok(rounds)
+}
+
+fn missing(path: &Path, round: u64, next: u64) -> String {
+    format!("{}: round {round} follows round {}; round {next} is missing", path.display(), next - 1)
+}
+
+/// Lists the `r<digits>.json` catchment snapshots in `dir` in round-number
+/// order (`r1000.json` after `r999.json`, whatever the padding). Other
+/// files (`origins.json`, a writer's `.r000.json.tmp`) are skipped. Two
+/// files with one number, and a gap in the numbering, are errors naming
+/// the file. An empty list is not an error — `watch --follow` polls a
+/// directory that may not have its first round yet.
+pub fn list_round_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
+    Ok(list_rounds(dir)?.into_iter().map(|(_, path)| path).collect())
+}
+
+/// The rounds of a directory that may still be growing, read in order:
+/// each [`RoundTail::poll`] returns those that landed since the last.
+pub struct RoundTail {
+    dir: PathBuf,
+    /// The first round read and the next one due.
+    read: Option<(u64, u64)>,
+}
+
+impl RoundTail {
+    pub fn new(dir: &Path) -> RoundTail {
+        RoundTail { dir: dir.to_owned(), read: None }
+    }
+
+    /// The round files listed now and not read before, in round order.
+    /// Beyond [`list_round_files`]' refusals, a round that is not the next
+    /// one due is an error naming its file: one landing below the first
+    /// round read, or one past the next (the rounds between were never
+    /// listed).
+    pub fn poll(&mut self) -> Result<Vec<PathBuf>, String> {
+        let mut fresh = Vec::new();
+        for (round, path) in list_rounds(&self.dir)? {
+            let (first, next) = *self.read.get_or_insert((round, round));
+            if round < first {
+                return Err(format!("{}: round {round} landed after round {first} was read", path.display()));
+            }
+            if round > next {
+                return Err(missing(&path, round, next));
+            }
+            if round == next {
+                fresh.push(path);
+                self.read = Some((first, next + 1));
+            }
+        }
+        Ok(fresh)
+    }
 }
 
 /// Publishes `text` at `path` for readers that may poll it: written under
@@ -259,24 +325,77 @@ mod tests {
     use super::*;
     use vp_bgp::SiteId;
 
-    #[test]
-    fn rounds_dir_sorts_by_name_and_skips_sidecars() {
-        let dir = std::env::temp_dir().join("vp-monitor-ingest-test");
+    /// A fresh scratch directory holding one round file per name.
+    fn rounds_dir(test: &str, files: &[&str]) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("vp-monitor-{test}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        // Write out of order; expect name order back.
-        for (file, block) in [("r002.json", 30u32), ("r000.json", 10), ("r001.json", 20)] {
-            let m = CatchmentMap::from_pairs(file, [(Block24(block), SiteId(0))]);
-            std::fs::write(dir.join(file), m.to_json()).unwrap();
+        for file in files {
+            write_round(&dir, file);
         }
-        std::fs::write(dir.join("origins.json"), "{not json").unwrap();
-        std::fs::write(dir.join("notes.txt"), "ignore me").unwrap();
-        // A round still being written sits under its writer's temp name.
-        std::fs::write(dir.join(".r003.json.tmp"), "{\"name\":\"r003.json\",\"ma").unwrap();
-        let rounds = load_rounds_dir(&dir).unwrap();
-        assert_eq!(rounds.len(), 3);
-        assert_eq!(rounds[0].site_of(Block24(10)), Some(SiteId(0)));
-        assert_eq!(rounds[2].site_of(Block24(30)), Some(SiteId(0)));
+        dir
+    }
+
+    /// Writes round file `file`, whose one block is the round number.
+    fn write_round(dir: &Path, file: &str) {
+        let block = round_number(file).map_or(u32::MAX, |n| u32::try_from(n).unwrap());
+        let m = CatchmentMap::from_pairs(file, [(Block24(block), SiteId(0))]);
+        std::fs::write(dir.join(file), m.to_json()).unwrap();
+    }
+
+    #[test]
+    fn rounds_dir_sorts_by_name_and_skips_sidecars() {
+        // Written out of order, and across a change of digit count, where
+        // name order and round order part.
+        for files in [&["r002.json", "r000.json", "r001.json"], &["r1000.json", "r999.json", "r1001.json"]] {
+            let dir = rounds_dir("sorts", files);
+            std::fs::write(dir.join("origins.json"), "{not json").unwrap();
+            std::fs::write(dir.join("notes.txt"), "ignore me").unwrap();
+            std::fs::write(dir.join("rough.json"), "{not json").unwrap();
+            // A round still being written sits under its writer's temp name.
+            std::fs::write(dir.join(".r003.json.tmp"), "{\"name\":\"r003.json\",\"ma").unwrap();
+            let rounds = load_rounds_dir(&dir).unwrap();
+            let mut want: Vec<u64> = files.iter().filter_map(|f| round_number(f)).collect();
+            want.sort_unstable();
+            let got: Vec<u64> = rounds.iter().map(|m| u64::from(m.iter().next().unwrap().0 .0)).collect();
+            assert_eq!(got, want);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// Rounds out of turn are refused, each with the file or the round
+    /// named: a repeated number and a gap by any listing, and under a
+    /// tail, a round landing below the first one read or a first new
+    /// round past the next one.
+    #[test]
+    fn round_files_out_of_turn_are_refused_by_name() {
+        let refused = |files: &[&str], named: &[&str]| {
+            let dir = rounds_dir("refused", files);
+            let err = list_round_files(&dir).unwrap_err();
+            assert!(named.iter().all(|n| err.contains(n)), "{err}");
+            assert_eq!(load_rounds_dir(&dir).unwrap_err(), err);
+            let _ = std::fs::remove_dir_all(&dir);
+        };
+        refused(&["r000.json", "r001.json", "r1.json"], &["r001.json", "r1.json", "round 1"]);
+        refused(&["r005.json", "r007.json"], &["r007.json", "round 6 is missing"]);
+
+        let dir = rounds_dir("tail", &["r001.json", "r002.json"]);
+        let mut tail = RoundTail::new(&dir);
+        assert_eq!(tail.poll().unwrap(), [dir.join("r001.json"), dir.join("r002.json")]);
+        assert!(tail.poll().unwrap().is_empty());
+        write_round(&dir, "r003.json");
+        assert_eq!(tail.poll().unwrap(), [dir.join("r003.json")]);
+        // A late lower-numbered file shifts the listing under the tail.
+        write_round(&dir, "r000.json");
+        let err = tail.poll().unwrap_err();
+        assert!(err.contains("r000.json") && err.contains("round 0"), "{err}");
+        // Old rounds pruned, and the next one skipped.
+        for round in ["r000.json", "r001.json", "r002.json", "r003.json"] {
+            std::fs::remove_file(dir.join(round)).unwrap();
+        }
+        write_round(&dir, "r005.json");
+        let err = tail.poll().unwrap_err();
+        assert!(err.contains("r005.json") && err.contains("round 4 is missing"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -18,7 +18,8 @@
 //!   happens. With `--follow` it keeps polling the directory and ingests
 //!   new round files as they land — tailing a live `vp_daemon
 //!   --snapshots`-style producer — until `--until-rounds` rounds have
-//!   been seen (or forever without it).
+//!   been seen (or forever without it). A round that lands out of turn
+//!   stops it with an error naming the file.
 //! * `validate` checks any tagged document (obs report, drift, alert,
 //!   daemon status, flight) against its embedded schema snapshot;
 //!   directory arguments validate every `*.json` inside.
@@ -34,8 +35,7 @@ use std::process::ExitCode;
 use vp_monitor::alert::AlertConfig;
 use vp_monitor::diff::Origins;
 use vp_monitor::ingest::{
-    list_round_files, load_obs_report, load_origins_sidecar, load_round_file, load_rounds_dir,
-    write_atomic,
+    load_obs_report, load_origins_sidecar, load_round_file, load_rounds_dir, write_atomic, RoundTail,
 };
 use vp_monitor::pipeline::run_diff_pipeline;
 use vp_monitor::profile::{parse_flight_doc, render_report};
@@ -195,18 +195,16 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
     // byte-equal to the batch pipeline — so plain `watch` prints exactly
     // what `diff` computes, and `--follow` extends it to a live tail.
     let mut tracker = DriftTracker::new(AlertConfig::default(), WATCH_WINDOW, origins);
-    let mut seen = 0usize;
+    let mut rounds = RoundTail::new(&args.rounds);
     'tail: loop {
-        let files = list_round_files(&args.rounds)?;
-        while seen < files.len() {
+        for file in rounds.poll()? {
             if args
                 .until_rounds
                 .is_some_and(|n| tracker.rounds_ingested() >= n)
             {
                 break 'tail;
             }
-            let map = load_round_file(&files[seen])?;
-            seen += 1;
+            let map = load_round_file(&file)?;
             let dur = durations
                 .as_ref()
                 .and_then(|m| m.get(&tracker.next_round()).copied());

@@ -433,7 +433,7 @@ pub fn build_scrape(
     ] {
         help.insert(name.to_owned(), text.to_owned());
     }
-    reg.to_prometheus_text_with_help(&help)
+    reg.to_prometheus_text(&help)
 }
 
 #[cfg(test)]

@@ -125,36 +125,15 @@ impl Histogram {
         &self.buckets
     }
 
-    /// Upper-bound estimate of the q-quantile: the bound of the first
-    /// bucket whose cumulative count reaches `ceil(q * count)`, clamped to
-    /// the observed `[min, max]` range. Returns 0 for an empty histogram.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * self.count as f64).ceil() as u64).max(1);
-        let mut cum = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            cum += n;
-            if cum >= rank {
-                let bound = self.bounds.get(i).copied().unwrap_or(self.max);
-                return bound.clamp(self.min, self.max);
-            }
-        }
-        self.max
-    }
-
     /// Linearly interpolated q-quantile estimate.
     ///
     /// Locates the continuous 0-based rank `q * (count - 1)` in the
     /// cumulative bucket distribution and interpolates between the
     /// holding bucket's lower and upper bounds, clamped to the observed
-    /// `[min, max]`. Unlike [`Histogram::quantile`] — an upper-bound rank
-    /// pick, where a small sample count pins every upper quantile to the
-    /// maximum — this estimator separates p90 from max even at single-digit
-    /// sample counts (`bench_scan`'s p90 column relies on that).
-    /// Returns 0 for an empty histogram.
+    /// `[min, max]`; samples are taken as evenly spread across their
+    /// bucket, so p90 stays below max even at single-digit sample counts
+    /// (`bench_scan`'s p90 column relies on that). `q` of 0 and 1 are the
+    /// observed min and max. Returns 0 for an empty histogram.
     pub fn quantile_interpolated(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -422,16 +401,11 @@ impl Registry {
     /// Prometheus text exposition (v0.0.4): `.`/`-` in names become `_`,
     /// histograms expand to cumulative `_bucket{le=...}` plus `_sum` and
     /// `_count` series. Ordering follows the registry's canonical order.
-    pub fn to_prometheus_text(&self) -> String {
-        self.to_prometheus_text_with_help(&BTreeMap::new())
-    }
-
-    /// [`Registry::to_prometheus_text`] with an optional per-metric help
-    /// map, keyed by the *recorded* metric name (pre-sanitization, e.g.
-    /// `"scan.probes"`). Metrics with an entry get a `# HELP` line before
-    /// their `# TYPE`; backslashes and newlines in the help text are
-    /// escaped per the exposition format.
-    pub fn to_prometheus_text_with_help(&self, help: &BTreeMap<String, String>) -> String {
+    /// `help` is keyed by the *recorded* metric name (pre-sanitization,
+    /// e.g. `"scan.probes"`): a metric with an entry gets a `# HELP` line
+    /// before its `# TYPE`, its backslashes and newlines escaped per the
+    /// exposition format.
+    pub fn to_prometheus_text(&self, help: &BTreeMap<String, String>) -> String {
         let mut out = String::new();
         let mut last_name = String::new();
         for (key, metric) in &self.metrics {
@@ -591,11 +565,12 @@ mod tests {
         assert_eq!(h.sum(), 1 + 5 + 10 + 11 + 99 + 100 + 5000);
         assert_eq!(h.min(), 1);
         assert_eq!(h.max(), 5000);
-        // Median rank 4 lands in the second bucket → bound 100.
-        assert_eq!(h.quantile(0.5), 100);
+        // Median rank 3 is the first of the second bucket's three samples:
+        // its lower bound.
+        assert_eq!(h.quantile_interpolated(0.5), 10);
         // p100 lands in the overflow bucket → observed max.
-        assert_eq!(h.quantile(1.0), 5000);
-        assert_eq!(Histogram::new(vec![1]).quantile(0.5), 0);
+        assert_eq!(h.quantile_interpolated(1.0), 5000);
+        assert_eq!(Histogram::new(vec![1]).quantile_interpolated(0.5), 0);
     }
 
     #[test]
@@ -623,7 +598,6 @@ mod tests {
         assert_eq!(h.max(), u64::MAX);
         // The overflow bucket has no upper bound, so quantiles report the
         // observed max rather than inventing one.
-        assert_eq!(h.quantile(1.0), u64::MAX);
         assert_eq!(h.quantile_interpolated(1.0), u64::MAX);
     }
 
@@ -631,7 +605,6 @@ mod tests {
     fn empty_histogram_quantiles_are_zero() {
         let h = Histogram::new(vec![10, 100]);
         for q in [0.0, 0.5, 0.9, 1.0] {
-            assert_eq!(h.quantile(q), 0);
             assert_eq!(h.quantile_interpolated(q), 0);
         }
         assert_eq!(h.min(), 0);
@@ -641,14 +614,13 @@ mod tests {
 
     #[test]
     fn interpolated_quantiles_do_not_pin_to_max() {
-        // Nine samples spread over one wide bucket: the rank-pick p90 is
-        // forced to a bucket bound (clamped to max), while interpolation
-        // places it inside the observed range, strictly below max.
+        // Nine samples spread over one wide bucket, whose bound is far
+        // above them: interpolation places p90 inside the observed range,
+        // strictly below max.
         let mut h = Histogram::new(vec![1_000_000]);
         for v in [100, 200, 300, 400, 500, 600, 700, 800, 900] {
             h.observe(v);
         }
-        assert_eq!(h.quantile(0.9), h.max(), "rank-pick pins p90 to max");
         let p90 = h.quantile_interpolated(0.9);
         assert!(p90 < h.max(), "interpolated p90 {p90} still pinned to max");
         assert!(p90 > h.quantile_interpolated(0.5), "p90 not above median");
@@ -702,7 +674,7 @@ mod tests {
         let mut r = Registry::new();
         r.counter_add("c", &[("path", "C:\\scan\\run")], 1);
         r.counter_add("c", &[("path", "says \"hi\"")], 2);
-        let text = r.to_prometheus_text();
+        let text = r.to_prometheus_text(&BTreeMap::new());
         // Prometheus text format escapes backslash and double-quote inside
         // label values exactly like JSON string literals do.
         assert!(
@@ -719,7 +691,7 @@ mod tests {
     fn prometheus_label_values_escape_newlines() {
         let mut r = Registry::new();
         r.gauge_add("g", &[("note", "a\nb")], 3);
-        let text = r.to_prometheus_text();
+        let text = r.to_prometheus_text(&BTreeMap::new());
         assert!(
             text.contains("g{note=\"a\\nb\"} 3"),
             "newline not escaped: {text}"
@@ -735,7 +707,7 @@ mod tests {
         r.counter_add("scan.probes", &[("site", "LAX")], 7);
         r.histogram_observe("rtt.ns", &[], &[10, 100], 5);
         r.histogram_observe("rtt.ns", &[], &[10, 100], 500);
-        let text = r.to_prometheus_text();
+        let text = r.to_prometheus_text(&BTreeMap::new());
         assert!(text.contains("# TYPE scan_probes counter"), "{text}");
         assert!(text.contains("scan_probes{site=\"LAX\"} 7"), "{text}");
         assert!(text.contains("rtt_ns_bucket{le=\"10\"} 1"), "{text}");
@@ -749,7 +721,7 @@ mod tests {
         r.counter_add("scan.probes", &[], 1);
         r.gauge_add("queue.depth", &[], 2);
         r.histogram_observe("rtt.ns", &[], &[10], 5);
-        let text = r.to_prometheus_text();
+        let text = r.to_prometheus_text(&BTreeMap::new());
         assert!(text.contains("# TYPE scan_probes counter"), "{text}");
         assert!(text.contains("# TYPE queue_depth gauge"), "{text}");
         // Histogram TYPE announces the base name; the series carry the
@@ -765,7 +737,7 @@ mod tests {
         let mut r = Registry::new();
         r.counter_add("scan.probes", &[("site", "LAX")], 7);
         r.counter_add("scan.probes", &[("site", "MIA")], 3);
-        let text = r.to_prometheus_text();
+        let text = r.to_prometheus_text(&BTreeMap::new());
         assert_eq!(text.matches("# TYPE scan_probes counter").count(), 1, "{text}");
         let type_idx = text.find("# TYPE scan_probes").unwrap_or(usize::MAX);
         let first_sample = text.find("scan_probes{").unwrap_or(0);
@@ -776,7 +748,7 @@ mod tests {
     fn prometheus_names_never_start_with_a_digit() {
         let mut r = Registry::new();
         r.counter_add("4xx.count", &[("2nd", "x")], 1);
-        let text = r.to_prometheus_text();
+        let text = r.to_prometheus_text(&BTreeMap::new());
         // Metric and label names alike get the `_` prefix; label values
         // are free-form and untouched.
         assert!(text.contains("# TYPE _4xx_count counter"), "{text}");
@@ -795,7 +767,7 @@ mod tests {
             "scan.probes".to_owned(),
             "Probes sent per site.".to_owned(),
         );
-        let text = r.to_prometheus_text_with_help(&help);
+        let text = r.to_prometheus_text(&help);
         // One HELP line per metric name (not per label set), directly
         // before its TYPE line; unhelped metrics keep just the TYPE line.
         let lines: Vec<&str> = text.lines().collect();
@@ -818,7 +790,7 @@ mod tests {
         r.counter_add("c", &[], 1);
         let mut help = BTreeMap::new();
         help.insert("c".to_owned(), "path C:\\scan\nsecond line".to_owned());
-        let text = r.to_prometheus_text_with_help(&help);
+        let text = r.to_prometheus_text(&help);
         assert!(
             text.contains("# HELP c path C:\\\\scan\\nsecond line"),
             "help not escaped: {text}"
@@ -826,17 +798,5 @@ mod tests {
         // The escaped help must stay a single physical line.
         let help_lines: Vec<&str> = text.lines().filter(|l| l.starts_with("# HELP")).collect();
         assert_eq!(help_lines.len(), 1, "{text}");
-    }
-
-    #[test]
-    fn prometheus_without_help_matches_empty_help_map() {
-        let mut r = Registry::new();
-        r.counter_add("c", &[], 1);
-        r.histogram_observe("h", &[], &[10], 5);
-        assert_eq!(
-            r.to_prometheus_text(),
-            r.to_prometheus_text_with_help(&BTreeMap::new())
-        );
-        assert!(!r.to_prometheus_text().contains("# HELP"));
     }
 }

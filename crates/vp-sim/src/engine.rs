@@ -6,17 +6,12 @@ use vp_bgp::{Announcement, SiteId};
 use vp_net::conv;
 use vp_net::{mix, unit, Block24, Ipv4Addr, SimTime};
 use vp_packet::{DnsMessage, IcmpMessage, Ipv4Packet, Protocol, UdpDatagram};
-use vp_topology::blocks::BlockInfo;
 use vp_topology::{Internet, PopId};
 
 use crate::faults::FaultConfig;
 use crate::latency::LatencyModel;
 use crate::oracle::CatchmentOracle;
 use crate::sink::CaptureSink;
-
-/// Handle of a registered anycast service.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServiceHandle(pub usize);
 
 // Domain-separation tags for keyed stochastic draws. Every fault decision
 // hashes (round seed ^ tag, event key) so outcomes are pure functions of
@@ -32,10 +27,10 @@ const TAG_LATE: u64 = 0x1a7e_0007;
 const TAG_DUPLICATE: u64 = 0xd0b1_0008;
 const TAG_DUPLICATE_COUNT: u64 = 0xd0b1_0009;
 
-/// An arrival waiting for the sink: captured at `site` of a service, or,
+/// An arrival waiting for the sink: captured at `site` of the service, or,
 /// with `site` `None`, handed to an ordinary host's application.
 struct Handoff {
-    site: Option<(ServiceHandle, SiteId)>,
+    site: Option<SiteId>,
     at: SimTime,
     /// The transmission's identity hash: `(at, key)` is the arrival's
     /// place in arrival order.
@@ -189,13 +184,14 @@ impl EngineObs {
     }
 }
 
+/// The one anycast service an engine is built for.
 struct Service<'w> {
     announcement: Announcement,
     /// Owned, or borrowed from the caller for the engine's lifetime.
     oracle: Box<dyn CatchmentOracle + 'w>,
     /// Whether site hosts answer DNS (hostname.bind) and pings.
     serve_dns: bool,
-    /// `hostname.bind` answer per site, precomputed at registration so the
+    /// `hostname.bind` answer per site, precomputed at construction so the
     /// per-reply DNS path never formats a hostname (the allocation witness
     /// counts it).
     hostnames: Vec<String>,
@@ -222,10 +218,11 @@ impl Service<'_> {
     }
 }
 
-/// What the engine reads of a block — its [`BlockInfo`] row and its row
-/// of the position column — copied out by value, so a packet's path
-/// through `transmit` touches the world once, where its addresses are
-/// resolved, and never again.
+/// What the engine reads of a block — its
+/// [`vp_topology::blocks::BlockInfo`] row and its row of the position
+/// column — copied out by value, so a packet's path through `transmit`
+/// touches the world once, where its addresses are resolved, and never
+/// again.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Row {
     block: Block24,
@@ -238,27 +235,27 @@ struct Row {
 }
 
 impl Row {
-    /// [`BlockInfo::representative`].
+    /// [`vp_topology::blocks::BlockInfo::representative`].
     fn representative(&self) -> Ipv4Addr {
         self.block.addr(self.rep_octet)
     }
 }
 
-/// Where an address lives in the simulated world: inside a registered
-/// service's anycast prefix, or inside a populated block, with its
-/// [`Row`]. Resolution is a pure function of the address over a fixed
-/// world and service table, so the engine resolves each address once —
+/// Where an address lives in the simulated world: inside the service's
+/// anycast prefix, or inside a populated block, with its [`Row`].
+/// Resolution is a pure function of the address over a fixed world and
+/// service, so the engine resolves each address once —
 /// where the packet enters — and every packet it generates in response
 /// inherits its ends: a reply's sender is the end that received the
 /// request, its destination the end that sent it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Resolved {
-    Service(usize),
+    Service,
     Block(Row),
 }
 
 enum Target {
-    Site { service: usize, site: SiteId },
+    Site(SiteId),
     Host(Row),
 }
 
@@ -313,7 +310,7 @@ impl Arrivals {
     }
 }
 
-/// The discrete-event network simulator.
+/// The discrete-event network simulator, built for one anycast service.
 ///
 /// A run is one call of [`NetworkSim::run_with`]: a time-sorted probe
 /// source in, every arrival the engine does not consume out to a
@@ -324,7 +321,7 @@ impl Arrivals {
 /// and the packet; the engine holds no random generator.
 pub struct NetworkSim<'w> {
     world: &'w Internet,
-    services: Vec<Service<'w>>,
+    service: Service<'w>,
     faults: FaultConfig,
     latency: LatencyModel,
     /// `latency.max_delay()`, computed once.
@@ -345,22 +342,43 @@ pub struct NetworkSim<'w> {
 }
 
 impl<'w> NetworkSim<'w> {
-    /// Creates a simulator over a generated world. `seed` keys every fault
-    /// draw: engines given one seed — the shards of one round — agree on
-    /// every packet's fate, so their union reproduces the serial run.
+    /// Creates a simulator over a generated world for the anycast service
+    /// `announcement`, whose catchments `oracle` answers and whose
+    /// collectors capture from the first packet on. `serve_dns` makes the
+    /// site hosts answer `hostname.bind` CHAOS queries and pings addressed
+    /// to the service prefix. `seed` keys every fault draw: engines given
+    /// one seed — the shards of one round — agree on every packet's fate,
+    /// so their union reproduces the serial run.
     ///
     /// # Panics
     /// Panics if `faults` fails validation.
     #[expect(clippy::expect_used, reason = "documented `# Panics` contract of this constructor.")]
-    pub fn new(world: &'w Internet, faults: FaultConfig, seed: u64) -> Self {
+    pub fn new(
+        world: &'w Internet,
+        faults: FaultConfig,
+        seed: u64,
+        announcement: Announcement,
+        oracle: Box<dyn CatchmentOracle + 'w>,
+        serve_dns: bool,
+    ) -> Self {
         faults.validate().expect("invalid fault config");
         let latency = LatencyModel::default();
         // The most arrivals one probe can hold for the sink: its reply
         // with every duplicate copy, and one backscatter packet.
         let pending = Vec::with_capacity(conv::index(faults.max_duplicates) + 2);
+        // Every site's hostname.bind answer, so the per-reply DNS path in
+        // `serve` never formats one.
+        let hostnames = announcement.sites.iter().map(|s| Self::site_hostname(&s.name)).collect();
         NetworkSim {
             world,
-            services: Vec::with_capacity(1),
+            service: Service {
+                announcement,
+                oracle,
+                serve_dns,
+                hostnames,
+                routes: vec![None; world.graph.pops.len()],
+                route_epoch: None,
+            },
             faults,
             max_delay: latency.max_delay(),
             latency,
@@ -387,37 +405,10 @@ impl<'w> NetworkSim<'w> {
         self.obs.take()
     }
 
-    /// Registers an anycast service; its collectors start capturing
-    /// immediately. `serve_dns` makes the site hosts answer `hostname.bind`
-    /// CHAOS queries and pings addressed to the service prefix.
-    pub fn register_service(
-        &mut self,
-        announcement: Announcement,
-        oracle: Box<dyn CatchmentOracle + 'w>,
-        serve_dns: bool,
-    ) -> ServiceHandle {
-        let handle = ServiceHandle(self.services.len());
-        // Precompute every site's hostname.bind answer here so the
-        // per-reply DNS path in `arrive_at_site` never formats one.
-        let hostnames = announcement
-            .sites
-            .iter()
-            .map(|s| Self::site_hostname(handle, &s.name))
-            .collect();
-        self.services.push(Service {
-            announcement,
-            oracle,
-            serve_dns,
-            hostnames,
-            routes: vec![None; self.world.graph.pops.len()],
-            route_epoch: None,
-        });
-        handle
-    }
-
     /// The hostname a site's DNS server reports in `hostname.bind` replies.
-    pub fn site_hostname(service: ServiceHandle, site_name: &str) -> String {
-        format!("{}.svc{}.example", site_name.to_ascii_lowercase(), service.0)
+    /// Answer bytes feed every keyed draw, so this string is fixed.
+    pub fn site_hostname(site_name: &str) -> String {
+        format!("{}.svc0.example", site_name.to_ascii_lowercase())
     }
 
     /// Current simulated time: the latest arrival of the last run.
@@ -452,14 +443,10 @@ impl<'w> NetworkSim<'w> {
         reply: Option<(bytes::Bytes, u64)>,
     ) {
         self.stats.injected += 1;
-        for end in [from, to] {
-            let Some(Resolved::Service(service)) = end else {
-                continue;
-            };
-            if let Some(s) = self.services.get_mut(service) {
-                // A service's first traffic sets its route column's epoch.
-                s.route_epoch.get_or_insert_with(|| s.oracle.epoch(at));
-            }
+        if matches!(from, Some(Resolved::Service)) || matches!(to, Some(Resolved::Service)) {
+            // The service's first traffic sets its route column's epoch.
+            let s = &mut self.service;
+            s.route_epoch.get_or_insert_with(|| s.oracle.epoch(at));
         }
         self.transmit(at, packet, from, to, true, 0, fnv, reply);
     }
@@ -484,9 +471,8 @@ impl<'w> NetworkSim<'w> {
     /// strictly ascending, so that row is the one the search would find
     /// and the hint cannot change the answer.
     fn resolve(&self, addr: Ipv4Addr, hinted: Option<Row>) -> Option<Resolved> {
-        let serves = |s: &Service| s.announcement.prefix.contains(addr);
-        if let Some(service) = self.services.iter().position(serves) {
-            return Some(Resolved::Service(service));
+        if self.service.announcement.prefix.contains(addr) {
+            return Some(Resolved::Service);
         }
         let block = addr.block();
         let searched = || self.row(self.world.block_id(block)?);
@@ -595,7 +581,7 @@ impl<'w> NetworkSim<'w> {
         // measurement address when a probe goes out.
         if may_spawn_unsolicited
             && self.faults.unsolicited_prob > 0.0
-            && matches!(from, Some(Resolved::Service(_)))
+            && matches!(from, Some(Resolved::Service))
             && unit(mix(self.seed ^ TAG_UNSOLICITED, ek)) < self.faults.unsolicited_prob
         {
             self.spawn_unsolicited(at, packet.src, from, ek);
@@ -603,7 +589,7 @@ impl<'w> NetworkSim<'w> {
 
         let placed = self.route(&packet, from, to, at).and_then(|target| {
             let to_loc = match target {
-                Target::Site { service, site } => self.site_location(service, site)?,
+                Target::Site(site) => self.site_location(site)?,
                 Target::Host(row) => (row.lat, row.lon),
             };
             Some((target, self.location(from)?, to_loc))
@@ -616,9 +602,9 @@ impl<'w> NetworkSim<'w> {
             return;
         };
         match target {
-            Target::Site { service, site } => {
+            Target::Site(site) => {
                 let arrives = self.flight(at, ek, from_loc, to_loc);
-                self.arrive_at_site(service, site, arrives, ek, packet, from);
+                self.arrive_at_site(site, arrives, ek, packet, from);
             }
             Target::Host(row)
                 if packet.protocol == Protocol::Icmp && IcmpMessage::is_echo_request(&packet.payload) =>
@@ -680,21 +666,20 @@ impl<'w> NetworkSim<'w> {
         at: SimTime,
     ) -> Option<Target> {
         match to? {
-            Resolved::Service(service) => {
+            Resolved::Service => {
                 // Anycast-bound: the *sender's* catchment decides the site.
                 let Some(Resolved::Block(sender)) = from else {
                     return None;
                 };
-                let site = self.services.get_mut(service)?.site_of_pop(sender.pop, at)?;
-                Some(Target::Site { service, site })
+                self.service.site_of_pop(sender.pop, at).map(Target::Site)
             }
             // Only a block's representative address is a live host.
             Resolved::Block(row) => (packet.dst == row.representative()).then_some(Target::Host(row)),
         }
     }
 
-    fn site_location(&self, service: usize, site: SiteId) -> Option<(f64, f64)> {
-        let s = self.services.get(service)?.announcement.sites.get(site.index())?;
+    fn site_location(&self, site: SiteId) -> Option<(f64, f64)> {
+        let s = self.service.announcement.sites.get(site.index())?;
         let pop = self.world.graph.pops.get(s.pop.index())?;
         Some((pop.lat, pop.lon))
     }
@@ -704,7 +689,7 @@ impl<'w> NetworkSim<'w> {
     /// site's PoP, so a service with no sites sends nothing anywhere.
     fn location(&self, end: Option<Resolved>) -> Option<(f64, f64)> {
         match end {
-            Some(Resolved::Service(service)) => self.site_location(service, SiteId(0)),
+            Some(Resolved::Service) => self.site_location(SiteId(0)),
             Some(Resolved::Block(row)) => Some((row.lat, row.lon)),
             None => Some((0.0, 0.0)),
         }
@@ -712,10 +697,6 @@ impl<'w> NetworkSim<'w> {
 
     /// Whether a block is up at `at`, combining static responsiveness and
     /// per-round churn.
-    pub fn block_up(&self, info: &BlockInfo, at: SimTime) -> bool {
-        self.up(info.responsive, info.block, at)
-    }
-
     fn up(&self, responsive: bool, block: Block24, at: SimTime) -> bool {
         if !responsive {
             return false;
@@ -817,24 +798,16 @@ impl<'w> NetworkSim<'w> {
     fn drain_pending<C: CaptureSink>(&mut self, sink: &mut C) {
         for Handoff { site, at, key, packet } in self.pending.drain(..) {
             match site {
-                Some((service, site)) => sink.capture(service, site, at, key, &packet),
+                Some(site) => sink.capture(site, at, key, &packet),
                 None => sink.deliver(at, key, &packet),
             }
         }
     }
 
-    /// `packet` reaches `site` of `service` at `at`: counted, answered on
-    /// the spot if the site serves (its answers leave at `at`, back to
-    /// `from`, the sender's end), and held for the sink.
-    fn arrive_at_site(
-        &mut self,
-        service: usize,
-        site: SiteId,
-        at: SimTime,
-        key: u64,
-        packet: Ipv4Packet,
-        from: Option<Resolved>,
-    ) {
+    /// `packet` reaches `site` at `at`: counted, answered on the spot if
+    /// the site serves (its answers leave at `at`, back to `from`, the
+    /// sender's end), and held for the sink.
+    fn arrive_at_site(&mut self, site: SiteId, at: SimTime, key: u64, packet: Ipv4Packet, from: Option<Resolved>) {
         self.arrivals.note(at);
         self.stats.delivered_to_sites += 1;
         let per_site = &mut self.stats.per_site_captures;
@@ -844,16 +817,15 @@ impl<'w> NetworkSim<'w> {
         if let Some(captures) = per_site.get_mut(site.index()) {
             *captures += 1;
         }
-        if self.services.get(service).is_some_and(|s| s.serve_dns) {
-            self.serve(service, site, at, &packet, from);
+        if self.service.serve_dns {
+            self.serve(site, at, &packet, from);
         }
-        let site = Some((ServiceHandle(service), site));
-        self.pending.push(Handoff { site, at, key, packet });
+        self.pending.push(Handoff { site: Some(site), at, key, packet });
     }
 
     /// Site host behaviour: answers pings and `hostname.bind` queries
-    /// reaching `site` of `service` at `at`, back to `to`, the sender's end.
-    fn serve(&mut self, service: usize, site: SiteId, at: SimTime, packet: &Ipv4Packet, to: Option<Resolved>) {
+    /// reaching `site` at `at`, back to `to`, the sender's end.
+    fn serve(&mut self, site: SiteId, at: SimTime, packet: &Ipv4Packet, to: Option<Resolved>) {
         let payload = match packet.protocol {
             Protocol::Icmp => {
                 let Some(reply) = IcmpMessage::parse(&packet.payload).ok().and_then(|msg| msg.reply()) else {
@@ -871,7 +843,7 @@ impl<'w> NetworkSim<'w> {
                 let Ok(query) = DnsMessage::parse(&udp.payload) else {
                     return;
                 };
-                let Some(name) = self.services.get(service).and_then(|s| s.hostnames.get(site.index())) else {
+                let Some(name) = self.service.hostnames.get(site.index()) else {
                     return;
                 };
                 let response = DnsMessage::hostname_bind_response(&query, name);
@@ -881,7 +853,7 @@ impl<'w> NetworkSim<'w> {
         };
         let out = Ipv4Packet::new(packet.dst, packet.src, packet.protocol, payload);
         let fnv = payload_fnv(&out.payload);
-        self.transmit(at, out, Some(Resolved::Service(service)), to, false, 0, fnv, None);
+        self.transmit(at, out, Some(Resolved::Service), to, false, 0, fnv, None);
     }
 
     /// Echo responder behaviour of `host`'s host for `request` — an Echo
@@ -979,11 +951,6 @@ impl<'w> NetworkSim<'w> {
     pub fn stats(&self) -> SimStats {
         self.stats.clone()
     }
-
-    /// The world this simulator runs over.
-    pub fn world(&self) -> &'w Internet {
-        self.world
-    }
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -1047,6 +1014,7 @@ mod tests {
     use bytes::Bytes;
     use vp_bgp::BgpSim;
     use vp_net::SimDuration;
+    use vp_topology::blocks::BlockInfo;
     use vp_topology::{broot_specs, pick_host_ases, Internet, TopologyConfig};
 
     fn world() -> Internet {
@@ -1057,6 +1025,14 @@ mod tests {
         let ann = Announcement::from_placements(&pick_host_ases(world, &broot_specs()), 0);
         let table = BgpSim::new(&world.graph, 1).route(&ann);
         (ann, StaticOracle::new(table))
+    }
+
+    /// An engine over `w` for [`service`], its sites serving nothing, and
+    /// the service's measurement address.
+    fn engine(w: &Internet, faults: FaultConfig, seed: u64) -> (NetworkSim<'_>, Ipv4Addr) {
+        let (ann, oracle) = service(w);
+        let meas = ann.measurement_addr();
+        (NetworkSim::new(w, faults, seed, ann, Box::new(oracle), false), meas)
     }
 
     fn probe(src: Ipv4Addr, dst: Ipv4Addr, ident: u16, seq: u16) -> Ipv4Packet {
@@ -1070,8 +1046,7 @@ mod tests {
         let (ann, oracle) = service(&w);
         let meas = ann.measurement_addr();
         let table = oracle.table().clone();
-        let mut sim = NetworkSim::new(&w, FaultConfig::none(), 1);
-        sim.register_service(ann, Box::new(oracle), false);
+        let mut sim = NetworkSim::new(&w, FaultConfig::none(), 1, ann, Box::new(oracle), false);
 
         // Probe every responsive block once.
         let mut expected = Vec::new();
@@ -1095,10 +1070,7 @@ mod tests {
     #[test]
     fn unresponsive_blocks_stay_silent() {
         let w = world();
-        let (ann, oracle) = service(&w);
-        let meas = ann.measurement_addr();
-        let mut sim = NetworkSim::new(&w, FaultConfig::none(), 1);
-        sim.register_service(ann, Box::new(oracle), false);
+        let (mut sim, meas) = engine(&w, FaultConfig::none(), 1);
         for b in w.blocks.iter().filter(|b| !b.responsive).take(50) {
             sim.send_at(SimTime::ZERO, probe(meas, b.representative(), 1, 0));
         }
@@ -1113,8 +1085,7 @@ mod tests {
         let table = oracle.table().clone();
         let anycast = ann.measurement_addr();
         let sites = ann.sites.clone();
-        let mut sim = NetworkSim::new(&w, FaultConfig::none(), 2);
-        let svc = sim.register_service(ann, Box::new(oracle), true);
+        let mut sim = NetworkSim::new(&w, FaultConfig::none(), 2, ann, Box::new(oracle), true);
 
         let vp = w.responsive_blocks().next().unwrap();
         let expected_site = table.site_of_pop(vp.pop).unwrap();
@@ -1141,7 +1112,7 @@ mod tests {
         assert_eq!(resp.id, 0xabcd);
         let name = resp.first_txt().unwrap();
         let site_name = &sites[expected_site.index()].name;
-        assert_eq!(name, NetworkSim::site_hostname(svc, site_name));
+        assert_eq!(name, NetworkSim::site_hostname(site_name));
     }
 
     #[test]
@@ -1149,8 +1120,7 @@ mod tests {
         let w = world();
         let (ann, oracle) = service(&w);
         let anycast = ann.measurement_addr();
-        let mut sim = NetworkSim::new(&w, FaultConfig::none(), 3);
-        let _svc = sim.register_service(ann, Box::new(oracle), true);
+        let mut sim = NetworkSim::new(&w, FaultConfig::none(), 3, ann, Box::new(oracle), true);
         let vp = w.responsive_blocks().next().unwrap();
         sim.send_at(SimTime::ZERO, probe(vp.representative(), anycast, 5, 6));
         // The VP's *request* is answered by the site, and the Echo Reply
@@ -1165,14 +1135,11 @@ mod tests {
     #[test]
     fn loss_drops_packets() {
         let w = world();
-        let (ann, oracle) = service(&w);
-        let meas = ann.measurement_addr();
         let faults = FaultConfig {
             loss: 1.0,
             ..FaultConfig::none()
         };
-        let mut sim = NetworkSim::new(&w, faults, 4);
-        sim.register_service(ann, Box::new(oracle), false);
+        let (mut sim, meas) = engine(&w, faults, 4);
         for b in w.responsive_blocks().take(20) {
             sim.send_at(SimTime::ZERO, probe(meas, b.representative(), 1, 0));
         }
@@ -1183,16 +1150,13 @@ mod tests {
     #[test]
     fn duplicates_and_aliases_are_injected() {
         let w = world();
-        let (ann, oracle) = service(&w);
-        let meas = ann.measurement_addr();
         let faults = FaultConfig {
             duplicate_prob: 1.0,
             max_duplicates: 5,
             alias_prob: 1.0,
             ..FaultConfig::none()
         };
-        let mut sim = NetworkSim::new(&w, faults, 5);
-        sim.register_service(ann, Box::new(oracle), false);
+        let (mut sim, meas) = engine(&w, faults, 5);
         let targets: Vec<_> = w.responsive_blocks().take(10).collect();
         for b in &targets {
             sim.send_at(SimTime::ZERO, probe(meas, b.representative(), 1, 0));
@@ -1210,15 +1174,12 @@ mod tests {
     #[test]
     fn late_replies_are_delayed() {
         let w = world();
-        let (ann, oracle) = service(&w);
-        let meas = ann.measurement_addr();
         let faults = FaultConfig {
             late_prob: 1.0,
             late_delay: SimDuration::from_mins(20),
             ..FaultConfig::none()
         };
-        let mut sim = NetworkSim::new(&w, faults, 6);
-        sim.register_service(ann, Box::new(oracle), false);
+        let (mut sim, meas) = engine(&w, faults, 6);
         let b = w.responsive_blocks().next().unwrap();
         sim.send_at(SimTime::ZERO, probe(meas, b.representative(), 1, 0));
         let caps = Recorder::run(&mut sim).captures;
@@ -1285,8 +1246,7 @@ mod tests {
                 late_delay: SimDuration::from_mins(20),
                 ..FaultConfig::none()
             };
-            let mut sim = NetworkSim::new(&w, faults, 6);
-            sim.register_service(ann.clone(), Box::new(&oracle), false);
+            let mut sim = NetworkSim::new(&w, faults, 6, ann.clone(), Box::new(&oracle), false);
             let mut seen = Recorder::default();
             sim.run_with(probes.iter().cloned(), &mut seen);
             assert_eq!(seen.captures.len(), probes.len());
@@ -1327,8 +1287,7 @@ mod tests {
             max_duplicates: 3,
             ..FaultConfig::none()
         };
-        let mut sim = NetworkSim::new(&w, faults, 8);
-        sim.register_service(ann, Box::new(&oracle), false);
+        let mut sim = NetworkSim::new(&w, faults, 8, ann, Box::new(&oracle), false);
         for (i, b) in w.blocks.iter().enumerate() {
             let at = SimTime::ZERO + INTERVAL + SimDuration::from_millis(i as u64);
             sim.send_at(at, probe(meas, b.representative(), 2, i as u16));
@@ -1345,27 +1304,18 @@ mod tests {
     #[test]
     fn churn_takes_some_blocks_down_per_round() {
         let w = world();
-        let (ann, oracle) = service(&w);
         let faults = FaultConfig {
             churn_down_prob: 0.5,
             churn_round: SimDuration::from_mins(15),
             ..FaultConfig::none()
         };
-        let sim_owner;
-        {
-            let mut sim = NetworkSim::new(&w, faults, 7);
-            sim.register_service(ann, Box::new(oracle), false);
-            sim_owner = sim;
-        }
-        let sim = sim_owner;
+        let (sim, _) = engine(&w, faults, 7);
         let t0 = SimTime::ZERO;
         let t1 = SimTime::ZERO + SimDuration::from_mins(15);
         let blocks: Vec<_> = w.responsive_blocks().collect();
-        let up0 = blocks.iter().filter(|b| sim.block_up(b, t0)).count();
-        let changed = blocks
-            .iter()
-            .filter(|b| sim.block_up(b, t0) != sim.block_up(b, t1))
-            .count();
+        let up = |b: &BlockInfo, at| sim.up(b.responsive, b.block, at);
+        let up0 = blocks.iter().filter(|b| up(b, t0)).count();
+        let changed = blocks.iter().filter(|b| up(b, t0) != up(b, t1)).count();
         assert!(up0 > 0 && up0 < blocks.len(), "churn has no effect");
         assert!(changed > 0, "no churn transitions between rounds");
     }
@@ -1373,10 +1323,7 @@ mod tests {
     #[test]
     fn undeliverable_packets_are_counted() {
         let w = world();
-        let (ann, oracle) = service(&w);
-        let meas = ann.measurement_addr();
-        let mut sim = NetworkSim::new(&w, FaultConfig::none(), 8);
-        sim.register_service(ann, Box::new(oracle), false);
+        let (mut sim, meas) = engine(&w, FaultConfig::none(), 8);
         let unpopulated = Ipv4Addr::new(250, 250, 250, 250);
         let host = w.responsive_blocks().next().unwrap();
         let not_the_host = host.block.addr(host.rep_octet.wrapping_add(1).max(1));
@@ -1405,14 +1352,11 @@ mod tests {
             ..TopologyConfig::tiny(99)
         });
         assert!(w.blocks.is_empty());
-        let (ann, oracle) = service(&w);
-        let meas = ann.measurement_addr();
         let faults = FaultConfig {
             unsolicited_prob: 1.0,
             ..FaultConfig::none()
         };
-        let mut sim = NetworkSim::new(&w, faults, 12);
-        sim.register_service(ann, Box::new(oracle), false);
+        let (mut sim, meas) = engine(&w, faults, 12);
         sim.send_at(SimTime::ZERO, probe(meas, Ipv4Addr::new(1, 2, 3, 4), 1, 0));
         Recorder::run(&mut sim);
         assert_eq!(sim.stats().unsolicited, 0);
@@ -1422,14 +1366,11 @@ mod tests {
     #[test]
     fn unsolicited_replies_reach_the_collector() {
         let w = world();
-        let (ann, oracle) = service(&w);
-        let meas = ann.measurement_addr();
         let faults = FaultConfig {
             unsolicited_prob: 1.0,
             ..FaultConfig::none()
         };
-        let mut sim = NetworkSim::new(&w, faults, 9);
-        sim.register_service(ann, Box::new(oracle), false);
+        let (mut sim, meas) = engine(&w, faults, 9);
         // Probe an unresponsive block: the only capture can be unsolicited.
         let b = w.blocks.iter().find(|b| !b.responsive).unwrap();
         sim.send_at(SimTime::ZERO, probe(meas, b.representative(), 1, 0));
@@ -1450,7 +1391,7 @@ mod tests {
     }
 
     impl CaptureSink for Recorder {
-        fn capture(&mut self, _: ServiceHandle, site: SiteId, at: SimTime, key: u64, packet: &Ipv4Packet) {
+        fn capture(&mut self, site: SiteId, at: SimTime, key: u64, packet: &Ipv4Packet) {
             self.captures.push((site, at, key, packet.clone()));
         }
 
@@ -1485,10 +1426,7 @@ mod tests {
     #[test]
     fn captures_reach_the_sink_in_transmission_order() {
         let w = world();
-        let (ann, oracle) = service(&w);
-        let meas = ann.measurement_addr();
-        let mut sim = NetworkSim::new(&w, FaultConfig::none(), 11);
-        sim.register_service(ann, Box::new(oracle), false);
+        let (mut sim, meas) = engine(&w, FaultConfig::none(), 11);
         let mut hosts = w.responsive_blocks();
         let (vp, early, late) = (
             hosts.next().unwrap().representative(),
@@ -1527,7 +1465,7 @@ mod tests {
     /// the public [`LatencyModel`].
     fn arrival_at_host(sim: &NetworkSim, at: SimTime, packet: &Ipv4Packet, block: u32) -> SimTime {
         let ek = mix(packet_key(packet, payload_fnv(&packet.payload)), at.as_nanos());
-        let from = sim.location(Some(Resolved::Service(0))).unwrap();
+        let from = sim.location(Some(Resolved::Service)).unwrap();
         let to = sim.location(sim.row(block).map(Resolved::Block)).unwrap();
         at + LatencyModel::default().delay(from, to, mix(sim.seed ^ TAG_JITTER, ek))
     }
@@ -1545,11 +1483,8 @@ mod tests {
     #[test]
     fn a_run_ends_at_its_last_arrival_answered_or_not() {
         let w = world();
-        let (ann, oracle) = service(&w);
-        let meas = ann.measurement_addr();
-        let mut sim = NetworkSim::new(&w, FaultConfig::none(), 13);
+        let (mut sim, meas) = engine(&w, FaultConfig::none(), 13);
         sim.attach_obs(vp_obs::TraceLevel::Summary);
-        sim.register_service(ann, Box::new(oracle), false);
         let row_of = |responsive| w.blocks.iter().position(|b| b.responsive == responsive).unwrap();
         let (answering, silent) = (row_of(true), row_of(false));
         let sent_last = SimTime::ZERO + SimDuration::from_secs(10);
@@ -1584,10 +1519,8 @@ mod tests {
     /// run ends at the last of those, spans the first to the last, and
     /// counts them all.
     fn assert_run_covers_its_arrivals(w: &Internet, faults: &FaultConfig, seed: u64, probes: &[(u32, TimedProbe)]) {
-        let (ann, oracle) = service(w);
-        let mut sim = NetworkSim::new(w, faults.clone(), seed);
+        let (mut sim, _) = engine(w, faults.clone(), seed);
         sim.attach_obs(vp_obs::TraceLevel::Summary);
-        sim.register_service(ann, Box::new(oracle), false);
         let mut arrivals: Vec<SimTime> = (probes.iter())
             .filter(|(_, p)| !lost(&sim, p.at, &p.packet))
             .map(|(row, p)| arrival_at_host(&sim, p.at, &p.packet, *row))
@@ -1666,10 +1599,7 @@ mod tests {
     #[test]
     fn parked_arrivals_stay_within_one_delay_window() {
         let w = world();
-        let (ann, oracle) = service(&w);
-        let meas = ann.measurement_addr();
-        let mut sim = NetworkSim::new(&w, FaultConfig::none(), 17);
-        sim.register_service(ann, Box::new(oracle), false);
+        let (mut sim, meas) = engine(&w, FaultConfig::none(), 17);
         let silent: Vec<(u32, Ipv4Addr)> = (0u32..)
             .zip(&w.blocks)
             .filter(|(_, b)| !b.responsive)
@@ -1711,10 +1641,7 @@ mod tests {
 
         let w = world();
         for probes in [0, 1, STAGE - 1, STAGE, STAGE + 1, 3 * STAGE + 7] {
-            let (ann, oracle) = service(&w);
-            let meas = ann.measurement_addr();
-            let mut sim = NetworkSim::new(&w, FaultConfig::none(), 18);
-            sim.register_service(ann, Box::new(oracle), false);
+            let (mut sim, meas) = engine(&w, FaultConfig::none(), 18);
             let source = (0..probes).zip(w.blocks.iter().cycle()).map(|(i, b)| {
                 let at = SimTime::ZERO + SimDuration::from_micros(i as u64 * 100);
                 timed_probe(at, probe(meas, b.representative(), 1, i as u16))
@@ -1753,11 +1680,8 @@ mod tests {
     #[test]
     fn an_undeliverable_event_is_stamped_with_its_transmission_instant() {
         let w = world();
-        let (ann, oracle) = service(&w);
-        let meas = ann.measurement_addr();
-        let mut sim = NetworkSim::new(&w, FaultConfig::none(), 15);
+        let (mut sim, meas) = engine(&w, FaultConfig::none(), 15);
         sim.attach_obs(vp_obs::TraceLevel::Full);
-        sim.register_service(ann, Box::new(oracle), false);
         let mut hosts = w.responsive_blocks();
         let (a, b) = (hosts.next().unwrap(), hosts.next().unwrap());
         let not_a_host = a.block.addr(a.rep_octet.wrapping_add(1).max(1));
@@ -1802,11 +1726,8 @@ mod tests {
         let host = w.responsive_blocks().next().unwrap();
         let not_the_host = host.block.addr(host.rep_octet.wrapping_add(1).max(1));
         for level in [vp_obs::TraceLevel::Off, vp_obs::TraceLevel::Summary, vp_obs::TraceLevel::Full] {
-            let (ann, oracle) = service(&w);
-            let meas = ann.measurement_addr();
-            let mut sim = NetworkSim::new(&w, FaultConfig::none(), 16);
+            let (mut sim, meas) = engine(&w, FaultConfig::none(), 16);
             sim.attach_obs(level);
-            sim.register_service(ann, Box::new(oracle), false);
             sim.send_at(SimTime::ZERO, probe(meas, not_the_host, 1, 0));
             Recorder::run(&mut sim);
             let idle = sim.obs.as_ref().unwrap();
@@ -1827,11 +1748,8 @@ mod tests {
     #[test]
     fn eager_arrivals_are_events_of_the_next_run() {
         let w = world();
-        let (ann, oracle) = service(&w);
-        let meas = ann.measurement_addr();
-        let mut sim = NetworkSim::new(&w, FaultConfig::none(), 14);
+        let (mut sim, meas) = engine(&w, FaultConfig::none(), 14);
         sim.attach_obs(vp_obs::TraceLevel::Summary);
-        sim.register_service(ann, Box::new(oracle), false);
         let silent: Vec<_> = w.blocks.iter().filter(|b| !b.responsive).take(30).collect();
         for (i, b) in silent.iter().enumerate() {
             sim.send_at(SimTime(i as u64 * 1000), probe(meas, b.representative(), 1, i as u16));
@@ -1871,15 +1789,12 @@ mod tests {
     #[test]
     fn a_host_answers_for_the_instant_the_request_arrives() {
         let w = world();
-        let (ann, oracle) = service(&w);
-        let meas = ann.measurement_addr();
         let faults = FaultConfig {
             churn_down_prob: 0.5,
             churn_round: INTERVAL,
             ..FaultConfig::none()
         };
-        let mut sim = NetworkSim::new(&w, faults, 7);
-        sim.register_service(ann, Box::new(oracle), false);
+        let (mut sim, meas) = engine(&w, faults, 7);
         let boundary = SimTime::ZERO + INTERVAL;
         // Every delay is at least the latency model's 2 ms floor.
         let sent = SimTime(boundary.0 - 1_000_000);
@@ -1890,7 +1805,7 @@ mod tests {
         let mut answered: Vec<Ipv4Addr> = caps.iter().map(|c| c.3.src).collect();
         answered.sort();
         let up_at = |at| {
-            let mut up: Vec<Ipv4Addr> = (w.responsive_blocks().filter(|b| sim.block_up(b, at)))
+            let mut up: Vec<Ipv4Addr> = (w.responsive_blocks().filter(|b| sim.up(b.responsive, b.block, at)))
                 .map(|b| b.representative())
                 .collect();
             up.sort();
@@ -1904,10 +1819,7 @@ mod tests {
     fn runs_are_deterministic() {
         let w = world();
         let run = || {
-            let (ann, oracle) = service(&w);
-            let meas = ann.measurement_addr();
-            let mut sim = NetworkSim::new(&w, FaultConfig::default(), 10);
-            sim.register_service(ann, Box::new(oracle), false);
+            let (mut sim, meas) = engine(&w, FaultConfig::default(), 10);
             for (i, b) in w.responsive_blocks().enumerate() {
                 sim.send_at(
                     SimTime(i as u64 * 1000),

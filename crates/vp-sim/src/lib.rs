@@ -4,8 +4,8 @@
 //! (the Verfploeter prober, the Atlas baseline) inject real byte-level
 //! [`vp_packet`] packets at simulated times; the engine delivers them
 //! according to the world's unicast reachability and — for destinations
-//! inside a registered anycast service prefix — the BGP catchment of the
-//! *sender*, exactly the mechanism the paper exploits ("the catchment is
+//! inside the prefix of the one anycast service it is built for — the BGP
+//! catchment of the *sender*, exactly the mechanism the paper exploits ("the catchment is
 //! identified by the anycast site that receives the reply", §3.1).
 //!
 //! The engine injects the measurement artifacts the paper's data-cleaning
@@ -45,7 +45,7 @@ pub mod oracle;
 pub mod scenario;
 pub mod sink;
 
-pub use engine::{EngineObs, NetworkSim, ServiceHandle, SimStats, TimedProbe};
+pub use engine::{EngineObs, NetworkSim, SimStats, TimedProbe};
 pub use exec::ShardExecutor;
 pub use faults::FaultConfig;
 pub use latency::LatencyModel;

@@ -6,8 +6,6 @@ use vp_bgp::SiteId;
 use vp_net::{conv, BitSet, SimTime};
 use vp_packet::Ipv4Packet;
 
-use crate::engine::ServiceHandle;
-
 /// Receives every arrival a run does not consume itself, as a call instead
 /// of a log: a packet a site collector captures, tagged with site and
 /// arrival time — the paper's "forwards traffic after tagging it with its
@@ -15,7 +13,7 @@ use crate::engine::ServiceHandle;
 /// (an Atlas VP reading its DNS answer). Each is handed over exactly once,
 /// in transmission order; `(at, key)` is its place in arrival order.
 pub trait CaptureSink {
-    fn capture(&mut self, service: ServiceHandle, site: SiteId, at: SimTime, key: u64, packet: &Ipv4Packet);
+    fn capture(&mut self, site: SiteId, at: SimTime, key: u64, packet: &Ipv4Packet);
     fn deliver(&mut self, at: SimTime, key: u64, packet: &Ipv4Packet);
 }
 

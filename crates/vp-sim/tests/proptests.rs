@@ -2,13 +2,12 @@
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use vp_bgp::Announcement;
 use vp_bgp::SiteId;
 use vp_net::{Ipv4Addr, SimDuration, SimTime};
 use vp_packet::{IcmpMessage, Ipv4Packet, Protocol};
 use vp_sim::{
-    CaptureSink, FaultConfig, LatencyModel, NetworkSim, Scenario, ServiceHandle, SimStats,
-    StaticOracle, TimedProbe,
+    CaptureSink, FaultConfig, LatencyModel, NetworkSim, Scenario, SimStats, StaticOracle,
+    TimedProbe,
 };
 use vp_topology::TopologyConfig;
 
@@ -37,15 +36,15 @@ fn probe(src: Ipv4Addr, dst: Ipv4Addr, ident: u16, seq: u16) -> Ipv4Packet {
 }
 
 /// A site capture as the sink receives it.
-type Captured = (SimTime, u64, usize, SiteId, Ipv4Packet);
+type Captured = (SimTime, u64, SiteId, Ipv4Packet);
 
 /// Records every sink call: site captures, then host hand-offs.
 #[derive(Default)]
 struct Recorder(Vec<Captured>, Vec<(SimTime, u64, Ipv4Packet)>);
 
 impl CaptureSink for Recorder {
-    fn capture(&mut self, service: ServiceHandle, site: SiteId, at: SimTime, key: u64, packet: &Ipv4Packet) {
-        self.0.push((at, key, service.0, site, packet.clone()));
+    fn capture(&mut self, site: SiteId, at: SimTime, key: u64, packet: &Ipv4Packet) {
+        self.0.push((at, key, site, packet.clone()));
     }
 
     fn deliver(&mut self, at: SimTime, key: u64, packet: &Ipv4Packet) {
@@ -92,9 +91,8 @@ const STAGE: usize = 128;
 fn observe(s: &Scenario, faults: &FaultConfig, sim_seed: u64, probes: &[TimedProbe], lazy: bool) -> Observed {
     let ann = s.announcement.clone();
     let meas = ann.measurement_addr();
-    let mut sim = NetworkSim::new(&s.world, faults.clone(), sim_seed);
+    let mut sim = NetworkSim::new(&s.world, faults.clone(), sim_seed, ann, Box::new(StaticOracle::new(s.routing())), true);
     sim.attach_obs(vp_obs::TraceLevel::Full);
-    sim.register_service(ann, Box::new(StaticOracle::new(s.routing())), true);
     // Background: pings from ordinary hosts to the service (captured, then
     // answered by the site, the answer handed to the pinger).
     for (i, b) in s.world.responsive_blocks().take(20).enumerate() {
@@ -281,8 +279,7 @@ proptest! {
         let ann = s.announcement.clone();
         let meas = ann.measurement_addr();
         let faults = FaultConfig { loss, unsolicited_prob: 0.01, ..FaultConfig::default() };
-        let mut sim = NetworkSim::new(&s.world, faults, sim_seed);
-        sim.register_service(ann, Box::new(StaticOracle::new(s.routing())), false);
+        let mut sim = NetworkSim::new(&s.world, faults, sim_seed, ann, Box::new(StaticOracle::new(s.routing())), false);
         let n = s.world.blocks.len().min(300);
         for (i, b) in s.world.blocks.iter().take(n).enumerate() {
             sim.send_at(SimTime(i as u64 * 1_000_000), probe(meas, b.representative(), 1, i as u16));
@@ -308,8 +305,7 @@ proptest! {
         let s = scenario(world_seed);
         let ann = s.announcement.clone();
         let meas = ann.measurement_addr();
-        let mut sim = NetworkSim::new(&s.world, FaultConfig::none(), 1);
-        sim.register_service(ann, Box::new(StaticOracle::new(s.routing())), false);
+        let mut sim = NetworkSim::new(&s.world, FaultConfig::none(), 1, ann, Box::new(StaticOracle::new(s.routing())), false);
         let mut expected = 0u64;
         for (i, b) in s.world.blocks.iter().enumerate() {
             sim.send_at(SimTime(i as u64 * 100_000), probe(meas, b.representative(), 2, i as u16));
@@ -331,8 +327,7 @@ proptest! {
         let ann = s.announcement.clone();
         let meas = ann.measurement_addr();
         let start = SimTime::ZERO + vp_net::SimDuration::from_millis(offset_ms);
-        let mut sim = NetworkSim::new(&s.world, FaultConfig::none(), 3);
-        sim.register_service(ann, Box::new(StaticOracle::new(s.routing())), false);
+        let mut sim = NetworkSim::new(&s.world, FaultConfig::none(), 3, ann, Box::new(StaticOracle::new(s.routing())), false);
         for (i, b) in s.world.responsive_blocks().take(100).enumerate() {
             sim.send_at(start, probe(meas, b.representative(), 3, i as u16));
         }
@@ -340,23 +335,6 @@ proptest! {
             prop_assert!(at >= start, "capture at {} before send at {}", at, start);
         }
     }
-}
-
-#[test]
-fn service_registration_order_is_stable() {
-    let s = scenario(1);
-    let ann_a = s.announcement.clone();
-    let ann_b = {
-        let placements = vp_topology::pick_host_ases(&s.world, &[("X", "DE"), ("Y", "JP")]);
-        Announcement::from_placements(&placements, 3)
-    };
-    let mut sim = NetworkSim::new(&s.world, FaultConfig::none(), 4);
-    let a = sim.register_service(ann_a, Box::new(StaticOracle::new(s.routing())), false);
-    let table_b = s.routing_for(&ann_b);
-    let b = sim.register_service(ann_b, Box::new(StaticOracle::new(table_b)), true);
-    assert_ne!(a.0, b.0);
-    let seen = Recorder::run(&mut sim);
-    assert!(seen.0.is_empty() && seen.1.is_empty());
 }
 
 // Merge algebra for the per-shard statistics counters.

@@ -110,6 +110,10 @@ fn daemon_telemetry_is_shard_count_invariant() {
     };
     assert_eq!(strip(&status_text(&one)), strip(&status_text(&two)));
     assert_eq!(strip(&one.scrape()), strip(&two.scrape()));
+
+    // A library caller's zero shards runs one, and says so.
+    let zero = Daemon::new(&DaemonConfig { shards: 0, ..golden_config() });
+    assert_eq!(zero.status_doc().get("shards").and_then(Value::as_u64), Some(1));
 }
 
 /// The live stream and the offline batch are the same dataset: daemon
@@ -177,10 +181,17 @@ fn daemon_flag_without_value_is_an_error() {
 }
 
 /// `--rounds` used to be read as a u64 and truncated, so 2^32 + 6 ran 6
-/// rounds: a count its field cannot hold is an error naming the flag.
+/// rounds: a count its field cannot hold, a zero shard or window count
+/// included, is an error naming the flag.
 #[test]
 fn daemon_out_of_range_count_is_an_error() {
-    let cases = [("--rounds", "4294967302"), ("--rounds", "-1"), ("--interval-secs", "x")];
+    let cases = [
+        ("--rounds", "4294967302"),
+        ("--rounds", "-1"),
+        ("--interval-secs", "x"),
+        ("--shards", "0"),
+        ("--window", "0"),
+    ];
     for (flag, value) in cases {
         let err = parse(&[flag, value]).err().unwrap_or_else(|| panic!("{flag} {value} parsed"));
         assert!(err.starts_with(&format!("{flag} \"{value}\"")), "{err}");

@@ -1,7 +1,8 @@
 //! Tier-1 lint gate. The policy lives in `[workspace.lints]`, `clippy.toml`
 //! and the library roots; this file runs the one gating clippy command and
 //! the rustdoc build, and holds what neither can: audits only ratchet
-//! down, and every `pub fn merge` names a merge-law test.
+//! down, every `pub fn merge` names a merge-law test, and DESIGN.md's
+//! crate inventory names every crate.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -107,4 +108,17 @@ fn every_pub_merge_names_a_merge_law_test() {
         }
     }
     assert_eq!(defs, 12, "pub fn merge count moved: pin the new one with its merge-law test");
+}
+
+/// DESIGN.md §3's inventory block has a row for every `crates/*` directory.
+#[test]
+fn design_inventory_names_every_crate() {
+    let design = std::fs::read_to_string(root().join("DESIGN.md")).unwrap();
+    let section = design.split_once("## 3. Crate inventory").unwrap().1;
+    let block = section.split("```").nth(1).unwrap();
+    let rows: Vec<&str> = block.lines().filter_map(|l| l.split_whitespace().next()).collect();
+    for entry in std::fs::read_dir(root().join("crates")).unwrap() {
+        let name = entry.unwrap().file_name().into_string().unwrap();
+        assert!(rows.contains(&name.as_str()), "DESIGN.md §3 has no row for crates/{name}");
+    }
 }
