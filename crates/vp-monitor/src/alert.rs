@@ -26,6 +26,7 @@ use std::collections::BTreeMap;
 use serde_json::Value;
 
 use crate::diff::RoundDiff;
+use crate::stream::Tail;
 
 /// Alert thresholds and hysteresis windows.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,7 +102,7 @@ impl Hysteresis {
         value: u64,
         threshold: u64,
         config: &AlertConfig,
-        done: &mut Vec<Alert>,
+        done: &mut Tail<Alert>,
     ) -> Option<String> {
         let breach = value > threshold;
         if breach {
@@ -166,8 +167,10 @@ impl Hysteresis {
 
 /// The incremental alert evaluator. Feed it round diffs in order (plus
 /// optional sim-time scan durations); after the last round,
-/// [`Evaluator::snapshot`] is the final alert set. `watch` mode feeds it incrementally and prints
-/// the transition messages [`Evaluator::observe`] returns.
+/// [`Evaluator::snapshot`] is the final alert set: the newest
+/// [`TAIL`](crate::stream::TAIL) cleared alerts and the active ones.
+/// `watch` mode feeds it incrementally and prints the transition messages
+/// [`Evaluator::observe`] returns.
 #[derive(Debug, Clone)]
 pub struct Evaluator {
     config: AlertConfig,
@@ -179,7 +182,7 @@ pub struct Evaluator {
     duration_window: Vec<u64>,
     duration_baseline: Option<u64>,
     rounds_seen: u64,
-    done: Vec<Alert>,
+    done: Tail<Alert>,
 }
 
 impl Evaluator {
@@ -193,7 +196,7 @@ impl Evaluator {
             duration_window: Vec::new(),
             duration_baseline: None,
             rounds_seen: 0,
-            done: Vec::new(),
+            done: Tail::default(),
         }
     }
 
@@ -282,14 +285,15 @@ impl Evaluator {
         transitions
     }
 
-    /// Live view of the alert state *as of the last observed round*:
-    /// cleared alerts plus every still-active one (with `cleared_round:
-    /// None`), sorted by `(fired_round, rule)`. The daemon status surface
+    /// Live view of the alert state *as of the last observed round*: the
+    /// newest [`TAIL`](crate::stream::TAIL) cleared alerts plus every
+    /// still-active one (with `cleared_round: None`), sorted by
+    /// `(fired_round, rule)`. The daemon status surface
     /// publishes this after every round; calling it never perturbs the
     /// hysteresis state, so a snapshot taken after the final round is the
     /// final alert set.
     pub fn snapshot(&self) -> Vec<Alert> {
-        let mut all = self.done.clone();
+        let mut all: Vec<Alert> = self.done.iter().cloned().collect();
         let c = &self.config;
         self.flip.finish("flip-rate", c.flip_rate_permille, &mut all);
         self.skew.finish("load-skew", c.share_delta_permille, &mut all);

@@ -89,12 +89,12 @@ impl RoundTail {
         RoundTail { dir: dir.to_owned(), read: None }
     }
 
-    /// The round files listed now and not read before, in round order.
-    /// Beyond [`list_round_files`]' refusals, a round that is not the next
-    /// one due is an error naming its file: one landing below the first
-    /// round read, or one past the next (the rounds between were never
-    /// listed).
-    pub fn poll(&mut self) -> Result<Vec<PathBuf>, String> {
+    /// The round files listed now and not read before, with their round
+    /// numbers, in round order. Beyond [`list_round_files`]' refusals, a
+    /// round that is not the next one due is an error naming its file: one
+    /// landing below the first round read, or one past the next (the
+    /// rounds between were never listed).
+    pub fn poll(&mut self) -> Result<Vec<(u64, PathBuf)>, String> {
         let mut fresh = Vec::new();
         for (round, path) in list_rounds(&self.dir)? {
             let (first, next) = *self.read.get_or_insert((round, round));
@@ -105,7 +105,7 @@ impl RoundTail {
                 return Err(missing(&path, round, next));
             }
             if round == next {
-                fresh.push(path);
+                fresh.push((round, path));
                 self.read = Some((first, next + 1));
             }
         }
@@ -381,10 +381,10 @@ mod tests {
 
         let dir = rounds_dir("tail", &["r001.json", "r002.json"]);
         let mut tail = RoundTail::new(&dir);
-        assert_eq!(tail.poll().unwrap(), [dir.join("r001.json"), dir.join("r002.json")]);
+        assert_eq!(tail.poll().unwrap(), [(1, dir.join("r001.json")), (2, dir.join("r002.json"))]);
         assert!(tail.poll().unwrap().is_empty());
         write_round(&dir, "r003.json");
-        assert_eq!(tail.poll().unwrap(), [dir.join("r003.json")]);
+        assert_eq!(tail.poll().unwrap(), [(3, dir.join("r003.json"))]);
         // A late lower-numbered file shifts the listing under the tail.
         write_round(&dir, "r000.json");
         let err = tail.poll().unwrap_err();

@@ -12,7 +12,8 @@
 //!
 //! * `diff` runs the whole pipeline over a snapshot directory and writes
 //!   the canonical `drift.json` + `alerts.json` under `--out` (printing
-//!   the summary either way).
+//!   the summary either way). Both commands number diffs from the
+//!   directory's first round file: `r005.json` → `r006.json` is round 6.
 //! * `watch` replays the same sequence round by round through the
 //!   streaming [`DriftTracker`], printing each alert transition as it
 //!   happens. With `--follow` it keeps polling the directory and ingests
@@ -35,7 +36,7 @@ use std::process::ExitCode;
 use vp_monitor::alert::AlertConfig;
 use vp_monitor::diff::Origins;
 use vp_monitor::ingest::{
-    load_obs_report, load_origins_sidecar, load_round_file, load_rounds_dir, write_atomic, RoundTail,
+    load_obs_report, load_origins_sidecar, load_round_file, write_atomic, RoundTail,
 };
 use vp_monitor::pipeline::run_diff_pipeline;
 use vp_monitor::profile::{parse_flight_doc, render_report};
@@ -153,10 +154,16 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
     if args.follow || args.until_rounds.is_some() {
         return Err("diff runs once over a complete directory; use watch --follow".to_owned());
     }
-    let rounds = load_rounds_dir(&args.rounds)?;
+    let files = RoundTail::new(&args.rounds).poll()?;
+    let first = files.first().map(|(round, _)| *round).ok_or_else(|| no_rounds(&args))?;
+    let rounds = files
+        .iter()
+        .map(|(_, file)| load_round_file(file))
+        .collect::<Result<Vec<_>, _>>()?;
     let (origins, durations) = load_context(&args)?;
     let out = run_diff_pipeline(
         &args.source,
+        start_round(first)?,
         rounds,
         origins,
         durations.as_ref(),
@@ -183,28 +190,46 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
 /// default status windows.
 const WATCH_WINDOW: usize = 8;
 
+fn no_rounds(args: &DiffArgs) -> String {
+    format!("no r*.json round files in {}", args.rounds.display())
+}
+
+/// A directory's first round as the tracker's start round: diffs carry
+/// `u32` round numbers.
+fn start_round(first: u64) -> Result<u32, String> {
+    u32::try_from(first).map_err(|_| format!("round {first} is past the last round a diff can number"))
+}
+
 fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
     let args = parse_diff_args(args)?;
     if args.out.is_some() {
         return Err("watch does not write documents; use diff --out".to_owned());
     }
     // Origins and durations load once up front; round files stream.
-    let (origins, durations) = load_context(&args)?;
+    let (mut origins, durations) = load_context(&args)?;
 
     // The same streaming tracker the daemon publishes from, proven
     // byte-equal to the batch pipeline — so plain `watch` prints exactly
-    // what `diff` computes, and `--follow` extends it to a live tail.
-    let mut tracker = DriftTracker::new(AlertConfig::default(), WATCH_WINDOW, origins);
+    // what `diff` computes, and `--follow` extends it to a live tail. It
+    // starts at the first round file read, which fixes the numbering.
+    let mut tracker: Option<DriftTracker> = None;
+    let ingested = |t: &Option<DriftTracker>| t.as_ref().map_or(0, DriftTracker::rounds_ingested);
     let mut rounds = RoundTail::new(&args.rounds);
     'tail: loop {
-        for file in rounds.poll()? {
-            if args
-                .until_rounds
-                .is_some_and(|n| tracker.rounds_ingested() >= n)
-            {
+        for (round, file) in rounds.poll()? {
+            if args.until_rounds.is_some_and(|n| ingested(&tracker) >= n) {
                 break 'tail;
             }
             let map = load_round_file(&file)?;
+            let tracker = match &mut tracker {
+                Some(tracker) => tracker,
+                None => tracker.insert(DriftTracker::with_start_round(
+                    AlertConfig::default(),
+                    WATCH_WINDOW,
+                    origins.take(),
+                    start_round(round)?,
+                )),
+            };
             let dur = durations
                 .as_ref()
                 .and_then(|m| m.get(&tracker.next_round()).copied());
@@ -226,17 +251,15 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
                 println!("  ** {t}");
             }
         }
-        let reached = args
-            .until_rounds
-            .is_some_and(|n| tracker.rounds_ingested() >= n);
+        let reached = args.until_rounds.is_some_and(|n| ingested(&tracker) >= n);
         if reached || !args.follow {
             break;
         }
         std::thread::sleep(std::time::Duration::from_millis(args.poll_ms));
     }
-    if tracker.rounds_ingested() == 0 {
-        return Err(format!("no r*.json round files in {}", args.rounds.display()));
-    }
+    let Some(tracker) = tracker else {
+        return Err(no_rounds(&args));
+    };
     let alerts = tracker.alerts_snapshot();
     let active = alerts.iter().filter(|a| a.cleared_round.is_none()).count();
     println!("{} alerts total, {active} still active", alerts.len());

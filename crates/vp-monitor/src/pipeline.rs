@@ -15,16 +15,17 @@ use crate::alert::{Alert, AlertConfig};
 use crate::diff::{DriftSummary, Origins, RoundDiff};
 use crate::stream::DriftTracker;
 
-/// Everything one pipeline run produces.
+/// Everything one pipeline run produces: what the tracker holds after the
+/// last round, so the lists are the newest [`TAIL`](crate::stream::TAIL) entries.
 #[derive(Debug, Clone)]
 pub struct DiffOutput {
-    /// Per-round diffs, in round order.
+    /// The newest per-round diffs, in round order.
     pub diffs: Vec<RoundDiff>,
-    /// Window aggregate of all diffs.
+    /// Window aggregate of every diff.
     pub summary: DriftSummary,
-    /// Fired alerts (cleared and still-active).
+    /// The newest cleared alerts and the still-active ones.
     pub alerts: Vec<Alert>,
-    /// Fired/cleared transition lines, for `watch`-style display.
+    /// The newest fired/cleared transition lines, for `watch`-style display.
     pub transitions: Vec<String>,
     /// Canonical `vp-monitor-drift/v1` document.
     pub drift_doc: Value,
@@ -96,8 +97,14 @@ pub(crate) fn summary_value(s: &DriftSummary) -> Value {
 }
 
 /// Renders diffs + summary as the canonical `vp-monitor-drift/v1`
-/// document.
-pub fn build_drift_doc(source: &str, diffs: &[RoundDiff], summary: &DriftSummary) -> Value {
+/// document. A [`DriftTracker`] passes its newest
+/// [`TAIL`](crate::stream::TAIL) diffs, so `rounds` lists at most that
+/// many while `summary` covers every transition ingested.
+pub fn build_drift_doc<'a>(
+    source: &str,
+    diffs: impl IntoIterator<Item = &'a RoundDiff>,
+    summary: &DriftSummary,
+) -> Value {
     let mut doc = BTreeMap::new();
     doc.insert(
         "schema".to_owned(),
@@ -106,7 +113,7 @@ pub fn build_drift_doc(source: &str, diffs: &[RoundDiff], summary: &DriftSummary
     doc.insert("source".to_owned(), Value::Str(source.to_owned()));
     doc.insert(
         "rounds".to_owned(),
-        Value::Array(diffs.iter().map(diff_value).collect()),
+        Value::Array(diffs.into_iter().map(diff_value).collect()),
     );
     doc.insert("summary".to_owned(), summary_value(summary));
     Value::Object(doc)
@@ -119,30 +126,33 @@ pub fn build_drift_doc(source: &str, diffs: &[RoundDiff], summary: &DriftSummary
 ///
 /// * `source` names the sequence in the output documents (e.g.
 ///   `"fig9_stability/tiny"`).
+/// * `start_round` is the global number of the first round, so the diff
+///   against it is numbered `start_round + 1` (0 for a whole stream).
 /// * `origins` enables per-AS flip attribution.
-/// * `durations` maps 1-based round indices (the index of the *current*
-///   round of each transition, matching [`RoundDiff::round`]) to sim-time
-///   scan spans; it feeds the `scan-duration` rule. Typically built from
-///   an obs report via
+/// * `durations` maps global round numbers (the *current* round of each
+///   transition, matching [`RoundDiff::round`]) to sim-time scan spans;
+///   it feeds the `scan-duration` rule. Typically built from an obs
+///   report via
 ///   [`ObsReportDoc::round_durations`](crate::ingest::ObsReportDoc::round_durations).
 pub fn run_diff_pipeline(
     source: &str,
+    start_round: u32,
     rounds: impl IntoIterator<Item = CatchmentMap>,
     origins: Option<Origins>,
     durations: Option<&BTreeMap<u32, u64>>,
     config: &AlertConfig,
 ) -> DiffOutput {
     // The batch outputs never read the rolling windows: minimum width.
-    let mut tracker = DriftTracker::new(config.clone(), 1, origins);
+    let mut tracker = DriftTracker::with_start_round(config.clone(), 1, origins, start_round);
     for map in rounds {
         let dur = durations.and_then(|m| m.get(&tracker.next_round()).copied());
         tracker.observe_round(map, dur);
     }
     DiffOutput {
-        diffs: tracker.diffs().to_vec(),
+        diffs: tracker.diffs().iter().cloned().collect(),
         summary: tracker.summary().clone(),
         alerts: tracker.alerts_snapshot(),
-        transitions: tracker.transitions().to_vec(),
+        transitions: tracker.transitions().iter().cloned().collect(),
         drift_doc: tracker.drift_doc(source),
         alert_doc: tracker.alert_doc(source),
     }
@@ -198,8 +208,8 @@ mod tests {
     #[test]
     fn pipeline_is_deterministic() {
         let rounds = drifting_rounds();
-        let a = run_diff_pipeline("t", rounds.clone(), None, None, &AlertConfig::default());
-        let b = run_diff_pipeline("t", rounds, None, None, &AlertConfig::default());
+        let a = run_diff_pipeline("t", 0, rounds.clone(), None, None, &AlertConfig::default());
+        let b = run_diff_pipeline("t", 0, rounds, None, None, &AlertConfig::default());
         assert_eq!(
             serde_json::to_string_pretty(&a.drift_doc).ok(),
             serde_json::to_string_pretty(&b.drift_doc).ok()
@@ -212,7 +222,7 @@ mod tests {
 
     #[test]
     fn pipeline_fires_on_sustained_drift() {
-        let out = run_diff_pipeline("t", drifting_rounds(), None, None, &AlertConfig::default());
+        let out = run_diff_pipeline("t", 0, drifting_rounds(), None, None, &AlertConfig::default());
         assert_eq!(out.diffs.len(), 4);
         assert!(
             out.alerts.iter().any(|a| a.rule == "flip-rate"),
@@ -242,7 +252,7 @@ mod tests {
     #[test]
     fn stable_sequence_raises_nothing() {
         let r = map("r", &[(1, 0), (2, 1)]);
-        let out = run_diff_pipeline("t", [r.clone(), r.clone(), r], None, None, &AlertConfig::default());
+        let out = run_diff_pipeline("t", 0, [r.clone(), r.clone(), r], None, None, &AlertConfig::default());
         assert!(out.alerts.is_empty());
         assert!(out.transitions.is_empty());
         assert_eq!(out.summary.flipped, 0);

@@ -2,10 +2,10 @@
 //!
 //! A daemon watching a live scan loop never has the whole round sequence
 //! in hand. [`DriftTracker`] ingests one catchment map at a time and
-//! maintains the monitor's outputs incrementally — the per-round diffs,
-//! the merged [`DriftSummary`], the hysteresis alert state, and rolling
-//! fixed-width windows of the alert signals (flip rate, share skew,
-//! coverage) backed by [`RollingWindow`]. It is the monitor's only drift
+//! maintains the monitor's outputs incrementally — the newest [`TAIL`]
+//! per-round diffs, the merged [`DriftSummary`], the hysteresis alert
+//! state, and rolling fixed-width windows of the alert signals (flip rate,
+//! share skew, coverage) backed by [`RollingWindow`]. It is the monitor's only drift
 //! implementation: the batch
 //! [`run_diff_pipeline`](crate::pipeline::run_diff_pipeline) is a fold of
 //! its rounds through a tracker, so streaming equals batch by
@@ -26,7 +26,8 @@
 //!   engine's cumulative registry with `daemon.*` gauges derived from the
 //!   tracker.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
+use std::ops::Deref;
 
 use serde_json::Value;
 use verfploeter::catchment::CatchmentMap;
@@ -36,6 +37,39 @@ use crate::alert::{alert_value, build_alert_doc, Alert, AlertConfig, Evaluator};
 use crate::diff::{diff_rounds, DriftSummary, Origins, RoundDiff};
 use crate::pipeline::{build_drift_doc, diff_value, summary_value};
 use crate::profile::ChannelProfile;
+
+/// Entries each history of the monitor keeps — diffs, transition lines,
+/// cleared alerts: one day of 15-minute rounds.
+pub const TAIL: usize = 96;
+
+/// The newest [`TAIL`] entries of a history, oldest first. A push past the
+/// bound drops the oldest entry, so the memory stays flat however long the
+/// stream runs; reads go through the deque.
+#[derive(Debug, Clone)]
+pub(crate) struct Tail<T>(VecDeque<T>);
+
+impl<T> Default for Tail<T> {
+    fn default() -> Tail<T> {
+        Tail(VecDeque::new())
+    }
+}
+
+impl<T> Tail<T> {
+    pub(crate) fn push(&mut self, entry: T) {
+        if self.0.len() == TAIL {
+            self.0.pop_front();
+        }
+        self.0.push_back(entry);
+    }
+}
+
+impl<T> Deref for Tail<T> {
+    type Target = VecDeque<T>;
+
+    fn deref(&self) -> &VecDeque<T> {
+        &self.0
+    }
+}
 
 /// What one [`DriftTracker::observe_round`] call produced.
 #[derive(Debug, Clone)]
@@ -51,8 +85,13 @@ pub struct StreamStep {
 /// Incremental drift state over a stream of catchment rounds.
 ///
 /// Folding rounds one at a time maintains the diffs, summary, alert
-/// state, and documents; memory for the rolling windows is O(window),
-/// independent of stream length.
+/// state, and documents. Every history it keeps is bounded: the diffs,
+/// the transition lines and the evaluator's cleared alerts hold their
+/// newest [`TAIL`] entries, and the rolling windows their width, so a
+/// week of rounds costs what a day does. The [`DriftSummary`], the windows
+/// and the hysteresis state fold every round: the drift document's
+/// `rounds` and the alert log list the tail, while its `summary` covers
+/// every transition.
 #[derive(Debug, Clone)]
 pub struct DriftTracker {
     origins: Option<Origins>,
@@ -62,10 +101,10 @@ pub struct DriftTracker {
     /// still emit globally numbered diffs.
     start_round: u32,
     rounds_ingested: u64,
-    diffs: Vec<RoundDiff>,
+    diffs: Tail<RoundDiff>,
     summary: DriftSummary,
     evaluator: Evaluator,
-    transitions: Vec<String>,
+    transitions: Tail<String>,
     flip_window: RollingWindow,
     skew_window: RollingWindow,
     coverage_window: RollingWindow,
@@ -95,10 +134,10 @@ impl DriftTracker {
             prev: None,
             start_round,
             rounds_ingested: 0,
-            diffs: Vec::new(),
+            diffs: Tail::default(),
             summary: DriftSummary::default(),
             evaluator: Evaluator::new(config),
-            transitions: Vec::new(),
+            transitions: Tail::default(),
             flip_window: RollingWindow::new(window),
             skew_window: RollingWindow::new(window),
             coverage_window: RollingWindow::new(window),
@@ -122,7 +161,7 @@ impl DriftTracker {
             transitions: Vec::new(),
         };
         if let Some(prev) = &self.prev {
-            let round = self.start_round + self.diffs.len() as u32 + 1;
+            let round = self.start_round + self.rounds_ingested as u32 - 1;
             let d = diff_rounds(prev, &map, round, self.origins.as_ref());
             self.summary.merge(&DriftSummary::from_diff(&d));
             let r = u64::from(round);
@@ -130,7 +169,9 @@ impl DriftTracker {
             self.skew_window.push(r, d.max_share_delta_permille);
             self.coverage_window.push(r, d.cur_blocks);
             step.transitions = self.evaluator.observe(&d, duration_ns);
-            self.transitions.extend(step.transitions.iter().cloned());
+            for t in &step.transitions {
+                self.transitions.push(t.clone());
+            }
             self.diffs.push(d.clone());
             step.diff = Some(d);
         }
@@ -138,19 +179,19 @@ impl DriftTracker {
         step
     }
 
-    /// Maps ingested so far (diffs = one fewer).
+    /// Maps ingested so far (one more than the diffs produced).
     pub fn rounds_ingested(&self) -> u64 {
         self.rounds_ingested
     }
 
-    /// All diffs produced so far, in round order.
-    pub fn diffs(&self) -> &[RoundDiff] {
+    /// The newest [`TAIL`] diffs, in round order.
+    pub fn diffs(&self) -> &VecDeque<RoundDiff> {
         &self.diffs
     }
 
     /// The most recent diff.
     pub fn last_diff(&self) -> Option<&RoundDiff> {
-        self.diffs.last()
+        self.diffs.back()
     }
 
     /// The merged drift summary over every ingested transition.
@@ -158,8 +199,8 @@ impl DriftTracker {
         &self.summary
     }
 
-    /// All alert transitions so far, in order.
-    pub fn transitions(&self) -> &[String] {
+    /// The newest [`TAIL`] alert transitions, in order.
+    pub fn transitions(&self) -> &VecDeque<String> {
         &self.transitions
     }
 
@@ -178,21 +219,21 @@ impl DriftTracker {
         &self.coverage_window
     }
 
-    /// Live alert state as of the last ingested round: cleared alerts
-    /// plus still-active ones (`cleared_round: null`), sorted by
-    /// `(fired_round, rule)`.
+    /// Live alert state as of the last ingested round: the newest [`TAIL`]
+    /// cleared alerts plus still-active ones (`cleared_round: null`),
+    /// sorted by `(fired_round, rule)`.
     pub fn alerts_snapshot(&self) -> Vec<Alert> {
         self.evaluator.snapshot()
     }
 
-    /// The canonical `vp-monitor-drift/v1` document for everything
-    /// ingested so far.
+    /// The canonical `vp-monitor-drift/v1` document: the diff tail and the
+    /// summary of everything ingested so far.
     pub fn drift_doc(&self, source: &str) -> Value {
-        build_drift_doc(source, &self.diffs, &self.summary)
+        build_drift_doc(source, self.diffs.iter(), &self.summary)
     }
 
-    /// The canonical `vp-monitor-alert/v1` document for everything
-    /// ingested so far.
+    /// The canonical `vp-monitor-alert/v1` document: what
+    /// [`DriftTracker::alerts_snapshot`] lists.
     pub fn alert_doc(&self, source: &str) -> Value {
         build_alert_doc(
             source,
@@ -276,7 +317,8 @@ fn profile_value(p: &ChannelProfile) -> Value {
 
 /// Renders the canonical `vp-daemon-status/v1` document: run config,
 /// ingest progress, the current round's diff, the rolling signal windows,
-/// the cumulative drift summary, the live alert log, and (when the scan
+/// the cumulative drift summary, the live alert log (the newest [`TAIL`]
+/// cleared alerts and the active ones), and (when the scan
 /// ran with the flight recorder on) the last round's sim-channel profile
 /// digest. Keys are `BTreeMap`-sorted and all values integers, strings or
 /// nulls, so equal states serialize byte-identically.

@@ -8,7 +8,8 @@
 //!
 //! The other half is the writers' side (ROADMAP 4a): every document a
 //! reader may poll is published through `write_atomic`, whose in-flight
-//! temp name no reader's glob matches.
+//! temp name no reader's glob matches. And a directory whose rounds start
+//! past `r000` is read as what it is: its diffs carry its round numbers.
 
 #![expect(
     clippy::disallowed_types,
@@ -205,5 +206,45 @@ fn a_poller_only_ever_reads_whole_documents() {
         }
     });
     assert!(reads.load(Ordering::SeqCst) >= WANT_READS);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A rounds directory that starts at `r005` numbers its diffs from there:
+/// in `diff`'s drift document and in `watch`'s narration, followed or not.
+#[test]
+fn diffs_are_numbered_from_the_directorys_first_round() {
+    let dir = scratch("first-round");
+    for round in 5..=8u8 {
+        let doc = round_doc(&format!("r{round}"), &[(1, round % 2), (2, 0)]);
+        std::fs::write(dir.join(format!("r{round:03}.json")), doc).expect("write round");
+    }
+    let run = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_vp-monitor"))
+            .args(args)
+            .arg("--rounds")
+            .arg(&dir)
+            .output()
+            .expect("run vp-monitor");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+
+    let docs = dir.join("docs");
+    run(&["diff", "--out", docs.to_str().expect("utf-8 path")]);
+    let drift = std::fs::read_to_string(docs.join("drift.json")).expect("drift document");
+    let drift: serde_json::Value = serde_json::from_str(&drift).expect("drift parses");
+    let rounds = drift.get("rounds").and_then(serde_json::Value::as_array).expect("rounds");
+    let numbered: Vec<_> = rounds.iter().filter_map(|d| d.get("round")?.as_u64()).collect();
+    assert_eq!(numbered, [6, 7, 8]);
+
+    for watch in [&["watch"][..], &["watch", "--follow", "--until-rounds", "4", "--poll-ms", "1"]] {
+        let stdout = run(watch);
+        let numbered: Vec<_> = stdout
+            .lines()
+            .filter_map(|line| line.strip_prefix("round ")?.split_once(':'))
+            .map(|(round, _)| round)
+            .collect();
+        assert_eq!(numbered, ["6", "7", "8"], "{watch:?}: {stdout}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

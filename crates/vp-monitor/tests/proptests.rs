@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 use proptest::prelude::*;
 use vp_monitor::alert::AlertConfig;
 use vp_monitor::diff::{diff_rounds, DriftSummary, Origins, RoundDiff};
-use vp_monitor::stream::DriftTracker;
+use vp_monitor::stream::{DriftTracker, TAIL};
 use verfploeter::catchment::CatchmentMap;
 use vp_bgp::SiteId;
 use vp_net::{Asn, Block24};
@@ -108,7 +108,7 @@ proptest! {
         for r in &rounds {
             tracker.observe_round(r.clone(), None);
         }
-        let diffs = tracker.diffs();
+        let diffs: Vec<RoundDiff> = tracker.diffs().iter().cloned().collect();
         let summarize = |window: &[RoundDiff]| {
             let mut sum = DriftSummary::default();
             for d in window {
@@ -121,7 +121,7 @@ proptest! {
         folded.merge(&summarize(&diffs[cut..]));
         prop_assert_eq!(&folded, tracker.summary());
         // The taxonomy partitions every previous round's responders.
-        for d in diffs {
+        for d in &diffs {
             prop_assert_eq!(d.stable + d.flipped + d.to_nr, d.prev_blocks);
         }
     }
@@ -202,59 +202,126 @@ proptest! {
     }
 }
 
+/// Rounds of the four blocks `0..4`, each at site 0, 1 or 2 or (3) not
+/// responding. About half the rounds repeat the one before, so alerts
+/// fire on a change and clear on the calm after it, and a long stream
+/// clears more alerts than the tail keeps.
+fn four_block_rounds(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<CatchmentMap>> {
+    let round = (any::<bool>(), prop::collection::vec(0u8..4, 4..5));
+    prop::collection::vec(round, len).prop_map(|rounds| {
+        let mut sites = Vec::new();
+        let mut maps = Vec::new();
+        for (i, (repeat, fresh)) in rounds.into_iter().enumerate() {
+            if !repeat || sites.is_empty() {
+                sites = fresh;
+            }
+            let pairs = (0u32..).zip(sites.iter().copied()).filter(|&(_, s)| s < 3);
+            let pairs = pairs.map(|(b, s)| (Block24(b), SiteId(s)));
+            maps.push(CatchmentMap::from_pairs(&format!("r{i}"), pairs));
+        }
+        maps
+    })
+}
+
+/// The newest `TAIL` of `items`.
+fn newest<T: Clone>(items: &[T]) -> Vec<T> {
+    items[items.len().saturating_sub(TAIL)..].to_vec()
+}
+
+/// The windowed-split fold: cutting the stream at `cut`, running the tail
+/// through a second tracker resuming there (it re-ingests the boundary
+/// round as its baseline), then concatenating diffs and merging summaries
+/// and windows equals the whole-stream tracker — whose diffs are the
+/// newest `TAIL` of the concatenation, numbered by rounds ingested. The
+/// whole tracker's cleared alerts are the newest `TAIL` of every clear its
+/// steps narrated.
+fn assert_split_folds(rounds: &[CatchmentMap], cut: usize) {
+    let origins = origins_fixture();
+    let config = twitchy_config();
+    let width = 3usize;
+
+    let mut whole = DriftTracker::new(config.clone(), width, Some(origins.clone()));
+    let mut cleared = Vec::new();
+    for r in rounds {
+        let step = whole.observe_round(r.clone(), None);
+        for t in &step.transitions {
+            if let Some((_, rule)) = t.split_once(": ") {
+                if let Some((rule, _)) = rule.split_once(" cleared ") {
+                    let round = step.diff.as_ref().expect("a transition has a diff").round;
+                    cleared.push((round, rule.to_owned()));
+                }
+            }
+        }
+    }
+
+    let cut = cut.min(rounds.len() - 1).max(1);
+    let mut head = DriftTracker::new(config.clone(), width, Some(origins.clone()));
+    for r in &rounds[..cut] {
+        head.observe_round(r.clone(), None);
+    }
+    let mut tail = DriftTracker::with_start_round(config, width, Some(origins), cut as u32 - 1);
+    for r in &rounds[cut - 1..] {
+        tail.observe_round(r.clone(), None);
+    }
+
+    // Diffs concatenate with global round numbers intact.
+    let diffs: Vec<RoundDiff> = head.diffs().iter().chain(tail.diffs()).cloned().collect();
+    prop_assert_eq!(*whole.diffs(), newest(&diffs));
+    for (tracker, start) in [(&whole, 0), (&head, 0), (&tail, cut as u64 - 1)] {
+        let ingested = tracker.rounds_ingested();
+        let last = tracker.last_diff().map(|d| u64::from(d.round));
+        prop_assert_eq!(last, (ingested > 1).then(|| start + ingested - 1));
+    }
+
+    // Summaries and rolling windows merge to the whole-stream state.
+    let mut summary = head.summary().clone();
+    summary.merge(tail.summary());
+    prop_assert_eq!(&summary, whole.summary());
+
+    let mut flip = head.flip_window().clone();
+    flip.merge(tail.flip_window());
+    prop_assert_eq!(&flip, whole.flip_window());
+    let mut skew = head.skew_window().clone();
+    skew.merge(tail.skew_window());
+    prop_assert_eq!(&skew, whole.skew_window());
+    let mut coverage = head.coverage_window().clone();
+    coverage.merge(tail.coverage_window());
+    prop_assert_eq!(&coverage, whole.coverage_window());
+
+    // The evaluator keeps the newest cleared alerts, in the order they
+    // cleared; the snapshot sorts them by when they fired.
+    let mut kept: Vec<_> = whole
+        .alerts_snapshot()
+        .into_iter()
+        .filter_map(|a| Some((a.cleared_round?, a.rule)))
+        .collect();
+    let mut want = newest(&cleared);
+    kept.sort();
+    want.sort();
+    prop_assert_eq!(kept, want);
+}
+
 // The batch pipeline is a fold over the DriftTracker, so streaming equals
 // batch by construction; what remains to prove is that a stream can be
 // cut and resumed.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The windowed-split fold: cutting the stream anywhere, running the
-    /// tail through a second tracker resuming at the cut (it re-ingests
-    /// the boundary round as its baseline), then concatenating diffs and
-    /// merging summaries and windows equals the whole-stream tracker.
     #[test]
     fn streaming_split_fold_matches_whole(
         rounds in rounds_strategy(),
         split in 1usize..6,
     ) {
-        let origins = origins_fixture();
-        let config = twitchy_config();
-        let width = 3usize;
+        assert_split_folds(&rounds, split);
+    }
 
-        let mut whole = DriftTracker::new(config.clone(), width, Some(origins.clone()));
-        for r in &rounds {
-            whole.observe_round(r.clone(), None);
-        }
-
-        let cut = split.min(rounds.len() - 1).max(1);
-        let mut head = DriftTracker::new(config.clone(), width, Some(origins.clone()));
-        for r in &rounds[..cut] {
-            head.observe_round(r.clone(), None);
-        }
-        let mut tail =
-            DriftTracker::with_start_round(config, width, Some(origins), cut as u32 - 1);
-        for r in &rounds[cut - 1..] {
-            tail.observe_round(r.clone(), None);
-        }
-
-        // Diffs concatenate with global round numbers intact.
-        let mut diffs = head.diffs().to_vec();
-        diffs.extend(tail.diffs().iter().cloned());
-        prop_assert_eq!(&diffs[..], whole.diffs());
-
-        // Summaries and rolling windows merge to the whole-stream state.
-        let mut summary = head.summary().clone();
-        summary.merge(tail.summary());
-        prop_assert_eq!(&summary, whole.summary());
-
-        let mut flip = head.flip_window().clone();
-        flip.merge(tail.flip_window());
-        prop_assert_eq!(&flip, whole.flip_window());
-        let mut skew = head.skew_window().clone();
-        skew.merge(tail.skew_window());
-        prop_assert_eq!(&skew, whole.skew_window());
-        let mut coverage = head.coverage_window().clone();
-        coverage.merge(tail.coverage_window());
-        prop_assert_eq!(&coverage, whole.coverage_window());
+    /// Streams longer than the tail, cut anywhere: the tail drops the
+    /// oldest diffs, transitions and cleared alerts, never a fold.
+    #[test]
+    fn streaming_split_fold_crosses_the_tail(
+        rounds in four_block_rounds(90..200),
+        split in 1usize..200,
+    ) {
+        assert_split_folds(&rounds, split);
     }
 }

@@ -21,7 +21,9 @@
 //! clock: loading a round document allocates O(log n) times and holds
 //! little more than its text and its columns, at 30 000 and at 300 000
 //! entries alike, and the origins sidecar allocates no more often than
-//! building its map by insertion would.
+//! building its map by insertion would. And the monitor that reads those
+//! rounds forever holds a day of them: a week of rounds leaves its
+//! `DriftTracker` no larger than a day did.
 
 #![expect(
     clippy::disallowed_types,
@@ -34,8 +36,10 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use vp_experiments::bench_scenario_scaled;
 use vp_hitlist::{Hitlist, HitlistConfig};
+use vp_monitor::alert::AlertConfig;
 use vp_monitor::diff::Origins;
 use vp_monitor::ingest::{build_origins_doc, load_round_file, parse_origins};
+use vp_monitor::stream::DriftTracker;
 use vp_sim::exec::ShardExecutor;
 use vp_sim::{CatchmentOracle, FaultConfig, StaticOracle};
 use verfploeter_suite::bgp::SiteId;
@@ -320,5 +324,62 @@ fn snapshot_ingest_allocates_logarithmically_and_holds_text_plus_columns() {
         "parsing the sidecar allocated {} times; its map alone takes {}",
         parsed.allocs,
         inserted.allocs
+    );
+}
+
+/// Blocks of each drifting round.
+const BLOCKS: u32 = 256;
+
+/// Round `r` of a drifting stream over [`BLOCKS`] blocks: every other round a
+/// quarter of them move site and, every fourth, another quarter stops
+/// answering, so flips, share moves and coverage drops fire and clear
+/// alerts all through the stream.
+fn drifting_round(r: u32) -> CatchmentMap {
+    let phase = (r / 2) % 2;
+    let rows = (0..BLOCKS).filter_map(|b| match b % 4 {
+        0 => Some((Block24(b), SiteId(phase as u8))),
+        1 if phase == 1 => None,
+        _ => Some((Block24(b), SiteId((b % 3) as u8))),
+    });
+    CatchmentMap::from_pairs(&format!("drift/r{r}"), rows)
+}
+
+/// Rounds in a day and a week of the paper's 15-minute cadence.
+const DAY: u32 = 96;
+const WEEK: u32 = 7 * DAY;
+
+#[test]
+fn a_week_of_rounds_holds_what_a_day_does() {
+    let _alone = alone();
+    let origins: Origins = (0..BLOCKS).map(|b| (Block24(b), Asn(64_500 + b % 16))).collect();
+    let config = AlertConfig {
+        trigger_rounds: 1,
+        clear_rounds: 1,
+        ..AlertConfig::default()
+    };
+    let live = || LIVE_BYTES.load(Ordering::Relaxed);
+    let before = live();
+    let map_bytes = {
+        let map = drifting_round(0);
+        let bytes = live() - before;
+        drop(map);
+        bytes
+    };
+    let mut tracker = DriftTracker::new(config, 8, Some(origins));
+    let mut feed = |rounds: std::ops::Range<u32>| {
+        for r in rounds {
+            tracker.observe_round(drifting_round(r), None);
+        }
+        live() - before
+    };
+    let day = feed(0..DAY);
+    let week = feed(DAY..WEEK);
+    assert!(tracker.summary().flips_by_as.len() > 1, "the stream must attribute flips");
+    assert!(tracker.transitions().len() > 1, "the stream must fire and clear alerts");
+    eprintln!("tracker: {day} B live after a day, {week} B after a week; one map {map_bytes} B");
+    assert!(
+        week <= day + map_bytes,
+        "a week of rounds holds {week} live bytes, a day {day} (+ one map: {map_bytes}): \
+         a history outgrew its tail"
     );
 }

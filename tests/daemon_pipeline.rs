@@ -135,15 +135,16 @@ fn daemon_stream_equals_offline_batch_pipeline() {
         .collect();
     let batch = run_diff_pipeline(
         daemon.meta().source.as_str(),
+        0,
         rounds.iter().take(config.rounds as usize).cloned(),
         Some(origins),
         None, // batch has no scan durations; diffs don't carry them
         &config.alert,
     );
 
-    assert_eq!(daemon.tracker().diffs(), &batch.diffs[..]);
+    assert_eq!(*daemon.tracker().diffs(), batch.diffs);
     assert_eq!(daemon.tracker().summary(), &batch.summary);
-    assert_eq!(daemon.tracker().transitions(), &batch.transitions[..]);
+    assert_eq!(*daemon.tracker().transitions(), batch.transitions);
 }
 
 fn parse(args: &[&str]) -> Result<DaemonArgs, String> {

@@ -1,8 +1,8 @@
 //! Tier-1 lint gate. The policy lives in `[workspace.lints]`, `clippy.toml`
 //! and the library roots; this file runs the one gating clippy command and
 //! the rustdoc build, and holds what neither can: audits only ratchet
-//! down, every `pub fn merge` names a merge-law test, and DESIGN.md's
-//! crate inventory names every crate.
+//! down, every `pub fn merge` names a merge-law test, DESIGN.md's crate
+//! inventory names every crate, and DESIGN.md only gets shorter.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -121,4 +121,13 @@ fn design_inventory_names_every_crate() {
         let name = entry.unwrap().file_name().into_string().unwrap();
         assert!(rows.contains(&name.as_str()), "DESIGN.md §3 has no row for crates/{name}");
     }
+}
+
+/// DESIGN.md only gets shorter: a change that edits it leaves it at most
+/// this long, and one that shortens it lowers the ceiling.
+#[test]
+fn design_md_line_count_only_ratchets_down() {
+    const CEILING: usize = 984;
+    let lines = std::fs::read_to_string(root().join("DESIGN.md")).unwrap().lines().count();
+    assert!(lines <= CEILING, "DESIGN.md is {lines} lines, ceiling {CEILING}");
 }
