@@ -7,8 +7,8 @@
 //! the same drift numbers fig9 reports, but as an alertable stream
 //! instead of a figure.
 //!
-//! File names are zero-padded so lexicographic order equals round order —
-//! the property `vp_monitor::ingest::load_rounds_dir` sorts by.
+//! File names are zero-padded so a plain listing shows them in round
+//! order; `vp_monitor::ingest::load_rounds_dir` sorts by the number itself.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -83,7 +83,8 @@ mod tests {
         want.insert(0, "origins.json".to_owned());
         assert_eq!(names, want);
 
-        let reloaded = load_rounds_dir(&dir).expect("reload rounds");
+        let (first, reloaded) = load_rounds_dir(&dir).expect("reload rounds");
+        assert_eq!(first, 0);
         assert_eq!(reloaded.len(), rounds.len());
         for (orig, back) in rounds.iter().zip(&reloaded) {
             assert_eq!(orig.name, back.name);

@@ -15,8 +15,9 @@
 //! Round files are ordered by the round number in their name, never by
 //! directory order or mtime — the ingest layer is as deterministic as
 //! everything downstream of it — and their numbers must run without a gap
-//! or a repeat. All fallible paths return `Err(String)` with the offending
-//! file named; the library never panics on malformed input.
+//! or a repeat, up to `u32::MAX`, the last round a diff can carry. All
+//! fallible paths return `Err(String)` with the offending file named; the
+//! library never panics on malformed input.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -28,25 +29,31 @@ use vp_net::{Asn, Block24};
 use crate::diff::Origins;
 
 /// The round a file named `r<digits>.json` holds; `None` for any other
-/// name (`origins.json`, a writer's `.r000.json.tmp`).
-fn round_number(name: &str) -> Option<u64> {
+/// name (`origins.json`, a writer's `.r000.json.tmp`), an error for a
+/// number past `u32::MAX`.
+fn round_number(name: &str) -> Option<Result<u32, std::num::ParseIntError>> {
     let digits = name.strip_prefix('r')?.strip_suffix(".json")?;
-    if !digits.bytes().all(|b| b.is_ascii_digit()) {
+    if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
         return None;
     }
-    digits.parse().ok()
+    Some(digits.parse())
 }
 
 /// The round files of `dir` with their round numbers, in round order,
-/// numbered without a repeat or a gap.
-fn list_rounds(dir: &Path) -> Result<Vec<(u64, PathBuf)>, String> {
+/// numbered without a repeat or a gap. A diff carries its round as a
+/// `u32`, so a file numbered past `u32::MAX` is an error naming it.
+fn list_rounds(dir: &Path) -> Result<Vec<(u32, PathBuf)>, String> {
     let entries =
         std::fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
     let mut rounds = Vec::new();
     for entry in entries {
         let entry = entry.map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
+        let path = entry.path();
         if let Some(round) = round_number(&entry.file_name().to_string_lossy()) {
-            rounds.push((round, entry.path()));
+            let round = round.map_err(|_| {
+                format!("{}: its round is past round {}, the last a diff can number", path.display(), u32::MAX)
+            })?;
+            rounds.push((round, path));
         }
     }
     rounds.sort_unstable();
@@ -56,7 +63,7 @@ fn list_rounds(dir: &Path) -> Result<Vec<(u64, PathBuf)>, String> {
             return Err(format!("{} and {} both hold round {round}", a.display(), b.display()));
         }
         if *round != prev + 1 {
-            return Err(missing(b, *round, prev + 1));
+            return Err(missing(b, (*round).into(), u64::from(*prev) + 1));
         }
     }
     Ok(rounds)
@@ -69,8 +76,8 @@ fn missing(path: &Path, round: u64, next: u64) -> String {
 /// Lists the `r<digits>.json` catchment snapshots in `dir` in round-number
 /// order (`r1000.json` after `r999.json`, whatever the padding). Other
 /// files (`origins.json`, a writer's `.r000.json.tmp`) are skipped. Two
-/// files with one number, and a gap in the numbering, are errors naming
-/// the file. An empty list is not an error — `watch --follow` polls a
+/// files with one number, a gap in the numbering and a number past
+/// `u32::MAX` are errors naming the file. An empty list is not an error — `watch --follow` polls a
 /// directory that may not have its first round yet.
 pub fn list_round_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
     Ok(list_rounds(dir)?.into_iter().map(|(_, path)| path).collect())
@@ -80,8 +87,9 @@ pub fn list_round_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
 /// each [`RoundTail::poll`] returns those that landed since the last.
 pub struct RoundTail {
     dir: PathBuf,
-    /// The first round read and the next one due.
-    read: Option<(u64, u64)>,
+    /// The first round read and the next one due (past `u32::MAX` once
+    /// that round is read).
+    read: Option<(u32, u64)>,
 }
 
 impl RoundTail {
@@ -94,17 +102,17 @@ impl RoundTail {
     /// round that is not the next one due is an error naming its file: one
     /// landing below the first round read, or one past the next (the
     /// rounds between were never listed).
-    pub fn poll(&mut self) -> Result<Vec<(u64, PathBuf)>, String> {
+    pub fn poll(&mut self) -> Result<Vec<(u32, PathBuf)>, String> {
         let mut fresh = Vec::new();
         for (round, path) in list_rounds(&self.dir)? {
-            let (first, next) = *self.read.get_or_insert((round, round));
+            let (first, next) = *self.read.get_or_insert((round, round.into()));
             if round < first {
                 return Err(format!("{}: round {round} landed after round {first} was read", path.display()));
             }
-            if round > next {
-                return Err(missing(&path, round, next));
+            if u64::from(round) > next {
+                return Err(missing(&path, round.into(), next));
             }
-            if round == next {
+            if u64::from(round) == next {
                 fresh.push((round, path));
                 self.read = Some((first, next + 1));
             }
@@ -134,14 +142,16 @@ pub fn load_round_file(path: &Path) -> Result<CatchmentMap, String> {
         .map_err(|e| format!("{}: invalid catchment map: {e}", path.display()))
 }
 
-/// Loads every round snapshot in `dir` at once (the batch path; an empty
-/// directory is an error here).
-pub fn load_rounds_dir(dir: &Path) -> Result<Vec<CatchmentMap>, String> {
-    let files = list_round_files(dir)?;
-    if files.is_empty() {
+/// Loads every round snapshot in `dir` at once, with the directory's
+/// first round number (the batch path; an empty directory is an error
+/// here).
+pub fn load_rounds_dir(dir: &Path) -> Result<(u32, Vec<CatchmentMap>), String> {
+    let rounds = list_rounds(dir)?;
+    let Some(&(first, _)) = rounds.first() else {
         return Err(format!("no r*.json round files in {}", dir.display()));
-    }
-    files.iter().map(|p| load_round_file(p)).collect()
+    };
+    let maps = rounds.iter().map(|(_, path)| load_round_file(path)).collect::<Result<_, _>>()?;
+    Ok((first, maps))
 }
 
 /// Parses the `vp-monitor-origins/v1` sidecar mapping each /24 block to
@@ -338,7 +348,7 @@ mod tests {
 
     /// Writes round file `file`, whose one block is the round number.
     fn write_round(dir: &Path, file: &str) {
-        let block = round_number(file).map_or(u32::MAX, |n| u32::try_from(n).unwrap());
+        let block = round_number(file).and_then(Result::ok).unwrap_or(u32::MAX);
         let m = CatchmentMap::from_pairs(file, [(Block24(block), SiteId(0))]);
         std::fs::write(dir.join(file), m.to_json()).unwrap();
     }
@@ -354,11 +364,12 @@ mod tests {
             std::fs::write(dir.join("rough.json"), "{not json").unwrap();
             // A round still being written sits under its writer's temp name.
             std::fs::write(dir.join(".r003.json.tmp"), "{\"name\":\"r003.json\",\"ma").unwrap();
-            let rounds = load_rounds_dir(&dir).unwrap();
-            let mut want: Vec<u64> = files.iter().filter_map(|f| round_number(f)).collect();
+            let (first, rounds) = load_rounds_dir(&dir).unwrap();
+            let mut want: Vec<u32> = files.iter().filter_map(|f| round_number(f)).map(Result::unwrap).collect();
             want.sort_unstable();
-            let got: Vec<u64> = rounds.iter().map(|m| u64::from(m.iter().next().unwrap().0 .0)).collect();
+            let got: Vec<u32> = rounds.iter().map(|m| m.iter().next().unwrap().0 .0).collect();
             assert_eq!(got, want);
+            assert_eq!(first, want[0]);
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
@@ -378,6 +389,8 @@ mod tests {
         };
         refused(&["r000.json", "r001.json", "r1.json"], &["r001.json", "r1.json", "round 1"]);
         refused(&["r005.json", "r007.json"], &["r007.json", "round 6 is missing"]);
+        // A diff numbers its round as a u32; one past that is named, not wrapped.
+        refused(&["r4294967295.json", "r4294967296.json"], &["r4294967296.json", "past round 4294967295"]);
 
         let dir = rounds_dir("tail", &["r001.json", "r002.json"]);
         let mut tail = RoundTail::new(&dir);
@@ -396,6 +409,13 @@ mod tests {
         write_round(&dir, "r005.json");
         let err = tail.poll().unwrap_err();
         assert!(err.contains("r005.json") && err.contains("round 4 is missing"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // The last round a diff can number is read once.
+        let dir = rounds_dir("tail-last", &["r4294967295.json"]);
+        let mut tail = RoundTail::new(&dir);
+        assert_eq!(tail.poll().unwrap(), [(u32::MAX, dir.join("r4294967295.json"))]);
+        assert!(tail.poll().unwrap().is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -36,7 +36,7 @@ use std::process::ExitCode;
 use vp_monitor::alert::AlertConfig;
 use vp_monitor::diff::Origins;
 use vp_monitor::ingest::{
-    load_obs_report, load_origins_sidecar, load_round_file, write_atomic, RoundTail,
+    load_obs_report, load_origins_sidecar, load_round_file, load_rounds_dir, write_atomic, RoundTail,
 };
 use vp_monitor::pipeline::run_diff_pipeline;
 use vp_monitor::profile::{parse_flight_doc, render_report};
@@ -154,16 +154,11 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
     if args.follow || args.until_rounds.is_some() {
         return Err("diff runs once over a complete directory; use watch --follow".to_owned());
     }
-    let files = RoundTail::new(&args.rounds).poll()?;
-    let first = files.first().map(|(round, _)| *round).ok_or_else(|| no_rounds(&args))?;
-    let rounds = files
-        .iter()
-        .map(|(_, file)| load_round_file(file))
-        .collect::<Result<Vec<_>, _>>()?;
+    let (first, rounds) = load_rounds_dir(&args.rounds)?;
     let (origins, durations) = load_context(&args)?;
     let out = run_diff_pipeline(
         &args.source,
-        start_round(first)?,
+        first,
         rounds,
         origins,
         durations.as_ref(),
@@ -189,16 +184,6 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
 /// Rolling-window width for the watch tracker, matching the daemon's
 /// default status windows.
 const WATCH_WINDOW: usize = 8;
-
-fn no_rounds(args: &DiffArgs) -> String {
-    format!("no r*.json round files in {}", args.rounds.display())
-}
-
-/// A directory's first round as the tracker's start round: diffs carry
-/// `u32` round numbers.
-fn start_round(first: u64) -> Result<u32, String> {
-    u32::try_from(first).map_err(|_| format!("round {first} is past the last round a diff can number"))
-}
 
 fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
     let args = parse_diff_args(args)?;
@@ -227,7 +212,7 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
                     AlertConfig::default(),
                     WATCH_WINDOW,
                     origins.take(),
-                    start_round(round)?,
+                    round,
                 )),
             };
             let dur = durations
@@ -258,11 +243,11 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
         std::thread::sleep(std::time::Duration::from_millis(args.poll_ms));
     }
     let Some(tracker) = tracker else {
-        return Err(no_rounds(&args));
+        return Err(format!("no r*.json round files in {}", args.rounds.display()));
     };
     let alerts = tracker.alerts_snapshot();
     let active = alerts.iter().filter(|a| a.cleared_round.is_none()).count();
-    println!("{} alerts total, {active} still active", alerts.len());
+    println!("{} alerts listed (newest cleared + active), {active} still active", alerts.len());
     Ok(ExitCode::SUCCESS)
 }
 

@@ -154,6 +154,7 @@ impl DriftTracker {
     /// Ingests the next round. `duration_ns` is the round's sim-time scan
     /// span, if known; it feeds the `scan-duration` alert rule.
     pub fn observe_round(&mut self, map: CatchmentMap, duration_ns: Option<u64>) -> StreamStep {
+        let round = self.next_round();
         self.rounds_ingested += 1;
         let mut step = StreamStep {
             index: self.rounds_ingested,
@@ -161,7 +162,6 @@ impl DriftTracker {
             transitions: Vec::new(),
         };
         if let Some(prev) = &self.prev {
-            let round = self.start_round + self.rounds_ingested as u32 - 1;
             let d = diff_rounds(prev, &map, round, self.origins.as_ref());
             self.summary.merge(&DriftSummary::from_diff(&d));
             let r = u64::from(round);

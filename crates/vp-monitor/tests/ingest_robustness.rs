@@ -209,24 +209,39 @@ fn a_poller_only_ever_reads_whole_documents() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Runs `vp-monitor <args> --rounds <dir>`: its exit success, stdout and
+/// stderr.
+fn monitor(args: &[&str], dir: &Path) -> (bool, String, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_vp-monitor"))
+        .args(args)
+        .arg("--rounds")
+        .arg(dir)
+        .output()
+        .expect("run vp-monitor");
+    let text = |bytes: &[u8]| String::from_utf8_lossy(bytes).into_owned();
+    (out.status.success(), text(&out.stdout), text(&out.stderr))
+}
+
+const WATCH_FOLLOW: &[&str] = &["watch", "--follow", "--until-rounds", "4", "--poll-ms", "1"];
+
 /// A rounds directory that starts at `r005` numbers its diffs from there:
 /// in `diff`'s drift document and in `watch`'s narration, followed or not.
+/// Numbers run up to `u32::MAX`, a diff's round type; a file past it is
+/// refused by name before any round is numbered.
 #[test]
 fn diffs_are_numbered_from_the_directorys_first_round() {
+    let write_rounds = |dir: &Path, rounds: &[u64]| {
+        for (i, round) in rounds.iter().enumerate() {
+            let doc = round_doc(&format!("r{round}"), &[(1, u8::from(i % 2 == 1)), (2, 0)]);
+            std::fs::write(dir.join(format!("r{round:03}.json")), doc).expect("write round");
+        }
+    };
     let dir = scratch("first-round");
-    for round in 5..=8u8 {
-        let doc = round_doc(&format!("r{round}"), &[(1, round % 2), (2, 0)]);
-        std::fs::write(dir.join(format!("r{round:03}.json")), doc).expect("write round");
-    }
+    write_rounds(&dir, &[5, 6, 7, 8]);
     let run = |args: &[&str]| {
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_vp-monitor"))
-            .args(args)
-            .arg("--rounds")
-            .arg(&dir)
-            .output()
-            .expect("run vp-monitor");
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-        String::from_utf8_lossy(&out.stdout).into_owned()
+        let (ok, stdout, stderr) = monitor(args, &dir);
+        assert!(ok, "{args:?}: {stderr}");
+        stdout
     };
 
     let docs = dir.join("docs");
@@ -237,7 +252,7 @@ fn diffs_are_numbered_from_the_directorys_first_round() {
     let numbered: Vec<_> = rounds.iter().filter_map(|d| d.get("round")?.as_u64()).collect();
     assert_eq!(numbered, [6, 7, 8]);
 
-    for watch in [&["watch"][..], &["watch", "--follow", "--until-rounds", "4", "--poll-ms", "1"]] {
+    for watch in [&["watch"][..], WATCH_FOLLOW] {
         let stdout = run(watch);
         let numbered: Vec<_> = stdout
             .lines()
@@ -245,6 +260,25 @@ fn diffs_are_numbered_from_the_directorys_first_round() {
             .map(|(round, _)| round)
             .collect();
         assert_eq!(numbered, ["6", "7", "8"], "{watch:?}: {stdout}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let last = u64::from(u32::MAX);
+    let dir = scratch("last-round");
+    write_rounds(&dir, &[last - 1, last]);
+    let (ok, stdout, stderr) = monitor(&["watch"], &dir);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains(&format!("round {last}: ")), "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let dir = scratch("past-last-round");
+    write_rounds(&dir, &[last, last + 1]);
+    for args in [&["diff"][..], &["watch"], WATCH_FOLLOW] {
+        let (ok, stdout, stderr) = monitor(args, &dir);
+        assert!(!ok, "{args:?} accepted round {}: {stdout}", last + 1);
+        assert!(stderr.contains(&format!("r{}.json", last + 1)), "{args:?}: {stderr}");
+        assert!(stderr.contains(&format!("past round {last}")), "{args:?}: {stderr}");
+        assert!(!stdout.contains("round "), "{args:?} numbered a diff: {stdout}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

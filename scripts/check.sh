@@ -72,7 +72,7 @@ diff -u results/monitor/fig9_tiny.alerts.json "$mon_dir/monitor/alerts.json"
 # reach the batch run's alert verdict.
 "$vp_monitor" watch --rounds "$mon_dir/rounds" \
     --follow --until-rounds 12 --poll-ms 10 \
-    | tail -n 1 | grep -q "alerts total"
+    | tail -n 1 | grep -q "alerts listed"
 
 # Daemon smoke: a deterministic 6-round sim-time run of the live
 # telemetry plane (tiny scale, 2 shards — §7 makes the shard count

@@ -26,13 +26,13 @@ fn fig9_replay_is_deterministic_and_matches_goldens() {
     let _ = std::fs::remove_dir_all(&dir);
     write_round_snapshots(&dir, &rounds, &lab.tangled().world).expect("write snapshots");
 
-    let reloaded = load_rounds_dir(&dir).expect("reload rounds");
+    let (start, reloaded) = load_rounds_dir(&dir).expect("reload rounds");
     let origins = load_origins_sidecar(&dir).expect("sidecar").expect("present");
     let _ = std::fs::remove_dir_all(&dir);
 
     let config = AlertConfig::default();
-    let first = run_diff_pipeline(SOURCE, 0, reloaded.clone(), Some(origins.clone()), None, &config);
-    let second = run_diff_pipeline(SOURCE, 0, reloaded, Some(origins), None, &config);
+    let first = run_diff_pipeline(SOURCE, start, reloaded.clone(), Some(origins.clone()), None, &config);
+    let second = run_diff_pipeline(SOURCE, start, reloaded, Some(origins), None, &config);
 
     // Byte-identical across runs: the pipeline has no hidden state.
     let drift = serde_json::to_string_pretty(&first.drift_doc).expect("drift json");
