@@ -155,7 +155,6 @@ pub struct Daemon {
     scan_metrics: Registry,
     site_names: BTreeMap<u8, String>,
     last_profile: Option<ChannelProfile>,
-    rounds_run: u32,
 }
 
 impl Daemon {
@@ -199,7 +198,6 @@ impl Daemon {
             scan_metrics: Registry::new(),
             site_names,
             last_profile: None,
-            rounds_run: 0,
         }
     }
 
@@ -208,9 +206,7 @@ impl Daemon {
     /// `Lab::tangled_rounds` scans, so a daemon run of N rounds reproduces
     /// the first N STV-3-23 maps — for any shard count (§7).
     pub fn run_round(&mut self) -> StreamStep {
-        let r = self.rounds_run;
-        self.rounds_run += 1;
-        let (start, config, sim_seed) = stability_round(r, self.obs, None);
+        let (start, config, sim_seed) = stability_round(self.rounds_run(), self.obs, None);
         let result = run_scan_sharded_on(
             &ShardExecutor::host_parallel(self.shards),
             &self.scenario.world,
@@ -237,9 +233,10 @@ impl Daemon {
         self.tracker.observe_round(result.catchments, Some(duration))
     }
 
-    /// Rounds completed so far.
+    /// Rounds completed so far: the tracker's next round number, since it
+    /// starts at round 0 and ingests every round.
     pub fn rounds_run(&self) -> u32 {
-        self.rounds_run
+        self.tracker.next_round()
     }
 
     pub fn meta(&self) -> &DaemonMeta {

@@ -18,9 +18,7 @@
 //!   a cached scan honestly reports an empty `scans` array rather than
 //!   double-counting another experiment's work.
 
-use std::collections::BTreeMap;
-
-use serde_json::Value;
+use serde_json::{json, Value};
 use vp_obs::{Registry, TraceLevel, TraceSummary};
 use verfploeter::scan::ScanObs;
 
@@ -93,51 +91,31 @@ fn imbalance_permille(shard_probes: &[u64]) -> u64 {
     (max - min) * 1000 / max.max(1)
 }
 
+/// One `scans` entry: the record's counters and its shard-load balance.
 fn scan_value(rec: &ScanRecord) -> Value {
-    let mut balance = BTreeMap::new();
-    balance.insert("shards".to_owned(), Value::U64(rec.shards as u64));
-    balance.insert(
-        "min_probes".to_owned(),
-        Value::U64(rec.shard_probes.iter().copied().min().unwrap_or(0)),
-    );
-    balance.insert(
-        "max_probes".to_owned(),
-        Value::U64(rec.shard_probes.iter().copied().max().unwrap_or(0)),
-    );
-    balance.insert(
-        "imbalance_permille".to_owned(),
-        Value::U64(imbalance_permille(&rec.shard_probes)),
-    );
-
-    let mut obj = BTreeMap::new();
-    obj.insert("name".to_owned(), Value::Str(rec.name.clone()));
-    obj.insert("probes_sent".to_owned(), Value::U64(rec.probes_sent));
-    obj.insert("blocks_mapped".to_owned(), Value::U64(rec.blocks_mapped));
-    obj.insert("started_ns".to_owned(), Value::U64(rec.started_ns));
-    obj.insert("last_probe_ns".to_owned(), Value::U64(rec.last_probe_ns));
-    obj.insert("sim_end_ns".to_owned(), Value::U64(rec.sim_end_ns));
-    obj.insert("shard_balance".to_owned(), Value::Object(balance));
-    Value::Object(obj)
+    let probes = &rec.shard_probes;
+    json!({
+        "name": rec.name,
+        "probes_sent": rec.probes_sent,
+        "blocks_mapped": rec.blocks_mapped,
+        "started_ns": rec.started_ns,
+        "last_probe_ns": rec.last_probe_ns,
+        "sim_end_ns": rec.sim_end_ns,
+        "shard_balance": {
+            "shards": rec.shards,
+            "min_probes": probes.iter().copied().min().unwrap_or(0),
+            "max_probes": probes.iter().copied().max().unwrap_or(0),
+            "imbalance_permille": imbalance_permille(probes),
+        },
+    })
 }
 
-/// Renders the accumulated state as the `vp-obs-report/v1` JSON document.
+/// Renders the accumulated state as the `vp-obs-report/v1` JSON document:
+/// `schema`, `experiment`, `mode`, one `scans` entry per fresh scan, the
+/// span aggregates as `phases`, the registry's `metrics`, the first
+/// `REPORT_EVENT_CAP` trace `events` (`events_truncated` says whether
+/// there were more) and the ring's `dropped_events`.
 pub fn build_report(experiment: &str, mode: TraceLevel, state: &ObsState) -> Value {
-    let scans: Vec<Value> = state.scans.iter().map(scan_value).collect();
-
-    let phases: Vec<Value> = state
-        .trace
-        .spans
-        .iter()
-        .map(|(name, agg)| {
-            let mut obj = BTreeMap::new();
-            obj.insert("name".to_owned(), Value::Str(name.clone()));
-            obj.insert("count".to_owned(), Value::U64(agg.count));
-            obj.insert("total_nanos".to_owned(), Value::U64(agg.total_nanos));
-            obj.insert("max_nanos".to_owned(), Value::U64(agg.max_nanos));
-            Value::Object(obj)
-        })
-        .collect();
-
     // The registry already knows its canonical JSON form; round-trip it
     // through the parser instead of re-encoding metric-by-metric.
     #[expect(
@@ -150,46 +128,35 @@ pub fn build_report(experiment: &str, mode: TraceLevel, state: &ObsState) -> Val
         Value::Object(mut obj) => obj.remove("metrics").unwrap_or(Value::Array(Vec::new())),
         _ => Value::Array(Vec::new()),
     };
-
-    let truncated = state.trace.events.len() > REPORT_EVENT_CAP;
-    let events: Vec<Value> = state
-        .trace
-        .events
-        .iter()
-        .take(REPORT_EVENT_CAP)
-        .map(|e| {
-            let mut obj = BTreeMap::new();
-            obj.insert("at_nanos".to_owned(), Value::U64(e.at_nanos));
-            obj.insert("name".to_owned(), Value::Str(e.name.clone()));
-            obj.insert("detail".to_owned(), Value::Str(e.detail.clone()));
-            Value::Object(obj)
-        })
-        .collect();
-
-    let mut report = BTreeMap::new();
-    report.insert(
-        "schema".to_owned(),
-        Value::Str("vp-obs-report/v1".to_owned()),
-    );
-    report.insert("experiment".to_owned(), Value::Str(experiment.to_owned()));
-    report.insert("mode".to_owned(), Value::Str(mode.name().to_owned()));
-    report.insert("scans".to_owned(), Value::Array(scans));
-    report.insert("phases".to_owned(), Value::Array(phases));
-    report.insert("metrics".to_owned(), metrics);
-    report.insert("events".to_owned(), Value::Array(events));
-    report.insert("events_truncated".to_owned(), Value::Bool(truncated));
-    report.insert(
-        "dropped_events".to_owned(),
-        Value::U64(state.trace.dropped_events),
-    );
-    Value::Object(report)
+    let trace = &state.trace;
+    json!({
+        "schema": "vp-obs-report/v1",
+        "experiment": experiment,
+        "mode": mode.name(),
+        "scans": state.scans.iter().map(scan_value).collect::<Vec<_>>(),
+        "phases": trace
+            .spans
+            .iter()
+            .map(|(name, agg)| {
+                json!({
+                    "name": name,
+                    "count": agg.count,
+                    "total_nanos": agg.total_nanos,
+                    "max_nanos": agg.max_nanos,
+                })
+            })
+            .collect::<Vec<_>>(),
+        "metrics": metrics,
+        "events": trace
+            .events
+            .iter()
+            .take(REPORT_EVENT_CAP)
+            .map(|e| json!({ "at_nanos": e.at_nanos, "name": e.name, "detail": e.detail }))
+            .collect::<Vec<_>>(),
+        "events_truncated": trace.events.len() > REPORT_EVENT_CAP,
+        "dropped_events": trace.dropped_events,
+    })
 }
-
-/// The mini JSON-schema validator the report snapshot test uses. It
-/// moved to [`vp_monitor::schema`] (the monitor validates four document
-/// families against embedded snapshots); this re-export keeps the
-/// harness-side call sites working.
-pub use vp_monitor::schema::validate_schema;
 
 #[cfg(test)]
 mod tests {
@@ -217,14 +184,5 @@ mod tests {
         );
         assert_eq!(obj.get("mode"), Some(&Value::Str("summary".to_owned())));
         assert_eq!(obj.get("events_truncated"), Some(&Value::Bool(false)));
-    }
-
-    /// The re-exported validator is the real one (its own tests live in
-    /// `vp_monitor::schema`).
-    #[test]
-    fn reexported_validator_validates() {
-        let schema: Value = serde_json::from_str(r#"{"type":"integer"}"#).unwrap();
-        assert!(validate_schema(&Value::U64(7), &schema).is_empty());
-        assert!(!validate_schema(&Value::Str("7".to_owned()), &schema).is_empty());
     }
 }

@@ -7,8 +7,8 @@
 //! embedded as `vp_monitor::schema::OBS_REPORT_SCHEMA`; validating with
 //! it here means the snapshot cannot drift from the validator.
 
-use vp_experiments::obs::validate_schema;
 use vp_experiments::{Lab, Scale};
+use vp_monitor::schema::validate_schema;
 use vp_obs::TraceLevel;
 
 fn schema() -> serde_json::Value {

@@ -21,15 +21,14 @@
 //! clock is involved anywhere — rounds are the only time axis — so the
 //! same diff sequence always produces byte-identical alert documents.
 
-use std::collections::BTreeMap;
-
-use serde_json::Value;
+use serde::Serialize;
+use serde_json::{json, Value};
 
 use crate::diff::RoundDiff;
 use crate::stream::Tail;
 
-/// Alert thresholds and hysteresis windows.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Alert thresholds and hysteresis windows; an alert document's `config`.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct AlertConfig {
     /// `flip-rate` fires above this many flips per 1000 continuing
     /// responders.
@@ -64,8 +63,9 @@ impl Default for AlertConfig {
     }
 }
 
-/// One fired alert (cleared or still active at end of sequence).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One fired alert (cleared or still active at end of sequence); an entry
+/// of an alert document's `alerts` and of the daemon status's alert log.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Alert {
     /// `flip-rate`, `load-skew`, `coverage-drop` or `scan-duration`.
     pub rule: String,
@@ -181,7 +181,6 @@ pub struct Evaluator {
     /// First-rounds durations, until the baseline is established.
     duration_window: Vec<u64>,
     duration_baseline: Option<u64>,
-    rounds_seen: u64,
     done: Tail<Alert>,
 }
 
@@ -195,17 +194,12 @@ impl Evaluator {
             duration: Hysteresis::default(),
             duration_window: Vec::new(),
             duration_baseline: None,
-            rounds_seen: 0,
             done: Tail::default(),
         }
     }
 
     pub fn config(&self) -> &AlertConfig {
         &self.config
-    }
-
-    pub fn rounds_seen(&self) -> u64 {
-        self.rounds_seen
     }
 
     /// Integer median of the collected baseline window.
@@ -220,7 +214,6 @@ impl Evaluator {
     /// sim-time scan span (from the obs report), if known. Returns
     /// human-readable fired/cleared transitions for live display.
     pub fn observe(&mut self, d: &RoundDiff, duration_ns: Option<u64>) -> Vec<String> {
-        self.rounds_seen += 1;
         let mut transitions = Vec::new();
         let c = self.config.clone();
 
@@ -306,49 +299,10 @@ impl Evaluator {
     }
 }
 
-fn config_value(c: &AlertConfig) -> Value {
-    let mut obj = BTreeMap::new();
-    obj.insert("flip_rate_permille".to_owned(), Value::U64(c.flip_rate_permille));
-    obj.insert(
-        "share_delta_permille".to_owned(),
-        Value::U64(c.share_delta_permille),
-    );
-    obj.insert(
-        "coverage_drop_permille".to_owned(),
-        Value::U64(c.coverage_drop_permille),
-    );
-    obj.insert(
-        "duration_blowup_permille".to_owned(),
-        Value::U64(c.duration_blowup_permille),
-    );
-    obj.insert(
-        "duration_baseline_rounds".to_owned(),
-        Value::U64(u64::from(c.duration_baseline_rounds)),
-    );
-    obj.insert("trigger_rounds".to_owned(), Value::U64(u64::from(c.trigger_rounds)));
-    obj.insert("clear_rounds".to_owned(), Value::U64(u64::from(c.clear_rounds)));
-    Value::Object(obj)
-}
-
-pub(crate) fn alert_value(a: &Alert) -> Value {
-    let mut obj = BTreeMap::new();
-    obj.insert("rule".to_owned(), Value::Str(a.rule.clone()));
-    obj.insert("fired_round".to_owned(), Value::U64(u64::from(a.fired_round)));
-    obj.insert(
-        "cleared_round".to_owned(),
-        match a.cleared_round {
-            Some(r) => Value::U64(u64::from(r)),
-            None => Value::Null,
-        },
-    );
-    obj.insert("peak_value".to_owned(), Value::U64(a.peak_value));
-    obj.insert("peak_round".to_owned(), Value::U64(u64::from(a.peak_round)));
-    obj.insert("threshold".to_owned(), Value::U64(a.threshold));
-    Value::Object(obj)
-}
-
-/// Renders an alert set as the canonical `vp-monitor-alert/v1` document.
-/// Keys are `BTreeMap`-sorted and all values integers or strings, so equal
+/// Renders an alert set as the canonical `vp-monitor-alert/v1` document:
+/// `schema`, `source`, the `rounds` (round transitions) evaluated, the
+/// derived forms of `config` and of each entry of `alerts` (an active
+/// alert's `cleared_round` is `null`). Keys are `BTreeMap`-sorted, so equal
 /// inputs serialize byte-identically.
 pub fn build_alert_doc(
     source: &str,
@@ -356,31 +310,26 @@ pub fn build_alert_doc(
     config: &AlertConfig,
     alerts: &[Alert],
 ) -> Value {
-    let mut doc = BTreeMap::new();
-    doc.insert(
-        "schema".to_owned(),
-        Value::Str("vp-monitor-alert/v1".to_owned()),
-    );
-    doc.insert("source".to_owned(), Value::Str(source.to_owned()));
-    doc.insert("rounds".to_owned(), Value::U64(rounds));
-    doc.insert("config".to_owned(), config_value(config));
-    doc.insert(
-        "alerts".to_owned(),
-        Value::Array(alerts.iter().map(alert_value).collect()),
-    );
-    Value::Object(doc)
+    json!({
+        "schema": "vp-monitor-alert/v1",
+        "source": source,
+        "rounds": rounds,
+        "config": config,
+        "alerts": alerts,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::diff::RoundDiff;
+    use std::collections::BTreeMap;
 
     fn diff(round: u32, flip_rate: u64) -> RoundDiff {
         RoundDiff {
             round,
-            prev_name: format!("r{}", round - 1),
-            cur_name: format!("r{round}"),
+            prev: format!("r{}", round - 1),
+            cur: format!("r{round}"),
             stable: 1000 - flip_rate,
             flipped: flip_rate,
             to_nr: 0,

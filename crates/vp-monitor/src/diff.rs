@@ -12,6 +12,7 @@
 
 use std::collections::BTreeMap;
 
+use serde::Serialize;
 use vp_net::{Asn, Block24};
 use verfploeter::catchment::{CatchmentMap, Joined};
 
@@ -19,13 +20,17 @@ use verfploeter::catchment::{CatchmentMap, Joined};
 /// writer emits. Without it, per-AS flip attribution is empty.
 pub type Origins = BTreeMap<Block24, Asn>;
 
-/// Everything that changed between one round and the next.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Everything that changed between one round and the next; it renders as
+/// one entry of a drift document's `rounds` and as the daemon status's
+/// `current`.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct RoundDiff {
     /// 1-based: diff of `rounds[round]` against `rounds[round - 1]`.
     pub round: u32,
-    pub prev_name: String,
-    pub cur_name: String,
+    /// Name of the previous round's map, rendered as `"prev"`.
+    pub prev: String,
+    /// Name of the current round's map, rendered as `"cur"`.
+    pub cur: String,
     /// Fig. 9 taxonomy over the previous round's responders.
     pub stable: u64,
     pub flipped: u64,
@@ -98,8 +103,8 @@ pub fn diff_rounds(
 
     RoundDiff {
         round,
-        prev_name: prev.name.clone(),
-        cur_name: cur.name.clone(),
+        prev: prev.name.clone(),
+        cur: cur.name.clone(),
         stable,
         flipped,
         to_nr,
@@ -120,8 +125,9 @@ pub fn diff_rounds(
 /// `CatchmentMap`): [`DriftSummary::merge`] is associative and commutative
 /// with [`DriftSummary::default`] as the identity — counts and per-AS maps
 /// sum, extrema fold by max — so per-window summaries fold in any grouping
-/// to the same totals (`tests/proptests.rs` proves it).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// to the same totals (`tests/proptests.rs` proves it). It renders as the
+/// `summary` of the drift and daemon status documents.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct DriftSummary {
     /// Round transitions summarized.
     pub rounds: u64,

@@ -22,7 +22,7 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use serde_json::Value;
+use serde_json::{json, Value};
 use verfploeter::catchment::CatchmentMap;
 use vp_net::{Asn, Block24};
 
@@ -210,19 +210,10 @@ pub fn load_origins_sidecar(dir: &Path) -> Result<Option<Origins>, String> {
 }
 
 /// Renders an [`Origins`] map as the canonical `vp-monitor-origins/v1`
-/// sidecar document.
+/// sidecar document: `schema`, and `origins` mapping each block's decimal
+/// number to its origin ASN.
 pub fn build_origins_doc(origins: &Origins) -> Value {
-    let mut map = BTreeMap::new();
-    for (block, asn) in origins {
-        map.insert(block.0.to_string(), Value::U64(u64::from(asn.0)));
-    }
-    let mut doc = BTreeMap::new();
-    doc.insert(
-        "schema".to_owned(),
-        Value::Str("vp-monitor-origins/v1".to_owned()),
-    );
-    doc.insert("origins".to_owned(), Value::Object(map));
-    Value::Object(doc)
+    json!({ "schema": "vp-monitor-origins/v1", "origins": origins })
 }
 
 /// One scan entry of a `vp-obs-report/v1` document, reduced to the fields

@@ -30,6 +30,7 @@
 //!   chrome://tracing / Perfetto-loadable trace.
 
 use std::collections::BTreeMap;
+use std::num::NonZeroU64;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -66,7 +67,8 @@ struct DiffArgs {
     source: String,
     out: Option<PathBuf>,
     follow: bool,
-    until_rounds: Option<u64>,
+    /// A count of rounds; zero is refused, as it would stop before any.
+    until_rounds: Option<NonZeroU64>,
     poll_ms: u64,
 }
 
@@ -97,8 +99,8 @@ fn parse_diff_args(args: &[String]) -> Result<DiffArgs, String> {
             "--source" => source = Some(value(i)?.clone()),
             "--out" => out = Some(PathBuf::from(value(i)?)),
             "--until-rounds" => {
-                until_rounds =
-                    Some(value(i)?.parse().map_err(|e| format!("--until-rounds: {e}"))?);
+                let v = value(i)?;
+                until_rounds = Some(v.parse().map_err(|e| format!("--until-rounds {v:?}: {e}"))?);
             }
             "--poll-ms" => {
                 poll_ms = value(i)?.parse().map_err(|e| format!("--poll-ms: {e}"))?;
@@ -202,7 +204,7 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
     let mut rounds = RoundTail::new(&args.rounds);
     'tail: loop {
         for (round, file) in rounds.poll()? {
-            if args.until_rounds.is_some_and(|n| ingested(&tracker) >= n) {
+            if args.until_rounds.is_some_and(|n| ingested(&tracker) >= n.get()) {
                 break 'tail;
             }
             let map = load_round_file(&file)?;
@@ -236,7 +238,7 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
                 println!("  ** {t}");
             }
         }
-        let reached = args.until_rounds.is_some_and(|n| ingested(&tracker) >= n);
+        let reached = args.until_rounds.is_some_and(|n| ingested(&tracker) >= n.get());
         if reached || !args.follow {
             break;
         }

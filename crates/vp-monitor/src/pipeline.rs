@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use serde_json::Value;
+use serde_json::{json, Value};
 use verfploeter::catchment::CatchmentMap;
 
 use crate::alert::{Alert, AlertConfig};
@@ -33,90 +33,22 @@ pub struct DiffOutput {
     pub alert_doc: Value,
 }
 
-pub(crate) fn u64_map_value<K: ToString>(map: &BTreeMap<K, u64>) -> Value {
-    Value::Object(
-        map.iter()
-            .map(|(k, v)| (k.to_string(), Value::U64(*v)))
-            .collect(),
-    )
-}
-
-pub(crate) fn diff_value(d: &RoundDiff) -> Value {
-    let mut obj = BTreeMap::new();
-    obj.insert("round".to_owned(), Value::U64(u64::from(d.round)));
-    obj.insert("prev".to_owned(), Value::Str(d.prev_name.clone()));
-    obj.insert("cur".to_owned(), Value::Str(d.cur_name.clone()));
-    obj.insert("stable".to_owned(), Value::U64(d.stable));
-    obj.insert("flipped".to_owned(), Value::U64(d.flipped));
-    obj.insert("to_nr".to_owned(), Value::U64(d.to_nr));
-    obj.insert("from_nr".to_owned(), Value::U64(d.from_nr));
-    obj.insert("prev_blocks".to_owned(), Value::U64(d.prev_blocks));
-    obj.insert("cur_blocks".to_owned(), Value::U64(d.cur_blocks));
-    obj.insert(
-        "coverage_delta_permille".to_owned(),
-        Value::I64(d.coverage_delta_permille),
-    );
-    obj.insert(
-        "flip_rate_permille".to_owned(),
-        Value::U64(d.flip_rate_permille),
-    );
-    obj.insert(
-        "site_shares_permille".to_owned(),
-        u64_map_value(&d.site_shares_permille),
-    );
-    obj.insert(
-        "max_share_delta_permille".to_owned(),
-        Value::U64(d.max_share_delta_permille),
-    );
-    obj.insert("flips_by_as".to_owned(), u64_map_value(&d.flips_by_as));
-    Value::Object(obj)
-}
-
-pub(crate) fn summary_value(s: &DriftSummary) -> Value {
-    let mut obj = BTreeMap::new();
-    obj.insert("rounds".to_owned(), Value::U64(s.rounds));
-    obj.insert("stable".to_owned(), Value::U64(s.stable));
-    obj.insert("flipped".to_owned(), Value::U64(s.flipped));
-    obj.insert("to_nr".to_owned(), Value::U64(s.to_nr));
-    obj.insert("from_nr".to_owned(), Value::U64(s.from_nr));
-    obj.insert("max_flipped".to_owned(), Value::U64(s.max_flipped));
-    obj.insert(
-        "max_flip_rate_permille".to_owned(),
-        Value::U64(s.max_flip_rate_permille),
-    );
-    obj.insert(
-        "max_coverage_drop_permille".to_owned(),
-        Value::U64(s.max_coverage_drop_permille),
-    );
-    obj.insert(
-        "max_share_delta_permille".to_owned(),
-        Value::U64(s.max_share_delta_permille),
-    );
-    obj.insert("flips_by_as".to_owned(), u64_map_value(&s.flips_by_as));
-    Value::Object(obj)
-}
-
-/// Renders diffs + summary as the canonical `vp-monitor-drift/v1`
-/// document. A [`DriftTracker`] passes its newest
-/// [`TAIL`](crate::stream::TAIL) diffs, so `rounds` lists at most that
-/// many while `summary` covers every transition ingested.
+/// Renders the canonical `vp-monitor-drift/v1` document: `schema`,
+/// `source`, the diffs as `rounds` and `summary`, each diff and the
+/// summary in its derived `Serialize` form. A [`DriftTracker`] passes its
+/// newest [`TAIL`](crate::stream::TAIL) diffs, so `rounds` lists at most
+/// that many while `summary` covers every transition ingested.
 pub fn build_drift_doc<'a>(
     source: &str,
     diffs: impl IntoIterator<Item = &'a RoundDiff>,
     summary: &DriftSummary,
 ) -> Value {
-    let mut doc = BTreeMap::new();
-    doc.insert(
-        "schema".to_owned(),
-        Value::Str("vp-monitor-drift/v1".to_owned()),
-    );
-    doc.insert("source".to_owned(), Value::Str(source.to_owned()));
-    doc.insert(
-        "rounds".to_owned(),
-        Value::Array(diffs.into_iter().map(diff_value).collect()),
-    );
-    doc.insert("summary".to_owned(), summary_value(summary));
-    Value::Object(doc)
+    json!({
+        "schema": "vp-monitor-drift/v1",
+        "source": source,
+        "rounds": diffs.into_iter().collect::<Vec<_>>(),
+        "summary": summary,
+    })
 }
 
 /// Runs the whole monitoring pipeline over a time-ordered round sequence:

@@ -12,6 +12,7 @@ use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use serde::Serialize;
 use serde_json::Value;
 use vp_obs::{FlightDoc, FlightSpan, FlightTimeline};
 
@@ -91,8 +92,9 @@ fn parse_timeline(value: &Value, ctx: &str) -> Result<FlightTimeline, String> {
     Ok(FlightTimeline::from_spans(spans, dropped))
 }
 
-/// Aggregated self/total time for one phase of one channel.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Aggregated self/total time for one phase of one channel; an entry of
+/// the daemon status profile digest's `phases`.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct PhaseRow {
     pub phase: String,
     pub count: u64,

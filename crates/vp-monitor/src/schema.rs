@@ -1,13 +1,10 @@
 //! Schema snapshots and the mini JSON-schema validator.
 //!
-//! The validator started life in `vp_experiments::obs` guarding the
-//! `vp-obs-report/v1` snapshot; it lives here now because the monitor
-//! validates every tagged document family — obs reports, flight and
-//! daemon status documents plus its own drift and alert documents — and
-//! `vp-experiments` re-exports it for its schema test. The checked-in
-//! `schema/*.schema.json` snapshots are embedded at compile time, so
-//! `vp-monitor validate` needs no file lookup at run time and every
-//! consumer pins the same bytes.
+//! The monitor validates every tagged document family — obs reports,
+//! flight and daemon status documents plus its own drift and alert
+//! documents. The checked-in `schema/*.schema.json` snapshots are
+//! embedded at compile time, so `vp-monitor validate` needs no file
+//! lookup at run time and every consumer pins the same bytes.
 //!
 //! Supported JSON-Schema subset: `type` (a name or an array of names),
 //! `required`, `properties`, `additionalProperties` (a schema, or
@@ -163,7 +160,86 @@ fn check(value: &Value, schema: &Value, path: &str, errors: &mut Vec<String>) {
 mod tests {
     use super::*;
     use crate::alert::{build_alert_doc, AlertConfig};
+    use crate::diff::{diff_rounds, DriftSummary, Origins};
     use crate::pipeline::build_drift_doc;
+    use verfploeter::catchment::CatchmentMap;
+    use vp_bgp::SiteId;
+    use vp_net::{Asn, Block24};
+
+    const ALERT_DOC: &str = r#"{
+  "alerts": [
+    {
+      "cleared_round": 5,
+      "fired_round": 2,
+      "peak_round": 3,
+      "peak_value": 30,
+      "rule": "flip-rate",
+      "threshold": 5
+    },
+    {
+      "cleared_round": null,
+      "fired_round": 7,
+      "peak_round": 7,
+      "peak_value": 80,
+      "rule": "load-skew",
+      "threshold": 50
+    }
+  ],
+  "config": {
+    "clear_rounds": 2,
+    "coverage_drop_permille": 100,
+    "duration_baseline_rounds": 4,
+    "duration_blowup_permille": 1500,
+    "flip_rate_permille": 5,
+    "share_delta_permille": 50,
+    "trigger_rounds": 2
+  },
+  "rounds": 9,
+  "schema": "vp-monitor-alert/v1",
+  "source": "t"
+}"#;
+    const DRIFT_DOC: &str = r#"{
+  "rounds": [
+    {
+      "coverage_delta_permille": -250,
+      "cur": "r1",
+      "cur_blocks": 3,
+      "flip_rate_permille": 666,
+      "flipped": 2,
+      "flips_by_as": {
+        "64500": 1,
+        "64501": 1
+      },
+      "from_nr": 0,
+      "max_share_delta_permille": 500,
+      "prev": "r0",
+      "prev_blocks": 4,
+      "round": 1,
+      "site_shares_permille": {
+        "1": 1000
+      },
+      "stable": 1,
+      "to_nr": 1
+    }
+  ],
+  "schema": "vp-monitor-drift/v1",
+  "source": "t",
+  "summary": {
+    "flipped": 2,
+    "flips_by_as": {
+      "64500": 1,
+      "64501": 1
+    },
+    "from_nr": 0,
+    "max_coverage_drop_permille": 250,
+    "max_flip_rate_permille": 666,
+    "max_flipped": 2,
+    "max_share_delta_permille": 500,
+    "rounds": 1,
+    "stable": 1,
+    "to_nr": 1
+  }
+}"#;
 
     #[test]
     fn embedded_schemas_parse() {
@@ -240,9 +316,23 @@ mod tests {
         ];
         let doc = build_alert_doc("t", 9, &AlertConfig::default(), &alerts);
         assert_eq!(validate_tagged(&doc), Vec::<String>::new());
+        // Text, not `Value`s: the same integer may be held as `U64` or `I64`.
+        assert_eq!(serde_json::to_string_pretty(&doc).ok().as_deref(), Some(ALERT_DOC));
 
         let drift = build_drift_doc("t", &[], &crate::diff::DriftSummary::default());
         assert_eq!(validate_tagged(&drift), Vec::<String>::new());
+
+        // One diff whose coverage shrank and whose flips have an origin AS.
+        let map = |name: &str, pairs: &[(u32, u8)]| {
+            CatchmentMap::from_pairs(name, pairs.iter().map(|&(b, s)| (Block24(b), SiteId(s))))
+        };
+        let origins: Origins = [(Block24(1), Asn(64500)), (Block24(2), Asn(64501))].into();
+        let prev = map("r0", &[(1, 0), (2, 0), (3, 1), (4, 1)]);
+        let cur = map("r1", &[(1, 1), (2, 1), (3, 1)]);
+        let d = diff_rounds(&prev, &cur, 1, Some(&origins));
+        let drift = build_drift_doc("t", [&d], &DriftSummary::from_diff(&d));
+        assert_eq!(validate_tagged(&drift), Vec::<String>::new());
+        assert_eq!(serde_json::to_string_pretty(&drift).ok().as_deref(), Some(DRIFT_DOC));
 
         let untagged: Value = serde_json::from_str("{}").unwrap();
         assert!(!validate_tagged(&untagged).is_empty());

@@ -29,13 +29,13 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Deref;
 
-use serde_json::Value;
+use serde_json::{json, Value};
 use verfploeter::catchment::CatchmentMap;
 use vp_obs::{Registry, RollingWindow};
 
-use crate::alert::{alert_value, build_alert_doc, Alert, AlertConfig, Evaluator};
+use crate::alert::{build_alert_doc, Alert, AlertConfig, Evaluator};
 use crate::diff::{diff_rounds, DriftSummary, Origins, RoundDiff};
-use crate::pipeline::{build_drift_doc, diff_value, summary_value};
+use crate::pipeline::build_drift_doc;
 use crate::profile::ChannelProfile;
 
 /// Entries each history of the monitor keeps — diffs, transition lines,
@@ -233,11 +233,11 @@ impl DriftTracker {
     }
 
     /// The canonical `vp-monitor-alert/v1` document: what
-    /// [`DriftTracker::alerts_snapshot`] lists.
+    /// [`DriftTracker::alerts_snapshot`] lists, over the summary's rounds.
     pub fn alert_doc(&self, source: &str) -> Value {
         build_alert_doc(
             source,
-            self.evaluator.rounds_seen(),
+            self.summary.rounds,
             self.evaluator.config(),
             &self.alerts_snapshot(),
         )
@@ -260,66 +260,26 @@ pub struct DaemonMeta {
     pub rounds_total: u64,
 }
 
+/// One rolling window's digest in the status document.
 fn window_value(w: &RollingWindow) -> Value {
-    let mut obj = BTreeMap::new();
-    obj.insert("width".to_owned(), Value::U64(w.width() as u64));
-    obj.insert("len".to_owned(), Value::U64(w.len() as u64));
-    obj.insert(
-        "last".to_owned(),
-        match w.last() {
-            Some((_, v)) => Value::U64(v),
-            None => Value::Null,
-        },
-    );
-    obj.insert("min".to_owned(), Value::U64(w.min_value()));
-    obj.insert("max".to_owned(), Value::U64(w.max_value()));
-    obj.insert("mean".to_owned(), Value::U64(w.mean()));
-    Value::Object(obj)
+    json!({
+        "width": w.width(),
+        "len": w.len(),
+        "last": w.last().map(|(_, v)| v),
+        "min": w.min_value(),
+        "max": w.max_value(),
+        "mean": w.mean(),
+    })
 }
 
-fn profile_value(p: &ChannelProfile) -> Value {
-    let mut obj = BTreeMap::new();
-    obj.insert("spans".to_owned(), Value::U64(p.spans as u64));
-    obj.insert("dropped".to_owned(), Value::U64(p.dropped));
-    obj.insert("root_ns".to_owned(), Value::U64(p.root_ns));
-    obj.insert(
-        "imbalance_permille".to_owned(),
-        match p.imbalance_permille {
-            Some(v) => Value::U64(v),
-            None => Value::Null,
-        },
-    );
-    obj.insert(
-        "critical_path_ns".to_owned(),
-        match p.critical_path_ns {
-            Some(v) => Value::U64(v),
-            None => Value::Null,
-        },
-    );
-    obj.insert(
-        "phases".to_owned(),
-        Value::Array(
-            p.phases
-                .iter()
-                .map(|row| {
-                    let mut r = BTreeMap::new();
-                    r.insert("phase".to_owned(), Value::Str(row.phase.clone()));
-                    r.insert("count".to_owned(), Value::U64(row.count));
-                    r.insert("total_ns".to_owned(), Value::U64(row.total_ns));
-                    r.insert("self_ns".to_owned(), Value::U64(row.self_ns));
-                    Value::Object(r)
-                })
-                .collect(),
-        ),
-    );
-    Value::Object(obj)
-}
-
-/// Renders the canonical `vp-daemon-status/v1` document: run config,
-/// ingest progress, the current round's diff, the rolling signal windows,
-/// the cumulative drift summary, the live alert log (the newest [`TAIL`]
-/// cleared alerts and the active ones), and (when the scan
-/// ran with the flight recorder on) the last round's sim-channel profile
+/// Renders the canonical `vp-daemon-status/v1` document: run config
+/// (`source`, `scale`, `shards`, `interval_ns`, `rounds_total`), ingest
+/// progress (`rounds_ingested`), the current round's diff (`current`,
+/// `null` before the second round), a digest of each rolling signal window
+/// (`windows`), the cumulative drift `summary`, the live alert log
+/// (`alerts`: the `active` count and the `log` of the newest [`TAIL`]
+/// cleared alerts and the active ones), and (`profile`, when the scan ran
+/// with the flight recorder on) the last round's sim-channel profile
 /// digest. Keys are `BTreeMap`-sorted and all values integers, strings or
 /// nulls, so equal states serialize byte-identically.
 pub fn build_status_doc(
@@ -327,60 +287,33 @@ pub fn build_status_doc(
     tracker: &DriftTracker,
     profile: Option<&ChannelProfile>,
 ) -> Value {
-    let mut doc = BTreeMap::new();
-    doc.insert(
-        "schema".to_owned(),
-        Value::Str("vp-daemon-status/v1".to_owned()),
-    );
-    doc.insert("source".to_owned(), Value::Str(meta.source.clone()));
-    doc.insert("scale".to_owned(), Value::Str(meta.scale.clone()));
-    doc.insert("shards".to_owned(), Value::U64(meta.shards));
-    doc.insert("interval_ns".to_owned(), Value::U64(meta.interval_ns));
-    doc.insert("rounds_total".to_owned(), Value::U64(meta.rounds_total));
-    doc.insert(
-        "rounds_ingested".to_owned(),
-        Value::U64(tracker.rounds_ingested()),
-    );
-    doc.insert(
-        "current".to_owned(),
-        match tracker.last_diff() {
-            Some(d) => diff_value(d),
-            None => Value::Null,
-        },
-    );
-    let mut windows = BTreeMap::new();
-    windows.insert(
-        "flip_rate_permille".to_owned(),
-        window_value(tracker.flip_window()),
-    );
-    windows.insert(
-        "share_skew_permille".to_owned(),
-        window_value(tracker.skew_window()),
-    );
-    windows.insert(
-        "coverage_blocks".to_owned(),
-        window_value(tracker.coverage_window()),
-    );
-    doc.insert("windows".to_owned(), Value::Object(windows));
-    doc.insert("summary".to_owned(), summary_value(tracker.summary()));
-
     let alerts = tracker.alerts_snapshot();
     let active = alerts.iter().filter(|a| a.cleared_round.is_none()).count();
-    let mut alerts_obj = BTreeMap::new();
-    alerts_obj.insert("active".to_owned(), Value::U64(active as u64));
-    alerts_obj.insert(
-        "log".to_owned(),
-        Value::Array(alerts.iter().map(alert_value).collect()),
-    );
-    doc.insert("alerts".to_owned(), Value::Object(alerts_obj));
-    doc.insert(
-        "profile".to_owned(),
-        match profile {
-            Some(p) => profile_value(p),
-            None => Value::Null,
+    json!({
+        "schema": "vp-daemon-status/v1",
+        "source": meta.source,
+        "scale": meta.scale,
+        "shards": meta.shards,
+        "interval_ns": meta.interval_ns,
+        "rounds_total": meta.rounds_total,
+        "rounds_ingested": tracker.rounds_ingested(),
+        "current": tracker.last_diff(),
+        "windows": {
+            "flip_rate_permille": window_value(tracker.flip_window()),
+            "share_skew_permille": window_value(tracker.skew_window()),
+            "coverage_blocks": window_value(tracker.coverage_window()),
         },
-    );
-    Value::Object(doc)
+        "summary": tracker.summary(),
+        "alerts": { "active": active, "log": alerts },
+        "profile": profile.map(|p| json!({
+            "spans": p.spans,
+            "dropped": p.dropped,
+            "root_ns": p.root_ns,
+            "imbalance_permille": p.imbalance_permille,
+            "critical_path_ns": p.critical_path_ns,
+            "phases": p.phases,
+        })),
+    })
 }
 
 /// The four alert rules, in the order the scrape publishes their

@@ -282,3 +282,25 @@ fn diffs_are_numbered_from_the_directorys_first_round() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `--until-rounds` is a count of rounds: zero would stop `watch` before
+/// its first round, so it is refused by name rather than read as an empty
+/// directory.
+#[test]
+fn watch_refuses_zero_until_rounds() {
+    let dir = scratch("until-zero");
+    for round in 0..12u32 {
+        let doc = round_doc(&format!("r{round}"), &[(1, 0), (2, 1)]);
+        std::fs::write(dir.join(format!("r{round:03}.json")), doc).expect("write round");
+    }
+    for args in [&["watch", "--until-rounds", "0"][..], &["watch", "--follow", "--until-rounds", "0"]] {
+        let (ok, stdout, stderr) = monitor(args, &dir);
+        assert!(!ok, "{args:?} accepted a zero count: {stdout}");
+        assert!(stderr.contains("--until-rounds \"0\""), "{args:?}: {stderr}");
+        assert!(!stderr.contains("no r*.json"), "{args:?}: {stderr}");
+    }
+    let (ok, stdout, stderr) = monitor(&["watch", "--until-rounds", "3"], &dir);
+    assert!(ok, "{stderr}");
+    assert_eq!(stdout.lines().filter(|l| l.starts_with("round ")).count(), 2, "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
