@@ -766,7 +766,7 @@ pub fn run_scan_sharded_on(
 mod tests {
     use super::*;
     use vp_hitlist::HitlistConfig;
-    use vp_sim::{Scenario, StaticOracle};
+    use vp_sim::{FlippingOracle, Scenario, StaticOracle};
     use vp_topology::TopologyConfig;
 
     fn setup() -> (Scenario, Hitlist) {
@@ -791,40 +791,72 @@ mod tests {
         Scenario::broot(config, 7)
     }
 
-    /// The independent anchor for every K: a fault-free round recovers the
-    /// routing table's catchment on every responsive block, whatever the
-    /// shard count and wherever the engines run. (The K-matrix alone only
-    /// shows the round function agrees with itself.)
-    #[test]
-    fn clean_channel_maps_every_responsive_block_correctly() {
-        let (s, hl) = setup();
-        let table = s.routing();
+    /// A fault-free round from `start` under `oracle`, at K ∈ {1, 7},
+    /// inline and threaded, maps every responsive block to the site its
+    /// PoP reaches in the round's epoch.
+    fn assert_clean_round_follows_routes<O: CatchmentOracle + Clone + 'static>(
+        s: &Scenario,
+        hl: &Hitlist,
+        oracle: &O,
+        start: SimTime,
+    ) {
+        let epoch = oracle.epoch(start);
         let responsive = s.world.responsive_blocks().count();
         for shards in [1, 7] {
             for exec in [ShardExecutor::serial(), ShardExecutor::new(shards)] {
                 let result = run_scan_sharded_on(
                     &exec,
                     &s.world,
-                    &hl,
+                    hl,
                     &s.announcement,
-                    &|| Box::new(StaticOracle::new(table.clone())),
+                    &|| Box::new(oracle.clone()),
                     FaultConfig::none(),
-                    SimTime::ZERO,
+                    start,
                     &ScanConfig::default(),
                     1,
                     shards,
                 );
-                let label = format!("K={shards} on {} worker(s)", exec.workers());
+                let label = format!("K={shards} on {} worker(s), epoch {epoch}", exec.workers());
                 assert_eq!(result.catchments.len(), responsive, "{label}");
                 assert_eq!(result.probes_sent, hl.len() as u64, "{label}");
                 assert!(result.cleaning.is_consistent(), "{label}");
-                // Ground truth: every mapped block matches the routing table.
+                // Ground truth: every mapped block matches the routes.
                 for (block, site) in result.catchments.iter() {
                     let info = s.world.block(block).unwrap();
-                    assert_eq!(Some(site), table.site_of_pop(info.pop), "{label}: block {block}");
+                    assert_eq!(Some(site), oracle.site_of_pop(info.pop, epoch), "{label}: block {block}");
                 }
             }
         }
+    }
+
+    /// The independent anchor for every K: a fault-free round recovers the
+    /// routing table's catchment on every responsive block, whatever the
+    /// shard count and wherever the engines run — and, under a flipping
+    /// oracle, the catchment of the epoch the round runs in. (The K-matrix
+    /// alone only shows the round function agrees with itself.)
+    #[test]
+    fn clean_channel_maps_every_responsive_block_correctly() {
+        let (s, hl) = setup();
+        let table = s.routing();
+        assert_clean_round_follows_routes(&s, &hl, &StaticOracle::new(table.clone()), SimTime::ZERO);
+
+        // Every PoP of an AS with a choice of sites redraws it each
+        // interval; the round starts a minute into the third.
+        let interval = SimDuration::from_mins(15);
+        let mut model = vp_bgp::FlipModel::stable(5);
+        for (asn, route) in table.per_as.iter().enumerate() {
+            if route.as_ref().is_some_and(|r| r.candidate_sites().len() > 1) {
+                model = model.with_prone_as(vp_net::Asn(conv::sat_u32(asn as u64)), 1.0);
+            }
+        }
+        let flipping = FlippingOracle::new(table, s.world.graph.clone(), model, interval);
+        let start = SimTime::ZERO + interval + interval + SimDuration::from_mins(1);
+        let epoch = flipping.epoch(start);
+        let moved = (s.world.responsive_blocks())
+            .filter(|b| flipping.site_of_pop(b.pop, epoch) != flipping.site_of_pop(b.pop, 0))
+            .count();
+        assert!(moved > 0, "no responsive block changes site by epoch {epoch}");
+        assert_clean_round_follows_routes(&s, &hl, &flipping, start);
     }
 
     /// A hitlist that is not the world's block table — every third entry,

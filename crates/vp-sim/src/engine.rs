@@ -8,24 +8,14 @@ use vp_net::{mix, unit, Block24, Ipv4Addr, SimTime};
 use vp_packet::{DnsMessage, IcmpMessage, Ipv4Packet, Protocol, UdpDatagram};
 use vp_topology::{Internet, PopId};
 
+use crate::draws::{
+    event_key, fnv_step, packet_key, payload_fnv, FNV_OFFSET, TAG_ALIAS, TAG_ALIAS_OCTET, TAG_CHURN, TAG_DUPLICATE,
+    TAG_DUPLICATE_COUNT, TAG_JITTER, TAG_LATE, TAG_LOSS, TAG_UNSOLICITED, TAG_UNSOLICITED_PICK,
+};
 use crate::faults::FaultConfig;
 use crate::latency::LatencyModel;
 use crate::oracle::CatchmentOracle;
 use crate::sink::CaptureSink;
-
-// Domain-separation tags for keyed stochastic draws. Every fault decision
-// hashes (round seed ^ tag, event key) so outcomes are pure functions of
-// packet identity — independent of the order events are processed in, and
-// therefore identical whether one engine or K sharded engines run the scan.
-const TAG_LOSS: u64 = 0x1055_0001;
-const TAG_UNSOLICITED: u64 = 0xbac0_0002;
-const TAG_UNSOLICITED_PICK: u64 = 0xbac0_0003;
-const TAG_JITTER: u64 = 0x1177_0004;
-const TAG_ALIAS: u64 = 0xa11a_0005;
-const TAG_ALIAS_OCTET: u64 = 0xa11a_0006;
-const TAG_LATE: u64 = 0x1a7e_0007;
-const TAG_DUPLICATE: u64 = 0xd0b1_0008;
-const TAG_DUPLICATE_COUNT: u64 = 0xd0b1_0009;
 
 /// An arrival waiting for the sink: captured at `site` of the service, or,
 /// with `site` `None`, handed to an ordinary host's application.
@@ -314,11 +304,11 @@ impl Arrivals {
 ///
 /// A run is one call of [`NetworkSim::run_with`]: a time-sorted probe
 /// source in, every arrival the engine does not consume out to a
-/// [`CaptureSink`], counters in [`NetworkSim::stats`]. Packets injected
-/// with [`NetworkSim::send_at`] before it belong to that run. There is no
-/// event queue: every arrival is resolved as its packet is transmitted
+/// [`CaptureSink`], counters in [`NetworkSim::stats`]. There is no event
+/// queue: every arrival is resolved as its packet is transmitted
 /// (DESIGN.md §7). Every stochastic outcome is a keyed hash of the seed
-/// and the packet; the engine holds no random generator.
+/// and the packet ([`crate::draws`]); the engine holds no random
+/// generator.
 pub struct NetworkSim<'w> {
     world: &'w Internet,
     service: Service<'w>,
@@ -327,14 +317,13 @@ pub struct NetworkSim<'w> {
     /// `latency.max_delay()`, computed once.
     max_delay: vp_net::SimDuration,
     seed: u64,
-    /// Arrivals since the last run ended, eager `send_at`s included.
+    /// Arrivals of the current run.
     arrivals: Arrivals,
     /// Counted arrivals at silent hosts whose instants the span may still
     /// need (see `transmit`), oldest first, and the most ever held.
     parked: VecDeque<Parked>,
     parked_high_water: usize,
-    /// Arrivals not yet handed to a sink: those of one injected probe
-    /// under [`NetworkSim::run_with`], of every eager `send_at` otherwise.
+    /// Arrivals of the probe just injected, not yet handed to the sink.
     pending: Vec<Handoff>,
     now: SimTime,
     stats: SimStats,
@@ -416,23 +405,15 @@ impl<'w> NetworkSim<'w> {
         self.now
     }
 
-    /// Injects a packet at simulated time `at`, ahead of the next
-    /// [`NetworkSim::run_with`], which hands its arrivals over first.
-    ///
-    /// The packet is routed by destination: into a service prefix (anycast,
-    /// resolved through the sender's catchment), to a populated block's
-    /// representative host, or dropped as undeliverable.
-    pub fn send_at(&mut self, at: SimTime, packet: Ipv4Packet) {
-        let (from, to) = (self.resolve(packet.src, None), self.resolve(packet.dst, None));
-        let fnv = payload_fnv(&packet.payload);
-        self.inject(at, packet, from, to, fnv, None);
-    }
-
-    /// The one place packets enter the engine, a staged probe and an eager
-    /// `send_at` alike. `from` and `to` are the packet's resolved ends —
-    /// every packet the engine generates in response inherits its ends
-    /// from the packet it answers — `fnv` its [`payload_fnv`],
-    /// `reply` its echo reply image with that image's.
+    /// The one place packets enter the engine: a staged probe, routed by
+    /// destination — into the service prefix (anycast, resolved through
+    /// the sender's catchment), to a populated block's representative
+    /// host, or nowhere (undeliverable). `from` and `to` are its resolved
+    /// ends — every packet the engine generates in response inherits its
+    /// ends from the packet it answers — `fnv` its [`payload_fnv`],
+    /// `reply` its echo reply image with that image's. (Handed over field
+    /// by field: passing the whole `Staged` measured ~10 % more time per
+    /// probe on the 15k-block scan benchmark, on a 2-core x86-64 host.)
     fn inject(
         &mut self,
         at: SimTime,
@@ -572,7 +553,7 @@ impl<'w> NetworkSim<'w> {
         // Identity of this transmission: packet content + send time + copy.
         // All stochastic outcomes below hash this, never a shared stream.
         let pk = packet_key(&packet, fnv);
-        let ek = mix(pk, at.as_nanos() ^ ((copy as u64) << 48));
+        let ek = event_key(pk, at, copy);
         if self.faults.loss > 0.0 && unit(mix(self.seed ^ TAG_LOSS, ek)) < self.faults.loss {
             self.stats.lost += 1;
             return;
@@ -614,7 +595,7 @@ impl<'w> NetworkSim<'w> {
                     // Identity of this reception: the probe's content plus
                     // its (deterministic) arrival time keys every fault
                     // decision.
-                    self.answer_echo(row, arrives, mix(pk, arrives.as_nanos()), &packet, from, reply);
+                    self.answer_echo(row, arrives, event_key(pk, arrives, 0), &packet, from, reply);
                     return;
                 }
                 self.stats.delivered_to_hosts += 1;
@@ -705,7 +686,7 @@ impl<'w> NetworkSim<'w> {
             return true;
         }
         let epoch = at.as_nanos() / self.faults.churn_round.as_nanos();
-        let h = mix(self.seed ^ 0xc4u64, (block.0 as u64) << 24 | epoch);
+        let h = mix(self.seed ^ TAG_CHURN, (block.0 as u64) << 24 | epoch);
         unit(h) >= self.faults.churn_down_prob
     }
 
@@ -741,8 +722,7 @@ impl<'w> NetworkSim<'w> {
     /// run. Every arrival resolves as its packet is transmitted (see
     /// `transmit`), so each probe is done with, replies and captures
     /// included, once it is injected: its site captures and host
-    /// hand-offs, and before the first probe those of any eager `send_at`,
-    /// go to `sink` right after.
+    /// hand-offs go to `sink` right after.
     ///
     /// The source is consumed a **stage** at a time: up to `STAGE` (128)
     /// probes are pulled and prepared together (`fill_stage`: world rows
@@ -761,7 +741,6 @@ impl<'w> NetworkSim<'w> {
         P: IntoIterator<Item = TimedProbe>,
         C: CaptureSink,
     {
-        self.drain_pending(sink);
         let mut source = probes.into_iter();
         let mut stage = Vec::with_capacity(STAGE);
         let mut more = true;
@@ -859,8 +838,9 @@ impl<'w> NetworkSim<'w> {
     /// Echo responder behaviour of `host`'s host for `request` — an Echo
     /// Request, whose sender's end is `to` — arriving at `at`, called by
     /// `transmit` as the request is sent. `hk` is the reception's identity
-    /// hash; `reply`, if the request came with one, is the reply's payload
-    /// and that payload's [`payload_fnv`].
+    /// hash; `reply` is the probe's reply image and that image's
+    /// [`payload_fnv`]. Only an injected probe can be an Echo Request, so
+    /// it always carries one.
     fn answer_echo(
         &mut self,
         host: Row,
@@ -876,22 +856,16 @@ impl<'w> NetworkSim<'w> {
         if !self.up(host.responsive, host.block, at) {
             return;
         }
-        // Answer with the probe's precomputed reply image when it carries
-        // one — a refcounted view, no per-reply parse, serialization or
-        // allocation. The image is pinned byte-identical to the emit
-        // chain it replaces, here and in the packet-layer equivalence
-        // tests.
-        let emitted = || {
-            let reply = IcmpMessage::parse(&request.payload).ok()?.reply()?.emit();
-            let fnv = payload_fnv(&reply);
-            Some((reply, fnv))
-        };
-        let Some((payload, fnv)) = reply.or_else(emitted) else {
+        // Answer with the probe's precomputed reply image — a refcounted
+        // view, no per-reply parse, serialization or allocation. The image
+        // is pinned byte-identical to the emit chain it replaces, here and
+        // in the packet-layer equivalence tests.
+        let Some((payload, fnv)) = reply else {
             return;
         };
         debug_assert_eq!(
             Some(&payload),
-            emitted().map(|(reply, _)| reply).as_ref(),
+            IcmpMessage::parse(&request.payload).ok().and_then(|m| m.reply()).map(|r| r.emit()).as_ref(),
             "precomputed reply image diverges from the responder's emit"
         );
         let rep = host.representative();
@@ -953,18 +927,6 @@ impl<'w> NetworkSim<'w> {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-fn fnv_step(h: u64, byte: u8) -> u64 {
-    (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3)
-}
-
-/// FNV-1a over a packet's payload: the content half of [`packet_key`],
-/// and a chain of one multiply per byte that nothing can shorten.
-fn payload_fnv(payload: &[u8]) -> u64 {
-    payload.iter().fold(FNV_OFFSET, |h, &byte| fnv_step(h, byte))
-}
-
 /// Four [`payload_fnv`]s side by side: the chains are independent, so four
 /// finish in little more than the time of one. Lengths may differ — the
 /// lanes run in step over the shortest and finish on their own.
@@ -980,26 +942,6 @@ fn payload_fnv4(payloads: [&[u8]; 4]) -> [u64; 4] {
         *h = payload.iter().skip(common).fold(*h, |h, &byte| fnv_step(h, byte));
     }
     h
-}
-
-/// Stable identity hash of a packet's full content (addresses, protocol,
-/// header fields, payload bytes): `fnv`, the payload's [`payload_fnv`] —
-/// passed in because a staged probe's was computed four at a time —
-/// finished with the header. Fault and jitter draws key on this — mixed
-/// with the round seed, send time and a copy index — so that every
-/// stochastic outcome is a pure function of *what* is transmitted, never
-/// of how many draws some shared generator has already served. This is
-/// the property that makes a K-way sharded scan bit-identical to the
-/// serial one (see DESIGN.md, "Parallel scan & determinism").
-fn packet_key(packet: &Ipv4Packet, fnv: u64) -> u64 {
-    debug_assert_eq!(fnv, payload_fnv(&packet.payload), "a staged payload hash diverges from the scalar one");
-    let mut h = fnv;
-    h ^= (packet.src.0 as u64) << 32 | packet.dst.0 as u64;
-    h = h.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    h ^= (packet.protocol.number() as u64) << 24
-        | (packet.ttl as u64) << 16
-        | packet.ident as u64;
-    mix(0x9ac4_e700_0000_0000, h)
 }
 
 #[cfg(test)]
@@ -1050,11 +992,12 @@ mod tests {
 
         // Probe every responsive block once.
         let mut expected = Vec::new();
+        let mut probes = Vec::new();
         for (i, b) in w.responsive_blocks().enumerate() {
-            sim.send_at(SimTime::ZERO, probe(meas, b.representative(), 7, i as u16));
+            probes.push(timed_probe(SimTime::ZERO, probe(meas, b.representative(), 7, i as u16)));
             expected.push((b.representative(), table.site_of_pop(b.pop).unwrap()));
         }
-        let caps = Recorder::run(&mut sim).captures;
+        let caps = Recorder::run(&mut sim, probes).captures;
         assert_eq!(caps.len(), expected.len(), "one reply per responsive block");
         for (site, _, _, packet) in caps {
             let (_, want_site) = expected
@@ -1071,10 +1014,9 @@ mod tests {
     fn unresponsive_blocks_stay_silent() {
         let w = world();
         let (mut sim, meas) = engine(&w, FaultConfig::none(), 1);
-        for b in w.blocks.iter().filter(|b| !b.responsive).take(50) {
-            sim.send_at(SimTime::ZERO, probe(meas, b.representative(), 1, 0));
-        }
-        assert!(Recorder::run(&mut sim).captures.is_empty());
+        let silent = w.blocks.iter().filter(|b| !b.responsive).take(50);
+        let probes = silent.map(|b| timed_probe(SimTime::ZERO, probe(meas, b.representative(), 1, 0)));
+        assert!(Recorder::run(&mut sim, probes).captures.is_empty());
         assert_eq!(sim.stats().replies, 0);
     }
 
@@ -1097,8 +1039,7 @@ mod tests {
             Protocol::Udp,
             udp.emit(vp.representative(), anycast),
         );
-        sim.send_at(SimTime::ZERO, pkt);
-        let seen = Recorder::run(&mut sim);
+        let seen = Recorder::run(&mut sim, [timed_probe(SimTime::ZERO, pkt)]);
 
         // The query was captured at the VP's catchment site...
         assert_eq!(seen.captures.len(), 1);
@@ -1122,10 +1063,10 @@ mod tests {
         let anycast = ann.measurement_addr();
         let mut sim = NetworkSim::new(&w, FaultConfig::none(), 3, ann, Box::new(oracle), true);
         let vp = w.responsive_blocks().next().unwrap();
-        sim.send_at(SimTime::ZERO, probe(vp.representative(), anycast, 5, 6));
+        let ping = timed_probe(SimTime::ZERO, probe(vp.representative(), anycast, 5, 6));
         // The VP's *request* is answered by the site, and the Echo Reply
         // is handed to the VP's application.
-        let d = Recorder::run(&mut sim).delivered;
+        let d = Recorder::run(&mut sim, [ping]).delivered;
         assert_eq!(d.len(), 1);
         let msg = IcmpMessage::parse(&d[0].1.payload).unwrap();
         assert_eq!(msg.ident(), Some(5));
@@ -1140,10 +1081,9 @@ mod tests {
             ..FaultConfig::none()
         };
         let (mut sim, meas) = engine(&w, faults, 4);
-        for b in w.responsive_blocks().take(20) {
-            sim.send_at(SimTime::ZERO, probe(meas, b.representative(), 1, 0));
-        }
-        assert!(Recorder::run(&mut sim).captures.is_empty());
+        let probes = w.responsive_blocks().take(20);
+        let probes = probes.map(|b| timed_probe(SimTime::ZERO, probe(meas, b.representative(), 1, 0)));
+        assert!(Recorder::run(&mut sim, probes).captures.is_empty());
         assert_eq!(sim.stats().lost, 20);
     }
 
@@ -1158,10 +1098,8 @@ mod tests {
         };
         let (mut sim, meas) = engine(&w, faults, 5);
         let targets: Vec<_> = w.responsive_blocks().take(10).collect();
-        for b in &targets {
-            sim.send_at(SimTime::ZERO, probe(meas, b.representative(), 1, 0));
-        }
-        let caps = Recorder::run(&mut sim).captures;
+        let probes = targets.iter().map(|b| timed_probe(SimTime::ZERO, probe(meas, b.representative(), 1, 0)));
+        let caps = Recorder::run(&mut sim, probes).captures;
         assert!(caps.len() > targets.len(), "no duplicates captured");
         assert_eq!(sim.stats().aliases, 10);
         // All replies come from alias addresses, none from representatives.
@@ -1181,8 +1119,7 @@ mod tests {
         };
         let (mut sim, meas) = engine(&w, faults, 6);
         let b = w.responsive_blocks().next().unwrap();
-        sim.send_at(SimTime::ZERO, probe(meas, b.representative(), 1, 0));
-        let caps = Recorder::run(&mut sim).captures;
+        let caps = Recorder::run(&mut sim, [timed_probe(SimTime::ZERO, probe(meas, b.representative(), 1, 0))]).captures;
         assert_eq!(caps.len(), 1);
         assert!(caps[0].1 >= SimTime::ZERO + SimDuration::from_mins(20));
     }
@@ -1288,11 +1225,11 @@ mod tests {
             ..FaultConfig::none()
         };
         let mut sim = NetworkSim::new(&w, faults, 8, ann, Box::new(&oracle), false);
-        for (i, b) in w.blocks.iter().enumerate() {
+        let probes = w.blocks.iter().enumerate().map(|(i, b)| {
             let at = SimTime::ZERO + INTERVAL + SimDuration::from_millis(i as u64);
-            sim.send_at(at, probe(meas, b.representative(), 2, i as u16));
-        }
-        let routed = Recorder::run(&mut sim).captures.len() as u64;
+            timed_probe(at, probe(meas, b.representative(), 2, i as u16))
+        });
+        let routed = Recorder::run(&mut sim, probes).captures.len() as u64;
         let answered = sim.stats().replies;
         assert!(routed > answered && answered == w.responsive_blocks().count() as u64);
         let calls = oracle.1.load(std::sync::atomic::Ordering::Relaxed) as u64;
@@ -1327,7 +1264,7 @@ mod tests {
         let unpopulated = Ipv4Addr::new(250, 250, 250, 250);
         let host = w.responsive_blocks().next().unwrap();
         let not_the_host = host.block.addr(host.rep_octet.wrapping_add(1).max(1));
-        for (src, dst) in [
+        let strays = [
             // Destination outside any populated block or service.
             (Ipv4Addr::new(1, 2, 3, 4), unpopulated),
             // Anycast-bound, but the sender has no block to take a
@@ -1335,10 +1272,9 @@ mod tests {
             (unpopulated, meas),
             // A populated block's non-representative address.
             (meas, not_the_host),
-        ] {
-            sim.send_at(SimTime::ZERO, probe(src, dst, 1, 1));
-        }
-        let seen = Recorder::run(&mut sim);
+        ];
+        let probes = strays.map(|(src, dst)| timed_probe(SimTime::ZERO, probe(src, dst, 1, 1)));
+        let seen = Recorder::run(&mut sim, probes);
         assert_eq!(sim.stats().undeliverable, 3);
         assert!(seen.captures.is_empty() && seen.delivered.is_empty());
     }
@@ -1357,8 +1293,7 @@ mod tests {
             ..FaultConfig::none()
         };
         let (mut sim, meas) = engine(&w, faults, 12);
-        sim.send_at(SimTime::ZERO, probe(meas, Ipv4Addr::new(1, 2, 3, 4), 1, 0));
-        Recorder::run(&mut sim);
+        Recorder::run(&mut sim, [timed_probe(SimTime::ZERO, probe(meas, Ipv4Addr::new(1, 2, 3, 4), 1, 0))]);
         assert_eq!(sim.stats().unsolicited, 0);
         assert_eq!(sim.stats().undeliverable, 1);
     }
@@ -1373,8 +1308,7 @@ mod tests {
         let (mut sim, meas) = engine(&w, faults, 9);
         // Probe an unresponsive block: the only capture can be unsolicited.
         let b = w.blocks.iter().find(|b| !b.responsive).unwrap();
-        sim.send_at(SimTime::ZERO, probe(meas, b.representative(), 1, 0));
-        let caps = Recorder::run(&mut sim).captures;
+        let caps = Recorder::run(&mut sim, [timed_probe(SimTime::ZERO, probe(meas, b.representative(), 1, 0))]).captures;
         assert_eq!(sim.stats().unsolicited, 1);
         // The unsolicited source is random; it may or may not route (its
         // block always exists), so at most one capture, usually one.
@@ -1401,32 +1335,38 @@ mod tests {
     }
 
     impl Recorder {
-        /// Closes a run of eager `send_at`s on `sim`: what it handed over.
-        fn run(sim: &mut NetworkSim) -> Recorder {
+        /// Runs `probes` on `sim`: what it handed over.
+        fn run(sim: &mut NetworkSim, probes: impl IntoIterator<Item = TimedProbe>) -> Recorder {
             let mut seen = Recorder::default();
-            sim.run_with(std::iter::empty(), &mut seen);
+            sim.run_with(probes, &mut seen);
             seen
         }
     }
 
+    /// `packet` sent at `at`, with no row hint: an Echo Request carries
+    /// its reply image, anything else none.
     fn timed_probe(at: SimTime, packet: Ipv4Packet) -> TimedProbe {
-        let request = IcmpMessage::parse(&packet.payload).unwrap();
-        let reply_image = request.reply().unwrap().emit();
+        let reply = IcmpMessage::parse(&packet.payload).ok().and_then(|m| m.reply());
         TimedProbe {
             at,
             packet,
-            reply_image,
+            reply_image: reply.map_or_else(Bytes::new, |r| r.emit()),
             row: u32::MAX,
         }
     }
 
-    /// Each capture reaches the sink once, in transmission order — an
-    /// eager `send_at`'s before the first probe's — and `(at, key)` puts
-    /// them in arrival order.
+    /// Each capture reaches the sink once, in transmission order — a
+    /// late reply's before that of a ping sent after its probe — and
+    /// `(at, key)` puts them in arrival order.
     #[test]
     fn captures_reach_the_sink_in_transmission_order() {
         let w = world();
-        let (mut sim, meas) = engine(&w, FaultConfig::none(), 11);
+        let faults = FaultConfig {
+            late_prob: 1.0,
+            late_delay: SimDuration::from_mins(20),
+            ..FaultConfig::none()
+        };
+        let (mut sim, meas) = engine(&w, faults, 11);
         let mut hosts = w.responsive_blocks();
         let (vp, early, late) = (
             hosts.next().unwrap().representative(),
@@ -1434,26 +1374,27 @@ mod tests {
             hosts.next().unwrap().representative(),
         );
 
-        // Sent before the run: a ping from a VP at t = 10 s, captured at
-        // 10 s plus one propagation delay.
+        // Every reply leaves 20 minutes late, but the VP's ping at
+        // t = 10 s is no reply: it is captured at 10 s plus one
+        // propagation delay, before the reply to the probe sent at 0.
         let ten_s = SimTime::ZERO + SimDuration::from_secs(10);
-        sim.send_at(ten_s, probe(vp, meas, 9, 9));
         let probes = vec![
             timed_probe(SimTime::ZERO, probe(meas, early, 1, 0)),
+            timed_probe(ten_s, probe(vp, meas, 9, 9)),
             timed_probe(ten_s + SimDuration::from_secs(10), probe(meas, late, 1, 1)),
         ];
-        let mut seen = Recorder::default();
-        sim.run_with(probes, &mut seen);
+        let seen = Recorder::run(&mut sim, probes);
 
         let sources: Vec<Ipv4Addr> = seen.captures.iter().map(|c| c.3.src).collect();
-        assert_eq!(sources, [vp, early, late], "not in transmission order: {:?}", seen.captures);
+        assert_eq!(sources, [early, vp, late], "not in transmission order: {:?}", seen.captures);
         let mut arrivals: Vec<_> = seen.captures.iter().map(|(_, at, key, packet)| (*at, *key, packet.src)).collect();
         arrivals.sort();
         let [(first, _, a), (second, _, b), (third, _, c)] = arrivals[..] else {
             panic!("three captures expected: {:?}", seen.captures);
         };
-        assert_eq!([a, b, c], [early, vp, late]);
-        assert!(first < ten_s && second >= ten_s && third > second);
+        assert_eq!([a, b, c], [vp, early, late]);
+        let twenty_min = SimTime::ZERO + SimDuration::from_mins(20);
+        assert!(ten_s <= first && first < twenty_min && twenty_min <= second && third > second);
         assert_eq!(sim.stats().injected, 3);
         assert_eq!(sim.now(), third, "the last capture is the last event");
         // The site does not serve, so no answer reached the VP.
@@ -1464,7 +1405,7 @@ mod tests {
     /// host: `transmit`'s own identity hash, jitter draw and delay, from
     /// the public [`LatencyModel`].
     fn arrival_at_host(sim: &NetworkSim, at: SimTime, packet: &Ipv4Packet, block: u32) -> SimTime {
-        let ek = mix(packet_key(packet, payload_fnv(&packet.payload)), at.as_nanos());
+        let ek = event_key(packet_key(packet, payload_fnv(&packet.payload)), at, 0);
         let from = sim.location(Some(Resolved::Service)).unwrap();
         let to = sim.location(sim.row(block).map(Resolved::Block)).unwrap();
         at + LatencyModel::default().delay(from, to, mix(sim.seed ^ TAG_JITTER, ek))
@@ -1472,7 +1413,7 @@ mod tests {
 
     /// Whether the loss fault eats `packet` sent at `at`: `transmit`'s draw.
     fn lost(sim: &NetworkSim, at: SimTime, packet: &Ipv4Packet) -> bool {
-        let ek = mix(packet_key(packet, payload_fnv(&packet.payload)), at.as_nanos());
+        let ek = event_key(packet_key(packet, payload_fnv(&packet.payload)), at, 0);
         sim.faults.loss > 0.0 && unit(mix(sim.seed ^ TAG_LOSS, ek)) < sim.faults.loss
     }
 
@@ -1708,9 +1649,8 @@ mod tests {
         assert_eq!(event.name, "engine.undeliverable");
         assert_eq!(event.detail, format!("dst {not_a_host}"));
 
-        for i in 0..EngineObs::EVENT_CAPACITY as u64 + 2 {
-            sim.send_at(secs(20 + i), probe(meas, not_a_host, 2, 0));
-        }
+        let strays = (0..EngineObs::EVENT_CAPACITY as u64 + 2).map(|i| timed_probe(secs(20 + i), probe(meas, not_a_host, 2, 0)));
+        Recorder::run(&mut sim, strays);
         let (_, trace) = sim.take_obs().unwrap().into_parts();
         assert_eq!(trace.events.len(), EngineObs::EVENT_CAPACITY);
         assert_eq!(trace.dropped_events, 3);
@@ -1728,58 +1668,17 @@ mod tests {
         for level in [vp_obs::TraceLevel::Off, vp_obs::TraceLevel::Summary, vp_obs::TraceLevel::Full] {
             let (mut sim, meas) = engine(&w, FaultConfig::none(), 16);
             sim.attach_obs(level);
-            sim.send_at(SimTime::ZERO, probe(meas, not_the_host, 1, 0));
-            Recorder::run(&mut sim);
+            Recorder::run(&mut sim, [timed_probe(SimTime::ZERO, probe(meas, not_the_host, 1, 0))]);
             let idle = sim.obs.as_ref().unwrap();
             assert!(idle.trace.spans.is_empty(), "{level:?}: nothing arrived, yet {:?}", idle.trace.spans);
             assert_eq!(idle.ring.len(), usize::from(level == vp_obs::TraceLevel::Full));
 
-            sim.send_at(SimTime::ZERO, probe(meas, host.representative(), 1, 1));
-            Recorder::run(&mut sim);
+            Recorder::run(&mut sim, [timed_probe(SimTime::ZERO, probe(meas, host.representative(), 1, 1))]);
             let (registry, trace) = sim.take_obs().unwrap().into_parts();
             assert_eq!(registry.counter_value("engine.events", &[]), 2, "{level:?}");
             let runs = trace.spans.get("engine.run").map_or(0, |agg| agg.count);
             assert_eq!(runs, u64::from(level != vp_obs::TraceLevel::Off), "{level:?}");
         }
-    }
-
-    /// Eager injection resolves its arrivals too: `send_at` answers before
-    /// the run is even called, and the run still accounts for them.
-    #[test]
-    fn eager_arrivals_are_events_of_the_next_run() {
-        let w = world();
-        let (mut sim, meas) = engine(&w, FaultConfig::none(), 14);
-        sim.attach_obs(vp_obs::TraceLevel::Summary);
-        let silent: Vec<_> = w.blocks.iter().filter(|b| !b.responsive).take(30).collect();
-        for (i, b) in silent.iter().enumerate() {
-            sim.send_at(SimTime(i as u64 * 1000), probe(meas, b.representative(), 1, i as u16));
-        }
-        assert!(Recorder::run(&mut sim).delivered.is_empty());
-        assert_eq!(sim.stats().delivered_to_hosts, 30);
-        assert!(sim.now() > SimTime(29_000));
-        let events = |sim: &NetworkSim| {
-            let obs = sim.obs.as_ref().unwrap();
-            obs.registry.counter_value("engine.events", &[])
-        };
-        assert_eq!(events(&sim), 30);
-
-        // A ping between two hosts: the request is answered as it is
-        // sent, and the Echo Reply reaches the pinger's application. A
-        // second run counts only its own events.
-        let mut hosts = w.responsive_blocks();
-        let (a, b) = (hosts.next().unwrap(), hosts.next().unwrap());
-        let sent = sim.now() + SimDuration::from_secs(1);
-        sim.send_at(sent, probe(a.representative(), b.representative(), 4, 2));
-        let delivered = Recorder::run(&mut sim).delivered;
-        assert_eq!(events(&sim), 30 + 2);
-        let [(at, packet)] = &delivered[..] else {
-            panic!("one delivery expected: {delivered:?}");
-        };
-        assert_eq!((packet.src, packet.dst), (b.representative(), a.representative()));
-        let reply = IcmpMessage::parse(&packet.payload).unwrap();
-        assert!(matches!(reply, IcmpMessage::EchoReply { ident: 4, seq: 2, .. }));
-        assert_eq!(sim.now(), *at);
-        assert!(*at > sent);
     }
 
     /// The responder runs when the request is *sent* but answers for the
@@ -1798,10 +1697,9 @@ mod tests {
         let boundary = SimTime::ZERO + INTERVAL;
         // Every delay is at least the latency model's 2 ms floor.
         let sent = SimTime(boundary.0 - 1_000_000);
-        for (i, b) in w.responsive_blocks().enumerate() {
-            sim.send_at(sent, probe(meas, b.representative(), 1, i as u16));
-        }
-        let caps = Recorder::run(&mut sim).captures;
+        let probes = w.responsive_blocks().enumerate();
+        let probes = probes.map(|(i, b)| timed_probe(sent, probe(meas, b.representative(), 1, i as u16)));
+        let caps = Recorder::run(&mut sim, probes).captures;
         let mut answered: Vec<Ipv4Addr> = caps.iter().map(|c| c.3.src).collect();
         answered.sort();
         let up_at = |at| {
@@ -1820,13 +1718,9 @@ mod tests {
         let w = world();
         let run = || {
             let (mut sim, meas) = engine(&w, FaultConfig::default(), 10);
-            for (i, b) in w.responsive_blocks().enumerate() {
-                sim.send_at(
-                    SimTime(i as u64 * 1000),
-                    probe(meas, b.representative(), 3, i as u16),
-                );
-            }
-            let caps: Vec<(u8, u64, u32)> = (Recorder::run(&mut sim).captures.iter())
+            let probes = w.responsive_blocks().enumerate();
+            let probes = probes.map(|(i, b)| timed_probe(SimTime(i as u64 * 1000), probe(meas, b.representative(), 3, i as u16)));
+            let caps: Vec<(u8, u64, u32)> = (Recorder::run(&mut sim, probes).captures.iter())
                 .map(|(site, at, _, packet)| (site.0, at.0, packet.src.0))
                 .collect();
             (caps, sim.stats())

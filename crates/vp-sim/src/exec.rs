@@ -7,7 +7,7 @@
 //! this module's boundary is held by rustc, not by analysis: a shard job
 //! is `Fn(usize) -> T + Sync` with `T: Send`, so a closure that captures
 //! unsynchronised shared state does not compile (see the `compile_fail`
-//! example on [`ShardExecutor::run_sharded`]), and every library crate
+//! example on [`ShardExecutor::run_sharded_timed`]), and every library crate
 //! carries `#![forbid(unsafe_code)]`, so the bound cannot be argued away.
 //! See DESIGN.md §14 for the full contract.
 //!
@@ -94,14 +94,18 @@ impl ShardExecutor {
         }
     }
 
-    /// The number of OS threads `run_sharded` will use (before the shard
+    /// The number of OS threads `run_sharded_timed` will use (before the shard
     /// count caps it further).
     pub fn workers(&self) -> usize {
         self.workers
     }
 
     /// Runs `job(k)` for every shard `k in 0..shards` and returns the
-    /// results in shard-id order.
+    /// results in shard-id order, plus per-shard executor timings read
+    /// from `clock`. With `clock: None` the timing vector is empty; with
+    /// a clock, one [`ShardTiming`] per shard comes back in shard-id
+    /// order. The clock is read outside the result path, so attaching one
+    /// cannot perturb the §7 bit-equivalence contract.
     ///
     /// Each shard has its own rendezvous channel; the barrier receives
     /// them in ascending shard id, so the output order is independent of
@@ -120,7 +124,7 @@ impl ShardExecutor {
     /// use vp_sim::exec::ShardExecutor;
     ///
     /// let tally = Rc::new(RefCell::new(0u64));
-    /// ShardExecutor::new(4).run_sharded(8, |k| *tally.borrow_mut() += k as u64);
+    /// ShardExecutor::new(4).run_sharded_timed(8, |k| *tally.borrow_mut() += k as u64, None);
     /// ```
     ///
     /// — while the same fold over the returned, shard-id-ordered vector
@@ -129,26 +133,12 @@ impl ShardExecutor {
     /// ```
     /// use vp_sim::exec::ShardExecutor;
     ///
-    /// let per_shard = ShardExecutor::new(4).run_sharded(8, |k| k as u64);
+    /// let (per_shard, _) = ShardExecutor::new(4).run_sharded_timed(8, |k| k as u64, None);
     /// assert_eq!(per_shard.iter().sum::<u64>(), 28);
     /// ```
     ///
     /// # Panics
     /// Propagates a panic from any shard job.
-    pub fn run_sharded<T, F>(&self, shards: usize, job: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        self.run_sharded_timed(shards, job, None).0
-    }
-
-    /// [`ShardExecutor::run_sharded`] plus per-shard executor timings read
-    /// from `clock`. With `clock: None` the timing vector is empty and the
-    /// call behaves exactly like `run_sharded`; with a clock, one
-    /// [`ShardTiming`] per shard comes back in shard-id order. The clock
-    /// is read outside the result path, so attaching one cannot perturb
-    /// the §7 bit-equivalence contract.
     #[expect(
         clippy::expect_used,
         reason = "a shard worker panic must propagate at the barrier, not be swallowed."
@@ -258,7 +248,7 @@ mod tests {
         for (shards, workers) in [(1, 1), (5, 2), (7, 3), (16, 4), (4, 16)] {
             let arrivals = AtomicUsize::new(0);
             let exec = ShardExecutor::new(workers);
-            let out = exec.run_sharded(shards, |k| {
+            let (out, _) = exec.run_sharded_timed(shards, |k| {
                 // Skew the work so higher shards tend to finish first.
                 let mut acc = 0u64;
                 for i in 0..((shards - k) * 20_000) {
@@ -266,7 +256,7 @@ mod tests {
                 }
                 let arrived = arrivals.fetch_add(1, Ordering::SeqCst);
                 (k, arrived, acc)
-            });
+            }, None);
             assert_eq!(out.len(), shards);
             for (k, result) in out.iter().enumerate() {
                 assert_eq!(result.0, k, "slot {k} holds shard {}", result.0);
@@ -278,7 +268,7 @@ mod tests {
     #[test]
     fn zero_shards_yields_empty() {
         let exec = ShardExecutor::new(4);
-        let out: Vec<u32> = exec.run_sharded(0, |_| panic!("no shards to run"));
+        let (out, _): (Vec<u32>, _) = exec.run_sharded_timed(0, |_| panic!("no shards to run"), None);
         assert!(out.is_empty());
     }
 
@@ -287,7 +277,7 @@ mod tests {
         let exec = ShardExecutor::serial();
         assert_eq!(exec.workers(), 1);
         let caller = std::thread::current().id();
-        let out = exec.run_sharded(3, |k| (k, std::thread::current().id()));
+        let (out, _) = exec.run_sharded_timed(3, |k| (k, std::thread::current().id()), None);
         for (k, (id, tid)) in out.iter().enumerate() {
             assert_eq!(*id, k);
             assert_eq!(*tid, caller, "serial executor must not spawn");
@@ -297,9 +287,9 @@ mod tests {
     #[test]
     fn threaded_and_serial_agree() {
         let job = |k: usize| (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let serial: Vec<u64> = ShardExecutor::serial().run_sharded(11, job);
+        let (serial, _) = ShardExecutor::serial().run_sharded_timed(11, job, None);
         for workers in [2, 3, 8] {
-            let threaded = ShardExecutor::new(workers).run_sharded(11, job);
+            let (threaded, _) = ShardExecutor::new(workers).run_sharded_timed(11, job, None);
             assert_eq!(serial, threaded);
         }
     }
@@ -307,10 +297,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "shard worker panicked before delivering")]
     fn worker_panic_propagates_instead_of_deadlocking() {
-        ShardExecutor::new(2).run_sharded(4, |k| {
-            assert!(k != 2, "shard 2 explodes");
-            k
-        });
+        ShardExecutor::new(2).run_sharded_timed(
+            4,
+            |k| {
+                assert!(k != 2, "shard 2 explodes");
+                k
+            },
+            None,
+        );
     }
 
     #[test]
@@ -352,12 +346,15 @@ mod tests {
         }
     }
 
+    /// A run without a clock returns no timings, and the results a
+    /// clocked run returns.
     #[test]
     fn timed_run_without_clock_matches_untimed() {
         let job = |k: usize| (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let exec = ShardExecutor::new(3);
         let (results, timings) = exec.run_sharded_timed(9, job, None);
         assert!(timings.is_empty(), "no clock must mean no timings");
-        assert_eq!(results, exec.run_sharded(9, job));
+        let clock = TickClock(std::sync::atomic::AtomicU64::new(1));
+        assert_eq!(results, exec.run_sharded_timed(9, job, Some(&clock)).0);
     }
 }

@@ -69,7 +69,8 @@ impl FaultConfig {
         }
     }
 
-    /// Validates that all probabilities are in range.
+    /// Validates that all probabilities are in range, and that hosts
+    /// which duplicate may send at least one copy.
     pub fn validate(&self) -> Result<(), String> {
         for (name, p) in [
             ("loss", self.loss),
@@ -82,6 +83,9 @@ impl FaultConfig {
             if !(0.0..=1.0).contains(&p) {
                 return Err(format!("{name} = {p} out of [0,1]"));
             }
+        }
+        if self.duplicate_prob > 0.0 && self.max_duplicates == 0 {
+            return Err(format!("max_duplicates = 0 with duplicate_prob = {} > 0", self.duplicate_prob));
         }
         if self.churn_round == SimDuration::ZERO {
             return Err("churn_round must be positive".into());
@@ -112,6 +116,12 @@ mod tests {
             ..FaultConfig::default()
         };
         assert!(cfg.validate().is_err());
+        let cfg = FaultConfig {
+            duplicate_prob: 0.5,
+            max_duplicates: 0,
+            ..FaultConfig::none()
+        };
+        assert!(cfg.validate().unwrap_err().contains("max_duplicates"));
     }
 
     #[test]

@@ -18,6 +18,8 @@
 //! Module map:
 //! * [`faults`] — fault-injection configuration (smoltcp-style knobs).
 //! * [`latency`] — distance-based propagation delay.
+//! * [`draws`] — the keyed draws (domain tags, packet and event keys)
+//!   every stochastic outcome derives from: the public spec of a run.
 //! * [`oracle`] — catchment oracles: converged ([`StaticOracle`]) or with
 //!   per-round flips ([`FlippingOracle`]).
 //! * [`engine`] — the run loop (every arrival resolved at transmission),
@@ -37,6 +39,7 @@
 // A hot crate: no narrowing casts (DESIGN.md §8).
 #![warn(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_possible_wrap)]
 
+pub mod draws;
 pub mod engine;
 pub mod exec;
 pub mod faults;

@@ -6,7 +6,6 @@
 //! of Figs. 5 and 6 reuses the same world with modified announcements.
 
 use vp_bgp::{Announcement, BgpSim, FlipModel, RoutingTable};
-use vp_net::Asn;
 use vp_topology::{broot_specs, pick_host_ases, tangled_specs, Internet, TopologyConfig};
 
 /// A ready-to-measure deployment: world + announcement.
@@ -88,18 +87,6 @@ impl Scenario {
         }
         counts
     }
-
-    /// The host AS of a named site. Panics on unknown name.
-    #[expect(
-        clippy::panic,
-        reason = "documented contract — experiment code addresses testbed sites by their fixed names; an unknown name is a bug, not a runtime condition."
-    )]
-    pub fn host_of(&self, site_name: &str) -> Asn {
-        self.announcement
-            .site_by_name(site_name)
-            .unwrap_or_else(|| panic!("no site named {site_name:?}"))
-            .host_asn
-    }
 }
 
 #[cfg(test)]
@@ -161,8 +148,8 @@ mod tests {
         let s = Scenario::broot(TopologyConfig::tiny(4), 7);
         let counts = s.blocks_per_as();
         assert_eq!(counts.iter().sum::<u32>() as usize, s.world.blocks.len());
-        let lax = s.host_of("LAX");
-        assert_eq!(s.announcement.sites[0].host_asn, lax);
+        let lax = s.announcement.site_by_name("LAX").unwrap();
+        assert_eq!(s.announcement.sites[0].host_asn, lax.host_asn);
         let table = s.routing();
         let _model = s.flip_model(1, &table);
     }

@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
-# Full pre-merge check: the lint policy (clippy), build, test, an
-# end-to-end observability pass (run one experiment with --obs full and
-# validate the emitted reports against the checked-in schema snapshot),
-# the vp-monitor gates (validate every committed tagged document, replay
-# the fig9 tiny sequence and byte-compare the drift/alert docs against
-# the committed goldens), a full regeneration of the results/ tree
-# byte-compared against the committed one, and a correctness pass of the
-# repo benchmark. Speed is not gated here: benchmark/run.sh --compare
-# over alternating parent/change runs is the one perf verdict.
+# Full pre-merge check: the lint policy (clippy), build, test, the
+# committed mutants, an end-to-end observability pass (run one
+# experiment with --obs full and validate the emitted reports against
+# the checked-in schema snapshot), the vp-monitor gates (validate every
+# committed tagged document, replay the fig9 tiny sequence and
+# byte-compare the drift/alert docs against the committed goldens), a
+# full regeneration of the results/ tree byte-compared against the
+# committed one, and a correctness pass of the repo benchmark. Speed is
+# not gated here: benchmark/run.sh --compare over alternating
+# parent/change runs is the one perf verdict.
 # Usage: scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -24,6 +25,10 @@ cargo test -q
 # scans but measures the reply-image debug-asserts, so only the release
 # run binds the allocation count.
 cargo test -q --release --test alloc_witness
+
+# Committed mutants (tests/mutants/): each seeded bug must fail the test
+# its patch names. Not tier-1: every mutant is a rebuild.
+scripts/mutants.sh
 
 # The columnar/BTree scale-equivalence suite is the proof that the
 # columnar scan core is unobservable from the outside; run it by name so
