@@ -39,19 +39,10 @@ pub struct CatchmentMap {
 
 impl CatchmentMap {
     /// Folds cleaned replies into the map. Cleaning guarantees one reply
-    /// per hitlist index, hence one entry per block.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "a CleanReply comes from a Cleaner over this hitlist, which keeps only indices of its entries."
-    )]
+    /// per hitlist row, hence one entry per block.
     pub fn from_replies(name: &str, replies: &[CleanReply], hitlist: &Hitlist) -> CatchmentMap {
-        Self::from_pairs(
-            name,
-            replies.iter().map(|r| {
-                let block = hitlist.entries()[vp_net::conv::sat_usize(r.index)].block;
-                (block, r.site)
-            }),
-        )
+        let entries = hitlist.entries();
+        Self::from_pairs(name, replies.iter().map(|r| (entries[r.row].block, r.site)))
     }
 
     /// Builds a map directly from `(block, site)` pairs (used by analyses

@@ -6,7 +6,7 @@
 //! approximately 2% of all replies."
 
 use serde::Serialize;
-use vp_hitlist::Hitlist;
+use vp_hitlist::{Hitlist, HitlistRow};
 use vp_net::{SimDuration, SimTime};
 use vp_sim::Earliest;
 
@@ -34,8 +34,8 @@ pub struct CleaningStats {
 pub struct CleanReply {
     pub site: vp_bgp::SiteId,
     pub at: SimTime,
-    /// Hitlist index (identifies the observed block).
-    pub index: u64,
+    /// The hitlist row probed (identifies the observed block).
+    pub row: HitlistRow,
 }
 
 /// The §4 cleaning pass as an order-free fold: the central point feeds it
@@ -74,8 +74,8 @@ impl<'h> Cleaner<'h> {
     pub fn push(&mut self, r: &RawReply, key: u64) {
         self.stats.total += 1;
         let index = r.index.filter(|_| r.ident == self.ident);
-        let slot = index.and_then(|i| usize::try_from(i).ok());
-        let Some((slot, entry)) = slot.and_then(|i| Some((i, self.hitlist.entries().get(i)?))) else {
+        let row = index.and_then(|i| u32::try_from(i).ok()).map(HitlistRow);
+        let Some((row, entry)) = row.and_then(|row| Some((row, self.hitlist.entries().lookup(row)?))) else {
             self.stats.foreign += 1;
             return;
         };
@@ -87,8 +87,7 @@ impl<'h> Cleaner<'h> {
             self.stats.late += 1;
             return;
         }
-        // Hitlist rows are distinct /24s, so an index fits in 32 bits.
-        if self.candidates.push(vp_net::conv::sat_u32(slot), r.at, key, r.site) {
+        if self.candidates.push(row.0, r.at, key, r.site) {
             self.stats.kept += 1;
         } else {
             self.stats.duplicates += 1;
@@ -102,7 +101,7 @@ impl<'h> Cleaner<'h> {
         let kept = self.candidates.finish().into_iter().map(|c| CleanReply {
             site: c.value,
             at: c.at,
-            index: u64::from(c.slot),
+            row: HitlistRow(c.slot),
         });
         (kept.collect(), self.stats)
     }
@@ -169,7 +168,7 @@ mod tests {
         RawReply {
             site: SiteId(0),
             at: SimTime(at),
-            src: hl.entries()[vp_net::conv::sat_usize(index)].target,
+            src: hl.entries()[vp_hitlist::HitlistRow(vp_net::conv::sat_u32(index))].target,
             ident,
             index: Some(index),
         }
@@ -271,7 +270,7 @@ mod tests {
             let mut r = RawReply {
                 site: SiteId(site),
                 at: SimTime([0, 10, 10, 20, 50, 51][at]),
-                src: hl.entries()[vp_net::conv::sat_usize(index)].target,
+                src: hl.entries()[vp_hitlist::HitlistRow(vp_net::conv::sat_u32(index))].target,
                 ident: 7,
                 index: Some(index),
             };
@@ -292,7 +291,7 @@ mod tests {
 
     /// What a cleaning pass produces, as the scan consumes it.
     fn tables(hl: &Hitlist, (kept, stats): (Vec<CleanReply>, CleaningStats)) -> (CatchmentMap, RttTable, CleaningStats) {
-        let block = |r: &CleanReply| hl.entries()[vp_net::conv::sat_usize(r.index)].block;
+        let block = |r: &CleanReply| hl.entries()[r.row].block;
         let map = CatchmentMap::from_replies("m", &kept, hl);
         let rtts = RttTable::from_pairs(kept.iter().map(|r| (block(r), r.at.since(SimTime::ZERO))));
         (map, rtts, stats)

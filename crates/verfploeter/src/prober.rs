@@ -223,7 +223,7 @@ mod tests {
         prober
             .schedule(hl.len() as u64, SimTime::ZERO)
             .map(|(index, at)| {
-                let target = hl.entries()[vp_net::conv::sat_usize(index)].target;
+                let target = hl.entries()[vp_hitlist::HitlistRow(vp_net::conv::sat_u32(index))].target;
                 (index, at, prober.build_probe(index, target, source))
             })
             .collect()
@@ -242,7 +242,7 @@ mod tests {
         for (index, _, packet) in &probes {
             assert_eq!(
                 packet.dst,
-                hl.entries()[vp_net::conv::sat_usize(*index)].target
+                hl.entries()[vp_hitlist::HitlistRow(vp_net::conv::sat_u32(*index))].target
             );
         }
     }
@@ -316,7 +316,7 @@ mod tests {
         let source = Ipv4Addr::new(240, 0, 0, 1);
         let probes: Vec<(u64, Ipv4Addr)> = prober
             .schedule(hl.len() as u64, SimTime::ZERO)
-            .map(|(index, _)| (index, hl.entries()[vp_net::conv::sat_usize(index)].target))
+            .map(|(index, _)| (index, hl.entries()[vp_hitlist::HitlistRow(vp_net::conv::sat_u32(index))].target))
             .collect();
         let mut batched = Vec::new();
         for chunk in probes.chunks(97) {

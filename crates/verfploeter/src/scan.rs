@@ -9,9 +9,9 @@
 //! observations — never the schedule or the raw reply stream.
 
 use vp_bgp::Announcement;
-use vp_hitlist::Hitlist;
+use vp_hitlist::{Hitlist, HitlistRow};
 use vp_net::conv;
-use vp_net::{SimDuration, SimTime};
+use vp_net::{Id, SimDuration, SimTime};
 use vp_sim::{CatchmentOracle, EngineObs, FaultConfig, NetworkSim, ShardExecutor, TimedProbe};
 use vp_topology::Internet;
 
@@ -466,7 +466,7 @@ impl Round<'_> {
     /// `lane`.
     #[expect(
         clippy::indexing_slicing,
-        reason = "the schedule holds exactly the indices of `range`, a range of hitlist rows, which sized send_time; shard-closed traffic — every kept reply answers one of this engine's probes, so r.index is in `range`."
+        reason = "the schedule holds exactly the rows of `range`, which sized send_time; shard-closed traffic — every kept reply answers one of this engine's probes, so its row is in `range`."
     )]
     fn run_engine(
         &self,
@@ -485,8 +485,8 @@ impl Round<'_> {
         let mut last_probe = self.start;
         let mut feed = ProbeFeed {
             schedule: schedule.map(|(index, at)| {
-                let row = conv::sat_usize(index);
-                send_time[row - range.start] = at;
+                let row = HitlistRow(conv::sat_u32(index));
+                send_time[row.index() - range.start] = at;
                 last_probe = at;
                 (index, at, self.hitlist.entries()[row].target)
             }),
@@ -514,8 +514,8 @@ impl Round<'_> {
         let catchments = CatchmentMap::from_replies(&self.config.name, &kept, self.hitlist);
         // Probe transmission to reply arrival.
         let rtts = RttTable::from_pairs(kept.iter().map(|r| {
-            let index = conv::sat_usize(r.index);
-            (self.hitlist.entries()[index].block, r.at.since(send_time[index - range.start]))
+            let sent = send_time[r.row.index() - range.start];
+            (self.hitlist.entries()[r.row].block, r.at.since(sent))
         }));
         drop(guard);
 

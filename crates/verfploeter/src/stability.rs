@@ -1,59 +1,18 @@
-//! Anycast stability over time (Fig. 9, Table 7).
+//! Anycast stability over time (Table 7, and §6.2's unstable VPs).
 //!
 //! §6.3: the catchment of the Tangled testbed is measured every 15 minutes
-//! for 24 hours (96 rounds); VPs are classified per round against the
-//! previous round as **stable**, **flipped** (same VP, different site),
-//! **to-NR** (stopped responding) or **from-NR** (started responding).
-//! Flips are rare (~0.1% per round) but concentrated: one AS contributes
-//! half of them.
+//! for 24 hours (96 rounds). Flips are rare (~0.1% per round) but
+//! concentrated: one AS contributes half of them. The per-round Fig. 9
+//! classification (stable / flipped / to-NR / from-NR) is
+//! `vp_monitor::diff::diff_rounds`.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use serde::Serialize;
-use vp_net::conv;
 use vp_net::{Asn, Block24};
 use vp_topology::Internet;
 
 use crate::catchment::{CatchmentMap, Joined};
-
-/// Per-round classification counts (one Fig. 9 data point).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct RoundDelta {
-    /// Round index (1-based: deltas compare round r against r-1).
-    pub round: u32,
-    pub stable: u64,
-    pub flipped: u64,
-    pub to_nr: u64,
-    pub from_nr: u64,
-}
-
-/// Classifies consecutive measurement rounds. Returns one delta per round
-/// after the first.
-pub fn classify_rounds(rounds: &[CatchmentMap]) -> Vec<RoundDelta> {
-    rounds
-        .iter()
-        .zip(rounds.iter().skip(1))
-        .enumerate()
-        .map(|(i, (prev, cur))| {
-            let mut delta = RoundDelta {
-                round: conv::sat_u32(i) + 1,
-                stable: 0,
-                flipped: 0,
-                to_nr: 0,
-                from_nr: 0,
-            };
-            for row in prev.join(cur) {
-                match row {
-                    Joined::Both(_, was, now) if was == now => delta.stable += 1,
-                    Joined::Both(..) => delta.flipped += 1,
-                    Joined::Left(..) => delta.to_nr += 1,
-                    Joined::Right(..) => delta.from_nr += 1,
-                }
-            }
-            delta
-        })
-        .collect()
-}
 
 /// Blocks that ever changed site across the rounds — the "unstable VPs"
 /// §6.2 removes before the AS-division analysis.
@@ -168,27 +127,6 @@ mod tests {
     }
 
     #[test]
-    fn classification_partitions_previous_round() {
-        let r0 = map("r0", &[(1, 0), (2, 0), (3, 1), (4, 1)]);
-        let r1 = map("r1", &[(1, 0), (2, 1), (4, 1), (5, 0)]);
-        let deltas = classify_rounds(&[r0, r1]);
-        assert_eq!(deltas.len(), 1);
-        let d = deltas[0];
-        assert_eq!(d.stable, 2); // blocks 1, 4
-        assert_eq!(d.flipped, 1); // block 2
-        assert_eq!(d.to_nr, 1); // block 3
-        assert_eq!(d.from_nr, 1); // block 5
-        // Partition invariant: stable + flipped + to_nr = |prev|.
-        assert_eq!(d.stable + d.flipped + d.to_nr, 4);
-    }
-
-    #[test]
-    fn single_round_has_no_deltas() {
-        assert!(classify_rounds(&[map("r0", &[(1, 0)])]).is_empty());
-        assert!(classify_rounds(&[]).is_empty());
-    }
-
-    #[test]
     fn unstable_blocks_found_across_any_rounds() {
         let r0 = map("r0", &[(1, 0), (2, 0)]);
         let r1 = map("r1", &[(1, 0), (2, 1)]);
@@ -221,8 +159,6 @@ mod tests {
     fn stable_series_has_no_flips() {
         let r = map("r", &[(1, 0), (2, 1), (3, 0)]);
         let rounds = vec![r.clone(), r.clone(), r];
-        let deltas = classify_rounds(&rounds);
-        assert!(deltas.iter().all(|d| d.flipped == 0 && d.to_nr == 0 && d.from_nr == 0));
         assert!(unstable_blocks(&rounds).is_empty());
         let w = Internet::generate(TopologyConfig::tiny(122));
         let t = flips_by_as(&rounds, &w);

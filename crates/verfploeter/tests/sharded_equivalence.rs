@@ -187,7 +187,7 @@ fn more_shards_than_targets_still_identical() {
     let s = Scenario::broot(TopologyConfig::tiny(83), 7);
     let full = Hitlist::from_internet(&s.world, &HitlistConfig::default());
     let truncated = |n: usize| {
-        let json = serde_json::to_string(&full.entries()[..n]).expect("entries serialize");
+        let json = serde_json::to_string(&full.entries().as_slice()[..n]).expect("entries serialize");
         Hitlist::from_json(&json).expect("entries parse back")
     };
     for (hl, shard_counts) in [

@@ -12,7 +12,7 @@
 
 use std::collections::BTreeMap;
 
-use vp_net::{mix, unit, Asn};
+use vp_net::{mix, unit, Asn, IdVec};
 use vp_topology::graph::AsGraph;
 use vp_topology::PopId;
 
@@ -52,16 +52,15 @@ impl FlipModel {
     pub fn paper_default(
         seed: u64,
         table: &RoutingTable,
-        blocks_per_as: &[u32],
+        blocks_per_as: &IdVec<Asn, u32>,
     ) -> Self {
-        let mut multi: Vec<(u32, usize)> = table
+        let mut multi: Vec<(u32, Asn)> = table
             .per_as
-            .iter()
-            .enumerate()
+            .iter_enumerated()
             .filter_map(|(a, r)| {
                 let r = r.as_ref()?;
                 if r.candidate_sites().len() > 1 {
-                    Some((blocks_per_as.get(a).copied().unwrap_or(0), a))
+                    Some((blocks_per_as[a], a))
                 } else {
                     None
                 }
@@ -75,7 +74,7 @@ impl FlipModel {
                 1..=4 => 0.04,   // the rest of Table 7's top five
                 _ => 0.002,      // thin long tail
             };
-            model.flip_prob.insert(Asn(a as u32), prob);
+            model.flip_prob.insert(a, prob);
         }
         model
     }
@@ -100,9 +99,10 @@ impl FlipModel {
         if round == 0 {
             return Some(base);
         }
-        let asn = graph.pops.get(pop.index())?.asn;
-        let route = table.per_as.get(asn.index())?.as_ref()?;
-        if route.candidates.len() < 2 {
+        let asn = graph.pops.lookup(pop)?.asn;
+        let route = table.per_as.lookup(asn)?.as_ref()?;
+        let candidates = route.strict.len() + route.slack.len();
+        if candidates < 2 {
             return Some(base);
         }
         let p = self.prob(asn);
@@ -113,8 +113,8 @@ impl FlipModel {
         if unit(h) < p {
             // Flipped this round: pick uniformly among candidates (may pick
             // the base again — real load balancers do that too).
-            let idx = (mix(self.seed ^ 0xf11b, h) % route.candidates.len() as u64) as usize;
-            Some(route.candidates.get(idx)?.site)
+            let idx = (mix(self.seed ^ 0xf11b, h) % candidates as u64) as usize;
+            Some(route.candidates().nth(idx)?.site)
         } else {
             Some(base)
         }
@@ -153,7 +153,7 @@ mod tests {
     #[test]
     fn round_zero_matches_converged_table() {
         let (w, _, table) = setup();
-        let blocks_per_as = vec![10u32; w.graph.len()];
+        let blocks_per_as = w.graph.ases.map(|_| 10);
         let model = FlipModel::paper_default(3, &table, &blocks_per_as);
         for pop in 0..w.graph.pops.len() as u32 {
             assert_eq!(
@@ -166,11 +166,11 @@ mod tests {
     #[test]
     fn flips_stay_within_candidate_sites() {
         let (w, _, table) = setup();
-        let blocks_per_as = vec![10u32; w.graph.len()];
+        let blocks_per_as = w.graph.ases.map(|_| 10);
         let model = FlipModel::paper_default(3, &table, &blocks_per_as);
         for pop in 0..w.graph.pops.len() as u32 {
-            let asn = w.graph.pops[pop as usize].asn;
-            let sites = table.per_as[asn.index()].as_ref().unwrap().candidate_sites();
+            let asn = w.graph.pops[PopId(pop)].asn;
+            let sites = table.per_as[asn].as_ref().unwrap().candidate_sites();
             for round in 0..20 {
                 let s = model
                     .site_of_pop_at_round(&table, &w.graph, PopId(pop), round)
@@ -213,7 +213,7 @@ mod tests {
     #[test]
     fn model_is_deterministic_per_round() {
         let (w, _, table) = setup();
-        let blocks_per_as = vec![10u32; w.graph.len()];
+        let blocks_per_as = w.graph.ases.map(|_| 10);
         let m1 = FlipModel::paper_default(3, &table, &blocks_per_as);
         let m2 = FlipModel::paper_default(3, &table, &blocks_per_as);
         for pop in 0..w.graph.pops.len() as u32 {
@@ -229,17 +229,14 @@ mod tests {
     #[test]
     fn paper_default_assigns_heavy_head() {
         let (w, _, table) = setup();
-        let mut blocks_per_as = vec![1u32; w.graph.len()];
+        let mut blocks_per_as = w.graph.ases.map(|_| 1);
         // Make AS with most blocks identifiable.
-        if let Some((a, _)) = table
-            .per_as
-            .iter()
-            .enumerate()
-            .find(|(_, r)| r.as_ref().is_some_and(|r| r.candidate_sites().len() > 1))
-        {
+        let heavy = (table.per_as.iter_enumerated())
+            .find(|(_, r)| r.as_ref().is_some_and(|r| r.candidate_sites().len() > 1));
+        if let Some((a, _)) = heavy {
             blocks_per_as[a] = 1000;
             let model = FlipModel::paper_default(3, &table, &blocks_per_as);
-            assert!((model.prob(Asn(a as u32)) - 0.35).abs() < 1e-12);
+            assert!((model.prob(a) - 0.35).abs() < 1e-12);
         }
     }
 }

@@ -5,7 +5,7 @@ use std::collections::BinaryHeap;
 
 use serde::Serialize;
 use vp_geo::distance_km;
-use vp_net::{mix, unit, Asn};
+use vp_net::{mix, unit, Asn, IdVec};
 use vp_topology::graph::AsGraph;
 use vp_topology::PopId;
 
@@ -38,31 +38,31 @@ pub struct AsRoute {
     pub level: RouteLevel,
     /// Effective AS-path length (prepending included).
     pub path_len: u32,
-    /// Available routes: the first `strict_count` are shortest-path ties;
-    /// any further entries are within the hot-potato slack (one hop
-    /// longer), which large multi-PoP ASes may still use at some PoPs.
-    pub candidates: Vec<Candidate>,
-    /// How many leading candidates are strictly best (≥ 1).
-    pub strict_count: usize,
-    /// Index of the deterministically tie-broken best candidate. For
-    /// prepend-ignoring ASes this may point into the slack range; such
-    /// routes are used locally but never re-advertised.
-    pub selected: usize,
+    /// The deterministically tie-broken best route. For prepend-ignoring
+    /// ASes it may be a slack route; such routes are used locally but
+    /// never re-advertised.
+    pub selected: Candidate,
+    /// The strictly best routes: shortest-path ties (≥ 1).
+    pub strict: Vec<Candidate>,
+    /// Routes within the hot-potato slack (one hop longer), which large
+    /// multi-PoP ASes may still use at some PoPs.
+    pub slack: Vec<Candidate>,
 }
 
 impl AsRoute {
     /// The tie-broken site this AS as a whole routes to.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "BgpSim sets `selected` to a valid candidates position."
-    )]
     pub fn selected_site(&self) -> SiteId {
-        self.candidates[self.selected].site
+        self.selected.site
+    }
+
+    /// Every available route: the strict ones, then the slack ones.
+    pub fn candidates(&self) -> impl Iterator<Item = &Candidate> + '_ {
+        self.strict.iter().chain(&self.slack)
     }
 
     /// Distinct sites reachable over equally-preferred routes.
     pub fn candidate_sites(&self) -> Vec<SiteId> {
-        let mut v: Vec<SiteId> = self.candidates.iter().map(|c| c.site).collect();
+        let mut v: Vec<SiteId> = self.candidates().map(|c| c.site).collect();
         v.sort();
         v.dedup();
         v
@@ -72,17 +72,17 @@ impl AsRoute {
 /// The converged routing outcome for one announcement configuration.
 #[derive(Debug, Clone)]
 pub struct RoutingTable {
-    /// Per-AS route state, indexed by dense ASN. `None` = unreachable.
-    pub per_as: Vec<Option<AsRoute>>,
-    /// Hot-potato site choice per PoP, indexed by [`PopId`].
-    pub per_pop_site: Vec<Option<SiteId>>,
+    /// Per-AS route state. `None` = unreachable.
+    pub per_as: IdVec<Asn, Option<AsRoute>>,
+    /// Hot-potato site choice per PoP.
+    pub per_pop_site: IdVec<PopId, Option<SiteId>>,
 }
 
 impl RoutingTable {
     /// The site traffic from this PoP reaches (the catchment of every block
     /// homed on the PoP).
     pub fn site_of_pop(&self, pop: PopId) -> Option<SiteId> {
-        self.per_pop_site.get(pop.index()).copied().flatten()
+        self.per_pop_site.lookup(pop).copied().flatten()
     }
 
     /// Distinct sites seen from any PoP of this AS — the quantity behind
@@ -185,58 +185,52 @@ impl<'a> BgpSim<'a> {
 
     /// Like [`BgpSim::route`], additionally returning the propagation work
     /// counters (same table, bit for bit — the counters are observers).
-    #[expect(
-        clippy::indexing_slicing,
-        clippy::unreachable,
-        reason = "the propagation core indexes dense per-AS vectors sized to self.graph; every id is a node of that graph. Origin routes are settled before the level match."
-    )]
     pub fn route_traced(&self, ann: &Announcement) -> (RoutingTable, RouteObs) {
         let mut obs = RouteObs::default();
-        let n = self.graph.len();
+        let ases = &self.graph.ases;
         const INF: u32 = u32::MAX;
 
-        let mut origin_site: Vec<Option<(SiteId, u32)>> = vec![None; n];
+        let mut origin_site: IdVec<Asn, Option<(SiteId, u32)>> = ases.map(|_| None);
         for site in ann.active_sites() {
-            origin_site[site.host_asn.index()] = Some((site.id, site.prepend as u32));
+            origin_site[site.host_asn] = Some((site.id, site.prepend as u32));
         }
 
         // Stage 1: customer routes (and origin injections) climb upward.
-        let mut dist_cust = vec![INF; n];
-        let mut heap: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
-        for (i, o) in origin_site.iter().enumerate() {
-            if let Some((_, prepend)) = o {
-                dist_cust[i] = *prepend;
-                heap.push(Reverse((*prepend, i as u32)));
+        let mut dist_cust = ases.map(|_| INF);
+        let mut heap: BinaryHeap<Reverse<(u32, Asn)>> = BinaryHeap::new();
+        for (a, o) in origin_site.iter_enumerated() {
+            if let Some((_, prepend)) = *o {
+                dist_cust[a] = prepend;
+                heap.push(Reverse((prepend, a)));
             }
         }
         while let Some(Reverse((d, a))) = heap.pop() {
             obs.heap_pops_customer += 1;
-            if d > dist_cust[a as usize] {
+            if d > dist_cust[a] {
                 continue;
             }
-            for p in &self.graph.ases[a as usize].providers {
-                let pi = p.index();
+            for &p in &ases[a].providers {
                 // Origins keep their own route; they never adopt customer
                 // routes for the anycast prefix.
-                if origin_site[pi].is_some() {
+                if origin_site[p].is_some() {
                     continue;
                 }
-                if d + 1 < dist_cust[pi] {
-                    dist_cust[pi] = d + 1;
-                    heap.push(Reverse((d + 1, p.0)));
+                if d + 1 < dist_cust[p] {
+                    dist_cust[p] = d + 1;
+                    heap.push(Reverse((d + 1, p)));
                 }
             }
         }
 
         // Stage 2: peer routes — one lateral hop from ASes whose best route
         // is customer-learned (or originated).
-        let mut dist_peer = vec![INF; n];
-        for a in 0..n {
+        let mut dist_peer = ases.map(|_| INF);
+        for (a, node) in ases.iter_enumerated() {
             if origin_site[a].is_some() {
                 continue;
             }
-            for q in &self.graph.ases[a].peers {
-                let qd = dist_cust[q.index()];
+            for &q in &node.peers {
+                let qd = dist_cust[q];
                 if qd != INF && qd + 1 < dist_peer[a] {
                     dist_peer[a] = qd + 1;
                 }
@@ -246,11 +240,11 @@ impl<'a> BgpSim<'a> {
         // Stage 3: provider routes descend customer links. Every AS exports
         // its pref-selected best (customer beats peer beats provider), so
         // ASes with customer/peer routes are fixed-cost sources.
-        let mut dist_prov = vec![INF; n];
-        let mut export_len = vec![INF; n];
-        let mut heap: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
-        let mut popped = vec![false; n];
-        for a in 0..n {
+        let mut dist_prov = ases.map(|_| INF);
+        let mut export_len = ases.map(|_| INF);
+        let mut heap: BinaryHeap<Reverse<(u32, Asn)>> = BinaryHeap::new();
+        let mut popped = ases.map(|_| false);
+        for a in ases.ids() {
             let fixed = if dist_cust[a] != INF {
                 dist_cust[a]
             } else if dist_peer[a] != INF {
@@ -259,33 +253,31 @@ impl<'a> BgpSim<'a> {
                 continue;
             };
             export_len[a] = fixed;
-            heap.push(Reverse((fixed, a as u32)));
+            heap.push(Reverse((fixed, a)));
         }
         while let Some(Reverse((d, a))) = heap.pop() {
             obs.heap_pops_provider += 1;
-            let ai = a as usize;
-            if popped[ai] {
+            if popped[a] {
                 continue;
             }
-            popped[ai] = true;
-            export_len[ai] = d;
-            for c in &self.graph.ases[ai].customers {
-                let ci = c.index();
-                if origin_site[ci].is_some() {
+            popped[a] = true;
+            export_len[a] = d;
+            for &c in &ases[a].customers {
+                if origin_site[c].is_some() {
                     continue;
                 }
-                if d + 1 < dist_prov[ci] {
-                    dist_prov[ci] = d + 1;
+                if d + 1 < dist_prov[c] {
+                    dist_prov[c] = d + 1;
                     // Only provider-route-dependent ASes re-export at this
                     // cost; others were already seeded with their fixed one.
-                    if dist_cust[ci] == INF && dist_peer[ci] == INF {
-                        heap.push(Reverse((d + 1, c.0)));
+                    if dist_cust[c] == INF && dist_peer[c] == INF {
+                        heap.push(Reverse((d + 1, c)));
                     }
                 }
             }
         }
         // Export length for provider-only ASes.
-        for a in 0..n {
+        for a in ases.ids() {
             if export_len[a] == INF && dist_prov[a] != INF {
                 export_len[a] = dist_prov[a];
             }
@@ -297,136 +289,110 @@ impl<'a> BgpSim<'a> {
         // neighbor hands us depends on *which of its PoPs* our session
         // lands on — large ASes export different sites at different
         // interconnection points, which is how catchment splits propagate.
-        let mut order: Vec<usize> = (0..n).filter(|&a| export_len[a] != INF).collect();
+        let mut order: Vec<Asn> = ases.ids().filter(|&a| export_len[a] != INF).collect();
         order.sort_by_key(|&a| export_len[a]);
-        let mut per_as: Vec<Option<AsRoute>> = vec![None; n];
-        let mut per_pop_site: Vec<Option<SiteId>> = vec![None; self.graph.pops.len()];
+        let mut per_as: IdVec<Asn, Option<AsRoute>> = ases.map(|_| None);
+        let mut per_pop_site: IdVec<PopId, Option<SiteId>> = self.graph.pops.map(|_| None);
         // What each PoP *advertises* over its sessions: hot-potato over the
         // strictly-best routes only. Slack routes never propagate — their
         // longer AS path would otherwise be laundered into the strict
         // length at every multi-PoP AS, neutering prepending downstream.
-        let mut per_pop_export: Vec<Option<SiteId>> = vec![None; self.graph.pops.len()];
-        for &a in &order {
-            let asn = Asn(a as u32);
-            let route = if let Some((site, prepend)) = origin_site[a] {
+        let mut per_pop_export: IdVec<PopId, Option<SiteId>> = self.graph.pops.map(|_| None);
+        for &asn in &order {
+            let node = &ases[asn];
+            let route = if let Some((site, prepend)) = origin_site[asn] {
+                let origin = Candidate {
+                    neighbor: asn,
+                    site,
+                    session_pop: None,
+                };
                 AsRoute {
                     level: RouteLevel::Origin,
                     path_len: prepend,
-                    candidates: vec![Candidate {
-                        neighbor: asn,
-                        site,
-                        session_pop: None,
-                    }],
-                    strict_count: 1,
-                    selected: 0,
+                    selected: origin,
+                    strict: vec![origin],
+                    slack: Vec::new(),
                 }
             } else {
                 let ignore_len = self.ignores_prepending(asn);
-                let (level, len) = if dist_cust[a] != INF {
-                    (RouteLevel::Customer, dist_cust[a])
-                } else if dist_peer[a] != INF {
-                    (RouteLevel::Peer, dist_peer[a])
+                // The level's neighbors, and the length each offers.
+                let (level, len, neighbors, offers) = if dist_cust[asn] != INF {
+                    (RouteLevel::Customer, dist_cust[asn], &node.customers, &dist_cust)
+                } else if dist_peer[asn] != INF {
+                    (RouteLevel::Peer, dist_peer[asn], &node.peers, &dist_cust)
                 } else {
-                    (RouteLevel::Provider, dist_prov[a])
+                    (RouteLevel::Provider, dist_prov[asn], &node.providers, &export_len)
                 };
                 // Strict candidates tie on shortest path; slack candidates
                 // are one hop longer and remain usable for hot-potato
                 // egress at large ASes (RIB diversity).
-                let mut strict = Vec::new();
-                let mut slack = Vec::new();
-                let push = |neighbor: Asn,
-                            offer_len: u32,
-                            strict: &mut Vec<Candidate>,
-                            slack: &mut Vec<Candidate>| {
-                    if offer_len == INF {
-                        return;
-                    }
+                let (mut strict, mut slack) = (Vec::new(), Vec::new());
+                for &neighbor in neighbors {
+                    let offer_len = offers[neighbor];
                     // Strict = shortest-path ties (these propagate).
                     // Slack = one hop longer for everyone, or any length
                     // for prepend-ignoring ASes — slack routes serve local
                     // traffic only and are never re-advertised, so a
                     // length-ignoring AS cannot launder a prepended path
                     // into a short one for its whole customer cone.
-                    let bucket: Option<&mut Vec<Candidate>> = if offer_len + 1 == len {
-                        Some(strict)
+                    let bucket = if offer_len == INF {
+                        continue;
+                    } else if offer_len + 1 == len {
+                        &mut strict
                     } else if offer_len == len || ignore_len {
-                        Some(slack)
+                        &mut slack
                     } else {
-                        None
+                        continue;
                     };
-                    if let Some(bucket) = bucket {
-                        if let Some(route) = per_as[neighbor.index()].as_ref() {
-                            // The route the neighbor hands us at this
-                            // session is the one its local PoP advertises.
-                            let site = self
-                                .graph
-                                .session_pop(neighbor, asn)
-                                .and_then(|sp| per_pop_export[sp.index()])
-                                .unwrap_or_else(|| route.selected_site());
-                            bucket.push(Candidate {
-                                neighbor,
-                                site,
-                                session_pop: self.graph.session_pop(asn, neighbor),
-                            });
-                        }
+                    if let Some(route) = per_as[neighbor].as_ref() {
+                        // The route the neighbor hands us at this
+                        // session is the one its local PoP advertises.
+                        let site = self
+                            .graph
+                            .session_pop(neighbor, asn)
+                            .and_then(|sp| per_pop_export[sp])
+                            .unwrap_or_else(|| route.selected_site());
+                        bucket.push(Candidate {
+                            neighbor,
+                            site,
+                            session_pop: self.graph.session_pop(asn, neighbor),
+                        });
                     }
-                };
-                match level {
-                    RouteLevel::Customer => {
-                        for c in &self.graph.ases[a].customers {
-                            push(*c, dist_cust[c.index()], &mut strict, &mut slack);
-                        }
-                    }
-                    RouteLevel::Peer => {
-                        for q in &self.graph.ases[a].peers {
-                            push(*q, dist_cust[q.index()], &mut strict, &mut slack);
-                        }
-                    }
-                    RouteLevel::Provider => {
-                        for p in &self.graph.ases[a].providers {
-                            push(*p, export_len[p.index()], &mut strict, &mut slack);
-                        }
-                    }
-                    RouteLevel::Origin => unreachable!("handled above"),
                 }
                 if strict.is_empty() {
                     // Can happen only if a neighbor's route was filtered by
                     // the equal-length rule due to the ignore-length path;
-                    // fall back to any neighbor at the level.
+                    // the AS is left without a route.
                     continue;
                 }
-                let strict_count = strict.len();
-                let mut candidates = strict;
-                candidates.extend(slack);
                 // Prepend-ignoring ASes pick among everything they hear;
                 // everyone else tie-breaks among the strictly best.
-                let pick_span = if ignore_len { candidates.len() } else { strict_count };
-                let selected = (mix(self.policy_seed, a as u64) % pick_span as u64) as usize;
+                let pick_span = if ignore_len { strict.len() + slack.len() } else { strict.len() };
+                let pick = (mix(self.policy_seed, u64::from(asn.0)) % pick_span as u64) as usize;
+                let Some(&selected) = strict.iter().chain(&slack).nth(pick) else {
+                    continue;
+                };
                 AsRoute {
                     level,
                     path_len: len,
-                    candidates,
-                    strict_count,
                     selected,
+                    strict,
+                    slack,
                 }
             };
-            // Hot-potato per-PoP egress for this AS. Small ASes use only
-            // the strictly best routes; multi-PoP ASes (>= 2 PoPs) also use
-            // the slack routes, so distant PoPs exit via their nearest
-            // session even when its path is one hop longer — the mechanism
-            // behind the big-AS catchment splits of Figs. 7 and 8.
-            let pops = &self.graph.ases[a].pops;
-            let hot_potato = |pop: PopId, pool: &[Candidate]| -> SiteId {
-                if pool.len() == 1 {
-                    return pool[0].site;
+            // Hot-potato per-PoP egress for this AS, over the strict routes
+            // and the `slack` given. Every cost is finite, so the first
+            // cheapest candidate always replaces the fold's seed.
+            let hot_potato = |pop: PopId, slack: &[Candidate]| -> SiteId {
+                if let ([only], []) = (route.strict.as_slice(), slack) {
+                    return only.site;
                 }
-                let here = &self.graph.pops[pop.index()];
-                let mut best = pool[0];
-                let mut best_d = f64::INFINITY;
-                for cand in pool {
+                let here = &self.graph.pops[pop];
+                let mut best = (f64::INFINITY, route.selected.site);
+                for cand in route.strict.iter().chain(slack) {
                     let d = match cand.session_pop {
                         Some(sp) => {
-                            let p = &self.graph.pops[sp.index()];
+                            let p = &self.graph.pops[sp];
                             // IGP costs are not great-circle distances; a
                             // deterministic +-25% jitter keyed by (pop,
                             // neighbor) models the difference and breaks
@@ -441,36 +407,44 @@ impl<'a> BgpSim<'a> {
                         }
                         None => 0.0,
                     };
-                    if d < best_d {
-                        best_d = d;
-                        best = *cand;
+                    if d < best.0 {
+                        best = (d, cand.site);
                     }
                 }
-                best.site
+                best.1
             };
-            // Local traffic may ride slack routes at multi-PoP ASes (and
-            // at prepend-ignoring ASes, whose selection may itself be a
-            // slack route); exports advertise only strictly-best routes.
-            let ignore_len = origin_site[a].is_none() && self.ignores_prepending(Asn(a as u32));
-            let local_pool: &[Candidate] = if pops.len() >= 2 || ignore_len {
-                &route.candidates[..]
+            // Small ASes use only the strictly best routes; multi-PoP ASes
+            // (>= 2 PoPs) also use the slack routes, so distant PoPs exit
+            // via their nearest session even when its path is one hop
+            // longer — the mechanism behind the big-AS catchment splits of
+            // Figs. 7 and 8 — and so do prepend-ignoring ASes, whose
+            // selection may itself be a slack route. Exports advertise only
+            // strictly-best routes.
+            let ignore_len = origin_site[asn].is_none() && self.ignores_prepending(asn);
+            let local_slack: &[Candidate] = if node.pops.len() >= 2 || ignore_len {
+                &route.slack
             } else {
-                &route.candidates[..route.strict_count]
+                &[]
             };
-            let export_pool: &[Candidate] = &route.candidates[..route.strict_count];
-            for &pop in pops {
-                per_pop_site[pop.index()] = Some(hot_potato(pop, local_pool));
-                per_pop_export[pop.index()] = Some(hot_potato(pop, export_pool));
+            for &pop in &node.pops {
+                per_pop_site[pop] = Some(hot_potato(pop, local_slack));
+                per_pop_export[pop] = Some(hot_potato(pop, &[]));
             }
-            obs.pops_assigned += pops.len() as u64;
-            obs.candidates += route.candidates.len() as u64;
-            obs.slack_candidates += (route.candidates.len() - route.strict_count) as u64;
-            obs.selected_by_level[route.level as usize] += 1;
-            per_as[a] = Some(route);
+            obs.pops_assigned += node.pops.len() as u64;
+            obs.candidates += (route.strict.len() + route.slack.len()) as u64;
+            obs.slack_candidates += route.slack.len() as u64;
+            let [origin, customer, peer, provider] = &mut obs.selected_by_level;
+            *match route.level {
+                RouteLevel::Origin => origin,
+                RouteLevel::Customer => customer,
+                RouteLevel::Peer => peer,
+                RouteLevel::Provider => provider,
+            } += 1;
+            per_as[asn] = Some(route);
         }
 
         obs.ases_routed = per_as.iter().filter(|r| r.is_some()).count() as u64;
-        obs.unreachable = n as u64 - obs.ases_routed;
+        obs.unreachable = ases.len() as u64 - obs.ases_routed;
         (
             RoutingTable {
                 per_as,
@@ -515,7 +489,7 @@ mod tests {
         let sim = BgpSim::new(&w.graph, 7);
         let table = sim.route(&ann);
         for site in ann.active_sites() {
-            let r = table.per_as[site.host_asn.index()].as_ref().unwrap();
+            let r = table.per_as[site.host_asn].as_ref().unwrap();
             assert_eq!(r.level, RouteLevel::Origin);
             assert_eq!(r.selected_site(), site.id);
             // All PoPs of the host AS stay home.
@@ -586,7 +560,7 @@ mod tests {
         let sim = BgpSim::new(&w.graph, 7).with_ignore_prepend_fraction(0.0);
         let table = sim.route(&ann);
         for c in &w.graph.node(mia_site.host_asn).customers {
-            let r = table.per_as[c.index()].as_ref().unwrap();
+            let r = table.per_as[*c].as_ref().unwrap();
             // Customer of the origin: its customer-level route to MIA is
             // one hop; LAX can only be reached via providers/peers at best,
             // or via another customer chain. If its level is Customer and
@@ -618,7 +592,7 @@ mod tests {
         let sim = BgpSim::new(&w.graph, 9);
         let a = sim.route(&ann);
         let b = sim.route(&ann);
-        for (x, y) in a.per_as.iter().zip(&b.per_as) {
+        for (x, y) in a.per_as.iter().zip(b.per_as.iter()) {
             assert_eq!(x, y);
         }
         assert_eq!(a.per_pop_site, b.per_pop_site);
@@ -634,7 +608,7 @@ mod tests {
         let differ = t1
             .per_as
             .iter()
-            .zip(&t2.per_as)
+            .zip(t2.per_as.iter())
             .filter(|(a, b)| {
                 a.as_ref().map(|r| r.selected_site()) != b.as_ref().map(|r| r.selected_site())
             })
@@ -652,13 +626,13 @@ mod tests {
         let ann = Announcement::from_placements(&pick_host_ases(&w, &tangled_specs()), 1);
         let sim = BgpSim::new(&w.graph, 3);
         let table = sim.route(&ann);
-        for (a, r) in table.per_as.iter().enumerate() {
+        for (a, r) in table.per_as.iter_enumerated() {
             let r = r.as_ref().unwrap();
-            assert!(r.selected < r.candidates.len());
-            assert!(!r.candidates.is_empty());
-            for c in &r.candidates {
+            assert!(r.candidates().any(|c| *c == r.selected));
+            assert!(!r.strict.is_empty());
+            for c in r.candidates() {
                 if r.level != RouteLevel::Origin {
-                    assert_ne!(c.neighbor.index(), a, "self candidate on non-origin");
+                    assert_ne!(c.neighbor, a, "self candidate on non-origin");
                     assert!(c.session_pop.is_some());
                 }
             }
@@ -672,7 +646,7 @@ mod tests {
         let w = world();
         let ann = Announcement::from_placements(&pick_host_ases(&w, &tangled_specs()), 1);
         let table = BgpSim::new(&w.graph, 3).route(&ann);
-        for node in &w.graph.ases {
+        for node in w.graph.ases.iter() {
             let sites = table.sites_seen_by_as(&w.graph, node.asn);
             for &pop in &node.pops {
                 let s = table.site_of_pop(pop).unwrap();

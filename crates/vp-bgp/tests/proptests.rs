@@ -31,33 +31,32 @@ proptest! {
             0,
         );
         let table = BgpSim::new(&w.graph, policy_seed).route(&ann);
-        for (i, r) in table.per_as.iter().enumerate() {
+        for (i, r) in table.per_as.iter_enumerated() {
             let r = r.as_ref().expect("every AS reaches the anycast prefix");
-            prop_assert!(r.strict_count >= 1);
-            prop_assert!(r.strict_count <= r.candidates.len());
-            prop_assert!(r.selected < r.candidates.len());
+            prop_assert!(!r.strict.is_empty());
+            prop_assert!(r.candidates().any(|c| *c == r.selected));
             // Origins are self-candidates; everyone else names a neighbor.
             match r.level {
                 RouteLevel::Origin => {
-                    prop_assert_eq!(r.candidates.len(), 1);
-                    prop_assert_eq!(r.candidates[0].neighbor.index(), i);
+                    prop_assert_eq!(r.candidates().count(), 1);
+                    prop_assert_eq!(r.selected.neighbor, i);
                 }
                 _ => {
-                    for c in &r.candidates {
-                        prop_assert!(c.neighbor.index() != i);
+                    for c in r.candidates() {
+                        prop_assert!(c.neighbor != i);
                         prop_assert!(c.session_pop.is_some());
                     }
                 }
             }
         }
         // Per-PoP assignments use only sites of the owning AS's pool.
-        for (p, site) in table.per_pop_site.iter().enumerate() {
+        for (p, site) in table.per_pop_site.iter_enumerated() {
             let site = site.expect("every pop assigned");
             let asn = w.graph.pops[p].asn;
-            let r = table.per_as[asn.index()].as_ref().unwrap();
+            let r = table.per_as[asn].as_ref().unwrap();
             prop_assert!(
-                r.candidates.iter().any(|c| c.site == site),
-                "pop {p} got a site outside its AS's candidates"
+                r.candidates().any(|c| c.site == site),
+                "{p:?} got a site outside its AS's candidates"
             );
         }
     }
@@ -75,7 +74,7 @@ proptest! {
         for r in table.per_as.iter().flatten() {
             if r.level != RouteLevel::Origin {
                 prop_assert!(r.path_len >= 1);
-                prop_assert!((r.path_len as usize) < w.graph.len());
+                prop_assert!((r.path_len as usize) < w.graph.ases.len());
             }
         }
     }

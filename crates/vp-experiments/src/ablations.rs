@@ -102,7 +102,7 @@ pub fn hot_potato_splits() -> HotPotato {
             .iter()
             .filter(|n| table.sites_seen_by_as(graph, n.asn).len() > 1)
             .count(),
-        ases: graph.len(),
+        ases: graph.ases.len(),
     }
 }
 

@@ -15,7 +15,7 @@ use vp_obs::TraceLevel;
 use vp_sim::{CatchmentOracle, FaultConfig, FlippingOracle, Scenario, ShardExecutor, StaticOracle};
 use vp_topology::TopologyConfig;
 use verfploeter::catchment::CatchmentMap;
-use verfploeter::scan::{run_scan, run_scan_sharded_on, ScanConfig, ScanResult};
+use verfploeter::scan::{run_scan_sharded_on, ScanConfig, ScanResult};
 use verfploeter::ProbeConfig;
 
 use vp_monitor::ingest::write_atomic;
@@ -457,27 +457,29 @@ impl Lab {
             let table = scenario.routing();
             let model = scenario.flip_model(FLIP_SEED, &table);
             let rounds = self.scale.stability_rounds();
+            let make_oracle = || -> Box<dyn CatchmentOracle> {
+                let graph = scenario.world.graph.clone();
+                Box::new(FlippingOracle::new(table.clone(), graph, model.clone(), STABILITY_INTERVAL))
+            };
+            // Sharded like every other scan of the lab (`vp_scan_seeded`).
+            let shards = scan_shards(hitlist.len());
             let mut maps = Vec::with_capacity(rounds as usize);
             for r in 0..rounds {
-                let oracle = FlippingOracle::new(
-                    table.clone(),
-                    scenario.world.graph.clone(),
-                    model.clone(),
-                    STABILITY_INTERVAL,
-                );
                 let (start, config, sim_seed) =
                     stability_round(r, self.obs, self.flight_wall.clone());
-                let result = run_scan(
+                let result = run_scan_sharded_on(
+                    &ShardExecutor::host_parallel(shards),
                     &scenario.world,
                     hitlist,
                     &scenario.announcement,
-                    Box::new(oracle),
+                    &make_oracle,
                     FaultConfig::default(),
                     start,
                     &config,
                     sim_seed,
+                    shards,
                 );
-                self.record_scan_obs(&config.name, 1, &result, None);
+                self.record_scan_obs(&config.name, shards, &result, None);
                 maps.push(result.catchments);
             }
             Rc::new(maps)
@@ -654,7 +656,7 @@ mod tests {
         let moved = may
             .per_as
             .iter()
-            .zip(&april.per_as)
+            .zip(april.per_as.iter())
             .filter(|(a, b)| {
                 a.as_ref().map(|r| r.selected_site()) != b.as_ref().map(|r| r.selected_site())
             })

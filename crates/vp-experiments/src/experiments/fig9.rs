@@ -7,11 +7,11 @@
 
 use crate::context::Lab;
 use verfploeter::report::{count, pct, TextTable};
-use verfploeter::stability::classify_rounds;
+use vp_monitor::diff::{diff_series, RoundDiff};
 
 pub fn run(lab: &Lab) -> String {
     let rounds = lab.tangled_rounds();
-    let deltas = classify_rounds(&rounds);
+    let deltas = diff_series(&rounds);
     assert!(!deltas.is_empty(), "need at least two rounds");
 
     // With --snapshots, emit the per-round maps + origins sidecar that
@@ -35,7 +35,7 @@ pub fn run(lab: &Lab) -> String {
         ]);
     }
 
-    let median = |f: &dyn Fn(&verfploeter::stability::RoundDelta) -> u64| -> u64 {
+    let median = |f: &dyn Fn(&RoundDiff) -> u64| -> u64 {
         let mut v: Vec<u64> = deltas.iter().map(f).collect();
         v.sort_unstable();
         v[v.len() / 2]

@@ -7,7 +7,7 @@ pub fn run(lab: &Lab) -> String {
     let mut t = TextTable::new(["Service", "Site", "Location", "Upstream"]);
     for (service, scenario) in [("B-Root", lab.broot()), ("Tangled", lab.tangled())] {
         for site in &scenario.announcement.sites {
-            let pop = &scenario.world.graph.pops[site.pop.index()];
+            let pop = &scenario.world.graph.pops[site.pop];
             let country = pop.country.get();
             t.row([
                 service.to_owned(),

@@ -83,7 +83,7 @@ mod tests {
         want.insert(0, "origins.json".to_owned());
         assert_eq!(names, want);
 
-        let (first, reloaded) = load_rounds_dir(&dir).expect("reload rounds");
+        let (first, reloaded) = load_rounds_dir(&dir, None).expect("reload rounds");
         assert_eq!(first, 0);
         assert_eq!(reloaded.len(), rounds.len());
         for (orig, back) in rounds.iter().zip(&reloaded) {

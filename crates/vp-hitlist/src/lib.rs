@@ -20,8 +20,22 @@
 #![warn(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_possible_wrap)]
 
 use serde::Serialize;
-use vp_net::{mix, unit, Block24, Ipv4Addr};
+use vp_net::{mix, unit, Block24, Id, IdVec, Ipv4Addr};
 use vp_topology::Internet;
+
+/// The id of a hitlist entry: its row, in block order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HitlistRow(pub u32);
+
+impl Id for HitlistRow {
+    fn from_index(index: usize) -> Self {
+        HitlistRow(vp_net::conv::sat_u32(index))
+    }
+
+    fn index(self) -> usize {
+        vp_net::conv::index(self.0)
+    }
+}
 
 /// One hitlist row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -89,9 +103,9 @@ pub fn shard_bounds_of(n: usize, shards: usize) -> Vec<std::ops::Range<usize>> {
 }
 
 /// An ordered hitlist over every populated block of a world.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Hitlist {
-    entries: Vec<HitlistEntry>,
+    entries: IdVec<HitlistRow, HitlistEntry>,
 }
 
 impl Hitlist {
@@ -109,7 +123,7 @@ impl Hitlist {
             .map(|b| entry_for(b.block, b.rep_octet, cfg))
             .collect();
         debug_assert!(entries.is_sorted_by(|a, b| a.block < b.block));
-        Hitlist { entries }
+        Hitlist { entries: entries.into() }
     }
 
     /// Number of targets.
@@ -121,17 +135,18 @@ impl Hitlist {
         self.entries.is_empty()
     }
 
-    /// All entries in block order.
-    pub fn entries(&self) -> &[HitlistEntry] {
+    /// All entries in block order, keyed by their rows.
+    pub fn entries(&self) -> &IdVec<HitlistRow, HitlistEntry> {
         &self.entries
     }
 
     /// Looks up the entry for a block (binary search).
     pub fn for_block(&self, block: Block24) -> Option<HitlistEntry> {
-        self.entries
+        let entries = self.entries.as_slice();
+        entries
             .binary_search_by_key(&block, |e| e.block)
             .ok()
-            .and_then(|i| self.entries.get(i).copied())
+            .and_then(|i| entries.get(i).copied())
     }
 
     /// Partitions the hitlist into `shards` disjoint contiguous index
@@ -170,7 +185,7 @@ impl Hitlist {
         reason = "serializing owned plain data with derived impls cannot fail."
     )]
     pub fn to_json(&self) -> String {
-        serde_json::to_string(&self.entries).expect("hitlist serializes")
+        serde_json::to_string(self.entries.as_slice()).expect("hitlist serializes")
     }
 
     /// Reloads a hitlist written by [`Hitlist::to_json`], walking the text
@@ -205,7 +220,7 @@ impl Hitlist {
         if let Some((repeated, _)) = pairs.find(|(a, b)| a.block == b.block) {
             return Err(HitlistError::RepeatedBlock(repeated.block));
         }
-        Ok(Hitlist { entries })
+        Ok(Hitlist { entries: entries.into() })
     }
 }
 
@@ -257,7 +272,7 @@ mod tests {
         let blocks: std::collections::BTreeSet<Block24> =
             hl.entries().iter().map(|e| e.block).collect();
         assert_eq!(blocks.len(), hl.len());
-        for e in hl.entries() {
+        for e in hl.entries().iter() {
             assert!(e.block.contains(e.target), "{} outside {}", e.target, e.block);
             assert!(w.block(e.block).is_some());
         }
@@ -288,7 +303,7 @@ mod tests {
             ..HitlistConfig::default()
         };
         let hl = Hitlist::from_internet(&w, &cfg);
-        for e in hl.entries() {
+        for e in hl.entries().iter() {
             assert_eq!(e.target, w.block(e.block).unwrap().representative());
         }
     }
@@ -297,7 +312,7 @@ mod tests {
     fn for_block_lookup() {
         let w = world();
         let hl = Hitlist::from_internet(&w, &HitlistConfig::default());
-        let some = hl.entries()[hl.len() / 2];
+        let some = hl.entries().as_slice()[hl.len() / 2];
         assert_eq!(hl.for_block(some.block), Some(some));
         assert_eq!(hl.for_block(Block24(0)), None);
     }
@@ -311,12 +326,12 @@ mod tests {
         assert_eq!(back, hl);
         // Rows in any order, unknown members skipped; a row missing a
         // member, a value past u32 and trailing text are errors.
-        let e = hl.entries()[0];
+        let e = hl.entries()[HitlistRow(0)];
         let loose = format!(
             r#"[{{"target": {}, "x": [1], "block": {}}}]"#,
             e.target.0, e.block.0
         );
-        assert_eq!(Hitlist::from_json(&loose).unwrap().entries(), &[e]);
+        assert_eq!(Hitlist::from_json(&loose).unwrap().entries().as_slice(), [e]);
         for text in [r#"[{"block": 1}]"#, r#"[{"block": 1, "target": 4294967296}]"#, "[] x", "{}"] {
             assert!(matches!(Hitlist::from_json(text), Err(HitlistError::Json(_))), "{text}");
         }
@@ -329,7 +344,7 @@ mod tests {
     fn a_repeated_block_is_refused() {
         let w = world();
         let hl = Hitlist::from_internet(&w, &HitlistConfig::default());
-        let (a, b) = (hl.entries()[0], hl.entries()[1]);
+        let (a, b) = (hl.entries()[HitlistRow(0)], hl.entries()[HitlistRow(1)]);
         let elsewhere = HitlistEntry {
             target: Ipv4Addr(a.target.0 ^ 1),
             ..a

@@ -1,8 +1,8 @@
 //! The drift diff engine: what changed between consecutive catchment maps.
 //!
-//! Mirrors the paper's §6.3 round classification (stable / flipped /
-//! to-NR / from-NR — the Fig. 9 taxonomy, same semantics as
-//! `verfploeter::stability::classify_rounds`) and extends it with the
+//! Holds the paper's §6.3 round classification (stable / flipped /
+//! to-NR / from-NR — the Fig. 9 taxonomy, which `fig9_stability`
+//! reports from here) and extends it with the
 //! operator-facing signals the alert evaluator consumes: per-round flip
 //! rate, site load-share deltas, coverage changes, and per-AS flip
 //! attribution (Table 7's view, computed incrementally).
@@ -119,6 +119,13 @@ pub fn diff_rounds(
     }
 }
 
+/// Diffs each round of `maps` against the one before, numbering rounds
+/// from 1 and attributing no flips (the Fig. 9 series).
+pub fn diff_series(maps: &[CatchmentMap]) -> Vec<RoundDiff> {
+    let pairs = maps.iter().zip(maps.iter().skip(1)).zip(1..);
+    pairs.map(|((prev, cur), round)| diff_rounds(prev, cur, round, None)).collect()
+}
+
 /// Mergeable drift statistics over a window of rounds.
 ///
 /// Obeys the workspace merge-algebra contract (`SimStats`, `Registry`,
@@ -201,13 +208,10 @@ mod tests {
         let r0 = map("r0", &[(1, 0), (2, 0), (3, 1), (4, 1)]);
         let r1 = map("r1", &[(1, 0), (2, 1), (4, 1), (5, 0)]);
         let d = diff_rounds(&r0, &r1, 1, None);
+        // Blocks 1 and 4 stay, 2 flips, 3 goes silent, 5 starts answering.
         assert_eq!((d.stable, d.flipped, d.to_nr, d.from_nr), (2, 1, 1, 1));
-        // Same numbers as verfploeter::stability::classify_rounds.
-        let deltas = verfploeter::stability::classify_rounds(&[r0, r1]);
-        assert_eq!(deltas[0].stable, d.stable);
-        assert_eq!(deltas[0].flipped, d.flipped);
-        assert_eq!(deltas[0].to_nr, d.to_nr);
-        assert_eq!(deltas[0].from_nr, d.from_nr);
+        // A partition of the previous round: stable + flipped + to-NR.
+        assert_eq!(d.stable + d.flipped + d.to_nr, r0.len() as u64);
         // 1 flip among 3 continuing responders.
         assert_eq!(d.flip_rate_permille, 333);
         assert_eq!(d.prev_blocks, 4);
@@ -253,10 +257,7 @@ mod tests {
             map("r1", &[(1, 1), (2, 0), (3, 0), (4, 0)]),
             map("r2", &[(1, 0), (2, 1), (3, 1), (4, 0)]),
         ];
-        let diffs = [
-            diff_rounds(&rounds[0], &rounds[1], 1, None),
-            diff_rounds(&rounds[1], &rounds[2], 2, None),
-        ];
+        let diffs = diff_series(&rounds);
         let mut sum = DriftSummary::default();
         for d in &diffs {
             sum.merge(&DriftSummary::from_diff(d));

@@ -142,16 +142,26 @@ pub fn load_round_file(path: &Path) -> Result<CatchmentMap, String> {
         .map_err(|e| format!("{}: invalid catchment map: {e}", path.display()))
 }
 
-/// Loads every round snapshot in `dir` at once, with the directory's
-/// first round number (the batch path; an empty directory is an error
-/// here).
-pub fn load_rounds_dir(dir: &Path) -> Result<(u32, Vec<CatchmentMap>), String> {
+/// Loads one round file, refusing a block `origins` does not list: its
+/// flips would drop out of the per-AS attribution.
+pub fn load_round_listed(path: &Path, origins: Option<&Origins>) -> Result<CatchmentMap, String> {
+    let map = load_round_file(path)?;
+    match origins.and_then(|o| map.iter().find(|(block, _)| !o.contains_key(block))) {
+        Some((block, _)) => Err(format!("{}: block {block} is not in the origins in use", path.display())),
+        None => Ok(map),
+    }
+}
+
+/// Loads every round snapshot in `dir` at once through
+/// [`load_round_listed`], with the directory's first round number (the
+/// batch path; an empty directory is an error here).
+pub fn load_rounds_dir(dir: &Path, origins: Option<&Origins>) -> Result<(u32, Vec<CatchmentMap>), String> {
     let rounds = list_rounds(dir)?;
     let Some(&(first, _)) = rounds.first() else {
         return Err(format!("no r*.json round files in {}", dir.display()));
     };
-    let maps = rounds.iter().map(|(_, path)| load_round_file(path)).collect::<Result<_, _>>()?;
-    Ok((first, maps))
+    let maps = rounds.iter().map(|(_, path)| load_round_listed(path, origins));
+    Ok((first, maps.collect::<Result<_, _>>()?))
 }
 
 /// Parses the `vp-monitor-origins/v1` sidecar mapping each /24 block to
@@ -355,7 +365,7 @@ mod tests {
             std::fs::write(dir.join("rough.json"), "{not json").unwrap();
             // A round still being written sits under its writer's temp name.
             std::fs::write(dir.join(".r003.json.tmp"), "{\"name\":\"r003.json\",\"ma").unwrap();
-            let (first, rounds) = load_rounds_dir(&dir).unwrap();
+            let (first, rounds) = load_rounds_dir(&dir, None).unwrap();
             let mut want: Vec<u32> = files.iter().filter_map(|f| round_number(f)).map(Result::unwrap).collect();
             want.sort_unstable();
             let got: Vec<u32> = rounds.iter().map(|m| m.iter().next().unwrap().0 .0).collect();
@@ -375,7 +385,7 @@ mod tests {
             let dir = rounds_dir("refused", files);
             let err = list_round_files(&dir).unwrap_err();
             assert!(named.iter().all(|n| err.contains(n)), "{err}");
-            assert_eq!(load_rounds_dir(&dir).unwrap_err(), err);
+            assert_eq!(load_rounds_dir(&dir, None).unwrap_err(), err);
             let _ = std::fs::remove_dir_all(&dir);
         };
         refused(&["r000.json", "r001.json", "r1.json"], &["r001.json", "r1.json", "round 1"]);
@@ -415,7 +425,7 @@ mod tests {
         let dir = std::env::temp_dir().join("vp-monitor-ingest-empty");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        assert!(load_rounds_dir(&dir).is_err());
+        assert!(load_rounds_dir(&dir, None).is_err());
         // ... but merely *listing* an empty directory is fine: the follow
         // path polls a directory whose first round hasn't landed yet.
         assert_eq!(list_round_files(&dir).unwrap(), Vec::<std::path::PathBuf>::new());

@@ -55,8 +55,8 @@ pub mod schema;
 pub mod stream;
 
 pub use alert::{Alert, AlertConfig, Evaluator};
-pub use diff::{diff_rounds, DriftSummary, Origins, RoundDiff};
-pub use ingest::{load_obs_report, load_rounds_dir, ObsReportDoc, ScanSummary};
+pub use diff::{diff_rounds, diff_series, DriftSummary, Origins, RoundDiff};
+pub use ingest::{load_obs_report, load_round_listed, load_rounds_dir, ObsReportDoc, ScanSummary};
 pub use pipeline::{run_diff_pipeline, DiffOutput};
 pub use profile::{parse_flight_doc, profile_channel, render_report, ChannelProfile, PhaseRow};
 pub use stream::{build_scrape, build_status_doc, DaemonMeta, DriftTracker, StreamStep};

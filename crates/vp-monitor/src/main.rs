@@ -21,6 +21,9 @@
 //!   --snapshots`-style producer — until `--until-rounds` rounds have
 //!   been seen (or forever without it). A round that lands out of turn
 //!   stops it with an error naming the file.
+//! * Both refuse a round file holding a block the origins in use
+//!   (`--origins`, else the sidecar) do not list, naming the file and the
+//!   block: its flips would drop out of the per-AS attribution.
 //! * `validate` checks any tagged document (obs report, drift, alert,
 //!   daemon status, flight) against its embedded schema snapshot;
 //!   directory arguments validate every `*.json` inside.
@@ -37,7 +40,7 @@ use std::process::ExitCode;
 use vp_monitor::alert::AlertConfig;
 use vp_monitor::diff::Origins;
 use vp_monitor::ingest::{
-    load_obs_report, load_origins_sidecar, load_round_file, load_rounds_dir, write_atomic, RoundTail,
+    load_obs_report, load_origins_sidecar, load_round_listed, load_rounds_dir, write_atomic, RoundTail,
 };
 use vp_monitor::pipeline::run_diff_pipeline;
 use vp_monitor::profile::{parse_flight_doc, render_report};
@@ -156,8 +159,8 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
     if args.follow || args.until_rounds.is_some() {
         return Err("diff runs once over a complete directory; use watch --follow".to_owned());
     }
-    let (first, rounds) = load_rounds_dir(&args.rounds)?;
     let (origins, durations) = load_context(&args)?;
+    let (first, rounds) = load_rounds_dir(&args.rounds, origins.as_ref())?;
     let out = run_diff_pipeline(
         &args.source,
         first,
@@ -193,7 +196,7 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
         return Err("watch does not write documents; use diff --out".to_owned());
     }
     // Origins and durations load once up front; round files stream.
-    let (mut origins, durations) = load_context(&args)?;
+    let (origins, durations) = load_context(&args)?;
 
     // The same streaming tracker the daemon publishes from, proven
     // byte-equal to the batch pipeline — so plain `watch` prints exactly
@@ -207,13 +210,13 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, String> {
             if args.until_rounds.is_some_and(|n| ingested(&tracker) >= n.get()) {
                 break 'tail;
             }
-            let map = load_round_file(&file)?;
+            let map = load_round_listed(&file, origins.as_ref())?;
             let tracker = match &mut tracker {
                 Some(tracker) => tracker,
                 None => tracker.insert(DriftTracker::with_start_round(
                     AlertConfig::default(),
                     WATCH_WINDOW,
-                    origins.take(),
+                    origins.clone(),
                     round,
                 )),
             };

@@ -209,9 +209,9 @@ fn a_poller_only_ever_reads_whole_documents() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Runs `vp-monitor <args> --rounds <dir>`: its exit success, stdout and
+/// Runs `vp-monitor <args> --rounds <dir>`: its exit code, stdout and
 /// stderr.
-fn monitor(args: &[&str], dir: &Path) -> (bool, String, String) {
+fn monitor(args: &[&str], dir: &Path) -> (Option<i32>, String, String) {
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_vp-monitor"))
         .args(args)
         .arg("--rounds")
@@ -219,7 +219,7 @@ fn monitor(args: &[&str], dir: &Path) -> (bool, String, String) {
         .output()
         .expect("run vp-monitor");
     let text = |bytes: &[u8]| String::from_utf8_lossy(bytes).into_owned();
-    (out.status.success(), text(&out.stdout), text(&out.stderr))
+    (out.status.code(), text(&out.stdout), text(&out.stderr))
 }
 
 const WATCH_FOLLOW: &[&str] = &["watch", "--follow", "--until-rounds", "4", "--poll-ms", "1"];
@@ -239,8 +239,8 @@ fn diffs_are_numbered_from_the_directorys_first_round() {
     let dir = scratch("first-round");
     write_rounds(&dir, &[5, 6, 7, 8]);
     let run = |args: &[&str]| {
-        let (ok, stdout, stderr) = monitor(args, &dir);
-        assert!(ok, "{args:?}: {stderr}");
+        let (code, stdout, stderr) = monitor(args, &dir);
+        assert_eq!(code, Some(0), "{args:?}: {stderr}");
         stdout
     };
 
@@ -266,16 +266,16 @@ fn diffs_are_numbered_from_the_directorys_first_round() {
     let last = u64::from(u32::MAX);
     let dir = scratch("last-round");
     write_rounds(&dir, &[last - 1, last]);
-    let (ok, stdout, stderr) = monitor(&["watch"], &dir);
-    assert!(ok, "{stderr}");
+    let (code, stdout, stderr) = monitor(&["watch"], &dir);
+    assert_eq!(code, Some(0), "{stderr}");
     assert!(stdout.contains(&format!("round {last}: ")), "{stdout}");
     let _ = std::fs::remove_dir_all(&dir);
 
     let dir = scratch("past-last-round");
     write_rounds(&dir, &[last, last + 1]);
     for args in [&["diff"][..], &["watch"], WATCH_FOLLOW] {
-        let (ok, stdout, stderr) = monitor(args, &dir);
-        assert!(!ok, "{args:?} accepted round {}: {stdout}", last + 1);
+        let (code, stdout, stderr) = monitor(args, &dir);
+        assert_eq!(code, Some(2), "{args:?} accepted round {}: {stdout}", last + 1);
         assert!(stderr.contains(&format!("r{}.json", last + 1)), "{args:?}: {stderr}");
         assert!(stderr.contains(&format!("past round {last}")), "{args:?}: {stderr}");
         assert!(!stdout.contains("round "), "{args:?} numbered a diff: {stdout}");
@@ -294,13 +294,44 @@ fn watch_refuses_zero_until_rounds() {
         std::fs::write(dir.join(format!("r{round:03}.json")), doc).expect("write round");
     }
     for args in [&["watch", "--until-rounds", "0"][..], &["watch", "--follow", "--until-rounds", "0"]] {
-        let (ok, stdout, stderr) = monitor(args, &dir);
-        assert!(!ok, "{args:?} accepted a zero count: {stdout}");
+        let (code, stdout, stderr) = monitor(args, &dir);
+        assert_eq!(code, Some(2), "{args:?} accepted a zero count: {stdout}");
         assert!(stderr.contains("--until-rounds \"0\""), "{args:?}: {stderr}");
         assert!(!stderr.contains("no r*.json"), "{args:?}: {stderr}");
     }
-    let (ok, stdout, stderr) = monitor(&["watch", "--until-rounds", "3"], &dir);
-    assert!(ok, "{stderr}");
+    let (code, stdout, stderr) = monitor(&["watch", "--until-rounds", "3"], &dir);
+    assert_eq!(code, Some(0), "{stderr}");
     assert_eq!(stdout.lines().filter(|l| l.starts_with("round ")).count(), 2, "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A round holding a block the origins in use do not list is refused by
+/// `diff` and `watch`, which name the file and the block: its flips would
+/// otherwise drop out of the per-AS attribution, and the summary would
+/// undercount them. The origins come from `--origins` or the sidecar.
+#[test]
+fn rounds_the_origins_do_not_list_are_refused_by_name() {
+    let dir = scratch("unlisted-origins");
+    let rounds: [&[(u32, u8)]; 3] = [&[(1, 0), (2, 0)], &[(1, 1), (2, 0)], &[(1, 0), (2, 1), (3, 1)]];
+    for (round, pairs) in rounds.iter().enumerate() {
+        let doc = round_doc(&format!("r{round}"), pairs);
+        std::fs::write(dir.join(format!("r{round:03}.json")), doc).expect("write round");
+    }
+    let listed = dir.join("listed.json");
+    std::fs::write(&listed, sidecar_doc(&[(1, 0), (2, 0), (3, 0)])).expect("write origins");
+    std::fs::write(dir.join("origins.json"), sidecar_doc(&[(1, 0), (2, 0)])).expect("write sidecar");
+    let unlisted = format!("r002.json: block {} is not in the origins in use", Block24(3));
+    for args in [&["diff"][..], &["watch"], WATCH_FOLLOW] {
+        let (code, stdout, stderr) = monitor(args, &dir);
+        assert_eq!(code, Some(2), "{args:?} accepted an unlisted block: {stdout}");
+        assert!(stderr.contains(&unlisted), "{args:?}: {stderr}");
+    }
+    // With origins that list every block, the same rounds replay.
+    for command in ["diff", "watch"] {
+        let args = [command, "--origins", listed.to_str().expect("utf-8 path")];
+        let (code, stdout, stderr) = monitor(&args, &dir);
+        assert_eq!(code, Some(0), "{args:?}: {stderr}");
+        assert!(stdout.contains("round "), "{args:?}: {stdout}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -6,16 +6,19 @@ use serde::Serialize;
 
 /// An Autonomous System number.
 ///
-/// The generated topologies use small dense ASNs (`0..n`), which lets other
-/// crates index per-AS tables with `Asn::index()`.
+/// The generated topologies use small dense ASNs (`0..n`), which key the
+/// per-AS tables ([`crate::IdVec`]).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 #[serde(transparent)]
 pub struct Asn(pub u32);
 
-impl Asn {
-    /// The ASN as a vector index.
-    pub const fn index(self) -> usize {
-        self.0 as usize
+impl crate::Id for Asn {
+    fn from_index(index: usize) -> Self {
+        Asn(crate::conv::sat_u32(index))
+    }
+
+    fn index(self) -> usize {
+        crate::conv::index(self.0)
     }
 }
 
@@ -40,11 +43,13 @@ impl From<u32> for Asn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Id;
 
     #[test]
     fn display_and_index() {
         assert_eq!(Asn(226).to_string(), "AS226");
         assert_eq!(Asn(7).index(), 7);
+        assert_eq!(Asn::from_index(7), Asn(7));
         assert_eq!(Asn::from(3u32), Asn(3));
     }
 }

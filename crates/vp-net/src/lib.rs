@@ -13,6 +13,9 @@
 //! * [`mod@column`] — the sorted block column with a parallel value column
 //!   ([`BlockColumn`]) and its merge-join ([`Joined`]): the one table
 //!   behind the catchment map and the RTT table.
+//! * [`idvec`] — dense tables keyed by typed ids ([`IdVec`], [`Id`]): the
+//!   per-AS, per-PoP and hitlist-row tables, whose one indexing panic
+//!   names the id.
 //! * [`hash`] — the one keyed hash ([`mix`], [`fn@unit`]) behind every
 //!   deterministic stochastic draw in the workspace.
 //! * [`perm`] — pseudorandom probe-order permutations (Feistel cycle-walking
@@ -36,6 +39,7 @@ pub mod column;
 pub mod conv;
 pub mod error;
 pub mod hash;
+pub mod idvec;
 pub mod pacing;
 pub mod perm;
 pub mod time;
@@ -46,6 +50,7 @@ pub use bitset::BitSet;
 pub use column::{BlockColumn, Joined};
 pub use error::NetError;
 pub use hash::{mix, unit};
+pub use idvec::{Id, IdVec};
 pub use pacing::TokenBucket;
 pub use perm::{FeistelPermutation, LcgPermutation, ProbeOrder};
 pub use time::{SimDuration, SimTime};

@@ -4,7 +4,7 @@ use std::collections::VecDeque;
 
 use vp_bgp::{Announcement, SiteId};
 use vp_net::conv;
-use vp_net::{mix, unit, Block24, Ipv4Addr, SimTime};
+use vp_net::{mix, unit, Block24, IdVec, Ipv4Addr, SimTime};
 use vp_packet::{DnsMessage, IcmpMessage, Ipv4Packet, Protocol, UdpDatagram};
 use vp_topology::{Internet, PopId};
 
@@ -185,10 +185,9 @@ struct Service<'w> {
     /// per-reply DNS path never formats a hostname (the allocation witness
     /// counts it).
     hostnames: Vec<String>,
-    /// The route column: the oracle's answer per PoP (indexed by
-    /// [`PopId`]) for `route_epoch`, `None` until the PoP's first packet
-    /// asks. Two bytes a PoP.
-    routes: Vec<Option<Option<SiteId>>>,
+    /// The route column: the oracle's answer per PoP for `route_epoch`,
+    /// `None` until the PoP's first packet asks. Two bytes a PoP.
+    routes: IdVec<PopId, Option<Option<SiteId>>>,
     /// The epoch `routes` answers for: that of the first packet injected
     /// from or to the service. A transmission of any other epoch (a late
     /// reply crossing a flip interval) asks the oracle directly.
@@ -203,7 +202,7 @@ impl Service<'_> {
         if self.route_epoch != Some(epoch) {
             return self.oracle.site_of_pop(pop, epoch);
         }
-        let slot = self.routes.get_mut(pop.index())?;
+        let slot = self.routes.lookup_mut(pop)?;
         *slot.get_or_insert_with(|| self.oracle.site_of_pop(pop, epoch))
     }
 }
@@ -365,7 +364,7 @@ impl<'w> NetworkSim<'w> {
                 oracle,
                 serve_dns,
                 hostnames,
-                routes: vec![None; world.graph.pops.len()],
+                routes: world.graph.pops.map(|_| None),
                 route_epoch: None,
             },
             faults,
@@ -661,7 +660,7 @@ impl<'w> NetworkSim<'w> {
 
     fn site_location(&self, site: SiteId) -> Option<(f64, f64)> {
         let s = self.service.announcement.sites.get(site.index())?;
-        let pop = self.world.graph.pops.get(s.pop.index())?;
+        let pop = self.world.graph.pops.lookup(s.pop)?;
         Some((pop.lat, pop.lon))
     }
 

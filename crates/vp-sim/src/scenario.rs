@@ -6,6 +6,7 @@
 //! of Figs. 5 and 6 reuses the same world with modified announcements.
 
 use vp_bgp::{Announcement, BgpSim, FlipModel, RoutingTable};
+use vp_net::{Asn, IdVec};
 use vp_topology::{broot_specs, pick_host_ases, tangled_specs, Internet, TopologyConfig};
 
 /// A ready-to-measure deployment: world + announcement.
@@ -78,12 +79,10 @@ impl Scenario {
     }
 
     /// Count of populated blocks per AS (used by analyses and flip models).
-    pub fn blocks_per_as(&self) -> Vec<u32> {
-        let mut counts = vec![0u32; self.world.graph.len()];
+    pub fn blocks_per_as(&self) -> IdVec<Asn, u32> {
+        let mut counts = self.world.graph.ases.map(|_| 0);
         for b in &self.world.blocks {
-            if let Some(n) = counts.get_mut(b.origin.index()) {
-                *n += 1;
-            }
+            counts[b.origin] += 1;
         }
         counts
     }
@@ -135,7 +134,7 @@ mod tests {
         let moved = base
             .per_as
             .iter()
-            .zip(&shifted.per_as)
+            .zip(shifted.per_as.iter())
             .filter(|(a, b)| {
                 a.as_ref().map(|r| r.selected_site()) != b.as_ref().map(|r| r.selected_site())
             })

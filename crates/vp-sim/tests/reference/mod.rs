@@ -239,7 +239,7 @@ impl<'a> Reference<'a> {
     }
 
     fn site_coords(&self, site: SiteId) -> Option<Coords> {
-        let pop = self.world.graph.pops.get(self.ann.sites.get(site.index())?.pop.index())?;
+        let pop = self.world.graph.pops.lookup(self.ann.sites.get(site.index())?.pop)?;
         Some((pop.lat, pop.lon))
     }
 

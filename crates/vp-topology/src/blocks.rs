@@ -71,7 +71,7 @@ pub fn generate_blocks(
             }
             let node = graph.node(info.origin);
             let pop = node.pops[rng.gen_range(0..node.pops.len())];
-            let pop_info = &graph.pops[pop.index()];
+            let pop_info = &graph.pops[pop];
             let country = pop_info.country.get();
 
             // Load: log-normal body with resolver concentration.
@@ -182,7 +182,7 @@ mod tests {
     fn pops_belong_to_origin_as() {
         let (graph, _, blocks, _, _) = setup(2);
         for b in &blocks {
-            assert_eq!(graph.pops[b.pop.index()].asn, b.origin);
+            assert_eq!(graph.pops[b.pop].asn, b.origin);
         }
     }
 

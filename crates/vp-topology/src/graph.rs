@@ -6,7 +6,7 @@ use rand::distributions::{Distribution, WeightedIndex};
 use rand::Rng;
 use serde::Serialize;
 use vp_geo::{countries, distance_km, Continent, CountryId};
-use vp_net::Asn;
+use vp_net::{Asn, Id, IdVec};
 
 use crate::config::TopologyConfig;
 
@@ -26,9 +26,13 @@ pub enum AsTier {
 #[serde(transparent)]
 pub struct PopId(pub u32);
 
-impl PopId {
-    pub const fn index(self) -> usize {
-        self.0 as usize
+impl Id for PopId {
+    fn from_index(index: usize) -> Self {
+        PopId(vp_net::conv::sat_u32(index))
+    }
+
+    fn index(self) -> usize {
+        vp_net::conv::index(self.0)
     }
 }
 
@@ -56,10 +60,19 @@ pub struct AsNode {
 }
 
 /// The generated AS graph with PoP-anchored adjacencies.
+///
+/// Its tables are keyed by their own ids, `ases[asn]` and `pops[pop]`;
+/// a PoP cannot index a per-AS table:
+///
+/// ```compile_fail,E0277
+/// # use vp_topology::{Internet, PopId, TopologyConfig};
+/// let world = Internet::generate(TopologyConfig::tiny(1));
+/// let _ = &world.graph.ases[PopId(0)];
+/// ```
 #[derive(Debug, Clone)]
 pub struct AsGraph {
-    pub ases: Vec<AsNode>,
-    pub pops: Vec<Pop>,
+    pub ases: IdVec<Asn, AsNode>,
+    pub pops: IdVec<PopId, Pop>,
     /// For each directed adjacency `(a, b)`, ascending by `(a, b)`: the
     /// PoP of `a` where the session to `b` lands. Both directions are
     /// always present.
@@ -67,13 +80,9 @@ pub struct AsGraph {
 }
 
 impl AsGraph {
-    /// The node for `asn`. Panics on out-of-range ASN (ASNs are dense).
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "documented contract — ASNs are dense indices minted with the graph; out-of-range must fail loudly."
-    )]
+    /// The node for `asn`. Panics on an ASN of another graph.
     pub fn node(&self, asn: Asn) -> &AsNode {
-        &self.ases[asn.index()]
+        &self.ases[asn]
     }
 
     /// The PoP anchoring the session from `a` toward `b`, if adjacent.
@@ -89,15 +98,6 @@ impl AsGraph {
     /// `pop` is the PoP of `a` where its session to `b` lands.
     pub fn sessions(&self) -> impl Iterator<Item = ((Asn, Asn), PopId)> + '_ {
         self.sessions.iter().copied()
-    }
-
-    /// Number of ASes.
-    pub fn len(&self) -> usize {
-        self.ases.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.ases.is_empty()
     }
 
     /// All neighbor ASNs of `asn` (providers, customers, peers).
@@ -338,8 +338,8 @@ impl AsGraph {
         sessions.sort_unstable_by_key(|&(key, _)| key);
 
         AsGraph {
-            ases,
-            pops,
+            ases: ases.into(),
+            pops: pops.into(),
             sessions,
         }
     }
@@ -450,9 +450,8 @@ mod tests {
     #[test]
     fn sizes_match_config() {
         let g = gen(1);
-        assert_eq!(g.len(), 120);
-        assert!(!g.is_empty());
-        assert!(g.pops.len() >= g.len()); // every AS has >= 1 PoP
+        assert_eq!(g.ases.len(), 120);
+        assert!(g.pops.len() >= g.ases.len()); // every AS has >= 1 PoP
     }
 
     #[test]
@@ -473,7 +472,7 @@ mod tests {
     #[test]
     fn every_non_tier1_has_a_provider() {
         let g = gen(3);
-        for a in &g.ases {
+        for a in g.ases.iter() {
             if a.tier != AsTier::Tier1 {
                 assert!(!a.providers.is_empty(), "{} is orphaned", a.asn);
             }
@@ -483,7 +482,7 @@ mod tests {
     #[test]
     fn relationships_are_symmetric() {
         let g = gen(4);
-        for a in &g.ases {
+        for a in g.ases.iter() {
             for p in &a.providers {
                 assert!(g.node(*p).customers.contains(&a.asn));
             }
@@ -500,7 +499,7 @@ mod tests {
     fn provider_customer_is_acyclic() {
         // Providers always have a smaller ASN index by construction; check.
         let g = gen(5);
-        for a in &g.ases {
+        for a in g.ases.iter() {
             for p in &a.providers {
                 assert!(p.index() < a.asn.index(), "{} -> provider {}", a.asn, p);
             }
@@ -510,7 +509,7 @@ mod tests {
     #[test]
     fn stubs_have_no_customers() {
         let g = gen(6);
-        for a in &g.ases {
+        for a in g.ases.iter() {
             if a.tier == AsTier::Stub {
                 assert!(a.customers.is_empty(), "{} is a stub with customers", a.asn);
             }
@@ -521,7 +520,7 @@ mod tests {
     fn adjacency_pops_belong_to_their_as() {
         let g = gen(7);
         for ((a, b), pop) in g.sessions() {
-            assert_eq!(g.pops[pop.index()].asn, a);
+            assert_eq!(g.pops[pop].asn, a);
             assert!(g.node(a).pops.contains(&pop));
             assert_eq!(g.session_pop(a, b), Some(pop));
             // Both directions exist.
@@ -625,7 +624,7 @@ mod tests {
     #[test]
     fn all_ases_reach_tier1_via_providers() {
         let g = gen(8);
-        for a in &g.ases {
+        for a in g.ases.iter() {
             let mut cur = a;
             let mut hops = 0;
             while cur.tier != AsTier::Tier1 {
@@ -640,8 +639,8 @@ mod tests {
     fn generation_is_deterministic() {
         let a = gen(42);
         let b = gen(42);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.ases.iter().zip(&b.ases) {
+        assert_eq!(a.ases.len(), b.ases.len());
+        for (x, y) in a.ases.iter().zip(b.ases.iter()) {
             assert_eq!(x.providers, y.providers);
             assert_eq!(x.peers, y.peers);
             assert_eq!(x.country, y.country);
@@ -651,7 +650,7 @@ mod tests {
         let same = a
             .ases
             .iter()
-            .zip(&c.ases)
+            .zip(c.ases.iter())
             .all(|(x, y)| x.providers == y.providers && x.country == y.country);
         assert!(!same);
     }
@@ -663,7 +662,7 @@ mod tests {
             let continents: std::collections::BTreeSet<_> = a
                 .pops
                 .iter()
-                .map(|p| g.pops[p.index()].country.get().continent)
+                .map(|p| g.pops[*p].country.get().continent)
                 .collect();
             assert!(
                 continents.len() >= 3,
@@ -677,7 +676,7 @@ mod tests {
     #[test]
     fn neighbors_iterates_all_relations() {
         let g = gen(10);
-        let a = &g.ases[g.len() - 1]; // a stub
+        let a = g.ases.iter().last().unwrap(); // a stub
         let count = g.neighbors(a.asn).count();
         assert_eq!(count, a.providers.len() + a.customers.len() + a.peers.len());
     }

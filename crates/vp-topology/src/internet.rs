@@ -3,7 +3,7 @@
 use rand::SeedableRng;
 use rand_pcg::Pcg64;
 use vp_geo::GeoDb;
-use vp_net::{Asn, Block24};
+use vp_net::{Asn, Block24, IdVec};
 
 use crate::blocks::{generate_blocks, BlockInfo};
 use crate::config::TopologyConfig;
@@ -28,7 +28,7 @@ pub struct Internet {
     pub prefixes: Vec<PrefixInfo>,
     pub blocks: Vec<BlockInfo>,
     pub geodb: GeoDb,
-    prefixes_per_as: Vec<u32>,
+    prefixes_per_as: IdVec<Asn, u32>,
 }
 
 impl Internet {
@@ -39,11 +39,9 @@ impl Internet {
         let prefixes = allocate_prefixes(&graph, &config, &mut rng);
         let (blocks, geodb) = generate_blocks(&graph, &prefixes, &config, &mut rng);
 
-        let mut prefixes_per_as = vec![0u32; graph.len()];
+        let mut prefixes_per_as = graph.ases.map(|_| 0);
         for info in &prefixes {
-            if let Some(n) = prefixes_per_as.get_mut(info.origin.index()) {
-                *n += 1;
-            }
+            prefixes_per_as[info.origin] += 1;
         }
         let one_row_per_block =
             "the geolocation database must hold one row per block: a block's position is its row";
@@ -85,12 +83,8 @@ impl Internet {
     }
 
     /// Number of prefixes announced by `asn`.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "prefixes_per_as is sized to the AS count of the world that minted asn."
-    )]
     pub fn announced_prefixes(&self, asn: Asn) -> u32 {
-        self.prefixes_per_as[asn.index()]
+        self.prefixes_per_as[asn]
     }
 
     /// Iterator over blocks whose representative address answers pings.
@@ -139,9 +133,7 @@ mod tests {
     #[test]
     fn announced_prefix_counts_sum() {
         let w = world();
-        let total: u32 = (0..w.graph.len() as u32)
-            .map(|i| w.announced_prefixes(Asn(i)))
-            .sum();
+        let total: u32 = w.graph.ases.ids().map(|a| w.announced_prefixes(a)).sum();
         assert_eq!(total as usize, w.prefixes.len());
     }
 
@@ -181,7 +173,7 @@ mod tests {
                 assert_eq!(w.block_id(b.block), Some(row as u32), "block {}", b.block);
                 // The row's position is the keyed rule: the block's
                 // location, else its PoP's coordinates.
-                let pop = &w.graph.pops[b.pop.index()];
+                let pop = &w.graph.pops[b.pop];
                 let keyed = w.geodb.locate(b.block).map_or((pop.lat, pop.lon), |l| (l.lat, l.lon));
                 assert_eq!(w.geodb.coords_of_row(row), Some(keyed), "block {}", b.block);
             }

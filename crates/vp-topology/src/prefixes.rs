@@ -57,7 +57,7 @@ const LENGTH_WEIGHTS: &[(u8, f64)] = &[
 #[expect(
     clippy::expect_used,
     clippy::indexing_slicing,
-    reason = "LENGTH_WEIGHTS is a static table of positive weights and every length drawn from the static tables is <= 24; i enumerates `desired`, one slot per AS, and each table draw is below its table's length"
+    reason = "LENGTH_WEIGHTS is a static table of positive weights and every length drawn from the static tables is <= 24, and each table draw is below its table's length"
 )]
 pub fn allocate_prefixes<R: Rng>(
     graph: &AsGraph,
@@ -92,12 +92,12 @@ pub fn allocate_prefixes<R: Rng>(
     let limit: u64 = (ANYCAST_REGION.0 >> 8) as u64;
     let max_round = desired.iter().copied().max().unwrap_or(0);
     'alloc: for round in 0..max_round {
-        for (i, want) in desired.iter().enumerate() {
+        for (node, want) in graph.ases.iter().zip(&desired) {
             if round >= *want {
                 continue;
             }
             // Stubs' first prefix skews small; otherwise sample the mix.
-            let len = if round == 0 && graph.ases[i].tier == AsTier::Stub && rng.gen_bool(0.7) {
+            let len = if round == 0 && node.tier == AsTier::Stub && rng.gen_bool(0.7) {
                 const SMALL: [u8; 6] = [21, 22, 22, 23, 23, 24];
                 SMALL[rng.gen_range(0..SMALL.len())]
             } else {
@@ -114,7 +114,7 @@ pub fn allocate_prefixes<R: Rng>(
                 .expect("generated length is valid");
             out.push(PrefixInfo {
                 prefix,
-                origin: graph.ases[i].asn,
+                origin: node.asn,
             });
         }
     }
@@ -161,9 +161,9 @@ mod tests {
     fn every_as_gets_at_least_one_prefix() {
         let (graph, cfg, mut rng) = setup(1);
         let prefixes = allocate_prefixes(&graph, &cfg, &mut rng);
-        let mut counts = vec![0usize; graph.len()];
+        let mut counts = graph.ases.map(|_| 0usize);
         for p in &prefixes {
-            counts[p.origin.index()] += 1;
+            counts[p.origin] += 1;
         }
         assert!(counts.iter().all(|&c| c >= 1), "orphaned AS");
     }
@@ -198,15 +198,15 @@ mod tests {
     fn prefix_count_distribution_is_heavy_tailed() {
         let (graph, cfg, mut rng) = setup(4);
         let prefixes = allocate_prefixes(&graph, &cfg, &mut rng);
-        let mut counts = vec![0usize; graph.len()];
+        let mut counts = graph.ases.map(|_| 0usize);
         for p in &prefixes {
-            counts[p.origin.index()] += 1;
+            counts[p.origin] += 1;
         }
         let max = *counts.iter().max().unwrap();
         let ones = counts.iter().filter(|&&c| c <= 2).count();
         assert!(max >= 10, "no large announcers (max {max})");
         assert!(
-            ones * 2 > graph.len(),
+            ones * 2 > graph.ases.len(),
             "most ASes should announce few prefixes"
         );
     }

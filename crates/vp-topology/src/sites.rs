@@ -31,11 +31,7 @@ pub struct SitePlacement {
 /// # Panics
 /// Panics if the world has fewer distinct candidate ASes than sites, or an
 /// unknown country code is given.
-#[expect(
-    clippy::panic,
-    clippy::indexing_slicing,
-    reason = "documented `# Panics` contract; every index is a dense ASN or PoP id of this world, and d is sized to its AS count"
-)]
+#[expect(clippy::panic, reason = "documented `# Panics` contract")]
 pub fn pick_host_ases(world: &Internet, specs: &[(&str, &str)]) -> Vec<SitePlacement> {
     let mut used: Vec<Asn> = Vec::new();
     let mut out = Vec::new();
@@ -62,18 +58,16 @@ pub fn pick_host_ases(world: &Internet, specs: &[(&str, &str)]) -> Vec<SitePlace
         // no realistic prepending could compensate (and B-Root's real
         // upstreams were both well-connected).
         let depth = {
-            let n = world.graph.len();
-            let mut d = vec![usize::MAX; n];
+            let mut d = world.graph.ases.map(|_| usize::MAX);
             // Providers always have smaller dense ASNs, so one forward pass
             // suffices.
-            for i in 0..n {
-                let node = &world.graph.ases[i];
-                d[i] = if node.tier == AsTier::Tier1 {
+            for node in world.graph.ases.iter() {
+                d[node.asn] = if node.tier == AsTier::Tier1 {
                     0
                 } else {
                     node.providers
                         .iter()
-                        .map(|p| d[p.index()].saturating_add(1))
+                        .map(|&p| d[p].saturating_add(1))
                         .min()
                         .unwrap_or(usize::MAX)
                 };
@@ -89,7 +83,7 @@ pub fn pick_host_ases(world: &Internet, specs: &[(&str, &str)]) -> Vec<SitePlace
                 break;
             }
             let mut best: Option<(usize, &crate::graph::AsNode, PopId)> = None;
-            for node in &world.graph.ases {
+            for node in world.graph.ases.iter() {
                 if used.contains(&node.asn) {
                     continue;
                 }
@@ -104,13 +98,13 @@ pub fn pick_host_ases(world: &Internet, specs: &[(&str, &str)]) -> Vec<SitePlace
                 let pop_here = node
                     .pops
                     .iter()
-                    .find(|p| pass >= 2 || world.graph.pops[p.index()].country == country);
+                    .find(|&&p| pass >= 2 || world.graph.pops[p].country == country);
                 if let Some(&pop) = pop_here {
                     let degree = node.customers.len() + node.peers.len();
                     // Rank by (closeness to the core, then degree balance):
                     // depth dominates so every site host is a direct (or
                     // near-direct) tier-1 customer.
-                    let dist = depth[node.asn.index()].min(9) * 1_000_000
+                    let dist = depth[node.asn].min(9) * 1_000_000
                         + degree.abs_diff(median_degree);
                     if best.as_ref().is_none_or(|(d, b, _)| {
                         dist < *d || (dist == *d && node.asn < b.asn)
@@ -198,7 +192,7 @@ mod tests {
     fn site_pops_belong_to_host() {
         let w = world();
         for s in pick_host_ases(&w, &tangled_specs()) {
-            assert_eq!(w.graph.pops[s.pop.index()].asn, s.host_asn);
+            assert_eq!(w.graph.pops[s.pop].asn, s.host_asn);
         }
     }
 

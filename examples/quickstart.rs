@@ -26,7 +26,7 @@ fn main() {
     let scenario = Scenario::broot(config, /* policy seed */ 7);
     println!(
         "world: {} ASes, {} announced prefixes, {} populated /24 blocks",
-        scenario.world.graph.len(),
+        scenario.world.graph.ases.len(),
         scenario.world.prefixes.len(),
         scenario.world.blocks.len(),
     );

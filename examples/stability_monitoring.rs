@@ -15,8 +15,9 @@ use verfploeter_suite::sim::{FaultConfig, FlippingOracle, Scenario};
 use verfploeter_suite::topology::TopologyConfig;
 use verfploeter_suite::vp::report::{count, pct};
 use verfploeter_suite::vp::scan::{run_scan, ScanConfig};
-use verfploeter_suite::vp::stability::{classify_rounds, flips_by_as, unstable_blocks};
+use verfploeter_suite::vp::stability::{flips_by_as, unstable_blocks};
 use verfploeter_suite::vp::ProbeConfig;
+use vp_monitor::diff::{diff_series, RoundDiff};
 
 fn main() {
     let config = TopologyConfig {
@@ -69,8 +70,8 @@ fn main() {
     }
 
     // Round-over-round classification (the Fig. 9 series).
-    let deltas = classify_rounds(&maps);
-    let avg = |f: &dyn Fn(&verfploeter_suite::vp::stability::RoundDelta) -> u64| {
+    let deltas = diff_series(&maps);
+    let avg = |f: &dyn Fn(&RoundDiff) -> u64| {
         deltas.iter().map(f).sum::<u64>() / deltas.len() as u64
     };
     println!(

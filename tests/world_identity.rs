@@ -42,7 +42,7 @@ fn generated_worlds_are_pinned_byte_for_byte() {
         });
         let g = &w.graph;
         let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-        for node in &g.ases {
+        for node in g.ases.iter() {
             let tier = match node.tier {
                 AsTier::Tier1 => 1,
                 AsTier::Transit => 2,
@@ -59,7 +59,7 @@ fn generated_worlds_are_pinned_byte_for_byte() {
                 h.u32(g.session_pop(node.asn, n).map_or(u32::MAX, |p| p.0));
             }
         }
-        for pop in &g.pops {
+        for pop in g.pops.iter() {
             h.u32(pop.asn.0);
             h.u32(u32::from(pop.country.0));
             h.f64(pop.lat);
