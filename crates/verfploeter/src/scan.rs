@@ -1,7 +1,7 @@
 //! A full Verfploeter measurement: probe → capture → forward → clean → map.
 //!
 //! There is one round function, parameterised by its shard count K;
-//! [`run_scan`] is K=1 on the inline executor. Every engine is driven
+//! [`run_scan`] derives K from the hitlist. Every engine is driven
 //! through [`NetworkSim::run_with`]: the paced schedule is pulled one
 //! probe batch at a time, every arrival resolves as its packet is
 //! transmitted, and every site capture is parsed and cleaned as it is
@@ -24,6 +24,21 @@ use crate::rtt::RttTable;
 /// minutes of the round's start. Every round uses it; [`Cleaner::new`]
 /// takes the cutoff as a parameter so its tests can drive others.
 pub const LATE_REPLY_CUTOFF: SimDuration = SimDuration::from_mins(15);
+
+/// Hitlist rows per shard of a [`run_scan`] round: a cache-sized range
+/// (eight 125k-row shards beat one engine at 1M blocks because a shard's
+/// columns fit in cache).
+const SHARD_ROWS: usize = 131_072;
+
+/// Shard count of a [`run_scan`] round over `hitlist_len` blocks: a
+/// function of the round alone, never of the host, so the shard layout
+/// (`ScanObs::shard_probes`, the `engine.run` span count) reproduces on any
+/// machine. Rounds of up to [`SHARD_ROWS`] blocks are one shard; 700 000
+/// blocks are six. How many run at once is `ShardExecutor::host_parallel`'s
+/// business.
+fn scan_shards(hitlist_len: usize) -> usize {
+    hitlist_len.div_ceil(SHARD_ROWS).max(1)
+}
 
 /// Configuration of one measurement round.
 #[derive(Debug, Clone)]
@@ -668,7 +683,10 @@ fn run_round(
 /// the measurement address in pseudorandom paced order, replies are
 /// captured concurrently at all sites, forwarded (tagged with their site)
 /// to the central point, cleaned per §4, and folded into a catchment map.
-/// It is the one-engine round, run inline on the calling thread.
+/// The round is cut into one shard per 131 072 hitlist rows, run on the
+/// host's cores ([`ShardExecutor::host_parallel`]); a round of up to that
+/// many rows is one engine, run inline on the calling thread. The result
+/// is the same at every shard count (see [`run_scan_sharded_on`]).
 #[expect(
     clippy::too_many_arguments,
     reason = "a round's eight inputs stay positional: this is the signature every experiment and the benchmark harness call."
@@ -683,8 +701,9 @@ pub fn run_scan(
     config: &ScanConfig,
     sim_seed: u64,
 ) -> ScanResult {
+    let shards = scan_shards(hitlist.len());
     run_round(
-        &ShardExecutor::serial(),
+        &ShardExecutor::host_parallel(shards),
         world,
         hitlist,
         announcement,
@@ -693,7 +712,7 @@ pub fn run_scan(
         start,
         config,
         sim_seed,
-        1,
+        shards,
     )
 }
 
@@ -1041,6 +1060,15 @@ mod tests {
             assert!(result.obs.sim_end > result.started);
             assert!(result.catchments.is_empty() && stats.replies == 0);
         }
+    }
+
+    #[test]
+    fn shard_count_is_a_function_of_the_hitlist_alone() {
+        assert_eq!(scan_shards(0), 1);
+        assert_eq!(scan_shards(SHARD_ROWS), 1);
+        assert_eq!(scan_shards(SHARD_ROWS + 1), 2);
+        assert_eq!(scan_shards(700_000), 6);
+        assert_eq!(scan_shards(1_000_000), 8);
     }
 
     /// One oracle per round: the factory runs once however many engines

@@ -1,7 +1,7 @@
 //! The determinism-proving harness for the scan round: K-invariance.
 //!
-//! `run_scan` is the K=1 round on the inline executor; `run_scan_sharded*`
-//! is the same round function at any K. The contract under test: the round
+//! `run_scan` (K=1 inline up to 131 072 rows) and `run_scan_sharded_on`
+//! are the same round function at any K. The contract under test: the round
 //! at shard count K returns a `ScanResult` **bit-identical** to the K=1
 //! round — same catchment map, same cleaning counters, same per-block
 //! RTTs, same simulator stats — for every K and every fault

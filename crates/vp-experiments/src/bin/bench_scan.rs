@@ -48,6 +48,7 @@
     reason = "a wall-clock benchmark: it times real work and reads its own argv"
 )]
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use vp_experiments::bench_scenario_scaled;
@@ -56,7 +57,7 @@ use vp_net::SimTime;
 use vp_obs::{Clock, FlightDoc, Histogram, WallChannel};
 use vp_sim::exec::ShardExecutor;
 use vp_sim::{CatchmentOracle, FaultConfig, Scenario, StaticOracle};
-use verfploeter::scan::{run_scan, run_scan_sharded_on, ScanConfig, ScanResult};
+use verfploeter::scan::{run_scan_sharded_on, ScanConfig, ScanResult};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -77,42 +78,30 @@ fn scan_once(
     threaded: bool,
     seed: u64,
 ) -> (ScanResult, u64) {
-    let table = s.routing();
+    let table = Arc::new(s.routing());
     let config = ScanConfig::default();
     let start = Instant::now();
-    let result = if shards == 1 && !threaded {
-        run_scan(
-            &s.world,
-            hl,
-            &s.announcement,
-            Box::new(StaticOracle::new(table)),
-            FaultConfig::default(),
-            SimTime::ZERO,
-            &config,
-            seed,
-        )
+    // Inline executor for the `threaded: false` rows (K=1 among them, which
+    // `run_scan` would shard at scale) so the pure sharding overhead is
+    // measured identically on every host; K-thread executor (capped) for
+    // the `threaded: true` rows.
+    let exec = if threaded {
+        ShardExecutor::new(shards.min(MAX_WORKERS))
     } else {
-        // Inline executor for the `threaded: false` rows so the pure
-        // sharding overhead is measured identically on every host;
-        // K-thread executor (capped) for the `threaded: true` rows.
-        let exec = if threaded {
-            ShardExecutor::new(shards.min(MAX_WORKERS))
-        } else {
-            ShardExecutor::serial()
-        };
-        run_scan_sharded_on(
-            &exec,
-            &s.world,
-            hl,
-            &s.announcement,
-            &|| Box::new(StaticOracle::new(table.clone())) as Box<dyn CatchmentOracle>,
-            FaultConfig::default(),
-            SimTime::ZERO,
-            &config,
-            seed,
-            shards,
-        )
+        ShardExecutor::serial()
     };
+    let result = run_scan_sharded_on(
+        &exec,
+        &s.world,
+        hl,
+        &s.announcement,
+        &|| Box::new(StaticOracle::shared(table.clone())) as Box<dyn CatchmentOracle>,
+        FaultConfig::default(),
+        SimTime::ZERO,
+        &config,
+        seed,
+        shards,
+    );
     (result, start.elapsed().as_nanos() as u64)
 }
 
@@ -136,7 +125,7 @@ impl Clock for FlightWall {
 fn flight_run(s: &Scenario, hl: &Hitlist, reference: &ScanResult, targets: u64) -> FlightDoc {
     let table = s.routing();
     let config = ScanConfig {
-        wall: Some(WallChannel::new(std::sync::Arc::new(FlightWall {
+        wall: Some(WallChannel::new(Arc::new(FlightWall {
             epoch: Instant::now(),
         }))),
         ..ScanConfig::default()

@@ -4,7 +4,6 @@ use std::cell::{OnceCell, RefCell};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
-use std::sync::Arc;
 
 use vp_atlas::{AtlasConfig, AtlasPanel, AtlasResult};
 use vp_bgp::Announcement;
@@ -12,10 +11,10 @@ use vp_dns::{LoadModel, QueryLog};
 use vp_hitlist::{Hitlist, HitlistConfig};
 use vp_net::{SimDuration, SimTime};
 use vp_obs::TraceLevel;
-use vp_sim::{CatchmentOracle, FaultConfig, FlippingOracle, Scenario, ShardExecutor, StaticOracle};
+use vp_sim::{FaultConfig, FlippingOracle, Scenario, StaticOracle};
 use vp_topology::TopologyConfig;
 use verfploeter::catchment::CatchmentMap;
-use verfploeter::scan::{run_scan_sharded_on, ScanConfig, ScanResult};
+use verfploeter::scan::{run_scan, ScanConfig, ScanResult};
 use verfploeter::ProbeConfig;
 
 use vp_monitor::ingest::write_atomic;
@@ -91,22 +90,6 @@ impl Scale {
             _ => 96,
         }
     }
-}
-
-/// Hitlist rows per scan shard: a cache-sized range (ROADMAP item 4 —
-/// eight 125k-row shards beat K=1 at 1M blocks because a shard's columns
-/// fit in cache).
-const SHARD_ROWS: usize = 131_072;
-
-/// Shard count for a scan of `hitlist_len` blocks: a function of the
-/// round alone, never of the host, so the shard-layout sections of the obs
-/// reports (`scans[].shard_balance`, the `engine.run` span count, the
-/// event ring) reproduce on any machine. The tiny, small and default
-/// worlds fit one shard; `--scale paper` (700 000 blocks) gets six. How
-/// many of those shards run at once is `ShardExecutor::host_parallel`'s
-/// business.
-fn scan_shards(hitlist_len: usize) -> usize {
-    hitlist_len.div_ceil(SHARD_ROWS).max(1)
 }
 
 const BROOT_TOPO_SEED: u64 = 0xB007;
@@ -351,24 +334,17 @@ impl Lab {
             trace: self.obs,
             wall: self.flight_wall.clone(),
         };
-        // A round is invariant in its shard count (see
-        // `verfploeter::scan::run_scan_sharded_on`), so experiments get the
-        // wall-clock win without changing any published number.
-        let shards = scan_shards(hitlist.len());
-        let table = Arc::new(table);
-        let result = Rc::new(run_scan_sharded_on(
-            &ShardExecutor::host_parallel(shards),
+        let result = Rc::new(run_scan(
             &scenario.world,
             hitlist,
             announcement,
-            &|| Box::new(StaticOracle::shared(table.clone())) as Box<dyn CatchmentOracle>,
+            Box::new(StaticOracle::new(table)),
             FaultConfig::default(),
             SimTime::ZERO,
             &config,
             0x51ed ^ ident as u64,
-            shards,
         ));
-        self.record_scan_obs(key, shards, &result, Some(&route_obs));
+        self.record_scan_obs(key, &result, Some(&route_obs));
         self.vp_scans
             .borrow_mut()
             .insert(key.to_owned(), Rc::clone(&result));
@@ -382,7 +358,6 @@ impl Lab {
     fn record_scan_obs(
         &self,
         key: &str,
-        shards: usize,
         result: &ScanResult,
         route_obs: Option<&vp_bgp::RouteObs>,
     ) {
@@ -396,7 +371,7 @@ impl Lab {
         state.record_scan(
             ScanRecord {
                 name: key.to_owned(),
-                shards,
+                shards: result.obs.shard_probes.len(),
                 probes_sent: result.probes_sent,
                 blocks_mapped: result.catchments.len() as u64,
                 started_ns: result.started.as_nanos(),
@@ -457,29 +432,22 @@ impl Lab {
             let table = scenario.routing();
             let model = scenario.flip_model(FLIP_SEED, &table);
             let rounds = self.scale.stability_rounds();
-            let make_oracle = || -> Box<dyn CatchmentOracle> {
-                let graph = scenario.world.graph.clone();
-                Box::new(FlippingOracle::new(table.clone(), graph, model.clone(), STABILITY_INTERVAL))
-            };
-            // Sharded like every other scan of the lab (`vp_scan_seeded`).
-            let shards = scan_shards(hitlist.len());
             let mut maps = Vec::with_capacity(rounds as usize);
             for r in 0..rounds {
                 let (start, config, sim_seed) =
                     stability_round(r, self.obs, self.flight_wall.clone());
-                let result = run_scan_sharded_on(
-                    &ShardExecutor::host_parallel(shards),
+                let graph = scenario.world.graph.clone();
+                let result = run_scan(
                     &scenario.world,
                     hitlist,
                     &scenario.announcement,
-                    &make_oracle,
+                    Box::new(FlippingOracle::new(table.clone(), graph, model.clone(), STABILITY_INTERVAL)),
                     FaultConfig::default(),
                     start,
                     &config,
                     sim_seed,
-                    shards,
                 );
-                self.record_scan_obs(&config.name, shards, &result, None);
+                self.record_scan_obs(&config.name, &result, None);
                 maps.push(result.catchments);
             }
             Rc::new(maps)
@@ -564,14 +532,6 @@ mod tests {
         assert_eq!(Scale::parse("tiny"), Some(Scale::Tiny));
         assert_eq!(Scale::parse("paper"), Some(Scale::Paper));
         assert_eq!(Scale::parse("bogus"), None);
-    }
-
-    #[test]
-    fn shard_count_is_a_function_of_the_hitlist_alone() {
-        assert_eq!(scan_shards(0), 1);
-        assert_eq!(scan_shards(SHARD_ROWS), 1);
-        assert_eq!(scan_shards(SHARD_ROWS + 1), 2);
-        assert_eq!(scan_shards(700_000), 6);
     }
 
     fn parse(args: &[&str]) -> Result<Lab, String> {

@@ -61,15 +61,19 @@ type Delivery<T> = (T, u64, u64);
 ///
 /// Worker `w` owns shards `w, w + workers, w + 2·workers, …` (the same
 /// deterministic round-robin split at every shard count), so the set of
-/// jobs each thread runs is a pure function of `(shards, workers)`.
+/// jobs each thread runs is a pure function of `(shards, workers)`. The
+/// last worker is the calling thread itself: a run spawns `workers - 1`
+/// threads, and the caller runs its own batch before it waits at the
+/// barrier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardExecutor {
     workers: usize,
 }
 
 impl ShardExecutor {
-    /// An executor with exactly `workers` OS threads (floored at one).
-    /// With one worker, jobs run inline on the calling thread.
+    /// An executor with exactly `workers` OS threads, the caller among
+    /// them (floored at one). With one worker, jobs run inline on the
+    /// calling thread.
     pub fn new(workers: usize) -> ShardExecutor {
         ShardExecutor {
             workers: workers.max(1),
@@ -86,16 +90,20 @@ impl ShardExecutor {
     /// An executor bounded by the host's available parallelism and the
     /// shard count: a shard count far above the core count — even one per
     /// hitlist entry — degrades gracefully instead of spawning thousands
-    /// of threads.
+    /// of threads. One shard never asks the host (which reads its cgroup
+    /// limits): it runs inline.
     pub fn host_parallel(shards: usize) -> ShardExecutor {
+        if shards <= 1 {
+            return ShardExecutor::serial();
+        }
         let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
         ShardExecutor {
             workers: hw.min(shards).max(1),
         }
     }
 
-    /// The number of OS threads `run_sharded_timed` will use (before the shard
-    /// count caps it further).
+    /// The number of OS threads `run_sharded_timed` will use, the caller
+    /// among them (before the shard count caps it further).
     pub fn workers(&self) -> usize {
         self.workers
     }
@@ -112,7 +120,8 @@ impl ShardExecutor {
     /// thread scheduling. Worker threads own the senders for their shards:
     /// a panicking worker drops its undelivered senders, the matching
     /// `recv` errors out, and the panic propagates at the barrier instead
-    /// of deadlocking it.
+    /// of deadlocking it. A panic in a shard the caller runs propagates
+    /// with its own payload once the spawned workers have been joined.
     ///
     /// The bounds are the concurrency contract: a job that captures
     /// unsynchronised shared state is rejected by the compiler (`Rc` is
@@ -197,22 +206,31 @@ impl ShardExecutor {
             .collect();
         receivers.sort_unstable_by_key(|&(k, _)| k);
 
+        let run_batch = |batch: Vec<(usize, SyncSender<Delivery<T>>)>| {
+            for (k, tx) in batch {
+                let started_ns = now(clock);
+                let result = job(k);
+                let finished_ns = now(clock);
+                // The receiver side outlives the scope and each channel
+                // holds its one delivery, so a send neither blocks nor
+                // fails while the barrier is alive.
+                let _ = tx.send((result, started_ns, finished_ns));
+            }
+        };
+
         // All jobs are queued before any worker is spawned.
         let queued_ns = now(clock);
         std::thread::scope(|scope| {
+            let mut batches = batches.into_iter();
+            let own = batches.next_back();
             for batch in batches {
-                let job = &job;
-                scope.spawn(move || {
-                    for (k, tx) in batch {
-                        let started_ns = now(clock);
-                        let result = job(k);
-                        let finished_ns = now(clock);
-                        // The receiver side outlives the scope; a send can
-                        // only fail if the barrier already panicked, in
-                        // which case the result is moot.
-                        let _ = tx.send((result, started_ns, finished_ns));
-                    }
-                });
+                let run_batch = &run_batch;
+                scope.spawn(move || run_batch(batch));
+            }
+            // The caller is the last worker: it runs its batch instead of
+            // idling at the barrier.
+            if let Some(batch) = own {
+                run_batch(batch);
             }
             let mut results = Vec::with_capacity(shards);
             let mut timings = Vec::new();
@@ -301,6 +319,42 @@ mod tests {
             4,
             |k| {
                 assert!(k != 2, "shard 2 explodes");
+                k
+            },
+            None,
+        );
+    }
+
+    /// Worker `w-1` is the caller; every other worker is one spawned
+    /// thread that runs all of its shards.
+    #[test]
+    fn the_caller_runs_the_last_workers_shards() {
+        let caller = std::thread::current().id();
+        for (shards, workers) in [(8, 2), (7, 3), (9, 4)] {
+            let (out, _) = ShardExecutor::new(workers)
+                .run_sharded_timed(shards, |_| std::thread::current().id(), None);
+            let mut spawned = Vec::new();
+            for w in 0..workers {
+                let ids: Vec<_> = out.iter().skip(w).step_by(workers).collect();
+                assert!(ids.windows(2).all(|p| p[0] == p[1]), "worker {w} ran on one thread");
+                if w == workers - 1 {
+                    assert_eq!(*ids[0], caller, "the caller runs worker {w}'s shards");
+                } else {
+                    assert_ne!(*ids[0], caller, "worker {w} is a spawned thread");
+                    assert!(!spawned.contains(ids[0]), "worker {w} has a thread of its own");
+                    spawned.push(*ids[0]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "shard 3 explodes")]
+    fn caller_shard_panic_propagates_after_the_workers_join() {
+        ShardExecutor::new(2).run_sharded_timed(
+            4,
+            |k| {
+                assert!(k != 3, "shard 3 explodes");
                 k
             },
             None,

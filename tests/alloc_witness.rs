@@ -27,10 +27,12 @@
 
 #![expect(
     clippy::disallowed_types,
-    reason = "a counting global allocator keeps atomic counters, and its tests take turns on one lock"
+    clippy::disallowed_macros,
+    reason = "a counting global allocator keeps atomic and per-thread counters, and its tests take turns on one lock"
 )]
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -48,16 +50,31 @@ use verfploeter_suite::vp::CatchmentMap;
 use verfploeter_suite::vp::scan::{run_scan, run_scan_sharded_on, ScanConfig, ScanResult};
 
 /// Counts every allocation and reallocation (each realloc of a doubling
-/// log is one more allocation), and tracks live bytes with their peak.
+/// log is one more allocation), and tracks live bytes with their peak,
+/// process-wide and per thread.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
 
+std::thread_local! {
+    /// Bytes this thread allocated minus bytes it freed: the live heap of
+    /// single-threaded work, blind to what the test harness's other
+    /// threads allocate meanwhile. Const-initialised and without a
+    /// destructor, so the allocator can touch it without allocating.
+    static THREAD_LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+}
+
 fn grow(bytes: usize) {
     let live = LIVE_BYTES.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
     PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+    THREAD_LIVE_BYTES.with(|t| t.set(t.get() + bytes as i64));
+}
+
+fn shrink(bytes: usize) {
+    LIVE_BYTES.fetch_sub(bytes as u64, Ordering::Relaxed);
+    THREAD_LIVE_BYTES.with(|t| t.set(t.get() - bytes as i64));
 }
 
 // SAFETY: every method forwards its arguments unchanged to the system
@@ -71,13 +88,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
+        shrink(layout.size());
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
+        shrink(layout.size());
         grow(new_size);
         System.realloc(ptr, layout, new_size)
     }
@@ -89,7 +106,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 const TARGETS: usize = 100_000;
 
 /// Allocations one 10^5-probe round may make: (serial, K=8 threaded).
-/// Measured in release: 645 serial, the same every run, and 1 219–1 223 at
+/// Measured in release: 643 serial, the same every run, and 1 197–1 201 at
 /// K=8 (thread spawn and channel setup vary by a handful) — per-engine
 /// setup (one route column, one probe stage, one pending-capture vector
 /// and the doubling growth of one parked-arrival deque per engine among
@@ -357,7 +374,9 @@ fn a_week_of_rounds_holds_what_a_day_does() {
         clear_rounds: 1,
         ..AlertConfig::default()
     };
-    let live = || LIVE_BYTES.load(Ordering::Relaxed);
+    // The tracker runs on this thread alone, so this thread's count is
+    // all of its heap and none of the harness's.
+    let live = || THREAD_LIVE_BYTES.with(Cell::get);
     let before = live();
     let map_bytes = {
         let map = drifting_round(0);

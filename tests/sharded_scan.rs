@@ -1,6 +1,6 @@
 //! Tier-1 gate: the scan round must be invariant in its shard count —
-//! `run_scan` is the K=1 round, and every K must reproduce it bit-for-bit
-//! on a tiny world, fast enough to run in every `cargo test`.
+//! `run_scan` is the K=1 round at this size, and every K must reproduce it
+//! bit-for-bit on a tiny world, fast enough to run in every `cargo test`.
 //!
 //! The exhaustive matrix (two worlds, three fault configs, merge-algebra
 //! property tests) lives in `crates/verfploeter/tests/sharded_equivalence.rs`;
