@@ -32,10 +32,9 @@ const SHARD_ROWS: usize = 131_072;
 
 /// Shard count of a [`run_scan`] round over `hitlist_len` blocks: a
 /// function of the round alone, never of the host, so the shard layout
-/// (`ScanObs::shard_probes`, the `engine.run` span count) reproduces on any
-/// machine. Rounds of up to [`SHARD_ROWS`] blocks are one shard; 700 000
-/// blocks are six. How many run at once is `ShardExecutor::host_parallel`'s
-/// business.
+/// (`ScanObs::shard_probes`) reproduces on any machine. Rounds of up to
+/// [`SHARD_ROWS`] blocks are one shard; 700 000 blocks are six. How many
+/// run at once is `ShardExecutor::host_parallel`'s business.
 fn scan_shards(hitlist_len: usize) -> usize {
     hitlist_len.div_ceil(SHARD_ROWS).max(1)
 }
@@ -47,16 +46,15 @@ pub struct ScanConfig {
     pub name: String,
     /// Probing parameters (rate, round identifier, order seed).
     pub probe: ProbeConfig,
-    /// Level each engine records its [`ScanObs::trace`] share at (span
-    /// aggregates, events). Never affects the metrics registry or any
-    /// measurement output.
-    pub trace: vp_obs::TraceLevel,
+    /// Whether each engine keeps its event ring ([`ScanObs::events`]).
+    /// Never affects the metrics registry or any measurement output.
+    pub events: bool,
     /// Optional wall-time flight channel. When a binary attaches one
     /// (library code never constructs wall clocks — DESIGN.md §8), the
     /// scan records host-time phase and shard intervals into
     /// [`ScanObs::wall_flight`]. Affects only that timeline: the
-    /// measurement outputs, the registry, and the sim-time flight channel
-    /// stay byte-identical with or without it.
+    /// measurement outputs and the registry stay byte-identical with or
+    /// without it.
     pub wall: Option<vp_obs::WallChannel>,
 }
 
@@ -65,7 +63,7 @@ impl Default for ScanConfig {
         ScanConfig {
             name: "SBV".to_owned(),
             probe: ProbeConfig::default(),
-            trace: vp_obs::TraceLevel::Summary,
+            events: false,
             wall: None,
         }
     }
@@ -78,7 +76,8 @@ pub struct ScanResult {
     pub cleaning: CleaningStats,
     /// Probes transmitted (one per hitlist entry).
     pub probes_sent: u64,
-    /// When the round started / when the last probe left.
+    /// When the round started / when the last probe left. With
+    /// [`ScanObs::sim_end`] these are the round's three sim-time instants.
     pub started: SimTime,
     pub last_probe: SimTime,
     /// Round-trip time per mapped block (probe transmission to reply
@@ -89,40 +88,35 @@ pub struct ScanResult {
     pub rtts: RttTable,
     /// Simulator counters for the round.
     pub sim_stats: vp_sim::SimStats,
-    /// Observability snapshot for the round (metrics + trace).
+    /// Observability snapshot for the round (metrics + events).
     pub obs: ScanObs,
 }
 
-/// The observability snapshot of one scan: a metrics registry, a trace
-/// summary, and the shard layout.
+/// The observability snapshot of one scan: a metrics registry, an event
+/// log, and the shard layout.
 ///
 /// The **registry** holds only shard-count-invariant series — pure sums of
 /// per-packet or per-index contributions — so a round produces a
 /// byte-identical registry for every shard count K (asserted by the
 /// K-invariance suite via
 /// [`vp_obs::Registry::to_canonical_json`]). Anything that legitimately
-/// depends on the shard layout (per-shard probe counts, per-engine run
-/// spans in [`ScanObs::trace`]) lives *outside* the registry.
+/// depends on the shard layout (per-shard probe counts, wall timings)
+/// lives *outside* the registry.
 #[derive(Debug, Clone)]
 pub struct ScanObs {
     /// Merged metrics: `scan.*`, `sim.*`, `clean.*`, `catchment.*`,
     /// `engine.*` series. Shard-count-invariant.
     pub registry: vp_obs::Registry,
-    /// Merged span aggregates and (at `Full` level) events. Per-engine
-    /// spans like `engine.run` appear once per engine, so this is NOT
-    /// shard-count-invariant — diagnostics, not results.
-    pub trace: vp_obs::TraceSummary,
+    /// Merged event rings, kept when [`ScanConfig::events`] is set. Each
+    /// engine's ring evicts on its own, so the split between `events` and
+    /// `dropped` is NOT shard-count-invariant — diagnostics, not results.
+    pub events: vp_obs::EventLog,
     /// Sim-time at which the last event was processed (max across shards;
     /// equals the K=1 engine's final clock, and is asserted so).
     pub sim_end: SimTime,
     /// Probes assigned per shard, in shard order (length 1 at K=1).
     /// Feeds the shard-balance section of run reports.
     pub shard_probes: Vec<u64>,
-    /// Sim-time flight timeline for the round (DESIGN.md §9): phase
-    /// intervals derived from shard-invariant sim-time marks, so it is
-    /// **inside** the §7 contract — byte-identical for every K (asserted
-    /// via [`vp_obs::FlightTimeline::to_canonical_json`]).
-    pub flight: vp_obs::FlightTimeline,
     /// Wall-time flight timeline, populated only when
     /// [`ScanConfig::wall`] carries a channel: host-time phase spans plus
     /// per-shard executor intervals (queue wait / compute / barrier
@@ -144,42 +138,11 @@ pub fn rtt_bucket_bounds() -> Vec<u64> {
 /// engine ([`PhaseSpans`] coalesces beyond that, so the ring never drops).
 const FLIGHT_CAPACITY: usize = 4096;
 
-/// Builds the round's **sim-time** flight timeline from shard-invariant
-/// marks: round start, last probe transmission, and the final sim clock.
-/// All three come from the folded round, so the timeline is inside the §7
-/// contract by construction — it cannot see the shard layout at all.
-fn sim_flight(started: SimTime, last_probe: SimTime, sim_end: SimTime) -> vp_obs::FlightTimeline {
-    use vp_obs::FlightSpan;
-    let t0 = started.as_nanos();
-    let tp = last_probe.as_nanos().max(t0);
-    let te = sim_end.as_nanos().max(tp);
-    let spans = vec![
-        FlightSpan::new("scan.round", "round", None, t0, te),
-        // Schedule walk and probe build happen while probes leave: in
-        // sim-time both occupy [start, last probe].
-        FlightSpan::new("scan.schedule_walk", "probe", None, t0, tp),
-        FlightSpan::new("scan.probe_build", "probe", None, t0, tp),
-        // Arrivals go on after the last probe leaves, up to the last one.
-        FlightSpan::new("scan.sim_dispatch", "sim", None, tp, te),
-        // Cleaning and catchment building run after the simulation: zero
-        // sim-time width at the round's end mark.
-        FlightSpan::new("scan.cleaning", "clean", None, te, te),
-        FlightSpan::new("scan.catchment_build", "map", None, te, te),
-    ];
-    vp_obs::FlightTimeline::from_spans(spans, 0)
-}
-
-/// Closes the round: stamps the folded result with its sim-time flight
-/// timeline and the registry's headline series, both derived from the
-/// folded (shard-invariant) round artifacts — so registries and timelines
-/// agree byte for byte across shard counts.
+/// Closes the round: stamps the folded result's registry with its
+/// headline series, derived from the folded (shard-invariant) round
+/// artifacts — so registries agree byte for byte across shard counts.
 fn finish_obs(result: &mut ScanResult, announcement: &Announcement) {
-    result.obs.flight = sim_flight(result.started, result.last_probe, result.obs.sim_end);
     let registry = &mut result.obs.registry;
-    // Only the sim channel's overflow count may enter the registry: wall
-    // channel depth varies with the shard layout, and the registry must
-    // stay shard-count-invariant.
-    registry.counter_add("flight.dropped_records", &[], result.obs.flight.dropped);
 
     let site_name = |idx: usize| {
         announcement
@@ -255,7 +218,7 @@ impl ScanResult {
         self.last_probe = self.last_probe.max(next.last_probe);
         self.obs.shard_probes.extend(next.obs.shard_probes);
         self.obs.registry.merge(&next.obs.registry);
-        self.obs.trace.merge(&next.obs.trace);
+        self.obs.events.merge(&next.obs.events);
         self.obs.wall_flight.merge(&next.obs.wall_flight);
     }
 
@@ -466,7 +429,7 @@ impl Round<'_> {
     fn new_engine(&self) -> NetworkSim<'_> {
         let (announcement, oracle) = (self.announcement.clone(), Box::new(self.oracle));
         let mut sim = NetworkSim::new(self.world, self.faults.clone(), self.sim_seed, announcement, oracle, false);
-        sim.attach_obs(self.config.trace);
+        sim.attach_obs(self.config.events);
         sim
     }
 
@@ -536,7 +499,7 @@ impl Round<'_> {
 
         // Events arrive in the canonical (time, name, detail) order
         // `absorb` maintains.
-        let (registry, trace) = sim.take_obs().map(EngineObs::into_parts).unwrap_or_default();
+        let (registry, events) = sim.take_obs().map(EngineObs::into_parts).unwrap_or_default();
         ScanResult {
             catchments,
             cleaning,
@@ -547,11 +510,9 @@ impl Round<'_> {
             sim_stats: sim.stats(),
             obs: ScanObs {
                 registry,
-                trace,
+                events,
                 sim_end: sim.now(),
                 shard_probes: vec![probes as u64],
-                // Stamped by `finish_obs` once the shares are folded.
-                flight: Default::default(),
                 wall_flight: wall_rec.map(|r| r.drain()).unwrap_or_default(),
             },
         }
@@ -1226,19 +1187,12 @@ mod tests {
         }
         assert_eq!(a.sim_stats, b.sim_stats, "sim stats differ");
         // The observability layer must not break under sharding either:
-        // metrics registries are byte-identical (trace summaries are not
-        // compared — per-engine spans legitimately differ per K).
+        // metrics registries are byte-identical (event logs are not
+        // compared — each engine's ring evicts on its own).
         assert_eq!(
             a.obs.registry.to_canonical_json(),
             b.obs.registry.to_canonical_json(),
             "obs registries differ"
-        );
-        // The sim-time flight channel is in the contract too; the wall
-        // channel is explicitly excluded (host timing).
-        assert_eq!(
-            a.obs.flight.to_canonical_json(),
-            b.obs.flight.to_canonical_json(),
-            "sim flight timelines differ"
         );
         assert_eq!(a.obs.sim_end, b.obs.sim_end, "sim end times differ");
     }
@@ -1280,10 +1234,41 @@ mod tests {
                 sharded.obs.shard_probes.iter().sum::<u64>(),
                 sharded.probes_sent
             );
-            // Every engine's share of the trace survives the fold.
-            assert_eq!(sharded.obs.trace.spans["engine.run"].count, shards as u64);
         }
         assert_eq!(serial.obs.shard_probes, vec![serial.probes_sent]);
+    }
+
+    /// Every engine's event ring survives the fold: the ring's one event
+    /// is `engine.undeliverable`, counted where `sim_stats.undeliverable`
+    /// is, so every undeliverable packet is either a held event or an
+    /// eviction, at every shard count. The default hitlist's wrong
+    /// targets are the undeliverable probes.
+    #[test]
+    fn every_engines_events_survive_the_fold() {
+        let (s, _) = setup();
+        let hl = Hitlist::from_internet(&s.world, &HitlistConfig::default());
+        let config = ScanConfig {
+            events: true,
+            ..ScanConfig::default()
+        };
+        for shards in [1, 2, 7] {
+            let result = run_scan_sharded_on(
+                &ShardExecutor::serial(),
+                &s.world,
+                &hl,
+                &s.announcement,
+                &|| Box::new(StaticOracle::new(s.routing())),
+                FaultConfig::default(),
+                SimTime::ZERO,
+                &config,
+                77,
+                shards,
+            );
+            let undeliverable = result.sim_stats.undeliverable;
+            assert!(undeliverable > 0, "K={shards}: the world must have undeliverable packets");
+            let log = &result.obs.events;
+            assert_eq!(log.events.len() as u64 + log.dropped, undeliverable, "K={shards}");
+        }
     }
 
     /// The registry carries the round's headline numbers, consistent with
@@ -1331,19 +1316,17 @@ mod tests {
         // The RTT histogram saw every mapped block once.
         let hist = result.obs.registry.histogram("scan.rtt_ns", &[]);
         assert_eq!(hist.map(|h| h.count()), Some(result.rtts.len() as u64));
-        // The engine ran and profiled its run in sim-time.
+        // The engine ran, and the round ended in sim-time.
         assert!(reg.counter_value("engine.events", &[]) > 0);
-        let span = result.obs.trace.spans.get("engine.run");
-        assert!(span.is_some_and(|agg| agg.count == 1 && agg.total_nanos > 0));
         assert!(result.obs.sim_end.as_nanos() > 0);
     }
 
-    /// `trace: Full` records bounded events without changing any
+    /// `events: true` records bounded events without changing any
     /// measurement output or the metrics registry.
     #[test]
     fn full_trace_level_does_not_change_results() {
         let (s, hl) = setup();
-        let run = |trace| {
+        let run = |events| {
             run_scan(
                 &s.world,
                 &hl,
@@ -1352,24 +1335,23 @@ mod tests {
                 FaultConfig::default(),
                 SimTime::ZERO,
                 &ScanConfig {
-                    trace,
+                    events,
                     ..ScanConfig::default()
                 },
                 13,
             )
         };
-        let summary = run(vp_obs::TraceLevel::Summary);
-        let full = run(vp_obs::TraceLevel::Full);
+        let summary = run(false);
+        let full = run(true);
         assert_results_identical(&summary, &full);
-        assert!(summary.obs.trace.events.is_empty());
+        assert!(summary.obs.events.is_empty());
     }
 
-    /// The sim-time flight channel tiles the round: the walk/probe spans
-    /// cover [start, last_probe], dispatch covers [last_probe, sim_end],
-    /// and the round span covers it all — with no wall channel attached,
-    /// the wall timeline stays empty.
+    /// A round's sim-time phases are its three instants, in order: it
+    /// starts, its last probe leaves, and its last arrival lands. With no
+    /// wall channel attached, the wall timeline stays empty.
     #[test]
-    fn sim_flight_channel_tiles_the_round() {
+    fn a_round_reports_its_three_instants_in_order() {
         let (s, hl) = setup();
         let result = run_scan(
             &s.world,
@@ -1381,28 +1363,9 @@ mod tests {
             &ScanConfig::default(),
             5,
         );
-        let flight = &result.obs.flight;
+        let instants = (result.started, result.last_probe, result.obs.sim_end);
+        assert!(instants.0 < instants.1 && instants.1 < instants.2, "{instants:?}");
         assert!(result.obs.wall_flight.is_empty(), "no wall channel attached");
-        assert_eq!(flight.dropped, 0);
-        let by_name = |n: &str| {
-            flight
-                .spans
-                .iter()
-                .find(|sp| sp.name == n)
-                .unwrap_or_else(|| panic!("missing span {n}: {flight:?}"))
-        };
-        let round = by_name("scan.round");
-        assert_eq!(round.start_ns, result.started.as_nanos());
-        assert_eq!(round.end_ns, result.obs.sim_end.as_nanos());
-        let walk = by_name("scan.schedule_walk");
-        assert_eq!(walk.end_ns, result.last_probe.as_nanos());
-        let dispatch = by_name("scan.sim_dispatch");
-        assert_eq!(dispatch.start_ns, walk.end_ns);
-        assert_eq!(dispatch.end_ns, round.end_ns);
-        assert_eq!(
-            result.obs.registry.counter_value("flight.dropped_records", &[]),
-            0
-        );
     }
 
     /// Strictly increasing ticks: every clock read is one "nanosecond".

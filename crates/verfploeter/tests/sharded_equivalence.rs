@@ -90,8 +90,8 @@ fn assert_identical(serial: &ScanResult, sharded: &ScanResult, label: &str) {
         );
     }
     // The merged per-shard metrics registries must fold to the exact bytes
-    // of the serial registry (trace summaries are exempt: per-engine spans
-    // legitimately vary with the shard layout).
+    // of the serial registry (event logs are exempt: each engine's ring
+    // evicts on its own).
     assert_eq!(
         serial.obs.registry.to_canonical_json(),
         sharded.obs.registry.to_canonical_json(),
@@ -100,14 +100,6 @@ fn assert_identical(serial: &ScanResult, sharded: &ScanResult, label: &str) {
     assert_eq!(
         serial.obs.sim_end, sharded.obs.sim_end,
         "{label}: final sim clock"
-    );
-    // The sim-time flight timeline is part of the §7 contract: same
-    // canonical bytes whatever the shard layout. (The wall channel is
-    // explicitly excluded — see `wall_channel_is_outside_the_contract`.)
-    assert_eq!(
-        serial.obs.flight.to_canonical_json(),
-        sharded.obs.flight.to_canonical_json(),
-        "{label}: sim flight timelines"
     );
 }
 
@@ -246,8 +238,8 @@ impl vp_obs::Clock for CountingClock {
 
 /// Attaching a wall-time flight channel is observation, not
 /// perturbation: every §7-governed artifact — registry bytes, catchments,
-/// the sim flight timeline — must stay bit-identical to the plain K=1
-/// round, while the wall timeline itself is explicitly outside the
+/// the round's sim-time instants — must stay bit-identical to the plain
+/// K=1 round, while the wall timeline itself is explicitly outside the
 /// contract (and is the one artifact whose shape depends on K: a K=1
 /// round runs on the orchestrator lane and has no executor intervals).
 #[test]
@@ -268,7 +260,6 @@ fn wall_channel_is_outside_the_contract() {
         plain.obs.wall_flight.is_empty(),
         "no wall channel attached, so no wall timeline"
     );
-    assert!(!plain.obs.flight.is_empty(), "sim channel is always on");
 
     let wall_config = ScanConfig {
         wall: Some(vp_obs::WallChannel::new(std::sync::Arc::new(

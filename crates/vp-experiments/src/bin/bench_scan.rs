@@ -36,7 +36,7 @@
 //! Run with: `cargo run --release -p vp-experiments --bin bench_scan`
 //! (`--reps <n>` per-(scale, K) repetition count, `--targets <n,n,...>`
 //! comma-separated hitlist scales, `--flight <path>` to also write a
-//! `vp-obs-flight/v1` flight document from one instrumented threaded run
+//! `vp-obs-flight/v2` flight document from one instrumented threaded run
 //! at the first scale — `vp-monitor profile` renders it as an attribution
 //! report, and `scripts/check.sh` validates and profiles a fresh one).
 //!
@@ -119,7 +119,7 @@ impl Clock for FlightWall {
 }
 
 /// One flight-instrumented threaded scan at K=8; returns the document to
-/// write. The sim channel must match the uninstrumented reference's
+/// write. Map and registry must match the uninstrumented reference's
 /// byte-for-byte — attaching a wall channel is observation, not
 /// perturbation (§7).
 fn flight_run(s: &Scenario, hl: &Hitlist, reference: &ScanResult, targets: u64) -> FlightDoc {
@@ -144,15 +144,18 @@ fn flight_run(s: &Scenario, hl: &Hitlist, reference: &ScanResult, targets: u64) 
         0xbe9c,
         shards,
     );
+    assert!(
+        result.catchments == reference.catchments,
+        "catchments diverged between instrumented threaded and serial runs"
+    );
     assert_eq!(
-        result.obs.flight.to_canonical_json(),
-        reference.obs.flight.to_canonical_json(),
-        "sim flight channel diverged between instrumented threaded and serial runs"
+        result.obs.registry.to_canonical_json(),
+        reference.obs.registry.to_canonical_json(),
+        "registry diverged between instrumented threaded and serial runs"
     );
     FlightDoc {
         source: format!("bench_scan/{targets}"),
-        sim: result.obs.flight.clone(),
-        wall: result.obs.wall_flight.clone(),
+        wall: result.obs.wall_flight,
     }
 }
 

@@ -11,13 +11,13 @@
 //! select what runs, in paper order; with none, all fifteen run.
 //!
 //! With `--out <dir>` and `--obs summary` (the default) or `--obs full`,
-//! each experiment writes a `vp-obs-report/v1` run report to
+//! each experiment writes a `vp-obs-report/v2` run report to
 //! `<dir>/obs/<experiment>.report.json` covering the fresh work it
 //! triggered (cached artifacts are reported by the experiment that built
 //! them). `--snapshots <dir>` makes `fig9_stability` write each round's
 //! catchment map (plus an origins sidecar) for offline replay with
 //! `vp-monitor diff`/`watch`. With `--flight <dir>` each experiment
-//! additionally writes a `vp-obs-flight/v1` flight document, with the
+//! additionally writes a `vp-obs-flight/v2` flight document, with the
 //! wall-time channel driven by this binary's [`WallClock`].
 
 use std::sync::Arc;

@@ -8,7 +8,7 @@
 //!
 //! Each round runs one sharded scan of the Tangled world, folds it into
 //! the streaming drift tracker, and (with `--out`) republishes
-//! `status.json` (canonical `vp-daemon-status/v1`) and `metrics.prom`
+//! `status.json` (canonical `vp-daemon-status/v2`) and `metrics.prom`
 //! (Prometheus text) — the scrape surface. `--pace sim` (the default)
 //! runs the rounds back to back entirely in sim time, so the run is
 //! deterministic and its outputs are byte-comparable against the goldens

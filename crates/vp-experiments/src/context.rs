@@ -126,7 +126,7 @@ pub(crate) const STABILITY_INTERVAL: SimDuration = SimDuration::from_mins(15);
 /// stream measure the same rounds by construction.
 pub(crate) fn stability_round(
     r: u32,
-    trace: TraceLevel,
+    obs: TraceLevel,
     wall: Option<vp_obs::WallChannel>,
 ) -> (SimTime, ScanConfig, u64) {
     let start = SimTime::ZERO + SimDuration(STABILITY_INTERVAL.0 * u64::from(r));
@@ -137,7 +137,7 @@ pub(crate) fn stability_round(
             ident: 100 + r as u16,
             order_seed: 0x57ab ^ u64::from(r),
         },
-        trace,
+        events: obs.keeps_events(),
         wall,
     };
     (start, config, 0x0523 ^ u64::from(r))
@@ -148,8 +148,8 @@ pub struct Lab {
     pub scale: Scale,
     pub out_dir: Option<PathBuf>,
     /// Observability mode (`--obs off|summary|full`). `Off` disables all
-    /// recording; `Summary` keeps metrics, span aggregates and run
-    /// reports; `Full` additionally retains bounded event rings. The mode
+    /// recording; `Summary` keeps metrics and run reports; `Full`
+    /// additionally retains bounded event rings. The mode
     /// never changes any experiment output — only what gets observed.
     pub obs: TraceLevel,
     /// Where fig9 writes per-round catchment snapshots
@@ -158,13 +158,13 @@ pub struct Lab {
     /// `vp-monitor diff`/`watch`. `None` (the default) writes nothing — 96
     /// default-scale rounds are too big to emit unasked.
     pub snapshot_dir: Option<PathBuf>,
-    /// Where to write the round's `vp-obs-flight/v1` document
+    /// Where to write the round's `vp-obs-flight/v2` document
     /// (`--flight <dir>`): one `<experiment>.flight.json` per experiment.
     /// `None` (the default) writes nothing.
     pub flight_dir: Option<PathBuf>,
     /// Wall-time flight channel for scans, attached by binaries only
     /// (library code cannot construct wall clocks — DESIGN.md §8). With
-    /// `None`, scans still record the deterministic sim-time channel.
+    /// `None`, scans record no flight timeline.
     pub flight_wall: Option<vp_obs::WallChannel>,
     obs_state: RefCell<ObsState>,
     broot: OnceCell<Scenario>,
@@ -331,7 +331,7 @@ impl Lab {
                 ident,
                 order_seed: 0x0bde ^ ident as u64,
             },
-            trace: self.obs,
+            events: self.obs.keeps_events(),
             wall: self.flight_wall.clone(),
         };
         let result = Rc::new(run_scan(
@@ -455,7 +455,7 @@ impl Lab {
     }
 
     /// Drains the observability state accumulated since the last call and
-    /// returns it as a `vp-obs-report/v1` document for `experiment`.
+    /// returns it as a `vp-obs-report/v2` document for `experiment`.
     /// Returns `None` with `--obs off`.
     pub fn take_obs_report(&self, experiment: &str) -> Option<serde_json::Value> {
         if self.obs == TraceLevel::Off {
@@ -465,26 +465,18 @@ impl Lab {
         Some(build_report(experiment, self.obs, &state))
     }
 
-    /// Drains the flight timelines accumulated since the last report and
+    /// Drains the wall timelines accumulated since the last report and
     /// writes them as `<flight_dir>/<experiment>.flight.json`
-    /// (`vp-obs-flight/v1`, canonical JSON). No-op unless `--flight` was
+    /// (`vp-obs-flight/v2`, canonical JSON). No-op unless `--flight` was
     /// given and observability is on.
     fn write_flight_doc(&self, experiment: &str) {
         let Some(dir) = &self.flight_dir else { return };
         if self.obs == TraceLevel::Off {
             return;
         }
-        let (sim, wall) = {
-            let mut state = self.obs_state.borrow_mut();
-            (
-                std::mem::take(&mut state.flight),
-                std::mem::take(&mut state.wall_flight),
-            )
-        };
         let doc = vp_obs::FlightDoc {
             source: experiment.to_owned(),
-            sim,
-            wall,
+            wall: std::mem::take(&mut self.obs_state.borrow_mut().wall_flight),
         };
         write_artifact(dir, &format!("{experiment}.flight.json"), &doc.to_canonical_json());
     }

@@ -8,10 +8,10 @@
 //! live stream and the offline batch are byte-comparable), feeds the
 //! catchment map into a `vp_monitor::stream::DriftTracker`, folds the
 //! round's scan metrics into a cumulative registry, and keeps the last
-//! round's flight-recorder profile digest. After any round the daemon can
-//! render its two publication surfaces:
+//! round's three sim-time instants. After any round the daemon can render
+//! its two publication surfaces:
 //!
-//! * [`Daemon::status_doc`] — the canonical `vp-daemon-status/v1` JSON.
+//! * [`Daemon::status_doc`] — the canonical `vp-daemon-status/v2` JSON.
 //! * [`Daemon::scrape`] — the Prometheus text exposition.
 //!
 //! Everything here runs in sim time (clippy's wall-clock ban keeps wall
@@ -31,17 +31,15 @@ use verfploeter::scan::run_scan_sharded_on;
 use vp_hitlist::{Hitlist, HitlistConfig};
 use vp_monitor::alert::AlertConfig;
 use vp_monitor::diff::Origins;
-use vp_monitor::profile::{profile_channel, ChannelProfile};
-use vp_monitor::stream::{build_scrape, build_status_doc, DaemonMeta, DriftTracker, StreamStep};
+use vp_monitor::stream::{
+    build_scrape, build_status_doc, DaemonMeta, DriftTracker, RoundInstants, StreamStep,
+};
 use vp_obs::{Registry, TraceLevel};
 use vp_sim::{CatchmentOracle, FaultConfig, FlippingOracle, Scenario, ShardExecutor};
 
 use crate::context::{
     stability_round, Scale, FLIP_SEED, POLICY_SEED, STABILITY_INTERVAL, TANGLED_TOPO_SEED,
 };
-
-/// Widest-span list length for the per-round profile digest.
-const PROFILE_TOP_N: usize = 5;
 
 /// Static configuration for a daemon run.
 #[derive(Debug, Clone)]
@@ -56,8 +54,8 @@ pub struct DaemonConfig {
     pub rounds: u32,
     /// Rolling-window width, in rounds.
     pub window: usize,
-    /// Observability level for the scans (controls whether per-round
-    /// flight profiles appear in the status doc).
+    /// Observability level for the scans (`full` keeps each engine's
+    /// event ring).
     pub obs: TraceLevel,
     pub alert: AlertConfig,
 }
@@ -154,7 +152,7 @@ pub struct Daemon {
     tracker: DriftTracker,
     scan_metrics: Registry,
     site_names: BTreeMap<u8, String>,
-    last_profile: Option<ChannelProfile>,
+    last_round: Option<RoundInstants>,
 }
 
 impl Daemon {
@@ -197,7 +195,7 @@ impl Daemon {
             tracker: DriftTracker::new(config.alert.clone(), config.window, Some(origins)),
             scan_metrics: Registry::new(),
             site_names,
-            last_profile: None,
+            last_round: None,
         }
     }
 
@@ -219,17 +217,14 @@ impl Daemon {
             sim_seed,
             self.shards,
         );
-        let duration = result
-            .obs
-            .sim_end
-            .as_nanos()
-            .saturating_sub(result.started.as_nanos());
-        self.scan_metrics.merge(&result.obs.registry);
-        self.last_profile = if result.obs.flight.spans.is_empty() {
-            None
-        } else {
-            Some(profile_channel(&result.obs.flight, PROFILE_TOP_N))
+        let round = RoundInstants {
+            started_ns: result.started.as_nanos(),
+            last_probe_ns: result.last_probe.as_nanos(),
+            sim_end_ns: result.obs.sim_end.as_nanos(),
         };
+        self.scan_metrics.merge(&result.obs.registry);
+        self.last_round = Some(round);
+        let duration = round.sim_end_ns.saturating_sub(round.started_ns);
         self.tracker.observe_round(result.catchments, Some(duration))
     }
 
@@ -253,11 +248,11 @@ impl Daemon {
         &self.scan_metrics
     }
 
-    /// The canonical `vp-daemon-status/v1` document for the current
+    /// The canonical `vp-daemon-status/v2` document for the current
     /// state. Deterministic: equal round counts yield identical bytes,
     /// for any shard count (only the `shards` config field differs).
     pub fn status_doc(&self) -> Value {
-        build_status_doc(&self.meta, &self.tracker, self.last_profile.as_ref())
+        build_status_doc(&self.meta, &self.tracker, self.last_round.as_ref())
     }
 
     /// The Prometheus text scrape for the current state.
@@ -320,9 +315,8 @@ mod tests {
             doc.get("rounds_ingested").and_then(Value::as_u64),
             Some(2)
         );
-        // Summary-level obs records the sim flight timeline, so the
-        // status doc carries a profile digest.
-        assert!(doc.get("profile").is_some_and(|p| p.get("root_ns").is_some()));
+        // The status doc carries the last round's sim-time instants.
+        assert!(doc.get("profile").is_some_and(|p| p.get("sim_end_ns").is_some()));
         let scrape = daemon.scrape();
         assert!(scrape.contains("daemon_rounds_ingested 2"), "{scrape}");
         assert!(scrape.contains("# TYPE scan_probes_sent"), "{scrape}");

@@ -19,7 +19,7 @@
 //!   double-counting another experiment's work.
 
 use serde_json::{json, Value};
-use vp_obs::{Registry, TraceLevel, TraceSummary};
+use vp_obs::{EventLog, Registry, TraceLevel};
 use verfploeter::scan::ScanObs;
 
 /// Cap on events embedded in a report. `--obs full` traces can exceed the
@@ -51,10 +51,8 @@ pub struct ScanRecord {
 pub struct ObsState {
     /// Merged metric registries of every fresh scan plus BGP counters.
     pub registry: Registry,
-    /// Merged trace summaries (span aggregates + bounded event slices).
-    pub trace: TraceSummary,
-    /// Merged sim-time flight timelines (deterministic, DESIGN.md §9).
-    pub flight: vp_obs::FlightTimeline,
+    /// Merged event logs (bounded event slices + eviction counts).
+    pub events: EventLog,
     /// Merged wall-time flight timelines; empty unless the binary attached
     /// a wall channel. Outside the determinism contract.
     pub wall_flight: vp_obs::FlightTimeline,
@@ -66,8 +64,7 @@ impl ObsState {
     /// Folds one fresh scan's observability block into the state.
     pub fn record_scan(&mut self, record: ScanRecord, obs: &ScanObs) {
         self.registry.merge(&obs.registry);
-        self.trace.merge(&obs.trace);
-        self.flight.merge(&obs.flight);
+        self.events.merge(&obs.events);
         self.wall_flight.merge(&obs.wall_flight);
         self.scans.push(record);
     }
@@ -78,7 +75,7 @@ impl ObsState {
     }
 
     pub fn is_empty(&self) -> bool {
-        self.scans.is_empty() && self.registry.is_empty() && self.trace.is_empty()
+        self.scans.is_empty() && self.registry.is_empty() && self.events.is_empty()
     }
 }
 
@@ -110,11 +107,11 @@ fn scan_value(rec: &ScanRecord) -> Value {
     })
 }
 
-/// Renders the accumulated state as the `vp-obs-report/v1` JSON document:
-/// `schema`, `experiment`, `mode`, one `scans` entry per fresh scan, the
-/// span aggregates as `phases`, the registry's `metrics`, the first
-/// `REPORT_EVENT_CAP` trace `events` (`events_truncated` says whether
-/// there were more) and the ring's `dropped_events`.
+/// Renders the accumulated state as the `vp-obs-report/v2` JSON document:
+/// `schema`, `experiment`, `mode`, one `scans` entry per fresh scan (its
+/// three sim-time instants among them), the registry's `metrics`, the
+/// first `REPORT_EVENT_CAP` `events` (`events_truncated` says whether
+/// there were more) and the rings' `dropped_events`.
 pub fn build_report(experiment: &str, mode: TraceLevel, state: &ObsState) -> Value {
     // The registry already knows its canonical JSON form; round-trip it
     // through the parser instead of re-encoding metric-by-metric.
@@ -128,33 +125,21 @@ pub fn build_report(experiment: &str, mode: TraceLevel, state: &ObsState) -> Val
         Value::Object(mut obj) => obj.remove("metrics").unwrap_or(Value::Array(Vec::new())),
         _ => Value::Array(Vec::new()),
     };
-    let trace = &state.trace;
+    let log = &state.events;
     json!({
-        "schema": "vp-obs-report/v1",
+        "schema": "vp-obs-report/v2",
         "experiment": experiment,
         "mode": mode.name(),
         "scans": state.scans.iter().map(scan_value).collect::<Vec<_>>(),
-        "phases": trace
-            .spans
-            .iter()
-            .map(|(name, agg)| {
-                json!({
-                    "name": name,
-                    "count": agg.count,
-                    "total_nanos": agg.total_nanos,
-                    "max_nanos": agg.max_nanos,
-                })
-            })
-            .collect::<Vec<_>>(),
         "metrics": metrics,
-        "events": trace
+        "events": log
             .events
             .iter()
             .take(REPORT_EVENT_CAP)
             .map(|e| json!({ "at_nanos": e.at_nanos, "name": e.name, "detail": e.detail }))
             .collect::<Vec<_>>(),
-        "events_truncated": trace.events.len() > REPORT_EVENT_CAP,
-        "dropped_events": trace.dropped_events,
+        "events_truncated": log.events.len() > REPORT_EVENT_CAP,
+        "dropped_events": log.dropped,
     })
 }
 
@@ -180,7 +165,7 @@ mod tests {
         };
         assert_eq!(
             obj.get("schema"),
-            Some(&Value::Str("vp-obs-report/v1".to_owned()))
+            Some(&Value::Str("vp-obs-report/v2".to_owned()))
         );
         assert_eq!(obj.get("mode"), Some(&Value::Str("summary".to_owned())));
         assert_eq!(obj.get("events_truncated"), Some(&Value::Bool(false)));

@@ -1,5 +1,5 @@
 //! Loading monitoring inputs: catchment-round directories, the optional
-//! block→origin-AS sidecar, and `vp-obs-report/v1` documents.
+//! block→origin-AS sidecar, and `vp-obs-report/v2` documents.
 //!
 //! The canonical source is a snapshot directory written by
 //! `fig9_stability --snapshots <dir>`:
@@ -226,7 +226,7 @@ pub fn build_origins_doc(origins: &Origins) -> Value {
     json!({ "schema": "vp-monitor-origins/v1", "origins": origins })
 }
 
-/// One scan entry of a `vp-obs-report/v1` document, reduced to the fields
+/// One scan entry of a `vp-obs-report/v2` document, reduced to the fields
 /// the monitor consumes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScanSummary {
@@ -246,7 +246,7 @@ impl ScanSummary {
     }
 }
 
-/// A parsed `vp-obs-report/v1` document (the monitor's view of it).
+/// A parsed `vp-obs-report/v2` document (the monitor's view of it).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObsReportDoc {
     pub experiment: String,
@@ -269,12 +269,12 @@ impl ObsReportDoc {
     }
 }
 
-/// Parses a `vp-obs-report/v1` document from its JSON text.
+/// Parses a `vp-obs-report/v2` document from its JSON text.
 pub fn parse_obs_report(text: &str, what: &str) -> Result<ObsReportDoc, String> {
     let doc: Value =
         serde_json::from_str(text).map_err(|e| format!("{what}: invalid JSON: {e}"))?;
     match doc.get("schema").and_then(Value::as_str) {
-        Some("vp-obs-report/v1") => {}
+        Some("vp-obs-report/v2") => {}
         other => return Err(format!("{what}: unexpected schema {other:?}")),
     }
     let experiment = doc
@@ -320,7 +320,7 @@ pub fn parse_obs_report(text: &str, what: &str) -> Result<ObsReportDoc, String> 
     })
 }
 
-/// Loads and parses a `vp-obs-report/v1` file.
+/// Loads and parses a `vp-obs-report/v2` file.
 pub fn load_obs_report(path: &Path) -> Result<ObsReportDoc, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
@@ -489,7 +489,7 @@ mod tests {
     #[test]
     fn obs_report_parses_and_extracts_round_durations() {
         let text = r#"{
-            "schema": "vp-obs-report/v1",
+            "schema": "vp-obs-report/v2",
             "experiment": "fig9_stability",
             "mode": "summary",
             "scans": [

@@ -1,7 +1,8 @@
 //! # vp-monitor — the consumer side of the observability pipeline
 //!
 //! PR 3's `vp-obs` layer made every experiment *emit* artifacts: metric
-//! registries, sim-time phase spans, and `vp-obs-report/v1` run reports.
+//! registries, wall-time flight timelines, and `vp-obs-report/v2` run
+//! reports.
 //! This crate closes the loop by *watching* them. It is the reproduction
 //! of the paper's headline operational claim (§4.4/Fig. 9): Verfploeter is
 //! cheap enough to re-run continuously, so catchment drift — routing
@@ -13,7 +14,7 @@
 //! 1. **Ingest** ([`ingest`]) — loads time-ordered sequences of catchment
 //!    snapshots (the fig9 stability rounds are the canonical source, via
 //!    `fig9_stability --snapshots <dir>`), the optional block→origin-AS
-//!    sidecar, and `vp-obs-report/v1` documents for sim-time scan
+//!    sidecar, and `vp-obs-report/v2` documents for sim-time scan
 //!    durations.
 //! 2. **Diff engine** ([`diff`]) — per-/24 catchment flips, per-AS flip
 //!    aggregation, site load-share deltas, and coverage changes between
@@ -28,10 +29,10 @@
 //! 4. **Streaming tracker** ([`stream`]) — [`stream::DriftTracker`] folds
 //!    rounds one at a time and is proven by proptest to match the batch
 //!    pipeline byte-for-byte; it backs `vp-monitor watch --follow` and
-//!    the `vp-daemon` status/scrape surfaces (`vp-daemon-status/v1` plus
+//!    the `vp-daemon` status/scrape surfaces (`vp-daemon-status/v2` plus
 //!    Prometheus text), with rolling signal windows in O(window) memory.
 //! 5. **Flight-recorder profiler** ([`profile`]) — parses
-//!    `vp-obs-flight/v1` documents from the scan engine's flight recorder
+//!    `vp-obs-flight/v2` documents from the scan engine's flight recorder
 //!    and renders the attribution report (`vp-monitor profile`): per-phase
 //!    self/total times, per-shard compute imbalance in permille, and a
 //!    slowest-shard critical-path estimate.

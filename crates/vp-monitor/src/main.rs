@@ -27,7 +27,7 @@
 //! * `validate` checks any tagged document (obs report, drift, alert,
 //!   daemon status, flight) against its embedded schema snapshot;
 //!   directory arguments validate every `*.json` inside.
-//! * `profile` renders the attribution report for a `vp-obs-flight/v1`
+//! * `profile` renders the attribution report for a `vp-obs-flight/v2`
 //!   document — per-phase self/total times, per-shard compute imbalance,
 //!   critical-path estimate — and with `--chrome` also writes a
 //!   chrome://tracing / Perfetto-loadable trace.
@@ -345,7 +345,7 @@ fn cmd_profile(args: &[String]) -> Result<ExitCode, String> {
         for e in &errors {
             eprintln!("{name}: {e}");
         }
-        return Err(format!("{name}: not a valid vp-obs-flight/v1 document"));
+        return Err(format!("{name}: not a valid vp-obs-flight/v2 document"));
     }
     let doc = parse_flight_doc(&value, &name)?;
     print!("{}", render_report(&doc, top_n));

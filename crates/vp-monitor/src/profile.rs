@@ -1,50 +1,37 @@
-//! The `vp-monitor profile` attribution engine: turns a `vp-obs-flight/v1`
+//! The `vp-monitor profile` attribution engine: turns a `vp-obs-flight/v2`
 //! document into a text report answering *where the time went*.
 //!
-//! Per channel: self/total time per phase (self = a span's duration minus
-//! its direct children's, by interval containment), per-shard compute
-//! imbalance in permille, a slowest-shard critical-path estimate, and the
-//! top-N widest spans. The sim channel is deterministic (§7 contract); the
-//! wall channel is host timing and varies run to run — the report labels
-//! both accordingly.
+//! From the wall timeline: self/total time per phase (self = a span's
+//! duration minus its direct children's, by interval containment),
+//! per-shard compute imbalance in permille, a slowest-shard critical-path
+//! estimate, and the top-N widest spans. Wall time is host timing and
+//! varies run to run — the report labels it so.
 
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use serde::Serialize;
 use serde_json::Value;
 use vp_obs::{FlightDoc, FlightSpan, FlightTimeline};
 
-/// Parses a `vp-obs-flight/v1` JSON document back into a [`FlightDoc`].
+/// Parses a `vp-obs-flight/v2` JSON document back into a [`FlightDoc`].
 /// `ctx` names the source (a path, usually) for error messages.
 pub fn parse_flight_doc(doc: &Value, ctx: &str) -> Result<FlightDoc, String> {
     let tag = doc.get("schema").and_then(Value::as_str);
-    if tag != Some("vp-obs-flight/v1") {
-        return Err(format!("{ctx}: not a vp-obs-flight/v1 document (tag {tag:?})"));
+    if tag != Some("vp-obs-flight/v2") {
+        return Err(format!("{ctx}: not a vp-obs-flight/v2 document (tag {tag:?})"));
     }
     let source = doc
         .get("source")
         .and_then(Value::as_str)
         .ok_or_else(|| format!("{ctx}: missing source"))?
         .to_owned();
-    let channels = doc
-        .get("channels")
-        .and_then(Value::as_object)
-        .ok_or_else(|| format!("{ctx}: missing channels object"))?;
-    let sim = parse_timeline(
-        channels
-            .get("sim")
-            .ok_or_else(|| format!("{ctx}: missing sim channel"))?,
-        &format!("{ctx}: channels.sim"),
-    )?;
     let wall = parse_timeline(
-        channels
-            .get("wall")
-            .ok_or_else(|| format!("{ctx}: missing wall channel"))?,
-        &format!("{ctx}: channels.wall"),
+        doc.get("wall")
+            .ok_or_else(|| format!("{ctx}: missing wall timeline"))?,
+        &format!("{ctx}: wall"),
     )?;
-    Ok(FlightDoc { source, sim, wall })
+    Ok(FlightDoc { source, wall })
 }
 
 fn parse_timeline(value: &Value, ctx: &str) -> Result<FlightTimeline, String> {
@@ -92,9 +79,8 @@ fn parse_timeline(value: &Value, ctx: &str) -> Result<FlightTimeline, String> {
     Ok(FlightTimeline::from_spans(spans, dropped))
 }
 
-/// Aggregated self/total time for one phase of one channel; an entry of
-/// the daemon status profile digest's `phases`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+/// Aggregated self/total time for one phase of a timeline.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseRow {
     pub phase: String,
     pub count: u64,
@@ -102,13 +88,13 @@ pub struct PhaseRow {
     pub self_ns: u64,
 }
 
-/// The per-channel attribution: phase rows, shard compute totals, and the
-/// derived imbalance / critical-path numbers.
+/// The attribution of one timeline: phase rows, shard compute totals, and
+/// the derived imbalance / critical-path numbers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChannelProfile {
     pub spans: usize,
     pub dropped: u64,
-    /// Duration of the channel's root span (the widest interval over all
+    /// Duration of the timeline's root span (the widest interval over all
     /// orchestrator spans; usually `scan.round`).
     pub root_ns: u64,
     pub phases: Vec<PhaseRow>,
@@ -118,8 +104,8 @@ pub struct ChannelProfile {
     /// shard-attributed spans.
     pub imbalance_permille: Option<u64>,
     /// Estimated wall time had every shard run as slow as the slowest:
-    /// root − Σ compute + shards · max(compute). Only meaningful for the
-    /// wall channel, where compute overlaps in real time.
+    /// root − Σ compute + shards · max(compute): compute overlaps in real
+    /// time.
     pub critical_path_ns: Option<u64>,
     /// The widest spans, duration-descending.
     pub widest: Vec<FlightSpan>,
@@ -239,12 +225,16 @@ fn ms(ns: u64) -> String {
     format!("{}.{:03}ms", ns / 1_000_000, (ns % 1_000_000) / 1_000)
 }
 
-fn render_channel(out: &mut String, label: &str, contract: &str, tl: &FlightTimeline, top_n: usize) {
+/// Renders the attribution report for a flight document.
+pub fn render_report(doc: &FlightDoc, top_n: usize) -> String {
+    let mut out = String::new();
+    let _ = writeln!(out, "flight profile: {}", doc.source);
+    let tl = &doc.wall;
     let p = profile_channel(tl, top_n);
-    let _ = writeln!(out, "== {label} channel ({contract}) ==");
+    let _ = writeln!(out, "== wall channel (host timing, outside the determinism contract) ==");
     if tl.spans.is_empty() {
         let _ = writeln!(out, "  (empty)");
-        return;
+        return out;
     }
     let _ = writeln!(
         out,
@@ -291,26 +281,6 @@ fn render_channel(out: &mut String, label: &str, contract: &str, tl: &FlightTime
             ms(sp.duration_ns())
         );
     }
-}
-
-/// Renders the full attribution report for a flight document.
-pub fn render_report(doc: &FlightDoc, top_n: usize) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "flight profile: {}", doc.source);
-    render_channel(
-        &mut out,
-        "sim",
-        "deterministic, inside the \u{a7}7 contract",
-        &doc.sim,
-        top_n,
-    );
-    render_channel(
-        &mut out,
-        "wall",
-        "host timing, outside the determinism contract",
-        &doc.wall,
-        top_n,
-    );
     out
 }
 
@@ -318,9 +288,9 @@ pub fn render_report(doc: &FlightDoc, top_n: usize) -> String {
 mod tests {
     use super::*;
 
-    /// The sim channel's standard shape: round [0,100], walk+build [0,60]
-    /// (equal intervals), dispatch [60,100], zero-width tail marks.
-    fn sim_timeline() -> FlightTimeline {
+    /// A round [0,100] over walk+build [0,60] (equal intervals), dispatch
+    /// [60,100] and zero-width tail marks.
+    fn round_timeline() -> FlightTimeline {
         FlightTimeline::from_spans(
             vec![
                 FlightSpan::new("scan.round", "round", None, 0, 100),
@@ -336,7 +306,7 @@ mod tests {
 
     #[test]
     fn phase_self_times_sum_to_root_total() {
-        let p = profile_channel(&sim_timeline(), 3);
+        let p = profile_channel(&round_timeline(), 3);
         assert_eq!(p.root_ns, 100);
         let self_sum: u64 = p.phases.iter().map(|r| r.self_ns).sum();
         assert_eq!(self_sum, p.root_ns, "self times must tile the round");
@@ -390,7 +360,6 @@ mod tests {
     fn parse_round_trips_canonical_json() {
         let doc = FlightDoc {
             source: "unit".to_owned(),
-            sim: sim_timeline(),
             wall: FlightTimeline::from_spans(vec![FlightSpan::new("w", "exec", Some(3), 5, 9)], 2),
         };
         let value: Value = serde_json::from_str(&doc.to_canonical_json())
@@ -403,34 +372,31 @@ mod tests {
 
     #[test]
     fn parse_rejects_malformed_documents() {
-        let bad: Value = serde_json::from_str(r#"{"schema":"nope/v1"}"#).unwrap_or_else(|e| panic!("{e}"));
-        assert!(parse_flight_doc(&bad, "t").is_err());
-        let missing: Value = serde_json::from_str(
-            r#"{"schema":"vp-obs-flight/v1","source":"x","channels":{"sim":{"spans":[],"dropped":0}}}"#,
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
-        assert!(parse_flight_doc(&missing, "t")
+        let parse = |text: &str| {
+            let value: Value = serde_json::from_str(text).unwrap_or_else(|e| panic!("{e}"));
+            parse_flight_doc(&value, "t")
+        };
+        assert!(parse(r#"{"schema":"nope/v1"}"#).is_err());
+        let empty = r#"{"spans":[],"dropped":0}"#;
+        let retired = format!(r#"{{"schema":"vp-obs-flight/v1","source":"x","channels":{{"sim":{empty},"wall":{empty}}}}}"#);
+        assert!(parse(&retired).unwrap_err().contains("not a vp-obs-flight/v2"));
+        assert!(parse(r#"{"schema":"vp-obs-flight/v2","source":"x"}"#)
             .unwrap_err()
             .contains("wall"));
-        let bad_span: Value = serde_json::from_str(
-            r#"{"schema":"vp-obs-flight/v1","source":"x","channels":{"sim":{"spans":[{"name":"a"}],"dropped":0},"wall":{"spans":[],"dropped":0}}}"#,
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
-        assert!(parse_flight_doc(&bad_span, "t").is_err());
+        assert!(parse(r#"{"schema":"vp-obs-flight/v2","source":"x","wall":{"spans":[{"name":"a"}],"dropped":0}}"#).is_err());
     }
 
     #[test]
-    fn report_mentions_both_channels_and_the_round() {
-        let doc = FlightDoc {
+    fn report_mentions_the_wall_channel_and_the_round() {
+        let mut doc = FlightDoc {
             source: "unit".to_owned(),
-            sim: sim_timeline(),
-            wall: FlightTimeline::default(),
+            wall: round_timeline(),
         };
         let text = render_report(&doc, 4);
         assert!(text.contains("flight profile: unit"), "{text}");
-        assert!(text.contains("== sim channel"), "{text}");
         assert!(text.contains("== wall channel"), "{text}");
         assert!(text.contains("scan.round"), "{text}");
-        assert!(text.contains("(empty)"), "{text}");
+        doc.wall = FlightTimeline::default();
+        assert!(render_report(&doc, 4).contains("(empty)"));
     }
 }

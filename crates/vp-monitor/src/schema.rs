@@ -12,26 +12,26 @@
 
 use serde_json::Value;
 
-/// Schema snapshot for `vp-obs-report/v1` (the vp-experiments run
+/// Schema snapshot for `vp-obs-report/v2` (the vp-experiments run
 /// reports).
 pub const OBS_REPORT_SCHEMA: &str = include_str!("../schema/obs_report.schema.json");
 /// Schema snapshot for `vp-monitor-drift/v1`.
 pub const DRIFT_SCHEMA: &str = include_str!("../schema/drift.schema.json");
 /// Schema snapshot for `vp-monitor-alert/v1`.
 pub const ALERT_SCHEMA: &str = include_str!("../schema/alert.schema.json");
-/// Schema snapshot for `vp-obs-flight/v1` flight-recorder documents.
+/// Schema snapshot for `vp-obs-flight/v2` flight-recorder documents.
 pub const FLIGHT_SCHEMA: &str = include_str!("../schema/flight.schema.json");
-/// Schema snapshot for `vp-daemon-status/v1` daemon status documents.
+/// Schema snapshot for `vp-daemon-status/v2` daemon status documents.
 pub const DAEMON_STATUS_SCHEMA: &str = include_str!("../schema/daemon_status.schema.json");
 
 /// Picks the embedded schema for a document by its `schema` tag.
 pub fn schema_for(tag: &str) -> Option<&'static str> {
     match tag {
-        "vp-obs-report/v1" => Some(OBS_REPORT_SCHEMA),
+        "vp-obs-report/v2" => Some(OBS_REPORT_SCHEMA),
         "vp-monitor-drift/v1" => Some(DRIFT_SCHEMA),
         "vp-monitor-alert/v1" => Some(ALERT_SCHEMA),
-        "vp-obs-flight/v1" => Some(FLIGHT_SCHEMA),
-        "vp-daemon-status/v1" => Some(DAEMON_STATUS_SCHEMA),
+        "vp-obs-flight/v2" => Some(FLIGHT_SCHEMA),
+        "vp-daemon-status/v2" => Some(DAEMON_STATUS_SCHEMA),
         _ => None,
     }
 }
@@ -244,11 +244,11 @@ mod tests {
     #[test]
     fn embedded_schemas_parse() {
         for (tag, text) in [
-            ("vp-obs-report/v1", OBS_REPORT_SCHEMA),
+            ("vp-obs-report/v2", OBS_REPORT_SCHEMA),
             ("vp-monitor-drift/v1", DRIFT_SCHEMA),
             ("vp-monitor-alert/v1", ALERT_SCHEMA),
-            ("vp-obs-flight/v1", FLIGHT_SCHEMA),
-            ("vp-daemon-status/v1", DAEMON_STATUS_SCHEMA),
+            ("vp-obs-flight/v2", FLIGHT_SCHEMA),
+            ("vp-daemon-status/v2", DAEMON_STATUS_SCHEMA),
         ] {
             assert!(
                 serde_json::from_str::<Value>(text).is_ok(),
@@ -257,6 +257,12 @@ mod tests {
             assert!(schema_for(tag).is_some());
         }
         assert!(schema_for("nope/v9").is_none());
+        // Retired tags are refused by name: no v1 reader is kept.
+        for retired in ["vp-obs-flight/v1", "vp-obs-report/v1", "vp-daemon-status/v1"] {
+            assert!(schema_for(retired).is_none(), "{retired}");
+            let doc = serde_json::json!({ "schema": retired });
+            assert_eq!(validate_tagged(&doc), vec![format!("$: unknown schema tag {retired:?}")]);
+        }
     }
 
     #[test]

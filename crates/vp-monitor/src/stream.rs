@@ -18,9 +18,9 @@
 //! `vp-daemon` binary, `vp-monitor watch --follow`, and the golden tests
 //! all share one code path:
 //!
-//! * [`build_status_doc`] — the canonical `vp-daemon-status/v1` JSON
-//!   document (current round, rolling windows, live alert log, last
-//!   flight-recorder profile digest), schema-validated like every other
+//! * [`build_status_doc`] — the canonical `vp-daemon-status/v2` JSON
+//!   document (current round, rolling windows, live alert log, the last
+//!   round's sim-time instants), schema-validated like every other
 //!   document family.
 //! * [`build_scrape`] — a Prometheus text exposition combining the scan
 //!   engine's cumulative registry with `daemon.*` gauges derived from the
@@ -29,6 +29,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Deref;
 
+use serde::Serialize;
 use serde_json::{json, Value};
 use verfploeter::catchment::CatchmentMap;
 use vp_obs::{Registry, RollingWindow};
@@ -36,7 +37,6 @@ use vp_obs::{Registry, RollingWindow};
 use crate::alert::{build_alert_doc, Alert, AlertConfig, Evaluator};
 use crate::diff::{diff_rounds, DriftSummary, Origins, RoundDiff};
 use crate::pipeline::build_drift_doc;
-use crate::profile::ChannelProfile;
 
 /// Entries each history of the monitor keeps — diffs, transition lines,
 /// cleared alerts: one day of 15-minute rounds.
@@ -260,6 +260,16 @@ pub struct DaemonMeta {
     pub rounds_total: u64,
 }
 
+/// A scan round's three sim-time instants: it starts, its last probe
+/// leaves, and its last arrival lands. Named as the obs report's `scans[]`
+/// entries name them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+pub struct RoundInstants {
+    pub started_ns: u64,
+    pub last_probe_ns: u64,
+    pub sim_end_ns: u64,
+}
+
 /// One rolling window's digest in the status document.
 fn window_value(w: &RollingWindow) -> Value {
     json!({
@@ -272,25 +282,24 @@ fn window_value(w: &RollingWindow) -> Value {
     })
 }
 
-/// Renders the canonical `vp-daemon-status/v1` document: run config
+/// Renders the canonical `vp-daemon-status/v2` document: run config
 /// (`source`, `scale`, `shards`, `interval_ns`, `rounds_total`), ingest
 /// progress (`rounds_ingested`), the current round's diff (`current`,
 /// `null` before the second round), a digest of each rolling signal window
 /// (`windows`), the cumulative drift `summary`, the live alert log
 /// (`alerts`: the `active` count and the `log` of the newest [`TAIL`]
-/// cleared alerts and the active ones), and (`profile`, when the scan ran
-/// with the flight recorder on) the last round's sim-channel profile
-/// digest. Keys are `BTreeMap`-sorted and all values integers, strings or
+/// cleared alerts and the active ones), and (`profile`, `null` before the
+/// first round) the last round's three sim-time instants. Keys are `BTreeMap`-sorted and all values integers, strings or
 /// nulls, so equal states serialize byte-identically.
 pub fn build_status_doc(
     meta: &DaemonMeta,
     tracker: &DriftTracker,
-    profile: Option<&ChannelProfile>,
+    profile: Option<&RoundInstants>,
 ) -> Value {
     let alerts = tracker.alerts_snapshot();
     let active = alerts.iter().filter(|a| a.cleared_round.is_none()).count();
     json!({
-        "schema": "vp-daemon-status/v1",
+        "schema": "vp-daemon-status/v2",
         "source": meta.source,
         "scale": meta.scale,
         "shards": meta.shards,
@@ -305,14 +314,7 @@ pub fn build_status_doc(
         },
         "summary": tracker.summary(),
         "alerts": { "active": active, "log": alerts },
-        "profile": profile.map(|p| json!({
-            "spans": p.spans,
-            "dropped": p.dropped,
-            "root_ns": p.root_ns,
-            "imbalance_permille": p.imbalance_permille,
-            "critical_path_ns": p.critical_path_ns,
-            "phases": p.phases,
-        })),
+        "profile": profile,
     })
 }
 

@@ -1,30 +1,20 @@
-//! The flight recorder: a bounded ring of span *intervals* for phase and
-//! shard attribution (DESIGN.md §9), and the workspace's one clock-driven
-//! recorder.
+//! The flight recorder: a bounded ring of wall-time span *intervals* for
+//! phase and shard attribution (DESIGN.md §9), and the workspace's one
+//! clock-driven recorder.
 //!
-//! Where [`crate::TraceSummary`] keeps per-name aggregates
-//! ([`crate::SpanAgg`]), the flight recorder keeps the individual
-//! intervals — `(name, phase, shard, start_ns, end_ns)` — so a profile can
-//! answer *where the time went*: self vs total time per phase, per-shard
-//! imbalance, barrier wait. It reads time only through the injected
-//! [`Clock`] trait, and timelines come on **two channels with different
-//! contracts**:
-//!
-//! * The **sim channel** is built from shard-invariant sim-time marks
-//!   (values, through [`FlightTimeline::from_spans`] — no clock) and is
-//!   inside the §7 bit-equivalence contract: serial and sharded scans
-//!   produce byte-identical timelines (asserted by the
-//!   `sharded_equivalence` suite via [`FlightTimeline::to_canonical_json`]).
-//! * The **wall channel** is optional host timing a *binary* may attach
-//!   through a [`WallChannel`] (clippy's wall-clock ban keeps wall-backed
-//!   clocks out of library code). It is explicitly OUTSIDE the
-//!   determinism contract: two runs, or two shard counts, legitimately
-//!   differ.
+//! The recorder keeps the individual intervals — `(name, phase, shard,
+//! start_ns, end_ns)` — so a profile can answer *where the time went*:
+//! self vs total time per phase, per-shard imbalance, barrier wait. It
+//! reads time only through the injected [`Clock`] trait, which a *binary*
+//! attaches as a [`WallChannel`] (clippy's wall-clock ban keeps wall-backed
+//! clocks out of library code). Host timing is explicitly OUTSIDE the
+//! determinism contract: two runs, or two shard counts, legitimately
+//! differ.
 //!
 //! A [`FlightTimeline`] is the detached, mergeable snapshot ([`merge`]
 //! obeys the usual algebra: associative, commutative, empty identity,
 //! canonical shard-id order), and [`FlightDoc`] renders the canonical
-//! `vp-obs-flight/v1` JSON document plus a chrome://tracing
+//! `vp-obs-flight/v2` JSON document plus a chrome://tracing
 //! `trace_event` export loadable in Perfetto.
 //!
 //! [`merge`]: FlightTimeline::merge
@@ -39,13 +29,12 @@ use std::sync::Arc;
 use crate::metrics::json_string;
 use crate::trace::Clock;
 
-/// One recorded interval. `shard: None` marks orchestrator-level work
-/// (or sim-channel round marks, which are shard-invariant by design);
+/// One recorded interval. `shard: None` marks orchestrator-level work;
 /// `Some(k)` attributes the interval to shard `k`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlightSpan {
     /// Borrowed from the source text wherever this workspace records it;
-    /// owned only when parsed back from a `vp-obs-flight/v1` document.
+    /// owned only when parsed back from a `vp-obs-flight/v2` document.
     pub name: Cow<'static, str>,
     /// Coarse pipeline stage (`"probe"`, `"sim"`, `"clean"`, `"map"`,
     /// `"exec"`, …); the profile report groups by it.
@@ -214,7 +203,7 @@ impl Drop for FlightGuard {
 }
 
 /// A detached, mergeable snapshot of recorded intervals — this is what
-/// crosses shard-thread boundaries and lands in `vp-obs-flight/v1`
+/// crosses shard-thread boundaries and lands in `vp-obs-flight/v2`
 /// documents. Spans are kept in canonical order (shard rank, start,
 /// wider-first, name, phase), so equal timelines have equal bytes.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -247,9 +236,8 @@ impl FlightTimeline {
     }
 
     /// Canonical JSON: `{"spans":[...],"dropped":n}` in canonical span
-    /// order. Byte-identical for equal timelines; the sharded-equivalence
-    /// suite compares sim-channel timelines by this string.
-    pub fn to_canonical_json(&self) -> String {
+    /// order. Byte-identical for equal timelines.
+    fn to_canonical_json(&self) -> String {
         let mut out = String::from("{\"spans\":[");
         for (i, span) in self.spans.iter().enumerate() {
             if i > 0 {
@@ -294,54 +282,47 @@ impl std::fmt::Debug for WallChannel {
     }
 }
 
-/// The canonical `vp-obs-flight/v1` document: one sim-time channel (inside
-/// the §7 contract) and one wall-time channel (outside it), plus a source
-/// label naming the run that produced it.
+/// The canonical `vp-obs-flight/v2` document: one wall-time timeline
+/// (outside the determinism contract) and a source label naming the run
+/// that produced it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FlightDoc {
     /// E.g. `"bench_scan/15000"` or an experiment name.
     pub source: String,
-    pub sim: FlightTimeline,
     pub wall: FlightTimeline,
 }
 
 impl FlightDoc {
-    /// Canonical JSON document, schema-tagged `vp-obs-flight/v1` and
+    /// Canonical JSON document, schema-tagged `vp-obs-flight/v2` and
     /// validated by `vp_monitor::schema`.
     pub fn to_canonical_json(&self) -> String {
         format!(
-            "{{\"schema\":\"vp-obs-flight/v1\",\"source\":{},\"channels\":{{\"sim\":{},\"wall\":{}}}}}",
+            "{{\"schema\":\"vp-obs-flight/v2\",\"source\":{},\"wall\":{}}}",
             json_string(&self.source),
-            self.sim.to_canonical_json(),
             self.wall.to_canonical_json()
         )
     }
 
     /// chrome://tracing `trace_event` JSON (the "X" complete-event form),
-    /// loadable in Perfetto. `pid` 1 is the sim channel, `pid` 2 the wall
-    /// channel; `tid` 0 is orchestrator work and `tid` k+1 shard k; `ts`
-    /// and `dur` are microseconds with the sub-microsecond remainder kept
-    /// as three deterministic decimal digits.
+    /// loadable in Perfetto. `tid` 0 is orchestrator work and `tid` k+1
+    /// shard k; `ts` and `dur` are microseconds with the sub-microsecond
+    /// remainder kept as three deterministic decimal digits.
     pub fn to_chrome_trace(&self) -> String {
         let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        let mut first = true;
-        for (pid, timeline) in [(1u32, &self.sim), (2u32, &self.wall)] {
-            for span in &timeline.spans {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                let _ = write!(
-                    out,
-                    "{{\"name\":{},\"cat\":{},\"ph\":\"X\",\"pid\":{pid},\"tid\":{},\
-                     \"ts\":{},\"dur\":{}}}",
-                    json_string(&span.name),
-                    json_string(&span.phase),
-                    shard_rank(span.shard),
-                    micros(span.start_ns),
-                    micros(span.duration_ns())
-                );
+        for (i, span) in self.wall.spans.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
             }
+            let _ = write!(
+                out,
+                "{{\"name\":{},\"cat\":{},\"ph\":\"X\",\"pid\":1,\"tid\":{},\
+                 \"ts\":{},\"dur\":{}}}",
+                json_string(&span.name),
+                json_string(&span.phase),
+                shard_rank(span.shard),
+                micros(span.start_ns),
+                micros(span.duration_ns())
+            );
         }
         out.push_str("]}");
         out
@@ -467,15 +448,16 @@ mod tests {
     }
 
     #[test]
-    fn flight_doc_renders_both_channels() {
+    fn flight_doc_renders_the_wall_channel() {
         let doc = FlightDoc {
             source: "test".to_owned(),
-            sim: FlightTimeline::from_spans(vec![span("round", None, 0, 10_500)], 0),
-            wall: FlightTimeline::from_spans(vec![span("compute", Some(1), 2, 7)], 0),
+            wall: FlightTimeline::from_spans(
+                vec![span("round", None, 0, 10_500), span("compute", Some(1), 2, 7)],
+                0,
+            ),
         };
         let json = doc.to_canonical_json();
-        assert!(json.starts_with("{\"schema\":\"vp-obs-flight/v1\",\"source\":\"test\""));
-        assert!(json.contains("\"channels\":{\"sim\":{\"spans\":["));
+        assert!(json.starts_with("{\"schema\":\"vp-obs-flight/v2\",\"source\":\"test\""));
         assert!(json.contains("\"wall\":{\"spans\":["));
 
         let chrome = doc.to_chrome_trace();
@@ -483,7 +465,7 @@ mod tests {
         // vp-monitor (this crate is dependency-free).
         assert!(chrome.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
         assert!(chrome.contains("\"ph\":\"X\",\"pid\":1,\"tid\":0,\"ts\":0.000,\"dur\":10.500"));
-        assert!(chrome.contains("\"ph\":\"X\",\"pid\":2,\"tid\":2,\"ts\":0.002,\"dur\":0.005"));
+        assert!(chrome.contains("\"ph\":\"X\",\"pid\":1,\"tid\":2,\"ts\":0.002,\"dur\":0.005"));
         assert!(chrome.ends_with("]}"));
     }
 

@@ -1,11 +1,11 @@
 //! # vp-obs — deterministic observability
 //!
-//! Metrics, trace summaries, and phase profiling for the Verfploeter
+//! Metrics, event logs and wall-time phase profiling for the Verfploeter
 //! reproduction, built on two rules that keep the pipeline's determinism
 //! contract intact (DESIGN.md §9):
 //!
-//! 1. **Merge algebra.** [`Registry::merge`], [`Histogram::merge`], and
-//!    [`TraceSummary::merge`] are associative and commutative with empty
+//! 1. **Merge algebra.** [`Registry::merge`], [`Histogram::merge`] and
+//!    [`EventLog::merge`] are associative and commutative with empty
 //!    identities — the same contract as `SimStats`/`CatchmentMap` — so the
 //!    K per-shard registries of a `run_scan_sharded_on` round fold to a
 //!    result byte-identical to the serial scan's, for every K.
@@ -13,8 +13,8 @@
 //!    recorder driven by a [`Clock`], and only binaries may implement one
 //!    over wall time (DESIGN.md §8; it reaches library code as a
 //!    forwarded [`WallChannel`]), where it can only affect stdout and the
-//!    wall flight channel, never results. Sim-time enters as plain values: [`TraceSummary`] and the
-//!    sim flight channel are built from instants the caller already holds.
+//!    flight timeline, never results. Sim-time enters as plain values:
+//!    each [`Event`] is stamped by its caller.
 //!
 //! The crate is dependency-free and bottom-of-graph: exposition is
 //! hand-rolled canonical JSON ([`Registry::to_canonical_json`]) and
@@ -26,12 +26,12 @@
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::indexing_slicing)]
 #![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
-pub mod flight;
-pub mod metrics;
-pub mod trace;
-pub mod window;
+mod flight;
+mod metrics;
+mod trace;
+mod window;
 
-pub use flight::{FlightDoc, FlightGuard, FlightRecorder, FlightSpan, FlightTimeline, WallChannel};
-pub use metrics::{Counter, Gauge, Histogram, Metric, MetricKey, Registry};
-pub use trace::{Clock, Event, SpanAgg, TraceLevel, TraceSummary};
+pub use flight::{FlightDoc, FlightRecorder, FlightSpan, FlightTimeline, WallChannel};
+pub use metrics::{Histogram, Registry};
+pub use trace::{Clock, Event, EventLog, TraceLevel};
 pub use window::RollingWindow;

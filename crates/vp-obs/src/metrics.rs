@@ -215,8 +215,8 @@ impl Metric {
     }
 }
 
-/// The metric store: a canonically ordered map from [`MetricKey`] to
-/// [`Metric`]. Recording under an existing key with a different metric
+/// The metric store: a canonically ordered map from `(name, labels)` keys
+/// to counters, gauges and histograms. Recording under an existing key with a different metric
 /// kind is a programming error and panics.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Registry {
@@ -306,13 +306,6 @@ impl Registry {
     pub fn counter_value(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
         match self.metrics.get(&MetricKey::new(name, labels)) {
             Some(Metric::Counter(c)) => c.0,
-            _ => 0,
-        }
-    }
-
-    pub fn gauge_value(&self, name: &str, labels: &[(&str, &str)]) -> i64 {
-        match self.metrics.get(&MetricKey::new(name, labels)) {
-            Some(Metric::Gauge(g)) => g.0,
             _ => 0,
         }
     }
@@ -541,7 +534,8 @@ mod tests {
         r.gauge_add("queue.depth", &[("site", "LAX")], 5);
         r.gauge_add("queue.depth", &[("site", "LAX")], -2);
         assert_eq!(r.counter_value("scan.probes", &[]), 7);
-        assert_eq!(r.gauge_value("queue.depth", &[("site", "LAX")]), 3);
+        let depth = r.metrics.get(&MetricKey::new("queue.depth", &[("site", "LAX")]));
+        assert!(matches!(depth, Some(Metric::Gauge(Gauge(3)))), "{depth:?}");
         assert_eq!(r.counter_value("missing", &[]), 0);
     }
 

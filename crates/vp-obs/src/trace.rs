@@ -1,15 +1,12 @@
 //! Trace data: the [`Clock`] seam, trace levels, and the detached,
-//! mergeable [`TraceSummary`] of span aggregates and events.
+//! mergeable [`EventLog`] of `Full`-level events.
 //!
-//! Nothing in this module reads or holds a clock. Sim-time reaches a
-//! summary as a value — the caller passes the instants it already holds to
-//! [`TraceSummary::record_span`] and stamps each [`Event`] itself — which
-//! is what keeps summaries, and the reports built from them, bit-identical
+//! Nothing in this module reads or holds a clock. Sim-time reaches an
+//! event as a value — the caller stamps each [`Event`] itself — which is
+//! what keeps event logs, and the reports built from them, bit-identical
 //! across runs. The one clock-driven recorder is
 //! [`crate::FlightRecorder`]; wall-backed [`Clock`] impls live in
 //! binaries, the only code that may read a wall clock (DESIGN.md §8).
-
-use std::collections::BTreeMap;
 
 /// A monotone nanosecond clock. Implementations decide *which*
 /// nanoseconds; the wall-backed ones live in binaries only.
@@ -22,9 +19,9 @@ pub trait Clock {
 pub enum TraceLevel {
     /// Record nothing.
     Off,
-    /// Record span aggregates only.
+    /// Record the metrics registry.
     Summary,
-    /// Record span aggregates plus a bounded ring buffer of events.
+    /// Record the registry plus each engine's bounded event ring.
     Full,
 }
 
@@ -45,6 +42,12 @@ impl TraceLevel {
             TraceLevel::Full => "full",
         }
     }
+
+    /// Whether engines keep their event ring: the one thing a level
+    /// decides below the command line.
+    pub fn keeps_events(self) -> bool {
+        self == TraceLevel::Full
+    }
 }
 
 /// A point-in-time observation kept in the event ring at `Full` level.
@@ -55,58 +58,28 @@ pub struct Event {
     pub detail: String,
 }
 
-/// Aggregate over all closed spans sharing a name.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SpanAgg {
-    pub count: u64,
-    pub total_nanos: u64,
-    pub max_nanos: u64,
-}
-
-impl SpanAgg {
-    fn fold(&mut self, other: &SpanAgg) {
-        self.count += other.count;
-        self.total_nanos = self.total_nanos.saturating_add(other.total_nanos);
-        self.max_nanos = self.max_nanos.max(other.max_nanos);
-    }
-}
-
-/// Span aggregates and events of one observed run: plain data that
-/// crosses shard-thread boundaries, merges, and lands in run reports.
+/// The events of one observed run and the count the rings evicted: plain
+/// data that crosses shard-thread boundaries, merges, and lands in run
+/// reports.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TraceSummary {
-    pub spans: BTreeMap<String, SpanAgg>,
+pub struct EventLog {
     pub events: Vec<Event>,
-    pub dropped_events: u64,
+    pub dropped: u64,
 }
 
-impl TraceSummary {
+impl EventLog {
     pub fn is_empty(&self) -> bool {
-        self.spans.is_empty() && self.events.is_empty() && self.dropped_events == 0
+        self.events.is_empty() && self.dropped == 0
     }
 
-    /// Folds one closed interval into `name`'s aggregate. Names are
-    /// `&'static str` so their cardinality is bounded by the source text.
-    pub fn record_span(&mut self, name: &'static str, start_nanos: u64, end_nanos: u64) {
-        let dur = end_nanos.saturating_sub(start_nanos);
-        self.spans.entry(name.to_owned()).or_default().fold(&SpanAgg {
-            count: 1,
-            total_nanos: dur,
-            max_nanos: dur,
-        });
-    }
-
-    /// Folds `other` in: span aggregates sum field-wise (max for max),
-    /// events take the sorted multiset union. Sorting makes the result
-    /// independent of merge order, so the contract is the same as
-    /// `Registry::merge`: associative, commutative, empty identity.
-    pub fn merge(&mut self, other: &TraceSummary) {
-        for (name, agg) in &other.spans {
-            self.spans.entry(name.clone()).or_default().fold(agg);
-        }
+    /// Folds `other` in: events take the sorted multiset union, drop
+    /// counts sum. Sorting makes the result independent of merge order,
+    /// so the contract is the same as `Registry::merge`: associative,
+    /// commutative, empty identity.
+    pub fn merge(&mut self, other: &EventLog) {
         self.events.extend(other.events.iter().cloned());
         self.events.sort();
-        self.dropped_events += other.dropped_events;
+        self.dropped += other.dropped;
     }
 }
 
@@ -115,36 +88,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn spans_aggregate_count_total_max() {
-        let mut sum = TraceSummary::default();
-        sum.record_span("work", 100, 150);
-        sum.record_span("work", 200, 230);
-        let agg = sum.spans.get("work").copied().unwrap_or_default();
-        assert_eq!(agg.count, 2);
-        assert_eq!(agg.total_nanos, 80);
-        assert_eq!(agg.max_nanos, 50);
-        // An interval that ends before it starts has no width.
-        sum.record_span("backwards", 9, 3);
-        assert_eq!(sum.spans["backwards"].total_nanos, 0);
-    }
-
-    #[test]
     fn summary_merge_sorts_events() {
         let event = |at_nanos, name: &str| Event {
             at_nanos,
             name: name.to_owned(),
             detail: String::new(),
         };
-        let mut a = TraceSummary {
+        let mut a = EventLog {
             events: vec![event(10, "b")],
-            ..TraceSummary::default()
+            ..EventLog::default()
         };
-        let b = TraceSummary {
+        let b = EventLog {
             events: vec![event(5, "a")],
-            ..TraceSummary::default()
+            dropped: 2,
         };
         a.merge(&b);
         assert_eq!(a.events[0].at_nanos, 5);
         assert_eq!(a.events[1].at_nanos, 10);
+        assert_eq!(a.dropped, 2);
     }
 }

@@ -4,7 +4,7 @@
 //! shard count and any merge grouping.
 
 use proptest::prelude::*;
-use vp_obs::{Event, Histogram, Registry, RollingWindow, TraceSummary};
+use vp_obs::{Event, EventLog, Histogram, Registry, RollingWindow};
 
 const BOUNDS: &[u64] = &[10, 100, 1_000, 10_000];
 
@@ -32,34 +32,21 @@ fn registry_strategy() -> impl Strategy<Value = Registry> {
     })
 }
 
-fn summary_strategy() -> impl Strategy<Value = TraceSummary> {
-    let span = (0usize..3, 1u64..1000, 0u64..1_000_000);
+fn event_log_strategy() -> impl Strategy<Value = EventLog> {
     let event = (0u64..1_000_000, 0usize..3);
-    (
-        prop::collection::vec(span, 0..5),
-        prop::collection::vec(event, 0..5),
-        0u64..10,
-    )
-        .prop_map(|(spans, events, dropped)| {
-            let names = ["engine.run", "scan.shard", "clean"];
-            let mut s = TraceSummary::default();
-            for (n, count, total) in spans {
-                let agg = s.spans.entry(names[n].to_owned()).or_default();
-                agg.count += count;
-                agg.total_nanos += total;
-                agg.max_nanos = agg.max_nanos.max(total);
-            }
-            for (at, n) in events {
-                s.events.push(Event {
-                    at_nanos: at,
-                    name: names[n].to_owned(),
-                    detail: String::new(),
-                });
-            }
-            s.events.sort();
-            s.dropped_events = dropped;
-            s
-        })
+    (prop::collection::vec(event, 0..5), 0u64..10).prop_map(|(events, dropped)| {
+        let names = ["engine.undeliverable", "scan.shard", "clean"];
+        let mut events: Vec<Event> = events
+            .into_iter()
+            .map(|(at, n)| Event {
+                at_nanos: at,
+                name: names[n].to_owned(),
+                detail: String::new(),
+            })
+            .collect();
+        events.sort();
+        EventLog { events, dropped }
+    })
 }
 
 // Merge algebra for the metrics registry and its histogram buckets.
@@ -148,16 +135,16 @@ proptest! {
     }
 }
 
-// Merge algebra for trace summaries (span aggregates + sorted events).
-// merge-tested(TraceSummary::merge)
+// Merge algebra for event logs (sorted events + drop counts).
+// merge-tested(EventLog::merge)
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn trace_summary_merge_is_associative_and_commutative(
-        a in summary_strategy(),
-        b in summary_strategy(),
-        c in summary_strategy(),
+        a in event_log_strategy(),
+        b in event_log_strategy(),
+        c in event_log_strategy(),
     ) {
         let mut ab = a.clone();
         ab.merge(&b);
@@ -173,23 +160,9 @@ proptest! {
         a_bc.merge(&bc);
         prop_assert_eq!(&ab_c, &a_bc);
 
-        let mut id = TraceSummary::default();
+        let mut id = EventLog::default();
         id.merge(&a);
         prop_assert_eq!(&id, &a);
-    }
-
-    /// Span aggregates fold count/total by sum and max by max.
-    #[test]
-    fn span_aggregates_fold_correctly(a in summary_strategy(), b in summary_strategy()) {
-        let mut merged = a.clone();
-        merged.merge(&b);
-        for (name, agg) in &merged.spans {
-            let x = a.spans.get(name).copied().unwrap_or_default();
-            let y = b.spans.get(name).copied().unwrap_or_default();
-            prop_assert_eq!(agg.count, x.count + y.count);
-            prop_assert_eq!(agg.total_nanos, x.total_nanos + y.total_nanos);
-            prop_assert_eq!(agg.max_nanos, x.max_nanos.max(y.max_nanos));
-        }
     }
 }
 

@@ -118,44 +118,43 @@ impl SimStats {
     }
 }
 
-/// Per-engine observability state: a metrics registry and a trace the
-/// engine writes at the sim-time instants it already holds — there is no
-/// clock here. Attached on demand with [`NetworkSim::attach_obs`];
+/// Per-engine observability state: a metrics registry and an event ring
+/// the engine writes at the sim-time instants it already holds — there is
+/// no clock here. Attached on demand with [`NetworkSim::attach_obs`];
 /// everything recorded derives from simulated time and event content, so
 /// an attached engine stays exactly as deterministic as a bare one.
 pub struct EngineObs {
     pub registry: vp_obs::Registry,
-    level: vp_obs::TraceLevel,
-    /// The `engine.run` aggregate (one interval per run that had
-    /// arrivals) and the count of events the ring evicted.
-    trace: vp_obs::TraceSummary,
-    /// The `Full`-level event ring, oldest first.
+    /// Whether the event ring is kept (`Full` level).
+    events: bool,
+    /// The event ring, oldest first, and the count of events it evicted.
     ring: VecDeque<vp_obs::Event>,
+    dropped: u64,
 }
 
 impl EngineObs {
     /// Ring-buffer capacity for `Full`-level event traces, per engine.
     pub const EVENT_CAPACITY: usize = 256;
 
-    pub fn new(level: vp_obs::TraceLevel) -> EngineObs {
+    pub fn new(events: bool) -> EngineObs {
         EngineObs {
             registry: vp_obs::Registry::new(),
-            level,
-            trace: vp_obs::TraceSummary::default(),
+            events,
             ring: VecDeque::new(),
+            dropped: 0,
         }
     }
 
-    /// Records an event stamped `at` (`Full` only; `detail` is not built
-    /// otherwise). Once the ring is full the oldest event is evicted and
-    /// counted.
+    /// Records an event stamped `at` (only when the ring is kept; `detail`
+    /// is not built otherwise). Once the ring is full the oldest event is
+    /// evicted and counted.
     fn event(&mut self, at: SimTime, name: &'static str, detail: impl FnOnce() -> String) {
-        if self.level != vp_obs::TraceLevel::Full {
+        if !self.events {
             return;
         }
         if self.ring.len() == Self::EVENT_CAPACITY {
             self.ring.pop_front();
-            self.trace.dropped_events += 1;
+            self.dropped += 1;
         }
         self.ring.push_back(vp_obs::Event {
             at_nanos: at.as_nanos(),
@@ -164,13 +163,12 @@ impl EngineObs {
         });
     }
 
-    /// The registry and the trace summary: span aggregates plus the held
-    /// events in canonical (time, name, detail) order.
-    pub fn into_parts(self) -> (vp_obs::Registry, vp_obs::TraceSummary) {
-        let mut trace = self.trace;
-        trace.events = self.ring.into();
-        trace.events.sort();
-        (self.registry, trace)
+    /// The registry and the event log: the held events in canonical
+    /// (time, name, detail) order plus the eviction count.
+    pub fn into_parts(self) -> (vp_obs::Registry, vp_obs::EventLog) {
+        let mut events: Vec<vp_obs::Event> = self.ring.into();
+        events.sort();
+        (self.registry, vp_obs::EventLog { events, dropped: self.dropped })
     }
 }
 
@@ -277,13 +275,12 @@ struct Parked {
 }
 
 /// The arrivals of one run, each noted as `transmit` resolves it: how
-/// many, and their earliest and latest instants. [`NetworkSim::run_with`]
-/// reports the count as `engine.events` and ends [`NetworkSim::now`] and
-/// its `engine.run` span on the latest.
+/// many, and the latest instant. [`NetworkSim::run_with`] reports the
+/// count as `engine.events` and ends [`NetworkSim::now`] on the latest.
 #[derive(Default)]
 struct Arrivals {
     count: u64,
-    span: Option<(SimTime, SimTime)>,
+    last: Option<SimTime>,
 }
 
 impl Arrivals {
@@ -292,10 +289,9 @@ impl Arrivals {
         self.cover(at);
     }
 
-    /// Widens the span to an arrival already counted.
+    /// Moves the latest instant up to an arrival already counted.
     fn cover(&mut self, at: SimTime) {
-        let (first, last) = self.span.unwrap_or((at, at));
-        self.span = Some((first.min(at), last.max(at)));
+        self.last = self.last.max(Some(at));
     }
 }
 
@@ -318,8 +314,8 @@ pub struct NetworkSim<'w> {
     seed: u64,
     /// Arrivals of the current run.
     arrivals: Arrivals,
-    /// Counted arrivals at silent hosts whose instants the span may still
-    /// need (see `transmit`), oldest first, and the most ever held.
+    /// Counted arrivals at silent hosts whose instants the run's end may
+    /// still need (see `transmit`), oldest first, and the most ever held.
     parked: VecDeque<Parked>,
     parked_high_water: usize,
     /// Arrivals of the probe just injected, not yet handed to the sink.
@@ -381,11 +377,12 @@ impl<'w> NetworkSim<'w> {
         }
     }
 
-    /// Attaches an observability sidecar: a metrics registry plus a trace
-    /// summary recording at `level`. Call before [`NetworkSim::run_with`];
-    /// collect with [`NetworkSim::take_obs`] afterwards.
-    pub fn attach_obs(&mut self, level: vp_obs::TraceLevel) {
-        self.obs = Some(EngineObs::new(level));
+    /// Attaches an observability sidecar: a metrics registry plus, with
+    /// `events`, the bounded event ring. Call before
+    /// [`NetworkSim::run_with`]; collect with [`NetworkSim::take_obs`]
+    /// afterwards.
+    pub fn attach_obs(&mut self, events: bool) {
+        self.obs = Some(EngineObs::new(events));
     }
 
     /// Detaches and returns the observability sidecar, if one is attached.
@@ -524,11 +521,10 @@ impl<'w> NetworkSim<'w> {
     /// host is handed to the application.
     ///
     /// If the host is one that never answers (its row is statically
-    /// unresponsive), all its arrival can do is be the first or the last
-    /// of the run. It is counted here; its instant is computed only if it
-    /// could be the first — no arrival at or before `at + base`, the
-    /// soonest any delay allows, has been noted yet — and otherwise the
-    /// transmission is parked for the end of the run to decide.
+    /// unresponsive), all its arrival can do is be the last of the run. It
+    /// is counted here, and the transmission is parked for the end of the
+    /// run to decide; its instant is computed only if no later-sent
+    /// transmission must arrive after it.
     #[expect(
         clippy::too_many_arguments,
         reason = "the staged probe leg hands over its resolved endpoints, hash and reply image so none is recomputed"
@@ -599,12 +595,7 @@ impl<'w> NetworkSim<'w> {
                 }
                 self.stats.delivered_to_hosts += 1;
                 self.arrivals.count += 1;
-                let soonest = at + self.latency.base;
-                if self.arrivals.span.is_some_and(|(first, _)| first <= soonest) {
-                    self.park(Parked { at, ek, from: from_loc, to: to_loc });
-                } else {
-                    self.arrivals.cover(self.flight(at, ek, from_loc, to_loc));
-                }
+                self.park(Parked { at, ek, from: from_loc, to: to_loc });
             }
             Target::Host(_) => {
                 // The application hand-off: the engine consumes none of
@@ -732,9 +723,8 @@ impl<'w> NetworkSim<'w> {
     /// returned `None`. (Sorted input only bounds the parked arrivals.)
     ///
     /// The run reports its arrivals, answered or not, as `engine.events`
-    /// and ends its clock and `engine.run` span at the last of them, so a
-    /// run ends at its last arrival even when that is a probe nobody
-    /// answered.
+    /// and ends its clock at the last of them, so a run ends at its last
+    /// arrival even when that is a probe nobody answered.
     pub fn run_with<P, C>(&mut self, probes: P, sink: &mut C)
     where
         P: IntoIterator<Item = TimedProbe>,
@@ -755,8 +745,8 @@ impl<'w> NetworkSim<'w> {
         while let Some(Parked { at, ek, from, to }) = self.parked.pop_front() {
             self.arrivals.cover(self.flight(at, ek, from, to));
         }
-        let Arrivals { count, span } = std::mem::take(&mut self.arrivals);
-        if let Some((_, last)) = span {
+        let Arrivals { count, last } = std::mem::take(&mut self.arrivals);
+        if let Some(last) = last {
             self.now = last;
         }
         if let Some(obs) = &mut self.obs {
@@ -764,11 +754,6 @@ impl<'w> NetworkSim<'w> {
             // exactly one shard), so summed shard registries match the
             // serial engine's.
             obs.registry.counter_add("engine.events", &[], count);
-            if let Some((first, last)) = span.filter(|_| obs.level != vp_obs::TraceLevel::Off) {
-                // The whole-run phase span, in sim-time: first event to last.
-                obs.trace
-                    .record_span("engine.run", first.as_nanos(), last.as_nanos());
-            }
         }
     }
 
@@ -1417,14 +1402,14 @@ mod tests {
     }
 
     /// An Echo Request's arrival is an event of the run although nothing
-    /// observes it: it counts toward `engine.events`, and `now()` and the
-    /// `engine.run` span reach it. Here the last thing to happen is the
+    /// observes it: it counts toward `engine.events`, and `now()` reaches
+    /// it. Here the last thing to happen is the
     /// arrival of a probe at a host that does not answer.
     #[test]
     fn a_run_ends_at_its_last_arrival_answered_or_not() {
         let w = world();
         let (mut sim, meas) = engine(&w, FaultConfig::none(), 13);
-        sim.attach_obs(vp_obs::TraceLevel::Summary);
+        sim.attach_obs(false);
         let row_of = |responsive| w.blocks.iter().position(|b| b.responsive == responsive).unwrap();
         let (answering, silent) = (row_of(true), row_of(false));
         let sent_last = SimTime::ZERO + SimDuration::from_secs(10);
@@ -1447,8 +1432,6 @@ mod tests {
         let obs = sim.take_obs().unwrap();
         // Two arrivals at hosts and one capture.
         assert_eq!(obs.registry.counter_value("engine.events", &[]), 3);
-        let run = obs.into_parts().1.spans["engine.run"];
-        assert_eq!((run.count, run.total_nanos), (1, last_arrives.since(first_arrives).as_nanos()));
     }
 
     /// One engine's run over `probes` — `(row, probe)`, every probe to its
@@ -1456,11 +1439,10 @@ mod tests {
     /// engine: each probe the loss fault spares arrives at its host at the
     /// instant `arrival_at_host` derives, answered or not, and everything
     /// else that arrives is a capture, whose instant the sink records. The
-    /// run ends at the last of those, spans the first to the last, and
-    /// counts them all.
+    /// run ends at the last of those and counts them all.
     fn assert_run_covers_its_arrivals(w: &Internet, faults: &FaultConfig, seed: u64, probes: &[(u32, TimedProbe)]) {
         let (mut sim, _) = engine(w, faults.clone(), seed);
-        sim.attach_obs(vp_obs::TraceLevel::Summary);
+        sim.attach_obs(false);
         let mut arrivals: Vec<SimTime> = (probes.iter())
             .filter(|(_, p)| !lost(&sim, p.at, &p.packet))
             .map(|(row, p)| arrival_at_host(&sim, p.at, &p.packet, *row))
@@ -1472,23 +1454,18 @@ mod tests {
         arrivals.extend(seen.captures.iter().map(|(_, at, ..)| *at));
         assert_eq!(sim.stats().delivered_to_hosts, at_hosts);
         assert!(sim.parked.is_empty(), "{} arrivals left parked", sim.parked.len());
-        let (registry, trace) = sim.take_obs().unwrap().into_parts();
+        let registry = sim.take_obs().unwrap().registry;
         assert_eq!(registry.counter_value("engine.events", &[]), arrivals.len() as u64);
-        let (Some(first), Some(last)) = (arrivals.iter().min(), arrivals.iter().max()) else {
-            assert!(trace.spans.is_empty(), "nothing arrived, yet {:?}", trace.spans);
-            return;
-        };
-        assert_eq!(sim.now(), *last, "the run ends at its last arrival");
-        let run = trace.spans["engine.run"];
-        assert_eq!((run.count, run.total_nanos), (1, last.since(*first).as_nanos()));
+        let last = arrivals.iter().max().copied().unwrap_or(SimTime::ZERO);
+        assert_eq!(sim.now(), last, "the run ends at its last arrival");
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(12))]
 
         /// An arrival at a silent host is counted when its probe is sent
-        /// and its instant computed late or never — and the run's end,
-        /// its span and its event count cannot tell: whichever hosts are
+        /// and its instant computed late or never — and neither the run's
+        /// end nor its event count can tell: whichever hosts are
         /// silent (all of them; the first to be probed; the last; all but
         /// one in the middle; a random half), with and without faults, on
         /// one engine and split over seven.
@@ -1621,7 +1598,7 @@ mod tests {
     fn an_undeliverable_event_is_stamped_with_its_transmission_instant() {
         let w = world();
         let (mut sim, meas) = engine(&w, FaultConfig::none(), 15);
-        sim.attach_obs(vp_obs::TraceLevel::Full);
+        sim.attach_obs(true);
         let mut hosts = w.responsive_blocks();
         let (a, b) = (hosts.next().unwrap(), hosts.next().unwrap());
         let not_a_host = a.block.addr(a.rep_octet.wrapping_add(1).max(1));
@@ -1650,33 +1627,29 @@ mod tests {
 
         let strays = (0..EngineObs::EVENT_CAPACITY as u64 + 2).map(|i| timed_probe(secs(20 + i), probe(meas, not_a_host, 2, 0)));
         Recorder::run(&mut sim, strays);
-        let (_, trace) = sim.take_obs().unwrap().into_parts();
-        assert_eq!(trace.events.len(), EngineObs::EVENT_CAPACITY);
-        assert_eq!(trace.dropped_events, 3);
-        assert_eq!(trace.events[0].at_nanos, secs(22).as_nanos());
+        let (_, log) = sim.take_obs().unwrap().into_parts();
+        assert_eq!(log.events.len(), EngineObs::EVENT_CAPACITY);
+        assert_eq!(log.dropped, 3);
+        assert_eq!(log.events[0].at_nanos, secs(22).as_nanos());
     }
 
-    /// What the trace level gates: `Off` keeps the registry and nothing
-    /// else, `Summary` adds `engine.run`, only `Full` keeps events — and an
-    /// engine that dispatched nothing reports no `engine.run` at any level.
+    /// What the event switch gates: off keeps the registry and nothing
+    /// else, on adds the event ring.
     #[test]
-    fn trace_levels_gate_spans_and_events() {
+    fn the_event_switch_gates_the_ring() {
         let w = world();
         let host = w.responsive_blocks().next().unwrap();
         let not_the_host = host.block.addr(host.rep_octet.wrapping_add(1).max(1));
-        for level in [vp_obs::TraceLevel::Off, vp_obs::TraceLevel::Summary, vp_obs::TraceLevel::Full] {
+        for events in [false, true] {
             let (mut sim, meas) = engine(&w, FaultConfig::none(), 16);
-            sim.attach_obs(level);
+            sim.attach_obs(events);
             Recorder::run(&mut sim, [timed_probe(SimTime::ZERO, probe(meas, not_the_host, 1, 0))]);
-            let idle = sim.obs.as_ref().unwrap();
-            assert!(idle.trace.spans.is_empty(), "{level:?}: nothing arrived, yet {:?}", idle.trace.spans);
-            assert_eq!(idle.ring.len(), usize::from(level == vp_obs::TraceLevel::Full));
+            assert_eq!(sim.obs.as_ref().unwrap().ring.len(), usize::from(events));
 
             Recorder::run(&mut sim, [timed_probe(SimTime::ZERO, probe(meas, host.representative(), 1, 1))]);
-            let (registry, trace) = sim.take_obs().unwrap().into_parts();
-            assert_eq!(registry.counter_value("engine.events", &[]), 2, "{level:?}");
-            let runs = trace.spans.get("engine.run").map_or(0, |agg| agg.count);
-            assert_eq!(runs, u64::from(level != vp_obs::TraceLevel::Off), "{level:?}");
+            let (registry, log) = sim.take_obs().unwrap().into_parts();
+            assert_eq!(registry.counter_value("engine.events", &[]), 2, "{events}");
+            assert_eq!(log.events.len(), usize::from(events), "{events}");
         }
     }
 

@@ -174,9 +174,9 @@ fn sorted(mut seen: Recorder) -> Recorder {
 /// Runs `source` on a fresh engine with a `Full` sidecar and on the
 /// reference simulator, and asserts that they agree on every observable:
 /// the multisets of captures and hand-offs, the counters, the final clock
-/// (the last arrival, silent hosts included), `engine.events`, the
-/// `engine.run` span, and the undeliverable ring — sorted, whenever it
-/// evicted nothing, else by count. Returns the reference's view.
+/// (the last arrival, silent hosts included), `engine.events`, and the
+/// undeliverable ring — sorted, whenever it evicted nothing, else by
+/// count. Returns the reference's view.
 fn assert_engine_equals_reference(
     s: &Scenario,
     oracle: &dyn CatchmentOracle,
@@ -187,9 +187,9 @@ fn assert_engine_equals_reference(
 ) -> reference::Seen {
     let ann = s.announcement.clone();
     let mut sim = NetworkSim::new(&s.world, faults.clone(), seed, ann, Box::new(oracle), serve_dns);
-    sim.attach_obs(vp_obs::TraceLevel::Full);
+    sim.attach_obs(true);
     let Recorder(captures, handoffs) = sorted(run(&mut sim, source.iter().cloned()));
-    let (registry, trace) = sim.take_obs().expect("attached above").into_parts();
+    let (registry, log) = sim.take_obs().expect("attached above").into_parts();
 
     let want = Reference::new(s, oracle, faults.clone(), seed, serve_dns)
         .run(source.iter().map(|p| (p.at, p.packet.clone())));
@@ -211,17 +211,14 @@ fn assert_engine_equals_reference(
     prop_assert_eq!(sim.stats(), stats);
     prop_assert_eq!(sim.now(), want.arrivals.last().copied().unwrap_or(SimTime::ZERO));
     prop_assert_eq!(registry.counter_value("engine.events", &[]), want.arrivals.len() as u64);
-    let span = trace.spans.get("engine.run").map(|run| (run.count, run.total_nanos));
-    let want_span = want.arrivals.first().zip(want.arrivals.last()).map(|(first, last)| (1, last.since(*first).as_nanos()));
-    prop_assert_eq!(span, want_span);
-    let ring: Vec<(u64, String)> = trace.events.iter().map(|e| (e.at_nanos, format!("{} {}", e.name, e.detail))).collect();
-    if trace.dropped_events == 0 {
+    let ring: Vec<(u64, String)> = log.events.iter().map(|e| (e.at_nanos, format!("{} {}", e.name, e.detail))).collect();
+    if log.dropped == 0 {
         let mut undeliverable: Vec<_> =
             (want.undeliverable.iter()).map(|(at, dst)| (*at, format!("engine.undeliverable dst {dst}"))).collect();
         undeliverable.sort();
         prop_assert_eq!(ring, undeliverable);
     } else {
-        prop_assert_eq!(ring.len() as u64 + trace.dropped_events, want.undeliverable.len() as u64);
+        prop_assert_eq!(ring.len() as u64 + log.dropped, want.undeliverable.len() as u64);
     }
     want
 }

@@ -46,10 +46,8 @@ VP_OBS_REPORT_DIR="$PWD/$obs_dir/obs" cargo test -q -p vp-experiments \
 
 vp_monitor="target/release/vp-monitor"
 
-# Every committed tagged document must conform to its embedded schema.
-# The flight golden is named explicitly: the *.report.json glob does not
-# match it, and the flight_golden tests byte-compare against it. The
-# daemon goldens use the directory form (every *.json inside).
+# Every committed tagged document must conform to its embedded schema
+# (a directory argument means every *.json inside).
 "$vp_monitor" validate results/obs/*.report.json \
     results/obs/flight_scan15k.json \
     results/monitor/fig9_tiny.drift.json \
@@ -114,9 +112,7 @@ rm -rf "$bench_dir" && mkdir -p "$bench_dir"
 cargo run -q --release -p vp-experiments --bin bench_scan -- \
     --reps 3 --targets 15000 --flight "$bench_dir/flight_scan15k.json" >/dev/null
 
-# The fresh flight document (never written over the committed golden)
-# must validate against the vp-obs-flight/v1 schema and profile cleanly:
-# the attribution report names the engine round and shard imbalance.
+# The fresh flight document validates and profiles.
 "$vp_monitor" validate "$bench_dir/flight_scan15k.json" >/dev/null
 "$vp_monitor" profile "$bench_dir/flight_scan15k.json" | grep -q "scan.round"
 "$vp_monitor" profile "$bench_dir/flight_scan15k.json" | grep -q "imbalance"

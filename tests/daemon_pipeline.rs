@@ -4,7 +4,7 @@
 //! same configuration `scripts/check.sh` runs through the `vp_daemon`
 //! binary — and pins its two publication surfaces:
 //!
-//! * the canonical `vp-daemon-status/v1` document validates against its
+//! * the canonical `vp-daemon-status/v2` document validates against its
 //!   schema and byte-matches the golden under `results/daemon/`;
 //! * the Prometheus scrape byte-matches its golden;
 //! * both are shard-count-invariant (§7): a 1-shard daemon and a 2-shard
@@ -54,7 +54,7 @@ fn daemon_run_is_deterministic_and_matches_goldens() {
     assert_eq!(validate_tagged(&doc), Vec::<String>::new());
     assert_eq!(
         doc.get("schema").and_then(Value::as_str),
-        Some("vp-daemon-status/v1")
+        Some("vp-daemon-status/v2")
     );
 
     // Byte-identical across runs: the loop has no hidden state.
