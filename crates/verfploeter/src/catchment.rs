@@ -13,11 +13,10 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Serialize, Value};
 use vp_bgp::SiteId;
 use vp_hitlist::Hitlist;
 pub use vp_net::Joined;
-use vp_net::{Block24, BlockColumn};
+use vp_net::{conv, Block24, BlockColumn};
 
 use crate::cleaning::CleanReply;
 
@@ -26,9 +25,9 @@ use crate::cleaning::CleanReply;
 ///
 /// Entries are stored in block order, so iteration — and the serialized
 /// [`CatchmentMap::to_json`] dataset — is canonical: two equal maps always
-/// produce byte-identical JSON, and the bytes are exactly those of the
-/// historical `BTreeMap`-backed engine (asserted by the
-/// `columnar_equivalence` suite).
+/// produce byte-identical JSON. No checked-in result holds a map; the
+/// bytes are the round snapshots `vp-monitor` reads, and the
+/// `columnar_equivalence` suite pins them to a `BTreeMap` reference.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CatchmentMap {
     /// Dataset tag, e.g. "SBV-5-15".
@@ -127,10 +126,34 @@ impl CatchmentMap {
     }
 
     /// Serializes the dataset to JSON (the paper releases all its
-    /// datasets; this is the equivalent open-data format).
+    /// datasets; this is the equivalent open-data format):
+    /// `{"name":…,"map":{"<block>":<site>,…}}` with the keys in block
+    /// order, the bytes upstream `serde_json` writes for a
+    /// `#[derive(Serialize)]` `{ name: String, map: BTreeMap<Block24,
+    /// SiteId> }`. The columns stream into one string sized for them.
     #[expect(clippy::expect_used, reason = "serializing owned plain data cannot fail.")]
     pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("catchment map serializes")
+        let name = serde_json::to_string(&self.name).expect("catchment map serializes");
+        // Per entry: the digits, two quotes and a colon, and a comma
+        // between entries.
+        let entries: usize = self
+            .iter()
+            .map(|(b, s)| decimal_len(b.0) + decimal_len(u32::from(s.0)) + 3)
+            .sum();
+        let commas = self.len().saturating_sub(1);
+        let frame = r#"{"name":,"map":{}}"#.len();
+        let mut out = String::with_capacity(frame + name.len() + entries + commas);
+        out.push_str("{\"name\":");
+        out.push_str(&name);
+        out.push_str(",\"map\":{");
+        for (i, (block, site)) in self.iter().enumerate() {
+            out.push_str(if i == 0 { "\"" } else { ",\"" });
+            push_decimal(&mut out, block.0);
+            out.push_str("\":");
+            push_decimal(&mut out, u32::from(site.0));
+        }
+        out.push_str("}}");
+        out
     }
 
     /// Reloads a dataset written by [`CatchmentMap::to_json`], walking the
@@ -138,8 +161,11 @@ impl CatchmentMap {
     ///
     /// Members may come in any order and unknown ones are skipped; `name`
     /// and `map` are required. A `map` key must be the canonical decimal
-    /// of a `u32` ([`Block24::from_key`]) and a site must fit `u8`; of
-    /// duplicate keys the last wins, and every occurrence is checked.
+    /// of a `u32` ([`serde_json::Reader::next_decimal_key`]) and a site
+    /// must fit `u8`; of duplicate keys the last wins, and every occurrence
+    /// is checked. Keys in block order, as [`CatchmentMap::to_json`]
+    /// writes them, fill the columns as they stand; any other order is
+    /// sorted once ([`BlockColumn::from_columns`]).
     pub fn from_json(s: &str) -> Result<CatchmentMap, serde_json::Error> {
         let mut reader = serde_json::Reader::new(s);
         let (mut name, mut columns) = (None, None);
@@ -180,32 +206,36 @@ fn read_map(
 ) -> Result<(Vec<Block24>, Vec<SiteId>), serde_json::Error> {
     let (mut blocks, mut sites) = (Vec::new(), Vec::new());
     reader.begin_object()?;
-    while let Some(key) = reader.next_key()? {
-        let block = Block24::from_key(&key)
-            .ok_or_else(|| reader.error(format!("cannot interpret object key {key:?}")))?;
+    while let Some(key) = reader.next_decimal_key()? {
+        let block =
+            u32::try_from(key).map_err(|_| reader.error(format!("block key {key} past u32")))?;
         let site = reader.u64()?;
         let site = u8::try_from(site).map_err(|_| reader.error(format!("{site} out of range")))?;
-        blocks.push(block);
+        blocks.push(Block24(block));
         sites.push(SiteId(site));
     }
     Ok((blocks, sites))
 }
 
-/// Serialized form is the byte-identical successor of the historical
-/// `#[derive(Serialize)]` on `{ name: String, map: BTreeMap<Block24,
-/// SiteId> }`: an object with a "map" member keyed by decimal block
-/// numbers. Goldens and released datasets depend on these exact bytes.
-impl Serialize for CatchmentMap {
-    fn to_value(&self) -> Value {
-        let map: BTreeMap<String, Value> = self
-            .iter()
-            .map(|(b, s)| (b.0.to_string(), s.to_value()))
-            .collect();
-        let mut obj = BTreeMap::new();
-        obj.insert("map".to_owned(), Value::Object(map));
-        obj.insert("name".to_owned(), self.name.to_value());
-        Value::Object(obj)
+/// Digits in the decimal spelling of `n`.
+fn decimal_len(n: u32) -> usize {
+    n.checked_ilog10().map_or(1, |d| conv::index(d) + 1)
+}
+
+/// Appends the decimal spelling of `n`.
+fn push_decimal(out: &mut String, mut n: u32) {
+    let mut digits = [b'0'; 10];
+    let mut len = 0;
+    for slot in digits.iter_mut().rev() {
+        *slot += conv::sat_u8(n % 10);
+        n /= 10;
+        len += 1;
+        if n == 0 {
+            break;
+        }
     }
+    let spelled = digits.get(digits.len() - len..).and_then(|d| std::str::from_utf8(d).ok());
+    out.push_str(spelled.unwrap_or_default());
 }
 
 #[cfg(test)]
@@ -262,6 +292,50 @@ mod tests {
             assert_eq!(back.site_of(b), Some(s));
         }
         assert!(CatchmentMap::from_json("not json").is_err());
+    }
+
+    /// The `map` keys `to_json` writes, read back as numbers.
+    fn written_keys(json: &str) -> Vec<u64> {
+        let mut reader = serde_json::Reader::new(json);
+        let mut keys = Vec::new();
+        reader.begin_object().unwrap();
+        while let Some(member) = reader.next_key().unwrap() {
+            if member != "map" {
+                reader.skip().unwrap();
+                continue;
+            }
+            reader.begin_object().unwrap();
+            while let Some(key) = reader.next_key().unwrap() {
+                keys.push(key.parse().unwrap());
+                reader.skip().unwrap();
+            }
+        }
+        keys
+    }
+
+    proptest::proptest! {
+        /// Keys come out in block order — ascending as integers, across
+        /// every digit-count boundary — so a written round loads without a
+        /// sort.
+        #[test]
+        fn to_json_keys_ascend_as_integers(
+            spread in proptest::collection::vec((proptest::prelude::any::<u32>(), 0u32..32), 0..200),
+        ) {
+            let boundaries = (1..=9).flat_map(|d| [10u32.pow(d) - 1, 10u32.pow(d)]);
+            let blocks = spread.iter().map(|&(n, shift)| n >> shift).chain(boundaries);
+            let m = CatchmentMap::from_pairs("asc", blocks.map(|b| (Block24(b), SiteId(7))));
+            let keys = written_keys(&m.to_json());
+            proptest::prop_assert!(keys.windows(2).all(|w| w[0] < w[1]), "{:?}", keys);
+            proptest::prop_assert_eq!(keys.len(), m.len());
+        }
+    }
+
+    #[test]
+    fn to_json_writes_name_then_map_in_block_order() {
+        let m = map("S\"BV", &[(10, 255), (9, 0), (4_294_967_295, 3), (100, 1)]);
+        let want = r#"{"name":"S\"BV","map":{"9":0,"10":255,"100":1,"4294967295":3}}"#;
+        assert_eq!(m.to_json(), want);
+        assert_eq!(CatchmentMap::default().to_json(), r#"{"name":"","map":{}}"#);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use serde::Serialize;
 use vp_hitlist::{Hitlist, HitlistRow};
-use vp_net::{SimDuration, SimTime};
+use vp_net::{conv, SimDuration, SimTime};
 use vp_sim::Earliest;
 
 use crate::collector::RawReply;
@@ -49,22 +49,36 @@ pub struct CleanReply {
 /// in arrival order — the least `(at, key)`, which [`Earliest`] keeps — is
 /// kept and every other is a duplicate, so each verdict depends on which
 /// replies arrived, never on the order they are pushed in.
+///
+/// A cleaner holds one slot per row of the range it cleans — a shard's
+/// own rows, not the whole hitlist. A reply naming a row outside it is
+/// `foreign`; under shard-closed traffic (DESIGN.md §7) there is none.
 pub struct Cleaner<'h> {
     hitlist: &'h Hitlist,
     ident: u16,
     deadline: SimTime,
-    /// The candidates' sites, one slot per hitlist index.
+    /// The hitlist rows cleaned; slot `i` is row `rows.start + i`.
+    rows: std::ops::Range<u32>,
+    /// The candidates' sites, one slot per row of `rows`.
     candidates: Earliest<vp_bgp::SiteId>,
     stats: CleaningStats,
 }
 
 impl<'h> Cleaner<'h> {
-    pub fn new(hitlist: &'h Hitlist, ident: u16, start: SimTime, cutoff: SimDuration) -> Self {
+    pub fn new(
+        hitlist: &'h Hitlist,
+        rows: std::ops::Range<usize>,
+        ident: u16,
+        start: SimTime,
+        cutoff: SimDuration,
+    ) -> Self {
+        let rows = conv::sat_u32(rows.start)..conv::sat_u32(rows.end);
         Cleaner {
             hitlist,
             ident,
             deadline: start + cutoff,
-            candidates: Earliest::new(hitlist.len()),
+            candidates: Earliest::new(rows.len()),
+            rows,
             stats: CleaningStats::default(),
         }
     }
@@ -74,7 +88,8 @@ impl<'h> Cleaner<'h> {
     pub fn push(&mut self, r: &RawReply, key: u64) {
         self.stats.total += 1;
         let index = r.index.filter(|_| r.ident == self.ident);
-        let row = index.and_then(|i| u32::try_from(i).ok()).map(HitlistRow);
+        let row = index.and_then(|i| u32::try_from(i).ok());
+        let row = row.filter(|i| self.rows.contains(i)).map(HitlistRow);
         let Some((row, entry)) = row.and_then(|row| Some((row, self.hitlist.entries().lookup(row)?))) else {
             self.stats.foreign += 1;
             return;
@@ -87,7 +102,7 @@ impl<'h> Cleaner<'h> {
             self.stats.late += 1;
             return;
         }
-        if self.candidates.push(row.0, r.at, key, r.site) {
+        if self.candidates.push(row.0 - self.rows.start, r.at, key, r.site) {
             self.stats.kept += 1;
         } else {
             self.stats.duplicates += 1;
@@ -101,7 +116,7 @@ impl<'h> Cleaner<'h> {
         let kept = self.candidates.finish().into_iter().map(|c| CleanReply {
             site: c.value,
             at: c.at,
-            row: HitlistRow(c.slot),
+            row: HitlistRow(self.rows.start + c.slot),
         });
         (kept.collect(), self.stats)
     }
@@ -118,7 +133,7 @@ pub fn clean(
     start: SimTime,
     cutoff: SimDuration,
 ) -> (Vec<CleanReply>, CleaningStats) {
-    let mut cleaner = Cleaner::new(hitlist, ident, start, cutoff);
+    let mut cleaner = Cleaner::new(hitlist, 0..hitlist.len(), ident, start, cutoff);
     for (key, r) in (0u64..).zip(replies) {
         cleaner.push(r, key);
     }
@@ -233,6 +248,23 @@ mod tests {
         assert_eq!(stats.foreign, 1);
     }
 
+    /// A shard's cleaner holds slots for its own rows only: it keeps their
+    /// replies under their hitlist rows and counts a reply naming another
+    /// shard's row as foreign, on either side of its range.
+    #[test]
+    fn a_range_cleaner_keys_its_rows_and_refuses_the_rest() {
+        let (_, hl) = setup();
+        let mut cleaner = Cleaner::new(&hl, 4..8, 7, SimTime::ZERO, SimDuration::from_mins(15));
+        for (key, index) in (0u64..).zip([3, 4, 7, 7, 8, 0]) {
+            cleaner.push(&reply(&hl, index, 100 - key, 7), key);
+        }
+        let (kept, stats) = cleaner.finish();
+        let rows: Vec<(u32, SimTime)> = kept.iter().map(|r| (r.row.0, r.at)).collect();
+        assert_eq!(rows, [(4, SimTime(99)), (7, SimTime(97))]);
+        assert_eq!((stats.kept, stats.duplicates, stats.foreign), (2, 1, 3));
+        assert!(stats.is_consistent());
+    }
+
     #[test]
     fn aliased_sources_dropped() {
         let (_, hl) = setup();
@@ -329,7 +361,7 @@ mod tests {
                 order
             });
             for order in std::iter::once(reversed).chain(shuffled) {
-                let mut cleaner = Cleaner::new(&hl, 7, SimTime::ZERO, cutoff);
+                let mut cleaner = Cleaner::new(&hl, 0..hl.len(), 7, SimTime::ZERO, cutoff);
                 for (r, key) in &order {
                     cleaner.push(r, *key);
                 }

@@ -142,7 +142,7 @@ mod tests {
         );
 
         let cutoff = SimDuration::from_mins(15);
-        let mut sink = Cleaner::new(&hl, 7, SimTime::ZERO, cutoff);
+        let mut sink = Cleaner::new(&hl, 0..hl.len(), 7, SimTime::ZERO, cutoff);
         for (key, (site, at, packet)) in (0u64..).zip(&captures) {
             sink.capture(*site, *at, key, packet);
         }

@@ -477,8 +477,9 @@ impl Round<'_> {
             exhausted: false,
             phases: wall_rec.as_ref().map(|rec| PhaseSpans::new(rec, lane, probes)),
         };
+        let ident = self.config.probe.ident;
         let mut cleaner =
-            Cleaner::new(self.hitlist, self.config.probe.ident, self.start, LATE_REPLY_CUTOFF);
+            Cleaner::new(self.hitlist, range.clone(), ident, self.start, LATE_REPLY_CUTOFF);
         sim.run_with(&mut feed, &mut cleaner);
         if let Some(phases) = feed.phases.take() {
             phases.finish();

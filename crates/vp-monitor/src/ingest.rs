@@ -183,17 +183,18 @@ fn read_origins(text: &str) -> Result<Origins, serde_json::Error> {
         match &*member {
             "schema" => schema = Some(reader.string()?),
             "origins" => {
-                // Keys arrive in string order, not block order: collect,
+                // The sidecar is written through a `Value` tree, whose
+                // keys come out in string order, not block order: collect,
                 // then build the map in bulk. `from_iter` sorts stably and
                 // keeps the last of equal keys, so the last duplicate wins.
                 let mut pairs = Vec::new();
                 reader.begin_object()?;
-                while let Some(key) = reader.next_key()? {
-                    let block = Block24::from_key(&key)
-                        .ok_or_else(|| reader.error(format!("bad block key {key:?}")))?;
+                while let Some(key) = reader.next_decimal_key()? {
+                    let block = u32::try_from(key)
+                        .map_err(|_| reader.error(format!("bad block key {key}")))?;
                     let asn = u32::try_from(reader.u64()?)
                         .map_err(|_| reader.error(format!("bad ASN for block {key}")))?;
-                    pairs.push((block, Asn(asn)));
+                    pairs.push((Block24(block), Asn(asn)));
                 }
                 origins = Some(Origins::from_iter(pairs));
             }

@@ -126,23 +126,6 @@ impl Block24 {
     pub const fn contains(self, addr: Ipv4Addr) -> bool {
         addr.0 >> 8 == self.0
     }
-
-    /// Parses a block from the object key the open-data documents use for
-    /// it: the canonical decimal spelling of its `u32` — digits only, no
-    /// sign, no leading zero — so one block has exactly one key. Any
-    /// other spelling (`"07"`, `"+7"`, `"-0"`), or a value past `u32`, is
-    /// `None`.
-    pub fn from_key(key: &str) -> Option<Block24> {
-        if key.is_empty() || key.len() > 10 || (key.len() > 1 && key.starts_with('0')) {
-            return None;
-        }
-        // At most ten digits, so the u64 accumulator cannot overflow.
-        let mut n: u64 = 0;
-        for d in key.bytes() {
-            n = n * 10 + u64::from(char::from(d).to_digit(10)?);
-        }
-        u32::try_from(n).ok().map(Block24)
-    }
 }
 
 impl fmt::Display for Block24 {
@@ -305,21 +288,6 @@ mod tests {
         let a = Ipv4Addr::new(10, 20, 30, 40);
         assert_eq!(a.octets(), [10, 20, 30, 40]);
         assert_eq!(a.0, 0x0a14_1e28);
-    }
-
-    #[test]
-    fn block_key_is_the_canonical_decimal_only() {
-        for n in [0u32, 7, 10, 300_000, 16_777_215, u32::MAX] {
-            assert_eq!(Block24::from_key(&n.to_string()), Some(Block24(n)));
-        }
-        for key in [
-            "", "07", "00", "+7", "-0", "-7", " 7", "7 ", "7.0", "1e3", "x", "٧",
-        ] {
-            assert_eq!(Block24::from_key(key), None, "{key:?}");
-        }
-        // One past u32::MAX, and a digit string too long for any u64.
-        assert_eq!(Block24::from_key("4294967296"), None);
-        assert_eq!(Block24::from_key("99999999999999999999999"), None);
     }
 
     #[test]

@@ -17,11 +17,13 @@
 //! budget is pinned just above what a round measures, and a new
 //! per-batch or per-probe allocation fails here.
 //!
-//! The same allocator witnesses the read side (DESIGN.md §10) without a
-//! clock: loading a round document allocates O(log n) times and holds
-//! little more than its text and its columns, at 30 000 and at 300 000
-//! entries alike, and the origins sidecar allocates no more often than
-//! building its map by insertion would. And the monitor that reads those
+//! The same allocator witnesses the snapshot format (DESIGN.md §10)
+//! without a clock: writing a round allocates a constant number of times,
+//! loading one allocates O(log n) times and holds little more than its
+//! text and its columns, at 30 000 and at 300 000 entries alike (a legacy
+//! string-ordered round within the sort's ceilings), and the origins
+//! sidecar allocates no more often than building its map by insertion
+//! would. And the monitor that reads those
 //! rounds forever holds a day of them: a week of rounds leaves its
 //! `DriftTracker` no larger than a day did.
 
@@ -33,6 +35,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -64,12 +67,24 @@ std::thread_local! {
     /// threads allocate meanwhile. Const-initialised and without a
     /// destructor, so the allocator can touch it without allocating.
     static THREAD_LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+    /// This thread's allocations, and the peak of its live bytes.
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static THREAD_PEAK_BYTES: Cell<i64> = const { Cell::new(0) };
+}
+
+fn count() {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    THREAD_ALLOCS.with(|t| t.set(t.get() + 1));
 }
 
 fn grow(bytes: usize) {
     let live = LIVE_BYTES.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
     PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
-    THREAD_LIVE_BYTES.with(|t| t.set(t.get() + bytes as i64));
+    let here = THREAD_LIVE_BYTES.with(|t| {
+        t.set(t.get() + bytes as i64);
+        t.get()
+    });
+    THREAD_PEAK_BYTES.with(|p| p.set(p.get().max(here)));
 }
 
 fn shrink(bytes: usize) {
@@ -82,7 +97,7 @@ fn shrink(bytes: usize) {
 // never influence a pointer or a layout.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         grow(layout.size());
         System.alloc(layout)
     }
@@ -93,7 +108,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         shrink(layout.size());
         grow(new_size);
         System.realloc(ptr, layout, new_size)
@@ -157,6 +172,21 @@ fn measured<T>(work: impl FnOnce() -> T) -> Measured<T> {
         result,
         allocs: ALLOCS.load(Ordering::Relaxed) - allocs_before,
         peak_bytes: PEAK_BYTES.load(Ordering::Relaxed) - live_before,
+    }
+}
+
+/// [`measured`] for work that runs on the calling thread alone, counted
+/// on that thread: blind to whatever the harness's other threads allocate
+/// or free meanwhile.
+fn measured_here<T>(work: impl FnOnce() -> T) -> Measured<T> {
+    let allocs_before = THREAD_ALLOCS.with(Cell::get);
+    let live_before = THREAD_LIVE_BYTES.with(Cell::get);
+    THREAD_PEAK_BYTES.with(|p| p.set(live_before));
+    let result = work();
+    Measured {
+        result,
+        allocs: THREAD_ALLOCS.with(Cell::get) - allocs_before,
+        peak_bytes: (THREAD_PEAK_BYTES.with(Cell::get) - live_before) as u64,
     }
 }
 
@@ -251,9 +281,8 @@ fn steady_state_allocations_stay_sublinear_in_probes() {
 }
 
 /// A synthetic catchment round of `entries` blocks over nine sites. The
-/// blocks straddle the 7-/8-digit boundary, so the document
-/// [`CatchmentMap::to_json`] writes — keys in string order — is not in
-/// block order, as real rounds are not.
+/// blocks straddle the 7-/8-digit boundary, so the round's legacy
+/// document ([`legacy_json`]) is not in block order.
 fn synthetic_round(entries: usize) -> CatchmentMap {
     const STRIDE: u32 = 29;
     let entries = entries as u32;
@@ -264,50 +293,70 @@ fn synthetic_round(entries: usize) -> CatchmentMap {
     CatchmentMap::from_pairs("synthetic/r0", rows)
 }
 
-/// Allocations one round-file load may make, at any size: the file's text,
-/// the name, two columns grown by doubling (2·log2 n) and the sort's
-/// second copy of them. The tree-building reader made ~1.6 per entry.
-const LOAD_ALLOCS: u64 = 64;
+/// `map` as round files were written before block order: through a
+/// `Value::Object`, keys in string order.
+fn legacy_json(map: &CatchmentMap) -> String {
+    let entries: BTreeMap<Block24, SiteId> = map.iter().collect();
+    serde_json::to_string(&serde_json::json!({ "name": map.name, "map": entries }))
+        .expect("legacy round renders")
+}
 
-/// Live heap a load may hold per entry on top of the file's text: the
-/// columns (5 B, under 10 B with doubling slack) and the sort's exact-size
-/// second copy (5 B).
-const LOAD_BYTES_PER_ENTRY: u64 = 16;
+/// Allocations one block-ordered round-file load may make, at any size:
+/// the file's text, the name and two columns grown by doubling
+/// (2·log2 n): 37 at 300 000 entries. The tree-building reader made ~1.6
+/// per entry.
+const LOAD_ALLOCS: u64 = 40;
+
+/// Live heap a block-ordered load may hold per entry on top of the
+/// file's text: the two columns, 5 B an entry and under 10 B with
+/// doubling slack (8.7 B at 300 000 entries).
+const LOAD_BYTES_PER_ENTRY: u64 = 9;
+
+/// The same two ceilings for a legacy string-ordered round, which also
+/// pays the sort's exact-size second copy of the columns.
+const LEGACY_LOAD_ALLOCS: u64 = 64;
+const LEGACY_LOAD_BYTES_PER_ENTRY: u64 = 16;
+
+/// Writes `text` as a round file, loads it back as `map`, and holds the
+/// load to `allocs` allocations and text + `bytes_per_entry` of live heap.
+fn witness_load(kind: &str, map: &CatchmentMap, text: &str, allocs: u64, bytes_per_entry: u64) {
+    let entries = map.len() as u64;
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("vp-alloc-witness-{kind}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create witness dir");
+    let path = dir.join(format!("r{entries}.json"));
+    std::fs::write(&path, text).expect("write round file");
+    let load = measured_here(|| load_round_file(&path).expect("round file loads"));
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(&load.result, map);
+    eprintln!(
+        "{kind}, {entries} entries: {} allocations, peak {} B = text + {} B/entry",
+        load.allocs,
+        load.peak_bytes,
+        load.peak_bytes.saturating_sub(text.len() as u64) / entries
+    );
+    assert!(
+        load.allocs <= allocs,
+        "{kind}: loading {entries} entries allocated {} times (budget {allocs}): \
+         a per-entry allocation crept back in",
+        load.allocs
+    );
+    assert!(
+        load.peak_bytes <= text.len() as u64 + bytes_per_entry * entries,
+        "{kind}: loading {entries} entries peaked at {} live bytes for {} bytes of text \
+         (ceiling: text + {bytes_per_entry} B/entry): an intermediate copy crept back in",
+        load.peak_bytes,
+        text.len()
+    );
+}
 
 #[test]
 fn snapshot_ingest_allocates_logarithmically_and_holds_text_plus_columns() {
     let _alone = alone();
-    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
-        .join(format!("vp-alloc-witness-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create witness dir");
-    for entries in [30_000u64, 300_000] {
-        let map = synthetic_round(entries as usize);
-        let text = map.to_json();
-        let path = dir.join(format!("r{entries}.json"));
-        std::fs::write(&path, &text).expect("write round file");
-        let load = measured(|| load_round_file(&path).expect("round file loads"));
-        assert_eq!(load.result, map);
-        eprintln!(
-            "{entries} entries: {} allocations, peak {} B = text + {} B/entry",
-            load.allocs,
-            load.peak_bytes,
-            load.peak_bytes.saturating_sub(text.len() as u64) / entries
-        );
-        assert!(
-            load.allocs <= LOAD_ALLOCS,
-            "loading {entries} entries allocated {} times (budget {LOAD_ALLOCS}): \
-             a per-entry allocation crept back in",
-            load.allocs
-        );
-        assert!(
-            load.peak_bytes <= text.len() as u64 + LOAD_BYTES_PER_ENTRY * entries,
-            "loading {entries} entries peaked at {} live bytes for {} bytes of text \
-             (ceiling: text + {LOAD_BYTES_PER_ENTRY} B/entry): an intermediate copy crept back in",
-            load.peak_bytes,
-            text.len()
-        );
+    for entries in [30_000, 300_000] {
+        let map = synthetic_round(entries);
+        witness_load("block order", &map, &map.to_json(), LOAD_ALLOCS, LOAD_BYTES_PER_ENTRY);
     }
-    let _ = std::fs::remove_dir_all(&dir);
 
     // The sidecar's only product is a `BTreeMap`, built in bulk from the
     // parsed pairs: its pair vector, sort buffer and densely packed nodes
@@ -320,8 +369,8 @@ fn snapshot_ingest_allocates_logarithmically_and_holds_text_plus_columns() {
     let text = serde_json::to_string_pretty(&build_origins_doc(&origins)).expect("sidecar renders");
     let mut pairs: Vec<_> = origins.iter().map(|(b, a)| (*b, *a)).collect();
     pairs.sort_by_key(|(block, _)| block.0.to_string());
-    let parsed = measured(|| parse_origins(&text, "witness").expect("sidecar parses"));
-    let inserted = measured(|| {
+    let parsed = measured_here(|| parse_origins(&text, "witness").expect("sidecar parses"));
+    let inserted = measured_here(|| {
         let mut map = Origins::new();
         for &(block, asn) in &pairs {
             map.insert(block, asn);
@@ -342,6 +391,47 @@ fn snapshot_ingest_allocates_logarithmically_and_holds_text_plus_columns() {
         parsed.allocs,
         inserted.allocs
     );
+}
+
+/// A round written before block order still loads within the ceilings
+/// that held when every round went through the sort.
+#[test]
+fn legacy_string_ordered_ingest_stays_within_the_sort_ceilings() {
+    let _alone = alone();
+    for entries in [30_000, 300_000] {
+        let map = synthetic_round(entries);
+        let text = legacy_json(&map);
+        assert_ne!(text, map.to_json(), "the legacy document is out of block order");
+        witness_load("string order", &map, &text, LEGACY_LOAD_ALLOCS, LEGACY_LOAD_BYTES_PER_ENTRY);
+    }
+}
+
+/// Allocations [`CatchmentMap::to_json`] may make at any size: the
+/// escaped name (three) and the one string sized for the whole document.
+const WRITE_ALLOCS: u64 = 4;
+
+/// Writing a round streams its columns into one pre-sized string: a
+/// constant number of allocations, where a `String` or `Value` per entry
+/// made two or more per entry.
+#[test]
+fn snapshot_write_allocates_a_constant_number_of_times() {
+    let _alone = alone();
+    let map = synthetic_round(300_000);
+    let write = measured_here(|| map.to_json());
+    eprintln!(
+        "writing {} entries: {} allocations, peak {} B for {} B of text",
+        map.len(),
+        write.allocs,
+        write.peak_bytes,
+        write.result.len()
+    );
+    assert!(
+        write.allocs <= WRITE_ALLOCS,
+        "writing {} entries allocated {} times (budget {WRITE_ALLOCS})",
+        map.len(),
+        write.allocs
+    );
+    assert_eq!(write.result.capacity(), write.result.len(), "the string was sized exactly");
 }
 
 /// Blocks of each drifting round.

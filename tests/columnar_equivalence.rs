@@ -7,9 +7,9 @@
 //! sequences — arbitrary construction orders, shard splits at the
 //! determinism contract's K ∈ {1, 2, 7, 16}, merge sequences in arbitrary
 //! order, serialization round-trips — and must agree **byte-for-byte** on
-//! serialized output (the format oracle is the historical
-//! `#[derive(Serialize)]` tree engine, [`BTreeCatchment`]) and value-for-
-//! value on every query. `BitSet::merge` union semantics are proven here
+//! serialized output (the format oracle is the historical tree engine,
+//! [`BTreeCatchment`], written as upstream `serde_json` writes its
+//! `#[derive(Serialize)]`) and value-for-value on every query. `BitSet::merge` union semantics are proven here
 //! too, against a naive set-of-indices model.
 //!
 //! The tree engine is also the ingest oracle: `CatchmentMap::from_json`
@@ -34,8 +34,8 @@ use vp_monitor::diff::Origins;
 use vp_monitor::ingest::parse_origins;
 
 /// The historical tree-backed map, field-for-field the pre-columnar
-/// `CatchmentMap` (so its derived serialization defines the on-disk
-/// format the columnar engine must reproduce).
+/// `CatchmentMap` (so its serialization defines the on-disk format the
+/// columnar engine must reproduce).
 #[derive(Debug, Clone, Default, Serialize)]
 struct BTreeCatchment {
     name: String,
@@ -70,8 +70,20 @@ impl BTreeCatchment {
         }
     }
 
-    /// Serializes via the derived impl — the format oracle.
+    /// The format oracle: the bytes upstream `serde_json` writes for the
+    /// derive — members in declaration order, the map in its iteration
+    /// (block) order.
     fn to_json(&self) -> String {
+        let name = serde_json::to_string(&self.name).expect("name serializes");
+        let entries: Vec<String> =
+            self.map.iter().map(|(b, s)| format!("\"{}\":{}", b.0, s.0)).collect();
+        format!("{{\"name\":{name},\"map\":{{{}}}}}", entries.join(","))
+    }
+
+    /// The bytes the vendored `serde_json` gives the derive, as round
+    /// files were written before block order: the document goes through a
+    /// `Value::Object`, so members and keys come out in string order.
+    fn legacy_json(&self) -> String {
         serde_json::to_string(self).expect("catchment map serializes")
     }
 
@@ -161,6 +173,23 @@ proptest! {
         let cross = CatchmentMap::from_json(&tree.to_json()).unwrap();
         prop_assert_eq!(cross.to_json(), col.to_json());
         assert_engines_agree(&col_back, &tree_back);
+    }
+
+    /// A round file written in the legacy string order — keys straddling
+    /// every digit-count boundary, so `"10"` comes before `"9"` — loads to
+    /// the map the block-ordered file holds, through the sort path.
+    #[test]
+    fn legacy_string_ordered_documents_load_to_the_same_map(
+        spread in proptest::collection::vec((any::<u32>(), 0u32..32), 0..120),
+    ) {
+        let boundaries = (1..=9).flat_map(|d| [10u32.pow(d) - 1, 10u32.pow(d)]);
+        let blocks: Vec<u32> = spread.iter().map(|&(n, shift)| n >> shift).chain(boundaries).collect();
+        let (col, tree) = both("SBV-legacy", &pairs_of(&blocks));
+        let legacy = tree.legacy_json();
+        prop_assert_ne!(&legacy, &tree.to_json());
+        let loaded = CatchmentMap::from_json(&legacy).unwrap();
+        prop_assert_eq!(&loaded, &col);
+        prop_assert_eq!(loaded.to_json(), tree.to_json());
     }
 
     /// Arbitrary merge sequences over agreeing parts: fold order and part

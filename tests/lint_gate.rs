@@ -113,16 +113,14 @@ fn every_pub_merge_names_a_merge_law_test() {
 
 /// A document is a `#[derive(Serialize)]` type rendered with `json!`
 /// (DESIGN.md §5): no non-test source inserts a literal key and a `Value`
-/// into a map (whitespace aside), except `CatchmentMap`'s hand-written,
-/// columnar `Serialize`.
+/// into a map (whitespace aside).
 #[test]
 fn documents_are_not_assembled_key_by_key() {
     // Spelled in halves so this file does not match itself.
     let (open, close) = (concat!("insert(", "\""), concat!("\".to_owned(),", "Value::"));
-    let exempt = Path::new("crates/verfploeter/src/catchment.rs");
     for (path, text) in sources() {
         let rel = path.strip_prefix(root()).unwrap();
-        if rel == exempt || rel.components().any(|c| c.as_os_str() == "tests") {
+        if rel.components().any(|c| c.as_os_str() == "tests") {
             continue;
         }
         let code = text.split_once("#[cfg(test)]").map_or(text.as_str(), |(code, _)| code);
@@ -156,7 +154,7 @@ fn design_inventory_names_every_crate() {
 /// this long, and one that shortens it lowers the ceiling.
 #[test]
 fn design_md_line_count_only_ratchets_down() {
-    const CEILING: usize = 951;
+    const CEILING: usize = 948;
     let lines = std::fs::read_to_string(root().join("DESIGN.md")).unwrap().lines().count();
     assert!(lines <= CEILING, "DESIGN.md is {lines} lines, ceiling {CEILING}");
 }
