@@ -134,53 +134,31 @@ impl CatchmentMap {
     #[expect(clippy::expect_used, reason = "serializing owned plain data cannot fail.")]
     pub fn to_json(&self) -> String {
         let name = serde_json::to_string(&self.name).expect("catchment map serializes");
-        // Per entry: the digits, two quotes and a colon, and a comma
-        // between entries.
-        let entries: usize = self
-            .iter()
-            .map(|(b, s)| decimal_len(b.0) + decimal_len(u32::from(s.0)) + 3)
-            .sum();
-        let commas = self.len().saturating_sub(1);
-        let frame = r#"{"name":,"map":{}}"#.len();
-        let mut out = String::with_capacity(frame + name.len() + entries + commas);
-        out.push_str("{\"name\":");
-        out.push_str(&name);
-        out.push_str(",\"map\":{");
-        for (i, (block, site)) in self.iter().enumerate() {
-            out.push_str(if i == 0 { "\"" } else { ",\"" });
-            push_decimal(&mut out, block.0);
-            out.push_str("\":");
-            push_decimal(&mut out, u32::from(site.0));
-        }
-        out.push_str("}}");
-        out
+        let head = ["{\"name\":", &name, ",\"map\":"];
+        write_block_object(&head, &self.entries, |s| u32::from(s.0), "}")
     }
 
     /// Reloads a dataset written by [`CatchmentMap::to_json`], walking the
     /// text straight into the columns: linear in its bytes, no value tree.
     ///
     /// Members may come in any order and unknown ones are skipped; `name`
-    /// and `map` are required. A `map` key must be the canonical decimal
-    /// of a `u32` ([`serde_json::Reader::next_decimal_key`]) and a site
-    /// must fit `u8`; of duplicate keys the last wins, and every occurrence
-    /// is checked. Keys in block order, as [`CatchmentMap::to_json`]
-    /// writes them, fill the columns as they stand; any other order is
-    /// sorted once ([`BlockColumn::from_columns`]).
+    /// and `map` are required. `map` is read by [`read_block_object`], a
+    /// site must fit `u8`, and every occurrence of a duplicate is checked.
     pub fn from_json(s: &str) -> Result<CatchmentMap, serde_json::Error> {
         let mut reader = serde_json::Reader::new(s);
-        let (mut name, mut columns) = (None, None);
+        let (mut name, mut entries) = (None, None);
+        let site = |n| u8::try_from(n).ok().map(SiteId);
         reader.begin_object()?;
         while let Some(member) = reader.next_key()? {
             match &*member {
                 "name" => name = Some(reader.string()?.into_owned()),
-                "map" => columns = Some(read_map(&mut reader)?),
+                "map" => entries = Some(read_block_object(&mut reader, site)?),
                 _ => reader.skip()?,
             }
         }
         reader.end()?;
         let name = name.ok_or_else(|| serde_json::Error::msg("missing field name"))?;
-        let (blocks, sites) = columns.ok_or_else(|| serde_json::Error::msg("missing field map"))?;
-        let entries = BlockColumn::from_columns(blocks, sites);
+        let entries = entries.ok_or_else(|| serde_json::Error::msg("missing field map"))?;
         Ok(CatchmentMap { name, entries })
     }
 
@@ -199,22 +177,56 @@ impl CatchmentMap {
     }
 }
 
-/// Reads the `map` member — `{"<block>": <site>, ...}` — as parallel
-/// columns in document order.
-fn read_map(
+/// Writes `head`, the block-keyed object `{"<block>":<n>,…}` of `column`
+/// in block order, then `tail`, into one string sized exactly for them:
+/// the one writer of round files and of the origins sidecar.
+pub fn write_block_object<V: Copy>(
+    head: &[&str],
+    column: &BlockColumn<V>,
+    number: impl Fn(V) -> u32,
+    tail: &str,
+) -> String {
+    // Per entry: the digits, two quotes and a colon, and a comma
+    // between entries.
+    let entry = |(b, v): (Block24, V)| decimal_len(b.0) + decimal_len(number(v)) + 3;
+    let entries: usize = column.iter().map(entry).sum();
+    let commas = column.len().saturating_sub(1);
+    let frame = head.iter().map(|part| part.len()).sum::<usize>() + "{}".len() + tail.len();
+    let mut out = String::with_capacity(frame + entries + commas);
+    head.iter().for_each(|part| out.push_str(part));
+    out.push('{');
+    for (i, (block, v)) in column.iter().enumerate() {
+        out.push_str(if i == 0 { "\"" } else { ",\"" });
+        push_decimal(&mut out, block.0);
+        out.push_str("\":");
+        push_decimal(&mut out, number(v));
+    }
+    out.push('}');
+    out.push_str(tail);
+    out
+}
+
+/// Reads a block-keyed object `{"<block>": <n>, ...}`, the one reader of
+/// round files and of the origins sidecar: a key must be the canonical
+/// decimal of a `u32` ([`serde_json::Reader::next_decimal_key`]) and a
+/// number one `value` accepts. Keys in block order fill the columns as
+/// they stand; any other order is sorted once, and of duplicate keys the
+/// last wins ([`BlockColumn::from_columns`]).
+pub fn read_block_object<V: Copy>(
     reader: &mut serde_json::Reader<'_>,
-) -> Result<(Vec<Block24>, Vec<SiteId>), serde_json::Error> {
-    let (mut blocks, mut sites) = (Vec::new(), Vec::new());
+    value: impl Fn(u64) -> Option<V>,
+) -> Result<BlockColumn<V>, serde_json::Error> {
+    let (mut blocks, mut values) = (Vec::new(), Vec::new());
     reader.begin_object()?;
     while let Some(key) = reader.next_decimal_key()? {
         let block =
             u32::try_from(key).map_err(|_| reader.error(format!("block key {key} past u32")))?;
-        let site = reader.u64()?;
-        let site = u8::try_from(site).map_err(|_| reader.error(format!("{site} out of range")))?;
+        let n = reader.u64()?;
+        let v = value(n).ok_or_else(|| reader.error(format!("{n} out of range for block {key}")))?;
         blocks.push(Block24(block));
-        sites.push(SiteId(site));
+        values.push(v);
     }
-    Ok((blocks, sites))
+    Ok(BlockColumn::from_columns(blocks, values))
 }
 
 /// Digits in the decimal spelling of `n`.

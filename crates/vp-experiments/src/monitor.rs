@@ -2,7 +2,8 @@
 //!
 //! `fig9_stability --snapshots <dir>` writes each stability round's
 //! [`CatchmentMap`] as `r<NNN>.json` plus a `vp-monitor-origins/v1`
-//! sidecar mapping every block that ever responded to its origin AS.
+//! sidecar mapping every block that ever responded to its origin AS,
+//! both written in block order by one block-object writer.
 //! `vp-monitor diff --rounds <dir>` then replays the sequence offline:
 //! the same drift numbers fig9 reports, but as an alertable stream
 //! instead of a figure.
@@ -15,7 +16,7 @@ use std::path::Path;
 
 use verfploeter::catchment::CatchmentMap;
 use vp_monitor::diff::Origins;
-use vp_monitor::ingest::{build_origins_doc, write_atomic};
+use vp_monitor::ingest::{origins_to_json, write_atomic};
 use vp_net::Block24;
 use vp_topology::Internet;
 
@@ -42,10 +43,7 @@ pub fn write_round_snapshots(
         write_atomic(&dir.join(format!("r{i:03}.json")), &round.to_json())?;
     }
     let origins = collect_origins(rounds, world);
-    let doc = build_origins_doc(&origins);
-    let text = serde_json::to_string_pretty(&doc)
-        .map_err(|e| format!("serialize origins sidecar: {e}"))?;
-    write_atomic(&dir.join("origins.json"), &text)?;
+    write_atomic(&dir.join("origins.json"), &origins_to_json(&origins))?;
     Ok(rounds.len())
 }
 
@@ -98,7 +96,7 @@ mod tests {
         // Every block of every round has an attributed origin.
         for round in rounds.iter() {
             for (b, _) in round.iter() {
-                assert!(origins.contains_key(&b), "block {b} missing from origins");
+                assert!(origins.get(b).is_some(), "block {b} missing from origins");
             }
         }
         let _ = std::fs::remove_dir_all(&dir);

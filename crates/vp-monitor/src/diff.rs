@@ -13,12 +13,12 @@
 use std::collections::BTreeMap;
 
 use serde::Serialize;
-use vp_net::{Asn, Block24};
+use vp_net::{Asn, BlockColumn};
 use verfploeter::catchment::{CatchmentMap, Joined};
 
 /// Block → origin AS, from the `origins.json` sidecar the fig9 snapshot
 /// writer emits. Without it, per-AS flip attribution is empty.
-pub type Origins = BTreeMap<Block24, Asn>;
+pub type Origins = BlockColumn<Asn>;
 
 /// Everything that changed between one round and the next; it renders as
 /// one entry of a drift document's `rounds` and as the daemon status's
@@ -77,7 +77,7 @@ pub fn diff_rounds(
             Joined::Both(_, was, now) if was == now => stable += 1,
             Joined::Both(block, ..) => {
                 flipped += 1;
-                if let Some(asn) = origins.and_then(|o| o.get(&block)) {
+                if let Some(asn) = origins.and_then(|o| o.get(block)) {
                     *flips_by_as.entry(asn.0).or_insert(0) += 1;
                 }
             }
@@ -198,6 +198,7 @@ impl DriftSummary {
 mod tests {
     use super::*;
     use vp_bgp::SiteId;
+    use vp_net::Block24;
 
     fn map(name: &str, pairs: &[(u32, u8)]) -> CatchmentMap {
         CatchmentMap::from_pairs(name, pairs.iter().map(|&(b, s)| (Block24(b), SiteId(s))))

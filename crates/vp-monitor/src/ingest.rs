@@ -22,9 +22,9 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use serde_json::{json, Value};
-use verfploeter::catchment::CatchmentMap;
-use vp_net::{Asn, Block24};
+use serde_json::Value;
+use verfploeter::catchment::{read_block_object, write_block_object, CatchmentMap};
+use vp_net::Asn;
 
 use crate::diff::Origins;
 
@@ -146,7 +146,7 @@ pub fn load_round_file(path: &Path) -> Result<CatchmentMap, String> {
 /// flips would drop out of the per-AS attribution.
 pub fn load_round_listed(path: &Path, origins: Option<&Origins>) -> Result<CatchmentMap, String> {
     let map = load_round_file(path)?;
-    match origins.and_then(|o| map.iter().find(|(block, _)| !o.contains_key(block))) {
+    match origins.and_then(|o| map.iter().find(|&(block, _)| o.get(block).is_none())) {
         Some((block, _)) => Err(format!("{}: block {block} is not in the origins in use", path.display())),
         None => Ok(map),
     }
@@ -164,13 +164,15 @@ pub fn load_rounds_dir(dir: &Path, origins: Option<&Origins>) -> Result<(u32, Ve
     Ok((first, maps.collect::<Result<_, _>>()?))
 }
 
+/// The schema tag of the origins sidecar.
+const ORIGINS_SCHEMA: &str = "vp-monitor-origins/v1";
+
 /// Parses the `vp-monitor-origins/v1` sidecar mapping each /24 block to
 /// its origin AS, used to attribute flips per AS.
 ///
 /// Walks the text once, like [`CatchmentMap::from_json`], and by the
-/// same rules: members in any order, unknown ones skipped, a
-/// block key in canonical decimal, an ASN that fits `u32`, the last of
-/// duplicate keys wins.
+/// same rules: members in any order, unknown ones skipped, `origins` read
+/// by [`read_block_object`] with an ASN that fits `u32`.
 pub fn parse_origins(text: &str, what: &str) -> Result<Origins, String> {
     read_origins(text).map_err(|e| format!("{what}: invalid origins sidecar: {e}"))
 }
@@ -178,53 +180,42 @@ pub fn parse_origins(text: &str, what: &str) -> Result<Origins, String> {
 fn read_origins(text: &str) -> Result<Origins, serde_json::Error> {
     let mut reader = serde_json::Reader::new(text);
     let (mut schema, mut origins) = (None, None);
+    let asn = |n| u32::try_from(n).ok().map(Asn);
     reader.begin_object()?;
     while let Some(member) = reader.next_key()? {
         match &*member {
             "schema" => schema = Some(reader.string()?),
-            "origins" => {
-                // The sidecar is written through a `Value` tree, whose
-                // keys come out in string order, not block order: collect,
-                // then build the map in bulk. `from_iter` sorts stably and
-                // keeps the last of equal keys, so the last duplicate wins.
-                let mut pairs = Vec::new();
-                reader.begin_object()?;
-                while let Some(key) = reader.next_decimal_key()? {
-                    let block = u32::try_from(key)
-                        .map_err(|_| reader.error(format!("bad block key {key}")))?;
-                    let asn = u32::try_from(reader.u64()?)
-                        .map_err(|_| reader.error(format!("bad ASN for block {key}")))?;
-                    pairs.push((Block24(block), Asn(asn)));
-                }
-                origins = Some(Origins::from_iter(pairs));
-            }
+            "origins" => origins = Some(read_block_object(&mut reader, asn)?),
             _ => reader.skip()?,
         }
     }
     reader.end()?;
-    if schema.as_deref() != Some("vp-monitor-origins/v1") {
+    if schema.as_deref() != Some(ORIGINS_SCHEMA) {
         let found = format!("unexpected schema {schema:?}");
         return Err(serde_json::Error::msg(found));
     }
     origins.ok_or_else(|| serde_json::Error::msg("missing origins object"))
 }
 
+/// Loads an origins sidecar file; every error names it.
+pub fn load_origins(path: &Path) -> Result<Origins, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    parse_origins(&text, &path.display().to_string())
+}
+
 /// Loads the `origins.json` sidecar next to the round files, if present.
 pub fn load_origins_sidecar(dir: &Path) -> Result<Option<Origins>, String> {
     let path = dir.join("origins.json");
-    if !path.exists() {
-        return Ok(None);
-    }
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    parse_origins(&text, &path.display().to_string()).map(Some)
+    path.exists().then(|| load_origins(&path)).transpose()
 }
 
-/// Renders an [`Origins`] map as the canonical `vp-monitor-origins/v1`
-/// sidecar document: `schema`, and `origins` mapping each block's decimal
-/// number to its origin ASN.
-pub fn build_origins_doc(origins: &Origins) -> Value {
-    json!({ "schema": "vp-monitor-origins/v1", "origins": origins })
+/// Writes the `vp-monitor-origins/v1` sidecar: `schema`, then `origins`
+/// mapping each block's decimal number to its origin ASN, in block order
+/// ([`write_block_object`]).
+pub fn origins_to_json(origins: &Origins) -> String {
+    let head = ["{\"schema\":\"", ORIGINS_SCHEMA, "\",\"origins\":"];
+    write_block_object(&head, origins, |asn| asn.0, "}")
 }
 
 /// One scan entry of a `vp-obs-report/v2` document, reduced to the fields
@@ -336,6 +327,7 @@ pub fn load_obs_report(path: &Path) -> Result<ObsReportDoc, String> {
 mod tests {
     use super::*;
     use vp_bgp::SiteId;
+    use vp_net::Block24;
 
     /// A fresh scratch directory holding one round file per name.
     fn rounds_dir(test: &str, files: &[&str]) -> std::path::PathBuf {
@@ -435,13 +427,12 @@ mod tests {
 
     #[test]
     fn origins_doc_roundtrips() {
-        let mut origins: Origins = BTreeMap::new();
-        origins.insert(Block24(7), Asn(64512));
-        origins.insert(Block24(9), Asn(64513));
-        let doc = build_origins_doc(&origins);
-        let text = serde_json::to_string_pretty(&doc).unwrap();
-        let back = parse_origins(&text, "test").unwrap();
-        assert_eq!(back, origins);
+        let origins: Origins = [(Block24(9), Asn(64513)), (Block24(7), Asn(64512))]
+            .into_iter()
+            .collect();
+        let text = origins_to_json(&origins);
+        assert_eq!(text, r#"{"schema":"vp-monitor-origins/v1","origins":{"7":64512,"9":64513}}"#);
+        assert_eq!(parse_origins(&text, "test").unwrap(), origins);
         for bad in [
             "{}",
             "nope",
@@ -454,37 +445,14 @@ mod tests {
             let err = parse_origins(bad, "the-sidecar").unwrap_err();
             assert!(err.starts_with("the-sidecar: "), "{err}");
         }
-        // Members in any order, unknown ones skipped, the last duplicate wins.
-        let text = r#"{"origins": {"7": 1, "9": 2, "7": 3}, "note": [1], "schema": "vp-monitor-origins/v1"}"#;
+        // Members in any order, unknown ones skipped; keys in string order
+        // ("10" before "7") with an adjacent and a late repeat: the last
+        // of each wins.
+        let text = r#"{"origins": {"10": 1, "7": 1, "7": 3, "9": 2, "10": 4}, "note": [1],
+            "schema": "vp-monitor-origins/v1"}"#;
         let parsed = parse_origins(text, "test").unwrap();
-        let want: Origins = [(Block24(7), Asn(3)), (Block24(9), Asn(2))].into();
-        assert_eq!(parsed, want);
-    }
-
-    /// The bulk build is the insert loop it replaced: keys in the
-    /// document's string order with adjacent repeats, then repeats of
-    /// earlier keys at the end, give the map that inserting each member
-    /// in turn gives.
-    #[test]
-    fn bulk_built_origins_equal_the_insert_loop() {
-        let mut members: Vec<(u32, u32)> = (0..300).map(|b| (b * 7 % 1_000, b)).collect();
-        members.extend((0..40).map(|b| (b * 7 % 1_000, 5_000 + b)));
-        members.sort_by_key(|&(block, _)| block.to_string());
-        members.extend([(7, 9_001), (63, 9_002), (7, 9_003)]);
-        let body: Vec<String> = members
-            .iter()
-            .map(|(b, a)| format!("\"{b}\": {a}"))
-            .collect();
-        let text = format!(
-            r#"{{"schema": "vp-monitor-origins/v1", "origins": {{{}}}}}"#,
-            body.join(", ")
-        );
-        let mut inserted = Origins::new();
-        for &(block, asn) in &members {
-            inserted.insert(Block24(block), Asn(asn));
-        }
-        assert_eq!(parse_origins(&text, "test").unwrap(), inserted);
-        assert_eq!(inserted.get(&Block24(7)), Some(&Asn(9_003)));
+        let rows: Vec<(u32, u32)> = parsed.iter().map(|(b, a)| (b.0, a.0)).collect();
+        assert_eq!(rows, [(7, 3), (9, 2), (10, 4)]);
     }
 
     #[test]

@@ -40,7 +40,7 @@ use std::process::ExitCode;
 use vp_monitor::alert::AlertConfig;
 use vp_monitor::diff::Origins;
 use vp_monitor::ingest::{
-    load_obs_report, load_origins_sidecar, load_round_listed, load_rounds_dir, write_atomic, RoundTail,
+    load_obs_report, load_origins, load_origins_sidecar, load_round_listed, load_rounds_dir, write_atomic, RoundTail,
 };
 use vp_monitor::pipeline::run_diff_pipeline;
 use vp_monitor::profile::{parse_flight_doc, render_report};
@@ -137,14 +137,7 @@ type Context = (Option<Origins>, Option<BTreeMap<u32, u64>>);
 
 fn load_context(args: &DiffArgs) -> Result<Context, String> {
     let origins = match &args.origins {
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            Some(vp_monitor::ingest::parse_origins(
-                &text,
-                &path.display().to_string(),
-            )?)
-        }
+        Some(path) => Some(load_origins(path)?),
         None => load_origins_sidecar(&args.rounds)?,
     };
     let durations = match &args.obs_report {

@@ -332,7 +332,7 @@ mod tests {
         let map = |name: &str, pairs: &[(u32, u8)]| {
             CatchmentMap::from_pairs(name, pairs.iter().map(|&(b, s)| (Block24(b), SiteId(s))))
         };
-        let origins: Origins = [(Block24(1), Asn(64500)), (Block24(2), Asn(64501))].into();
+        let origins: Origins = [(Block24(1), Asn(64500)), (Block24(2), Asn(64501))].into_iter().collect();
         let prev = map("r0", &[(1, 0), (2, 0), (3, 1), (4, 1)]);
         let cur = map("r1", &[(1, 1), (2, 1), (3, 1)]);
         let d = diff_rounds(&prev, &cur, 1, Some(&origins));

@@ -25,7 +25,7 @@ use verfploeter::catchment::CatchmentMap;
 use vp_bgp::SiteId;
 use vp_monitor::diff::Origins;
 use vp_monitor::ingest::{
-    build_origins_doc, list_round_files, load_origins_sidecar, load_round_file, write_atomic,
+    list_round_files, load_origins_sidecar, load_round_file, origins_to_json, write_atomic,
 };
 use vp_net::{Asn, Block24};
 
@@ -46,7 +46,7 @@ fn sidecar_doc(pairs: &[(u32, u8)]) -> String {
         .iter()
         .map(|&(b, s)| (Block24(b), Asn(64500 + u32::from(s))))
         .collect();
-    serde_json::to_string_pretty(&build_origins_doc(&origins)).expect("sidecar renders")
+    origins_to_json(&origins)
 }
 
 /// Writes the `cut`-byte prefix of each document `cut` is a proper prefix
@@ -84,7 +84,8 @@ proptest! {
         std::fs::write(dir.join("r000.json"), &round).expect("write round");
         std::fs::write(dir.join("origins.json"), &sidecar).expect("write sidecar");
         prop_assert_eq!(load_round_file(&dir.join("r000.json")).expect("whole round loads").to_json(), round.clone());
-        prop_assert!(load_origins_sidecar(&dir).expect("whole sidecar loads").is_some());
+        let origins = load_origins_sidecar(&dir).expect("whole sidecar loads").expect("present");
+        prop_assert_eq!(origins_to_json(&origins), sidecar.clone());
         for cut in 0..round.len().max(sidecar.len()) {
             assert_prefix_rejected(&dir, round.as_bytes(), sidecar.as_bytes(), cut);
         }

@@ -163,7 +163,7 @@ fn searched_counts(
             Some(s) if s == site => stable += 1,
             Some(_) => {
                 flipped += 1;
-                if let Some(asn) = origins.get(&block) {
+                if let Some(asn) = origins.get(block) {
                     *flips_by_as.entry(asn.0).or_insert(0) += 1;
                 }
             }

@@ -1,5 +1,6 @@
 //! A block-keyed column pair: the one sorted-columns table behind the
-//! catchment map (block → site) and the RTT table (block → nanoseconds).
+//! catchment map (block → site), the RTT table (block → nanoseconds) and
+//! the monitor's origins (block → origin AS).
 //!
 //! Storage is two parallel columns — strictly ascending [`Block24`]s and
 //! one value per block — so a lookup is a binary search over one hot `u32`
@@ -36,6 +37,13 @@ impl<V> Default for BlockColumn<V> {
             blocks: Vec::new(),
             values: Vec::new(),
         }
+    }
+}
+
+/// Collecting `(block, value)` pairs is [`BlockColumn::from_pairs`].
+impl<V: Copy> FromIterator<(Block24, V)> for BlockColumn<V> {
+    fn from_iter<I: IntoIterator<Item = (Block24, V)>>(pairs: I) -> Self {
+        Self::from_pairs(pairs)
     }
 }
 

@@ -12,7 +12,7 @@
 //!   column type of the columnar scan core.
 //! * [`mod@column`] — the sorted block column with a parallel value column
 //!   ([`BlockColumn`]) and its merge-join ([`Joined`]): the one table
-//!   behind the catchment map and the RTT table.
+//!   behind the catchment map, the RTT table and the monitor's origins.
 //! * [`idvec`] — dense tables keyed by typed ids ([`IdVec`], [`Id`]): the
 //!   per-AS, per-PoP and hitlist-row tables, whose one indexing panic
 //!   names the id.

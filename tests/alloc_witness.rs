@@ -22,8 +22,8 @@
 //! loading one allocates O(log n) times and holds little more than its
 //! text and its columns, at 30 000 and at 300 000 entries alike (a legacy
 //! string-ordered round within the sort's ceilings), and the origins
-//! sidecar allocates no more often than building its map by insertion
-//! would. And the monitor that reads those
+//! sidecar, written and read by the same code, within a round's ceilings.
+//! And the monitor that reads those
 //! rounds forever holds a day of them: a week of rounds leaves its
 //! `DriftTracker` no larger than a day did.
 
@@ -43,7 +43,7 @@ use vp_experiments::bench_scenario_scaled;
 use vp_hitlist::{Hitlist, HitlistConfig};
 use vp_monitor::alert::AlertConfig;
 use vp_monitor::diff::Origins;
-use vp_monitor::ingest::{build_origins_doc, load_round_file, parse_origins};
+use vp_monitor::ingest::{load_origins, load_round_file, origins_to_json};
 use vp_monitor::stream::DriftTracker;
 use vp_sim::exec::ShardExecutor;
 use vp_sim::{CatchmentOracle, FaultConfig, StaticOracle};
@@ -317,18 +317,36 @@ const LOAD_BYTES_PER_ENTRY: u64 = 9;
 const LEGACY_LOAD_ALLOCS: u64 = 64;
 const LEGACY_LOAD_BYTES_PER_ENTRY: u64 = 16;
 
-/// Writes `text` as a round file, loads it back as `map`, and holds the
-/// load to `allocs` allocations and text + `bytes_per_entry` of live heap.
-fn witness_load(kind: &str, map: &CatchmentMap, text: &str, allocs: u64, bytes_per_entry: u64) {
-    let entries = map.len() as u64;
+/// Origins for [`synthetic_round`]'s blocks.
+fn synthetic_origins(entries: usize) -> Origins {
+    let round = synthetic_round(entries);
+    round.iter().map(|(block, _)| (block, Asn(block.0 % 4_000))).collect()
+}
+
+/// Live heap a 30 000-entry sidecar load may hold per entry on top of
+/// the file's text: its two columns, 8 B an entry grown by doubling to
+/// 32 768 rows (8.7 B measured).
+const SIDECAR_LOAD_BYTES_PER_ENTRY: u64 = 9;
+
+/// Writes `text` to a file, loads it back with `load` as `want`, and
+/// holds the load to `allocs` allocations and text + `bytes_per_entry`
+/// of live heap.
+fn witness_load<T: PartialEq + std::fmt::Debug>(
+    kind: &str,
+    (want, entries): (&T, usize),
+    text: &str,
+    (allocs, bytes_per_entry): (u64, u64),
+    load: fn(&std::path::Path) -> Result<T, String>,
+) {
+    let entries = entries as u64;
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
         .join(format!("vp-alloc-witness-{kind}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create witness dir");
-    let path = dir.join(format!("r{entries}.json"));
-    std::fs::write(&path, text).expect("write round file");
-    let load = measured_here(|| load_round_file(&path).expect("round file loads"));
+    let path = dir.join(format!("{entries}.json"));
+    std::fs::write(&path, text).expect("write the file");
+    let load = measured_here(|| load(&path).expect("the file loads"));
     let _ = std::fs::remove_dir_all(&dir);
-    assert_eq!(&load.result, map);
+    assert_eq!(&load.result, want);
     eprintln!(
         "{kind}, {entries} entries: {} allocations, peak {} B = text + {} B/entry",
         load.allocs,
@@ -355,42 +373,14 @@ fn snapshot_ingest_allocates_logarithmically_and_holds_text_plus_columns() {
     let _alone = alone();
     for entries in [30_000, 300_000] {
         let map = synthetic_round(entries);
-        witness_load("block order", &map, &map.to_json(), LOAD_ALLOCS, LOAD_BYTES_PER_ENTRY);
+        let ceilings = (LOAD_ALLOCS, LOAD_BYTES_PER_ENTRY);
+        witness_load("block order", (&map, entries), &map.to_json(), ceilings, load_round_file);
     }
-
-    // The sidecar's only product is a `BTreeMap`, built in bulk from the
-    // parsed pairs: its pair vector, sort buffer and densely packed nodes
-    // together allocate no more often than inserting the same pairs, in
-    // the document's (string-sorted key) order, into an empty map.
-    let origins: Origins = synthetic_round(30_000)
-        .iter()
-        .map(|(block, _)| (block, Asn(block.0 % 4_000)))
-        .collect();
-    let text = serde_json::to_string_pretty(&build_origins_doc(&origins)).expect("sidecar renders");
-    let mut pairs: Vec<_> = origins.iter().map(|(b, a)| (*b, *a)).collect();
-    pairs.sort_by_key(|(block, _)| block.0.to_string());
-    let parsed = measured_here(|| parse_origins(&text, "witness").expect("sidecar parses"));
-    let inserted = measured_here(|| {
-        let mut map = Origins::new();
-        for &(block, asn) in &pairs {
-            map.insert(block, asn);
-        }
-        map
-    });
-    eprintln!(
-        "origins sidecar, {} entries: {} allocations (insert loop: {})",
-        origins.len(),
-        parsed.allocs,
-        inserted.allocs
-    );
-    assert_eq!(parsed.result, origins);
-    assert_eq!(inserted.result, origins);
-    assert!(
-        parsed.allocs <= inserted.allocs,
-        "parsing the sidecar allocated {} times; its map alone takes {}",
-        parsed.allocs,
-        inserted.allocs
-    );
+    // The sidecar is a block column written in block order too, so it
+    // loads within a round file's allocation ceiling.
+    let origins = synthetic_origins(30_000);
+    let (text, ceilings) = (origins_to_json(&origins), (LOAD_ALLOCS, SIDECAR_LOAD_BYTES_PER_ENTRY));
+    witness_load("origins sidecar", (&origins, origins.len()), &text, ceilings, load_origins);
 }
 
 /// A round written before block order still loads within the ceilings
@@ -402,7 +392,8 @@ fn legacy_string_ordered_ingest_stays_within_the_sort_ceilings() {
         let map = synthetic_round(entries);
         let text = legacy_json(&map);
         assert_ne!(text, map.to_json(), "the legacy document is out of block order");
-        witness_load("string order", &map, &text, LEGACY_LOAD_ALLOCS, LEGACY_LOAD_BYTES_PER_ENTRY);
+        let ceilings = (LEGACY_LOAD_ALLOCS, LEGACY_LOAD_BYTES_PER_ENTRY);
+        witness_load("string order", (&map, entries), &text, ceilings, load_round_file);
     }
 }
 
@@ -410,28 +401,35 @@ fn legacy_string_ordered_ingest_stays_within_the_sort_ceilings() {
 /// escaped name (three) and the one string sized for the whole document.
 const WRITE_ALLOCS: u64 = 4;
 
-/// Writing a round streams its columns into one pre-sized string: a
-/// constant number of allocations, where a `String` or `Value` per entry
-/// made two or more per entry.
+/// Allocations [`origins_to_json`] may make at any size: the one string.
+const SIDECAR_WRITE_ALLOCS: u64 = 1;
+
+/// Writing a round or a sidecar streams its columns into one pre-sized
+/// string: a constant number of allocations, where a `String` or `Value`
+/// per entry made two or more per entry.
 #[test]
 fn snapshot_write_allocates_a_constant_number_of_times() {
     let _alone = alone();
     let map = synthetic_round(300_000);
-    let write = measured_here(|| map.to_json());
-    eprintln!(
-        "writing {} entries: {} allocations, peak {} B for {} B of text",
-        map.len(),
-        write.allocs,
-        write.peak_bytes,
-        write.result.len()
-    );
-    assert!(
-        write.allocs <= WRITE_ALLOCS,
-        "writing {} entries allocated {} times (budget {WRITE_ALLOCS})",
-        map.len(),
-        write.allocs
-    );
-    assert_eq!(write.result.capacity(), write.result.len(), "the string was sized exactly");
+    let origins = synthetic_origins(300_000);
+    let writes = [
+        ("round", measured_here(|| map.to_json()), WRITE_ALLOCS),
+        ("origins sidecar", measured_here(|| origins_to_json(&origins)), SIDECAR_WRITE_ALLOCS),
+    ];
+    for (kind, write, budget) in writes {
+        eprintln!(
+            "writing a {kind} of 300000 entries: {} allocations, peak {} B for {} B of text",
+            write.allocs,
+            write.peak_bytes,
+            write.result.len()
+        );
+        assert!(
+            write.allocs <= budget,
+            "writing a {kind} of 300000 entries allocated {} times (budget {budget})",
+            write.allocs
+        );
+        assert_eq!(write.result.capacity(), write.result.len(), "the {kind} string was sized exactly");
+    }
 }
 
 /// Blocks of each drifting round.

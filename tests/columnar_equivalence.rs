@@ -31,7 +31,7 @@ use verfploeter_suite::vp::rtt::RttTable;
 use verfploeter_suite::vp::scan::{run_scan, run_scan_sharded_on, ScanConfig};
 use verfploeter_suite::vp::CatchmentMap;
 use vp_monitor::diff::Origins;
-use vp_monitor::ingest::parse_origins;
+use vp_monitor::ingest::{origins_to_json, parse_origins};
 
 /// The historical tree-backed map, field-for-field the pre-columnar
 /// `CatchmentMap` (so its serialization defines the on-disk format the
@@ -184,6 +184,24 @@ proptest! {
     ) {
         let boundaries = (1..=9).flat_map(|d| [10u32.pow(d) - 1, 10u32.pow(d)]);
         let blocks: Vec<u32> = spread.iter().map(|&(n, shift)| n >> shift).chain(boundaries).collect();
+
+        // The origins sidecar, pretty-printed in string order, with
+        // adjacent and late repeats: it loads to what the value tree
+        // reads, the last of each repeat winning.
+        let origins: BTreeMap<Block24, Asn> =
+            blocks.iter().map(|&b| (Block24(b), Asn(b % 4_000))).collect();
+        let (sidecar, order) = legacy_sidecar(&origins);
+        prop_assert!(order.windows(2).any(|w| w[0] > w[1]), "the keys are out of block order");
+        let loaded = parse_origins(&sidecar, "legacy").unwrap();
+        assert_origins_agree(&loaded, &tree_parse_origins(&sidecar).unwrap(), &sidecar);
+        for (i, &block) in order.iter().take(5).enumerate() {
+            prop_assert_eq!(loaded.get(Block24(block)), Some(Asn(65_000 + i as u32)), "late repeat");
+        }
+        // Member 6 is repeated at once and not late; member 7 not at all.
+        prop_assert_eq!(loaded.get(Block24(order[6])), Some(Asn(64_006)), "adjacent repeat");
+        prop_assert_eq!(loaded.get(Block24(order[7])), origins.get(&Block24(order[7])).copied());
+        prop_assert_eq!(parse_origins(&origins_to_json(&loaded), "rewritten").unwrap(), loaded);
+
         let (col, tree) = both("SBV-legacy", &pairs_of(&blocks));
         let legacy = tree.legacy_json();
         prop_assert_ne!(&legacy, &tree.to_json());
@@ -321,7 +339,7 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 /// `parse_origins` as it was on the value tree, kept as the oracle.
-fn tree_parse_origins(text: &str) -> Result<Origins, String> {
+fn tree_parse_origins(text: &str) -> Result<BTreeMap<Block24, Asn>, String> {
     let doc: serde_json::Value = serde_json::from_str(text).map_err(|e| e.to_string())?;
     match doc.get("schema").and_then(serde_json::Value::as_str) {
         Some("vp-monitor-origins/v1") => {}
@@ -330,7 +348,7 @@ fn tree_parse_origins(text: &str) -> Result<Origins, String> {
     let Some(map) = doc.get("origins").and_then(serde_json::Value::as_object) else {
         return Err("missing origins object".to_owned());
     };
-    let mut origins = Origins::new();
+    let mut origins = BTreeMap::new();
     for (block, asn) in map {
         let b: u32 = block
             .parse()
@@ -342,6 +360,40 @@ fn tree_parse_origins(text: &str) -> Result<Origins, String> {
         origins.insert(Block24(b), Asn(a));
     }
     Ok(origins)
+}
+
+/// The sidecar's rows against the oracle's, row by row in block order.
+fn assert_origins_agree(origins: &Origins, tree: &BTreeMap<Block24, Asn>, text: &str) {
+    let rows: Vec<(Block24, Asn)> = origins.iter().collect();
+    let tree_rows: Vec<(Block24, Asn)> = tree.iter().map(|(b, a)| (*b, *a)).collect();
+    assert_eq!(rows, tree_rows, "{text}");
+}
+
+/// A sidecar as it was written before block order: the vendored
+/// `serde_json::to_string_pretty` over a `BTreeMap`, whose `Value::Object`
+/// puts the keys in string order. Repeats are spliced in after: every
+/// third member is followed by its own key with another ASN (an adjacent
+/// repeat), and the first five members' keys come back at the end (late
+/// repeats). Returns the text and the keys in document order.
+fn legacy_sidecar(origins: &BTreeMap<Block24, Asn>) -> (String, Vec<u32>) {
+    let doc = serde_json::json!({ "schema": "vp-monitor-origins/v1", "origins": origins });
+    let pretty = serde_json::to_string_pretty(&doc).expect("sidecar renders");
+    let (head, rest) = pretty.split_once("\"origins\": {\n").expect("a non-empty origins object");
+    let (body, tail) = rest.split_once("\n  }").expect("the origins object closes");
+    let keys: Vec<&str> = body.split(",\n").filter_map(|m| m.trim().split_once(": ")).map(|(k, _)| k).collect();
+    let mut members: Vec<String> = Vec::new();
+    for (i, (member, key)) in body.split(",\n").zip(&keys).enumerate() {
+        members.push(member.to_owned());
+        if i % 3 == 0 {
+            members.push(format!("    {key}: {}", 64_000 + i));
+        }
+    }
+    let late = keys.iter().take(5).enumerate();
+    members.extend(late.map(|(i, key)| format!("    {key}: {}", 65_000 + i)));
+    let text = format!("{head}\"origins\": {{\n{}\n  }}{tail}", members.join(",\n"));
+    let mut order: Vec<u32> = keys.iter().map(|k| k.trim_matches('"').parse().expect("a block key")).collect();
+    order.extend_from_within(..5);
+    (text, order)
 }
 
 /// The two documents the monitor ingests differ only in these names.
@@ -585,7 +637,7 @@ proptest! {
         let (text, noncanonical) = render_doc(&ORIGINS_DOC, &entries, layout);
         let (reader, tree) = (parse_origins(&text, "generated"), tree_parse_origins(&text));
         assert_same_verdict(&text, noncanonical, reader, tree, |reader, tree| {
-            assert_eq!(reader, tree, "{text}");
+            assert_origins_agree(&reader, &tree, &text);
         });
     }
 }
