@@ -14,6 +14,7 @@
 use bytes::Bytes;
 use vp_net::{FeistelPermutation, Ipv4Addr, ProbeOrder, SimTime, TokenBucket};
 use vp_packet::{IcmpMessage, Ipv4Packet, Protocol};
+use vp_sim::ShardExecutor;
 
 /// Magic prefix identifying Verfploeter probe payloads.
 pub const PAYLOAD_MAGIC: &[u8; 4] = b"VPLT";
@@ -73,10 +74,7 @@ impl Iterator for Schedule {
         }
         let index = self.perm.permute(self.next);
         self.next += 1;
-        // Advance to the next admission slot.
-        self.t = self.bucket.next_available(self.t);
-        let admitted = self.bucket.try_acquire(self.t);
-        debug_assert!(admitted, "token bucket must admit at next_available");
+        self.t = self.bucket.admit(self.t);
         Some((index, self.t))
     }
 
@@ -123,6 +121,38 @@ impl Prober {
             n,
             t: start,
         }
+    }
+
+    /// [`Prober::schedule`], with the permutation computed up front on
+    /// `exec`: the walk positions are cut into one contiguous chunk per
+    /// worker, each worker permutes its chunk, and only the pacing runs as
+    /// the chunks are yielded in walk order. Yields exactly what
+    /// `schedule(n, start)` yields, at 4 B per probe until it is drained.
+    pub(crate) fn schedule_on(
+        &self,
+        exec: &ShardExecutor,
+        n: u64,
+        start: SimTime,
+    ) -> impl Iterator<Item = (u64, SimTime)> {
+        let perm = FeistelPermutation::new(n, self.config.order_seed);
+        let chunk = n.div_ceil(exec.workers() as u64).max(1);
+        let (chunks, _) = exec.run_sharded_timed(
+            vp_net::conv::sat_usize(n.div_ceil(chunk)),
+            |c| {
+                let first = c as u64 * chunk;
+                (first..n.min(first + chunk))
+                    // A hitlist row is a u32, so every index fits one.
+                    .map(|p| vp_net::conv::sat_u32(perm.permute(p)))
+                    .collect::<Vec<u32>>()
+            },
+            None,
+        );
+        let mut bucket = TokenBucket::new(self.config.rate_per_sec, 1.0);
+        let mut t = start;
+        chunks.into_iter().flatten().map(move |index| {
+            t = bucket.admit(t);
+            (u64::from(index), t)
+        })
     }
 
     /// Materializes the probe packet for one hitlist index and its

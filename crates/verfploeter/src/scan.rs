@@ -520,6 +520,25 @@ impl Round<'_> {
     }
 }
 
+/// Cuts `schedule` into one exactly-sized slice per range of `bounds`
+/// (contiguous and ascending, as [`Hitlist::shard_bounds`] are), keeping
+/// walk order within each slice. An index past the last range belongs to
+/// no slice.
+fn slice_schedule(
+    schedule: impl Iterator<Item = (u64, SimTime)>,
+    bounds: &[std::ops::Range<usize>],
+) -> Vec<Vec<(u64, SimTime)>> {
+    let mut slices: Vec<Vec<(u64, SimTime)>> =
+        bounds.iter().map(|r| Vec::with_capacity(r.len())).collect();
+    for (index, at) in schedule {
+        let row = conv::sat_usize(index);
+        if let Some(slice) = slices.get_mut(bounds.partition_point(|r| r.end <= row)) {
+            slice.push((index, at));
+        }
+    }
+    slices
+}
+
 /// One measurement round over `shards` engines on `exec` — the paper's
 /// §3.1 pipeline, and the single implementation behind every public entry
 /// point: build engines → run them on the executor → fold their shares in
@@ -536,11 +555,13 @@ impl Round<'_> {
 ///   is ever materialized — and, being the orchestrator's own work, that
 ///   job records its wall intervals on the orchestrator lane, the walk as
 ///   `scan.schedule_walk`, with no executor intervals.
-/// * K>1 walks the schedule once up front (`scan.schedule_walk`), slicing
-///   it per shard — `(index, at)` pairs in global walk order, 16 bytes per
-///   probe — so the engines never re-walk it; each job replays its slice
-///   on its own shard lane (`scan.probe_build`), and the executor's
-///   queue-wait / compute / barrier-wait marks become `shard.*` intervals.
+/// * K>1 builds the schedule up front (`scan.schedule_walk`): the
+///   permutation runs on `exec`, one chunk of walk positions per worker
+///   ([`Prober::schedule_on`]), then pacing slices it per shard —
+///   `(index, at)` pairs in global walk order, 16 bytes per probe — so the
+///   engines never re-walk it; each job replays its slice on its own shard
+///   lane (`scan.probe_build`), and the executor's queue-wait / compute /
+///   barrier-wait marks become `shard.*` intervals.
 ///
 /// Probe *packets* are materialized only inside the owning engine, one
 /// batch at a time, as its run loop pulls them.
@@ -548,7 +569,7 @@ impl Round<'_> {
     clippy::too_many_arguments,
     clippy::indexing_slicing,
     clippy::expect_used,
-    reason = "shards argument goes with ROADMAP item 7(a); shard_of returns a value < shards by contract and the executor only calls k < shards, the length of bounds and slices; `shards > 0` is asserted above and the executor returns one share per shard."
+    reason = "shards argument goes with ROADMAP item 7(a); the executor only calls k < shards, the length of bounds and slices; `shards > 0` is asserted above and the executor returns one share per shard."
 )]
 fn run_round(
     exec: &ShardExecutor,
@@ -579,18 +600,13 @@ fn run_round(
     let wall_rec = round.wall_recorder();
     let round_guard = wall_rec.as_ref().map(|r| r.span("scan.round", "round", None));
 
-    let schedule = || round.prober.schedule(hitlist.len() as u64, start);
+    let n = hitlist.len() as u64;
     let bounds = hitlist.shard_bounds(shards);
     let slices = (shards > 1).then(|| {
         let _guard = wall_rec
             .as_ref()
             .map(|r| r.span("scan.schedule_walk", "probe", None));
-        let mut slices: Vec<Vec<(u64, SimTime)>> =
-            bounds.iter().map(|r| Vec::with_capacity(r.len())).collect();
-        for (index, at) in schedule() {
-            slices[hitlist.shard_of(conv::sat_usize(index), shards)].push((index, at));
-        }
-        slices
+        slice_schedule(round.prober.schedule_on(exec, n, start), &bounds)
     });
 
     // The executor returns shares in shard-id order, so the fold below
@@ -600,7 +616,7 @@ fn run_round(
         |k| {
             let range = bounds[k].clone();
             match &slices {
-                None => round.run_engine(None, range, schedule()),
+                None => round.run_engine(None, range, round.prober.schedule(n, start)),
                 Some(slices) => round.run_engine(
                     Some(u32::try_from(k).unwrap_or(u32::MAX)),
                     range,
@@ -1439,6 +1455,30 @@ mod tests {
         assert_eq!(a.catchments.len(), b.catchments.len());
         for (block, site) in a.catchments.iter() {
             assert_eq!(b.catchments.site_of(block), Some(site));
+        }
+    }
+
+    #[test]
+    fn executor_permuted_slices_equal_the_serial_schedule_slicing() {
+        // K>1's schedule source against the lazy walk K=1 pulls, sliced
+        // the same way: every send time and every index, in every slice,
+        // at every worker count (a chunk boundary falls mid-slice).
+        let prober = Prober::new(ProbeConfig::default());
+        let start = SimTime::ZERO + SimDuration::from_secs(900);
+        for n in [0usize, 1, (1 << 16) + 1, 120_000] {
+            for shards in [2, 7] {
+                let bounds = vp_hitlist::shard_bounds_of(n, shards);
+                let serial = slice_schedule(prober.schedule(n as u64, start), &bounds);
+                for (slice, range) in serial.iter().zip(&bounds) {
+                    assert_eq!(slice.len(), range.len());
+                    assert!(slice.iter().all(|&(index, _)| range.contains(&conv::sat_usize(index))));
+                }
+                for workers in 1..=4 {
+                    let exec = ShardExecutor::new(workers);
+                    let on_exec = slice_schedule(prober.schedule_on(&exec, n as u64, start), &bounds);
+                    assert!(on_exec == serial, "n = {n}, {shards} shards, {workers} workers");
+                }
+            }
         }
     }
 }

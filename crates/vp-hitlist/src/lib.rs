@@ -163,22 +163,6 @@ impl Hitlist {
         shard_bounds_of(self.entries.len(), shards)
     }
 
-    /// The shard (under [`Hitlist::shard_bounds`] with the same `shards`)
-    /// that owns hitlist index `index`.
-    pub fn shard_of(&self, index: usize, shards: usize) -> usize {
-        assert!(shards > 0, "cannot shard into zero parts");
-        assert!(index < self.entries.len(), "index out of range");
-        let n = self.entries.len();
-        let base = n / shards;
-        let rem = n % shards;
-        let big = rem * (base + 1);
-        if index < big {
-            index / (base + 1)
-        } else {
-            rem + (index - big) / base
-        }
-    }
-
     /// Serializes to JSON (one array; stable order).
     #[expect(
         clippy::expect_used,

@@ -351,8 +351,13 @@ impl<'w> NetworkSim<'w> {
         // with every duplicate copy, and one backscatter packet.
         let pending = Vec::with_capacity(conv::index(faults.max_duplicates) + 2);
         // Every site's hostname.bind answer, so the per-reply DNS path in
-        // `serve` never formats one.
-        let hostnames = announcement.sites.iter().map(|s| Self::site_hostname(&s.name)).collect();
+        // `serve` never formats one; a service that answers no DNS (every
+        // scan engine) formats none.
+        let hostnames = if serve_dns {
+            announcement.sites.iter().map(|s| Self::site_hostname(&s.name)).collect()
+        } else {
+            Vec::new()
+        };
         NetworkSim {
             world,
             service: Service {

@@ -121,8 +121,9 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 const TARGETS: usize = 100_000;
 
 /// Allocations one 10^5-probe round may make: (serial, K=8 threaded).
-/// Measured in release: 639 serial, the same every run, and 1 172–1 174 at
-/// K=8 (thread spawn and channel setup vary by a handful) — per-engine
+/// Measured in release: 632 serial, the same every run, and 1 174–1 178 at
+/// K=8 (thread spawn and channel setup vary by a handful; the executor
+/// runs twice, once for the schedule's permutation chunks) — per-engine
 /// setup (one route column, one probe stage, one pending-capture vector
 /// and the doubling growth of one parked-arrival deque per engine among
 /// it), plus O(log n) growth of the kept-observation column and of the
@@ -134,13 +135,14 @@ const ALLOCS_PER_ROUND: (u64, u64) = (693, 1_225);
 
 /// Peak live heap per probe a scan may add on top of what was live when
 /// it started: (serial, K=8). Measured at this scale: 35 B/probe serial
-/// and 37–60 B at K=8 (how many shards' columns are live at once is the
+/// and 42–58 B at K=8 (how many shards' columns are live at once is the
 /// OS scheduler's choice), where eager injection peaked at 246 B and
 /// 216 B — a queued event per probe plus the capture log and its copies.
 /// An engine's probe stage (128 probes), pending captures (one probe's)
 /// and parked arrivals (one delay window of the schedule, 48 bytes each)
 /// are noise here. What remains is the round's own columns: 8 B send
-/// time per probe, 16 B schedule slice per probe when sharded, 24 B per
+/// time per probe, 16 B schedule slice per probe when sharded (paced from
+/// a 4 B/probe permuted walk, freed chunk by chunk), 24 B per
 /// kept observation (doubling slack included) and the result tables. The
 /// ceilings sit at ~1.5× the measurements and under half the old figures.
 const PEAK_BYTES_PER_PROBE: (u64, u64) = (55, 100);
