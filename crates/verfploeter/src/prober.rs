@@ -11,8 +11,10 @@
 //! central pipeline can pair replies with probes even when the replier
 //! answers from a different address.
 
+use std::num::{NonZeroU32, NonZeroU64};
+
 use bytes::Bytes;
-use vp_net::{FeistelPermutation, Ipv4Addr, ProbeOrder, SimTime, TokenBucket};
+use vp_net::{FeistelPermutation, Ipv4Addr, ProbeOrder, SimDuration, SimTime};
 use vp_packet::{IcmpMessage, Ipv4Packet, Protocol};
 use vp_sim::ShardExecutor;
 
@@ -33,7 +35,7 @@ pub const PROBE_BATCH: usize = 1024;
 #[derive(Debug, Clone)]
 pub struct ProbeConfig {
     /// Probe rate in packets per second.
-    pub rate_per_sec: f64,
+    pub rate_per_sec: NonZeroU32,
     /// ICMP identifier of this round (data-set separation).
     pub ident: u16,
     /// Seed of the pseudorandom probe order.
@@ -43,26 +45,74 @@ pub struct ProbeConfig {
 impl Default for ProbeConfig {
     fn default() -> Self {
         ProbeConfig {
-            rate_per_sec: 10_000.0,
+            rate_per_sec: const {
+                match NonZeroU32::new(10_000) {
+                    Some(rate) => rate,
+                    None => panic!("10 000 is not zero"),
+                }
+            },
             ident: 1,
             order_seed: 0x0bde,
         }
     }
 }
 
+/// The send times of a round's walk positions: position `p` leaves at
+/// `start + ⌈p·10⁹/rate⌉` ns, exact at every rate. Stepped in integers by
+/// the quotient and remainder of `10⁹ / rate`, so its only state is the
+/// next position's floor and the remainder it carries.
+#[derive(Debug)]
+struct Pace {
+    rate: u64,
+    quotient: u64,
+    remainder: u64,
+    /// `start + ⌊p·10⁹/rate⌋` for the next position `p`.
+    floor: SimTime,
+    /// `p·10⁹ mod rate` for the next position `p`.
+    carry: u64,
+}
+
+impl Pace {
+    fn new(rate: NonZeroU32, start: SimTime) -> Self {
+        const NANOS_PER_SEC: u64 = 1_000_000_000;
+        let rate = NonZeroU64::from(rate);
+        Pace {
+            rate: rate.get(),
+            quotient: NANOS_PER_SEC / rate,
+            remainder: NANOS_PER_SEC % rate,
+            floor: start,
+            carry: 0,
+        }
+    }
+}
+
+impl Iterator for Pace {
+    type Item = SimTime;
+
+    fn next(&mut self) -> Option<SimTime> {
+        let at = self.floor + SimDuration(u64::from(self.carry != 0));
+        self.floor += SimDuration(self.quotient);
+        self.carry += self.remainder;
+        if self.carry >= self.rate {
+            self.carry -= self.rate;
+            self.floor += SimDuration(1);
+        }
+        Some(at)
+    }
+}
+
 /// The probe schedule as an iterator of `(hitlist index, send time)`:
-/// every index exactly once, in Feistel-permuted order, paced by a token
-/// bucket — send times are non-decreasing, which keeps the engine's
-/// parked arrivals to one delay window. O(1) memory: the
-/// schedule is a pure function of `(n, order_seed, rate, start)`. Built
-/// by [`Prober::schedule`].
+/// every index exactly once, in Feistel-permuted order, paced by
+/// [`ProbeConfig::rate_per_sec`] — send times are non-decreasing, which
+/// keeps the engine's parked arrivals to one delay window. O(1) memory:
+/// the schedule is a pure function of `(n, order_seed, rate, start)`.
+/// Built by [`Prober::schedule`].
 #[derive(Debug)]
 pub struct Schedule {
     perm: FeistelPermutation,
-    bucket: TokenBucket,
+    pace: Pace,
     next: u64,
     n: u64,
-    t: SimTime,
 }
 
 impl Iterator for Schedule {
@@ -74,8 +124,7 @@ impl Iterator for Schedule {
         }
         let index = self.perm.permute(self.next);
         self.next += 1;
-        self.t = self.bucket.admit(self.t);
-        Some((index, self.t))
+        Some((index, self.pace.next()?))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -94,7 +143,6 @@ pub struct Prober {
 
 impl Prober {
     pub fn new(config: ProbeConfig) -> Self {
-        assert!(config.rate_per_sec > 0.0, "rate must be positive");
         Prober { config }
     }
 
@@ -116,10 +164,9 @@ impl Prober {
     pub fn schedule(&self, n: u64, start: SimTime) -> Schedule {
         Schedule {
             perm: FeistelPermutation::new(n, self.config.order_seed),
-            bucket: TokenBucket::new(self.config.rate_per_sec, 1.0),
+            pace: Pace::new(self.config.rate_per_sec, start),
             next: 0,
             n,
-            t: start,
         }
     }
 
@@ -147,12 +194,11 @@ impl Prober {
             },
             None,
         );
-        let mut bucket = TokenBucket::new(self.config.rate_per_sec, 1.0);
-        let mut t = start;
-        chunks.into_iter().flatten().map(move |index| {
-            t = bucket.admit(t);
-            (u64::from(index), t)
-        })
+        chunks
+            .into_iter()
+            .flatten()
+            .map(u64::from)
+            .zip(Pace::new(self.config.rate_per_sec, start))
     }
 
     /// Materializes the probe packet for one hitlist index and its
@@ -279,23 +325,21 @@ mod tests {
 
     #[test]
     fn schedule_is_paced_at_rate() {
+        // Walk position p leaves at exactly start + ⌈p·10⁹/rate⌉ ns, also
+        // at rates whose period is no whole number of nanoseconds (6 000/s
+        // is the paper's B-Root rate, §3.1).
         let (_, hl) = hitlist();
-        let cfg = ProbeConfig {
-            rate_per_sec: 1000.0,
-            ..ProbeConfig::default()
-        };
-        let prober = Prober::new(cfg);
-        let probes = round(&prober, &hl);
-        let last = probes.last().unwrap().1;
-        let expected_secs = hl.len() as f64 / 1000.0;
-        let actual = last.as_secs_f64();
-        assert!(
-            (actual - expected_secs).abs() / expected_secs < 0.02,
-            "round took {actual:.2}s, expected ~{expected_secs:.2}s"
-        );
-        // Monotone non-decreasing send times.
-        for w in probes.windows(2) {
-            assert!(w[0].1 <= w[1].1);
+        let start = SimTime::ZERO + SimDuration::from_secs(900) + SimDuration(7);
+        for rate in [10_000u32, 1_000, 6_000, 7_777, 3] {
+            let prober = Prober::new(ProbeConfig {
+                rate_per_sec: NonZeroU32::new(rate).unwrap(),
+                ..ProbeConfig::default()
+            });
+            let schedule = prober.schedule(hl.len() as u64, start);
+            for (p, (_, at)) in (0u64..).zip(schedule) {
+                let expected = start + SimDuration((p * 1_000_000_000).div_ceil(u64::from(rate)));
+                assert_eq!(at, expected, "walk position {p} at {rate}/s");
+            }
         }
     }
 
@@ -388,14 +432,5 @@ mod tests {
                 assert_eq!(&image[..], &responder[..]);
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "rate must be positive")]
-    fn zero_rate_rejected() {
-        Prober::new(ProbeConfig {
-            rate_per_sec: 0.0,
-            ..ProbeConfig::default()
-        });
     }
 }

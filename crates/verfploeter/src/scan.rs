@@ -557,7 +557,8 @@ fn slice_schedule(
 ///   `scan.schedule_walk`, with no executor intervals.
 /// * K>1 builds the schedule up front (`scan.schedule_walk`): the
 ///   permutation runs on `exec`, one chunk of walk positions per worker
-///   ([`Prober::schedule_on`]), then pacing slices it per shard —
+///   ([`Prober::schedule_on`]), then the walk is timed by the same pacer
+///   as K=1's and sliced per shard —
 ///   `(index, at)` pairs in global walk order, 16 bytes per probe — so the
 ///   engines never re-walk it; each job replays its slice on its own shard
 ///   lane (`scan.probe_build`), and the executor's queue-wait / compute /
@@ -1462,21 +1463,34 @@ mod tests {
     fn executor_permuted_slices_equal_the_serial_schedule_slicing() {
         // K>1's schedule source against the lazy walk K=1 pulls, sliced
         // the same way: every send time and every index, in every slice,
-        // at every worker count (a chunk boundary falls mid-slice).
-        let prober = Prober::new(ProbeConfig::default());
+        // at every worker count (a chunk boundary falls mid-slice), at the
+        // default rate and at one whose period is no whole number of
+        // nanoseconds.
         let start = SimTime::ZERO + SimDuration::from_secs(900);
-        for n in [0usize, 1, (1 << 16) + 1, 120_000] {
-            for shards in [2, 7] {
-                let bounds = vp_hitlist::shard_bounds_of(n, shards);
-                let serial = slice_schedule(prober.schedule(n as u64, start), &bounds);
-                for (slice, range) in serial.iter().zip(&bounds) {
-                    assert_eq!(slice.len(), range.len());
-                    assert!(slice.iter().all(|&(index, _)| range.contains(&conv::sat_usize(index))));
-                }
-                for workers in 1..=4 {
-                    let exec = ShardExecutor::new(workers);
-                    let on_exec = slice_schedule(prober.schedule_on(&exec, n as u64, start), &bounds);
-                    assert!(on_exec == serial, "n = {n}, {shards} shards, {workers} workers");
+        for rate in [10_000, 6_000] {
+            let prober = Prober::new(ProbeConfig {
+                rate_per_sec: std::num::NonZeroU32::new(rate).unwrap(),
+                ..ProbeConfig::default()
+            });
+            for n in [0usize, 1, (1 << 16) + 1, 120_000] {
+                for shards in [2, 7] {
+                    let bounds = vp_hitlist::shard_bounds_of(n, shards);
+                    let serial = slice_schedule(prober.schedule(n as u64, start), &bounds);
+                    for (slice, range) in serial.iter().zip(&bounds) {
+                        assert_eq!(slice.len(), range.len());
+                        assert!(slice
+                            .iter()
+                            .all(|&(index, _)| range.contains(&conv::sat_usize(index))));
+                    }
+                    for workers in 1..=4 {
+                        let exec = ShardExecutor::new(workers);
+                        let on_exec =
+                            slice_schedule(prober.schedule_on(&exec, n as u64, start), &bounds);
+                        assert!(
+                            on_exec == serial,
+                            "n = {n}, {shards} shards, {workers} workers, {rate}/s"
+                        );
+                    }
                 }
             }
         }

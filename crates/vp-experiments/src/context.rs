@@ -133,9 +133,9 @@ pub(crate) fn stability_round(
     let config = ScanConfig {
         name: format!("STV-3-23/r{r}"),
         probe: ProbeConfig {
-            rate_per_sec: 10_000.0,
             ident: 100 + r as u16,
             order_seed: 0x57ab ^ u64::from(r),
+            ..ProbeConfig::default()
         },
         events: obs.keeps_events(),
         wall,
@@ -327,9 +327,9 @@ impl Lab {
         let config = ScanConfig {
             name: key.to_owned(),
             probe: ProbeConfig {
-                rate_per_sec: 10_000.0,
                 ident,
                 order_seed: 0x0bde ^ ident as u64,
+                ..ProbeConfig::default()
             },
             events: self.obs.keeps_events(),
             wall: self.flight_wall.clone(),

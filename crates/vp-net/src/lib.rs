@@ -22,8 +22,6 @@
 //!   and a full-period LCG for the ablation bench). The paper sends probes in
 //!   pseudorandom order "to spread traffic, limiting traffic to any given
 //!   network" (§3.1); these types make that order deterministic and testable.
-//! * [`pacing`] — a token bucket that enforces the paper's probing rate
-//!   (~6–10k probes/second) against simulated time.
 //! * [`time`] — the simulated-time scale ([`SimTime`], [`SimDuration`]) used
 //!   by the discrete-event simulator and everything driven by it.
 
@@ -40,7 +38,6 @@ pub mod conv;
 pub mod error;
 pub mod hash;
 pub mod idvec;
-pub mod pacing;
 pub mod perm;
 pub mod time;
 
@@ -51,6 +48,5 @@ pub use column::{BlockColumn, Joined};
 pub use error::NetError;
 pub use hash::{mix, unit};
 pub use idvec::{Id, IdVec};
-pub use pacing::TokenBucket;
 pub use perm::{FeistelPermutation, LcgPermutation, ProbeOrder};
 pub use time::{SimDuration, SimTime};
