@@ -14,7 +14,7 @@
 //! ## Pipeline (one measurement)
 //!
 //! 1. [`prober`] — emit one ICMP Echo Request per hitlist entry, in
-//!    pseudorandom order, paced by a token bucket (§3.1 of the paper).
+//!    pseudorandom order, paced at a fixed rate (§3.1 of the paper).
 //! 2. [`collector`] — capture replies concurrently at every site and
 //!    forward them, tagged with their site, to a central point (§3.1):
 //!    a capture sink the simulator calls per arrival.

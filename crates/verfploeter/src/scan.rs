@@ -5,8 +5,9 @@
 //! through [`NetworkSim::run_with`]: the paced schedule is pulled one
 //! probe batch at a time, every arrival resolves as its packet is
 //! transmitted, and every site capture is parsed and cleaned as it is
-//! handed over, so an engine's working set is one batch plus the kept
-//! observations — never the schedule or the raw reply stream.
+//! handed over, so an engine's working set is one batch, its own rows'
+//! schedule and the kept observations — never the round's schedule or
+//! the raw reply stream.
 
 use vp_bgp::Announcement;
 use vp_hitlist::{Hitlist, HitlistRow};
@@ -309,7 +310,7 @@ impl<'a> PhaseSpans<'a> {
         }
         let walk_end = self.pair_start + self.walk_ns;
         // The K=1 feed (orchestrator lane) walks the schedule as it builds;
-        // shard-lane feeds replay a slice the prepass already walked.
+        // shard-lane feeds replay the schedule their job sorted up front.
         if self.shard.is_some() {
             self.rec
                 .record_interval("scan.probe_build", "probe", self.shard, self.pair_start, walk_end);
@@ -433,26 +434,28 @@ impl Round<'_> {
         sim
     }
 
-    /// Runs one engine over `schedule` — the probes of hitlist
-    /// indices `range`, as `(hitlist index, send time)` in global walk
-    /// order — feeding the engine a batch at a time and cleaning every
-    /// site capture as it is handed over (neither the schedule nor the
-    /// reply stream is ever materialized), then folds the kept observations
-    /// into a catchment map and RTT table. Returns the engine's share of
-    /// the round: the result over `range`, still to be folded with the
-    /// other shares and closed by [`finish_obs`]. Wall intervals go to
-    /// `lane`.
+    /// Runs one engine over the probes of hitlist rows `range` at their
+    /// global send times (the round's schedule with every other row left
+    /// out, [`Prober::schedule`]) — feeding the engine a batch at a time
+    /// and cleaning every site capture as it is handed over (the reply
+    /// stream is never materialized), then folds the
+    /// kept observations into a catchment map and RTT table. Returns the
+    /// engine's share of the round: the result over `range`, still to be
+    /// folded with the other shares and closed by [`finish_obs`]. Wall
+    /// intervals go to `lane`; a shard lane's schedule, sorted up front,
+    /// is its first `scan.schedule_walk` interval.
     #[expect(
         clippy::indexing_slicing,
         reason = "the schedule holds exactly the rows of `range`, which sized send_time; shard-closed traffic — every kept reply answers one of this engine's probes, so its row is in `range`."
     )]
-    fn run_engine(
-        &self,
-        lane: Option<u32>,
-        range: std::ops::Range<usize>,
-        schedule: impl ExactSizeIterator<Item = (u64, SimTime)>,
-    ) -> ScanResult {
+    fn run_engine(&self, lane: Option<u32>, range: std::ops::Range<usize>) -> ScanResult {
         let wall_rec = self.wall_recorder();
+        let walk_guard = wall_rec
+            .as_ref()
+            .filter(|_| lane.is_some())
+            .map(|r| r.span("scan.schedule_walk", "probe", lane));
+        let schedule = self.prober.schedule(self.hitlist.len(), range.clone(), self.start);
+        drop(walk_guard);
         let mut sim = self.new_engine();
         let probes = schedule.len();
         // Send times of this engine's own probes, recorded as they are
@@ -520,25 +523,6 @@ impl Round<'_> {
     }
 }
 
-/// Cuts `schedule` into one exactly-sized slice per range of `bounds`
-/// (contiguous and ascending, as [`Hitlist::shard_bounds`] are), keeping
-/// walk order within each slice. An index past the last range belongs to
-/// no slice.
-fn slice_schedule(
-    schedule: impl Iterator<Item = (u64, SimTime)>,
-    bounds: &[std::ops::Range<usize>],
-) -> Vec<Vec<(u64, SimTime)>> {
-    let mut slices: Vec<Vec<(u64, SimTime)>> =
-        bounds.iter().map(|r| Vec::with_capacity(r.len())).collect();
-    for (index, at) in schedule {
-        let row = conv::sat_usize(index);
-        if let Some(slice) = slices.get_mut(bounds.partition_point(|r| r.end <= row)) {
-            slice.push((index, at));
-        }
-    }
-    slices
-}
-
 /// One measurement round over `shards` engines on `exec` — the paper's
 /// §3.1 pipeline, and the single implementation behind every public entry
 /// point: build engines → run them on the executor → fold their shares in
@@ -547,21 +531,14 @@ fn slice_schedule(
 ///
 /// The hitlist is split into contiguous, block-ordered ranges
 /// ([`Hitlist::shard_bounds`]) and each engine simulates the probes of its
-/// own range at their global send times. The **schedule source** is the
-/// only thing that depends on K, and everything else K-dependent follows
-/// from it:
+/// own range at their global send times, from the schedule its own job
+/// builds ([`Prober::schedule`]). Only the wall lanes depend on K:
 ///
-/// * K=1 pulls [`Prober::schedule`] lazily inside its one job — no slice
-///   is ever materialized — and, being the orchestrator's own work, that
-///   job records its wall intervals on the orchestrator lane, the walk as
-///   `scan.schedule_walk`, with no executor intervals.
-/// * K>1 builds the schedule up front (`scan.schedule_walk`): the
-///   permutation runs on `exec`, one chunk of walk positions per worker
-///   ([`Prober::schedule_on`]), then the walk is timed by the same pacer
-///   as K=1's and sliced per shard —
-///   `(index, at)` pairs in global walk order, 16 bytes per probe — so the
-///   engines never re-walk it; each job replays its slice on its own shard
-///   lane (`scan.probe_build`), and the executor's queue-wait / compute /
+/// * K=1's one job is the orchestrator's own work, so it records its wall
+///   intervals on the orchestrator lane, with no executor intervals.
+/// * K>1's jobs record theirs on their own shard lanes, the sorted
+///   schedule as `scan.schedule_walk` and each refill as
+///   `scan.probe_build`, and the executor's queue-wait / compute /
 ///   barrier-wait marks become `shard.*` intervals.
 ///
 /// Probe *packets* are materialized only inside the owning engine, one
@@ -570,7 +547,7 @@ fn slice_schedule(
     clippy::too_many_arguments,
     clippy::indexing_slicing,
     clippy::expect_used,
-    reason = "shards argument goes with ROADMAP item 7(a); the executor only calls k < shards, the length of bounds and slices; `shards > 0` is asserted above and the executor returns one share per shard."
+    reason = "shards argument goes with ROADMAP item 7(a); the executor only calls k < shards, the length of bounds; `shards > 0` is asserted above and the executor returns one share per shard."
 )]
 fn run_round(
     exec: &ShardExecutor,
@@ -601,34 +578,19 @@ fn run_round(
     let wall_rec = round.wall_recorder();
     let round_guard = wall_rec.as_ref().map(|r| r.span("scan.round", "round", None));
 
-    let n = hitlist.len() as u64;
     let bounds = hitlist.shard_bounds(shards);
-    let slices = (shards > 1).then(|| {
-        let _guard = wall_rec
-            .as_ref()
-            .map(|r| r.span("scan.schedule_walk", "probe", None));
-        slice_schedule(round.prober.schedule_on(exec, n, start), &bounds)
-    });
-
     // The executor returns shares in shard-id order, so the fold below
     // takes shard 0, 1, 2, … by construction.
     let (shares, shard_timings) = exec.run_sharded_timed(
         shards,
         |k| {
-            let range = bounds[k].clone();
-            match &slices {
-                None => round.run_engine(None, range, round.prober.schedule(n, start)),
-                Some(slices) => round.run_engine(
-                    Some(u32::try_from(k).unwrap_or(u32::MAX)),
-                    range,
-                    slices[k].iter().copied(),
-                ),
-            }
+            let lane = (shards > 1).then(|| u32::try_from(k).unwrap_or(u32::MAX));
+            round.run_engine(lane, bounds[k].clone())
         },
         config
             .wall
             .as_ref()
-            .filter(|_| slices.is_some())
+            .filter(|_| shards > 1)
             .map(|w| w as &(dyn vp_obs::Clock + Sync)),
     );
     if let Some(rec) = wall_rec.as_ref() {
@@ -1460,12 +1422,11 @@ mod tests {
     }
 
     #[test]
-    fn executor_permuted_slices_equal_the_serial_schedule_slicing() {
-        // K>1's schedule source against the lazy walk K=1 pulls, sliced
-        // the same way: every send time and every index, in every slice,
-        // at every worker count (a chunk boundary falls mid-slice), at the
-        // default rate and at one whose period is no whole number of
-        // nanoseconds.
+    fn each_shard_schedule_is_the_serial_schedule_filtered_to_its_rows() {
+        // Each shard's schedule, sorted up front, against the lazy walk of
+        // the whole hitlist with every other row left out: every index and
+        // every send time, in order, at the default rate and at one whose
+        // period is no whole number of nanoseconds.
         let start = SimTime::ZERO + SimDuration::from_secs(900);
         for rate in [10_000, 6_000] {
             let prober = Prober::new(ProbeConfig {
@@ -1473,22 +1434,18 @@ mod tests {
                 ..ProbeConfig::default()
             });
             for n in [0usize, 1, (1 << 16) + 1, 120_000] {
-                for shards in [2, 7] {
-                    let bounds = vp_hitlist::shard_bounds_of(n, shards);
-                    let serial = slice_schedule(prober.schedule(n as u64, start), &bounds);
-                    for (slice, range) in serial.iter().zip(&bounds) {
-                        assert_eq!(slice.len(), range.len());
-                        assert!(slice
+                let serial: Vec<(u64, SimTime)> = prober.schedule(n, 0..n, start).collect();
+                for shards in [1, 2, 7] {
+                    for rows in vp_hitlist::shard_bounds_of(n, shards) {
+                        let shard = prober.schedule(n, rows.clone(), start);
+                        assert_eq!(shard.len(), rows.len());
+                        let filtered = serial
                             .iter()
-                            .all(|&(index, _)| range.contains(&conv::sat_usize(index))));
-                    }
-                    for workers in 1..=4 {
-                        let exec = ShardExecutor::new(workers);
-                        let on_exec =
-                            slice_schedule(prober.schedule_on(&exec, n as u64, start), &bounds);
+                            .filter(|&&(index, _)| rows.contains(&conv::sat_usize(index)))
+                            .copied();
                         assert!(
-                            on_exec == serial,
-                            "n = {n}, {shards} shards, {workers} workers, {rate}/s"
+                            shard.eq(filtered),
+                            "n = {n}, {shards} shards, rows {rows:?}, {rate}/s"
                         );
                     }
                 }

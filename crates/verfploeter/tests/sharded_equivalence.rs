@@ -369,7 +369,7 @@ fn wall_phase_spans_are_disjoint_on_a_large_round() {
         "scan.sim_dispatch",
         "scan.catchment_build",
     ];
-    for (label, result, lanes) in [("K=1", &serial, 1), ("K=8", &sharded, 9)] {
+    for (label, result, lanes) in [("K=1", &serial, 1), ("K=8", &sharded, 8)] {
         let flight = &result.obs.wall_flight;
         assert_eq!(flight.dropped, 0, "{label}: the wall ring overflowed");
         let round = flight

@@ -94,6 +94,31 @@ impl FeistelPermutation {
         }
         (left << self.half_bits) | right
     }
+
+    /// The inverse of [`FeistelPermutation::encrypt_once`]: the rounds in
+    /// reverse key order.
+    fn decrypt_once(&self, x: u64) -> u64 {
+        let mask = (1u64 << self.half_bits) - 1;
+        let mut left = (x >> self.half_bits) & mask;
+        let mut right = x & mask;
+        for &key in self.keys.iter().rev() {
+            let prev = right ^ (self.round(left, key) & mask);
+            right = left;
+            left = prev;
+        }
+        (left << self.half_bits) | right
+    }
+
+    /// The index `i` with `permute(i) == y`: cycle-walks the inverse
+    /// network back into `0..n`. Panics if `y >= len()`.
+    pub fn invert(&self, y: u64) -> u64 {
+        assert!(y < self.n, "position {y} out of domain 0..{}", self.n);
+        let mut x = self.decrypt_once(y);
+        while x >= self.n {
+            x = self.decrypt_once(x);
+        }
+        x
+    }
 }
 
 impl ProbeOrder for FeistelPermutation {
@@ -235,6 +260,12 @@ mod tests {
     #[should_panic(expected = "out of domain")]
     fn permute_out_of_domain_panics() {
         FeistelPermutation::new(10, 0).permute(10);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of domain")]
+    fn invert_out_of_domain_panics() {
+        FeistelPermutation::new(10, 0).invert(10);
     }
 
     #[test]

@@ -64,6 +64,34 @@ proptest! {
         }
     }
 
+    /// `invert` undoes `permute` and `permute` undoes `invert`, at the
+    /// domain sizes where cycle-walking is longest or absent (1, 2, 3,
+    /// 2^k − 1, 2^k, 2^k + 1) and at random sizes up to 2^22: both ends
+    /// of the domain and a random sample of it.
+    #[test]
+    fn feistel_invert_is_the_inverse(
+        shape in 0u8..7,
+        k in 1u32..23,
+        any_n in 1u64..=1 << 22,
+        seed in any::<u64>(),
+        picks in prop::collection::vec(any::<u64>(), 64..65),
+    ) {
+        let n = match shape {
+            0 => 1,
+            1 => 2,
+            2 => 3,
+            3 => (1u64 << k) - 1,
+            4 => 1 << k,
+            5 => (1 << k) + 1,
+            _ => any_n,
+        };
+        let p = FeistelPermutation::new(n, seed);
+        for i in picks.iter().map(|pick| pick % n).chain([0, n - 1]) {
+            prop_assert_eq!(p.invert(p.permute(i)), i, "n = {}, seed = {}", n, seed);
+            prop_assert_eq!(p.permute(p.invert(i)), i, "n = {}, seed = {}", n, seed);
+        }
+    }
+
     /// LCG permutations are bijections on arbitrary domains.
     #[test]
     fn lcg_bijection(n in 1u64..5000, seed in any::<u64>()) {
