@@ -11,18 +11,18 @@
 //! reply payload — the opposite information flow from Verfploeter, where
 //! the reply's *arrival site* is the signal.
 //!
-//! * [`panel`] — VP placement ([`AtlasPanel`]): blocks sampled by the
+//! * **Panel** — VP placement ([`AtlasPanel`]): blocks sampled by the
 //!   country table's `atlas_weight`, some VPs temporarily unavailable
 //!   (Table 4 counts 455 of 9807).
-//! * [`scan`] — running a measurement ([`run_scan`]) through the
+//! * **Scan** — running a measurement ([`run_scan`]) through the
 //!   discrete-event simulator and decoding the results ([`AtlasResult`]).
 
 #![forbid(unsafe_code)]
 // Library code never unwraps (DESIGN.md §8).
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
-pub mod panel;
-pub mod scan;
+mod panel;
+mod scan;
 
 pub use panel::{AtlasConfig, AtlasPanel, AtlasVp};
 pub use scan::{run_scan, AtlasResult, VpOutcome};

@@ -109,7 +109,7 @@ impl AtlasResult {
 
 /// How long one scan spreads its queries over, from time zero: the
 /// paper's Atlas scans take 8–10 minutes.
-pub const SCAN_DURATION: SimDuration = SimDuration::from_mins(8);
+const SCAN_DURATION: SimDuration = SimDuration::from_mins(8);
 
 /// The VPs' side of a scan as the engine's sink: each DNS answer a VP
 /// receives is decoded — the TXT hostname mapped back to its site — and
@@ -145,9 +145,9 @@ impl CaptureSink for Answers {
 
 /// Runs one Atlas scan: every available VP sends a CHAOS `hostname.bind`
 /// TXT query to the service address, the queries spread uniformly over
-/// [`SCAN_DURATION`]; replies are decoded from the TXT payload (the site's
-/// hostname), as on the real platform, and a VP's first answer is its
-/// observation.
+/// `SCAN_DURATION` (8 min); replies are decoded from the TXT payload (the
+/// site's hostname), as on the real platform, and a VP's first answer is
+/// its observation.
 pub fn run_scan(
     world: &Internet,
     panel: &AtlasPanel,

@@ -49,11 +49,7 @@ impl FlipModel {
     /// and a thin background covers the rest.
     ///
     /// `blocks_per_as[asn]` must count populated blocks per AS.
-    pub fn paper_default(
-        seed: u64,
-        table: &RoutingTable,
-        blocks_per_as: &IdVec<Asn, u32>,
-    ) -> Self {
+    pub fn paper_default(seed: u64, table: &RoutingTable, blocks_per_as: &IdVec<Asn, u32>) -> Self {
         let mut multi: Vec<(u32, Asn)> = table
             .per_as
             .iter_enumerated()
@@ -70,9 +66,9 @@ impl FlipModel {
         let mut model = FlipModel::stable(seed);
         for (rank, &(_, a)) in multi.iter().enumerate() {
             let prob = match rank {
-                0 => 0.35,       // the Chinanet analog
-                1..=4 => 0.04,   // the rest of Table 7's top five
-                _ => 0.002,      // thin long tail
+                0 => 0.35,     // the Chinanet analog
+                1..=4 => 0.04, // the rest of Table 7's top five
+                _ => 0.002,    // thin long tail
             };
             model.flip_prob.insert(a, prob);
         }
@@ -175,7 +171,10 @@ mod tests {
                 let s = model
                     .site_of_pop_at_round(&table, &w.graph, PopId(pop), round)
                     .unwrap();
-                assert!(sites.contains(&s), "pop {pop} round {round}: {s:?} not in {sites:?}");
+                assert!(
+                    sites.contains(&s),
+                    "pop {pop} round {round}: {s:?} not in {sites:?}"
+                );
             }
         }
     }
@@ -188,10 +187,7 @@ mod tests {
             .per_as
             .iter()
             .enumerate()
-            .find(|(_, r)| {
-                r.as_ref()
-                    .is_some_and(|r| r.candidate_sites().len() > 1)
-            })
+            .find(|(_, r)| r.as_ref().is_some_and(|r| r.candidate_sites().len() > 1))
             .map(|(a, _)| Asn(a as u32))
             .expect("tiny world should have at least one multi-candidate AS");
         let model = FlipModel::stable(9).with_prone_as(prone, 0.9);

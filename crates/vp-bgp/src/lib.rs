@@ -17,25 +17,34 @@
 //! * **Decision process** — prefer customer-learned over peer-learned over
 //!   provider-learned (local-pref), then shortest AS path (where
 //!   [`Site::prepend`] inflates the origin's path), then a deterministic
-//!   per-AS policy tie-break. A configurable sliver of ASes ignores path
-//!   length entirely — the paper observes ASes "that choose to ignore
-//!   prepending" sticking to MIA even at MIA+3 (§6.1).
+//!   per-AS policy tie-break. A configurable sliver of ASes "choose to
+//!   ignore prepending" (§6.1, [`policy::ignores_prepending`]): they do not
+//!   ignore path length, but tie-break among, and egress over, their slack
+//!   routes too (exactly one hop longer than their best); a longer route
+//!   is never heard.
 //! * **Hot-potato egress** — when several neighbors offer equally good
 //!   routes, each PoP of an AS exits via the neighbor session closest to
-//!   it. This is what splits large ASes across catchments (Figs. 7, 8).
-//! * **Dynamics** — [`dynamics::FlipModel`] perturbs the per-round choice
+//!   it. This is what splits large ASes across catchments (Figs. 7, 8);
+//!   [`policy::uses_slack_locally`] says which ASes also egress over slack.
+//! * **Dynamics** — [`FlipModel`] perturbs the per-round choice
 //!   among equal candidates for flip-prone ASes, reproducing the rare but
 //!   persistent catchment instability of Fig. 9 / Table 7.
 
 #![forbid(unsafe_code)]
 // Library code never panics (DESIGN.md §8).
-#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::indexing_slicing)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
 #![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
-pub mod announce;
-pub mod dynamics;
-pub mod routing;
+mod announce;
+mod dynamics;
+pub mod policy;
+mod routing;
 
 pub use announce::{Announcement, Site, SiteId};
 pub use dynamics::FlipModel;
-pub use routing::{BgpSim, Candidate, RouteLevel, RouteObs, RoutingTable};
+pub use routing::{AsRoute, BgpSim, Candidate, RouteLevel, RouteObs, RoutingTable};

@@ -10,6 +10,7 @@ use vp_topology::graph::AsGraph;
 use vp_topology::PopId;
 
 use crate::announce::{Announcement, SiteId};
+use crate::policy;
 
 /// Where the selected route was learned (the local-pref ladder).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -129,8 +130,16 @@ impl RouteObs {
     pub fn record(&self, registry: &mut vp_obs::Registry) {
         registry.counter_add("bgp.ases_routed", &[], self.ases_routed);
         registry.counter_add("bgp.unreachable", &[], self.unreachable);
-        registry.counter_add("bgp.heap_pops", &[("stage", "customer")], self.heap_pops_customer);
-        registry.counter_add("bgp.heap_pops", &[("stage", "provider")], self.heap_pops_provider);
+        registry.counter_add(
+            "bgp.heap_pops",
+            &[("stage", "customer")],
+            self.heap_pops_customer,
+        );
+        registry.counter_add(
+            "bgp.heap_pops",
+            &[("stage", "provider")],
+            self.heap_pops_provider,
+        );
         registry.counter_add("bgp.candidates", &[], self.candidates);
         registry.counter_add("bgp.slack_candidates", &[], self.slack_candidates);
         registry.counter_add("bgp.pops_assigned", &[], self.pops_assigned);
@@ -148,8 +157,7 @@ impl RouteObs {
 pub struct BgpSim<'a> {
     graph: &'a AsGraph,
     policy_seed: u64,
-    /// Fraction of ASes whose decision ignores AS-path length (§6.1's
-    /// "ASes that choose to ignore prepending").
+    /// Fraction of ASes that ignore prepending ([`policy::ignores_prepending`]).
     ignore_prepend_fraction: f64,
 }
 
@@ -167,10 +175,6 @@ impl<'a> BgpSim<'a> {
         assert!((0.0..=1.0).contains(&f));
         self.ignore_prepend_fraction = f;
         self
-    }
-
-    fn ignores_prepending(&self, asn: Asn) -> bool {
-        unit(mix(self.policy_seed ^ 0x1971, asn.0 as u64)) < self.ignore_prepend_fraction
     }
 
     /// Computes the converged routing table for `ann`.
@@ -239,7 +243,9 @@ impl<'a> BgpSim<'a> {
 
         // Stage 3: provider routes descend customer links. Every AS exports
         // its pref-selected best (customer beats peer beats provider), so
-        // ASes with customer/peer routes are fixed-cost sources.
+        // ASes with customer/peer routes are fixed-cost sources, and every
+        // AS with only a provider route is pushed, so each routed AS's
+        // export_len is set when it pops.
         let mut dist_prov = ases.map(|_| INF);
         let mut export_len = ases.map(|_| INF);
         let mut heap: BinaryHeap<Reverse<(u32, Asn)>> = BinaryHeap::new();
@@ -276,12 +282,6 @@ impl<'a> BgpSim<'a> {
                 }
             }
         }
-        // Export length for provider-only ASes.
-        for a in ases.ids() {
-            if export_len[a] == INF && dist_prov[a] != INF {
-                export_len[a] = dist_prov[a];
-            }
-        }
 
         // Stage 4: selection with site identity, in increasing export_len
         // order so every neighbor's routes are final before use. Per-PoP
@@ -300,6 +300,8 @@ impl<'a> BgpSim<'a> {
         let mut per_pop_export: IdVec<PopId, Option<SiteId>> = self.graph.pops.map(|_| None);
         for &asn in &order {
             let node = &ases[asn];
+            let ignores =
+                policy::ignores_prepending(self.policy_seed, self.ignore_prepend_fraction, asn);
             let route = if let Some((site, prepend)) = origin_site[asn] {
                 let origin = Candidate {
                     neighbor: asn,
@@ -314,62 +316,54 @@ impl<'a> BgpSim<'a> {
                     slack: Vec::new(),
                 }
             } else {
-                let ignore_len = self.ignores_prepending(asn);
-                // The level's neighbors, and the length each offers.
-                let (level, len, neighbors, offers) = if dist_cust[asn] != INF {
-                    (RouteLevel::Customer, dist_cust[asn], &node.customers, &dist_cust)
+                // The level's neighbors, and the length each offers: its
+                // export_len, so a neighbor offering more than `len` is
+                // not routed yet and is never heard.
+                let (level, neighbors, offers) = if dist_cust[asn] != INF {
+                    (RouteLevel::Customer, &node.customers, &dist_cust)
                 } else if dist_peer[asn] != INF {
-                    (RouteLevel::Peer, dist_peer[asn], &node.peers, &dist_cust)
+                    (RouteLevel::Peer, &node.peers, &dist_cust)
                 } else {
-                    (RouteLevel::Provider, dist_prov[asn], &node.providers, &export_len)
+                    (RouteLevel::Provider, &node.providers, &export_len)
                 };
-                // Strict candidates tie on shortest path; slack candidates
-                // are one hop longer and remain usable for hot-potato
-                // egress at large ASes (RIB diversity).
+                let len = export_len[asn];
+                // Strict candidates tie on shortest path and propagate.
+                // Slack candidates are one hop longer (equal offers): they
+                // serve local traffic only and are never re-advertised, so
+                // no AS launders a prepended path into a short one for its
+                // whole customer cone.
                 let (mut strict, mut slack) = (Vec::new(), Vec::new());
                 for &neighbor in neighbors {
-                    let offer_len = offers[neighbor];
-                    // Strict = shortest-path ties (these propagate).
-                    // Slack = one hop longer for everyone, or any length
-                    // for prepend-ignoring ASes — slack routes serve local
-                    // traffic only and are never re-advertised, so a
-                    // length-ignoring AS cannot launder a prepended path
-                    // into a short one for its whole customer cone.
-                    let bucket = if offer_len == INF {
-                        continue;
-                    } else if offer_len + 1 == len {
-                        &mut strict
-                    } else if offer_len == len || ignore_len {
-                        &mut slack
-                    } else {
+                    let bucket = match offers[neighbor] {
+                        INF => continue,
+                        offer if offer + 1 == len => &mut strict,
+                        offer if offer == len => &mut slack,
+                        _ => continue,
+                    };
+                    // The route the neighbor hands us at this session is
+                    // the one its PoP there advertises; a neighbor not yet
+                    // routed advertises nothing.
+                    let their_pop = self.graph.session_pop(neighbor, asn);
+                    let Some(site) = their_pop.and_then(|sp| per_pop_export[sp]) else {
                         continue;
                     };
-                    if let Some(route) = per_as[neighbor].as_ref() {
-                        // The route the neighbor hands us at this
-                        // session is the one its local PoP advertises.
-                        let site = self
-                            .graph
-                            .session_pop(neighbor, asn)
-                            .and_then(|sp| per_pop_export[sp])
-                            .unwrap_or_else(|| route.selected_site());
-                        bucket.push(Candidate {
-                            neighbor,
-                            site,
-                            session_pop: self.graph.session_pop(asn, neighbor),
-                        });
-                    }
-                }
-                if strict.is_empty() {
-                    // Can happen only if a neighbor's route was filtered by
-                    // the equal-length rule due to the ignore-length path;
-                    // the AS is left without a route.
-                    continue;
+                    bucket.push(Candidate {
+                        neighbor,
+                        site,
+                        session_pop: self.graph.session_pop(asn, neighbor),
+                    });
                 }
                 // Prepend-ignoring ASes pick among everything they hear;
-                // everyone else tie-breaks among the strictly best.
-                let pick_span = if ignore_len { strict.len() + slack.len() } else { strict.len() };
-                let pick = (mix(self.policy_seed, u64::from(asn.0)) % pick_span as u64) as usize;
-                let Some(&selected) = strict.iter().chain(&slack).nth(pick) else {
+                // everyone else tie-breaks among the strictly best. Strict
+                // is never empty (the neighbor offering `len - 1` has the
+                // shorter export_len, so it was routed first), but a
+                // selection that breaks the local-pref ladder must leave
+                // the AS routeless, not divide by zero.
+                let pick_span = strict.len() + if ignores { slack.len() } else { 0 };
+                let pick = mix(self.policy_seed, u64::from(asn.0)).checked_rem(pick_span as u64);
+                let Some(&selected) =
+                    pick.and_then(|p| strict.iter().chain(&slack).nth(p as usize))
+                else {
                     continue;
                 };
                 AsRoute {
@@ -397,12 +391,8 @@ impl<'a> BgpSim<'a> {
                             // deterministic +-25% jitter keyed by (pop,
                             // neighbor) models the difference and breaks
                             // co-located session ties.
-                            let igp_noise = 0.75
-                                + 0.5
-                                    * unit(mix(
-                                        self.policy_seed ^ 0x16b,
-                                        (pop.0 as u64) << 32 | cand.neighbor.0 as u64,
-                                    ));
+                            let key = (pop.0 as u64) << 32 | cand.neighbor.0 as u64;
+                            let igp_noise = 0.75 + 0.5 * unit(mix(self.policy_seed ^ 0x16b, key));
                             (distance_km(here.lat, here.lon, p.lat, p.lon) + 50.0) * igp_noise
                         }
                         None => 0.0,
@@ -413,19 +403,11 @@ impl<'a> BgpSim<'a> {
                 }
                 best.1
             };
-            // Small ASes use only the strictly best routes; multi-PoP ASes
-            // (>= 2 PoPs) also use the slack routes, so distant PoPs exit
-            // via their nearest session even when its path is one hop
-            // longer — the mechanism behind the big-AS catchment splits of
-            // Figs. 7 and 8 — and so do prepend-ignoring ASes, whose
-            // selection may itself be a slack route. Exports advertise only
-            // strictly-best routes.
-            let ignore_len = origin_site[asn].is_none() && self.ignores_prepending(asn);
-            let local_slack: &[Candidate] = if node.pops.len() >= 2 || ignore_len {
-                &route.slack
-            } else {
-                &[]
-            };
+            // Distant PoPs of a large AS exit via their nearest session even
+            // when its path is one hop longer; exports advertise only the
+            // strictly best routes.
+            let uses_slack = policy::uses_slack_locally(node.pops.len(), ignores);
+            let local_slack: &[Candidate] = if uses_slack { &route.slack } else { &[] };
             for &pop in &node.pops {
                 per_pop_site[pop] = Some(hot_potato(pop, local_slack));
                 per_pop_export[pop] = Some(hot_potato(pop, &[]));
@@ -565,7 +547,9 @@ mod tests {
             // one hop; LAX can only be reached via providers/peers at best,
             // or via another customer chain. If its level is Customer and
             // MIA's host is the only customer-route source, it must be MIA.
-            if r.level == RouteLevel::Customer && r.path_len == ann.site_by_name("MIA").unwrap().prepend as u32 + 1 {
+            if r.level == RouteLevel::Customer
+                && r.path_len == ann.site_by_name("MIA").unwrap().prepend as u32 + 1
+            {
                 assert_eq!(r.selected_site(), mia_site.id);
             }
         }

@@ -1,8 +1,12 @@
 //! Property-based tests of the routing simulator over random worlds.
 
+#[path = "reference/certain.rs"]
+mod certain;
+
+use certain::CertainSets;
 use proptest::prelude::*;
 use vp_bgp::{Announcement, BgpSim, RouteLevel};
-use vp_topology::{pick_host_ases, Internet, TopologyConfig};
+use vp_topology::{pick_host_ases, tangled_specs, Internet, TopologyConfig};
 
 fn world(seed: u64) -> Internet {
     Internet::generate(TopologyConfig {
@@ -123,5 +127,62 @@ proptest! {
             );
             prev = count;
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The routing table against the certain-set model
+    /// (`reference/certain.rs`) on a tiny world with random Tangled sites
+    /// enabled, prepended 0–3 times: every AS has the model's route label
+    /// (so the AS the model routes has a route), and every PoP reaches a
+    /// site the model allows (so, where the model is certain, that site).
+    /// Then the prepending law on the model: one more prepend at an
+    /// enabled site never grows the set of PoPs certain to reach it.
+    #[test]
+    fn the_table_agrees_with_the_certain_set_model(
+        world_seed in 0u64..10_000,
+        policy_seed in any::<u64>(),
+        enabled in 1u16..512,
+        prepends in prop::collection::vec(0u8..=3, 9..10),
+        ignore in 0usize..3,
+        law_pick in any::<u64>(),
+    ) {
+        let ignore_fraction = [0.0, 0.02, 0.5][ignore];
+        let w = Internet::generate(TopologyConfig::tiny(world_seed));
+        let mut ann = Announcement::from_placements(&pick_host_ases(&w, &tangled_specs()), 0);
+        for ((i, site), &prepend) in ann.sites.iter_mut().enumerate().zip(&prepends) {
+            site.enabled = enabled >> i & 1 == 1;
+            site.prepend = prepend;
+        }
+        let table = BgpSim::new(&w.graph, policy_seed)
+            .with_ignore_prepend_fraction(ignore_fraction)
+            .route(&ann);
+        let model = CertainSets::compute(&w.graph, &ann, policy_seed, ignore_fraction);
+        for (asn, route) in table.per_as.iter_enumerated() {
+            let label = route.as_ref().map(|r| (r.level, r.path_len));
+            prop_assert_eq!(label, model.label(asn), "{:?}: table label vs the model's", asn);
+        }
+        for (pop, site) in table.per_pop_site.iter_enumerated() {
+            let allowed = model.sites_of_pop(&w.graph, pop);
+            prop_assert!(
+                site.map_or(allowed.is_empty(), |s| allowed.contains(&s)),
+                "{pop:?} reaches {site:?}, the model allows {allowed:?}"
+            );
+        }
+
+        let enabled_ids: Vec<usize> = (0..ann.sites.len()).filter(|&i| ann.sites[i].enabled).collect();
+        let law = enabled_ids[(law_pick % enabled_ids.len() as u64) as usize];
+        let site = ann.sites[law].id;
+        let before = model.certain_pops(&w.graph, site);
+        ann.sites[law].prepend += 1;
+        let after = CertainSets::compute(&w.graph, &ann, policy_seed, ignore_fraction)
+            .certain_pops(&w.graph, site);
+        prop_assert!(
+            after.is_subset(&before),
+            "one more prepend at {site:?} made {:?} certain",
+            after.difference(&before).collect::<Vec<_>>()
+        );
     }
 }

@@ -19,16 +19,16 @@
 //!   in one country and its neighbors.
 //! * [`QueryLog::with_date`] — day-keyed drift, so an "April" log differs
 //!   from a "May" log the way Table 6's two collection dates do.
-//! * [`rssac`] — RSSAC-002-style per-site daily reporting, the artifact
-//!   §3.2 says every root operator already produces.
+//! * [`Rssac002Report`] — RSSAC-002-style per-site daily reporting, the
+//!   artifact §3.2 says every root operator already produces.
 
 #![forbid(unsafe_code)]
 // Library code never panics (DESIGN.md §8).
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::indexing_slicing)]
 #![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
-pub mod log;
-pub mod rssac;
+mod log;
+mod rssac;
 
 pub use log::{LoadModel, QueryLog};
 pub use rssac::{DailyMetrics, Rssac002Report};

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Full pre-merge check: the lint policy (clippy), build, test, the
-# committed mutants, an end-to-end observability pass (run one
+# Full pre-merge check: the rustfmt ratchet, the lint policy (clippy),
+# build, test, the committed mutants, an end-to-end observability pass (run one
 # experiment with --obs full and validate the emitted reports against
 # the checked-in schema snapshot), the vp-monitor gates (validate every
 # committed tagged document, replay the fig9 tiny sequence and
@@ -12,6 +12,10 @@
 # Usage: scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# rustfmt, a per-crate ratchet: each crate listed here is formatted and
+# stays so; the rest of the tree is not reformatted wholesale.
+cargo fmt --check -p vp-bgp
 
 # The lint policy (DESIGN.md §8), in the target directory the tier-1
 # lint_gate test reuses, so `cargo test` below finds it already checked.
