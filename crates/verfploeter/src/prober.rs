@@ -14,7 +14,7 @@
 use std::num::{NonZeroU32, NonZeroU64};
 
 use bytes::Bytes;
-use vp_net::{FeistelPermutation, Ipv4Addr, ProbeOrder, SimDuration, SimTime};
+use vp_net::{FeistelPermutation, Ipv4Addr, SimDuration, SimTime};
 use vp_packet::{IcmpMessage, Ipv4Packet, Protocol};
 
 /// Magic prefix identifying Verfploeter probe payloads.
@@ -57,27 +57,20 @@ impl Default for ProbeConfig {
 }
 
 /// The probe schedule as an iterator of `(hitlist index, send time)`:
-/// the rows it covers exactly once each, in Feistel-permuted walk order,
-/// paced by [`ProbeConfig::rate_per_sec`] — walk position `p` leaves at
-/// `start + ⌈p·10⁹/rate⌉` ns, exact at every rate, so send times are
-/// non-decreasing, which keeps the engine's parked arrivals to one delay
-/// window. Built by [`Prober::schedule`].
+/// the rows it covers exactly once each, **in row order**, each at the
+/// send time of its place in the Feistel-permuted walk paced by
+/// [`ProbeConfig::rate_per_sec`] — walk position `p` leaves at
+/// `start + ⌈p·10⁹/rate⌉` ns, exact at every rate. The permutation
+/// decides when a probe leaves, not when the simulator handles it: the
+/// engine is order-free in its source (DESIGN.md §7), and rows in order
+/// read the hitlist and the world sequentially. Built by
+/// [`Prober::schedule`].
 #[derive(Debug)]
 pub struct Schedule {
-    walk: Walk,
+    perm: FeistelPermutation,
+    rows: std::ops::Range<usize>,
     rate: NonZeroU64,
     start: SimTime,
-}
-
-/// Where a [`Schedule`] takes its walk positions and their rows from.
-#[derive(Debug)]
-enum Walk {
-    /// The whole hitlist: every position in turn, permuted as it is
-    /// pulled. O(1) memory.
-    Whole { perm: FeistelPermutation, next: u64 },
-    /// A row range: one `(position << 32) | row` key per row, sorted by
-    /// position.
-    Rows(std::vec::IntoIter<u64>),
 }
 
 impl Iterator for Schedule {
@@ -85,69 +78,20 @@ impl Iterator for Schedule {
 
     fn next(&mut self) -> Option<(u64, SimTime)> {
         const NANOS_PER_SEC: u64 = 1_000_000_000;
-        let (position, index) = match &mut self.walk {
-            Walk::Whole { perm, next } => {
-                let position = *next;
-                if position == perm.len() {
-                    return None;
-                }
-                *next += 1;
-                (position, perm.permute(position))
-            }
-            Walk::Rows(keys) => {
-                let key = keys.next()?;
-                (key >> 32, key & u64::from(u32::MAX))
-            }
-        };
+        let row = self.rows.next()? as u64;
         // A position is below 2^32 (a hitlist row is a u32), so the
         // product stays below 2^62.
+        let position = self.perm.invert(row);
         let at = self.start + SimDuration((position * NANOS_PER_SEC).div_ceil(self.rate.get()));
-        Some((index, at))
+        Some((row, at))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = match &self.walk {
-            Walk::Whole { perm, next } => vp_net::conv::sat_usize(perm.len() - next),
-            Walk::Rows(keys) => keys.len(),
-        };
-        (left, Some(left))
+        self.rows.size_hint()
     }
 }
 
 impl ExactSizeIterator for Schedule {}
-
-/// Sorts `(position << 32) | row` keys by position below `n`: a least
-/// significant digit first radix sort, 11 bits a pass (two passes up to
-/// 2^22 positions), with one key-sized scratch buffer.
-fn sort_by_position(mut keys: Vec<u64>, n: u64) -> Vec<u64> {
-    const DIGIT_BITS: u32 = 11;
-    const DIGIT_MASK: u64 = (1 << DIGIT_BITS) - 1;
-    let position_bits = u64::BITS - n.saturating_sub(1).leading_zeros();
-    let mut sorted = vec![0; keys.len()];
-    for shift in (32..32 + position_bits).step_by(DIGIT_BITS as usize) {
-        let digit = |key: u64| vp_net::conv::sat_usize((key >> shift) & DIGIT_MASK);
-        let mut next = [0usize; 1 << DIGIT_BITS];
-        for &key in &keys {
-            if let Some(count) = next.get_mut(digit(key)) {
-                *count += 1;
-            }
-        }
-        let mut first = 0;
-        for slot in &mut next {
-            (first, *slot) = (first + *slot, first);
-        }
-        for &key in &keys {
-            if let Some(slot) = next.get_mut(digit(key)) {
-                if let Some(out) = sorted.get_mut(*slot) {
-                    *out = key;
-                }
-                *slot += 1;
-            }
-        }
-        std::mem::swap(&mut keys, &mut sorted);
-    }
-    keys
-}
 
 /// The prober: turns a hitlist into a paced, permuted probe schedule.
 #[derive(Debug)]
@@ -175,25 +119,13 @@ impl Prober {
 
     /// The schedule of hitlist rows `rows` of an `n`-row round starting
     /// at `start`: the whole round's schedule with every other row left
-    /// out, **without materializing any packet** (see [`Schedule`]). The
-    /// whole hitlist is walked lazily. A proper range maps each of its
-    /// rows to its walk position ([`FeistelPermutation::invert`]) and sorts
-    /// them by position up front: 8 B per row, twice that while it sorts.
+    /// out, **without materializing any packet** (see [`Schedule`]). Each
+    /// row finds its walk position with [`FeistelPermutation::invert`] as
+    /// it is pulled, so a schedule holds no per-row state.
     pub fn schedule(&self, n: usize, rows: std::ops::Range<usize>, start: SimTime) -> Schedule {
-        let perm = FeistelPermutation::new(n as u64, self.config.order_seed);
-        let walk = if rows == (0..n) {
-            Walk::Whole { perm, next: 0 }
-        } else {
-            let keys = rows
-                .map(|row| {
-                    let row = row as u64;
-                    (perm.invert(row) << 32) | row
-                })
-                .collect();
-            Walk::Rows(sort_by_position(keys, perm.len()).into_iter())
-        };
         Schedule {
-            walk,
+            perm: FeistelPermutation::new(n as u64, self.config.order_seed),
+            rows,
             rate: self.config.rate_per_sec.into(),
             start,
         }
@@ -321,31 +253,48 @@ mod tests {
         }
     }
 
+    /// When walk position `p` leaves at `rate`: `start + ⌈p·10⁹/rate⌉`.
+    fn paced(start: SimTime, rate: u32, p: u64) -> SimTime {
+        start + SimDuration((p * 1_000_000_000).div_ceil(u64::from(rate)))
+    }
+
     #[test]
     fn schedule_is_paced_at_rate() {
-        // Walk position p leaves at exactly start + ⌈p·10⁹/rate⌉ ns, also
-        // at rates whose period is no whole number of nanoseconds (6 000/s
-        // is the paper's B-Root rate, §3.1).
+        // Row r leaves at exactly the instant of its walk position,
+        // start + ⌈invert(r)·10⁹/rate⌉ ns, and the send times of the whole
+        // round are exactly those of positions 0..n — also at rates whose
+        // period is no whole number of nanoseconds (6 000/s is the paper's
+        // B-Root rate, §3.1).
         let (_, hl) = hitlist();
+        let n = hl.len();
         let start = SimTime::ZERO + SimDuration::from_secs(900) + SimDuration(7);
+        let perm = FeistelPermutation::new(n as u64, ProbeConfig::default().order_seed);
         for rate in [10_000u32, 1_000, 6_000, 7_777, 3] {
             let prober = Prober::new(ProbeConfig {
                 rate_per_sec: NonZeroU32::new(rate).unwrap(),
                 ..ProbeConfig::default()
             });
-            let schedule = prober.schedule(hl.len(), 0..hl.len(), start);
-            for (p, (_, at)) in (0u64..).zip(schedule) {
-                let expected = start + SimDuration((p * 1_000_000_000).div_ceil(u64::from(rate)));
-                assert_eq!(at, expected, "walk position {p} at {rate}/s");
+            let schedule: Vec<(u64, SimTime)> = prober.schedule(n, 0..n, start).collect();
+            for (r, &(index, at)) in (0u64..).zip(&schedule) {
+                assert_eq!(index, r, "rows come in row order");
+                assert_eq!(at, paced(start, rate, perm.invert(r)), "row {r} at {rate}/s");
             }
+            let mut sends: Vec<SimTime> = schedule.iter().map(|&(_, at)| at).collect();
+            sends.sort();
+            let walk: Vec<SimTime> = (0..n as u64).map(|p| paced(start, rate, p)).collect();
+            assert_eq!(sends, walk, "send times at {rate}/s");
         }
     }
 
     #[test]
     fn order_is_permuted_not_sequential() {
+        // Probes *leave* in walk order, which is no run of neighbouring
+        // rows: sorted by send time, few consecutive probes target
+        // consecutive rows.
         let (_, hl) = hitlist();
         let prober = Prober::new(ProbeConfig::default());
-        let probes = round(&prober, &hl);
+        let mut probes = round(&prober, &hl);
+        probes.sort_by_key(|p| p.1);
         let sequential = probes.windows(2).filter(|w| w[1].0 == w[0].0 + 1).count();
         assert!(
             (sequential as f64) < probes.len() as f64 * 0.01,

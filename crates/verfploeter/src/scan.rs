@@ -213,8 +213,8 @@ impl ScanResult {
         self.sim_stats.merge(&next.sim_stats);
         self.probes_sent += next.probes_sent;
         // The union of the shard arrivals is the K=1 engine's, so the max
-        // final clock is the K=1 engine's final clock; pacing is
-        // monotone, so the max last send is the schedule's last.
+        // final clock is the K=1 engine's final clock; likewise the max
+        // last send is the round's last.
         self.obs.sim_end = self.obs.sim_end.max(next.obs.sim_end);
         self.last_probe = self.last_probe.max(next.last_probe);
         self.obs.shard_probes.extend(next.obs.shard_probes);
@@ -309,15 +309,8 @@ impl<'a> PhaseSpans<'a> {
             return;
         }
         let walk_end = self.pair_start + self.walk_ns;
-        // The K=1 feed (orchestrator lane) walks the schedule as it builds;
-        // shard-lane feeds replay the schedule their job sorted up front.
-        if self.shard.is_some() {
-            self.rec
-                .record_interval("scan.probe_build", "probe", self.shard, self.pair_start, walk_end);
-        } else {
-            self.rec
-                .record_interval("scan.schedule_walk", "probe", None, self.pair_start, walk_end);
-        }
+        self.rec
+            .record_interval("scan.schedule_walk", "probe", self.shard, self.pair_start, walk_end);
         self.rec
             .record_interval("scan.sim_dispatch", "sim", self.shard, walk_end, end);
         self.refills = 0;
@@ -442,25 +435,18 @@ impl Round<'_> {
     /// kept observations into a catchment map and RTT table. Returns the
     /// engine's share of the round: the result over `range`, still to be
     /// folded with the other shares and closed by [`finish_obs`]. Wall
-    /// intervals go to `lane`; a shard lane's schedule, sorted up front,
-    /// is its first `scan.schedule_walk` interval.
+    /// intervals go to `lane`.
     #[expect(
         clippy::indexing_slicing,
         reason = "the schedule holds exactly the rows of `range`, which sized send_time; shard-closed traffic — every kept reply answers one of this engine's probes, so its row is in `range`."
     )]
     fn run_engine(&self, lane: Option<u32>, range: std::ops::Range<usize>) -> ScanResult {
         let wall_rec = self.wall_recorder();
-        let walk_guard = wall_rec
-            .as_ref()
-            .filter(|_| lane.is_some())
-            .map(|r| r.span("scan.schedule_walk", "probe", lane));
         let schedule = self.prober.schedule(self.hitlist.len(), range.clone(), self.start);
-        drop(walk_guard);
         let mut sim = self.new_engine();
         let probes = schedule.len();
-        // Send times of this engine's own probes, recorded as they are
-        // walked: pacing is monotone, so the last walked time is the last
-        // transmission, and every reply arrives after its probe's send
+        // Send times of this engine's own probes, in row order, recorded
+        // as they are pulled: every reply arrives after its probe's send
         // time was recorded.
         let mut send_time = vec![SimTime::ZERO; range.len()];
         let mut last_probe = self.start;
@@ -468,7 +454,7 @@ impl Round<'_> {
             schedule: schedule.map(|(index, at)| {
                 let row = HitlistRow(conv::sat_u32(index));
                 send_time[row.index() - range.start] = at;
-                last_probe = at;
+                last_probe = last_probe.max(at);
                 (index, at, self.hitlist.entries()[row].target)
             }),
             prober: &self.prober,
@@ -536,10 +522,9 @@ impl Round<'_> {
 ///
 /// * K=1's one job is the orchestrator's own work, so it records its wall
 ///   intervals on the orchestrator lane, with no executor intervals.
-/// * K>1's jobs record theirs on their own shard lanes, the sorted
-///   schedule as `scan.schedule_walk` and each refill as
-///   `scan.probe_build`, and the executor's queue-wait / compute /
-///   barrier-wait marks become `shard.*` intervals.
+/// * K>1's jobs record theirs on their own shard lanes, and the
+///   executor's queue-wait / compute / barrier-wait marks become
+///   `shard.*` intervals.
 ///
 /// Probe *packets* are materialized only inside the owning engine, one
 /// batch at a time, as its run loop pulls them.
@@ -1423,31 +1408,35 @@ mod tests {
 
     #[test]
     fn each_shard_schedule_is_the_serial_schedule_filtered_to_its_rows() {
-        // Each shard's schedule, sorted up front, against the lazy walk of
-        // the whole hitlist with every other row left out: every index and
-        // every send time, in order, at the default rate and at one whose
-        // period is no whole number of nanoseconds.
+        // Each shard's schedule is its own rows in order, row r at
+        // start + ⌈invert(r)·10⁹/rate⌉ ns — the whole hitlist's schedule
+        // with every other row left out — and the shards' send times
+        // together are exactly those of walk positions 0..n, at every rate
+        // of `schedule_is_paced_at_rate`.
         let start = SimTime::ZERO + SimDuration::from_secs(900);
-        for rate in [10_000, 6_000] {
+        let order_seed = ProbeConfig::default().order_seed;
+        for rate in [10_000u32, 1_000, 6_000, 7_777, 3] {
             let prober = Prober::new(ProbeConfig {
                 rate_per_sec: std::num::NonZeroU32::new(rate).unwrap(),
                 ..ProbeConfig::default()
             });
+            let paced = |p: u64| start + SimDuration((p * 1_000_000_000).div_ceil(u64::from(rate)));
             for n in [0usize, 1, (1 << 16) + 1, 120_000] {
-                let serial: Vec<(u64, SimTime)> = prober.schedule(n, 0..n, start).collect();
+                let perm = vp_net::FeistelPermutation::new(n as u64, order_seed);
+                let walk: Vec<SimTime> = (0..n as u64).map(paced).collect();
                 for shards in [1, 2, 7] {
+                    let mut sends = Vec::with_capacity(n);
                     for rows in vp_hitlist::shard_bounds_of(n, shards) {
-                        let shard = prober.schedule(n, rows.clone(), start);
-                        assert_eq!(shard.len(), rows.len());
-                        let filtered = serial
-                            .iter()
-                            .filter(|&&(index, _)| rows.contains(&conv::sat_usize(index)))
-                            .copied();
+                        let shard: Vec<(u64, SimTime)> = prober.schedule(n, rows.clone(), start).collect();
+                        let want = rows.clone().map(|r| (r as u64, paced(perm.invert(r as u64))));
                         assert!(
-                            shard.eq(filtered),
+                            shard.iter().copied().eq(want),
                             "n = {n}, {shards} shards, rows {rows:?}, {rate}/s"
                         );
+                        sends.extend(shard.iter().map(|&(_, at)| at));
                     }
+                    sends.sort();
+                    assert_eq!(sends, walk, "n = {n}, {shards} shards, {rate}/s");
                 }
             }
         }

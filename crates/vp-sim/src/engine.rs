@@ -1,6 +1,7 @@
 //! The discrete-event engine: packet delivery, host behaviours, captures.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use vp_bgp::{Announcement, SiteId};
 use vp_net::conv;
@@ -28,8 +29,8 @@ struct Handoff {
     packet: Ipv4Packet,
 }
 
-/// One entry of the time-sorted probe source [`NetworkSim::run_with`]
-/// transmits: when to send what, plus the probe's precomputed echo-reply
+/// One entry of the probe source [`NetworkSim::run_with`] transmits:
+/// when to send what, plus the probe's precomputed echo-reply
 /// wire image (built batched by the prober alongside the probe itself).
 /// If the probe reaches a responsive host, the responder — which runs as
 /// the probe is transmitted, so the image is consumed there and never
@@ -127,8 +128,8 @@ pub struct EngineObs {
     pub registry: vp_obs::Registry,
     /// Whether the event ring is kept (`Full` level).
     events: bool,
-    /// The event ring, oldest first, and the count of events it evicted.
-    ring: VecDeque<vp_obs::Event>,
+    /// The event ring, least first, and the count of events it evicted.
+    ring: BinaryHeap<Reverse<vp_obs::Event>>,
     dropped: u64,
 }
 
@@ -140,33 +141,41 @@ impl EngineObs {
         EngineObs {
             registry: vp_obs::Registry::new(),
             events,
-            ring: VecDeque::new(),
+            ring: BinaryHeap::new(),
             dropped: 0,
         }
     }
 
     /// Records an event stamped `at` (only when the ring is kept; `detail`
-    /// is not built otherwise). Once the ring is full the oldest event is
-    /// evicted and counted.
+    /// is not built otherwise). The ring keeps the `EVENT_CAPACITY`
+    /// greatest events in canonical (time, name, detail) order, so which
+    /// it keeps does not depend on the order they were recorded in; once
+    /// it is full, each event beyond counts as evicted.
     fn event(&mut self, at: SimTime, name: &'static str, detail: impl FnOnce() -> String) {
         if !self.events {
             return;
         }
-        if self.ring.len() == Self::EVENT_CAPACITY {
-            self.ring.pop_front();
-            self.dropped += 1;
-        }
-        self.ring.push_back(vp_obs::Event {
+        let event = vp_obs::Event {
             at_nanos: at.as_nanos(),
             name: name.to_owned(),
             detail: detail(),
-        });
+        };
+        if self.ring.len() < Self::EVENT_CAPACITY {
+            self.ring.push(Reverse(event));
+            return;
+        }
+        self.dropped += 1;
+        if let Some(mut least) = self.ring.peek_mut() {
+            if least.0 < event {
+                *least = Reverse(event);
+            }
+        }
     }
 
     /// The registry and the event log: the held events in canonical
     /// (time, name, detail) order plus the eviction count.
     pub fn into_parts(self) -> (vp_obs::Registry, vp_obs::EventLog) {
-        let mut events: Vec<vp_obs::Event> = self.ring.into();
+        let mut events: Vec<vp_obs::Event> = self.ring.into_iter().map(|Reverse(event)| event).collect();
         events.sort();
         (self.registry, vp_obs::EventLog { events, dropped: self.dropped })
     }
@@ -266,7 +275,8 @@ const STAGE: usize = 128;
 
 /// An Echo Request on its way to a host that never answers, set aside
 /// instead of flown: what [`NetworkSim::flight`] needs to compute its
-/// arrival, should the run's end turn out to depend on it.
+/// arrival, should the run's end turn out to depend on it. Ordered by
+/// send time alone.
 struct Parked {
     at: SimTime,
     ek: u64,
@@ -274,13 +284,36 @@ struct Parked {
     to: (f64, f64),
 }
 
+impl PartialEq for Parked {
+    fn eq(&self, other: &Parked) -> bool {
+        self.at == other.at
+    }
+}
+
+impl Eq for Parked {}
+
+impl PartialOrd for Parked {
+    fn partial_cmp(&self, other: &Parked) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Parked {
+    fn cmp(&self, other: &Parked) -> std::cmp::Ordering {
+        self.at.cmp(&other.at)
+    }
+}
+
 /// The arrivals of one run, each noted as `transmit` resolves it: how
 /// many, and the latest instant. [`NetworkSim::run_with`] reports the
 /// count as `engine.events` and ends [`NetworkSim::now`] on the latest.
+/// `floor` is the greatest `at + base` of a parked arrival: no parked
+/// arrival lands before it.
 #[derive(Default)]
 struct Arrivals {
     count: u64,
     last: Option<SimTime>,
+    floor: SimTime,
 }
 
 impl Arrivals {
@@ -297,8 +330,8 @@ impl Arrivals {
 
 /// The discrete-event network simulator, built for one anycast service.
 ///
-/// A run is one call of [`NetworkSim::run_with`]: a time-sorted probe
-/// source in, every arrival the engine does not consume out to a
+/// A run is one call of [`NetworkSim::run_with`]: a probe source in, in
+/// any order, every arrival the engine does not consume out to a
 /// [`CaptureSink`], counters in [`NetworkSim::stats`]. There is no event
 /// queue: every arrival is resolved as its packet is transmitted
 /// (DESIGN.md §7). Every stochastic outcome is a keyed hash of the seed
@@ -315,8 +348,9 @@ pub struct NetworkSim<'w> {
     /// Arrivals of the current run.
     arrivals: Arrivals,
     /// Counted arrivals at silent hosts whose instants the run's end may
-    /// still need (see `transmit`), oldest first, and the most ever held.
-    parked: VecDeque<Parked>,
+    /// still need (see `park`), earliest sent on top, and the most ever
+    /// held.
+    parked: BinaryHeap<Reverse<Parked>>,
     parked_high_water: usize,
     /// Arrivals of the probe just injected, not yet handed to the sink.
     pending: Vec<Handoff>,
@@ -373,7 +407,7 @@ impl<'w> NetworkSim<'w> {
             latency,
             seed,
             arrivals: Arrivals::default(),
-            parked: VecDeque::new(),
+            parked: BinaryHeap::new(),
             parked_high_water: 0,
             pending,
             now: SimTime::ZERO,
@@ -620,17 +654,22 @@ impl<'w> NetworkSim<'w> {
     }
 
     /// Sets a counted arrival aside. Every delay lies in `[base,
-    /// max_delay]`, so an entry sent more than `max_delay − base` before
-    /// `parked` arrives no later than `parked` does: it cannot be the
-    /// run's last arrival and is dropped. (The newest entry always stays,
-    /// or is dropped for a later one in turn.) Under a time-sorted source
-    /// the deque therefore holds one such window of the schedule.
+    /// max_delay]`, so an entry with `at + max_delay` below the floor (the
+    /// greatest `at + base` parked) arrives before the entry that set it:
+    /// it cannot be the run's last arrival and is dropped. (The latest
+    /// sent entry always stays.) So whatever the source order, the heap
+    /// holds entries sent within one `max_delay − base` window of the
+    /// latest parked send.
     fn park(&mut self, parked: Parked) {
-        let soonest = parked.at + self.latency.base;
-        while self.parked.front().is_some_and(|oldest| oldest.at + self.max_delay < soonest) {
-            self.parked.pop_front();
+        let floor = self.arrivals.floor.max(parked.at + self.latency.base);
+        self.arrivals.floor = floor;
+        if parked.at + self.max_delay < floor {
+            return;
         }
-        self.parked.push_back(parked);
+        while self.parked.peek().is_some_and(|Reverse(earliest)| earliest.at + self.max_delay < floor) {
+            self.parked.pop();
+        }
+        self.parked.push(Reverse(parked));
         self.parked_high_water = self.parked_high_water.max(self.parked.len());
     }
 
@@ -713,8 +752,8 @@ impl<'w> NetworkSim<'w> {
         self.transmit(at, pkt, Some(Resolved::Block(row)), to, false, 0, fnv, None);
     }
 
-    /// Transmits `probes` — a source sorted by send time — and closes the
-    /// run. Every arrival resolves as its packet is transmitted (see
+    /// Transmits `probes` — a source in any order — and closes the run.
+    /// Every arrival resolves as its packet is transmitted (see
     /// `transmit`), so each probe is done with, replies and captures
     /// included, once it is injected: its site captures and host
     /// hand-offs go to `sink` right after.
@@ -725,7 +764,8 @@ impl<'w> NetworkSim<'w> {
     /// one by one in source order, each with every effect it has in the
     /// order it would have had alone. So the source may be pulled up to a
     /// stage ahead of transmission, and is never polled again once it has
-    /// returned `None`. (Sorted input only bounds the parked arrivals.)
+    /// returned `None`. The source may come in any order: its order
+    /// decides only the order in which the sink is handed arrivals.
     ///
     /// The run reports its arrivals, answered or not, as `engine.events`
     /// and ends its clock at the last of them, so a run ends at its last
@@ -747,10 +787,10 @@ impl<'w> NetworkSim<'w> {
             }
         }
         // Whatever is still parked could be the last arrival: fly it.
-        while let Some(Parked { at, ek, from, to }) = self.parked.pop_front() {
+        while let Some(Reverse(Parked { at, ek, from, to })) = self.parked.pop() {
             self.arrivals.cover(self.flight(at, ek, from, to));
         }
-        let Arrivals { count, last } = std::mem::take(&mut self.arrivals);
+        let Arrivals { count, last, .. } = std::mem::take(&mut self.arrivals);
         if let Some(last) = last {
             self.now = last;
         }
@@ -1473,7 +1513,7 @@ mod tests {
         /// end nor its event count can tell: whichever hosts are
         /// silent (all of them; the first to be probed; the last; all but
         /// one in the middle; a random half), with and without faults, on
-        /// one engine and split over seven.
+        /// one engine, split over seven, and sent last first.
         #[test]
         fn a_run_ends_at_its_last_arrival_whoever_is_silent(
             seed in proptest::prelude::any::<u64>(),
@@ -1508,6 +1548,8 @@ mod tests {
                 .collect();
             let faults = if default_faults { FaultConfig::default() } else { FaultConfig::none() };
             assert_run_covers_its_arrivals(&w, &faults, seed, &probes);
+            let reversed: Vec<_> = probes.iter().rev().cloned().collect();
+            assert_run_covers_its_arrivals(&w, &faults, seed, &reversed);
             for shard in 0..7 {
                 let share: Vec<_> = probes.iter().skip(shard).step_by(7).cloned().collect();
                 assert_run_covers_its_arrivals(&w, &faults, seed, &share);
@@ -1515,31 +1557,84 @@ mod tests {
         }
     }
 
-    /// The parked deque holds one `max_delay − base` window of a paced
-    /// schedule, whatever the schedule's length: at 10 000 probes a second
-    /// that is fewer than `rate × max_delay` entries.
+    /// The parked heap holds one `max_delay − base` window of a paced
+    /// schedule, whatever the schedule's length and whatever order its
+    /// probes come in: at 10 000 probes a second that is fewer than
+    /// `rate × max_delay` entries, for a time-sorted source and for the
+    /// same probes in a Feistel-shuffled order.
     #[test]
     fn parked_arrivals_stay_within_one_delay_window() {
+        use vp_net::ProbeOrder;
         let w = world();
-        let (mut sim, meas) = engine(&w, FaultConfig::none(), 17);
         let silent: Vec<(u32, Ipv4Addr)> = (0u32..)
             .zip(&w.blocks)
             .filter(|(_, b)| !b.responsive)
             .map(|(row, b)| (row, b.representative()))
             .collect();
-        let (probes, rate) = (100_000u64, 10_000u64);
-        let source = (0..probes).zip(silent.iter().cycle()).map(|(i, &(row, host))| {
-            let at = SimTime::ZERO + SimDuration::from_micros(i * 1_000_000 / rate);
-            let mut probe = timed_probe(at, probe(meas, host, 1, i as u16));
-            probe.row = row;
-            probe
-        });
-        sim.run_with(source, &mut Recorder::default());
-        assert_eq!(sim.stats().delivered_to_hosts, probes);
-        let window = rate * sim.max_delay.as_nanos() / 1_000_000_000;
-        let high_water = sim.parked_high_water as u64;
-        assert!(window / 2 < high_water && high_water < window, "{high_water} parked, window {window}");
-        assert!(sim.now() > SimTime::ZERO + SimDuration::from_secs(probes / rate - 1));
+        let (probes, rate, meas) = (100_000u64, 10_000u64, engine(&w, FaultConfig::none(), 17).1);
+        let sorted: Vec<TimedProbe> = (0..probes)
+            .zip(silent.iter().cycle())
+            .map(|(i, &(row, host))| {
+                let at = SimTime::ZERO + SimDuration::from_micros(i * 1_000_000 / rate);
+                let mut probe = timed_probe(at, probe(meas, host, 1, i as u16));
+                probe.row = row;
+                probe
+            })
+            .collect();
+        let shuffle = vp_net::FeistelPermutation::new(probes, 17);
+        let shuffled: Vec<TimedProbe> = (0..probes).map(|i| sorted[shuffle.permute(i) as usize].clone()).collect();
+        let mut ends = Vec::new();
+        for (order, source) in [("sorted", &sorted), ("shuffled", &shuffled)] {
+            let (mut sim, _) = engine(&w, FaultConfig::none(), 17);
+            sim.run_with(source.iter().cloned(), &mut Recorder::default());
+            assert_eq!(sim.stats().delivered_to_hosts, probes);
+            let window = rate * sim.max_delay.as_nanos() / 1_000_000_000;
+            let high_water = sim.parked_high_water as u64;
+            assert!(window / 2 < high_water && high_water < window, "{order}: {high_water} parked, window {window}");
+            assert!(sim.now() > SimTime::ZERO + SimDuration::from_secs(probes / rate - 1));
+            ends.push(sim.now());
+        }
+        assert_eq!(ends[0], ends[1], "the run ends at the same last arrival in either order");
+    }
+
+    /// With more undeliverable events than the ring holds, the ring keeps
+    /// the `EVENT_CAPACITY` greatest by (time, name, detail) and counts
+    /// the rest, whether the source comes time-sorted or shuffled.
+    #[test]
+    fn the_event_ring_keeps_the_same_events_in_any_source_order() {
+        use vp_net::ProbeOrder;
+        let w = world();
+        let meas = engine(&w, FaultConfig::none(), 19).1;
+        let strays = 3 * EngineObs::EVENT_CAPACITY as u64;
+        // Two strays share each send time, to different destinations.
+        let sorted: Vec<TimedProbe> = (0..strays)
+            .map(|i| {
+                let at = SimTime::ZERO + SimDuration::from_millis(i / 2);
+                timed_probe(at, probe(meas, Ipv4Addr::new(250, 0, (i % 7) as u8, i as u8), 1, i as u16))
+            })
+            .collect();
+        let shuffle = vp_net::FeistelPermutation::new(strays, 5);
+        let shuffled: Vec<TimedProbe> = (0..strays).map(|i| sorted[shuffle.permute(i) as usize].clone()).collect();
+        let log_of = |source: &[TimedProbe]| {
+            let (mut sim, _) = engine(&w, FaultConfig::none(), 19);
+            sim.attach_obs(true);
+            Recorder::run(&mut sim, source.iter().cloned());
+            assert_eq!(sim.stats().undeliverable, strays);
+            sim.take_obs().unwrap().into_parts().1
+        };
+        let (log, shuffled_log) = (log_of(&sorted), log_of(&shuffled));
+        assert_eq!(log.events.len(), EngineObs::EVENT_CAPACITY);
+        assert_eq!(log.dropped, strays - EngineObs::EVENT_CAPACITY as u64);
+        assert_eq!(log, shuffled_log);
+        let mut all: Vec<vp_obs::Event> = (sorted.iter())
+            .map(|p| vp_obs::Event {
+                at_nanos: p.at.as_nanos(),
+                name: "engine.undeliverable".to_owned(),
+                detail: format!("dst {}", p.packet.dst),
+            })
+            .collect();
+        all.sort();
+        assert_eq!(log.events, all.split_off(all.len() - EngineObs::EVENT_CAPACITY));
     }
 
     /// A source is pulled a stage ahead of dispatch and never again once it
@@ -1625,7 +1720,7 @@ mod tests {
         assert!(before < secs(5) && secs(10) < after);
         let ring = &sim.obs.as_ref().unwrap().ring;
         assert_eq!(ring.len(), 1, "one event expected: {ring:?}");
-        let event = &ring[0];
+        let event = &ring.peek().unwrap().0;
         assert_eq!(event.at_nanos, secs(5).as_nanos());
         assert_eq!(event.name, "engine.undeliverable");
         assert_eq!(event.detail, format!("dst {not_a_host}"));

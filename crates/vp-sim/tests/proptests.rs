@@ -6,7 +6,7 @@ use std::collections::BTreeSet;
 use bytes::Bytes;
 use proptest::prelude::*;
 use vp_bgp::{FlipModel, SiteId};
-use vp_net::{Asn, Ipv4Addr, SimDuration, SimTime};
+use vp_net::{Asn, FeistelPermutation, Ipv4Addr, ProbeOrder, SimDuration, SimTime};
 use vp_packet::{DnsMessage, IcmpMessage, Ipv4Packet, Protocol, UdpDatagram};
 use vp_sim::{
     CaptureSink, CatchmentOracle, EngineObs, FaultConfig, FlippingOracle, LatencyModel, NetworkSim, Scenario, SimStats,
@@ -171,12 +171,14 @@ fn sorted(mut seen: Recorder) -> Recorder {
     seen
 }
 
-/// Runs `source` on a fresh engine with a `Full` sidecar and on the
-/// reference simulator, and asserts that they agree on every observable:
-/// the multisets of captures and hand-offs, the counters, the final clock
-/// (the last arrival, silent hosts included), `engine.events`, and the
-/// undeliverable ring — sorted, whenever it evicted nothing, else by
-/// count. Returns the reference's view.
+/// Runs `source` on the reference simulator, and on fresh engines with a
+/// `Full` sidecar both as given and shuffled (a Feistel permutation keyed
+/// by `seed`), and asserts that each engine run agrees with the reference
+/// on every observable: the multisets of captures and hand-offs, the
+/// counters, the final clock (the last arrival, silent hosts included),
+/// `engine.events`, and the event log — the greatest `EVENT_CAPACITY`
+/// undeliverable events, the rest counted as dropped. Returns the
+/// reference's view.
 fn assert_engine_equals_reference(
     s: &Scenario,
     oracle: &dyn CatchmentOracle,
@@ -185,12 +187,6 @@ fn assert_engine_equals_reference(
     serve_dns: bool,
     source: &[TimedProbe],
 ) -> reference::Seen {
-    let ann = s.announcement.clone();
-    let mut sim = NetworkSim::new(&s.world, faults.clone(), seed, ann, Box::new(oracle), serve_dns);
-    sim.attach_obs(true);
-    let Recorder(captures, handoffs) = sorted(run(&mut sim, source.iter().cloned()));
-    let (registry, log) = sim.take_obs().expect("attached above").into_parts();
-
     let want = Reference::new(s, oracle, faults.clone(), seed, serve_dns)
         .run(source.iter().map(|p| (p.at, p.packet.clone())));
     let c = &want.counters;
@@ -206,19 +202,27 @@ fn assert_engine_equals_reference(
         undeliverable: c.undeliverable,
         per_site_captures: c.per_site_captures.clone(),
     };
-    prop_assert_eq!(&captures, &want.captures);
-    prop_assert_eq!(&handoffs, &want.handoffs);
-    prop_assert_eq!(sim.stats(), stats);
-    prop_assert_eq!(sim.now(), want.arrivals.last().copied().unwrap_or(SimTime::ZERO));
-    prop_assert_eq!(registry.counter_value("engine.events", &[]), want.arrivals.len() as u64);
-    let ring: Vec<(u64, String)> = log.events.iter().map(|e| (e.at_nanos, format!("{} {}", e.name, e.detail))).collect();
-    if log.dropped == 0 {
-        let mut undeliverable: Vec<_> =
-            (want.undeliverable.iter()).map(|(at, dst)| (*at, format!("engine.undeliverable dst {dst}"))).collect();
-        undeliverable.sort();
-        prop_assert_eq!(ring, undeliverable);
-    } else {
-        prop_assert_eq!(ring.len() as u64 + log.dropped, want.undeliverable.len() as u64);
+    let mut undeliverable: Vec<_> =
+        (want.undeliverable.iter()).map(|(at, dst)| (*at, format!("engine.undeliverable dst {dst}"))).collect();
+    undeliverable.sort();
+    let kept = undeliverable.split_off(undeliverable.len().saturating_sub(EngineObs::EVENT_CAPACITY));
+
+    let shuffle = FeistelPermutation::new(source.len() as u64, seed);
+    let shuffled: Vec<TimedProbe> = (0..source.len() as u64).map(|i| source[shuffle.permute(i) as usize].clone()).collect();
+    for source in [source, &shuffled] {
+        let ann = s.announcement.clone();
+        let mut sim = NetworkSim::new(&s.world, faults.clone(), seed, ann, Box::new(oracle), serve_dns);
+        sim.attach_obs(true);
+        let Recorder(captures, handoffs) = sorted(run(&mut sim, source.iter().cloned()));
+        let (registry, log) = sim.take_obs().expect("attached above").into_parts();
+        prop_assert_eq!(&captures, &want.captures);
+        prop_assert_eq!(&handoffs, &want.handoffs);
+        prop_assert_eq!(sim.stats(), stats.clone());
+        prop_assert_eq!(sim.now(), want.arrivals.last().copied().unwrap_or(SimTime::ZERO));
+        prop_assert_eq!(registry.counter_value("engine.events", &[]), want.arrivals.len() as u64);
+        let ring: Vec<(u64, String)> = log.events.iter().map(|e| (e.at_nanos, format!("{} {}", e.name, e.detail))).collect();
+        prop_assert_eq!(&ring, &kept);
+        prop_assert_eq!(log.dropped, undeliverable.len() as u64);
     }
     want
 }
@@ -330,7 +334,7 @@ proptest! {
     /// reference simulator in `reference/`, which pushes every probe into
     /// an event heap before it steps, routes with no route column and
     /// shares only the public draws with the engine. Over random worlds,
-    /// source lengths and time-sorted sources: bursts of probes sharing
+    /// source lengths and sources, time-sorted and shuffled: bursts of probes sharing
     /// one send time and gaps longer than a round trip; row hints right,
     /// off by one either way or absent (the reference takes none, so the
     /// equality also shows a hint is verified, never trusted); strays
@@ -380,8 +384,8 @@ proptest! {
             let seen = assert_source_equals_reference(&s, sim_seed, serve_dns, &random, true, &source);
             prop_assert_eq!(seen.counters.injected as usize, source.len());
             if count > 2 * STAGE {
-                // Enough strays to overflow the ring, so the order they
-                // were emitted in decides which it kept.
+                // Enough strays to overflow the ring, so it must keep the
+                // greatest whatever order the source comes in.
                 prop_assert!(seen.undeliverable.len() > EngineObs::EVENT_CAPACITY, "{:?}", seen.counters);
             }
         }

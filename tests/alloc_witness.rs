@@ -121,31 +121,29 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 const TARGETS: usize = 100_000;
 
 /// Allocations one 10^5-probe round may make: (serial, K=8 threaded).
-/// Measured in release: 632 serial, the same every run, and 1 123–1 126 at
-/// K=8 (thread spawn and channel setup vary by a handful; each shard sorts
-/// its own schedule, one key column and one scratch column) — per-engine
+/// Measured in release: 628 serial, the same every run, and 1 074–1 076 at
+/// K=8 (thread spawn and channel setup vary by a handful) — per-engine
 /// setup (one route column, one probe stage, one pending-capture vector
-/// and the doubling growth of one parked-arrival deque per engine among
+/// and the doubling growth of one parked-arrival heap per engine among
 /// it), plus O(log n) growth of the kept-observation column and of the
 /// cleaner's duplicate side list. The budgets sit within 10 % above the
 /// measurements: one more allocation per refill batch is
 /// ~+98 per round and fails; one per probe is +100 000. Re-measure (the
 /// test prints its counts) and re-pin when a change moves them on purpose.
-const ALLOCS_PER_ROUND: (u64, u64) = (693, 1_200);
+const ALLOCS_PER_ROUND: (u64, u64) = (690, 1_180);
 
 /// Peak live heap per probe a scan may add on top of what was live when
-/// it started: (serial, K=8). Measured at this scale: 35 B/probe serial
-/// and 31–43 B at K=8 (how many shards' columns are live at once is the
+/// it started: (serial, K=8). Measured at this scale: 31 B/probe serial
+/// and 25–43 B at K=8 (how many shards' columns are live at once is the
 /// OS scheduler's choice), where eager injection peaked at 246 B and
 /// 216 B — a queued event per probe plus the capture log and its copies.
 /// An engine's probe stage (128 probes), pending captures (one probe's)
 /// and parked arrivals (one delay window of the schedule, 48 bytes each)
 /// are noise here. What remains is the round's own columns: 8 B send
-/// time per probe, 8 B sorted schedule key per probe when sharded (and
-/// 8 B of scratch while its shard sorts), 24 B per
-/// kept observation (doubling slack included) and the result tables. The
-/// ceilings sit at ~1.5× the measurements and under a third of the old figures.
-const PEAK_BYTES_PER_PROBE: (u64, u64) = (55, 70);
+/// time per probe, 24 B per kept observation (doubling slack included)
+/// and the result tables. The ceilings sit at ~1.4× the measurements and
+/// under a quarter of the old figures.
+const PEAK_BYTES_PER_PROBE: (u64, u64) = (45, 60);
 
 /// The counters are process-wide and the test harness runs tests on
 /// parallel threads: each test holds this for its whole body, so nothing
@@ -303,21 +301,22 @@ fn legacy_json(map: &CatchmentMap) -> String {
         .expect("legacy round renders")
 }
 
-/// Allocations one block-ordered round-file load may make, at any size:
-/// the file's text, the name and two columns grown by doubling
-/// (2·log2 n): 37 at 300 000 entries. The tree-building reader made ~1.6
-/// per entry.
-const LOAD_ALLOCS: u64 = 40;
+/// Allocations one block-ordered round-file load makes, at any size: the
+/// file's text, the name and two columns sized once from the members
+/// left to read. Growing the columns by doubling made 37 at 300 000
+/// entries; the tree-building reader made ~1.6 per entry.
+const LOAD_ALLOCS: u64 = 4;
 
 /// Live heap a block-ordered load may hold per entry on top of the
-/// file's text: the two columns, 5 B an entry and under 10 B with
-/// doubling slack (8.7 B at 300 000 entries).
+/// file's text: the two columns, 5 B an entry at a power-of-two capacity
+/// (8.7 B at 300 000 entries).
 const LOAD_BYTES_PER_ENTRY: u64 = 9;
 
 /// The same two ceilings for a legacy string-ordered round, which also
-/// pays the sort's exact-size second copy of the columns.
-const LEGACY_LOAD_ALLOCS: u64 = 64;
-const LEGACY_LOAD_BYTES_PER_ENTRY: u64 = 16;
+/// pays the sort's exact-size second copy of the columns (measured 6
+/// allocations and 13.5 B at 300 000 entries).
+const LEGACY_LOAD_ALLOCS: u64 = 6;
+const LEGACY_LOAD_BYTES_PER_ENTRY: u64 = 14;
 
 /// Origins for [`synthetic_round`]'s blocks.
 fn synthetic_origins(entries: usize) -> Origins {
@@ -326,8 +325,8 @@ fn synthetic_origins(entries: usize) -> Origins {
 }
 
 /// Live heap a 30 000-entry sidecar load may hold per entry on top of
-/// the file's text: its two columns, 8 B an entry grown by doubling to
-/// 32 768 rows (8.7 B measured).
+/// the file's text: its two columns, 8 B an entry sized to 32 768 rows
+/// (8.7 B measured).
 const SIDECAR_LOAD_BYTES_PER_ENTRY: u64 = 9;
 
 /// Writes `text` to a file, loads it back with `load` as `want`, and
