@@ -150,9 +150,15 @@ impl EngineObs {
     /// is not built otherwise). The ring keeps the `EVENT_CAPACITY`
     /// greatest events in canonical (time, name, detail) order, so which
     /// it keeps does not depend on the order they were recorded in; once
-    /// it is full, each event beyond counts as evicted.
+    /// it is full, each event beyond counts as evicted, and one earlier
+    /// than the least held is counted without being built.
     fn event(&mut self, at: SimTime, name: &'static str, detail: impl FnOnce() -> String) {
         if !self.events {
+            return;
+        }
+        let full = self.ring.len() >= Self::EVENT_CAPACITY;
+        if full && self.ring.peek().is_some_and(|least| at.as_nanos() < least.0.at_nanos) {
+            self.dropped += 1;
             return;
         }
         let event = vp_obs::Event {
@@ -1635,6 +1641,55 @@ mod tests {
             .collect();
         all.sort();
         assert_eq!(log.events, all.split_off(all.len() - EngineObs::EVENT_CAPACITY));
+    }
+
+    /// A full ring counts an event earlier than all it holds without
+    /// building its detail, and keeps and drops exactly what it did when
+    /// every detail was built.
+    #[test]
+    fn a_full_ring_does_not_build_what_it_drops() {
+        let built = std::cell::Cell::new(0u64);
+        let mut obs = EngineObs::new(true);
+        let cap = EngineObs::EVENT_CAPACITY as u64;
+        let at = |ms: u64| SimTime::ZERO + SimDuration::from_millis(ms);
+        for i in 0..cap {
+            obs.event(at(1_000 + i), "late", || {
+                built.set(built.get() + 1);
+                format!("{i}")
+            });
+        }
+        for i in 0..100 {
+            obs.event(at(i), "early", || {
+                built.set(built.get() + 1);
+                format!("{i}")
+            });
+        }
+        assert_eq!(built.get(), cap, "a dropped event's detail was built");
+        let log = obs.into_parts().1;
+        assert_eq!(log.dropped, 100);
+        assert!(log.events.iter().all(|e| e.name == "late"));
+        assert_eq!(log.events.len(), EngineObs::EVENT_CAPACITY);
+    }
+
+    /// An event stamped at the ring's least instant is decided by its name
+    /// and detail, not dropped for its time alone.
+    #[test]
+    fn a_full_ring_decides_ties_at_its_floor_by_name_and_detail() {
+        let mut obs = EngineObs::new(true);
+        let floor = SimTime::ZERO + SimDuration::from_millis(5);
+        for i in 0..EngineObs::EVENT_CAPACITY {
+            obs.event(floor, "m", || format!("{i:04}"));
+        }
+        obs.event(floor, "a", || "below every held event".to_owned());
+        obs.event(floor, "z", || "above every held event".to_owned());
+        obs.event(floor, "m", || "9999".to_owned());
+        let log = obs.into_parts().1;
+        assert_eq!(log.dropped, 3);
+        assert_eq!(log.events.len(), EngineObs::EVENT_CAPACITY);
+        assert!(log.events.iter().all(|e| e.name != "a"));
+        assert_eq!(log.events.last().map(|e| e.name.as_str()), Some("z"));
+        assert!(log.events.iter().any(|e| e.detail == "9999"));
+        assert!(!log.events.iter().any(|e| e.detail == "0000" || e.detail == "0001"));
     }
 
     /// A source is pulled a stage ahead of dispatch and never again once it
