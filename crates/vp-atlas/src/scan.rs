@@ -280,10 +280,7 @@ mod tests {
             .sum();
         assert!((total - 1.0).abs() < 1e-9, "fractions sum to {total}");
         let counts = result.site_counts();
-        assert_eq!(
-            counts.values().sum::<usize>(),
-            result.vps_responding()
-        );
+        assert_eq!(counts.values().sum::<usize>(), result.vps_responding());
     }
 
     #[test]
@@ -347,9 +344,21 @@ mod tests {
             (&all_down, &s.announcement, FaultConfig::default()),
         ] {
             let oracle = StaticOracle::new(s.routing_for(announcement));
-            let result = run_scan(&s.world, panel, announcement, Box::new(oracle), faults, "x", 1);
+            let result = run_scan(
+                &s.world,
+                panel,
+                announcement,
+                Box::new(oracle),
+                faults,
+                "x",
+                1,
+            );
             assert_eq!(result.outcomes.len(), panel.len());
-            assert!(result.outcomes.iter().all(|o| o.site.is_none()), "{} answered", result.vps_responding());
+            assert!(
+                result.outcomes.iter().all(|o| o.site.is_none()),
+                "{} answered",
+                result.vps_responding()
+            );
         }
     }
 }

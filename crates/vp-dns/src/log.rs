@@ -192,7 +192,11 @@ impl<'w> QueryLog<'w> {
         let diurnal = 1.0 + self.model.diurnal_amplitude * phase.cos();
         let noise = 1.0
             + self.model.hourly_noise
-                * (2.0 * unit(mix(self.model.seed ^ 0x40d, (block.block.0 as u64) << 5 | hour as u64))
+                * (2.0
+                    * unit(mix(
+                        self.model.seed ^ 0x40d,
+                        (block.block.0 as u64) << 5 | hour as u64,
+                    ))
                     - 1.0);
         (daily / 24.0) * diurnal * noise
     }
@@ -363,7 +367,10 @@ mod tests {
         let q = log.total_daily();
         let good = log.total_good_replies();
         let all = log.total_replies();
-        assert!(good < all && all < q, "expected good < all < queries; {good} {all} {q}");
+        assert!(
+            good < all && all < q,
+            "expected good < all < queries; {good} {all} {q}"
+        );
         for b in w.blocks.iter().take(50) {
             let g = log.good_reply_frac(b.block);
             assert!((0.0..=1.0).contains(&g));

@@ -14,10 +14,19 @@
 
 #![forbid(unsafe_code)]
 // Library code never panics (DESIGN.md §8).
-#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::indexing_slicing)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
 #![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 // A hot crate: no narrowing casts (DESIGN.md §8).
-#![warn(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_possible_wrap)]
+#![warn(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap
+)]
 
 use serde::Serialize;
 use vp_net::{mix, unit, Block24, Id, IdVec, Ipv4Addr};
@@ -123,7 +132,9 @@ impl Hitlist {
             .map(|b| entry_for(b.block, b.rep_octet, cfg))
             .collect();
         debug_assert!(entries.is_sorted_by(|a, b| a.block < b.block));
-        Hitlist { entries: entries.into() }
+        Hitlist {
+            entries: entries.into(),
+        }
     }
 
     /// Number of targets.
@@ -204,7 +215,9 @@ impl Hitlist {
         if let Some((repeated, _)) = pairs.find(|(a, b)| a.block == b.block) {
             return Err(HitlistError::RepeatedBlock(repeated.block));
         }
-        Ok(Hitlist { entries: entries.into() })
+        Ok(Hitlist {
+            entries: entries.into(),
+        })
     }
 }
 
@@ -257,7 +270,12 @@ mod tests {
             hl.entries().iter().map(|e| e.block).collect();
         assert_eq!(blocks.len(), hl.len());
         for e in hl.entries().iter() {
-            assert!(e.block.contains(e.target), "{} outside {}", e.target, e.block);
+            assert!(
+                e.block.contains(e.target),
+                "{} outside {}",
+                e.target,
+                e.block
+            );
             assert!(w.block(e.block).is_some());
         }
     }
@@ -315,9 +333,20 @@ mod tests {
             r#"[{{"target": {}, "x": [1], "block": {}}}]"#,
             e.target.0, e.block.0
         );
-        assert_eq!(Hitlist::from_json(&loose).unwrap().entries().as_slice(), [e]);
-        for text in [r#"[{"block": 1}]"#, r#"[{"block": 1, "target": 4294967296}]"#, "[] x", "{}"] {
-            assert!(matches!(Hitlist::from_json(text), Err(HitlistError::Json(_))), "{text}");
+        assert_eq!(
+            Hitlist::from_json(&loose).unwrap().entries().as_slice(),
+            [e]
+        );
+        for text in [
+            r#"[{"block": 1}]"#,
+            r#"[{"block": 1, "target": 4294967296}]"#,
+            "[] x",
+            "{}",
+        ] {
+            assert!(
+                matches!(Hitlist::from_json(text), Err(HitlistError::Json(_))),
+                "{text}"
+            );
         }
     }
 
@@ -335,11 +364,22 @@ mod tests {
         };
         for rows in [vec![a, a], vec![a, b, elsewhere], vec![b, a, b]] {
             let text = serde_json::to_string(&rows).unwrap();
-            let repeated = if rows.last() == Some(&b) { b.block } else { a.block };
-            assert_eq!(Hitlist::from_json(&text), Err(HitlistError::RepeatedBlock(repeated)), "{text}");
+            let repeated = if rows.last() == Some(&b) {
+                b.block
+            } else {
+                a.block
+            };
+            assert_eq!(
+                Hitlist::from_json(&text),
+                Err(HitlistError::RepeatedBlock(repeated)),
+                "{text}"
+            );
         }
         let refused = Hitlist::from_json(&serde_json::to_string(&[a, a]).unwrap()).unwrap_err();
-        assert_eq!(refused.to_string(), format!("block {} is listed twice", a.block));
+        assert_eq!(
+            refused.to_string(),
+            format!("block {} is listed twice", a.block)
+        );
     }
 
     #[test]

@@ -206,7 +206,16 @@ mod tests {
     fn from_pairs_sorts_across_every_radix_byte() {
         // Blocks that differ only in one byte each, plus full-width ones,
         // in descending order with a duplicate at both ends of the input.
-        let blocks = [u32::MAX, 1 << 24, 1 << 16, 1 << 8, 1, 0, 0xff_ff00, u32::MAX];
+        let blocks = [
+            u32::MAX,
+            1 << 24,
+            1 << 16,
+            1 << 8,
+            1,
+            0,
+            0xff_ff00,
+            u32::MAX,
+        ];
         let pairs: Vec<(u32, u8)> = blocks.iter().zip(0u8..).map(|(&b, i)| (b, i)).collect();
         let t = table(&pairs);
         let mut sorted = blocks.to_vec();
@@ -244,7 +253,10 @@ mod tests {
         a.merge(&table(&[(3, 2), (7, 3)])); // interleaved: join path
         a.merge(&table(&[(9, 1), (11, 0)])); // strictly later: append fast path
         a.merge(&BlockColumn::default());
-        assert_eq!(rows(&a), vec![(1, 0), (3, 2), (5, 1), (7, 3), (9, 1), (11, 0)]);
+        assert_eq!(
+            rows(&a),
+            vec![(1, 0), (3, 2), (5, 1), (7, 3), (9, 1), (11, 0)]
+        );
         a.merge(&table(&[(5, 9), (6, 4)])); // other wins like map insert
         assert_eq!(a.get(Block24(5)), Some(9));
         assert_eq!(a.len(), 7);

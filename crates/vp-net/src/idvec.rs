@@ -74,7 +74,10 @@ impl<I: Id, T> IdVec<I, T> {
 /// Row `i` of `rows` becomes the row of `I::from_index(i)`.
 impl<I, T> From<Vec<T>> for IdVec<I, T> {
     fn from(rows: Vec<T>) -> Self {
-        IdVec { rows, ids: PhantomData }
+        IdVec {
+            rows,
+            ids: PhantomData,
+        }
     }
 }
 
@@ -125,7 +128,10 @@ mod tests {
         assert_eq!(t.len(), 3);
         assert_eq!(t.ids().collect::<Vec<_>>(), [Asn(0), Asn(1), Asn(2)]);
         let scratch = t.map(|_| u32::MAX);
-        assert_eq!(scratch.ids().collect::<Vec<_>>(), t.ids().collect::<Vec<_>>());
+        assert_eq!(
+            scratch.ids().collect::<Vec<_>>(),
+            t.ids().collect::<Vec<_>>()
+        );
         assert_eq!(t.iter_enumerated().last(), Some((Asn(2), &12)));
         assert!(IdVec::<Asn, u32>::from(Vec::new()).is_empty());
     }

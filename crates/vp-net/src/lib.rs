@@ -27,7 +27,12 @@
 
 #![forbid(unsafe_code)]
 // Library code never panics (DESIGN.md §8).
-#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::indexing_slicing)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing
+)]
 #![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 pub mod addr;
