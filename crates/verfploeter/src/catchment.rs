@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 
 use vp_bgp::SiteId;
 use vp_hitlist::Hitlist;
-pub use vp_net::Joined;
+use vp_net::Joined;
 use vp_net::{conv, Block24, BlockColumn};
 
 use crate::cleaning::CleanReply;

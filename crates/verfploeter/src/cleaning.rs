@@ -5,7 +5,6 @@
 //! minutes after the start of the measurement). Duplicates ... account for
 //! approximately 2% of all replies."
 
-use serde::Serialize;
 use vp_hitlist::{Hitlist, HitlistRow};
 use vp_net::{conv, SimDuration, SimTime};
 use vp_sim::Earliest;
@@ -13,7 +12,7 @@ use vp_sim::Earliest;
 use crate::collector::RawReply;
 
 /// Counters over one cleaning pass.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CleaningStats {
     /// Replies entering the pipeline.
     pub total: u64,
@@ -53,7 +52,7 @@ pub struct CleanReply {
 /// A cleaner holds one slot per row of the range it cleans — a shard's
 /// own rows, not the whole hitlist. A reply naming a row outside it is
 /// `foreign`; under shard-closed traffic (DESIGN.md §7) there is none.
-pub struct Cleaner<'h> {
+pub(crate) struct Cleaner<'h> {
     hitlist: &'h Hitlist,
     ident: u16,
     deadline: SimTime,
@@ -65,7 +64,7 @@ pub struct Cleaner<'h> {
 }
 
 impl<'h> Cleaner<'h> {
-    pub fn new(
+    pub(crate) fn new(
         hitlist: &'h Hitlist,
         rows: std::ops::Range<usize>,
         ident: u16,
@@ -85,7 +84,7 @@ impl<'h> Cleaner<'h> {
 
     /// Classifies one reply of the central stream; `key` is its identity
     /// hash, which breaks ties in `at`.
-    pub fn push(&mut self, r: &RawReply, key: u64) {
+    pub(crate) fn push(&mut self, r: &RawReply, key: u64) {
         self.stats.total += 1;
         let index = r.index.filter(|_| r.ident == self.ident);
         let row = index.and_then(|i| u32::try_from(i).ok());
@@ -112,7 +111,7 @@ impl<'h> Cleaner<'h> {
     /// The kept observations, one per index with a candidate, and the
     /// pass's counters. Which candidate is kept may change as later ones
     /// turn out to have arrived first; the counts stand as they are.
-    pub fn finish(self) -> (Vec<CleanReply>, CleaningStats) {
+    pub(crate) fn finish(self) -> (Vec<CleanReply>, CleaningStats) {
         let kept = self.candidates.finish().into_iter().map(|c| CleanReply {
             site: c.value,
             at: c.at,
@@ -123,7 +122,7 @@ impl<'h> Cleaner<'h> {
 }
 
 /// Runs the cleaning pipeline over a materialized reply stream in arrival
-/// order: a fold of [`Cleaner::push`] keyed by position, so of the
+/// order: a fold of `Cleaner::push` keyed by position, so of the
 /// candidates for one index the first to arrive is kept, ties in `at` going
 /// to the one listed first — the sequential reading of §4.
 pub fn clean(

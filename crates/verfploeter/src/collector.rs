@@ -36,7 +36,7 @@ pub struct RawReply {
 /// Parses one site capture into a [`RawReply`]; non-ICMP or non-echo-reply
 /// traffic is discarded here (the capture filter on the measurement
 /// address).
-pub fn parse_capture(site: SiteId, at: SimTime, packet: &Ipv4Packet) -> Option<RawReply> {
+pub(crate) fn parse_capture(site: SiteId, at: SimTime, packet: &Ipv4Packet) -> Option<RawReply> {
     if packet.protocol != vp_packet::Protocol::Icmp {
         return None;
     }

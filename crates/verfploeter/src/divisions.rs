@@ -9,7 +9,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::Serialize;
 use vp_bgp::SiteId;
 use vp_net::conv;
 use vp_net::{Asn, Block24};
@@ -18,7 +17,7 @@ use vp_topology::Internet;
 use crate::catchment::CatchmentMap;
 
 /// Sites seen per AS, with the AS's announced-prefix count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AsDivision {
     pub asn: Asn,
     pub announced_prefixes: u32,
@@ -68,7 +67,7 @@ pub fn split_as_fraction(divisions: &[AsDivision]) -> f64 {
 
 /// One Fig. 7 row: among ASes seeing exactly `sites` sites, the
 /// distribution of their announced-prefix counts.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig7Row {
     pub sites: u32,
     pub ases: usize,
@@ -105,7 +104,7 @@ pub fn fig7_rows(divisions: &[AsDivision]) -> Vec<Fig7Row> {
 
 /// One Fig. 8 panel: for announced prefixes of one length, how many sites
 /// the VPs inside each prefix see.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig8Row {
     pub prefix_len: u8,
     /// Announced prefixes of this length with ≥1 observed block.

@@ -13,15 +13,15 @@
 //!
 //! ## Pipeline (one measurement)
 //!
-//! 1. [`prober`] — emit one ICMP Echo Request per hitlist entry, in
+//! 1. `prober` — emit one ICMP Echo Request per hitlist entry, in
 //!    pseudorandom order, paced at a fixed rate (§3.1 of the paper).
-//! 2. [`collector`] — capture replies concurrently at every site and
+//! 2. `collector` — capture replies concurrently at every site and
 //!    forward them, tagged with their site, to a central point (§3.1):
 //!    a capture sink the simulator calls per arrival.
-//! 3. [`cleaning`] — drop duplicates, replies from addresses that were
+//! 3. `cleaning` — drop duplicates, replies from addresses that were
 //!    never probed, replies with foreign identifiers, and late replies
 //!    (§4's data cleaning), incrementally as replies are forwarded.
-//! 4. [`catchment`] — fold cleaned replies into a block → site map.
+//! 4. `catchment` — fold cleaned replies into a block → site map.
 //!
 //! [`scan::run_scan`] runs the whole pipeline against the discrete-event
 //! simulator.
@@ -30,17 +30,17 @@
 //!
 //! * [`coverage`] — Verfploeter vs Atlas coverage accounting (Table 4) and
 //!   geographic map data (Figs. 2–3).
-//! * [`load`] — load-weighted catchments: mappability (Table 5), per-site
+//! * `load` — load-weighted catchments: mappability (Table 5), per-site
 //!   load split and map data (Fig. 4).
-//! * [`predict`] — predicted vs measured per-site load (Table 6), the
+//! * `predict` — predicted vs measured per-site load (Table 6), the
 //!   prepending sweep (Fig. 5) and hourly prepending series (Fig. 6).
-//! * [`stability`] — 24-hour stability classification (Fig. 9) and
+//! * `stability` — 24-hour stability classification (Fig. 9) and
 //!   flip-heavy ASes (Table 7).
-//! * [`divisions`] — catchment splits inside ASes and prefixes
+//! * `divisions` — catchment splits inside ASes and prefixes
 //!   (Figs. 7–8).
-//! * [`placement`] — §7's future-work extension: RTT-based suggestions for
+//! * `placement` — §7's future-work extension: RTT-based suggestions for
 //!   where a new anycast site would help.
-//! * [`report`] — plain-text table rendering used by the experiment
+//! * `report` — plain-text table rendering used by the experiment
 //!   binaries.
 
 #![deny(unused_must_use)]
@@ -51,23 +51,29 @@
 // A hot crate: no narrowing casts (DESIGN.md §8).
 #![warn(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_possible_wrap)]
 
-pub mod catchment;
-pub mod cleaning;
-pub mod collector;
-pub mod coverage;
-pub mod divisions;
-pub mod load;
-pub mod placement;
-pub mod predict;
-pub mod prober;
-pub mod report;
-pub mod rtt;
+mod catchment;
+mod cleaning;
+mod collector;
+mod coverage;
+mod divisions;
+mod load;
+mod placement;
+mod predict;
+mod prober;
+mod report;
+mod rtt;
 pub mod scan;
-pub mod stability;
+mod stability;
 
-pub use catchment::CatchmentMap;
+pub use catchment::{read_block_object, write_block_object, CatchmentMap};
+pub use cleaning::{clean, CleaningStats};
+pub use coverage::{catchment_bins, coverage, weighted_bins, AtlasCoverage};
+pub use divisions::{as_divisions, fig7_rows, fig8_rows, split_as_fraction};
+pub use load::{load_bins, load_fraction_to, load_split, mappability};
+pub use placement::{rtt_percentiles, suggest_sites};
+pub use predict::{actual_load_fraction, hourly_prediction};
+pub use prober::{ProbeConfig, PROBE_BATCH};
+pub use report::{count, pct, si, TextTable};
 pub use rtt::RttTable;
-pub use cleaning::{clean, Cleaner, CleaningStats};
-pub use collector::{parse_capture, RawReply};
-pub use prober::{ProbeConfig, Prober};
 pub use scan::{run_scan, run_scan_sharded_on, ScanConfig, ScanObs, ScanResult};
+pub use stability::{flips_by_as, unstable_blocks};

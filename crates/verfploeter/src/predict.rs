@@ -9,23 +9,10 @@
 
 use std::collections::BTreeMap;
 
-use serde::Serialize;
 use vp_bgp::{RoutingTable, SiteId};
 use vp_dns::QueryLog;
 
 use crate::catchment::CatchmentMap;
-use crate::load::load_fraction_to;
-
-/// One row of Table 6: a method, what it measures, and the split.
-#[derive(Debug, Clone, Serialize)]
-pub struct MethodRow {
-    pub date: String,
-    pub method: String,
-    /// Human description of the measurement size (e.g. "9,682 VPs").
-    pub measurement: String,
-    /// Fraction of the measured quantity going to the reference site.
-    pub fraction: f64,
-}
 
 /// The actually *measured* load split: queries of every traffic-sending
 /// block delivered to its true site under `routing`. Returns the fraction
@@ -68,25 +55,20 @@ pub fn hourly_prediction(
     hours
 }
 
-/// The prediction error of a load-weighted catchment map against the
-/// ground-truth replay, in absolute percentage points at `site`.
-pub fn prediction_error_pp(
-    catchments: &CatchmentMap,
-    routing: &RoutingTable,
-    log: &QueryLog,
-    site: SiteId,
-) -> f64 {
-    let predicted = load_fraction_to(catchments, log, site);
-    let actual = actual_load_fraction(routing, log, site);
-    (predicted - actual).abs() * 100.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use vp_dns::LoadModel;
     use vp_sim::Scenario;
     use vp_topology::TopologyConfig;
+
+    /// The prediction error of a load-weighted catchment map against the
+    /// ground-truth replay, in absolute percentage points at `site`.
+    fn prediction_error_pp(catchments: &CatchmentMap, routing: &RoutingTable, log: &QueryLog, site: SiteId) -> f64 {
+        let predicted = crate::load::load_fraction_to(catchments, log, site);
+        let actual = actual_load_fraction(routing, log, site);
+        (predicted - actual).abs() * 100.0
+    }
 
     fn setup() -> (Scenario, RoutingTable) {
         let s = Scenario::broot(TopologyConfig::tiny(111), 7);

@@ -15,15 +15,15 @@ use std::num::{NonZeroU32, NonZeroU64};
 
 use bytes::Bytes;
 use vp_net::{FeistelPermutation, Ipv4Addr, SimDuration, SimTime};
-use vp_packet::{IcmpMessage, Ipv4Packet, Protocol};
+use vp_packet::{Ipv4Packet, Protocol};
 
 /// Magic prefix identifying Verfploeter probe payloads.
-pub const PAYLOAD_MAGIC: &[u8; 4] = b"VPLT";
+pub(crate) const PAYLOAD_MAGIC: &[u8; 4] = b"VPLT";
 
 /// Probe payload length: the magic prefix and a big-endian hitlist index.
 const PAYLOAD_LEN: usize = 12;
 
-/// Probes encoded per [`Prober::build_probes_with_replies`] batch: large enough to
+/// Probes encoded per `Prober::build_probes_with_replies` batch: large enough to
 /// amortize the batch's two wire-buffer allocations to noise, small enough
 /// that a batch of 20-byte requests and replies stays comfortably in L1.
 /// The engine drains a batch in eight stages of 128
@@ -66,7 +66,7 @@ impl Default for ProbeConfig {
 /// read the hitlist and the world sequentially. Built by
 /// [`Prober::schedule`].
 #[derive(Debug)]
-pub struct Schedule {
+pub(crate) struct Schedule {
     perm: FeistelPermutation,
     rows: std::ops::Range<usize>,
     rate: NonZeroU64,
@@ -95,22 +95,23 @@ impl ExactSizeIterator for Schedule {}
 
 /// The prober: turns a hitlist into a paced, permuted probe schedule.
 #[derive(Debug)]
-pub struct Prober {
+pub(crate) struct Prober {
     config: ProbeConfig,
 }
 
 impl Prober {
-    pub fn new(config: ProbeConfig) -> Self {
+    pub(crate) fn new(config: ProbeConfig) -> Self {
         Prober { config }
     }
 
     /// Encodes the probe payload for a hitlist index.
-    pub fn encode_payload(index: u64) -> Bytes {
+    #[cfg(test)]
+    pub(crate) fn encode_payload(index: u64) -> Bytes {
         Bytes::copy_from_slice(&payload(index))
     }
 
     /// Decodes a probe/reply payload back to the hitlist index.
-    pub fn decode_payload(payload: &[u8]) -> Option<u64> {
+    pub(crate) fn decode_payload(payload: &[u8]) -> Option<u64> {
         if payload.len() != PAYLOAD_LEN || payload.get(..4)? != PAYLOAD_MAGIC {
             return None;
         }
@@ -119,10 +120,10 @@ impl Prober {
 
     /// The schedule of hitlist rows `rows` of an `n`-row round starting
     /// at `start`: the whole round's schedule with every other row left
-    /// out, **without materializing any packet** (see [`Schedule`]). Each
+    /// out, **without materializing any packet** (see `Schedule`). Each
     /// row finds its walk position with [`FeistelPermutation::invert`] as
     /// it is pulled, so a schedule holds no per-row state.
-    pub fn schedule(&self, n: usize, rows: std::ops::Range<usize>, start: SimTime) -> Schedule {
+    pub(crate) fn schedule(&self, n: usize, rows: std::ops::Range<usize>, start: SimTime) -> Schedule {
         Schedule {
             perm: FeistelPermutation::new(n as u64, self.config.order_seed),
             rows,
@@ -133,9 +134,11 @@ impl Prober {
 
     /// Materializes the probe packet for one hitlist index and its
     /// target: an ICMP Echo Request from `source` carrying the round ident
-    /// and the index-tagged payload.
-    pub fn build_probe(&self, index: u64, target: Ipv4Addr, source: Ipv4Addr) -> Ipv4Packet {
-        let icmp = IcmpMessage::echo_request(
+    /// and the index-tagged payload: the reference the batch encoder is
+    /// tested against.
+    #[cfg(test)]
+    pub(crate) fn build_probe(&self, index: u64, target: Ipv4Addr, source: Ipv4Addr) -> Ipv4Packet {
+        let icmp = vp_packet::IcmpMessage::echo_request(
             self.config.ident,
             vp_net::conv::sat_u16(index & 0xffff),
             Self::encode_payload(index),
@@ -150,7 +153,7 @@ impl Prober {
     /// per pair (the equivalence suite pins this), but with the hot-loop
     /// cost profile:
     /// the whole batch's ICMP images live in **one shared buffer**
-    /// ([`vp_packet::icmp::encode_batch_with_replies`]), each packet
+    /// ([`vp_packet::encode_batch_with_replies`]), each packet
     /// payload a zero-copy view of it, and one checksum sum per probe
     /// serving its request and its reply. Steady-state heap allocations
     /// per probe: zero (the batch buffers and the reservations amortize
@@ -162,7 +165,7 @@ impl Prober {
     /// serialize. Handing the image to the engine with the probe lets
     /// responders answer without allocating per reply — the last
     /// per-probe allocation the witness test retired.
-    pub fn build_probes_with_replies(
+    pub(crate) fn build_probes_with_replies(
         &self,
         probes: &[(u64, Ipv4Addr)],
         source: Ipv4Addr,
@@ -173,7 +176,7 @@ impl Prober {
         out.reserve(probes.len());
         reply_images.clear();
         reply_images.reserve(probes.len());
-        vp_packet::icmp::encode_batch_with_replies(
+        vp_packet::encode_batch_with_replies(
             self.config.ident,
             PAYLOAD_LEN,
             probes,

@@ -8,11 +8,11 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::Serialize;
 use vp_net::{Asn, Block24};
 use vp_topology::Internet;
 
-use crate::catchment::{CatchmentMap, Joined};
+use crate::catchment::CatchmentMap;
+use vp_net::Joined;
 
 /// Blocks that ever changed site across the rounds — the "unstable VPs"
 /// §6.2 removes before the AS-division analysis.
@@ -37,7 +37,7 @@ pub fn unstable_blocks(rounds: &[CatchmentMap]) -> BTreeSet<Block24> {
 }
 
 /// One row of Table 7: an AS and its share of all site flips.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FlipRow {
     pub asn: Asn,
     /// Distinct /24s of this AS that flipped at least once.
@@ -49,7 +49,7 @@ pub struct FlipRow {
 }
 
 /// Per-AS flip accounting across rounds (Table 7).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FlipTable {
     /// Rows sorted by flips, descending.
     pub rows: Vec<FlipRow>,

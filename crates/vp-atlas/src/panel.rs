@@ -3,13 +3,12 @@
 use rand::distributions::{Distribution, WeightedIndex};
 use rand::{Rng, SeedableRng};
 use rand_pcg::Pcg64;
-use serde::Serialize;
 use vp_geo::CountryId;
 use vp_net::{Block24, Ipv4Addr};
 use vp_topology::Internet;
 
 /// Panel construction parameters.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AtlasConfig {
     /// Total VPs to place (the paper considers 9807).
     pub num_vps: usize,
@@ -40,7 +39,7 @@ impl AtlasConfig {
 }
 
 /// One vantage point: a physical probe in some block.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AtlasVp {
     pub id: u32,
     pub block: Block24,
@@ -53,7 +52,7 @@ pub struct AtlasVp {
 }
 
 /// A placed panel of vantage points.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AtlasPanel {
     vps: Vec<AtlasVp>,
 }
@@ -137,14 +136,6 @@ impl AtlasPanel {
         &self.vps
     }
 
-    /// Number of distinct blocks hosting at least one VP.
-    pub fn distinct_blocks(&self) -> usize {
-        let mut blocks: Vec<Block24> = self.vps.iter().map(|v| v.block).collect();
-        blocks.sort();
-        blocks.dedup();
-        blocks.len()
-    }
-
     /// Number of available VPs.
     pub fn available(&self) -> usize {
         self.vps.iter().filter(|v| v.available).count()
@@ -169,7 +160,6 @@ mod tests {
         assert_eq!(p.len(), 300);
         let avail = p.available();
         assert!(avail > 250 && avail < 300, "availability {avail}");
-        assert!(p.distinct_blocks() <= p.len());
     }
 
     #[test]

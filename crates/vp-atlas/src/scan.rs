@@ -2,7 +2,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::Serialize;
 use vp_bgp::{Announcement, SiteId};
 use vp_net::{Block24, SimDuration, SimTime};
 use vp_packet::{DnsMessage, Ipv4Packet, Protocol, UdpDatagram};
@@ -12,7 +11,7 @@ use vp_topology::Internet;
 use crate::panel::AtlasPanel;
 
 /// One VP's measurement outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VpOutcome {
     pub vp: u32,
     pub block: Block24,
@@ -22,7 +21,7 @@ pub struct VpOutcome {
 }
 
 /// The decoded result of one Atlas scan.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AtlasResult {
     /// Dataset tag, e.g. "SBA-5-15".
     pub name: String,
@@ -43,19 +42,6 @@ impl AtlasResult {
     /// Distinct blocks with at least one VP considered.
     pub fn blocks_considered(&self) -> usize {
         let mut v: Vec<Block24> = self.outcomes.iter().map(|o| o.block).collect();
-        v.sort();
-        v.dedup();
-        v.len()
-    }
-
-    /// Distinct blocks with at least one responding VP.
-    pub fn blocks_responding(&self) -> usize {
-        let mut v: Vec<Block24> = self
-            .outcomes
-            .iter()
-            .filter(|o| o.site.is_some())
-            .map(|o| o.block)
-            .collect();
         v.sort();
         v.dedup();
         v.len()
@@ -296,7 +282,15 @@ mod tests {
             1,
         );
         let map = result.block_catchments();
-        assert_eq!(map.len(), result.blocks_responding());
+        let mut responding: Vec<Block24> = result
+            .outcomes
+            .iter()
+            .filter(|o| o.site.is_some())
+            .map(|o| o.block)
+            .collect();
+        responding.sort();
+        responding.dedup();
+        assert_eq!(map.len(), responding.len());
     }
 
     #[test]

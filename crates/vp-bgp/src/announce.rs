@@ -22,7 +22,7 @@ impl std::fmt::Display for SiteId {
 }
 
 /// One anycast site: where the service announces from.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Site {
     pub id: SiteId,
     /// Paper-style tag ("LAX", "MIA", "CDG", ...).
@@ -38,7 +38,7 @@ pub struct Site {
 }
 
 /// An anycast deployment: one prefix, many origins.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Announcement {
     /// The service prefix (a /24, as anycast operators announce).
     pub prefix: Prefix,
@@ -123,16 +123,6 @@ impl Announcement {
         site.enabled = enabled;
         self
     }
-
-    /// A copy with all prepends cleared (the "equal" configuration of
-    /// Figs. 5 and 6).
-    pub fn without_prepending(&self) -> Announcement {
-        let mut a = self.clone();
-        for s in &mut a.sites {
-            s.prepend = 0;
-        }
-        a
-    }
 }
 
 #[cfg(test)]
@@ -173,10 +163,10 @@ mod tests {
         assert_eq!(a.site_by_name("MIA").unwrap().prepend, 3);
         assert!(!a.site_by_name("HND").unwrap().enabled);
         assert_eq!(a.active_sites().count(), a.sites.len() - 1);
-        let cleared = a.without_prepending();
-        assert_eq!(cleared.site_by_name("MIA").unwrap().prepend, 0);
+        a.set_prepend("MIA", 0);
+        assert_eq!(a.site_by_name("MIA").unwrap().prepend, 0);
         // enablement survives clearing prepends
-        assert!(!cleared.site_by_name("HND").unwrap().enabled);
+        assert!(!a.site_by_name("HND").unwrap().enabled);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use std::collections::BTreeMap;
 
 use vp_net::{mix, unit, Asn, IdVec};
-use vp_topology::graph::AsGraph;
+use vp_topology::AsGraph;
 use vp_topology::PopId;
 
 use crate::announce::SiteId;

@@ -3,17 +3,16 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use serde::Serialize;
 use vp_geo::distance_km;
 use vp_net::{mix, unit, Asn, IdVec};
-use vp_topology::graph::AsGraph;
+use vp_topology::AsGraph;
 use vp_topology::PopId;
 
 use crate::announce::{Announcement, SiteId};
 use crate::policy;
 
 /// Where the selected route was learned (the local-pref ladder).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouteLevel {
     /// This AS hosts a site itself.
     Origin,
@@ -23,7 +22,7 @@ pub enum RouteLevel {
 }
 
 /// One equally-preferred (or near-equal) route available at an AS.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Candidate {
     /// The neighbor offering the route (self for origins).
     pub neighbor: Asn,
@@ -34,7 +33,7 @@ pub struct Candidate {
 }
 
 /// The route state of one AS for the anycast prefix.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AsRoute {
     pub level: RouteLevel,
     /// Effective AS-path length (prepending included).

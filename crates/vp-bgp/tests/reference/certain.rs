@@ -13,7 +13,7 @@ use std::collections::BTreeSet;
 
 use vp_bgp::{policy, Announcement, RouteLevel, SiteId};
 use vp_net::{Asn, IdVec};
-use vp_topology::graph::AsGraph;
+use vp_topology::AsGraph;
 use vp_topology::PopId;
 
 /// One AS's round state: its best route's (level, length), if any, and
@@ -47,14 +47,14 @@ fn offer(n: &State, level: RouteLevel) -> Option<u32> {
 }
 
 /// The sites each AS may advertise and use, at the fixed point.
-pub struct CertainSets {
+pub(crate) struct CertainSets {
     labels: IdVec<Asn, Option<(RouteLevel, u32)>>,
     /// Per AS: the sites its PoPs may route to (empty when unrouted).
     local: IdVec<Asn, BTreeSet<SiteId>>,
 }
 
 impl CertainSets {
-    pub fn compute(
+    pub(crate) fn compute(
         graph: &AsGraph,
         ann: &Announcement,
         policy_seed: u64,
@@ -126,17 +126,17 @@ impl CertainSets {
     }
 
     /// The (level, length) of `asn`'s best route, if it has one.
-    pub fn label(&self, asn: Asn) -> Option<(RouteLevel, u32)> {
+    pub(crate) fn label(&self, asn: Asn) -> Option<(RouteLevel, u32)> {
         self.labels[asn]
     }
 
     /// The sites traffic from `pop` may reach: its AS's local set.
-    pub fn sites_of_pop(&self, graph: &AsGraph, pop: PopId) -> &BTreeSet<SiteId> {
+    pub(crate) fn sites_of_pop(&self, graph: &AsGraph, pop: PopId) -> &BTreeSet<SiteId> {
         &self.local[graph.pops[pop].asn]
     }
 
     /// The PoPs certain to route to `site`.
-    pub fn certain_pops(&self, graph: &AsGraph, site: SiteId) -> BTreeSet<PopId> {
+    pub(crate) fn certain_pops(&self, graph: &AsGraph, site: SiteId) -> BTreeSet<PopId> {
         graph
             .pops
             .ids()

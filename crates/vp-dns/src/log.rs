@@ -1,12 +1,11 @@
 //! Query-log generation.
 
-use serde::Serialize;
 use vp_geo::Continent;
 use vp_net::{mix, unit, Block24};
 use vp_topology::{BlockInfo, Internet};
 
 /// Parameters of the load model.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LoadModel {
     /// Seed for all deterministic noise.
     pub seed: u64,
@@ -98,7 +97,7 @@ impl<'w> QueryLog<'w> {
         home_country_code: &str,
     ) -> QueryLog<'w> {
         let (home, home_info) =
-            vp_geo::world::country_by_code(home_country_code).expect("known country code");
+            vp_geo::country_by_code(home_country_code).expect("known country code");
         let home_continent = home_info.continent;
         let daily = world
             .blocks
@@ -224,13 +223,6 @@ impl<'w> QueryLog<'w> {
         1.0 - self.model.rrl_drop_frac
     }
 
-    /// Daily good replies across the whole log.
-    pub fn total_good_replies(&self) -> f64 {
-        self.per_block()
-            .map(|(b, d)| d * self.good_reply_frac(b.block))
-            .sum()
-    }
-
     /// Daily replies of any kind across the whole log.
     pub fn total_replies(&self) -> f64 {
         self.per_block()
@@ -269,7 +261,7 @@ mod tests {
             "participation {frac:.3}"
         );
         assert!(log.total_daily() > 0.0);
-        assert!(log.total_daily() < w.total_daily_queries());
+        assert!(log.total_daily() < w.blocks.iter().map(|b| b.daily_queries).sum::<f64>());
         assert!(log.queries_per_sec() > 0.0);
         assert_eq!(log.name, "LB-TEST");
     }
@@ -314,7 +306,7 @@ mod tests {
         let global = QueryLog::ditl(&w, model, "LB-TEST");
         // Home-country share must be much larger in the regional log.
         let share = |log: &QueryLog, code: &str| {
-            let (cid, _) = vp_geo::world::country_by_code(code).unwrap();
+            let (cid, _) = vp_geo::country_by_code(code).unwrap();
             let mut home = 0.0;
             let mut total = 0.0;
             for (b, d) in log.per_block() {
@@ -365,7 +357,10 @@ mod tests {
         let w = world();
         let log = QueryLog::ditl(&w, LoadModel::default(), "x");
         let q = log.total_daily();
-        let good = log.total_good_replies();
+        let good: f64 = log
+            .per_block()
+            .map(|(b, d)| d * log.good_reply_frac(b.block))
+            .sum();
         let all = log.total_replies();
         assert!(
             good < all && all < q,

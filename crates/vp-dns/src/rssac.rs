@@ -8,14 +8,13 @@
 
 use std::collections::BTreeMap;
 
-use serde::Serialize;
 use vp_net::Block24;
 
 use crate::log::QueryLog;
 
 /// One day of RSSAC-002-style traffic metrics for one site (or the whole
 /// service when unaggregated).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DailyMetrics {
     /// Queries received (the "traffic-volume" metric).
     pub queries: f64,
@@ -28,7 +27,7 @@ pub struct DailyMetrics {
 }
 
 /// A per-site daily report.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Rssac002Report<K: Ord> {
     pub per_site: BTreeMap<K, DailyMetrics>,
 }

@@ -11,8 +11,8 @@ use vp_hitlist::{Hitlist, HitlistConfig};
 use vp_net::{FeistelPermutation, LcgPermutation, ProbeOrder, SimDuration, SimTime};
 use vp_sim::{FaultConfig, Scenario, StaticOracle};
 use vp_topology::TopologyConfig;
-use verfploeter::load::load_fraction_to;
-use verfploeter::predict::actual_load_fraction;
+use verfploeter::load_fraction_to;
+use verfploeter::actual_load_fraction;
 use verfploeter::scan::{run_scan, ScanConfig};
 use verfploeter::ProbeConfig;
 

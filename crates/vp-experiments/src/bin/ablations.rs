@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release -p vp-experiments --bin ablations`
 
-use vp_experiments::ablations::{
+use vp_experiments::{
     hot_potato_splits, load_weighting, probe_order_burstiness, retry_coverage, BURST_WINDOW,
 };
 

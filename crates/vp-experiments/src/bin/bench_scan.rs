@@ -55,7 +55,7 @@ use vp_experiments::bench_scenario_scaled;
 use vp_hitlist::{Hitlist, HitlistConfig};
 use vp_net::SimTime;
 use vp_obs::{Clock, FlightDoc, Histogram, WallChannel};
-use vp_sim::exec::ShardExecutor;
+use vp_sim::ShardExecutor;
 use vp_sim::{CatchmentOracle, FaultConfig, Scenario, StaticOracle};
 use verfploeter::scan::{run_scan_sharded_on, ScanConfig, ScanResult};
 

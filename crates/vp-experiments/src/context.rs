@@ -13,7 +13,7 @@ use vp_net::{SimDuration, SimTime};
 use vp_obs::TraceLevel;
 use vp_sim::{FaultConfig, FlippingOracle, Scenario, StaticOracle};
 use vp_topology::TopologyConfig;
-use verfploeter::catchment::CatchmentMap;
+use verfploeter::CatchmentMap;
 use verfploeter::scan::{run_scan, ScanConfig, ScanResult};
 use verfploeter::ProbeConfig;
 

@@ -30,7 +30,7 @@ pub fn run(lab: &Lab) -> String {
     // The China contrast the paper highlights in §5.1.
     let world = &scenario.world;
     #[expect(clippy::expect_used, reason = "CN is in the static country table.")]
-    let (cn, _) = vp_geo::world::country_by_code("CN").expect("CN in table");
+    let (cn, _) = vp_geo::country_by_code("CN").expect("CN in table");
     let atlas_cn = atlas
         .outcomes
         .iter()
@@ -76,8 +76,8 @@ pub fn run(lab: &Lab) -> String {
     };
     out.push_str(&format!(
         "Europe share of observations: Atlas {} vs Verfploeter {}.\n",
-        verfploeter::report::pct(continent_share(true)),
-        verfploeter::report::pct(continent_share(false)),
+        verfploeter::pct(continent_share(true)),
+        verfploeter::pct(continent_share(false)),
     ));
     out
 }

@@ -9,8 +9,8 @@
 use std::collections::BTreeMap;
 
 use crate::context::Lab;
-use verfploeter::load::{load_bins, load_split};
-use verfploeter::report::{pct, si, TextTable};
+use verfploeter::{load_bins, load_split};
+use verfploeter::{pct, si, TextTable};
 
 pub fn run(lab: &Lab) -> String {
     let scenario = lab.broot();
@@ -42,7 +42,7 @@ pub fn run(lab: &Lab) -> String {
     out.push_str(&format!(
         "geographic bins with load: {} (vs {} bins with responding blocks — load is more concentrated)\n",
         bins.bin_count(),
-        verfploeter::coverage::catchment_bins(&vp.catchments, &scenario.world.geodb).bin_count(),
+        verfploeter::catchment_bins(&vp.catchments, &scenario.world.geodb).bin_count(),
     ));
 
     // -- 4b: the .nl-style regional service, per pseudo-nameserver --

@@ -6,10 +6,10 @@
 //! agree on the trend while differing in exact values.
 
 use crate::context::Lab;
-use verfploeter::report::{pct, TextTable};
+use verfploeter::{pct, TextTable};
 
 /// The announcement variants of the sweep, in paper order.
-pub fn sweep_configs() -> Vec<(&'static str, u8, u8)> {
+pub(crate) fn sweep_configs() -> Vec<(&'static str, u8, u8)> {
     // (label, LAX prepend, MIA prepend)
     vec![
         ("+1 LAX", 1, 0),

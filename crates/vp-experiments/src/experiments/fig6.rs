@@ -8,8 +8,8 @@
 
 use crate::context::Lab;
 use crate::experiments::fig5::sweep_configs;
-use verfploeter::predict::hourly_prediction;
-use verfploeter::report::TextTable;
+use verfploeter::hourly_prediction;
+use verfploeter::TextTable;
 
 #[expect(clippy::expect_used, reason = "the B-Root scenario always defines the LAX and MIA sites.")]
 pub fn run(lab: &Lab) -> String {

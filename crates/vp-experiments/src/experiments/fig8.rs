@@ -7,9 +7,9 @@
 //! multiple VPs).
 
 use crate::context::Lab;
-use verfploeter::divisions::fig8_rows;
-use verfploeter::report::{pct, TextTable};
-use verfploeter::stability::unstable_blocks;
+use verfploeter::fig8_rows;
+use verfploeter::{pct, TextTable};
+use verfploeter::unstable_blocks;
 
 pub fn run(lab: &Lab) -> String {
     let scenario = lab.tangled();

@@ -6,7 +6,7 @@
 //! fraction (~0.1%) flips site.
 
 use crate::context::Lab;
-use verfploeter::report::{count, pct, TextTable};
+use verfploeter::{count, pct, TextTable};
 use vp_monitor::diff::{diff_series, RoundDiff};
 
 pub fn run(lab: &Lab) -> String {

@@ -7,9 +7,9 @@ use vp_bgp::{Announcement, SiteId};
 use vp_geo::BinnedMap;
 use vp_net::Block24;
 use vp_sim::Scenario;
-use verfploeter::catchment::CatchmentMap;
-use verfploeter::coverage::{catchment_bins, weighted_bins};
-use verfploeter::report::TextTable;
+use verfploeter::CatchmentMap;
+use verfploeter::{catchment_bins, weighted_bins};
+use verfploeter::TextTable;
 
 fn site_name(ann: &Announcement, site: SiteId) -> String {
     ann.sites[site.index()].name.clone()
@@ -17,7 +17,7 @@ fn site_name(ann: &Announcement, site: SiteId) -> String {
 
 /// Renders one measurement's binned map as a textual summary plus a JSON
 /// value with every bin.
-pub fn render_binned(
+pub(super) fn render_binned(
     title: &str,
     bins: &BinnedMap<SiteId>,
     ann: &Announcement,
@@ -31,7 +31,7 @@ pub fn render_binned(
         t.row([
             site_name(ann, *site),
             format!("{:.0}", w),
-            verfploeter::report::pct(w / total.max(1e-12)),
+            verfploeter::pct(w / total.max(1e-12)),
         ]);
     }
     out.push_str(&t.render());
@@ -79,7 +79,7 @@ pub fn render_binned(
 }
 
 /// Builds the Atlas-side bins: VPs per block weighted by VP count.
-pub fn atlas_bins(scenario: &Scenario, atlas: &AtlasResult) -> BinnedMap<SiteId> {
+pub(super) fn atlas_bins(scenario: &Scenario, atlas: &AtlasResult) -> BinnedMap<SiteId> {
     let mut per_block: BTreeMap<(Block24, SiteId), f64> = BTreeMap::new();
     for o in &atlas.outcomes {
         if let Some(site) = o.site {
@@ -93,7 +93,7 @@ pub fn atlas_bins(scenario: &Scenario, atlas: &AtlasResult) -> BinnedMap<SiteId>
 }
 
 /// Renders the Atlas-vs-Verfploeter map pair for one service.
-pub fn render_pair(
+pub(super) fn render_pair(
     lab: &crate::context::Lab,
     scenario: &Scenario,
     atlas: &AtlasResult,

@@ -1,9 +1,12 @@
 //! One module per paper table/figure. Every module exposes
 //! `pub fn run(lab: &Lab) -> String` returning the rendered report
 //! (`run_all` prints the selected ones in paper order).
+//!
+//! Public by path: `run_all` and the smoke and golden tests call each
+//! experiment as `experiments::fig2::run` and the like.
 
 pub mod fig2;
-pub mod maps;
+mod maps;
 pub mod fig3;
 pub mod fig4;
 pub mod fig5;

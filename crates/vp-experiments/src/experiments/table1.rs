@@ -7,7 +7,7 @@
 //! STV-3-23's row reflects the configured round count.
 
 use crate::context::Lab;
-use verfploeter::report::TextTable;
+use verfploeter::TextTable;
 
 pub fn run(lab: &Lab) -> String {
     let broot_targets = lab.broot_hitlist().len();

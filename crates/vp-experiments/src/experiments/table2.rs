@@ -1,8 +1,8 @@
 //! Table 2: the load datasets (IPv4 UDP queries/day and q/s, per site).
 
 use crate::context::Lab;
-use verfploeter::predict::actual_load_fraction;
-use verfploeter::report::{si, TextTable};
+use verfploeter::actual_load_fraction;
+use verfploeter::{si, TextTable};
 
 pub fn run(lab: &Lab) -> String {
     let broot = lab.broot();

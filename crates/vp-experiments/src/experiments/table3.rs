@@ -1,7 +1,7 @@
 //! Table 3: the anycast sites of both deployments.
 
 use crate::context::Lab;
-use verfploeter::report::TextTable;
+use verfploeter::TextTable;
 
 pub fn run(lab: &Lab) -> String {
     let mut t = TextTable::new(["Service", "Site", "Location", "Upstream"]);

@@ -5,8 +5,8 @@
 //! 87.1% of blocks, 82.4% of queries mapped; 12.9% / 17.6% not mappable).
 
 use crate::context::Lab;
-use verfploeter::load::mappability;
-use verfploeter::report::{count, pct, si, TextTable};
+use verfploeter::mappability;
+use verfploeter::{count, pct, si, TextTable};
 
 pub fn run(lab: &Lab) -> String {
     let scenario = lab.broot();

@@ -9,9 +9,9 @@
 //! * predicting with month-old catchments is visibly worse (76.2%).
 
 use crate::context::Lab;
-use verfploeter::load::load_fraction_to;
-use verfploeter::predict::actual_load_fraction;
-use verfploeter::report::{count, pct, TextTable};
+use verfploeter::load_fraction_to;
+use verfploeter::actual_load_fraction;
+use verfploeter::{count, pct, TextTable};
 
 pub fn run(lab: &Lab) -> String {
     let scenario = lab.broot();

@@ -16,12 +16,13 @@
 // Library code never unwraps (DESIGN.md §8).
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
-pub mod ablations;
-pub mod context;
-pub mod daemon;
+mod ablations;
+mod context;
+mod daemon;
 pub mod experiments;
 pub mod monitor;
-pub mod obs;
+mod obs;
 
+pub use ablations::{hot_potato_splits, load_weighting, probe_order_burstiness, retry_coverage, BURST_WINDOW};
 pub use context::{bench_scenario_scaled, Lab, Scale};
 pub use daemon::{Daemon, DaemonArgs, DaemonConfig};

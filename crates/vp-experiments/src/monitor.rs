@@ -1,5 +1,7 @@
 //! Snapshot emission for the vp-monitor replay pipeline.
 //!
+//! Public by path: the benchmark harness imports `vp_experiments::monitor::write_round_snapshots`.
+//!
 //! `fig9_stability --snapshots <dir>` writes each stability round's
 //! [`CatchmentMap`] as `r<NNN>.json` plus a `vp-monitor-origins/v1`
 //! sidecar mapping every block that ever responded to its origin AS,
@@ -14,7 +16,7 @@
 use std::collections::BTreeSet;
 use std::path::Path;
 
-use verfploeter::catchment::CatchmentMap;
+use verfploeter::CatchmentMap;
 use vp_monitor::diff::Origins;
 use vp_monitor::ingest::{origins_to_json, write_atomic};
 use vp_net::Block24;

@@ -29,7 +29,7 @@ const REPORT_EVENT_CAP: usize = 512;
 
 /// One fresh scan executed while the current experiment was running.
 #[derive(Debug, Clone)]
-pub struct ScanRecord {
+pub(crate) struct ScanRecord {
     /// Dataset name, e.g. `"SBV-5-15"` or `"STV-3-23/r17"`.
     pub name: String,
     /// Shard count the scan ran with (1 = serial path).
@@ -48,7 +48,7 @@ pub struct ScanRecord {
 
 /// Observations accumulated across one experiment's fresh work.
 #[derive(Debug, Default)]
-pub struct ObsState {
+pub(crate) struct ObsState {
     /// Merged metric registries of every fresh scan plus BGP counters.
     pub registry: Registry,
     /// Merged event logs (bounded event slices + eviction counts).
@@ -62,7 +62,7 @@ pub struct ObsState {
 
 impl ObsState {
     /// Folds one fresh scan's observability block into the state.
-    pub fn record_scan(&mut self, record: ScanRecord, obs: &ScanObs) {
+    pub(crate) fn record_scan(&mut self, record: ScanRecord, obs: &ScanObs) {
         self.registry.merge(&obs.registry);
         self.events.merge(&obs.events);
         self.wall_flight.merge(&obs.wall_flight);
@@ -70,11 +70,12 @@ impl ObsState {
     }
 
     /// Folds one BGP route-propagation's work counters into the state.
-    pub fn record_route(&mut self, obs: &vp_bgp::RouteObs) {
+    pub(crate) fn record_route(&mut self, obs: &vp_bgp::RouteObs) {
         obs.record(&mut self.registry);
     }
 
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.scans.is_empty() && self.registry.is_empty() && self.events.is_empty()
     }
 }
@@ -112,7 +113,7 @@ fn scan_value(rec: &ScanRecord) -> Value {
 /// three sim-time instants among them), the registry's `metrics`, the
 /// first `REPORT_EVENT_CAP` `events` (`events_truncated` says whether
 /// there were more) and the rings' `dropped_events`.
-pub fn build_report(experiment: &str, mode: TraceLevel, state: &ObsState) -> Value {
+pub(crate) fn build_report(experiment: &str, mode: TraceLevel, state: &ObsState) -> Value {
     // The registry already knows its canonical JSON form; round-trip it
     // through the parser instead of re-encoding metric-by-metric.
     #[expect(

@@ -3,7 +3,7 @@
 //! same numbers). The Feistel-vs-LCG comparison is not a claim here: on
 //! this world the LCG's worst burst is the lower one (EXPERIMENTS.md).
 
-use vp_experiments::ablations::{
+use vp_experiments::{
     hot_potato_splits, load_weighting, probe_order_burstiness, retry_coverage,
 };
 

@@ -7,13 +7,12 @@
 
 use std::collections::BTreeMap;
 
-use serde::Serialize;
 
 /// A two-degree by two-degree geographic bin.
 ///
 /// `lat_bin = floor(lat / 2)`, `lon_bin = floor(lon / 2)`; valid latitudes
 /// give `-45..=44`, longitudes `-90..=89`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GeoBin {
     pub lat_bin: i16,
     pub lon_bin: i16,

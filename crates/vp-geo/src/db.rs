@@ -1,12 +1,11 @@
 //! The MaxMind stand-in: a `/24 → location` database.
 
-use serde::Serialize;
 use vp_net::Block24;
 
 use crate::world::CountryId;
 
 /// A geolocated position for a block.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeoLoc {
     pub country: CountryId,
     pub lat: f64,

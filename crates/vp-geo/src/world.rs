@@ -15,11 +15,10 @@
 //!   in hotspots; India's NAT-heavy deployment is the extreme case).
 
 use rand::Rng;
-use serde::Serialize;
 
 /// Continent grouping used in reports. `Ord` follows declaration order so
 /// continents can key ordered maps in report code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Continent {
     Europe,
     NorthAmerica,
@@ -44,8 +43,7 @@ impl Continent {
 }
 
 /// Index into [`countries`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CountryId(pub u16);
 
 impl CountryId {
@@ -64,7 +62,7 @@ impl CountryId {
 }
 
 /// A country in the synthetic world.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Country {
     /// ISO-ish two letter code.
     pub code: &'static str,

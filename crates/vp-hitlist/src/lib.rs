@@ -55,7 +55,7 @@ pub struct HitlistEntry {
 }
 
 /// Configuration of hitlist construction.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct HitlistConfig {
     /// Probability the listed target is a stale/wrong address that will not
     /// answer even when the block is responsive.
@@ -75,7 +75,7 @@ impl Default for HitlistConfig {
 
 /// The hitlist entry for one block — a pure function of the block, its
 /// representative octet, and the config seed.
-pub fn entry_for(block: Block24, rep_octet: u8, cfg: &HitlistConfig) -> HitlistEntry {
+fn entry_for(block: Block24, rep_octet: u8, cfg: &HitlistConfig) -> HitlistEntry {
     let h = mix(cfg.seed, block.0 as u64);
     let target = if unit(h) < cfg.wrong_addr_prob {
         // Deterministically pick a different final octet.
@@ -149,15 +149,6 @@ impl Hitlist {
     /// All entries in block order, keyed by their rows.
     pub fn entries(&self) -> &IdVec<HitlistRow, HitlistEntry> {
         &self.entries
-    }
-
-    /// Looks up the entry for a block (binary search).
-    pub fn for_block(&self, block: Block24) -> Option<HitlistEntry> {
-        let entries = self.entries.as_slice();
-        entries
-            .binary_search_by_key(&block, |e| e.block)
-            .ok()
-            .and_then(|i| entries.get(i).copied())
     }
 
     /// Partitions the hitlist into `shards` disjoint contiguous index
@@ -308,15 +299,6 @@ mod tests {
         for e in hl.entries().iter() {
             assert_eq!(e.target, w.block(e.block).unwrap().representative());
         }
-    }
-
-    #[test]
-    fn for_block_lookup() {
-        let w = world();
-        let hl = Hitlist::from_internet(&w, &HitlistConfig::default());
-        let some = hl.entries().as_slice()[hl.len() / 2];
-        assert_eq!(hl.for_block(some.block), Some(some));
-        assert_eq!(hl.for_block(Block24(0)), None);
     }
 
     #[test]

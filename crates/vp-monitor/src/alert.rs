@@ -1,5 +1,7 @@
 //! Deterministic threshold + hysteresis alerting over round diffs.
 //!
+//! Public by path: the benchmark harness imports `vp_monitor::alert::AlertConfig`.
+//!
 //! Four rules, all integer permille comparisons:
 //!
 //! * `flip-rate` — per-round site-flip rate above threshold. The paper's
@@ -172,7 +174,7 @@ impl Hysteresis {
 /// `watch` mode feeds it incrementally and prints the transition messages
 /// [`Evaluator::observe`] returns.
 #[derive(Debug, Clone)]
-pub struct Evaluator {
+pub(crate) struct Evaluator {
     config: AlertConfig,
     flip: Hysteresis,
     skew: Hysteresis,
@@ -185,7 +187,7 @@ pub struct Evaluator {
 }
 
 impl Evaluator {
-    pub fn new(config: AlertConfig) -> Evaluator {
+    pub(crate) fn new(config: AlertConfig) -> Evaluator {
         Evaluator {
             config,
             flip: Hysteresis::default(),
@@ -198,7 +200,7 @@ impl Evaluator {
         }
     }
 
-    pub fn config(&self) -> &AlertConfig {
+    pub(crate) fn config(&self) -> &AlertConfig {
         &self.config
     }
 
@@ -213,7 +215,7 @@ impl Evaluator {
     /// Advances the evaluator by one round. `duration_ns` is the round's
     /// sim-time scan span (from the obs report), if known. Returns
     /// human-readable fired/cleared transitions for live display.
-    pub fn observe(&mut self, d: &RoundDiff, duration_ns: Option<u64>) -> Vec<String> {
+    pub(crate) fn observe(&mut self, d: &RoundDiff, duration_ns: Option<u64>) -> Vec<String> {
         let mut transitions = Vec::new();
         let c = self.config.clone();
 
@@ -285,7 +287,7 @@ impl Evaluator {
     /// publishes this after every round; calling it never perturbs the
     /// hysteresis state, so a snapshot taken after the final round is the
     /// final alert set.
-    pub fn snapshot(&self) -> Vec<Alert> {
+    pub(crate) fn snapshot(&self) -> Vec<Alert> {
         let mut all: Vec<Alert> = self.done.iter().cloned().collect();
         let c = &self.config;
         self.flip.finish("flip-rate", c.flip_rate_permille, &mut all);
@@ -304,7 +306,7 @@ impl Evaluator {
 /// derived forms of `config` and of each entry of `alerts` (an active
 /// alert's `cleared_round` is `null`). Keys are `BTreeMap`-sorted, so equal
 /// inputs serialize byte-identically.
-pub fn build_alert_doc(
+pub(crate) fn build_alert_doc(
     source: &str,
     rounds: u64,
     config: &AlertConfig,

@@ -1,5 +1,7 @@
 //! The drift diff engine: what changed between consecutive catchment maps.
 //!
+//! Public by path: the benchmark harness imports `vp_monitor::diff::Origins`.
+//!
 //! Holds the paper's §6.3 round classification (stable / flipped /
 //! to-NR / from-NR — the Fig. 9 taxonomy, which `fig9_stability`
 //! reports from here) and extends it with the
@@ -14,7 +16,8 @@ use std::collections::BTreeMap;
 
 use serde::Serialize;
 use vp_net::{Asn, BlockColumn};
-use verfploeter::catchment::{CatchmentMap, Joined};
+use verfploeter::CatchmentMap;
+use vp_net::Joined;
 
 /// Block → origin AS, from the `origins.json` sidecar the fig9 snapshot
 /// writer emits. Without it, per-AS flip attribution is empty.

@@ -1,6 +1,8 @@
 //! Loading monitoring inputs: catchment-round directories, the optional
 //! block→origin-AS sidecar, and `vp-obs-report/v2` documents.
 //!
+//! Public by path: the benchmark harness imports the round and sidecar loaders from here.
+//!
 //! The canonical source is a snapshot directory written by
 //! `fig9_stability --snapshots <dir>`:
 //!
@@ -23,7 +25,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use serde_json::Value;
-use verfploeter::catchment::{read_block_object, write_block_object, CatchmentMap};
+use verfploeter::{read_block_object, write_block_object, CatchmentMap};
 use vp_net::Asn;
 
 use crate::diff::Origins;
@@ -262,7 +264,7 @@ impl ObsReportDoc {
 }
 
 /// Parses a `vp-obs-report/v2` document from its JSON text.
-pub fn parse_obs_report(text: &str, what: &str) -> Result<ObsReportDoc, String> {
+pub(crate) fn parse_obs_report(text: &str, what: &str) -> Result<ObsReportDoc, String> {
     let doc: Value =
         serde_json::from_str(text).map_err(|e| format!("{what}: invalid JSON: {e}"))?;
     match doc.get("schema").and_then(Value::as_str) {

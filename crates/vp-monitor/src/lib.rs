@@ -31,7 +31,7 @@
 //!    pipeline byte-for-byte; it backs `vp-monitor watch --follow` and
 //!    the `vp-daemon` status/scrape surfaces (`vp-daemon-status/v2` plus
 //!    Prometheus text), with rolling signal windows in O(window) memory.
-//! 5. **Flight-recorder profiler** ([`profile`]) — parses
+//! 5. **Flight-recorder profiler** (`profile`) — parses
 //!    `vp-obs-flight/v2` documents from the scan engine's flight recorder
 //!    and renders the attribution report (`vp-monitor profile`): per-phase
 //!    self/total times, per-shard compute imbalance in permille, and a
@@ -50,12 +50,12 @@
 pub mod alert;
 pub mod diff;
 pub mod ingest;
-pub mod pipeline;
-pub mod profile;
+mod pipeline;
+mod profile;
 pub mod schema;
 pub mod stream;
 
-pub use alert::{Alert, AlertConfig, Evaluator};
+pub use alert::{Alert, AlertConfig};
 pub use diff::{diff_rounds, diff_series, DriftSummary, Origins, RoundDiff};
 pub use ingest::{load_obs_report, load_round_listed, load_rounds_dir, ObsReportDoc, ScanSummary};
 pub use pipeline::{run_diff_pipeline, DiffOutput};

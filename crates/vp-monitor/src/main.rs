@@ -42,8 +42,8 @@ use vp_monitor::diff::Origins;
 use vp_monitor::ingest::{
     load_obs_report, load_origins, load_origins_sidecar, load_round_listed, load_rounds_dir, write_atomic, RoundTail,
 };
-use vp_monitor::pipeline::run_diff_pipeline;
-use vp_monitor::profile::{parse_flight_doc, render_report};
+use vp_monitor::run_diff_pipeline;
+use vp_monitor::{parse_flight_doc, render_report};
 use vp_monitor::schema::validate_tagged;
 use vp_monitor::stream::DriftTracker;
 

@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 
 use serde_json::{json, Value};
-use verfploeter::catchment::CatchmentMap;
+use verfploeter::CatchmentMap;
 
 use crate::alert::{Alert, AlertConfig};
 use crate::diff::{DriftSummary, Origins, RoundDiff};
@@ -38,7 +38,7 @@ pub struct DiffOutput {
 /// summary in its derived `Serialize` form. A [`DriftTracker`] passes its
 /// newest [`TAIL`](crate::stream::TAIL) diffs, so `rounds` lists at most
 /// that many while `summary` covers every transition ingested.
-pub fn build_drift_doc<'a>(
+pub(crate) fn build_drift_doc<'a>(
     source: &str,
     diffs: impl IntoIterator<Item = &'a RoundDiff>,
     summary: &DriftSummary,

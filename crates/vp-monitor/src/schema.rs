@@ -1,5 +1,7 @@
 //! Schema snapshots and the mini JSON-schema validator.
 //!
+//! Public by path: the benchmark harness imports `vp_monitor::schema::validate_tagged`.
+//!
 //! The monitor validates every tagged document family — obs reports,
 //! flight and daemon status documents plus its own drift and alert
 //! documents. The checked-in `schema/*.schema.json` snapshots are
@@ -16,16 +18,16 @@ use serde_json::Value;
 /// reports).
 pub const OBS_REPORT_SCHEMA: &str = include_str!("../schema/obs_report.schema.json");
 /// Schema snapshot for `vp-monitor-drift/v1`.
-pub const DRIFT_SCHEMA: &str = include_str!("../schema/drift.schema.json");
+pub(crate) const DRIFT_SCHEMA: &str = include_str!("../schema/drift.schema.json");
 /// Schema snapshot for `vp-monitor-alert/v1`.
-pub const ALERT_SCHEMA: &str = include_str!("../schema/alert.schema.json");
+pub(crate) const ALERT_SCHEMA: &str = include_str!("../schema/alert.schema.json");
 /// Schema snapshot for `vp-obs-flight/v2` flight-recorder documents.
-pub const FLIGHT_SCHEMA: &str = include_str!("../schema/flight.schema.json");
+pub(crate) const FLIGHT_SCHEMA: &str = include_str!("../schema/flight.schema.json");
 /// Schema snapshot for `vp-daemon-status/v2` daemon status documents.
-pub const DAEMON_STATUS_SCHEMA: &str = include_str!("../schema/daemon_status.schema.json");
+pub(crate) const DAEMON_STATUS_SCHEMA: &str = include_str!("../schema/daemon_status.schema.json");
 
 /// Picks the embedded schema for a document by its `schema` tag.
-pub fn schema_for(tag: &str) -> Option<&'static str> {
+pub(crate) fn schema_for(tag: &str) -> Option<&'static str> {
     match tag {
         "vp-obs-report/v2" => Some(OBS_REPORT_SCHEMA),
         "vp-monitor-drift/v1" => Some(DRIFT_SCHEMA),
@@ -162,7 +164,7 @@ mod tests {
     use crate::alert::{build_alert_doc, AlertConfig};
     use crate::diff::{diff_rounds, DriftSummary, Origins};
     use crate::pipeline::build_drift_doc;
-    use verfploeter::catchment::CatchmentMap;
+    use verfploeter::CatchmentMap;
     use vp_bgp::SiteId;
     use vp_net::{Asn, Block24};
 

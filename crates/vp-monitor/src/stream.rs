@@ -1,5 +1,7 @@
 //! The streaming half of the monitor: fold rounds one at a time.
 //!
+//! Public by path: the benchmark harness imports `vp_monitor::stream::DriftTracker`.
+//!
 //! A daemon watching a live scan loop never has the whole round sequence
 //! in hand. [`DriftTracker`] ingests one catchment map at a time and
 //! maintains the monitor's outputs incrementally — the newest [`TAIL`]
@@ -31,7 +33,7 @@ use std::ops::Deref;
 
 use serde::Serialize;
 use serde_json::{json, Value};
-use verfploeter::catchment::CatchmentMap;
+use verfploeter::CatchmentMap;
 use vp_obs::{Registry, RollingWindow};
 
 use crate::alert::{build_alert_doc, Alert, AlertConfig, Evaluator};
@@ -320,7 +322,7 @@ pub fn build_status_doc(
 
 /// The four alert rules, in the order the scrape publishes their
 /// active/inactive gauges.
-pub const ALERT_RULES: [&str; 4] = ["coverage-drop", "flip-rate", "load-skew", "scan-duration"];
+pub(crate) const ALERT_RULES: [&str; 4] = ["coverage-drop", "flip-rate", "load-skew", "scan-duration"];
 
 /// Renders the daemon's Prometheus scrape: the scan engine's cumulative
 /// registry (counters/histograms summed over every round so far) plus

@@ -5,7 +5,7 @@
 //! export must be well-formed JSON.
 
 use serde_json::Value;
-use vp_monitor::profile::{parse_flight_doc, profile_channel, render_report};
+use vp_monitor::{parse_flight_doc, profile_channel, render_report};
 use vp_monitor::schema::validate_tagged;
 
 const GOLDEN: &str = include_str!(concat!(

@@ -21,7 +21,7 @@ use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
-use verfploeter::catchment::CatchmentMap;
+use verfploeter::CatchmentMap;
 use vp_bgp::SiteId;
 use vp_monitor::diff::Origins;
 use vp_monitor::ingest::{

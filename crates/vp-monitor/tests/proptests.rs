@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use vp_monitor::alert::AlertConfig;
 use vp_monitor::diff::{diff_rounds, DriftSummary, Origins, RoundDiff};
 use vp_monitor::stream::{DriftTracker, TAIL};
-use verfploeter::catchment::CatchmentMap;
+use verfploeter::CatchmentMap;
 use vp_bgp::SiteId;
 use vp_net::{Asn, Block24};
 

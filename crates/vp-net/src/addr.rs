@@ -36,11 +36,6 @@ impl Ipv4Addr {
     pub const fn block(self) -> Block24 {
         Block24(self.0 >> 8)
     }
-
-    /// The host part within its `/24` (the final octet).
-    pub const fn host_in_block(self) -> u8 {
-        (self.0 & 0xff) as u8
-    }
 }
 
 impl fmt::Display for Ipv4Addr {
@@ -141,7 +136,7 @@ impl fmt::Debug for Block24 {
 }
 
 /// An IPv4 CIDR prefix with canonical (zeroed) host bits.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Prefix {
     addr: Ipv4Addr,
     len: u8,
@@ -178,11 +173,6 @@ impl Prefix {
     /// The prefix length in bits.
     pub const fn prefix_len(self) -> u8 {
         self.len
-    }
-
-    /// True only for the zero-length default route.
-    pub const fn is_default(self) -> bool {
-        self.len == 0
     }
 
     /// True if `ip` falls inside this prefix.
@@ -297,7 +287,7 @@ mod tests {
         assert_eq!(b.network(), Ipv4Addr::new(198, 51, 100, 0));
         assert!(b.contains(a));
         assert!(!b.contains(Ipv4Addr::new(198, 51, 101, 77)));
-        assert_eq!(a.host_in_block(), 77);
+        assert_eq!(b.addr(77), a);
     }
 
     #[test]
@@ -326,7 +316,6 @@ mod tests {
         assert!(!p.contains(Ipv4Addr::new(11, 0, 0, 0)));
         let all: Prefix = "0.0.0.0/0".parse().unwrap();
         assert!(all.contains(Ipv4Addr(u32::MAX)));
-        assert!(all.is_default());
     }
 
     #[test]

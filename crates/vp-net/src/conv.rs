@@ -1,5 +1,7 @@
 //! Checked numeric conversions.
 //!
+//! Public by path: call sites name each conversion as `vp_net::conv::sat_u32` and the like.
+//!
 //! The workspace policy (clippy's cast lints, stated at each hot crate's
 //! root) is that hot-path crates never narrow with a bare `as` cast: a
 //! truncating cast silently changes a value, and a silently changed value

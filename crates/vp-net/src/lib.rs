@@ -3,26 +3,26 @@
 //! This crate is deliberately dependency-light: it defines the vocabulary
 //! types the rest of the workspace speaks in.
 //!
-//! * [`addr`] — IPv4 addresses, `/24` blocks ([`Block24`]) and CIDR prefixes
+//! * `addr` — IPv4 addresses, `/24` blocks ([`Block24`]) and CIDR prefixes
 //!   ([`Prefix`]). Verfploeter probes one representative address per `/24`
 //!   (the smallest prefix routable in BGP), so the `/24` block is the unit of
 //!   observation throughout the system.
-//! * [`asn`] — Autonomous System numbers ([`Asn`]).
-//! * [`bitset`] — a packed bitset over dense ids ([`BitSet`]), the boolean
+//! * `asn` — Autonomous System numbers ([`Asn`]).
+//! * `bitset` — a packed bitset over dense ids ([`BitSet`]), the boolean
 //!   column type of the columnar scan core.
-//! * [`mod@column`] — the sorted block column with a parallel value column
+//! * `column` — the sorted block column with a parallel value column
 //!   ([`BlockColumn`]) and its merge-join ([`Joined`]): the one table
 //!   behind the catchment map, the RTT table and the monitor's origins.
-//! * [`idvec`] — dense tables keyed by typed ids ([`IdVec`], [`Id`]): the
+//! * `idvec` — dense tables keyed by typed ids ([`IdVec`], [`Id`]): the
 //!   per-AS, per-PoP and hitlist-row tables, whose one indexing panic
 //!   names the id.
-//! * [`hash`] — the one keyed hash ([`mix`], [`fn@unit`]) behind every
+//! * `hash` — the one keyed hash ([`mix`], [`fn@unit`]) behind every
 //!   deterministic stochastic draw in the workspace.
-//! * [`perm`] — pseudorandom probe-order permutations (Feistel cycle-walking
+//! * `perm` — pseudorandom probe-order permutations (Feistel cycle-walking
 //!   and a full-period LCG for the ablation bench). The paper sends probes in
 //!   pseudorandom order "to spread traffic, limiting traffic to any given
 //!   network" (§3.1); these types make that order deterministic and testable.
-//! * [`time`] — the simulated-time scale ([`SimTime`], [`SimDuration`]) used
+//! * `time` — the simulated-time scale ([`SimTime`], [`SimDuration`]) used
 //!   by the discrete-event simulator and everything driven by it.
 
 #![forbid(unsafe_code)]
@@ -35,16 +35,16 @@
 )]
 #![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
-pub mod addr;
-pub mod asn;
-pub mod bitset;
-pub mod column;
+mod addr;
+mod asn;
+mod bitset;
+mod column;
 pub mod conv;
-pub mod error;
-pub mod hash;
-pub mod idvec;
-pub mod perm;
-pub mod time;
+mod error;
+mod hash;
+mod idvec;
+mod perm;
+mod time;
 
 pub use addr::{Block24, Ipv4Addr, Prefix};
 pub use asn::Asn;

@@ -8,11 +8,8 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::Serialize;
-
 /// A duration on the simulated clock, in nanoseconds.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Default, Debug)]
-#[serde(transparent)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Debug)]
 pub struct SimDuration(pub u64);
 
 impl SimDuration {
@@ -39,9 +36,6 @@ impl SimDuration {
 
     pub const fn as_nanos(self) -> u64 {
         self.0
-    }
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
     }
     pub const fn as_millis(self) -> u64 {
         self.0 / 1_000_000
@@ -93,8 +87,7 @@ impl fmt::Display for SimDuration {
 }
 
 /// An instant on the simulated clock (nanoseconds since simulation start).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Default, Debug)]
-#[serde(transparent)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Debug)]
 pub struct SimTime(pub u64);
 
 impl SimTime {
@@ -113,12 +106,6 @@ impl SimTime {
     /// Time elapsed since `earlier`, zero if `earlier` is in the future.
     pub const fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// The hour-of-day bin for this instant (0..24), used by the load model's
-    /// diurnal pattern and the hourly report bins of Fig. 6.
-    pub const fn hour_of_day(self) -> u32 {
-        ((self.0 / 1_000_000_000 / 3600) % 24) as u32
     }
 }
 
@@ -155,7 +142,6 @@ mod tests {
     #[test]
     fn conversions() {
         assert_eq!(SimDuration::from_secs(2).as_millis(), 2000);
-        assert_eq!(SimDuration::from_millis(5).as_micros(), 5000);
         assert_eq!(SimDuration::from_mins(3).as_secs(), 180);
         assert_eq!(SimDuration::from_hours(2).as_secs(), 7200);
     }
@@ -175,15 +161,6 @@ mod tests {
         // saturating: earlier.since(later) == 0
         assert_eq!(SimTime::ZERO.since(t), SimDuration::ZERO);
         assert_eq!(t - SimTime(5_000_000_000), SimDuration::from_secs(5));
-    }
-
-    #[test]
-    fn hour_of_day_wraps() {
-        let t = SimTime::ZERO + SimDuration::from_hours(26);
-        assert_eq!(t.hour_of_day(), 2);
-        assert_eq!(SimTime::ZERO.hour_of_day(), 0);
-        let t2 = SimTime::ZERO + SimDuration::from_hours(23) + SimDuration::from_mins(59);
-        assert_eq!(t2.hour_of_day(), 23);
     }
 
     #[test]

@@ -11,7 +11,7 @@ pub fn internet_checksum(data: &[u8]) -> u16 {
 ///
 /// Slices other than the last must have even length (true for all uses here:
 /// pseudo-headers and fixed headers are even-sized).
-pub fn internet_checksum_parts(parts: &[&[u8]]) -> u16 {
+pub(crate) fn internet_checksum_parts(parts: &[&[u8]]) -> u16 {
     let mut total: u32 = 0;
     for (i, part) in parts.iter().enumerate() {
         debug_assert!(
@@ -25,7 +25,7 @@ pub fn internet_checksum_parts(parts: &[&[u8]]) -> u16 {
 
 /// Verifies data that includes its checksum field: the folded sum over the
 /// whole buffer must be 0xffff (i.e. complement zero).
-pub fn verify(data: &[u8]) -> bool {
+pub(crate) fn verify(data: &[u8]) -> bool {
     fold(sum_words(data)) == 0xffff
 }
 
@@ -37,13 +37,13 @@ pub fn verify(data: &[u8]) -> bool {
 ///
 /// Slices fed to a shared running sum must be even-length (same rule as
 /// [`internet_checksum_parts`]).
-pub fn partial_sum(data: &[u8]) -> u32 {
+pub(crate) fn partial_sum(data: &[u8]) -> u32 {
     sum_words(data)
 }
 
 /// Folds and complements a running sum built from [`partial_sum`] (plus
 /// any manually added big-endian words) into the final checksum.
-pub fn finish(sum: u32) -> u16 {
+pub(crate) fn finish(sum: u32) -> u16 {
     !fold(sum)
 }
 

@@ -21,13 +21,13 @@ const MAX_LABEL_LEN: usize = 63;
 const MAX_POINTER_HOPS: usize = 32;
 
 /// The TXT record/query type.
-pub const TYPE_TXT: u16 = 16;
+pub(crate) const TYPE_TXT: u16 = 16;
 /// The EDNS0 OPT pseudo-record type.
-pub const TYPE_OPT: u16 = 41;
+pub(crate) const TYPE_OPT: u16 = 41;
 /// The CHAOS class, which `hostname.bind` queries use.
-pub const CLASS_CHAOS: u16 = 3;
+pub(crate) const CLASS_CHAOS: u16 = 3;
 /// EDNS0 NSID option code (RFC 5001).
-pub const EDNS_OPT_NSID: u16 = 3;
+pub(crate) const EDNS_OPT_NSID: u16 = 3;
 
 /// Big-endian reads that fail, never panic, past the end of `data`.
 fn be16(data: &[u8], at: usize) -> Option<u16> {

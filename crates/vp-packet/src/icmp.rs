@@ -179,7 +179,7 @@ fn checked_header(wire: &[u8]) -> Result<[u8; MIN_LEN], PacketError> {
 /// [`IcmpMessage::emit`] (the equivalence tests pin both) — by
 /// construction: a request is the header template plus what `fill` wrote,
 /// its checksum one RFC 1071 sum over those words
-/// ([`checksum::partial_sum`] / [`checksum::finish`]); its reply is the
+/// (`checksum::partial_sum` / `checksum::finish`); its reply is the
 /// same words with a zero type, so the reply's sum is the request's minus
 /// the type word. Two buffer allocations per batch instead of one (plus a
 /// copy) per message; simulated responders then answer probes by handing

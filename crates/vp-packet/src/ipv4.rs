@@ -7,10 +7,10 @@ use crate::checksum;
 use crate::error::PacketError;
 
 /// IPv4 header length used by this implementation (no options).
-pub const HEADER_LEN: usize = 20;
+pub(crate) const HEADER_LEN: usize = 20;
 
 /// Default TTL for emitted packets (matches common OS defaults).
-pub const DEFAULT_TTL: u8 = 64;
+pub(crate) const DEFAULT_TTL: u8 = 64;
 
 /// The transport protocols the simulator carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -20,15 +20,16 @@
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::indexing_slicing)]
 #![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
-pub mod checksum;
-pub mod dns;
-pub mod error;
-pub mod icmp;
-pub mod ipv4;
-pub mod udp;
+mod checksum;
+mod dns;
+mod error;
+mod icmp;
+mod ipv4;
+mod udp;
 
+pub use checksum::internet_checksum;
 pub use dns::{DnsFlags, DnsMessage, DnsName, DnsQuestion, DnsRecord};
 pub use error::PacketError;
-pub use icmp::IcmpMessage;
+pub use icmp::{encode_batch_with_replies, IcmpMessage};
 pub use ipv4::{Ipv4Packet, Protocol};
 pub use udp::UdpDatagram;

@@ -5,9 +5,17 @@ use bytes::Bytes;
 use proptest::prelude::*;
 use vp_net::Ipv4Addr;
 use vp_packet::{
-    dns, ipv4, DnsFlags, DnsMessage, DnsName, DnsQuestion, DnsRecord, IcmpMessage, Ipv4Packet,
+    DnsFlags, DnsMessage, DnsName, DnsQuestion, DnsRecord, IcmpMessage, Ipv4Packet,
     PacketError, Protocol, UdpDatagram,
 };
+
+/// Wire constants, from RFC 791 (the IPv4 header without options), RFC
+/// 1035 (TXT, class CHAOS), RFC 6891 (OPT) and RFC 5001 (NSID).
+const IPV4_HEADER_LEN: usize = 20;
+const TYPE_TXT: u16 = 16;
+const TYPE_OPT: u16 = 41;
+const CLASS_CHAOS: u16 = 3;
+const EDNS_OPT_NSID: u16 = 3;
 
 fn arb_payload(max: usize) -> impl Strategy<Value = Bytes> {
     prop::collection::vec(any::<u8>(), 0..max).prop_map(Bytes::from)
@@ -58,8 +66,8 @@ proptest! {
         let wire = Ipv4Packet { ident, ..Ipv4Packet::new(Ipv4Addr(src), Ipv4Addr(dst), Protocol::Icmp, payload) }.emit();
         for n in 0..wire.len() {
             match Ipv4Packet::parse(&wire[..n]) {
-                Err(PacketError::Truncated { needed: ipv4::HEADER_LEN, got }) => prop_assert!(got == n && n < ipv4::HEADER_LEN),
-                Err(PacketError::BadTotalLen { .. }) => prop_assert!(n >= ipv4::HEADER_LEN),
+                Err(PacketError::Truncated { needed: IPV4_HEADER_LEN, got }) => prop_assert!(got == n && n < IPV4_HEADER_LEN),
+                Err(PacketError::BadTotalLen { .. }) => prop_assert!(n >= IPV4_HEADER_LEN),
                 other => prop_assert!(false, "{n}-byte prefix parsed as {other:?}"),
             }
         }
@@ -110,7 +118,7 @@ proptest! {
         let mut soup = bytes;
         if let (true, Some(field)) = (fix_checksum, soup.get_mut(2..4)) {
             field.copy_from_slice(&[0, 0]);
-            let ck = vp_packet::checksum::internet_checksum(&soup);
+            let ck = vp_packet::internet_checksum(&soup);
             soup[2..4].copy_from_slice(&ck.to_be_bytes());
         }
         let request = IcmpMessage::echo_request(ident, seq, payload.clone());
@@ -201,7 +209,7 @@ proptest! {
     ) {
         // TXT and OPT are parsed structurally; any other type number
         // must come back as the opaque record it went in as.
-        let rtype = if [dns::TYPE_TXT, dns::TYPE_OPT].contains(&rtype) { 1 } else { rtype };
+        let rtype = if [TYPE_TXT, TYPE_OPT].contains(&rtype) { 1 } else { rtype };
         let msg = DnsMessage {
             id,
             flags: DnsFlags {
@@ -211,13 +219,13 @@ proptest! {
             },
             questions: vec![DnsQuestion {
                 name: qname.clone(),
-                qtype: dns::TYPE_TXT,
-                qclass: dns::CLASS_CHAOS,
+                qtype: TYPE_TXT,
+                qclass: CLASS_CHAOS,
             }],
             answers: vec![
                 DnsRecord::Txt {
                     name: qname.clone(),
-                    class: dns::CLASS_CHAOS,
+                    class: CLASS_CHAOS,
                     ttl,
                     strings: vec![txt],
                 },
@@ -225,7 +233,7 @@ proptest! {
             ],
             additionals: vec![DnsRecord::Opt {
                 udp_payload_size: 4096,
-                options: vec![(dns::EDNS_OPT_NSID, nsid.into())],
+                options: vec![(EDNS_OPT_NSID, nsid.into())],
             }],
         };
         prop_assert_eq!(DnsMessage::parse(&msg.emit()).unwrap(), msg);

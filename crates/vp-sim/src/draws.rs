@@ -1,5 +1,7 @@
 //! The keyed draws: how every stochastic outcome of a run is derived.
 //!
+//! Public by path: the test-only reference simulator shares these draws with the engine.
+//!
 //! Every fault decision hashes `(round seed ^ tag, key)`, where the key is
 //! a pure function of the packet and its instant, so outcomes never depend
 //! on the order events are processed in — identical whether one engine or

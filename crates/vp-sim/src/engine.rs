@@ -221,7 +221,7 @@ impl Service<'_> {
 }
 
 /// What the engine reads of a block — its
-/// [`vp_topology::blocks::BlockInfo`] row and its row of the position
+/// [`vp_topology::BlockInfo`] row and its row of the position
 /// column — copied out by value, so a packet's path through `transmit`
 /// touches the world once, where its addresses are resolved, and never
 /// again.
@@ -237,7 +237,7 @@ struct Row {
 }
 
 impl Row {
-    /// [`vp_topology::blocks::BlockInfo::representative`].
+    /// [`vp_topology::BlockInfo::representative`].
     fn representative(&self) -> Ipv4Addr {
         self.block.addr(self.rep_octet)
     }
@@ -991,7 +991,7 @@ mod tests {
     use bytes::Bytes;
     use vp_bgp::BgpSim;
     use vp_net::SimDuration;
-    use vp_topology::blocks::BlockInfo;
+    use vp_topology::BlockInfo;
     use vp_topology::{broot_specs, pick_host_ases, Internet, TopologyConfig};
 
     fn world() -> Internet {

@@ -111,7 +111,7 @@ impl ShardExecutor {
     /// Runs `job(k)` for every shard `k in 0..shards` and returns the
     /// results in shard-id order, plus per-shard executor timings read
     /// from `clock`. With `clock: None` the timing vector is empty; with
-    /// a clock, one [`ShardTiming`] per shard comes back in shard-id
+    /// a clock, one `ShardTiming` per shard comes back in shard-id
     /// order. The clock is read outside the result path, so attaching one
     /// cannot perturb the §7 bit-equivalence contract.
     ///
@@ -130,7 +130,7 @@ impl ShardExecutor {
     /// ```compile_fail,E0277
     /// use std::cell::RefCell;
     /// use std::rc::Rc;
-    /// use vp_sim::exec::ShardExecutor;
+    /// use vp_sim::ShardExecutor;
     ///
     /// let tally = Rc::new(RefCell::new(0u64));
     /// ShardExecutor::new(4).run_sharded_timed(8, |k| *tally.borrow_mut() += k as u64, None);
@@ -140,7 +140,7 @@ impl ShardExecutor {
     /// compiles and is deterministic:
     ///
     /// ```
-    /// use vp_sim::exec::ShardExecutor;
+    /// use vp_sim::ShardExecutor;
     ///
     /// let (per_shard, _) = ShardExecutor::new(4).run_sharded_timed(8, |k| k as u64, None);
     /// assert_eq!(per_shard.iter().sum::<u64>(), 28);

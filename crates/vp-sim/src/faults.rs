@@ -1,6 +1,5 @@
 //! Fault-injection configuration.
 
-use serde::Serialize;
 use vp_net::SimDuration;
 
 /// Knobs for the measurement artifacts the simulator injects.
@@ -10,7 +9,7 @@ use vp_net::SimDuration;
 /// IP-address than the original target"), occasional late replies (the
 /// pipeline discards replies >15 min after measurement start), and rare
 /// unsolicited packets hitting the collector.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FaultConfig {
     /// Probability a transmission is silently dropped.
     pub loss: f64,

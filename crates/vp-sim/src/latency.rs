@@ -1,6 +1,5 @@
 //! Propagation-delay model.
 
-use serde::Serialize;
 use vp_geo::{distance_km, MAX_DISTANCE_KM};
 use vp_net::SimDuration;
 
@@ -10,7 +9,7 @@ use vp_net::SimDuration;
 /// One-way delay = `base + distance / (0.66 c) + jitter`, the usual
 /// fiber-path approximation (~200 km per ms), with jitter up to
 /// `jitter_frac` of the distance term keyed by a per-packet hash.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LatencyModel {
     /// Fixed per-hop processing/serialization floor.
     pub base: SimDuration,

@@ -16,19 +16,19 @@
 //! to-NR/from-NR series of Fig. 9).
 //!
 //! Module map:
-//! * [`faults`] — fault-injection configuration (smoltcp-style knobs).
-//! * [`latency`] — distance-based propagation delay.
+//! * `faults` — fault-injection configuration (smoltcp-style knobs).
+//! * `latency` — distance-based propagation delay.
 //! * [`draws`] — the keyed draws (domain tags, packet and event keys)
 //!   every stochastic outcome derives from: the public spec of a run.
-//! * [`oracle`] — catchment oracles: converged ([`StaticOracle`]) or with
+//! * `oracle` — catchment oracles: converged ([`StaticOracle`]) or with
 //!   per-round flips ([`FlippingOracle`]).
-//! * [`engine`] — the run loop (every arrival resolved at transmission),
+//! * `engine` — the run loop (every arrival resolved at transmission),
 //!   host behaviours.
-//! * [`sink`] — the [`CaptureSink`] a run hands its arrivals to, and
+//! * `sink` — the [`CaptureSink`] a run hands its arrivals to, and
 //!   [`Earliest`], the least-`(at, key)`-per-slot reduction over them.
-//! * [`exec`] — the blessed OS-thread shard executor; the one module
+//! * `exec` — the blessed OS-thread shard executor; the one module
 //!   allowed to spawn threads (DESIGN.md §14).
-//! * [`scenario`] — assembled worlds: the two-site B-Root deployment and
+//! * `scenario` — assembled worlds: the two-site B-Root deployment and
 //!   the nine-site Tangled testbed of Table 3.
 
 #![deny(unused_must_use)]
@@ -40,13 +40,13 @@
 #![warn(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_possible_wrap)]
 
 pub mod draws;
-pub mod engine;
-pub mod exec;
-pub mod faults;
-pub mod latency;
-pub mod oracle;
-pub mod scenario;
-pub mod sink;
+mod engine;
+mod exec;
+mod faults;
+mod latency;
+mod oracle;
+mod scenario;
+mod sink;
 
 pub use engine::{EngineObs, NetworkSim, SimStats, TimedProbe};
 pub use exec::ShardExecutor;

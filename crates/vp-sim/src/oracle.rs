@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use vp_bgp::{FlipModel, RoutingTable, SiteId};
 use vp_net::{SimDuration, SimTime};
-use vp_topology::graph::AsGraph;
+use vp_topology::AsGraph;
 use vp_topology::PopId;
 
 /// Resolves which anycast site traffic reaches, as the two facts a

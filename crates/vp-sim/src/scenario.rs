@@ -117,7 +117,9 @@ mod tests {
                 .count()
         };
         let with_prepend = count_hnd(&s.routing());
-        let without = count_hnd(&s.routing_for(&s.announcement.without_prepending()));
+        let mut flat = s.announcement.clone();
+        flat.set_prepend("HND", 0);
+        let without = count_hnd(&s.routing_for(&flat));
         assert!(
             with_prepend <= without,
             "prepending grew HND: {with_prepend} > {without}"

@@ -19,7 +19,7 @@ use vp_sim::draws::{
     TAG_JITTER, TAG_LATE, TAG_LOSS, TAG_UNSOLICITED, TAG_UNSOLICITED_PICK,
 };
 use vp_sim::{CatchmentOracle, FaultConfig, LatencyModel, Scenario};
-use vp_topology::blocks::BlockInfo;
+use vp_topology::BlockInfo;
 use vp_topology::Internet;
 
 /// Latitude and longitude.
@@ -71,7 +71,7 @@ impl PartialOrd for Entry {
 
 /// The counters a run keeps, field for field those of `SimStats`.
 #[derive(Debug, Default)]
-pub struct Counters {
+pub(crate) struct Counters {
     pub injected: u64,
     pub delivered_to_hosts: u64,
     pub delivered_to_sites: u64,
@@ -86,7 +86,7 @@ pub struct Counters {
 
 /// Everything a run shows an observer, each list sorted.
 #[derive(Debug, Default)]
-pub struct Seen {
+pub(crate) struct Seen {
     /// Site captures: arrival instant, transmission key, site, packet.
     pub captures: Vec<(SimTime, u64, SiteId, Ipv4Packet)>,
     /// Packets handed to a host's application.
@@ -99,7 +99,7 @@ pub struct Seen {
     pub undeliverable: Vec<(u64, Ipv4Addr)>,
 }
 
-pub struct Reference<'a> {
+pub(crate) struct Reference<'a> {
     world: &'a Internet,
     ann: &'a Announcement,
     oracle: &'a dyn CatchmentOracle,
@@ -116,7 +116,7 @@ pub struct Reference<'a> {
 impl<'a> Reference<'a> {
     /// A simulator of `s`'s world and service, whose catchments `oracle`
     /// answers; `seed` keys the draws, `serve_dns` makes sites answer.
-    pub fn new(
+    pub(crate) fn new(
         s: &'a Scenario,
         oracle: &'a dyn CatchmentOracle,
         faults: FaultConfig,
@@ -140,7 +140,7 @@ impl<'a> Reference<'a> {
 
     /// Sends every `(at, packet)` of `source` and steps until nothing is
     /// left to happen.
-    pub fn run(mut self, source: impl IntoIterator<Item = (SimTime, Ipv4Packet)>) -> Seen {
+    pub(crate) fn run(mut self, source: impl IntoIterator<Item = (SimTime, Ipv4Packet)>) -> Seen {
         for (at, packet) in source {
             self.seen.counters.injected += 1;
             self.schedule(at, Event::Send { packet, copy: 0, probe: true });

@@ -2,7 +2,6 @@
 
 use rand::Rng;
 use rand_pcg::Pcg64;
-use serde::Serialize;
 use vp_geo::{GeoDb, GeoLoc};
 use vp_net::{Asn, Block24};
 
@@ -11,7 +10,7 @@ use crate::graph::{AsGraph, PopId};
 use crate::prefixes::PrefixInfo;
 
 /// Attributes of one populated `/24` block.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct BlockInfo {
     pub block: Block24,
     pub origin: Asn,
@@ -51,7 +50,7 @@ impl BlockInfo {
     clippy::indexing_slicing,
     reason = "every prefix origin is an AS of `graph`, and the PoP draw is below its node's PoP count"
 )]
-pub fn generate_blocks(
+pub(crate) fn generate_blocks(
     graph: &AsGraph,
     prefixes: &[PrefixInfo],
     cfg: &TopologyConfig,

@@ -1,6 +1,5 @@
 //! Generator configuration.
 
-use serde::Serialize;
 
 /// Parameters of the synthetic Internet.
 ///
@@ -8,7 +7,7 @@ use serde::Serialize;
 /// seconds; [`TopologyConfig::tiny`] is for unit tests and
 /// [`TopologyConfig::paper_scale`] pushes block counts toward the paper's
 /// scale (minutes of runtime, used by the headline experiment runs).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TopologyConfig {
     /// Master seed; every derived structure is deterministic in it.
     pub seed: u64,

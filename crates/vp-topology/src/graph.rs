@@ -4,14 +4,13 @@ use std::collections::BTreeMap;
 
 use rand::distributions::{Distribution, WeightedIndex};
 use rand::Rng;
-use serde::Serialize;
 use vp_geo::{countries, distance_km, Continent, CountryId};
 use vp_net::{Asn, Id, IdVec};
 
 use crate::config::TopologyConfig;
 
 /// Position of an AS in the routing hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AsTier {
     /// Fully meshed, provider-free backbone.
     Tier1,
@@ -22,8 +21,7 @@ pub enum AsTier {
 }
 
 /// Index of a point of presence in [`AsGraph::pops`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PopId(pub u32);
 
 impl Id for PopId {
@@ -37,7 +35,7 @@ impl Id for PopId {
 }
 
 /// A point of presence: where an AS physically is.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Pop {
     pub id: PopId,
     pub asn: Asn,
@@ -47,7 +45,7 @@ pub struct Pop {
 }
 
 /// One autonomous system.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AsNode {
     pub asn: Asn,
     pub tier: AsTier,
@@ -132,7 +130,7 @@ impl AsGraph {
             (0..cfg.num_tier1)
                 .map(|i| {
                     let code = backbone[i % backbone.len()];
-                    vp_geo::world::country_by_code(code).expect("backbone country").0
+                    vp_geo::country_by_code(code).expect("backbone country").0
                 })
                 .collect()
         };

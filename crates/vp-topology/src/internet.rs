@@ -91,11 +91,6 @@ impl Internet {
     pub fn responsive_blocks(&self) -> impl Iterator<Item = &BlockInfo> {
         self.blocks.iter().filter(|b| b.responsive)
     }
-
-    /// Total daily queries across all blocks (the DITL-day volume).
-    pub fn total_daily_queries(&self) -> f64 {
-        self.blocks.iter().map(|b| b.daily_queries).sum()
-    }
 }
 
 #[cfg(test)]
@@ -185,7 +180,7 @@ mod tests {
     #[test]
     fn total_daily_queries_positive() {
         let w = world();
-        assert!(w.total_daily_queries() > 0.0);
+        assert!(w.blocks.iter().map(|b| b.daily_queries).sum::<f64>() > 0.0);
     }
 
     #[test]

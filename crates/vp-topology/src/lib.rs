@@ -6,7 +6,7 @@
 //! * an **AS graph** with Gao–Rexford relationships (providers, customers,
 //!   peers) in three tiers — a fully meshed tier-1 clique, regional transit
 //!   ASes, and stub ASes — each AS placed in a country drawn from the
-//!   internet-user weights of [`vp_geo::world`];
+//!   internet-user weights of `vp_geo::world`;
 //! * **points of presence** (PoPs): large ASes are present in many places,
 //!   each inter-AS adjacency is anchored at a concrete PoP pair, and blocks
 //!   are homed on PoPs — the raw material for hot-potato routing and the
@@ -28,16 +28,16 @@
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::indexing_slicing)]
 #![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
-pub mod blocks;
-pub mod config;
-pub mod graph;
-pub mod internet;
-pub mod prefixes;
-pub mod sites;
+mod blocks;
+mod config;
+mod graph;
+mod internet;
+mod prefixes;
+mod sites;
 
 pub use blocks::BlockInfo;
 pub use config::TopologyConfig;
-pub use graph::{AsNode, AsTier, Pop, PopId};
+pub use graph::{AsGraph, AsNode, AsTier, Pop, PopId};
 pub use internet::Internet;
 pub use prefixes::PrefixInfo;
 pub use prefixes::ANYCAST_REGION;

@@ -10,7 +10,6 @@
 
 use rand::distributions::{Distribution, WeightedIndex};
 use rand::Rng;
-use serde::Serialize;
 use vp_net::{Asn, Block24, Ipv4Addr, Prefix};
 
 use crate::config::TopologyConfig;
@@ -20,7 +19,7 @@ use crate::graph::{AsGraph, AsTier};
 pub const ANYCAST_REGION: Ipv4Addr = Ipv4Addr::new(240, 0, 0, 0);
 
 /// An announced prefix and its origin AS.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PrefixInfo {
     pub prefix: Prefix,
     pub origin: Asn,
@@ -59,7 +58,7 @@ const LENGTH_WEIGHTS: &[(u8, f64)] = &[
     clippy::indexing_slicing,
     reason = "LENGTH_WEIGHTS is a static table of positive weights and every length drawn from the static tables is <= 24, and each table draw is below its table's length"
 )]
-pub fn allocate_prefixes<R: Rng>(
+pub(crate) fn allocate_prefixes<R: Rng>(
     graph: &AsGraph,
     cfg: &TopologyConfig,
     rng: &mut R,
@@ -125,7 +124,7 @@ pub fn allocate_prefixes<R: Rng>(
 ///
 /// Large prefixes are only sparsely populated (as in the real Internet);
 /// density is sampled per prefix and capped by the config.
-pub fn populate_blocks<R: Rng>(
+pub(crate) fn populate_blocks<R: Rng>(
     info: &PrefixInfo,
     cfg: &TopologyConfig,
     rng: &mut R,

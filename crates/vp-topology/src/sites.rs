@@ -6,8 +6,7 @@
 //! B-Root world (LAX + MIA) and the nine-site Tangled world can be laid
 //! out on any generated topology.
 
-use serde::Serialize;
-use vp_geo::world::country_by_code;
+use vp_geo::country_by_code;
 use vp_net::Asn;
 
 use crate::graph::{AsTier, PopId};
@@ -15,7 +14,7 @@ use crate::internet::Internet;
 
 /// A placed anycast site: a name (paper-style IATA tag), the hosting AS and
 /// the concrete PoP where the service announces.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SitePlacement {
     pub name: String,
     pub host_asn: Asn,

@@ -10,12 +10,12 @@
 //! Run with: `cargo run --release --example ddos_traffic_engineering`
 
 use verfploeter_suite::dns::{LoadModel, QueryLog};
-use verfploeter_suite::geo::world::country_by_code;
+use verfploeter_suite::geo::country_by_code;
 use verfploeter_suite::hitlist::{Hitlist, HitlistConfig};
 use verfploeter_suite::net::SimTime;
 use verfploeter_suite::sim::{FaultConfig, Scenario, StaticOracle};
 use verfploeter_suite::topology::TopologyConfig;
-use verfploeter_suite::vp::report::pct;
+use verfploeter_suite::vp::pct;
 use verfploeter_suite::vp::scan::{run_scan, ScanConfig};
 
 fn main() {
@@ -98,7 +98,7 @@ fn main() {
             / mapped_attack.len().max(1) as f64;
         // Legit load at LAX (load-weighted).
         let legit_at_lax =
-            verfploeter_suite::vp::load::load_fraction_to(&scan.catchments, &legit, lax);
+            verfploeter_suite::vp::load_fraction_to(&scan.catchments, &legit, lax);
         println!(
             "{label:<10} {:>14} {:>14} {:>16}",
             pct(attack_at_mia),

@@ -16,9 +16,9 @@ use verfploeter_suite::hitlist::{Hitlist, HitlistConfig};
 use verfploeter_suite::net::SimTime;
 use verfploeter_suite::sim::{FaultConfig, Scenario, StaticOracle};
 use verfploeter_suite::topology::TopologyConfig;
-use verfploeter_suite::vp::load::{load_fraction_to, mappability};
-use verfploeter_suite::vp::predict::actual_load_fraction;
-use verfploeter_suite::vp::report::pct;
+use verfploeter_suite::vp::{load_fraction_to, mappability};
+use verfploeter_suite::vp::actual_load_fraction;
+use verfploeter_suite::vp::pct;
 use verfploeter_suite::vp::scan::{run_scan, ScanConfig};
 
 fn main() {

@@ -11,7 +11,7 @@ use verfploeter_suite::hitlist::{Hitlist, HitlistConfig};
 use verfploeter_suite::net::SimTime;
 use verfploeter_suite::sim::{FaultConfig, Scenario, StaticOracle};
 use verfploeter_suite::topology::TopologyConfig;
-use verfploeter_suite::vp::report::{count, pct};
+use verfploeter_suite::vp::{count, pct};
 use verfploeter_suite::vp::scan::{run_scan, ScanConfig};
 
 fn main() {
@@ -58,7 +58,7 @@ fn main() {
         "\nscan complete: {} probes sent, {} blocks mapped ({} response rate)",
         count(result.probes_sent),
         count(result.catchments.len() as u64),
-        pct(result.response_rate(hitlist.len())),
+        pct(result.catchments.len() as f64 / hitlist.len() as f64),
     );
     println!(
         "cleaning: {} raw replies -> kept {} (dups {}, aliased {}, late {}, foreign {})",

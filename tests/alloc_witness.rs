@@ -45,7 +45,7 @@ use vp_monitor::alert::AlertConfig;
 use vp_monitor::diff::Origins;
 use vp_monitor::ingest::{load_origins, load_round_file, origins_to_json};
 use vp_monitor::stream::DriftTracker;
-use vp_sim::exec::ShardExecutor;
+use vp_sim::ShardExecutor;
 use vp_sim::{CatchmentOracle, FaultConfig, StaticOracle};
 use verfploeter_suite::bgp::SiteId;
 use verfploeter_suite::net::{Asn, Block24, SimTime};

@@ -11,7 +11,7 @@ use verfploeter_suite::hitlist::{Hitlist, HitlistConfig};
 use verfploeter_suite::net::SimTime;
 use verfploeter_suite::sim::{FaultConfig, Scenario, StaticOracle};
 use verfploeter_suite::topology::TopologyConfig;
-use verfploeter_suite::vp::coverage::{coverage, AtlasCoverage};
+use verfploeter_suite::vp::{coverage, AtlasCoverage};
 use verfploeter_suite::vp::scan::{run_scan, ScanConfig};
 
 fn setup() -> (Scenario, Hitlist, AtlasPanel) {

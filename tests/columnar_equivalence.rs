@@ -24,10 +24,10 @@ use serde::Serialize;
 use verfploeter_suite::bgp::SiteId;
 use verfploeter_suite::hitlist::{Hitlist, HitlistConfig};
 use verfploeter_suite::net::{mix, Asn, BitSet, Block24, SimDuration, SimTime};
-use verfploeter_suite::sim::exec::ShardExecutor;
+use verfploeter_suite::sim::ShardExecutor;
 use verfploeter_suite::sim::{FaultConfig, Scenario, StaticOracle};
 use verfploeter_suite::topology::TopologyConfig;
-use verfploeter_suite::vp::rtt::RttTable;
+use verfploeter_suite::vp::RttTable;
 use verfploeter_suite::vp::scan::{run_scan, run_scan_sharded_on, ScanConfig};
 use verfploeter_suite::vp::CatchmentMap;
 use vp_monitor::diff::Origins;

@@ -15,7 +15,7 @@
 
 use serde_json::Value;
 use vp_experiments::{Daemon, DaemonArgs, DaemonConfig, Lab, Scale};
-use vp_monitor::pipeline::run_diff_pipeline;
+use vp_monitor::run_diff_pipeline;
 use vp_monitor::schema::validate_tagged;
 
 /// The golden configuration: tiny scale, 6 rounds, 2 shards, window 8 —

@@ -1,9 +1,10 @@
 //! Tier-1 lint gate. The policy lives in `[workspace.lints]`, `clippy.toml`
 //! and the library roots; this file runs the one gating clippy command and
-//! the rustdoc build, and holds what neither can: audits only ratchet
-//! down, every `pub fn merge` names a merge-law test, no document is
-//! assembled key by key, DESIGN.md's crate inventory names every crate,
-//! and DESIGN.md only gets shorter.
+//! the rustdoc build, and holds what neither can: audits and exported
+//! names only ratchet down, every dependency is used, every `pub fn
+//! merge` names a merge-law test, no document is assembled key by key,
+//! DESIGN.md's crate inventory names every crate, and DESIGN.md only gets
+//! shorter.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -157,4 +158,74 @@ fn design_md_line_count_only_ratchets_down() {
     const CEILING: usize = 931;
     let lines = std::fs::read_to_string(root().join("DESIGN.md")).unwrap().lines().count();
     assert!(lines <= CEILING, "DESIGN.md is {lines} lines, ceiling {CEILING}");
+}
+
+/// The `pub` names a Rust source exports, before its first `#[cfg(test)]`:
+/// each item declared `pub` at the top level, each name a `pub use`
+/// brings in, and each `pub mod` with the names of its own file, counted
+/// the same way.
+fn exported_names(path: &Path) -> usize {
+    let text = std::fs::read_to_string(path).unwrap();
+    let code = text.split("#[cfg(test)]").next().unwrap();
+    let dir = match path.file_name().unwrap().to_str().unwrap() {
+        "lib.rs" | "mod.rs" => path.parent().unwrap().to_path_buf(),
+        file => path.with_file_name(file.trim_end_matches(".rs")),
+    };
+    let mut count = 0;
+    for (at, _) in code.match_indices("\npub ") {
+        let rest = &code[at + 5..];
+        let word = rest.split_whitespace().next().unwrap();
+        if word == "use" {
+            let body = &rest[..rest.find(';').unwrap()];
+            count += body.split_once('{').map_or(1, |(_, names)| names.split(',').filter(|n| !n.trim().is_empty()).count());
+        } else if word == "mod" {
+            let name = rest[4..].split(';').next().unwrap().trim();
+            let file = [dir.join(format!("{name}.rs")), dir.join(name).join("mod.rs")].into_iter().find(|f| f.exists()).unwrap();
+            count += 1 + exported_names(&file);
+        } else if ["fn", "const", "struct", "enum", "static", "type", "trait"].contains(&word) {
+            count += 1;
+        }
+    }
+    count
+}
+
+/// Each crate's API is what its `lib.rs` exports (`unreachable_pub` makes
+/// every other `pub` item `pub(crate)`): the exported names of all
+/// `crates/*` together only go down. Exporting a name needs an edit here;
+/// removing one lowers the ceiling.
+#[test]
+fn exported_name_count_only_ratchets_down() {
+    const CEILING: usize = 275;
+    let mut count = 0;
+    for entry in std::fs::read_dir(root().join("crates")).unwrap() {
+        count += exported_names(&entry.unwrap().path().join("src/lib.rs"));
+    }
+    assert!(count <= CEILING, "{count} exported names, ceiling {CEILING}");
+}
+
+/// Every `[dependencies]` entry of a `crates/*` manifest is named, as
+/// `crate_name::`, somewhere in that crate's `src/`: a dependency the code
+/// stopped using goes with it.
+#[test]
+fn every_crate_dependency_is_used() {
+    for entry in std::fs::read_dir(root().join("crates")).unwrap() {
+        let dir = entry.unwrap().path();
+        let manifest = std::fs::read_to_string(dir.join("Cargo.toml")).unwrap();
+        let section = manifest.split_once("[dependencies]").map_or("", |(_, s)| s);
+        let section = section.split("\n[").next().unwrap();
+        let src: Vec<String> = sources()
+            .into_iter()
+            .filter(|(path, _)| path.starts_with(dir.join("src")))
+            .map(|(_, text)| text)
+            .collect();
+        for line in section.lines().map(str::trim).filter(|l| !l.is_empty() && !l.starts_with('#')) {
+            let name = line.split(['.', ' ', '=']).next().unwrap().replace('-', "_");
+            let path = format!("{name}::");
+            let named = src.iter().any(|text| {
+                text.match_indices(&path)
+                    .any(|(at, _)| !text[..at].ends_with(|c: char| c.is_alphanumeric() || c == '_'))
+            });
+            assert!(named, "{}: dependency {name} is never named in src/", dir.display());
+        }
+    }
 }

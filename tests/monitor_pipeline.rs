@@ -11,7 +11,7 @@ use vp_experiments::monitor::write_round_snapshots;
 use vp_experiments::{Lab, Scale};
 use vp_monitor::alert::AlertConfig;
 use vp_monitor::ingest::{load_origins_sidecar, load_rounds_dir};
-use vp_monitor::pipeline::run_diff_pipeline;
+use vp_monitor::run_diff_pipeline;
 
 const SOURCE: &str = "fig9_stability/tiny";
 
