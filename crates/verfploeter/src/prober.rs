@@ -104,12 +104,6 @@ impl Prober {
         Prober { config }
     }
 
-    /// Encodes the probe payload for a hitlist index.
-    #[cfg(test)]
-    pub(crate) fn encode_payload(index: u64) -> Bytes {
-        Bytes::copy_from_slice(&payload(index))
-    }
-
     /// Decodes a probe/reply payload back to the hitlist index.
     pub(crate) fn decode_payload(payload: &[u8]) -> Option<u64> {
         if payload.len() != PAYLOAD_LEN || payload.get(..4)? != PAYLOAD_MAGIC {
@@ -132,24 +126,8 @@ impl Prober {
         }
     }
 
-    /// Materializes the probe packet for one hitlist index and its
-    /// target: an ICMP Echo Request from `source` carrying the round ident
-    /// and the index-tagged payload: the reference the batch encoder is
-    /// tested against.
-    #[cfg(test)]
-    pub(crate) fn build_probe(&self, index: u64, target: Ipv4Addr, source: Ipv4Addr) -> Ipv4Packet {
-        let icmp = vp_packet::IcmpMessage::echo_request(
-            self.config.ident,
-            vp_net::conv::sat_u16(index & 0xffff),
-            Self::encode_payload(index),
-        );
-        let mut packet = Ipv4Packet::new(source, target, Protocol::Icmp, icmp.emit());
-        packet.ident = self.config.ident;
-        packet
-    }
-
     /// Materializes the probes for a slice of `(hitlist index, target)`
-    /// pairs into `out` — wire-identical to calling [`Prober::build_probe`]
+    /// pairs into `out` — wire-identical to the tests' `build_probe`
     /// per pair (the equivalence suite pins this), but with the hot-loop
     /// cost profile:
     /// the whole batch's ICMP images live in **one shared buffer**
@@ -208,6 +186,28 @@ mod tests {
     use std::collections::BTreeSet;
     use vp_hitlist::{Hitlist, HitlistConfig};
     use vp_topology::{Internet, TopologyConfig};
+
+    impl Prober {
+        /// Encodes the probe payload for a hitlist index.
+        pub(crate) fn encode_payload(index: u64) -> Bytes {
+            Bytes::copy_from_slice(&payload(index))
+        }
+
+        /// Materializes the probe packet for one hitlist index and its
+        /// target: an ICMP Echo Request from `source` carrying the round ident
+        /// and the index-tagged payload: the reference the batch encoder is
+        /// tested against.
+        pub(crate) fn build_probe(&self, index: u64, target: Ipv4Addr, source: Ipv4Addr) -> Ipv4Packet {
+            let icmp = vp_packet::IcmpMessage::echo_request(
+                self.config.ident,
+                vp_net::conv::sat_u16(index & 0xffff),
+                Self::encode_payload(index),
+            );
+            let mut packet = Ipv4Packet::new(source, target, Protocol::Icmp, icmp.emit());
+            packet.ident = self.config.ident;
+            packet
+        }
+    }
 
     fn hitlist() -> (Internet, Hitlist) {
         let w = Internet::generate(TopologyConfig::tiny(61));

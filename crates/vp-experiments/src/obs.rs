@@ -73,11 +73,6 @@ impl ObsState {
     pub(crate) fn record_route(&mut self, obs: &vp_bgp::RouteObs) {
         obs.record(&mut self.registry);
     }
-
-    #[cfg(test)]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.scans.is_empty() && self.registry.is_empty() && self.events.is_empty()
-    }
 }
 
 /// Integer imbalance of a shard-probe split, in permille of the largest
@@ -147,6 +142,12 @@ pub(crate) fn build_report(experiment: &str, mode: TraceLevel, state: &ObsState)
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ObsState {
+        pub(crate) fn is_empty(&self) -> bool {
+            self.scans.is_empty() && self.registry.is_empty() && self.events.is_empty()
+        }
+    }
 
     #[test]
     fn imbalance_is_zero_for_balanced_and_empty() {
