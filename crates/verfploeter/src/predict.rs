@@ -64,7 +64,12 @@ mod tests {
 
     /// The prediction error of a load-weighted catchment map against the
     /// ground-truth replay, in absolute percentage points at `site`.
-    fn prediction_error_pp(catchments: &CatchmentMap, routing: &RoutingTable, log: &QueryLog, site: SiteId) -> f64 {
+    fn prediction_error_pp(
+        catchments: &CatchmentMap,
+        routing: &RoutingTable,
+        log: &QueryLog,
+        site: SiteId,
+    ) -> f64 {
         let predicted = crate::load::load_fraction_to(catchments, log, site);
         let actual = actual_load_fraction(routing, log, site);
         (predicted - actual).abs() * 100.0

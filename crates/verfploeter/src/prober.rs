@@ -117,7 +117,12 @@ impl Prober {
     /// out, **without materializing any packet** (see `Schedule`). Each
     /// row finds its walk position with [`FeistelPermutation::invert`] as
     /// it is pulled, so a schedule holds no per-row state.
-    pub(crate) fn schedule(&self, n: usize, rows: std::ops::Range<usize>, start: SimTime) -> Schedule {
+    pub(crate) fn schedule(
+        &self,
+        n: usize,
+        rows: std::ops::Range<usize>,
+        start: SimTime,
+    ) -> Schedule {
         Schedule {
             perm: FeistelPermutation::new(n as u64, self.config.order_seed),
             rows,
@@ -197,7 +202,12 @@ mod tests {
         /// target: an ICMP Echo Request from `source` carrying the round ident
         /// and the index-tagged payload: the reference the batch encoder is
         /// tested against.
-        pub(crate) fn build_probe(&self, index: u64, target: Ipv4Addr, source: Ipv4Addr) -> Ipv4Packet {
+        pub(crate) fn build_probe(
+            &self,
+            index: u64,
+            target: Ipv4Addr,
+            source: Ipv4Addr,
+        ) -> Ipv4Packet {
             let icmp = vp_packet::IcmpMessage::echo_request(
                 self.config.ident,
                 vp_net::conv::sat_u16(index & 0xffff),

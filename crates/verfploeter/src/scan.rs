@@ -826,7 +826,10 @@ mod tests {
             assert_eq!(result.catchments.len(), responsive, "K={shards}");
             assert_eq!(result.sim_stats.undeliverable, 0, "K={shards}");
             for (block, site) in result.catchments.iter() {
-                assert!(subset.entries().iter().any(|e| e.block == block), "K={shards}: block {block}");
+                assert!(
+                    subset.entries().iter().any(|e| e.block == block),
+                    "K={shards}: block {block}"
+                );
                 let info = s.world.block(block).unwrap();
                 assert_eq!(Some(site), table.site_of_pop(info.pop), "K={shards}: block {block}");
             }

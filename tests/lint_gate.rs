@@ -155,7 +155,7 @@ fn design_inventory_names_every_crate() {
 /// this long, and one that shortens it lowers the ceiling.
 #[test]
 fn design_md_line_count_only_ratchets_down() {
-    const CEILING: usize = 931;
+    const CEILING: usize = 927;
     let lines = std::fs::read_to_string(root().join("DESIGN.md")).unwrap().lines().count();
     assert!(lines <= CEILING, "DESIGN.md is {lines} lines, ceiling {CEILING}");
 }
@@ -177,10 +177,14 @@ fn exported_names(path: &Path) -> usize {
         let word = rest.split_whitespace().next().unwrap();
         if word == "use" {
             let body = &rest[..rest.find(';').unwrap()];
-            count += body.split_once('{').map_or(1, |(_, names)| names.split(',').filter(|n| !n.trim().is_empty()).count());
+            let named = |n: &&str| !n.trim_matches(|c: char| c == '}' || c.is_whitespace()).is_empty();
+            count += body.split_once('{').map_or(1, |(_, names)| names.split(',').filter(named).count());
         } else if word == "mod" {
             let name = rest[4..].split(';').next().unwrap().trim();
-            let file = [dir.join(format!("{name}.rs")), dir.join(name).join("mod.rs")].into_iter().find(|f| f.exists()).unwrap();
+            let file = [dir.join(format!("{name}.rs")), dir.join(name).join("mod.rs")]
+                .into_iter()
+                .find(|f| f.exists())
+                .unwrap();
             count += 1 + exported_names(&file);
         } else if ["fn", "const", "struct", "enum", "static", "type", "trait"].contains(&word) {
             count += 1;
@@ -218,7 +222,8 @@ fn every_crate_dependency_is_used() {
             .filter(|(path, _)| path.starts_with(dir.join("src")))
             .map(|(_, text)| text)
             .collect();
-        for line in section.lines().map(str::trim).filter(|l| !l.is_empty() && !l.starts_with('#')) {
+        let entries = section.lines().map(str::trim).filter(|l| !l.is_empty() && !l.starts_with('#'));
+        for line in entries {
             let name = line.split(['.', ' ', '=']).next().unwrap().replace('-', "_");
             let path = format!("{name}::");
             let named = src.iter().any(|text| {
