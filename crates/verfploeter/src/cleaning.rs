@@ -124,8 +124,10 @@ impl<'h> Cleaner<'h> {
 /// Runs the cleaning pipeline over a materialized reply stream in arrival
 /// order: a fold of `Cleaner::push` keyed by position, so of the
 /// candidates for one index the first to arrive is kept, ties in `at` going
-/// to the one listed first — the sequential reading of §4.
-pub fn clean(
+/// to the one listed first — the sequential reading of §4, and the
+/// reference the incremental paths are tested against.
+#[cfg(test)]
+pub(crate) fn clean(
     replies: &[RawReply],
     hitlist: &Hitlist,
     ident: u16,

@@ -23,7 +23,7 @@ use crate::cleaning::Cleaner;
 /// A reply as it arrives at the central analysis point: parsed, tagged with
 /// the capturing site.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RawReply {
+pub(crate) struct RawReply {
     pub site: SiteId,
     pub at: SimTime,
     pub src: Ipv4Addr,

@@ -66,7 +66,7 @@ pub mod scan;
 mod stability;
 
 pub use catchment::{read_block_object, write_block_object, CatchmentMap};
-pub use cleaning::{clean, CleaningStats};
+pub use cleaning::CleaningStats;
 pub use coverage::{catchment_bins, coverage, weighted_bins, AtlasCoverage};
 pub use divisions::{as_divisions, fig7_rows, fig8_rows, split_as_fraction};
 pub use load::{load_bins, load_fraction_to, load_split, mappability};

@@ -199,7 +199,7 @@ fn exported_names(path: &Path) -> usize {
 /// removing one lowers the ceiling.
 #[test]
 fn exported_name_count_only_ratchets_down() {
-    const CEILING: usize = 275;
+    const CEILING: usize = 274;
     let mut count = 0;
     for entry in std::fs::read_dir(root().join("crates")).unwrap() {
         count += exported_names(&entry.unwrap().path().join("src/lib.rs"));
