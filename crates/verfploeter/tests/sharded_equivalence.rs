@@ -25,15 +25,15 @@
 )]
 
 use proptest::prelude::*;
+use verfploeter::scan::{run_scan, run_scan_sharded_on, ScanConfig, ScanResult};
+use verfploeter::CatchmentMap;
+use verfploeter::CleaningStats;
 use vp_bgp::SiteId;
 use vp_hitlist::{Hitlist, HitlistConfig};
 use vp_net::{Block24, SimDuration, SimTime};
 use vp_sim::ShardExecutor;
 use vp_sim::{FaultConfig, Scenario, StaticOracle};
 use vp_topology::TopologyConfig;
-use verfploeter::CatchmentMap;
-use verfploeter::CleaningStats;
-use verfploeter::scan::{run_scan, run_scan_sharded_on, ScanConfig, ScanResult};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 7, 16];
 

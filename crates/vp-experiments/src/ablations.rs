@@ -6,15 +6,15 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use verfploeter::actual_load_fraction;
+use verfploeter::load_fraction_to;
+use verfploeter::scan::{run_scan, ScanConfig};
+use verfploeter::ProbeConfig;
 use vp_dns::{LoadModel, QueryLog};
 use vp_hitlist::{Hitlist, HitlistConfig};
 use vp_net::{FeistelPermutation, LcgPermutation, ProbeOrder, SimDuration, SimTime};
 use vp_sim::{FaultConfig, Scenario, StaticOracle};
 use vp_topology::TopologyConfig;
-use verfploeter::load_fraction_to;
-use verfploeter::actual_load_fraction;
-use verfploeter::scan::{run_scan, ScanConfig};
-use verfploeter::ProbeConfig;
 
 use crate::context::bench_scenario_scaled;
 

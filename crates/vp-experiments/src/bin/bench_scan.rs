@@ -51,13 +51,13 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use verfploeter::scan::{run_scan_sharded_on, ScanConfig, ScanResult};
 use vp_experiments::bench_scenario_scaled;
 use vp_hitlist::{Hitlist, HitlistConfig};
 use vp_net::SimTime;
 use vp_obs::{Clock, FlightDoc, Histogram, WallChannel};
 use vp_sim::ShardExecutor;
 use vp_sim::{CatchmentOracle, FaultConfig, Scenario, StaticOracle};
-use verfploeter::scan::{run_scan_sharded_on, ScanConfig, ScanResult};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 

@@ -5,6 +5,9 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
+use verfploeter::scan::{run_scan, ScanConfig, ScanResult};
+use verfploeter::CatchmentMap;
+use verfploeter::ProbeConfig;
 use vp_atlas::{AtlasConfig, AtlasPanel, AtlasResult};
 use vp_bgp::Announcement;
 use vp_dns::{LoadModel, QueryLog};
@@ -13,9 +16,6 @@ use vp_net::{SimDuration, SimTime};
 use vp_obs::TraceLevel;
 use vp_sim::{FaultConfig, FlippingOracle, Scenario, StaticOracle};
 use vp_topology::TopologyConfig;
-use verfploeter::CatchmentMap;
-use verfploeter::scan::{run_scan, ScanConfig, ScanResult};
-use verfploeter::ProbeConfig;
 
 use vp_monitor::ingest::write_atomic;
 

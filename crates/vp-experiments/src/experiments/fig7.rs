@@ -5,9 +5,9 @@
 //! (rising medians).
 
 use crate::context::Lab;
+use verfploeter::unstable_blocks;
 use verfploeter::{as_divisions, fig7_rows, split_as_fraction};
 use verfploeter::{pct, TextTable};
-use verfploeter::unstable_blocks;
 
 pub fn run(lab: &Lab) -> String {
     let scenario = lab.tangled();

@@ -8,8 +8,8 @@
 
 use crate::context::Lab;
 use verfploeter::fig8_rows;
-use verfploeter::{pct, TextTable};
 use verfploeter::unstable_blocks;
+use verfploeter::{pct, TextTable};
 
 pub fn run(lab: &Lab) -> String {
     let scenario = lab.tangled();

@@ -2,14 +2,14 @@
 
 use std::collections::BTreeMap;
 
+use verfploeter::CatchmentMap;
+use verfploeter::TextTable;
+use verfploeter::{catchment_bins, weighted_bins};
 use vp_atlas::AtlasResult;
 use vp_bgp::{Announcement, SiteId};
 use vp_geo::BinnedMap;
 use vp_net::Block24;
 use vp_sim::Scenario;
-use verfploeter::CatchmentMap;
-use verfploeter::{catchment_bins, weighted_bins};
-use verfploeter::TextTable;
 
 fn site_name(ann: &Announcement, site: SiteId) -> String {
     ann.sites[site.index()].name.clone()

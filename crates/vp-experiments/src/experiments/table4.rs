@@ -8,8 +8,8 @@
 use std::collections::BTreeSet;
 
 use crate::context::Lab;
-use verfploeter::{coverage, AtlasCoverage};
 use verfploeter::{count, pct, TextTable};
+use verfploeter::{coverage, AtlasCoverage};
 
 pub fn run(lab: &Lab) -> String {
     let scenario = lab.broot();

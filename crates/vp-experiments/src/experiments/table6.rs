@@ -9,8 +9,8 @@
 //! * predicting with month-old catchments is visibly worse (76.2%).
 
 use crate::context::Lab;
-use verfploeter::load_fraction_to;
 use verfploeter::actual_load_fraction;
+use verfploeter::load_fraction_to;
 use verfploeter::{count, pct, TextTable};
 
 pub fn run(lab: &Lab) -> String {

@@ -5,8 +5,8 @@
 //! them (63%), with a long thin tail across a couple thousand ASes.
 
 use crate::context::Lab;
-use verfploeter::{count, TextTable};
 use verfploeter::flips_by_as;
+use verfploeter::{count, TextTable};
 
 pub fn run(lab: &Lab) -> String {
     let scenario = lab.tangled();

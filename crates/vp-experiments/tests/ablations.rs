@@ -3,9 +3,7 @@
 //! same numbers). The Feistel-vs-LCG comparison is not a claim here: on
 //! this world the LCG's worst burst is the lower one (EXPERIMENTS.md).
 
-use vp_experiments::{
-    hot_potato_splits, load_weighting, probe_order_burstiness, retry_coverage,
-};
+use vp_experiments::{hot_potato_splits, load_weighting, probe_order_burstiness, retry_coverage};
 
 #[test]
 fn both_permutations_keep_bursts_far_below_sequential_order() {

@@ -15,9 +15,9 @@
 use std::collections::BTreeMap;
 
 use serde::Serialize;
-use vp_net::{Asn, BlockColumn};
 use verfploeter::CatchmentMap;
 use vp_net::Joined;
+use vp_net::{Asn, BlockColumn};
 
 /// Block → origin AS, from the `origins.json` sidecar the fig9 snapshot
 /// writer emits. Without it, per-AS flip attribution is empty.

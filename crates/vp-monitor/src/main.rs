@@ -40,12 +40,13 @@ use std::process::ExitCode;
 use vp_monitor::alert::AlertConfig;
 use vp_monitor::diff::Origins;
 use vp_monitor::ingest::{
-    load_obs_report, load_origins, load_origins_sidecar, load_round_listed, load_rounds_dir, write_atomic, RoundTail,
+    load_obs_report, load_origins, load_origins_sidecar, load_round_listed, load_rounds_dir,
+    write_atomic, RoundTail,
 };
 use vp_monitor::run_diff_pipeline;
-use vp_monitor::{parse_flight_doc, render_report};
 use vp_monitor::schema::validate_tagged;
 use vp_monitor::stream::DriftTracker;
+use vp_monitor::{parse_flight_doc, render_report};
 
 fn usage() -> ExitCode {
     eprintln!(

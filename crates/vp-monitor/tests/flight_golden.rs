@@ -5,8 +5,8 @@
 //! export must be well-formed JSON.
 
 use serde_json::Value;
-use vp_monitor::{parse_flight_doc, profile_channel, render_report};
 use vp_monitor::schema::validate_tagged;
+use vp_monitor::{parse_flight_doc, profile_channel, render_report};
 
 const GOLDEN: &str = include_str!(concat!(
     env!("CARGO_MANIFEST_DIR"),

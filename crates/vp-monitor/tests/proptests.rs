@@ -6,11 +6,11 @@
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
+use verfploeter::CatchmentMap;
+use vp_bgp::SiteId;
 use vp_monitor::alert::AlertConfig;
 use vp_monitor::diff::{diff_rounds, DriftSummary, Origins, RoundDiff};
 use vp_monitor::stream::{DriftTracker, TAIL};
-use verfploeter::CatchmentMap;
-use vp_bgp::SiteId;
 use vp_net::{Asn, Block24};
 
 /// A generated drift summary over a closed AS set so merges collide on

@@ -5,8 +5,8 @@ use bytes::Bytes;
 use proptest::prelude::*;
 use vp_net::Ipv4Addr;
 use vp_packet::{
-    DnsFlags, DnsMessage, DnsName, DnsQuestion, DnsRecord, IcmpMessage, Ipv4Packet,
-    PacketError, Protocol, UdpDatagram,
+    DnsFlags, DnsMessage, DnsName, DnsQuestion, DnsRecord, IcmpMessage, Ipv4Packet, PacketError,
+    Protocol, UdpDatagram,
 };
 
 /// Wire constants, from RFC 791 (the IPv4 header without options), RFC

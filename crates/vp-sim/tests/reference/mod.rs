@@ -15,8 +15,8 @@ use vp_bgp::{Announcement, SiteId};
 use vp_net::{mix, unit, Ipv4Addr, SimTime};
 use vp_packet::{DnsMessage, IcmpMessage, Ipv4Packet, Protocol, UdpDatagram};
 use vp_sim::draws::{
-    event_key, packet_key, payload_fnv, TAG_ALIAS, TAG_ALIAS_OCTET, TAG_CHURN, TAG_DUPLICATE, TAG_DUPLICATE_COUNT,
-    TAG_JITTER, TAG_LATE, TAG_LOSS, TAG_UNSOLICITED, TAG_UNSOLICITED_PICK,
+    event_key, packet_key, payload_fnv, TAG_ALIAS, TAG_ALIAS_OCTET, TAG_CHURN, TAG_DUPLICATE,
+    TAG_DUPLICATE_COUNT, TAG_JITTER, TAG_LATE, TAG_LOSS, TAG_UNSOLICITED, TAG_UNSOLICITED_PICK,
 };
 use vp_sim::{CatchmentOracle, FaultConfig, LatencyModel, Scenario};
 use vp_topology::BlockInfo;

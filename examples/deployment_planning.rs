@@ -16,10 +16,10 @@ use verfploeter_suite::hitlist::{Hitlist, HitlistConfig};
 use verfploeter_suite::net::SimTime;
 use verfploeter_suite::sim::{FaultConfig, Scenario, StaticOracle};
 use verfploeter_suite::topology::TopologyConfig;
-use verfploeter_suite::vp::{load_fraction_to, mappability};
 use verfploeter_suite::vp::actual_load_fraction;
 use verfploeter_suite::vp::pct;
 use verfploeter_suite::vp::scan::{run_scan, ScanConfig};
+use verfploeter_suite::vp::{load_fraction_to, mappability};
 
 fn main() {
     let config = TopologyConfig {

@@ -11,8 +11,8 @@ use verfploeter_suite::hitlist::{Hitlist, HitlistConfig};
 use verfploeter_suite::net::SimTime;
 use verfploeter_suite::sim::{FaultConfig, Scenario, StaticOracle};
 use verfploeter_suite::topology::TopologyConfig;
-use verfploeter_suite::vp::{count, pct};
 use verfploeter_suite::vp::scan::{run_scan, ScanConfig};
+use verfploeter_suite::vp::{count, pct};
 
 fn main() {
     // 1. A world to measure: ~1000 ASes, tens of thousands of /24 blocks,

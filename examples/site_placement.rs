@@ -13,9 +13,9 @@ use verfploeter_suite::hitlist::{Hitlist, HitlistConfig};
 use verfploeter_suite::net::{SimDuration, SimTime};
 use verfploeter_suite::sim::{FaultConfig, Scenario, StaticOracle};
 use verfploeter_suite::topology::{pick_host_ases, TopologyConfig};
-use verfploeter_suite::vp::{rtt_percentiles, suggest_sites};
 use verfploeter_suite::vp::scan::{run_scan, ScanConfig};
 use verfploeter_suite::vp::ProbeConfig;
+use verfploeter_suite::vp::{rtt_percentiles, suggest_sites};
 
 fn main() {
     let config = TopologyConfig {

@@ -39,6 +39,10 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use verfploeter_suite::bgp::SiteId;
+use verfploeter_suite::net::{Asn, Block24, SimTime};
+use verfploeter_suite::vp::scan::{run_scan, run_scan_sharded_on, ScanConfig, ScanResult};
+use verfploeter_suite::vp::CatchmentMap;
 use vp_experiments::bench_scenario_scaled;
 use vp_hitlist::{Hitlist, HitlistConfig};
 use vp_monitor::alert::AlertConfig;
@@ -47,10 +51,6 @@ use vp_monitor::ingest::{load_origins, load_round_file, origins_to_json};
 use vp_monitor::stream::DriftTracker;
 use vp_sim::ShardExecutor;
 use vp_sim::{CatchmentOracle, FaultConfig, StaticOracle};
-use verfploeter_suite::bgp::SiteId;
-use verfploeter_suite::net::{Asn, Block24, SimTime};
-use verfploeter_suite::vp::CatchmentMap;
-use verfploeter_suite::vp::scan::{run_scan, run_scan_sharded_on, ScanConfig, ScanResult};
 
 /// Counts every allocation and reallocation (each realloc of a doubling
 /// log is one more allocation), and tracks live bytes with their peak,

@@ -11,8 +11,8 @@ use verfploeter_suite::hitlist::{Hitlist, HitlistConfig};
 use verfploeter_suite::net::SimTime;
 use verfploeter_suite::sim::{FaultConfig, Scenario, StaticOracle};
 use verfploeter_suite::topology::TopologyConfig;
-use verfploeter_suite::vp::{coverage, AtlasCoverage};
 use verfploeter_suite::vp::scan::{run_scan, ScanConfig};
+use verfploeter_suite::vp::{coverage, AtlasCoverage};
 
 fn setup() -> (Scenario, Hitlist, AtlasPanel) {
     let s = Scenario::broot(TopologyConfig::tiny(7002), 7);

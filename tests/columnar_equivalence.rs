@@ -27,9 +27,9 @@ use verfploeter_suite::net::{mix, Asn, BitSet, Block24, SimDuration, SimTime};
 use verfploeter_suite::sim::ShardExecutor;
 use verfploeter_suite::sim::{FaultConfig, Scenario, StaticOracle};
 use verfploeter_suite::topology::TopologyConfig;
-use verfploeter_suite::vp::RttTable;
 use verfploeter_suite::vp::scan::{run_scan, run_scan_sharded_on, ScanConfig};
 use verfploeter_suite::vp::CatchmentMap;
+use verfploeter_suite::vp::RttTable;
 use vp_monitor::diff::Origins;
 use vp_monitor::ingest::{origins_to_json, parse_origins};
 

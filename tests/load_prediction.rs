@@ -7,9 +7,9 @@ use verfploeter_suite::hitlist::{Hitlist, HitlistConfig};
 use verfploeter_suite::net::SimTime;
 use verfploeter_suite::sim::{FaultConfig, Scenario, StaticOracle};
 use verfploeter_suite::topology::TopologyConfig;
-use verfploeter_suite::vp::{load_fraction_to, load_split, mappability};
-use verfploeter_suite::vp::{actual_load_fraction, hourly_prediction};
 use verfploeter_suite::vp::scan::{run_scan, ScanConfig, ScanResult};
+use verfploeter_suite::vp::{actual_load_fraction, hourly_prediction};
+use verfploeter_suite::vp::{load_fraction_to, load_split, mappability};
 
 fn setup() -> (Scenario, ScanResult) {
     let s = Scenario::broot(

@@ -8,9 +8,9 @@ use verfploeter_suite::hitlist::{Hitlist, HitlistConfig};
 use verfploeter_suite::net::SimTime;
 use verfploeter_suite::sim::{FaultConfig, Scenario, StaticOracle};
 use verfploeter_suite::topology::TopologyConfig;
-use verfploeter_suite::vp::CatchmentMap;
 use verfploeter_suite::vp::load_fraction_to;
 use verfploeter_suite::vp::scan::{run_scan, ScanConfig};
+use verfploeter_suite::vp::CatchmentMap;
 
 #[test]
 fn released_dataset_reproduces_the_analysis() {

@@ -6,10 +6,10 @@ use verfploeter_suite::hitlist::{Hitlist, HitlistConfig};
 use verfploeter_suite::net::{SimDuration, SimTime};
 use verfploeter_suite::sim::{FaultConfig, FlippingOracle, Scenario};
 use verfploeter_suite::topology::TopologyConfig;
-use verfploeter_suite::vp::CatchmentMap;
 use verfploeter_suite::vp::scan::{run_scan, ScanConfig};
-use verfploeter_suite::vp::{flips_by_as, unstable_blocks};
+use verfploeter_suite::vp::CatchmentMap;
 use verfploeter_suite::vp::ProbeConfig;
+use verfploeter_suite::vp::{flips_by_as, unstable_blocks};
 use vp_monitor::diff::diff_series;
 
 fn run_rounds(rounds: u32) -> (Scenario, Vec<CatchmentMap>) {
