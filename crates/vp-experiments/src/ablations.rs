@@ -48,7 +48,9 @@ pub fn probe_order_burstiness() -> Burstiness {
     let slash16: Vec<u32> = hl.entries().iter().map(|e| e.target.0 >> 16).collect();
     let n = slash16.len() as u64;
     let worst = |order: &mut dyn Iterator<Item = u64>| -> usize {
-        let seq: Vec<u32> = order.filter_map(|i| slash16.get(i as usize).copied()).collect();
+        let seq: Vec<u32> = order
+            .filter_map(|i| slash16.get(i as usize).copied())
+            .collect();
         seq.chunks(BURST_WINDOW)
             .map(|w| {
                 let mut counts = BTreeMap::new();

@@ -9,17 +9,29 @@ use vp_experiments::{
 };
 
 fn verdict(claim: &str, holds: bool) {
-    println!("  claim: {claim}: {}", if holds { "holds" } else { "VIOLATED" });
+    println!(
+        "  claim: {claim}: {}",
+        if holds { "holds" } else { "VIOLATED" }
+    );
 }
 
 fn main() {
     println!("== ablation: probe ordering (burst of probes into one /16 per 256-probe window) ==");
     let b = probe_order_burstiness();
     let w = BURST_WINDOW;
-    println!("  sequential (no permutation): worst burst {}/{w}", b.sequential);
-    println!("  feistel:                     worst burst {}/{w}", b.feistel);
+    println!(
+        "  sequential (no permutation): worst burst {}/{w}",
+        b.sequential
+    );
+    println!(
+        "  feistel:                     worst burst {}/{w}",
+        b.feistel
+    );
     println!("  lcg:                         worst burst {}/{w}", b.lcg);
-    verdict("both permutations' worst burst is at most 1/10 of sequential", b.holds());
+    verdict(
+        "both permutations' worst burst is at most 1/10 of sequential",
+        b.holds(),
+    );
     println!();
 
     println!("== ablation: hot-potato per-PoP egress (AS catchment splits) ==");
@@ -34,7 +46,10 @@ fn main() {
     println!("== ablation: load weighting (prediction error at the first site) ==");
     let l = load_weighting();
     println!("  measured load split:      {:.1}%", l.actual * 100.0);
-    for (label, p) in [("load-weighted", l.load_weighted), ("block-count", l.block_count)] {
+    for (label, p) in [
+        ("load-weighted", l.load_weighted),
+        ("block-count", l.block_count),
+    ] {
         println!(
             "  {:<26}{:.1}%  (error {:.1} pp)",
             format!("{label} prediction:"),
@@ -42,7 +57,10 @@ fn main() {
             (p - l.actual).abs() * 100.0
         );
     }
-    verdict("load weighting predicts better than block counts", l.holds());
+    verdict(
+        "load weighting predicts better than block counts",
+        l.holds(),
+    );
     println!();
 
     println!("== ablation: single probe vs one retry round (coverage under churn) ==");

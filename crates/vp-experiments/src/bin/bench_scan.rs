@@ -68,7 +68,9 @@ const MAX_WORKERS: usize = 8;
 /// 1ms → ~90min in ×1.5 steps: fine enough that median/p90 of a scan
 /// that takes tens of ms to seconds land in distinct buckets.
 fn wall_time_buckets() -> Vec<u64> {
-    Histogram::exponential(1_000_000, 3, 2, 40).bounds().to_vec()
+    Histogram::exponential(1_000_000, 3, 2, 40)
+        .bounds()
+        .to_vec()
 }
 
 fn scan_once(
@@ -248,7 +250,11 @@ fn main() {
         println!("  targets={targets}");
         for shards in SHARD_COUNTS {
             // K=1 threaded would measure the same inline path twice.
-            let modes: &[bool] = if shards == 1 { &[false] } else { &[false, true] };
+            let modes: &[bool] = if shards == 1 {
+                &[false]
+            } else {
+                &[false, true]
+            };
             for &threaded in modes {
                 let mut hist = Histogram::new(wall_time_buckets());
                 for rep in 0..reps {

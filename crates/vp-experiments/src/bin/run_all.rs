@@ -56,7 +56,10 @@ fn main() {
     let all = experiments::all();
     if let Some(unknown) = ids.iter().find(|id| all.iter().all(|(name, _)| name != id)) {
         let names: Vec<&str> = all.iter().map(|(name, _)| *name).collect();
-        usage_error(&format!("unknown experiment {unknown:?}; valid ids: {}", names.join(", ")));
+        usage_error(&format!(
+            "unknown experiment {unknown:?}; valid ids: {}",
+            names.join(", ")
+        ));
     }
     let mut lab = Lab::parse_args(flags).unwrap_or_else(|e| usage_error(&e));
 
@@ -77,5 +80,8 @@ fn main() {
         println!("[{name} completed in {:.1}s]", wall as f64 / 1e9);
         println!();
     }
-    println!("[all experiments completed in {:.1}s]", clock.now_nanos() as f64 / 1e9);
+    println!(
+        "[all experiments completed in {:.1}s]",
+        clock.now_nanos() as f64 / 1e9
+    );
 }

@@ -74,7 +74,10 @@ fn publish(daemon: &Daemon, out: Option<&std::path::Path>) {
         Ok(t) => t,
         Err(e) => die(&format!("serialize status doc: {e}")),
     };
-    for (name, text) in [("status.json", text + "\n"), ("metrics.prom", daemon.scrape())] {
+    for (name, text) in [
+        ("status.json", text + "\n"),
+        ("metrics.prom", daemon.scrape()),
+    ] {
         if let Err(e) = vp_monitor::ingest::write_atomic(&dir.join(name), &text) {
             die(&e);
         }

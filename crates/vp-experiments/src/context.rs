@@ -219,8 +219,8 @@ impl Lab {
                 }
                 "--out" => lab.out_dir = Some(PathBuf::from(value()?)),
                 "--obs" => {
-                    lab.obs =
-                        TraceLevel::parse(value()?).ok_or("unknown obs mode; use off|summary|full")?;
+                    lab.obs = TraceLevel::parse(value()?)
+                        .ok_or("unknown obs mode; use off|summary|full")?;
                 }
                 "--snapshots" => lab.snapshot_dir = Some(PathBuf::from(value()?)),
                 "--flight" => lab.flight_dir = Some(PathBuf::from(value()?)),
@@ -306,7 +306,14 @@ impl Lab {
         announcement: &Announcement,
         ident: u16,
     ) -> Rc<ScanResult> {
-        self.vp_scan_seeded(key, scenario, hitlist, announcement, ident, scenario.policy_seed)
+        self.vp_scan_seeded(
+            key,
+            scenario,
+            hitlist,
+            announcement,
+            ident,
+            scenario.policy_seed,
+        )
     }
 
     /// Like [`Lab::vp_scan`] but under a drifted routing-policy seed (used
@@ -441,7 +448,12 @@ impl Lab {
                     &scenario.world,
                     hitlist,
                     &scenario.announcement,
-                    Box::new(FlippingOracle::new(table.clone(), graph, model.clone(), STABILITY_INTERVAL)),
+                    Box::new(FlippingOracle::new(
+                        table.clone(),
+                        graph,
+                        model.clone(),
+                        STABILITY_INTERVAL,
+                    )),
                     FaultConfig::default(),
                     start,
                     &config,
@@ -478,7 +490,11 @@ impl Lab {
             source: experiment.to_owned(),
             wall: std::mem::take(&mut self.obs_state.borrow_mut().wall_flight),
         };
-        write_artifact(dir, &format!("{experiment}.flight.json"), &doc.to_canonical_json());
+        write_artifact(
+            dir,
+            &format!("{experiment}.flight.json"),
+            &doc.to_canonical_json(),
+        );
     }
 
     /// Drains the observability state and writes the run report to
@@ -491,7 +507,11 @@ impl Lab {
             return;
         };
         let Some(dir) = &self.out_dir else { return };
-        write_json_artifact(&dir.join("obs"), &format!("{experiment}.report.json"), &report);
+        write_json_artifact(
+            &dir.join("obs"),
+            &format!("{experiment}.report.json"),
+            &report,
+        );
     }
 
     /// Writes a JSON artifact under the output directory, if one is set.
@@ -511,8 +531,15 @@ fn write_artifact(dir: &Path, file: &str, text: &str) {
 }
 
 fn write_json_artifact(dir: &Path, file: &str, value: &serde_json::Value) {
-    #[expect(clippy::expect_used, reason = "serde_json on owned derived data cannot fail.")]
-    write_artifact(dir, file, &serde_json::to_string_pretty(value).expect("serialize"));
+    #[expect(
+        clippy::expect_used,
+        reason = "serde_json on owned derived data cannot fail."
+    )]
+    write_artifact(
+        dir,
+        file,
+        &serde_json::to_string_pretty(value).expect("serialize"),
+    );
 }
 
 #[cfg(test)]
@@ -534,7 +561,16 @@ mod tests {
     #[test]
     fn args_parse_or_say_what_was_expected() {
         let lab = parse(&[
-            "--scale", "tiny", "--out", "o", "--obs", "full", "--snapshots", "s", "--flight", "f",
+            "--scale",
+            "tiny",
+            "--out",
+            "o",
+            "--obs",
+            "full",
+            "--snapshots",
+            "s",
+            "--flight",
+            "f",
         ])
         .unwrap_or_else(|e| panic!("{e}"));
         assert_eq!((lab.scale, lab.obs), (Scale::Tiny, TraceLevel::Full));
@@ -542,12 +578,22 @@ mod tests {
         assert_eq!(lab.snapshot_dir.as_deref(), Some(Path::new("s")));
         assert_eq!(lab.flight_dir.as_deref(), Some(Path::new("f")));
         let defaults = parse(&[]).unwrap_or_else(|e| panic!("{e}"));
-        assert_eq!((defaults.scale, defaults.obs), (Scale::Default, TraceLevel::Summary));
+        assert_eq!(
+            (defaults.scale, defaults.obs),
+            (Scale::Default, TraceLevel::Summary)
+        );
         assert!(defaults.out_dir.is_none());
 
-        let err = |args: &[&str]| parse(args).err().unwrap_or_else(|| panic!("{args:?} parsed"));
+        let err = |args: &[&str]| {
+            parse(args)
+                .err()
+                .unwrap_or_else(|| panic!("{args:?} parsed"))
+        };
         for flag in ["--scale", "--out", "--obs", "--snapshots", "--flight"] {
-            assert_eq!(err(&["--scale", "tiny", flag]), format!("{flag} needs a value"));
+            assert_eq!(
+                err(&["--scale", "tiny", flag]),
+                format!("{flag} needs a value")
+            );
         }
         assert!(err(&["--bogus"]).starts_with("unknown argument \"--bogus\""));
         assert!(err(&["fig2_broot_maps"]).starts_with("unknown argument"));
@@ -576,7 +622,12 @@ mod tests {
         lab.write_obs_report("with-out-dir");
         lab.write_json("artifact", &serde_json::Value::U64(7));
         assert!(dir.join("obs/with-out-dir.report.json").is_file());
-        assert_eq!(std::fs::read_to_string(dir.join("artifact.json")).ok().as_deref(), Some("7"));
+        assert_eq!(
+            std::fs::read_to_string(dir.join("artifact.json"))
+                .ok()
+                .as_deref(),
+            Some("7")
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -632,14 +683,22 @@ mod tests {
         };
         let scans = obj.get("scans").and_then(|v| v.as_array()).unwrap();
         assert_eq!(scans.len(), 1, "cache hit was double-recorded");
-        assert!(!obj.get("metrics").and_then(|v| v.as_array()).unwrap().is_empty());
+        assert!(!obj
+            .get("metrics")
+            .and_then(|v| v.as_array())
+            .unwrap()
+            .is_empty());
 
         // Draining resets the state: a second take sees no scans.
         let again = lab.take_obs_report("obs-test").expect("report");
         let serde_json::Value::Object(obj) = &again else {
             panic!("report not an object")
         };
-        assert!(obj.get("scans").and_then(|v| v.as_array()).unwrap().is_empty());
+        assert!(obj
+            .get("scans")
+            .and_then(|v| v.as_array())
+            .unwrap()
+            .is_empty());
     }
 
     #[test]

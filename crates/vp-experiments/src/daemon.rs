@@ -107,8 +107,8 @@ impl DaemonArgs {
                 "--rounds" => rounds = Some(count(flag, value()?)?),
                 "--window" => config.window = count::<NonZeroUsize>(flag, value()?)?.get(),
                 "--obs" => {
-                    config.obs =
-                        TraceLevel::parse(value()?).ok_or("unknown obs mode; use off|summary|full")?;
+                    config.obs = TraceLevel::parse(value()?)
+                        .ok_or("unknown obs mode; use off|summary|full")?;
                 }
                 "--out" => out = Some(PathBuf::from(value()?)),
                 "--pace" => {
@@ -163,8 +163,12 @@ impl Daemon {
         let hitlist = Hitlist::from_internet(&scenario.world, &HitlistConfig::default());
         let table = scenario.routing();
         let model = scenario.flip_model(FLIP_SEED, &table);
-        let oracle =
-            FlippingOracle::new(table, scenario.world.graph.clone(), model, STABILITY_INTERVAL);
+        let oracle = FlippingOracle::new(
+            table,
+            scenario.world.graph.clone(),
+            model,
+            STABILITY_INTERVAL,
+        );
         let origins: Origins = scenario
             .world
             .blocks
@@ -225,7 +229,8 @@ impl Daemon {
         self.scan_metrics.merge(&result.obs.registry);
         self.last_round = Some(round);
         let duration = round.sim_end_ns.saturating_sub(round.started_ns);
-        self.tracker.observe_round(result.catchments, Some(duration))
+        self.tracker
+            .observe_round(result.catchments, Some(duration))
     }
 
     /// Rounds completed so far: the tracker's next round number, since it
@@ -257,7 +262,12 @@ impl Daemon {
 
     /// The Prometheus text scrape for the current state.
     pub fn scrape(&self) -> String {
-        build_scrape(&self.meta, &self.tracker, &self.scan_metrics, &self.site_names)
+        build_scrape(
+            &self.meta,
+            &self.tracker,
+            &self.scan_metrics,
+            &self.site_names,
+        )
     }
 }
 
@@ -311,12 +321,11 @@ mod tests {
         }
         let doc = daemon.status_doc();
         assert_eq!(validate_tagged(&doc), Vec::<String>::new());
-        assert_eq!(
-            doc.get("rounds_ingested").and_then(Value::as_u64),
-            Some(2)
-        );
+        assert_eq!(doc.get("rounds_ingested").and_then(Value::as_u64), Some(2));
         // The status doc carries the last round's sim-time instants.
-        assert!(doc.get("profile").is_some_and(|p| p.get("sim_end_ns").is_some()));
+        assert!(doc
+            .get("profile")
+            .is_some_and(|p| p.get("sim_end_ns").is_some()));
         let scrape = daemon.scrape();
         assert!(scrape.contains("daemon_rounds_ingested 2"), "{scrape}");
         assert!(scrape.contains("# TYPE scan_probes_sent"), "{scrape}");

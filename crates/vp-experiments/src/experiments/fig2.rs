@@ -34,10 +34,7 @@ pub fn run(lab: &Lab) -> String {
     let atlas_cn = atlas
         .outcomes
         .iter()
-        .filter(|o| {
-            o.site.is_some()
-                && world.geodb.locate(o.block).map(|l| l.country) == Some(cn)
-        })
+        .filter(|o| o.site.is_some() && world.geodb.locate(o.block).map(|l| l.country) == Some(cn))
         .count();
     let vp_cn = vp
         .catchments

@@ -24,12 +24,12 @@ pub fn run(lab: &Lab) -> String {
         21,
     );
 
-    let mut out = String::from("Fig. 3: catchments for Tangled from RIPE Atlas and Verfploeter\n\n");
+    let mut out =
+        String::from("Fig. 3: catchments for Tangled from RIPE Atlas and Verfploeter\n\n");
     out.push_str(&render_pair(lab, scenario, &atlas, &vp.catchments, "fig3"));
 
     // Sites invisible to Atlas but visible to Verfploeter.
-    let atlas_sites: std::collections::BTreeSet<_> =
-        atlas.site_counts().keys().copied().collect();
+    let atlas_sites: std::collections::BTreeSet<_> = atlas.site_counts().keys().copied().collect();
     let vp_sites: std::collections::BTreeSet<_> =
         vp.catchments.site_counts().keys().copied().collect();
     let missed: Vec<String> = vp_sites

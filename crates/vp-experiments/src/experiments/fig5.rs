@@ -22,7 +22,10 @@ pub(crate) fn sweep_configs() -> Vec<(&'static str, u8, u8)> {
 
 pub fn run(lab: &Lab) -> String {
     let scenario = lab.broot();
-    #[expect(clippy::expect_used, reason = "the B-Root scenario always defines the LAX site.")]
+    #[expect(
+        clippy::expect_used,
+        reason = "the B-Root scenario always defines the LAX site."
+    )]
     let lax = scenario.announcement.site_by_name("LAX").expect("LAX").id;
 
     let mut t = TextTable::new([

@@ -11,7 +11,10 @@ use crate::experiments::fig5::sweep_configs;
 use verfploeter::hourly_prediction;
 use verfploeter::TextTable;
 
-#[expect(clippy::expect_used, reason = "the B-Root scenario always defines the LAX and MIA sites.")]
+#[expect(
+    clippy::expect_used,
+    reason = "the B-Root scenario always defines the LAX and MIA sites."
+)]
 pub fn run(lab: &Lab) -> String {
     let scenario = lab.broot();
     let load = lab.load_april();

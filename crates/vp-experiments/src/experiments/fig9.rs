@@ -64,7 +64,11 @@ pub fn run(lab: &Lab) -> String {
         pct(med_flipped as f64 / responders.max(1) as f64),
         count(med_to_nr),
         count(med_from_nr),
-        if med_flipped < med_to_nr { "holds" } else { "VIOLATED" },
+        if med_flipped < med_to_nr {
+            "holds"
+        } else {
+            "VIOLATED"
+        },
     ));
     lab.write_json(
         "fig9_stability",

@@ -54,7 +54,10 @@ pub(super) fn render_binned(
             .iter()
             .map(|(s, w)| format!("{}={:.0}", site_name(ann, *s), w))
             .collect();
-        out.push_str(&format!("  ({lat:+05.0},{lon:+06.0})  {}\n", per_site.join(" ")));
+        out.push_str(&format!(
+            "  ({lat:+05.0},{lon:+06.0})  {}\n",
+            per_site.join(" ")
+        ));
     }
     let json = serde_json::json!({
         "bins": rows

@@ -6,7 +6,6 @@
 //! experiment as `experiments::fig2::run` and the like.
 
 pub mod fig2;
-mod maps;
 pub mod fig3;
 pub mod fig4;
 pub mod fig5;
@@ -14,6 +13,7 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
+mod maps;
 pub mod table1;
 pub mod table2;
 pub mod table3;

@@ -39,7 +39,12 @@ pub fn run(lab: &Lab) -> String {
         blocks_considered: atlas.blocks_considered() as u64,
         responding_blocks,
     };
-    let r = coverage(&vp.catchments, lab.broot_hitlist(), &scenario.world.geodb, &ac);
+    let r = coverage(
+        &vp.catchments,
+        lab.broot_hitlist(),
+        &scenario.world.geodb,
+        &ac,
+    );
 
     let mut t = TextTable::new(["", "RIPE Atlas (VPs)", "(/24s)", "Verfploeter (/24s)"]);
     t.row([
@@ -89,7 +94,13 @@ pub fn run(lab: &Lab) -> String {
         pct(r.vp_blocks_responding as f64 / r.vp_blocks_considered as f64),
         pct(r.atlas_overlap_fraction()),
     ));
-    #[expect(clippy::expect_used, reason = "serde_json on owned derived data cannot fail.")]
-    lab.write_json("table4_coverage", &serde_json::to_value(r).expect("serialize"));
+    #[expect(
+        clippy::expect_used,
+        reason = "serde_json on owned derived data cannot fail."
+    )]
+    lab.write_json(
+        "table4_coverage",
+        &serde_json::to_value(r).expect("serialize"),
+    );
     out
 }

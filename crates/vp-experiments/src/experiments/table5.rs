@@ -43,10 +43,17 @@ pub fn run(lab: &Lab) -> String {
         pct(1.0 - m.queries_mapped_frac()),
     ]);
 
-    let mut out =
-        String::from("Table 5: coverage of Verfploeter from B-Root (datasets SBV-5-15, LB-5-15)\n\n");
+    let mut out = String::from(
+        "Table 5: coverage of Verfploeter from B-Root (datasets SBV-5-15, LB-5-15)\n\n",
+    );
     out.push_str(&t.render());
-    #[expect(clippy::expect_used, reason = "serde_json on owned derived data cannot fail.")]
-    lab.write_json("table5_mappability", &serde_json::to_value(m).expect("serialize"));
+    #[expect(
+        clippy::expect_used,
+        reason = "serde_json on owned derived data cannot fail."
+    )]
+    lab.write_json(
+        "table5_mappability",
+        &serde_json::to_value(m).expect("serialize"),
+    );
     out
 }

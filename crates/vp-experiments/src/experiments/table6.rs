@@ -15,7 +15,10 @@ use verfploeter::{count, pct, TextTable};
 
 pub fn run(lab: &Lab) -> String {
     let scenario = lab.broot();
-    #[expect(clippy::expect_used, reason = "the B-Root scenario always defines the LAX site.")]
+    #[expect(
+        clippy::expect_used,
+        reason = "the B-Root scenario always defines the LAX site."
+    )]
     let lax = scenario.announcement.site_by_name("LAX").expect("LAX").id;
     let may_ann = &scenario.announcement;
     let april_seed = lab.april_policy_seed();
@@ -25,8 +28,14 @@ pub fn run(lab: &Lab) -> String {
     let atlas_april =
         lab.atlas_scan_seeded("SBA-4-21", scenario, lab.atlas_broot(), may_ann, april_seed);
     let atlas_may = lab.atlas_scan("SBA-5-15", scenario, lab.atlas_broot(), may_ann);
-    let vp_april =
-        lab.vp_scan_seeded("SBV-4-21", scenario, lab.broot_hitlist(), may_ann, 4, april_seed);
+    let vp_april = lab.vp_scan_seeded(
+        "SBV-4-21",
+        scenario,
+        lab.broot_hitlist(),
+        may_ann,
+        4,
+        april_seed,
+    );
     let vp_may = lab.vp_scan("SBV-5-15", scenario, lab.broot_hitlist(), may_ann, 15);
 
     let load_april = lab.load_april();
@@ -108,7 +117,11 @@ pub fn run(lab: &Lab) -> String {
          load ({}) — the paper lands 0.2 pp off (81.6% vs 81.4%). Block and \
          load weighting disagree by {:.1} pp, which is why calibration \
          matters (paper: 6.2 pp).\n",
-        if err_weighted <= 3.0 { "holds" } else { "VIOLATED" },
+        if err_weighted <= 3.0 {
+            "holds"
+        } else {
+            "VIOLATED"
+        },
         (vp_may_pct - predicted_may).abs() * 100.0,
     ));
     lab.write_json(

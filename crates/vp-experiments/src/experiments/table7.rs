@@ -50,7 +50,11 @@ pub fn run(lab: &Lab) -> String {
         table.flipping_ases(),
         100.0 * top1,
         100.0 * top5,
-        if top1 > 0.25 && top5 > 0.5 { "holds" } else { "VIOLATED" },
+        if top1 > 0.25 && top5 > 0.5 {
+            "holds"
+        } else {
+            "VIOLATED"
+        },
     ));
     lab.write_json(
         "table7_flip_ases",

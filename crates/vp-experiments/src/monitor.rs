@@ -24,7 +24,10 @@ use vp_topology::Internet;
 
 /// Origin-AS attribution for every block appearing in any round.
 fn collect_origins(rounds: &[CatchmentMap], world: &Internet) -> Origins {
-    let blocks: BTreeSet<Block24> = rounds.iter().flat_map(|r| r.iter().map(|(b, _)| b)).collect();
+    let blocks: BTreeSet<Block24> = rounds
+        .iter()
+        .flat_map(|r| r.iter().map(|(b, _)| b))
+        .collect();
     blocks
         .into_iter()
         .filter_map(|b| world.block(b).map(|info| (b, info.origin)))
@@ -94,7 +97,9 @@ mod tests {
             }
         }
 
-        let origins = load_origins_sidecar(&dir).expect("sidecar").expect("present");
+        let origins = load_origins_sidecar(&dir)
+            .expect("sidecar")
+            .expect("present");
         // Every block of every round has an attributed origin.
         for round in rounds.iter() {
             for (b, _) in round.iter() {

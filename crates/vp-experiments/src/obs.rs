@@ -19,8 +19,8 @@
 //!   double-counting another experiment's work.
 
 use serde_json::{json, Value};
-use vp_obs::{EventLog, Registry, TraceLevel};
 use verfploeter::scan::ScanObs;
+use vp_obs::{EventLog, Registry, TraceLevel};
 
 /// Cap on events embedded in a report. `--obs full` traces can exceed the
 /// ring capacity of every engine combined; the report keeps the earliest
