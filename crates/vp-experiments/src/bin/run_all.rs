@@ -19,10 +19,16 @@
 //! `vp-monitor diff`/`watch`. With `--flight <dir>` each experiment
 //! additionally writes a `vp-obs-flight/v2` flight document, with the
 //! wall-time channel driven by this binary's [`WallClock`].
+//!
+//! Each report is followed by its experiment's verdict lines; with
+//! `--out <dir>`, `<dir>/verdicts.json` maps each experiment that ran to
+//! its verdicts (EXPERIMENTS.md's claim rows are checked against it).
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use vp_experiments::{experiments, Lab};
+use vp_experiments::experiments::{self, Verdict};
+use vp_experiments::Lab;
 use vp_obs::{Clock, WallChannel};
 
 /// Wall-clock for the operator-facing progress display and the wall
@@ -71,15 +77,28 @@ fn main() {
     // deterministic artifacts never see them.
     lab.flight_wall = Some(WallChannel::new(clock.clone()));
     let selected = |name: &str| ids.is_empty() || ids.iter().any(|id| id == name);
+    let mut verdicts = BTreeMap::new();
     for (name, run) in all.into_iter().filter(|(name, _)| selected(name)) {
         println!("==================== {name} ====================");
         let started = clock.now_nanos();
-        print!("{}", run(&lab));
+        let (report, checked) = run(&lab);
         let wall = clock.now_nanos() - started;
+        print!("{report}");
+        if !checked.is_empty() {
+            println!();
+        }
+        for verdict in &checked {
+            println!("{verdict}");
+        }
         lab.write_obs_report(name);
         println!("[{name} completed in {:.1}s]", wall as f64 / 1e9);
         println!();
+        verdicts.insert(
+            name,
+            checked.iter().map(Verdict::to_json).collect::<Vec<_>>(),
+        );
     }
+    lab.write_json("verdicts", &serde_json::json!(verdicts));
     println!(
         "[all experiments completed in {:.1}s]",
         clock.now_nanos() as f64 / 1e9

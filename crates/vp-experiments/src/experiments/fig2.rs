@@ -6,9 +6,12 @@
 
 use crate::context::Lab;
 use crate::experiments::maps::render_pair;
+use crate::experiments::Verdict;
+use verfploeter::{count, pct};
 use vp_geo::Continent;
+use vp_net::Block24;
 
-pub fn run(lab: &Lab) -> String {
+pub fn run(lab: &Lab) -> (String, Vec<Verdict>) {
     let scenario = lab.broot();
     let atlas = lab.atlas_scan(
         "SBA-5-15",
@@ -27,54 +30,58 @@ pub fn run(lab: &Lab) -> String {
     let mut out = String::from("Fig. 2: geographic coverage of vantage points for B-Root\n\n");
     out.push_str(&render_pair(lab, scenario, &atlas, &vp.catchments, "fig2"));
 
-    // The China contrast the paper highlights in §5.1.
-    let world = &scenario.world;
-    #[expect(clippy::expect_used, reason = "CN is in the static country table.")]
-    let (cn, _) = vp_geo::country_by_code("CN").expect("CN in table");
-    let atlas_cn = atlas
-        .outcomes
-        .iter()
-        .filter(|o| o.site.is_some() && world.geodb.locate(o.block).map(|l| l.country) == Some(cn))
-        .count();
-    let vp_cn = vp
-        .catchments
-        .iter()
-        .filter(|(b, _)| world.geodb.locate(*b).map(|l| l.country) == Some(cn))
-        .count();
-    out.push_str(&format!(
-        "\nChina: Atlas observations = {atlas_cn}, Verfploeter blocks = {vp_cn} \
-         (\"Atlas cannot comment, but Verfploeter shows\" how China routes, §5.1).\n"
-    ));
-
-    // Europe share contrast (Atlas skew).
-    let continent_share = |is_atlas: bool| {
-        let mut eu = 0usize;
-        let mut total = 0usize;
-        if is_atlas {
-            for o in atlas.outcomes.iter().filter(|o| o.site.is_some()) {
-                if let Some(loc) = world.geodb.locate(o.block) {
-                    total += 1;
-                    if loc.country.get().continent == Continent::Europe {
-                        eu += 1;
-                    }
-                }
-            }
-        } else {
-            for (b, _) in vp.catchments.iter() {
-                if let Some(loc) = world.geodb.locate(b) {
-                    total += 1;
-                    if loc.country.get().continent == Continent::Europe {
-                        eu += 1;
-                    }
-                }
-            }
-        }
-        eu as f64 / total.max(1) as f64
+    // Each side's located observations: (all, in Europe, in China).
+    let geodb = &scenario.world.geodb;
+    let tally = |blocks: &mut dyn Iterator<Item = Block24>| {
+        blocks
+            .filter_map(|b| geodb.locate(b).map(|l| l.country.get()))
+            .fold((0, 0, 0), |(n, eu, cn), c| {
+                let in_eu = c.continent == Continent::Europe;
+                (
+                    n + 1,
+                    eu + usize::from(in_eu),
+                    cn + usize::from(c.code == "CN"),
+                )
+            })
     };
-    out.push_str(&format!(
-        "Europe share of observations: Atlas {} vs Verfploeter {}.\n",
-        verfploeter::pct(continent_share(true)),
-        verfploeter::pct(continent_share(false)),
-    ));
-    out
+    let (a_n, a_eu, a_cn) = tally(
+        &mut atlas
+            .outcomes
+            .iter()
+            .filter(|o| o.site.is_some())
+            .map(|o| o.block),
+    );
+    let (v_n, v_eu, v_cn) = tally(&mut vp.catchments.iter().map(|(b, _)| b));
+    let share = |k: usize, n: usize| k as f64 / n.max(1) as f64;
+    let ratio = v_n as f64 / a_n.max(1) as f64;
+    let verdicts = vec![
+        Verdict {
+            claim: "Most Atlas observations are in Europe, a larger share than Verfploeter's",
+            paper: "Atlas is dense in Europe; Verfploeter covers the globe",
+            measured: format!(
+                "Europe share: Atlas {}, Verfploeter {}",
+                pct(share(a_eu, a_n)),
+                pct(share(v_eu, v_n))
+            ),
+            holds: share(a_eu, a_n) > 0.5 && share(a_eu, a_n) > share(v_eu, v_n),
+        },
+        Verdict {
+            claim: "Atlas is almost absent in China: under a tenth of Verfploeter's share there",
+            paper: "Atlas cannot comment on China; Verfploeter shows how it routes (§5.1)",
+            measured: format!(
+                "China: Atlas {a_cn} of {a_n} observations, Verfploeter {} of {} blocks",
+                count(v_cn as u64),
+                count(v_n as u64)
+            ),
+            holds: 10.0 * share(a_cn, a_n) < share(v_cn, v_n),
+        },
+        Verdict {
+            claim:
+                "Verfploeter has orders of magnitude (100x or more) more observations than Atlas",
+            paper: "~1000x (the maps' scales)",
+            measured: format!("{ratio:.0}x"),
+            holds: ratio >= 100.0,
+        },
+    ];
+    (out, verdicts)
 }

@@ -5,10 +5,13 @@
 //! Verfploeter view disagree qualitatively outside Europe (§5.2) — and
 //! only Verfploeter covers China at all.
 
+use std::collections::BTreeSet;
+
 use crate::context::Lab;
 use crate::experiments::maps::render_pair;
+use crate::experiments::Verdict;
 
-pub fn run(lab: &Lab) -> String {
+pub fn run(lab: &Lab) -> (String, Vec<Verdict>) {
     let scenario = lab.tangled();
     let atlas = lab.atlas_scan(
         "STA-2-01",
@@ -28,23 +31,28 @@ pub fn run(lab: &Lab) -> String {
         String::from("Fig. 3: catchments for Tangled from RIPE Atlas and Verfploeter\n\n");
     out.push_str(&render_pair(lab, scenario, &atlas, &vp.catchments, "fig3"));
 
-    // Sites invisible to Atlas but visible to Verfploeter.
-    let atlas_sites: std::collections::BTreeSet<_> = atlas.site_counts().keys().copied().collect();
-    let vp_sites: std::collections::BTreeSet<_> =
-        vp.catchments.site_counts().keys().copied().collect();
-    let missed: Vec<String> = vp_sites
+    let sites = &scenario.announcement.sites;
+    let atlas_sites: BTreeSet<_> = atlas.site_counts().into_keys().collect();
+    let vp_sites: BTreeSet<_> = vp.catchments.site_counts().into_keys().collect();
+    let missed: Vec<&str> = vp_sites
         .difference(&atlas_sites)
-        .map(|s| scenario.announcement.sites[s.index()].name.clone())
+        .map(|s| sites[s.index()].name.as_str())
         .collect();
-    out.push_str(&format!(
-        "\nSites observed: Atlas {} of 9, Verfploeter {} of 9{}.\n",
-        atlas_sites.len(),
-        vp_sites.len(),
-        if missed.is_empty() {
-            String::new()
-        } else {
-            format!(" (Atlas misses: {})", missed.join(", "))
-        }
-    ));
-    out
+    let verdicts = vec![Verdict {
+        claim: "Atlas misses a site that Verfploeter sees",
+        paper: "Atlas misses HND, the weakly connected Tokyo site; Verfploeter sees all 9",
+        measured: format!(
+            "sites seen: Atlas {} of {n}, Verfploeter {} of {n}; Atlas misses {}",
+            atlas_sites.len(),
+            vp_sites.len(),
+            if missed.is_empty() {
+                "none".to_owned()
+            } else {
+                missed.join(", ")
+            },
+            n = sites.len(),
+        ),
+        holds: !missed.is_empty(),
+    }];
+    (out, verdicts)
 }

@@ -9,10 +9,11 @@
 use std::collections::BTreeMap;
 
 use crate::context::Lab;
+use crate::experiments::Verdict;
 use verfploeter::{load_bins, load_split};
 use verfploeter::{pct, si, TextTable};
 
-pub fn run(lab: &Lab) -> String {
+pub fn run(lab: &Lab) -> (String, Vec<Verdict>) {
     let scenario = lab.broot();
     let vp = lab.vp_scan(
         "SBV-5-15",
@@ -39,11 +40,7 @@ pub fn run(lab: &Lab) -> String {
         "Fig. 4a: geographic distribution of load by site for B-Root (SBV-5-15 x LB-4-12)\n\n",
     );
     out.push_str(&t.render());
-    out.push_str(&format!(
-        "geographic bins with load: {} (vs {} bins with responding blocks — load is more concentrated)\n",
-        bins.bin_count(),
-        verfploeter::catchment_bins(&vp.catchments, &scenario.world.geodb).bin_count(),
-    ));
+    let block_bins = verfploeter::catchment_bins(&vp.catchments, &scenario.world.geodb);
 
     // -- 4b: the .nl-style regional service, per pseudo-nameserver --
     let nl = lab.load_nl();
@@ -87,12 +84,25 @@ pub fn run(lab: &Lab) -> String {
         }
         eu / total.max(1e-12)
     };
-    out.push_str(&format!(
-        "\nEurope's share of load: B-Root {} vs .nl {} — the regional service needs \
-         load calibration far more (§5.4).\n",
-        pct(eu_share(&load)),
-        pct(eu_share(&nl)),
-    ));
+    let (broot_eu, nl_eu) = (eu_share(&load), eu_share(&nl));
+    let verdicts = vec![
+        Verdict {
+            claim: "B-Root's load falls in fewer geographic bins than its responding blocks",
+            paper: "load concentrates in fewer hotspots than blocks (§5.4)",
+            measured: format!(
+                "{} bins with load vs {} with blocks",
+                bins.bin_count(),
+                block_bins.bin_count()
+            ),
+            holds: bins.bin_count() < block_bins.bin_count(),
+        },
+        Verdict {
+            claim: "The .nl load has a larger Europe share than B-Root's",
+            paper: ".nl is Europe-dominated, so calibration matters more there (§5.4)",
+            measured: format!("Europe share: .nl {}, B-Root {}", pct(nl_eu), pct(broot_eu)),
+            holds: nl_eu > broot_eu,
+        },
+    ];
     lab.write_json(
         "fig4_load_maps",
         &serde_json::json!({
@@ -110,9 +120,9 @@ pub fn run(lab: &Lab) -> String {
                 .iter()
                 .map(|(k, v)| (format!("ns{k}"), *v))
                 .collect::<BTreeMap<String, f64>>(),
-            "broot_eu_share": eu_share(&load),
-            "nl_eu_share": eu_share(&nl),
+            "broot_eu_share": broot_eu,
+            "nl_eu_share": nl_eu,
         }),
     );
-    out
+    (out, verdicts)
 }

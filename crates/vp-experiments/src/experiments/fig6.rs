@@ -8,6 +8,7 @@
 
 use crate::context::Lab;
 use crate::experiments::fig5::sweep_configs;
+use crate::experiments::Verdict;
 use verfploeter::hourly_prediction;
 use verfploeter::TextTable;
 
@@ -15,7 +16,7 @@ use verfploeter::TextTable;
     clippy::expect_used,
     reason = "the B-Root scenario always defines the LAX and MIA sites."
 )]
-pub fn run(lab: &Lab) -> String {
+pub fn run(lab: &Lab) -> (String, Vec<Verdict>) {
     let scenario = lab.broot();
     let load = lab.load_april();
     let lax = scenario.announcement.site_by_name("LAX").expect("LAX").id;
@@ -25,6 +26,8 @@ pub fn run(lab: &Lab) -> String {
         "Fig. 6: predicted hourly load for B-Root under prepending (SBV-4-21 x LB-4-12)\n",
     );
     let mut json_rows = Vec::new();
+    // Each panel's mean LAX and MIA load, q/s.
+    let mut means = Vec::new();
     for (i, (label, p_lax, p_mia)) in sweep_configs().into_iter().enumerate() {
         let mut ann = scenario.announcement.clone();
         ann.set_prepend("LAX", p_lax).set_prepend("MIA", p_mia);
@@ -65,12 +68,25 @@ pub fn run(lab: &Lab) -> String {
             format!("{:.0}", daily[2] / 24.0),
         ]);
         out.push_str(&t.render());
+        means.push((daily[0] / 24.0, daily[1] / 24.0));
     }
-    out.push_str(
-        "\n(Every fourth hour shown; full 24-hour series in the JSON artifact. \
-         The top panel should be nearly all MIA, shifting to mostly LAX as MIA prepends grow, \
-         with a persistent small UNKNOWN share — §6.1.)\n",
-    );
+    out.push_str("\n(Every fourth hour shown; full 24-hour series in the JSON artifact.)\n");
+    let lax_means: Vec<String> = means.iter().map(|(l, _)| format!("{l:.0}")).collect();
+    let (top_lax, top_mia) = means[0];
+    let verdicts = vec![
+        Verdict {
+            claim: "Each step from +1 LAX to +3 MIA moves load toward LAX",
+            paper: "load shifts from MIA to LAX as MIA prepends grow (§6.1)",
+            measured: format!("mean LAX load {} q/s", lax_means.join(" → ")),
+            holds: means.windows(2).all(|w| w[0].0 < w[1].0),
+        },
+        Verdict {
+            claim: "Under +1 LAX, MIA carries more load than LAX",
+            paper: "the +1 LAX panel is nearly all MIA",
+            measured: format!("mean LAX {top_lax:.0} q/s, MIA {top_mia:.0} q/s"),
+            holds: top_mia > top_lax,
+        },
+    ];
     lab.write_json("fig6_prepend_load", &serde_json::json!(json_rows));
-    out
+    (out, verdicts)
 }

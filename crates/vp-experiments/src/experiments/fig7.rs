@@ -5,11 +5,12 @@
 //! (rising medians).
 
 use crate::context::Lab;
+use crate::experiments::Verdict;
 use verfploeter::unstable_blocks;
 use verfploeter::{as_divisions, fig7_rows, split_as_fraction};
 use verfploeter::{pct, TextTable};
 
-pub fn run(lab: &Lab) -> String {
+pub fn run(lab: &Lab) -> (String, Vec<Verdict>) {
     let scenario = lab.tangled();
     let rounds = lab.tangled_rounds();
     // §6.2: remove unstable VPs first so flapping isn't read as division.
@@ -32,7 +33,18 @@ pub fn run(lab: &Lab) -> String {
         ]);
     }
     let medians: Vec<f64> = rows.iter().map(|r| r.prefix_percentiles[2]).collect();
-    let rising = medians.windows(2).filter(|w| w[1] >= w[0]).count();
+    let sites: Vec<String> = rows.iter().map(|r| r.sites.to_string()).collect();
+    let shown: Vec<String> = medians.iter().map(|m| format!("{m:.0}")).collect();
+    let verdicts = vec![Verdict {
+        claim: "ASes that see more sites announce more prefixes",
+        paper: "median prefixes rise with sites seen",
+        measured: format!(
+            "median prefixes {} at {} sites",
+            shown.join(", "),
+            sites.join(", ")
+        ),
+        holds: medians.len() > 1 && medians.windows(2).all(|w| w[1] >= w[0]),
+    }];
 
     let mut out = String::from(
         "Fig. 7: announced prefixes vs number of sites seen per AS (dataset STV-3-23)\n\n",
@@ -40,14 +52,11 @@ pub fn run(lab: &Lab) -> String {
     out.push_str(&t.render());
     out.push_str(&format!(
         "\nASes seeing >1 site: {} of {} ({}) — the paper reports 12.7%.\n\
-         Excluded unstable blocks: {}.\n\
-         Shape check: medians rise with sites seen in {}/{} steps.\n",
+         Excluded unstable blocks: {}.\n",
         divisions.iter().filter(|d| d.sites_seen > 1).count(),
         divisions.len(),
         pct(split_frac),
         unstable.len(),
-        rising,
-        medians.len().saturating_sub(1),
     ));
     lab.write_json(
         "fig7_as_divisions",
@@ -63,5 +72,5 @@ pub fn run(lab: &Lab) -> String {
                 .collect::<Vec<_>>(),
         }),
     );
-    out
+    (out, verdicts)
 }

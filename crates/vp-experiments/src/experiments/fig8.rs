@@ -7,11 +7,12 @@
 //! multiple VPs).
 
 use crate::context::Lab;
+use crate::experiments::Verdict;
 use verfploeter::fig8_rows;
 use verfploeter::unstable_blocks;
 use verfploeter::{pct, TextTable};
 
-pub fn run(lab: &Lab) -> String {
+pub fn run(lab: &Lab) -> (String, Vec<Verdict>) {
     let scenario = lab.tangled();
     let rounds = lab.tangled_rounds();
     let unstable = unstable_blocks(&rounds);
@@ -57,15 +58,16 @@ pub fn run(lab: &Lab) -> String {
         "Fig. 8: number of sites seen within each announced prefix, by prefix length (STV-3-23)\n\n",
     );
     out.push_str(&t.render());
-    out.push_str(&format!(
-        "\nMulti-site fraction: prefixes <= /16: {} ({} prefixes); prefixes >= /22: {} ({} prefixes).\n\
-         Shape check (large prefixes split more): {}.\n",
-        pct(short_multi),
-        short_n,
-        pct(long_multi),
-        long_n,
-        if short_multi >= long_multi { "holds" } else { "VIOLATED" },
-    ));
+    let verdicts = vec![Verdict {
+        claim: "Short prefixes (/16 or shorter) split across sites more often than long ones (/22 or longer)",
+        paper: "most large prefixes see several sites; /22-/24 are mostly single-site",
+        measured: format!(
+            "multi-site: {} of {short_n} short, {} of {long_n} long prefixes",
+            pct(short_multi),
+            pct(long_multi)
+        ),
+        holds: short_multi > long_multi,
+    }];
     lab.write_json(
         "fig8_prefix_divisions",
         &serde_json::json!(rows
@@ -78,5 +80,5 @@ pub fn run(lab: &Lab) -> String {
             }))
             .collect::<Vec<_>>()),
     );
-    out
+    (out, verdicts)
 }

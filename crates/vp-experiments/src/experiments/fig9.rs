@@ -6,10 +6,11 @@
 //! fraction (~0.1%) flips site.
 
 use crate::context::Lab;
+use crate::experiments::Verdict;
 use verfploeter::{count, pct, TextTable};
 use vp_monitor::diff::{diff_series, RoundDiff};
 
-pub fn run(lab: &Lab) -> String {
+pub fn run(lab: &Lab) -> (String, Vec<Verdict>) {
     let rounds = lab.tangled_rounds();
     let deltas = diff_series(&rounds);
     assert!(!deltas.is_empty(), "need at least two rounds");
@@ -45,6 +46,25 @@ pub fn run(lab: &Lab) -> String {
     let med_to_nr = median(&|d| d.to_nr);
     let med_from_nr = median(&|d| d.from_nr);
     let responders = med_stable + med_flipped;
+    let stable_frac = med_stable as f64 / responders.max(1) as f64;
+    let verdicts = vec![
+        Verdict {
+            claim: "At least 95% of continuing responders keep their site from round to round",
+            paper: "~95%+ of responders are stable",
+            measured: format!("{} (median round)", pct(stable_frac)),
+            holds: stable_frac >= 0.95,
+        },
+        Verdict {
+            claim: "Site flips are an order of magnitude rarer than responsiveness churn",
+            paper: "flips ~0.1%, to-NR churn ~2.4% of responders",
+            measured: format!(
+                "{} flips vs {} to-NR (median round)",
+                count(med_flipped),
+                count(med_to_nr)
+            ),
+            holds: 10 * med_flipped <= med_to_nr,
+        },
+    ];
 
     let mut out = String::from(
         "Fig. 9: stability over 24 hours, one point per 15-minute round (dataset STV-3-23)\n\n",
@@ -54,21 +74,14 @@ pub fn run(lab: &Lab) -> String {
         "\nMedians across {} transitions:\n\
          \x20 stable:  {} ({} of continuing responders)\n\
          \x20 flipped: {} ({})\n\
-         \x20 to_NR:   {} | from_NR: {}\n\
-         Paper shapes: stable ≈ 95%+ of responders, flips ≈ 0.1%, churn ≈ 2.4% — \
-         flips must be far rarer than responsiveness churn: {}.\n",
+         \x20 to_NR:   {} | from_NR: {}\n",
         deltas.len(),
         count(med_stable),
-        pct(med_stable as f64 / responders.max(1) as f64),
+        pct(stable_frac),
         count(med_flipped),
         pct(med_flipped as f64 / responders.max(1) as f64),
         count(med_to_nr),
         count(med_from_nr),
-        if med_flipped < med_to_nr {
-            "holds"
-        } else {
-            "VIOLATED"
-        },
     ));
     lab.write_json(
         "fig9_stability",
@@ -83,5 +96,5 @@ pub fn run(lab: &Lab) -> String {
             }))
             .collect::<Vec<_>>()),
     );
-    out
+    (out, verdicts)
 }

@@ -118,13 +118,9 @@ pub(super) fn render_pair(
         ann,
         "blocks",
     );
-    let ratio = v_bins.total() / a_bins.total().max(1.0);
     lab.write_json(
         &format!("{fig}_maps"),
         &serde_json::json!({ "atlas": a_json, "verfploeter": v_json }),
     );
-    format!(
-        "{a_text}\n{v_text}\nVerfploeter observations / Atlas observations = {ratio:.0}x \
-         (the figure scales differ by ~1000x in the paper).\n"
-    )
+    format!("{a_text}\n{v_text}")
 }

@@ -7,9 +7,10 @@
 //! STV-3-23's row reflects the configured round count.
 
 use crate::context::Lab;
+use crate::experiments::Verdict;
 use verfploeter::TextTable;
 
-pub fn run(lab: &Lab) -> String {
+pub fn run(lab: &Lab) -> (String, Vec<Verdict>) {
     let broot_targets = lab.broot_hitlist().len();
     let tangled_targets = lab.tangled_hitlist().len();
     let vp_mins = |targets: usize| (targets as f64 / 10_000.0 / 60.0).ceil() as u64;
@@ -63,5 +64,5 @@ pub fn run(lab: &Lab) -> String {
             "stability_rounds": rounds,
         }),
     );
-    out
+    (out, Vec::new())
 }

@@ -1,10 +1,11 @@
 //! Table 2: the load datasets (IPv4 UDP queries/day and q/s, per site).
 
 use crate::context::Lab;
+use crate::experiments::Verdict;
 use verfploeter::actual_load_fraction;
 use verfploeter::{si, TextTable};
 
-pub fn run(lab: &Lab) -> String {
+pub fn run(lab: &Lab) -> (String, Vec<Verdict>) {
     let broot = lab.broot();
     let april = lab.load_april();
     let may = lab.load_may();
@@ -61,5 +62,5 @@ pub fn run(lab: &Lab) -> String {
             "LN-4-12": { "q_day": nl.total_daily(), "q_s": nl.queries_per_sec() },
         }),
     );
-    out
+    (out, Vec::new())
 }

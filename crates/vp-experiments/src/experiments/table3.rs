@@ -1,9 +1,10 @@
 //! Table 3: the anycast sites of both deployments.
 
 use crate::context::Lab;
+use crate::experiments::Verdict;
 use verfploeter::TextTable;
 
-pub fn run(lab: &Lab) -> String {
+pub fn run(lab: &Lab) -> (String, Vec<Verdict>) {
     let mut t = TextTable::new(["Service", "Site", "Location", "Upstream"]);
     for (service, scenario) in [("B-Root", lab.broot()), ("Tangled", lab.tangled())] {
         for site in &scenario.announcement.sites {
@@ -27,5 +28,5 @@ pub fn run(lab: &Lab) -> String {
             "tangled": lab.tangled().announcement.sites.iter().map(|s| s.name.clone()).collect::<Vec<_>>(),
         }),
     );
-    out
+    (out, Vec::new())
 }

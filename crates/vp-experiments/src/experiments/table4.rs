@@ -8,10 +8,11 @@
 use std::collections::BTreeSet;
 
 use crate::context::Lab;
+use crate::experiments::Verdict;
 use verfploeter::{count, pct, TextTable};
 use verfploeter::{coverage, AtlasCoverage};
 
-pub fn run(lab: &Lab) -> String {
+pub fn run(lab: &Lab) -> (String, Vec<Verdict>) {
     let scenario = lab.broot();
     let atlas = lab.atlas_scan(
         "SBA-5-15",
@@ -87,13 +88,23 @@ pub fn run(lab: &Lab) -> String {
     let mut out = String::from("Table 4: coverage of B-Root (datasets SBA-5-15, SBV-5-15)\n\n");
     out.push_str(&t.render());
     out.push_str(&format!(
-        "\nVerfploeter sees {:.0}x more responding blocks than Atlas.\n\
-         Hitlist response rate: {} (the paper and prior hitlist studies see ~55%).\n\
-         {} of Atlas blocks are also seen by Verfploeter (paper: ~77%).\n",
-        r.coverage_ratio(),
+        "\nHitlist response rate: {} (the paper and prior hitlist studies see ~55%).\n",
         pct(r.vp_blocks_responding as f64 / r.vp_blocks_considered as f64),
-        pct(r.atlas_overlap_fraction()),
     ));
+    let verdicts = vec![
+        Verdict {
+            claim: "Verfploeter sees orders of magnitude (100x or more) more responding blocks than Atlas",
+            paper: "~430x",
+            measured: format!("{:.0}x", r.coverage_ratio()),
+            holds: r.coverage_ratio() >= 100.0,
+        },
+        Verdict {
+            claim: "Most Atlas blocks are also seen by Verfploeter",
+            paper: "~77%",
+            measured: pct(r.atlas_overlap_fraction()),
+            holds: r.atlas_overlap_fraction() > 0.5,
+        },
+    ];
     #[expect(
         clippy::expect_used,
         reason = "serde_json on owned derived data cannot fail."
@@ -102,5 +113,5 @@ pub fn run(lab: &Lab) -> String {
         "table4_coverage",
         &serde_json::to_value(r).expect("serialize"),
     );
-    out
+    (out, verdicts)
 }

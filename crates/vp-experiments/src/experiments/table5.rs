@@ -5,10 +5,11 @@
 //! 87.1% of blocks, 82.4% of queries mapped; 12.9% / 17.6% not mappable).
 
 use crate::context::Lab;
+use crate::experiments::Verdict;
 use verfploeter::mappability;
 use verfploeter::{count, pct, si, TextTable};
 
-pub fn run(lab: &Lab) -> String {
+pub fn run(lab: &Lab) -> (String, Vec<Verdict>) {
     let scenario = lab.broot();
     let vp = lab.vp_scan(
         "SBV-5-15",
@@ -47,6 +48,21 @@ pub fn run(lab: &Lab) -> String {
         "Table 5: coverage of Verfploeter from B-Root (datasets SBV-5-15, LB-5-15)\n\n",
     );
     out.push_str(&t.render());
+    let (blocks, queries) = (m.blocks_mapped_frac(), m.queries_mapped_frac());
+    let verdicts = vec![
+        Verdict {
+            claim: "Most blocks that send B-Root queries are mapped",
+            paper: "87.1% of blocks mapped",
+            measured: format!("{} of blocks mapped", pct(blocks)),
+            holds: blocks > 0.5,
+        },
+        Verdict {
+            claim: "The mapped share of queries is at most the mapped share of blocks",
+            paper: "82.4% of queries vs 87.1% of blocks",
+            measured: format!("{} of queries vs {} of blocks", pct(queries), pct(blocks)),
+            holds: queries <= blocks,
+        },
+    ];
     #[expect(
         clippy::expect_used,
         reason = "serde_json on owned derived data cannot fail."
@@ -55,5 +71,5 @@ pub fn run(lab: &Lab) -> String {
         "table5_mappability",
         &serde_json::to_value(m).expect("serialize"),
     );
-    out
+    (out, verdicts)
 }

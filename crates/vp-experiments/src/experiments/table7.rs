@@ -5,10 +5,11 @@
 //! them (63%), with a long thin tail across a couple thousand ASes.
 
 use crate::context::Lab;
+use crate::experiments::Verdict;
 use verfploeter::flips_by_as;
 use verfploeter::{count, TextTable};
 
-pub fn run(lab: &Lab) -> String {
+pub fn run(lab: &Lab) -> (String, Vec<Verdict>) {
     let scenario = lab.tangled();
     let rounds = lab.tangled_rounds();
     let table = flips_by_as(&rounds, &scenario.world);
@@ -44,18 +45,13 @@ pub fn run(lab: &Lab) -> String {
 
     let mut out = String::from("Table 7: top ASes involved in site flips (dataset STV-3-23)\n\n");
     out.push_str(&t.render());
-    out.push_str(&format!(
-        "\nFlipping ASes: {}. Top AS carries {:.0}% of flips (paper: 51%), top five {:.0}% \
-         (paper: 63%).\nShape check (concentration): top AS > 25% and top five > 50%: {}.\n",
-        table.flipping_ases(),
-        100.0 * top1,
-        100.0 * top5,
-        if top1 > 0.25 && top5 > 0.5 {
-            "holds"
-        } else {
-            "VIOLATED"
-        },
-    ));
+    out.push_str(&format!("\nFlipping ASes: {}.\n", table.flipping_ases()));
+    let verdicts = vec![Verdict {
+        claim: "Flips concentrate: the top AS carries over 25% of them, the top five over 50%",
+        paper: "top AS 51%, top five 63%",
+        measured: format!("top AS {:.0}%, top five {:.0}%", 100.0 * top1, 100.0 * top5),
+        holds: top1 > 0.25 && top5 > 0.5,
+    }];
     lab.write_json(
         "table7_flip_ases",
         &serde_json::json!({
@@ -69,5 +65,5 @@ pub fn run(lab: &Lab) -> String {
                 .collect::<Vec<_>>(),
         }),
     );
-    out
+    (out, verdicts)
 }

@@ -23,8 +23,6 @@ pub mod experiments;
 pub mod monitor;
 mod obs;
 
-pub use ablations::{
-    hot_potato_splits, load_weighting, probe_order_burstiness, retry_coverage, BURST_WINDOW,
-};
+pub use ablations::{hot_potato_splits, load_weighting, probe_order_burstiness, retry_coverage};
 pub use context::{bench_scenario_scaled, Lab, Scale};
 pub use daemon::{Daemon, DaemonArgs, DaemonConfig};

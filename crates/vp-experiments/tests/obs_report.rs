@@ -21,7 +21,7 @@ fn schema() -> serde_json::Value {
 fn generated_report_matches_schema_snapshot() {
     let mut lab = Lab::new(Scale::Tiny);
     lab.obs = TraceLevel::Full;
-    let out = vp_experiments::experiments::fig2::run(&lab);
+    let (out, _) = vp_experiments::experiments::fig2::run(&lab);
     assert!(!out.is_empty());
     let report = lab.take_obs_report("fig2_broot_maps").expect("report");
 

@@ -15,7 +15,7 @@ cd "$(dirname "$0")/.."
 
 # rustfmt, a per-crate ratchet: each crate listed here is formatted and
 # stays so; the rest of the tree is not reformatted wholesale.
-cargo fmt --check -p vp-bgp -p vp-net -p vp-hitlist -p vp-dns -p vp-atlas
+cargo fmt --check -p vp-bgp -p vp-net -p vp-hitlist -p vp-dns -p vp-atlas -p vp-experiments
 
 # The lint policy (DESIGN.md §8), in the target directory the tier-1
 # lint_gate test reuses, so `cargo test` below finds it already checked.
@@ -94,10 +94,11 @@ cargo run -q --release -p vp-experiments --bin vp_daemon -- \
 diff -u results/daemon/vp_daemon_status.json "$daemon_dir/status.json"
 diff -u results/daemon/vp_daemon_scrape.prom "$daemon_dir/metrics.prom"
 
-# Golden tree: every results/*.json and results/obs/*.report.json must
-# regenerate byte-identically (a cargo test compares only fig2, fig3 and
-# table4) on any host: the shard layout the obs reports record is a
-# function of the hitlist length alone. Excluded: daemon/ and monitor/
+# Golden tree: every results/*.json (verdicts.json among them) and
+# results/obs/*.report.json must regenerate byte-identically on any host
+# (tier-1 compares only fig2's, fig3's and table4's artifacts and
+# verdicts): the shard layout the obs reports record is a function of the
+# hitlist length alone. Excluded: daemon/ and monitor/
 # (gated above), the flight golden (flight_golden.rs pins it) and the
 # wall-clock transcript.
 golden_dir="target/results-check"

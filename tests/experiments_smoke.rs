@@ -1,89 +1,66 @@
 //! Smoke test: every table/figure regenerator runs at tiny scale and
-//! produces a report with its expected structure.
+//! produces a report with its expected structure and its verdicts.
+
+use std::collections::BTreeSet;
 
 use vp_experiments::{experiments, Lab, Scale};
 
+/// Lines each experiment's report must contain, by experiment id.
+const NEEDLES: &[(&str, &[&str])] = &[
+    ("table1_datasets", &["SBV-5-15", "STV-3-23", "Verfploeter"]),
+    ("table2_load_datasets", &["LB-4-12", "LB-5-15", "LN-4-12", "q/day"]),
+    ("table3_sites", &["B-Root", "Tangled", "LAX", "CPH"]),
+    ("fig2_broot_maps", &["Atlas", "Verfploeter", "largest bins"]),
+    ("fig3_tangled_maps", &["Tangled", "ENS"]),
+    ("table4_coverage", &["considered", "responding", "geolocatable", "unique"]),
+    ("table5_mappability", &["seen at B-Root", "mapped by Verfploeter", "not mappable"]),
+    ("table6_pct_lax", &["Atlas", "Verfploeter + load", "Actual load", "% LAX"]),
+    ("fig4_load_maps", &["UNKNOWN", "ns1", ".nl"]),
+    ("fig5_prepending", &["+1 LAX", "equal", "+3 MIA"]),
+    ("fig6_prepend_load", &["[equal]", "[+3 MIA]", "UNKNOWN"]),
+    ("fig7_as_divisions", &["sites seen", "median", ">1 site"]),
+    ("fig8_prefix_divisions", &["prefix len", "1 site", "single-VP"]),
+    ("fig9_stability", &["stable", "flipped", "to_NR", "from_NR"]),
+    ("table7_flip_ases", &["Flips", "Total", "Frac."]),
+];
+
+/// The experiments EXPERIMENTS.md marks: those with verdicts in the
+/// committed `results/verdicts.json`.
+fn marked_experiments() -> BTreeSet<String> {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/results/verdicts.json");
+    let text = std::fs::read_to_string(path).expect("read results/verdicts.json");
+    let verdicts: serde_json::Value = serde_json::from_str(&text).expect("parse verdicts.json");
+    let by_id = verdicts.as_object().expect("an object of experiments");
+    by_id
+        .iter()
+        .filter(|(_, list)| list.as_array().is_some_and(|l| !l.is_empty()))
+        .map(|(id, _)| id.clone())
+        .collect()
+}
+
+/// One pass over all fifteen experiments in one lab: each report holds its
+/// needles, each experiment EXPERIMENTS.md marks returns a verdict, and no
+/// two verdicts share a claim (the claim is the doc's join key).
 #[test]
 fn every_experiment_runs_and_reports() {
     let lab = Lab::new(Scale::Tiny);
+    let marked = marked_experiments();
+    let mut claims = BTreeSet::new();
     for (name, run) in experiments::all() {
-        let out = run(&lab);
-        assert!(!out.is_empty(), "{name} produced no output");
-        assert!(
-            out.lines().count() >= 5,
-            "{name} output suspiciously short:\n{out}"
-        );
-    }
-}
-
-/// An experiment, its runner and lines its report must contain.
-type Expectation = (&'static str, fn(&Lab) -> String, &'static [&'static str]);
-
-#[test]
-fn reports_contain_their_key_lines() {
-    let lab = Lab::new(Scale::Tiny);
-    let expectations: &[Expectation] = &[
-        (
-            "table1",
-            experiments::table1::run,
-            &["SBV-5-15", "STV-3-23", "Verfploeter"],
-        ),
-        (
-            "table2",
-            experiments::table2::run,
-            &["LB-4-12", "LB-5-15", "LN-4-12", "q/day"],
-        ),
-        ("table3", experiments::table3::run, &["B-Root", "Tangled", "LAX", "CPH"]),
-        (
-            "table4",
-            experiments::table4::run,
-            &["considered", "responding", "geolocatable", "unique", "more responding blocks"],
-        ),
-        (
-            "table5",
-            experiments::table5::run,
-            &["seen at B-Root", "mapped by Verfploeter", "not mappable"],
-        ),
-        (
-            "table6",
-            experiments::table6::run,
-            &["Atlas", "Verfploeter + load", "Actual load", "% LAX"],
-        ),
-        (
-            "table7",
-            experiments::table7::run,
-            &["Flips", "Total", "Frac."],
-        ),
-        ("fig2", experiments::fig2::run, &["Atlas", "Verfploeter", "China"]),
-        ("fig3", experiments::fig3::run, &["Tangled", "Sites observed"]),
-        ("fig4", experiments::fig4::run, &["UNKNOWN", "ns1", "Europe"]),
-        (
-            "fig5",
-            experiments::fig5::run,
-            &["+1 LAX", "equal", "+3 MIA", "residual"],
-        ),
-        ("fig6", experiments::fig6::run, &["[equal]", "[+3 MIA]", "UNKNOWN"]),
-        ("fig7", experiments::fig7::run, &["sites seen", "median", ">1 site"]),
-        (
-            "fig8",
-            experiments::fig8::run,
-            &["prefix len", "1 site", "single-VP"],
-        ),
-        (
-            "fig9",
-            experiments::fig9::run,
-            &["stable", "flipped", "to_NR", "from_NR"],
-        ),
-    ];
-    for (name, run, needles) in expectations {
-        let out = run(&lab);
-        for needle in *needles {
-            assert!(
-                out.contains(needle),
-                "{name} report lacks {needle:?}:\n{out}"
-            );
+        let (out, verdicts) = run(&lab);
+        assert!(out.lines().count() >= 5, "{name} output suspiciously short:\n{out}");
+        let needles = NEEDLES.iter().find(|(id, _)| *id == name).expect("needles for every experiment");
+        for needle in needles.1 {
+            assert!(out.contains(needle), "{name} report lacks {needle:?}:\n{out}");
+        }
+        if marked.contains(name) {
+            assert!(!verdicts.is_empty(), "{name} returned no verdict");
+        }
+        for v in &verdicts {
+            assert!(claims.insert(v.claim), "claim {:?} is not unique", v.claim);
         }
     }
+    assert_eq!(NEEDLES.len(), experiments::all().len());
 }
 
 #[test]

@@ -65,7 +65,7 @@ fn workspace_docs_build_clean() {
 /// of its own.
 #[test]
 fn expect_count_only_ratchets_down() {
-    const CEILING: usize = 49;
+    const CEILING: usize = 48;
     const INDEXING_CEILING: usize = 7;
     // Spelled in halves so this file does not count itself.
     let (outer, inner) = (concat!("#[", "expect("), concat!("#![", "expect("));
@@ -155,7 +155,7 @@ fn design_inventory_names_every_crate() {
 /// this long, and one that shortens it lowers the ceiling.
 #[test]
 fn design_md_line_count_only_ratchets_down() {
-    const CEILING: usize = 927;
+    const CEILING: usize = 925;
     let lines = std::fs::read_to_string(root().join("DESIGN.md")).unwrap().lines().count();
     assert!(lines <= CEILING, "DESIGN.md is {lines} lines, ceiling {CEILING}");
 }
