@@ -38,9 +38,9 @@ fn marked_experiments() -> BTreeSet<String> {
         .collect()
 }
 
-/// One pass over all fifteen experiments in one lab: each report holds its
-/// needles, each experiment EXPERIMENTS.md marks returns a verdict, and no
-/// two verdicts share a claim (the claim is the doc's join key).
+/// Every experiment's report is non-trivial, each experiment EXPERIMENTS.md
+/// marks returns a verdict, and no two verdicts share a claim (the claim is
+/// the doc's join key).
 #[test]
 fn every_experiment_runs_and_reports() {
     let lab = Lab::new(Scale::Tiny);
@@ -49,15 +49,23 @@ fn every_experiment_runs_and_reports() {
     for (name, run) in experiments::all() {
         let (out, verdicts) = run(&lab);
         assert!(out.lines().count() >= 5, "{name} output suspiciously short:\n{out}");
-        let needles = NEEDLES.iter().find(|(id, _)| *id == name).expect("needles for every experiment");
-        for needle in needles.1 {
-            assert!(out.contains(needle), "{name} report lacks {needle:?}:\n{out}");
-        }
         if marked.contains(name) {
             assert!(!verdicts.is_empty(), "{name} returned no verdict");
         }
         for v in &verdicts {
             assert!(claims.insert(v.claim), "claim {:?} is not unique", v.claim);
+        }
+    }
+}
+
+#[test]
+fn reports_contain_their_key_lines() {
+    let lab = Lab::new(Scale::Tiny);
+    for (name, run) in experiments::all() {
+        let (out, _) = run(&lab);
+        let needles = NEEDLES.iter().find(|(id, _)| *id == name).expect("needles for every experiment");
+        for needle in needles.1 {
+            assert!(out.contains(needle), "{name} report lacks {needle:?}:\n{out}");
         }
     }
     assert_eq!(NEEDLES.len(), experiments::all().len());
