@@ -2,7 +2,6 @@
 
 use std::collections::BTreeSet;
 
-use serde::Serialize;
 use vp_bgp::SiteId;
 use vp_geo::{BinnedMap, GeoDb};
 use vp_hitlist::Hitlist;
@@ -12,7 +11,7 @@ use crate::catchment::CatchmentMap;
 
 /// The rows of Table 4: coverage of the same anycast service from the
 /// perspective of the two measurement systems.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CoverageReport {
     // Atlas, in VPs.
     pub atlas_vps_considered: u64,
@@ -31,6 +30,11 @@ pub struct CoverageReport {
     pub vp_unique_blocks: u64,
     pub shared_blocks: u64,
 }
+serde_json::impl_serialize! { CoverageReport {
+    atlas_vps_considered, atlas_vps_responding, atlas_blocks_considered, atlas_blocks_responding,
+    atlas_blocks_geolocatable, vp_blocks_considered, vp_blocks_responding, vp_blocks_no_location,
+    vp_blocks_geolocatable, atlas_unique_blocks, vp_unique_blocks, shared_blocks,
+} }
 
 impl CoverageReport {
     /// The paper's headline: how many times more blocks Verfploeter sees.

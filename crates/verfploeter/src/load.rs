@@ -2,7 +2,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::Serialize;
 use vp_bgp::SiteId;
 use vp_dns::QueryLog;
 use vp_geo::BinnedMap;
@@ -11,7 +10,7 @@ use crate::catchment::CatchmentMap;
 
 /// Table 5: how much of the service's real traffic the catchment map can
 /// account for.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct MappabilityReport {
     /// Blocks the service saw queries from.
     pub blocks_seen: u64,
@@ -22,6 +21,9 @@ pub struct MappabilityReport {
     /// ... of which came from mapped blocks.
     pub queries_mapped: f64,
 }
+serde_json::impl_serialize! { MappabilityReport {
+    blocks_seen, blocks_mapped, queries_seen, queries_mapped,
+} }
 
 impl MappabilityReport {
     pub fn blocks_mapped_frac(&self) -> f64 {

@@ -1,13 +1,12 @@
 //! Anycast announcements: the same prefix originated from several sites.
 
-use serde::Serialize;
 use vp_net::{Asn, Ipv4Addr, Prefix};
 use vp_topology::{PopId, SitePlacement, ANYCAST_REGION};
 
 /// Identifier of an anycast site within one deployment (dense, small).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SiteId(pub u8);
+serde_json::impl_serialize! { SiteId(transparent) }
 
 impl SiteId {
     pub const fn index(self) -> usize {

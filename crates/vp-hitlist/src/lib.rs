@@ -28,7 +28,6 @@
     clippy::cast_possible_wrap
 )]
 
-use serde::Serialize;
 use vp_net::{mix, unit, Block24, Id, IdVec, Ipv4Addr};
 use vp_topology::Internet;
 
@@ -47,12 +46,13 @@ impl Id for HitlistRow {
 }
 
 /// One hitlist row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HitlistEntry {
     pub block: Block24,
     /// The address the prober will target in this block.
     pub target: Ipv4Addr,
 }
+serde_json::impl_serialize! { HitlistEntry { block, target } }
 
 /// Configuration of hitlist construction.
 #[derive(Debug, Clone)]
@@ -168,7 +168,7 @@ impl Hitlist {
     /// Serializes to JSON (one array; stable order).
     #[expect(
         clippy::expect_used,
-        reason = "serializing owned plain data with derived impls cannot fail."
+        reason = "serializing owned plain data through `impl_serialize!` cannot fail."
     )]
     pub fn to_json(&self) -> String {
         serde_json::to_string(self.entries.as_slice()).expect("hitlist serializes")

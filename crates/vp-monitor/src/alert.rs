@@ -23,14 +23,13 @@
 //! clock is involved anywhere — rounds are the only time axis — so the
 //! same diff sequence always produces byte-identical alert documents.
 
-use serde::Serialize;
 use serde_json::{json, Value};
 
 use crate::diff::RoundDiff;
 use crate::stream::Tail;
 
 /// Alert thresholds and hysteresis windows; an alert document's `config`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AlertConfig {
     /// `flip-rate` fires above this many flips per 1000 continuing
     /// responders.
@@ -49,6 +48,10 @@ pub struct AlertConfig {
     /// Consecutive calm rounds before an active alert clears.
     pub clear_rounds: u32,
 }
+serde_json::impl_serialize! { AlertConfig {
+    flip_rate_permille, share_delta_permille, coverage_drop_permille, duration_blowup_permille,
+    duration_baseline_rounds, trigger_rounds, clear_rounds,
+} }
 
 impl Default for AlertConfig {
     fn default() -> AlertConfig {
@@ -67,7 +70,7 @@ impl Default for AlertConfig {
 
 /// One fired alert (cleared or still active at end of sequence); an entry
 /// of an alert document's `alerts` and of the daemon status's alert log.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Alert {
     /// `flip-rate`, `load-skew`, `coverage-drop` or `scan-duration`.
     pub rule: String,
@@ -82,6 +85,9 @@ pub struct Alert {
     /// The configured threshold the value is compared against.
     pub threshold: u64,
 }
+serde_json::impl_serialize! { Alert {
+    rule, fired_round, cleared_round, peak_value, peak_round, threshold,
+} }
 
 /// Per-rule hysteresis state.
 #[derive(Debug, Clone, Default)]

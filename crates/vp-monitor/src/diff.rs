@@ -14,7 +14,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::Serialize;
 use verfploeter::CatchmentMap;
 use vp_net::Joined;
 use vp_net::{Asn, BlockColumn};
@@ -26,7 +25,7 @@ pub type Origins = BlockColumn<Asn>;
 /// Everything that changed between one round and the next; it renders as
 /// one entry of a drift document's `rounds` and as the daemon status's
 /// `current`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoundDiff {
     /// 1-based: diff of `rounds[round]` against `rounds[round - 1]`.
     pub round: u32,
@@ -56,6 +55,11 @@ pub struct RoundDiff {
     /// an origins sidecar).
     pub flips_by_as: BTreeMap<u32, u64>,
 }
+serde_json::impl_serialize! { RoundDiff {
+    round, prev, cur, stable, flipped, to_nr, from_nr, prev_blocks, cur_blocks,
+    coverage_delta_permille, flip_rate_permille, site_shares_permille, max_share_delta_permille,
+    flips_by_as,
+} }
 
 fn site_shares(map: &CatchmentMap) -> BTreeMap<u8, u64> {
     let total = map.len() as u64;
@@ -137,7 +141,7 @@ pub fn diff_series(maps: &[CatchmentMap]) -> Vec<RoundDiff> {
 /// sum, extrema fold by max — so per-window summaries fold in any grouping
 /// to the same totals (`tests/proptests.rs` proves it). It renders as the
 /// `summary` of the drift and daemon status documents.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DriftSummary {
     /// Round transitions summarized.
     pub rounds: u64,
@@ -154,6 +158,10 @@ pub struct DriftSummary {
     /// Total flips per origin AS across the window.
     pub flips_by_as: BTreeMap<u32, u64>,
 }
+serde_json::impl_serialize! { DriftSummary {
+    rounds, stable, flipped, to_nr, from_nr, max_flipped, max_flip_rate_permille,
+    max_coverage_drop_permille, max_share_delta_permille, flips_by_as,
+} }
 
 impl DriftSummary {
     /// The summary of a single round transition.

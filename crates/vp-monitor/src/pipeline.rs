@@ -35,7 +35,7 @@ pub struct DiffOutput {
 
 /// Renders the canonical `vp-monitor-drift/v1` document: `schema`,
 /// `source`, the diffs as `rounds` and `summary`, each diff and the
-/// summary in its derived `Serialize` form. A [`DriftTracker`] passes its
+/// summary in its `Serialize` form. A [`DriftTracker`] passes its
 /// newest [`TAIL`](crate::stream::TAIL) diffs, so `rounds` lists at most
 /// that many while `summary` covers every transition ingested.
 pub(crate) fn build_drift_doc<'a>(

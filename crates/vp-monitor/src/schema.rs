@@ -253,7 +253,7 @@ mod tests {
             ("vp-daemon-status/v2", DAEMON_STATUS_SCHEMA),
         ] {
             assert!(
-                serde_json::from_str::<Value>(text).is_ok(),
+                serde_json::from_str(text).is_ok(),
                 "schema for {tag} does not parse"
             );
             assert!(schema_for(tag).is_some());

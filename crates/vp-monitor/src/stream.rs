@@ -31,7 +31,6 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Deref;
 
-use serde::Serialize;
 use serde_json::{json, Value};
 use verfploeter::CatchmentMap;
 use vp_obs::{Registry, RollingWindow};
@@ -265,12 +264,13 @@ pub struct DaemonMeta {
 /// A scan round's three sim-time instants: it starts, its last probe
 /// leaves, and its last arrival lands. Named as the obs report's `scans[]`
 /// entries name them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RoundInstants {
     pub started_ns: u64,
     pub last_probe_ns: u64,
     pub sim_end_ns: u64,
 }
+serde_json::impl_serialize! { RoundInstants { started_ns, last_probe_ns, sim_end_ns } }
 
 /// One rolling window's digest in the status document.
 fn window_value(w: &RollingWindow) -> Value {

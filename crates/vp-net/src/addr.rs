@@ -8,8 +8,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::Serialize;
-
 use crate::error::NetError;
 
 /// An IPv4 address, stored in host byte order.
@@ -17,9 +15,9 @@ use crate::error::NetError;
 /// A deliberate local type rather than `std::net::Ipv4Addr`: the simulator
 /// indexes and iterates over address space constantly and wants a transparent
 /// `u32` with arithmetic, not an octet array.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Default)]
-#[serde(transparent)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Ipv4Addr(pub u32);
+serde_json::impl_serialize! { Ipv4Addr(transparent) }
 
 impl Ipv4Addr {
     /// Builds an address from dotted-quad octets.
@@ -89,9 +87,9 @@ impl From<Ipv4Addr> for u32 {
 /// Identified by the upper 24 bits of its network address, so blocks form a
 /// dense `0..2^24` index space; the topology generator exploits this to store
 /// per-block attribute tables as flat vectors.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
-#[serde(transparent)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Block24(pub u32);
+serde_json::impl_serialize! { Block24(transparent) }
 
 impl Block24 {
     /// The block containing `addr`.

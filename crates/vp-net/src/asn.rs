@@ -2,15 +2,13 @@
 
 use std::fmt;
 
-use serde::Serialize;
-
 /// An Autonomous System number.
 ///
 /// The generated topologies use small dense ASNs (`0..n`), which key the
 /// per-AS tables ([`crate::IdVec`]).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
-#[serde(transparent)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Asn(pub u32);
+serde_json::impl_serialize! { Asn(transparent) }
 
 impl crate::Id for Asn {
     fn from_index(index: usize) -> Self {

@@ -20,7 +20,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
-use serde::Serialize;
 use verfploeter_suite::bgp::SiteId;
 use verfploeter_suite::hitlist::{Hitlist, HitlistConfig};
 use verfploeter_suite::net::{mix, Asn, BitSet, Block24, SimDuration, SimTime};
@@ -36,11 +35,12 @@ use vp_monitor::ingest::{origins_to_json, parse_origins};
 /// The historical tree-backed map, field-for-field the pre-columnar
 /// `CatchmentMap` (so its serialization defines the on-disk format the
 /// columnar engine must reproduce).
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 struct BTreeCatchment {
     name: String,
     map: BTreeMap<Block24, SiteId>,
 }
+serde_json::impl_serialize! { BTreeCatchment { name, map } }
 
 impl BTreeCatchment {
     /// Builds a map from `(block, site)` pairs; later pairs win.

@@ -86,7 +86,7 @@ fn json_artifacts_are_written_when_out_dir_set() {
     // Valid JSON.
     for p in [t4, f5] {
         let text = std::fs::read_to_string(&p).unwrap();
-        serde_json::from_str::<serde_json::Value>(&text)
+        serde_json::from_str(&text)
             .unwrap_or_else(|e| panic!("{} is not valid JSON: {e}", p.display()));
     }
     std::fs::remove_dir_all(&dir).ok();
