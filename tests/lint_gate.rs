@@ -3,8 +3,8 @@
 //! the rustdoc build, and holds what neither can: audits and exported
 //! names only ratchet down, every dependency is used, every `pub fn
 //! merge` names a merge-law test, no document is assembled key by key,
-//! DESIGN.md's crate inventory names every crate, and DESIGN.md only gets
-//! shorter.
+//! vendored stand-ins only get fewer and none is a proc-macro, DESIGN.md's
+//! crate inventory names every crate, and DESIGN.md only gets shorter.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -112,8 +112,8 @@ fn every_pub_merge_names_a_merge_law_test() {
     assert_eq!(defs, 12, "pub fn merge count moved: pin the new one with its merge-law test");
 }
 
-/// A document is a `#[derive(Serialize)]` type rendered with `json!`
-/// (DESIGN.md §5): no non-test source inserts a literal key and a `Value`
+/// A document is a type that lists its fields in `impl_serialize!`,
+/// rendered with `json!` (DESIGN.md §5): no non-test source inserts a literal key and a `Value`
 /// into a map (whitespace aside).
 #[test]
 fn documents_are_not_assembled_key_by_key() {
@@ -131,10 +131,26 @@ fn documents_are_not_assembled_key_by_key() {
             let key = &rest[..rest.find('"').unwrap_or(rest.len())];
             assert!(
                 !rest[key.len()..].starts_with(close),
-                "{}: key {key:?} is inserted by hand; derive Serialize or use json!",
+                "{}: key {key:?} is inserted by hand; list it in impl_serialize! or use json!",
                 rel.display()
             );
         }
+    }
+}
+
+/// The vendored stand-ins only get fewer: at most this many crates under
+/// `vendor/`, and no manifest in the workspace declares a proc-macro.
+#[test]
+fn vendored_stand_ins_only_ratchet_down() {
+    const CEILING: usize = 5;
+    let vendored: Vec<PathBuf> = std::fs::read_dir(root().join("vendor")).unwrap().map(|e| e.unwrap().path()).collect();
+    assert!(vendored.len() <= CEILING, "{} crates under vendor/, ceiling {CEILING}", vendored.len());
+    let members = ["crates", "vendor"].map(|d| std::fs::read_dir(root().join(d)).unwrap());
+    let manifests = members.into_iter().flatten().map(|e| e.unwrap().path().join("Cargo.toml"));
+    for manifest in manifests.chain([root().join("Cargo.toml"), root().join("benchmark/Cargo.toml")]) {
+        let text = std::fs::read_to_string(&manifest).unwrap();
+        let text: String = text.chars().filter(|c| !c.is_whitespace()).collect();
+        assert!(!text.contains("proc-macro=true"), "{}: a proc-macro crate", manifest.display());
     }
 }
 
