@@ -128,9 +128,11 @@ impl CatchmentMap {
     /// Serializes the dataset to JSON (the paper releases all its
     /// datasets; this is the equivalent open-data format):
     /// `{"name":…,"map":{"<block>":<site>,…}}` with the keys in block
-    /// order, the bytes upstream `serde_json` writes for a
+    /// order: the bytes upstream `serde_json` writes for a
     /// `#[derive(Serialize)]` `{ name: String, map: BTreeMap<Block24,
-    /// SiteId> }`. The columns stream into one string sized for them.
+    /// SiteId> }`, and the bytes the `impl_serialize!` form of that derive
+    /// writes (`tests/columnar_equivalence.rs`'s `BTreeCatchment`). The
+    /// columns stream into one string sized for them.
     #[expect(clippy::expect_used, reason = "serializing owned plain data cannot fail.")]
     pub fn to_json(&self) -> String {
         let name = serde_json::to_string(&self.name).expect("catchment map serializes");

@@ -6,7 +6,12 @@
 //!   Verfploeter give different splits (68.8–87.8%);
 //! * the load-weighted prediction lands closest to the actually measured
 //!   load (81.6% predicted vs 81.4% measured);
-//! * predicting with month-old catchments is visibly worse (76.2%).
+//! * predicting with month-old catchments is worse (76.2%). Not in this
+//!   world: at the golden seed the month-old prediction is 0.1 pp off,
+//!   against 0.5 pp same-day, because between-dates drift moves only
+//!   1.0 pp of blocks. No verdict checks it; `verfploeter::predict`'s
+//!   `stale_catchments_predict_worse_than_fresh` test exercises the
+//!   mechanism on a real routing change, as EXPERIMENTS.md notes.
 
 use crate::context::Lab;
 use crate::experiments::Verdict;

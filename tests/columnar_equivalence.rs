@@ -8,9 +8,10 @@
 //! determinism contract's K ∈ {1, 2, 7, 16}, merge sequences in arbitrary
 //! order, serialization round-trips — and must agree **byte-for-byte** on
 //! serialized output (the format oracle is the historical tree engine,
-//! [`BTreeCatchment`], written as upstream `serde_json` writes its
-//! `#[derive(Serialize)]`) and value-for-value on every query. `BitSet::merge` union semantics are proven here
-//! too, against a naive set-of-indices model.
+//! [`BTreeCatchment`]: its `impl_serialize!` is the form of upstream's
+//! `#[derive(Serialize)]` and writes the same bytes) and value-for-value
+//! on every query. `BitSet::merge` union semantics are proven here too,
+//! against a naive set-of-indices model.
 //!
 //! The tree engine is also the ingest oracle: `CatchmentMap::from_json`
 //! and `vp_monitor::ingest::parse_origins` walk JSON text straight into
@@ -87,8 +88,8 @@ impl BTreeCatchment {
         serde_json::to_string(self).expect("catchment map serializes")
     }
 
-    /// Text → `Value` tree → map, the last hop by the rules the retired
-    /// `#[derive(Deserialize)]` applied: `name` a string, `map` an object,
+    /// Text → `Value` tree → map, the last hop by the rules the tree
+    /// engine's retired `Deserialize` impl applied: `name` a string, `map` an object,
     /// other members ignored, a key any decimal spelling of a `u32`
     /// (`"07"`, `"+7"`, `"-0"` included), a site any integer in `u8`.
     fn from_json(s: &str) -> Result<BTreeCatchment, String> {
