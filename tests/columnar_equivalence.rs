@@ -89,9 +89,9 @@ impl BTreeCatchment {
     }
 
     /// Text → `Value` tree → map, the last hop by the rules the tree
-    /// engine's retired `Deserialize` impl applied: `name` a string, `map` an object,
-    /// other members ignored, a key any decimal spelling of a `u32`
-    /// (`"07"`, `"+7"`, `"-0"` included), a site any integer in `u8`.
+    /// engine's retired `Deserialize` impl applied: `name` a string, `map`
+    /// an object, other members ignored, a key any decimal spelling of a
+    /// `u32` (`"07"`, `"+7"`, `"-0"` included), a site any integer in `u8`.
     fn from_json(s: &str) -> Result<BTreeCatchment, String> {
         use serde_json::Value;
         let doc: Value = serde_json::from_str(s).map_err(|e| e.to_string())?;
