@@ -156,7 +156,15 @@ mod tests {
     use crate::prefixes::allocate_prefixes;
     use rand::SeedableRng;
 
-    fn setup(seed: u64) -> (AsGraph, Vec<PrefixInfo>, Vec<BlockInfo>, GeoDb, TopologyConfig) {
+    fn setup(
+        seed: u64,
+    ) -> (
+        AsGraph,
+        Vec<PrefixInfo>,
+        Vec<BlockInfo>,
+        GeoDb,
+        TopologyConfig,
+    ) {
         let cfg = TopologyConfig::tiny(seed);
         let mut rng = Pcg64::seed_from_u64(seed);
         let graph = AsGraph::generate(&cfg, &mut rng);

@@ -1,6 +1,5 @@
 //! Generator configuration.
 
-
 /// Parameters of the synthetic Internet.
 ///
 /// The defaults generate a medium world that runs every experiment in

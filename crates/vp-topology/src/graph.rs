@@ -116,10 +116,7 @@ impl AsGraph {
     )]
     pub fn generate<R: Rng>(cfg: &TopologyConfig, rng: &mut R) -> AsGraph {
         assert!(cfg.num_tier1 >= 2, "need at least two tier-1 ASes");
-        assert!(
-            cfg.num_ases > cfg.num_tier1,
-            "need more ASes than tier-1s"
-        );
+        assert!(cfg.num_ases > cfg.num_tier1, "need more ASes than tier-1s");
         let world = countries();
         let user_weights: Vec<f64> = world.iter().map(|c| c.user_weight).collect();
         let country_dist = WeightedIndex::new(&user_weights).expect("non-empty country table");
@@ -246,7 +243,12 @@ impl AsGraph {
         // occasionally directly from tier-1s.
         let transit_by_continent: BTreeMap<Continent, Vec<usize>> = {
             let mut m: BTreeMap<Continent, Vec<usize>> = BTreeMap::new();
-            for (i, node) in ases.iter().enumerate().take(transit_range.end).skip(transit_range.start) {
+            for (i, node) in ases
+                .iter()
+                .enumerate()
+                .take(transit_range.end)
+                .skip(transit_range.start)
+            {
                 m.entry(node.country.get().continent).or_default().push(i);
             }
             m

@@ -169,10 +169,16 @@ mod tests {
                 // The row's position is the keyed rule: the block's
                 // location, else its PoP's coordinates.
                 let pop = &w.graph.pops[b.pop];
-                let keyed = w.geodb.locate(b.block).map_or((pop.lat, pop.lon), |l| (l.lat, l.lon));
+                let keyed = w
+                    .geodb
+                    .locate(b.block)
+                    .map_or((pop.lat, pop.lon), |l| (l.lat, l.lon));
                 assert_eq!(w.geodb.coords_of_row(row), Some(keyed), "block {}", b.block);
             }
-            let unlocated = w.blocks.iter().filter(|b| w.geodb.locate(b.block).is_none());
+            let unlocated = w
+                .blocks
+                .iter()
+                .filter(|b| w.geodb.locate(b.block).is_none());
             assert_eq!(w.geodb.len() + unlocated.count(), w.blocks.len());
         }
     }

@@ -79,8 +79,7 @@ pub(crate) fn allocate_prefixes<R: Rng>(
             };
             let u: f64 = rng.gen_range(1e-4..1.0f64);
             let pareto = u.powf(-1.0 / cfg.prefix_count_shape);
-            ((pareto * tier_scale) as usize)
-                .clamp(1, cfg.max_prefixes_per_as)
+            ((pareto * tier_scale) as usize).clamp(1, cfg.max_prefixes_per_as)
         })
         .collect();
 
@@ -131,14 +130,17 @@ pub(crate) fn populate_blocks<R: Rng>(
 ) -> Vec<Block24> {
     let total = info.prefix.block_count() as usize;
     let density = rng.gen_range(0.25f64..0.95);
-    let want = ((total as f64 * density).ceil() as usize)
-        .clamp(1, cfg.max_blocks_per_prefix.min(total));
+    let want =
+        ((total as f64 * density).ceil() as usize).clamp(1, cfg.max_blocks_per_prefix.min(total));
     if want == total {
         return info.prefix.blocks().collect();
     }
     let picks = rand::seq::index::sample(rng, total, want);
     let first = info.prefix.addr().0 >> 8;
-    let mut blocks: Vec<Block24> = picks.into_iter().map(|o| Block24(first + o as u32)).collect();
+    let mut blocks: Vec<Block24> = picks
+        .into_iter()
+        .map(|o| Block24(first + o as u32))
+        .collect();
     blocks.sort();
     blocks
 }

@@ -35,8 +35,8 @@ pub fn pick_host_ases(world: &Internet, specs: &[(&str, &str)]) -> Vec<SitePlace
     let mut used: Vec<Asn> = Vec::new();
     let mut out = Vec::new();
     for (name, code) in specs {
-        let (country, _) = country_by_code(code)
-            .unwrap_or_else(|| panic!("unknown country code {code:?}"));
+        let (country, _) =
+            country_by_code(code).unwrap_or_else(|| panic!("unknown country code {code:?}"));
         // Target connectivity: the median transit degree, so all sites of a
         // deployment end up on comparably connected hosts — wildly uneven
         // hosts would let one site's customer cone swallow the catchment.
@@ -103,11 +103,11 @@ pub fn pick_host_ases(world: &Internet, specs: &[(&str, &str)]) -> Vec<SitePlace
                     // Rank by (closeness to the core, then degree balance):
                     // depth dominates so every site host is a direct (or
                     // near-direct) tier-1 customer.
-                    let dist = depth[node.asn].min(9) * 1_000_000
-                        + degree.abs_diff(median_degree);
-                    if best.as_ref().is_none_or(|(d, b, _)| {
-                        dist < *d || (dist == *d && node.asn < b.asn)
-                    }) {
+                    let dist = depth[node.asn].min(9) * 1_000_000 + degree.abs_diff(median_degree);
+                    if best
+                        .as_ref()
+                        .is_none_or(|(d, b, _)| dist < *d || (dist == *d && node.asn < b.asn))
+                    {
                         best = Some((dist, node, pop));
                     }
                 }
