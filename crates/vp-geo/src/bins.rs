@@ -7,7 +7,6 @@
 
 use std::collections::BTreeMap;
 
-
 /// A two-degree by two-degree geographic bin.
 ///
 /// `lat_bin = floor(lat / 2)`, `lon_bin = floor(lon / 2)`; valid latitudes
@@ -75,11 +74,7 @@ impl<K: Ord + Copy> BinnedMap<K> {
 
     /// Total weight across all bins and keys.
     pub fn total(&self) -> f64 {
-        self.bins
-            .values()
-            .flat_map(|m| m.values())
-            .copied()
-            .sum()
+        self.bins.values().flat_map(|m| m.values()).copied().sum()
     }
 
     /// Total weight per key, across all bins, sorted by key.
@@ -96,10 +91,7 @@ impl<K: Ord + Copy> BinnedMap<K> {
     /// Rows for a map figure: `(bin, per-key weights sorted by key)`,
     /// ordered by bin. The storage is already ordered, so this is a copy.
     pub fn rows(&self) -> Vec<(GeoBin, BTreeMap<K, f64>)> {
-        self.bins
-            .iter()
-            .map(|(bin, m)| (*bin, m.clone()))
-            .collect()
+        self.bins.iter().map(|(bin, m)| (*bin, m.clone())).collect()
     }
 
     /// The maximum single-bin total weight (used to scale the figure's

@@ -63,7 +63,15 @@ impl GeoDb {
     /// Registers a block's location (last write wins).
     pub fn insert(&mut self, block: Block24, loc: GeoLoc) {
         let GeoLoc { country, lat, lon } = loc;
-        self.put(block, Row { lat, lon, country, located: true });
+        self.put(
+            block,
+            Row {
+                lat,
+                lon,
+                country,
+                located: true,
+            },
+        );
     }
 
     /// Registers a block that has no location (last write wins): `locate`
@@ -71,7 +79,15 @@ impl GeoDb {
     /// [`GeoDb::coords_of_row`] reads `(lat, lon)` — the position that
     /// stands in for the block's own (the generator passes its PoP's).
     pub fn insert_unlocated(&mut self, block: Block24, lat: f64, lon: f64) {
-        self.put(block, Row { lat, lon, country: CountryId(0), located: false });
+        self.put(
+            block,
+            Row {
+                lat,
+                lon,
+                country: CountryId(0),
+                located: false,
+            },
+        );
     }
 
     fn put(&mut self, block: Block24, row: Row) {
@@ -184,13 +200,22 @@ mod tests {
         // Out of order, before both.
         db.insert_unlocated(Block24(10), 10.0, 1.0);
         db.insert(Block24(20), loc(2, 20.0, 2.0));
-        assert_eq!(db.keys(), [Block24(10), Block24(20), Block24(30), Block24(40)]);
+        assert_eq!(
+            db.keys(),
+            [Block24(10), Block24(20), Block24(30), Block24(40)]
+        );
         assert_eq!((db.len(), db.is_empty()), (2, false));
         assert_eq!(db.locate(Block24(10)), None);
         assert_eq!(db.locate(Block24(40)), None);
         assert_eq!(db.locate(Block24(20)), Some(loc(2, 20.0, 2.0)));
         let view: Vec<_> = db.iter().collect();
-        assert_eq!(view, [(Block24(20), loc(2, 20.0, 2.0)), (Block24(30), loc(3, 30.0, 3.0))]);
+        assert_eq!(
+            view,
+            [
+                (Block24(20), loc(2, 20.0, 2.0)),
+                (Block24(30), loc(3, 30.0, 3.0))
+            ]
+        );
         let coords: Vec<_> = (0..5).map(|row| db.coords_of_row(row)).collect();
         let want = [(10.0, 1.0), (20.0, 2.0), (30.0, 3.0), (40.0, 4.0)];
         assert_eq!(coords[..4], want.map(Some));

@@ -121,6 +121,8 @@ macro_rules! country {
 }
 
 /// The country table. Order is stable; [`CountryId`] indexes into it.
+/// One country per line: rustfmt would stack the long rows' fields.
+#[rustfmt::skip]
 static COUNTRIES: &[Country] = &[
     // -- Europe: modest user share, enormous Atlas share --
     country!("NL", "Netherlands", Europe, 52.2, 5.3, 1.2, 2.2, 1.6, 14.0, 0.5),

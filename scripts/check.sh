@@ -15,7 +15,7 @@ cd "$(dirname "$0")/.."
 
 # rustfmt, a per-crate ratchet: each crate listed here is formatted and
 # stays so; the rest of the tree is not reformatted wholesale.
-cargo fmt --check -p vp-bgp -p vp-net -p vp-hitlist -p vp-dns -p vp-atlas -p vp-experiments -p serde_json -p vp-topology
+cargo fmt --check -p vp-bgp -p vp-net -p vp-hitlist -p vp-dns -p vp-atlas -p vp-experiments -p serde_json -p vp-topology -p vp-geo
 
 # The lint policy (DESIGN.md §8), in the target directory the tier-1
 # lint_gate test reuses, so `cargo test` below finds it already checked.
