@@ -13,7 +13,6 @@
 use std::collections::BTreeMap;
 
 use vp_net::{mix, unit, Asn, IdVec};
-use vp_topology::AsGraph;
 use vp_topology::PopId;
 
 use crate::announce::SiteId;
@@ -80,14 +79,15 @@ impl FlipModel {
         self.flip_prob.get(&asn).copied().unwrap_or(0.0)
     }
 
-    /// The site traffic from `pop` reaches in measurement round `round`.
+    /// The site traffic from `pop` reaches in measurement round `round`;
+    /// `pop_asns` is the AS of every PoP (`graph.pops.map(|p| p.asn)`).
     ///
     /// Round 0 always matches the converged table; later rounds may flip
     /// among the AS's equally-preferred candidates.
     pub fn site_of_pop_at_round(
         &self,
         table: &RoutingTable,
-        graph: &AsGraph,
+        pop_asns: &IdVec<PopId, Asn>,
         pop: PopId,
         round: u32,
     ) -> Option<SiteId> {
@@ -95,7 +95,7 @@ impl FlipModel {
         if round == 0 {
             return Some(base);
         }
-        let asn = graph.pops.lookup(pop)?.asn;
+        let asn = *pop_asns.lookup(pop)?;
         let route = table.per_as.lookup(asn)?.as_ref()?;
         let candidates = route.strict.len() + route.slack.len();
         if candidates < 2 {
@@ -124,22 +124,23 @@ mod tests {
     use crate::routing::BgpSim;
     use vp_topology::{pick_host_ases, tangled_specs, Internet, TopologyConfig};
 
-    fn setup() -> (Internet, Announcement, RoutingTable) {
+    fn setup() -> (Internet, IdVec<PopId, Asn>, RoutingTable) {
         let w = Internet::generate(TopologyConfig::tiny(55));
         let ann = Announcement::from_placements(&pick_host_ases(&w, &tangled_specs()), 2);
         let table = BgpSim::new(&w.graph, 5).route(&ann);
-        (w, ann, table)
+        let pop_asns = w.graph.pops.map(|p| p.asn);
+        (w, pop_asns, table)
     }
 
     #[test]
     fn stable_model_never_flips() {
-        let (w, _, table) = setup();
+        let (w, pop_asns, table) = setup();
         let model = FlipModel::stable(1);
         for pop in 0..w.graph.pops.len() as u32 {
             let base = table.site_of_pop(PopId(pop));
             for round in 0..5 {
                 assert_eq!(
-                    model.site_of_pop_at_round(&table, &w.graph, PopId(pop), round),
+                    model.site_of_pop_at_round(&table, &pop_asns, PopId(pop), round),
                     base
                 );
             }
@@ -148,12 +149,12 @@ mod tests {
 
     #[test]
     fn round_zero_matches_converged_table() {
-        let (w, _, table) = setup();
+        let (w, pop_asns, table) = setup();
         let blocks_per_as = w.graph.ases.map(|_| 10);
         let model = FlipModel::paper_default(3, &table, &blocks_per_as);
         for pop in 0..w.graph.pops.len() as u32 {
             assert_eq!(
-                model.site_of_pop_at_round(&table, &w.graph, PopId(pop), 0),
+                model.site_of_pop_at_round(&table, &pop_asns, PopId(pop), 0),
                 table.site_of_pop(PopId(pop))
             );
         }
@@ -161,7 +162,7 @@ mod tests {
 
     #[test]
     fn flips_stay_within_candidate_sites() {
-        let (w, _, table) = setup();
+        let (w, pop_asns, table) = setup();
         let blocks_per_as = w.graph.ases.map(|_| 10);
         let model = FlipModel::paper_default(3, &table, &blocks_per_as);
         for pop in 0..w.graph.pops.len() as u32 {
@@ -169,7 +170,7 @@ mod tests {
             let sites = table.per_as[asn].as_ref().unwrap().candidate_sites();
             for round in 0..20 {
                 let s = model
-                    .site_of_pop_at_round(&table, &w.graph, PopId(pop), round)
+                    .site_of_pop_at_round(&table, &pop_asns, PopId(pop), round)
                     .unwrap();
                 assert!(
                     sites.contains(&s),
@@ -181,7 +182,7 @@ mod tests {
 
     #[test]
     fn prone_as_actually_flips() {
-        let (w, _, table) = setup();
+        let (w, pop_asns, table) = setup();
         // Find a multi-candidate AS and make it flip heavily.
         let prone = table
             .per_as
@@ -196,7 +197,7 @@ mod tests {
         let mut saw_flip = false;
         for round in 1..200 {
             let s = model
-                .site_of_pop_at_round(&table, &w.graph, pop, round)
+                .site_of_pop_at_round(&table, &pop_asns, pop, round)
                 .unwrap();
             if s != base {
                 saw_flip = true;
@@ -208,15 +209,15 @@ mod tests {
 
     #[test]
     fn model_is_deterministic_per_round() {
-        let (w, _, table) = setup();
+        let (w, pop_asns, table) = setup();
         let blocks_per_as = w.graph.ases.map(|_| 10);
         let m1 = FlipModel::paper_default(3, &table, &blocks_per_as);
         let m2 = FlipModel::paper_default(3, &table, &blocks_per_as);
         for pop in 0..w.graph.pops.len() as u32 {
             for round in 0..10 {
                 assert_eq!(
-                    m1.site_of_pop_at_round(&table, &w.graph, PopId(pop), round),
-                    m2.site_of_pop_at_round(&table, &w.graph, PopId(pop), round)
+                    m1.site_of_pop_at_round(&table, &pop_asns, PopId(pop), round),
+                    m2.site_of_pop_at_round(&table, &pop_asns, PopId(pop), round)
                 );
             }
         }

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use vp_bgp::{FlipModel, RoutingTable, SiteId};
-use vp_net::{SimDuration, SimTime};
+use vp_net::{Asn, IdVec, SimDuration, SimTime};
 use vp_topology::AsGraph;
 use vp_topology::PopId;
 
@@ -81,17 +81,18 @@ impl CatchmentOracle for StaticOracle {
 
 /// An oracle whose choice may flip between measurement rounds.
 ///
-/// The table, graph and flip model sit behind one [`Arc`], so a clone —
-/// the daemon makes one per round — is a refcount bump.
+/// The table, each PoP's AS and the flip model sit behind one [`Arc`], so
+/// a clone — the daemon makes one per round — is a refcount bump.
 #[derive(Debug, Clone)]
 pub struct FlippingOracle {
-    routing: Arc<(RoutingTable, AsGraph, FlipModel)>,
+    routing: Arc<(RoutingTable, IdVec<PopId, Asn>, FlipModel)>,
     round: SimDuration,
 }
 
 impl FlippingOracle {
     /// Wraps a converged table with a flip model; `round` is the interval
-    /// after which a new flip decision is drawn (15 min in the paper).
+    /// after which a new flip decision is drawn (15 min in the paper). Of
+    /// `graph` it keeps only each PoP's AS, all a flip reads.
     pub fn new(
         table: RoutingTable,
         graph: AsGraph,
@@ -100,7 +101,7 @@ impl FlippingOracle {
     ) -> Self {
         assert!(round > SimDuration::ZERO, "round must be positive");
         FlippingOracle {
-            routing: Arc::new((table, graph, model)),
+            routing: Arc::new((table, graph.pops.map(|p| p.asn), model)),
             round,
         }
     }
@@ -116,8 +117,8 @@ impl CatchmentOracle for FlippingOracle {
     }
 
     fn site_of_pop(&self, pop: PopId, epoch: u32) -> Option<SiteId> {
-        let (table, graph, model) = &*self.routing;
-        model.site_of_pop_at_round(table, graph, pop, epoch)
+        let (table, pop_asns, model) = &*self.routing;
+        model.site_of_pop_at_round(table, pop_asns, pop, epoch)
     }
 }
 
