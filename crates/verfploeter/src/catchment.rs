@@ -40,8 +40,8 @@ impl CatchmentMap {
     /// Folds cleaned replies into the map. Cleaning guarantees one reply
     /// per hitlist row, hence one entry per block.
     pub fn from_replies(name: &str, replies: &[CleanReply], hitlist: &Hitlist) -> CatchmentMap {
-        let entries = hitlist.entries();
-        Self::from_pairs(name, replies.iter().map(|r| (entries[r.row].block, r.site)))
+        let targets = hitlist.targets();
+        Self::from_pairs(name, replies.iter().map(|r| (targets[r.row].block(), r.site)))
     }
 
     /// Builds a map directly from `(block, site)` pairs (used by analyses

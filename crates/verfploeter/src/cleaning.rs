@@ -89,11 +89,11 @@ impl<'h> Cleaner<'h> {
         let index = r.index.filter(|_| r.ident == self.ident);
         let row = index.and_then(|i| u32::try_from(i).ok());
         let row = row.filter(|i| self.rows.contains(i)).map(HitlistRow);
-        let Some((row, entry)) = row.and_then(|row| Some((row, self.hitlist.entries().lookup(row)?))) else {
+        let Some((row, &target)) = row.and_then(|row| Some((row, self.hitlist.targets().lookup(row)?))) else {
             self.stats.foreign += 1;
             return;
         };
-        if entry.target != r.src {
+        if target != r.src {
             self.stats.unprobed_source += 1;
             return;
         }
@@ -184,7 +184,7 @@ mod tests {
         RawReply {
             site: SiteId(0),
             at: SimTime(at),
-            src: hl.entries()[vp_hitlist::HitlistRow(vp_net::conv::sat_u32(index))].target,
+            src: hl.targets()[vp_hitlist::HitlistRow(vp_net::conv::sat_u32(index))],
             ident,
             index: Some(index),
         }
@@ -303,7 +303,7 @@ mod tests {
             let mut r = RawReply {
                 site: SiteId(site),
                 at: SimTime([0, 10, 10, 20, 50, 51][at]),
-                src: hl.entries()[vp_hitlist::HitlistRow(vp_net::conv::sat_u32(index))].target,
+                src: hl.targets()[vp_hitlist::HitlistRow(vp_net::conv::sat_u32(index))],
                 ident: 7,
                 index: Some(index),
             };
@@ -324,7 +324,7 @@ mod tests {
 
     /// What a cleaning pass produces, as the scan consumes it.
     fn tables(hl: &Hitlist, (kept, stats): (Vec<CleanReply>, CleaningStats)) -> (CatchmentMap, RttTable, CleaningStats) {
-        let block = |r: &CleanReply| hl.entries()[r.row].block;
+        let block = |r: &CleanReply| hl.targets()[r.row].block();
         let map = CatchmentMap::from_replies("m", &kept, hl);
         let rtts = RttTable::from_pairs(kept.iter().map(|r| (block(r), r.at.since(SimTime::ZERO))));
         (map, rtts, stats)

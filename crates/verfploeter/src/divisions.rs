@@ -133,7 +133,7 @@ pub fn fig8_rows(
         }
         let slot = world
             .block(block)
-            .and_then(|info| per_prefix.get_mut(conv::index(info.prefix_idx)));
+            .and_then(|info| per_prefix.get_mut(conv::index(world.prefix_idx(info))));
         if let Some((sites, blocks)) = slot {
             sites.insert(site);
             *blocks += 1;
@@ -279,7 +279,7 @@ mod tests {
         let counted: usize = rows.iter().map(|r| r.prefixes).sum();
         let observed: std::collections::BTreeSet<u32> = map
             .iter()
-            .filter_map(|(b, _)| s.world.block(b).map(|i| i.prefix_idx))
+            .filter_map(|(b, _)| s.world.block(b).map(|i| s.world.prefix_idx(i)))
             .collect();
         assert_eq!(counted, observed.len());
     }

@@ -242,7 +242,7 @@ mod tests {
         prober
             .schedule(hl.len(), 0..hl.len(), SimTime::ZERO)
             .map(|(index, at)| {
-                let target = hl.entries()[vp_hitlist::HitlistRow(vp_net::conv::sat_u32(index))].target;
+                let target = hl.targets()[vp_hitlist::HitlistRow(vp_net::conv::sat_u32(index))];
                 (index, at, prober.build_probe(index, target, source))
             })
             .collect()
@@ -261,7 +261,7 @@ mod tests {
         for (index, _, packet) in &probes {
             assert_eq!(
                 packet.dst,
-                hl.entries()[vp_hitlist::HitlistRow(vp_net::conv::sat_u32(*index))].target
+                hl.targets()[vp_hitlist::HitlistRow(vp_net::conv::sat_u32(*index))]
             );
         }
     }
@@ -350,7 +350,7 @@ mod tests {
         let source = Ipv4Addr::new(240, 0, 0, 1);
         let probes: Vec<(u64, Ipv4Addr)> = prober
             .schedule(hl.len(), 0..hl.len(), SimTime::ZERO)
-            .map(|(index, _)| (index, hl.entries()[vp_hitlist::HitlistRow(vp_net::conv::sat_u32(index))].target))
+            .map(|(index, _)| (index, hl.targets()[vp_hitlist::HitlistRow(vp_net::conv::sat_u32(index))]))
             .collect();
         let mut batched = Vec::new();
         for chunk in probes.chunks(97) {
@@ -379,7 +379,7 @@ mod tests {
         });
         let source = Ipv4Addr::new(240, 0, 0, 1);
         let probes: Vec<(u64, Ipv4Addr)> =
-            (0..).zip(hl.entries().iter().map(|e| e.target)).collect();
+            (0..).zip(hl.targets().iter().copied()).collect();
         for chunk in probes.chunks(113) {
             let mut packets = Vec::new();
             let mut images = Vec::new();

@@ -440,7 +440,7 @@ impl Round<'_> {
                 let row = HitlistRow(conv::sat_u32(index));
                 send_time[row.index() - range.start] = at;
                 last_probe = last_probe.max(at);
-                (index, at, self.hitlist.entries()[row].target)
+                (index, at, self.hitlist.targets()[row])
             }),
             prober: &self.prober,
             source: self.announcement.measurement_addr(),
@@ -468,7 +468,7 @@ impl Round<'_> {
         // Probe transmission to reply arrival.
         let rtts = RttTable::from_pairs(kept.iter().map(|r| {
             let sent = send_time[r.row.index() - range.start];
-            (self.hitlist.entries()[r.row].block, r.at.since(sent))
+            (self.hitlist.targets()[r.row].block(), r.at.since(sent))
         }));
         drop(guard);
 
@@ -797,16 +797,16 @@ mod tests {
     #[test]
     fn subset_hitlist_with_misaligned_rows_maps_correctly() {
         let (s, hl) = setup();
-        let third: Vec<_> = hl.entries().iter().step_by(3).collect();
+        let third: Vec<_> = hl.entries().step_by(3).collect();
         let subset = serde_json::to_string(&third).expect("entries serialize");
         let subset = Hitlist::from_json(&subset).expect("entries parse back");
         assert_eq!(subset.len(), hl.len().div_ceil(3));
-        let misaligned = (subset.entries().iter().enumerate())
+        let misaligned = (subset.entries().enumerate())
             .filter(|(i, e)| s.world.block_id(e.block) != Some(conv::sat_u32(*i)))
             .count();
         assert_eq!(misaligned, subset.len() - 1);
-        let responsive = |e: &&vp_hitlist::HitlistEntry| s.world.block(e.block).unwrap().responsive;
-        let responsive = subset.entries().iter().filter(responsive).count();
+        let responsive = |e: &vp_hitlist::HitlistEntry| s.world.block(e.block).unwrap().responsive;
+        let responsive = subset.entries().filter(responsive).count();
 
         let table = s.routing();
         for shards in [1, 7] {
@@ -827,7 +827,7 @@ mod tests {
             assert_eq!(result.sim_stats.undeliverable, 0, "K={shards}");
             for (block, site) in result.catchments.iter() {
                 assert!(
-                    subset.entries().iter().any(|e| e.block == block),
+                    subset.entries().any(|e| e.block == block),
                     "K={shards}: block {block}"
                 );
                 let info = s.world.block(block).unwrap();
@@ -849,7 +849,6 @@ mod tests {
         let silent_hl = Hitlist::from_internet(&silent.world, &HitlistConfig::default());
         let answering = hl
             .entries()
-            .iter()
             .find(|e| s.world.block(e.block).is_some_and(|b| b.responsive))
             .expect("the tiny world has a responsive block");
         let one_block = serde_json::to_string(&[answering]).expect("entry serializes");

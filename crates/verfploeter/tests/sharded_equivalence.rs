@@ -179,7 +179,7 @@ fn more_shards_than_targets_still_identical() {
     let s = Scenario::broot(TopologyConfig::tiny(83), 7);
     let full = Hitlist::from_internet(&s.world, &HitlistConfig::default());
     let truncated = |n: usize| {
-        let json = serde_json::to_string(&full.entries().as_slice()[..n]).expect("entries serialize");
+        let json = serde_json::to_string(&full.entries().take(n).collect::<Vec<_>>()).expect("entries serialize");
         Hitlist::from_json(&json).expect("entries parse back")
     };
     for (hl, shard_counts) in [

@@ -28,7 +28,7 @@ const BURST_WINDOW: usize = 256;
 pub fn probe_order_burstiness() -> Verdict {
     let s = bench_scenario_scaled(21, 15_000);
     let hl = Hitlist::from_internet(&s.world, &HitlistConfig::default());
-    let slash16: Vec<u32> = hl.entries().iter().map(|e| e.target.0 >> 16).collect();
+    let slash16: Vec<u32> = hl.targets().iter().map(|t| t.0 >> 16).collect();
     let n = slash16.len() as u64;
     let worst = |order: &mut dyn Iterator<Item = u64>| -> usize {
         let seq: Vec<u32> = order

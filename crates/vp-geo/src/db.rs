@@ -12,17 +12,9 @@ pub struct GeoLoc {
     pub lon: f64,
 }
 
-/// One stored row: a [`GeoLoc`] plus the unlocated mark, which lives in
-/// the padding a `GeoLoc` already has — a row is 24 bytes either way.
-#[derive(Debug, Clone, Copy)]
-struct Row {
-    lat: f64,
-    lon: f64,
-    country: CountryId,
-    /// `false` for a block the database knows of but cannot place:
-    /// `lat`/`lon` then hold its stand-in position and `country` nothing.
-    located: bool,
-}
+/// The country of a row the database cannot place: no country table
+/// comes near `u16::MAX` entries.
+const UNLOCATED: CountryId = CountryId(u16::MAX);
 
 /// Block-level geolocation database.
 ///
@@ -30,18 +22,21 @@ struct Row {
 /// observations geographically. Blocks the database cannot place are the
 /// "no location" row of Table 4 — the paper discards 678 such blocks.
 ///
-/// Storage is two parallel block-sorted columns: a lookup is one binary
-/// search over a contiguous key column, and the generator's ascending
-/// inserts are appends. An unlocatable block still gets a row
-/// ([`GeoDb::insert_unlocated`]), so a database fed every block of a
-/// table is **row-aligned** with it: [`GeoDb::keys`] is the table's key
-/// column and [`GeoDb::coords_of_row`] is an index, not a search.
+/// Storage is three parallel block-sorted columns (22 bytes a row): a
+/// lookup is one binary search over a contiguous key column, and the
+/// generator's ascending inserts are appends. An unlocatable block still
+/// gets a row ([`GeoDb::insert_unlocated`]), so a database fed every block
+/// of a table is **row-aligned** with it: [`GeoDb::keys`] is the table's
+/// key column and [`GeoDb::coords_of_row`] is an index, not a search.
 #[derive(Debug, Clone, Default)]
 pub struct GeoDb {
     /// Every row's block, strictly ascending.
     blocks: Vec<Block24>,
-    /// Row of `blocks[i]`, parallel to `blocks`.
-    rows: Vec<Row>,
+    /// `(lat, lon)` of every row: its location, or the stand-in position
+    /// of a block that has none.
+    coords: Vec<(f64, f64)>,
+    /// Every row's country, [`UNLOCATED`] for a block that has none.
+    countries: Vec<CountryId>,
     /// How many rows are located.
     located: usize,
 }
@@ -55,7 +50,8 @@ impl GeoDb {
     pub fn with_capacity(rows: usize) -> Self {
         GeoDb {
             blocks: Vec::with_capacity(rows),
-            rows: Vec::with_capacity(rows),
+            coords: Vec::with_capacity(rows),
+            countries: Vec::with_capacity(rows),
             located: 0,
         }
     }
@@ -63,15 +59,7 @@ impl GeoDb {
     /// Registers a block's location (last write wins).
     pub fn insert(&mut self, block: Block24, loc: GeoLoc) {
         let GeoLoc { country, lat, lon } = loc;
-        self.put(
-            block,
-            Row {
-                lat,
-                lon,
-                country,
-                located: true,
-            },
-        );
+        self.put(block, (lat, lon), country);
     }
 
     /// Registers a block that has no location (last write wins): `locate`
@@ -79,42 +67,42 @@ impl GeoDb {
     /// [`GeoDb::coords_of_row`] reads `(lat, lon)` — the position that
     /// stands in for the block's own (the generator passes its PoP's).
     pub fn insert_unlocated(&mut self, block: Block24, lat: f64, lon: f64) {
-        self.put(
-            block,
-            Row {
-                lat,
-                lon,
-                country: CountryId(0),
-                located: false,
-            },
-        );
+        self.put(block, (lat, lon), UNLOCATED);
     }
 
-    fn put(&mut self, block: Block24, row: Row) {
-        self.located += usize::from(row.located);
+    fn put(&mut self, block: Block24, coords: (f64, f64), country: CountryId) {
+        self.located += usize::from(country != UNLOCATED);
         if self.blocks.last() < Some(&block) {
             self.blocks.push(block);
-            self.rows.push(row);
+            self.coords.push(coords);
+            self.countries.push(country);
             return;
         }
         match self.blocks.binary_search(&block) {
             Ok(i) => {
-                if let Some(slot) = self.rows.get_mut(i) {
-                    self.located -= usize::from(slot.located);
-                    *slot = row;
+                if let (Some(c), Some(slot)) = (self.coords.get_mut(i), self.countries.get_mut(i)) {
+                    self.located -= usize::from(*slot != UNLOCATED);
+                    (*c, *slot) = (coords, country);
                 }
             }
             Err(i) => {
                 self.blocks.insert(i, block);
-                self.rows.insert(i, row);
+                self.coords.insert(i, coords);
+                self.countries.insert(i, country);
             }
         }
     }
 
+    /// The location of row `row`, if it has one.
+    fn loc_of_row(&self, row: usize) -> Option<GeoLoc> {
+        let country = *self.countries.get(row).filter(|&&c| c != UNLOCATED)?;
+        let &(lat, lon) = self.coords.get(row)?;
+        Some(GeoLoc { country, lat, lon })
+    }
+
     /// Looks a block up; `None` reproduces the paper's unlocatable blocks.
     pub fn locate(&self, block: Block24) -> Option<GeoLoc> {
-        let i = self.blocks.binary_search(&block).ok()?;
-        self.rows.get(i).and_then(Row::loc)
+        self.loc_of_row(self.blocks.binary_search(&block).ok()?)
     }
 
     /// Number of locatable blocks.
@@ -128,8 +116,8 @@ impl GeoDb {
 
     /// Iterates all `(block, location)` entries in ascending block order.
     pub fn iter(&self) -> impl Iterator<Item = (Block24, GeoLoc)> + '_ {
-        let rows = self.blocks.iter().zip(&self.rows);
-        rows.filter_map(|(block, row)| Some((*block, row.loc()?)))
+        let rows = self.blocks.iter().enumerate();
+        rows.filter_map(|(row, &block)| Some((block, self.loc_of_row(row)?)))
     }
 
     /// The block of every row, located or not, ascending.
@@ -140,17 +128,7 @@ impl GeoDb {
     /// `(lat, lon)` of row `row` of [`GeoDb::keys`]: the block's location,
     /// or its stand-in position if it has none.
     pub fn coords_of_row(&self, row: usize) -> Option<(f64, f64)> {
-        self.rows.get(row).map(|r| (r.lat, r.lon))
-    }
-}
-
-impl Row {
-    fn loc(&self) -> Option<GeoLoc> {
-        self.located.then_some(GeoLoc {
-            country: self.country,
-            lat: self.lat,
-            lon: self.lon,
-        })
+        self.coords.get(row).copied()
     }
 }
 
@@ -193,7 +171,6 @@ mod tests {
     /// last-write-wins and out-of-order insertion.
     #[test]
     fn unlocated_rows_keep_their_row_and_stay_out_of_the_view() {
-        assert_eq!(std::mem::size_of::<Row>(), std::mem::size_of::<GeoLoc>());
         let mut db = GeoDb::with_capacity(2);
         db.insert(Block24(30), loc(3, 30.0, 3.0));
         db.insert_unlocated(Block24(40), 40.0, 4.0);
@@ -234,6 +211,20 @@ mod tests {
         let mut none = GeoDb::new();
         none.insert_unlocated(Block24(1), 0.0, 0.0);
         assert!(none.is_empty() && none.iter().next().is_none());
+    }
+
+    /// A row costs its three columns and no padding: 22 bytes, where a
+    /// padded row struct took 28.
+    #[test]
+    fn a_row_is_22_bytes() {
+        fn element<T>(_: &[T]) -> usize {
+            std::mem::size_of::<T>()
+        }
+        let db = GeoDb::new();
+        assert_eq!(
+            element(&db.blocks) + element(&db.coords) + element(&db.countries),
+            22
+        );
     }
 
     #[test]

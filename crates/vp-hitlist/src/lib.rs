@@ -45,7 +45,8 @@ impl Id for HitlistRow {
     }
 }
 
-/// One hitlist row.
+/// One hitlist row, as it is written and read: the hitlist itself
+/// stores only `target`, and `block` is `target.block()`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HitlistEntry {
     pub block: Block24,
@@ -73,11 +74,11 @@ impl Default for HitlistConfig {
     }
 }
 
-/// The hitlist entry for one block — a pure function of the block, its
+/// The hitlist target for one block — a pure function of the block, its
 /// representative octet, and the config seed.
-fn entry_for(block: Block24, rep_octet: u8, cfg: &HitlistConfig) -> HitlistEntry {
+fn target_for(block: Block24, rep_octet: u8, cfg: &HitlistConfig) -> Ipv4Addr {
     let h = mix(cfg.seed, block.0 as u64);
-    let target = if unit(h) < cfg.wrong_addr_prob {
+    if unit(h) < cfg.wrong_addr_prob {
         // Deterministically pick a different final octet.
         let mut octet = vp_net::conv::sat_u8(mix(cfg.seed ^ 0xbad, block.0 as u64) % 254) + 1;
         if octet == rep_octet {
@@ -86,8 +87,7 @@ fn entry_for(block: Block24, rep_octet: u8, cfg: &HitlistConfig) -> HitlistEntry
         block.addr(octet)
     } else {
         block.addr(rep_octet)
-    };
-    HitlistEntry { block, target }
+    }
 }
 
 /// Partitions `0..n` into `shards` disjoint contiguous ranges, sizes
@@ -111,10 +111,11 @@ pub fn shard_bounds_of(n: usize, shards: usize) -> Vec<std::ops::Range<usize>> {
     out
 }
 
-/// An ordered hitlist over every populated block of a world.
+/// An ordered hitlist over every populated block of a world: one target
+/// per row, ascending by block.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Hitlist {
-    entries: IdVec<HitlistRow, HitlistEntry>,
+    targets: IdVec<HitlistRow, Ipv4Addr>,
 }
 
 impl Hitlist {
@@ -126,29 +127,38 @@ impl Hitlist {
             (0.0..=1.0).contains(&cfg.wrong_addr_prob),
             "wrong_addr_prob out of range"
         );
-        let entries: Vec<HitlistEntry> = world
+        let targets: Vec<Ipv4Addr> = world
             .blocks
             .iter()
-            .map(|b| entry_for(b.block, b.rep_octet, cfg))
+            .map(|b| target_for(b.block, b.rep_octet, cfg))
             .collect();
-        debug_assert!(entries.is_sorted_by(|a, b| a.block < b.block));
+        debug_assert!(targets.is_sorted_by(|a, b| a.block() < b.block()));
         Hitlist {
-            entries: entries.into(),
+            targets: targets.into(),
         }
     }
 
     /// Number of targets.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.targets.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.targets.is_empty()
     }
 
-    /// All entries in block order, keyed by their rows.
-    pub fn entries(&self) -> &IdVec<HitlistRow, HitlistEntry> {
-        &self.entries
+    /// Every row's target, in block order.
+    pub fn targets(&self) -> &IdVec<HitlistRow, Ipv4Addr> {
+        &self.targets
+    }
+
+    /// All entries in block order, each built from its row's target.
+    pub fn entries(&self) -> impl ExactSizeIterator<Item = HitlistEntry> + '_ {
+        let entry = |&target: &Ipv4Addr| HitlistEntry {
+            block: target.block(),
+            target,
+        };
+        self.targets.iter().map(entry)
     }
 
     /// Partitions the hitlist into `shards` disjoint contiguous index
@@ -162,7 +172,7 @@ impl Hitlist {
     /// # Panics
     /// Panics if `shards` is zero.
     pub fn shard_bounds(&self, shards: usize) -> Vec<std::ops::Range<usize>> {
-        shard_bounds_of(self.entries.len(), shards)
+        shard_bounds_of(self.targets.len(), shards)
     }
 
     /// Serializes to JSON (one array; stable order).
@@ -171,16 +181,18 @@ impl Hitlist {
         reason = "serializing owned plain data through `impl_serialize!` cannot fail."
     )]
     pub fn to_json(&self) -> String {
-        serde_json::to_string(self.entries.as_slice()).expect("hitlist serializes")
+        let entries: Vec<HitlistEntry> = self.entries().collect();
+        serde_json::to_string(&entries).expect("hitlist serializes")
     }
 
     /// Reloads a hitlist written by [`Hitlist::to_json`], walking the text
-    /// row by row: each row needs a `block` and a `target` that fit `u32`;
-    /// unknown members are skipped and rows may come in any order, but no
-    /// two may name the same block — a hitlist is one target per /24.
+    /// row by row: each row needs a `block` and a `target` inside it, both
+    /// fitting `u32`; unknown members are skipped and rows may come in any
+    /// order, but no two may name the same block — a hitlist is one target
+    /// per /24.
     pub fn from_json(s: &str) -> Result<Hitlist, HitlistError> {
         let mut reader = serde_json::Reader::new(s);
-        let mut entries = Vec::new();
+        let mut targets = Vec::new();
         reader.begin_array()?;
         while reader.next_element()? {
             let (mut block, mut target) = (None, None);
@@ -195,19 +207,20 @@ impl Hitlist {
             let (Some(block), Some(target)) = (block, target) else {
                 return Err(reader.error("hitlist row needs block and target").into());
             };
-            entries.push(HitlistEntry {
-                block: Block24(block),
-                target: Ipv4Addr(target),
-            });
+            let (block, target) = (Block24(block), Ipv4Addr(target));
+            if target.block() != block {
+                return Err(HitlistError::TargetOutsideBlock { block, target });
+            }
+            targets.push(target);
         }
         reader.end()?;
-        entries.sort_by_key(|e| e.block);
-        let mut pairs = entries.iter().zip(entries.iter().skip(1));
-        if let Some((repeated, _)) = pairs.find(|(a, b)| a.block == b.block) {
-            return Err(HitlistError::RepeatedBlock(repeated.block));
+        targets.sort_by_key(|t| t.block());
+        let mut pairs = targets.iter().zip(targets.iter().skip(1));
+        if let Some((repeated, _)) = pairs.find(|(a, b)| a.block() == b.block()) {
+            return Err(HitlistError::RepeatedBlock(repeated.block()));
         }
         Ok(Hitlist {
-            entries: entries.into(),
+            targets: targets.into(),
         })
     }
 }
@@ -219,6 +232,8 @@ pub enum HitlistError {
     Json(serde_json::Error),
     /// Two rows name this block.
     RepeatedBlock(Block24),
+    /// A row's target lies outside its block.
+    TargetOutsideBlock { block: Block24, target: Ipv4Addr },
 }
 
 impl std::fmt::Display for HitlistError {
@@ -226,6 +241,9 @@ impl std::fmt::Display for HitlistError {
         match self {
             HitlistError::Json(e) => write!(f, "{e}"),
             HitlistError::RepeatedBlock(block) => write!(f, "block {block} is listed twice"),
+            HitlistError::TargetOutsideBlock { block, target } => {
+                write!(f, "target {target} is outside its block {block}")
+            }
         }
     }
 }
@@ -257,10 +275,9 @@ mod tests {
         let w = world();
         let hl = Hitlist::from_internet(&w, &HitlistConfig::default());
         assert_eq!(hl.len(), w.blocks.len());
-        let blocks: std::collections::BTreeSet<Block24> =
-            hl.entries().iter().map(|e| e.block).collect();
+        let blocks: std::collections::BTreeSet<Block24> = hl.entries().map(|e| e.block).collect();
         assert_eq!(blocks.len(), hl.len());
-        for e in hl.entries().iter() {
+        for e in hl.entries() {
             assert!(
                 e.block.contains(e.target),
                 "{} outside {}",
@@ -278,7 +295,6 @@ mod tests {
         let hl = Hitlist::from_internet(&w, &cfg);
         let wrong = hl
             .entries()
-            .iter()
             .filter(|e| w.block(e.block).unwrap().representative() != e.target)
             .count();
         let frac = wrong as f64 / hl.len() as f64;
@@ -296,7 +312,7 @@ mod tests {
             ..HitlistConfig::default()
         };
         let hl = Hitlist::from_internet(&w, &cfg);
-        for e in hl.entries().iter() {
+        for e in hl.entries() {
             assert_eq!(e.target, w.block(e.block).unwrap().representative());
         }
     }
@@ -310,13 +326,16 @@ mod tests {
         assert_eq!(back, hl);
         // Rows in any order, unknown members skipped; a row missing a
         // member, a value past u32 and trailing text are errors.
-        let e = hl.entries()[HitlistRow(0)];
+        let e = hl.entries().next().unwrap();
         let loose = format!(
             r#"[{{"target": {}, "x": [1], "block": {}}}]"#,
             e.target.0, e.block.0
         );
         assert_eq!(
-            Hitlist::from_json(&loose).unwrap().entries().as_slice(),
+            Hitlist::from_json(&loose)
+                .unwrap()
+                .entries()
+                .collect::<Vec<_>>(),
             [e]
         );
         for text in [
@@ -332,6 +351,31 @@ mod tests {
         }
     }
 
+    /// A row's target lies inside its block: a document that says
+    /// otherwise is refused, naming both, rather than read as the target's
+    /// own block. The written format is the two members per row.
+    #[test]
+    fn a_target_outside_its_block_is_refused() {
+        let (block, target) = (Block24(1), Ipv4Addr::new(0, 0, 2, 1));
+        let text = format!(r#"[{{"block": {}, "target": {}}}]"#, block.0, target.0);
+        let refused = Hitlist::from_json(&text).unwrap_err();
+        assert_eq!(refused, HitlistError::TargetOutsideBlock { block, target });
+        assert_eq!(
+            refused.to_string(),
+            format!("target {target} is outside its block {block}")
+        );
+        let inside = format!(
+            r#"[{{"block": {}, "target": {}}}]"#,
+            target.block().0,
+            target.0
+        );
+        let hl = Hitlist::from_json(&inside).unwrap();
+        assert_eq!(
+            hl.to_json(),
+            format!(r#"[{{"block":2,"target":{}}}]"#, target.0)
+        );
+    }
+
     /// One target per /24: a document that lists a block twice — with the
     /// same target or another, next to each other or not — is refused,
     /// naming the block, instead of scanning it twice.
@@ -339,7 +383,8 @@ mod tests {
     fn a_repeated_block_is_refused() {
         let w = world();
         let hl = Hitlist::from_internet(&w, &HitlistConfig::default());
-        let (a, b) = (hl.entries()[HitlistRow(0)], hl.entries()[HitlistRow(1)]);
+        let mut entries = hl.entries();
+        let (a, b) = (entries.next().unwrap(), entries.next().unwrap());
         let elsewhere = HitlistEntry {
             target: Ipv4Addr(a.target.0 ^ 1),
             ..a

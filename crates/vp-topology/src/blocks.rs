@@ -14,8 +14,6 @@ use crate::prefixes::PrefixInfo;
 pub struct BlockInfo {
     pub block: Block24,
     pub origin: Asn,
-    /// Index of the announced prefix this block belongs to.
-    pub prefix_idx: u32,
     /// The PoP of the origin AS that homes this block — determines which
     /// egress the block's traffic uses under hot-potato routing.
     pub pop: PopId,
@@ -63,7 +61,7 @@ pub(crate) fn generate_blocks(
     let room = prefixes.iter().map(room).sum::<usize>().min(cfg.max_blocks);
     let mut blocks = Vec::with_capacity(room);
     let mut geodb = GeoDb::with_capacity(room);
-    'outer: for (idx, info) in prefixes.iter().enumerate() {
+    'outer: for info in prefixes {
         for block in crate::prefixes::populate_blocks(info, cfg, rng) {
             if blocks.len() >= cfg.max_blocks {
                 break 'outer;
@@ -131,7 +129,6 @@ pub(crate) fn generate_blocks(
             blocks.push(BlockInfo {
                 block,
                 origin: info.origin,
-                prefix_idx: idx as u32,
                 pop,
                 responsive,
                 sends_queries,
@@ -179,8 +176,11 @@ mod tests {
         assert!(!blocks.is_empty());
         assert!(blocks.len() <= cfg.max_blocks);
         for b in &blocks {
-            let info = &prefixes[b.prefix_idx as usize];
-            assert!(info.prefix.covers(b.block.prefix()));
+            let mut covering = prefixes
+                .iter()
+                .filter(|p| p.prefix.covers(b.block.prefix()));
+            let info = covering.next().unwrap();
+            assert!(covering.next().is_none(), "prefixes are disjoint");
             assert_eq!(info.origin, b.origin);
         }
     }

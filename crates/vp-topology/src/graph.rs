@@ -71,10 +71,12 @@ pub struct AsNode {
 pub struct AsGraph {
     pub ases: IdVec<Asn, AsNode>,
     pub pops: IdVec<PopId, Pop>,
-    /// For each directed adjacency `(a, b)`, ascending by `(a, b)`: the
-    /// PoP of `a` where the session to `b` lands. Both directions are
-    /// always present.
-    sessions: Vec<((Asn, Asn), PopId)>,
+    /// The directed sessions, one compressed row per AS: `a`'s row is
+    /// `sessions[session_start[a]..session_start[a + 1]]`, each entry a
+    /// neighbour `b` (ascending) and the PoP of `a` where the session to
+    /// `b` lands. Both directions are always present.
+    session_start: Vec<u32>,
+    sessions: Vec<(Asn, PopId)>,
 }
 
 impl AsGraph {
@@ -83,19 +85,31 @@ impl AsGraph {
         &self.ases[asn]
     }
 
+    /// `a`'s row of sessions: `(b, pop)`, ascending by `b`.
+    fn sessions_of(&self, a: Asn) -> &[(Asn, PopId)] {
+        let start = |i: usize| self.session_start.get(i).map(|&s| vp_net::conv::index(s));
+        let (Some(first), Some(end)) = (start(a.index()), start(a.index() + 1)) else {
+            return &[];
+        };
+        self.sessions.get(first..end).unwrap_or_default()
+    }
+
     /// The PoP anchoring the session from `a` toward `b`, if adjacent.
     pub fn session_pop(&self, a: Asn, b: Asn) -> Option<PopId> {
-        let row = self
-            .sessions
-            .binary_search_by_key(&(a, b), |&(key, _)| key)
-            .ok()?;
-        self.sessions.get(row).map(|&(_, pop)| pop)
+        let row = self.sessions_of(a);
+        let i = row.binary_search_by_key(&b, |&(n, _)| n).ok()?;
+        row.get(i).map(|&(_, pop)| pop)
     }
 
     /// Every directed session `((a, b), pop)`, ascending by `(a, b)`:
     /// `pop` is the PoP of `a` where its session to `b` lands.
     pub fn sessions(&self) -> impl Iterator<Item = ((Asn, Asn), PopId)> + '_ {
-        self.sessions.iter().copied()
+        let row = move |a| {
+            self.sessions_of(a)
+                .iter()
+                .map(move |&(b, pop)| ((a, b), pop))
+        };
+        self.ases.ids().flat_map(row)
     }
 
     /// All neighbor ASNs of `asn` (providers, customers, peers).
@@ -198,6 +212,7 @@ impl AsGraph {
                     cs
                 }
             };
+            node.pops.reserve_exact(pop_countries.len());
             for cid in pop_countries {
                 let (lat, lon) = cid.get().sample_location(rng);
                 let id = PopId(pops.len() as u32);
@@ -313,7 +328,41 @@ impl AsGraph {
                 .get(first..first + node.pops.len())
                 .unwrap_or_default()
         };
-        let mut sessions = Vec::with_capacity(2 * edges.len());
+        // Every list is allocated once at its exact length: count each
+        // AS's relations of each kind and its sessions, then fill.
+        let mut degree = vec![[0; 3]; ases.len()];
+        let mut session_start = vec![0u32; ases.len() + 1];
+        for &(a, b, kind) in edges.iter().filter(|&&(a, b, _)| a != b) {
+            let (side_a, side_b) = match kind {
+                EdgeKind::ProviderCustomer => (CUSTOMERS, PROVIDERS),
+                EdgeKind::Peer => (PEERS, PEERS),
+            };
+            degree[a][side_a] += 1;
+            degree[b][side_b] += 1;
+            // `closest_pop_pair` anchors a session iff both ends have a PoP.
+            if !ases[a].pops.is_empty() && !ases[b].pops.is_empty() {
+                session_start[a + 1] += 1;
+                session_start[b + 1] += 1;
+            }
+        }
+        for (node, lists) in ases.iter_mut().zip(&degree) {
+            node.providers.reserve_exact(lists[PROVIDERS]);
+            node.customers.reserve_exact(lists[CUSTOMERS]);
+            node.peers.reserve_exact(lists[PEERS]);
+        }
+        let mut total = 0;
+        for start in &mut session_start {
+            total += *start;
+            *start = total;
+        }
+        // Edges ascend by `(lo, hi)`, so each AS's row fills in ascending
+        // neighbour order: first the edges it is `hi` of, then `lo` of.
+        let mut next = session_start.clone();
+        let mut sessions = vec![(Asn(0), PopId(0)); vp_net::conv::index(total)];
+        let mut put = |a: usize, entry| {
+            sessions[vp_net::conv::index(next[a])] = entry;
+            next[a] += 1;
+        };
         for (a, b, kind) in edges {
             let Ok([node_a, node_b]) = ases.get_disjoint_mut([a, b]) else {
                 continue;
@@ -331,19 +380,24 @@ impl AsGraph {
             }
             // Anchor the session at the geographically closest PoP pair.
             if let Some((pop_a, pop_b)) = closest_pop_pair(anchors_of(node_a), anchors_of(node_b)) {
-                sessions.push(((asn_a, asn_b), pop_a));
-                sessions.push(((asn_b, asn_a), pop_b));
+                put(a, (asn_b, pop_a));
+                put(b, (asn_a, pop_b));
             }
         }
-        sessions.sort_unstable_by_key(|&(key, _)| key);
 
         AsGraph {
             ases: ases.into(),
             pops: pops.into(),
+            session_start,
             sessions,
         }
     }
 }
+
+/// Columns of the per-AS relation counts `generate` sizes lists from.
+const PROVIDERS: usize = 0;
+const CUSTOMERS: usize = 1;
+const PEERS: usize = 2;
 
 /// Declaration order is the dedup rank: a provider–customer edge wins
 /// over a peering between the same two ASes.

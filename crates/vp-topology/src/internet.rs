@@ -20,7 +20,9 @@ use crate::prefixes::{allocate_prefixes, PrefixInfo};
 /// block's id *is* its row in `blocks` — the order of the hitlist and of
 /// every per-block column built over a world. `geodb` is one of those
 /// columns (also asserted): row `i` of it positions `blocks[i]`, whether
-/// or not the database can locate the block.
+/// or not the database can locate the block. `prefixes` are disjoint and
+/// ascending too (asserted), so a block's prefix is a search, not a
+/// column ([`Internet::prefix_idx`]).
 #[derive(Debug, Clone)]
 pub struct Internet {
     pub config: TopologyConfig,
@@ -55,6 +57,11 @@ impl Internet {
             );
             previous = Some(key);
         }
+        let mut pairs = prefixes.iter().zip(prefixes.iter().skip(1));
+        assert!(
+            pairs.all(|(a, b)| a.prefix.addr() < b.prefix.addr() && !a.prefix.contains(b.prefix.addr())),
+            "announced prefixes must be disjoint and ascending: a block's prefix is found by search"
+        );
 
         Internet {
             config,
@@ -80,6 +87,15 @@ impl Internet {
     /// Attribute record for a block, if populated.
     pub fn block(&self, block: Block24) -> Option<&BlockInfo> {
         self.blocks.get(vp_net::conv::index(self.block_id(block)?))
+    }
+
+    /// Index in [`Internet::prefixes`] of the announced prefix holding
+    /// `info`'s block: the last prefix starting at or below it, since
+    /// prefixes are disjoint and ascending.
+    pub fn prefix_idx(&self, info: &BlockInfo) -> u32 {
+        let first = info.block.addr(0);
+        let after = self.prefixes.partition_point(|p| p.prefix.addr() <= first);
+        vp_net::conv::sat_u32(after.saturating_sub(1))
     }
 
     /// Number of prefixes announced by `asn`.
@@ -114,14 +130,13 @@ mod tests {
     #[test]
     fn block_origins_agree_with_their_longest_covering_prefix() {
         let w = world();
-        for b in w.blocks.iter().take(200) {
-            let covering = w
-                .prefixes
-                .iter()
-                .filter(|p| p.prefix.contains(b.block.addr(1)))
-                .max_by_key(|p| p.prefix.prefix_len())
+        for b in &w.blocks {
+            let (idx, covering) = (w.prefixes.iter().enumerate())
+                .filter(|(_, p)| p.prefix.contains(b.block.addr(1)))
+                .max_by_key(|(_, p)| p.prefix.prefix_len())
                 .unwrap();
             assert_eq!(covering.origin, b.origin);
+            assert_eq!(w.prefix_idx(b) as usize, idx, "block {}", b.block);
         }
     }
 

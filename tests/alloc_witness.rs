@@ -41,6 +41,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use verfploeter_suite::bgp::SiteId;
 use verfploeter_suite::net::{Asn, Block24, SimTime};
+use verfploeter_suite::topology::{BlockInfo, Internet, TopologyConfig};
 use verfploeter_suite::vp::scan::{run_scan, run_scan_sharded_on, ScanConfig, ScanResult};
 use verfploeter_suite::vp::CatchmentMap;
 use vp_experiments::bench_scenario_scaled;
@@ -277,6 +278,41 @@ fn steady_state_allocations_stay_sublinear_in_probes() {
         serial.peak_bytes / TARGETS as u64,
         sharded.allocs,
         sharded.peak_bytes / TARGETS as u64,
+    );
+}
+
+/// Live heap a generated world and its hitlist may hold per block, at
+/// [`TARGETS`] blocks in the benchmark's world recipe: the block table
+/// (24 B a row), the geolocation columns (22 B), the hitlist (4 B), the
+/// prefixes and the AS graph. Measured 68.5 B; it ratchets down only —
+/// a stored copy of a column, a wider row or slack capacity fails it.
+const WORLD_BYTES_PER_BLOCK: f64 = 69.0;
+
+/// A world stores each fact once, in columns allocated at their final
+/// size: its live heap, counted on this thread, stays under a per-block
+/// ceiling.
+#[test]
+fn a_world_holds_its_columns_and_nothing_more() {
+    let _alone = alone();
+    assert_eq!(std::mem::size_of::<BlockInfo>(), 24, "a block row has no prefix column");
+    let config = TopologyConfig {
+        seed: 33,
+        num_ases: TARGETS / 25,
+        max_blocks: TARGETS,
+        ..TopologyConfig::default()
+    };
+    let live = || THREAD_LIVE_BYTES.with(Cell::get);
+    let before = live();
+    let world = Internet::generate(config);
+    let hitlist = Hitlist::from_internet(&world, &HitlistConfig::default());
+    let held = live() - before;
+    assert_eq!(hitlist.len(), world.blocks.len());
+    let per_block = held as f64 / world.blocks.len() as f64;
+    eprintln!("world + hitlist: {held} B live for {} blocks, {per_block:.1} B/block", world.blocks.len());
+    assert!(
+        per_block <= WORLD_BYTES_PER_BLOCK,
+        "a world and its hitlist hold {per_block:.1} B/block (ceiling {WORLD_BYTES_PER_BLOCK}): \
+         a column grew, was copied or kept slack capacity"
     );
 }
 

@@ -68,7 +68,7 @@ fn generated_worlds_are_pinned_byte_for_byte() {
         for (row, b) in w.blocks.iter().enumerate() {
             h.u32(b.block.0);
             h.u32(b.origin.0);
-            h.u32(b.prefix_idx);
+            h.u32(w.prefix_idx(b));
             h.u32(b.pop.0);
             h.bytes(&[
                 u8::from(b.responsive),
