@@ -171,7 +171,7 @@ fn design_inventory_names_every_crate() {
 /// this long, and one that shortens it lowers the ceiling.
 #[test]
 fn design_md_line_count_only_ratchets_down() {
-    const CEILING: usize = 923;
+    const CEILING: usize = 917;
     let lines = std::fs::read_to_string(root().join("DESIGN.md")).unwrap().lines().count();
     assert!(lines <= CEILING, "DESIGN.md is {lines} lines, ceiling {CEILING}");
 }
